@@ -2,7 +2,7 @@
 //!
 //! The Appendix-H disaggregated layout (4×A40 prefill → 4×3090Ti decode)
 //! runs on a 5 Gbps inter-instance link with
-//! [`ts_sim::config::SimConfig::network_contention`] on, sweeping the
+//! [`ts_sim::config::KvTransfer::Fabric`] on, sweeping the
 //! arrival rate (which controls how many KV transfers overlap on the link)
 //! against {4-bit, fp16} wire precision. Under max-min sharing the
 //! per-transfer wire time stretches with the number of concurrent flows —

@@ -46,228 +46,8 @@ pub const AUTOSCALE_GAP_BOUND_QUICK: f64 = 0.15;
 /// static fleet, as a fraction of the static cost.
 pub const AUTOSCALE_MIN_SAVING: f64 = 0.2;
 
-/// Minimal JSON value, parsed without any external dependency.
-pub mod json {
-    /// A parsed JSON value.
-    #[derive(Debug, Clone, PartialEq)]
-    pub enum Value {
-        /// `null`
-        Null,
-        /// `true` / `false`
-        Bool(bool),
-        /// Any number (JSON has only doubles).
-        Number(f64),
-        /// A string, unescaped.
-        String(String),
-        /// An array.
-        Array(Vec<Value>),
-        /// An object, in source order.
-        Object(Vec<(String, Value)>),
-    }
-
-    impl Value {
-        /// The string payload, if this is a string.
-        pub fn as_str(&self) -> Option<&str> {
-            match self {
-                Value::String(s) => Some(s),
-                _ => None,
-            }
-        }
-
-        /// The numeric payload, if this is a number.
-        pub fn as_number(&self) -> Option<f64> {
-            match self {
-                Value::Number(n) => Some(*n),
-                _ => None,
-            }
-        }
-
-        /// The boolean payload, if this is a bool.
-        pub fn as_bool(&self) -> Option<bool> {
-            match self {
-                Value::Bool(b) => Some(*b),
-                _ => None,
-            }
-        }
-
-        /// The elements, if this is an array.
-        pub fn as_array(&self) -> Option<&[Value]> {
-            match self {
-                Value::Array(a) => Some(a),
-                _ => None,
-            }
-        }
-
-        /// The members, if this is an object.
-        pub fn as_object(&self) -> Option<&[(String, Value)]> {
-            match self {
-                Value::Object(o) => Some(o),
-                _ => None,
-            }
-        }
-
-        /// Object member lookup (first match).
-        pub fn get(&self, key: &str) -> Option<&Value> {
-            self.as_object()?
-                .iter()
-                .find(|(k, _)| k == key)
-                .map(|(_, v)| v)
-        }
-
-        /// Numeric member lookup.
-        pub fn num(&self, key: &str) -> Option<f64> {
-            self.get(key)?.as_number()
-        }
-    }
-
-    /// Parses a complete JSON document.
-    ///
-    /// # Errors
-    /// Returns a position-annotated message on malformed input.
-    pub fn parse(text: &str) -> Result<Value, String> {
-        let bytes = text.as_bytes();
-        let mut pos = 0usize;
-        let v = parse_value(bytes, &mut pos)?;
-        skip_ws(bytes, &mut pos);
-        if pos != bytes.len() {
-            return Err(format!("trailing garbage at byte {pos}"));
-        }
-        Ok(v)
-    }
-
-    fn skip_ws(b: &[u8], pos: &mut usize) {
-        while *pos < b.len() && matches!(b[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-            *pos += 1;
-        }
-    }
-
-    fn parse_value(b: &[u8], pos: &mut usize) -> Result<Value, String> {
-        skip_ws(b, pos);
-        match b.get(*pos) {
-            None => Err("unexpected end of input".into()),
-            Some(b'{') => {
-                *pos += 1;
-                let mut members = Vec::new();
-                skip_ws(b, pos);
-                if b.get(*pos) == Some(&b'}') {
-                    *pos += 1;
-                    return Ok(Value::Object(members));
-                }
-                loop {
-                    skip_ws(b, pos);
-                    let key = parse_string(b, pos)?;
-                    skip_ws(b, pos);
-                    if b.get(*pos) != Some(&b':') {
-                        return Err(format!("expected ':' at byte {pos}"));
-                    }
-                    *pos += 1;
-                    let v = parse_value(b, pos)?;
-                    members.push((key, v));
-                    skip_ws(b, pos);
-                    match b.get(*pos) {
-                        Some(b',') => *pos += 1,
-                        Some(b'}') => {
-                            *pos += 1;
-                            return Ok(Value::Object(members));
-                        }
-                        _ => return Err(format!("expected ',' or '}}' at byte {pos}")),
-                    }
-                }
-            }
-            Some(b'[') => {
-                *pos += 1;
-                let mut items = Vec::new();
-                skip_ws(b, pos);
-                if b.get(*pos) == Some(&b']') {
-                    *pos += 1;
-                    return Ok(Value::Array(items));
-                }
-                loop {
-                    items.push(parse_value(b, pos)?);
-                    skip_ws(b, pos);
-                    match b.get(*pos) {
-                        Some(b',') => *pos += 1,
-                        Some(b']') => {
-                            *pos += 1;
-                            return Ok(Value::Array(items));
-                        }
-                        _ => return Err(format!("expected ',' or ']' at byte {pos}")),
-                    }
-                }
-            }
-            Some(b'"') => Ok(Value::String(parse_string(b, pos)?)),
-            Some(b't') => parse_lit(b, pos, "true", Value::Bool(true)),
-            Some(b'f') => parse_lit(b, pos, "false", Value::Bool(false)),
-            Some(b'n') => parse_lit(b, pos, "null", Value::Null),
-            Some(_) => parse_number(b, pos),
-        }
-    }
-
-    fn parse_lit(b: &[u8], pos: &mut usize, lit: &str, v: Value) -> Result<Value, String> {
-        if b[*pos..].starts_with(lit.as_bytes()) {
-            *pos += lit.len();
-            Ok(v)
-        } else {
-            Err(format!("invalid literal at byte {pos}"))
-        }
-    }
-
-    fn parse_number(b: &[u8], pos: &mut usize) -> Result<Value, String> {
-        let start = *pos;
-        while *pos < b.len() && matches!(b[*pos], b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E') {
-            *pos += 1;
-        }
-        let s = std::str::from_utf8(&b[start..*pos]).map_err(|e| e.to_string())?;
-        s.parse::<f64>()
-            .map(Value::Number)
-            .map_err(|_| format!("invalid number {s:?} at byte {start}"))
-    }
-
-    fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
-        if b.get(*pos) != Some(&b'"') {
-            return Err(format!("expected string at byte {pos}"));
-        }
-        *pos += 1;
-        let mut out = Vec::new();
-        while let Some(&c) = b.get(*pos) {
-            *pos += 1;
-            match c {
-                b'"' => {
-                    return String::from_utf8(out).map_err(|e| e.to_string());
-                }
-                b'\\' => {
-                    let esc = b.get(*pos).ok_or("unterminated escape")?;
-                    *pos += 1;
-                    match esc {
-                        b'"' => out.push(b'"'),
-                        b'\\' => out.push(b'\\'),
-                        b'/' => out.push(b'/'),
-                        b'n' => out.push(b'\n'),
-                        b't' => out.push(b'\t'),
-                        b'r' => out.push(b'\r'),
-                        b'b' => out.push(0x08),
-                        b'f' => out.push(0x0c),
-                        b'u' => {
-                            let hex = b
-                                .get(*pos..*pos + 4)
-                                .ok_or("truncated \\u escape")
-                                .and_then(|h| std::str::from_utf8(h).map_err(|_| "bad \\u"))?;
-                            let code =
-                                u32::from_str_radix(hex, 16).map_err(|_| "bad \\u escape")?;
-                            *pos += 4;
-                            let ch = char::from_u32(code).unwrap_or('\u{FFFD}');
-                            let mut buf = [0u8; 4];
-                            out.extend_from_slice(ch.encode_utf8(&mut buf).as_bytes());
-                        }
-                        _ => return Err(format!("bad escape at byte {pos}")),
-                    }
-                }
-                _ => out.push(c),
-            }
-        }
-        Err("unterminated string".into())
-    }
-}
+/// The workspace JSON parser, re-exported under its historical path.
+pub use ts_common::json;
 
 use json::Value;
 
@@ -839,21 +619,6 @@ pub fn compare(stem: &str, committed: &str, fresh: &str) -> Result<Vec<String>, 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn parser_handles_the_committed_shapes() {
-        let v =
-            json::parse(r#"{"a": [1, 2.5, -3e-2], "b": {"s": "x\n\"y\"", "t": true, "n": null}}"#)
-                .unwrap();
-        assert_eq!(v.get("a").unwrap().as_array().unwrap().len(), 3);
-        assert_eq!(
-            v.get("b").unwrap().get("s").unwrap().as_str(),
-            Some("x\n\"y\"")
-        );
-        assert_eq!(v.get("b").unwrap().num("n"), None);
-        assert!(json::parse("{\"a\": }").is_err());
-        assert!(json::parse("[1, 2] trailing").is_err());
-    }
 
     #[test]
     fn sim_floors_trip() {

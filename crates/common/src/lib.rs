@@ -26,6 +26,7 @@
 pub mod catalog;
 pub mod error;
 pub mod ids;
+pub mod json;
 pub mod model;
 pub mod par;
 pub mod parallel;

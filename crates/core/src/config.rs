@@ -43,7 +43,7 @@ pub struct SchedulerConfig {
     pub num_threads: usize,
     /// Evaluate candidate plans under flow-level network contention: KV
     /// transfers share NIC/inter-node links max-min fairly in the simulator
-    /// ([`ts_sim::config::SimConfig::network_contention`]) instead of
+    /// ([`ts_sim::config::KvTransfer::Fabric`]) instead of
     /// serializing per sender. Off by default (the paper's model).
     pub network_contention: bool,
     /// Congestion factor (≥ 1) applied to analytic KV-transfer estimates

@@ -12,7 +12,7 @@ use ts_common::{
     DeploymentPlan, Error, GroupSpec, ModelSpec, Phase, Result, RoutingMatrix, SloSpec,
 };
 use ts_costmodel::ReplicaCostModel;
-use ts_sim::config::SimConfig;
+use ts_sim::config::{KvTransfer, SimConfig};
 use ts_sim::estimate::pair_estimates;
 use ts_solver::transport::solve_orchestration_with_link_budget;
 use ts_workload::WorkloadSpec;
@@ -267,7 +267,9 @@ pub fn sim_config(model: &ModelSpec, cfg: &SchedulerConfig) -> SimConfig {
     let mut sc = SimConfig::new(model.clone());
     sc.params = cfg.params;
     sc.kv_precision = cfg.kv_precision;
-    sc.network_contention = cfg.network_contention;
+    if cfg.network_contention {
+        sc.kv_transfer = KvTransfer::Fabric;
+    }
     sc.kv_congestion_factor = cfg.kv_congestion_factor;
     sc
 }
@@ -298,8 +300,11 @@ mod tests {
         cfg.network_contention = true;
         cfg.kv_congestion_factor = 1.25;
         let sc = sim_config(&ModelSpec::llama_13b(), &cfg);
-        assert!(sc.network_contention);
+        assert_eq!(sc.kv_transfer, KvTransfer::Fabric);
         assert_eq!(sc.kv_congestion_factor, 1.25);
+        cfg.network_contention = false;
+        let sc = sim_config(&ModelSpec::llama_13b(), &cfg);
+        assert_eq!(sc.kv_transfer, KvTransfer::Serialized);
     }
 
     #[test]

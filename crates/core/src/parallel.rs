@@ -20,6 +20,7 @@ use ts_common::{
     Error, GpuId, GroupSpec, ModelSpec, NodeId, ParallelConfig, Phase, Result, StageSpec,
 };
 use ts_costmodel::ReplicaCostModel;
+use ts_sim::config::MAX_DECODE_BATCH;
 use ts_solver::routing_dp::best_stage_order;
 use ts_workload::WorkloadSpec;
 
@@ -63,7 +64,9 @@ pub fn deduce_parallel_config(
                     Phase::Prefill => -rcm.prefill_latency(mean_prompt, mean_prompt).as_secs_f64(),
                     // Throughput-optimal for the bandwidth-bound decode phase.
                     Phase::Decode => {
-                        let b = rcm.max_decode_batch(mean_prompt + mean_out).clamp(1, 256);
+                        let b = rcm
+                            .max_decode_batch(mean_prompt + mean_out)
+                            .clamp(1, MAX_DECODE_BATCH);
                         rcm.decode_throughput(b, ctx)
                     }
                 };

@@ -154,7 +154,7 @@ mod tests {
         assert!(close(rates[1], 5.0), "{rates:?}");
     }
 
-    /// Property (seeded sweep, in lieu of proptest): for random topologies
+    /// Property (seeded sweep): for random topologies
     /// and flow sets, no link's summed allocation exceeds its capacity, and
     /// every flow crossing at least one finite link gets a positive finite
     /// rate.

@@ -1,8 +1,43 @@
 //! Simulation configuration.
 
-use ts_common::{ModelId, ModelSpec, ServedModel, SloSpec};
+use ts_common::{ModelId, ModelSpec, ServedModel, SimDuration, SloSpec};
 use ts_costmodel::ModelParams;
 use ts_kvcache::codec::KvWirePrecision;
+
+/// Token budget per prefill batch: requests are batched FCFS until the next
+/// one would exceed this many prompt tokens (DistServe-style prefill
+/// batching; batching past GPU saturation only hurts TTFT).
+pub const MAX_PREFILL_BATCH_TOKENS: u64 = 4096;
+
+/// Upper bound on concurrent decode sequences per replica (in addition to
+/// the KV memory limit).
+pub const MAX_DECODE_BATCH: u64 = 256;
+
+/// Iterations a replica must look slow before straggler quarantine kicks in.
+pub const STRAGGLER_MIN_SAMPLES: u32 = 3;
+
+/// Base delay of the capped exponential backoff applied when a KV transfer
+/// fails on a faulted link: attempt `n` retries after `base * 2^(n-2)`,
+/// capped at [`KV_RETRY_BACKOFF_CAP`].
+pub const KV_RETRY_BACKOFF_BASE: SimDuration = SimDuration::from_millis(25);
+
+/// Upper bound on a single KV-transfer retry delay.
+pub const KV_RETRY_BACKOFF_CAP: SimDuration = SimDuration::from_millis(1600);
+
+/// How prefill→decode KV transfers are modelled.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum KvTransfer {
+    /// Transfers take no wire time (the ablation switch for Figure 12).
+    Free,
+    /// Each transfer is priced on its replica pair's link model and
+    /// serializes on the sender's uplink (the default; it keeps the paper
+    /// figures bit-identical).
+    Serialized,
+    /// Transfers run as flows on the `ts-net` fabric: concurrent flows
+    /// share NIC uplinks/downlinks and inter-node links max-min fairly
+    /// instead of serializing per sender.
+    Fabric,
+}
 
 /// Knobs controlling a simulation run.
 #[derive(Debug, Clone)]
@@ -20,23 +55,9 @@ pub struct SimConfig {
     pub params: ModelParams,
     /// Wire precision of prefill→decode KV transfers.
     pub kv_precision: KvWirePrecision,
-    /// Token budget per prefill batch: requests are batched FCFS until the
-    /// next one would exceed this many prompt tokens (DistServe-style
-    /// prefill batching; batching past GPU saturation only hurts TTFT).
-    pub max_prefill_batch_tokens: u64,
-    /// Upper bound on concurrent decode sequences per replica (in addition
-    /// to the KV memory limit).
-    pub max_decode_batch: u64,
-    /// Whether KV transfer uses the replica-pair link model with queuing
-    /// (true) or is assumed free (ablation switch for Figure 12).
-    pub model_kv_transfer: bool,
-    /// Flow-level network contention: when true (and
-    /// [`SimConfig::model_kv_transfer`] is on), KV transfers run over the
-    /// `ts-net` fabric — concurrent flows share NIC uplinks/downlinks and
-    /// inter-node links max-min fairly instead of serializing per sender.
-    /// Off by default; the legacy model keeps the paper figures
-    /// bit-identical.
-    pub network_contention: bool,
+    /// How KV transfers are modelled: free, serialized per sender (the
+    /// default), or as flows on the contended network fabric.
+    pub kv_transfer: KvTransfer,
     /// Multiplicative congestion factor (≥ 1) the *analytic* estimator
     /// applies to KV wire bytes when pricing transfers, approximating the
     /// slowdown from sharing links. Exactly 1.0 (the default) reproduces the
@@ -53,7 +74,7 @@ pub struct SimConfig {
     /// prefill launch processes at most this many prompt tokens
     /// (Sarathi-style), bounding per-launch occupancy of the prefill
     /// pipeline. `None` (the default) batches whole requests under
-    /// [`SimConfig::max_prefill_batch_tokens`]. Colocated replicas get
+    /// [`MAX_PREFILL_BATCH_TOKENS`]. Colocated replicas get
     /// chunking through their own scheduling policy instead
     /// ([`crate::exec::ColocatedPolicy::Chunked`]).
     pub prefill_chunk_tokens: Option<u64>,
@@ -62,12 +83,6 @@ pub struct SimConfig {
     /// blackout). Arrivals beyond this are rejected outright — a distinct
     /// outcome from requests dropped mid-service.
     pub shed_threshold: usize,
-    /// Fault handling: base delay of the capped exponential backoff applied
-    /// when a KV transfer fails on a faulted link (attempt `n` retries after
-    /// `base * 2^(n-1)`, capped at [`SimConfig::kv_retry_backoff_cap`]).
-    pub kv_retry_backoff_base: ts_common::SimDuration,
-    /// Fault handling: upper bound on a single KV-transfer retry delay.
-    pub kv_retry_backoff_cap: ts_common::SimDuration,
     /// Request-lifecycle tracing: when true the engine records span events
     /// (arrival, queueing, prefill, KV transfer, decode, faults) into an
     /// in-memory [`ts_telemetry::Recorder`], retrievable after the run via
@@ -98,14 +113,11 @@ pub struct SimConfig {
     pub kv_retry_jitter: f64,
     /// Gray-failure mitigation: straggler quarantine threshold on the
     /// observed-vs-expected iteration-time ratio (EWMA). A replica whose
-    /// ratio stays at or above this for
-    /// [`SimConfig::straggler_min_samples`] iterations is removed from
-    /// routing and readmitted optimistically after
-    /// [`SimConfig::straggler_readmit_after`]. `None` (the default)
+    /// ratio stays at or above this for [`STRAGGLER_MIN_SAMPLES`]
+    /// iterations is removed from routing and readmitted optimistically
+    /// after [`SimConfig::straggler_readmit_after`]. `None` (the default)
     /// disables detection.
     pub straggler_threshold: Option<f64>,
-    /// Iterations a replica must look slow before quarantine kicks in.
-    pub straggler_min_samples: u32,
     /// How long a quarantined replica sits out before optimistic
     /// readmission (it re-quarantines if still slow).
     pub straggler_readmit_after: ts_common::SimDuration,
@@ -163,31 +175,25 @@ pub enum PrefillPolicy {
 }
 
 impl SimConfig {
-    /// Default configuration for a model: 4-bit KV wire compression, 4096
-    /// token prefill batches, decode batch cap 256.
+    /// Default configuration for a model: 4-bit KV wire compression and
+    /// serialized KV transfers.
     pub fn new(model: ModelSpec) -> Self {
         SimConfig {
             model,
             models: Vec::new(),
             params: ModelParams::default(),
             kv_precision: KvWirePrecision::DEFAULT_COMPRESSED,
-            max_prefill_batch_tokens: 4096,
-            max_decode_batch: 256,
-            model_kv_transfer: true,
-            network_contention: false,
+            kv_transfer: KvTransfer::Serialized,
             kv_congestion_factor: 1.0,
             tpot_batch_cap: None,
             prefill_policy: PrefillPolicy::Fcfs,
             prefill_chunk_tokens: None,
             shed_threshold: 256,
-            kv_retry_backoff_base: ts_common::SimDuration::from_millis(25),
-            kv_retry_backoff_cap: ts_common::SimDuration::from_millis(1600),
             telemetry: false,
             hedge_timeout: None,
             kv_retry_budget: None,
             kv_retry_jitter: 0.0,
             straggler_threshold: None,
-            straggler_min_samples: 3,
             straggler_readmit_after: ts_common::SimDuration::from_secs(5),
             deadline_slo: None,
             deadline_scale: 1.0,
@@ -231,29 +237,20 @@ impl SimConfig {
         self
     }
 
-    /// Returns a copy with flow-level network contention on KV transfers
-    /// enabled (or disabled).
+    /// Returns a copy whose KV transfers run on the contended flow fabric
+    /// (`true`) or serialize per sender (`false`).
     pub fn with_network_contention(mut self, on: bool) -> Self {
-        self.network_contention = on;
+        self.kv_transfer = if on {
+            KvTransfer::Fabric
+        } else {
+            KvTransfer::Serialized
+        };
         self
     }
 
     /// Returns a copy with request-lifecycle tracing enabled (or disabled).
     pub fn with_telemetry(mut self, on: bool) -> Self {
         self.telemetry = on;
-        self
-    }
-
-    /// Returns a copy with the analytic estimator's KV congestion factor.
-    ///
-    /// # Panics
-    /// Panics if `factor` is below 1 or not finite.
-    pub fn with_kv_congestion_factor(mut self, factor: f64) -> Self {
-        assert!(
-            factor >= 1.0 && factor.is_finite(),
-            "congestion factor must be finite and >= 1, got {factor}"
-        );
-        self.kv_congestion_factor = factor;
         self
     }
 
@@ -279,18 +276,6 @@ impl SimConfig {
     /// Returns a copy with the given stall-queue shed threshold.
     pub fn with_shed_threshold(mut self, n: usize) -> Self {
         self.shed_threshold = n;
-        self
-    }
-
-    /// Returns a copy with the given KV-transfer retry backoff (base delay
-    /// and cap).
-    pub fn with_kv_retry_backoff(
-        mut self,
-        base: ts_common::SimDuration,
-        cap: ts_common::SimDuration,
-    ) -> Self {
-        self.kv_retry_backoff_base = base;
-        self.kv_retry_backoff_cap = cap;
         self
     }
 
@@ -395,8 +380,7 @@ mod tests {
     fn default_uses_int4() {
         let c = SimConfig::new(ModelSpec::llama_7b());
         assert_eq!(c.kv_precision, KvWirePrecision::DEFAULT_COMPRESSED);
-        assert!(c.model_kv_transfer);
-        assert!(!c.network_contention);
+        assert_eq!(c.kv_transfer, KvTransfer::Serialized);
         assert_eq!(c.kv_congestion_factor, 1.0);
         assert!(!c.telemetry);
     }
@@ -423,18 +407,11 @@ mod tests {
     }
 
     #[test]
-    fn network_contention_builders() {
-        let c = SimConfig::new(ModelSpec::llama_7b())
-            .with_network_contention(true)
-            .with_kv_congestion_factor(1.5);
-        assert!(c.network_contention);
-        assert_eq!(c.kv_congestion_factor, 1.5);
-    }
-
-    #[test]
-    #[should_panic]
-    fn congestion_factor_below_one_rejected() {
-        let _ = SimConfig::new(ModelSpec::llama_7b()).with_kv_congestion_factor(0.5);
+    fn network_contention_builder_picks_the_transfer_model() {
+        let c = SimConfig::new(ModelSpec::llama_7b()).with_network_contention(true);
+        assert_eq!(c.kv_transfer, KvTransfer::Fabric);
+        let c = c.with_network_contention(false);
+        assert_eq!(c.kv_transfer, KvTransfer::Serialized);
     }
 
     #[test]
@@ -462,13 +439,8 @@ mod tests {
     fn fault_knobs_have_sane_defaults_and_builders() {
         let c = SimConfig::new(ModelSpec::llama_7b());
         assert!(c.shed_threshold > 0);
-        assert!(c.kv_retry_backoff_base < c.kv_retry_backoff_cap);
-        let base = ts_common::SimDuration::from_millis(10);
-        let cap = ts_common::SimDuration::from_millis(500);
-        let c = c.with_shed_threshold(8).with_kv_retry_backoff(base, cap);
+        let c = c.with_shed_threshold(8);
         assert_eq!(c.shed_threshold, 8);
-        assert_eq!(c.kv_retry_backoff_base, base);
-        assert_eq!(c.kv_retry_backoff_cap, cap);
     }
 
     #[test]

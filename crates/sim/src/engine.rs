@@ -866,25 +866,6 @@ mod fabric_tests {
     }
 
     #[test]
-    fn contention_flag_is_inert_without_kv_modeling() {
-        // The fabric only engages when transfers are modeled at all; with
-        // `model_kv_transfer` off the flag must change nothing, bit for bit.
-        let (cluster, plan, cfg) = contended_testbed();
-        let mut base = cfg;
-        base.model_kv_transfer = false;
-        let reqs = generate(&spec::coding(1.5), SimDuration::from_secs(40), 33);
-        let plain = Simulation::new(&cluster, &plan, base.clone())
-            .unwrap()
-            .run(&reqs)
-            .unwrap();
-        let flagged = Simulation::new(&cluster, &plan, base.with_network_contention(true))
-            .unwrap()
-            .run(&reqs)
-            .unwrap();
-        assert_eq!(plain, flagged);
-    }
-
-    #[test]
     fn kv_timing_is_recorded_on_the_legacy_path() {
         // Satellite: the timing decomposition rides the default (legacy)
         // model too, not just the fabric.

@@ -8,7 +8,7 @@
 //! DistServe-derived simulator. Figure 19 compares this estimator against
 //! the discrete-event engine.
 
-use crate::config::SimConfig;
+use crate::config::{KvTransfer, SimConfig, MAX_DECODE_BATCH};
 use ts_cluster::Cluster;
 use ts_common::{DeploymentPlan, Result, SloSpec};
 use ts_costmodel::replica::{kv_route, kv_transfer_time_congested};
@@ -109,8 +109,7 @@ pub fn pair_estimates(
         let lam_share = rate * m.decode_throughput(32, ctx as u64).max(1e-9) / total_dec_weight;
         let bmax = m
             .max_decode_batch((p_mean + o_mean) as u64)
-            .min(cfg.max_decode_batch)
-            .max(1);
+            .clamp(1, MAX_DECODE_BATCH);
         // Little's-law fixed point: b = λ·steps·step_time(b)
         let mut b = 1.0f64;
         for _ in 0..30 {
@@ -165,7 +164,11 @@ pub fn pair_estimates(
                 cfg.kv_congestion_factor,
             )
             .as_secs_f64();
-            let kv = if cfg.model_kv_transfer { kv } else { 0.0 };
+            let kv = if cfg.kv_transfer == KvTransfer::Free {
+                0.0
+            } else {
+                kv
+            };
             kv_seconds[i][j] = kv;
             let a_tpot = soft_meet(slo.tpot.as_secs_f64(), step_time[j]);
             let decode_time = steps * step_time[j];

@@ -87,8 +87,8 @@ pub enum EventKind {
         attempt: u32,
     },
     /// A delayed (backed-off) KV transfer enters the flow-level fabric.
-    /// Only scheduled when [`crate::config::SimConfig::network_contention`]
-    /// is on; immediate launches start their flow inline.
+    /// Only scheduled under [`crate::config::KvTransfer::Fabric`];
+    /// immediate launches start their flow inline.
     KvFlowLaunch {
         /// The request whose KV cache starts moving.
         request: SlabKey,
@@ -763,9 +763,8 @@ mod tests {
 
     /// Model-based property sweep: under random interleaved push /
     /// push_cancellable / cancel / reschedule / pop, the queue pops exactly
-    /// the live events of a reference model, in `(at, seq)` order. The
-    /// workspace's `proptest` is a placeholder, so this runs as a seeded
-    /// deterministic sweep over many xorshift-driven op sequences.
+    /// the live events of a reference model, in `(at, seq)` order. Runs as
+    /// a seeded deterministic sweep over many xorshift-driven op sequences.
     #[test]
     fn random_ops_match_reference_model() {
         struct Rng(u64);

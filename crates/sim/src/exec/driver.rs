@@ -8,7 +8,8 @@
 //!   (the vLLM/HexGen-style baselines).
 //!
 //! The driver owns everything topology-agnostic: the event queue, the
-//! [`StrideRouter`] routing policy, per-request bookkeeping, the
+//! routes (one [`StrideRouter`] per served model; see [`Route`]) and the
+//! believed host liveness that masks them, per-request bookkeeping, the
 //! admission/shed policy, and the whole fault layer (trigger → heartbeat
 //! detection → drain/requeue/re-prefill → recovery accounting). Topology
 //! state lives behind the enum and is only consulted where behaviour
@@ -51,7 +52,10 @@ use super::executor::{
     ReplicaExecutor, Work,
 };
 use super::seq::{AdmitOutcome, Pending, PrefillJob, WaitingSeq};
-use crate::config::{PrefillPolicy, SimConfig};
+use crate::config::{
+    KvTransfer, PrefillPolicy, SimConfig, KV_RETRY_BACKOFF_BASE, KV_RETRY_BACKOFF_CAP,
+    MAX_PREFILL_BATCH_TOKENS, STRAGGLER_MIN_SAMPLES,
+};
 use crate::event::{Event, EventKind, EventQueue};
 use crate::fault::{FaultKind, FaultScript, TimedFault};
 use crate::metrics::{Metrics, ModelConservation, RecoveryCounters, RequestRecord};
@@ -114,7 +118,14 @@ enum NextEvent {
 /// bookkeeping, shed policy and fault/recovery accounting.
 pub(crate) struct Core {
     cfg: SimConfig,
-    router: StrideRouter,
+    /// One route per served model, in [`DeploymentPlan::models`] order (a
+    /// single route for single-model plans and colocated drivers).
+    routes: Vec<Route>,
+    /// The coordinator's belief about host liveness (hosts numbered as in
+    /// [`GrayState`]): updated at fault *detection* (downs) and immediately
+    /// on healing (ups). Routing masks follow beliefs, not ground truth —
+    /// that is the detection window.
+    believed_dead: Vec<bool>,
     queue: EventQueue,
     /// Per-request state, slab-allocated; an entry lives from arrival to
     /// completion/drop/rejection.
@@ -188,9 +199,9 @@ struct GrayState {
     /// Seeded RNG for beat-loss draws and retry jitter; deterministic per
     /// [`SimConfig::fault_seed`].
     rng: StdRng,
-    /// Number of prefill hosts — decode replica `j` is host
-    /// `prefill_hosts + j` (colocated: every replica is its own host and
-    /// this equals the replica count).
+    /// Number of prefill-only hosts — decode replica `j` is host
+    /// `prefill_hosts + j`. Zero when colocated, where replica `k` is host
+    /// `k` in either role.
     prefill_hosts: usize,
     /// Per-host heartbeat loss probability (0 = healthy).
     flaky: Vec<f64>,
@@ -240,11 +251,12 @@ impl GrayState {
     }
 }
 
-/// One tenant's routing state under [`Topology::Split`]: the model draws
-/// its (prefill, decode) pair from its own stride router over its own
-/// replicas, so tenants on a shared pool never leak requests into each
-/// other's executors.
-pub(crate) struct ModelRoute {
+/// One tenant's routing state: its requests draw their (prefill, decode)
+/// pair from its own stride router over its own replicas, so tenants on a
+/// shared pool never leak requests into each other's executors. A
+/// single-model plan is one route over the aggregate matrix; a colocated
+/// driver is one route over its replicas, with pairs `(k, k)`.
+pub(crate) struct Route {
     model: ModelId,
     router: StrideRouter,
     /// (prefill, decode) replica coordinates per router index, in the
@@ -257,9 +269,8 @@ pub(crate) struct ModelRoute {
 pub(crate) struct SplitState {
     prefills: Vec<PrefillExecutor>,
     decodes: Vec<DecodeExecutor>,
-    pair_coords: Vec<(usize, usize)>,
     /// KV route per (prefill, decode) pair.
-    routes: Vec<Vec<Vec<KvRouteSegment>>>,
+    kv_routes: Vec<Vec<Vec<KvRouteSegment>>>,
     /// One-entry memo per (prefill, decode) pair: `tokens ->` modeled
     /// wire time. The route, the sender's model spec and the wire
     /// precision are all fixed after construction, so
@@ -278,57 +289,33 @@ pub(crate) struct SplitState {
     /// physical links instead and this matrix only records the script
     /// state.
     link_factor: Vec<Vec<f64>>,
-    /// The coordinator's belief about replica liveness: updated at fault
-    /// *detection* (downs) and immediately on healing (ups). Routing masks
-    /// follow beliefs, not ground truth — that is the detection window.
-    believed_dead_prefill: Vec<bool>,
-    believed_dead_decode: Vec<bool>,
     /// Transfers whose target died with no live alternative; re-dispatched
     /// when a decode replica comes back.
     parked: Vec<Transfer>,
-    /// Flow-level network fabric. `Some` iff both
-    /// [`SimConfig::network_contention`] and [`SimConfig::model_kv_transfer`]
-    /// are on; `None` keeps the legacy per-sender serialization (and the
-    /// paper figures) bit-identical.
+    /// Flow-level network fabric. `Some` iff [`SimConfig::kv_transfer`] is
+    /// [`KvTransfer::Fabric`]; `None` keeps the legacy per-sender
+    /// serialization (and the paper figures) bit-identical.
     fabric: Option<FlowFabric>,
     /// Per (prefill, decode) pair: representative endpoints and total layer
     /// count for the fabric's one-flow-per-transfer approximation. The
     /// endpoints come from the route leg carrying the most layers; the byte
     /// count covers the whole route.
     flow_routes: Vec<Vec<(GpuId, GpuId, usize)>>,
-    /// Wire codec sizing fabric flows (model × configured KV precision).
-    codec: KvCodec,
-    /// Per-model routing for a multi-model plan, in [`DeploymentPlan::models`]
-    /// order. Empty for single-model plans, which keeps every legacy
-    /// dispatch, mask and hedging path untouched.
-    model_routes: Vec<ModelRoute>,
     /// Model served by each prefill replica (plan group order).
     prefill_model: Vec<ModelId>,
     /// Model served by each decode replica.
     decode_model: Vec<ModelId>,
-    /// Wire codecs per catalog model; searched only on multi-model plans
-    /// (the default-model fallback is [`SplitState::codec`]).
-    codecs: Vec<(ModelId, KvCodec)>,
+    /// Wire codec per prefill replica (its model × the configured KV
+    /// precision), sizing fabric flows and traced KV bytes.
+    codecs: Vec<KvCodec>,
 }
 
-impl SplitState {
-    /// The wire codec for `model`, falling back to the default-model codec.
-    fn codec_for(&self, model: ModelId) -> &KvCodec {
-        self.codecs
-            .iter()
-            .find(|(m, _)| *m == model)
-            .map_or(&self.codec, |(_, c)| c)
-    }
-}
-
-/// Colocated topology state: one executor pool serving both phases, with
-/// the same believed-liveness routing mask as the split topology. The
+/// Colocated topology state: one executor pool serving both phases. The
 /// fault script's `PrefillDown(i)`/`DecodeDown(i)` both mean "replica `i`
 /// dies" here (and symmetrically for `*Up`); link faults are rejected
 /// because there is no inter-replica fabric.
 pub(crate) struct ColoState {
     replicas: Vec<ColocatedExecutor>,
-    believed_dead: Vec<bool>,
 }
 
 /// Which serving topology the driver runs.
@@ -340,6 +327,23 @@ pub(crate) enum Topology {
     Split(SplitState),
     /// Identical-role colocated replicas.
     Colocated(ColoState),
+}
+
+impl Topology {
+    /// Replica `i` of the given role (a prefill replica when `prefill`,
+    /// else a decode replica); colocated replica `i` plays both roles.
+    fn executor(&mut self, prefill: bool, i: usize) -> &mut dyn ReplicaExecutor {
+        match self {
+            Topology::Split(s) => {
+                if prefill {
+                    &mut s.prefills[i]
+                } else {
+                    &mut s.decodes[i]
+                }
+            }
+            Topology::Colocated(c) => &mut c.replicas[i],
+        }
+    }
 }
 
 /// The shared discrete-event driver behind [`crate::engine::Simulation`]
@@ -395,14 +399,15 @@ impl Driver {
             .collect();
         let decode_model: Vec<ModelId> =
             decode_idx.iter().map(|&gi| plan.groups[gi].model).collect();
-        let (router, pair_coords) = StrideRouter::from_matrix(plan.routing.rates())?;
-        let mut model_routes = Vec::new();
-        if plan.is_multi_model() {
-            for m in plan.models() {
-                let Some(routing) = plan.routing_for(m) else {
-                    continue;
-                };
-                let (mr, local) = StrideRouter::from_matrix(routing.rates())?;
+        // One route per served model. A legacy plan's single route runs
+        // over the aggregate matrix, whose coordinates are already global.
+        let mut routes = Vec::new();
+        for m in plan.models() {
+            let routing = plan.routing_for(m).ok_or_else(|| {
+                Error::InvalidConfig(format!("model {m} has no routing in the plan"))
+            })?;
+            let (router, local) = StrideRouter::from_matrix(routing.rates())?;
+            let pairs = if plan.is_multi_model() {
                 let pidx = plan.prefill_indices_for(m);
                 let didx = plan.decode_indices_for(m);
                 let to_global = |own: &[usize], all: &[usize], li: usize| -> Result<usize> {
@@ -412,21 +417,38 @@ impl Driver {
                         ))
                     })
                 };
-                let mut pairs = Vec::with_capacity(local.len());
-                for &(li, lj) in &local {
-                    pairs.push((
-                        to_global(&pidx, &prefill_idx, li)?,
-                        to_global(&didx, &decode_idx, lj)?,
-                    ));
-                }
-                model_routes.push(ModelRoute {
-                    model: m,
-                    router: mr,
-                    pairs,
-                });
-            }
+                local
+                    .iter()
+                    .map(|&(li, lj)| {
+                        Ok((
+                            to_global(&pidx, &prefill_idx, li)?,
+                            to_global(&didx, &decode_idx, lj)?,
+                        ))
+                    })
+                    .collect::<Result<Vec<_>>>()?
+            } else {
+                local
+            };
+            routes.push(Route {
+                model: m,
+                router,
+                pairs,
+            });
         }
-        let mut routes = Vec::with_capacity(prefills.len());
+        // Legacy plans keep the default model's codec whatever their groups
+        // are tagged with.
+        let codecs = prefill_model
+            .iter()
+            .map(|&m| {
+                let spec = if plan.is_multi_model() {
+                    cfg.spec_for(m)
+                } else {
+                    &cfg.model
+                };
+                KvCodec::new(spec.clone(), cfg.kv_precision)
+            })
+            .collect();
+        let mut kv_routes = Vec::with_capacity(prefills.len());
         let mut flow_routes = Vec::with_capacity(prefills.len());
         for p in &prefills {
             let mut row = Vec::with_capacity(decodes.len());
@@ -436,51 +458,33 @@ impl Driver {
                 flow_row.push(flow_endpoints(&legs));
                 row.push(legs.iter().map(KvRouteLeg::segment).collect());
             }
-            routes.push(row);
+            kv_routes.push(row);
             flow_routes.push(flow_row);
         }
-        let fabric = if cfg.network_contention && cfg.model_kv_transfer {
+        let fabric = (cfg.kv_transfer == KvTransfer::Fabric).then(|| {
             let mut f = FlowFabric::from_cluster(cluster);
             if cfg.telemetry {
                 f.enable_telemetry();
             }
-            Some(f)
-        } else {
-            None
-        };
-        let codec = KvCodec::new(cfg.model.clone(), cfg.kv_precision);
-        let codecs: Vec<(ModelId, KvCodec)> = if plan.is_multi_model() {
-            cfg.models
-                .iter()
-                .map(|m| (m.id, KvCodec::new(m.spec.clone(), cfg.kv_precision)))
-                .collect()
-        } else {
-            Vec::new()
-        };
+            f
+        });
         let sender_free_at = vec![SimTime::ZERO; prefills.len()];
         let link_down = vec![vec![false; decodes.len()]; prefills.len()];
         let link_factor = vec![vec![1.0; decodes.len()]; prefills.len()];
-        let believed_dead_prefill = vec![false; prefills.len()];
-        let believed_dead_decode = vec![false; decodes.len()];
         let (np, nd) = (prefills.len(), decodes.len());
         Ok(Driver {
-            core: Core::new(cfg, router, np, np + nd),
+            core: Core::new(cfg, routes, np, np + nd),
             topo: Topology::Split(SplitState {
                 prefills,
                 decodes,
-                pair_coords,
-                kv_memo: vec![vec![None; routes.first().map_or(0, Vec::len)]; routes.len()],
-                routes,
+                kv_memo: vec![vec![None; nd]; np],
+                kv_routes,
                 sender_free_at,
                 link_down,
                 link_factor,
-                believed_dead_prefill,
-                believed_dead_decode,
                 parked: Vec::new(),
                 fabric,
                 flow_routes,
-                codec,
-                model_routes,
                 prefill_model,
                 decode_model,
                 codecs,
@@ -515,14 +519,15 @@ impl Driver {
             weights.push(cost.decode_throughput(32.min(kv_capacity / 1024).max(1), 1024));
             replicas.push(ColocatedExecutor::new(cost, policy, sjf));
         }
-        let believed_dead = vec![false; replicas.len()];
         let n = replicas.len();
+        let route = Route {
+            model: ModelId(0),
+            router: StrideRouter::new(weights)?,
+            pairs: (0..n).map(|k| (k, k)).collect(),
+        };
         Ok(Driver {
-            core: Core::new(cfg, StrideRouter::new(weights)?, n, n),
-            topo: Topology::Colocated(ColoState {
-                replicas,
-                believed_dead,
-            }),
+            core: Core::new(cfg, vec![route], 0, n),
+            topo: Topology::Colocated(ColoState { replicas }),
         })
     }
 
@@ -540,6 +545,15 @@ impl Driver {
         script: &FaultScript,
     ) -> Result<Metrics> {
         self.validate_script(script)?;
+        if let Some(r) = requests
+            .iter()
+            .find(|r| self.core.route_of(r.model).is_none())
+        {
+            return Err(Error::InvalidConfig(format!(
+                "request {} is for {}, which the plan does not serve",
+                r.id, r.model
+            )));
+        }
         self.core.faults = script.faults.clone();
         self.core.recovery_enabled = script.recovery;
         self.core.gray.beat_period = script.detection_delay;
@@ -647,23 +661,15 @@ impl Driver {
     fn dispatch_event(&mut self, ev: Event) -> Result<()> {
         match ev.kind {
             EventKind::PrefillDone { replica, epoch } => {
-                let s = self.split_mut("PrefillDone")?;
+                let (core, s) = self.split("PrefillDone")?;
                 if s.prefills[replica].event_is_current(epoch) {
-                    let Driver { core, topo } = self;
-                    let Topology::Split(s) = topo else {
-                        unreachable!()
-                    };
                     split_on_prefill_done(core, s, replica)?;
                 }
             }
             EventKind::PrefillSlotFree { replica, epoch } => {
-                let s = self.split_mut("PrefillSlotFree")?;
+                let (core, s) = self.split("PrefillSlotFree")?;
                 if s.prefills[replica].event_is_current(epoch) {
                     s.prefills[replica].wakeup_scheduled = false;
-                    let Driver { core, topo } = self;
-                    let Topology::Split(s) = topo else {
-                        unreachable!()
-                    };
                     split_maybe_start_prefill(core, s, replica);
                 }
             }
@@ -672,54 +678,34 @@ impl Driver {
                 request,
                 attempt,
             } => {
-                self.split_mut("KvTransferDone")?;
-                let Driver { core, topo } = self;
-                let Topology::Split(s) = topo else {
-                    unreachable!()
-                };
+                let (core, s) = self.split("KvTransferDone")?;
                 split_on_transfer_done(core, s, replica, request, attempt)?;
             }
             EventKind::KvFlowLaunch { request, attempt } => {
-                self.split_mut("KvFlowLaunch")?;
-                let Driver { core, topo } = self;
-                let Topology::Split(s) = topo else {
-                    unreachable!()
-                };
+                let (core, s) = self.split("KvFlowLaunch")?;
                 split_on_flow_launch(core, s, request, attempt);
             }
             EventKind::KvFlowDone { request, epoch } => {
-                self.split_mut("KvFlowDone")?;
-                let Driver { core, topo } = self;
-                let Topology::Split(s) = topo else {
-                    unreachable!()
-                };
+                let (core, s) = self.split("KvFlowDone")?;
                 split_on_flow_done(core, s, request, epoch)?;
             }
             EventKind::DecodeStepDone { replica, epoch } => {
-                let s = self.split_mut("DecodeStepDone")?;
+                let (_, s) = self.split("DecodeStepDone")?;
                 if s.decodes[replica].event_is_current(epoch) {
                     self.on_decode_finish(replica, ev)?;
                 }
             }
             EventKind::WorkDone { replica, epoch } => {
-                let c = self.colocated_mut()?;
+                let (core, c) = self.colocated("WorkDone")?;
                 if c.replicas[replica].event_is_current(epoch) {
-                    let Driver { core, topo } = self;
-                    let Topology::Colocated(c) = topo else {
-                        unreachable!()
-                    };
                     colo_on_work_done(core, c, replica)?;
                 }
             }
-            EventKind::FaultTriggered { index } => self.on_fault_triggered(index),
+            EventKind::FaultTriggered { index } => self.on_fault_triggered(index)?,
             EventKind::FaultDetected { index } => self.on_fault_detected(index),
             EventKind::ServiceResumed => self.on_service_resumed(),
             EventKind::HedgeCheck { request } => {
-                self.split_mut("HedgeCheck")?;
-                let Driver { core, topo } = self;
-                let Topology::Split(s) = topo else {
-                    unreachable!()
-                };
+                let (core, s) = self.split("HedgeCheck")?;
                 split_on_hedge_check(core, s, request);
             }
             EventKind::FlakyBeat { node } => self.on_flaky_beat(node),
@@ -756,103 +742,80 @@ impl Driver {
         self.core.stream.as_deref()
     }
 
-    /// Split topology or an "event kind in wrong engine" error.
-    fn split_mut(&mut self, kind: &str) -> Result<&mut SplitState> {
+    /// The core plus the split topology's state, or an "event kind in
+    /// wrong engine" error.
+    fn split(&mut self, kind: &str) -> Result<(&mut Core, &mut SplitState)> {
         match &mut self.topo {
-            Topology::Split(s) => Ok(s),
+            Topology::Split(s) => Ok((&mut self.core, s)),
             Topology::Colocated(_) => Err(Error::Simulation(format!(
                 "unexpected {kind} event in colocated engine"
             ))),
         }
     }
 
-    /// Colocated topology or an "event kind in wrong engine" error.
-    fn colocated_mut(&mut self) -> Result<&mut ColoState> {
+    /// The colocated twin of [`Driver::split`].
+    fn colocated(&mut self, kind: &str) -> Result<(&mut Core, &mut ColoState)> {
         match &mut self.topo {
-            Topology::Colocated(c) => Ok(c),
-            Topology::Split(_) => Err(Error::Simulation(
-                "WorkDone event in phase-split engine".into(),
-            )),
+            Topology::Colocated(c) => Ok((&mut self.core, c)),
+            Topology::Split(_) => Err(Error::Simulation(format!(
+                "unexpected {kind} event in phase-split engine"
+            ))),
         }
     }
 
     fn validate_script(&self, script: &FaultScript) -> Result<()> {
         let factor_ok = |f: f64| f.is_finite() && f >= 1.0;
         let prob_ok = |p: f64| p.is_finite() && (0.0..=1.0).contains(&p);
-        // Flaky heartbeats fire one beat event per detection window; a zero
-        // window would self-reschedule at the same instant forever.
-        let flaky_needs_window = |p: f64| -> Result<()> {
-            if p > 0.0 && script.detection_delay == SimDuration::ZERO {
-                return Err(Error::InvalidConfig(
-                    "HeartbeatFlaky requires a nonzero detection_delay (the beat window)".into(),
-                ));
-            }
-            Ok(())
+        // A colocated replica is both the prefill and the decode replica of
+        // its index.
+        let (np, nd, colocated) = match &self.topo {
+            Topology::Split(s) => (s.prefills.len(), s.decodes.len(), false),
+            Topology::Colocated(c) => (c.replicas.len(), c.replicas.len(), true),
         };
-        match &self.topo {
-            Topology::Split(s) => {
-                let np = s.prefills.len();
-                let nd = s.decodes.len();
-                for f in &script.faults {
-                    let ok = match f.kind {
-                        FaultKind::PrefillDown(i) | FaultKind::PrefillUp(i) => i < np,
-                        FaultKind::DecodeDown(j) | FaultKind::DecodeUp(j) => j < nd,
-                        FaultKind::LinkDown { prefill, decode }
-                        | FaultKind::LinkUp { prefill, decode } => prefill < np && decode < nd,
-                        FaultKind::Pause { .. } => true,
-                        FaultKind::PrefillSlow(i, factor) => i < np && factor_ok(factor),
-                        FaultKind::DecodeSlow(j, factor) => j < nd && factor_ok(factor),
-                        FaultKind::LinkDegraded {
-                            prefill,
-                            decode,
-                            factor,
-                        } => prefill < np && decode < nd && factor_ok(factor),
-                        FaultKind::HeartbeatFlaky(h, p) => {
-                            flaky_needs_window(p)?;
-                            h < np + nd && prob_ok(p)
-                        }
-                    };
-                    if !ok {
-                        return Err(Error::InvalidConfig(format!(
-                            "fault references a replica outside the plan \
-                             or carries an invalid factor: {:?}",
-                            f.kind
-                        )));
-                    }
+        let hosts = self.core.believed_dead.len();
+        for f in &script.faults {
+            let ok = match f.kind {
+                FaultKind::PrefillDown(i) | FaultKind::PrefillUp(i) => i < np,
+                FaultKind::DecodeDown(j) | FaultKind::DecodeUp(j) => j < nd,
+                FaultKind::LinkDown { .. }
+                | FaultKind::LinkUp { .. }
+                | FaultKind::LinkDegraded { .. }
+                    if colocated =>
+                {
+                    return Err(Error::InvalidConfig(
+                        "colocated replicas have no inter-replica links to fault".into(),
+                    ))
                 }
-            }
-            Topology::Colocated(c) => {
-                let n = c.replicas.len();
-                for f in &script.faults {
-                    let ok = match f.kind {
-                        FaultKind::PrefillDown(i)
-                        | FaultKind::PrefillUp(i)
-                        | FaultKind::DecodeDown(i)
-                        | FaultKind::DecodeUp(i) => i < n,
-                        FaultKind::LinkDown { .. }
-                        | FaultKind::LinkUp { .. }
-                        | FaultKind::LinkDegraded { .. } => {
-                            return Err(Error::InvalidConfig(
-                                "colocated replicas have no inter-replica links to fault".into(),
-                            ))
-                        }
-                        FaultKind::Pause { .. } => true,
-                        FaultKind::PrefillSlow(i, factor) | FaultKind::DecodeSlow(i, factor) => {
-                            i < n && factor_ok(factor)
-                        }
-                        FaultKind::HeartbeatFlaky(h, p) => {
-                            flaky_needs_window(p)?;
-                            h < n && prob_ok(p)
-                        }
-                    };
-                    if !ok {
-                        return Err(Error::InvalidConfig(format!(
-                            "fault references a replica outside the plan \
-                             or carries an invalid factor: {:?}",
-                            f.kind
-                        )));
-                    }
+                FaultKind::LinkDown { prefill, decode } | FaultKind::LinkUp { prefill, decode } => {
+                    prefill < np && decode < nd
                 }
+                FaultKind::Pause { .. } => true,
+                FaultKind::PrefillSlow(i, factor) => i < np && factor_ok(factor),
+                FaultKind::DecodeSlow(j, factor) => j < nd && factor_ok(factor),
+                FaultKind::LinkDegraded {
+                    prefill,
+                    decode,
+                    factor,
+                } => prefill < np && decode < nd && factor_ok(factor),
+                FaultKind::HeartbeatFlaky(h, p) => {
+                    // Flaky heartbeats fire one beat event per detection
+                    // window; a zero window would self-reschedule at the
+                    // same instant forever.
+                    if p > 0.0 && script.detection_delay == SimDuration::ZERO {
+                        return Err(Error::InvalidConfig(
+                            "HeartbeatFlaky requires a nonzero detection_delay (the beat window)"
+                                .into(),
+                        ));
+                    }
+                    h < hosts && prob_ok(p)
+                }
+            };
+            if !ok {
+                return Err(Error::InvalidConfig(format!(
+                    "fault references a replica outside the plan \
+                     or carries an invalid factor: {:?}",
+                    f.kind
+                )));
             }
         }
         Ok(())
@@ -911,38 +874,18 @@ impl Driver {
             stall_or_shed(&mut self.core, job);
             return;
         }
-        // Multi-model plans route by the request's model through that
-        // tenant's own router, so a tenant never lands on another tenant's
-        // executors; single-model plans, colocated engines, and requests
-        // for a model the plan does not serve use the global router.
-        let route = match &self.topo {
-            Topology::Split(s) if !s.model_routes.is_empty() => {
-                s.model_routes.iter().position(|r| r.model == model)
-            }
-            _ => None,
-        };
+        // Draw from the request's own route, so a tenant never lands on
+        // another tenant's executors.
         let Driver { core, topo } = self;
-        let (i, j) = match (route, &mut *topo) {
-            (Some(ri), Topology::Split(s)) => {
-                let r = &mut s.model_routes[ri];
-                if r.router.num_enabled() == 0 {
-                    stall_or_shed(core, job);
-                    return;
-                }
-                r.pairs[r.router.next()]
-            }
-            _ => {
-                if core.router.num_enabled() == 0 {
-                    stall_or_shed(core, job);
-                    return;
-                }
-                let k = core.router.next();
-                match &*topo {
-                    Topology::Split(s) => s.pair_coords[k],
-                    Topology::Colocated(_) => (k, k),
-                }
-            }
-        };
+        let ri = core
+            .route_of(model)
+            .expect("run_with_faults rejects requests for unserved models");
+        let route = &mut core.routes[ri];
+        if route.router.num_enabled() == 0 {
+            stall_or_shed(core, job);
+            return;
+        }
+        let (i, j) = route.pairs[route.router.next()];
         match topo {
             Topology::Split(s) => {
                 if let Some(st) = core.reqs.get_mut(job.key) {
@@ -1002,27 +945,23 @@ impl Driver {
 
     // --- fault layer ------------------------------------------------------
 
-    fn on_fault_triggered(&mut self, index: usize) {
+    /// Applies a fault at its trigger time. A colocated replica hosts both
+    /// phases, so either phase's fault (death, healing, slowdown) is the
+    /// whole replica's.
+    fn on_fault_triggered(&mut self, index: usize) -> Result<()> {
         trace(&mut self.core, TraceKind::FaultTriggered { index });
-        let kind = self.core.faults[index].kind;
-        // Pauses are topology-agnostic.
-        if let FaultKind::Pause { until } = kind {
-            if until > self.core.now {
-                self.core.paused_until = Some(until);
-                self.core.queue.push(until, EventKind::ServiceResumed);
+        match self.core.faults[index].kind {
+            FaultKind::Pause { until } => {
+                if until > self.core.now {
+                    self.core.paused_until = Some(until);
+                    self.core.queue.push(until, EventKind::ServiceResumed);
+                }
             }
-            return;
-        }
-        // So are flaky heartbeats (the host index already encodes the
-        // prefill/decode split).
-        if let FaultKind::HeartbeatFlaky(node, p) = kind {
-            self.set_flaky(node, p);
-            return;
-        }
-        match &mut self.topo {
-            Topology::Split(s) => match kind {
-                FaultKind::PrefillDown(i) => s.prefills[i].kill(),
-                FaultKind::DecodeDown(j) => {
+            // The host index already encodes the prefill/decode split.
+            FaultKind::HeartbeatFlaky(node, p) => self.set_flaky(node, p),
+            FaultKind::PrefillDown(i) => self.topo.executor(true, i).kill(),
+            FaultKind::DecodeDown(j) => {
+                if let Topology::Split(s) = &mut self.topo {
                     // The batch must freeze at its materially-advanced
                     // state: step boundaries strictly before the fault did
                     // complete under the per-step loop (their events were
@@ -1031,190 +970,116 @@ impl Driver {
                     // the phantom horizon because the per-step loop would
                     // still have popped (and advanced `now` past) the
                     // stale event.
-                    let Driver { core, topo } = self;
-                    let Topology::Split(s) = topo else {
-                        unreachable!()
-                    };
-                    split_catch_up_decode(core, s, j);
-                    split_cancel_decode_plan(core, s, j);
-                    s.decodes[j].kill();
+                    split_catch_up_decode(&mut self.core, s, j);
+                    split_cancel_decode_plan(&mut self.core, s, j);
                 }
-                FaultKind::PrefillUp(i) => {
-                    let now = self.core.now;
-                    // Work frozen at death never re-runs on its own (its
-                    // completion events are stale); restart it or declare
-                    // it lost.
-                    s.prefills[i].revive(now);
-                    let drained = s.prefills[i].drain_lost();
-                    s.believed_dead_prefill[i] = false;
-                    split_refresh_router(&mut self.core, s);
-                    if self.core.recovery_enabled {
-                        self.recover_drained(drained, None);
-                        self.drain_stalled();
-                    } else {
-                        self.drop_drained(drained);
-                    }
-                }
-                FaultKind::DecodeUp(j) => {
-                    let now = self.core.now;
-                    // Sequences frozen at death lost their KV either way.
-                    // Healing an *alive* replica (an Up without a Down)
-                    // still bumps the epoch and clears the plan, so settle
-                    // the plan first exactly as a death would.
-                    let Driver { core, topo } = self;
-                    let Topology::Split(s) = topo else {
-                        unreachable!()
-                    };
-                    split_catch_up_decode(core, s, j);
-                    split_cancel_decode_plan(core, s, j);
-                    s.decodes[j].revive(now);
-                    let drained = s.decodes[j].drain_lost();
-                    s.believed_dead_decode[j] = false;
-                    split_refresh_router(core, s);
-                    if self.core.recovery_enabled {
-                        self.recover_drained(drained, None);
-                        let Driver { core, topo } = self;
-                        let Topology::Split(s) = topo else {
-                            unreachable!()
-                        };
-                        let parked = std::mem::take(&mut s.parked);
-                        for t in parked {
-                            split_redispatch_transfer(core, s, t);
-                        }
-                        self.drain_stalled();
-                    } else {
-                        self.drop_drained(drained);
-                    }
-                }
-                FaultKind::LinkDown { prefill, decode } => {
-                    s.link_down[prefill][decode] = true;
-                    // Under the flow-level fabric the fault is visible
-                    // immediately: in-flight flows on the link die now and
-                    // re-enter through the usual retry/backoff path. (The
-                    // legacy model instead notices at completion time.)
-                    if s.fabric.is_some() {
-                        let Driver { core, topo } = self;
-                        let Topology::Split(s) = topo else {
-                            unreachable!()
-                        };
-                        split_kill_link_flows(core, s, prefill, decode);
-                    }
-                }
-                FaultKind::LinkUp { prefill, decode } => {
-                    s.link_down[prefill][decode] = false;
-                }
-                FaultKind::PrefillSlow(i, factor) => s.prefills[i].slow_factor = factor,
-                FaultKind::DecodeSlow(j, factor) => {
+                self.topo.executor(false, j).kill();
+            }
+            FaultKind::PrefillUp(i) => self.on_replica_up(true, i),
+            FaultKind::DecodeUp(j) => self.on_replica_up(false, j),
+            FaultKind::PrefillSlow(i, factor) => match &mut self.topo {
+                Topology::Split(s) => s.prefills[i].slow_factor = factor,
+                Topology::Colocated(c) => c.replicas[i].slow_factor = factor,
+            },
+            FaultKind::DecodeSlow(j, factor) => match &mut self.topo {
+                Topology::Split(s) => {
                     // A coalesced plan priced its remaining boundaries at
                     // the old speed; the per-step loop would have priced
                     // every step after the in-flight one at the new speed.
                     // Catch up, apply the factor, and re-plan carrying the
                     // already-committed in-flight boundary.
-                    let Driver { core, topo } = self;
-                    let Topology::Split(s) = topo else {
-                        unreachable!()
-                    };
-                    split_catch_up_decode(core, s, j);
+                    split_catch_up_decode(&mut self.core, s, j);
                     s.decodes[j].slow_factor = factor;
-                    if coalescing_active(core) && s.decodes[j].plan.is_some() {
-                        split_replan_decode(core, s, j);
+                    if coalescing_active(&self.core) && s.decodes[j].plan.is_some() {
+                        split_replan_decode(&mut self.core, s, j);
                     }
                 }
-                FaultKind::LinkDegraded {
-                    prefill,
-                    decode,
-                    factor,
-                } => {
-                    s.link_factor[prefill][decode] = factor;
-                    // Under the fabric the degradation applies to the
-                    // pair's physical links, re-fair-sharing every
-                    // in-flight flow live (other pairs sharing those links
-                    // feel it too, as on a real network).
-                    if s.fabric.is_some() {
-                        let now = self.core.now;
-                        let Driver { core, topo } = self;
-                        let Topology::Split(s) = topo else {
-                            unreachable!()
-                        };
-                        let (from, to, _) = s.flow_routes[prefill][decode];
-                        let estimates = match s.fabric.as_mut() {
-                            Some(f) => f.degrade_path(from, to, factor, now),
-                            None => unreachable!(),
-                        };
-                        schedule_flow_events(core, estimates);
-                    }
-                }
-                FaultKind::Pause { .. } | FaultKind::HeartbeatFlaky(..) => unreachable!(),
+                Topology::Colocated(c) => c.replicas[j].slow_factor = factor,
             },
-            Topology::Colocated(c) => match kind {
-                // A colocated replica hosts both phases: either phase's
-                // death (or healing) is the whole replica's.
-                FaultKind::PrefillDown(i) | FaultKind::DecodeDown(i) => c.replicas[i].kill(),
-                FaultKind::PrefillUp(i) | FaultKind::DecodeUp(i) => {
-                    let now = self.core.now;
-                    c.replicas[i].revive(now);
-                    let drained = c.replicas[i].drain_lost();
-                    c.believed_dead[i] = false;
-                    colo_refresh_router(&mut self.core, c);
-                    if self.core.recovery_enabled {
-                        self.recover_drained(drained, None);
-                        self.drain_stalled();
-                    } else {
-                        self.drop_drained(drained);
-                    }
+            FaultKind::LinkDown { prefill, decode } => {
+                let (core, s) = self.split("LinkDown")?;
+                s.link_down[prefill][decode] = true;
+                // Under the flow-level fabric the fault is visible
+                // immediately: in-flight flows on the link die now and
+                // re-enter through the usual retry/backoff path. (The
+                // legacy model instead notices at completion time.)
+                split_kill_link_flows(core, s, prefill, decode);
+            }
+            FaultKind::LinkUp { prefill, decode } => {
+                let (_, s) = self.split("LinkUp")?;
+                s.link_down[prefill][decode] = false;
+            }
+            FaultKind::LinkDegraded {
+                prefill,
+                decode,
+                factor,
+            } => {
+                let (core, s) = self.split("LinkDegraded")?;
+                s.link_factor[prefill][decode] = factor;
+                // Under the fabric the degradation applies to the pair's
+                // physical links, re-fair-sharing every in-flight flow live
+                // (other pairs sharing those links feel it too, as on a
+                // real network).
+                if let Some(f) = s.fabric.as_mut() {
+                    let (from, to, _) = s.flow_routes[prefill][decode];
+                    let estimates = f.degrade_path(from, to, factor, core.now);
+                    schedule_flow_events(core, estimates);
                 }
-                // A colocated replica hosts both phases, so either slow
-                // kind slows the whole replica.
-                FaultKind::PrefillSlow(i, factor) | FaultKind::DecodeSlow(i, factor) => {
-                    c.replicas[i].slow_factor = factor
-                }
-                FaultKind::LinkDown { .. }
-                | FaultKind::LinkUp { .. }
-                | FaultKind::LinkDegraded { .. } => {
-                    unreachable!("rejected by validate_script")
-                }
-                FaultKind::Pause { .. } | FaultKind::HeartbeatFlaky(..) => unreachable!(),
-            },
+            }
         }
+        Ok(())
     }
 
+    /// Heals replica `i` (a prefill replica when `prefill`, else a decode
+    /// replica). Work frozen at death never re-runs on its own (its
+    /// completion events are stale), so it is restarted or declared lost;
+    /// decode sequences frozen at death lost their KV either way.
+    fn on_replica_up(&mut self, prefill: bool, i: usize) {
+        if let (false, Topology::Split(s)) = (prefill, &mut self.topo) {
+            // Healing an *alive* decode replica (an Up without a Down)
+            // still bumps the epoch and clears the plan, so settle the plan
+            // first exactly as a death would.
+            split_catch_up_decode(&mut self.core, s, i);
+            split_cancel_decode_plan(&mut self.core, s, i);
+        }
+        let replica = self.topo.executor(prefill, i);
+        replica.revive(self.core.now);
+        let drained = replica.drain_lost();
+        let host = self.core.host_of(prefill, i);
+        self.core.believed_dead[host] = false;
+        refresh_router(&mut self.core);
+        if !self.core.recovery_enabled {
+            self.drop_drained(drained);
+            return;
+        }
+        self.recover_drained(drained, None);
+        if let (false, Topology::Split(s)) = (prefill, &mut self.topo) {
+            for t in std::mem::take(&mut s.parked) {
+                split_redispatch_transfer(&mut self.core, s, t);
+            }
+        }
+        self.drain_stalled();
+    }
+
+    /// A death is detected: the coordinator masks the replica out of
+    /// routing and recovers its frozen work onto survivors.
     fn on_fault_detected(&mut self, index: usize) {
         trace(&mut self.core, TraceKind::FaultDetected { index });
-        let at = self.core.faults[index].at;
-        let kind = self.core.faults[index].kind;
-        let drained = match (&mut self.topo, kind) {
-            (Topology::Split(s), FaultKind::PrefillDown(i)) => {
-                if s.prefills[i].is_alive() {
-                    None // blipped back up before detection; healed already
-                } else {
-                    s.believed_dead_prefill[i] = true;
-                    split_refresh_router(&mut self.core, s);
-                    Some(s.prefills[i].drain_lost())
-                }
-            }
-            (Topology::Split(s), FaultKind::DecodeDown(j)) => {
-                if s.decodes[j].is_alive() {
-                    None
-                } else {
-                    s.believed_dead_decode[j] = true;
-                    split_refresh_router(&mut self.core, s);
-                    Some(s.decodes[j].drain_lost())
-                }
-            }
-            (Topology::Colocated(c), FaultKind::PrefillDown(i) | FaultKind::DecodeDown(i)) => {
-                if c.replicas[i].is_alive() {
-                    None
-                } else {
-                    c.believed_dead[i] = true;
-                    colo_refresh_router(&mut self.core, c);
-                    Some(c.replicas[i].drain_lost())
-                }
-            }
-            _ => None,
+        let TimedFault { at, kind } = self.core.faults[index];
+        let (prefill, i) = match kind {
+            FaultKind::PrefillDown(i) => (true, i),
+            FaultKind::DecodeDown(j) => (false, j),
+            _ => return,
         };
-        if let Some(d) = drained {
-            self.recover_drained(d, Some(at));
+        let replica = self.topo.executor(prefill, i);
+        if replica.is_alive() {
+            return; // blipped back up before detection; healed already
         }
+        let drained = replica.drain_lost();
+        let host = self.core.host_of(prefill, i);
+        self.core.believed_dead[host] = true;
+        refresh_router(&mut self.core);
+        self.recover_drained(drained, Some(at));
     }
 
     /// Recovers drained work onto survivors: queued/in-flight prefill jobs
@@ -1291,7 +1156,8 @@ impl Driver {
     }
 
     fn drain_stalled(&mut self) {
-        if self.core.paused_until.is_some() || self.core.router.num_enabled() == 0 {
+        let routable = self.core.routes.iter().any(|r| r.router.num_enabled() > 0);
+        if self.core.paused_until.is_some() || !routable {
             return;
         }
         let stalled = std::mem::take(&mut self.core.stalled);
@@ -1317,18 +1183,11 @@ impl Driver {
 
     /// The telemetry (role, replica) of host `node` under this topology.
     fn host_role(&self, node: usize) -> (Role, usize) {
+        let prefill_hosts = self.core.gray.prefill_hosts;
         match &self.topo {
-            Topology::Split(_) => self.core.split_host_role(node),
+            Topology::Split(_) if node < prefill_hosts => (Role::Prefill, node),
+            Topology::Split(_) => (Role::Decode, node - prefill_hosts),
             Topology::Colocated(_) => (Role::Colocated, node),
-        }
-    }
-
-    /// Re-derives the routing mask (liveness beliefs + gray masking).
-    fn refresh_router(&mut self) {
-        let Driver { core, topo } = self;
-        match topo {
-            Topology::Split(s) => split_refresh_router(core, s),
-            Topology::Colocated(c) => colo_refresh_router(core, c),
         }
     }
 
@@ -1368,7 +1227,7 @@ impl Driver {
             self.core.recovery.quarantines += 1;
             let (role, replica) = self.host_role(node);
             trace(&mut self.core, TraceKind::Quarantined { role, replica });
-            self.refresh_router();
+            refresh_router(&mut self.core);
         } else if !lost && self.core.gray.flaky_dead[node] {
             self.readmit_flaky(node);
         }
@@ -1387,7 +1246,7 @@ impl Driver {
         self.core.recovery.readmissions += 1;
         let (role, replica) = self.host_role(node);
         trace(&mut self.core, TraceKind::Readmitted { role, replica });
-        self.refresh_router();
+        refresh_router(&mut self.core);
         if self.core.recovery_enabled {
             self.drain_stalled();
         }
@@ -1396,12 +1255,9 @@ impl Driver {
     /// A quarantine probation ended: readmit the replica unless a later
     /// re-quarantine pushed its expiry out (stale probe). The straggler
     /// detector restarts from scratch — if the replica is still slow it
-    /// re-quarantines after `straggler_min_samples` fresh iterations.
+    /// re-quarantines after [`STRAGGLER_MIN_SAMPLES`] fresh iterations.
     fn on_readmit_probe(&mut self, prefill: bool, replica: usize) {
-        let host = match &self.topo {
-            Topology::Split(_) => self.core.host_of(prefill, replica),
-            Topology::Colocated(_) => replica,
-        };
+        let host = self.core.host_of(prefill, replica);
         let Some(until) = self.core.gray.quarantine_until[host] else {
             return;
         };
@@ -1415,7 +1271,7 @@ impl Driver {
         self.core.recovery.readmissions += 1;
         let (role, replica) = self.host_role(host);
         trace(&mut self.core, TraceKind::Readmitted { role, replica });
-        self.refresh_router();
+        refresh_router(&mut self.core);
         if self.core.recovery_enabled {
             self.drain_stalled();
         }
@@ -1423,7 +1279,7 @@ impl Driver {
 }
 
 impl Core {
-    fn new(cfg: SimConfig, router: StrideRouter, prefill_hosts: usize, total_hosts: usize) -> Self {
+    fn new(cfg: SimConfig, routes: Vec<Route>, prefill_hosts: usize, total_hosts: usize) -> Self {
         let trace = cfg.telemetry.then(Recorder::new);
         let stream = cfg.streaming.clone().map(|sc| {
             let mut plane = StreamingPlane::new(sc);
@@ -1436,7 +1292,8 @@ impl Core {
         let track_models = !cfg.models.is_empty();
         Core {
             cfg,
-            router,
+            routes,
+            believed_dead: vec![false; total_hosts],
             queue: EventQueue::new(),
             reqs: Slab::new(),
             records: Vec::new(),
@@ -1505,9 +1362,8 @@ impl Core {
         Some((seq, pushed_at))
     }
 
-    /// The host index of a replica (prefills first, then decodes; the
-    /// `prefill` flag is meaningless for colocated drivers, whose hosts and
-    /// replicas coincide).
+    /// The host index of a replica (prefills first, then decodes; colocated
+    /// hosts and replicas coincide whatever the `prefill` flag).
     fn host_of(&self, prefill: bool, replica: usize) -> usize {
         if prefill {
             replica
@@ -1516,13 +1372,14 @@ impl Core {
         }
     }
 
-    /// The telemetry (role, replica) of host `node` for a split driver.
-    fn split_host_role(&self, node: usize) -> (Role, usize) {
-        if node < self.gray.prefill_hosts {
-            (Role::Prefill, node)
-        } else {
-            (Role::Decode, node - self.gray.prefill_hosts)
+    /// The route serving requests for `model`: the only route of a
+    /// one-route plan whatever the model, otherwise that tenant's route;
+    /// `None` when a multi-model plan does not serve `model`.
+    fn route_of(&self, model: ModelId) -> Option<usize> {
+        if self.routes.len() == 1 {
+            return Some(0);
         }
+        self.routes.iter().position(|r| r.model == model)
     }
 }
 
@@ -1721,17 +1578,15 @@ fn finish(core: &mut Core, key: SlabKey, at: SimTime, max_token_gap: SimDuration
 /// in `[1, 1 + kv_retry_jitter]` when the jitter knob is on (the RNG is
 /// untouched at the default of 0, preserving bit-identity).
 fn retry_backoff(core: &mut Core, attempt: u32) -> SimDuration {
-    let base = core.cfg.kv_retry_backoff_base;
-    let cap = core.cfg.kv_retry_backoff_cap;
-    let mut delay = base;
+    let mut delay = KV_RETRY_BACKOFF_BASE;
     for _ in 2..attempt {
         delay = delay + delay;
-        if delay >= cap {
-            delay = cap;
+        if delay >= KV_RETRY_BACKOFF_CAP {
+            delay = KV_RETRY_BACKOFF_CAP;
             break;
         }
     }
-    delay = delay.min(cap);
+    delay = delay.min(KV_RETRY_BACKOFF_CAP);
     let jitter = core.cfg.kv_retry_jitter;
     if jitter > 0.0 {
         let stretch = 1.0 + core.gray.rng.gen_range(0.0..1.0) * jitter;
@@ -1792,7 +1647,7 @@ fn split_maybe_start_prefill(core: &mut Core, s: &mut SplitState, i: usize) {
         // allocate.
         let mut batch = p.spare_batches.pop().unwrap_or_default();
         let total = p.queue.take_batch_into(
-            core.cfg.max_prefill_batch_tokens,
+            MAX_PREFILL_BATCH_TOKENS,
             core.cfg.prefill_policy,
             &mut batch,
         );
@@ -1866,9 +1721,7 @@ fn split_on_prefill_done(core: &mut Core, s: &mut SplitState, i: usize) -> Resul
         .in_flight
         .pop_front()
         .ok_or_else(|| Error::Simulation("prefill done with nothing in flight".into()))?;
-    if core.cfg.straggler_threshold.is_some() {
-        split_observe_straggler(core, s, true, i);
-    }
+    observe_straggler(core, Role::Prefill, i, s.prefills[i].slow_factor);
     let now = core.now;
     let mut batch = batch;
     for job in batch.drain(..) {
@@ -1973,8 +1826,8 @@ fn flow_endpoints(legs: &[KvRouteLeg]) -> (GpuId, GpuId, usize) {
 /// * fabric on — the transfer becomes a flow in the `ts-net` fabric
 ///   (immediately, or via a [`EventKind::KvFlowLaunch`] event after the
 ///   backoff);
-/// * legacy, modeled — the transfer serializes on the sender's uplink;
-/// * zero duration (transfer modeling off, or a degenerate route) — the
+/// * serialized — the transfer serializes on the sender's uplink;
+/// * zero duration ([`KvTransfer::Free`], or a degenerate route) — the
 ///   transfer completes after the delay alone, without queuing on (or
 ///   advancing) the sender's uplink.
 fn split_launch_transfer(
@@ -2000,9 +1853,7 @@ fn split_launch_transfer(
         // The byte count is sized like the fabric's flow (whole route,
         // configured wire precision); computed only under telemetry.
         let (_, _, layers) = s.flow_routes[transfer.from][transfer.to];
-        let bytes = s
-            .codec_for(s.prefill_model[transfer.from])
-            .wire_bytes_layers(transfer.job.tokens, layers);
+        let bytes = s.codecs[transfer.from].wire_bytes_layers(transfer.job.tokens, layers);
         trace(
             core,
             TraceKind::KvEnqueued {
@@ -2027,7 +1878,7 @@ fn split_launch_transfer(
         }
         return;
     }
-    let mut dur = if core.cfg.model_kv_transfer {
+    let mut dur = if core.cfg.kv_transfer == KvTransfer::Serialized {
         // Memoized per pair: everything but the token count is fixed.
         match s.kv_memo[transfer.from][transfer.to] {
             Some((tokens, wire)) if tokens == transfer.job.tokens => wire,
@@ -2038,7 +1889,7 @@ fn split_launch_transfer(
                 // group carries ModelId(0)).
                 let wire = kv_transfer_time(
                     core.cfg.spec_for(s.prefill_model[transfer.from]),
-                    &s.routes[transfer.from][transfer.to],
+                    &s.kv_routes[transfer.from][transfer.to],
                     transfer.job.tokens,
                     ratio,
                 );
@@ -2119,15 +1970,13 @@ fn split_start_flow(core: &mut Core, s: &mut SplitState, key: SlabKey) {
     let Some(t) = st.transfer else {
         return;
     };
-    if s.fabric.is_none() {
+    let Some(fabric) = s.fabric.as_mut() else {
         return;
-    }
+    };
     let rid = st.req.id;
     st.pend.kv_wire_started_at = Some(core.now);
     let (from, to, layers) = s.flow_routes[t.from][t.to];
-    let bytes = s
-        .codec_for(s.prefill_model[t.from])
-        .wire_bytes_layers(t.job.tokens, layers) as f64;
+    let bytes = s.codecs[t.from].wire_bytes_layers(t.job.tokens, layers) as f64;
     trace(
         core,
         TraceKind::KvWireStart {
@@ -2135,11 +1984,7 @@ fn split_start_flow(core: &mut Core, s: &mut SplitState, key: SlabKey) {
             attempt: t.attempt,
         },
     );
-    let now = core.now;
-    let Some(fabric) = s.fabric.as_mut() else {
-        unreachable!()
-    };
-    let estimates = fabric.start(key.as_u64(), from, to, bytes, now);
+    let estimates = fabric.start(key.as_u64(), from, to, bytes, core.now);
     schedule_flow_events(core, estimates);
 }
 
@@ -2212,12 +2057,10 @@ fn split_kill_link_flows(core: &mut Core, s: &mut SplitState, prefill: usize, de
         .collect();
     victims.sort_unstable();
     for (rid, key) in victims {
-        let now = core.now;
-        let estimates = match s.fabric.as_mut() {
-            Some(f) => f.cancel(key.as_u64(), now),
-            None => unreachable!(),
-        };
-        schedule_flow_events(core, estimates);
+        if let Some(f) = s.fabric.as_mut() {
+            let estimates = f.cancel(key.as_u64(), core.now);
+            schedule_flow_events(core, estimates);
+        }
         let Some(t) = core.reqs.get(key).and_then(|st| st.transfer) else {
             continue;
         };
@@ -2328,28 +2171,31 @@ fn split_deliver_transfer(core: &mut Core, s: &mut SplitState, key: SlabKey) -> 
     Ok(())
 }
 
-/// Re-targets a transfer whose decode replica died: picks the live replica
-/// with the most free KV memory (lowest index breaks ties), or parks the
-/// transfer until one comes back. Multi-model plans only consider decode
-/// replicas serving the sender's model — KV caches are model-specific.
-fn split_redispatch_transfer(core: &mut Core, s: &mut SplitState, mut t: Transfer) {
-    // The free-KV scan reads every decode batch; their owed boundaries
-    // must land first.
-    split_catch_up_all_decodes(core, s);
-    let model = (!s.model_routes.is_empty()).then(|| s.prefill_model[t.from]);
-    let target = s
-        .decodes
+/// The live decode replica with the most free KV memory (lowest index
+/// breaks ties) among those serving the model of prefill replica `from` —
+/// KV caches are model-specific. Callers catch up every decode batch first.
+fn kv_target(s: &SplitState, from: usize) -> Option<usize> {
+    let model = s.prefill_model[from];
+    s.decodes
         .iter()
         .enumerate()
-        .filter(|(j, d)| d.is_alive() && (model.is_none() || model == Some(s.decode_model[*j])))
+        .filter(|&(j, d)| d.is_alive() && s.decode_model[j] == model)
         .max_by_key(|(j, d)| {
             (
                 d.batch.kv_capacity.saturating_sub(d.batch.kv_used),
                 std::cmp::Reverse(*j),
             )
         })
-        .map(|(j, _)| j);
-    let Some(j2) = target else {
+        .map(|(j, _)| j)
+}
+
+/// Re-targets a transfer whose decode replica died to [`kv_target`], or
+/// parks it until a decode replica comes back.
+fn split_redispatch_transfer(core: &mut Core, s: &mut SplitState, mut t: Transfer) {
+    // The free-KV scan reads every decode batch; their owed boundaries
+    // must land first.
+    split_catch_up_all_decodes(core, s);
+    let Some(j2) = kv_target(s, t.from) else {
         s.parked.push(t);
         return;
     };
@@ -2838,21 +2684,17 @@ impl Driver {
         let seq = ev.seq;
         loop {
             let vpush = {
-                let Topology::Split(s) = &self.topo else {
-                    return Err(Error::Simulation(
-                        "DecodeStepDone event in colocated engine".into(),
-                    ));
-                };
+                let (core, s) = self.split("DecodeStepDone")?;
                 let Some(plan) = s.decodes[replica].plan.as_ref() else {
                     // A rival dispatched below killed or revived the
                     // replica, cancelling the plan: this pop is stale.
-                    drop_held_decode(&mut self.core, replica, seq);
+                    drop_held_decode(core, replica, seq);
                     return Ok(());
                 };
                 if ev.token() != Some(plan.token) {
                     // A rival's re-plan consumed the held stamp and
                     // re-queued the run-end event: this pop is obsolete.
-                    drop_held_decode(&mut self.core, replica, seq);
+                    drop_held_decode(core, replica, seq);
                     return Ok(());
                 }
                 plan_vpush(plan)
@@ -2862,7 +2704,7 @@ impl Driver {
                 // already ordered this event correctly.
                 break;
             }
-            let Some(rival) = self.qualifying_rival(replica, vpush) else {
+            let Some(rival) = self.qualifying_rival(vpush) else {
                 break;
             };
             if !self
@@ -2884,10 +2726,7 @@ impl Driver {
             }
         }
         drop_held_decode(&mut self.core, replica, seq);
-        let Driver { core, topo } = self;
-        let Topology::Split(s) = topo else {
-            unreachable!()
-        };
+        let (core, s) = self.split("DecodeStepDone")?;
         let pending = s.decodes[replica]
             .plan
             .as_ref()
@@ -2904,9 +2743,7 @@ impl Driver {
         );
         // Recycle the retired plan's buffer for the next planning pass.
         s.decodes[replica].spare_steps = plan.steps;
-        if core.cfg.straggler_threshold.is_some() {
-            split_observe_straggler(core, s, false, replica);
-        }
+        observe_straggler(core, Role::Decode, replica, s.decodes[replica].slow_factor);
         trace(
             core,
             TraceKind::DecodeStep {
@@ -2930,7 +2767,7 @@ impl Driver {
     /// virtual push time of another replica's live plan) is no later than
     /// `vpush`. Deferring to an epoch-stale rival is harmless — its
     /// dispatch is a no-op.
-    fn qualifying_rival(&mut self, replica: usize, vpush: SimTime) -> Option<Event> {
+    fn qualifying_rival(&mut self, vpush: SimTime) -> Option<Event> {
         let now = self.core.now;
         debug_assert!(
             self.core
@@ -2939,7 +2776,6 @@ impl Driver {
                 .is_none_or(|r| r.arrival > now),
             "same-instant arrivals drain before queued events"
         );
-        let _ = replica;
         let head = *self.core.queue.peek()?;
         if head.at != now {
             return None;
@@ -2966,52 +2802,45 @@ impl Driver {
 
 // --- routing masks ---------------------------------------------------------
 
-/// Whether the (prefill `i`, decode `j`) pair is routable under current
-/// liveness beliefs and gray-failure masking (flaky-heartbeat false
-/// positives and straggler quarantine). `extra` additionally masks one
-/// host — used to test whether a prospective quarantine would leave a
-/// router empty, without committing it.
-fn split_pair_live(core: &Core, s: &SplitState, i: usize, j: usize, extra: Option<usize>) -> bool {
-    let p = core.gray.prefill_hosts;
-    let masked = |h: usize| core.gray.masked(h) || extra == Some(h);
-    !s.believed_dead_prefill[i] && !s.believed_dead_decode[j] && !masked(i) && !masked(p + j)
-}
-
-/// The split routing mask over the global pair space.
-fn split_router_mask(core: &Core, s: &SplitState, extra: Option<usize>) -> Vec<bool> {
-    s.pair_coords
+/// Route `ri`'s mask: whether each of its (prefill, decode) pairs is
+/// routable under current liveness beliefs and gray-failure masking
+/// (flaky-heartbeat false positives and straggler quarantine). `extra`
+/// additionally masks one host — used to test whether a prospective
+/// quarantine would leave a route empty, without committing it.
+fn router_mask(core: &Core, ri: usize, extra: Option<usize>) -> Vec<bool> {
+    let live = |h: usize| !core.believed_dead[h] && !core.gray.masked(h) && extra != Some(h);
+    core.routes[ri]
+        .pairs
         .iter()
-        .map(|&(i, j)| split_pair_live(core, s, i, j, extra))
+        .map(|&(i, j)| live(core.host_of(true, i)) && live(core.host_of(false, j)))
         .collect()
 }
 
-/// Re-derives the routing masks from believed replica liveness: the global
-/// router always, plus every tenant's own router on multi-model plans.
-fn split_refresh_router(core: &mut Core, s: &mut SplitState) {
-    let mask = split_router_mask(core, s, None);
-    core.router.apply_mask(&mask);
-    for ri in 0..s.model_routes.len() {
-        let mask: Vec<bool> = s.model_routes[ri]
-            .pairs
-            .iter()
-            .map(|&(i, j)| split_pair_live(core, s, i, j, None))
-            .collect();
-        s.model_routes[ri].router.apply_mask(&mask);
+/// Re-derives every route's mask (see [`router_mask`]).
+fn refresh_router(core: &mut Core) {
+    for ri in 0..core.routes.len() {
+        let mask = router_mask(core, ri, None);
+        core.routes[ri].router.apply_mask(&mask);
     }
 }
 
 // --- straggler detection & hedging ----------------------------------------
 
-/// Feeds one completed iteration's observed/expected time ratio into the
-/// per-host EWMA. Returns `true` when the detector trips (enough samples
-/// and the EWMA at or above the threshold); the caller still applies the
-/// never-empty-router guard before quarantining.
-fn straggler_observe(core: &mut Core, host: usize, ratio: f64) -> bool {
+/// Feeds one completed iteration on `replica` (of `role`), which ran
+/// `ratio` times slower than expected, into its host's EWMA, and
+/// quarantines the host when the detector trips — enough samples and the
+/// EWMA at or above the threshold — unless doing so would leave some route
+/// with no live pair (a degraded replica still beats no replica).
+/// Quarantine masks the host out of routing, counts it, and schedules the
+/// readmission probe at `now + straggler_readmit_after`.
+fn observe_straggler(core: &mut Core, role: Role, replica: usize, ratio: f64) {
     let Some(threshold) = core.cfg.straggler_threshold else {
-        return false;
+        return;
     };
+    let prefill = role == Role::Prefill;
+    let host = core.host_of(prefill, replica);
     if core.gray.quarantined[host] {
-        return false;
+        return;
     }
     const ALPHA: f64 = 0.5;
     let g = &mut core.gray;
@@ -3021,13 +2850,13 @@ fn straggler_observe(core: &mut Core, host: usize, ratio: f64) -> bool {
         ALPHA * ratio + (1.0 - ALPHA) * g.slow_ewma[host]
     };
     g.slow_samples[host] = g.slow_samples[host].saturating_add(1);
-    g.slow_samples[host] >= core.cfg.straggler_min_samples && g.slow_ewma[host] >= threshold
-}
-
-/// Quarantines `host`: masks it out of routing, counts it, and schedules
-/// the readmission probe at `now + straggler_readmit_after`. The caller
-/// refreshes the router.
-fn quarantine_host(core: &mut Core, host: usize, role: Role, replica: usize, prefill: bool) {
+    let tripped = g.slow_samples[host] >= STRAGGLER_MIN_SAMPLES && g.slow_ewma[host] >= threshold;
+    if !tripped {
+        return;
+    }
+    if (0..core.routes.len()).any(|ri| !router_mask(core, ri, Some(host)).contains(&true)) {
+        return;
+    }
     core.gray.quarantined[host] = true;
     let until = core.now + core.cfg.straggler_readmit_after;
     core.gray.quarantine_until[host] = Some(until);
@@ -3035,49 +2864,7 @@ fn quarantine_host(core: &mut Core, host: usize, role: Role, replica: usize, pre
     trace(core, TraceKind::Quarantined { role, replica });
     core.queue
         .push(until, EventKind::ReadmitProbe { prefill, replica });
-}
-
-/// Samples the straggler detector at a split-replica batch completion and
-/// quarantines the replica when it trips — unless doing so would leave the
-/// router with no live pair, or empty any tenant's (model, role) replica
-/// set on a multi-model plan (a degraded replica still beats no replica).
-fn split_observe_straggler(core: &mut Core, s: &mut SplitState, prefill: bool, idx: usize) {
-    let (host, ratio) = if prefill {
-        (idx, s.prefills[idx].slow_factor)
-    } else {
-        (core.gray.prefill_hosts + idx, s.decodes[idx].slow_factor)
-    };
-    if !straggler_observe(core, host, ratio) {
-        return;
-    }
-    let mask = split_router_mask(core, s, Some(host));
-    if !mask.iter().any(|&m| m) {
-        return;
-    }
-    if s.model_routes.iter().any(|r| {
-        !r.pairs
-            .iter()
-            .any(|&(i, j)| split_pair_live(core, s, i, j, Some(host)))
-    }) {
-        return;
-    }
-    let role = if prefill { Role::Prefill } else { Role::Decode };
-    quarantine_host(core, host, role, idx, prefill);
-    split_refresh_router(core, s);
-}
-
-/// The colocated arm of [`split_observe_straggler`].
-fn colo_observe_straggler(core: &mut Core, c: &ColoState, ri: usize) {
-    let ratio = c.replicas[ri].slow_factor;
-    if !straggler_observe(core, ri, ratio) {
-        return;
-    }
-    let mask = colo_router_mask(core, c, Some(ri));
-    if !mask.iter().any(|&m| m) {
-        return;
-    }
-    quarantine_host(core, ri, Role::Colocated, ri, true);
-    colo_refresh_router(core, c);
+    refresh_router(core);
 }
 
 /// The hedge timer for `request` matured. If the request is still waiting
@@ -3104,7 +2891,7 @@ fn split_on_hedge_check(core: &mut Core, s: &mut SplitState, request: SlabKey) {
 }
 
 /// Launches a duplicate prefill for a stuck request on an alternate
-/// (prefill, decode) pair drawn from the router. The duplicate carries the
+/// (prefill, decode) pair drawn from its route. The duplicate carries the
 /// same work unit (a re-prefill covers more than the prompt). Ties are
 /// broken deterministically: route draws advance the stride router in its
 /// usual order, and the first live pair with a *different* prefill replica
@@ -3133,33 +2920,22 @@ fn split_hedge_prefill(core: &mut Core, s: &mut SplitState, request: SlabKey) {
     let Some(job) = job else {
         return; // a fault moved it; the requeue already acted as a retry
     };
-    // Multi-model plans draw the alternate from the request's own tenant
-    // router, so a hedge never lands on another model's replicas.
-    let route = s.model_routes.iter().position(|r| r.model == model);
+    // The alternate comes from the request's own route, so a hedge never
+    // lands on another model's replicas.
+    let ri = core
+        .route_of(model)
+        .expect("run_with_faults rejects requests for unserved models");
+    let route = &mut core.routes[ri];
     let mut alt = None;
-    if let Some(ri) = route {
-        for _ in 0..s.model_routes[ri].pairs.len() {
-            if s.model_routes[ri].router.num_enabled() == 0 {
-                break;
-            }
-            let k = s.model_routes[ri].router.next();
-            let (i, j) = s.model_routes[ri].pairs[k];
-            if i != primary && s.prefills[i].is_alive() && !s.believed_dead_prefill[i] {
-                alt = Some((i, j));
-                break;
-            }
+    for _ in 0..route.pairs.len() {
+        if route.router.num_enabled() == 0 {
+            break;
         }
-    } else {
-        for _ in 0..s.pair_coords.len() {
-            if core.router.num_enabled() == 0 {
-                break;
-            }
-            let k = core.router.next();
-            let (i, j) = s.pair_coords[k];
-            if i != primary && s.prefills[i].is_alive() && !s.believed_dead_prefill[i] {
-                alt = Some((i, j));
-                break;
-            }
+        let (i, j) = route.pairs[route.router.next()];
+        // Prefill replica `i` is host `i`.
+        if i != primary && s.prefills[i].is_alive() && !core.believed_dead[i] {
+            alt = Some((i, j));
+            break;
         }
     }
     let Some((hi, hj)) = alt else {
@@ -3181,10 +2957,10 @@ fn split_hedge_prefill(core: &mut Core, s: &mut SplitState, request: SlabKey) {
     split_maybe_start_prefill(core, s, hi);
 }
 
-/// Cancels a stuck KV transfer and re-sends it (attempt + 1) to the live
-/// decode replica with the most free KV memory — possibly the same one.
-/// The superseded attempt's completion goes stale via its attempt number,
-/// so a duplicate delivery is impossible.
+/// Cancels a stuck KV transfer and re-sends it (attempt + 1) to
+/// [`kv_target`], the death re-dispatch target — possibly the same
+/// replica. The superseded attempt's completion goes stale via its attempt
+/// number, so a duplicate delivery is impossible.
 fn split_hedge_transfer(core: &mut Core, s: &mut SplitState, request: SlabKey) {
     let Some(t) = core.reqs.get(request).and_then(|st| st.transfer) else {
         return; // completion already delivered
@@ -3200,23 +2976,7 @@ fn split_hedge_transfer(core: &mut Core, s: &mut SplitState, request: SlabKey) {
     split_catch_up_all_decodes(core, s);
     let mut t = t;
     t.attempt += 1;
-    // Mirror the death-re-dispatch target policy: most free KV, ties to
-    // the lowest index — restricted to the sender's model on multi-model
-    // plans.
-    let model = (!s.model_routes.is_empty()).then(|| s.prefill_model[t.from]);
-    if let Some(j2) = s
-        .decodes
-        .iter()
-        .enumerate()
-        .filter(|(j, d)| d.is_alive() && (model.is_none() || model == Some(s.decode_model[*j])))
-        .max_by_key(|(j, d)| {
-            (
-                d.batch.kv_capacity.saturating_sub(d.batch.kv_used),
-                std::cmp::Reverse(*j),
-            )
-        })
-        .map(|(j, _)| j)
-    {
+    if let Some(j2) = kv_target(s, t.from) {
         t.to = j2;
     }
     let rid = if let Some(st) = core.reqs.get_mut(request) {
@@ -3264,7 +3024,6 @@ fn colo_maybe_start_work(core: &mut Core, c: &mut ColoState, ri: usize) {
             active: c.replicas[ri].batch.active.len(),
         },
     );
-    let budget = core.cfg.max_prefill_batch_tokens;
     let r = &mut c.replicas[ri];
     if r.current.is_some() {
         return;
@@ -3308,7 +3067,9 @@ fn colo_maybe_start_work(core: &mut Core, c: &mut ColoState, ri: usize) {
         ColocatedPolicy::PrefillPriority => {
             // Whole-request batch up to the token budget, under the
             // configured queue discipline (FCFS by default).
-            let (batch, total) = r.prefill.take_batch(budget, core.cfg.prefill_policy);
+            let (batch, total) = r
+                .prefill
+                .take_batch(MAX_PREFILL_BATCH_TOKENS, core.cfg.prefill_policy);
             if tracing(core) {
                 for job in &batch {
                     let Some(st) = core.reqs.get(job.key) else {
@@ -3405,9 +3166,7 @@ fn colo_maybe_start_work(core: &mut Core, c: &mut ColoState, ri: usize) {
 }
 
 fn colo_on_work_done(core: &mut Core, c: &mut ColoState, ri: usize) -> Result<()> {
-    if core.cfg.straggler_threshold.is_some() {
-        colo_observe_straggler(core, c, ri);
-    }
+    observe_straggler(core, Role::Colocated, ri, c.replicas[ri].slow_factor);
     let work = c.replicas[ri]
         .current
         .take()
@@ -3464,21 +3223,6 @@ fn colo_on_work_done(core: &mut Core, c: &mut ColoState, ri: usize) -> Result<()
     Ok(())
 }
 
-/// The colocated routing mask (see [`split_router_mask`]).
-fn colo_router_mask(core: &Core, c: &ColoState, extra: Option<usize>) -> Vec<bool> {
-    c.believed_dead
-        .iter()
-        .enumerate()
-        .map(|(i, &dead)| !dead && !core.gray.masked(i) && extra != Some(i))
-        .collect()
-}
-
-/// Re-derives the routing mask from believed replica liveness.
-fn colo_refresh_router(core: &mut Core, c: &ColoState) {
-    let mask = colo_router_mask(core, c, None);
-    core.router.apply_mask(&mask);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -3526,11 +3270,8 @@ mod tests {
         // Regression: a zero-duration transfer (KV modeling off) used to
         // wait behind `sender_free_at` and then push it out to
         // `now + delay`, queueing later transfers on a link it never used.
-        let mut d = testbed(|cfg| cfg.model_kv_transfer = false);
-        let Driver { core, topo } = &mut d;
-        let Topology::Split(s) = topo else {
-            unreachable!()
-        };
+        let mut d = testbed(|cfg| cfg.kv_transfer = KvTransfer::Free);
+        let (core, s) = d.split("test").unwrap();
         let (req, key) = seed_request(core, 7);
         core.now = SimTime::from_secs_f64(5.0);
         let busy_until = SimTime::from_secs_f64(30.0);
@@ -3564,10 +3305,7 @@ mod tests {
     #[test]
     fn modeled_transfer_still_serializes_on_the_uplink() {
         let mut d = testbed(|_| {});
-        let Driver { core, topo } = &mut d;
-        let Topology::Split(s) = topo else {
-            unreachable!()
-        };
+        let (core, s) = d.split("test").unwrap();
         let (req, key) = seed_request(core, 8);
         core.now = SimTime::from_secs_f64(5.0);
         let busy_until = SimTime::from_secs_f64(10.0);
@@ -3597,26 +3335,22 @@ mod tests {
     }
 
     #[test]
-    fn fabric_is_built_only_when_both_flags_are_on() {
-        let flags = |contention: bool, modeled: bool| {
-            let d = testbed(|cfg| {
-                cfg.network_contention = contention;
-                cfg.model_kv_transfer = modeled;
-            });
-            let Topology::Split(s) = &d.topo else {
-                unreachable!()
-            };
-            s.fabric.is_some()
-        };
-        assert!(!flags(false, true), "legacy default has no fabric");
-        assert!(!flags(true, false), "unmodeled transfers need no fabric");
-        assert!(flags(true, true));
+    fn fabric_is_built_only_for_the_fabric_transfer_model() {
+        for (transfer, fabric) in [
+            (KvTransfer::Free, false),
+            (KvTransfer::Serialized, false),
+            (KvTransfer::Fabric, true),
+        ] {
+            let mut d = testbed(|cfg| cfg.kv_transfer = transfer);
+            let (_, s) = d.split("test").unwrap();
+            assert_eq!(s.fabric.is_some(), fabric, "{transfer:?}");
+        }
     }
 
     /// Two tenants (both llama-7b, so memory trivially fits) partitioning
-    /// the 8-GPU network-case cluster: model 1 on groups 0/2, model 2 on
-    /// groups 1/3.
-    fn multi_testbed_with(tweak: impl FnOnce(&mut SimConfig)) -> Driver {
+    /// the 8-GPU network-case cluster with the given traffic shares: model
+    /// 1 on groups 0/2, model 2 on groups 1/3.
+    fn multi_testbed_with(shares: [f64; 2], tweak: impl FnOnce(&mut SimConfig)) -> Driver {
         let cluster = presets::network_case_cluster(presets::ETH_5GBPS);
         let model = ModelSpec::llama_7b();
         let group = |phase, m: ModelId, ids: [u32; 2]| {
@@ -3642,12 +3376,12 @@ mod tests {
                 ModelRouting {
                     model: ModelId(1),
                     routing: RoutingMatrix::uniform(1, 1),
-                    share: 0.5,
+                    share: shares[0],
                 },
                 ModelRouting {
                     model: ModelId(2),
                     routing: RoutingMatrix::uniform(1, 1),
-                    share: 0.5,
+                    share: shares[1],
                 },
             ],
         )
@@ -3661,36 +3395,12 @@ mod tests {
     }
 
     fn multi_testbed() -> Driver {
-        multi_testbed_with(|_| {})
+        multi_testbed_with([0.5, 0.5], |_| {})
     }
 
-    #[test]
-    fn single_model_plan_builds_no_model_routes() {
-        let d = testbed(|_| {});
-        let Topology::Split(s) = &d.topo else {
-            unreachable!()
-        };
-        assert!(s.model_routes.is_empty(), "legacy plans stay single-router");
-        assert!(s.codecs.is_empty());
-        assert_eq!(s.prefill_model, vec![ModelId(0)]);
-        assert_eq!(s.decode_model, vec![ModelId(0)]);
-        assert!(!d.core.track_models);
-    }
-
-    #[test]
-    fn multi_model_plan_routes_each_tenant_to_its_own_replicas() {
-        let mut d = multi_testbed();
-        {
-            let Topology::Split(s) = &d.topo else {
-                unreachable!()
-            };
-            assert_eq!(s.model_routes.len(), 2);
-            assert_eq!(s.model_routes[0].pairs, vec![(0, 0)]);
-            assert_eq!(s.model_routes[1].pairs, vec![(1, 1)]);
-            assert_eq!(s.prefill_model, vec![ModelId(1), ModelId(2)]);
-            assert_eq!(s.decode_model, vec![ModelId(1), ModelId(2)]);
-        }
-        let reqs: Vec<Request> = (0..8)
+    /// `n` short requests 50 ms apart, tagged `model(i)`.
+    fn requests(n: u64, model: impl Fn(u64) -> ModelId) -> Vec<Request> {
+        (0..n)
             .map(|i| {
                 Request::new(
                     RequestId(i),
@@ -3698,9 +3408,120 @@ mod tests {
                     256,
                     8,
                 )
-                .with_model(ModelId(1 + (i % 2) as u32))
+                .with_model(model(i))
+            })
+            .collect()
+    }
+
+    /// Alternates requests between the two tenants of [`multi_testbed`].
+    fn alternating(i: u64) -> ModelId {
+        ModelId(1 + (i % 2) as u32)
+    }
+
+    #[test]
+    fn single_model_plan_builds_one_route() {
+        let mut d = testbed(|_| {});
+        assert!(!d.core.track_models);
+        assert_eq!(d.core.routes.len(), 1, "a legacy plan is a one-route plan");
+        assert_eq!(d.core.routes[0].pairs, vec![(0, 0)]);
+        let (_, s) = d.split("test").unwrap();
+        assert_eq!(s.prefill_model, vec![ModelId(0)]);
+        assert_eq!(s.decode_model, vec![ModelId(0)]);
+        assert_eq!(s.codecs.len(), 1, "one codec per prefill replica");
+    }
+
+    #[test]
+    fn legacy_plan_serves_every_model_tag_on_its_one_route() {
+        let run = |model: ModelId| {
+            testbed(|_| {})
+                .run_with_faults(&requests(12, |_| model), &FaultScript::none())
+                .unwrap()
+        };
+        let base = run(ModelId(0));
+        let tagged = run(ModelId(5));
+        assert_eq!(tagged.num_completed(), 12);
+        let retagged: Vec<RequestRecord> = tagged
+            .records()
+            .iter()
+            .map(|r| {
+                let mut r = *r;
+                r.request.model = ModelId(0);
+                r
             })
             .collect();
+        assert_eq!(retagged, base.records());
+    }
+
+    #[test]
+    fn multi_model_plan_rejects_requests_for_unserved_models() {
+        let mut d = multi_testbed();
+        let reqs = requests(4, |i| if i == 3 { ModelId(3) } else { alternating(i) });
+        let err = d.run_with_faults(&reqs, &FaultScript::none()).unwrap_err();
+        assert!(matches!(err, Error::InvalidConfig(_)), "{err:?}");
+    }
+
+    #[test]
+    fn zero_share_tenant_is_routed_and_guarded_by_its_own_route() {
+        // Model 2 has no share of the aggregate matrix, so no cell of that
+        // matrix reaches its replicas; its own route alone decides whether
+        // its stalled requests can drain and whether its replica may be
+        // quarantined.
+        let secs = SimTime::from_secs_f64;
+        let fault = |at: f64, kind| TimedFault { at: secs(at), kind };
+        let script = FaultScript::new(
+            vec![
+                fault(0.1, FaultKind::PrefillDown(0)),
+                fault(1.0, FaultKind::Pause { until: secs(2.0) }),
+            ],
+            SimDuration::from_millis(200),
+        );
+        let reqs: Vec<Request> = [(0, 0.5, 2), (1, 1.5, 1), (2, 1.5, 2), (3, 1.6, 2)]
+            .into_iter()
+            .map(|(id, at, m)| Request::new(RequestId(id), secs(at), 256, 8).with_model(ModelId(m)))
+            .collect();
+        let m = multi_testbed_with([1.0, 0.0], |_| {})
+            .run_with_faults(&reqs, &script)
+            .unwrap();
+        // Model 1's only prefill replica is believed dead from 0.3 s, so its
+        // request stalls for good; model 2's requests stalled by the pause
+        // drain through model 2's live route when service resumes.
+        assert_eq!(m.for_model(ModelId(2)).num_completed(), 3);
+        assert_eq!(m.for_model(ModelId(1)).num_completed(), 0);
+        assert_eq!(m.num_dropped(), 1);
+        assert!(m.recovery().per_model.iter().all(|c| c.balanced()));
+
+        // Quarantining model 2's only (slow) prefill replica would empty
+        // its route, so the straggler guard never does.
+        let slow = FaultScript::new(
+            vec![fault(0.0, FaultKind::PrefillSlow(1, 8.0))],
+            SimDuration::from_millis(200),
+        );
+        let m = multi_testbed_with([1.0, 0.0], |cfg| cfg.straggler_threshold = Some(2.0))
+            .run_with_faults(&requests(8, alternating), &slow)
+            .unwrap();
+        assert_eq!(m.num_completed(), 8);
+        assert_eq!(m.recovery().quarantines, 0);
+    }
+
+    #[test]
+    fn multi_model_plan_routes_each_tenant_to_its_own_replicas() {
+        let mut d = multi_testbed();
+        let routes: Vec<(ModelId, Vec<(usize, usize)>)> = d
+            .core
+            .routes
+            .iter()
+            .map(|r| (r.model, r.pairs.clone()))
+            .collect();
+        assert_eq!(
+            routes,
+            vec![(ModelId(1), vec![(0, 0)]), (ModelId(2), vec![(1, 1)])]
+        );
+        {
+            let (_, s) = d.split("test").unwrap();
+            assert_eq!(s.prefill_model, vec![ModelId(1), ModelId(2)]);
+            assert_eq!(s.decode_model, vec![ModelId(1), ModelId(2)]);
+        }
+        let reqs = requests(8, alternating);
         let m = d.run_with_faults(&reqs, &FaultScript::none()).unwrap();
         assert_eq!(m.num_completed(), 8);
         for r in m.records() {
@@ -3727,18 +3548,8 @@ mod tests {
 
     #[test]
     fn traces_tag_requests_with_their_model_only_when_tracking() {
-        let mut d = multi_testbed_with(|cfg| cfg.telemetry = true);
-        let reqs: Vec<Request> = (0..4)
-            .map(|i| {
-                Request::new(
-                    RequestId(i),
-                    SimTime::from_secs_f64(i as f64 * 0.05),
-                    256,
-                    8,
-                )
-                .with_model(ModelId(1 + (i % 2) as u32))
-            })
-            .collect();
+        let mut d = multi_testbed_with([0.5, 0.5], |cfg| cfg.telemetry = true);
+        let reqs = requests(4, alternating);
         d.run_with_faults(&reqs, &FaultScript::none()).unwrap();
         let log = d.take_trace().expect("telemetry was on");
         let tags = log.model_tags();
@@ -3762,13 +3573,11 @@ mod tests {
 
     #[test]
     fn flow_endpoints_pick_the_heaviest_leg_and_total_layers() {
-        let d = testbed(|_| {});
-        let Topology::Split(s) = &d.topo else {
-            unreachable!()
-        };
+        let mut d = testbed(|_| {});
+        let (core, s) = d.split("test").unwrap();
         // tp=4/pp=1 on both sides: a single leg carrying every layer.
         let (_, _, layers) = s.flow_routes[0][0];
-        assert_eq!(layers, d.core.cfg.model.num_layers);
+        assert_eq!(layers, core.cfg.model.num_layers);
         assert_eq!(flow_endpoints(&[]), (GpuId(0), GpuId(0), 0));
     }
 }

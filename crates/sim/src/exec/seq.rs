@@ -18,7 +18,7 @@
 //! instead of a hash probe. The id (for traces and records) and the payload
 //! live in the slab entry.
 
-use crate::config::{PrefillPolicy, SimConfig};
+use crate::config::{PrefillPolicy, SimConfig, MAX_DECODE_BATCH};
 use std::collections::VecDeque;
 use ts_common::{Request, SimDuration, SimTime, SlabKey};
 use ts_costmodel::ReplicaCostModel;
@@ -199,7 +199,7 @@ impl BatchCore {
                 out.push(AdmitOutcome::Dropped(front.key));
                 continue;
             }
-            if self.active.len() as u64 >= cfg.max_decode_batch
+            if self.active.len() as u64 >= MAX_DECODE_BATCH
                 || self.kv_used + need > self.kv_capacity
             {
                 return out;

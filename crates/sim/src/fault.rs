@@ -84,7 +84,7 @@ pub enum FaultKind {
     DecodeSlow(usize, f64),
     /// The prefill→decode transfer path of a replica pair loses bandwidth:
     /// legacy modeled transfers take `factor`× longer, and under
-    /// `network_contention` the fabric links along the pair's KV route have
+    /// `KvTransfer::Fabric` the fabric links along the pair's KV route have
     /// their capacity divided by `factor` with in-flight flows re-fair-
     /// shared live. Factor ≥ 1; exactly 1 heals.
     LinkDegraded {

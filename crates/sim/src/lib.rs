@@ -68,7 +68,7 @@ pub mod metrics;
 pub mod router;
 
 pub use colocated::{ColocatedPolicy, ColocatedSimulation};
-pub use config::SimConfig;
+pub use config::{KvTransfer, SimConfig};
 pub use engine::Simulation;
 pub use estimate::{estimate_attainment, AttainmentEstimate};
 pub use fault::{FaultKind, FaultScript, TimedFault};

@@ -403,7 +403,7 @@ fn run_matrix(edit: &dyn Fn(SimConfig) -> SimConfig) -> String {
     digest("split_chunked_sjf_tpotcap", &m, &mut out);
 
     let mut cfg = SimConfig::new(llama7());
-    cfg.model_kv_transfer = false;
+    cfg.kv_transfer = ts_sim::KvTransfer::Free;
     let (m, _) = run_split(
         &eight,
         edit(cfg),

@@ -13,14 +13,14 @@
 //!   occupancy, in-flight KV bytes and per-link utilization, plus global
 //!   instant markers for faults.
 //!
-//! The workspace's serde shim has no serializer backend, so both the
-//! exporter and [`validate_chrome_trace`]'s parser are hand-rolled; the
-//! validator exists precisely so the hand-rolled exporter cannot silently
-//! rot (it runs in CI against `bench_trace` output).
+//! The workspace's serde shim has no serializer backend, so the exporter
+//! is hand-rolled; [`validate_chrome_trace`] reads its output back with the
+//! workspace parser ([`ts_common::json`]) precisely so the exporter cannot
+//! silently rot (it runs in CI against `bench_trace` output).
 
 use crate::event::{Role, TraceKind};
 use crate::log::TraceLog;
-use ts_common::{RequestId, SimTime};
+use ts_common::{json, RequestId, SimTime};
 
 const PID_REQUESTS: u64 = 1;
 const PID_PREFILL: u64 = 2;
@@ -335,15 +335,12 @@ pub struct ChromeTraceStats {
 /// plus numeric `pid`/`tid`/`ts` (and numeric `dur` on `X` slices).
 pub fn validate_chrome_trace(json: &str) -> Result<ChromeTraceStats, String> {
     let doc = json::parse(json)?;
-    let root = doc
-        .as_object()
-        .ok_or_else(|| "root is not an object".to_string())?;
-    let events = root
-        .iter()
-        .find(|(k, _)| k == "traceEvents")
-        .map(|(_, v)| v)
-        .ok_or_else(|| "missing traceEvents".to_string())?;
-    let events = events
+    if doc.as_object().is_none() {
+        return Err("root is not an object".into());
+    }
+    let events = doc
+        .get("traceEvents")
+        .ok_or_else(|| "missing traceEvents".to_string())?
         .as_array()
         .ok_or_else(|| "traceEvents is not an array".to_string())?;
     if events.is_empty() {
@@ -356,16 +353,15 @@ pub fn validate_chrome_trace(json: &str) -> Result<ChromeTraceStats, String> {
         instants: 0,
     };
     for (i, e) in events.iter().enumerate() {
-        let obj = e
-            .as_object()
-            .ok_or_else(|| format!("event {i} is not an object"))?;
-        let field = |name: &str| obj.iter().find(|(k, _)| k == name).map(|(_, v)| v);
-        let ph = field("ph")
+        if e.as_object().is_none() {
+            return Err(format!("event {i} is not an object"));
+        }
+        let ph = e
+            .get("ph")
             .and_then(json::Value::as_str)
             .ok_or_else(|| format!("event {i}: ph missing or not a string"))?;
         for key in ["pid", "tid", "ts"] {
-            let ok = field(key).map(|v| v.as_number().is_some()).unwrap_or(false);
-            if !ok {
+            if e.num(key).is_none() {
                 return Err(format!(
                     "event {i} (ph={ph}): {key} missing or not a number"
                 ));
@@ -373,7 +369,7 @@ pub fn validate_chrome_trace(json: &str) -> Result<ChromeTraceStats, String> {
         }
         match ph {
             "X" => {
-                if field("dur").and_then(json::Value::as_number).is_none() {
+                if e.num("dur").is_none() {
                     return Err(format!("event {i}: X slice without numeric dur"));
                 }
                 stats.slices += 1;
@@ -383,258 +379,11 @@ pub fn validate_chrome_trace(json: &str) -> Result<ChromeTraceStats, String> {
             "M" | "B" | "E" => {}
             other => return Err(format!("event {i}: unknown phase {other:?}")),
         }
-        if field("name").and_then(json::Value::as_str).is_none() && ph != "i" {
+        if e.get("name").and_then(json::Value::as_str).is_none() && ph != "i" {
             return Err(format!("event {i}: name missing or not a string"));
         }
     }
     Ok(stats)
-}
-
-/// A minimal recursive-descent JSON parser — just enough to validate the
-/// hand-rolled exporter (the workspace serde shim has no parser either).
-mod json {
-    /// A parsed JSON value.
-    #[derive(Debug, Clone, PartialEq)]
-    pub enum Value {
-        /// `null`.
-        Null,
-        /// `true` / `false`.
-        Bool(bool),
-        /// Any JSON number.
-        Number(f64),
-        /// A string.
-        String(String),
-        /// An array.
-        Array(Vec<Value>),
-        /// An object, in document order.
-        Object(Vec<(String, Value)>),
-    }
-
-    impl Value {
-        /// The string payload, if this is a string.
-        pub fn as_str(&self) -> Option<&str> {
-            match self {
-                Value::String(s) => Some(s),
-                _ => None,
-            }
-        }
-
-        /// The numeric payload, if this is a number.
-        pub fn as_number(&self) -> Option<f64> {
-            match self {
-                Value::Number(n) => Some(*n),
-                _ => None,
-            }
-        }
-
-        /// The members, if this is an object.
-        pub fn as_object(&self) -> Option<&[(String, Value)]> {
-            match self {
-                Value::Object(m) => Some(m),
-                _ => None,
-            }
-        }
-
-        /// The elements, if this is an array.
-        pub fn as_array(&self) -> Option<&[Value]> {
-            match self {
-                Value::Array(v) => Some(v),
-                _ => None,
-            }
-        }
-    }
-
-    struct Parser<'a> {
-        bytes: &'a [u8],
-        pos: usize,
-    }
-
-    /// Parses a complete JSON document.
-    pub fn parse(text: &str) -> Result<Value, String> {
-        let mut p = Parser {
-            bytes: text.as_bytes(),
-            pos: 0,
-        };
-        let v = p.value()?;
-        p.skip_ws();
-        if p.pos != p.bytes.len() {
-            return Err(format!("trailing garbage at byte {}", p.pos));
-        }
-        Ok(v)
-    }
-
-    impl Parser<'_> {
-        fn skip_ws(&mut self) {
-            while let Some(&b) = self.bytes.get(self.pos) {
-                if b == b' ' || b == b'\t' || b == b'\n' || b == b'\r' {
-                    self.pos += 1;
-                } else {
-                    break;
-                }
-            }
-        }
-
-        fn peek(&mut self) -> Result<u8, String> {
-            self.skip_ws();
-            self.bytes
-                .get(self.pos)
-                .copied()
-                .ok_or_else(|| "unexpected end of input".to_string())
-        }
-
-        fn expect(&mut self, b: u8) -> Result<(), String> {
-            if self.peek()? == b {
-                self.pos += 1;
-                Ok(())
-            } else {
-                Err(format!("expected {:?} at byte {}", b as char, self.pos))
-            }
-        }
-
-        fn literal(&mut self, word: &str, v: Value) -> Result<Value, String> {
-            if self.bytes[self.pos..].starts_with(word.as_bytes()) {
-                self.pos += word.len();
-                Ok(v)
-            } else {
-                Err(format!("invalid literal at byte {}", self.pos))
-            }
-        }
-
-        fn value(&mut self) -> Result<Value, String> {
-            match self.peek()? {
-                b'{' => self.object(),
-                b'[' => self.array(),
-                b'"' => Ok(Value::String(self.string()?)),
-                b't' => self.literal("true", Value::Bool(true)),
-                b'f' => self.literal("false", Value::Bool(false)),
-                b'n' => self.literal("null", Value::Null),
-                b'-' | b'0'..=b'9' => self.number(),
-                other => Err(format!(
-                    "unexpected {:?} at byte {}",
-                    other as char, self.pos
-                )),
-            }
-        }
-
-        fn object(&mut self) -> Result<Value, String> {
-            self.expect(b'{')?;
-            let mut members = Vec::new();
-            if self.peek()? == b'}' {
-                self.pos += 1;
-                return Ok(Value::Object(members));
-            }
-            loop {
-                self.skip_ws();
-                let key = self.string()?;
-                self.expect(b':')?;
-                members.push((key, self.value()?));
-                match self.peek()? {
-                    b',' => self.pos += 1,
-                    b'}' => {
-                        self.pos += 1;
-                        return Ok(Value::Object(members));
-                    }
-                    other => {
-                        return Err(format!(
-                            "expected ',' or '}}', got {:?} at byte {}",
-                            other as char, self.pos
-                        ))
-                    }
-                }
-            }
-        }
-
-        fn array(&mut self) -> Result<Value, String> {
-            self.expect(b'[')?;
-            let mut items = Vec::new();
-            if self.peek()? == b']' {
-                self.pos += 1;
-                return Ok(Value::Array(items));
-            }
-            loop {
-                items.push(self.value()?);
-                match self.peek()? {
-                    b',' => self.pos += 1,
-                    b']' => {
-                        self.pos += 1;
-                        return Ok(Value::Array(items));
-                    }
-                    other => {
-                        return Err(format!(
-                            "expected ',' or ']', got {:?} at byte {}",
-                            other as char, self.pos
-                        ))
-                    }
-                }
-            }
-        }
-
-        fn string(&mut self) -> Result<String, String> {
-            self.expect(b'"')?;
-            let mut out = String::new();
-            loop {
-                let b = *self
-                    .bytes
-                    .get(self.pos)
-                    .ok_or_else(|| "unterminated string".to_string())?;
-                self.pos += 1;
-                match b {
-                    b'"' => return Ok(out),
-                    b'\\' => {
-                        let esc = *self
-                            .bytes
-                            .get(self.pos)
-                            .ok_or_else(|| "unterminated escape".to_string())?;
-                        self.pos += 1;
-                        match esc {
-                            b'"' => out.push('"'),
-                            b'\\' => out.push('\\'),
-                            b'/' => out.push('/'),
-                            b'n' => out.push('\n'),
-                            b't' => out.push('\t'),
-                            b'r' => out.push('\r'),
-                            b'b' => out.push('\u{8}'),
-                            b'f' => out.push('\u{c}'),
-                            b'u' => {
-                                let hex = self
-                                    .bytes
-                                    .get(self.pos..self.pos + 4)
-                                    .ok_or_else(|| "truncated \\u escape".to_string())?;
-                                let code = u32::from_str_radix(
-                                    std::str::from_utf8(hex)
-                                        .map_err(|_| "bad \\u escape".to_string())?,
-                                    16,
-                                )
-                                .map_err(|_| "bad \\u escape".to_string())?;
-                                self.pos += 4;
-                                out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                            }
-                            other => {
-                                return Err(format!("bad escape \\{}", other as char));
-                            }
-                        }
-                    }
-                    _ => out.push(b as char),
-                }
-            }
-        }
-
-        fn number(&mut self) -> Result<Value, String> {
-            let start = self.pos;
-            while let Some(&b) = self.bytes.get(self.pos) {
-                if b.is_ascii_digit() || matches!(b, b'-' | b'+' | b'.' | b'e' | b'E') {
-                    self.pos += 1;
-                } else {
-                    break;
-                }
-            }
-            std::str::from_utf8(&self.bytes[start..self.pos])
-                .ok()
-                .and_then(|s| s.parse::<f64>().ok())
-                .map(Value::Number)
-                .ok_or_else(|| format!("invalid number at byte {start}"))
-        }
-    }
 }
 
 #[cfg(test)]

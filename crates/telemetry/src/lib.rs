@@ -11,7 +11,7 @@
 //! 1. **Zero cost when off.** Instrumented code holds an
 //!    `Option<Recorder>`; the disabled path is a `None` check and must keep
 //!    simulation outputs bit-identical (the same discipline
-//!    `SimConfig::network_contention` follows). Instrumentation *observes*
+//!    the opt-in KV-transfer fabric follows). Instrumentation *observes*
 //!    at event-handler boundaries — it never schedules events, draws
 //!    randomness, or otherwise perturbs the simulation.
 //! 2. **Events are facts, series are views.** The engines emit raw

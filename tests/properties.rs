@@ -1,10 +1,8 @@
 //! Invariant tests over the core data structures and algorithms.
 //!
-//! These were originally property-based (proptest); the offline build
-//! environment only carries a placeholder proptest crate, so each property is
-//! exercised as a deterministic sweep over seeded random cases instead. The
-//! invariants checked are unchanged; the case generators mirror the old
-//! strategies.
+//! Each property is exercised as a deterministic sweep over seeded random
+//! cases drawn from the in-tree `rand` shim, so every run checks the same
+//! inputs and a failure reproduces exactly.
 
 use rand::Rng;
 use thunderserve::common::{
