@@ -4,11 +4,13 @@
 //! drives the same ~10k-request trace through an 8-replica plan in each
 //! topology (4 prefill + 4 decode disaggregated, and 8 colocated) so a
 //! regression in the common event loop, router or batching core shows up
-//! no matter which facade it enters through.
+//! no matter which facade it enters through. `router_next` times one
+//! routing decision on its own, at plan sizes from a paper cluster's to the
+//! 1,024-cell fleet plan.
 
 #![allow(missing_docs)] // criterion macros generate undocumented items
 
-use criterion::{criterion_group, criterion_main, Criterion, Throughput};
+use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use ts_cluster::presets;
 use ts_common::{
     DeploymentPlan, GpuId, GroupSpec, ModelSpec, ParallelConfig, Phase, RoutingMatrix, SimDuration,
@@ -17,6 +19,7 @@ use ts_common::{
 use ts_sim::colocated::ColocatedSimulation;
 use ts_sim::config::SimConfig;
 use ts_sim::engine::Simulation;
+use ts_sim::router::StrideRouter;
 use ts_workload::{generator::generate, spec};
 
 fn replica(phase: Phase, gpu: u32, layers: usize) -> GroupSpec {
@@ -81,8 +84,8 @@ fn bench_event_loop_100k(c: &mut Criterion) {
     let layers = model.num_layers;
     let reqs = generate(&spec::fixed(256, 64, 40.0), SimDuration::from_secs(2500), 1);
     let half = 32usize;
-    // Paired routing: prefill i feeds decode i, the shape KV-transfer-aware
-    // orchestration produces at scale.
+    // Paired routing (prefill i feeds decode i) keeps this arm comparable
+    // with the 100k arm of the committed `BENCH_sim.json`.
     let mut rates = vec![vec![0.0; half]; half];
     for (p, row) in rates.iter_mut().enumerate() {
         row[p] = 1.0 / half as f64;
@@ -110,5 +113,39 @@ fn bench_event_loop_100k(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_event_loop, bench_event_loop_100k);
+/// One routing decision as the driver makes it per arrival
+/// (`num_enabled` then `next`) over a cyclic two-diagonal matrix: prefill
+/// `i` feeds decodes `i` and `i + 1`, every cell carrying an equal share.
+/// 1,024 cells is the `fleet_1m` plan of the repository benchmark.
+fn bench_router_next(c: &mut Criterion) {
+    let mut group = c.benchmark_group("router_next");
+    group.throughput(Throughput::Elements(1));
+    for cells in [8usize, 512, 1024] {
+        let n = cells / 2;
+        let rates: Vec<Vec<f64>> = (0..n)
+            .map(|i| {
+                let mut row = vec![0.0; n];
+                row[i] += 1.0 / cells as f64;
+                row[(i + 1) % n] += 1.0 / cells as f64;
+                row
+            })
+            .collect();
+        let (mut router, _) = StrideRouter::from_matrix(&rates).unwrap();
+        assert_eq!(router.num_enabled(), cells);
+        group.bench_function(BenchmarkId::from_parameter(cells), |b| {
+            b.iter(|| {
+                assert!(router.num_enabled() > 0);
+                black_box(router.next())
+            })
+        });
+    }
+    group.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_event_loop,
+    bench_event_loop_100k,
+    bench_router_next
+);
 criterion_main!(benches);

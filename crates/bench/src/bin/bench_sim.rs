@@ -115,9 +115,8 @@ fn split_plan(replicas: usize, layers: usize) -> DeploymentPlan {
         groups.push(replica(Phase::Decode, (half + g) as u32));
     }
     // Paired routing (prefill i feeds decode i), as the KV-transfer-aware
-    // orchestration produces at scale: a dense uniform matrix over 512×512
-    // pairs would make every arrival an O(pairs) stride-router scan and
-    // benchmark the router instead of the event loop.
+    // orchestration produces at scale. Every arm keeps this shape so its
+    // numbers stay comparable with the committed `BENCH_sim.json`.
     let mut rates = vec![vec![0.0; half]; half];
     for (p, row) in rates.iter_mut().enumerate() {
         row[p] = 1.0 / half as f64;
