@@ -204,7 +204,6 @@ pub fn run_elastic(
         cluster.deactivate_node(n)?;
     }
     let mut rt = ServingRuntime::new(cluster, model.clone(), *slo, sched_cfg.clone());
-    rt.set_telemetry(true);
     if cfg.mid_segment_signals {
         // Attach the streaming plane so segment reports carry burn-rate
         // health signals for the controller. Observation only: the served
@@ -312,25 +311,11 @@ pub fn run_elastic(
         }
         last_obs = Some(observe_segment(
             &rep.metrics,
-            rep.trace.as_ref(),
+            &rep.pressure,
             rep.stream.as_ref(),
             slo,
             warned,
         ));
-
-        if std::env::var("TS_AUTOSCALE_DEBUG").is_ok() {
-            eprintln!(
-                "seg {i}: ttft {:.3} tpot {:.3} e2e {:.3} groups {:?}",
-                rep.metrics.slo_attainment(slo, ts_common::SloKind::Ttft),
-                rep.metrics.slo_attainment(slo, ts_common::SloKind::Tpot),
-                rep.metrics.slo_attainment(slo, ts_common::SloKind::E2e),
-                rt.plan().map(|p| p
-                    .groups
-                    .iter()
-                    .map(|g| (g.phase, g.num_gpus()))
-                    .collect::<Vec<_>>())
-            );
-        }
         ledger.charge(i, pool, rt.cluster(), seg.window);
         let entry = ledger.entries.last().expect("just charged");
         let (pre, dec) = phase_counts(&rt);

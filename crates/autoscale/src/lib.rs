@@ -6,10 +6,10 @@
 //! GPUs; this crate decides *which* GPUs to hold from segment to segment.
 //! A deterministic control loop runs between serving segments:
 //!
-//! 1. [`observe::SegmentObservation`] distils the last segment's telemetry
-//!    — SLO attainment, per-role queue depths and batch occupancy from the
-//!    [`ts_telemetry::TraceLog`], plus outstanding spot preemption warnings
-//!    — into a few scalars.
+//! 1. [`observe::SegmentObservation`] distils the last segment — SLO
+//!    attainment, per-role queue depths and batch occupancy from the
+//!    runtime's online [`ts_telemetry::PressureTally`], plus outstanding
+//!    spot preemption warnings — into a few scalars.
 //! 2. [`controller::AutoscaleController`] turns the observation into
 //!    [`controller::FleetAction`]s: acquire the cheapest suitable spot
 //!    node when the SLO sags or queues build, release the most expensive

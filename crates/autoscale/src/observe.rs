@@ -2,22 +2,29 @@
 
 use ts_common::{NodeId, SimTime, SloSpec};
 use ts_sim::metrics::Metrics;
-use ts_telemetry::{HealthSummary, Role, StreamSnapshot, TraceLog, UtilizationSeries};
+use ts_telemetry::{HealthSummary, PressureTally, Role, StreamSnapshot};
 
 /// What the control loop sees after one serving segment: a handful of
-/// scalars derived from the segment's [`Metrics`] and telemetry
-/// [`TraceLog`], plus the spot preemption warnings currently outstanding.
+/// scalars derived from the segment's [`Metrics`] and [`PressureTally`],
+/// plus the spot preemption warnings currently outstanding.
+///
+/// In the phase-split engine only prefill replicas sample queue depth and
+/// only decode replicas sample batch occupancy, so there `decode_queue`
+/// and `prefill_duty` are always 0: the controller's queue signal is the
+/// prefill pool's and its duty signal the decode pool's.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SegmentObservation {
     /// Joint SLO attainment of the segment.
     pub attainment: f64,
     /// Time-weighted mean queue depth per prefill replica.
     pub prefill_queue: f64,
-    /// Time-weighted mean queue depth per decode replica.
+    /// Time-weighted mean queue depth per decode replica (0 in the
+    /// phase-split engine: decode replicas have no prefill queue).
     pub decode_queue: f64,
     /// Mean batch-occupancy *duty*: time-weighted mean over peak, averaged
-    /// across prefill replicas. 1.0 means every replica ran at its own
-    /// segment peak the whole time; near 0 means the fleet idled.
+    /// across prefill replicas (0 in the phase-split engine: prefill
+    /// replicas run no continuous batch). 1.0 means every replica ran at
+    /// its own segment peak the whole time; near 0 means the fleet idled.
     pub prefill_duty: f64,
     /// Same duty measure over decode replicas.
     pub decode_duty: f64,
@@ -45,72 +52,31 @@ impl SegmentObservation {
     }
 }
 
-/// Duty cycle of one utilization series: time-weighted mean over peak,
-/// 0.0 for an empty/flat-zero series.
-fn duty(series: &UtilizationSeries, end: SimTime) -> f64 {
-    let peak = series.peak();
-    if peak <= 0.0 {
-        return 0.0;
-    }
-    series.time_weighted_mean(end) / peak
-}
-
-/// Mean of `f` over the replicas of `role` present in the trace.
-fn role_mean(trace: &TraceLog, role: Role, f: impl Fn(usize) -> f64) -> f64 {
-    let replicas: Vec<usize> = trace
-        .replicas()
-        .into_iter()
-        .filter(|(r, _)| *r == role)
-        .map(|(_, i)| i)
-        .collect();
-    if replicas.is_empty() {
-        return 0.0;
-    }
-    replicas.iter().map(|&i| f(i)).sum::<f64>() / replicas.len() as f64
-}
-
 /// Builds the controller's observation of one served segment.
 ///
-/// `warned` carries the preemption warnings outstanding at the segment
-/// boundary (node, announced reclaim time); the caller tracks them across
-/// segments because a warning observed in segment *i* is acted on at the
-/// *i*+1 boundary. Without a trace (telemetry off) the queue/duty signals
-/// are zero and the controller falls back to attainment alone. `stream`
-/// carries the segment's streaming-plane snapshot when available; its SLO
-/// burn-rate health is distilled into [`SegmentObservation::health`].
+/// `pressure` is the segment's per-replica tally; a role with no replica
+/// in it reads 0 on both signals. `warned` carries the preemption warnings
+/// outstanding at the segment boundary (node, announced reclaim time); the
+/// caller tracks them across segments because a warning observed in
+/// segment *i* is acted on at the *i*+1 boundary. `stream` carries the
+/// segment's streaming-plane snapshot when available; its SLO burn-rate
+/// health is distilled into [`SegmentObservation::health`].
 pub fn observe_segment(
     metrics: &Metrics,
-    trace: Option<&TraceLog>,
+    pressure: &PressureTally,
     stream: Option<&StreamSnapshot>,
     slo: &SloSpec,
     warned: Vec<(NodeId, SimTime)>,
 ) -> SegmentObservation {
     let end = SimTime::ZERO + metrics.horizon();
-    let (pq, dq, pd, dd) = match trace {
-        Some(t) => (
-            role_mean(t, Role::Prefill, |i| {
-                t.queue_depth_series(Role::Prefill, i)
-                    .time_weighted_mean(end)
-            }),
-            role_mean(t, Role::Decode, |i| {
-                t.queue_depth_series(Role::Decode, i)
-                    .time_weighted_mean(end)
-            }),
-            role_mean(t, Role::Prefill, |i| {
-                duty(&t.batch_occupancy_series(Role::Prefill, i), end)
-            }),
-            role_mean(t, Role::Decode, |i| {
-                duty(&t.batch_occupancy_series(Role::Decode, i), end)
-            }),
-        ),
-        None => (0.0, 0.0, 0.0, 0.0),
-    };
+    let queue = |role| pressure.role_mean(role, |p| p.queue_depth.time_weighted_mean(end));
+    let duty = |role| pressure.role_mean(role, |p| p.batch_occupancy.duty(end));
     SegmentObservation {
         attainment: metrics.joint_attainment(slo),
-        prefill_queue: pq,
-        decode_queue: dq,
-        prefill_duty: pd,
-        decode_duty: dd,
+        prefill_queue: queue(Role::Prefill),
+        decode_queue: queue(Role::Decode),
+        prefill_duty: duty(Role::Prefill),
+        decode_duty: duty(Role::Decode),
         warned,
         health: stream.map(StreamSnapshot::health_summary),
     }
@@ -119,37 +85,96 @@ pub fn observe_segment(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ts_common::SimDuration;
+    use ts_cluster::presets;
+    use ts_common::{
+        DeploymentPlan, GpuId, GroupSpec, ModelSpec, ParallelConfig, Phase, RoutingMatrix,
+        SimDuration, StageSpec,
+    };
+    use ts_sim::{SimConfig, Simulation};
+    use ts_telemetry::TraceKind;
+    use ts_workload::{generator::generate, spec};
 
-    fn series(points: &[(u64, f64)]) -> UtilizationSeries {
-        let mut s = UtilizationSeries::new();
-        for &(t, v) in points {
-            s.push(SimTime::from_micros(t), v);
-        }
-        s
+    fn slo() -> SloSpec {
+        SloSpec::new(
+            SimDuration::from_secs(5),
+            SimDuration::from_millis(300),
+            SimDuration::from_secs(60),
+        )
     }
 
     #[test]
     fn duty_normalizes_by_peak() {
-        // Half the window at 8, half at 0: mean 4, peak 8 → duty 0.5.
-        let s = series(&[(0, 8.0), (500_000, 0.0)]);
-        let d = duty(&s, SimTime::from_micros(1_000_000));
-        assert!((d - 0.5).abs() < 1e-9, "duty {d}");
-        assert_eq!(duty(&UtilizationSeries::new(), SimTime::ZERO), 0.0);
+        // Prefill 0 sits at 8 for half the window, then at 0: mean 4, peak
+        // 8, duty 0.5.
+        let mut t = PressureTally::new();
+        let occupancy = |active| TraceKind::BatchOccupancy {
+            role: Role::Prefill,
+            replica: 0,
+            active,
+        };
+        t.observe(SimTime::ZERO, &occupancy(8));
+        t.observe(SimTime::from_micros(500_000), &occupancy(0));
+        let metrics = Metrics::new(Vec::new(), 0, SimDuration::from_secs(1));
+        let obs = observe_segment(&metrics, &t, None, &slo(), Vec::new());
+        assert_eq!(obs.prefill_duty, 0.5);
+        assert_eq!(obs.peak_duty(), 0.5);
+        assert_eq!(obs.peak_queue(), 0.0);
     }
 
     #[test]
     fn observation_without_trace_uses_attainment_only() {
         let metrics = Metrics::new(Vec::new(), 0, SimDuration::from_secs(1));
-        let slo = SloSpec::new(
-            SimDuration::from_secs(5),
-            SimDuration::from_millis(300),
-            SimDuration::from_secs(60),
+        let obs = observe_segment(
+            &metrics,
+            &PressureTally::new(),
+            None,
+            &slo(),
+            vec![(NodeId(3), SimTime::ZERO)],
         );
-        let obs = observe_segment(&metrics, None, None, &slo, vec![(NodeId(3), SimTime::ZERO)]);
         assert_eq!(obs.peak_queue(), 0.0);
         assert_eq!(obs.peak_duty(), 0.0);
         assert_eq!(obs.warned, vec![(NodeId(3), SimTime::ZERO)]);
         assert_eq!(obs.health, None, "no streaming snapshot, no health");
+    }
+
+    /// The phase-split engine samples queue depth on prefill replicas and
+    /// batch occupancy on decode replicas only, so the observation's
+    /// decode queue and prefill duty are 0 however loaded the run.
+    #[test]
+    fn split_engine_measures_prefill_queue_and_decode_duty_only() {
+        let model = ModelSpec::llama_13b();
+        let cluster = presets::network_case_cluster(presets::ETH_40GBPS);
+        let group = |phase, ids: [u32; 2]| {
+            GroupSpec::new(
+                phase,
+                ParallelConfig::new(2, 1).unwrap(),
+                vec![StageSpec {
+                    gpus: ids.iter().map(|&i| GpuId(i)).collect(),
+                    layers: model.num_layers,
+                }],
+            )
+            .unwrap()
+        };
+        let plan = DeploymentPlan::new(
+            vec![
+                group(Phase::Prefill, [0, 1]),
+                group(Phase::Prefill, [2, 3]),
+                group(Phase::Decode, [4, 5]),
+                group(Phase::Decode, [6, 7]),
+            ],
+            RoutingMatrix::uniform(2, 2),
+        )
+        .unwrap();
+        let cfg = SimConfig::new(model).with_pressure(true);
+        let reqs = generate(&spec::coding(4.0), SimDuration::from_secs(30), 5);
+        let mut sim = Simulation::new(&cluster, &plan, cfg).unwrap();
+        let metrics = sim.run(&reqs).unwrap();
+        let tally = sim.take_pressure().expect("the tally was on");
+        assert_eq!(tally.replicas().len(), 4, "every replica is registered");
+        let obs = observe_segment(&metrics, &tally, None, &slo(), Vec::new());
+        assert!(obs.prefill_queue > 0.0, "{obs:?}");
+        assert!(obs.decode_duty > 0.0, "{obs:?}");
+        assert_eq!(obs.decode_queue, 0.0);
+        assert_eq!(obs.prefill_duty, 0.0);
     }
 }

@@ -33,7 +33,7 @@ use ts_costmodel::replica::{ReplicaCostModel, DISK_BANDWIDTH};
 use ts_sim::engine::Simulation;
 use ts_sim::fault::{FaultKind, FaultScript, TimedFault};
 use ts_sim::metrics::Metrics;
-use ts_telemetry::{StreamConfig, StreamSnapshot, TraceLog};
+use ts_telemetry::{PressureTally, StreamConfig, StreamSnapshot};
 use ts_workload::{WorkloadProfiler, WorkloadSpec};
 
 use crate::heartbeat::HeartbeatMonitor;
@@ -56,10 +56,11 @@ pub struct SegmentReport {
     pub metrics: Metrics,
     /// Reload blackout that applied at the start of this segment.
     pub blackout: SimDuration,
-    /// Telemetry trace of the segment, present when the runtime was put in
-    /// telemetry mode with [`ServingRuntime::set_telemetry`] (the autoscale
-    /// controller reads queue-depth and occupancy series from it).
-    pub trace: Option<TraceLog>,
+    /// Per-replica queue depth and batch occupancy of the segment,
+    /// integrated online (the autoscale controller reads its pressure
+    /// signals from it). Every segment runs with the tally; it records no
+    /// events, so it costs a few words per replica.
+    pub pressure: PressureTally,
     /// Streaming-plane snapshot of the segment, present when streaming
     /// observation was enabled with [`ServingRuntime::set_streaming`]:
     /// online TTFT/E2E sketches, EWMA pressure gauges and per-tenant SLO
@@ -96,9 +97,6 @@ pub struct ServingRuntime {
     /// Wall-clock position of the runtime: the sum of served segment
     /// horizons. Heartbeat registrations/beats are stamped against it.
     clock: SimTime,
-    /// Whether segments run with telemetry and hand their [`TraceLog`] back
-    /// in the [`SegmentReport`].
-    telemetry: bool,
     /// When set, segments run with the streaming observability plane and
     /// hand its [`StreamSnapshot`] back in the [`SegmentReport`].
     streaming: Option<StreamConfig>,
@@ -142,25 +140,16 @@ impl ServingRuntime {
             pending_blackout: SimDuration::ZERO,
             heartbeat,
             clock: SimTime::ZERO,
-            telemetry: false,
             streaming: None,
             resched_log: Vec::new(),
         }
     }
 
-    /// Turns per-segment telemetry on or off. When on, segment reports carry
-    /// the [`TraceLog`] so callers (e.g. the autoscale controller) can read
-    /// queue-depth and batch-occupancy series. Telemetry observes only; the
-    /// serving outputs stay bit-identical either way.
-    pub fn set_telemetry(&mut self, on: bool) {
-        self.telemetry = on;
-    }
-
     /// Enables (or disables, with `None`) the streaming observability plane
     /// for subsequent segments. When on, segment reports carry a
     /// [`StreamSnapshot`] with online quantile sketches and SLO burn-rate
-    /// signals. Like telemetry, streaming observes only; serving outputs
-    /// stay bit-identical either way.
+    /// signals. Streaming observes only; serving outputs stay bit-identical
+    /// either way.
     pub fn set_streaming(&mut self, cfg: Option<StreamConfig>) {
         self.streaming = cfg;
     }
@@ -249,13 +238,13 @@ impl ServingRuntime {
         let cfg = self.segment_cfg();
         let mut sim = Simulation::new(&self.cluster, plan, cfg)?;
         let metrics = sim.run(&adjusted)?;
-        let trace = sim.take_trace();
+        let pressure = sim.take_pressure().expect("segment_cfg attaches the tally");
         let stream = sim.take_streaming().map(|p| p.snapshot());
         self.tick(metrics.horizon());
         Ok(SegmentReport {
             metrics,
             blackout,
-            trace,
+            pressure,
             stream,
         })
     }
@@ -263,7 +252,7 @@ impl ServingRuntime {
     /// The per-segment engine config: observation knobs applied on top of
     /// the scheduler-derived base.
     fn segment_cfg(&self) -> ts_sim::SimConfig {
-        let mut cfg = sim_config(&self.model, &self.scheduler_cfg).with_telemetry(self.telemetry);
+        let mut cfg = sim_config(&self.model, &self.scheduler_cfg).with_pressure(true);
         if let Some(sc) = &self.streaming {
             cfg = cfg.with_streaming(sc.clone());
         }
@@ -356,7 +345,7 @@ impl ServingRuntime {
         let cfg = self.segment_cfg();
         let mut sim = Simulation::new(&self.cluster, plan, cfg)?;
         let metrics = sim.run_with_faults(&adjusted, &script)?;
-        let trace = sim.take_trace();
+        let pressure = sim.take_pressure().expect("segment_cfg attaches the tally");
         let stream = sim.take_streaming().map(|p| p.snapshot());
 
         // Replay node-level events through a heartbeat monitor to decide
@@ -476,7 +465,7 @@ impl ServingRuntime {
         Ok(SegmentReport {
             metrics,
             blackout,
-            trace,
+            pressure,
             stream,
         })
     }

@@ -91,6 +91,14 @@ pub struct SimConfig {
     /// observes the simulation, it never schedules events or draws
     /// randomness.
     pub telemetry: bool,
+    /// Per-replica pressure tally: when true the engine integrates every
+    /// replica's queue depth and batch occupancy online into a
+    /// [`ts_telemetry::PressureTally`], retrievable after the run via the
+    /// engines' `take_pressure()`. Unlike [`SimConfig::telemetry`] it keeps
+    /// no events and does not make coalesced decode steps replay. Off by
+    /// default; like the recorder it only observes, so results stay
+    /// bit-identical.
+    pub pressure: bool,
     /// Gray-failure mitigation: hedged re-dispatch timeout. When set, a
     /// request whose first token has not appeared this long after dispatch
     /// gets a duplicate prefill launched on an alternate replica pair
@@ -190,6 +198,7 @@ impl SimConfig {
             prefill_chunk_tokens: None,
             shed_threshold: 256,
             telemetry: false,
+            pressure: false,
             hedge_timeout: None,
             kv_retry_budget: None,
             kv_retry_jitter: 0.0,
@@ -251,6 +260,13 @@ impl SimConfig {
     /// Returns a copy with request-lifecycle tracing enabled (or disabled).
     pub fn with_telemetry(mut self, on: bool) -> Self {
         self.telemetry = on;
+        self
+    }
+
+    /// Returns a copy with the per-replica pressure tally enabled (or
+    /// disabled); see [`SimConfig::pressure`].
+    pub fn with_pressure(mut self, on: bool) -> Self {
+        self.pressure = on;
         self
     }
 
@@ -403,7 +419,13 @@ mod tests {
     fn telemetry_builder() {
         let c = SimConfig::new(ModelSpec::llama_7b()).with_telemetry(true);
         assert!(c.telemetry);
+        assert!(!c.pressure, "the tally is a knob of its own");
         assert!(!c.with_telemetry(false).telemetry);
+        assert!(
+            SimConfig::new(ModelSpec::llama_7b())
+                .with_pressure(true)
+                .pressure
+        );
     }
 
     #[test]

@@ -111,6 +111,14 @@ impl<'a> Simulation<'a> {
         self.driver.streaming()
     }
 
+    /// Takes the per-replica pressure tally (queue depth and batch
+    /// occupancy, integrated online). Returns `None` unless the simulation
+    /// was built with [`SimConfig::with_pressure`] (or if the tally was
+    /// already taken).
+    pub fn take_pressure(&mut self) -> Option<ts_telemetry::PressureTally> {
+        self.driver.take_pressure()
+    }
+
     /// Total number of discrete events dispatched so far (across every run
     /// on this simulation). The benchmark harness divides by wall time for
     /// an events/sec figure.

@@ -73,7 +73,8 @@ use ts_costmodel::{DecodeStageSeries, DecodeStepSeries, ReplicaCostModel};
 use ts_kvcache::codec::KvCodec;
 use ts_net::{FlowEstimate, FlowFabric, FlowPoll};
 use ts_telemetry::{
-    HealthState, Recorder, Role, StreamingPlane, TraceEvent, TraceKind, TraceLog, TraceSink,
+    HealthState, PressureTally, Recorder, Role, StreamingPlane, TraceEvent, TraceKind, TraceLog,
+    TraceSink,
 };
 
 /// An in-flight KV transfer (completion events carry an attempt number so
@@ -155,6 +156,10 @@ pub(crate) struct Core {
     /// Boxed: the plane is a few hundred bytes of aggregation state that
     /// would otherwise bloat every `Core` on the stack.
     stream: Option<Box<StreamingPlane>>,
+    /// Per-replica pressure tally; `Some` iff [`SimConfig::pressure`] is
+    /// on. Fed the same event stream, but it is not an [`observing`]
+    /// consumer: it needs no retroactive decode replay.
+    pressure: Option<PressureTally>,
     /// Gray-failure state, indexed by *host*: prefill replicas first, then
     /// decode replicas (colocated: the replica index). The RNG is drawn
     /// from only when a gray fault or a jitter knob is active, so the
@@ -742,6 +747,12 @@ impl Driver {
         self.core.stream.as_deref()
     }
 
+    /// Takes the per-replica pressure tally of the run; `None` when
+    /// [`SimConfig::pressure`] is off.
+    pub fn take_pressure(&mut self) -> Option<PressureTally> {
+        self.core.pressure.take()
+    }
+
     /// The core plus the split topology's state, or an "event kind in
     /// wrong engine" error.
     fn split(&mut self, kind: &str) -> Result<(&mut Core, &mut SplitState)> {
@@ -1281,6 +1292,7 @@ impl Driver {
 impl Core {
     fn new(cfg: SimConfig, routes: Vec<Route>, prefill_hosts: usize, total_hosts: usize) -> Self {
         let trace = cfg.telemetry.then(Recorder::new);
+        let pressure = cfg.pressure.then(PressureTally::new);
         let stream = cfg.streaming.clone().map(|sc| {
             let mut plane = StreamingPlane::new(sc);
             for m in &cfg.models {
@@ -1308,6 +1320,7 @@ impl Core {
             affected: Vec::new(),
             trace,
             stream,
+            pressure,
             gray,
             track_models,
             model_losses: HashMap::new(),
@@ -1383,8 +1396,8 @@ impl Core {
     }
 }
 
-/// Records a trace event at the current simulation time; a single-branch
-/// no-op when telemetry is off.
+/// Records a trace event at the current simulation time; a no-op of a few
+/// branches when every consumer is off.
 #[inline]
 fn trace(core: &mut Core, kind: TraceKind) {
     let at = core.now;
@@ -1395,9 +1408,15 @@ fn trace(core: &mut Core, kind: TraceKind) {
 /// KV wire start scheduled behind a busy uplink); the recorder re-sorts by
 /// timestamp at finalization, while the streaming plane folds in event
 /// order (its window clock advances on a high-water mark, so a future
-/// stamp just opens the window early — deterministically).
+/// stamp just opens the window early — deterministically). The pressure
+/// tally folds in event order too; the samples it reads (queue depth,
+/// batch occupancy) are always stamped at or before `now`, in order per
+/// replica.
 #[inline]
 fn trace_at(core: &mut Core, at: SimTime, kind: TraceKind) {
+    if let Some(tally) = core.pressure.as_mut() {
+        tally.observe(at, &kind);
+    }
     if let Some(plane) = core.stream.as_mut() {
         plane.observe(at, &kind);
     }
@@ -1406,12 +1425,19 @@ fn trace_at(core: &mut Core, at: SimTime, kind: TraceKind) {
     }
 }
 
-/// Whether any event consumer (trace recorder or streaming plane) is
-/// attached — the gate instrumented hot paths check before doing
-/// observation-only work (retroactive decode materialization, queue-depth
-/// samples, per-batch byte accounting).
+/// Whether any per-event consumer (trace recorder or streaming plane) is
+/// attached — the gate for observation-only work the pressure tally does
+/// not need: retroactive decode materialization, which re-emits each
+/// coalesced step's unchanged batch occupancy.
 fn observing(core: &Core) -> bool {
     core.trace.is_some() || core.stream.is_some()
+}
+
+/// Whether any consumer of queue-depth samples (recorder, streaming plane
+/// or pressure tally) is attached — the gate for sites that must read a
+/// queue length only to emit its sample.
+fn sampling(core: &Core) -> bool {
+    observing(core) || core.pressure.is_some()
 }
 
 /// Whether the full trace recorder is attached. Emission sites whose
@@ -1672,7 +1698,7 @@ fn split_maybe_start_prefill(core: &mut Core, s: &mut SplitState, i: usize) {
             }
         }
     }
-    if observing(core) {
+    if sampling(core) {
         let depth = p.queue.queue.len();
         trace(
             core,
@@ -2574,11 +2600,14 @@ fn split_catch_up_all_decodes(core: &mut Core, s: &mut SplitState) {
     }
 }
 
-/// Materializes the front `m` boundaries of replica `j`'s plan. With
-/// telemetry off this is one arithmetic pass — batch membership is
-/// constant across a plan, so per sequence only the first gap differs and
-/// the remaining gaps share one maximum; with telemetry on each boundary
-/// replays individually to emit its retroactive trace events.
+/// Materializes the front `m` boundaries of replica `j`'s plan. Unless a
+/// recorder or streaming plane is attached this is one arithmetic pass —
+/// batch membership is constant across a plan, so per sequence only the
+/// first gap differs and the remaining gaps share one maximum; otherwise
+/// each boundary replays individually to emit its retroactive trace
+/// events. The pressure tally needs no replay: each replayed boundary only
+/// repeats the occupancy already sampled, which moves neither its integral
+/// nor its peak.
 fn split_materialize(core: &mut Core, s: &mut SplitState, j: usize, m: usize) {
     if !observing(core) {
         let d = &mut s.decodes[j];
@@ -3087,7 +3116,7 @@ fn colo_maybe_start_work(core: &mut Core, c: &mut ColoState, ri: usize) {
                     );
                 }
             }
-            if observing(core) {
+            if sampling(core) {
                 let depth = r.prefill.queue.len();
                 trace(
                     core,
@@ -3133,7 +3162,7 @@ fn colo_maybe_start_work(core: &mut Core, c: &mut ColoState, ri: usize) {
                     );
                 }
             }
-            if observing(core) {
+            if sampling(core) {
                 let depth = r.prefill.queue.len();
                 trace(
                     core,

@@ -578,6 +578,18 @@ fn streaming_plane_on_matches_the_same_golden() {
     );
 }
 
+/// The pressure tally folds queue-depth and batch-occupancy samples online
+/// and, unlike the recorder, skips the retroactive replay of coalesced
+/// decode steps: the whole matrix must still digest to the same golden.
+#[test]
+fn pressure_tally_on_matches_the_same_golden() {
+    let got = run_matrix(&|c| c.with_pressure(true));
+    assert_eq!(
+        got, GOLDEN,
+        "the pressure tally perturbed simulation outputs"
+    );
+}
+
 /// Streaming together with the per-step compatibility path: the plane sees
 /// the densest possible event stream (one DecodeStep per actual step, no
 /// retroactive replay) and must still change nothing.

@@ -18,7 +18,7 @@
 //! workspace parser ([`ts_common::json`]) precisely so the exporter cannot
 //! silently rot (it runs in CI against `bench_trace` output).
 
-use crate::event::{Role, TraceKind};
+use crate::event::{Role, TraceEvent, TraceKind};
 use crate::log::TraceLog;
 use ts_common::{json, RequestId, SimTime};
 
@@ -68,17 +68,20 @@ fn push_counter(out: &mut String, tid: u64, name: &str, at: SimTime, value: f64)
     ));
 }
 
-/// Per-request phase slices: walks the request's events pairing starts
-/// with their closing events.
-fn export_request(out: &mut String, log: &TraceLog, request: RequestId) {
-    let events = log.request_events(request);
+/// Per-request phase slices: walks the request's events (in log order)
+/// pairing starts with their closing events.
+fn export_request<'a>(
+    out: &mut String,
+    request: RequestId,
+    events: impl Iterator<Item = &'a TraceEvent>,
+) {
     let tid = request.0;
     let mut queue_open: Option<SimTime> = None;
     let mut prefill_open: Option<SimTime> = None;
     let mut kv_enq: Option<SimTime> = None;
     let mut wire_open: Option<SimTime> = None;
     let mut decode_open: Option<SimTime> = None;
-    for e in &events {
+    for e in events {
         match e.kind {
             TraceKind::Enqueued { .. } => queue_open = Some(e.at),
             TraceKind::PrefillStart { .. } => {
@@ -301,7 +304,16 @@ pub fn export(log: &TraceLog) -> String {
             &format!("{role} {replica}"),
         );
     }
-    for request in log.request_ids() {
+    // One sweep groups the log by request: a stable sort keeps each
+    // request's events in log order, and requests come out ascending.
+    let mut scoped: Vec<(RequestId, &TraceEvent)> = log
+        .events()
+        .iter()
+        .filter_map(|e| Some((e.kind.request()?, e)))
+        .collect();
+    scoped.sort_by_key(|&(request, _)| request);
+    for group in scoped.chunk_by(|a, b| a.0 == b.0) {
+        let request = group[0].0;
         push_meta(
             &mut body,
             PID_REQUESTS,
@@ -309,7 +321,7 @@ pub fn export(log: &TraceLog) -> String {
             "thread_name",
             &format!("request {}", request.0),
         );
-        export_request(&mut body, log, request);
+        export_request(&mut body, request, group.iter().map(|&(_, e)| e));
     }
     export_replica_tracks(&mut body, log);
     export_counters(&mut body, log);

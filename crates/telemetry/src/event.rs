@@ -348,6 +348,25 @@ impl TraceKind {
         }
     }
 
+    /// The `(role, replica)` this event concerns, if it is replica-scoped:
+    /// the events that make a replica appear in [`crate::TraceLog::replicas`]
+    /// and in a [`crate::PressureTally`].
+    pub fn replica(&self) -> Option<(Role, usize)> {
+        match *self {
+            TraceKind::Enqueued { role, replica, .. }
+            | TraceKind::PrefillStart { role, replica, .. }
+            | TraceKind::PrefillEnd { role, replica, .. }
+            | TraceKind::DecodeJoin { role, replica, .. }
+            | TraceKind::DecodeStep { role, replica, .. }
+            | TraceKind::QueueDepth { role, replica, .. }
+            | TraceKind::BatchOccupancy { role, replica, .. }
+            | TraceKind::HedgeLaunched { role, replica, .. }
+            | TraceKind::Quarantined { role, replica }
+            | TraceKind::Readmitted { role, replica } => Some((role, replica)),
+            _ => None,
+        }
+    }
+
     /// A short stable label for this event kind (used in summaries).
     pub fn label(&self) -> &'static str {
         match self {

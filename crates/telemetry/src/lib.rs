@@ -17,7 +17,10 @@
 //! 2. **Events are facts, series are views.** The engines emit raw
 //!    [`TraceEvent`]s only; occupancy/queue-depth/in-flight-bytes series
 //!    are derived afterwards by [`TraceLog`], so the hot path stays free of
-//!    tally state.
+//!    tally state. The one online exception is [`PressureTally`]: a
+//!    control loop that needs only each replica's mean and peak queue
+//!    depth and batch occupancy folds them as the events arrive, at a few
+//!    words per replica, instead of recording, sorting and rescanning a log.
 //! 3. **Time-sorted at finalization.** A few producers stamp events at
 //!    *future* simulated times (e.g. a KV wire start scheduled behind a
 //!    busy uplink); [`Recorder::finish`] stably sorts by timestamp so every
@@ -27,6 +30,7 @@ pub mod burn;
 pub mod chrome;
 pub mod event;
 pub mod log;
+pub mod pressure;
 pub mod profile;
 pub mod prom;
 pub mod search;
@@ -39,6 +43,7 @@ pub use burn::{BurnMonitor, HealthSignal, HealthState};
 pub use chrome::{validate_chrome_trace, ChromeTraceStats};
 pub use event::{LinkKind, Role, ScaleKind, TraceEvent, TraceKind};
 pub use log::{RequestSpan, TraceLog};
+pub use pressure::PressureTally;
 pub use profile::{ProfileEntry, ProfileReport, ScopeGuard};
 pub use prom::{render_prometheus, validate_exposition, ExpositionStats};
 pub use search::{SearchStep, SearchTrace};

@@ -207,24 +207,11 @@ impl TraceLog {
 
     /// The `(role, replica)` pairs observed anywhere in the log, ascending.
     pub fn replicas(&self) -> Vec<(Role, usize)> {
-        let mut set = BTreeSet::new();
-        for e in &self.events {
-            match e.kind {
-                TraceKind::Enqueued { role, replica, .. }
-                | TraceKind::PrefillStart { role, replica, .. }
-                | TraceKind::PrefillEnd { role, replica, .. }
-                | TraceKind::DecodeJoin { role, replica, .. }
-                | TraceKind::DecodeStep { role, replica, .. }
-                | TraceKind::QueueDepth { role, replica, .. }
-                | TraceKind::BatchOccupancy { role, replica, .. }
-                | TraceKind::HedgeLaunched { role, replica, .. }
-                | TraceKind::Quarantined { role, replica }
-                | TraceKind::Readmitted { role, replica } => {
-                    set.insert((role, replica));
-                }
-                _ => {}
-            }
-        }
+        let set: BTreeSet<(Role, usize)> = self
+            .events
+            .iter()
+            .filter_map(|e| e.kind.replica())
+            .collect();
         set.into_iter().collect()
     }
 
