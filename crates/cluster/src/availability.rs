@@ -10,7 +10,6 @@
 //! line each, see [`script_to_text`]) so failure scenarios can be saved and
 //! replayed without a JSON dependency.
 
-use serde::{Deserialize, Serialize};
 use ts_common::{Error, GpuId, NodeId, Result, SimTime};
 
 use crate::topology::Cluster;
@@ -25,7 +24,7 @@ use crate::topology::Cluster;
 /// engines consume them by projecting onto replica-level degradation faults
 /// (`ts_sim::FaultScript::from_cluster_events`). A degradation factor of
 /// exactly 1 (or a loss probability of 0) means "healed".
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum EventKind {
     /// A whole node went offline (heartbeat timeout).
     NodeDown(NodeId),
@@ -62,7 +61,7 @@ pub enum EventKind {
 }
 
 /// A timestamped availability change.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ClusterEvent {
     /// When the change is observed.
     pub at: SimTime,
@@ -441,7 +440,7 @@ mod tests {
     #[test]
     fn text_round_trips_fleet_lifecycle_kinds() {
         // The extended vocabulary (scale-up / scale-down / preemption-
-        // warning) must survive the text serde round trip like every other
+        // warning) must survive the text round trip like every other
         // kind, preserving order, timestamps and node ids exactly.
         let script = vec![
             ClusterEvent::new(

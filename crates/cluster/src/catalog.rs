@@ -1,6 +1,5 @@
 //! The GPU catalog: Table 1 of the paper.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 const GIB: u64 = 1 << 30;
@@ -12,7 +11,7 @@ const GIB: u64 = 1 << 30;
 /// discount ([`GpuModel::spot_price_per_hour`]) but can be reclaimed by the
 /// provider with little warning (a `preemption-warning` availability event
 /// followed by a `scale-down`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum PricingTier {
     /// Provider-guaranteed capacity at the full catalog rate.
     OnDemand,
@@ -30,7 +29,7 @@ impl fmt::Display for PricingTier {
 }
 
 /// The GPU models used in the paper's evaluation (Table 1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum GpuModel {
     /// NVIDIA A100-80GB (the in-house baseline GPU).
     A100,
@@ -148,7 +147,7 @@ impl fmt::Display for GpuModel {
 /// assert!(a40.peak_fp16_flops > ti.peak_fp16_flops);
 /// assert!(ti.mem_bandwidth > a40.mem_bandwidth);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GpuSpec {
     /// The catalog model.
     pub model: GpuModel,

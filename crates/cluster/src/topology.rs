@@ -8,12 +8,11 @@
 //! heatmap of the paper's Figure 13.
 
 use crate::catalog::{GpuModel, GpuSpec};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use ts_common::{Error, GpuId, NodeId, Result, SimDuration};
 
 /// A single physical GPU placed on a node.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Gpu {
     /// Cluster-wide id (index into the cluster's GPU table).
     pub id: GpuId,
@@ -32,7 +31,7 @@ impl Gpu {
 }
 
 /// A node (cloud instance) holding one or more GPUs.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Node {
     /// Node id (index into the cluster's node table).
     pub id: NodeId,
@@ -47,7 +46,7 @@ pub struct Node {
 }
 
 /// Classification of the link between two GPUs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum LinkClass {
     /// Same GPU (no transfer needed).
     Loopback,
@@ -61,7 +60,7 @@ pub enum LinkClass {
 ///
 /// Built with [`ClusterBuilder`]; see [`crate::presets`] for the paper's
 /// environments.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Cluster {
     gpus: Vec<Gpu>,
     nodes: Vec<Node>,

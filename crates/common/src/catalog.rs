@@ -8,11 +8,10 @@
 
 use crate::ids::ModelId;
 use crate::{Error, ModelSpec, Result, SimDuration, SloSpec};
-use serde::{Deserialize, Serialize};
 
 /// One entry of the served-model catalog: a model, its SLO, and its share of
 /// the aggregate request stream.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ServedModel {
     /// Identity threaded through plans, requests and metrics.
     pub id: ModelId,

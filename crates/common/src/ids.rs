@@ -3,16 +3,12 @@
 //! Newtypes keep GPU indices, node indices, serving-group indices and request
 //! ids from being confused with one another (C-NEWTYPE).
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 macro_rules! id_type {
     ($(#[$doc:meta])* $name:ident, $inner:ty) => {
         $(#[$doc])*
-        #[derive(
-            Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default,
-            Serialize, Deserialize,
-        )]
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
         pub struct $name(pub $inner);
 
         impl $name {
@@ -65,8 +61,8 @@ id_type!(
 id_type!(
     /// Identifies a served model within a multi-model deployment.
     ///
-    /// `ModelId(0)` is the default identity: every pre-multi-model artifact
-    /// (plans, requests, records) deserializes to it, and single-model
+    /// `ModelId(0)` is the default identity: plan files written before
+    /// multi-model support parse to it (`plan_io`), and single-model
     /// deployments leave it implicit everywhere.
     ModelId,
     u32

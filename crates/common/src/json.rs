@@ -1,6 +1,8 @@
 //! A minimal recursive-descent JSON parser, shared by everything in the
 //! workspace that reads JSON back: the committed benchmark artifacts and
-//! the exported Chrome traces. The serde shim has no parser backend.
+//! the exported Chrome traces. The workspace has no serialization library;
+//! its plan, trace and availability text formats have hand-written parsers
+//! too (`plan_io`, `ts_workload::trace`, `ts_cluster::availability`).
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]

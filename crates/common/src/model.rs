@@ -5,10 +5,8 @@
 //! width, vocabulary size and element width. Presets are provided for the
 //! LLaMA family sizes used throughout the paper (7B, 13B, 30B).
 
-use serde::{Deserialize, Serialize};
-
 /// Numeric element type used for weights, activations and KV cache.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DType {
     /// 16-bit floating point (fp16/bf16); the serving default.
     F16,
@@ -57,7 +55,7 @@ impl DType {
 /// // KV per token = 2 (K and V) * layers * hidden * 2 bytes
 /// assert_eq!(m.kv_bytes_per_token(), 2 * 32 * 4096 * 2);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct ModelSpec {
     /// Human-readable model name, e.g. `"llama-30b"`.
     pub name: String,

@@ -13,12 +13,13 @@
 //! * [`resolve_threads`] — the `0 = auto, 1 = serial, N = N` convention used
 //!   by every `num_threads` knob in the workspace.
 //!
-//! Everything here is built on `std::thread::scope` and the workspace's
-//! `parking_lot` shim — no external dependencies.
+//! Everything here is built on `std::thread::scope` and `std::sync`. Locks
+//! ignore poison: they guard result slots, the job queue and cache maps,
+//! none of which a panicking worker can leave half-written.
 
-use parking_lot::{Mutex, RwLock};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Mutex, PoisonError, RwLock};
 
 /// Resolves a `num_threads` knob to a concrete worker count: `0` means one
 /// worker per available CPU, any other value is taken literally.
@@ -61,7 +62,7 @@ where
             break;
         }
         let r = f(i, &items[i]);
-        *slots[i].lock() = Some(r);
+        *slots[i].lock().unwrap_or_else(PoisonError::into_inner) = Some(r);
     };
     std::thread::scope(|scope| {
         // The calling thread acts as one worker, so `workers == 2` costs a
@@ -74,7 +75,11 @@ where
     });
     slots
         .into_iter()
-        .map(|m| m.into_inner().expect("every slot filled by a worker"))
+        .map(|m| {
+            m.into_inner()
+                .unwrap_or_else(PoisonError::into_inner)
+                .expect("every slot filled by a worker")
+        })
         .collect()
 }
 
@@ -116,17 +121,16 @@ where
     type Caught = Box<dyn std::any::Any + Send + 'static>;
     let (job_tx, job_rx) = std::sync::mpsc::channel::<(usize, T)>();
     let (res_tx, res_rx) = std::sync::mpsc::channel::<(usize, Result<R, Caught>)>();
-    // The workspace's mpsc-backed channel shim has a single-consumer
-    // receiver; sharing it behind a mutex turns it into the work queue
-    // (workers take turns blocking on `recv`, releasing the lock as soon as
-    // they pick up a job).
+    // An mpsc receiver has a single consumer; sharing it behind a mutex
+    // turns it into the work queue (workers take turns blocking on `recv`,
+    // releasing the lock as soon as they pick up a job).
     let job_rx = Mutex::new(job_rx);
     std::thread::scope(|scope| {
         for _ in 0..workers {
             let res_tx = res_tx.clone();
             let job_rx = &job_rx;
             scope.spawn(move || loop {
-                let job = job_rx.lock().recv();
+                let job = job_rx.lock().unwrap_or_else(PoisonError::into_inner).recv();
                 let Ok((i, t)) = job else { break };
                 let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| eval(&t)));
                 if res_tx.send((i, r)).is_err() {
@@ -196,7 +200,12 @@ impl<V: Clone> ShardedCache<V> {
     }
 
     fn lookup(&self, key: u64) -> Option<V> {
-        let v = self.shard(key).read().get(&key).cloned();
+        let v = self
+            .shard(key)
+            .read()
+            .unwrap_or_else(PoisonError::into_inner)
+            .get(&key)
+            .cloned();
         if v.is_some() {
             self.hits.fetch_add(1, Ordering::Relaxed);
         } else {
@@ -221,6 +230,7 @@ impl<V: Clone> ShardedCache<V> {
         let computed = compute();
         self.shard(key)
             .write()
+            .unwrap_or_else(PoisonError::into_inner)
             .entry(key)
             .or_insert(computed)
             .clone()
@@ -252,7 +262,10 @@ impl<V: Clone> ShardedCache<V> {
 
     /// Total number of cached entries across shards.
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.read().len()).sum()
+        self.shards
+            .iter()
+            .map(|s| s.read().unwrap_or_else(PoisonError::into_inner).len())
+            .sum()
     }
 
     /// Whether the cache holds no entries.

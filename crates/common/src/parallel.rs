@@ -1,7 +1,6 @@
 //! Model-parallelism configuration.
 
 use crate::{Error, Result};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A tensor-parallel × pipeline-parallel configuration for one model replica.
@@ -17,7 +16,7 @@ use std::fmt;
 /// assert_eq!(pc.to_string(), "(TP=2, PP=2)");
 /// # Ok::<(), ts_common::Error>(())
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ParallelConfig {
     tp: usize,
     pp: usize,

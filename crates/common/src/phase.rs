@@ -1,6 +1,5 @@
 //! Inference phases.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The two phases of autoregressive LLM inference.
@@ -9,7 +8,7 @@ use std::fmt;
 /// and produces the KV cache plus the first token; the *decode* phase then
 /// generates one token per step and is bound by memory bandwidth. Phase-split
 /// serving assigns entire model replicas to one phase or the other.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Phase {
     /// Prompt processing: compute-bound, latency-sensitive (TTFT).
     Prefill,

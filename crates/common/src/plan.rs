@@ -12,19 +12,11 @@
 
 use crate::ids::ModelId;
 use crate::{Error, GpuId, ParallelConfig, Phase, Result};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
-
-// Referenced by `#[serde(skip_serializing_if)]`; the offline serde shim
-// ignores serde attributes, so the compiler cannot see that use.
-#[allow(dead_code)]
-fn is_default_model(m: &ModelId) -> bool {
-    *m == ModelId(0)
-}
 
 /// One pipeline stage: the tensor-parallel set of GPUs executing a contiguous
 /// slice of layers.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct StageSpec {
     /// GPUs sharding this stage's layers (length == TP degree).
     pub gpus: Vec<GpuId>,
@@ -33,7 +25,7 @@ pub struct StageSpec {
 }
 
 /// One model serving group: a model replica with a designated phase.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct GroupSpec {
     /// The phase this replica serves.
     pub phase: Phase,
@@ -43,9 +35,8 @@ pub struct GroupSpec {
     /// and each stage holds `parallel.tp()` GPUs.
     pub stages: Vec<StageSpec>,
     /// The model this replica serves. [`ModelId`]`(0)` — the default — is
-    /// the single-model identity, kept implicit in serialized form so plans
-    /// written before multi-model support round-trip unchanged.
-    #[serde(default, skip_serializing_if = "is_default_model")]
+    /// the single-model identity, which [`crate::plan_io`] leaves implicit
+    /// so plans written before multi-model support round-trip unchanged.
     pub model: ModelId,
 }
 
@@ -129,7 +120,7 @@ impl GroupSpec {
 /// `rates[i][j]` is the fraction of the total incoming request stream that is
 /// prefilled by prefill replica `i` and decoded by decode replica `j`; all
 /// entries are non-negative and sum to 1.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RoutingMatrix {
     rates: Vec<Vec<f64>>,
 }
@@ -220,7 +211,7 @@ impl RoutingMatrix {
 /// Per-model orchestration inside a multi-model plan: one model's routing
 /// over *its own* (prefill, decode) groups, plus its share of the aggregate
 /// request stream.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ModelRouting {
     /// The model this routing belongs to.
     pub model: ModelId,
@@ -234,7 +225,7 @@ pub struct ModelRouting {
 }
 
 /// A complete deployment plan.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DeploymentPlan {
     /// All model serving groups (both phases).
     pub groups: Vec<GroupSpec>,
@@ -247,10 +238,9 @@ pub struct DeploymentPlan {
     /// block-diagonal layout (up to group interleaving) that still sums to 1,
     /// so every consumer of the aggregate view keeps working.
     pub routing: RoutingMatrix,
-    /// Per-model routing for multi-model plans. Empty — and omitted from
-    /// serialized form — for single-model plans, which therefore serialize
-    /// byte-identically to plans written before multi-model support.
-    #[serde(default, skip_serializing_if = "Vec::is_empty")]
+    /// Per-model routing for multi-model plans. Empty for single-model
+    /// plans, which [`crate::plan_io`] therefore writes byte-identically to
+    /// plans written before multi-model support.
     pub model_routing: Vec<ModelRouting>,
 }
 

@@ -2,14 +2,6 @@
 
 use crate::ids::ModelId;
 use crate::{RequestId, SimTime};
-use serde::{Deserialize, Serialize};
-
-// Referenced by `#[serde(skip_serializing_if)]`; the offline serde shim
-// ignores serde attributes, so the compiler cannot see that use.
-#[allow(dead_code)]
-fn is_default_model(m: &ModelId) -> bool {
-    *m == ModelId(0)
-}
 
 /// A single serving request: a prompt of `prompt_len` tokens arriving at
 /// `arrival`, for which `output_len` tokens must be generated.
@@ -23,7 +15,7 @@ fn is_default_model(m: &ModelId) -> bool {
 /// let r = Request::new(RequestId(1), SimTime::ZERO, 512, 16);
 /// assert_eq!(r.total_tokens(), 528);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Request {
     /// Unique id.
     pub id: RequestId,
@@ -34,11 +26,9 @@ pub struct Request {
     /// Number of tokens to generate. Always at least 1 (the first token is
     /// produced by prefill; subsequent ones by decode).
     pub output_len: u32,
-    /// The model this request is addressed to. Defaults to [`ModelId`]`(0)`
-    /// (the single-model identity) so requests serialized before multi-model
-    /// support deserialize unchanged, and single-model requests serialize
-    /// byte-identically to before.
-    #[serde(default, skip_serializing_if = "is_default_model")]
+    /// The model this request is addressed to. [`Request::new`] sets
+    /// [`ModelId`]`(0)`, the single-model identity; the trace format
+    /// (`ts_workload::trace`) carries no model column.
     pub model: ModelId,
 }
 

@@ -7,11 +7,10 @@
 //! evaluation sweep stringency levels.
 
 use crate::SimDuration;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Which latency criterion an SLO refers to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SloKind {
     /// Time to first token: arrival → first token emitted.
     Ttft,
@@ -48,7 +47,7 @@ impl fmt::Display for SloKind {
 /// let relaxed = base.scaled(2.0);
 /// assert_eq!(relaxed.deadline(SloKind::Tpot), SimDuration::from_millis(100));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct SloSpec {
     /// TTFT deadline.
     pub ttft: SimDuration,

@@ -5,7 +5,6 @@
 //! represent simulated time as integer **microseconds** since the start of
 //! the simulation.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
@@ -36,9 +35,7 @@ fn round_nonneg(x: f64) -> u64 {
 /// let t = SimTime::ZERO + SimDuration::from_millis(3);
 /// assert_eq!(t.as_micros(), 3_000);
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimTime(u64);
 
 /// A span of simulated time (microseconds).
@@ -48,9 +45,7 @@ pub struct SimTime(u64);
 /// let d = SimDuration::from_secs_f64(0.25) * 2;
 /// assert_eq!(d.as_secs_f64(), 0.5);
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimDuration(u64);
 
 impl SimTime {

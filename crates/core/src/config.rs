@@ -46,10 +46,6 @@ pub struct SchedulerConfig {
     /// ([`ts_sim::config::KvTransfer::Fabric`]) instead of
     /// serializing per sender. Off by default (the paper's model).
     pub network_contention: bool,
-    /// Congestion factor (≥ 1) applied to analytic KV-transfer estimates
-    /// ([`ts_sim::config::SimConfig::kv_congestion_factor`]); 1.0 (the
-    /// default) keeps the uncongested arithmetic bit-identical.
-    pub kv_congestion_factor: f64,
     /// Search introspection: when true, [`crate::tabu::TabuSearch::search`]
     /// and [`crate::reschedule::lightweight_reschedule`] record one
     /// [`ts_telemetry::SearchStep`] row per step (neighbours generated,
@@ -76,7 +72,6 @@ impl Default for SchedulerConfig {
             disable_affinity_tiebreak: false,
             num_threads: 0,
             network_contention: false,
-            kv_congestion_factor: 1.0,
             search_trace: false,
         }
     }
@@ -121,7 +116,6 @@ mod tests {
     fn network_knobs_default_to_the_paper_model() {
         let c = SchedulerConfig::default();
         assert!(!c.network_contention);
-        assert_eq!(c.kv_congestion_factor, 1.0);
     }
 
     #[test]

@@ -270,7 +270,6 @@ pub fn sim_config(model: &ModelSpec, cfg: &SchedulerConfig) -> SimConfig {
     if cfg.network_contention {
         sc.kv_transfer = KvTransfer::Fabric;
     }
-    sc.kv_congestion_factor = cfg.kv_congestion_factor;
     sc
 }
 
@@ -298,10 +297,8 @@ mod tests {
     fn sim_config_threads_network_knobs() {
         let mut cfg = SchedulerConfig::fast();
         cfg.network_contention = true;
-        cfg.kv_congestion_factor = 1.25;
         let sc = sim_config(&ModelSpec::llama_13b(), &cfg);
         assert_eq!(sc.kv_transfer, KvTransfer::Fabric);
-        assert_eq!(sc.kv_congestion_factor, 1.25);
         cfg.network_contention = false;
         let sc = sim_config(&ModelSpec::llama_13b(), &cfg);
         assert_eq!(sc.kv_transfer, KvTransfer::Serialized);

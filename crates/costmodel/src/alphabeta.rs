@@ -4,11 +4,10 @@
 //! `β` takes `α + bytes/β` — Equation (1) of the paper, used for KV-cache
 //! transfers, pipeline activations and tensor-parallel collectives.
 
-use serde::{Deserialize, Serialize};
 use ts_common::SimDuration;
 
 /// A point-to-point link: startup latency plus bandwidth.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CommCost {
     /// Startup latency (α).
     pub alpha: SimDuration,

@@ -8,12 +8,11 @@
 
 use crate::roofline::{decode_step_time, prefill_time, StageHardware};
 use crate::ModelParams;
-use serde::{Deserialize, Serialize};
 use ts_cluster::GpuSpec;
 use ts_common::ModelSpec;
 
 /// One point of a batching curve.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BatchPoint {
     /// Batch size: total tokens for prefill, sequences for decode.
     pub batch: u64,

@@ -44,7 +44,6 @@ pub use alphabeta::{allreduce_time, transfer_time, CommCost};
 pub use replica::{DecodeStepSeries, KvRouteLeg, KvRouteSegment, ReplicaCostModel};
 pub use roofline::{decode_step_time, prefill_time, DecodeStageSeries, StageHardware};
 
-use serde::{Deserialize, Serialize};
 use ts_common::SimDuration;
 
 /// Tunable efficiency parameters of the analytic model.
@@ -53,7 +52,7 @@ use ts_common::SimDuration;
 /// de-rate the hardware plus add a fixed per-layer kernel-launch overhead
 /// that makes tiny batches inefficient (which produces the saturation shape
 /// of the paper's Figure 2).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ModelParams {
     /// Fraction of peak FLOPS achievable by dense kernels (MFU).
     pub compute_eff: f64,

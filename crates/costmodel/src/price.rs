@@ -9,12 +9,11 @@
 
 use crate::roofline::{decode_step_time, prefill_time, StageHardware};
 use crate::ModelParams;
-use serde::{Deserialize, Serialize};
 use ts_cluster::GpuSpec;
 use ts_common::{ModelSpec, SimDuration};
 
 /// Prefill / decode cost split for one request on one GPU.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RequestPrice {
     /// Prefill time.
     pub prefill_time: SimDuration,

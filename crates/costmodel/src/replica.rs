@@ -475,40 +475,16 @@ pub fn kv_transfer_time(
     tokens: u64,
     compression_ratio: f64,
 ) -> SimDuration {
-    kv_transfer_time_congested(model, route, tokens, compression_ratio, 1.0)
-}
-
-/// [`kv_transfer_time`] with a multiplicative congestion factor on the wire
-/// bytes: `factor` ≥ 1 prices the expected slowdown from sharing links with
-/// other in-flight transfers without simulating them individually. A factor
-/// of exactly 1.0 performs the same arithmetic as the uncongested model, so
-/// plans scored with it are bit-identical.
-///
-/// # Panics
-/// Panics if `compression_ratio` is not in `(0, 1]`, or `congestion_factor`
-/// is below 1 or not finite.
-pub fn kv_transfer_time_congested(
-    model: &ModelSpec,
-    route: &[KvRouteSegment],
-    tokens: u64,
-    compression_ratio: f64,
-    congestion_factor: f64,
-) -> SimDuration {
     assert!(
         compression_ratio > 0.0 && compression_ratio <= 1.0,
         "compression ratio must be in (0,1], got {compression_ratio}"
-    );
-    assert!(
-        congestion_factor >= 1.0 && congestion_factor.is_finite(),
-        "congestion factor must be finite and >= 1, got {congestion_factor}"
     );
     route
         .iter()
         .map(|seg| {
             let bytes = (model.kv_bytes_per_token_layers(seg.layers) as f64
                 * tokens as f64
-                * compression_ratio
-                * congestion_factor) as u64;
+                * compression_ratio) as u64;
             seg.link.time(bytes)
         })
         .max()
@@ -692,29 +668,6 @@ mod tests {
         // The endpoint-free view matches kv_route exactly.
         let segs: Vec<KvRouteSegment> = legs.iter().map(KvRouteLeg::segment).collect();
         assert_eq!(segs, kv_route(&c, &rp, &rd));
-    }
-
-    #[test]
-    fn congestion_factor_prices_shared_links() {
-        let c = presets::network_case_cluster(presets::ETH_5GBPS);
-        let m = ModelSpec::llama_13b();
-        let p = ModelParams::default();
-        let pf = group_on(&[0, 1, 2, 3], 2, 2, m.num_layers, Phase::Prefill);
-        let dc = group_on(&[4, 5, 6, 7], 4, 1, m.num_layers, Phase::Decode);
-        let rp = ReplicaCostModel::new(&c, &m, &pf, &p).unwrap();
-        let rd = ReplicaCostModel::new(&c, &m, &dc, &p).unwrap();
-        let route = kv_route(&c, &rp, &rd);
-        // Factor 1.0 is the uncongested model, bit for bit.
-        assert_eq!(
-            kv_transfer_time_congested(&m, &route, 1024, 1.0, 1.0),
-            kv_transfer_time(&m, &route, 1024, 1.0)
-        );
-        // Factor 2.0 roughly doubles the beta term.
-        let base = kv_transfer_time(&m, &route, 1024, 1.0);
-        let congested = kv_transfer_time_congested(&m, &route, 1024, 1.0, 2.0);
-        assert!(congested > base);
-        let ratio = congested.as_secs_f64() / base.as_secs_f64();
-        assert!(ratio > 1.5 && ratio <= 2.1, "ratio {ratio}");
     }
 
     #[test]

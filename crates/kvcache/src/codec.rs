@@ -7,12 +7,10 @@
 //! bytes.
 
 use crate::quant::{decode_wire, encode_wire, quantize, QuantBits, QuantizedTensor};
-use bytes::Bytes;
-use serde::{Deserialize, Serialize};
 use ts_common::ModelSpec;
 
 /// KV transfer precision.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum KvWirePrecision {
     /// Uncompressed fp16 (the baseline in Table 8 / Figure 18).
     F16,
@@ -89,7 +87,7 @@ impl KvCodec {
 
     /// Encodes a flat KV tensor for transmission. For quantized precisions
     /// this performs real quantization + packing; fp16 is a plain copy.
-    pub fn encode(&self, values: &[f32]) -> Bytes {
+    pub fn encode(&self, values: &[f32]) -> Vec<u8> {
         match self.precision {
             KvWirePrecision::F16 => {
                 // Model fp16 by truncating mantissas via f32→f16→f32 bit ops
@@ -101,7 +99,7 @@ impl KvCodec {
                     let bits = half_bits(v);
                     buf.extend_from_slice(&bits.to_le_bytes());
                 }
-                Bytes::from(buf)
+                buf
             }
             KvWirePrecision::Int8 { group_size } => {
                 encode_wire(&quantize(values, QuantBits::Int8, group_size))

@@ -7,11 +7,8 @@
 //! representation, and the decode replica dequantizes back to 16-bit before
 //! any computation.
 
-use bytes::{BufMut, Bytes, BytesMut};
-use serde::{Deserialize, Serialize};
-
 /// Quantization width.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum QuantBits {
     /// 2-bit codes, four per byte (KIVI's most aggressive setting).
     Int2,
@@ -47,7 +44,7 @@ pub struct QuantizedTensor {
     len: usize,
     scales: Vec<f32>,
     zeros: Vec<f32>,
-    data: Bytes,
+    data: Vec<u8>,
 }
 
 impl QuantizedTensor {
@@ -69,7 +66,7 @@ impl QuantizedTensor {
     /// Total bytes this tensor occupies on the wire: packed codes plus
     /// per-group `f32` scale and zero-point, plus a small fixed header.
     pub fn wire_bytes(&self) -> usize {
-        const HEADER: usize = 16; // bits, group_size, len, checksum
+        const HEADER: usize = 16; // bits, group_size, len
         HEADER + self.data.len() + (self.scales.len() + self.zeros.len()) * 4
     }
 
@@ -128,7 +125,7 @@ pub fn quantize(values: &[f32], bits: QuantBits, group_size: usize) -> Quantized
         QuantBits::Int4 => n.div_ceil(2),
         QuantBits::Int2 => n.div_ceil(4),
     };
-    let mut data = BytesMut::zeroed(packed_len);
+    let mut data = vec![0u8; packed_len];
     let max_code = bits.max_code() as f32;
 
     for (gi, group) in values.chunks(group_size).enumerate() {
@@ -171,68 +168,69 @@ pub fn quantize(values: &[f32], bits: QuantBits, group_size: usize) -> Quantized
         len: n,
         scales,
         zeros,
-        data: data.freeze(),
+        data,
     }
 }
 
 /// Serializes a tensor into a flat byte buffer (header + metadata + codes) —
 /// the exact bytes a prefill replica would put on the wire.
-pub fn encode_wire(t: &QuantizedTensor) -> Bytes {
-    let mut buf = BytesMut::with_capacity(t.wire_bytes());
-    buf.put_u32_le(t.bits.bits());
-    buf.put_u32_le(t.group_size as u32);
-    buf.put_u64_le(t.len as u64);
-    for &s in &t.scales {
-        buf.put_f32_le(s);
-    }
-    for &z in &t.zeros {
-        buf.put_f32_le(z);
+pub fn encode_wire(t: &QuantizedTensor) -> Vec<u8> {
+    let mut buf = Vec::with_capacity(t.wire_bytes());
+    buf.extend_from_slice(&t.bits.bits().to_le_bytes());
+    buf.extend_from_slice(&(t.group_size as u32).to_le_bytes());
+    buf.extend_from_slice(&(t.len as u64).to_le_bytes());
+    for &v in t.scales.iter().chain(&t.zeros) {
+        buf.extend_from_slice(&v.to_le_bytes());
     }
     buf.extend_from_slice(&t.data);
-    buf.freeze()
+    buf
 }
 
 /// Parses bytes produced by [`encode_wire`].
 ///
 /// # Errors
-/// Returns a message describing the corruption if the buffer is malformed.
-pub fn decode_wire(mut buf: &[u8]) -> Result<QuantizedTensor, String> {
-    use bytes::Buf;
-    if buf.len() < 16 {
+/// Returns a message describing the corruption if the buffer is malformed,
+/// including a header whose lengths the buffer cannot hold.
+pub fn decode_wire(buf: &[u8]) -> Result<QuantizedTensor, String> {
+    let Some((header, body)) = buf.split_first_chunk::<16>() else {
         return Err("buffer too short for header".into());
-    }
-    let bits = match buf.get_u32_le() {
+    };
+    let [b0, b1, b2, b3, g0, g1, g2, g3, len @ ..] = *header;
+    let bits = match u32::from_le_bytes([b0, b1, b2, b3]) {
         2 => QuantBits::Int2,
         4 => QuantBits::Int4,
         8 => QuantBits::Int8,
         other => return Err(format!("unknown bit width {other}")),
     };
-    let group_size = buf.get_u32_le() as usize;
+    let group_size = u32::from_le_bytes([g0, g1, g2, g3]) as usize;
     if group_size == 0 {
         return Err("zero group size".into());
     }
-    let len = buf.get_u64_le() as usize;
+    let len = u64::from_le_bytes(len) as usize;
     let num_groups = len.div_ceil(group_size);
-    if buf.len() < num_groups * 8 {
-        return Err("buffer too short for metadata".into());
-    }
-    let mut scales = Vec::with_capacity(num_groups);
-    for _ in 0..num_groups {
-        scales.push(buf.get_f32_le());
-    }
-    let mut zeros = Vec::with_capacity(num_groups);
-    for _ in 0..num_groups {
-        zeros.push(buf.get_f32_le());
-    }
+    // The header is untrusted: `num_groups * 8` overflows for a hostile
+    // `len`, so the size is checked before anything is allocated.
+    let meta_len = num_groups
+        .checked_mul(8)
+        .filter(|&m| m <= body.len())
+        .ok_or("buffer too short for metadata")?;
+    let (meta, codes) = body.split_at(meta_len);
+    let mut floats = meta
+        .as_chunks::<4>()
+        .0
+        .iter()
+        .map(|&c| f32::from_le_bytes(c));
+    let scales: Vec<f32> = floats.by_ref().take(num_groups).collect();
+    let zeros: Vec<f32> = floats.collect();
     let packed_len = match bits {
         QuantBits::Int8 => len,
         QuantBits::Int4 => len.div_ceil(2),
         QuantBits::Int2 => len.div_ceil(4),
     };
-    if buf.len() != packed_len {
+    if codes.len() != packed_len {
         return Err(format!(
             "expected {packed_len} code bytes, got {}",
-            buf.len()
+            codes.len()
         ));
     }
     Ok(QuantizedTensor {
@@ -241,7 +239,7 @@ pub fn decode_wire(mut buf: &[u8]) -> Result<QuantizedTensor, String> {
         len,
         scales,
         zeros,
-        data: Bytes::copy_from_slice(buf),
+        data: codes.to_vec(),
     })
 }
 
@@ -361,6 +359,20 @@ mod tests {
         let mut truncated = wire.to_vec();
         truncated.pop();
         assert!(decode_wire(&truncated).is_err());
+    }
+
+    #[test]
+    fn decode_rejects_a_header_whose_metadata_size_overflows() {
+        // group_size 1 and len 2^61 make `num_groups * 8` wrap to 0.
+        let mut wire = Vec::new();
+        wire.extend_from_slice(&8u32.to_le_bytes());
+        wire.extend_from_slice(&1u32.to_le_bytes());
+        wire.extend_from_slice(&(1u64 << 61).to_le_bytes());
+        wire.extend_from_slice(&[0u8; 8]);
+        assert_eq!(
+            decode_wire(&wire).unwrap_err(),
+            "buffer too short for metadata"
+        );
     }
 
     #[test]

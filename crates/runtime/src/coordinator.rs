@@ -10,9 +10,8 @@
 //! the live serving path; quantitative experiments use the discrete-event
 //! engine instead.
 
-use crossbeam::channel::{unbounded, Receiver, Sender};
-use parking_lot::Mutex;
-use std::sync::Arc;
+use std::sync::mpsc::{channel, Receiver, Sender};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use ts_cluster::Cluster;
@@ -55,7 +54,8 @@ pub struct CompletedRequest {
     pub e2e_s: f64,
 }
 
-/// Aggregate live counters.
+/// Aggregate live counters. Each lock holder makes one increment, so a
+/// poisoned lock still holds valid counts and its guard is recovered.
 #[derive(Debug, Default, Clone, Copy)]
 struct Stats {
     dispatched: u64,
@@ -113,14 +113,14 @@ impl TaskCoordinator {
         }
 
         let stats = Arc::new(Mutex::new(Stats::default()));
-        let (submit_tx, submit_rx) = unbounded::<Request>();
-        let (done_tx, done_rx) = unbounded::<CompletedRequest>();
+        let (submit_tx, submit_rx) = channel::<Request>();
+        let (done_tx, done_rx) = channel::<CompletedRequest>();
         let mut handles = Vec::new();
 
         // Decode workers.
         let mut decode_txs = Vec::new();
         for (j, dm) in decode_models.into_iter().enumerate() {
-            let (tx, rx) = unbounded::<DecodeJob>();
+            let (tx, rx) = channel::<DecodeJob>();
             decode_txs.push(tx);
             let done = done_tx.clone();
             let stats = Arc::clone(&stats);
@@ -141,7 +141,10 @@ impl TaskCoordinator {
                         ttft_s: (job.first_token - job.submitted).as_secs_f64() / scale,
                         e2e_s: (now - job.submitted).as_secs_f64() / scale,
                     };
-                    stats.lock().completed += 1;
+                    stats
+                        .lock()
+                        .unwrap_or_else(PoisonError::into_inner)
+                        .completed += 1;
                     if done.send(out).is_err() {
                         break;
                     }
@@ -153,7 +156,7 @@ impl TaskCoordinator {
         // Prefill workers.
         let mut prefill_txs = Vec::new();
         for (i, pm) in prefill_models.into_iter().enumerate() {
-            let (tx, rx) = unbounded::<PrefillJob>();
+            let (tx, rx) = channel::<PrefillJob>();
             prefill_txs.push(tx);
             let decode_txs = decode_txs.clone();
             let scale = cfg.time_scale;
@@ -184,7 +187,10 @@ impl TaskCoordinator {
             handles.push(std::thread::spawn(move || {
                 while let Ok(req) = submit_rx.recv() {
                     let (i, j) = coords[router.next()];
-                    stats.lock().dispatched += 1;
+                    stats
+                        .lock()
+                        .unwrap_or_else(PoisonError::into_inner)
+                        .dispatched += 1;
                     let job = PrefillJob {
                         request: req,
                         submitted: Instant::now(),
@@ -224,7 +230,7 @@ impl TaskCoordinator {
 
     /// Number of requests dispatched / completed so far.
     pub fn counters(&self) -> (u64, u64) {
-        let s = *self.stats.lock();
+        let s = *self.stats.lock().unwrap_or_else(PoisonError::into_inner);
         (s.dispatched, s.completed)
     }
 

@@ -13,7 +13,7 @@
 //!   tracking with timeout detection, the trigger for failure handling
 //!   (Appendix E's "GPU heartbeat timeout").
 //! * [`coordinator`] — [`coordinator::TaskCoordinator`]: a real concurrent
-//!   task coordinator (crossbeam channels + worker threads) that dispatches
+//!   task coordinator (`std::sync::mpsc` channels + worker threads) that dispatches
 //!   requests across replica workers according to the plan's routing matrix,
 //!   the way the paper's libP2P-based coordinator dispatches across model
 //!   serving groups. Used by the live-serving example; execution durations

@@ -58,11 +58,6 @@ pub struct SimConfig {
     /// How KV transfers are modelled: free, serialized per sender (the
     /// default), or as flows on the contended network fabric.
     pub kv_transfer: KvTransfer,
-    /// Multiplicative congestion factor (≥ 1) the *analytic* estimator
-    /// applies to KV wire bytes when pricing transfers, approximating the
-    /// slowdown from sharing links. Exactly 1.0 (the default) reproduces the
-    /// uncongested arithmetic bit for bit.
-    pub kv_congestion_factor: f64,
     /// SLO-aware decode batching: when set, a decode replica stops admitting
     /// new sequences once the projected step latency would exceed this TPOT
     /// deadline (DistServe-style batch capping; at least one sequence is
@@ -192,7 +187,6 @@ impl SimConfig {
             params: ModelParams::default(),
             kv_precision: KvWirePrecision::DEFAULT_COMPRESSED,
             kv_transfer: KvTransfer::Serialized,
-            kv_congestion_factor: 1.0,
             tpot_batch_cap: None,
             prefill_policy: PrefillPolicy::Fcfs,
             prefill_chunk_tokens: None,
@@ -397,7 +391,6 @@ mod tests {
         let c = SimConfig::new(ModelSpec::llama_7b());
         assert_eq!(c.kv_precision, KvWirePrecision::DEFAULT_COMPRESSED);
         assert_eq!(c.kv_transfer, KvTransfer::Serialized);
-        assert_eq!(c.kv_congestion_factor, 1.0);
         assert!(!c.telemetry);
     }
 

@@ -11,7 +11,7 @@
 use crate::config::{KvTransfer, SimConfig, MAX_DECODE_BATCH};
 use ts_cluster::Cluster;
 use ts_common::{DeploymentPlan, Result, SloSpec};
-use ts_costmodel::replica::{kv_route, kv_transfer_time_congested};
+use ts_costmodel::replica::{kv_route, kv_transfer_time};
 use ts_costmodel::ReplicaCostModel;
 use ts_workload::WorkloadSpec;
 
@@ -154,14 +154,11 @@ pub fn pair_estimates(
         let ttft_deadline = slo.ttft.as_secs_f64();
         let a_ttft = wait_tail(ttft_deadline - svc[i], wq_mean, rho);
         for j in 0..n_d {
-            // Congestion factor 1.0 (the default) reproduces the
-            // uncongested arithmetic bit for bit.
-            let kv = kv_transfer_time_congested(
+            let kv = kv_transfer_time(
                 prefill[i].model(),
                 &kv_route(cluster, &prefill[i], &decode[j]),
                 p_mean as u64,
                 cfg.kv_precision.ratio_vs_f16(),
-                cfg.kv_congestion_factor,
             )
             .as_secs_f64();
             let kv = if cfg.kv_transfer == KvTransfer::Free {

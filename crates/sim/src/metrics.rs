@@ -5,11 +5,10 @@
 //! per criterion or all three jointly); and throughput in requests/s and
 //! tokens/s.
 
-use serde::{Deserialize, Serialize};
 use ts_common::{ModelId, Request, SimDuration, SimTime, SloKind, SloSpec};
 
 /// Timing record for one completed request.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RequestRecord {
     /// The request served.
     pub request: Request,
@@ -29,18 +28,14 @@ pub struct RequestRecord {
     /// Time the KV transfer spent queued on the sender before its bytes
     /// started moving (zero for colocated engines, single-token requests,
     /// and fabric runs, where flows start immediately and contention shows
-    /// up in [`RequestRecord::kv_wire_time`] instead). `#[serde(default)]`
-    /// keeps records serialized before this field existed deserializable.
-    #[serde(default)]
+    /// up in [`RequestRecord::kv_wire_time`] instead).
     pub kv_queue_wait: SimDuration,
     /// Time the KV bytes of the *delivered* attempt spent on the wire
     /// (startup alpha included).
-    #[serde(default)]
     pub kv_wire_time: SimDuration,
     /// When the KV cache arrived at the decode replica; `None` when the
     /// request never crossed the inter-replica fabric (colocated engine,
     /// single-token output).
-    #[serde(default)]
     pub kv_done_at: Option<SimTime>,
 }
 
@@ -92,7 +87,7 @@ impl RequestRecord {
 /// every submitted request must end up exactly once in `completed`,
 /// `dropped`, or `rejected`. The engines assert this identity per
 /// [`ModelId`] at the end of every run with a non-empty catalog.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ModelConservation {
     /// The tenant these counts belong to.
     pub model: ModelId,
@@ -124,7 +119,7 @@ impl ModelConservation {
 /// [`crate::exec`] — so failure experiments can compare recovery behaviour
 /// across system architectures directly. (`kv_transfer_retries` stays zero
 /// for colocated runs: there are no inter-replica transfers to retry.)
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct RecoveryCounters {
     /// Queued or in-flight prefill requests re-routed to a surviving
     /// replica after their original replica died.
@@ -140,31 +135,24 @@ pub struct RecoveryCounters {
     pub recovery_times: Vec<SimDuration>,
     /// Hedged duplicates launched for stuck prefills / KV transfers
     /// (gray-failure mitigation).
-    #[serde(default)]
     pub hedges_launched: usize,
     /// Hedges whose duplicate beat the original (first-completion-wins).
-    #[serde(default)]
     pub hedges_won: usize,
     /// Replicas removed from routing by straggler detection or a
     /// flaky-heartbeat false positive (each quarantine episode counts once).
-    #[serde(default)]
     pub quarantines: usize,
     /// Quarantined (or spuriously dead) replicas returned to routing.
-    #[serde(default)]
     pub readmissions: usize,
     /// Requests shed because their SLO-derived deadline had already passed
     /// before service could start (counted in `Metrics::num_rejected`).
-    #[serde(default)]
     pub deadline_shed: usize,
     /// KV transfers dropped after exhausting their retry budget (counted in
     /// `Metrics::num_dropped`).
-    #[serde(default)]
     pub retry_budget_exhausted: usize,
     /// Per-model request-conservation counts, sorted by [`ModelId`]. Empty
     /// for single-model runs (an empty [`crate::SimConfig::models`]
-    /// catalog), which keeps legacy `Metrics` values — and their serialized
-    /// form — byte-identical.
-    #[serde(default, skip_serializing_if = "Vec::is_empty")]
+    /// catalog), which keeps single-model `Metrics` values equal to those of
+    /// runs without a catalog.
     pub per_model: Vec<ModelConservation>,
 }
 
@@ -190,7 +178,7 @@ impl RecoveryCounters {
 }
 
 /// Aggregated results of one simulation run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Metrics {
     records: Vec<RequestRecord>,
     /// Requests submitted but never completed (overload / capacity loss).

@@ -13,10 +13,10 @@
 //!   occupancy, in-flight KV bytes and per-link utilization, plus global
 //!   instant markers for faults.
 //!
-//! The workspace's serde shim has no serializer backend, so the exporter
-//! is hand-rolled; [`validate_chrome_trace`] reads its output back with the
-//! workspace parser ([`ts_common::json`]) precisely so the exporter cannot
-//! silently rot (it runs in CI against `bench_trace` output).
+//! The exporter writes JSON by hand, with no serialization library;
+//! [`validate_chrome_trace`] reads its output back with the workspace parser
+//! ([`ts_common::json`]) precisely so the exporter cannot silently rot (it
+//! runs in CI against `bench_trace` output).
 
 use crate::event::{Role, TraceEvent, TraceKind};
 use crate::log::TraceLog;

@@ -1,7 +1,6 @@
 //! Token-length distributions.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// A clamped lognormal distribution over token counts, parameterized by its
 /// median (the statistic the paper reports for the Azure traces).
@@ -16,7 +15,7 @@ use serde::{Deserialize, Serialize};
 /// let median = sorted[500];
 /// assert!((median as f64 / 129.0 - 1.0).abs() < 0.25);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LengthDistribution {
     /// Median token count (lognormal `exp(mu)`).
     pub median: u32,

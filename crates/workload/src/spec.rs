@@ -1,11 +1,10 @@
 //! Workload presets.
 
 use crate::distribution::LengthDistribution;
-use serde::{Deserialize, Serialize};
 
 /// A named serving workload: prompt/output length distributions plus a mean
 /// Poisson arrival rate.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WorkloadSpec {
     /// Human-readable name (`"coding"`, `"conversation"`, ...).
     pub name: String,

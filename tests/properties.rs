@@ -67,6 +67,73 @@ fn quant_wire_round_trip() {
     }
 }
 
+/// A corrupted wire buffer never panics the decoder. Each case encodes a
+/// random tensor at every width, then truncates it, flips some of its bytes,
+/// or splices in the header of another tensor or a forged one (zero or huge
+/// group sizes, lengths up to `u64::MAX`). The decoder must return `Err` or
+/// a well-formed tensor: its header, group metadata and packed codes account
+/// for every byte, it dequantizes to its stated length, and it re-encodes to
+/// exactly the bytes it was parsed from.
+#[test]
+fn quant_wire_survives_byte_mutations() {
+    const HEADER: usize = 16;
+    const WIDTHS: [QuantBits; 3] = [QuantBits::Int2, QuantBits::Int4, QuantBits::Int8];
+    fn wire(rng: &mut impl Rng, bits: QuantBits) -> Vec<u8> {
+        let len = rng.gen_range(0..150);
+        let values: Vec<f32> = (0..len).map(|_| rng.gen_range(-50.0f32..50.0)).collect();
+        encode_wire(&quantize(&values, bits, rng.gen_range(1usize..40)))
+    }
+    let (mut accepted, mut rejected) = (0, 0);
+    for case in 0..1_000u64 {
+        let mut rng = seeded_rng(derive_seed(0x3A7E, case));
+        for bits in WIDTHS {
+            let mut bytes = wire(&mut rng, bits);
+            match case % 3 {
+                0 => bytes.truncate(rng.gen_range(0..bytes.len())),
+                1 => {
+                    for _ in 0..rng.gen_range(1..5) {
+                        let at = rng.gen_range(0..bytes.len());
+                        bytes[at] ^= rng.gen_range(1u8..=255);
+                    }
+                }
+                _ => {
+                    let header: Vec<u8> = if rng.gen_bool(0.5) {
+                        let other = WIDTHS[rng.gen_range(0..3usize)];
+                        wire(&mut rng, other)[..HEADER].to_vec()
+                    } else {
+                        let width = [2u32, 4, 8, rng.gen()][rng.gen_range(0..4usize)];
+                        let group = [0u32, 1, u32::MAX, rng.gen()][rng.gen_range(0..4usize)];
+                        let len = [0u64, 1 << 61, u64::MAX, rng.gen_range(0..600)]
+                            [rng.gen_range(0..4usize)];
+                        [
+                            &width.to_le_bytes()[..],
+                            &group.to_le_bytes(),
+                            &len.to_le_bytes(),
+                        ]
+                        .concat()
+                    };
+                    bytes[..HEADER].copy_from_slice(&header);
+                }
+            }
+            match decode_wire(&bytes) {
+                Ok(t) => {
+                    let group = u32::from_le_bytes([bytes[4], bytes[5], bytes[6], bytes[7]]);
+                    let shaped = HEADER
+                        + 8 * t.len().div_ceil(group as usize)
+                        + (t.len() * t.bits().bits() as usize).div_ceil(8);
+                    assert_eq!(bytes.len(), shaped, "case {case}");
+                    assert_eq!(t.dequantize().len(), t.len(), "case {case}");
+                    assert_eq!(encode_wire(&t), bytes, "case {case}");
+                    accepted += 1;
+                }
+                Err(_) => rejected += 1,
+            }
+        }
+    }
+    // Both outcomes occur, so neither check above is vacuous.
+    assert!(accepted > 100 && rejected > 100, "{accepted} / {rejected}");
+}
+
 /// Tabu moves preserve the GPU partition.
 #[test]
 fn candidate_moves_preserve_partition() {
