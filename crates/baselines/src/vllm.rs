@@ -7,8 +7,8 @@
 //! count: for each node it picks the smallest power-of-two TP degree whose
 //! group can hold the weights, then tiles the node with such groups.
 //!
-//! The groups feed `ts_sim::colocated::ColocatedSimulation`, which runs on
-//! the same execution core as the phase-split engine — so the baseline also
+//! The groups feed `ts_sim::Simulation::colocated`, which runs on the same
+//! execution core as the phase-split topology — so the baseline also
 //! supports mid-flight fault injection with identical recovery accounting
 //! (exercised by the failure experiment's colocated arm).
 

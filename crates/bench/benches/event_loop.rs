@@ -16,7 +16,6 @@ use ts_common::{
     DeploymentPlan, GpuId, GroupSpec, ModelSpec, ParallelConfig, Phase, RoutingMatrix, SimDuration,
     StageSpec,
 };
-use ts_sim::colocated::ColocatedSimulation;
 use ts_sim::config::SimConfig;
 use ts_sim::engine::Simulation;
 use ts_sim::router::StrideRouter;
@@ -64,7 +63,7 @@ fn bench_event_loop(c: &mut Criterion) {
     });
     group.bench_function("colocated_8x", |b| {
         b.iter(|| {
-            ColocatedSimulation::new(&cluster, &colo_groups, SimConfig::new(model.clone()))
+            Simulation::colocated(&cluster, &colo_groups, SimConfig::new(model.clone()))
                 .unwrap()
                 .run(&reqs)
                 .unwrap()

@@ -21,7 +21,7 @@ use ts_common::{
     DeploymentPlan, GpuId, GroupSpec, ModelSpec, ParallelConfig, Phase, RoutingMatrix, SimDuration,
     SimTime, SloKind, StageSpec,
 };
-use ts_sim::config::SimConfig;
+use ts_sim::config::{Hedge, Quarantine, SimConfig};
 use ts_sim::engine::Simulation;
 use ts_sim::fault::{FaultKind, FaultScript, TimedFault};
 use ts_workload::{generator::generate, spec};
@@ -69,9 +69,11 @@ fn testbed() -> (ts_cluster::Cluster, DeploymentPlan, SimConfig) {
 fn measure(quick: bool, role: &'static str, factor: f64, mitigated: bool) -> Arm {
     let (cluster, plan, cfg) = testbed();
     let cfg = if mitigated {
-        cfg.with_hedging(SimDuration::from_millis(400))
-            .with_straggler_detection(1.5)
-            .with_straggler_readmit_after(SimDuration::from_secs(60))
+        cfg.with_hedge(Hedge::after(SimDuration::from_millis(400)))
+            .with_quarantine(Quarantine {
+                threshold: 1.5,
+                readmit_after: SimDuration::from_secs(60),
+            })
     } else {
         cfg
     };

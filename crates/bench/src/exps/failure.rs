@@ -13,8 +13,8 @@ use ts_cluster::availability::{ClusterEvent, EventKind};
 use ts_cluster::presets;
 use ts_common::{GpuId, ModelSpec, SimDuration, SimTime, SloSpec};
 use ts_runtime::service::{ReschedulePolicy, ServingRuntime};
-use ts_sim::colocated::ColocatedSimulation;
-use ts_sim::config::SimConfig;
+use ts_sim::config::{Hedge, Quarantine, SimConfig};
+use ts_sim::engine::Simulation;
 use ts_sim::fault::{FaultKind, FaultScript, TimedFault};
 use ts_workload::{generator::generate, spec};
 
@@ -185,7 +185,7 @@ fn colocated_mid_flight(
     } else {
         script.without_recovery()
     };
-    let m = ColocatedSimulation::new(&cluster, &groups, SimConfig::new(model))
+    let m = Simulation::colocated(&cluster, &groups, SimConfig::new(model))
         .expect("colocated deployment must be feasible")
         .run_with_faults(&reqs, &script)
         .expect("colocated fault run must succeed");
@@ -234,8 +234,8 @@ fn straggler_arm(quick: bool, mitigate: bool, slo: &SloSpec) -> (f64, f64, f64, 
     .unwrap();
     let cfg = SimConfig::new(model);
     let cfg = if mitigate {
-        cfg.with_straggler_detection(1.5)
-            .with_hedging(SimDuration::from_millis(400))
+        cfg.with_quarantine(Quarantine::at(1.5))
+            .with_hedge(Hedge::after(SimDuration::from_millis(400)))
     } else {
         cfg
     };

@@ -4,7 +4,6 @@ use thunderserve_core::{Scheduler, SchedulerConfig};
 use ts_baselines::{DistServePlanner, HexGenPlanner, VllmPlanner};
 use ts_cluster::Cluster;
 use ts_common::{DeploymentPlan, GroupSpec, ModelSpec, Request, Result, SimDuration, SloSpec};
-use ts_sim::colocated::ColocatedSimulation;
 use ts_sim::config::SimConfig;
 use ts_sim::engine::Simulation;
 use ts_sim::metrics::Metrics;
@@ -79,7 +78,7 @@ pub fn run_colocated(
     cfg: SimConfig,
     requests: &[Request],
 ) -> Result<Metrics> {
-    ColocatedSimulation::new(cluster, groups, cfg)?.run(requests)
+    Simulation::colocated(cluster, groups, cfg)?.run(requests)
 }
 
 /// Generates the standard trace for a workload.

@@ -8,7 +8,6 @@ use ts_baselines::{DistServePlanner, VllmPlanner};
 use ts_bench::harness;
 use ts_cluster::presets;
 use ts_common::{ModelSpec, RequestId, SimDuration, SimTime, SloSpec};
-use ts_sim::colocated::ColocatedSimulation;
 use ts_sim::engine::Simulation;
 use ts_sim::{FaultKind, FaultScript, SimConfig, TimedFault};
 use ts_telemetry::{StreamConfig, StreamSnapshot, TraceKind, TraceLog};
@@ -120,7 +119,7 @@ fn fig10_colocated_vllm_sketches_match_exact() {
     let cfg = SimConfig::new(model)
         .with_telemetry(true)
         .with_streaming(stream_cfg(slo));
-    let mut sim = ColocatedSimulation::new(&cluster, &groups, cfg).unwrap();
+    let mut sim = Simulation::colocated(&cluster, &groups, cfg).unwrap();
     sim.run(&harness::trace(&workload, true, 17)).unwrap();
     let log = sim.take_trace().unwrap();
     let snap = sim.take_streaming().unwrap().snapshot();

@@ -288,7 +288,7 @@ impl ReplicaCostModel {
         total
     }
 
-    /// Pre-folds the context-independent work of [`decode_step_latency`] at
+    /// Pre-folds the context-independent work of [`Self::decode_step_latency`] at
     /// a fixed batch size, for pricing many consecutive decode steps.
     ///
     /// [`DecodeStepSeries::latency`] is bit-identical to

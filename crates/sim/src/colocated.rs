@@ -1,140 +1,9 @@
-//! Colocated (non-disaggregated) serving engine for baselines.
-//!
-//! vLLM-like and HexGen-like systems run prefill and decode on the *same*
-//! model replica. This engine models that faithfully: each replica holds a
-//! prefill queue and a continuous decode batch, and when both have work the
-//! prefill batch runs first (prefill-priority, as in vLLM's default
-//! scheduler) — so long prompts stall ongoing decodes, producing exactly the
-//! prefill/decode interference that phase splitting removes.
-//!
-//! [`ColocatedSimulation`] is a thin facade over the shared execution core
-//! in [`crate::exec`] — the same event loop, router, admission policy and
-//! fault layer that drive the phase-split [`crate::engine::Simulation`],
-//! instantiated with the [`crate::exec::ColocatedExecutor`] topology. A
-//! direct consequence of that sharing:
-//! [`ColocatedSimulation::run_with_faults`] accepts the same
-//! [`FaultScript`]s as the phase-split engine and produces the same
-//! [`crate::metrics::RecoveryCounters`] semantics, so the paper's failure
-//! experiments can compare fault behaviour against colocated baselines on
-//! equal footing. Since a colocated replica hosts both phases,
-//! `PrefillDown(i)` and `DecodeDown(i)` both mean "replica `i` dies" (and
-//! symmetrically for `*Up`); link faults are rejected because there is no
-//! inter-replica KV fabric.
+//! Tests of the colocated topology, built with
+//! [`crate::Simulation::colocated`].
 
-use crate::config::SimConfig;
-use crate::exec::driver::Driver;
-use crate::fault::FaultScript;
-use crate::metrics::Metrics;
-use ts_cluster::Cluster;
-use ts_common::{GroupSpec, Request, Result};
-
-pub use crate::exec::ColocatedPolicy;
-
-/// A colocated-serving simulation over identical-role replicas.
-pub struct ColocatedSimulation<'a> {
-    cluster: &'a Cluster,
-    driver: Driver,
-}
-
-impl<'a> ColocatedSimulation<'a> {
-    /// Builds a simulation over `groups`, each serving both phases. The
-    /// groups' `phase` fields are ignored. Requests are routed proportional
-    /// to each replica's decode throughput capacity.
-    ///
-    /// # Errors
-    /// Returns [`ts_common::Error::Infeasible`] if any group cannot hold the
-    /// model or `groups` is empty.
-    pub fn new(cluster: &'a Cluster, groups: &[GroupSpec], cfg: SimConfig) -> Result<Self> {
-        Self::with_policy(cluster, groups, cfg, ColocatedPolicy::PrefillPriority)
-    }
-
-    /// Like [`ColocatedSimulation::new`] with an explicit scheduling policy.
-    ///
-    /// # Errors
-    /// Returns [`ts_common::Error::Infeasible`] if any group cannot hold the
-    /// model or `groups` is empty.
-    pub fn with_policy(
-        cluster: &'a Cluster,
-        groups: &[GroupSpec],
-        cfg: SimConfig,
-        policy: ColocatedPolicy,
-    ) -> Result<Self> {
-        Ok(ColocatedSimulation {
-            cluster,
-            driver: Driver::new_colocated(cluster, groups, cfg, policy)?,
-        })
-    }
-
-    /// The cluster this simulation runs on.
-    pub fn cluster(&self) -> &Cluster {
-        self.cluster
-    }
-
-    /// Runs the trace to completion.
-    ///
-    /// # Errors
-    /// Returns [`ts_common::Error::Simulation`] on internal invariant
-    /// violations.
-    pub fn run(&mut self, requests: &[Request]) -> Result<Metrics> {
-        self.run_with_faults(requests, &FaultScript::none())
-    }
-
-    /// Runs the trace with mid-flight fault injection — same contract as
-    /// [`crate::engine::Simulation::run_with_faults`], with replica-level
-    /// faults interpreted on colocated replicas (either phase's
-    /// `Down(i)`/`Up(i)` maps to replica `i`). With an empty script this is
-    /// exactly [`ColocatedSimulation::run`].
-    ///
-    /// # Errors
-    /// Returns [`ts_common::Error::InvalidConfig`] for out-of-range replica
-    /// indices or link faults in the script, and
-    /// [`ts_common::Error::Simulation`] on invariant violations.
-    pub fn run_with_faults(
-        &mut self,
-        requests: &[Request],
-        script: &FaultScript,
-    ) -> Result<Metrics> {
-        self.driver.run_with_faults(requests, script)
-    }
-
-    /// Takes the telemetry recorded so far, finalized into a time-sorted
-    /// [`ts_telemetry::TraceLog`]. Returns `None` unless the simulation was
-    /// built with [`SimConfig::with_telemetry`] enabled (or if the trace was
-    /// already taken). Call after [`ColocatedSimulation::run`] to get the
-    /// full run.
-    pub fn take_trace(&mut self) -> Option<ts_telemetry::TraceLog> {
-        self.driver.take_trace()
-    }
-
-    /// Takes the streaming observability plane accumulated over the run
-    /// (online sketches, window counters, burn monitors). Returns `None`
-    /// unless the simulation was built with [`SimConfig::with_streaming`]
-    /// (or if the plane was already taken).
-    pub fn take_streaming(&mut self) -> Option<Box<ts_telemetry::StreamingPlane>> {
-        self.driver.take_streaming()
-    }
-
-    /// Read access to the live streaming plane, `None` unless
-    /// [`SimConfig::with_streaming`] was set.
-    pub fn streaming(&self) -> Option<&ts_telemetry::StreamingPlane> {
-        self.driver.streaming()
-    }
-
-    /// Takes the per-replica pressure tally (queue depth and batch
-    /// occupancy, integrated online). Returns `None` unless the simulation
-    /// was built with [`SimConfig::with_pressure`] (or if the tally was
-    /// already taken).
-    pub fn take_pressure(&mut self) -> Option<ts_telemetry::PressureTally> {
-        self.driver.take_pressure()
-    }
-
-    /// Total number of discrete events dispatched so far (across every run
-    /// on this simulation). The benchmark harness divides by wall time for
-    /// an events/sec figure.
-    pub fn events_processed(&self) -> u64 {
-        self.driver.events_processed()
-    }
-}
+use crate::config::{PrefillPolicy, SimConfig};
+use crate::Simulation;
+use ts_common::GroupSpec;
 
 #[cfg(test)]
 mod tests {
@@ -171,7 +40,7 @@ mod tests {
             group(&[4, 5], 2, 1, model.num_layers),
             group(&[6, 7], 2, 1, model.num_layers),
         ];
-        let mut sim = ColocatedSimulation::new(&cluster, &groups, SimConfig::new(model)).unwrap();
+        let mut sim = Simulation::colocated(&cluster, &groups, SimConfig::new(model)).unwrap();
         let reqs = generate(&spec::coding(1.0), SimDuration::from_secs(60), 1);
         let m = sim.run(&reqs).unwrap();
         assert_eq!(m.num_completed(), reqs.len());
@@ -187,7 +56,7 @@ mod tests {
         let cfg = SimConfig::new(model);
         // Light load: few long-decode requests.
         let light = generate(&spec::fixed(256, 64, 0.05), SimDuration::from_secs(120), 2);
-        let m_light = ColocatedSimulation::new(&cluster, &groups, cfg.clone())
+        let m_light = Simulation::colocated(&cluster, &groups, cfg.clone())
             .unwrap()
             .run(&light)
             .unwrap();
@@ -200,7 +69,7 @@ mod tests {
             ..r
         }));
         mixed.sort_by_key(|r| r.arrival);
-        let m_mixed = ColocatedSimulation::new(&cluster, &groups, cfg)
+        let m_mixed = Simulation::colocated(&cluster, &groups, cfg)
             .unwrap()
             .run(&mixed)
             .unwrap();
@@ -226,11 +95,11 @@ mod tests {
         let groups = vec![group(&[0, 1, 2, 3], 2, 2, model.num_layers)];
         let cfg = SimConfig::new(model);
         let reqs = generate(&spec::conversation(0.5), SimDuration::from_secs(40), 4);
-        let a = ColocatedSimulation::new(&cluster, &groups, cfg.clone())
+        let a = Simulation::colocated(&cluster, &groups, cfg.clone())
             .unwrap()
             .run(&reqs)
             .unwrap();
-        let b = ColocatedSimulation::new(&cluster, &groups, cfg)
+        let b = Simulation::colocated(&cluster, &groups, cfg)
             .unwrap()
             .run(&reqs)
             .unwrap();
@@ -241,7 +110,7 @@ mod tests {
     fn empty_groups_rejected() {
         let cluster = presets::paper_inhouse_cluster();
         let model = ModelSpec::llama_30b();
-        assert!(ColocatedSimulation::new(&cluster, &[], SimConfig::new(model)).is_err());
+        assert!(Simulation::colocated(&cluster, &[], SimConfig::new(model)).is_err());
     }
 }
 
@@ -282,11 +151,11 @@ mod fault_tests {
         let (cluster, groups) = two_replicas(&model);
         let cfg = SimConfig::new(model);
         let reqs = generate(&spec::coding(0.8), SimDuration::from_secs(40), 31);
-        let plain = ColocatedSimulation::new(&cluster, &groups, cfg.clone())
+        let plain = Simulation::colocated(&cluster, &groups, cfg.clone())
             .unwrap()
             .run(&reqs)
             .unwrap();
-        let scripted = ColocatedSimulation::new(&cluster, &groups, cfg)
+        let scripted = Simulation::colocated(&cluster, &groups, cfg)
             .unwrap()
             .run_with_faults(&reqs, &FaultScript::none())
             .unwrap();
@@ -308,7 +177,7 @@ mod fault_tests {
             SimDuration::from_millis(500),
         );
         let run = || {
-            ColocatedSimulation::new(&cluster, &groups, cfg.clone())
+            Simulation::colocated(&cluster, &groups, cfg.clone())
                 .unwrap()
                 .run_with_faults(&reqs, &script)
                 .unwrap()
@@ -348,11 +217,11 @@ mod fault_tests {
             vec![fault(20.0, FaultKind::PrefillDown(0))],
             SimDuration::from_millis(500),
         );
-        let with = ColocatedSimulation::new(&cluster, &groups, cfg.clone())
+        let with = Simulation::colocated(&cluster, &groups, cfg.clone())
             .unwrap()
             .run_with_faults(&reqs, &script)
             .unwrap();
-        let without = ColocatedSimulation::new(&cluster, &groups, cfg)
+        let without = Simulation::colocated(&cluster, &groups, cfg)
             .unwrap()
             .run_with_faults(&reqs, &script.clone().without_recovery())
             .unwrap();
@@ -380,7 +249,7 @@ mod fault_tests {
             ],
             SimDuration::from_secs_f64(2.0),
         );
-        let m = ColocatedSimulation::new(&cluster, &groups, cfg)
+        let m = Simulation::colocated(&cluster, &groups, cfg)
             .unwrap()
             .run_with_faults(&reqs, &script)
             .unwrap();
@@ -403,7 +272,7 @@ mod fault_tests {
             )],
             SimDuration::ZERO,
         );
-        let err = ColocatedSimulation::new(&cluster, &groups, SimConfig::new(model))
+        let err = Simulation::colocated(&cluster, &groups, SimConfig::new(model))
             .unwrap()
             .run_with_faults(&[], &script);
         assert!(err.is_err());
@@ -417,7 +286,7 @@ mod fault_tests {
             vec![fault(1.0, FaultKind::DecodeDown(7))],
             SimDuration::ZERO,
         );
-        let err = ColocatedSimulation::new(&cluster, &groups, SimConfig::new(model))
+        let err = Simulation::colocated(&cluster, &groups, SimConfig::new(model))
             .unwrap()
             .run_with_faults(&[], &script);
         assert!(err.is_err());
@@ -455,18 +324,17 @@ mod chunked_tests {
         let reqs = generate(&w, SimDuration::from_secs(180), 8);
 
         let run = |policy| {
-            ColocatedSimulation::with_policy(
+            Simulation::colocated(
                 &cluster,
                 &groups,
-                SimConfig::new(model.clone()),
-                policy,
+                SimConfig::new(model.clone()).with_prefill_policy(policy),
             )
             .unwrap()
             .run(&reqs)
             .unwrap()
         };
-        let pp = run(ColocatedPolicy::PrefillPriority);
-        let ck = run(ColocatedPolicy::Chunked { chunk_tokens: 512 });
+        let pp = run(PrefillPolicy::Fcfs);
+        let ck = run(PrefillPolicy::Chunked { chunk_tokens: 512 });
 
         // Chunking's contract: the worst single-token stall is bounded by
         // one chunk's processing time instead of a whole prompt's.
@@ -495,11 +363,10 @@ mod chunked_tests {
         let (cluster, groups) = one_replica(&model);
         let w = spec::conversation(0.5);
         let reqs = generate(&w, SimDuration::from_secs(60), 9);
-        let m = ColocatedSimulation::with_policy(
+        let m = Simulation::colocated(
             &cluster,
             &groups,
-            SimConfig::new(model),
-            ColocatedPolicy::Chunked { chunk_tokens: 256 },
+            SimConfig::new(model).with_prefill_policy(PrefillPolicy::Chunked { chunk_tokens: 256 }),
         )
         .unwrap()
         .run(&reqs)
@@ -517,11 +384,10 @@ mod chunked_tests {
         let (cluster, groups) = one_replica(&model);
         let w = spec::fixed(100, 4, 0.4);
         let reqs = generate(&w, SimDuration::from_secs(30), 10);
-        let m = ColocatedSimulation::with_policy(
+        let m = Simulation::colocated(
             &cluster,
             &groups,
-            SimConfig::new(model),
-            ColocatedPolicy::Chunked { chunk_tokens: 1 },
+            SimConfig::new(model).with_prefill_policy(PrefillPolicy::Chunked { chunk_tokens: 1 }),
         )
         .unwrap()
         .run(&reqs)

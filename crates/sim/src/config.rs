@@ -1,6 +1,6 @@
 //! Simulation configuration.
 
-use ts_common::{ModelId, ModelSpec, ServedModel, SimDuration, SloSpec};
+use ts_common::{Error, ModelId, ModelSpec, Result, ServedModel, SimDuration, SloSpec};
 use ts_costmodel::ModelParams;
 use ts_kvcache::codec::KvWirePrecision;
 
@@ -39,7 +39,18 @@ pub enum KvTransfer {
     Fabric,
 }
 
-/// Knobs controlling a simulation run.
+/// Knobs controlling a simulation run, read by both topologies.
+///
+/// Every field is public and the `with_*` builders are plain setters. A
+/// setting that could not take effect is either unrepresentable (paired
+/// knobs are one value each) or rejected: both [`crate::Simulation`]
+/// constructors return [`Error::InvalidConfig`] before building anything
+/// for
+/// - a [`PrefillPolicy::Chunked`] chunk of zero tokens;
+/// - a [`Quarantine::threshold`] that is not finite and above 1;
+/// - a [`Deadline::scale`] that is not finite and positive;
+/// - a [`SimConfig::kv_retry_jitter`] outside `[0, 1]`;
+/// - [`Hedge::burn_gated`] without [`SimConfig::streaming`].
 #[derive(Debug, Clone)]
 pub struct SimConfig {
     /// The served model. For multi-model runs this remains the *default*
@@ -62,17 +73,10 @@ pub struct SimConfig {
     /// new sequences once the projected step latency would exceed this TPOT
     /// deadline (DistServe-style batch capping; at least one sequence is
     /// always admitted to avoid starvation).
-    pub tpot_batch_cap: Option<ts_common::SimDuration>,
-    /// Order in which prefill replicas pick queued requests.
+    pub tpot_batch_cap: Option<SimDuration>,
+    /// How every prefill-capable replica — disaggregated prefill or
+    /// colocated — schedules its queued prompts.
     pub prefill_policy: PrefillPolicy,
-    /// Chunked prefill on *disaggregated* prefill replicas: when set, each
-    /// prefill launch processes at most this many prompt tokens
-    /// (Sarathi-style), bounding per-launch occupancy of the prefill
-    /// pipeline. `None` (the default) batches whole requests under
-    /// [`MAX_PREFILL_BATCH_TOKENS`]. Colocated replicas get
-    /// chunking through their own scheduling policy instead
-    /// ([`crate::exec::ColocatedPolicy::Chunked`]).
-    pub prefill_chunk_tokens: Option<u64>,
     /// Fault handling: how many arrivals may stall in the coordinator while
     /// no route to a live replica pair exists (whole-phase loss, reload
     /// blackout). Arrivals beyond this are rejected outright — a distinct
@@ -81,27 +85,23 @@ pub struct SimConfig {
     /// Request-lifecycle tracing: when true the engine records span events
     /// (arrival, queueing, prefill, KV transfer, decode, faults) into an
     /// in-memory [`ts_telemetry::Recorder`], retrievable after the run via
-    /// the engines' `take_trace()`. Off by default; the off path does no
-    /// telemetry work at all and keeps results bit-identical — tracing
+    /// [`crate::Simulation::take_trace`]. Off by default; the off path does
+    /// no telemetry work at all and keeps results bit-identical — tracing
     /// observes the simulation, it never schedules events or draws
     /// randomness.
     pub telemetry: bool,
     /// Per-replica pressure tally: when true the engine integrates every
     /// replica's queue depth and batch occupancy online into a
-    /// [`ts_telemetry::PressureTally`], retrievable after the run via the
-    /// engines' `take_pressure()`. Unlike [`SimConfig::telemetry`] it keeps
-    /// no events and does not make coalesced decode steps replay. Off by
-    /// default; like the recorder it only observes, so results stay
-    /// bit-identical.
+    /// [`ts_telemetry::PressureTally`], retrievable after the run via
+    /// [`crate::Simulation::take_pressure`]. Unlike
+    /// [`SimConfig::telemetry`] it keeps no events and does not make
+    /// coalesced decode steps replay. Off by default; like the recorder it
+    /// only observes, so results stay bit-identical.
     pub pressure: bool,
-    /// Gray-failure mitigation: hedged re-dispatch timeout. When set, a
-    /// request whose first token has not appeared this long after dispatch
-    /// gets a duplicate prefill launched on an alternate replica pair
-    /// (first completion wins, the loser is cancelled); a request whose KV
-    /// transfer is still on the wire gets the transfer cancelled and
-    /// re-dispatched. `None` (the default) disables hedging and keeps
-    /// results bit-identical.
-    pub hedge_timeout: Option<ts_common::SimDuration>,
+    /// Gray-failure mitigation: hedged re-dispatch of stuck requests (see
+    /// [`Hedge`]). `None` (the default) disables hedging and keeps results
+    /// bit-identical.
+    pub hedge: Option<Hedge>,
     /// Gray-failure mitigation: per-request KV-transfer retry *budget*.
     /// When set, a transfer that has already been retried this many times
     /// is dropped instead of retried again (counted in
@@ -114,25 +114,12 @@ pub struct SimConfig {
     /// retry storms. Zero (the default) draws nothing and keeps results
     /// bit-identical.
     pub kv_retry_jitter: f64,
-    /// Gray-failure mitigation: straggler quarantine threshold on the
-    /// observed-vs-expected iteration-time ratio (EWMA). A replica whose
-    /// ratio stays at or above this for [`STRAGGLER_MIN_SAMPLES`]
-    /// iterations is removed from routing and readmitted optimistically
-    /// after [`SimConfig::straggler_readmit_after`]. `None` (the default)
-    /// disables detection.
-    pub straggler_threshold: Option<f64>,
-    /// How long a quarantined replica sits out before optimistic
-    /// readmission (it re-quarantines if still slow).
-    pub straggler_readmit_after: ts_common::SimDuration,
-    /// Gray-failure mitigation: SLO-class-aware load shedding. When set, a
-    /// request is shed (rejected, `DeadlineShed`) instead of dispatched if
-    /// its TTFT deadline — `arrival + slo.ttft × deadline_scale` — has
-    /// already passed while it waited, which only happens under overload.
-    /// `None` (the default) never deadline-sheds.
-    pub deadline_slo: Option<ts_common::SloSpec>,
-    /// Deadline slack multiplier applied to the SLO targets when deriving
-    /// per-request deadlines (1 = shed exactly at the SLO).
-    pub deadline_scale: f64,
+    /// Gray-failure mitigation: straggler quarantine (see [`Quarantine`]).
+    /// `None` (the default) disables detection.
+    pub quarantine: Option<Quarantine>,
+    /// Gray-failure mitigation: SLO-class-aware deadline shedding (see
+    /// [`Deadline`]). `None` (the default) never deadline-sheds.
+    pub deadline: Option<Deadline>,
     /// Seed for the engine's fault/mitigation RNG (flaky-heartbeat draws,
     /// retry jitter). The RNG is only consulted when a gray fault or a
     /// jitter knob actually needs randomness, so the default path stays
@@ -145,36 +132,111 @@ pub struct SimConfig {
     /// per-step schedule (the regression suite pins this) and roughly a
     /// mean-batch-size reduction in event volume. `false` forces the
     /// per-step path — the compatibility arm the bit-identity tests compare
-    /// against; straggler detection (which samples per-step timings)
-    /// disables coalescing on its own.
+    /// against. [`SimConfig::quarantine`] runs the per-step path whatever
+    /// this says (see [`Quarantine`]).
     pub decode_coalescing: bool,
     /// Streaming observability plane: when set, the engine folds every
     /// trace event into an online [`ts_telemetry::StreamingPlane`]
     /// (quantile sketches, fixed-window counters, SLO burn-rate monitors)
-    /// retrievable after the run via the engines' `take_streaming()`.
-    /// Independent of [`SimConfig::telemetry`]: either, both or neither
-    /// may be on. `None` (the default) does no streaming work; like the
-    /// recorder, the plane only observes, so enabling it keeps simulation
-    /// results bit-identical (the golden-digest suite pins this).
+    /// retrievable after the run via
+    /// [`crate::Simulation::take_streaming`]. Independent of
+    /// [`SimConfig::telemetry`]: either, both or neither may be on. `None`
+    /// (the default) does no streaming work; like the recorder, the plane
+    /// only observes, so enabling it keeps simulation results bit-identical
+    /// (the golden-digest suite pins this).
     pub streaming: Option<ts_telemetry::StreamConfig>,
-    /// Burn-rate-gated hedging: when true (and [`SimConfig::hedge_timeout`]
-    /// and [`SimConfig::streaming`] are both set), hedged duplicates are
-    /// only launched while the streaming plane's health signal is degraded
-    /// (`Warning` or worse) — spending the duplicate-work budget only when
-    /// the SLO is actually burning. Off by default; off is bit-identical.
-    pub burn_gated_hedging: bool,
 }
 
-/// Prefill queue discipline.
+/// How a replica schedules its prefill queue. One policy serves both
+/// topologies: on a colocated replica `Fcfs` and `ShortestFirst` run whole
+/// prefill batches ahead of decode steps (vLLM's prefill priority), while
+/// `Chunked` alternates prompt chunks with decode steps.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum PrefillPolicy {
-    /// First come, first served (the default; what the paper's systems run).
+    /// First come, first served, in whole-request batches under
+    /// [`MAX_PREFILL_BATCH_TOKENS`] (the default; what the paper's systems
+    /// run).
     #[default]
     Fcfs,
-    /// Shortest prompt first: improves median TTFT under mixed prompt
-    /// lengths at the cost of tail latency for long prompts (classic SJF
-    /// trade-off; provided for scheduling studies).
+    /// Shortest prompt first, in whole-request batches: improves median
+    /// TTFT under mixed prompt lengths at the cost of tail latency for long
+    /// prompts (classic SJF trade-off; provided for scheduling studies).
     ShortestFirst,
+    /// Sarathi-style chunked prefill in arrival order: each launch
+    /// processes at most `chunk_tokens` prompt tokens, bounding per-launch
+    /// occupancy of a prefill pipeline and, on a colocated replica, the
+    /// decode stall per prompt.
+    Chunked {
+        /// Maximum prompt tokens processed per launch; must be positive.
+        chunk_tokens: u64,
+    },
+}
+
+/// Straggler quarantine: a replica whose observed-vs-expected
+/// iteration-time ratio (an EWMA) stays at or above `threshold` for
+/// [`STRAGGLER_MIN_SAMPLES`] iterations is removed from routing and
+/// readmitted optimistically `readmit_after` later (it re-quarantines if
+/// still slow).
+///
+/// Detection samples every decode step, so a run with quarantine on takes
+/// the per-step decode path whatever [`SimConfig::decode_coalescing`] says.
+/// The output is identical either way; only the event count differs.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Quarantine {
+    /// Ratio at which a replica counts as slow; finite and above 1 (a
+    /// healthy replica's ratio is exactly 1).
+    pub threshold: f64,
+    /// How long a quarantined replica sits out before readmission.
+    pub readmit_after: SimDuration,
+}
+
+impl Quarantine {
+    /// Quarantine at `threshold` with the default five-second readmission
+    /// delay.
+    pub fn at(threshold: f64) -> Self {
+        Quarantine {
+            threshold,
+            readmit_after: SimDuration::from_secs(5),
+        }
+    }
+}
+
+/// Deadline shedding: a request is shed (rejected, `DeadlineShed`) instead
+/// of dispatched if its TTFT deadline — `arrival + slo.ttft × scale` — has
+/// already passed while it waited, which only happens under overload.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Deadline {
+    /// The SLO targets deadlines derive from.
+    pub slo: SloSpec,
+    /// Slack multiplier on the targets (1 = shed exactly at the SLO);
+    /// finite and positive.
+    pub scale: f64,
+}
+
+/// Hedged re-dispatch: a request whose first token has not appeared
+/// `timeout` after dispatch gets a duplicate prefill launched on an
+/// alternate replica pair (first completion wins, the loser is cancelled);
+/// a request whose KV transfer is still on the wire gets the transfer
+/// cancelled and re-dispatched.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Hedge {
+    /// How long after dispatch a request counts as stuck.
+    pub timeout: SimDuration,
+    /// Burn-rate gating: launch duplicates only while the streaming plane's
+    /// health signal is degraded (`Warning` or worse), spending the
+    /// duplicate-work budget only when the SLO is actually burning.
+    /// Requires [`SimConfig::streaming`].
+    pub burn_gated: bool,
+}
+
+impl Hedge {
+    /// Ungated hedging after `timeout`.
+    pub fn after(timeout: SimDuration) -> Self {
+        Hedge {
+            timeout,
+            burn_gated: false,
+        }
+    }
 }
 
 impl SimConfig {
@@ -189,22 +251,54 @@ impl SimConfig {
             kv_transfer: KvTransfer::Serialized,
             tpot_batch_cap: None,
             prefill_policy: PrefillPolicy::Fcfs,
-            prefill_chunk_tokens: None,
             shed_threshold: 256,
             telemetry: false,
             pressure: false,
-            hedge_timeout: None,
+            hedge: None,
             kv_retry_budget: None,
             kv_retry_jitter: 0.0,
-            straggler_threshold: None,
-            straggler_readmit_after: ts_common::SimDuration::from_secs(5),
-            deadline_slo: None,
-            deadline_scale: 1.0,
+            quarantine: None,
+            deadline: None,
             fault_seed: 0x7453_4752_4159,
             decode_coalescing: true,
             streaming: None,
-            burn_gated_hedging: false,
         }
+    }
+
+    /// The one check that every setting can take effect (the cases are
+    /// listed on [`SimConfig`]). Both [`crate::Simulation`] constructors
+    /// run it first.
+    pub(crate) fn validate(&self) -> Result<()> {
+        let bad = |what: String| Err(Error::InvalidConfig(what));
+        if self.prefill_policy == (PrefillPolicy::Chunked { chunk_tokens: 0 }) {
+            return bad("prefill chunk must hold at least one token".into());
+        }
+        if let Some(q) = self.quarantine {
+            if !(q.threshold.is_finite() && q.threshold > 1.0) {
+                return bad(format!(
+                    "straggler threshold must be finite and > 1, got {}",
+                    q.threshold
+                ));
+            }
+        }
+        if let Some(d) = self.deadline {
+            if !(d.scale.is_finite() && d.scale > 0.0) {
+                return bad(format!(
+                    "deadline scale must be finite and positive, got {}",
+                    d.scale
+                ));
+            }
+        }
+        if !(0.0..=1.0).contains(&self.kv_retry_jitter) {
+            return bad(format!(
+                "retry jitter must be in [0, 1], got {}",
+                self.kv_retry_jitter
+            ));
+        }
+        if self.hedge.is_some_and(|h| h.burn_gated) && self.streaming.is_none() {
+            return bad("burn-gated hedging needs the streaming plane".into());
+        }
+        Ok(())
     }
 
     /// Returns a copy serving the given model catalog (multi-tenant mode).
@@ -265,21 +359,14 @@ impl SimConfig {
     }
 
     /// Returns a copy with SLO-aware decode batch capping at `tpot`.
-    pub fn with_tpot_cap(mut self, tpot: ts_common::SimDuration) -> Self {
+    pub fn with_tpot_cap(mut self, tpot: SimDuration) -> Self {
         self.tpot_batch_cap = Some(tpot);
         self
     }
 
-    /// Returns a copy with the given prefill queue discipline.
+    /// Returns a copy with the given prefill policy.
     pub fn with_prefill_policy(mut self, policy: PrefillPolicy) -> Self {
         self.prefill_policy = policy;
-        self
-    }
-
-    /// Returns a copy with chunked prefill on disaggregated prefill
-    /// replicas: each prefill launch covers at most `chunk` prompt tokens.
-    pub fn with_prefill_chunking(mut self, chunk: u64) -> Self {
-        self.prefill_chunk_tokens = Some(chunk);
         self
     }
 
@@ -289,10 +376,9 @@ impl SimConfig {
         self
     }
 
-    /// Returns a copy with hedged re-dispatch of stuck prefills / KV
-    /// transfers after `timeout`.
-    pub fn with_hedging(mut self, timeout: ts_common::SimDuration) -> Self {
-        self.hedge_timeout = Some(timeout);
+    /// Returns a copy with the given hedged re-dispatch.
+    pub fn with_hedge(mut self, hedge: Hedge) -> Self {
+        self.hedge = Some(hedge);
         self
     }
 
@@ -303,51 +389,20 @@ impl SimConfig {
     }
 
     /// Returns a copy with the given retry-backoff jitter fraction.
-    ///
-    /// # Panics
-    /// Panics if `jitter` is not in `[0, 1]`.
     pub fn with_kv_retry_jitter(mut self, jitter: f64) -> Self {
-        assert!(
-            (0.0..=1.0).contains(&jitter),
-            "retry jitter must be in [0, 1], got {jitter}"
-        );
         self.kv_retry_jitter = jitter;
         self
     }
 
-    /// Returns a copy with straggler quarantine at the given
-    /// observed-vs-expected iteration-time ratio.
-    ///
-    /// # Panics
-    /// Panics if `threshold` is not finite or not above 1 (a healthy
-    /// replica's ratio is exactly 1).
-    pub fn with_straggler_detection(mut self, threshold: f64) -> Self {
-        assert!(
-            threshold > 1.0 && threshold.is_finite(),
-            "straggler threshold must be finite and > 1, got {threshold}"
-        );
-        self.straggler_threshold = Some(threshold);
+    /// Returns a copy with the given straggler quarantine.
+    pub fn with_quarantine(mut self, quarantine: Quarantine) -> Self {
+        self.quarantine = Some(quarantine);
         self
     }
 
-    /// Returns a copy with the given quarantine readmission delay.
-    pub fn with_straggler_readmit_after(mut self, after: ts_common::SimDuration) -> Self {
-        self.straggler_readmit_after = after;
-        self
-    }
-
-    /// Returns a copy with SLO-derived per-request deadlines (deadline
-    /// shedding) at the given SLO targets and slack scale.
-    ///
-    /// # Panics
-    /// Panics if `scale` is not finite and positive.
-    pub fn with_deadlines(mut self, slo: ts_common::SloSpec, scale: f64) -> Self {
-        assert!(
-            scale > 0.0 && scale.is_finite(),
-            "deadline scale must be finite and positive, got {scale}"
-        );
-        self.deadline_slo = Some(slo);
-        self.deadline_scale = scale;
+    /// Returns a copy with the given deadline shedding.
+    pub fn with_deadline(mut self, deadline: Deadline) -> Self {
+        self.deadline = Some(deadline);
         self
     }
 
@@ -369,15 +424,6 @@ impl SimConfig {
     /// the given configuration (see [`SimConfig::streaming`]).
     pub fn with_streaming(mut self, stream: ts_telemetry::StreamConfig) -> Self {
         self.streaming = Some(stream);
-        self
-    }
-
-    /// Returns a copy with burn-rate-gated hedging enabled or disabled
-    /// (see [`SimConfig::burn_gated_hedging`]; requires both
-    /// [`SimConfig::with_hedging`] and [`SimConfig::with_streaming`] to
-    /// have any effect).
-    pub fn with_burn_gated_hedging(mut self, on: bool) -> Self {
-        self.burn_gated_hedging = on;
         self
     }
 }
@@ -445,9 +491,9 @@ mod tests {
     #[test]
     fn prefill_chunking_defaults_off() {
         let c = SimConfig::new(ModelSpec::llama_7b());
-        assert_eq!(c.prefill_chunk_tokens, None);
-        let c = c.with_prefill_chunking(512);
-        assert_eq!(c.prefill_chunk_tokens, Some(512));
+        assert_eq!(c.prefill_policy, PrefillPolicy::Fcfs);
+        let chunked = PrefillPolicy::Chunked { chunk_tokens: 512 };
+        assert_eq!(c.with_prefill_policy(chunked).prefill_policy, chunked);
     }
 
     #[test]
@@ -461,49 +507,140 @@ mod tests {
     #[test]
     fn mitigation_knobs_default_off() {
         let c = SimConfig::new(ModelSpec::llama_7b());
-        assert_eq!(c.hedge_timeout, None);
+        assert_eq!(c.hedge, None);
         assert_eq!(c.kv_retry_budget, None);
         assert_eq!(c.kv_retry_jitter, 0.0);
-        assert_eq!(c.straggler_threshold, None);
-        assert_eq!(c.deadline_slo, None);
-        let slo = ts_common::SloSpec::new(
-            ts_common::SimDuration::from_millis(500),
-            ts_common::SimDuration::from_millis(50),
-            ts_common::SimDuration::from_secs(20),
+        assert_eq!(c.quarantine, None);
+        assert_eq!(c.deadline, None);
+        let slo = SloSpec::new(
+            SimDuration::from_millis(500),
+            SimDuration::from_millis(50),
+            SimDuration::from_secs(20),
         );
+        let quarantine = Quarantine {
+            threshold: 2.0,
+            readmit_after: SimDuration::from_secs(3),
+        };
+        let deadline = Deadline { slo, scale: 2.0 };
         let c = c
-            .with_hedging(ts_common::SimDuration::from_millis(900))
+            .with_hedge(Hedge::after(SimDuration::from_millis(900)))
             .with_kv_retry_budget(4)
             .with_kv_retry_jitter(0.5)
-            .with_straggler_detection(2.0)
-            .with_straggler_readmit_after(ts_common::SimDuration::from_secs(3))
-            .with_deadlines(slo, 2.0)
+            .with_quarantine(quarantine)
+            .with_deadline(deadline)
             .with_fault_seed(7);
         assert_eq!(
-            c.hedge_timeout,
-            Some(ts_common::SimDuration::from_millis(900))
+            c.hedge,
+            Some(Hedge {
+                timeout: SimDuration::from_millis(900),
+                burn_gated: false
+            })
         );
         assert_eq!(c.kv_retry_budget, Some(4));
         assert_eq!(c.kv_retry_jitter, 0.5);
-        assert_eq!(c.straggler_threshold, Some(2.0));
-        assert_eq!(
-            c.straggler_readmit_after,
-            ts_common::SimDuration::from_secs(3)
-        );
-        assert_eq!(c.deadline_slo, Some(slo));
-        assert_eq!(c.deadline_scale, 2.0);
+        assert_eq!(c.quarantine, Some(quarantine));
+        assert_eq!(Quarantine::at(2.0).readmit_after, SimDuration::from_secs(5));
+        assert_eq!(c.deadline, Some(deadline));
         assert_eq!(c.fault_seed, 7);
+        assert!(c.validate().is_ok());
+    }
+
+    /// Runs `cfg` through both `Simulation` constructors on a one-pair
+    /// split plan and a one-replica colocated fleet, returning what each
+    /// made of it.
+    fn construct_both(cfg: SimConfig) -> [ts_common::Result<()>; 2] {
+        use crate::Simulation;
+        use ts_common::{
+            DeploymentPlan, GpuId, GroupSpec, ParallelConfig, Phase, RoutingMatrix, StageSpec,
+        };
+        let cluster = ts_cluster::presets::a5000_cluster(4);
+        let group = |phase, gpu| {
+            GroupSpec::new(
+                phase,
+                ParallelConfig::new(1, 1).unwrap(),
+                vec![StageSpec {
+                    gpus: vec![GpuId(gpu)],
+                    layers: cfg.model.num_layers,
+                }],
+            )
+            .unwrap()
+        };
+        let plan = DeploymentPlan::new(
+            vec![group(Phase::Prefill, 0), group(Phase::Decode, 1)],
+            RoutingMatrix::uniform(1, 1),
+        )
+        .unwrap();
+        let groups = [group(Phase::Prefill, 0)];
+        [
+            Simulation::new(&cluster, &plan, cfg.clone()).map(drop),
+            Simulation::colocated(&cluster, &groups, cfg).map(drop),
+        ]
+    }
+
+    fn assert_rejected(cfg: SimConfig) {
+        for got in construct_both(cfg) {
+            assert!(
+                matches!(got, Err(Error::InvalidConfig(_))),
+                "expected InvalidConfig, got {got:?}"
+            );
+        }
     }
 
     #[test]
-    #[should_panic]
+    fn valid_settings_build_on_both_topologies() {
+        let stream = ts_telemetry::StreamConfig::new(SloSpec::new(
+            SimDuration::from_millis(500),
+            SimDuration::from_millis(50),
+            SimDuration::from_secs(10),
+        ));
+        let cfg = SimConfig::new(ModelSpec::llama_7b())
+            .with_prefill_policy(PrefillPolicy::Chunked { chunk_tokens: 1 })
+            .with_quarantine(Quarantine::at(1.5))
+            .with_kv_retry_jitter(1.0)
+            .with_hedge(Hedge {
+                timeout: SimDuration::from_millis(400),
+                burn_gated: true,
+            })
+            .with_streaming(stream);
+        for got in construct_both(cfg) {
+            assert!(got.is_ok(), "{got:?}");
+        }
+    }
+
+    #[test]
     fn straggler_threshold_at_or_below_one_rejected() {
-        let _ = SimConfig::new(ModelSpec::llama_7b()).with_straggler_detection(1.0);
+        for threshold in [1.0, 0.5, f64::NAN, f64::INFINITY] {
+            assert_rejected(
+                SimConfig::new(ModelSpec::llama_7b()).with_quarantine(Quarantine::at(threshold)),
+            );
+        }
     }
 
     #[test]
-    #[should_panic]
     fn retry_jitter_above_one_rejected() {
-        let _ = SimConfig::new(ModelSpec::llama_7b()).with_kv_retry_jitter(1.5);
+        for jitter in [1.5, 5.0, -0.1, f64::NAN] {
+            assert_rejected(SimConfig::new(ModelSpec::llama_7b()).with_kv_retry_jitter(jitter));
+        }
+    }
+
+    #[test]
+    fn unusable_chunks_scales_and_gates_rejected() {
+        let c = SimConfig::new(ModelSpec::llama_7b());
+        let slo = SloSpec::new(
+            SimDuration::from_millis(500),
+            SimDuration::from_millis(50),
+            SimDuration::from_secs(20),
+        );
+        assert_rejected(
+            c.clone()
+                .with_prefill_policy(PrefillPolicy::Chunked { chunk_tokens: 0 }),
+        );
+        for scale in [-1.0, 0.0, f64::NAN, f64::INFINITY] {
+            assert_rejected(c.clone().with_deadline(Deadline { slo, scale }));
+        }
+        assert_rejected(c.with_hedge(Hedge {
+            timeout: SimDuration::from_millis(400),
+            burn_gated: true,
+        }));
     }
 }

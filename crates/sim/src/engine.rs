@@ -1,4 +1,4 @@
-//! The phase-split serving engine.
+//! The serving engine.
 //!
 //! Simulates a [`DeploymentPlan`] end to end: requests arrive at the
 //! coordinator, are routed to a (prefill, decode) replica pair by the
@@ -8,13 +8,16 @@
 //! generated. All durations come from [`ts_costmodel`]; all scheduling is
 //! deterministic.
 //!
-//! [`Simulation`] is a thin facade: the actual machinery — the shared
-//! event loop, routing, admission/shed policy and the whole fault layer —
-//! lives in [`crate::exec`], where it is shared with the colocated engine
-//! ([`crate::colocated::ColocatedSimulation`]). This type pins the
-//! phase-split topology ([`crate::exec::PrefillExecutor`] pools feeding
+//! [`Simulation`] is a thin facade over the shared machinery in
+//! [`crate::exec`]: the event loop, routing, admission/shed policy and the
+//! whole fault layer. Its two constructors pick the topology:
+//! [`Simulation::new`] builds the phase-split one
+//! ([`crate::exec::PrefillExecutor`] pools feeding
 //! [`crate::exec::DecodeExecutor`] pools over the KV-transfer fabric) and
-//! preserves the original public API.
+//! [`Simulation::colocated`] the vLLM/HexGen-style one
+//! ([`crate::exec::ColocatedExecutor`] replicas serving both phases). Both
+//! read the same [`SimConfig`] and reject, through one check, any setting
+//! that could not take effect.
 //!
 //! # Fault injection
 //!
@@ -37,32 +40,57 @@ use crate::exec::driver::Driver;
 use crate::fault::FaultScript;
 use crate::metrics::Metrics;
 use ts_cluster::Cluster;
-use ts_common::{DeploymentPlan, Request, Result};
+use ts_common::{DeploymentPlan, GroupSpec, Request, Result};
 #[cfg(test)]
 use ts_common::{SimDuration, SimTime};
 
-/// The phase-split discrete-event simulation.
-pub struct Simulation<'a> {
-    cluster: &'a Cluster,
+/// A discrete-event serving simulation, phase-split or colocated.
+pub struct Simulation {
     driver: Driver,
 }
 
-impl<'a> Simulation<'a> {
-    /// Builds a simulation for `plan` on `cluster`.
+impl Simulation {
+    /// Builds a phase-split simulation for `plan` on `cluster`.
     ///
     /// # Errors
-    /// Returns [`ts_common::Error::Infeasible`] if any group cannot hold the
-    /// model, and [`ts_common::Error::InvalidConfig`] for malformed routing.
-    pub fn new(cluster: &'a Cluster, plan: &DeploymentPlan, cfg: SimConfig) -> Result<Self> {
+    /// Returns [`ts_common::Error::InvalidConfig`] for a `cfg` setting that
+    /// could not take effect (listed on [`SimConfig`]) or for malformed
+    /// routing, and
+    /// [`ts_common::Error::Infeasible`] if any group cannot hold the model.
+    pub fn new(cluster: &Cluster, plan: &DeploymentPlan, cfg: SimConfig) -> Result<Self> {
+        cfg.validate()?;
         Ok(Simulation {
-            cluster,
             driver: Driver::new_split(cluster, plan, cfg)?,
         })
     }
 
-    /// The cluster this simulation runs on.
-    pub fn cluster(&self) -> &Cluster {
-        self.cluster
+    /// Builds a colocated simulation over `groups`, each replica serving
+    /// both phases on its own GPUs as vLLM- and HexGen-like systems do; the
+    /// groups' `phase` fields are ignored. Requests are routed proportional
+    /// to each replica's decode throughput capacity. When a replica has
+    /// both prefill and decode work, whole prefill batches run first under
+    /// `Fcfs` and `ShortestFirst` (vLLM's default prefill priority), so
+    /// long prompts stall ongoing decodes — the interference phase
+    /// splitting removes — while `Chunked` alternates prompt chunks with
+    /// decode steps ([`crate::config::PrefillPolicy`]).
+    ///
+    /// Fault scripts mean the same as on the phase-split engine, with the
+    /// same [`crate::metrics::RecoveryCounters`], so failure experiments
+    /// compare against colocated baselines on equal footing. A colocated
+    /// replica hosts both phases, so `PrefillDown(i)` and `DecodeDown(i)`
+    /// both mean "replica `i` dies" (likewise for `*Up`); link faults are
+    /// rejected because there is no inter-replica KV fabric.
+    ///
+    /// # Errors
+    /// Returns [`ts_common::Error::InvalidConfig`] for a `cfg` setting that
+    /// could not take effect (listed on [`SimConfig`]), and
+    /// [`ts_common::Error::Infeasible`]
+    /// if any group cannot hold the model or `groups` is empty.
+    pub fn colocated(cluster: &Cluster, groups: &[GroupSpec], cfg: SimConfig) -> Result<Self> {
+        cfg.validate()?;
+        Ok(Simulation {
+            driver: Driver::new_colocated(cluster, groups, cfg)?,
+        })
     }
 
     /// Runs the trace to completion and returns the metrics.
@@ -79,8 +107,8 @@ impl<'a> Simulation<'a> {
     ///
     /// # Errors
     /// Returns [`ts_common::Error::InvalidConfig`] for out-of-range replica
-    /// indices in the script, and [`ts_common::Error::Simulation`] on
-    /// invariant violations.
+    /// indices in the script (and link faults on a colocated simulation),
+    /// and [`ts_common::Error::Simulation`] on invariant violations.
     pub fn run_with_faults(
         &mut self,
         requests: &[Request],
@@ -315,7 +343,8 @@ mod tests {
         // *disaggregated* prefill replica. Everything still completes, and
         // determinism holds.
         let (cluster, plan, cfg) = testbed(presets::ETH_40GBPS);
-        let cfg = cfg.with_prefill_chunking(256);
+        let cfg =
+            cfg.with_prefill_policy(crate::config::PrefillPolicy::Chunked { chunk_tokens: 256 });
         let reqs = generate(
             &spec::coding(1.0),
             ts_common::SimDuration::from_secs(40),
@@ -951,6 +980,7 @@ mod fabric_tests {
 #[cfg(test)]
 mod gray_failure_tests {
     use super::*;
+    use crate::config::{Deadline, Hedge, Quarantine};
     use crate::fault::{FaultKind, FaultScript, TimedFault};
     use ts_cluster::presets;
     use ts_common::{
@@ -1078,9 +1108,10 @@ mod gray_failure_tests {
     #[test]
     fn straggler_is_quarantined_then_readmitted() {
         let (cluster, plan, cfg) = gray_testbed();
-        let cfg = cfg
-            .with_straggler_detection(2.0)
-            .with_straggler_readmit_after(SimDuration::from_secs(4));
+        let cfg = cfg.with_quarantine(Quarantine {
+            threshold: 2.0,
+            readmit_after: SimDuration::from_secs(4),
+        });
         let reqs = generate(&spec::fixed(512, 128, 1.5), SimDuration::from_secs(60), 43);
         // Decode 0 runs 6x slow from t=5 and heals at t=30: the detector
         // must quarantine it, probe it while still slow (re-quarantine), and
@@ -1129,9 +1160,10 @@ mod gray_failure_tests {
                 .unwrap()
         };
         let unmitigated = run(cfg.clone());
-        let mitigated = run(cfg
-            .with_straggler_detection(2.0)
-            .with_straggler_readmit_after(SimDuration::from_secs(60)));
+        let mitigated = run(cfg.with_quarantine(Quarantine {
+            threshold: 2.0,
+            readmit_after: SimDuration::from_secs(60),
+        }));
         let p99 = |m: &Metrics| m.latency_percentile(SloKind::E2e, 0.99).unwrap();
         assert!(
             p99(&mitigated) < p99(&unmitigated),
@@ -1159,7 +1191,9 @@ mod gray_failure_tests {
                 .unwrap()
         };
         let unhedged = run(cfg.clone());
-        let hedged = run(cfg.clone().with_hedging(SimDuration::from_millis(400)));
+        let hedged = run(cfg
+            .clone()
+            .with_hedge(Hedge::after(SimDuration::from_millis(400))));
         assert!(
             hedged.recovery().hedges_launched > 0,
             "stuck prefills must hedge: {:?}",
@@ -1184,7 +1218,7 @@ mod gray_failure_tests {
             p99(&unhedged)
         );
         // Deterministic across identical runs.
-        let again = run(cfg.with_hedging(SimDuration::from_millis(400)));
+        let again = run(cfg.with_hedge(Hedge::after(SimDuration::from_millis(400))));
         assert_eq!(hedged, again);
     }
 
@@ -1280,7 +1314,7 @@ mod gray_failure_tests {
             SimDuration::from_millis(80),
             SimDuration::from_secs(8),
         );
-        let cfg = cfg.with_deadlines(slo, 1.0);
+        let cfg = cfg.with_deadline(Deadline { slo, scale: 1.0 });
         let reqs = generate(&spec::coding(1.0), SimDuration::from_secs(60), 48);
         let script = FaultScript::new(
             vec![fault(

@@ -146,7 +146,7 @@ pub enum EventKind {
     /// The hedging timer for `request` matured: if its prefill or KV
     /// transfer is still outstanding, the engine launches a duplicate on an
     /// alternate replica pair (first completion wins). Only scheduled when
-    /// [`crate::config::SimConfig::hedge_timeout`] is set.
+    /// [`crate::config::SimConfig::hedge`] is set.
     HedgeCheck {
         /// The request whose progress the timer inspects.
         request: SlabKey,

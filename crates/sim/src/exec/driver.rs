@@ -44,17 +44,17 @@
 //!   against genuinely simultaneous rival events, so the coalesced loop
 //!   replays the exact same event interleaving the per-step loop would
 //!   have. The per-step path survives as a compatibility mode
-//!   ([`crate::config::SimConfig::decode_coalescing`] off, or a straggler
-//!   threshold active — the straggler detector needs per-step samples).
+//!   ([`crate::config::SimConfig::decode_coalescing`] off, or straggler
+//!   quarantine on — the detector needs per-step samples).
 
 use super::executor::{
-    ColocatedExecutor, ColocatedPolicy, DecodeExecutor, DecodePlan, DrainedWork, PrefillExecutor,
-    ReplicaExecutor, Work,
+    ColocatedExecutor, DecodeExecutor, DecodePlan, DrainedWork, PrefillExecutor, ReplicaExecutor,
+    Work,
 };
 use super::seq::{AdmitOutcome, Pending, PrefillJob, WaitingSeq};
 use crate::config::{
     KvTransfer, PrefillPolicy, SimConfig, KV_RETRY_BACKOFF_BASE, KV_RETRY_BACKOFF_CAP,
-    MAX_PREFILL_BATCH_TOKENS, STRAGGLER_MIN_SAMPLES,
+    STRAGGLER_MIN_SAMPLES,
 };
 use crate::event::{Event, EventKind, EventQueue};
 use crate::fault::{FaultKind, FaultScript, TimedFault};
@@ -351,17 +351,17 @@ impl Topology {
     }
 }
 
-/// The shared discrete-event driver behind [`crate::engine::Simulation`]
-/// and [`crate::colocated::ColocatedSimulation`].
+/// The shared discrete-event driver behind both topologies of
+/// [`crate::engine::Simulation`].
 pub(crate) struct Driver {
     core: Core,
     topo: Topology,
 }
 
 /// Whether coalesced decode plans are active: the config knob is on and no
-/// straggler threshold demands per-step iteration samples.
+/// straggler quarantine demands per-step iteration samples.
 fn coalescing_active(core: &Core) -> bool {
-    core.cfg.decode_coalescing && core.cfg.straggler_threshold.is_none()
+    core.cfg.decode_coalescing && core.cfg.quarantine.is_none()
 }
 
 impl Driver {
@@ -369,11 +369,6 @@ impl Driver {
     pub fn new_split(cluster: &Cluster, plan: &DeploymentPlan, cfg: SimConfig) -> Result<Self> {
         let prefill_idx = plan.prefill_indices();
         let decode_idx = plan.decode_indices();
-        // Insertion-sorted prefill queues replace the per-batch re-sort
-        // under pure shortest-first scheduling; chunked prefill keeps FCFS
-        // queues (take_chunk needs arrival order).
-        let sjf = cfg.prefill_policy == PrefillPolicy::ShortestFirst
-            && cfg.prefill_chunk_tokens.is_none();
         // Each group is priced with its own model's spec; on single-model
         // plans every group carries ModelId(0) and the catalog is empty, so
         // `spec_for` resolves to `cfg.model` exactly as before.
@@ -386,7 +381,7 @@ impl Driver {
                     &plan.groups[gi],
                     &cfg.params,
                 )?,
-                sjf,
+                cfg.prefill_policy,
             ));
         }
         let mut decodes = Vec::with_capacity(decode_idx.len());
@@ -500,21 +495,10 @@ impl Driver {
     /// Builds a colocated driver over `groups`, each serving both phases.
     /// Requests are routed proportional to each replica's decode
     /// throughput capacity.
-    pub fn new_colocated(
-        cluster: &Cluster,
-        groups: &[GroupSpec],
-        cfg: SimConfig,
-        policy: ColocatedPolicy,
-    ) -> Result<Self> {
+    pub fn new_colocated(cluster: &Cluster, groups: &[GroupSpec], cfg: SimConfig) -> Result<Self> {
         if groups.is_empty() {
             return Err(Error::Infeasible("no replicas".into()));
         }
-        // Chunked colocated scheduling interleaves take_chunk with decode
-        // turns and needs FCFS order; prefill-priority scheduling under
-        // shortest-first keeps its queue insertion-sorted instead of
-        // re-sorting per batch.
-        let sjf = cfg.prefill_policy == PrefillPolicy::ShortestFirst
-            && matches!(policy, ColocatedPolicy::PrefillPriority);
         let mut replicas = Vec::with_capacity(groups.len());
         let mut weights = Vec::with_capacity(groups.len());
         for g in groups {
@@ -522,7 +506,7 @@ impl Driver {
             let kv_capacity = cost.kv_capacity_tokens();
             // Route proportional to steady decode throughput at batch 32.
             weights.push(cost.decode_throughput(32.min(kv_capacity / 1024).max(1), 1024));
-            replicas.push(ColocatedExecutor::new(cost, policy, sjf));
+            replicas.push(ColocatedExecutor::new(cost, cfg.prefill_policy));
         }
         let n = replicas.len();
         let route = Route {
@@ -870,9 +854,9 @@ impl Driver {
         // on-time request is never shed. Re-prefills of sequences that
         // already produced their first token are exempt: their TTFT was
         // met.
-        if let Some(slo) = self.core.cfg.deadline_slo {
+        if let Some(d) = self.core.cfg.deadline {
             let ttft_met = st.pend.first_token_at.is_some();
-            let deadline = arrival + slo.ttft.mul_f64(self.core.cfg.deadline_scale);
+            let deadline = arrival + d.slo.ttft.mul_f64(d.scale);
             if !ttft_met && self.core.now > deadline {
                 reject_request(&mut self.core, job.key);
                 self.core.recovery.deadline_shed += 1;
@@ -922,9 +906,9 @@ impl Driver {
                     },
                 );
                 split_maybe_start_prefill(core, s, i);
-                if let Some(timeout) = core.cfg.hedge_timeout {
+                if let Some(h) = core.cfg.hedge {
                     core.queue
-                        .push(core.now + timeout, EventKind::HedgeCheck { request: key });
+                        .push(core.now + h.timeout, EventKind::HedgeCheck { request: key });
                 }
             }
             Topology::Colocated(c) => {
@@ -1451,11 +1435,10 @@ fn tracing(core: &Core) -> bool {
 }
 
 /// Whether burn-gated hedging currently *suppresses* a hedge launch: the
-/// knob is on and the streaming plane (if any) reports fully healthy SLO
-/// burn. With the knob off (the default) hedging behaviour is untouched
-/// and bit-identical.
+/// gate is on and the streaming plane reports fully healthy SLO burn.
+/// Ungated hedging (the default) is untouched and bit-identical.
 fn hedge_suppressed(core: &Core) -> bool {
-    if !core.cfg.burn_gated_hedging {
+    if !core.cfg.hedge.is_some_and(|h| h.burn_gated) {
         return false;
     }
     match core.stream.as_deref() {
@@ -1659,27 +1642,10 @@ fn split_maybe_start_prefill(core: &mut Core, s: &mut SplitState, i: usize) {
         }
         return;
     }
-    let (batch, total, avg_ctx) = if let Some(chunk) = core.cfg.prefill_chunk_tokens {
-        // Chunked prefill on a disaggregated prefill replica: bounded
-        // per-launch token count, Sarathi-style.
-        let (batch, tokens) = p.queue.take_chunk(chunk);
-        let avg = batch
-            .first()
-            .map(|j| j.tokens)
-            .unwrap_or_else(|| tokens.max(1));
-        (batch, tokens.max(1), avg)
-    } else {
-        // Recycle a retired batch buffer so steady-state launches do not
-        // allocate.
-        let mut batch = p.spare_batches.pop().unwrap_or_default();
-        let total = p.queue.take_batch_into(
-            MAX_PREFILL_BATCH_TOKENS,
-            core.cfg.prefill_policy,
-            &mut batch,
-        );
-        let avg = total / batch.len() as u64;
-        (batch, total, avg)
-    };
+    // Recycle a retired batch buffer so steady-state launches do not
+    // allocate.
+    let mut batch = p.spare_batches.pop().unwrap_or_default();
+    let (total, avg_ctx) = p.queue.take_launch(&mut batch);
     if tracing(core) {
         for job in &batch {
             // A hedge ghost (its request already resolved) prefills without
@@ -2861,9 +2827,9 @@ fn refresh_router(core: &mut Core) {
 /// EWMA at or above the threshold — unless doing so would leave some route
 /// with no live pair (a degraded replica still beats no replica).
 /// Quarantine masks the host out of routing, counts it, and schedules the
-/// readmission probe at `now + straggler_readmit_after`.
+/// readmission probe at `now + readmit_after`.
 fn observe_straggler(core: &mut Core, role: Role, replica: usize, ratio: f64) {
-    let Some(threshold) = core.cfg.straggler_threshold else {
+    let Some(quarantine) = core.cfg.quarantine else {
         return;
     };
     let prefill = role == Role::Prefill;
@@ -2879,7 +2845,8 @@ fn observe_straggler(core: &mut Core, role: Role, replica: usize, ratio: f64) {
         ALPHA * ratio + (1.0 - ALPHA) * g.slow_ewma[host]
     };
     g.slow_samples[host] = g.slow_samples[host].saturating_add(1);
-    let tripped = g.slow_samples[host] >= STRAGGLER_MIN_SAMPLES && g.slow_ewma[host] >= threshold;
+    let tripped =
+        g.slow_samples[host] >= STRAGGLER_MIN_SAMPLES && g.slow_ewma[host] >= quarantine.threshold;
     if !tripped {
         return;
     }
@@ -2887,7 +2854,7 @@ fn observe_straggler(core: &mut Core, role: Role, replica: usize, ratio: f64) {
         return;
     }
     core.gray.quarantined[host] = true;
-    let until = core.now + core.cfg.straggler_readmit_after;
+    let until = core.now + quarantine.readmit_after;
     core.gray.quarantine_until[host] = Some(until);
     core.recovery.quarantines += 1;
     trace(core, TraceKind::Quarantined { role, replica });
@@ -3059,11 +3026,10 @@ fn colo_maybe_start_work(core: &mut Core, c: &mut ColoState, ri: usize) {
     }
     let has_prefill = !r.prefill.is_empty();
     let has_decode = !r.batch.active.is_empty();
-    let run_decode = match r.policy {
-        ColocatedPolicy::PrefillPriority => !has_prefill && has_decode,
-        // Chunked: strictly alternate when both kinds of work exist.
-        ColocatedPolicy::Chunked { .. } => has_decode && (!has_prefill || r.decode_turn),
-    };
+    // Whole batches take priority over decode; chunks strictly alternate
+    // with decode steps when both kinds of work exist.
+    let chunked = matches!(core.cfg.prefill_policy, PrefillPolicy::Chunked { .. });
+    let run_decode = has_decode && (!has_prefill || (chunked && r.decode_turn));
     if run_decode {
         let batch = r.batch.active.len() as u64;
         trace(
@@ -3092,106 +3058,49 @@ fn colo_maybe_start_work(core: &mut Core, c: &mut ColoState, ri: usize) {
     if !has_prefill {
         return;
     }
-    match r.policy {
-        ColocatedPolicy::PrefillPriority => {
-            // Whole-request batch up to the token budget, under the
-            // configured queue discipline (FCFS by default).
-            let (batch, total) = r
-                .prefill
-                .take_batch(MAX_PREFILL_BATCH_TOKENS, core.cfg.prefill_policy);
-            if tracing(core) {
-                for job in &batch {
-                    let Some(st) = core.reqs.get(job.key) else {
-                        continue;
-                    };
-                    let request = st.req.id;
-                    trace(
-                        core,
-                        TraceKind::PrefillStart {
-                            request,
-                            role: Role::Colocated,
-                            replica: ri,
-                            tokens: job.tokens,
-                        },
-                    );
-                }
-            }
-            if sampling(core) {
-                let depth = r.prefill.queue.len();
-                trace(
-                    core,
-                    TraceKind::QueueDepth {
-                        role: Role::Colocated,
-                        replica: ri,
-                        depth,
-                    },
-                );
-            }
-            let avg = total / batch.len() as u64;
-            let mut latency = r.cost.prefill_latency(total, avg);
-            if r.slow_factor != 1.0 {
-                latency = latency.mul_f64(r.slow_factor);
-            }
-            r.current = Some(Work::Prefill { finishing: batch });
-            core.queue.push(
-                core.now + latency,
-                EventKind::WorkDone {
+    let mut finishing = Vec::new();
+    let (tokens, avg) = r.prefill.take_launch(&mut finishing);
+    if tracing(core) {
+        for job in &finishing {
+            let Some(st) = core.reqs.get(job.key) else {
+                continue;
+            };
+            let request = st.req.id;
+            trace(
+                core,
+                TraceKind::PrefillStart {
+                    request,
+                    role: Role::Colocated,
                     replica: ri,
-                    epoch: r.epoch(),
-                },
-            );
-        }
-        ColocatedPolicy::Chunked { chunk_tokens } => {
-            // Process up to chunk_tokens of the queue head(s); requests
-            // whose prompts finish within this chunk complete prefill.
-            let (finishing, tokens) = r.prefill.take_chunk(chunk_tokens);
-            if tracing(core) {
-                for job in &finishing {
-                    let Some(st) = core.reqs.get(job.key) else {
-                        continue;
-                    };
-                    let request = st.req.id;
-                    trace(
-                        core,
-                        TraceKind::PrefillStart {
-                            request,
-                            role: Role::Colocated,
-                            replica: ri,
-                            tokens: job.tokens,
-                        },
-                    );
-                }
-            }
-            if sampling(core) {
-                let depth = r.prefill.queue.len();
-                trace(
-                    core,
-                    TraceKind::QueueDepth {
-                        role: Role::Colocated,
-                        replica: ri,
-                        depth,
-                    },
-                );
-            }
-            let avg = finishing
-                .first()
-                .map(|f| f.tokens)
-                .unwrap_or_else(|| tokens.max(1));
-            let mut latency = r.cost.prefill_latency(tokens.max(1), avg);
-            if r.slow_factor != 1.0 {
-                latency = latency.mul_f64(r.slow_factor);
-            }
-            r.current = Some(Work::Prefill { finishing });
-            r.decode_turn = true;
-            core.queue.push(
-                core.now + latency,
-                EventKind::WorkDone {
-                    replica: ri,
-                    epoch: r.epoch(),
+                    tokens: job.tokens,
                 },
             );
         }
     }
+    if sampling(core) {
+        let depth = r.prefill.queue.len();
+        trace(
+            core,
+            TraceKind::QueueDepth {
+                role: Role::Colocated,
+                replica: ri,
+                depth,
+            },
+        );
+    }
+    let mut latency = r.cost.prefill_latency(tokens, avg);
+    if r.slow_factor != 1.0 {
+        latency = latency.mul_f64(r.slow_factor);
+    }
+    r.current = Some(Work::Prefill { finishing });
+    r.decode_turn = chunked;
+    core.queue.push(
+        core.now + latency,
+        EventKind::WorkDone {
+            replica: ri,
+            epoch: r.epoch(),
+        },
+    );
 }
 
 fn colo_on_work_done(core: &mut Core, c: &mut ColoState, ri: usize) -> Result<()> {
@@ -3255,6 +3164,7 @@ fn colo_on_work_done(core: &mut Core, c: &mut ColoState, ri: usize) -> Result<()
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::Quarantine;
     use ts_cluster::presets;
     use ts_common::{
         GpuId, ModelRouting, ModelSpec, ParallelConfig, Phase, RoutingMatrix, ServedModel,
@@ -3525,7 +3435,7 @@ mod tests {
             vec![fault(0.0, FaultKind::PrefillSlow(1, 8.0))],
             SimDuration::from_millis(200),
         );
-        let m = multi_testbed_with([1.0, 0.0], |cfg| cfg.straggler_threshold = Some(2.0))
+        let m = multi_testbed_with([1.0, 0.0], |cfg| cfg.quarantine = Some(Quarantine::at(2.0)))
             .run_with_faults(&requests(8, alternating), &slow)
             .unwrap();
         assert_eq!(m.num_completed(), 8);

@@ -10,28 +10,14 @@
 //!   (continuous batching over a [`BatchCore`]);
 //! * [`ColocatedExecutor`] — a vLLM/HexGen-style replica serving both
 //!   phases on one set of GPUs, with prefill-priority or chunked
-//!   scheduling ([`ColocatedPolicy`]).
+//!   scheduling ([`PrefillPolicy`]).
 
 use super::seq::{BatchCore, PrefillJob, PrefillQueue, ResumeState};
+use crate::config::PrefillPolicy;
 use crate::event::EventToken;
 use std::collections::VecDeque;
 use ts_common::{SimDuration, SimTime, SlabKey};
 use ts_costmodel::{DecodeStageSeries, ReplicaCostModel};
-
-/// Scheduling policy of a colocated replica.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ColocatedPolicy {
-    /// Whole prefill batches run before any decode step (vLLM's default
-    /// behaviour; long prompts stall ongoing decodes).
-    PrefillPriority,
-    /// Sarathi/vLLM-CP-style chunked prefill: prompt processing is split
-    /// into chunks of at most this many tokens, and a decode step runs
-    /// between chunks, bounding the decode stall per prompt.
-    Chunked {
-        /// Maximum prompt tokens processed per chunk.
-        chunk_tokens: u64,
-    },
-}
 
 /// What a colocated replica is currently executing.
 #[derive(Debug, Clone)]
@@ -180,12 +166,12 @@ pub struct PrefillExecutor {
 }
 
 impl PrefillExecutor {
-    /// A fresh, live executor over `cost`; `sjf` keeps its queue
-    /// insertion-sorted for shortest-first scheduling.
-    pub fn new(cost: ReplicaCostModel, sjf: bool) -> Self {
+    /// A fresh, live executor over `cost` whose queue is ordered for
+    /// `policy`.
+    pub fn new(cost: ReplicaCostModel, policy: PrefillPolicy) -> Self {
         PrefillExecutor {
             cost,
-            queue: PrefillQueue::new(sjf),
+            queue: PrefillQueue::new(policy),
             in_flight: VecDeque::new(),
             next_free: SimTime::ZERO,
             wakeup_scheduled: false,
@@ -348,8 +334,6 @@ pub struct ColocatedExecutor {
     pub current: Option<Work>,
     /// Under chunked scheduling, alternate prefill chunks and decode steps.
     pub decode_turn: bool,
-    /// Prefill-priority or chunked scheduling.
-    pub policy: ColocatedPolicy,
     /// Gray-failure straggler factor applied to both phases' iteration
     /// times (a colocated replica slows down as a whole; exactly 1.0 =
     /// healthy, skipped by the driver).
@@ -359,18 +343,16 @@ pub struct ColocatedExecutor {
 }
 
 impl ColocatedExecutor {
-    /// A fresh, live executor over `cost` with the given policy; `sjf`
-    /// keeps the prefill queue insertion-sorted for shortest-first
-    /// scheduling.
-    pub fn new(cost: ReplicaCostModel, policy: ColocatedPolicy, sjf: bool) -> Self {
+    /// A fresh, live executor over `cost` whose prefill queue is ordered
+    /// for `policy`.
+    pub fn new(cost: ReplicaCostModel, policy: PrefillPolicy) -> Self {
         let kv_capacity = cost.kv_capacity_tokens();
         ColocatedExecutor {
             cost,
-            prefill: PrefillQueue::new(sjf),
+            prefill: PrefillQueue::new(policy),
             batch: BatchCore::new(kv_capacity),
             current: None,
             decode_turn: false,
-            policy,
             slow_factor: 1.0,
             alive: true,
             epoch: 0,

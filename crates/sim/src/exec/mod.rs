@@ -1,11 +1,11 @@
 //! The phase-agnostic execution core.
 //!
-//! Both serving engines — the phase-split [`crate::engine::Simulation`] and
-//! the colocated [`crate::colocated::ColocatedSimulation`] — are thin
-//! facades over the layered machinery in this module:
+//! The serving engine [`crate::engine::Simulation`] is a thin facade over
+//! the layered machinery in this module; its two constructors pick the
+//! topology:
 //!
 //! ```text
-//!   Simulation / ColocatedSimulation        (facades: public API)
+//!   Simulation::new / Simulation::colocated   (facade: public API)
 //!                  │
 //!                  ▼
 //!            exec::Driver                   (one event loop: routing,
@@ -23,12 +23,13 @@
 //!        seq::{PrefillJob, ActiveSeq, …}     bookkeeping, one copy)
 //! ```
 //!
-//! The driver owns everything both engines share; the executors own what a
-//! single replica knows; [`seq`] owns the per-sequence types every layer
-//! passes around. Fault handling is written once in the driver against the
-//! [`ReplicaExecutor`] trait, which is why the colocated baselines support
-//! `run_with_faults` with the same [`crate::metrics::RecoveryCounters`]
-//! semantics as the phase-split engine.
+//! The driver owns everything both topologies share; the executors own
+//! what a single replica knows; [`seq`] owns the per-sequence types every
+//! layer passes around. Fault handling is written once in the driver
+//! against the [`ReplicaExecutor`] trait, which is why colocated baselines
+//! support `run_with_faults` with the same
+//! [`crate::metrics::RecoveryCounters`] semantics as the phase-split
+//! topology.
 
 pub mod executor;
 pub mod seq;
@@ -36,8 +37,7 @@ pub mod seq;
 pub(crate) mod driver;
 
 pub use executor::{
-    ColocatedExecutor, ColocatedPolicy, DecodeExecutor, DrainedWork, LostSeq, PrefillExecutor,
-    ReplicaExecutor, Work,
+    ColocatedExecutor, DecodeExecutor, DrainedWork, LostSeq, PrefillExecutor, ReplicaExecutor, Work,
 };
 pub use seq::{
     ActiveSeq, AdmitOutcome, BatchCore, Pending, PrefillJob, PrefillQueue, ResumeState, WaitingSeq,

@@ -18,7 +18,7 @@
 //! instead of a hash probe. The id (for traces and records) and the payload
 //! live in the slab entry.
 
-use crate::config::{PrefillPolicy, SimConfig, MAX_DECODE_BATCH};
+use crate::config::{PrefillPolicy, SimConfig, MAX_DECODE_BATCH, MAX_PREFILL_BATCH_TOKENS};
 use std::collections::VecDeque;
 use ts_common::{Request, SimDuration, SimTime, SlabKey};
 use ts_costmodel::ReplicaCostModel;
@@ -288,26 +288,24 @@ impl BatchCore {
 }
 
 /// A prefill work queue with chunked-prefill progress tracking, shared by
-/// prefill and colocated executors.
+/// prefill and colocated executors. Its [`PrefillPolicy`] is fixed at
+/// construction and decides both the queue order and what each launch
+/// takes.
 #[derive(Debug, Default)]
 pub struct PrefillQueue {
     /// Queued jobs: FCFS arrival order, or kept sorted by prompt length
-    /// (ties in arrival order) when `sjf` is set.
+    /// (ties in arrival order) under [`PrefillPolicy::ShortestFirst`].
     pub queue: VecDeque<PrefillJob>,
     /// Prompt tokens of the queue head already processed by earlier chunks.
     pub head_progress: u64,
-    /// Whether the queue maintains shortest-job-first order at insertion.
-    /// Set when the replica's policy is [`PrefillPolicy::ShortestFirst`]
-    /// and prefills are not chunked: insertion is a binary search instead
-    /// of an O(n log n) re-sort of the whole queue on every batch launch.
-    sjf: bool,
+    policy: PrefillPolicy,
 }
 
 impl PrefillQueue {
-    /// An empty queue; `sjf` keeps it insertion-sorted by prompt length.
-    pub fn new(sjf: bool) -> Self {
+    /// An empty queue scheduled under `policy`.
+    pub fn new(policy: PrefillPolicy) -> Self {
         PrefillQueue {
-            sjf,
+            policy,
             ..Default::default()
         }
     }
@@ -317,11 +315,11 @@ impl PrefillQueue {
         self.queue.is_empty()
     }
 
-    /// Enqueues `job`: appended under FCFS, binary-inserted after the last
-    /// job with the same or a shorter prompt under SJF — exactly the
-    /// position a stable sort by token count would give it.
+    /// Enqueues `job`: binary-inserted after the last job with the same or
+    /// a shorter prompt under shortest-first — exactly the position a
+    /// stable sort by token count would give it — and appended otherwise.
     pub fn enqueue(&mut self, job: PrefillJob) {
-        if self.sjf {
+        if self.policy == PrefillPolicy::ShortestFirst {
             let pos = self.queue.partition_point(|j| j.tokens <= job.tokens);
             self.queue.insert(pos, job);
         } else {
@@ -329,69 +327,49 @@ impl PrefillQueue {
         }
     }
 
-    /// Takes a whole-request batch under the token `budget`: FCFS (or
-    /// shortest-first under SJF, stable among equal prompt lengths) until
-    /// the next job would exceed the budget. At least one job is always
-    /// taken. Returns the batch and its total token count.
-    pub fn take_batch(&mut self, budget: u64, policy: PrefillPolicy) -> (Vec<PrefillJob>, u64) {
-        let mut batch = Vec::new();
-        let total = self.take_batch_into(budget, policy, &mut batch);
-        (batch, total)
-    }
-
-    /// [`PrefillQueue::take_batch`] into a caller-provided buffer (cleared
-    /// first), so steady-state batch formation can recycle one allocation
-    /// per replica instead of allocating per batch. Returns the total
-    /// prompt tokens taken.
-    pub fn take_batch_into(
-        &mut self,
-        budget: u64,
-        policy: PrefillPolicy,
-        batch: &mut Vec<PrefillJob>,
-    ) -> u64 {
-        if policy == PrefillPolicy::ShortestFirst && !self.sjf {
-            // Stable sort keeps arrival order among equal prompt lengths.
-            // (Executors built with the SJF flag maintain this order at
-            // insertion instead and skip the sort.)
-            self.queue.make_contiguous().sort_by_key(|j| j.tokens);
+    /// Takes the next launch's work into `jobs` (cleared first, so a
+    /// caller can recycle one buffer per replica): the jobs whose prefill
+    /// completes with this launch. Returns the prompt tokens the launch
+    /// processes and the context length to price it at.
+    ///
+    /// Under [`PrefillPolicy::Chunked`] the launch covers up to
+    /// `chunk_tokens` of the queue head(s), Sarathi-style: jobs whose
+    /// remaining tokens fit finish, a partially covered head records its
+    /// progress and stays queued. Otherwise it is a whole-request batch in
+    /// queue order until the next job would exceed
+    /// [`MAX_PREFILL_BATCH_TOKENS`]; at least one job is always taken.
+    pub fn take_launch(&mut self, jobs: &mut Vec<PrefillJob>) -> (u64, u64) {
+        jobs.clear();
+        let mut tokens = 0u64;
+        if let PrefillPolicy::Chunked { chunk_tokens } = self.policy {
+            while tokens < chunk_tokens {
+                let Some(front) = self.queue.front().copied() else {
+                    break;
+                };
+                let remaining = front.tokens - self.head_progress;
+                let room = chunk_tokens - tokens;
+                if remaining <= room {
+                    tokens += remaining;
+                    self.head_progress = 0;
+                    jobs.push(self.queue.pop_front().unwrap());
+                } else {
+                    self.head_progress += room;
+                    tokens += room;
+                    break;
+                }
+            }
+            let avg = jobs.first().map_or(tokens.max(1), |j| j.tokens);
+            return (tokens.max(1), avg);
         }
-        batch.clear();
-        let mut total = 0u64;
         while let Some(front) = self.queue.front() {
             let t = front.tokens;
-            if !batch.is_empty() && total + t > budget {
+            if !jobs.is_empty() && tokens + t > MAX_PREFILL_BATCH_TOKENS {
                 break;
             }
-            total += t;
-            batch.push(self.queue.pop_front().unwrap());
+            tokens += t;
+            jobs.push(self.queue.pop_front().unwrap());
         }
-        total
-    }
-
-    /// Takes up to `chunk_tokens` of the queue head(s), Sarathi-style: jobs
-    /// whose remaining tokens fit in the chunk finish their prefill, a
-    /// partially covered head records its progress and stays queued.
-    /// Returns the finishing jobs and the tokens processed this chunk.
-    pub fn take_chunk(&mut self, chunk_tokens: u64) -> (Vec<PrefillJob>, u64) {
-        let mut tokens = 0u64;
-        let mut finishing = Vec::new();
-        while tokens < chunk_tokens {
-            let Some(front) = self.queue.front().copied() else {
-                break;
-            };
-            let remaining = front.tokens - self.head_progress;
-            let room = chunk_tokens - tokens;
-            if remaining <= room {
-                tokens += remaining;
-                self.head_progress = 0;
-                finishing.push(self.queue.pop_front().unwrap());
-            } else {
-                self.head_progress += room;
-                tokens += room;
-                break;
-            }
-        }
-        (finishing, tokens)
+        (tokens, tokens / jobs.len() as u64)
     }
 
     /// Drains every queued job (fault evacuation), resetting chunk

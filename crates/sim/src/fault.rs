@@ -17,8 +17,8 @@
 //! # Colocated engines
 //!
 //! Because fault handling lives in the shared execution core
-//! ([`crate::exec`]), the same scripts drive
-//! [`crate::colocated::ColocatedSimulation::run_with_faults`]. A colocated
+//! ([`crate::exec`]), the same scripts drive a colocated simulation
+//! ([`crate::Simulation::colocated`]). A colocated
 //! replica hosts both phases, so [`FaultKind::PrefillDown`]`(i)` and
 //! [`FaultKind::DecodeDown`]`(i)` both mean "replica `i` dies" (and the
 //! `*Up` variants both revive it); [`FaultKind::Pause`] is

@@ -11,19 +11,23 @@
 //! we use one engine both for plan evaluation and for the "measured" side of
 //! every experiment.
 //!
-//! * [`config`] — simulation knobs (KV wire precision, batch budgets);
+//! * [`config`] — [`SimConfig`], the one config both topologies read: one
+//!   [`PrefillPolicy`], each paired mitigation knob as one typed value
+//!   ([`Quarantine`], [`Deadline`], [`Hedge`]), and one check, run by both
+//!   [`Simulation`] constructors, that rejects settings that could not
+//!   take effect;
 //! * [`event`] — the time-ordered event queue;
 //! * [`metrics`] — per-request records, SLO attainment and throughput;
 //! * [`router`] — deterministic stride router implementing a routing matrix;
 //! * [`exec`] — the phase-agnostic execution core: the shared event-loop
 //!   driver, the [`exec::ReplicaExecutor`] trait and its prefill / decode /
 //!   colocated implementations, and the per-sequence batching bookkeeping
-//!   both engines are built from;
-//! * [`engine`] — the phase-split engine ([`engine::Simulation`]), a facade
-//!   over [`exec`];
-//! * [`colocated`] — a prefill/decode-colocated engine for vLLM-like and
-//!   HexGen-like baselines (captures phase interference), the other facade
-//!   over [`exec`] — and therefore with the same fault-injection support;
+//!   both topologies are built from;
+//! * [`engine`] — [`engine::Simulation`], the one facade over [`exec`]:
+//!   [`Simulation::new`] builds the phase-split topology and
+//!   [`Simulation::colocated`] the prefill/decode-colocated one used for
+//!   vLLM-like and HexGen-like baselines (it captures phase interference),
+//!   with the same config, fault injection and observability;
 //! * [`estimate`] — the fast analytic SLO estimator the scheduler calls in
 //!   its inner loop (validated against the engine in Figure 19).
 //!
@@ -57,7 +61,8 @@
 //! assert_eq!(metrics.num_completed(), reqs.len());
 //! ```
 
-pub mod colocated;
+#[cfg(test)]
+mod colocated;
 pub mod config;
 pub mod engine;
 pub mod estimate;
@@ -67,8 +72,7 @@ pub mod fault;
 pub mod metrics;
 pub mod router;
 
-pub use colocated::{ColocatedPolicy, ColocatedSimulation};
-pub use config::{KvTransfer, SimConfig};
+pub use config::{Deadline, Hedge, KvTransfer, PrefillPolicy, Quarantine, SimConfig};
 pub use engine::Simulation;
 pub use estimate::{estimate_attainment, AttainmentEstimate};
 pub use fault::{FaultKind, FaultScript, TimedFault};

@@ -112,10 +112,9 @@ impl ModelConservation {
 /// Recovery bookkeeping accumulated by a fault-injected simulation run.
 ///
 /// All counters are zero for a run without faults, so `Metrics` equality
-/// (used by determinism tests) extends naturally. Both engines produce
-/// these with identical semantics — the phase-split
-/// [`crate::engine::Simulation`] and the colocated
-/// [`crate::colocated::ColocatedSimulation`] share one fault layer in
+/// (used by determinism tests) extends naturally. Both topologies produce
+/// these with identical semantics — [`crate::Simulation::new`] and
+/// [`crate::Simulation::colocated`] share one fault layer in
 /// [`crate::exec`] — so failure experiments can compare recovery behaviour
 /// across system architectures directly. (`kv_transfer_retries` stays zero
 /// for colocated runs: there are no inter-replica transfers to retry.)

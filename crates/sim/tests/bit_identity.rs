@@ -20,10 +20,9 @@ use ts_common::{
     Request, RequestId, RoutingMatrix, ServedModel, SimDuration, SimTime, SloKind, SloSpec,
     StageSpec,
 };
-use ts_sim::config::PrefillPolicy;
 use ts_sim::{
-    ColocatedPolicy, ColocatedSimulation, FaultKind, FaultScript, Metrics, SimConfig, Simulation,
-    TimedFault,
+    Deadline, FaultKind, FaultScript, Hedge, Metrics, PrefillPolicy, Quarantine, SimConfig,
+    Simulation, TimedFault,
 };
 
 // ---------------------------------------------------------------- digesting
@@ -295,19 +294,21 @@ fn gray_script() -> FaultScript {
 
 fn gray_cfg(model: ModelSpec) -> SimConfig {
     SimConfig::new(model)
-        .with_straggler_detection(1.5)
-        .with_straggler_readmit_after(SimDuration::from_secs(2))
-        .with_hedging(SimDuration::from_millis(400))
+        .with_quarantine(Quarantine {
+            threshold: 1.5,
+            readmit_after: SimDuration::from_secs(2),
+        })
+        .with_hedge(Hedge::after(SimDuration::from_millis(400)))
         .with_kv_retry_budget(2)
         .with_kv_retry_jitter(0.3)
-        .with_deadlines(
-            SloSpec::new(
+        .with_deadline(Deadline {
+            slo: SloSpec::new(
                 SimDuration::from_millis(2500),
                 SimDuration::from_millis(200),
                 SimDuration::from_secs(60),
             ),
-            4.0,
-        )
+            scale: 4.0,
+        })
 }
 
 /// Two tenants partitioning the 8×A5000 pool: model 1 on the first
@@ -389,12 +390,14 @@ fn run_matrix(edit: &dyn Fn(SimConfig) -> SimConfig) -> String {
     );
     digest("split_pair_f16", &m, &mut out);
 
+    // SJF never took effect in this arm: chunked prefill keeps arrival
+    // order, and the old config let both be named at once. The name stays
+    // so that golden_metrics.txt stays byte-identical.
     let (m, _) = run_split(
         &eight,
         edit(
             SimConfig::new(llama7())
-                .with_prefill_chunking(192)
-                .with_prefill_policy(PrefillPolicy::ShortestFirst)
+                .with_prefill_policy(PrefillPolicy::Chunked { chunk_tokens: 192 })
                 .with_tpot_cap(SimDuration::from_millis(60)),
         ),
         &mixed_requests(300, 9_000, 3),
@@ -486,14 +489,16 @@ fn run_matrix(edit: &dyn Fn(SimConfig) -> SimConfig) -> String {
         .collect();
     let reqs = mixed_requests(300, 10_000, 9);
     let mut sim =
-        ColocatedSimulation::new(&cluster, &groups, edit(SimConfig::new(model.clone()))).unwrap();
+        Simulation::colocated(&cluster, &groups, edit(SimConfig::new(model.clone()))).unwrap();
     digest("colo_base", &sim.run(&reqs).unwrap(), &mut out);
 
-    let mut sim = ColocatedSimulation::with_policy(
+    let mut sim = Simulation::colocated(
         &cluster,
         &groups,
-        edit(SimConfig::new(model.clone())),
-        ColocatedPolicy::Chunked { chunk_tokens: 128 },
+        edit(
+            SimConfig::new(model.clone())
+                .with_prefill_policy(PrefillPolicy::Chunked { chunk_tokens: 128 }),
+        ),
     )
     .unwrap();
     digest("colo_chunked", &sim.run(&reqs).unwrap(), &mut out);
@@ -517,7 +522,7 @@ fn run_matrix(edit: &dyn Fn(SimConfig) -> SimConfig) -> String {
         ],
         SimDuration::from_millis(50),
     );
-    let mut sim = ColocatedSimulation::new(&cluster, &groups, edit(SimConfig::new(model))).unwrap();
+    let mut sim = Simulation::colocated(&cluster, &groups, edit(SimConfig::new(model))).unwrap();
     digest(
         "colo_crash",
         &sim.run_with_faults(&mixed_requests(300, 20_000, 10), &script)

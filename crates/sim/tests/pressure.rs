@@ -14,7 +14,7 @@ use ts_common::{
     SimDuration, SimTime, SloSpec, StageSpec,
 };
 use ts_sim::{
-    ColocatedPolicy, ColocatedSimulation, FaultKind, FaultScript, Metrics, SimConfig, Simulation,
+    FaultKind, FaultScript, Hedge, Metrics, PrefillPolicy, Quarantine, SimConfig, Simulation,
     TimedFault,
 };
 use ts_telemetry::{PressureTally, StreamConfig, TraceLog};
@@ -116,18 +116,13 @@ fn run_split(cfg: SimConfig, reqs: &[Request], script: &FaultScript) -> Run {
     }
 }
 
-fn run_colocated(
-    cfg: SimConfig,
-    policy: ColocatedPolicy,
-    reqs: &[Request],
-    script: &FaultScript,
-) -> Run {
+fn run_colocated(cfg: SimConfig, reqs: &[Request], script: &FaultScript) -> Run {
     let layers = cfg.model.num_layers;
     let groups: Vec<GroupSpec> = (0..4)
         .map(|g| tp1_group(Phase::Prefill, g, layers))
         .collect();
     let cluster = presets::a5000_cluster(4);
-    let mut sim = ColocatedSimulation::with_policy(&cluster, &groups, cfg, policy).unwrap();
+    let mut sim = Simulation::colocated(&cluster, &groups, cfg).unwrap();
     let metrics = sim.run_with_faults(reqs, script).unwrap();
     Run {
         metrics,
@@ -235,9 +230,11 @@ fn split_engine_tally_matches_the_log() {
 fn straggler_with_hedging_tally_matches_the_log() {
     let reqs = requests(4.0, 9);
     let cfg = SimConfig::new(ModelSpec::llama_7b())
-        .with_hedging(SimDuration::from_millis(400))
-        .with_straggler_detection(1.5)
-        .with_straggler_readmit_after(SimDuration::from_secs(2));
+        .with_hedge(Hedge::after(SimDuration::from_millis(400)))
+        .with_quarantine(Quarantine {
+            threshold: 1.5,
+            readmit_after: SimDuration::from_secs(2),
+        });
     let run = check(
         "split straggler",
         |c| run_split(c, &reqs, &straggler_script()),
@@ -266,14 +263,14 @@ fn colocated_engine_tally_matches_the_log() {
         SimDuration::from_millis(50),
     );
     for policy in [
-        ColocatedPolicy::PrefillPriority,
-        ColocatedPolicy::Chunked { chunk_tokens: 256 },
+        PrefillPolicy::Fcfs,
+        PrefillPolicy::Chunked { chunk_tokens: 256 },
     ] {
         for script in [FaultScript::none(), crash.clone()] {
             check(
                 &format!("colocated {policy:?}, {} faults", script.faults.len()),
-                |c| run_colocated(c, policy, &reqs, &script),
-                cfg.clone(),
+                |c| run_colocated(c, &reqs, &script),
+                cfg.clone().with_prefill_policy(policy),
             );
         }
     }

@@ -9,7 +9,7 @@
 //! 2. **Online == post-hoc** — the quantiles the [`StreamingPlane`]
 //!    accumulates incrementally from driver events match the exact
 //!    percentiles recomputed after the fact from the `TraceLog` spans.
-//! 3. **Burn-gated hedging** — with `burn_gated_hedging` on, hedges are
+//! 3. **Burn-gated hedging** — with `Hedge::burn_gated` on, hedges are
 //!    suppressed while the SLO burn-rate monitor reports `Healthy` and
 //!    re-enabled once the error budget burns.
 
@@ -18,7 +18,7 @@ use ts_common::{
     DeploymentPlan, GpuId, GroupSpec, ModelSpec, ParallelConfig, Phase, RoutingMatrix, SimDuration,
     SimTime, SloKind, SloSpec, StageSpec,
 };
-use ts_sim::{FaultKind, FaultScript, Metrics, SimConfig, Simulation, TimedFault};
+use ts_sim::{FaultKind, FaultScript, Hedge, Metrics, SimConfig, Simulation, TimedFault};
 use ts_telemetry::StreamConfig;
 use ts_workload::{generator::generate, spec};
 
@@ -186,7 +186,12 @@ fn burn_gated_hedging_follows_health_signal() {
             .run_with_faults(&reqs, &script)
             .unwrap()
     };
-    let hedged = |c: SimConfig| run(c.with_hedging(SimDuration::from_millis(400)));
+    let hedged = |c: SimConfig, burn_gated: bool| {
+        run(c.with_hedge(Hedge {
+            timeout: SimDuration::from_millis(400),
+            burn_gated,
+        }))
+    };
 
     let generous = SloSpec::new(
         SimDuration::from_secs(1000),
@@ -200,11 +205,14 @@ fn burn_gated_hedging_follows_health_signal() {
     );
 
     // Baseline: plain hedging fires against the straggler.
-    let plain = hedged(cfg.clone());
+    let plain = hedged(cfg.clone(), false);
     assert!(plain.recovery().hedges_launched > 0);
 
     // Streaming on but the gate off: observation alone must not suppress.
-    let observed = hedged(cfg.clone().with_streaming(StreamConfig::new(generous)));
+    let observed = hedged(
+        cfg.clone().with_streaming(StreamConfig::new(generous)),
+        false,
+    );
     assert_eq!(
         observed.recovery().hedges_launched,
         plain.recovery().hedges_launched,
@@ -214,9 +222,8 @@ fn burn_gated_hedging_follows_health_signal() {
     // Gate on with a generous SLO: nothing ever misses, the monitor stays
     // Healthy, and every hedge is suppressed.
     let suppressed = hedged(
-        cfg.clone()
-            .with_streaming(StreamConfig::new(generous))
-            .with_burn_gated_hedging(true),
+        cfg.clone().with_streaming(StreamConfig::new(generous)),
+        true,
     );
     assert_eq!(
         suppressed.recovery().hedges_launched,
@@ -232,10 +239,7 @@ fn burn_gated_hedging_follows_health_signal() {
 
     // Gate on with an unattainable SLO: the budget burns immediately, the
     // signal leaves Healthy, and hedging fires as usual.
-    let burning = hedged(
-        cfg.with_streaming(StreamConfig::new(tight))
-            .with_burn_gated_hedging(true),
-    );
+    let burning = hedged(cfg.with_streaming(StreamConfig::new(tight)), true);
     assert!(
         burning.recovery().hedges_launched > 0,
         "a burning SLO budget must re-enable hedges: {:?}",

@@ -7,7 +7,6 @@
 
 use thunderserve::baselines::{DistServePlanner, VllmPlanner};
 use thunderserve::prelude::*;
-use thunderserve::sim::colocated::ColocatedSimulation;
 use thunderserve::workload::generator::generate;
 use thunderserve::workload::spec;
 
@@ -65,7 +64,7 @@ fn main() -> thunderserve::Result<()> {
     // vLLM-like on the A100 box.
     let groups = VllmPlanner::new().plan(&inhouse, &model)?;
     let n = groups.len();
-    let vl = ColocatedSimulation::new(&inhouse, &groups, SimConfig::new(model))?.run(&trace)?;
+    let vl = Simulation::colocated(&inhouse, &groups, SimConfig::new(model))?.run(&trace)?;
     report("vLLM (in-house)", &inhouse.price_per_hour(), &vl, &slo, n);
 
     println!(

@@ -162,7 +162,6 @@ fn main() -> thunderserve::Result<()> {
     println!("\nColocated vLLM-like baseline (one of four replicas dies at t=60s):");
     {
         use thunderserve::baselines::VllmPlanner;
-        use thunderserve::sim::colocated::ColocatedSimulation;
         use thunderserve::sim::fault::{FaultKind, FaultScript, TimedFault};
 
         let cluster = thunderserve::cluster::presets::paper_inhouse_cluster();
@@ -181,7 +180,7 @@ fn main() -> thunderserve::Result<()> {
             } else {
                 script.without_recovery()
             };
-            let m = ColocatedSimulation::new(&cluster, &groups, SimConfig::new(model.clone()))?
+            let m = Simulation::colocated(&cluster, &groups, SimConfig::new(model.clone()))?
                 .run_with_faults(&reqs, &script)?;
             println!(
                 "{name}: completed {}/{} | lost {} | requeued {} | re-prefilled {} toks | \
@@ -213,6 +212,7 @@ fn main() -> thunderserve::Result<()> {
     println!("\nGray failure (one decode replica runs 6x slow from t=30s, nobody dies):");
     {
         use thunderserve::common::{RoutingMatrix, StageSpec};
+        use thunderserve::sim::config::{Hedge, Quarantine};
         use thunderserve::sim::engine::Simulation;
         use thunderserve::sim::fault::{FaultKind, FaultScript, TimedFault};
 
@@ -251,8 +251,8 @@ fn main() -> thunderserve::Result<()> {
         for (name, mitigate) in [("hedging off    ", false), ("hedging on     ", true)] {
             let cfg = SimConfig::new(model.clone());
             let cfg = if mitigate {
-                cfg.with_straggler_detection(1.5)
-                    .with_hedging(SimDuration::from_millis(400))
+                cfg.with_quarantine(Quarantine::at(1.5))
+                    .with_hedge(Hedge::after(SimDuration::from_millis(400)))
             } else {
                 cfg
             };

@@ -3,7 +3,6 @@
 
 use thunderserve::baselines::HexGenPlanner;
 use thunderserve::prelude::*;
-use thunderserve::sim::colocated::ColocatedSimulation;
 use thunderserve::workload::generator::generate;
 use thunderserve::workload::spec;
 
@@ -40,7 +39,7 @@ fn phase_splitting_removes_interference() {
     let groups = HexGenPlanner::new()
         .plan(&cluster, &model, &workload)
         .unwrap();
-    let colocated = ColocatedSimulation::new(&cluster, &groups, SimConfig::new(model))
+    let colocated = Simulation::colocated(&cluster, &groups, SimConfig::new(model))
         .unwrap()
         .run(&reqs)
         .unwrap();

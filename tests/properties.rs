@@ -320,7 +320,21 @@ fn block_allocator_invariants() {
     }
 }
 
-/// The simulator conserves requests for arbitrary small workloads.
+/// A prefill policy for a conservation case: FCFS, shortest-first, or
+/// chunked at 1 to 512 tokens per launch.
+fn draw_prefill_policy(rng: &mut impl Rng) -> thunderserve::sim::PrefillPolicy {
+    use thunderserve::sim::PrefillPolicy;
+    match rng.gen_range(0..3) {
+        0 => PrefillPolicy::Fcfs,
+        1 => PrefillPolicy::ShortestFirst,
+        _ => PrefillPolicy::Chunked {
+            chunk_tokens: rng.gen_range(1..=512),
+        },
+    }
+}
+
+/// The simulator conserves requests for arbitrary small workloads under
+/// every prefill policy.
 #[test]
 fn simulator_conserves_requests() {
     let cluster = thunderserve::cluster::presets::network_case_cluster(
@@ -372,17 +386,19 @@ fn simulator_conserves_requests() {
             .collect();
         let mut sorted = reqs;
         sorted.sort_by_key(|r| r.arrival);
+        let policy = draw_prefill_policy(&mut rng);
         let metrics = thunderserve::sim::engine::Simulation::new(
             &cluster,
             &plan,
-            thunderserve::sim::config::SimConfig::new(model.clone()),
+            thunderserve::sim::config::SimConfig::new(model.clone()).with_prefill_policy(policy),
         )
         .unwrap()
         .run(&sorted)
         .unwrap();
         assert_eq!(
             metrics.num_completed() + metrics.num_dropped(),
-            sorted.len()
+            sorted.len(),
+            "case {case} under {policy:?}"
         );
         for r in metrics.records() {
             assert!(r.finished_at >= r.first_token_at);
@@ -398,7 +414,7 @@ fn simulator_conserves_requests() {
 /// this sweeps the colocated paths.)
 #[test]
 fn colocated_simulator_conserves_requests() {
-    use thunderserve::sim::colocated::ColocatedSimulation;
+    use thunderserve::sim::engine::Simulation;
     use thunderserve::sim::fault::{FaultKind, FaultScript, TimedFault};
     let cluster = thunderserve::cluster::presets::paper_inhouse_cluster();
     let model = thunderserve::common::ModelSpec::llama_30b();
@@ -467,10 +483,11 @@ fn colocated_simulator_conserves_requests() {
             )
             .without_recovery(),
         };
-        let metrics = ColocatedSimulation::new(
+        let policy = draw_prefill_policy(&mut rng);
+        let metrics = Simulation::colocated(
             &cluster,
             &groups,
-            thunderserve::sim::config::SimConfig::new(model.clone()),
+            thunderserve::sim::config::SimConfig::new(model.clone()).with_prefill_policy(policy),
         )
         .unwrap()
         .run_with_faults(&reqs, &script)
@@ -478,7 +495,7 @@ fn colocated_simulator_conserves_requests() {
         assert_eq!(
             metrics.num_completed() + metrics.num_dropped() + metrics.num_rejected(),
             reqs.len(),
-            "case {case}: conservation violated ({:?})",
+            "case {case} under {policy:?}: conservation violated ({:?})",
             metrics.recovery()
         );
         for r in metrics.records() {
@@ -495,7 +512,7 @@ fn colocated_simulator_conserves_requests() {
 /// bit-identical.
 #[test]
 fn gray_failures_conserve_requests() {
-    use thunderserve::sim::config::SimConfig;
+    use thunderserve::sim::config::{Deadline, Hedge, Quarantine, SimConfig};
     use thunderserve::sim::engine::Simulation;
     use thunderserve::sim::fault::{FaultKind, FaultScript, TimedFault};
     let cluster = thunderserve::cluster::presets::network_case_cluster(
@@ -557,9 +574,10 @@ fn gray_failures_conserve_requests() {
                     )],
                     SimDuration::from_millis(500),
                 ),
-                SimConfig::new(model.clone())
-                    .with_straggler_detection(1.5)
-                    .with_straggler_readmit_after(SimDuration::from_secs(3)),
+                SimConfig::new(model.clone()).with_quarantine(Quarantine {
+                    threshold: 1.5,
+                    readmit_after: SimDuration::from_secs(3),
+                }),
             ),
             1 => (
                 FaultScript::new(
@@ -607,18 +625,20 @@ fn gray_failures_conserve_requests() {
                     SimDuration::from_millis(rng.gen_range(200..1000)),
                 ),
                 SimConfig::new(model.clone())
-                    .with_straggler_detection(1.5)
-                    .with_hedging(SimDuration::from_millis(rng.gen_range(200..800)))
+                    .with_quarantine(Quarantine::at(1.5))
+                    .with_hedge(Hedge::after(SimDuration::from_millis(
+                        rng.gen_range(200..800),
+                    )))
                     .with_kv_retry_budget(2)
                     .with_kv_retry_jitter(0.5)
-                    .with_deadlines(
-                        thunderserve::common::SloSpec::new(
+                    .with_deadline(Deadline {
+                        slo: thunderserve::common::SloSpec::new(
                             SimDuration::from_millis(rng.gen_range(300..2000)),
                             SimDuration::from_millis(80),
                             SimDuration::from_secs(20),
                         ),
-                        rng.gen_range(1.0..4.0),
-                    ),
+                        scale: rng.gen_range(1.0..4.0),
+                    }),
             ),
         };
         let run = || {
@@ -788,8 +808,7 @@ fn single_model_metrics_survive_the_catalog_bit_identically() {
     use thunderserve::common::{
         DeploymentPlan, GroupSpec, ModelId, ParallelConfig, RoutingMatrix, ServedModel, StageSpec,
     };
-    use thunderserve::sim::colocated::ColocatedSimulation;
-    use thunderserve::sim::config::SimConfig;
+    use thunderserve::sim::config::{Hedge, Quarantine, SimConfig};
     use thunderserve::sim::engine::Simulation;
     use thunderserve::sim::fault::{FaultKind, FaultScript, TimedFault};
     let cluster = thunderserve::cluster::presets::network_case_cluster(
@@ -854,8 +873,8 @@ fn single_model_metrics_survive_the_catalog_bit_identically() {
             let mut c = SimConfig::new(model.clone());
             if case % 3 == 2 {
                 c = c
-                    .with_straggler_detection(1.5)
-                    .with_hedging(SimDuration::from_millis(400));
+                    .with_quarantine(Quarantine::at(1.5))
+                    .with_hedge(Hedge::after(SimDuration::from_millis(400)));
             }
             c
         };
@@ -895,11 +914,11 @@ fn single_model_metrics_survive_the_catalog_bit_identically() {
         // Colocated engine: skip the split-only fault arms' replica indices
         // when they exceed the two colocated replicas (they don't here).
         check(
-            ColocatedSimulation::new(&cluster, &colo_groups, base())
+            Simulation::colocated(&cluster, &colo_groups, base())
                 .unwrap()
                 .run_with_faults(&reqs, &script)
                 .unwrap(),
-            ColocatedSimulation::new(&cluster, &colo_groups, tagged())
+            Simulation::colocated(&cluster, &colo_groups, tagged())
                 .unwrap()
                 .run_with_faults(&reqs, &script)
                 .unwrap(),

@@ -14,7 +14,9 @@
 //!    prefill start/end balanced and properly nested.
 
 use thunderserve::prelude::*;
-use thunderserve::sim::{ColocatedSimulation, FaultKind, FaultScript, TimedFault, TraceLog};
+use thunderserve::sim::{
+    Deadline, FaultKind, FaultScript, Hedge, Quarantine, TimedFault, TraceLog,
+};
 use thunderserve::telemetry::TraceKind;
 use thunderserve::workload::{generator::generate, spec};
 use ts_cluster::presets;
@@ -129,7 +131,7 @@ fn colocated_metrics_are_bit_identical_and_traced() {
     let cfg = SimConfig::new(model);
     let reqs = generate(&spec::conversation(1.0), SimDuration::from_secs(40), 52);
     let run = |cfg: SimConfig| {
-        let mut sim = ColocatedSimulation::new(&cluster, &groups, cfg).unwrap();
+        let mut sim = Simulation::colocated(&cluster, &groups, cfg).unwrap();
         let m = sim.run(&reqs).unwrap();
         (m, sim.take_trace())
     };
@@ -244,9 +246,11 @@ fn gray_mitigation_events_nest_inside_request_spans() {
     )
     .unwrap();
     let cfg = SimConfig::new(model)
-        .with_hedging(SimDuration::from_millis(400))
-        .with_straggler_detection(2.0)
-        .with_straggler_readmit_after(SimDuration::from_secs(4));
+        .with_hedge(Hedge::after(SimDuration::from_millis(400)))
+        .with_quarantine(Quarantine {
+            threshold: 2.0,
+            readmit_after: SimDuration::from_secs(4),
+        });
     let reqs = generate(&spec::coding(1.5), SimDuration::from_secs(60), 55);
     let fault = |at_s: f64, kind| TimedFault {
         at: SimTime::from_secs_f64(at_s),
@@ -336,7 +340,9 @@ fn deadline_shed_terminates_the_span() {
         SimDuration::from_millis(80),
         SimDuration::from_secs(8),
     );
-    let cfg = cfg.with_deadlines(slo, 1.0).with_telemetry(true);
+    let cfg = cfg
+        .with_deadline(Deadline { slo, scale: 1.0 })
+        .with_telemetry(true);
     let reqs = generate(&spec::coding(1.0), SimDuration::from_secs(60), 56);
     let fault = |at_s: f64, kind| TimedFault {
         at: SimTime::from_secs_f64(at_s),
