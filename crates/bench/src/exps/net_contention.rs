@@ -130,6 +130,25 @@ mod tests {
         );
     }
 
+    /// Both 1.0 req/s arms end on a fabric completion estimate that a
+    /// later fabric change superseded: the makespan is that estimate, not
+    /// the last request's finish. Pinned bit-exactly.
+    #[test]
+    fn makespan_includes_superseded_fabric_estimates() {
+        for (p, horizon_us, rps_bits) in [
+            (
+                KvWirePrecision::DEFAULT_COMPRESSED,
+                239_634_097,
+                0x3ff0_0641_187a_d4b6,
+            ),
+            (KvWirePrecision::F16, 393_648_940, 0x3fe3_8280_3d75_ee0f),
+        ] {
+            let m = arm(1.0, p, true, false);
+            assert_eq!(m.horizon().as_micros(), horizon_us, "{p:?}");
+            assert_eq!(m.throughput_rps().to_bits(), rps_bits, "{p:?}");
+        }
+    }
+
     #[test]
     fn legacy_model_keeps_wire_time_load_independent() {
         // The counterpoint that motivates the fabric: under per-sender

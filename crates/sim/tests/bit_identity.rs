@@ -530,6 +530,25 @@ fn run_matrix(edit: &dyn Fn(SimConfig) -> SimConfig) -> String {
         &mut out,
     );
 
+    // -- split engine, flow fabric under faults --------------------------
+    // The link fault kills in-flight flows, the gray script degrades a
+    // path live and hedges cancel stuck flows.
+    let (m, _) = run_split(
+        &eight,
+        edit(SimConfig::new(llama7()).with_network_contention(true)),
+        &mixed_requests(400, 30_000, 6),
+        &crash_script(),
+    );
+    digest("split_fabric_crash", &m, &mut out);
+
+    let (m, _) = run_split(
+        &eight,
+        edit(gray_cfg(llama7()).with_network_contention(true)),
+        &mixed_requests(400, 25_000, 7),
+        &gray_script(),
+    );
+    digest("split_fabric_gray", &m, &mut out);
+
     out
 }
 
