@@ -14,7 +14,7 @@
 use ts_cluster::presets;
 use ts_common::{GpuId, ModelSpec, SimTime};
 use ts_kvcache::codec::{KvCodec, KvWirePrecision};
-use ts_net::{FlowEstimate, FlowFabric, FlowPoll};
+use ts_net::FlowFabric;
 
 const FLOW_SWEEP: [usize; 5] = [1, 2, 4, 8, 16];
 const TOKENS: u64 = 1024;
@@ -33,30 +33,16 @@ fn drain(n: usize, codec: &KvCodec) -> Vec<SimTime> {
     let cluster = presets::network_case_cluster(presets::ETH_5GBPS);
     let mut fabric = FlowFabric::from_cluster(&cluster);
     let bytes = codec.wire_bytes(TOKENS) as f64;
-    let mut events: Vec<FlowEstimate> = Vec::new();
     for i in 0..n {
         let from = GpuId((i % 4) as u32);
         let to = GpuId(4 + (i % 4) as u32);
-        events = fabric.start(i as u64, from, to, bytes, SimTime::ZERO);
+        fabric.start(i as u64, from, to, bytes, SimTime::ZERO);
     }
     let mut done = vec![SimTime::ZERO; n];
-    while !fabric.is_empty() {
-        // Pop the earliest pending estimate, exactly like the event queue.
-        let idx = events
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, e)| e.done_at)
-            .map(|(i, _)| i)
-            .expect("active flows must have pending events");
-        let e = events.swap_remove(idx);
-        match fabric.poll(e.key, e.epoch, e.done_at) {
-            FlowPoll::Stale => {}
-            FlowPoll::InFlight(next) => events.push(next),
-            FlowPoll::Done(rest) => {
-                done[e.key as usize] = e.done_at;
-                events = rest;
-            }
-        }
+    // Complete the earliest-due flow, exactly like the simulator's timer.
+    while let Some((at, key)) = fabric.next_due() {
+        fabric.complete_due(at);
+        done[key as usize] = at;
     }
     done
 }

@@ -15,10 +15,11 @@ use crate::exps::network::disaggregated_plan;
 use crate::harness::{self};
 use crate::table::Table;
 use ts_cluster::presets;
-use ts_common::{ModelSpec, SloKind};
+use ts_common::{ModelSpec, Request, SloKind};
 use ts_kvcache::codec::KvWirePrecision;
 use ts_sim::config::SimConfig;
 use ts_sim::metrics::Metrics;
+use ts_sim::Simulation;
 
 /// Arrival rates swept (req/s): each transfer is ~0.3 s (4-bit) to ~1.3 s
 /// (fp16) at 5 Gbps, so the low rate barely overlaps and the high rate
@@ -48,8 +49,13 @@ pub fn mean_kv_times(m: &Metrics) -> (f64, f64) {
     )
 }
 
-/// Runs one arm of the sweep.
-pub fn arm(rate: f64, precision: KvWirePrecision, contention: bool, quick: bool) -> Metrics {
+/// Builds one arm of the sweep: the simulation and its request trace.
+fn setup(
+    rate: f64,
+    precision: KvWirePrecision,
+    contention: bool,
+    quick: bool,
+) -> (Simulation, Vec<Request>) {
     let model = ModelSpec::llama_13b();
     let cluster = presets::network_case_cluster(presets::ETH_5GBPS);
     let plan = disaggregated_plan(&model);
@@ -57,7 +63,14 @@ pub fn arm(rate: f64, precision: KvWirePrecision, contention: bool, quick: bool)
         .with_kv_precision(precision)
         .with_network_contention(contention);
     let w = ts_workload::spec::fixed(1024, 32, rate);
-    harness::run_phase_split(&cluster, &plan, cfg, &harness::trace(&w, quick, 41)).unwrap()
+    let sim = Simulation::new(&cluster, &plan, cfg).unwrap();
+    (sim, harness::trace(&w, quick, 41))
+}
+
+/// Runs one arm of the sweep.
+pub fn arm(rate: f64, precision: KvWirePrecision, contention: bool, quick: bool) -> Metrics {
+    let (mut sim, reqs) = setup(rate, precision, contention, quick);
+    sim.run(&reqs).unwrap()
 }
 
 /// Runs the contention sweep.
@@ -147,6 +160,16 @@ mod tests {
             assert_eq!(m.horizon().as_micros(), horizon_us, "{p:?}");
             assert_eq!(m.throughput_rps().to_bits(), rps_bits, "{p:?}");
         }
+    }
+
+    /// The overloaded fp16 arm keeps many flows on the link at once; one
+    /// fabric timer keeps it at about four events per request.
+    #[test]
+    fn overloaded_fabric_dispatches_a_pinned_event_count() {
+        let (mut sim, reqs) = setup(1.6, KvWirePrecision::F16, true, false);
+        sim.run(&reqs).unwrap();
+        assert_eq!(reqs.len(), 386);
+        assert_eq!(sim.events_processed(), 1_595);
     }
 
     #[test]

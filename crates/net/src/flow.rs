@@ -2,13 +2,11 @@
 //!
 //! [`FlowFabric`] tracks every in-flight transfer as a fluid flow with a
 //! remaining byte count and a one-shot startup latency (alpha). Whenever
-//! the set of active flows changes, the max-min fair allocation is
-//! recomputed and **every** flow's completion time re-estimated; the caller
-//! schedules one completion event per estimate and uses the carried epoch
-//! to discard estimates that a later change superseded. Epochs are drawn
-//! from a fabric-global monotonic counter, so an event scheduled for an
-//! earlier incarnation of a reused flow key can never be mistaken for a
-//! current one.
+//! the set of active flows or the link capacities change, the max-min fair
+//! allocation is recomputed and **every** flow's completion time
+//! re-estimated. The caller keeps one timer at
+//! [`FlowFabric::next_due`], re-armed after each change, and completes
+//! flows with [`FlowFabric::complete_due`] when it fires.
 
 use std::collections::BTreeMap;
 
@@ -18,45 +16,16 @@ use ts_telemetry::{LinkKind, Recorder, TraceEvent, TraceKind, TraceSink};
 use crate::topology::FabricTopology;
 
 /// Residual byte count below which a flow counts as drained. Completion
-/// events are scheduled with ceiling rounding to whole microseconds, so at
-/// the event's timestamp the true residual is at most one microsecond of
-/// float error — far below this threshold for any realistic rate.
+/// estimates are rounded up to whole microseconds, so when one is due the
+/// true residual is at most one microsecond of float error — far below
+/// this threshold for any realistic rate.
 const EPS_BYTES: f64 = 1e-3;
 
 /// Rounds a span in seconds *up* to whole microseconds, so a completion
-/// event never fires before the modeled flow has actually drained.
+/// estimate never falls before the modeled flow has actually drained.
 fn ceil_micros(secs: f64) -> SimDuration {
     assert!(secs.is_finite() && secs >= 0.0, "invalid span: {secs}");
     SimDuration::from_micros((secs * 1e6).ceil() as u64)
-}
-
-/// A predicted completion, returned after every fabric change.
-///
-/// Valid until the next change: the caller schedules an event at `done_at`
-/// carrying `key` and `epoch`, and the fabric rejects the event as stale if
-/// the flow has been re-estimated (or removed) since.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FlowEstimate {
-    /// Caller-chosen flow id (the simulator uses the request id).
-    pub key: u64,
-    /// When the flow will finish under the current allocation.
-    pub done_at: SimTime,
-    /// Epoch the estimate belongs to; compare via [`FlowFabric::poll`].
-    pub epoch: u64,
-}
-
-/// Outcome of delivering a completion event to the fabric.
-#[derive(Debug)]
-pub enum FlowPoll {
-    /// The event was superseded by a newer estimate (or the flow was
-    /// cancelled); drop it.
-    Stale,
-    /// The flow finished. It has been removed and bandwidth reallocated;
-    /// reschedule completion events for every surviving flow.
-    Done(Vec<FlowEstimate>),
-    /// The flow is not drained yet (possible only through float drift);
-    /// reschedule this single refreshed estimate.
-    InFlight(FlowEstimate),
 }
 
 #[derive(Debug, Clone)]
@@ -67,7 +36,8 @@ struct FlowState {
     /// Bytes start draining here (start time + alpha). The flow still
     /// occupies link bandwidth during the startup window.
     active_at: SimTime,
-    epoch: u64,
+    /// Completion estimate under the current allocation.
+    done_at: SimTime,
 }
 
 /// The set of in-flight flows over one [`FabricTopology`], with max-min
@@ -81,11 +51,12 @@ pub struct FlowFabric {
     topo: FabricTopology,
     flows: BTreeMap<u64, FlowState>,
     now: SimTime,
-    epoch_counter: u64,
+    /// Latest completion estimate ever issued, superseded or not.
+    latest_estimate: SimTime,
     /// Fabric-side telemetry, `Some` iff [`FlowFabric::enable_telemetry`]
     /// was called: link-utilization samples and per-flow rate changes,
     /// recorded at allocation boundaries. Pure observation — it never
-    /// affects rates, epochs or estimates.
+    /// affects rates or estimates.
     recorder: Option<Recorder>,
     /// Per-link used bandwidth at the last telemetry sample, so only
     /// changed links emit events (including drops to zero as flows drain).
@@ -99,7 +70,7 @@ impl FlowFabric {
             topo,
             flows: BTreeMap::new(),
             now: SimTime::ZERO,
-            epoch_counter: 0,
+            latest_estimate: SimTime::ZERO,
             recorder: None,
             last_used: Vec::new(),
         }
@@ -134,106 +105,86 @@ impl FlowFabric {
         FlowFabric::new(FabricTopology::from_cluster(cluster))
     }
 
-    /// The derived link graph.
-    pub fn topology(&self) -> &FabricTopology {
-        &self.topo
-    }
-
-    /// Number of in-flight flows.
-    pub fn len(&self) -> usize {
-        self.flows.len()
-    }
-
-    /// Whether no flow is in flight.
-    pub fn is_empty(&self) -> bool {
-        self.flows.is_empty()
-    }
-
     /// Whether `key` is currently in flight.
     pub fn contains(&self, key: u64) -> bool {
         self.flows.contains_key(&key)
     }
 
     /// Starts a flow of `bytes` from GPU `from` to GPU `to` at `now` and
-    /// returns fresh completion estimates for **all** flows (including this
-    /// one). The startup latency of the crossed link class is charged as a
-    /// one-shot delay before bytes begin draining.
+    /// re-estimates **all** flows (including this one). The startup latency
+    /// of the crossed link class is charged as a one-shot delay before
+    /// bytes begin draining.
     ///
-    /// Starting a key that is already in flight replaces the old flow (its
-    /// pending events go stale automatically).
-    pub fn start(
-        &mut self,
-        key: u64,
-        from: GpuId,
-        to: GpuId,
-        bytes: f64,
-        now: SimTime,
-    ) -> Vec<FlowEstimate> {
+    /// Starting a key that is already in flight replaces the old flow.
+    pub fn start(&mut self, key: u64, from: GpuId, to: GpuId, bytes: f64, now: SimTime) {
         self.advance(now);
         let state = FlowState {
             path: self.topo.path(from, to),
             remaining: bytes.max(0.0),
             rate: 0.0,
             active_at: now + self.topo.alpha(from, to),
-            epoch: 0,
+            done_at: now,
         };
         self.flows.insert(key, state);
-        self.reallocate()
+        self.reallocate();
     }
 
-    /// Delivers a completion event for (`key`, `epoch`) at `now`.
-    pub fn poll(&mut self, key: u64, epoch: u64, now: SimTime) -> FlowPoll {
-        match self.flows.get(&key) {
-            Some(f) if f.epoch == epoch => {}
-            _ => return FlowPoll::Stale,
+    /// The earliest completion estimate and its flow's key, ties broken by
+    /// the smaller key; `None` when no flow is in flight.
+    pub fn next_due(&self) -> Option<(SimTime, u64)> {
+        self.flows.iter().map(|(&key, f)| (f.done_at, key)).min()
+    }
+
+    /// Completes the flow [`FlowFabric::next_due`] names if its estimate
+    /// is due by `now`, reallocates bandwidth among the survivors and
+    /// returns its key; `None` (and no change) when no flow is due.
+    pub fn complete_due(&mut self, now: SimTime) -> Option<u64> {
+        let (at, key) = self.next_due()?;
+        if at > now {
+            return None;
         }
         self.advance(now);
-        let f = &self.flows[&key];
-        if f.remaining <= EPS_BYTES && now >= f.active_at {
-            self.flows.remove(&key);
-            FlowPoll::Done(self.reallocate())
-        } else {
-            self.epoch_counter += 1;
-            let now_ = self.now;
-            let epoch = self.epoch_counter;
-            let f = self.flows.get_mut(&key).expect("checked above");
-            f.epoch = epoch;
-            FlowPoll::InFlight(estimate(key, f, now_))
-        }
+        let f = self.flows.remove(&key).expect("next_due names a flow");
+        debug_assert!(
+            f.remaining <= EPS_BYTES,
+            "flow {key} due with {} bytes left",
+            f.remaining
+        );
+        self.reallocate();
+        Some(key)
     }
 
-    /// Removes `key` (e.g. its link went down) and returns fresh estimates
-    /// for the surviving flows. Returns an empty list — and reallocates
-    /// nothing — if the key was not in flight.
-    pub fn cancel(&mut self, key: u64, now: SimTime) -> Vec<FlowEstimate> {
+    /// The latest completion estimate this fabric has ever issued,
+    /// including estimates a later change superseded (`ZERO` before the
+    /// first flow).
+    pub fn latest_estimate(&self) -> SimTime {
+        self.latest_estimate
+    }
+
+    /// Removes `key` (e.g. its link went down) and re-estimates the
+    /// surviving flows. Does nothing if the key was not in flight.
+    pub fn cancel(&mut self, key: u64, now: SimTime) {
         if self.flows.remove(&key).is_none() {
-            return Vec::new();
+            return;
         }
         self.advance(now);
-        self.reallocate()
+        self.reallocate();
     }
 
     /// Degrades (or heals, with `factor` 1) every link on the `from → to`
     /// path to `healthy capacity / factor` and re-fair-shares the fabric
     /// live: bytes already moved at the old rates stay moved, and every
-    /// in-flight flow gets a fresh epoch and completion estimate under the
-    /// new capacities. Returns the fresh estimates (empty if no flow is in
-    /// flight).
+    /// in-flight flow gets a fresh completion estimate under the new
+    /// capacities.
     ///
     /// # Panics
     /// Panics if `factor` is not finite or below 1.
-    pub fn degrade_path(
-        &mut self,
-        from: GpuId,
-        to: GpuId,
-        factor: f64,
-        now: SimTime,
-    ) -> Vec<FlowEstimate> {
+    pub fn degrade_path(&mut self, from: GpuId, to: GpuId, factor: f64, now: SimTime) {
         self.advance(now);
         for link in self.topo.path(from, to) {
             self.topo.set_degradation(link, factor);
         }
-        self.reallocate()
+        self.reallocate();
     }
 
     /// Drains every flow's remaining bytes up to `now` under the rates of
@@ -267,16 +218,13 @@ impl FlowFabric {
         self.now = now;
     }
 
-    /// Recomputes the max-min allocation over all flows and re-stamps every
-    /// flow with a fresh epoch and completion estimate.
-    fn reallocate(&mut self) -> Vec<FlowEstimate> {
-        let mut out = Vec::with_capacity(self.flows.len());
+    /// Recomputes the max-min allocation over all flows and re-estimates
+    /// every flow's completion.
+    fn reallocate(&mut self) {
         let mut rate_changes: Vec<(u64, f64)> = Vec::new();
         if !self.flows.is_empty() {
-            self.epoch_counter += 1;
-            let epoch = self.epoch_counter;
             let paths: Vec<Vec<usize>> = self.flows.values().map(|f| f.path.clone()).collect();
-            let rates = max_min_rates(self.topo.capacities(), &paths);
+            let rates = crate::maxmin::max_min_allocate(self.topo.capacities(), &paths);
             let now = self.now;
             let telemetry_on = self.recorder.is_some();
             for ((&key, f), rate) in self.flows.iter_mut().zip(rates) {
@@ -284,8 +232,8 @@ impl FlowFabric {
                     rate_changes.push((key, rate));
                 }
                 f.rate = rate;
-                f.epoch = epoch;
-                out.push(estimate(key, f, now));
+                f.done_at = estimate(f, now);
+                self.latest_estimate = self.latest_estimate.max(f.done_at);
             }
         }
         if let Some(rec) = self.recorder.as_mut() {
@@ -301,7 +249,6 @@ impl FlowFabric {
             }
         }
         self.record_utilization();
-        out
     }
 
     /// Emits a [`TraceKind::LinkUtilization`] sample for every link whose
@@ -352,21 +299,13 @@ impl FlowFabric {
     }
 }
 
-fn max_min_rates(capacity: &[f64], paths: &[Vec<usize>]) -> Vec<f64> {
-    crate::maxmin::max_min_allocate(capacity, paths)
-}
-
-fn estimate(key: u64, f: &FlowState, now: SimTime) -> FlowEstimate {
+/// When `f` finishes under its current rate, seen from `now`.
+fn estimate(f: &FlowState, now: SimTime) -> SimTime {
     let begin = if f.active_at > now { f.active_at } else { now };
-    let done_at = if f.remaining <= EPS_BYTES || f.rate.is_infinite() {
+    if f.remaining <= EPS_BYTES || f.rate.is_infinite() {
         begin
     } else {
         begin + ceil_micros(f.remaining / f.rate)
-    };
-    FlowEstimate {
-        key,
-        done_at,
-        epoch: f.epoch,
     }
 }
 
@@ -387,40 +326,24 @@ mod tests {
             .unwrap()
     }
 
-    fn done_of(estimates: &[FlowEstimate], key: u64) -> SimTime {
-        estimates
-            .iter()
-            .find(|e| e.key == key)
-            .map(|e| e.done_at)
-            .unwrap_or_else(|| panic!("no estimate for flow {key}"))
-    }
-
     #[test]
     fn single_flow_matches_alpha_beta_time() {
         let mut fab = FlowFabric::from_cluster(&cluster());
         // 1 GB over the 1 GB/s node0 → node1 link, alpha 300us.
-        let est = fab.start(7, GpuId(0), GpuId(2), 1e9, SimTime::ZERO);
-        assert_eq!(est.len(), 1);
-        assert_eq!(
-            est[0].done_at,
-            SimTime::from_micros(300) + SimDuration::from_secs(1)
-        );
-        match fab.poll(7, est[0].epoch, est[0].done_at) {
-            FlowPoll::Done(rest) => assert!(rest.is_empty()),
-            other => panic!("expected Done, got {other:?}"),
-        }
-        assert!(fab.is_empty());
+        fab.start(7, GpuId(0), GpuId(2), 1e9, SimTime::ZERO);
+        let done = SimTime::from_micros(300) + SimDuration::from_secs(1);
+        assert_eq!(fab.next_due(), Some((done, 7)));
+        assert_eq!(fab.complete_due(done), Some(7));
+        assert_eq!(fab.next_due(), None);
     }
 
     #[test]
     fn loopback_flow_finishes_instantly() {
         let mut fab = FlowFabric::from_cluster(&cluster());
-        let est = fab.start(1, GpuId(0), GpuId(0), 5e9, SimTime::from_micros(10));
-        assert_eq!(est[0].done_at, SimTime::from_micros(10));
-        assert!(matches!(
-            fab.poll(1, est[0].epoch, est[0].done_at),
-            FlowPoll::Done(_)
-        ));
+        let t = SimTime::from_micros(10);
+        fab.start(1, GpuId(0), GpuId(0), 5e9, t);
+        assert_eq!(fab.next_due(), Some((t, 1)));
+        assert_eq!(fab.complete_due(t), Some(1));
     }
 
     #[test]
@@ -429,26 +352,27 @@ mod tests {
         let t0 = SimTime::ZERO;
         // Both flows leave node 0 (GPU 0 and GPU 1) for different nodes:
         // they share node 0's 1 GB/s uplink.
-        let est = fab.start(1, GpuId(0), GpuId(2), 1e9, t0);
-        let first_done = done_of(&est, 1);
-        let est = fab.start(2, GpuId(1), GpuId(4), 1e9, t0);
+        fab.start(1, GpuId(0), GpuId(2), 1e9, t0);
+        let (solo, _) = fab.next_due().unwrap();
+        fab.start(2, GpuId(1), GpuId(4), 1e9, t0);
         // Halved bandwidth: both now finish in ~2s, so flow 1's refreshed
         // estimate is later than its solo estimate.
-        assert!(done_of(&est, 1) > first_done);
-        let twice = done_of(&est, 1);
-        assert_eq!(twice, SimTime::from_micros(300) + SimDuration::from_secs(2));
-        // Old (solo) estimate for flow 1 is now stale.
-        assert!(matches!(fab.poll(1, 1, first_done), FlowPoll::Stale));
+        let twice = SimTime::from_micros(300) + SimDuration::from_secs(2);
+        assert_eq!(fab.next_due(), Some((twice, 1)));
+        // The solo estimate was superseded: nothing is due then.
+        assert_eq!(fab.complete_due(solo), None);
+        assert!(fab.contains(1) && fab.contains(2));
         // Cancel flow 2 halfway: flow 1 gets the uplink back and its fresh
         // estimate moves earlier again.
-        let est = fab.cancel(2, SimTime::from_secs_f64(1.0));
-        assert_eq!(fab.len(), 1);
-        let after_cancel = done_of(&est, 1);
+        fab.cancel(2, SimTime::from_secs_f64(1.0));
+        assert!(!fab.contains(2));
+        let (after_cancel, key) = fab.next_due().unwrap();
+        assert_eq!(key, 1);
         assert!(after_cancel < twice, "{after_cancel} !< {twice}");
-        match fab.poll(1, est[0].epoch, after_cancel) {
-            FlowPoll::Done(rest) => assert!(rest.is_empty()),
-            other => panic!("expected Done, got {other:?}"),
-        }
+        // The superseded shared-uplink estimate is still the latest issued.
+        assert_eq!(fab.latest_estimate(), twice);
+        assert_eq!(fab.complete_due(after_cancel), Some(1));
+        assert_eq!(fab.next_due(), None);
     }
 
     #[test]
@@ -457,43 +381,31 @@ mod tests {
         // Different source nodes, one destination GPU: node 2's downlink is
         // the shared bottleneck — precisely the effect the legacy
         // sender-serialized model cannot produce.
-        let est = fab.start(1, GpuId(0), GpuId(4), 1e9, SimTime::ZERO);
-        assert_eq!(
-            done_of(&est, 1),
-            SimTime::from_micros(300) + SimDuration::from_secs(1)
-        );
-        let est = fab.start(2, GpuId(2), GpuId(4), 1e9, SimTime::ZERO);
-        assert_eq!(
-            done_of(&est, 1),
-            SimTime::from_micros(300) + SimDuration::from_secs(2)
-        );
-        assert_eq!(
-            done_of(&est, 2),
-            SimTime::from_micros(300) + SimDuration::from_secs(2)
-        );
+        fab.start(1, GpuId(0), GpuId(4), 1e9, SimTime::ZERO);
+        let alpha = SimTime::from_micros(300);
+        assert_eq!(fab.next_due(), Some((alpha + SimDuration::from_secs(1), 1)));
+        fab.start(2, GpuId(2), GpuId(4), 1e9, SimTime::ZERO);
+        // Both finish together; the smaller key is due first, then the
+        // other is due at the same instant.
+        let both = alpha + SimDuration::from_secs(2);
+        assert_eq!(fab.next_due(), Some((both, 1)));
+        assert_eq!(fab.complete_due(both), Some(1));
+        assert_eq!(fab.next_due(), Some((both, 2)));
+        assert_eq!(fab.complete_due(both), Some(2));
     }
 
-    #[test]
-    fn stale_epochs_survive_key_reuse() {
-        let mut fab = FlowFabric::from_cluster(&cluster());
-        let est = fab.start(9, GpuId(0), GpuId(2), 1e9, SimTime::ZERO);
-        let old_epoch = est[0].epoch;
-        // Link fault: cancel, then retry under the same key.
-        fab.cancel(9, SimTime::from_micros(500));
-        let est = fab.start(9, GpuId(0), GpuId(2), 1e9, SimTime::from_micros(1_000));
-        // The old completion event must not complete the new incarnation.
-        assert!(matches!(
-            fab.poll(9, old_epoch, SimTime::from_secs_f64(1.2)),
-            FlowPoll::Stale
-        ));
-        assert!(matches!(
-            fab.poll(9, est[0].epoch, est[0].done_at),
-            FlowPoll::Done(_)
-        ));
+    /// Drains `fab`, returning every (completion time, key) in order.
+    fn drain(fab: &mut FlowFabric) -> Vec<(SimTime, u64)> {
+        let mut out = Vec::new();
+        while let Some((at, key)) = fab.next_due() {
+            assert_eq!(fab.complete_due(at), Some(key));
+            out.push((at, key));
+        }
+        out
     }
 
-    /// Satellite: identical flow sets inserted in permuted order produce
-    /// bit-identical completion times.
+    /// Identical flow sets inserted in permuted order produce bit-identical
+    /// completion times.
     #[test]
     fn completion_times_are_insertion_order_invariant() {
         let flows: [(u64, GpuId, GpuId, f64); 4] = [
@@ -505,32 +417,24 @@ mod tests {
         let t0 = SimTime::ZERO;
         let mut fab_a = FlowFabric::from_cluster(&cluster());
         let mut fab_b = FlowFabric::from_cluster(&cluster());
-        let mut last_a = Vec::new();
         for &(k, from, to, bytes) in &flows {
-            last_a = fab_a.start(k, from, to, bytes, t0);
+            fab_a.start(k, from, to, bytes, t0);
         }
-        let mut last_b = Vec::new();
         for &(k, from, to, bytes) in flows.iter().rev() {
-            last_b = fab_b.start(k, from, to, bytes, t0);
+            fab_b.start(k, from, to, bytes, t0);
         }
-        last_a.sort_by_key(|e| e.key);
-        last_b.sort_by_key(|e| e.key);
-        assert_eq!(last_a.len(), last_b.len());
-        for (a, b) in last_a.iter().zip(&last_b) {
-            assert_eq!(a.key, b.key);
-            assert_eq!(a.done_at, b.done_at, "flow {}", a.key);
-        }
+        let done = drain(&mut fab_a);
+        assert_eq!(done.len(), flows.len());
+        assert_eq!(done, drain(&mut fab_b));
     }
 
     #[test]
     fn zero_byte_flow_completes_after_alpha() {
         let mut fab = FlowFabric::from_cluster(&cluster());
-        let est = fab.start(5, GpuId(0), GpuId(2), 0.0, SimTime::ZERO);
-        assert_eq!(est[0].done_at, SimTime::from_micros(300));
-        assert!(matches!(
-            fab.poll(5, est[0].epoch, est[0].done_at),
-            FlowPoll::Done(_)
-        ));
+        fab.start(5, GpuId(0), GpuId(2), 0.0, SimTime::ZERO);
+        let alpha = SimTime::from_micros(300);
+        assert_eq!(fab.next_due(), Some((alpha, 5)));
+        assert_eq!(fab.complete_due(alpha), Some(5));
     }
 
     #[test]
@@ -571,41 +475,33 @@ mod tests {
     fn degrade_path_refair_shares_in_flight_flows() {
         let mut fab = FlowFabric::from_cluster(&cluster());
         // 1 GB over the 1 GB/s node0 → node1 path: solo finish at ~1s.
-        let est = fab.start(1, GpuId(0), GpuId(2), 1e9, SimTime::ZERO);
-        let healthy_done = done_of(&est, 1);
+        fab.start(1, GpuId(0), GpuId(2), 1e9, SimTime::ZERO);
+        let (healthy_done, _) = fab.next_due().unwrap();
         // Halfway through, the path loses 4× bandwidth. 0.5 GB already
         // moved stays moved; the rest drains at 0.25 GB/s → ~2s more.
         let t_half = SimTime::from_micros(300) + SimDuration::from_millis(500);
-        let est = fab.degrade_path(GpuId(0), GpuId(2), 4.0, t_half);
-        assert_eq!(est.len(), 1, "in-flight flow re-estimated");
-        let degraded_done = done_of(&est, 1);
-        assert!(
-            degraded_done > healthy_done,
-            "{degraded_done} !> {healthy_done}"
-        );
-        assert_eq!(degraded_done, t_half + SimDuration::from_secs(2));
-        // The old estimate's epoch is stale now.
-        assert!(matches!(fab.poll(1, 1, healthy_done), FlowPoll::Stale));
+        fab.degrade_path(GpuId(0), GpuId(2), 4.0, t_half);
+        let degraded_done = t_half + SimDuration::from_secs(2);
+        assert!(degraded_done > healthy_done);
+        assert_eq!(fab.next_due(), Some((degraded_done, 1)));
+        // The healthy estimate was superseded: nothing is due then.
+        assert_eq!(fab.complete_due(healthy_done), None);
         // Healing mid-flight speeds the remainder back up.
-        let est = fab.degrade_path(GpuId(0), GpuId(2), 1.0, t_half + SimDuration::from_secs(1));
-        let healed_done = done_of(&est, 1);
+        fab.degrade_path(GpuId(0), GpuId(2), 1.0, t_half + SimDuration::from_secs(1));
+        let (healed_done, _) = fab.next_due().unwrap();
         assert!(healed_done < degraded_done);
-        assert!(matches!(
-            fab.poll(1, est[0].epoch, healed_done),
-            FlowPoll::Done(_)
-        ));
+        assert_eq!(fab.latest_estimate(), degraded_done);
+        assert_eq!(fab.complete_due(healed_done), Some(1));
     }
 
     #[test]
     fn cancel_of_unknown_key_is_a_noop() {
         let mut fab = FlowFabric::from_cluster(&cluster());
-        let before = fab.start(1, GpuId(0), GpuId(2), 1e9, SimTime::ZERO);
-        let out = fab.cancel(42, SimTime::from_micros(10));
-        assert!(out.is_empty());
-        // Flow 1's estimate was not re-stamped.
-        assert!(matches!(
-            fab.poll(1, before[0].epoch, before[0].done_at),
-            FlowPoll::Done(_)
-        ));
+        fab.start(1, GpuId(0), GpuId(2), 1e9, SimTime::ZERO);
+        let before = fab.next_due();
+        fab.cancel(42, SimTime::from_micros(10));
+        assert_eq!(fab.next_due(), before);
+        let (at, _) = before.unwrap();
+        assert_eq!(fab.complete_due(at), Some(1));
     }
 }

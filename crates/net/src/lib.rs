@@ -18,10 +18,9 @@
 //!   inter-node fabric links;
 //! * [`maxmin`] — the progressive-filling max-min fair allocator;
 //! * [`flow`] — [`flow::FlowFabric`], the event-driven flow registry: it
-//!   tracks remaining bytes per flow, re-estimates every affected flow's
-//!   completion time after each change, and invalidates superseded
-//!   completion events with per-flow epoch counters (mirroring the
-//!   simulator's replica-epoch pattern).
+//!   tracks remaining bytes per flow, re-estimates every flow's completion
+//!   time after each change, and names the earliest one, so its caller
+//!   needs a single cancellable timer rather than one event per estimate.
 //!
 //! Determinism: flows live in a [`std::collections::BTreeMap`] keyed by the
 //! caller's flow id, and the allocator iterates links and flows in index
@@ -33,6 +32,6 @@ pub mod flow;
 pub mod maxmin;
 pub mod topology;
 
-pub use flow::{FlowEstimate, FlowFabric, FlowPoll};
+pub use flow::FlowFabric;
 pub use maxmin::max_min_allocate;
 pub use topology::FabricTopology;

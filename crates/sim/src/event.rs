@@ -28,11 +28,13 @@
 //! [`EventQueue::push_cancellable`] returns an [`EventToken`] backed by a
 //! generation-checked side table. [`EventQueue::cancel`] is O(1): it bumps
 //! the slot's generation, turning the heap entry into a tombstone that
-//! [`EventQueue::pop`] discards when it surfaces. This replaces the old
-//! pattern of letting stale epoch-stamped events fire and be recognized by
-//! their handler — with decode-step coalescing, stale events would
-//! otherwise advance simulated time in ways the per-step schedule never
-//! did. [`EventQueue::reschedule`] moves a cancellable event to a new time
+//! [`EventQueue::pop`] discards when it surfaces. Two timers rely on it: a
+//! coalesced decode plan's run-end event, and the flow fabric's one
+//! [`EventKind::KvFlowDone`], re-armed at the fabric's earliest completion
+//! estimate after every fabric change. A cancelled event never fires, so
+//! it neither costs a dispatch nor advances simulated time; the driver
+//! folds the fire times the makespan must still count into its phantom
+//! horizon. [`EventQueue::reschedule`] moves a cancellable event to a new time
 //! while *preserving its original `(seq, pushed_at)` stamps*, which is what
 //! keeps a replanned coalesced decode event ordered exactly like the
 //! per-step event it stands for.
@@ -97,18 +99,10 @@ pub enum EventKind {
         /// launch stale.
         attempt: u32,
     },
-    /// A completion estimate of the flow-level fabric matured for
-    /// `request`'s KV flow. The fabric re-estimates *every* flow whenever
-    /// one starts or finishes, so most of these events are stale by the
-    /// time they fire; `epoch` lets the fabric recognize the current one.
-    KvFlowDone {
-        /// The request whose KV flow (maybe) drained.
-        request: SlabKey,
-        /// Fabric epoch of the estimate; stale epochs are discarded,
-        /// mirroring the replica-liveness epochs of
-        /// [`EventKind::PrefillDone`].
-        epoch: u64,
-    },
+    /// The flow-level fabric's one timer: its earliest completion estimate
+    /// is due. The fabric names the flow; the timer is cancelled and
+    /// re-armed after every fabric change.
+    KvFlowDone,
     /// Decode replica `replica` finished one decode step — or, with decode
     /// coalescing, the final step of its planned multi-step run (the
     /// intermediate steps are materialized retroactively; see

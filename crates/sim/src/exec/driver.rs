@@ -13,8 +13,9 @@
 //! admission/shed policy, and the whole fault layer (trigger → heartbeat
 //! detection → drain/requeue/re-prefill → recovery accounting). Topology
 //! state lives behind the enum and is only consulted where behaviour
-//! genuinely differs (KV transfer exists only under `Split`; a work item
-//! serializes both phases only under `Colocated`). Fault handling is
+//! genuinely differs (KV transfer exists only under `Split`, behind
+//! `exec/kv.rs`; a work item serializes both phases only under
+//! `Colocated`). Fault handling is
 //! written once against the [`ReplicaExecutor`] trait, which is how the
 //! colocated baselines get fault injection and [`RecoveryCounters`] for
 //! free.
@@ -51,11 +52,9 @@ use super::executor::{
     ColocatedExecutor, DecodeExecutor, DecodePlan, DrainedWork, PrefillExecutor, ReplicaExecutor,
     Work,
 };
+use super::kv::{KvTransport, Transfer};
 use super::seq::{AdmitOutcome, Pending, PrefillJob, WaitingSeq};
-use crate::config::{
-    KvTransfer, PrefillPolicy, SimConfig, KV_RETRY_BACKOFF_BASE, KV_RETRY_BACKOFF_CAP,
-    STRAGGLER_MIN_SAMPLES,
-};
+use crate::config::{PrefillPolicy, SimConfig, STRAGGLER_MIN_SAMPLES};
 use crate::event::{Event, EventKind, EventQueue};
 use crate::fault::{FaultKind, FaultScript, TimedFault};
 use crate::metrics::{Metrics, ModelConservation, RecoveryCounters, RequestRecord};
@@ -65,37 +64,24 @@ use rand::Rng;
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 use ts_cluster::Cluster;
 use ts_common::{
-    derive_seed, seeded_rng, DeploymentPlan, Error, GpuId, GroupSpec, ModelId, Request, RequestId,
-    Result, SimDuration, SimTime, Slab, SlabKey,
+    derive_seed, seeded_rng, DeploymentPlan, Error, GroupSpec, ModelId, Request, RequestId, Result,
+    SimDuration, SimTime, Slab, SlabKey,
 };
-use ts_costmodel::replica::{kv_route_legs, kv_transfer_time, KvRouteLeg, KvRouteSegment};
 use ts_costmodel::{DecodeStageSeries, DecodeStepSeries, ReplicaCostModel};
-use ts_kvcache::codec::KvCodec;
-use ts_net::{FlowEstimate, FlowFabric, FlowPoll};
 use ts_telemetry::{
     HealthState, PressureTally, Recorder, Role, StreamingPlane, TraceEvent, TraceKind, TraceLog,
     TraceSink,
 };
-
-/// An in-flight KV transfer (completion events carry an attempt number so
-/// superseded attempts are ignored).
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct Transfer {
-    from: usize,
-    to: usize,
-    job: PrefillJob,
-    attempt: u32,
-}
 
 /// All driver-side state of one in-flight request, slab-resident: the
 /// payload, routing/timing bookkeeping, and the KV transfer registry slot
 /// (split topology only). One slab entry exists per live request; events
 /// and jobs address it by [`SlabKey`].
 pub(crate) struct ReqState {
-    req: Request,
-    pend: Pending,
+    pub(super) req: Request,
+    pub(super) pend: Pending,
     /// The request's in-flight KV transfer, if any.
-    transfer: Option<Transfer>,
+    pub(super) transfer: Option<Transfer>,
 }
 
 impl ReqState {
@@ -118,7 +104,7 @@ enum NextEvent {
 /// Topology-agnostic driver state: event queue, routing, per-request
 /// bookkeeping, shed policy and fault/recovery accounting.
 pub(crate) struct Core {
-    cfg: SimConfig,
+    pub(super) cfg: SimConfig,
     /// One route per served model, in [`DeploymentPlan::models`] order (a
     /// single route for single-model plans and colocated drivers).
     routes: Vec<Route>,
@@ -127,21 +113,21 @@ pub(crate) struct Core {
     /// on healing (ups). Routing masks follow beliefs, not ground truth —
     /// that is the detection window.
     believed_dead: Vec<bool>,
-    queue: EventQueue,
+    pub(super) queue: EventQueue,
     /// Per-request state, slab-allocated; an entry lives from arrival to
     /// completion/drop/rejection.
-    reqs: Slab<ReqState>,
+    pub(super) reqs: Slab<ReqState>,
     records: Vec<RequestRecord>,
     dropped: usize,
     rejected: usize,
-    now: SimTime,
+    pub(super) now: SimTime,
     faults: Vec<TimedFault>,
-    recovery_enabled: bool,
+    pub(super) recovery_enabled: bool,
     /// Arrivals (and requeues) stalled because no live route exists or the
     /// service is paused; shed beyond `cfg.shed_threshold`.
     stalled: VecDeque<PrefillJob>,
     paused_until: Option<SimTime>,
-    recovery: RecoveryCounters,
+    pub(super) recovery: RecoveryCounters,
     /// Requests affected by each fault (fault time, outstanding ids); a
     /// fault's time-to-recover is recorded when its set empties.
     affected: Vec<(SimTime, BTreeSet<RequestId>)>,
@@ -164,7 +150,7 @@ pub(crate) struct Core {
     /// decode replicas (colocated: the replica index). The RNG is drawn
     /// from only when a gray fault or a jitter knob is active, so the
     /// default path stays bit-identical.
-    gray: GrayState,
+    pub(super) gray: GrayState,
     /// Whether per-model conservation is tracked — true iff the catalog
     /// ([`SimConfig::models`]) is non-empty, so single-model runs carry
     /// zero extra bookkeeping and their [`RecoveryCounters`] stay
@@ -186,10 +172,10 @@ pub(crate) struct Core {
     /// `pushed_at` stamp of the occurrence being dispatched (zero for
     /// arrivals); consulted by the coalesced-decode tie rule.
     event_pushed_at: SimTime,
-    /// Latest fire time folded in from cancelled decode-plan events. The
-    /// per-step loop popped those events and advanced `now` even when they
-    /// were stale; the coalesced loop cancels them instead, so the final
-    /// horizon folds this in to stay identical.
+    /// Latest fire time folded in from cancelled decode-plan events and,
+    /// at the end of the run, from the fabric's superseded completion
+    /// estimates. The makespan counts these cancelled fire times; the
+    /// per-step loop popped such events and advanced `now` past them.
     phantom_horizon: SimTime,
     /// Coalesced decode finish events deferred behind a same-instant rival
     /// (replica, original seq, original pushed_at), newest last. A stack,
@@ -200,10 +186,10 @@ pub(crate) struct Core {
 /// Per-host gray-failure bookkeeping: flaky-heartbeat masking, straggler
 /// detection EWMAs and quarantine state, plus the seeded RNG every
 /// stochastic mitigation decision (beat loss, retry jitter) draws from.
-struct GrayState {
+pub(super) struct GrayState {
     /// Seeded RNG for beat-loss draws and retry jitter; deterministic per
     /// [`SimConfig::fault_seed`].
-    rng: StdRng,
+    pub(super) rng: StdRng,
     /// Number of prefill-only hosts — decode replica `j` is host
     /// `prefill_hosts + j`. Zero when colocated, where replica `k` is host
     /// `k` in either role.
@@ -270,49 +256,18 @@ pub(crate) struct Route {
 }
 
 /// Phase-split topology state: prefill/decode executor pools plus the KV
-/// transfer fabric between them.
+/// transport between them.
 pub(crate) struct SplitState {
     prefills: Vec<PrefillExecutor>,
     decodes: Vec<DecodeExecutor>,
-    /// KV route per (prefill, decode) pair.
-    kv_routes: Vec<Vec<Vec<KvRouteSegment>>>,
-    /// One-entry memo per (prefill, decode) pair: `tokens ->` modeled
-    /// wire time. The route, the sender's model spec and the wire
-    /// precision are all fixed after construction, so
-    /// [`kv_transfer_time`] is pure in the token count — fixed-length
-    /// day traces hit the cache on nearly every transfer.
-    kv_memo: Vec<Vec<Option<(u64, SimDuration)>>>,
-    /// Per-sender (prefill replica) uplink availability for KV transfer
-    /// queuing: one replica's outbound transfers serialize on its NIC,
-    /// whichever decode replica they target.
-    sender_free_at: Vec<SimTime>,
-    /// Link availability per (prefill, decode) pair.
-    link_down: Vec<Vec<bool>>,
-    /// Bandwidth-degradation factor per (prefill, decode) pair (1 =
-    /// healthy). Legacy modeled transfers multiply their wire time by it;
-    /// under the flow fabric the degradation is applied to the pair's
-    /// physical links instead and this matrix only records the script
-    /// state.
-    link_factor: Vec<Vec<f64>>,
+    pub(super) kv: KvTransport,
     /// Transfers whose target died with no live alternative; re-dispatched
     /// when a decode replica comes back.
     parked: Vec<Transfer>,
-    /// Flow-level network fabric. `Some` iff [`SimConfig::kv_transfer`] is
-    /// [`KvTransfer::Fabric`]; `None` keeps the legacy per-sender
-    /// serialization (and the paper figures) bit-identical.
-    fabric: Option<FlowFabric>,
-    /// Per (prefill, decode) pair: representative endpoints and total layer
-    /// count for the fabric's one-flow-per-transfer approximation. The
-    /// endpoints come from the route leg carrying the most layers; the byte
-    /// count covers the whole route.
-    flow_routes: Vec<Vec<(GpuId, GpuId, usize)>>,
     /// Model served by each prefill replica (plan group order).
     prefill_model: Vec<ModelId>,
     /// Model served by each decode replica.
     decode_model: Vec<ModelId>,
-    /// Wire codec per prefill replica (its model × the configured KV
-    /// precision), sizing fabric flows and traced KV bytes.
-    codecs: Vec<KvCodec>,
 }
 
 /// Colocated topology state: one executor pool serving both phases. The
@@ -435,59 +390,17 @@ impl Driver {
                 pairs,
             });
         }
-        // Legacy plans keep the default model's codec whatever their groups
-        // are tagged with.
-        let codecs = prefill_model
-            .iter()
-            .map(|&m| {
-                let spec = if plan.is_multi_model() {
-                    cfg.spec_for(m)
-                } else {
-                    &cfg.model
-                };
-                KvCodec::new(spec.clone(), cfg.kv_precision)
-            })
-            .collect();
-        let mut kv_routes = Vec::with_capacity(prefills.len());
-        let mut flow_routes = Vec::with_capacity(prefills.len());
-        for p in &prefills {
-            let mut row = Vec::with_capacity(decodes.len());
-            let mut flow_row = Vec::with_capacity(decodes.len());
-            for d in &decodes {
-                let legs = kv_route_legs(cluster, &p.cost, &d.cost);
-                flow_row.push(flow_endpoints(&legs));
-                row.push(legs.iter().map(KvRouteLeg::segment).collect());
-            }
-            kv_routes.push(row);
-            flow_routes.push(flow_row);
-        }
-        let fabric = (cfg.kv_transfer == KvTransfer::Fabric).then(|| {
-            let mut f = FlowFabric::from_cluster(cluster);
-            if cfg.telemetry {
-                f.enable_telemetry();
-            }
-            f
-        });
-        let sender_free_at = vec![SimTime::ZERO; prefills.len()];
-        let link_down = vec![vec![false; decodes.len()]; prefills.len()];
-        let link_factor = vec![vec![1.0; decodes.len()]; prefills.len()];
+        let kv = KvTransport::new(cluster, &cfg, plan, &prefills, &decodes, &prefill_model);
         let (np, nd) = (prefills.len(), decodes.len());
         Ok(Driver {
             core: Core::new(cfg, routes, np, np + nd),
             topo: Topology::Split(SplitState {
                 prefills,
                 decodes,
-                kv_memo: vec![vec![None; nd]; np],
-                kv_routes,
-                sender_free_at,
-                link_down,
-                link_factor,
+                kv,
                 parked: Vec::new(),
-                fabric,
-                flow_routes,
                 prefill_model,
                 decode_model,
-                codecs,
             }),
         })
     }
@@ -631,7 +544,11 @@ impl Driver {
         }
         // The per-step loop popped (and advanced `now` past) decode events
         // made stale by a replica death; the coalesced loop cancels them
-        // instead and folds their fire times into the phantom horizon.
+        // instead and folds their fire times into the phantom horizon. The
+        // fabric's superseded completion estimates count the same way.
+        if let Topology::Split(s) = &self.topo {
+            self.core.phantom_horizon = self.core.phantom_horizon.max(s.kv.horizon());
+        }
         let horizon = self
             .core
             .now
@@ -668,15 +585,19 @@ impl Driver {
                 attempt,
             } => {
                 let (core, s) = self.split("KvTransferDone")?;
-                split_on_transfer_done(core, s, replica, request, attempt)?;
+                if let Some(key) = s.kv.on_transfer_done(core, replica, request, attempt) {
+                    split_deliver_transfer(core, s, key)?;
+                }
             }
             EventKind::KvFlowLaunch { request, attempt } => {
                 let (core, s) = self.split("KvFlowLaunch")?;
-                split_on_flow_launch(core, s, request, attempt);
+                s.kv.on_flow_launch(core, request, attempt);
             }
-            EventKind::KvFlowDone { request, epoch } => {
+            EventKind::KvFlowDone => {
                 let (core, s) = self.split("KvFlowDone")?;
-                split_on_flow_done(core, s, request, epoch)?;
+                if let Some(key) = s.kv.on_timer(core)? {
+                    split_deliver_transfer(core, s, key)?;
+                }
             }
             EventKind::DecodeStepDone { replica, epoch } => {
                 let (_, s) = self.split("DecodeStepDone")?;
@@ -709,9 +630,7 @@ impl Driver {
     pub fn take_trace(&mut self) -> Option<TraceLog> {
         let mut rec = self.core.trace.take()?;
         if let Topology::Split(s) = &mut self.topo {
-            if let Some(f) = s.fabric.as_mut() {
-                rec.extend(f.take_events());
-            }
+            rec.extend(s.kv.take_events());
         }
         Some(rec.finish())
     }
@@ -739,7 +658,7 @@ impl Driver {
 
     /// The core plus the split topology's state, or an "event kind in
     /// wrong engine" error.
-    fn split(&mut self, kind: &str) -> Result<(&mut Core, &mut SplitState)> {
+    pub(super) fn split(&mut self, kind: &str) -> Result<(&mut Core, &mut SplitState)> {
         match &mut self.topo {
             Topology::Split(s) => Ok((&mut self.core, s)),
             Topology::Colocated(_) => Err(Error::Simulation(format!(
@@ -993,16 +912,11 @@ impl Driver {
             },
             FaultKind::LinkDown { prefill, decode } => {
                 let (core, s) = self.split("LinkDown")?;
-                s.link_down[prefill][decode] = true;
-                // Under the flow-level fabric the fault is visible
-                // immediately: in-flight flows on the link die now and
-                // re-enter through the usual retry/backoff path. (The
-                // legacy model instead notices at completion time.)
-                split_kill_link_flows(core, s, prefill, decode);
+                s.kv.link_down(core, prefill, decode);
             }
             FaultKind::LinkUp { prefill, decode } => {
                 let (_, s) = self.split("LinkUp")?;
-                s.link_down[prefill][decode] = false;
+                s.kv.link_up(prefill, decode);
             }
             FaultKind::LinkDegraded {
                 prefill,
@@ -1010,16 +924,7 @@ impl Driver {
                 factor,
             } => {
                 let (core, s) = self.split("LinkDegraded")?;
-                s.link_factor[prefill][decode] = factor;
-                // Under the fabric the degradation applies to the pair's
-                // physical links, re-fair-sharing every in-flight flow live
-                // (other pairs sharing those links feel it too, as on a
-                // real network).
-                if let Some(f) = s.fabric.as_mut() {
-                    let (from, to, _) = s.flow_routes[prefill][decode];
-                    let estimates = f.degrade_path(from, to, factor, core.now);
-                    schedule_flow_events(core, estimates);
-                }
+                s.kv.degrade(core, prefill, decode, factor);
             }
         }
         Ok(())
@@ -1383,7 +1288,7 @@ impl Core {
 /// Records a trace event at the current simulation time; a no-op of a few
 /// branches when every consumer is off.
 #[inline]
-fn trace(core: &mut Core, kind: TraceKind) {
+pub(super) fn trace(core: &mut Core, kind: TraceKind) {
     let at = core.now;
     trace_at(core, at, kind);
 }
@@ -1397,7 +1302,7 @@ fn trace(core: &mut Core, kind: TraceKind) {
 /// batch occupancy) are always stamped at or before `now`, in order per
 /// replica.
 #[inline]
-fn trace_at(core: &mut Core, at: SimTime, kind: TraceKind) {
+pub(super) fn trace_at(core: &mut Core, at: SimTime, kind: TraceKind) {
     if let Some(tally) = core.pressure.as_mut() {
         tally.observe(at, &kind);
     }
@@ -1430,7 +1335,7 @@ fn sampling(core: &Core) -> bool {
 /// so a streaming-only run skips constructing them entirely — part of
 /// keeping the plane's overhead within the committed `BENCH_obs.json`
 /// budget.
-fn tracing(core: &Core) -> bool {
+pub(super) fn tracing(core: &Core) -> bool {
     core.trace.is_some()
 }
 
@@ -1483,7 +1388,7 @@ fn stall_or_shed(core: &mut Core, job: PrefillJob) {
 
 /// Removes `key` from the slab and books the loss as a drop. A dead key
 /// (a hedge ghost of a request that already resolved) is a no-op.
-fn drop_request(core: &mut Core, key: SlabKey) {
+pub(super) fn drop_request(core: &mut Core, key: SlabKey) {
     let Some(st) = core.reqs.remove(key) else {
         return;
     };
@@ -1580,45 +1485,6 @@ fn finish(core: &mut Core, key: SlabKey, at: SimTime, max_token_gap: SimDuration
     trace_at(core, at, TraceKind::Finished { request: req.id });
     clear_affected(core, req.id);
     Ok(())
-}
-
-/// Exponential backoff for transfer attempt `attempt` (2 = first retry):
-/// `base * 2^(attempt-2)`, capped — then stretched by a seeded jitter draw
-/// in `[1, 1 + kv_retry_jitter]` when the jitter knob is on (the RNG is
-/// untouched at the default of 0, preserving bit-identity).
-fn retry_backoff(core: &mut Core, attempt: u32) -> SimDuration {
-    let mut delay = KV_RETRY_BACKOFF_BASE;
-    for _ in 2..attempt {
-        delay = delay + delay;
-        if delay >= KV_RETRY_BACKOFF_CAP {
-            delay = KV_RETRY_BACKOFF_CAP;
-            break;
-        }
-    }
-    delay = delay.min(KV_RETRY_BACKOFF_CAP);
-    let jitter = core.cfg.kv_retry_jitter;
-    if jitter > 0.0 {
-        let stretch = 1.0 + core.gray.rng.gen_range(0.0..1.0) * jitter;
-        delay = delay.mul_f64(stretch);
-    }
-    delay
-}
-
-/// Checks the per-request retry budget for a transfer about to run
-/// `attempt` (already incremented). Returns `true` — after dropping the
-/// request and counting the exhaustion — when the budget is spent.
-/// Attempt 1 is the initial send, so a budget of `b` allows attempts up to
-/// `b + 1`.
-fn retry_budget_spent(core: &mut Core, key: SlabKey, attempt: u32) -> bool {
-    let Some(budget) = core.cfg.kv_retry_budget else {
-        return false;
-    };
-    if attempt <= budget + 1 {
-        return false;
-    }
-    core.recovery.retry_budget_exhausted += 1;
-    drop_request(core, key);
-    true
 }
 
 // --- split-topology handlers ---------------------------------------------
@@ -1775,9 +1641,8 @@ fn split_on_prefill_done(core: &mut Core, s: &mut SplitState, i: usize) -> Resul
             finish(core, job.key, now, SimDuration::ZERO)?;
             continue;
         }
-        split_launch_transfer(
+        s.kv.launch(
             core,
-            s,
             Transfer {
                 from: i,
                 to: jdec,
@@ -1793,340 +1658,13 @@ fn split_on_prefill_done(core: &mut Core, s: &mut SplitState, i: usize) -> Resul
     Ok(())
 }
 
-/// Representative endpoints and total layer count for a KV route, used by
-/// the fabric's one-flow-per-transfer approximation: the flow runs between
-/// the endpoints of the leg carrying the most layers (first wins on ties,
-/// for determinism) and carries the whole route's bytes.
-fn flow_endpoints(legs: &[KvRouteLeg]) -> (GpuId, GpuId, usize) {
-    let mut best: Option<&KvRouteLeg> = None;
-    let mut total = 0usize;
-    for leg in legs {
-        total += leg.layers;
-        if best.map(|b| leg.layers > b.layers).unwrap_or(true) {
-            best = Some(leg);
-        }
-    }
-    match best {
-        Some(leg) => (leg.from, leg.to, total),
-        None => (GpuId(0), GpuId(0), 0),
-    }
-}
-
-/// Schedules (or re-schedules) a KV transfer after an optional backoff
-/// delay and registers it in the request's slab entry. Three paths:
-///
-/// * fabric on — the transfer becomes a flow in the `ts-net` fabric
-///   (immediately, or via a [`EventKind::KvFlowLaunch`] event after the
-///   backoff);
-/// * serialized — the transfer serializes on the sender's uplink;
-/// * zero duration ([`KvTransfer::Free`], or a degenerate route) — the
-///   transfer completes after the delay alone, without queuing on (or
-///   advancing) the sender's uplink.
-fn split_launch_transfer(
-    core: &mut Core,
-    s: &mut SplitState,
-    transfer: Transfer,
-    delay: SimDuration,
-) {
-    let key = transfer.job.key;
-    let now = core.now;
-    let Some(st) = core.reqs.get_mut(key) else {
-        return; // resolved while a retry or parked re-dispatch was pending
-    };
-    let rid = st.req.id;
-    // First attempt stamps the enqueue time; retries keep the original.
-    let mut first_attempt = false;
-    if st.pend.kv_enqueued_at.is_none() {
-        st.pend.kv_enqueued_at = Some(now);
-        first_attempt = true;
-    }
-    st.transfer = Some(transfer);
-    if first_attempt && tracing(core) {
-        // The byte count is sized like the fabric's flow (whole route,
-        // configured wire precision); computed only under telemetry.
-        let (_, _, layers) = s.flow_routes[transfer.from][transfer.to];
-        let bytes = s.codecs[transfer.from].wire_bytes_layers(transfer.job.tokens, layers);
-        trace(
-            core,
-            TraceKind::KvEnqueued {
-                request: rid,
-                from: transfer.from,
-                to: transfer.to,
-                bytes,
-            },
-        );
-    }
-    if s.fabric.is_some() {
-        if delay == SimDuration::ZERO {
-            split_start_flow(core, s, key);
-        } else {
-            core.queue.push(
-                now + delay,
-                EventKind::KvFlowLaunch {
-                    request: key,
-                    attempt: transfer.attempt,
-                },
-            );
-        }
-        return;
-    }
-    let mut dur = if core.cfg.kv_transfer == KvTransfer::Serialized {
-        // Memoized per pair: everything but the token count is fixed.
-        match s.kv_memo[transfer.from][transfer.to] {
-            Some((tokens, wire)) if tokens == transfer.job.tokens => wire,
-            _ => {
-                let ratio = core.cfg.kv_precision.ratio_vs_f16();
-                // Priced with the sending replica's model (the
-                // default-model spec on single-model plans, where every
-                // group carries ModelId(0)).
-                let wire = kv_transfer_time(
-                    core.cfg.spec_for(s.prefill_model[transfer.from]),
-                    &s.kv_routes[transfer.from][transfer.to],
-                    transfer.job.tokens,
-                    ratio,
-                );
-                s.kv_memo[transfer.from][transfer.to] = Some((transfer.job.tokens, wire));
-                wire
-            }
-        }
-    } else {
-        SimDuration::ZERO
-    };
-    // Gray link fault: the legacy model stretches the wire time by the
-    // pair's degradation factor (the fabric path applies it to link
-    // capacities instead). Skipped at the healthy factor of exactly 1.
-    let link_factor = s.link_factor[transfer.from][transfer.to];
-    if link_factor != 1.0 {
-        dur = dur.mul_f64(link_factor);
-    }
-    // A transfer that occupies the wire for zero time must not serialize on
-    // the uplink — and, crucially, must not push `sender_free_at` out to
-    // `now + delay`, which would make *modeled* transfers behind it queue
-    // on a link nothing ever used.
-    if dur == SimDuration::ZERO {
-        let done = now + delay;
-        if let Some(st) = core.reqs.get_mut(key) {
-            st.pend.kv_wire_started_at = Some(done);
-        }
-        trace_at(
-            core,
-            done,
-            TraceKind::KvWireStart {
-                request: rid,
-                attempt: transfer.attempt,
-            },
-        );
-        core.queue.push(
-            done,
-            EventKind::KvTransferDone {
-                replica: transfer.to,
-                request: key,
-                attempt: transfer.attempt,
-            },
-        );
-        return;
-    }
-    // Serialize transfers on the sender's uplink; the sequence only
-    // becomes admissible at the decode replica once its own KV transfer
-    // completes (see split_on_transfer_done).
-    let start = s.sender_free_at[transfer.from].max(now + delay);
-    let done = start + dur;
-    s.sender_free_at[transfer.from] = done;
-    if let Some(st) = core.reqs.get_mut(key) {
-        st.pend.kv_wire_started_at = Some(start);
-    }
-    trace_at(
-        core,
-        start,
-        TraceKind::KvWireStart {
-            request: rid,
-            attempt: transfer.attempt,
-        },
-    );
-    core.queue.push(
-        done,
-        EventKind::KvTransferDone {
-            replica: transfer.to,
-            request: key,
-            attempt: transfer.attempt,
-        },
-    );
-}
-
-/// Starts the fabric flow for a registered transfer and schedules the
-/// refreshed completion estimates of every active flow.
-fn split_start_flow(core: &mut Core, s: &mut SplitState, key: SlabKey) {
-    let Some(st) = core.reqs.get_mut(key) else {
-        return; // dropped while the launch was in flight
-    };
-    let Some(t) = st.transfer else {
-        return;
-    };
-    let Some(fabric) = s.fabric.as_mut() else {
-        return;
-    };
-    let rid = st.req.id;
-    st.pend.kv_wire_started_at = Some(core.now);
-    let (from, to, layers) = s.flow_routes[t.from][t.to];
-    let bytes = s.codecs[t.from].wire_bytes_layers(t.job.tokens, layers) as f64;
-    trace(
-        core,
-        TraceKind::KvWireStart {
-            request: rid,
-            attempt: t.attempt,
-        },
-    );
-    let estimates = fabric.start(key.as_u64(), from, to, bytes, core.now);
-    schedule_flow_events(core, estimates);
-}
-
-/// Schedules a [`EventKind::KvFlowDone`] for each fabric estimate.
-fn schedule_flow_events(core: &mut Core, estimates: Vec<FlowEstimate>) {
-    for e in estimates {
-        core.queue.push(
-            e.done_at,
-            EventKind::KvFlowDone {
-                request: SlabKey::from_u64(e.key),
-                epoch: e.epoch,
-            },
-        );
-    }
-}
-
-/// A delayed (backed-off) flow launch fired; start the flow unless a newer
-/// attempt superseded it.
-fn split_on_flow_launch(core: &mut Core, s: &mut SplitState, request: SlabKey, attempt: u32) {
-    let Some(t) = core.reqs.get(request).and_then(|st| st.transfer) else {
-        return;
-    };
-    if t.attempt != attempt {
-        return;
-    }
-    split_start_flow(core, s, request);
-}
-
-/// A fabric completion estimate matured: ask the fabric whether the flow
-/// really drained (most estimates are stale — every fabric change
-/// re-estimates all flows).
-fn split_on_flow_done(
-    core: &mut Core,
-    s: &mut SplitState,
-    request: SlabKey,
-    epoch: u64,
-) -> Result<()> {
-    let Some(fabric) = s.fabric.as_mut() else {
-        return Ok(());
-    };
-    match fabric.poll(request.as_u64(), epoch, core.now) {
-        FlowPoll::Stale => Ok(()),
-        FlowPoll::InFlight(e) => {
-            schedule_flow_events(core, vec![e]);
-            Ok(())
-        }
-        FlowPoll::Done(rest) => {
-            schedule_flow_events(core, rest);
-            split_deliver_transfer(core, s, request)
-        }
-    }
-}
-
-/// Kills every in-flight fabric flow crossing the (prefill, decode) link
-/// that just faulted. Victims re-enter through the standard retry/backoff
-/// path (or are dropped when recovery is off), matching the accounting of
-/// the legacy completion-time check.
-fn split_kill_link_flows(core: &mut Core, s: &mut SplitState, prefill: usize, decode: usize) {
-    let Some(fabric) = s.fabric.as_ref() else {
-        return;
-    };
-    let mut victims: Vec<(RequestId, SlabKey)> = core
-        .reqs
-        .iter()
-        .filter_map(|(key, st)| {
-            let t = st.transfer?;
-            (t.from == prefill && t.to == decode && fabric.contains(key.as_u64()))
-                .then_some((st.req.id, key))
-        })
-        .collect();
-    victims.sort_unstable();
-    for (rid, key) in victims {
-        if let Some(f) = s.fabric.as_mut() {
-            let estimates = f.cancel(key.as_u64(), core.now);
-            schedule_flow_events(core, estimates);
-        }
-        let Some(t) = core.reqs.get(key).and_then(|st| st.transfer) else {
-            continue;
-        };
-        if !core.recovery_enabled {
-            drop_request(core, key);
-            continue;
-        }
-        let mut t = t;
-        t.attempt += 1;
-        if retry_budget_spent(core, key, t.attempt) {
-            continue;
-        }
-        core.recovery.kv_transfer_retries += 1;
-        trace(
-            core,
-            TraceKind::KvRetry {
-                request: rid,
-                attempt: t.attempt,
-            },
-        );
-        let delay = retry_backoff(core, t.attempt);
-        split_launch_transfer(core, s, t, delay);
-    }
-}
-
-fn split_on_transfer_done(
-    core: &mut Core,
-    s: &mut SplitState,
-    replica: usize,
-    request: SlabKey,
-    attempt: u32,
-) -> Result<()> {
-    let Some(t) = core.reqs.get(request).and_then(|st| st.transfer) else {
-        return Ok(()); // superseded or dropped
-    };
-    if t.attempt != attempt || t.to != replica {
-        return Ok(()); // stale attempt
-    }
-    split_deliver_transfer(core, s, request)
-}
-
-/// The bytes of `request`'s KV transfer arrived (legacy or fabric path):
-/// retry if the link died underneath it, re-target if the decode replica
-/// died, otherwise hand the sequence to the decode replica.
+/// The bytes of `key`'s KV transfer arrived over a live link: re-target
+/// if the decode replica died, otherwise hand the sequence to the decode
+/// replica.
 fn split_deliver_transfer(core: &mut Core, s: &mut SplitState, key: SlabKey) -> Result<()> {
     let Some(t) = core.reqs.get(key).and_then(|st| st.transfer) else {
         return Ok(());
     };
-    if s.link_down[t.from][t.to] {
-        // The link faulted mid-transfer. With recovery the sender retries
-        // after a capped exponential backoff; without, the request is
-        // lost.
-        if !core.recovery_enabled {
-            drop_request(core, key);
-            return Ok(());
-        }
-        let mut t = t;
-        t.attempt += 1;
-        if retry_budget_spent(core, key, t.attempt) {
-            return Ok(());
-        }
-        core.recovery.kv_transfer_retries += 1;
-        let rid = core.reqs[key].req.id;
-        trace(
-            core,
-            TraceKind::KvRetry {
-                request: rid,
-                attempt: t.attempt,
-            },
-        );
-        let delay = retry_backoff(core, t.attempt);
-        split_launch_transfer(core, s, t, delay);
-        return Ok(());
-    }
     if !s.decodes[t.to].is_alive() {
         // Target died while the bytes were in flight.
         if let Some(st) = core.reqs.get_mut(key) {
@@ -2206,7 +1744,7 @@ fn split_redispatch_transfer(core: &mut Core, s: &mut SplitState, mut t: Transfe
             attempt: t.attempt,
         },
     );
-    split_launch_transfer(core, s, t, SimDuration::ZERO);
+    s.kv.launch(core, t, SimDuration::ZERO);
 }
 
 // --- decode planning / coalescing ----------------------------------------
@@ -2961,12 +2499,7 @@ fn split_hedge_transfer(core: &mut Core, s: &mut SplitState, request: SlabKey) {
     let Some(t) = core.reqs.get(request).and_then(|st| st.transfer) else {
         return; // completion already delivered
     };
-    if let Some(f) = s.fabric.as_mut() {
-        if f.contains(request.as_u64()) {
-            let estimates = f.cancel(request.as_u64(), core.now);
-            schedule_flow_events(core, estimates);
-        }
-    }
+    s.kv.cancel(core, request);
     // Free-KV capacity is read at `now`, so every coalesced batch must be
     // materialized up to `now` first.
     split_catch_up_all_decodes(core, s);
@@ -2991,7 +2524,7 @@ fn split_hedge_transfer(core: &mut Core, s: &mut SplitState, request: SlabKey) {
             replica: t.to,
         },
     );
-    split_launch_transfer(core, s, t, SimDuration::ZERO);
+    s.kv.launch(core, t, SimDuration::ZERO);
 }
 
 // --- colocated-topology handlers -----------------------------------------
@@ -3162,7 +2695,7 @@ fn colo_on_work_done(core: &mut Core, c: &mut ColoState, ri: usize) -> Result<()
 }
 
 #[cfg(test)]
-mod tests {
+pub(super) mod tests {
     use super::*;
     use crate::config::Quarantine;
     use ts_cluster::presets;
@@ -3171,7 +2704,7 @@ mod tests {
         StageSpec,
     };
 
-    fn testbed(cfg_edit: impl FnOnce(&mut SimConfig)) -> Driver {
+    pub(crate) fn testbed(cfg_edit: impl FnOnce(&mut SimConfig)) -> Driver {
         let cluster = presets::network_case_cluster(presets::ETH_5GBPS);
         let model = ModelSpec::llama_13b();
         let group = |phase, ids: [u32; 4]| {
@@ -3198,92 +2731,10 @@ mod tests {
         Driver::new_split(&cluster, &plan, cfg).unwrap()
     }
 
-    fn seed_request(core: &mut Core, id: u64) -> (Request, SlabKey) {
+    pub(crate) fn seed_request(core: &mut Core, id: u64) -> (Request, SlabKey) {
         let req = Request::new(RequestId(id), SimTime::ZERO, 512, 16);
         let key = core.reqs.insert(ReqState::new(req));
         (req, key)
-    }
-
-    #[test]
-    fn zero_duration_launch_bypasses_uplink_serialization() {
-        // Regression: a zero-duration transfer (KV modeling off) used to
-        // wait behind `sender_free_at` and then push it out to
-        // `now + delay`, queueing later transfers on a link it never used.
-        let mut d = testbed(|cfg| cfg.kv_transfer = KvTransfer::Free);
-        let (core, s) = d.split("test").unwrap();
-        let (req, key) = seed_request(core, 7);
-        core.now = SimTime::from_secs_f64(5.0);
-        let busy_until = SimTime::from_secs_f64(30.0);
-        s.sender_free_at[0] = busy_until;
-        split_launch_transfer(
-            core,
-            s,
-            Transfer {
-                from: 0,
-                to: 0,
-                job: PrefillJob::fresh(key, &req),
-                attempt: 2,
-            },
-            SimDuration::from_millis(50),
-        );
-        assert_eq!(
-            s.sender_free_at[0], busy_until,
-            "zero-duration transfer must not touch the uplink"
-        );
-        let ev = core.queue.pop().expect("completion scheduled");
-        assert_eq!(
-            ev.at,
-            SimTime::from_secs_f64(5.0) + SimDuration::from_millis(50),
-            "completes after the backoff alone, not behind the uplink queue"
-        );
-        let p = &core.reqs[key].pend;
-        assert_eq!(p.kv_enqueued_at, Some(SimTime::from_secs_f64(5.0)));
-        assert_eq!(p.kv_wire_started_at, Some(ev.at));
-    }
-
-    #[test]
-    fn modeled_transfer_still_serializes_on_the_uplink() {
-        let mut d = testbed(|_| {});
-        let (core, s) = d.split("test").unwrap();
-        let (req, key) = seed_request(core, 8);
-        core.now = SimTime::from_secs_f64(5.0);
-        let busy_until = SimTime::from_secs_f64(10.0);
-        s.sender_free_at[0] = busy_until;
-        split_launch_transfer(
-            core,
-            s,
-            Transfer {
-                from: 0,
-                to: 0,
-                job: PrefillJob::fresh(key, &req),
-                attempt: 1,
-            },
-            SimDuration::ZERO,
-        );
-        assert!(
-            s.sender_free_at[0] > busy_until,
-            "a modeled transfer occupies the uplink past the queue head"
-        );
-        assert_eq!(
-            core.reqs[key].pend.kv_wire_started_at,
-            Some(busy_until),
-            "wire time starts when the uplink frees, not at enqueue"
-        );
-        let ev = core.queue.pop().expect("completion scheduled");
-        assert_eq!(ev.at, s.sender_free_at[0]);
-    }
-
-    #[test]
-    fn fabric_is_built_only_for_the_fabric_transfer_model() {
-        for (transfer, fabric) in [
-            (KvTransfer::Free, false),
-            (KvTransfer::Serialized, false),
-            (KvTransfer::Fabric, true),
-        ] {
-            let mut d = testbed(|cfg| cfg.kv_transfer = transfer);
-            let (_, s) = d.split("test").unwrap();
-            assert_eq!(s.fabric.is_some(), fabric, "{transfer:?}");
-        }
     }
 
     /// Two tenants (both llama-7b, so memory trivially fits) partitioning
@@ -3366,7 +2817,6 @@ mod tests {
         let (_, s) = d.split("test").unwrap();
         assert_eq!(s.prefill_model, vec![ModelId(0)]);
         assert_eq!(s.decode_model, vec![ModelId(0)]);
-        assert_eq!(s.codecs.len(), 1, "one codec per prefill replica");
     }
 
     #[test]
@@ -3508,15 +2958,5 @@ mod tests {
             .unwrap();
         let log = legacy.take_trace().expect("telemetry was on");
         assert!(log.model_tags().is_empty());
-    }
-
-    #[test]
-    fn flow_endpoints_pick_the_heaviest_leg_and_total_layers() {
-        let mut d = testbed(|_| {});
-        let (core, s) = d.split("test").unwrap();
-        // tp=4/pp=1 on both sides: a single leg carrying every layer.
-        let (_, _, layers) = s.flow_routes[0][0];
-        assert_eq!(layers, core.cfg.model.num_layers);
-        assert_eq!(flow_endpoints(&[]), (GpuId(0), GpuId(0), 0));
     }
 }

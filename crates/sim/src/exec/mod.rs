@@ -24,8 +24,10 @@
 //! ```
 //!
 //! The driver owns everything both topologies share; the executors own
-//! what a single replica knows; [`seq`] owns the per-sequence types every
-//! layer passes around. Fault handling is written once in the driver
+//! what a single replica knows; `kv` owns the KV transport between
+//! phase-split replicas (transfer model, link faults, the flow fabric and
+//! its timer); [`seq`] owns the per-sequence types every layer passes
+//! around. Fault handling is written once in the driver
 //! against the [`ReplicaExecutor`] trait, which is why colocated baselines
 //! support `run_with_faults` with the same
 //! [`crate::metrics::RecoveryCounters`] semantics as the phase-split
@@ -35,6 +37,7 @@ pub mod executor;
 pub mod seq;
 
 pub(crate) mod driver;
+mod kv;
 
 pub use executor::{
     ColocatedExecutor, DecodeExecutor, DrainedWork, LostSeq, PrefillExecutor, ReplicaExecutor, Work,

@@ -633,3 +633,16 @@ fn streaming_with_coalescing_off_matches_the_same_golden() {
         "streaming over the per-step path perturbed simulation outputs"
     );
 }
+
+/// The fabric signals completions through one cancellable timer, so the
+/// `split_contention` arm dispatches an exact, small number of events: its
+/// arrivals, prefill, decode and transfer events, and one timer firing
+/// per flow completion.
+#[test]
+fn fabric_run_dispatches_a_pinned_event_count() {
+    let (cluster, plan) = split_plan_8();
+    let cfg = SimConfig::new(ModelSpec::llama_7b()).with_network_contention(true);
+    let mut sim = Simulation::new(&cluster, &plan, cfg).unwrap();
+    sim.run(&mixed_requests(250, 8_000, 5)).unwrap();
+    assert_eq!(sim.events_processed(), 797);
+}

@@ -322,6 +322,15 @@ fn block_allocator_invariants() {
 
 /// A prefill policy for a conservation case: FCFS, shortest-first, or
 /// chunked at 1 to 512 tokens per launch.
+fn draw_kv_transfer(rng: &mut impl Rng) -> thunderserve::sim::KvTransfer {
+    use thunderserve::sim::KvTransfer;
+    match rng.gen_range(0..3) {
+        0 => KvTransfer::Free,
+        1 => KvTransfer::Serialized,
+        _ => KvTransfer::Fabric,
+    }
+}
+
 fn draw_prefill_policy(rng: &mut impl Rng) -> thunderserve::sim::PrefillPolicy {
     use thunderserve::sim::PrefillPolicy;
     match rng.gen_range(0..3) {
@@ -334,7 +343,7 @@ fn draw_prefill_policy(rng: &mut impl Rng) -> thunderserve::sim::PrefillPolicy {
 }
 
 /// The simulator conserves requests for arbitrary small workloads under
-/// every prefill policy.
+/// every prefill policy and KV transfer model.
 #[test]
 fn simulator_conserves_requests() {
     let cluster = thunderserve::cluster::presets::network_case_cluster(
@@ -387,18 +396,18 @@ fn simulator_conserves_requests() {
         let mut sorted = reqs;
         sorted.sort_by_key(|r| r.arrival);
         let policy = draw_prefill_policy(&mut rng);
-        let metrics = thunderserve::sim::engine::Simulation::new(
-            &cluster,
-            &plan,
-            thunderserve::sim::config::SimConfig::new(model.clone()).with_prefill_policy(policy),
-        )
-        .unwrap()
-        .run(&sorted)
-        .unwrap();
+        let mut cfg =
+            thunderserve::sim::config::SimConfig::new(model.clone()).with_prefill_policy(policy);
+        cfg.kv_transfer = draw_kv_transfer(&mut rng);
+        let transfer = cfg.kv_transfer;
+        let metrics = thunderserve::sim::engine::Simulation::new(&cluster, &plan, cfg)
+            .unwrap()
+            .run(&sorted)
+            .unwrap();
         assert_eq!(
             metrics.num_completed() + metrics.num_dropped(),
             sorted.len(),
-            "case {case} under {policy:?}"
+            "case {case} under {policy:?}, {transfer:?}"
         );
         for r in metrics.records() {
             assert!(r.finished_at >= r.first_token_at);
@@ -565,7 +574,7 @@ fn gray_failures_conserve_requests() {
         // One arm per case: a decode straggler under quarantine, a flaky
         // heartbeat flapping through the run, a dead link with a tight
         // retry budget, or everything at once with hedging and deadlines.
-        let (script, cfg) = match case % 4 {
+        let (script, mut cfg) = match case % 4 {
             0 => (
                 FaultScript::new(
                     vec![fault(
@@ -641,6 +650,9 @@ fn gray_failures_conserve_requests() {
                     }),
             ),
         };
+        // Under the fabric, link faults kill in-flight flows and
+        // degradations re-share them live.
+        cfg.kv_transfer = draw_kv_transfer(&mut rng);
         let run = || {
             Simulation::new(&cluster, &plan, cfg.clone())
                 .unwrap()
@@ -651,7 +663,8 @@ fn gray_failures_conserve_requests() {
         assert_eq!(
             metrics.num_completed() + metrics.num_dropped() + metrics.num_rejected(),
             reqs.len(),
-            "case {case}: conservation violated ({:?})",
+            "case {case} under {:?}: conservation violated ({:?})",
+            cfg.kv_transfer,
             metrics.recovery()
         );
         for r in metrics.records() {
