@@ -314,7 +314,7 @@ fn main() {
         "  \"note\": \"wall_*_s are per-configuration minima over alternating off/on pairs; \
          overhead_fraction = min(on)/min(off) - 1. External noise only ever adds time, so \
          the minima estimate true cost. The committed (full-mode) 100k x 64 arm must stay \
-         within the 5% budget enforced by bench_gate. Sketch errors are deterministic \
+         within the 5% budget enforced by gate::check. Sketch errors are deterministic \
          (simulated time) and must stay within the configured relative accuracy.\",\n",
     );
     json.push_str("  \"arms\": [\n");

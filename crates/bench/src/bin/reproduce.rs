@@ -11,6 +11,11 @@
 //! observability plane attached and writes `<base>.prom` (Prometheus text
 //! exposition, validated before writing) and `<base>.json` (compact metric
 //! dump).
+//!
+//! Stdout carries only simulated-time results, so it is byte-identical
+//! across runs and machines; CI `cmp`s `reproduce --quick` with the
+//! committed `REPRODUCE_quick.txt`. Wall-clock figures (each experiment's
+//! run time, scheduler search times) go to stderr.
 
 use std::time::Instant;
 use ts_bench::all_experiments;
@@ -54,9 +59,9 @@ fn main() {
         println!("[{}] {}", e.id, e.title);
         println!("==================================================================");
         let report = (e.run)(quick);
-        println!("{report}");
-        println!(
-            "({} finished in {:.1}s)\n",
+        println!("{report}\n");
+        eprintln!(
+            "({} finished in {:.1}s)",
             e.id,
             start.elapsed().as_secs_f64()
         );

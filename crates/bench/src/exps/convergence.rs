@@ -36,13 +36,7 @@ pub fn run(quick: bool) -> String {
     let slo = base_slo_30b().scaled(8.0);
     let w = ts_workload::spec::coding(2.0);
     let mut out = String::from("Figure 10: tabu-search convergence\n\n");
-    let mut t = Table::new(vec![
-        "GPUs",
-        "steps",
-        "evaluations",
-        "search time (s)",
-        "final objective",
-    ]);
+    let mut t = Table::new(vec!["GPUs", "steps", "evaluations", "final objective"]);
     for &n in &[16usize, 24, 32] {
         let cluster = cloud_subset(n);
         let mut cfg = SchedulerConfig::default();
@@ -55,9 +49,10 @@ pub fn run(quick: bool) -> String {
             n.to_string(),
             r.trajectory.len().to_string(),
             r.evaluations.to_string(),
-            format!("{:.3}", r.elapsed),
             format!("{:.3}", r.estimated_attainment),
         ]);
+        // Wall-clock, so it stays off the byte-pinned report.
+        eprintln!("fig10: {n} GPUs search time {:.3}s", r.elapsed);
         // print a short convergence series (best score at checkpoints)
         let pts: Vec<String> = r
             .trajectory

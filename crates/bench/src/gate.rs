@@ -1,23 +1,17 @@
-//! Shared regression gate over the committed `BENCH_*.json` artifacts.
+//! Qualitative checks over the `BENCH_*.json` artifacts.
 //!
-//! One checker replaces the ad-hoc floor asserts that used to live in each
-//! bench binary: every binary runs [`check`] on the JSON it just wrote, and
-//! the `bench_gate` binary (wired into CI) runs the same checks over all
-//! committed artifacts plus a >15% regression comparison of freshly
-//! measured deterministic metrics against the committed trajectory's last
-//! entry.
+//! Every bench binary runs [`check`] on the JSON it just wrote, and the
+//! `committed_artifacts` test runs it over every committed artifact. The
+//! checks are the rule for a deliberate re-record: a fresh artifact that
+//! still shows the property its benchmark exists for may replace the
+//! committed one.
 //!
-//! Wall-clock figures (events/sec, evals/sec) are machine-dependent, so
-//! they are guarded by *floors* in the structural checks and excluded from
-//! the percentage comparison; simulated-time figures (p99 latencies,
-//! attainment, cost, sketch errors) are deterministic and compared
-//! strictly.
-
-use std::fmt::Write as _;
-
-/// Maximum tolerated relative regression of a deterministic metric between
-/// the committed artifact and a fresh measurement.
-pub const REGRESSION_TOLERANCE: f64 = 0.15;
+//! They are not how CI pins behaviour. The simulated-time artifacts
+//! (`BENCH_net`, `BENCH_fault`, `BENCH_mm`, `BENCH_autoscale`) are
+//! deterministic, so CI regenerates each in full mode and `cmp`s it with
+//! the committed file. Wall-clock figures (events/sec, evals/sec, plane
+//! overhead) move with the machine, so they are guarded here by *floors*,
+//! strict for the committed full-mode runs and lax for quick runs.
 
 /// Streaming-plane overhead budget on the committed (full-mode) event-loop
 /// arm at 100k requests and up: wall-clock with the plane attached may
@@ -37,11 +31,6 @@ pub const OBS_STRICT_ARM_REQUESTS: f64 = 100_000.0;
 /// static fleet on the committed 24-hour trace.
 pub const AUTOSCALE_GAP_BOUND: f64 = 0.05;
 
-/// Lax gap bound for quick-mode runs: the compressed trace is structurally
-/// harsher on a boundary-reactive controller (each segment is a sixth of
-/// the day, so one lagged boundary costs ~10x more weight).
-pub const AUTOSCALE_GAP_BOUND_QUICK: f64 = 0.15;
-
 /// Minimum cost saving the elastic fleet must deliver over the all-on-demand
 /// static fleet, as a fraction of the static cost.
 pub const AUTOSCALE_MIN_SAVING: f64 = 0.2;
@@ -51,26 +40,6 @@ pub use ts_common::json;
 
 use json::Value;
 
-/// Which direction of change is an improvement for a metric.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Better {
-    /// Larger values are better (attainment, savings).
-    Higher,
-    /// Smaller values are better (latency, cost, error).
-    Lower,
-}
-
-/// One deterministic (simulated-time) metric extracted from an artifact.
-#[derive(Debug, Clone)]
-pub struct Metric {
-    /// Stable name, unique within the artifact.
-    pub name: String,
-    /// The measured value.
-    pub value: f64,
-    /// Improvement direction.
-    pub better: Better,
-}
-
 /// Outcome of a structural check.
 #[derive(Debug, Clone)]
 pub struct GateReport {
@@ -78,8 +47,6 @@ pub struct GateReport {
     pub file: String,
     /// Structural invariants verified.
     pub checks: usize,
-    /// Deterministic metrics extracted (available for comparison).
-    pub metrics: usize,
 }
 
 /// A tiny helper collecting named invariant checks.
@@ -138,15 +105,13 @@ pub fn check(stem: &str, text: &str, strict: bool) -> Result<GateReport, String>
         "BENCH_net" => check_net(&root, &mut c)?,
         "BENCH_fault" => check_fault(&root, &mut c)?,
         "BENCH_mm" => check_mm(&root, &mut c)?,
-        "BENCH_autoscale" => check_autoscale(&root, &mut c, strict)?,
+        "BENCH_autoscale" => check_autoscale(&root, &mut c)?,
         "BENCH_obs" => check_obs(&root, &mut c, strict)?,
         _ => {}
     }
-    let metrics = metrics_of(stem, &root).len();
     Ok(GateReport {
         file: stem.to_string(),
         checks: c.checks,
-        metrics,
     })
 }
 
@@ -352,7 +317,7 @@ fn check_mm(root: &Value, c: &mut Checker) -> Result<(), String> {
     Ok(())
 }
 
-fn check_autoscale(root: &Value, c: &mut Checker, strict: bool) -> Result<(), String> {
+fn check_autoscale(root: &Value, c: &mut Checker) -> Result<(), String> {
     c.require(
         fraction(root.num("saving_fraction")),
         "saving_fraction must be a fraction",
@@ -395,14 +360,11 @@ fn check_autoscale(root: &Value, c: &mut Checker, strict: bool) -> Result<(), St
     }
     if let (Some(elastic), Some(stat)) = (of("autoscale", "attainment"), of("static", "attainment"))
     {
-        let bound = if strict {
-            AUTOSCALE_GAP_BOUND
-        } else {
-            AUTOSCALE_GAP_BOUND_QUICK
-        };
         c.require(
-            stat - elastic <= bound,
-            &format!("autoscaler must stay within {bound} attainment of the static oracle"),
+            stat - elastic <= AUTOSCALE_GAP_BOUND,
+            &format!(
+                "autoscaler must stay within {AUTOSCALE_GAP_BOUND} attainment of the static oracle"
+            ),
         )?;
     }
     Ok(())
@@ -455,167 +417,6 @@ fn check_obs(root: &Value, c: &mut Checker, strict: bool) -> Result<(), String> 
     Ok(())
 }
 
-/// Extracts the deterministic (simulated-time) metrics of an artifact.
-/// Wall-clock figures are deliberately absent: they move with the machine,
-/// not the code under test.
-pub fn metrics_of(stem: &str, root: &Value) -> Vec<Metric> {
-    let mut out = Vec::new();
-    let mut push = |name: String, value: Option<f64>, better: Better| {
-        if let Some(v) = value {
-            if v.is_finite() {
-                out.push(Metric {
-                    name,
-                    value: v,
-                    better,
-                });
-            }
-        }
-    };
-    let arms = root
-        .get("arms")
-        .and_then(Value::as_array)
-        .unwrap_or_default();
-    match stem {
-        "BENCH_net" => {
-            for a in arms {
-                let label = format!(
-                    "flows{}_{}",
-                    a.num("flows").unwrap_or(0.0),
-                    a.get("precision").and_then(Value::as_str).unwrap_or("?")
-                );
-                push(
-                    format!("{label}.mean_transfer_s"),
-                    a.num("mean_transfer_s"),
-                    Better::Lower,
-                );
-                push(
-                    format!("{label}.max_transfer_s"),
-                    a.num("max_transfer_s"),
-                    Better::Lower,
-                );
-            }
-        }
-        "BENCH_fault" => {
-            for a in arms {
-                let label = format!(
-                    "{}_x{}_{}",
-                    a.get("role").and_then(Value::as_str).unwrap_or("?"),
-                    a.num("slowdown").unwrap_or(0.0),
-                    if a.get("mitigated").and_then(Value::as_bool) == Some(true) {
-                        "mitigated"
-                    } else {
-                        "raw"
-                    }
-                );
-                push(
-                    format!("{label}.p99_ttft_s"),
-                    a.num("p99_ttft_s"),
-                    Better::Lower,
-                );
-                push(
-                    format!("{label}.p99_e2e_s"),
-                    a.num("p99_e2e_s"),
-                    Better::Lower,
-                );
-                push(
-                    format!("{label}.shed_rate"),
-                    a.num("shed_rate"),
-                    Better::Lower,
-                );
-            }
-        }
-        "BENCH_mm" => {
-            for a in arms {
-                let label = a.get("arm").and_then(Value::as_str).unwrap_or("?");
-                push(
-                    format!("{label}.weighted_attainment"),
-                    a.num("weighted_attainment"),
-                    Better::Higher,
-                );
-                push(
-                    format!("{label}.cost_per_hour"),
-                    a.num("cost_per_hour"),
-                    Better::Lower,
-                );
-            }
-        }
-        "BENCH_autoscale" => {
-            push("gap_points".into(), root.num("gap_points"), Better::Lower);
-            push(
-                "saving_fraction".into(),
-                root.num("saving_fraction"),
-                Better::Higher,
-            );
-            for a in arms {
-                let label = a.get("arm").and_then(Value::as_str).unwrap_or("?");
-                push(
-                    format!("{label}.attainment"),
-                    a.num("attainment"),
-                    Better::Higher,
-                );
-                push(
-                    format!("{label}.total_cost"),
-                    a.num("total_cost"),
-                    Better::Lower,
-                );
-            }
-        }
-        "BENCH_obs" => {
-            if let Some(sketch) = root.get("sketch") {
-                for (k, v) in sketch.as_object().unwrap_or_default() {
-                    if k.ends_with("_err_rel") {
-                        push(format!("sketch.{k}"), v.as_number(), Better::Lower);
-                    }
-                }
-            }
-        }
-        // BENCH_sim / BENCH_scheduler record wall-clock throughput only.
-        _ => {}
-    }
-    out
-}
-
-/// Compares a fresh artifact against the committed one: every deterministic
-/// metric present in the committed file must not regress by more than
-/// [`REGRESSION_TOLERANCE`] in its worse direction, and must still exist.
-///
-/// Returns human-readable regression descriptions (empty = pass).
-///
-/// # Errors
-/// Returns a parse error if either document is malformed.
-pub fn compare(stem: &str, committed: &str, fresh: &str) -> Result<Vec<String>, String> {
-    let committed = metrics_of(
-        stem,
-        &json::parse(committed).map_err(|e| format!("{stem}: {e}"))?,
-    );
-    let fresh_root = json::parse(fresh).map_err(|e| format!("{stem} (fresh): {e}"))?;
-    let fresh = metrics_of(stem, &fresh_root);
-    let mut regressions = Vec::new();
-    for m in &committed {
-        let Some(f) = fresh.iter().find(|f| f.name == m.name) else {
-            regressions.push(format!("{stem}: {} disappeared from the fresh run", m.name));
-            continue;
-        };
-        let bad = match m.better {
-            Better::Higher => f.value < m.value * (1.0 - REGRESSION_TOLERANCE) - 1e-9,
-            Better::Lower => f.value > m.value * (1.0 + REGRESSION_TOLERANCE) + 1e-9,
-        };
-        if bad {
-            let mut s = String::new();
-            let _ = write!(
-                s,
-                "{stem}: {} regressed {:.6} -> {:.6} (tolerance {:.0}%)",
-                m.name,
-                m.value,
-                f.value,
-                REGRESSION_TOLERANCE * 100.0
-            );
-            regressions.push(s);
-        }
-    }
-    Ok(regressions)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -652,29 +453,6 @@ mod tests {
         check("BENCH_obs", &mk(0.08).replace("100000", "10000"), true).unwrap();
         let bad_sketch = mk(0.01).replace("0.004", "0.02");
         assert!(check("BENCH_obs", &bad_sketch, true).is_err());
-    }
-
-    #[test]
-    fn compare_flags_deterministic_regressions_only() {
-        let committed = r#"{"gap_points": 2.0, "saving_fraction": 0.6,
-            "arms": [{"arm": "elastic", "attainment": 0.97, "total_cost": 100.0}]}"#;
-        let same = compare("BENCH_autoscale", committed, committed).unwrap();
-        assert!(same.is_empty(), "{same:?}");
-        let worse = committed
-            .replace("\"attainment\": 0.97", "\"attainment\": 0.5")
-            .replace("\"total_cost\": 100.0", "\"total_cost\": 130.0");
-        let regs = compare("BENCH_autoscale", committed, &worse).unwrap();
-        assert_eq!(regs.len(), 2, "{regs:?}");
-        // Within tolerance: no flag.
-        let slight = committed.replace("\"total_cost\": 100.0", "\"total_cost\": 110.0");
-        assert!(compare("BENCH_autoscale", committed, &slight)
-            .unwrap()
-            .is_empty());
-        // A vanished metric is a regression.
-        let gone = r#"{"gap_points": 2.0, "saving_fraction": 0.6, "arms": []}"#;
-        assert!(!compare("BENCH_autoscale", committed, gone)
-            .unwrap()
-            .is_empty());
     }
 
     #[test]

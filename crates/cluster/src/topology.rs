@@ -250,16 +250,23 @@ impl Cluster {
             .sum()
     }
 
+    /// Checks that every id names a GPU of this cluster.
+    ///
+    /// # Errors
+    /// Returns [`Error::InvalidConfig`] naming the first id out of range.
+    pub fn check_gpus(&self, ids: impl IntoIterator<Item = GpuId>) -> Result<()> {
+        match ids.into_iter().find(|id| id.index() >= self.gpus.len()) {
+            Some(id) => Err(Error::InvalidConfig(format!("unknown GPU {id}"))),
+            None => Ok(()),
+        }
+    }
+
     /// Marks GPUs as failed/preempted. Unknown ids are an error.
     ///
     /// # Errors
     /// Returns [`Error::InvalidConfig`] if any id is out of range.
     pub fn deactivate_gpus(&mut self, ids: &[GpuId]) -> Result<()> {
-        for &id in ids {
-            if id.index() >= self.gpus.len() {
-                return Err(Error::InvalidConfig(format!("unknown GPU {id}")));
-            }
-        }
+        self.check_gpus(ids.iter().copied())?;
         for &id in ids {
             self.active[id.index()] = false;
         }
@@ -295,11 +302,7 @@ impl Cluster {
     /// # Errors
     /// Returns [`Error::InvalidConfig`] if any id is out of range.
     pub fn activate_gpus(&mut self, ids: &[GpuId]) -> Result<()> {
-        for &id in ids {
-            if id.index() >= self.gpus.len() {
-                return Err(Error::InvalidConfig(format!("unknown GPU {id}")));
-            }
-        }
+        self.check_gpus(ids.iter().copied())?;
         for &id in ids {
             self.active[id.index()] = true;
         }

@@ -45,8 +45,8 @@ impl GroupSpec {
     ///
     /// # Errors
     /// Returns [`Error::InvalidConfig`] if the stage shape does not match the
-    /// parallel configuration, a GPU appears twice, or any stage has zero
-    /// layers.
+    /// parallel configuration, a GPU appears twice, any stage has zero
+    /// layers, or the layer count overflows `usize`.
     pub fn new(phase: Phase, parallel: ParallelConfig, stages: Vec<StageSpec>) -> Result<Self> {
         if stages.len() != parallel.pp() {
             return Err(Error::InvalidConfig(format!(
@@ -72,6 +72,13 @@ impl GroupSpec {
                     return Err(Error::InvalidConfig(format!("GPU {g} appears twice")));
                 }
             }
+        }
+        if stages
+            .iter()
+            .try_fold(0usize, |sum, st| sum.checked_add(st.layers))
+            .is_none()
+        {
+            return Err(Error::InvalidConfig("layer count overflows".into()));
         }
         Ok(GroupSpec {
             phase,
@@ -307,6 +314,12 @@ impl DeploymentPlan {
                 return Err(Error::InvalidConfig(format!(
                     "single-model share is {}, expected 1",
                     entry.share
+                )));
+            }
+            if let Some(g) = groups.iter().find(|g| g.model != ModelId(0)) {
+                return Err(Error::InvalidConfig(format!(
+                    "group serves {} which has no routing entry",
+                    g.model
                 )));
             }
             return DeploymentPlan::new(groups, entry.routing);

@@ -82,7 +82,9 @@ fn write_matrix(out: &mut String, header: &str, r: &RoutingMatrix) {
 ///
 /// # Errors
 /// Returns [`Error::InvalidConfig`] describing the first malformed line, and
-/// propagates the structural validation of [`DeploymentPlan::new`].
+/// propagates the structural validation of [`DeploymentPlan::new_multi`]:
+/// the per-model sections, or the aggregate alone on a single-model plan,
+/// must form a plan `new_multi` accepts.
 pub fn from_text(text: &str) -> Result<DeploymentPlan> {
     let mut lines = text.lines().map(str::trim).filter(|l| !l.is_empty());
     let bad = |msg: String| Error::InvalidConfig(format!("plan parse: {msg}"));
@@ -216,20 +218,31 @@ pub fn from_text(text: &str) -> Result<DeploymentPlan> {
         return Err(bad("truncated routing matrix".into()));
     }
     let routing = routing.ok_or_else(|| bad("missing routing section".into()))?;
-    let mut plan = DeploymentPlan::new(groups, routing)?;
-    for mr in &model_routing {
-        let pre = plan.prefill_indices_for(mr.model).len();
-        let dec = plan.decode_indices_for(mr.model).len();
-        if mr.routing.num_prefill() != pre || mr.routing.num_decode() != dec {
-            return Err(bad(format!(
-                "routing for {} is {}x{}, its phases are {pre}x{dec}",
-                mr.model,
-                mr.routing.num_prefill(),
-                mr.routing.num_decode()
-            )));
-        }
+    if model_routing.is_empty() {
+        return DeploymentPlan::new_multi(
+            groups,
+            vec![ModelRouting {
+                model: ModelId(0),
+                routing,
+                share: 1.0,
+            }],
+        );
     }
-    plan.model_routing = model_routing;
+    // On a multi-model plan the aggregate section is redundant: it must be
+    // the block-diagonal share x routing that `new_multi` derives.
+    let plan = DeploymentPlan::new_multi(groups, model_routing)?;
+    let derived = &plan.routing;
+    let agrees = (derived.num_prefill(), derived.num_decode())
+        == (routing.num_prefill(), routing.num_decode())
+        && (0..routing.num_prefill()).all(|i| {
+            (0..routing.num_decode())
+                .all(|j| (derived.rate(i, j) - routing.rate(i, j)).abs() <= 1e-6)
+        });
+    if !agrees {
+        return Err(bad(
+            "aggregate routing disagrees with the per-model shares and routing".into(),
+        ));
+    }
     Ok(plan)
 }
 
@@ -412,6 +425,47 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Model sections that `DeploymentPlan::new_multi` would reject do not
+    /// parse either.
+    #[test]
+    fn rejects_model_sections_new_multi_rejects() {
+        let good = to_text(&multi_plan());
+        from_text(&good).unwrap();
+        let share =
+            |from: &str, to: &str| good.replace(&format!("share={from}"), &format!("share={to}"));
+        for text in [
+            share("0.750000000000", "NaN"),
+            share("0.750000000000", "-1"),
+            share("0.250000000000", "0.05").replace("share=0.750000000000", "share=0.15"),
+        ] {
+            assert!(from_text(&text).is_err(), "{text}");
+        }
+        // Two sections for the default model.
+        let one_model = format!(
+            "{HEADER}\ngroup prefill tp=1 pp=1\nstage layers=1 gpus=0\n\
+             group decode tp=1 pp=1\nstage layers=1 gpus=1\nrouting 1x1\n1\n\
+             model 0 share=0.5 routing 1x1\n1\nmodel 0 share=0.5 routing 1x1\n1\n"
+        );
+        assert!(from_text(&one_model).is_err());
+        // Model 1's groups with no section of their own, beside a
+        // multi-model section and on an otherwise single-model plan.
+        let (model_1, rest) = good.split_once("model 1 share").unwrap();
+        let orphan = format!(
+            "{model_1}model 2 share=1.0{}",
+            rest.split_once("model 2 share=0.750000000000").unwrap().1
+        );
+        assert!(from_text(&orphan).is_err(), "{orphan}");
+        assert!(from_text(model_1).is_err(), "{model_1}");
+        // An aggregate that disagrees with share x routing: swap model 2's
+        // two aggregate cells.
+        let swapped = good
+            .replace("0.093750000000", "X")
+            .replace("0.656250000000", "0.093750000000")
+            .replace('X', "0.656250000000");
+        assert_ne!(swapped, good);
+        assert!(from_text(&swapped).is_err(), "{swapped}");
     }
 
     #[test]

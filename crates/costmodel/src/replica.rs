@@ -136,14 +136,17 @@ impl ReplicaCostModel {
     /// Compiles the cost model for `group` placed on `cluster`.
     ///
     /// # Errors
-    /// Returns [`Error::Infeasible`] if the group's layer partition does not
-    /// cover the model, or any stage cannot hold its weight shard in memory.
+    /// Returns [`Error::InvalidConfig`] if the group names a GPU the cluster
+    /// lacks, and [`Error::Infeasible`] if the group's layer partition does
+    /// not cover the model, or any stage cannot hold its weight shard in
+    /// memory.
     pub fn new(
         cluster: &Cluster,
         model: &ModelSpec,
         group: &GroupSpec,
         params: &ModelParams,
     ) -> Result<Self> {
+        cluster.check_gpus(group.gpus())?;
         if group.total_layers() != model.num_layers {
             return Err(Error::Infeasible(format!(
                 "group covers {} layers, model has {}",

@@ -199,6 +199,23 @@ mod tests {
     }
 
     #[test]
+    fn plan_naming_a_missing_gpu_is_an_error() {
+        let (cluster, _, cfg) = testbed(presets::ETH_40GBPS);
+        let layers = cfg.model.num_layers;
+        let groups = vec![
+            group(Phase::Prefill, &[0, 1, 2, 3], 2, 2, layers),
+            group(Phase::Decode, &[4, 5, 6, 999], 2, 2, layers),
+        ];
+        let plan = DeploymentPlan::new(groups.clone(), RoutingMatrix::uniform(1, 1)).unwrap();
+        let err = Simulation::new(&cluster, &plan, cfg.clone()).err();
+        assert!(
+            matches!(&err, Some(ts_common::Error::InvalidConfig(e)) if e.contains("999")),
+            "{err:?}"
+        );
+        assert!(Simulation::colocated(&cluster, &groups, cfg).is_err());
+    }
+
+    #[test]
     fn every_request_completes() {
         let (cluster, plan, cfg) = testbed(presets::ETH_40GBPS);
         let mut sim = Simulation::new(&cluster, &plan, cfg).unwrap();

@@ -222,6 +222,9 @@ fn schedule(flags: &Flags, simulate: bool) -> Result<String, String> {
         let text =
             std::fs::read_to_string(path).map_err(|e| format!("cannot read plan {path:?}: {e}"))?;
         let plan = ts_common::plan_io::from_text(&text).map_err(|e| e.to_string())?;
+        cluster
+            .check_gpus(plan.groups.iter().flat_map(|g| g.gpus()))
+            .map_err(|e| format!("plan {path:?} does not fit cluster {}: {e}", flags.cluster))?;
         let (p, d) = plan.phase_ratio();
         (
             plan,
@@ -393,6 +396,34 @@ mod tests {
         let report = schedule(&f, false).unwrap();
         assert!(report.contains("prefill"));
         assert!(report.contains("decode"));
+    }
+
+    #[test]
+    fn plan_naming_a_missing_gpu_is_an_error() {
+        let path = std::env::temp_dir().join(format!("ts-plan-{}.txt", std::process::id()));
+        let plan = "thunderserve-plan v1\n\
+            group prefill tp=1 pp=1\nstage layers=32 gpus=999\n\
+            group decode tp=1 pp=1\nstage layers=32 gpus=1\n\
+            routing 1x1\n1\n";
+        std::fs::write(&path, plan).unwrap();
+        let f = parse_flags(&s(&[
+            "--cluster",
+            "cloud",
+            "--model",
+            "7b",
+            "--workload",
+            "coding",
+            "--rate",
+            "1",
+            "--horizon",
+            "30",
+            "--plan",
+            path.to_str().unwrap(),
+        ]))
+        .unwrap();
+        let err = schedule(&f, true).unwrap_err();
+        std::fs::remove_file(&path).unwrap();
+        assert!(err.contains("unknown GPU") && err.contains("999"), "{err}");
     }
 
     #[test]

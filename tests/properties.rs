@@ -764,6 +764,152 @@ fn plan_text_round_trips() {
     }
 }
 
+/// Seeded mutations of a two-model plan text and of an availability
+/// script: each parser returns `Err` or a value that renders and re-parses
+/// to the same text, every accepted multi-model plan passes `new_multi`,
+/// and `Simulation::new` on the paper cloud returns rather than panics.
+#[test]
+fn parsers_survive_text_mutations() {
+    use thunderserve::cluster::availability::{script_from_text, script_to_text};
+    use thunderserve::common::{plan_io, DeploymentPlan, ModelId, ServedModel};
+    use thunderserve::sim::config::SimConfig;
+    use thunderserve::sim::engine::Simulation;
+
+    const PLAN: &str = "thunderserve-plan v1
+group prefill tp=1 pp=1 model=1
+stage layers=32 gpus=0
+group decode tp=1 pp=1 model=1
+stage layers=32 gpus=1
+group prefill tp=2 pp=1 model=2
+stage layers=40 gpus=16,17
+group decode tp=1 pp=2 model=2
+stage layers=20 gpus=18
+stage layers=20 gpus=19
+group decode tp=1 pp=1 model=2
+stage layers=40 gpus=20
+routing 2x3
+0.600000000000 0.000000000000 0.000000000000
+0.000000000000 0.100000000000 0.300000000000
+model 1 share=0.600000000000 routing 1x1
+1.000000000000
+model 2 share=0.400000000000 routing 1x2
+0.250000000000 0.750000000000
+";
+    const SCRIPT: &str = "event 0 node-down 1
+event 2000000 gpus-down 4,5
+event 3000000 gpus-up 4,5
+event 5000000 node-up 1
+event 6000000 node-slow 2 1.5
+event 7000000 link-degraded 0 4 2.5
+event 8000000 heartbeat-flaky 3 0.25
+event 9000000 scale-down 5
+event 10000000 scale-up 5
+event 11000000 preemption-warning 6
+";
+    const EDGES: [&str; 8] = [
+        "0",
+        "4294967295",
+        "18446744073709551615",
+        "NaN",
+        "inf",
+        "-1",
+        "0x0",
+        "gpus=",
+    ];
+    fn mutate(rng: &mut impl Rng, text: &str) -> String {
+        let mut lines: Vec<String> = text.lines().map(String::from).collect();
+        for _ in 0..rng.gen_range(1..3u32) {
+            let at = rng.gen_range(0..lines.len());
+            match rng.gen_range(0..8u32) {
+                // Half the mutations swap in an edge value, mostly keeping
+                // the `key=` prefix so the line still reaches validation.
+                0..=3 => {
+                    let mut tokens: Vec<String> = lines[at].split(' ').map(String::from).collect();
+                    let t = rng.gen_range(0..tokens.len());
+                    let edge = EDGES[rng.gen_range(0..EDGES.len())];
+                    tokens[t] = match tokens[t].split_once('=') {
+                        Some((key, _)) if rng.gen_bool(0.75) => format!("{key}={edge}"),
+                        _ => edge.to_string(),
+                    };
+                    lines[at] = tokens.join(" ");
+                }
+                4 => {
+                    lines.remove(at);
+                }
+                5 => {
+                    let copy = lines[at].clone();
+                    lines.insert(rng.gen_range(0..=lines.len()), copy);
+                }
+                6 => {
+                    let line = lines.remove(at);
+                    lines.insert(rng.gen_range(0..=lines.len()), line);
+                }
+                _ => {
+                    let mut bytes = std::mem::take(&mut lines[at]).into_bytes();
+                    let b = rng.gen_range(0..bytes.len());
+                    bytes[b] = b" 0129.,=-xneNa"[rng.gen_range(0..14usize)];
+                    lines[at] = String::from_utf8(bytes).expect("ASCII in, ASCII out");
+                }
+            }
+        }
+        lines.join("\n")
+    }
+
+    let cluster = thunderserve::cluster::presets::paper_cloud_cluster();
+    let catalog = vec![
+        ServedModel::llama_7b_chat(ModelId(1), 0.6).unwrap(),
+        ServedModel::llama_13b_chat(ModelId(2), 0.4).unwrap(),
+    ];
+    let cfg = SimConfig::new(catalog[0].spec.clone()).with_catalog(catalog);
+    let base = plan_io::from_text(PLAN).unwrap();
+    assert_eq!(plan_io::to_text(&base), PLAN, "the base plan is canonical");
+    Simulation::new(&cluster, &base, cfg.clone()).expect("the base plan serves");
+    assert_eq!(script_to_text(&script_from_text(SCRIPT).unwrap()), SCRIPT);
+
+    let (mut plans, mut scripts) = ([0usize; 2], [0usize; 2]);
+    for case in 0..10_000u64 {
+        let mut rng = seeded_rng(derive_seed(0x9A25, case));
+        let text = mutate(&mut rng, PLAN);
+        match plan_io::from_text(&text) {
+            Ok(plan) => {
+                plans[0] += 1;
+                let rendered = plan_io::to_text(&plan);
+                let again = plan_io::from_text(&rendered)
+                    .unwrap_or_else(|e| panic!("case {case}: {e}\n{rendered}"));
+                assert_eq!(plan_io::to_text(&again), rendered, "case {case}");
+                if plan.is_multi_model() {
+                    let rebuilt =
+                        DeploymentPlan::new_multi(plan.groups.clone(), plan.model_routing.clone());
+                    assert!(rebuilt.is_ok(), "case {case}: {rebuilt:?}\n{text}");
+                }
+                // Ok or Err; a panic fails the sweep.
+                let _ = Simulation::new(&cluster, &plan, cfg.clone());
+            }
+            Err(_) => plans[1] += 1,
+        }
+        let text = mutate(&mut rng, SCRIPT);
+        match script_from_text(&text) {
+            Ok(events) => {
+                scripts[0] += 1;
+                let rendered = script_to_text(&events);
+                let again = script_from_text(&rendered)
+                    .unwrap_or_else(|e| panic!("case {case}: {e}\n{rendered}"));
+                assert_eq!(script_to_text(&again), rendered, "case {case}");
+            }
+            Err(_) => scripts[1] += 1,
+        }
+    }
+    // Both outcomes occur for each parser, so neither check is vacuous.
+    assert!(
+        plans.iter().all(|&n| n > 100),
+        "plans accepted/rejected {plans:?}"
+    );
+    assert!(
+        scripts.iter().all(|&n| n > 100),
+        "scripts accepted/rejected {scripts:?}"
+    );
+}
+
 /// The single-model scheduling path is the exact special case of the
 /// multi-model one: a one-entry default catalog through `schedule_multi`
 /// yields a byte-identical plan and identical search counters to `schedule`,
