@@ -6,15 +6,33 @@
 //! 1024-token LLaMA-13B cache start simultaneously from the A40 node to
 //! the 3090Ti node and the fabric is drained event by event, exactly as
 //! the simulator does. Sweeps the concurrent-flow count against {4-bit,
-//! fp16} wire precision. Everything is simulated time — results are
-//! bit-reproducible, no wall-clock noise.
+//! fp16} wire precision.
+//!
+//! The `overload` section drives the fabric end to end, where thousands of
+//! flows are in flight at once: the paper cloud serves LLaMA-30B coding
+//! traffic on a plan scheduled for [`OVERLOAD_PLAN_RATE`], at that rate
+//! (the control) and past it. Its figures are exact counts and simulated
+//! times, so they pin the fabric's results bit for bit in the regime where
+//! its cost grows with the backlog. Each arm's wall time goes to stderr.
+//!
+//! Everything recorded is simulated time — results are bit-reproducible,
+//! no wall-clock noise. The sweep runs in milliseconds; the overload
+//! section takes a few seconds.
 //!
 //! Usage: `cargo run --release -p ts-bench --bin bench_net [out.json]`
 
+use std::time::Instant;
+
+use thunderserve_core::orchestrate::sim_config;
+use thunderserve_core::{Scheduler, SchedulerConfig};
+use ts_bench::harness::base_slo_30b;
 use ts_cluster::presets;
-use ts_common::{GpuId, ModelSpec, SimTime};
+use ts_common::{GpuId, ModelSpec, SimDuration, SimTime};
 use ts_kvcache::codec::{KvCodec, KvWirePrecision};
 use ts_net::FlowFabric;
+use ts_sim::Simulation;
+use ts_workload::generator::generate;
+use ts_workload::spec as shapes;
 
 const FLOW_SWEEP: [usize; 5] = [1, 2, 4, 8, 16];
 const TOKENS: u64 = 1024;
@@ -61,6 +79,73 @@ fn measure(flows: usize, name: &'static str, precision: KvWirePrecision) -> Arm 
     }
 }
 
+/// The rate (req/s) the overload section's plan is scheduled for.
+const OVERLOAD_PLAN_RATE: f64 = 3.0;
+/// Offered rates (req/s) the overload section serves on that plan: the
+/// control, then past the plan's rate.
+const OVERLOAD_RATES: [f64; 2] = [3.0, 4.0];
+/// Simulated traffic per overload arm.
+const OVERLOAD_HORIZON_S: u64 = 3600;
+/// Seed of the overload section's traffic.
+const OVERLOAD_TRAFFIC_SEED: u64 = 1;
+
+struct OverloadArm {
+    rate: f64,
+    sent: usize,
+    completed: usize,
+    dropped: usize,
+    rejected: usize,
+    events: u64,
+    horizon_s: f64,
+    joint_attainment: f64,
+}
+
+/// Schedules the paper cloud for [`OVERLOAD_PLAN_RATE`] with the fabric on
+/// and serves one simulated hour at each of [`OVERLOAD_RATES`] on it.
+fn overload() -> Vec<OverloadArm> {
+    let cluster = presets::paper_cloud_cluster();
+    let model = ModelSpec::llama_30b();
+    let slo = base_slo_30b().scaled(8.0);
+    let cfg = SchedulerConfig {
+        seed: 42,
+        num_threads: 1,
+        network_contention: true,
+        ..SchedulerConfig::default()
+    };
+    let plan = Scheduler::new(cfg.clone())
+        .schedule(&cluster, &model, &shapes::coding(OVERLOAD_PLAN_RATE), &slo)
+        .expect("the paper cloud schedules the coding plan")
+        .plan;
+    OVERLOAD_RATES
+        .iter()
+        .map(|&rate| {
+            let reqs = generate(
+                &shapes::coding(rate),
+                SimDuration::from_secs(OVERLOAD_HORIZON_S),
+                OVERLOAD_TRAFFIC_SEED,
+            );
+            let mut sim = Simulation::new(&cluster, &plan, sim_config(&model, &cfg))
+                .expect("the scheduled plan simulates");
+            let t0 = Instant::now();
+            let m = sim.run(&reqs).expect("the overload run completes");
+            eprintln!(
+                "overload {rate:.1} req/s served in {:.3} s wall",
+                t0.elapsed().as_secs_f64()
+            );
+            OverloadArm {
+                rate,
+                sent: reqs.len(),
+                completed: m.num_completed(),
+                dropped: m.num_dropped(),
+                rejected: m.num_rejected(),
+                events: sim.events_processed(),
+                horizon_s: m.horizon().as_secs_f64(),
+                joint_attainment: m.joint_attainment(&slo),
+            }
+        })
+        .collect()
+}
+
 fn main() {
     let out = std::env::args()
         .nth(1)
@@ -85,6 +170,19 @@ fn main() {
         }
     }
 
+    let overload = overload();
+    for a in &overload {
+        println!(
+            "overload {:.1} req/s  sent {}  completed {}  events/req {:.4}  horizon {:.6}s  attainment {:.6}",
+            a.rate,
+            a.sent,
+            a.completed,
+            a.events as f64 / a.sent as f64,
+            a.horizon_s,
+            a.joint_attainment
+        );
+    }
+
     let mut json = String::new();
     json.push_str("{\n");
     json.push_str("  \"benchmark\": \"ts-net flow fabric: n simultaneous 1024-token LLaMA-13B KV transfers, A40 node -> 3090Ti node over 5 Gbps\",\n");
@@ -102,7 +200,29 @@ fn main() {
             if i + 1 == arms.len() { "" } else { "," }
         ));
     }
-    json.push_str("  ]\n}\n");
+    json.push_str("  ],\n");
+    json.push_str("  \"overload\": {\n");
+    json.push_str("    \"setup\": \"paper cloud, LLaMA-30B, coding traffic over the flow fabric; plan scheduled for plan_rate_rps (seed 42, one thread); one simulated hour of seed-1 traffic per arm; joint attainment at 8x the base SLO\",\n");
+    json.push_str(&format!(
+        "    \"plan_rate_rps\": {OVERLOAD_PLAN_RATE:.1},\n"
+    ));
+    json.push_str("    \"arms\": [\n");
+    for (i, a) in overload.iter().enumerate() {
+        json.push_str(&format!(
+            "      {{\"rate_rps\": {:.1}, \"sent\": {}, \"completed\": {}, \"dropped\": {}, \"rejected\": {}, \"events\": {}, \"events_per_request\": {:.6}, \"horizon_s\": {:.6}, \"joint_attainment\": {:.6}}}{}\n",
+            a.rate,
+            a.sent,
+            a.completed,
+            a.dropped,
+            a.rejected,
+            a.events,
+            a.events as f64 / a.sent as f64,
+            a.horizon_s,
+            a.joint_attainment,
+            if i + 1 == overload.len() { "" } else { "," }
+        ));
+    }
+    json.push_str("    ]\n  }\n}\n");
 
     // The two qualitative properties the fabric exists to model — latency
     // grows with contention, the fp16-vs-int4 gap widens — live in the
