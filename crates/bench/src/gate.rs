@@ -227,6 +227,62 @@ fn check_net(root: &Value, c: &mut Checker) -> Result<(), String> {
             )?;
         }
     }
+    check_net_overload(root, c)
+}
+
+/// The `overload` section of `BENCH_net`: every arm conserves requests and
+/// records finite figures, and serving past the plan's rate attains no
+/// more than the control at it.
+fn check_net_overload(root: &Value, c: &mut Checker) -> Result<(), String> {
+    let overload = root.get("overload");
+    let plan_rate = overload.and_then(|o| o.num("plan_rate_rps"));
+    c.require(
+        finite_positive(plan_rate),
+        "overload: plan_rate_rps must be positive",
+    )?;
+    let arms = overload
+        .and_then(|o| o.get("arms"))
+        .and_then(Value::as_array)
+        .unwrap_or_default();
+    c.require(!arms.is_empty(), "overload: no arms recorded")?;
+    for arm in arms {
+        let label = format!("overload {} req/s", arm.num("rate_rps").unwrap_or(0.0));
+        let count = |key: &str| arm.num(key).unwrap_or(f64::NAN);
+        let sent = count("sent");
+        c.require(
+            sent > 0.0 && count("completed") + count("dropped") + count("rejected") == sent,
+            &format!("{label}: completed + dropped + rejected must equal sent"),
+        )?;
+        c.require(
+            finite_positive(arm.num("events")),
+            &format!("{label}: events must be positive"),
+        )?;
+        c.require(
+            finite_positive(arm.num("events_per_request")) && finite_positive(arm.num("horizon_s")),
+            &format!("{label}: events_per_request and horizon_s must be finite and positive"),
+        )?;
+        c.require(
+            fraction(arm.num("joint_attainment")),
+            &format!("{label}: joint_attainment must be a fraction"),
+        )?;
+    }
+    let attainment = |past: bool| {
+        arms.iter()
+            .filter(|a| {
+                a.num("rate_rps")
+                    .zip(plan_rate)
+                    .is_some_and(|(r, p)| (r > p) == past)
+            })
+            .filter_map(|a| a.num("joint_attainment"))
+            .collect::<Vec<_>>()
+    };
+    let control = attainment(false).into_iter().fold(f64::INFINITY, f64::min);
+    for past in attainment(true) {
+        c.require(
+            past <= control,
+            "overload: serving past the plan's rate must not attain more than the control",
+        )?;
+    }
     Ok(())
 }
 
@@ -468,5 +524,41 @@ mod tests {
         // The mechanism must actually have fired on the mitigated arm.
         let inert = ok.replace("\"hedges\": 7", "\"hedges\": 0");
         assert!(check("BENCH_fault", &inert, true).is_err());
+    }
+
+    #[test]
+    fn net_overload_rules_trip() {
+        let ok = r#"{"arms": [
+            {"flows": 1, "precision": "int4", "mean_transfer_s": 0.4, "max_transfer_s": 0.4}],
+            "overload": {"plan_rate_rps": 3.0, "arms": [
+            {"rate_rps": 3.0, "sent": 10, "completed": 9, "dropped": 1, "rejected": 0,
+             "events": 42, "events_per_request": 4.2, "horizon_s": 3600.5,
+             "joint_attainment": 0.5},
+            {"rate_rps": 4.0, "sent": 12, "completed": 12, "dropped": 0, "rejected": 0,
+             "events": 50, "events_per_request": 4.166667, "horizon_s": 6500.0,
+             "joint_attainment": 0.01}]}}"#;
+        check("BENCH_net", ok, true).unwrap();
+        let leaky = ok.replace("\"completed\": 9", "\"completed\": 8");
+        assert!(check("BENCH_net", &leaky, true).is_err(), "conservation");
+        let unbounded = ok.replace("6500.0", "1e999");
+        assert!(
+            check("BENCH_net", &unbounded, true).is_err(),
+            "finite horizon"
+        );
+        let inverted = ok.replace("0.01}", "0.9}");
+        assert!(
+            check("BENCH_net", &inverted, true).is_err(),
+            "overload attains less"
+        );
+        let missing = ok
+            .split(",\n            \"overload\"")
+            .next()
+            .unwrap()
+            .to_string()
+            + "}";
+        assert!(
+            check("BENCH_net", &missing, true).is_err(),
+            "section required"
+        );
     }
 }
