@@ -312,7 +312,6 @@ impl KvTransport {
             .complete_due(core.now)
             .ok_or_else(|| Error::Simulation("KvFlowDone with no flow due".into()))?;
         rearm(core, flows, timer);
-        rearm(core, flows, timer);
         Ok(self.arrived(core, SlabKey::from_u64(key)))
     }
 
