@@ -1,18 +1,24 @@
 //! The event-driven flow registry.
 //!
 //! [`FlowFabric`] tracks every in-flight transfer as a fluid flow with a
-//! remaining byte count and a one-shot startup latency (alpha). Whenever
-//! the set of active flows or the link capacities change, the max-min fair
-//! allocation is recomputed and **every** flow's completion time
-//! re-estimated. The caller keeps one timer at
-//! [`FlowFabric::next_due`], re-armed after each change, and completes
-//! flows with [`FlowFabric::complete_due`] when it fires.
+//! remaining byte count and a one-shot startup latency (alpha). Flows are
+//! grouped into path classes, one per distinct path, with a member count
+//! that each start, finish and cancel adjusts. Whenever the set of active
+//! flows or the link capacities change, the fabric reallocates max-min
+//! fair bandwidth over the live classes ([`crate::maxmin::MaxMin`]) and
+//! then makes one pass over the flows: each is drained at its old rate up
+//! to the change, given its class's new rate and re-estimated. The same
+//! pass caches the earliest estimate, so [`FlowFabric::next_due`] answers
+//! in O(1). The caller keeps one timer at [`FlowFabric::next_due`],
+//! re-armed after each change, and completes flows with
+//! [`FlowFabric::complete_due`] when it fires.
 
 use std::collections::BTreeMap;
 
 use ts_common::{GpuId, RequestId, SimDuration, SimTime};
 use ts_telemetry::{LinkKind, Recorder, TraceEvent, TraceKind, TraceSink};
 
+use crate::maxmin::{MaxMin, PathClass};
 use crate::topology::FabricTopology;
 
 /// Residual byte count below which a flow counts as drained. Completion
@@ -30,7 +36,8 @@ fn ceil_micros(secs: f64) -> SimDuration {
 
 #[derive(Debug, Clone)]
 struct FlowState {
-    path: Vec<usize>,
+    /// Index of the flow's path class.
+    class: usize,
     remaining: f64,
     rate: f64,
     /// Bytes start draining here (start time + alpha). The flow still
@@ -40,19 +47,48 @@ struct FlowState {
     done_at: SimTime,
 }
 
+/// Exact counts of the fabric's reallocation work since it was built.
+///
+/// Allocation over path classes and the flat, flow-by-flow filling it
+/// replaced take the same rounds, so `flat_cells` is exactly what the
+/// flat filler would have scanned for the same changes.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct FabricWork {
+    /// Reallocations: flow starts, completions, cancels of in-flight keys
+    /// and path degradations.
+    pub changes: u64,
+    /// Flows visited by the per-change pass (Σ flows in flight per change).
+    pub flows_visited: u64,
+    /// Progressive-filling bottleneck searches.
+    pub rounds: u64,
+    /// Class-link cells scanned: Σ rounds × touched links × live classes.
+    pub class_cells: u64,
+    /// Flat-equivalent cells: Σ rounds × all links × flows in flight.
+    pub flat_cells: u64,
+}
+
 /// The set of in-flight flows over one [`FabricTopology`], with max-min
 /// fair bandwidth sharing.
 ///
 /// Deterministic: flows are kept in a `BTreeMap` keyed by the caller's id,
-/// so the allocator always sees them in key order regardless of insertion
-/// order, and identical flow sets yield bit-identical estimates.
+/// so the per-change pass always visits them in key order regardless of
+/// insertion order, and identical flow sets yield bit-identical estimates.
 #[derive(Debug, Clone)]
 pub struct FlowFabric {
     topo: FabricTopology,
     flows: BTreeMap<u64, FlowState>,
+    /// One class per distinct path used so far, live or not.
+    classes: Vec<PathClass>,
+    /// Class index per path slot ([`FlowFabric::path_slot`]), `usize::MAX`
+    /// until a flow first takes that path.
+    class_at: Vec<usize>,
+    allocator: MaxMin,
     now: SimTime,
+    /// The earliest `(estimate, key)` of the flows in flight.
+    next: Option<(SimTime, u64)>,
     /// Latest completion estimate ever issued, superseded or not.
     latest_estimate: SimTime,
+    work: FabricWork,
     /// Fabric-side telemetry, `Some` iff [`FlowFabric::enable_telemetry`]
     /// was called: link-utilization samples and per-flow rate changes,
     /// recorded at allocation boundaries. Pure observation — it never
@@ -61,18 +97,27 @@ pub struct FlowFabric {
     /// Per-link used bandwidth at the last telemetry sample, so only
     /// changed links emit events (including drops to zero as flows drain).
     last_used: Vec<f64>,
+    /// Scratch for the next sample's per-link used bandwidth.
+    used: Vec<f64>,
 }
 
 impl FlowFabric {
     /// Creates an empty fabric over `topo`.
     pub fn new(topo: FabricTopology) -> Self {
+        let n = topo.num_nodes();
         FlowFabric {
             topo,
             flows: BTreeMap::new(),
+            classes: Vec::new(),
+            class_at: vec![usize::MAX; n * n + 1],
+            allocator: MaxMin::default(),
             now: SimTime::ZERO,
+            next: None,
             latest_estimate: SimTime::ZERO,
+            work: FabricWork::default(),
             recorder: None,
             last_used: Vec::new(),
+            used: Vec::new(),
         }
     }
 
@@ -110,6 +155,11 @@ impl FlowFabric {
         self.flows.contains_key(&key)
     }
 
+    /// The reallocation work done so far.
+    pub fn work(&self) -> FabricWork {
+        self.work
+    }
+
     /// Starts a flow of `bytes` from GPU `from` to GPU `to` at `now` and
     /// re-estimates **all** flows (including this one). The startup latency
     /// of the crossed link class is charged as a one-shot delay before
@@ -117,40 +167,43 @@ impl FlowFabric {
     ///
     /// Starting a key that is already in flight replaces the old flow.
     pub fn start(&mut self, key: u64, from: GpuId, to: GpuId, bytes: f64, now: SimTime) {
-        self.advance(now);
+        let class = self.class_of(from, to);
+        self.classes[class].members += 1;
         let state = FlowState {
-            path: self.topo.path(from, to),
+            class,
             remaining: bytes.max(0.0),
             rate: 0.0,
             active_at: now + self.topo.alpha(from, to),
             done_at: now,
         };
-        self.flows.insert(key, state);
-        self.reallocate();
+        if let Some(old) = self.flows.insert(key, state) {
+            self.classes[old.class].members -= 1;
+        }
+        self.reallocate(now);
     }
 
     /// The earliest completion estimate and its flow's key, ties broken by
     /// the smaller key; `None` when no flow is in flight.
     pub fn next_due(&self) -> Option<(SimTime, u64)> {
-        self.flows.iter().map(|(&key, f)| (f.done_at, key)).min()
+        self.next
     }
 
     /// Completes the flow [`FlowFabric::next_due`] names if its estimate
     /// is due by `now`, reallocates bandwidth among the survivors and
     /// returns its key; `None` (and no change) when no flow is due.
     pub fn complete_due(&mut self, now: SimTime) -> Option<u64> {
-        let (at, key) = self.next_due()?;
+        let (at, key) = self.next?;
         if at > now {
             return None;
         }
-        self.advance(now);
         let f = self.flows.remove(&key).expect("next_due names a flow");
+        self.classes[f.class].members -= 1;
         debug_assert!(
-            f.remaining <= EPS_BYTES,
+            drained(&f, self.now, now) <= EPS_BYTES,
             "flow {key} due with {} bytes left",
-            f.remaining
+            drained(&f, self.now, now)
         );
-        self.reallocate();
+        self.reallocate(now);
         Some(key)
     }
 
@@ -164,11 +217,11 @@ impl FlowFabric {
     /// Removes `key` (e.g. its link went down) and re-estimates the
     /// surviving flows. Does nothing if the key was not in flight.
     pub fn cancel(&mut self, key: u64, now: SimTime) {
-        if self.flows.remove(&key).is_none() {
+        let Some(f) = self.flows.remove(&key) else {
             return;
-        }
-        self.advance(now);
-        self.reallocate();
+        };
+        self.classes[f.class].members -= 1;
+        self.reallocate(now);
     }
 
     /// Degrades (or heals, with `factor` 1) every link on the `from → to`
@@ -180,74 +233,95 @@ impl FlowFabric {
     /// # Panics
     /// Panics if `factor` is not finite or below 1.
     pub fn degrade_path(&mut self, from: GpuId, to: GpuId, factor: f64, now: SimTime) {
-        self.advance(now);
-        for link in self.topo.path(from, to) {
+        let class = self.class_of(from, to);
+        for &link in &self.classes[class].links {
             self.topo.set_degradation(link, factor);
         }
-        self.reallocate();
+        self.reallocate(now);
     }
 
-    /// Drains every flow's remaining bytes up to `now` under the rates of
-    /// the *current* allocation.
-    fn advance(&mut self, now: SimTime) {
-        if now < self.now {
+    /// The slot of the `from → to` path in [`FlowFabric::class_at`]: one
+    /// per ordered node pair, where a node paired with itself means its
+    /// intra-node bus, then one for loopback.
+    fn path_slot(&self, from: GpuId, to: GpuId) -> usize {
+        let n = self.topo.num_nodes();
+        if from == to {
+            n * n
+        } else {
+            self.topo.node_of(from) * n + self.topo.node_of(to)
+        }
+    }
+
+    /// The class of the `from → to` path, created on first use.
+    fn class_of(&mut self, from: GpuId, to: GpuId) -> usize {
+        let slot = self.path_slot(from, to);
+        if self.class_at[slot] == usize::MAX {
+            self.class_at[slot] = self.classes.len();
+            self.classes.push(PathClass {
+                links: self.topo.path(from, to),
+                members: 0,
+            });
+        }
+        self.class_at[slot]
+    }
+
+    /// Reallocates max-min bandwidth over the live classes, then makes the
+    /// one pass over the flows: drain each at its old rate up to `now`,
+    /// give it its class's new rate, re-estimate its completion and fold
+    /// the estimate into the latest and the earliest.
+    ///
+    /// A flow started by this change has rate 0 and sits inside its alpha
+    /// window, so the drain leaves its bytes untouched.
+    fn reallocate(&mut self, now: SimTime) {
+        let now = if now < self.now {
             debug_assert!(
                 false,
                 "fabric time went backwards: {now:?} < {:?}",
                 self.now
             );
-            return;
-        }
-        for f in self.flows.values_mut() {
-            let begin = if f.active_at > self.now {
-                f.active_at
-            } else {
-                self.now
-            };
-            if now >= begin {
-                if f.rate.is_finite() {
-                    let dt = (now - begin).as_secs_f64();
-                    f.remaining = (f.remaining - f.rate * dt).max(0.0);
-                } else {
-                    // Unconstrained (loopback / free-link) flows drain the
-                    // moment their startup window ends.
-                    f.remaining = 0.0;
-                }
-            }
-        }
-        self.now = now;
-    }
+            self.now
+        } else {
+            now
+        };
+        let in_flight = self.flows.len() as u64;
+        let filling = if in_flight == 0 {
+            Default::default()
+        } else {
+            self.allocator
+                .allocate(self.topo.capacities(), &self.classes)
+        };
+        let links = self.topo.capacities().len() as u64;
+        let w = &mut self.work;
+        w.changes += 1;
+        w.flows_visited += in_flight;
+        w.rounds += filling.rounds;
+        w.class_cells += filling.cells;
+        w.flat_cells += filling.rounds * links * in_flight;
 
-    /// Recomputes the max-min allocation over all flows and re-estimates
-    /// every flow's completion.
-    fn reallocate(&mut self) {
-        let mut rate_changes: Vec<(u64, f64)> = Vec::new();
-        if !self.flows.is_empty() {
-            let paths: Vec<Vec<usize>> = self.flows.values().map(|f| f.path.clone()).collect();
-            let rates = crate::maxmin::max_min_allocate(self.topo.capacities(), &paths);
-            let now = self.now;
-            let telemetry_on = self.recorder.is_some();
-            for ((&key, f), rate) in self.flows.iter_mut().zip(rates) {
-                if telemetry_on && rate.is_finite() && rate != f.rate {
-                    rate_changes.push((key, rate));
+        let mut next: Option<(SimTime, u64)> = None;
+        for (&key, f) in self.flows.iter_mut() {
+            f.remaining = drained(f, self.now, now);
+            let rate = self.allocator.rate(f.class);
+            if let Some(rec) = self.recorder.as_mut() {
+                if rate.is_finite() && rate != f.rate {
+                    rec.record(TraceEvent {
+                        at: now,
+                        kind: TraceKind::FlowRate {
+                            request: RequestId(key),
+                            rate_bps: rate,
+                        },
+                    });
                 }
-                f.rate = rate;
-                f.done_at = estimate(f, now);
-                self.latest_estimate = self.latest_estimate.max(f.done_at);
+            }
+            f.rate = rate;
+            f.done_at = estimate(f, now);
+            self.latest_estimate = self.latest_estimate.max(f.done_at);
+            if next.is_none_or(|due| (f.done_at, key) < due) {
+                next = Some((f.done_at, key));
             }
         }
-        if let Some(rec) = self.recorder.as_mut() {
-            let at = self.now;
-            for (key, rate_bps) in rate_changes {
-                rec.record(TraceEvent {
-                    at,
-                    kind: TraceKind::FlowRate {
-                        request: RequestId(key),
-                        rate_bps,
-                    },
-                });
-            }
-        }
+        self.next = next;
+        self.now = now;
         self.record_utilization();
     }
 
@@ -256,23 +330,23 @@ impl FlowFabric {
     /// (infinite-rate) flows and links with unbounded capacity are skipped:
     /// they model free local copies, not contended bandwidth.
     fn record_utilization(&mut self) {
-        if self.recorder.is_none() {
+        let Some(rec) = self.recorder.as_mut() else {
             return;
-        }
+        };
         let caps = self.topo.capacities();
-        let mut used = vec![0.0f64; caps.len()];
+        self.used.clear();
+        self.used.resize(caps.len(), 0.0);
         for f in self.flows.values() {
             if !f.rate.is_finite() {
                 continue;
             }
-            for &l in &f.path {
-                used[l] += f.rate;
+            for &l in &self.classes[f.class].links {
+                self.used[l] += f.rate;
             }
         }
         let n = self.topo.num_nodes();
         let at = self.now;
-        let rec = self.recorder.as_mut().expect("checked above");
-        for (l, (&u, &prev)) in used.iter().zip(self.last_used.iter()).enumerate() {
+        for (l, (&u, &prev)) in self.used.iter().zip(self.last_used.iter()).enumerate() {
             if u == prev || !caps[l].is_finite() {
                 continue;
             }
@@ -295,7 +369,25 @@ impl FlowFabric {
                 },
             });
         }
-        self.last_used = used;
+        std::mem::swap(&mut self.used, &mut self.last_used);
+    }
+}
+
+/// `f`'s remaining bytes after draining from `from` to `to` at its current
+/// rate. Unconstrained (loopback / free-link) flows drain the moment their
+/// startup window ends.
+fn drained(f: &FlowState, from: SimTime, to: SimTime) -> f64 {
+    let begin = if f.active_at > from {
+        f.active_at
+    } else {
+        from
+    };
+    if to < begin {
+        f.remaining
+    } else if f.rate.is_finite() {
+        (f.remaining - f.rate * (to - begin).as_secs_f64()).max(0.0)
+    } else {
+        0.0
     }
 }
 
@@ -503,5 +595,68 @@ mod tests {
         assert_eq!(fab.next_due(), before);
         let (at, _) = before.unwrap();
         assert_eq!(fab.complete_due(at), Some(1));
+    }
+
+    /// Seeded scripts of random starts (some replacing a key in flight),
+    /// cancels (some of unknown keys), completions (some late) and path
+    /// degradations. After every call the cached earliest estimate equals
+    /// a full scan, the latest estimate equals the running maximum of
+    /// every estimate seen, and the class member counts match the flows.
+    #[test]
+    fn random_scripts_keep_cached_estimates_and_class_counts_exact() {
+        use rand::Rng;
+        let mut rng = ts_common::seeded_rng(0x5C1);
+        let mut calls = [0usize; 5];
+        for _script in 0..20 {
+            let mut fab = FlowFabric::from_cluster(&cluster());
+            let mut now = SimTime::ZERO;
+            let mut running_max = SimTime::ZERO;
+            for _step in 0..250 {
+                now += SimDuration::from_micros(rng.gen_range(0..300_000));
+                let from = GpuId(rng.gen_range(0..5));
+                let to = GpuId(rng.gen_range(0..5));
+                let key = rng.gen_range(0..16u64);
+                match rng.gen_range(0..10) {
+                    0..=3 => {
+                        calls[usize::from(fab.contains(key))] += 1;
+                        let bytes = rng.gen_range(0.0..2e9);
+                        fab.start(key, from, to, bytes, now);
+                    }
+                    4 => {
+                        calls[2] += 1;
+                        fab.cancel(key, now);
+                    }
+                    5..=7 => {
+                        // Fire at the due time, or late when it has passed.
+                        if let Some((at, _)) = fab.next_due() {
+                            now = now.max(at);
+                        }
+                        calls[3] += usize::from(fab.complete_due(now).is_some());
+                    }
+                    _ => {
+                        calls[4] += 1;
+                        let factor = [1.0, 1.0, 2.0, 8.0][rng.gen_range(0..4usize)];
+                        fab.degrade_path(from, to, factor, now);
+                    }
+                }
+                let scan = fab.flows.iter().map(|(&k, f)| (f.done_at, k)).min();
+                assert_eq!(fab.next_due(), scan);
+                for f in fab.flows.values() {
+                    running_max = running_max.max(f.done_at);
+                }
+                assert_eq!(fab.latest_estimate(), running_max);
+                for (c, class) in fab.classes.iter().enumerate() {
+                    let members = fab.flows.values().filter(|f| f.class == c).count();
+                    assert_eq!(class.members, members, "class {c}");
+                }
+                let total: usize = fab.classes.iter().map(|c| c.members).sum();
+                assert_eq!(total, fab.flows.len());
+            }
+        }
+        // Fresh starts, replacing starts, cancels, completions, degradations.
+        assert!(
+            calls.iter().all(|&n| n >= 100),
+            "every call is covered: {calls:?}"
+        );
     }
 }

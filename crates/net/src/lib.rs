@@ -10,20 +10,23 @@
 //! the paper targets (§5, Table 5). This crate supplies the standard
 //! substitution for packet-level simulation: model every transfer as a
 //! *fluid flow* over a small set of capacitated links and share each link's
-//! bandwidth **max-min fairly** among the flows crossing it, recomputing
-//! the allocation whenever a flow starts or finishes.
+//! bandwidth **max-min fairly** among the flows crossing it, reallocating
+//! whenever a flow starts or finishes.
 //!
 //! * [`topology`] — the link graph derived from a [`ts_cluster::Cluster`]:
-//!   per-node NIC uplinks/downlinks, intra-node buses and pairwise
-//!   inter-node fabric links;
-//! * [`maxmin`] — the progressive-filling max-min fair allocator;
-//! * [`flow`] — [`flow::FlowFabric`], the event-driven flow registry: it
-//!   tracks remaining bytes per flow, re-estimates every flow's completion
-//!   time after each change, and names the earliest one, so its caller
-//!   needs a single cancellable timer rather than one event per estimate.
+//!   per-node NIC uplinks/downlinks, intra-node buses and one inter-node
+//!   fabric link per unordered node pair;
+//! * [`maxmin`] — the progressive-filling max-min fair allocator, run over
+//!   path classes (one per distinct path, with a member count) so a round
+//!   costs links × classes, not links × flows;
+//! * [`flow`] — [`flow::FlowFabric`], the event-driven flow registry: each
+//!   change costs one allocation over the live path classes and one pass
+//!   over the flows, which drains them, re-estimates every completion and
+//!   caches the earliest, so its caller needs a single cancellable timer
+//!   rather than one event per estimate.
 //!
 //! Determinism: flows live in a [`std::collections::BTreeMap`] keyed by the
-//! caller's flow id, and the allocator iterates links and flows in index
+//! caller's flow id, and the allocator iterates links and classes in index
 //! order with lowest-index tie-breaking — so the allocation (and therefore
 //! every completion estimate) depends only on the *set* of active flows,
 //! never on the order they were inserted.
@@ -32,6 +35,5 @@ pub mod flow;
 pub mod maxmin;
 pub mod topology;
 
-pub use flow::FlowFabric;
-pub use maxmin::max_min_allocate;
+pub use flow::{FabricWork, FlowFabric};
 pub use topology::FabricTopology;

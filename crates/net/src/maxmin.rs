@@ -1,4 +1,5 @@
-//! Progressive-filling max-min fair bandwidth allocation.
+//! Progressive-filling max-min fair bandwidth allocation over path
+//! classes.
 //!
 //! Given a set of capacitated links and a set of flows, each crossing a
 //! subset of the links, the max-min fair allocation is the unique rate
@@ -7,25 +8,178 @@
 //! growing all rates together and freezing, at each step, every flow
 //! crossing the *most contended* link (the one with the smallest fair
 //! share of remaining capacity).
+//!
+//! A flow's rate depends only on the links it crosses, so flows sharing a
+//! path always get one rate. [`MaxMin`] therefore fills over
+//! [`PathClass`]es — one per distinct path, with its member count — and
+//! scans only the links some live class crosses. Its work per round is
+//! links × classes, not links × flows.
 
-/// Computes the max-min fair rate for each flow.
+/// The flows that cross one path.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct PathClass {
+    /// The link indices the path crosses. A link listed twice still only
+    /// gives a member one share of it.
+    pub links: Vec<usize>,
+    /// Flows on this path. A class with no members takes no bandwidth.
+    pub members: usize,
+}
+
+/// The work of one [`MaxMin::allocate`] call.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Filling {
+    /// Bottleneck searches, the last of which may find none.
+    pub rounds: u64,
+    /// Class-link cells those searches scanned: rounds × touched links ×
+    /// live classes.
+    pub cells: u64,
+}
+
+/// A reusable max-min allocator over path classes: its buffers outlive a
+/// call, so allocating again for the same classes makes no heap
+/// allocation.
 ///
-/// `capacity[l]` is link `l`'s capacity in bytes/s; `flows[f]` lists the
-/// link indices flow `f` crosses (duplicates are ignored — a flow crossing
-/// a link "twice" still only gets one share of it). Links with infinite
-/// capacity never constrain anyone; a flow crossing only such links (or no
-/// links at all, e.g. a loopback transfer) is unconstrained and gets
-/// `f64::INFINITY`.
+/// The rates are bit-identical to filling over the flows one by one. A
+/// flat filler freezes the bottleneck's flows one at a time and charges
+/// each flow's share to every other link it crosses. Here a freezing class
+/// charges the share once per member, never `members × share`. Every
+/// charge in a round subtracts the same share, so each link ends the round
+/// with the same float either way. Users are counted exactly as integers,
+/// and links are scanned in ascending index order with ties broken toward
+/// the lowest index, as in the flat filler.
+#[derive(Debug, Clone, Default)]
+pub struct MaxMin {
+    /// Per class: its rate after the last call.
+    rate: Vec<f64>,
+    /// Per class: frozen in the current call.
+    frozen: Vec<bool>,
+    /// Per link: capacity not yet handed out (touched links only).
+    remaining: Vec<f64>,
+    /// Per link: crossed by some live class.
+    crossed: Vec<bool>,
+    /// Links some live class crosses, ascending.
+    touched: Vec<usize>,
+    /// Classes with at least one member.
+    live: Vec<usize>,
+}
+
+impl MaxMin {
+    /// Computes the max-min fair rate of every class in `classes` over
+    /// links of `capacity` (bytes/s); read them with [`MaxMin::rate`].
+    /// Links with infinite capacity never constrain anyone; a class
+    /// crossing only such links (or none, e.g. loopback) is unconstrained
+    /// and gets `f64::INFINITY`.
+    ///
+    /// # Panics
+    /// Panics if a live class references a link index out of range or a
+    /// link of non-positive capacity.
+    pub fn allocate(&mut self, capacity: &[f64], classes: &[PathClass]) -> Filling {
+        self.live.clear();
+        self.crossed.clear();
+        self.crossed.resize(capacity.len(), false);
+        self.rate.resize(classes.len(), f64::INFINITY);
+        self.frozen.resize(classes.len(), false);
+        self.remaining.resize(capacity.len(), 0.0);
+        let mut unfrozen = 0usize;
+        for (c, class) in classes.iter().enumerate() {
+            if class.members == 0 {
+                continue;
+            }
+            self.live.push(c);
+            self.rate[c] = f64::INFINITY;
+            self.frozen[c] = false;
+            unfrozen += class.members;
+            for &l in &class.links {
+                assert!(l < capacity.len(), "class {c} references unknown link {l}");
+                self.crossed[l] = true;
+            }
+        }
+        self.touched.clear();
+        for l in 0..capacity.len() {
+            if self.crossed[l] {
+                let c = capacity[l];
+                assert!(
+                    c > 0.0,
+                    "link {l} has non-positive capacity {c}; use f64::INFINITY for free links"
+                );
+                self.touched.push(l);
+                self.remaining[l] = c;
+            }
+        }
+        let mut work = Filling::default();
+        if self.live.is_empty() {
+            return work;
+        }
+        loop {
+            work.rounds += 1;
+            work.cells += (self.touched.len() * self.live.len()) as u64;
+            // Fair share of every still-constraining link.
+            let mut bottleneck: Option<(usize, f64)> = None;
+            for &l in &self.touched {
+                if self.remaining[l].is_infinite() {
+                    continue;
+                }
+                let users: usize = self
+                    .live
+                    .iter()
+                    .filter(|&&c| !self.frozen[c] && classes[c].links.contains(&l))
+                    .map(|&c| classes[c].members)
+                    .sum();
+                if users == 0 {
+                    continue;
+                }
+                let share = self.remaining[l] / users as f64;
+                match bottleneck {
+                    Some((_, best)) if best <= share => {}
+                    _ => bottleneck = Some((l, share)),
+                }
+            }
+            let Some((bl, fair)) = bottleneck else {
+                // Every unfrozen class crosses only unconstrained links.
+                break;
+            };
+            // Freeze the bottleneck link's classes at the fair share and
+            // charge it against every other link they cross, once per
+            // member flow.
+            for &c in &self.live {
+                let class = &classes[c];
+                if self.frozen[c] || !class.links.contains(&bl) {
+                    continue;
+                }
+                self.rate[c] = fair;
+                self.frozen[c] = true;
+                unfrozen -= class.members;
+                for (i, &l) in class.links.iter().enumerate() {
+                    if l == bl || self.remaining[l].is_infinite() || class.links[..i].contains(&l) {
+                        continue;
+                    }
+                    for _ in 0..class.members {
+                        self.remaining[l] = (self.remaining[l] - fair).max(0.0);
+                    }
+                }
+            }
+            self.remaining[bl] = 0.0;
+            if unfrozen == 0 {
+                break;
+            }
+        }
+        work
+    }
+
+    /// Class `class`'s rate from the last [`MaxMin::allocate`] call.
+    pub fn rate(&self, class: usize) -> f64 {
+        self.rate[class]
+    }
+}
+
+/// The flat filler, flow by flow: the oracle [`MaxMin`] must match bit for
+/// bit. Returns each flow's rate and the number of bottleneck searches.
 ///
-/// Deterministic: links are scanned in index order and ties broken toward
-/// the lowest index, so the result depends only on the inputs — never on
-/// iteration order of some hash container. Reordering the `flows` slice
-/// permutes the output the same way and changes no rate.
-///
-/// # Panics
-/// Panics if any flow references a link index out of range, or any finite
-/// capacity is not positive.
-pub fn max_min_allocate(capacity: &[f64], flows: &[Vec<usize>]) -> Vec<f64> {
+/// `flows[f]` lists the link indices flow `f` crosses (duplicates are
+/// ignored). Reordering `flows` permutes the rates the same way and
+/// changes none.
+#[cfg(test)]
+pub(crate) fn max_min_allocate(capacity: &[f64], flows: &[Vec<usize>]) -> (Vec<f64>, u64) {
     for (l, &c) in capacity.iter().enumerate() {
         assert!(
             c > 0.0,
@@ -40,9 +194,11 @@ pub fn max_min_allocate(capacity: &[f64], flows: &[Vec<usize>]) -> Vec<f64> {
     let mut rate = vec![f64::INFINITY; flows.len()];
     let mut remaining = capacity.to_vec();
     let mut frozen = vec![false; flows.len()];
+    let mut rounds = 0;
     // A flow counts once per link even if its path lists the link twice.
     let crosses = |f: usize, l: usize| flows[f].contains(&l);
     loop {
+        rounds += 1;
         // Fair share of every still-constraining link.
         let mut bottleneck: Option<(usize, f64)> = None;
         for l in 0..capacity.len() {
@@ -86,7 +242,7 @@ pub fn max_min_allocate(capacity: &[f64], flows: &[Vec<usize>]) -> Vec<f64> {
             break;
         }
     }
-    rate
+    (rate, rounds)
 }
 
 #[cfg(test)]
@@ -102,7 +258,7 @@ mod tests {
     #[test]
     fn single_bottleneck_splits_evenly() {
         // Two flows through one 10 B/s link: 5 each.
-        let rates = max_min_allocate(&[10.0], &[vec![0], vec![0]]);
+        let rates = max_min_allocate(&[10.0], &[vec![0], vec![0]]).0;
         assert!(close(rates[0], 5.0), "{rates:?}");
         assert!(close(rates[1], 5.0), "{rates:?}");
     }
@@ -112,7 +268,7 @@ mod tests {
         // Links: 0 = shared uplink (10), 1 and 2 = wide downlinks (100).
         // Both flows bottleneck on the uplink; the downlinks never bind.
         let caps = [10.0, 100.0, 100.0];
-        let rates = max_min_allocate(&caps, &[vec![0, 1], vec![0, 2]]);
+        let rates = max_min_allocate(&caps, &[vec![0, 1], vec![0, 2]]).0;
         assert!(close(rates[0], 5.0), "{rates:?}");
         assert!(close(rates[1], 5.0), "{rates:?}");
     }
@@ -123,7 +279,7 @@ mod tests {
         // only the uplink. A is pinned to 4 by its downlink; B takes the
         // uplink's remainder, 6.
         let caps = [10.0, 4.0];
-        let rates = max_min_allocate(&caps, &[vec![0, 1], vec![0]]);
+        let rates = max_min_allocate(&caps, &[vec![0, 1], vec![0]]).0;
         assert!(close(rates[0], 4.0), "{rates:?}");
         assert!(close(rates[1], 6.0), "{rates:?}");
     }
@@ -133,7 +289,7 @@ mod tests {
         // The classic max-min example: caps [10, 4]; f0 = both links,
         // f1 = link 0 only, f2 = link 1 only. Link 1's fair share (2) is
         // the first bottleneck: f0 = f2 = 2; link 0 then has 8 left for f1.
-        let rates = max_min_allocate(&[10.0, 4.0], &[vec![0, 1], vec![0], vec![1]]);
+        let rates = max_min_allocate(&[10.0, 4.0], &[vec![0, 1], vec![0], vec![1]]).0;
         assert!(close(rates[0], 2.0), "{rates:?}");
         assert!(close(rates[1], 8.0), "{rates:?}");
         assert!(close(rates[2], 2.0), "{rates:?}");
@@ -141,7 +297,7 @@ mod tests {
 
     #[test]
     fn unconstrained_flows_get_infinite_rate() {
-        let rates = max_min_allocate(&[10.0, f64::INFINITY], &[vec![], vec![1], vec![0]]);
+        let rates = max_min_allocate(&[10.0, f64::INFINITY], &[vec![], vec![1], vec![0]]).0;
         assert!(rates[0].is_infinite());
         assert!(rates[1].is_infinite());
         assert!(close(rates[2], 10.0));
@@ -149,7 +305,7 @@ mod tests {
 
     #[test]
     fn duplicate_links_in_a_path_count_once() {
-        let rates = max_min_allocate(&[10.0], &[vec![0, 0], vec![0]]);
+        let rates = max_min_allocate(&[10.0], &[vec![0, 0], vec![0]]).0;
         assert!(close(rates[0], 5.0), "{rates:?}");
         assert!(close(rates[1], 5.0), "{rates:?}");
     }
@@ -174,7 +330,7 @@ mod tests {
                     (0..hops).map(|_| rng.gen_range(0..num_links)).collect()
                 })
                 .collect();
-            let rates = max_min_allocate(&caps, &flows);
+            let rates = max_min_allocate(&caps, &flows).0;
             for (l, &cap) in caps.iter().enumerate() {
                 let used: f64 = (0..num_flows)
                     .filter(|&f| flows[f].contains(&l))
@@ -204,12 +360,126 @@ mod tests {
     fn allocation_is_permutation_invariant() {
         let caps = [10.0, 4.0, 7.0];
         let flows = [vec![0, 1], vec![0], vec![1, 2], vec![2], vec![0, 2]];
-        let base = max_min_allocate(&caps, &flows);
+        let base = max_min_allocate(&caps, &flows).0;
         let perm = [3usize, 0, 4, 1, 2];
         let shuffled: Vec<Vec<usize>> = perm.iter().map(|&i| flows[i].clone()).collect();
-        let rates = max_min_allocate(&caps, &shuffled);
+        let rates = max_min_allocate(&caps, &shuffled).0;
         for (pos, &orig) in perm.iter().enumerate() {
             assert_eq!(rates[pos].to_bits(), base[orig].to_bits(), "flow {orig}");
         }
+    }
+
+    /// Classes with their members expanded into a flat flow list, in a
+    /// shuffled order, with each flow's class.
+    fn expand(classes: &[PathClass], rng: &mut impl rand::Rng) -> (Vec<Vec<usize>>, Vec<usize>) {
+        let mut flows: Vec<(Vec<usize>, usize)> = classes
+            .iter()
+            .enumerate()
+            .flat_map(|(c, class)| (0..class.members).map(move |_| (class.links.clone(), c)))
+            .collect();
+        for i in (1..flows.len()).rev() {
+            flows.swap(i, rng.gen_range(0..=i));
+        }
+        flows.into_iter().unzip()
+    }
+
+    #[test]
+    fn classes_fill_like_the_textbook_example() {
+        let classes = [
+            PathClass {
+                links: vec![0, 1],
+                members: 1,
+            },
+            PathClass {
+                links: vec![0],
+                members: 1,
+            },
+            PathClass {
+                links: vec![1],
+                members: 1,
+            },
+            PathClass {
+                links: vec![],
+                members: 0,
+            },
+        ];
+        let mut mm = MaxMin::default();
+        let work = mm.allocate(&[10.0, 4.0], &classes);
+        assert_eq!([mm.rate(0), mm.rate(1), mm.rate(2)], [2.0, 8.0, 2.0]);
+        // Link 1 freezes two classes, link 0 the third; both links are
+        // scanned against the three live classes each round.
+        assert_eq!(
+            work,
+            Filling {
+                rounds: 2,
+                cells: 12
+            }
+        );
+    }
+
+    /// Differential (seeded, 6,000 cases): over random path multisets the
+    /// class allocator matches the flat oracle bit for bit, flow by flow,
+    /// and takes the same number of rounds. The cases cover duplicate
+    /// links inside a path, infinite-capacity links, empty (loopback)
+    /// paths, member-less classes and equal paths listed as separate
+    /// classes; the flat flows are shuffled.
+    #[test]
+    fn class_allocation_matches_the_flat_oracle_bit_for_bit() {
+        use rand::Rng;
+        let mut rng = ts_common::seeded_rng(0xC1A55);
+        let mut mm = MaxMin::default();
+        let mut shapes = [0usize; 4];
+        for case in 0..6_000 {
+            let num_links = rng.gen_range(1..10usize);
+            let caps: Vec<f64> = (0..num_links)
+                .map(|_| {
+                    if rng.gen_bool(0.15) {
+                        f64::INFINITY
+                    } else {
+                        rng.gen_range(0.5..1e4f64)
+                    }
+                })
+                .collect();
+            let mut classes: Vec<PathClass> = (0..rng.gen_range(1..8usize))
+                .map(|_| PathClass {
+                    links: (0..rng.gen_range(0..=4usize))
+                        .map(|_| rng.gen_range(0..num_links))
+                        .collect(),
+                    members: rng.gen_range(0..=6usize),
+                })
+                .collect();
+            if rng.gen_bool(0.3) {
+                let twin = classes[rng.gen_range(0..classes.len())].clone();
+                classes.push(twin);
+            }
+            let (flows, class_of) = expand(&classes, &mut rng);
+            let work = mm.allocate(&caps, &classes);
+            let (oracle, rounds) = max_min_allocate(&caps, &flows);
+            for (f, (&rate, &c)) in oracle.iter().zip(&class_of).enumerate() {
+                assert_eq!(
+                    mm.rate(c).to_bits(),
+                    rate.to_bits(),
+                    "case {case}, flow {f} of class {c}: caps {caps:?}, classes {classes:?}"
+                );
+            }
+            if !flows.is_empty() {
+                assert_eq!(work.rounds, rounds, "case {case}: {classes:?}");
+            }
+            for class in &classes {
+                let path = &class.links;
+                let dup = path.iter().enumerate().any(|(i, l)| path[..i].contains(l));
+                shapes[0] += usize::from(dup);
+                shapes[1] += usize::from(path.iter().any(|&l| caps[l].is_infinite()));
+                shapes[2] += usize::from(path.is_empty() && class.members > 0);
+            }
+            shapes[3] += usize::from(
+                (1..classes.len())
+                    .any(|i| classes[..i].iter().any(|c| c.links == classes[i].links)),
+            );
+        }
+        assert!(
+            shapes.iter().all(|&n| n >= 100),
+            "every shape is covered: {shapes:?}"
+        );
     }
 }
