@@ -29,7 +29,7 @@ use ts_bench::harness::base_slo_30b;
 use ts_cluster::presets;
 use ts_common::{GpuId, ModelSpec, SimDuration, SimTime};
 use ts_kvcache::codec::{KvCodec, KvWirePrecision};
-use ts_net::FlowFabric;
+use ts_net::{FabricWork, FlowFabric};
 use ts_sim::Simulation;
 use ts_workload::generator::generate;
 use ts_workload::spec as shapes;
@@ -46,8 +46,8 @@ struct Arm {
 }
 
 /// Starts `n` simultaneous node-a → node-b flows and drains the fabric,
-/// returning each flow's completion time.
-fn drain(n: usize, codec: &KvCodec) -> Vec<SimTime> {
+/// returning each flow's completion time and the fabric's work.
+fn drain(n: usize, codec: &KvCodec) -> (Vec<SimTime>, FabricWork) {
     let cluster = presets::network_case_cluster(presets::ETH_5GBPS);
     let mut fabric = FlowFabric::from_cluster(&cluster);
     let bytes = codec.wire_bytes(TOKENS) as f64;
@@ -62,12 +62,12 @@ fn drain(n: usize, codec: &KvCodec) -> Vec<SimTime> {
         fabric.complete_due(at);
         done[key as usize] = at;
     }
-    done
+    (done, fabric.work())
 }
 
 fn measure(flows: usize, name: &'static str, precision: KvWirePrecision) -> Arm {
     let codec = KvCodec::new(ModelSpec::llama_13b(), precision);
-    let times = drain(flows, &codec);
+    let (times, _) = drain(flows, &codec);
     let sum: f64 = times.iter().map(|t| t.as_secs_f64()).sum();
     let max = times.iter().map(|t| t.as_secs_f64()).fold(0.0f64, f64::max);
     Arm {
@@ -98,6 +98,7 @@ struct OverloadArm {
     events: u64,
     horizon_s: f64,
     joint_attainment: f64,
+    fabric: FabricWork,
 }
 
 /// Schedules the paper cloud for [`OVERLOAD_PLAN_RATE`] with the fabric on
@@ -141,6 +142,9 @@ fn overload() -> Vec<OverloadArm> {
                 events: sim.events_processed(),
                 horizon_s: m.horizon().as_secs_f64(),
                 joint_attainment: m.joint_attainment(&slo),
+                fabric: sim
+                    .fabric_work()
+                    .expect("the overload plan runs on the fabric"),
             }
         })
         .collect()
@@ -173,13 +177,15 @@ fn main() {
     let overload = overload();
     for a in &overload {
         println!(
-            "overload {:.1} req/s  sent {}  completed {}  events/req {:.4}  horizon {:.6}s  attainment {:.6}",
+            "overload {:.1} req/s  sent {}  completed {}  events/req {:.4}  horizon {:.6}s  attainment {:.6}  cells {} (flat {})",
             a.rate,
             a.sent,
             a.completed,
             a.events as f64 / a.sent as f64,
             a.horizon_s,
-            a.joint_attainment
+            a.joint_attainment,
+            a.fabric.class_cells,
+            a.fabric.flat_cells
         );
     }
 
@@ -209,7 +215,7 @@ fn main() {
     json.push_str("    \"arms\": [\n");
     for (i, a) in overload.iter().enumerate() {
         json.push_str(&format!(
-            "      {{\"rate_rps\": {:.1}, \"sent\": {}, \"completed\": {}, \"dropped\": {}, \"rejected\": {}, \"events\": {}, \"events_per_request\": {:.6}, \"horizon_s\": {:.6}, \"joint_attainment\": {:.6}}}{}\n",
+            "      {{\"rate_rps\": {:.1}, \"sent\": {}, \"completed\": {}, \"dropped\": {}, \"rejected\": {}, \"events\": {}, \"events_per_request\": {:.6}, \"horizon_s\": {:.6}, \"joint_attainment\": {:.6}, \"fabric_changes\": {}, \"fabric_flows_visited\": {}, \"fabric_rounds\": {}, \"fabric_class_cells\": {}, \"fabric_flat_cells\": {}}}{}\n",
             a.rate,
             a.sent,
             a.completed,
@@ -219,6 +225,11 @@ fn main() {
             a.events as f64 / a.sent as f64,
             a.horizon_s,
             a.joint_attainment,
+            a.fabric.changes,
+            a.fabric.flows_visited,
+            a.fabric.rounds,
+            a.fabric.class_cells,
+            a.fabric.flat_cells,
             if i + 1 == overload.len() { "" } else { "," }
         ));
     }
@@ -236,4 +247,29 @@ fn main() {
     }
     std::fs::write(&out, json).expect("write benchmark output");
     println!("wrote {out}");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The 16-flow fp16 drain shares one path class: each of its 16 starts
+    /// and 15 non-final completions takes one filling round over the
+    /// class's 3 links, while the flat filler would have scanned all 7
+    /// links of the two-node cluster against every flow in flight.
+    #[test]
+    fn sixteen_flow_drain_work_is_pinned() {
+        let codec = KvCodec::new(ModelSpec::llama_13b(), KvWirePrecision::F16);
+        let (_, work) = drain(16, &codec);
+        assert_eq!(
+            work,
+            FabricWork {
+                changes: 32,
+                flows_visited: 256,
+                rounds: 31,
+                class_cells: 93,
+                flat_cells: 1_792,
+            }
+        );
+    }
 }

@@ -265,6 +265,11 @@ fn check_net_overload(root: &Value, c: &mut Checker) -> Result<(), String> {
             fraction(arm.num("joint_attainment")),
             &format!("{label}: joint_attainment must be a fraction"),
         )?;
+        c.require(
+            finite_positive(arm.num("fabric_changes"))
+                && count("fabric_class_cells") <= count("fabric_flat_cells"),
+            &format!("{label}: the fabric must record its work, class cells within flat cells"),
+        )?;
     }
     let attainment = |past: bool| {
         arms.iter()
@@ -533,10 +538,12 @@ mod tests {
             "overload": {"plan_rate_rps": 3.0, "arms": [
             {"rate_rps": 3.0, "sent": 10, "completed": 9, "dropped": 1, "rejected": 0,
              "events": 42, "events_per_request": 4.2, "horizon_s": 3600.5,
-             "joint_attainment": 0.5},
+             "joint_attainment": 0.5, "fabric_changes": 30,
+             "fabric_class_cells": 90, "fabric_flat_cells": 1200},
             {"rate_rps": 4.0, "sent": 12, "completed": 12, "dropped": 0, "rejected": 0,
              "events": 50, "events_per_request": 4.166667, "horizon_s": 6500.0,
-             "joint_attainment": 0.01}]}}"#;
+             "joint_attainment": 0.01, "fabric_changes": 36,
+             "fabric_class_cells": 99, "fabric_flat_cells": 2000}]}}"#;
         check("BENCH_net", ok, true).unwrap();
         let leaky = ok.replace("\"completed\": 9", "\"completed\": 8");
         assert!(check("BENCH_net", &leaky, true).is_err(), "conservation");
@@ -545,7 +552,7 @@ mod tests {
             check("BENCH_net", &unbounded, true).is_err(),
             "finite horizon"
         );
-        let inverted = ok.replace("0.01}", "0.9}");
+        let inverted = ok.replace("0.01,", "0.9,");
         assert!(
             check("BENCH_net", &inverted, true).is_err(),
             "overload attains less"

@@ -153,6 +153,14 @@ impl Simulation {
     pub fn events_processed(&self) -> u64 {
         self.driver.events_processed()
     }
+
+    /// The KV flow fabric's reallocation work so far (across every run on
+    /// this simulation): changes, flows visited, filling rounds and cells
+    /// scanned. `None` unless this is a phase-split simulation with
+    /// [`crate::config::KvTransfer::Fabric`].
+    pub fn fabric_work(&self) -> Option<ts_net::FabricWork> {
+        self.driver.fabric_work()
+    }
 }
 
 #[cfg(test)]

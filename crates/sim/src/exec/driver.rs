@@ -439,6 +439,15 @@ impl Driver {
         self.core.events_processed
     }
 
+    /// The KV fabric's reallocation work so far; `None` unless the
+    /// topology is phase-split with [`crate::config::KvTransfer::Fabric`].
+    pub fn fabric_work(&self) -> Option<ts_net::FabricWork> {
+        match &self.topo {
+            Topology::Split(s) => s.kv.fabric_work(),
+            Topology::Colocated(_) => None,
+        }
+    }
+
     /// Runs the trace with mid-flight fault injection. With an empty
     /// script this is a plain (fault-free) run.
     pub fn run_with_faults(

@@ -27,7 +27,7 @@ use ts_common::{
 };
 use ts_costmodel::replica::{kv_route_legs, kv_transfer_time, KvRouteLeg, KvRouteSegment};
 use ts_kvcache::codec::KvCodec;
-use ts_net::FlowFabric;
+use ts_net::{FabricWork, FlowFabric};
 use ts_telemetry::{TraceEvent, TraceKind};
 
 /// An in-flight KV transfer (completion events carry an attempt number so
@@ -433,6 +433,14 @@ impl KvTransport {
         match &self.wire {
             Wire::Fabric { flows, .. } => flows.latest_estimate(),
             _ => SimTime::ZERO,
+        }
+    }
+
+    /// The fabric's reallocation work so far; `None` without the fabric.
+    pub(super) fn fabric_work(&self) -> Option<FabricWork> {
+        match &self.wire {
+            Wire::Fabric { flows, .. } => Some(flows.work()),
+            _ => None,
         }
     }
 
