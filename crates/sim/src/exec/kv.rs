@@ -46,9 +46,10 @@ enum Wire {
     Free,
     /// Wire time serialized on the sender's uplink.
     Serialized(Uplinks),
-    /// Flows in the max-min fabric.
+    /// Flows in the max-min fabric (boxed: its reusable allocation
+    /// buffers make it several times the size of the other variants).
     Fabric {
-        flows: FlowFabric,
+        flows: Box<FlowFabric>,
         /// The event at the fabric's earliest completion estimate.
         timer: Option<EventToken>,
     },
@@ -145,7 +146,7 @@ impl KvTransport {
                     .collect(),
             }),
             KvTransfer::Fabric => {
-                let mut flows = FlowFabric::from_cluster(cluster);
+                let mut flows = Box::new(FlowFabric::from_cluster(cluster));
                 if cfg.telemetry {
                     flows.enable_telemetry();
                 }
