@@ -79,8 +79,9 @@ pub struct FlowFabric {
     flows: BTreeMap<u64, FlowState>,
     /// One class per distinct path used so far, live or not.
     classes: Vec<PathClass>,
-    /// Class index per path slot ([`FlowFabric::path_slot`]), `usize::MAX`
-    /// until a flow first takes that path.
+    /// Class index per path slot, `usize::MAX` until a flow first takes
+    /// that path. Slot `a * n + b` is the path from node `a` to node `b`
+    /// (`a == b`: the node's intra-node bus); slot `n * n` is loopback.
     class_at: Vec<usize>,
     allocator: MaxMin,
     now: SimTime,
@@ -97,8 +98,6 @@ pub struct FlowFabric {
     /// Per-link used bandwidth at the last telemetry sample, so only
     /// changed links emit events (including drops to zero as flows drain).
     last_used: Vec<f64>,
-    /// Scratch for the next sample's per-link used bandwidth.
-    used: Vec<f64>,
 }
 
 impl FlowFabric {
@@ -117,7 +116,6 @@ impl FlowFabric {
             work: FabricWork::default(),
             recorder: None,
             last_used: Vec::new(),
-            used: Vec::new(),
         }
     }
 
@@ -240,21 +238,14 @@ impl FlowFabric {
         self.reallocate(now);
     }
 
-    /// The slot of the `from → to` path in [`FlowFabric::class_at`]: one
-    /// per ordered node pair, where a node paired with itself means its
-    /// intra-node bus, then one for loopback.
-    fn path_slot(&self, from: GpuId, to: GpuId) -> usize {
+    /// The class of the `from → to` path, created on first use.
+    fn class_of(&mut self, from: GpuId, to: GpuId) -> usize {
         let n = self.topo.num_nodes();
-        if from == to {
+        let slot = if from == to {
             n * n
         } else {
             self.topo.node_of(from) * n + self.topo.node_of(to)
-        }
-    }
-
-    /// The class of the `from → to` path, created on first use.
-    fn class_of(&mut self, from: GpuId, to: GpuId) -> usize {
-        let slot = self.path_slot(from, to);
+        };
         if self.class_at[slot] == usize::MAX {
             self.class_at[slot] = self.classes.len();
             self.classes.push(PathClass {
@@ -334,19 +325,18 @@ impl FlowFabric {
             return;
         };
         let caps = self.topo.capacities();
-        self.used.clear();
-        self.used.resize(caps.len(), 0.0);
+        let mut used = vec![0.0f64; caps.len()];
         for f in self.flows.values() {
             if !f.rate.is_finite() {
                 continue;
             }
             for &l in &self.classes[f.class].links {
-                self.used[l] += f.rate;
+                used[l] += f.rate;
             }
         }
         let n = self.topo.num_nodes();
         let at = self.now;
-        for (l, (&u, &prev)) in self.used.iter().zip(self.last_used.iter()).enumerate() {
+        for (l, (&u, &prev)) in used.iter().zip(self.last_used.iter()).enumerate() {
             if u == prev || !caps[l].is_finite() {
                 continue;
             }
@@ -369,7 +359,7 @@ impl FlowFabric {
                 },
             });
         }
-        std::mem::swap(&mut self.used, &mut self.last_used);
+        self.last_used = used;
     }
 }
 
