@@ -216,6 +216,39 @@ fn split_plan_pair() -> (ts_cluster::Cluster, DeploymentPlan) {
     (cluster, plan)
 }
 
+/// 8×A5000, two tp=1 prefill replicas (one per node) feeding two pp=2
+/// decode replicas: GPUs 1→2 within node 0, GPUs 3→5 across the nodes.
+fn split_plan_pipelined() -> (ts_cluster::Cluster, DeploymentPlan) {
+    let model = ModelSpec::llama_7b();
+    let cluster = presets::a5000_cluster(8);
+    let half = model.num_layers / 2;
+    let pp2 = |a: u32, b: u32| {
+        GroupSpec::new(
+            Phase::Decode,
+            ParallelConfig::new(1, 2).unwrap(),
+            vec![
+                StageSpec {
+                    gpus: vec![GpuId(a)],
+                    layers: half,
+                },
+                StageSpec {
+                    gpus: vec![GpuId(b)],
+                    layers: model.num_layers - half,
+                },
+            ],
+        )
+        .unwrap()
+    };
+    let groups = vec![
+        tp1_group(Phase::Prefill, 0, model.num_layers),
+        tp1_group(Phase::Prefill, 4, model.num_layers),
+        pp2(1, 2),
+        pp2(3, 5),
+    ];
+    let plan = DeploymentPlan::new(groups, RoutingMatrix::uniform(2, 2)).unwrap();
+    (cluster, plan)
+}
+
 fn crash_script() -> FaultScript {
     FaultScript::new(
         vec![
@@ -548,6 +581,24 @@ fn run_matrix(edit: &dyn Fn(SimConfig) -> SimConfig) -> String {
         &gray_script(),
     );
     digest("split_fabric_gray", &m, &mut out);
+
+    // -- split engine, pipelined decode under a slowdown ------------------
+    // Every other arm prices single-stage decode replicas; here both decode
+    // replicas are two pipeline stages joined by an inter-stage link (one
+    // within a node, one across nodes), and one of them slows down mid-run.
+    let (m, _) = run_split(
+        &split_plan_pipelined(),
+        edit(SimConfig::new(llama7())),
+        &mixed_requests(300, 250_000, 11),
+        &FaultScript::new(
+            vec![TimedFault {
+                at: SimTime::from_secs_f64(20.0),
+                kind: FaultKind::DecodeSlow(1, 2.5),
+            }],
+            SimDuration::from_millis(50),
+        ),
+    );
+    digest("split_pipelined_slow", &m, &mut out);
 
     out
 }
