@@ -87,18 +87,6 @@ pub struct DecodeStepSeries {
 }
 
 impl DecodeStepSeries {
-    /// The lone stage's series when the replica is one pipeline stage with
-    /// no inter-stage link — the common case — so hot pricing loops can
-    /// skip the per-call stage iteration. `single_stage().step_time(ctx)`
-    /// equals `latency(ctx)` exactly (the sum degenerates to one term).
-    #[inline]
-    pub fn single_stage(&self) -> Option<DecodeStageSeries> {
-        match self.stages.as_slice() {
-            [(stage, None)] => Some(*stage),
-            _ => None,
-        }
-    }
-
     /// Decode-step latency at mean context `avg_context`.
     #[inline]
     pub fn latency(&self, avg_context: u64) -> SimDuration {
@@ -295,9 +283,9 @@ impl ReplicaCostModel {
     /// a fixed batch size, for pricing many consecutive decode steps.
     ///
     /// [`DecodeStepSeries::latency`] is bit-identical to
-    /// `decode_step_latency(batch, avg_context)`; the coalescing planner in
-    /// the simulator builds one series per batch run and prices every
-    /// boundary through it.
+    /// `decode_step_latency(batch, avg_context)`; the simulator builds one
+    /// series per decode replica and batch size and prices each step time
+    /// of its step tables through it.
     pub fn decode_step_series(&self, batch: u64) -> DecodeStepSeries {
         let act_bytes = self
             .model

@@ -161,6 +161,14 @@ impl Simulation {
     pub fn fabric_work(&self) -> Option<ts_net::FabricWork> {
         self.driver.fabric_work()
     }
+
+    /// The decode planner's work so far (across every run on this
+    /// simulation): runs planned and re-planned, step times priced and
+    /// step boundaries crossed. Zero for colocated simulations, whose
+    /// replicas step one event at a time.
+    pub fn decode_work(&self) -> crate::exec::DecodeWork {
+        self.driver.decode_work()
+    }
 }
 
 #[cfg(test)]
@@ -332,6 +340,52 @@ mod tests {
         for r in m.records() {
             assert_eq!(r.finished_at, r.first_token_at);
         }
+    }
+
+    /// The decode planner's work counters on a scripted run. Request 0
+    /// decodes alone: one plan of 8 steps at batch 1 from context 129.
+    /// Request 1 plans 32 steps at batch 1; request 2 joins it (a re-plan
+    /// pricing the 3 steps after the carried boundary at batch 2), and
+    /// request 1's remaining steps after request 2 finishes lie inside its
+    /// first plan's range. Request 3 repeats request 0's shape and prices
+    /// nothing: 8 + 32 + 3 = 43 entries. The per-step path crosses the same
+    /// 48 boundaries with one plan each, and prices only the contexts it
+    /// visits: request 2's 4 steps at batch 2 and 28 of request 1's steps
+    /// at batch 1.
+    #[test]
+    fn decode_work_is_pinned_on_a_scripted_run() {
+        use crate::DecodeWork;
+        use ts_common::RequestId;
+        let (cluster, plan, cfg) = testbed(presets::ETH_40GBPS);
+        let reqs = [
+            Request::new(RequestId(0), SimTime::ZERO, 128, 9),
+            Request::new(RequestId(1), SimTime::from_secs_f64(5.0), 512, 33),
+            Request::new(RequestId(2), SimTime::from_secs_f64(5.3), 64, 5),
+            Request::new(RequestId(3), SimTime::from_secs_f64(10.0), 128, 9),
+        ];
+        let work = |cfg: SimConfig| {
+            let mut sim = Simulation::new(&cluster, &plan, cfg).unwrap();
+            assert_eq!(sim.run(&reqs).unwrap().num_completed(), 4);
+            sim.decode_work()
+        };
+        assert_eq!(
+            work(cfg.clone()),
+            DecodeWork {
+                plans: 4,
+                replans: 1,
+                steps_priced: 43,
+                steps_crossed: 48,
+            }
+        );
+        assert_eq!(
+            work(cfg.with_decode_coalescing(false)),
+            DecodeWork {
+                plans: 48,
+                replans: 0,
+                steps_priced: 40,
+                steps_crossed: 48,
+            }
+        );
     }
 
     #[test]
@@ -1128,6 +1182,49 @@ mod gray_failure_tests {
             e(&healthy)
         );
         assert_eq!(slow.recovery().quarantines, 0, "no detector configured");
+    }
+
+    /// Absurd slowdowns are valid input: decode boundaries then saturate
+    /// at the end of time, every request still completes, and the
+    /// coalesced plans match the per-step loop.
+    #[test]
+    fn saturating_slowdowns_complete_every_request() {
+        let model = ModelSpec::llama_7b();
+        let cluster = presets::a5000_cluster(4);
+        let plan = DeploymentPlan::new(
+            vec![
+                group(&model, Phase::Prefill, &[0, 1], 2),
+                group(&model, Phase::Decode, &[2, 3], 2),
+            ],
+            RoutingMatrix::uniform(1, 1),
+        )
+        .unwrap();
+        let reqs: Vec<Request> = (0..20)
+            .map(|i| {
+                let at = SimTime::from_micros(i * 250_000);
+                Request::new(ts_common::RequestId(i), at, 256, 32)
+            })
+            .collect();
+        for factor in [1e3, 1e9, 1e15, 1e300] {
+            let script = FaultScript::new(
+                vec![fault(1.0, FaultKind::DecodeSlow(0, factor))],
+                SimDuration::from_millis(500),
+            );
+            let run = |coalescing: bool| {
+                let cfg = SimConfig::new(model.clone()).with_decode_coalescing(coalescing);
+                Simulation::new(&cluster, &plan, cfg)
+                    .unwrap()
+                    .run_with_faults(&reqs, &script)
+                    .unwrap()
+            };
+            let m = run(true);
+            assert_eq!(m.num_completed(), 20, "factor {factor}");
+            let finish = |m: &Metrics| m.records().iter().map(|r| r.finished_at).max();
+            assert_eq!(finish(&m), finish(&run(false)), "factor {factor}");
+            if factor == 1e300 {
+                assert_eq!(finish(&m), Some(SimTime::MAX));
+            }
+        }
     }
 
     #[test]

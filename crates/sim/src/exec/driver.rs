@@ -39,8 +39,11 @@
 //!   scheduled per planned decode *run* (a [`DecodePlan`]) instead of one
 //!   per step; intermediate step boundaries are materialized retroactively
 //!   (in bulk when telemetry is off) when an interrupt or the finish
-//!   boundary needs the batch state. The plan's *virtual push time*
-//!   (`prev_boundary`, and [`plan_vpush`] for the in-progress step)
+//!   boundary needs the batch state. Each step time is priced once per
+//!   replica, batch size and context into the replica's [`StepTables`]
+//!   prefix sums, so a plan is an O(1) description and any boundary costs
+//!   two lookups. The plan's *virtual push time* (`prev_boundary`, and
+//!   [`DecodePlan::vpush`] for the in-progress step)
 //!   reproduces the per-step schedule's `(at, seq, pushed_at)` ordering
 //!   against genuinely simultaneous rival events, so the coalesced loop
 //!   replays the exact same event interleaving the per-step loop would
@@ -49,9 +52,11 @@
 //!   quarantine on — the detector needs per-step samples).
 
 use super::executor::{
-    ColocatedExecutor, DecodeExecutor, DecodePlan, DrainedWork, PrefillExecutor, ReplicaExecutor,
+    ColocatedExecutor, DecodeExecutor, DecodeWork, DrainedWork, PrefillExecutor, ReplicaExecutor,
     Work,
 };
+#[cfg(doc)]
+use super::executor::{DecodePlan, StepTables};
 use super::kv::{KvTransport, Transfer};
 use super::seq::{AdmitOutcome, Pending, PrefillJob, WaitingSeq};
 use crate::config::{PrefillPolicy, SimConfig, STRAGGLER_MIN_SAMPLES};
@@ -67,7 +72,7 @@ use ts_common::{
     derive_seed, seeded_rng, DeploymentPlan, Error, GroupSpec, ModelId, Request, RequestId, Result,
     SimDuration, SimTime, Slab, SlabKey,
 };
-use ts_costmodel::{DecodeStageSeries, DecodeStepSeries, ReplicaCostModel};
+use ts_costmodel::ReplicaCostModel;
 use ts_telemetry::{
     HealthState, PressureTally, Recorder, Role, StreamingPlane, TraceEvent, TraceKind, TraceLog,
     TraceSink,
@@ -181,6 +186,10 @@ pub(crate) struct Core {
     /// (replica, original seq, original pushed_at), newest last. A stack,
     /// not an `Option`: a rival dispatched inline may itself defer.
     held_decode: Vec<(usize, u64, SimTime)>,
+    /// Recycled buffer for one admission pass's decisions.
+    admit_buf: Vec<AdmitOutcome>,
+    /// Recycled buffer for the sequences one decode step finishes.
+    finished_buf: Vec<(SlabKey, SimDuration)>,
 }
 
 /// Per-host gray-failure bookkeeping: flaky-heartbeat masking, straggler
@@ -446,6 +455,18 @@ impl Driver {
             Topology::Split(s) => s.kv.fabric_work(),
             Topology::Colocated(_) => None,
         }
+    }
+
+    /// The decode planner's work so far, summed over the decode replicas;
+    /// zero for colocated replicas, which step one event at a time.
+    pub fn decode_work(&self) -> DecodeWork {
+        let mut work = DecodeWork::default();
+        if let Topology::Split(s) = &self.topo {
+            for d in &s.decodes {
+                work += d.work;
+            }
+        }
+        work
     }
 
     /// Runs the trace with mid-flight fault injection. With an empty
@@ -1228,6 +1249,8 @@ impl Core {
             event_pushed_at: SimTime::ZERO,
             phantom_horizon: SimTime::ZERO,
             held_decode: Vec::new(),
+            admit_buf: Vec::new(),
+            finished_buf: Vec::new(),
         }
     }
 
@@ -1433,12 +1456,12 @@ fn clear_affected(core: &mut Core, id: RequestId) {
 /// Returns whether anything was admitted.
 fn apply_admit_outcomes(
     core: &mut Core,
-    outcomes: Vec<AdmitOutcome>,
+    outcomes: &[AdmitOutcome],
     role: Role,
     replica: usize,
 ) -> bool {
     let mut admitted = false;
-    for o in outcomes {
+    for &o in outcomes {
         match o {
             AdmitOutcome::Dropped(key) => drop_request(core, key),
             AdmitOutcome::Admitted(key) => {
@@ -1766,13 +1789,17 @@ fn split_admit_waiting(core: &mut Core, s: &mut SplitState, j: usize) -> bool {
     if !d.is_alive() {
         return false;
     }
-    let outcomes = {
-        let reqs = &core.reqs;
-        d.batch.admit(&d.cost, &core.cfg, core.now, |key| {
-            reqs.get(key).and_then(|st| st.pend.first_token_at)
-        })
-    };
-    let admitted = apply_admit_outcomes(core, outcomes, Role::Decode, j);
+    let mut outcomes = std::mem::take(&mut core.admit_buf);
+    let reqs = &core.reqs;
+    d.batch.admit(
+        &d.cost,
+        &core.cfg,
+        core.now,
+        |key| reqs.get(key).and_then(|st| st.pend.first_token_at),
+        &mut outcomes,
+    );
+    let admitted = apply_admit_outcomes(core, &outcomes, Role::Decode, j);
+    core.admit_buf = outcomes;
     trace(
         core,
         TraceKind::BatchOccupancy {
@@ -1803,141 +1830,6 @@ fn split_kick_decode(core: &mut Core, s: &mut SplitState, j: usize, admitted: bo
     split_plan_decode(core, s, j);
 }
 
-/// Picks the pricing source for a decode run on `d` at `batch` size: the
-/// memoized single-stage series when it matches (replicas revisit the
-/// same few batch sizes all trace long), a freshly built — and memoized —
-/// series when `hoist` says more than one boundary needs pricing, or
-/// neither, in which case the caller prices boundaries directly through
-/// `decode_step_latency`. All three sources produce bit-identical
-/// boundary times (`decode_step_series_is_bit_identical` pins this).
-fn decode_pricing(
-    d: &mut DecodeExecutor,
-    batch: u64,
-    hoist: bool,
-) -> (Option<DecodeStageSeries>, Option<DecodeStepSeries>) {
-    if let Some((b, stage)) = d.step_series_memo {
-        if b == batch {
-            return (Some(stage), None);
-        }
-    }
-    if !hoist {
-        return (None, None);
-    }
-    let built = d.cost.decode_step_series(batch);
-    match built.single_stage() {
-        Some(stage) => {
-            d.step_series_memo = Some((batch, stage));
-            (Some(stage), None)
-        }
-        None => (None, Some(built)),
-    }
-}
-
-/// Prices `count` consecutive decode boundaries starting from `at` with
-/// integer average context `ctx`, appending each boundary time to
-/// `steps`, and returns the final boundary. The pricing source and the
-/// straggler check are hoisted out of the loop so the common case — a
-/// single-stage replica at full speed — runs a tight monomorphic loop
-/// with no per-boundary branching. Every specialization performs the
-/// exact same float operations per boundary, so the times stay
-/// bit-identical across paths.
-#[allow(clippy::too_many_arguments)]
-fn price_boundaries(
-    steps: &mut VecDeque<SimTime>,
-    mut at: SimTime,
-    mut ctx: u64,
-    count: u64,
-    single: Option<DecodeStageSeries>,
-    series: Option<&DecodeStepSeries>,
-    cost: &ReplicaCostModel,
-    batch: u64,
-    slow: f64,
-) -> SimTime {
-    if let Some(stage) = single {
-        if slow == 1.0 {
-            // Unrolled 4-wide: the four step times are independent (only
-            // the running boundary `at` is serial, and that chain is
-            // integer adds), so the per-step float divisions pipeline
-            // instead of serializing. Each boundary's value is computed
-            // by exactly the same operations as the 1-wide loop.
-            //
-            // When the memory roofline provably dominates over the whole
-            // context range (the usual thin-batch decode regime —
-            // `mem_bound_over` is a monotonicity argument, see its doc),
-            // each boundary needs only the memory-side division; the
-            // compute side is certified once for the plan.
-            if count > 0 && stage.mem_bound_over(ctx, ctx + (count - 1)) {
-                let mut rem = count;
-                while rem >= 4 {
-                    let l0 = stage.step_time_mem(ctx);
-                    let l1 = stage.step_time_mem(ctx + 1);
-                    let l2 = stage.step_time_mem(ctx + 2);
-                    let l3 = stage.step_time_mem(ctx + 3);
-                    at += l0;
-                    steps.push_back(at);
-                    at += l1;
-                    steps.push_back(at);
-                    at += l2;
-                    steps.push_back(at);
-                    at += l3;
-                    steps.push_back(at);
-                    ctx += 4;
-                    rem -= 4;
-                }
-                for _ in 0..rem {
-                    at += stage.step_time_mem(ctx);
-                    steps.push_back(at);
-                    ctx += 1;
-                }
-                return at;
-            }
-            let mut rem = count;
-            while rem >= 4 {
-                let l0 = stage.step_time(ctx);
-                let l1 = stage.step_time(ctx + 1);
-                let l2 = stage.step_time(ctx + 2);
-                let l3 = stage.step_time(ctx + 3);
-                at += l0;
-                steps.push_back(at);
-                at += l1;
-                steps.push_back(at);
-                at += l2;
-                steps.push_back(at);
-                at += l3;
-                steps.push_back(at);
-                ctx += 4;
-                rem -= 4;
-            }
-            for _ in 0..rem {
-                at += stage.step_time(ctx);
-                steps.push_back(at);
-                ctx += 1;
-            }
-        } else {
-            for _ in 0..count {
-                at += stage.step_time(ctx).mul_f64(slow);
-                steps.push_back(at);
-                ctx += 1;
-            }
-        }
-        return at;
-    }
-    for _ in 0..count {
-        let mut latency = if let Some(series) = series {
-            series.latency(ctx)
-        } else {
-            cost.decode_step_latency(batch, ctx)
-        };
-        if slow != 1.0 {
-            latency = latency.mul_f64(slow);
-        }
-        at += latency;
-        steps.push_back(at);
-        ctx += 1;
-    }
-    at
-}
-
 /// Plans a decode run for replica `j` starting now and schedules its
 /// run-end event. Under coalescing the run extends to the earliest finish
 /// boundary (the batch is constant until then, so every boundary is
@@ -1958,34 +1850,21 @@ fn split_plan_decode(core: &mut Core, s: &mut SplitState, j: usize) {
     } else {
         1
     };
-    let slow = d.slow_factor;
-    let (single, series) = decode_pricing(d, batch, steps_to_finish > 1);
-    let mut steps = std::mem::take(&mut d.spare_steps);
-    steps.clear();
-    steps.reserve(steps_to_finish as usize);
-    let at = price_boundaries(
-        &mut steps,
-        core.now,
-        d.batch.avg_context(),
-        steps_to_finish as u64,
-        single,
-        series.as_ref(),
-        &d.cost,
+    let kind = EventKind::DecodeStepDone {
+        replica: j,
+        epoch: d.epoch(),
+    };
+    d.work.plans += 1;
+    let ctx0 = d.batch.avg_context();
+    let plan = d.plan_run(
         batch,
-        slow,
+        ctx0,
+        u64::from(steps_to_finish),
+        core.now,
+        false,
+        |end| core.queue.push_cancellable(end, kind),
     );
-    let token = core.queue.push_cancellable(
-        at,
-        EventKind::DecodeStepDone {
-            replica: j,
-            epoch: d.epoch(),
-        },
-    );
-    d.plan = Some(DecodePlan {
-        steps,
-        prev_boundary: core.now,
-        token,
-    });
+    d.plan = Some(plan);
 }
 
 /// Re-plans replica `j`'s coalesced run after its batch grew or its speed
@@ -1998,10 +1877,11 @@ fn split_plan_decode(core: &mut Core, s: &mut SplitState, j: usize) {
 /// boundary, keeping its original `(seq, pushed_at)` stamps.
 fn split_replan_decode(core: &mut Core, s: &mut SplitState, j: usize) {
     let d = &mut s.decodes[j];
-    let Some(mut old) = d.plan.take() else {
+    let Some(old) = d.plan.take() else {
         return;
     };
-    let first = *old.steps.front().expect("plan with no boundaries");
+    // Read before pricing: a new straggler factor drops the tables.
+    let first = old.front(&d.tables);
     debug_assert!(first >= core.now, "carried boundary in the past");
     let batch = d.batch.active.len() as u64;
     let steps_to_finish = d
@@ -2012,50 +1892,36 @@ fn split_replan_decode(core: &mut Core, s: &mut SplitState, j: usize) {
         .min()
         .unwrap_or(1)
         .max(1);
-    let slow = d.slow_factor;
-    // The carried boundary is free; re-pricing starts at the second.
-    let (single, series) = decode_pricing(d, batch, steps_to_finish > 2);
-    // Reuse the old plan's buffer: its front IS the carried boundary, so
-    // truncating to one entry both keeps it and avoids a fresh allocation.
-    let mut steps = std::mem::take(&mut old.steps);
-    steps.truncate(1);
-    debug_assert_eq!(steps.front(), Some(&first));
-    steps.reserve(steps_to_finish as usize);
-    // Context as of the carried boundary's end: the whole (new) batch
-    // gains one token there.
-    let at = price_boundaries(
-        &mut steps,
-        first,
-        d.batch.avg_context() + 1,
-        (steps_to_finish - 1) as u64,
-        single,
-        series.as_ref(),
-        &d.cost,
-        batch,
-        slow,
-    );
     let kind = EventKind::DecodeStepDone {
         replica: j,
         epoch: d.epoch(),
     };
-    let token = match core.queue.reschedule(old.token, at, kind) {
-        Some(tok) => tok,
-        None => {
-            // The run-end event was already popped and is being held
-            // behind a same-instant rival (this re-plan runs inside that
-            // rival's inline dispatch): re-queue it with its original
-            // stamps so it pops again in the right order.
-            match core.take_held_decode(j) {
-                Some((seq, pushed_at)) => core.queue.reinsert(at, kind, seq, pushed_at),
-                None => core.queue.push_cancellable(at, kind),
+    d.work.replans += 1;
+    // Context as of the carried boundary's end: the whole (new) batch
+    // gains one token there.
+    let ctx0 = d.batch.avg_context() + 1;
+    let mut plan = d.plan_run(
+        batch,
+        ctx0,
+        u64::from(steps_to_finish - 1),
+        first,
+        true,
+        |end| match core.queue.reschedule(old.token, end, kind) {
+            Some(tok) => tok,
+            None => {
+                // The run-end event was already popped and is being held
+                // behind a same-instant rival (this re-plan runs inside
+                // that rival's inline dispatch): re-queue it with its
+                // original stamps so it pops again in the right order.
+                match core.take_held_decode(j) {
+                    Some((seq, pushed_at)) => core.queue.reinsert(end, kind, seq, pushed_at),
+                    None => core.queue.push_cancellable(end, kind),
+                }
             }
-        }
-    };
-    d.plan = Some(DecodePlan {
-        steps,
-        prev_boundary: old.prev_boundary,
-        token,
-    });
+        },
+    );
+    plan.prev_boundary = old.prev_boundary;
+    d.plan = Some(plan);
 }
 
 /// Cancels replica `j`'s scheduled run-end event and clears the plan,
@@ -2065,10 +1931,11 @@ fn split_replan_decode(core: &mut Core, s: &mut SplitState, j: usize) {
 /// past it) even once stale; its fire time folds into the phantom horizon
 /// so the reported makespan stays identical.
 fn split_cancel_decode_plan(core: &mut Core, s: &mut SplitState, j: usize) {
-    let Some(plan) = s.decodes[j].plan.as_ref() else {
+    let d = &s.decodes[j];
+    let Some(plan) = d.plan.as_ref() else {
         return;
     };
-    let in_progress_end = *plan.steps.front().expect("plan with no boundaries");
+    let in_progress_end = plan.front(&d.tables);
     core.phantom_horizon = core.phantom_horizon.max(in_progress_end);
     core.queue.cancel(plan.token);
     s.decodes[j].plan = None;
@@ -2082,24 +1949,11 @@ fn split_cancel_decode_plan(core: &mut Core, s: &mut SplitState, j: usize) {
 /// scheduled event's fire time and is handled by
 /// [`Driver::on_decode_finish`].
 fn split_catch_up_decode(core: &mut Core, s: &mut SplitState, j: usize) {
-    let now = core.now;
-    let Some(plan) = s.decodes[j].plan.as_ref() else {
+    let d = &s.decodes[j];
+    let Some(plan) = d.plan.as_ref() else {
         return;
     };
-    let mut m = 0usize;
-    while m + 1 < plan.steps.len() && plan.steps[m] < now {
-        m += 1;
-    }
-    if m + 1 < plan.steps.len() && plan.steps[m] == now {
-        let prev = if m == 0 {
-            plan.prev_boundary
-        } else {
-            plan.steps[m - 1]
-        };
-        if core.event_pushed_at > prev {
-            m += 1;
-        }
-    }
+    let m = plan.elapsed(&d.tables, core.now, core.event_pushed_at);
     if m > 0 {
         split_materialize(core, s, j, m);
     }
@@ -2113,52 +1967,47 @@ fn split_catch_up_all_decodes(core: &mut Core, s: &mut SplitState) {
     }
 }
 
-/// Materializes the front `m` boundaries of replica `j`'s plan. Unless a
+/// Materializes the next `m` boundaries of replica `j`'s plan. Unless a
 /// recorder or streaming plane is attached this is one arithmetic pass —
 /// batch membership is constant across a plan, so per sequence only the
-/// first gap differs and the remaining gaps share one maximum; otherwise
-/// each boundary replays individually to emit its retroactive trace
-/// events. The pressure tally needs no replay: each replayed boundary only
-/// repeats the occupancy already sampled, which moves neither its integral
-/// nor its peak.
-fn split_materialize(core: &mut Core, s: &mut SplitState, j: usize, m: usize) {
+/// first gap differs and the remaining gaps share one maximum, the last
+/// of them (step time never decreases as context grows); otherwise each
+/// boundary replays individually to emit its retroactive trace events.
+/// The pressure tally needs no replay: each replayed boundary only repeats
+/// the occupancy already sampled, which moves neither its integral nor
+/// its peak.
+fn split_materialize(core: &mut Core, s: &mut SplitState, j: usize, m: u64) {
+    let d = &mut s.decodes[j];
+    d.work.steps_crossed += m;
     if !observing(core) {
-        let d = &mut s.decodes[j];
         let plan = d.plan.as_mut().expect("materialize without plan");
-        debug_assert!(m < plan.steps.len(), "materializing the final boundary");
-        let first = plan.steps[0];
-        let mut shared_max = SimDuration::ZERO;
-        for i in 1..m {
-            shared_max = shared_max.max(plan.steps[i].saturating_since(plan.steps[i - 1]));
-        }
-        let last = plan.steps[m - 1];
-        let mk = m as u64;
+        debug_assert!(m < plan.remaining(), "materializing the final boundary");
+        let first = plan.front(&d.tables);
+        let shared_max = plan.shared_max_gap(&d.tables, m);
+        let last = plan.boundary(&d.tables, plan.crossed + m - 1);
         let batch = d.batch.active.len() as u64;
         for a in &mut d.batch.active {
             debug_assert!(
-                u64::from(a.remaining) > mk,
+                u64::from(a.remaining) > m,
                 "an intermediate coalesced boundary must not finish a sequence"
             );
-            a.context += mk;
+            a.context += m;
             a.remaining -= m as u32;
             let first_gap = first.saturating_since(a.last_token_at);
             a.max_gap = a.max_gap.max(first_gap).max(shared_max);
             a.last_token_at = last;
         }
-        d.batch.kv_used += batch * mk;
-        for _ in 0..m {
-            let b = plan.steps.pop_front().expect("boundary count");
-            plan.prev_boundary = b;
-        }
+        d.batch.kv_used += batch * m;
+        plan.crossed += m;
+        plan.prev_boundary = last;
     } else {
         for _ in 0..m {
             let b = {
-                let plan = s.decodes[j]
-                    .plan
-                    .as_mut()
-                    .expect("materialize without plan");
-                debug_assert!(plan.steps.len() > 1, "materializing the final boundary");
-                let b = plan.steps.pop_front().expect("boundary count");
+                let d = &mut s.decodes[j];
+                let plan = d.plan.as_mut().expect("materialize without plan");
+                debug_assert!(plan.remaining() > 1, "materializing the final boundary");
+                let b = plan.front(&d.tables);
+                plan.crossed += 1;
                 plan.prev_boundary = b;
                 b
             };
@@ -2194,19 +2043,6 @@ fn split_materialize_boundary(core: &mut Core, s: &mut SplitState, j: usize, at:
     );
 }
 
-/// The virtual push time of a plan's scheduled run-end event: the per-step
-/// loop would have pushed the final step's event when the previous step
-/// ended — the penultimate boundary, or the in-progress step's start for
-/// a single-step plan.
-fn plan_vpush(plan: &DecodePlan) -> SimTime {
-    let n = plan.steps.len();
-    if n >= 2 {
-        plan.steps[n - 2]
-    } else {
-        plan.prev_boundary
-    }
-}
-
 /// Discards a held (deferred) decode-finish stamp for replica `j`.
 fn drop_held_decode(core: &mut Core, j: usize, seq: u64) {
     core.held_decode.retain(|h| !(h.0 == j && h.1 == seq));
@@ -2227,7 +2063,8 @@ impl Driver {
         loop {
             let vpush = {
                 let (core, s) = self.split("DecodeStepDone")?;
-                let Some(plan) = s.decodes[replica].plan.as_ref() else {
+                let d = &s.decodes[replica];
+                let Some(plan) = d.plan.as_ref() else {
                     // A rival dispatched below killed or revived the
                     // replica, cancelling the plan: this pop is stale.
                     drop_held_decode(core, replica, seq);
@@ -2239,7 +2076,7 @@ impl Driver {
                     drop_held_decode(core, replica, seq);
                     return Ok(());
                 }
-                plan_vpush(plan)
+                plan.vpush(&d.tables)
             };
             if ev.pushed_at == vpush {
                 // The stamps are real (a per-step-schedule push): the heap
@@ -2272,19 +2109,15 @@ impl Driver {
         let pending = s.decodes[replica]
             .plan
             .as_ref()
-            .map_or(0, |p| p.steps.len());
+            .map_or(0, |p| p.remaining());
         if pending > 1 {
             split_materialize(core, s, replica, pending - 1);
         }
-        let plan = s.decodes[replica].plan.take().expect("checked above");
-        debug_assert_eq!(plan.steps.len(), 1, "intermediates drained");
-        debug_assert_eq!(
-            plan.steps.front(),
-            Some(&core.now),
-            "finish boundary mismatch"
-        );
-        // Recycle the retired plan's buffer for the next planning pass.
-        s.decodes[replica].spare_steps = plan.steps;
+        let d = &mut s.decodes[replica];
+        let plan = d.plan.take().expect("checked above");
+        debug_assert_eq!(plan.remaining(), 1, "intermediates drained");
+        debug_assert_eq!(plan.end(&d.tables), core.now, "finish boundary mismatch");
+        d.work.steps_crossed += 1;
         observe_straggler(core, Role::Decode, replica, s.decodes[replica].slow_factor);
         trace(
             core,
@@ -2294,10 +2127,12 @@ impl Driver {
                 batch: s.decodes[replica].batch.active.len(),
             },
         );
-        let finished = s.decodes[replica].batch.advance(core.now);
-        for (key, gap) in finished {
+        let mut finished = std::mem::take(&mut core.finished_buf);
+        s.decodes[replica].batch.advance(core.now, &mut finished);
+        for &(key, gap) in &finished {
             finish(core, key, core.now, gap)?;
         }
+        core.finished_buf = finished;
         split_admit_waiting(core, s, replica);
         split_kick_decode(core, s, replica, false);
         Ok(())
@@ -2327,8 +2162,9 @@ impl Driver {
                 let Topology::Split(s) = &self.topo else {
                     return None;
                 };
-                match s.decodes[r2].plan.as_ref() {
-                    Some(p) if head.token() == Some(p.token) => plan_vpush(p),
+                let d = &s.decodes[r2];
+                match d.plan.as_ref() {
+                    Some(p) if head.token() == Some(p.token) => p.vpush(&d.tables),
                     _ => head.pushed_at,
                 }
             }
@@ -2546,13 +2382,17 @@ fn colo_maybe_start_work(core: &mut Core, c: &mut ColoState, ri: usize) {
         if !r.is_alive() {
             return;
         }
-        let outcomes = {
-            let reqs = &core.reqs;
-            r.batch.admit(&r.cost, &core.cfg, core.now, |key| {
-                reqs.get(key).and_then(|st| st.pend.first_token_at)
-            })
-        };
-        apply_admit_outcomes(core, outcomes, Role::Colocated, ri);
+        let mut outcomes = std::mem::take(&mut core.admit_buf);
+        let reqs = &core.reqs;
+        r.batch.admit(
+            &r.cost,
+            &core.cfg,
+            core.now,
+            |key| reqs.get(key).and_then(|st| st.pend.first_token_at),
+            &mut outcomes,
+        );
+        apply_admit_outcomes(core, &outcomes, Role::Colocated, ri);
+        core.admit_buf = outcomes;
     }
     trace(
         core,
@@ -2693,10 +2533,12 @@ fn colo_on_work_done(core: &mut Core, c: &mut ColoState, ri: usize) -> Result<()
             }
         }
         Work::DecodeStep => {
-            let finished = c.replicas[ri].batch.advance(core.now);
-            for (key, gap) in finished {
+            let mut finished = std::mem::take(&mut core.finished_buf);
+            c.replicas[ri].batch.advance(core.now, &mut finished);
+            for &(key, gap) in &finished {
                 finish(core, key, core.now, gap)?;
             }
+            core.finished_buf = finished;
         }
     }
     colo_maybe_start_work(core, c, ri);

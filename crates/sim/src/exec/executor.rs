@@ -17,7 +17,7 @@ use crate::config::PrefillPolicy;
 use crate::event::EventToken;
 use std::collections::VecDeque;
 use ts_common::{SimDuration, SimTime, SlabKey};
-use ts_costmodel::{DecodeStageSeries, ReplicaCostModel};
+use ts_costmodel::{DecodeStepSeries, ReplicaCostModel};
 
 /// What a colocated replica is currently executing.
 #[derive(Debug, Clone)]
@@ -66,6 +66,220 @@ impl DrainedWork {
     }
 }
 
+/// Decode-planner work counters of a simulation (across every run on it).
+///
+/// Machine-independent: a change to the planner shows up here exactly. The
+/// crossed count does not depend on how boundaries are priced, so it pins
+/// that two planners replay the same steps.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct DecodeWork {
+    /// Runs planned from a batch with no plan in flight.
+    pub plans: u64,
+    /// Runs re-planned in flight, after the batch grew or the replica's
+    /// speed changed.
+    pub replans: u64,
+    /// Step times priced into the step-time tables.
+    pub steps_priced: u64,
+    /// Step boundaries crossed: materialized intermediate boundaries plus
+    /// run ends.
+    pub steps_crossed: u64,
+}
+
+impl std::ops::AddAssign for DecodeWork {
+    fn add_assign(&mut self, o: DecodeWork) {
+        self.plans += o.plans;
+        self.replans += o.replans;
+        self.steps_priced += o.steps_priced;
+        self.steps_crossed += o.steps_crossed;
+    }
+}
+
+/// A run whose steps all stay below this many microseconds (about 71
+/// simulated minutes each) sums exactly in `u64` over any span it can hold
+/// (fewer than 2^32 entries), so its wrapping prefix differences are the
+/// true sums.
+const EXACT_STEP_US: u64 = 1 << 32;
+
+/// Step times of consecutive contexts `lo..hi()` at one batch size, held
+/// as wrapping `u64` prefix sums (integer microseconds): `prefix[i]` is
+/// the sum of the steps at contexts `lo..lo + i` plus an arbitrary base,
+/// so extending the run at either end appends a single entry.
+#[derive(Debug, Default)]
+struct StepRun {
+    lo: u64,
+    prefix: VecDeque<u64>,
+    /// Largest step time in the run.
+    max_step: u64,
+}
+
+impl StepRun {
+    fn empty(lo: u64) -> Self {
+        StepRun {
+            lo,
+            prefix: VecDeque::from([0]),
+            max_step: 0,
+        }
+    }
+
+    /// One past the last context the run covers.
+    fn hi(&self) -> u64 {
+        self.lo + self.prefix.len() as u64 - 1
+    }
+
+    /// Step time at context `lo + i`.
+    fn step(&self, i: usize) -> u64 {
+        self.prefix[i + 1].wrapping_sub(self.prefix[i])
+    }
+
+    fn push_back(&mut self, step: u64) {
+        let n = self.prefix.len();
+        debug_assert!(n < 2 || step >= self.step(n - 2), "step time fell");
+        let last = self.prefix[n - 1];
+        self.prefix.push_back(last.wrapping_add(step));
+        self.max_step = self.max_step.max(step);
+    }
+
+    fn push_front(&mut self, step: u64) {
+        debug_assert!(
+            self.prefix.len() < 2 || step <= self.step(0),
+            "step time fell"
+        );
+        let first = self.prefix[0];
+        self.prefix.push_front(first.wrapping_sub(step));
+        self.lo -= 1;
+        self.max_step = self.max_step.max(step);
+    }
+}
+
+/// One batch size's step-time series and the runs priced from it, sorted
+/// by context; runs never overlap or touch (touching runs merge).
+#[derive(Debug, Default)]
+struct BatchSteps {
+    series: Option<DecodeStepSeries>,
+    runs: Vec<StepRun>,
+}
+
+/// A decode replica's step times, priced once per `(batch, context)` and
+/// kept as prefix sums, so any span of a run's boundaries costs two
+/// lookups.
+///
+/// Each entry is `DecodeStepSeries::latency(ctx)`, scaled by
+/// `SimDuration::mul_f64(slow)` only when the straggler factor is not
+/// exactly 1.0: the float operations the per-step loop performs, so every
+/// boundary matches it bit for bit. Tables cover only the contexts plans
+/// visit (one run per connected range). They are dropped when a run is
+/// priced at a different straggler factor than the entries; until then
+/// they still serve the plan priced at the old factor.
+#[derive(Debug)]
+pub struct StepTables {
+    /// Straggler factor the entries were priced at.
+    slow: f64,
+    /// Indexed by batch size.
+    batches: Vec<BatchSteps>,
+}
+
+impl Default for StepTables {
+    fn default() -> Self {
+        StepTables {
+            slow: 1.0,
+            batches: Vec::new(),
+        }
+    }
+}
+
+impl StepTables {
+    /// Makes sure the steps at contexts `ctx0..ctx0 + steps` are priced for
+    /// `batch` at straggler factor `slow`, pricing only the missing ones
+    /// (counted into `priced`), and returns the index of the run holding
+    /// them.
+    fn ensure(
+        &mut self,
+        cost: &ReplicaCostModel,
+        slow: f64,
+        batch: u64,
+        ctx0: u64,
+        steps: u64,
+        priced: &mut u64,
+    ) -> usize {
+        if slow != self.slow {
+            for b in &mut self.batches {
+                b.runs.clear();
+            }
+            self.slow = slow;
+        }
+        let b = batch as usize;
+        if self.batches.len() <= b {
+            self.batches.resize_with(b + 1, BatchSteps::default);
+        }
+        let BatchSteps { series, runs } = &mut self.batches[b];
+        let (lo, hi) = (ctx0, ctx0 + steps);
+        let i = runs.partition_point(|r| r.hi() < lo);
+        if runs.get(i).is_some_and(|r| r.lo <= lo && hi <= r.hi()) {
+            return i;
+        }
+        let series = &*series.get_or_insert_with(|| cost.decode_step_series(batch));
+        let mut price = |ctx: u64| {
+            *priced += 1;
+            let mut latency = series.latency(ctx);
+            if slow != 1.0 {
+                latency = latency.mul_f64(slow);
+            }
+            latency.as_micros()
+        };
+        // Runs i..j overlap or touch the span: merge them into one.
+        let j = i + runs[i..].iter().take_while(|r| r.lo <= hi).count();
+        let mut run = match runs.get_mut(i) {
+            Some(r) if i < j => std::mem::take(r),
+            _ => StepRun::empty(lo),
+        };
+        while run.lo > lo {
+            run.push_front(price(run.lo - 1));
+        }
+        for next in &runs[(i + 1).min(j)..j] {
+            while run.hi() < next.lo {
+                run.push_back(price(run.hi()));
+            }
+            for k in 0..next.prefix.len() - 1 {
+                run.push_back(next.step(k));
+            }
+        }
+        while run.hi() < hi {
+            run.push_back(price(run.hi()));
+        }
+        if i < j {
+            runs[i] = run;
+            runs.drain(i + 1..j);
+        } else {
+            runs.insert(i, run);
+        }
+        i
+    }
+
+    /// Sum of the `k` step times from context `ctx0` in run `run` of
+    /// `batch`, saturating at the largest duration.
+    fn span(&self, batch: u64, run: usize, ctx0: u64, k: u64) -> SimDuration {
+        if k == 0 {
+            return SimDuration::ZERO;
+        }
+        let r = &self.batches[batch as usize].runs[run];
+        let o = (ctx0 - r.lo) as usize;
+        let k = k as usize;
+        let us = if r.max_step < EXACT_STEP_US {
+            r.prefix[o + k].wrapping_sub(r.prefix[o])
+        } else {
+            let mut sum = 0u64;
+            for i in o..o + k {
+                sum = sum.saturating_add(r.step(i));
+                if sum == u64::MAX {
+                    break;
+                }
+            }
+            sum
+        };
+        SimDuration::from_micros(us)
+    }
+}
+
 /// A planned decode run on a decode-capable replica: the step boundaries
 /// the continuous batch will cross if nothing interrupts it, ending at the
 /// first boundary where at least one sequence finishes.
@@ -75,20 +289,149 @@ impl DrainedWork {
 /// boundaries are materialized lazily — retroactively, in batches — when an
 /// interrupt or the finish boundary needs the batch state. Under the
 /// per-step compatibility path a plan holds exactly one step.
-#[derive(Debug)]
+///
+/// The plan stores no boundaries. Its priced segment is `steps` steps at
+/// batch size `batch` from average context `ctx0`, starting at `start`;
+/// a re-plan first carries the in-progress step's end, which is then the
+/// segment's start. Boundary `g` (counted from the plan's first, crossed
+/// ones included) is `start` plus the sum of the segment's first
+/// `g + 1 - carried` step times, two lookups into the replica's
+/// [`StepTables`]. Step time never decreases as context grows, so the
+/// gaps between consecutive boundaries never shrink either.
+#[derive(Debug, Clone, Copy)]
 pub struct DecodePlan {
-    /// Step-end boundaries, ascending. Already-materialized boundaries are
-    /// popped from the front; the last entry is the scheduled event's fire
-    /// time and the first boundary at which a sequence can finish.
-    pub steps: VecDeque<SimTime>,
-    /// The virtual push time of the in-progress (front) step: the sim time
-    /// at which the per-step scheduler would have pushed that step's event
-    /// (the previous boundary, or the plan's creation time). Used to order
-    /// coalesced events against genuinely simultaneous rivals exactly as
-    /// the per-step schedule would have.
+    /// Batch size the segment was priced at (which table it reads).
+    pub batch: u64,
+    /// Index of the table run holding the segment's steps.
+    run: usize,
+    /// Whether the first boundary is carried from the plan this one
+    /// replaced; it is then `start`.
+    pub carried: bool,
+    /// When the priced segment starts.
+    pub start: SimTime,
+    /// Average context of the segment's first step.
+    pub ctx0: u64,
+    /// Steps priced in the segment.
+    pub steps: u64,
+    /// Boundaries already materialized.
+    pub crossed: u64,
+    /// The virtual push time of the in-progress (first uncrossed) step:
+    /// the sim time at which the per-step scheduler would have pushed that
+    /// step's event (the previous boundary, or the plan's creation time).
+    /// Used to order coalesced events against genuinely simultaneous
+    /// rivals exactly as the per-step schedule would have.
     pub prev_boundary: SimTime,
     /// Cancellation token of the scheduled run-end event.
     pub token: EventToken,
+}
+
+impl DecodePlan {
+    /// Boundaries in the plan, crossed ones included.
+    pub fn boundaries(&self) -> u64 {
+        u64::from(self.carried) + self.steps
+    }
+
+    /// Boundaries not yet crossed (the last is the run end).
+    pub fn remaining(&self) -> u64 {
+        self.boundaries() - self.crossed
+    }
+
+    /// Boundary `g`, counted from the plan's first.
+    pub fn boundary(&self, tables: &StepTables, g: u64) -> SimTime {
+        let k = g + 1 - u64::from(self.carried);
+        self.start + tables.span(self.batch, self.run, self.ctx0, k)
+    }
+
+    /// The in-progress step's end: the first uncrossed boundary.
+    pub fn front(&self, tables: &StepTables) -> SimTime {
+        self.boundary(tables, self.crossed)
+    }
+
+    /// The run end: the scheduled event's fire time.
+    pub fn end(&self, tables: &StepTables) -> SimTime {
+        self.boundary(tables, self.boundaries() - 1)
+    }
+
+    /// The virtual push time of the scheduled run-end event: the per-step
+    /// loop would have pushed the final step's event when the previous step
+    /// ended — the penultimate boundary, or the in-progress step's start
+    /// when only the final step remains.
+    pub fn vpush(&self, tables: &StepTables) -> SimTime {
+        if self.remaining() >= 2 {
+            self.boundary(tables, self.boundaries() - 2)
+        } else {
+            self.prev_boundary
+        }
+    }
+
+    /// How many uncrossed boundaries have elapsed at `now`, for an event
+    /// pushed at `pushed_at`: those strictly before `now`, plus one exactly
+    /// at `now` when the event was pushed after that step began (the
+    /// per-step loop would have popped the step's own event first). The
+    /// run end never counts.
+    pub fn elapsed(&self, tables: &StepTables, now: SimTime, pushed_at: SimTime) -> u64 {
+        // Boundaries 0..last (relative to the first uncrossed) are the
+        // intermediates; the run end at `last` never counts.
+        let last = self.remaining().saturating_sub(1);
+        if last == 0 {
+            return 0;
+        }
+        let at = |i: u64| self.boundary(tables, self.crossed + i);
+        // Boundaries are nondecreasing: find the first intermediate not
+        // before `now`, galloping from the front (usually little has
+        // elapsed) and then bisecting.
+        let mut m = 0;
+        if at(0) < now {
+            let (mut lo, mut hi) = (0, 1);
+            while hi < last && at(hi) < now {
+                lo = hi;
+                hi = (2 * hi).min(last);
+            }
+            // at(lo) < now, and at(hi) >= now unless hi == last.
+            m = lo + 1;
+            while m < hi {
+                let mid = m + (hi - m) / 2;
+                if at(mid) < now {
+                    m = mid + 1;
+                } else {
+                    hi = mid;
+                }
+            }
+        }
+        if m < last && at(m) == now {
+            let prev = if m == 0 {
+                self.prev_boundary
+            } else {
+                at(m - 1)
+            };
+            if pushed_at > prev {
+                return m + 1;
+            }
+        }
+        m
+    }
+
+    /// The largest gap between consecutive boundaries among the next `m`
+    /// uncrossed ones. Gaps are step times of growing contexts, so the last
+    /// gap is the largest unless the boundaries saturate at the end of
+    /// time.
+    pub fn shared_max_gap(&self, tables: &StepTables, m: u64) -> SimDuration {
+        if m < 2 {
+            return SimDuration::ZERO;
+        }
+        let c = self.crossed;
+        let last = self.boundary(tables, c + m - 1);
+        if last < SimTime::MAX {
+            return last.saturating_since(self.boundary(tables, c + m - 2));
+        }
+        (1..m)
+            .map(|i| {
+                self.boundary(tables, c + i)
+                    .saturating_since(self.boundary(tables, c + i - 1))
+            })
+            .max()
+            .unwrap_or(SimDuration::ZERO)
+    }
 }
 
 /// The liveness/epoch/drain contract every replica executor implements;
@@ -233,16 +576,10 @@ pub struct DecodeExecutor {
     /// (exactly 1.0 = healthy; the driver skips the multiply then so the
     /// healthy path stays bit-identical).
     pub slow_factor: f64,
-    /// Retired plan step buffer, recycled by the planner so the hot loop
-    /// (roughly one plan per served request) does not allocate per plan.
-    pub spare_steps: VecDeque<SimTime>,
-    /// One-entry memo of `batch size -> ` the hoisted single-stage step
-    /// series at that size. Replicas see a handful of distinct batch
-    /// sizes over a whole day trace, and the series is a pure function
-    /// of the immutable cost model and the batch size, so replaying the
-    /// cached copy is exact. `None` until the first single-stage plan
-    /// (multi-stage pipelines never populate it).
-    pub step_series_memo: Option<(u64, DecodeStageSeries)>,
+    /// Step-time prefix sums every plan of this replica reads.
+    pub tables: StepTables,
+    /// Planner work counters.
+    pub work: DecodeWork,
     alive: bool,
     epoch: u64,
 }
@@ -256,10 +593,53 @@ impl DecodeExecutor {
             batch: BatchCore::new(kv_capacity),
             plan: None,
             slow_factor: 1.0,
-            spare_steps: VecDeque::new(),
-            step_series_memo: None,
+            tables: StepTables::default(),
+            work: DecodeWork::default(),
             alive: true,
             epoch: 0,
+        }
+    }
+}
+
+impl DecodeExecutor {
+    /// Plans a run of `steps` steps at `batch` from average context `ctx0`,
+    /// starting at `start` (the carried head boundary when `carried`),
+    /// pricing any missing step times at the current straggler factor.
+    /// `schedule` receives the run end and returns the scheduled event's
+    /// token. The plan's virtual push time starts at `start`.
+    pub fn plan_run(
+        &mut self,
+        batch: u64,
+        ctx0: u64,
+        steps: u64,
+        start: SimTime,
+        carried: bool,
+        schedule: impl FnOnce(SimTime) -> EventToken,
+    ) -> DecodePlan {
+        debug_assert!(steps > 0 || carried, "a plan with no boundaries");
+        let run = if steps > 0 {
+            self.tables.ensure(
+                &self.cost,
+                self.slow_factor,
+                batch,
+                ctx0,
+                steps,
+                &mut self.work.steps_priced,
+            )
+        } else {
+            0
+        };
+        let end = start + self.tables.span(batch, run, ctx0, steps);
+        DecodePlan {
+            batch,
+            run,
+            carried,
+            start,
+            ctx0,
+            steps,
+            crossed: 0,
+            prev_boundary: start,
+            token: schedule(end),
         }
     }
 }
@@ -416,5 +796,256 @@ impl ReplicaExecutor for ColocatedExecutor {
             prefill_jobs,
             lost_seqs,
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::event::{EventKind, EventQueue};
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    use ts_cluster::presets;
+    use ts_common::{GpuId, GroupSpec, ModelSpec, ParallelConfig, Phase, StageSpec};
+    use ts_costmodel::ModelParams;
+
+    /// Decode cost models on 8×A5000 (two 4-GPU nodes), LLaMA-7B: tp 1, 2
+    /// and 4, one stage or two joined by an intra- or inter-node link.
+    fn cost_models() -> Vec<ReplicaCostModel> {
+        let cluster = presets::a5000_cluster(8);
+        let model = ModelSpec::llama_7b();
+        let shapes: [&[&[u32]]; 6] = [
+            &[&[0]],
+            &[&[0, 1]],
+            &[&[0, 1, 2, 3]],
+            &[&[0], &[4]],
+            &[&[0, 1], &[2, 3]],
+            &[&[0, 1, 2, 3], &[4, 5, 6, 7]],
+        ];
+        shapes
+            .iter()
+            .map(|stages| {
+                let pp = stages.len();
+                let first = model.num_layers / pp;
+                let group = GroupSpec::new(
+                    Phase::Decode,
+                    ParallelConfig::new(stages[0].len(), pp).unwrap(),
+                    stages
+                        .iter()
+                        .enumerate()
+                        .map(|(i, gpus)| StageSpec {
+                            gpus: gpus.iter().map(|&g| GpuId(g)).collect(),
+                            layers: if i == 0 {
+                                first
+                            } else {
+                                model.num_layers - first
+                            },
+                        })
+                        .collect(),
+                )
+                .unwrap();
+                ReplicaCostModel::new(&cluster, &model, &group, &ModelParams::default()).unwrap()
+            })
+            .collect()
+    }
+
+    /// The per-boundary loop coalesced plans priced with before step
+    /// tables: every boundary re-prices its step from the cost model and
+    /// adds it to the previous boundary. Returns the plan's boundaries
+    /// (the carried head first) and the step times.
+    fn oracle_plan(
+        cost: &ReplicaCostModel,
+        slow: f64,
+        (batch, ctx0, steps): (u64, u64, u64),
+        start: SimTime,
+        carried: bool,
+    ) -> (Vec<SimTime>, Vec<SimDuration>) {
+        let mut bounds = Vec::new();
+        if carried {
+            bounds.push(start);
+        }
+        let mut lat = Vec::new();
+        let mut at = start;
+        for ctx in ctx0..ctx0 + steps {
+            let mut latency = cost.decode_step_latency(batch, ctx);
+            if slow != 1.0 {
+                latency = latency.mul_f64(slow);
+            }
+            at += latency;
+            bounds.push(at);
+            lat.push(latency);
+        }
+        (bounds, lat)
+    }
+
+    /// The per-boundary catch-up scan over the uncrossed boundaries `rem`.
+    fn oracle_elapsed(rem: &[SimTime], prev: SimTime, now: SimTime, pushed_at: SimTime) -> u64 {
+        let mut m = 0usize;
+        while m + 1 < rem.len() && rem[m] < now {
+            m += 1;
+        }
+        if m + 1 < rem.len() && rem[m] == now {
+            let prev = if m == 0 { prev } else { rem[m - 1] };
+            if pushed_at > prev {
+                m += 1;
+            }
+        }
+        m as u64
+    }
+
+    /// The per-boundary max-gap scan over the first `m` of `rem`.
+    fn oracle_shared_max(rem: &[SimTime], m: usize) -> SimDuration {
+        (1..m)
+            .map(|i| rem[i].saturating_since(rem[i - 1]))
+            .max()
+            .unwrap_or(SimDuration::ZERO)
+    }
+
+    /// Checks every table-backed read of `plan` against the oracle's
+    /// boundaries, crossing the plan in random strides.
+    fn check_plan(
+        rng: &mut StdRng,
+        d: &DecodeExecutor,
+        mut plan: DecodePlan,
+        bounds: &[SimTime],
+        ctx: &str,
+    ) {
+        assert_eq!(plan.boundaries(), bounds.len() as u64, "{ctx}");
+        for (g, &b) in bounds.iter().enumerate() {
+            assert_eq!(plan.boundary(&d.tables, g as u64), b, "{ctx} boundary {g}");
+        }
+        assert_eq!(plan.end(&d.tables), *bounds.last().unwrap(), "{ctx} end");
+        while plan.remaining() > 1 {
+            let rem = &bounds[plan.crossed as usize..];
+            let vpush = if rem.len() >= 2 {
+                bounds[bounds.len() - 2]
+            } else {
+                plan.prev_boundary
+            };
+            assert_eq!(plan.vpush(&d.tables), vpush, "{ctx} vpush");
+            let pick = |rng: &mut StdRng| rem[rng.gen_range(0..rem.len())];
+            let now = match rng.gen_range(0..4u32) {
+                0 => pick(rng),
+                1 => SimTime::from_micros(pick(rng).as_micros().saturating_add(1)),
+                2 => SimTime::from_micros(pick(rng).as_micros().saturating_sub(1)),
+                _ => plan.prev_boundary,
+            };
+            let pushed_at = match rng.gen_range(0..3u32) {
+                0 => plan.prev_boundary,
+                1 => pick(rng),
+                _ => now,
+            };
+            let m = plan.elapsed(&d.tables, now, pushed_at);
+            assert_eq!(
+                m,
+                oracle_elapsed(rem, plan.prev_boundary, now, pushed_at),
+                "{ctx} catch-up at {now:?} pushed {pushed_at:?}"
+            );
+            let k = rng.gen_range(0..rem.len());
+            assert_eq!(
+                plan.shared_max_gap(&d.tables, k as u64),
+                oracle_shared_max(rem, k),
+                "{ctx} shared max over {k}"
+            );
+            // Cross at least one boundary so the walk ends.
+            let m = m.max(1);
+            assert_eq!(
+                plan.shared_max_gap(&d.tables, m),
+                oracle_shared_max(rem, m as usize),
+                "{ctx} shared max over {m}"
+            );
+            plan.crossed += m;
+            plan.prev_boundary = rem[m as usize - 1];
+        }
+    }
+
+    #[test]
+    fn table_plans_match_the_per_boundary_loop_bit_for_bit() {
+        let costs = cost_models();
+        // 1e9 and 1e15 make steps too long for exact wrapping sums; 1e15
+        // and 1e300 saturate the boundaries.
+        let slows = [1.0, 1.37, 4.0, 1e9, 1e15, 1e300];
+        let mut rng = StdRng::seed_from_u64(0x5eed_7ab1e);
+        let mut queue = EventQueue::new();
+        let kind = EventKind::ServiceResumed;
+        let (mut plans, mut carried_plans, mut multi_stage, mut saturated) = (0, 0, 0, 0);
+        for case in 0..2_000 {
+            let ci = rng.gen_range(0..costs.len());
+            let cost = &costs[ci];
+            let mut d = DecodeExecutor::new(cost.clone());
+            // A few plans per replica, at nearby contexts and often the same
+            // batch, so later plans hit, extend and merge earlier runs.
+            let mut batch = rng.gen_range(1..=256u64);
+            let mut ctx0 = rng.gen_range(1..=16_384u64);
+            let mut last: Option<(DecodePlan, Vec<SimTime>)> = None;
+            for p in 0..rng.gen_range(1..=4u32) {
+                let slow = slows[rng.gen_range(0..slows.len())];
+                if slow != d.slow_factor {
+                    // The plan priced at the old factor reads its own
+                    // entries until the next plan is priced.
+                    if let Some((plan, bounds)) = &last {
+                        for (g, &b) in bounds.iter().enumerate() {
+                            assert_eq!(plan.boundary(&d.tables, g as u64), b);
+                        }
+                    }
+                    d.slow_factor = slow;
+                }
+                if rng.gen_bool(0.3) {
+                    batch = rng.gen_range(1..=256u64);
+                }
+                ctx0 = (ctx0 + rng.gen_range(0..1_200u64))
+                    .saturating_sub(600)
+                    .clamp(1, 16_384);
+                let carried = rng.gen_bool(0.5);
+                let steps = rng.gen_range(1..=512u64) - u64::from(carried);
+                let start = SimTime::from_micros(rng.gen_range(0..1u64 << 40));
+                let plan = d.plan_run(batch, ctx0, steps, start, carried, |end| {
+                    queue.push_cancellable(end, kind)
+                });
+                let (bounds, lat) = oracle_plan(cost, slow, (batch, ctx0, steps), start, carried);
+                assert!(
+                    lat.windows(2).all(|w| w[0] <= w[1]),
+                    "step time fell as context grew"
+                );
+                let ctx = format!(
+                    "case {case} plan {p}: cost {ci} batch {batch} ctx0 {ctx0} \
+                     steps {steps} carried {carried} slow {slow}"
+                );
+                check_plan(&mut rng, &d, plan, &bounds, &ctx);
+                plans += 1;
+                carried_plans += u64::from(carried);
+                multi_stage += u64::from(cost.num_stages() > 1);
+                saturated += u64::from(*bounds.last().unwrap() == SimTime::MAX);
+                last = Some((plan, bounds));
+            }
+        }
+        // The draws cover every axis.
+        assert!(plans >= 4_000, "{plans} plans");
+        assert!(carried_plans >= 1_000 && multi_stage >= 1_000 && saturated >= 500);
+    }
+
+    #[test]
+    fn tables_price_each_context_once_per_factor() {
+        let cost = cost_models().swap_remove(0);
+        let mut d = DecodeExecutor::new(cost);
+        let mut queue = EventQueue::new();
+        let mut plan = |d: &mut DecodeExecutor, ctx0: u64, steps: u64| {
+            d.plan_run(4, ctx0, steps, SimTime::ZERO, false, |end| {
+                queue.push_cancellable(end, EventKind::ServiceResumed)
+            });
+            d.work.steps_priced
+        };
+        // A new run 100..110, a plan inside it, a prepended 95..100 and a
+        // second run 200..205.
+        assert_eq!(plan(&mut d, 100, 10), 10);
+        assert_eq!(plan(&mut d, 102, 5), 10);
+        assert_eq!(plan(&mut d, 95, 10), 15);
+        assert_eq!(plan(&mut d, 200, 5), 20);
+        // 108..208 fills 110..200, merges the second run and extends it.
+        assert_eq!(plan(&mut d, 108, 100), 113);
+        assert_eq!(plan(&mut d, 95, 113), 113);
+        // A new factor drops the tables.
+        d.slow_factor = 2.0;
+        assert_eq!(plan(&mut d, 100, 10), 123);
     }
 }

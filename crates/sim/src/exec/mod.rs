@@ -40,7 +40,8 @@ pub(crate) mod driver;
 mod kv;
 
 pub use executor::{
-    ColocatedExecutor, DecodeExecutor, DrainedWork, LostSeq, PrefillExecutor, ReplicaExecutor, Work,
+    ColocatedExecutor, DecodeExecutor, DecodeWork, DrainedWork, LostSeq, PrefillExecutor,
+    ReplicaExecutor, Work,
 };
 pub use seq::{
     ActiveSeq, AdmitOutcome, BatchCore, Pending, PrefillJob, PrefillQueue, ResumeState, WaitingSeq,

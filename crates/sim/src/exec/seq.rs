@@ -177,19 +177,21 @@ impl BatchCore {
 
     /// Admits waiting sequences in FCFS order while memory, batch-size and
     /// (optional) TPOT-cap limits allow. Oversized sequences that can never
-    /// fit are dropped. Returns the decisions in order; the caller applies
-    /// their side effects (drop accounting, recovery bookkeeping).
+    /// fit are dropped. Writes the decisions in order into `out` (cleared
+    /// first, so a caller can recycle one buffer); the caller applies their
+    /// side effects (drop accounting, recovery bookkeeping).
     pub fn admit(
         &mut self,
         cost: &ReplicaCostModel,
         cfg: &SimConfig,
         now: SimTime,
         first_token_at: impl Fn(SlabKey) -> Option<SimTime>,
-    ) -> Vec<AdmitOutcome> {
-        let mut out = Vec::new();
+        out: &mut Vec<AdmitOutcome>,
+    ) {
+        out.clear();
         loop {
             let Some(front) = self.waiting.front().copied() else {
-                return out;
+                return;
             };
             let need = front.tokens + 1;
             let total_need = front.tokens + 1 + front.remaining as u64;
@@ -202,7 +204,7 @@ impl BatchCore {
             if self.active.len() as u64 >= MAX_DECODE_BATCH
                 || self.kv_used + need > self.kv_capacity
             {
-                return out;
+                return;
             }
             // SLO-aware batch cap: do not grow the batch past the point
             // where the projected step latency breaks the TPOT deadline.
@@ -211,7 +213,7 @@ impl BatchCore {
                     let batch = self.active.len() as u64 + 1;
                     let ctx = (self.active.iter().map(|a| a.context).sum::<u64>() + need) / batch;
                     if cost.decode_step_latency(batch, ctx) > cap {
-                        return out;
+                        return;
                     }
                 }
             }
@@ -235,10 +237,11 @@ impl BatchCore {
 
     /// Runs one decode step over the active batch at time `now`: every
     /// sequence gains one token of context, KV grows, inter-token gaps are
-    /// tracked, and finished sequences are removed. Returns
-    /// `(key, max_token_gap)` for each sequence that finished.
-    pub fn advance(&mut self, now: SimTime) -> Vec<(SlabKey, SimDuration)> {
-        let mut finished = Vec::new();
+    /// tracked, and finished sequences are removed. Writes
+    /// `(key, max_token_gap)` for each sequence that finished into
+    /// `finished` (cleared first, so a caller can recycle one buffer).
+    pub fn advance(&mut self, now: SimTime, finished: &mut Vec<(SlabKey, SimDuration)>) {
+        finished.clear();
         let mut idx = 0;
         while idx < self.active.len() {
             let a = &mut self.active[idx];
@@ -256,7 +259,6 @@ impl BatchCore {
                 idx += 1;
             }
         }
-        finished
     }
 
     /// Retroactively applies one coalesced intermediate decode step that

@@ -75,6 +75,7 @@ pub mod router;
 pub use config::{Deadline, Hedge, KvTransfer, PrefillPolicy, Quarantine, SimConfig};
 pub use engine::Simulation;
 pub use estimate::{estimate_attainment, AttainmentEstimate};
+pub use exec::DecodeWork;
 pub use fault::{FaultKind, FaultScript, TimedFault};
 pub use metrics::{Metrics, RecoveryCounters, RequestRecord};
 pub use ts_telemetry::{RequestSpan, TraceLog};
