@@ -370,8 +370,7 @@ impl DecodePlan {
     /// per-step loop would have popped the step's own event first). The
     /// run end never counts.
     pub fn elapsed(&self, tables: &StepTables, now: SimTime, pushed_at: SimTime) -> u64 {
-        // Boundaries 0..last (relative to the first uncrossed) are the
-        // intermediates; the run end at `last` never counts.
+        // Uncrossed boundaries 0..last are the intermediates.
         let last = self.remaining().saturating_sub(1);
         if last == 0 {
             return 0;
