@@ -192,7 +192,9 @@ impl<'a> TabuSearch<'a> {
                     .iter()
                     .zip(&hashes)
                     .filter_map(|(n, h)| Some((n.as_ref()?, (*h)?)))
-                    .filter(|&(_, h)| !tabu_set.contains(&h) && !eval_cache.contains_key(&h))
+                    .filter(|&(n, h)| {
+                        !tabu_set.contains(&h) && self.admissible(n) && !eval_cache.contains_key(&h)
+                    })
                     .filter(|&(_, h)| scheduled.insert(h))
                     .map(|(n, h)| (h, n.clone()))
                     .unzip();
@@ -208,10 +210,13 @@ impl<'a> TabuSearch<'a> {
                         ..SearchStep::default()
                     };
                     let mut seen: HashSet<u64> = HashSet::new();
-                    for h in hashes.iter().flatten() {
+                    for (n, h) in drawn.iter().zip(&hashes) {
+                        let (Some(n), Some(h)) = (n, h) else { continue };
                         row.generated += 1;
                         if tabu_set.contains(h) {
                             row.tabu_filtered += 1;
+                        } else if !self.admissible(n) {
+                            row.infeasible += 1;
                         } else if eval_cache.contains_key(h) {
                             row.cache_hits += 1;
                         } else if !seen.insert(*h) {
@@ -228,9 +233,6 @@ impl<'a> TabuSearch<'a> {
                 let mut fresh_plans: HashMap<u64, OrchestratedPlan> = HashMap::new();
                 for (&h, out) in batch_hashes.iter().zip(outcomes) {
                     evaluations += usize::from(out.counted);
-                    if let Some(row) = row.as_mut() {
-                        row.infeasible += usize::from(out.result.is_none());
-                    }
                     match out.result {
                         Some((score, plan)) => {
                             eval_cache.insert(h, Some(score));
@@ -437,6 +439,15 @@ impl<'a> TabuSearch<'a> {
         }
     }
 
+    /// The structural gate: both phases present and every group able to
+    /// hold one copy of the weights (early feasibility pruning, §3.2).
+    fn admissible(&self, c: &Candidate) -> bool {
+        c.has_both_phases()
+            && c.groups
+                .iter()
+                .all(|g| memory_feasible(self.cluster, self.model, &g.gpus, &self.cfg.params))
+    }
+
     /// Evaluates a candidate via the lower level. Shared (`&self`) so
     /// neighbourhood batches can run concurrently: the only mutation is the
     /// sharded parallel-configuration cache, whose entries are deterministic
@@ -446,15 +457,8 @@ impl<'a> TabuSearch<'a> {
             counted: false,
             result: None,
         };
-        if !c.has_both_phases() {
+        if !self.admissible(c) {
             return PRUNED;
-        }
-        // Early feasibility pruning (§3.2): any group that cannot hold one
-        // copy of the weights disqualifies the candidate pre-evaluation.
-        for g in &c.groups {
-            if !memory_feasible(self.cluster, self.model, &g.gpus, &self.cfg.params) {
-                return PRUNED;
-            }
         }
         let mut specs = Vec::with_capacity(c.groups.len());
         for g in &c.groups {
@@ -635,7 +639,9 @@ impl<'a> MultiTabuSearch<'a> {
                     .iter()
                     .zip(&hashes)
                     .filter_map(|(n, h)| Some((n.as_ref()?, (*h)?)))
-                    .filter(|&(_, h)| !tabu_set.contains(&h) && !eval_cache.contains_key(&h))
+                    .filter(|&(n, h)| {
+                        !tabu_set.contains(&h) && self.admissible(n) && !eval_cache.contains_key(&h)
+                    })
                     .filter(|&(_, h)| scheduled.insert(h))
                     .map(|(n, h)| (h, n.clone()))
                     .unzip();
@@ -648,10 +654,13 @@ impl<'a> MultiTabuSearch<'a> {
                         ..SearchStep::default()
                     };
                     let mut seen: HashSet<u64> = HashSet::new();
-                    for h in hashes.iter().flatten() {
+                    for (n, h) in drawn.iter().zip(&hashes) {
+                        let (Some(n), Some(h)) = (n, h) else { continue };
                         row.generated += 1;
                         if tabu_set.contains(h) {
                             row.tabu_filtered += 1;
+                        } else if !self.admissible(n) {
+                            row.infeasible += 1;
                         } else if eval_cache.contains_key(h) {
                             row.cache_hits += 1;
                         } else if !seen.insert(*h) {
@@ -666,9 +675,6 @@ impl<'a> MultiTabuSearch<'a> {
                 let mut fresh_plans: HashMap<u64, OrchestratedPlan> = HashMap::new();
                 for (&h, out) in batch_hashes.iter().zip(outcomes) {
                     evaluations += usize::from(out.counted);
-                    if let Some(row) = row.as_mut() {
-                        row.infeasible += usize::from(out.result.is_none());
-                    }
                     match out.result {
                         Some((score, plan)) => {
                             eval_cache.insert(h, Some(score));
@@ -906,6 +912,18 @@ impl<'a> MultiTabuSearch<'a> {
         }
     }
 
+    /// The structural gate: every tenant keeps at least one replica of each
+    /// phase, and every group serves a catalog model whose weights it holds.
+    fn admissible(&self, c: &Candidate) -> bool {
+        let ids: Vec<ModelId> = self.models.iter().map(|m| m.id).collect();
+        c.has_both_phases_for(&ids)
+            && c.groups.iter().all(|g| {
+                self.served(g.model).is_some_and(|m| {
+                    memory_feasible(self.cluster, &m.spec, &g.gpus, &self.cfg.params)
+                })
+            })
+    }
+
     /// Lower-level evaluation: per-group parallel-config deduction under
     /// that group's model, then one transportation problem per model with a
     /// traffic-share claim on the shared uplinks. The score is
@@ -919,19 +937,8 @@ impl<'a> MultiTabuSearch<'a> {
             counted: true,
             result: None,
         };
-        let ids: Vec<ModelId> = self.models.iter().map(|m| m.id).collect();
-        // Quarantine-proof structural gate: every tenant keeps at least one
-        // replica of each phase.
-        if !c.has_both_phases_for(&ids) {
+        if !self.admissible(c) {
             return PRUNED;
-        }
-        for g in &c.groups {
-            let Some(m) = self.served(g.model) else {
-                return PRUNED;
-            };
-            if !memory_feasible(self.cluster, &m.spec, &g.gpus, &self.cfg.params) {
-                return PRUNED;
-            }
         }
         let mut specs = Vec::with_capacity(c.groups.len());
         for (gi, g) in c.groups.iter().enumerate() {
@@ -1051,16 +1058,19 @@ mod tests {
         let tr = traced.search_trace.as_ref().expect("trace requested");
         assert_eq!(tr.steps.len(), cfg.n_step);
         assert_eq!(tr.total_generated(), traced.neighbors_generated);
-        // `TabuResult::evaluations` counts only candidates that survived the
-        // cheap feasibility gates and reached the lower level; the trace
-        // counts everything dispatched to the pool, so it bounds the counted
-        // total (+1 covers the initial candidate, evaluated outside steps).
-        assert!(tr.total_evaluated() + 1 >= traced.evaluations);
+        // Structural rejections are counted as `infeasible` and never reach
+        // the pool, so the trace's evaluations are exactly the result's
+        // (+1 is the initial candidate, evaluated before the first step).
+        assert_eq!(tr.total_evaluated() + 1, traced.evaluations);
         assert!(tr.total_evaluated() > 0);
         for (i, row) in tr.steps.iter().enumerate() {
             assert_eq!(row.step, i);
             assert_eq!(
-                row.tabu_filtered + row.cache_hits + row.duplicates + row.evaluated,
+                row.tabu_filtered
+                    + row.infeasible
+                    + row.cache_hits
+                    + row.duplicates
+                    + row.evaluated,
                 row.generated,
                 "filter counts must partition the neighbourhood"
             );
