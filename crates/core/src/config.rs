@@ -30,8 +30,8 @@ pub struct SchedulerConfig {
     pub random_init: bool,
     /// Ablation switch: disable the hardware-affinity tie-breaker.
     pub disable_affinity_tiebreak: bool,
-    /// Worker threads for neighbourhood evaluation in the upper-level tabu
-    /// search and in lightweight rescheduling's flip-only search. `0` uses
+    /// Worker threads for neighbourhood evaluation in the tabu walk, shared
+    /// by scheduling and lightweight rescheduling. `0` uses
     /// one worker per available CPU, `1` is the serial reference path, any
     /// other value is taken literally.
     ///
@@ -46,12 +46,14 @@ pub struct SchedulerConfig {
     /// ([`ts_sim::config::KvTransfer::Fabric`]) instead of
     /// serializing per sender. Off by default (the paper's model).
     pub network_contention: bool,
-    /// Search introspection: when true, [`crate::tabu::TabuSearch::search`]
-    /// and [`crate::reschedule::lightweight_reschedule`] record one
-    /// [`ts_telemetry::SearchStep`] row per step (neighbours generated,
-    /// tabu/cache/duplicate filtering, evaluations, winner score, per-step
-    /// wall-clock). Off by default; the trace observes the search — plans,
-    /// scores and trajectories are bit-identical either way.
+    /// Search introspection: when true, every tabu walk — scheduling
+    /// ([`crate::Scheduler::schedule`], [`crate::Scheduler::schedule_multi`])
+    /// and lightweight or fleet rescheduling ([`mod@crate::reschedule`]) —
+    /// records one [`ts_telemetry::SearchStep`] row per step (neighbours
+    /// generated, their partition into tabu / infeasible / cache-hit /
+    /// duplicate / evaluated, winner score, per-step wall-clock). Off by
+    /// default; the trace observes the search — plans, scores and
+    /// trajectories are bit-identical either way.
     pub search_trace: bool,
 }
 

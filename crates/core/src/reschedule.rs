@@ -8,18 +8,16 @@
 //! — no parameter movement, so the adjustment is effectively free.
 
 use crate::config::SchedulerConfig;
-use crate::orchestrate::{orchestrate, phase_affinity};
 use crate::parallel::deduce_parallel_config;
 use crate::scheduler::Scheduler;
-use rand::Rng;
-use std::collections::{HashMap, HashSet, VecDeque};
+use crate::tabu::{has_both_phases, reschedule_phases};
+use std::time::Instant;
 use ts_cluster::Cluster;
 use ts_common::{
-    seeded_rng, DeploymentPlan, Error, GpuId, GroupSpec, ModelSpec, NodeId, Phase, Result,
-    SimDuration, SloSpec,
+    DeploymentPlan, Error, GpuId, GroupSpec, ModelSpec, NodeId, Phase, Result, SimDuration, SloSpec,
 };
 use ts_costmodel::replica::{ReplicaCostModel, DISK_BANDWIDTH};
-use ts_telemetry::{SearchStep, SearchTrace};
+use ts_telemetry::SearchTrace;
 use ts_workload::WorkloadSpec;
 
 /// Result of a rescheduling operation.
@@ -55,7 +53,7 @@ pub fn lightweight_reschedule(
     slo: &SloSpec,
     cfg: &SchedulerConfig,
 ) -> Result<RescheduleOutcome> {
-    let start = std::time::Instant::now();
+    let start = Instant::now();
     // Keep only groups whose GPUs are all still active.
     let surviving: Vec<GroupSpec> = current
         .groups
@@ -69,152 +67,30 @@ pub fn lightweight_reschedule(
             surviving.len()
         )));
     }
-    flip_search(cluster, model, surviving, workload, slo, cfg, start)
+    flip_phases(cluster, model, surviving, workload, slo, cfg, start)
 }
 
-/// The shared flip-only tabu search over a fixed group construction —
-/// the lower half of [`lightweight_reschedule`], also reused by
-/// [`fleet_reschedule`] after it has edited the group list for a deliberate
-/// fleet change. `start` is the wall-clock origin for `search_time`.
-fn flip_search(
+/// The flip-only search over a fixed group construction — the lower half
+/// of [`lightweight_reschedule`], also reused by [`fleet_reschedule`] after
+/// it has edited the group list for a deliberate fleet change. The outcome
+/// is the best plan the search evaluated. `start` is the wall-clock origin
+/// for `search_time`.
+fn flip_phases(
     cluster: &Cluster,
     model: &ModelSpec,
-    surviving: Vec<GroupSpec>,
+    groups: Vec<GroupSpec>,
     workload: &WorkloadSpec,
     slo: &SloSpec,
     cfg: &SchedulerConfig,
-    start: std::time::Instant,
+    start: Instant,
 ) -> Result<RescheduleOutcome> {
-    // Flip-only tabu search (the other move kinds are disabled in
-    // lightweight mode). Mirrors the upper-level search's parallel step
-    // shape: draw the whole neighbourhood from the RNG up front, evaluate
-    // the unique uncached phase designations concurrently, then reduce in
-    // generation order — bit-identical for any `cfg.num_threads`.
-    let mut rng = seeded_rng(ts_common::rng::derive_seed(cfg.seed, 0x11F7));
-    let evaluate = |groups: &[GroupSpec]| -> Option<f64> {
-        let affinity = phase_affinity(cluster, groups);
-        orchestrate(cluster, model, groups.to_vec(), workload, slo, cfg)
-            .ok()
-            .map(|o| o.score + 1e-4 * affinity)
-    };
-
-    let mut x = surviving.clone();
-    ensure_both_phases(&mut x);
-    let mut best = x.clone();
-    let init_score = evaluate(&x);
-    let mut best_score = init_score.unwrap_or(f64::NEG_INFINITY);
-    let mut tabu: VecDeque<Vec<Phase>> = VecDeque::new();
-    // O(1) membership mirror of the deque.
-    let mut tabu_set: HashSet<Vec<Phase>> = HashSet::new();
-    // Orchestration is a deterministic function of the phase designation
-    // (groups themselves are frozen in lightweight mode), so scores can be
-    // memoized across steps.
-    let mut eval_cache: HashMap<Vec<Phase>, Option<f64>> = HashMap::new();
-    eval_cache.insert(x.iter().map(|g| g.phase).collect(), init_score);
-
-    let mut search_trace = cfg.search_trace.then(SearchTrace::default);
-    let mut prev_elapsed = 0.0f64;
-
-    // One worker pool spans all steps (thread startup paid once); jobs are
-    // owned clones because pool workers outlive any single step.
-    let eval = |groups: &Vec<GroupSpec>| evaluate(groups);
-    ts_common::with_worker_pool(cfg.num_threads, &eval, |run| {
-        for step in 0..cfg.n_step.min(40) {
-            // Draw all flip choices before evaluating anything.
-            let neighbors: Vec<(Vec<Phase>, Vec<GroupSpec>)> = (0..cfg.n_nghb)
-                .map(|_| {
-                    let idx = rng.gen_range(0..x.len());
-                    let mut n = x.clone();
-                    n[idx] = n[idx].flipped();
-                    let phases: Vec<Phase> = n.iter().map(|g| g.phase).collect();
-                    (phases, n)
-                })
-                .collect();
-            // Unique, non-tabu, feasible cache misses form the batch.
-            let mut scheduled: HashSet<&Vec<Phase>> = HashSet::new();
-            let (batch, jobs): (Vec<usize>, Vec<Vec<GroupSpec>>) = neighbors
-                .iter()
-                .enumerate()
-                .filter(|(_, (phases, n))| {
-                    !tabu_set.contains(phases)
-                        && has_both_phases(n)
-                        && !eval_cache.contains_key(phases)
-                })
-                .filter(|(_, (phases, _))| scheduled.insert(phases))
-                .map(|(i, (_, n))| (i, n.clone()))
-                .unzip();
-            // Introspection mirrors the filter chain above; counts are taken
-            // before this step's results land in `eval_cache`.
-            let mut row = search_trace.as_ref().map(|_| {
-                let mut row = SearchStep {
-                    step,
-                    evaluated: batch.len(),
-                    ..SearchStep::default()
-                };
-                let mut seen: HashSet<&Vec<Phase>> = HashSet::new();
-                for (phases, n) in &neighbors {
-                    row.generated += 1;
-                    if tabu_set.contains(phases) {
-                        row.tabu_filtered += 1;
-                    } else if !has_both_phases(n) {
-                        row.infeasible += 1;
-                    } else if eval_cache.contains_key(phases) {
-                        row.cache_hits += 1;
-                    } else if !seen.insert(phases) {
-                        row.duplicates += 1;
-                    }
-                }
-                row
-            });
-            let outcomes = run(jobs);
-            for (&i, score) in batch.iter().zip(&outcomes) {
-                eval_cache.insert(neighbors[i].0.clone(), *score);
-            }
-            // First strict maximum in generation order == serial selection.
-            let mut step_best: Option<(f64, usize)> = None;
-            for (i, (phases, n)) in neighbors.iter().enumerate() {
-                if tabu_set.contains(phases) || !has_both_phases(n) {
-                    continue;
-                }
-                let Some(Some(score)) = eval_cache.get(phases) else {
-                    continue;
-                };
-                if step_best.map(|(s, _)| *score > s).unwrap_or(true) {
-                    step_best = Some((*score, i));
-                }
-            }
-            if let Some((score, i)) = step_best {
-                let (phases, n) = neighbors[i].clone();
-                tabu.push_back(phases.clone());
-                tabu_set.insert(phases);
-                while tabu.len() > cfg.n_mem {
-                    if let Some(old) = tabu.pop_front() {
-                        tabu_set.remove(&old);
-                    }
-                }
-                if score > best_score {
-                    best_score = score;
-                    best = n.clone();
-                }
-                x = n;
-            }
-            if let (Some(tr), Some(mut row)) = (search_trace.as_mut(), row.take()) {
-                let elapsed = start.elapsed().as_secs_f64();
-                row.winner_score = step_best.map(|(s, _)| s);
-                row.wall_s = elapsed - prev_elapsed;
-                prev_elapsed = elapsed;
-                tr.steps.push(row);
-            }
-        }
-    });
-
-    let orch = orchestrate(cluster, model, best, workload, slo, cfg)?;
+    let result = reschedule_phases(cluster, model, groups, workload, slo, cfg)?;
     Ok(RescheduleOutcome {
-        plan: orch.plan,
-        estimated_attainment: orch.score,
+        plan: result.best.plan,
+        estimated_attainment: result.best.score,
         search_time: start.elapsed().as_secs_f64(),
         reload_time: SimDuration::ZERO,
-        search_trace,
+        search_trace: result.search_trace,
     })
 }
 
@@ -277,7 +153,7 @@ pub fn fleet_reschedule(
     cfg: &SchedulerConfig,
     full_replan_fraction: f64,
 ) -> Result<RescheduleOutcome> {
-    let start = std::time::Instant::now();
+    let start = Instant::now();
     let active = cluster.num_gpus();
     let touched = delta.gpus_touched(cluster);
     if active == 0 {
@@ -345,7 +221,7 @@ pub fn fleet_reschedule(
             groups.len()
         )));
     }
-    flip_search(cluster, model, groups, workload, slo, cfg, start)
+    flip_phases(cluster, model, groups, workload, slo, cfg, start)
 }
 
 /// Full rescheduling: rerun the entire two-level search from scratch and
@@ -361,7 +237,7 @@ pub fn full_reschedule(
     slo: &SloSpec,
     cfg: &SchedulerConfig,
 ) -> Result<RescheduleOutcome> {
-    let start = std::time::Instant::now();
+    let start = Instant::now();
     let result = Scheduler::new(cfg.clone()).schedule(cluster, model, workload, slo)?;
     let reload_time = result
         .plan
@@ -453,20 +329,6 @@ pub fn no_reschedule(
         reload_time: SimDuration::ZERO,
         search_trace: None,
     })
-}
-
-fn has_both_phases(groups: &[GroupSpec]) -> bool {
-    groups.iter().any(|g| g.phase == Phase::Prefill)
-        && groups.iter().any(|g| g.phase == Phase::Decode)
-}
-
-fn ensure_both_phases(groups: &mut [GroupSpec]) {
-    if groups.iter().all(|g| g.phase == Phase::Prefill) {
-        let last = groups.len() - 1;
-        groups[last] = groups[last].flipped();
-    } else if groups.iter().all(|g| g.phase == Phase::Decode) {
-        groups[0] = groups[0].flipped();
-    }
 }
 
 #[cfg(test)]
@@ -592,10 +454,10 @@ mod tests {
         cfg.n_step = 30;
         cluster.deactivate_node(NodeId(1)).unwrap();
         let w = spec::coding(2.5);
-        let t0 = std::time::Instant::now();
+        let t0 = Instant::now();
         let _light = lightweight_reschedule(&cluster, &model, &plan, &w, &slo(), &cfg).unwrap();
         let light_t = t0.elapsed();
-        let t1 = std::time::Instant::now();
+        let t1 = Instant::now();
         let _full = full_reschedule(&cluster, &model, &w, &slo(), &cfg).unwrap();
         let full_t = t1.elapsed();
         assert!(

@@ -2,7 +2,8 @@
 
 use crate::config::SchedulerConfig;
 use crate::orchestrate::sim_config;
-use crate::tabu::{MultiTabuSearch, TabuSearch, TracePoint};
+use crate::tabu::{self, TabuResult, TracePoint};
+use std::time::Instant;
 use ts_cluster::Cluster;
 use ts_common::{DeploymentPlan, Error, ModelId, ModelSpec, Result, ServedModel, SloSpec};
 use ts_sim::estimate::estimate_attainment;
@@ -30,6 +31,24 @@ pub struct ScheduleResult {
     pub search_trace: Option<ts_telemetry::SearchTrace>,
     /// Wall-clock scheduling time in seconds.
     pub elapsed: f64,
+}
+
+impl ScheduleResult {
+    /// Wraps a search result; `start` is the wall-clock origin of
+    /// [`ScheduleResult::elapsed`].
+    fn new(result: TabuResult, start: Instant) -> Self {
+        ScheduleResult {
+            plan: result.best.plan,
+            estimated_attainment: result.best.score,
+            trajectory: result.trajectory,
+            evaluations: result.evaluations,
+            neighbors_generated: result.neighbors_generated,
+            group_cache_hits: result.group_cache_hits,
+            group_cache_misses: result.group_cache_misses,
+            search_trace: result.search_trace,
+            elapsed: start.elapsed().as_secs_f64(),
+        }
+    }
 }
 
 /// Per-model attainment estimate inside a multi-model schedule.
@@ -89,20 +108,9 @@ impl Scheduler {
         workload: &WorkloadSpec,
         slo: &SloSpec,
     ) -> Result<ScheduleResult> {
-        let start = std::time::Instant::now();
-        let search = TabuSearch::new(cluster, model, workload, slo, &self.cfg);
-        let result = search.search()?;
-        Ok(ScheduleResult {
-            plan: result.best.plan,
-            estimated_attainment: result.best.score,
-            trajectory: result.trajectory,
-            evaluations: result.evaluations,
-            neighbors_generated: result.neighbors_generated,
-            group_cache_hits: result.group_cache_hits,
-            group_cache_misses: result.group_cache_misses,
-            search_trace: result.search_trace,
-            elapsed: start.elapsed().as_secs_f64(),
-        })
+        let start = Instant::now();
+        let result = tabu::schedule(cluster, model, workload, slo, &self.cfg)?;
+        Ok(ScheduleResult::new(result, start))
     }
 
     /// Produces one deployment plan serving every model in `models` on the
@@ -146,10 +154,9 @@ impl Scheduler {
             });
         }
 
-        let start = std::time::Instant::now();
-        let search = MultiTabuSearch::new(cluster, models, workloads, &self.cfg);
-        let result = search.search()?;
-        let plan = result.best.plan;
+        let start = Instant::now();
+        let result = tabu::schedule_multi(cluster, models, workloads, &self.cfg)?;
+        let plan = &result.best.plan;
         // Per-tenant estimates: each model's slice of the shared plan is a
         // self-contained single-model plan (its groups, its routing), priced
         // under its own spec, workload and SLO.
@@ -173,17 +180,7 @@ impl Scheduler {
             });
         }
         Ok(MultiScheduleResult {
-            schedule: ScheduleResult {
-                plan,
-                estimated_attainment: result.best.score,
-                trajectory: result.trajectory,
-                evaluations: result.evaluations,
-                neighbors_generated: result.neighbors_generated,
-                group_cache_hits: result.group_cache_hits,
-                group_cache_misses: result.group_cache_misses,
-                search_trace: result.search_trace,
-                elapsed: start.elapsed().as_secs_f64(),
-            },
+            schedule: ScheduleResult::new(result, start),
             per_model,
         })
     }

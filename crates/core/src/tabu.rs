@@ -1,15 +1,27 @@
 //! Tabu search over group constructions and phase designations (§3.2,
-//! Algorithm 1).
+//! Algorithm 1), and its flip-only restriction for lightweight
+//! rescheduling (§3.4).
 //!
-//! The search starts from a hierarchical-clustering seed (well-connected
-//! GPUs grouped together), then iteratively evaluates `N_nghb` neighbours
-//! per step — generated by the flip / split / merge / move operators —
-//! skipping solutions in the tabu memory and infeasible ones (groups whose
-//! total memory cannot hold one weight copy are pruned before the expensive
-//! lower-level evaluation). The objective `f(·)` is the estimated overall
-//! SLO attainment produced by the lower level ([`mod@crate::orchestrate`]).
+//! One walk (`walk`) serves every search. What differs lives in a
+//! `Space`: the seed, the moves, the key that identifies a solution, the
+//! structural gate and the lower-level evaluation. There are three:
 //!
-//! # Parallel neighbourhood evaluation
+//! * `SingleModel` — the paper's upper level: a hierarchical-clustering
+//!   (or, under `random_init`, random) seed, the flip / split / merge /
+//!   move operators, and the candidate's canonical hash as its key;
+//! * `MultiModel` — one shared pool serving a catalog of models: a
+//!   traffic-share span seed, a fifth "reassign-model" move, per-model
+//!   transportation problems with traffic-share claims on the shared
+//!   uplinks ([`orchestrate_with_link_share`]) and a share-weighted
+//!   objective;
+//! * `Flips` — lightweight and fleet rescheduling: frozen groups and
+//!   parallel configurations, phase flips only, keyed by the phase vector.
+//!
+//! The objective `f(·)` is the estimated overall SLO attainment produced by
+//! the lower level ([`mod@crate::orchestrate`]) plus the hardware-affinity
+//! tie-breaker (§5.3) unless `disable_affinity_tiebreak` is set.
+//!
+//! # One step
 //!
 //! Lower-level evaluations are independent, so each step runs its cache
 //! misses on up to [`SchedulerConfig::num_threads`] workers. Results are
@@ -18,13 +30,18 @@
 //! 1. the whole neighbourhood is drawn from the seeded RNG *before* any
 //!    evaluation, preserving the serial RNG stream (evaluations never
 //!    consume randomness);
-//! 2. neighbours are deduplicated by canonical hash and filtered against
-//!    the tabu memory and the evaluation cache — only genuine misses are
-//!    dispatched to a [`ts_common::with_worker_pool`] worker pool (spawned
-//!    once for the whole search), whose output is in input order regardless
-//!    of scheduling;
+//! 2. each neighbour passes, in order, the tabu memory, the space's
+//!    structural gate (a rejected neighbour is neither cached nor
+//!    evaluated), the evaluation cache and intra-step dedup by key — only
+//!    genuine misses are dispatched to a [`ts_common::with_worker_pool`]
+//!    worker pool (spawned once for the whole walk), whose output is in
+//!    input order regardless of scheduling;
 //! 3. the step winner is reduced in neighbour-generation order with a
 //!    strict `>`, exactly the serial first-maximum tie-break.
+//!
+//! The score cache maps key → score only. Only the best plan found so far
+//! is kept: a new global best is always evaluated in the step that finds
+//! it, because cached scores can never exceed the running best.
 
 use crate::candidate::{Candidate, CandidateGroup};
 use crate::config::SchedulerConfig;
@@ -34,10 +51,12 @@ use crate::orchestrate::{
 use crate::parallel::deduce_parallel_config;
 use rand::Rng;
 use std::collections::{HashMap, HashSet, VecDeque};
+use std::hash::Hash;
 use std::time::Instant;
 use ts_cluster::Cluster;
+use ts_common::rng::derive_seed;
 use ts_common::{
-    seeded_rng, validate_catalog, with_worker_pool, DeploymentPlan, Error, GroupSpec, ModelId,
+    seeded_rng, validate_catalog, with_worker_pool, DeploymentPlan, Error, GpuId, GroupSpec,
     ModelRouting, ModelSpec, Phase, Result, ServedModel, ShardedCache, SloSpec,
 };
 use ts_costmodel::replica::{memory_feasible, memory_feasible_with_headroom};
@@ -63,10 +82,12 @@ pub struct TabuResult {
     pub best: OrchestratedPlan,
     /// Convergence trajectory, one point per step.
     pub trajectory: Vec<TracePoint>,
-    /// Number of lower-level evaluations performed (cache misses).
+    /// Number of lower-level evaluations performed (cache misses that
+    /// passed the structural gate, plus the seed).
     pub evaluations: usize,
     /// Total neighbours generated across all steps (including those the
-    /// tabu list, the evaluation cache or intra-step dedup filtered out).
+    /// tabu list, the structural gate, the evaluation cache or intra-step
+    /// dedup filtered out).
     pub neighbors_generated: usize,
     /// Hits on the sharded parallel-configuration cache shared by all
     /// evaluation workers. Counts may vary slightly with the thread count
@@ -79,272 +100,307 @@ pub struct TabuResult {
     pub search_trace: Option<SearchTrace>,
 }
 
-/// Outcome of one uncached lower-level evaluation.
-struct EvalOutcome {
-    /// Whether this evaluation counts toward [`TabuResult::evaluations`]
-    /// (it passed the cheap feasibility gates and reached the lower level).
-    counted: bool,
-    /// Score and orchestrated plan, or `None` if infeasible.
-    result: Option<(f64, OrchestratedPlan)>,
+/// Parallel configurations deduced so far, keyed by
+/// [`CandidateGroup::group_hash`] (`None`: the group has no feasible
+/// configuration). Entries are deterministic functions of their key, so
+/// every worker of a walk shares one.
+type GroupCache = ShardedCache<Option<GroupSpec>>;
+
+/// What a walk searches. Evaluation takes `&self`, so the worker pool can
+/// share the space for the whole walk.
+trait Space: Sync {
+    /// A solution.
+    type Point: Clone + Send;
+    /// A solution's identity for the tabu memory, the cache and dedup.
+    type Key: Clone + Eq + Hash;
+
+    /// The starting solution.
+    fn seed(&self) -> Result<Self::Point>;
+
+    /// One random neighbour of `x`, or `None` if the drawn move does not
+    /// apply.
+    fn neighbor<R: Rng>(&self, x: &Self::Point, rng: &mut R) -> Option<Self::Point>;
+
+    /// The solution's key.
+    fn key(&self, p: &Self::Point) -> Self::Key;
+
+    /// The structural gate: cheap checks that rule a solution out before
+    /// any evaluation.
+    fn admissible(&self, p: &Self::Point) -> bool;
+
+    /// Lower-level evaluation of an admissible solution: its objective and
+    /// plan, or `None` if it is infeasible.
+    fn evaluate(&self, p: &Self::Point, groups: &GroupCache) -> Option<(f64, OrchestratedPlan)>;
 }
 
-/// The tabu search driver: the immutable evaluation context (problem inputs
-/// plus the sharded parallel-configuration cache) shared by every worker.
-/// All per-search state — score cache, tabu list, best-so-far — lives as
-/// locals inside [`TabuSearch::search`], so the worker pool can borrow
-/// `&self` for the whole run while the search loop mutates freely.
+/// The tabu walk: `steps` steps of `cfg.n_nghb` neighbours each, drawn
+/// from an RNG seeded with `rng_seed`.
 ///
-/// The score cache maps candidate hash → score only; full plans are **not**
-/// retained per evaluation. Only the best plan found so far is kept (a new
-/// global best is always freshly evaluated in the step that discovers it,
-/// because cached scores can never exceed the running best), bounding plan
-/// memory to O(1) instead of one plan per feasible candidate ever seen.
-pub struct TabuSearch<'a> {
+/// # Errors
+/// Propagates the space's seed error; returns [`Error::Infeasible`] if no
+/// evaluated solution is feasible.
+fn walk<S: Space>(
+    space: &S,
+    cfg: &SchedulerConfig,
+    rng_seed: u64,
+    steps: usize,
+) -> Result<TabuResult> {
+    let start = Instant::now();
+    let mut rng = seeded_rng(rng_seed);
+    let groups = GroupCache::default();
+    let mut x = space.seed()?;
+    let mut best_score = f64::NEG_INFINITY;
+    let mut best_plan: Option<OrchestratedPlan> = None;
+    let mut evaluations = 0usize;
+    let mut eval_cache: HashMap<S::Key, Option<f64>> = HashMap::new();
+    let mut tabu: VecDeque<S::Key> = VecDeque::new();
+    // Mirrors `tabu` for O(1) membership tests.
+    let mut tabu_set: HashSet<S::Key> = HashSet::new();
+    let mut trajectory = Vec::with_capacity(steps);
+    let mut neighbors_generated = 0usize;
+    let mut search_trace = cfg.search_trace.then(SearchTrace::default);
+    let mut prev_elapsed = 0.0f64;
+
+    if space.admissible(&x) {
+        evaluations += 1;
+        let result = space.evaluate(&x, &groups);
+        eval_cache.insert(space.key(&x), result.as_ref().map(|(s, _)| *s));
+        if let Some((score, plan)) = result {
+            best_score = score;
+            best_plan = Some(plan);
+        }
+    }
+
+    // One worker pool spans the whole walk: thread startup is paid once,
+    // not once per step. Jobs are owned clones, because pool workers
+    // outlive any one step.
+    let eval = |p: &S::Point| space.evaluate(p, &groups);
+    with_worker_pool(cfg.num_threads, &eval, |run| {
+        for step in 0..steps {
+            // Draw the whole neighbourhood up front so the RNG stream is
+            // independent of evaluation order and cache state.
+            let mut drawn: Vec<(S::Key, S::Point)> = (0..cfg.n_nghb)
+                .filter_map(|_| space.neighbor(&x, &mut rng))
+                .map(|p| (space.key(&p), p))
+                .collect();
+            neighbors_generated += drawn.len();
+
+            // Every neighbour lands in exactly one column of the row;
+            // unique, admissible, non-tabu cache misses form the batch.
+            let mut row = SearchStep {
+                step,
+                generated: drawn.len(),
+                ..SearchStep::default()
+            };
+            let mut batch_keys: Vec<S::Key> = Vec::new();
+            let mut batch: Vec<S::Point> = Vec::new();
+            let mut scheduled: HashSet<&S::Key> = HashSet::new();
+            for (k, p) in &drawn {
+                if tabu_set.contains(k) {
+                    row.tabu_filtered += 1;
+                } else if !space.admissible(p) {
+                    row.infeasible += 1;
+                } else if eval_cache.contains_key(k) {
+                    row.cache_hits += 1;
+                } else if !scheduled.insert(k) {
+                    row.duplicates += 1;
+                } else {
+                    batch_keys.push(k.clone());
+                    batch.push(p.clone());
+                }
+            }
+            row.evaluated = batch.len();
+
+            // Evaluate misses concurrently; output order == batch order.
+            let mut fresh: HashMap<S::Key, OrchestratedPlan> = HashMap::new();
+            for (k, out) in batch_keys.into_iter().zip(run(batch)) {
+                evaluations += 1;
+                eval_cache.insert(k.clone(), out.as_ref().map(|(s, _)| *s));
+                if let Some((_, plan)) = out {
+                    fresh.insert(k, plan);
+                }
+            }
+
+            // Deterministic reduction: first strict maximum in generation
+            // order, exactly the serial selection.
+            let mut winner: Option<(f64, usize)> = None;
+            for (i, (k, _)) in drawn.iter().enumerate() {
+                if tabu_set.contains(k) {
+                    continue;
+                }
+                let Some(Some(score)) = eval_cache.get(k) else {
+                    continue;
+                };
+                if winner.map(|(s, _)| *score > s).unwrap_or(true) {
+                    winner = Some((*score, i));
+                }
+            }
+            if let Some((score, i)) = winner {
+                let (k, p) = drawn.swap_remove(i);
+                if score > best_score {
+                    best_score = score;
+                    // Unreachable by construction: a cached score never
+                    // exceeds the running best. Recompute defensively
+                    // rather than lose the plan.
+                    best_plan = fresh
+                        .remove(&k)
+                        .or_else(|| space.evaluate(&p, &groups).map(|(_, plan)| plan));
+                }
+                tabu.push_back(k.clone());
+                tabu_set.insert(k);
+                while tabu.len() > cfg.n_mem {
+                    if let Some(old) = tabu.pop_front() {
+                        tabu_set.remove(&old);
+                    }
+                }
+                x = p;
+            }
+            let elapsed = start.elapsed().as_secs_f64();
+            if let Some(tr) = search_trace.as_mut() {
+                row.winner_score = winner.map(|(s, _)| s);
+                row.wall_s = elapsed - prev_elapsed;
+                tr.steps.push(row);
+            }
+            prev_elapsed = elapsed;
+            trajectory.push(TracePoint {
+                step,
+                elapsed,
+                best_score: best_score.max(0.0),
+            });
+        }
+    });
+
+    let best =
+        best_plan.ok_or_else(|| Error::Infeasible("no feasible deployment plan found".into()))?;
+    Ok(TabuResult {
+        best,
+        trajectory,
+        evaluations,
+        neighbors_generated,
+        group_cache_hits: groups.hit_count(),
+        group_cache_misses: groups.miss_count(),
+        search_trace,
+    })
+}
+
+/// Runs Algorithm 1 for one model on the cluster's active GPUs.
+///
+/// # Errors
+/// Returns [`Error::Infeasible`] if the cluster cannot host at least two
+/// model replicas (phase splitting needs one per phase), or no feasible
+/// deployment is found.
+pub(crate) fn schedule(
+    cluster: &Cluster,
+    model: &ModelSpec,
+    workload: &WorkloadSpec,
+    slo: &SloSpec,
+    cfg: &SchedulerConfig,
+) -> Result<TabuResult> {
+    let space = SingleModel {
+        cluster,
+        model,
+        workload,
+        slo,
+        cfg,
+    };
+    walk(&space, cfg, cfg.seed, cfg.n_step)
+}
+
+/// Runs the multi-tenant upper level: one shared pool, `workloads[i]` the
+/// arrival process of `models[i]`.
+///
+/// # Errors
+/// Returns [`Error::InvalidConfig`] on a malformed catalog (see
+/// [`validate_catalog`]) or a workload count that does not match it, and
+/// [`Error::Infeasible`] if the pool cannot host two replicas of every
+/// model or no feasible multi-model deployment is found.
+pub(crate) fn schedule_multi(
+    cluster: &Cluster,
+    models: &[ServedModel],
+    workloads: &[WorkloadSpec],
+    cfg: &SchedulerConfig,
+) -> Result<TabuResult> {
+    validate_catalog(models)?;
+    if models.len() != workloads.len() {
+        return Err(Error::InvalidConfig(format!(
+            "catalog has {} models but {} workloads were given",
+            models.len(),
+            workloads.len()
+        )));
+    }
+    let space = MultiModel {
+        cluster,
+        models,
+        workloads,
+        cfg,
+    };
+    walk(&space, cfg, cfg.seed, cfg.n_step)
+}
+
+/// Searches phase designations over frozen groups (lightweight
+/// rescheduling): at most 40 steps, on an RNG stream of its own.
+///
+/// # Errors
+/// Returns [`Error::Infeasible`] if no designation orchestrates.
+pub(crate) fn reschedule_phases(
+    cluster: &Cluster,
+    model: &ModelSpec,
+    groups: Vec<GroupSpec>,
+    workload: &WorkloadSpec,
+    slo: &SloSpec,
+    cfg: &SchedulerConfig,
+) -> Result<TabuResult> {
+    let space = Flips {
+        cluster,
+        model,
+        groups,
+        workload,
+        slo,
+        cfg,
+    };
+    walk(
+        &space,
+        cfg,
+        derive_seed(cfg.seed, 0x11F7),
+        cfg.n_step.min(40),
+    )
+}
+
+/// The single-model upper level.
+struct SingleModel<'a> {
     cluster: &'a Cluster,
     model: &'a ModelSpec,
     workload: &'a WorkloadSpec,
     slo: &'a SloSpec,
     cfg: &'a SchedulerConfig,
-    group_cache: ShardedCache<Option<GroupSpec>>,
 }
 
-impl<'a> TabuSearch<'a> {
-    /// Creates a search over the cluster's active GPUs.
-    pub fn new(
-        cluster: &'a Cluster,
-        model: &'a ModelSpec,
-        workload: &'a WorkloadSpec,
-        slo: &'a SloSpec,
-        cfg: &'a SchedulerConfig,
-    ) -> Self {
-        TabuSearch {
-            cluster,
-            model,
-            workload,
-            slo,
-            cfg,
-            group_cache: ShardedCache::default(),
-        }
-    }
+impl Space for SingleModel<'_> {
+    type Point = Candidate;
+    type Key = u64;
 
-    /// Runs Algorithm 1 and returns the best plan.
-    ///
-    /// # Errors
-    /// Returns [`Error::Infeasible`] if the cluster cannot host at least two
-    /// model replicas (phase splitting needs one per phase), or no feasible
-    /// deployment is found.
-    pub fn search(&self) -> Result<TabuResult> {
-        let start = Instant::now();
-        let mut rng = seeded_rng(self.cfg.seed);
-        let mut x = self.initial_candidate()?;
-        let mut best_hash = None;
-        let mut best_score = f64::NEG_INFINITY;
-        let mut best_plan: Option<(u64, OrchestratedPlan)> = None;
-        let mut evaluations = 0usize;
-        let mut eval_cache: HashMap<u64, Option<f64>> = HashMap::new();
-        let mut tabu: VecDeque<u64> = VecDeque::new();
-        // Mirrors `tabu` for O(1) membership tests (the deque alone costs an
-        // O(n_mem) scan per neighbour).
-        let mut tabu_set: HashSet<u64> = HashSet::new();
-        let mut trajectory = Vec::with_capacity(self.cfg.n_step);
-        let mut neighbors_generated = 0usize;
-        let mut search_trace = self.cfg.search_trace.then(SearchTrace::default);
-        let mut prev_elapsed = 0.0f64;
-
-        let x_hash = x.canonical_hash();
-        let init = self.evaluate_uncached(&x);
-        evaluations += usize::from(init.counted);
-        match init.result {
-            Some((score, plan)) => {
-                eval_cache.insert(x_hash, Some(score));
-                best_score = score;
-                best_hash = Some(x_hash);
-                best_plan = Some((x_hash, plan));
-            }
-            None => {
-                eval_cache.insert(x_hash, None);
-            }
-        }
-
-        // One worker pool spans the whole search: thread startup is paid
-        // once, not once per step. The pool's `eval` borrows `&self` (the
-        // immutable context) while the loop below mutates the search state,
-        // which is why that state lives in locals rather than on `self`.
-        let eval = |c: &Candidate| self.evaluate_uncached(c);
-        with_worker_pool(self.cfg.num_threads, &eval, |run| {
-            for step in 0..self.cfg.n_step {
-                // Draw the whole neighbourhood up front so the RNG stream is
-                // independent of evaluation order and cache state.
-                let mut drawn: Vec<Option<Candidate>> = (0..self.cfg.n_nghb)
-                    .map(|_| self.random_neighbor(&x, &mut rng))
-                    .collect();
-                let hashes: Vec<Option<u64>> = drawn
-                    .iter()
-                    .map(|n| n.as_ref().map(Candidate::canonical_hash))
-                    .collect();
-
-                // Unique, non-tabu cache misses form the evaluation batch.
-                // Jobs are owned clones: pool workers outlive any one step,
-                // so they cannot borrow step-local candidates (and a clone
-                // is trivial next to a lower-level evaluation).
-                let mut scheduled: HashSet<u64> = HashSet::new();
-                let (batch_hashes, batch): (Vec<u64>, Vec<Candidate>) = drawn
-                    .iter()
-                    .zip(&hashes)
-                    .filter_map(|(n, h)| Some((n.as_ref()?, (*h)?)))
-                    .filter(|&(n, h)| {
-                        !tabu_set.contains(&h) && self.admissible(n) && !eval_cache.contains_key(&h)
-                    })
-                    .filter(|&(_, h)| scheduled.insert(h))
-                    .map(|(n, h)| (h, n.clone()))
-                    .unzip();
-                neighbors_generated += hashes.iter().flatten().count();
-
-                // Introspection mirrors the filter chain above without
-                // touching it: counts must be taken before this step's
-                // results land in `eval_cache`.
-                let mut row = search_trace.as_ref().map(|_| {
-                    let mut row = SearchStep {
-                        step,
-                        evaluated: batch_hashes.len(),
-                        ..SearchStep::default()
-                    };
-                    let mut seen: HashSet<u64> = HashSet::new();
-                    for (n, h) in drawn.iter().zip(&hashes) {
-                        let (Some(n), Some(h)) = (n, h) else { continue };
-                        row.generated += 1;
-                        if tabu_set.contains(h) {
-                            row.tabu_filtered += 1;
-                        } else if !self.admissible(n) {
-                            row.infeasible += 1;
-                        } else if eval_cache.contains_key(h) {
-                            row.cache_hits += 1;
-                        } else if !seen.insert(*h) {
-                            row.duplicates += 1;
-                        }
-                    }
-                    row
-                });
-
-                // Evaluate misses concurrently; output order == batch order.
-                let outcomes = run(batch);
-
-                // Merge fresh results into the caches in batch order.
-                let mut fresh_plans: HashMap<u64, OrchestratedPlan> = HashMap::new();
-                for (&h, out) in batch_hashes.iter().zip(outcomes) {
-                    evaluations += usize::from(out.counted);
-                    match out.result {
-                        Some((score, plan)) => {
-                            eval_cache.insert(h, Some(score));
-                            fresh_plans.insert(h, plan);
-                        }
-                        None => {
-                            eval_cache.insert(h, None);
-                        }
-                    }
-                }
-
-                // Deterministic reduction: first strict maximum in generation
-                // order, exactly the serial selection.
-                let mut best_neighbor: Option<(f64, usize)> = None;
-                for (i, h) in hashes.iter().enumerate() {
-                    let Some(h) = h else { continue };
-                    if tabu_set.contains(h) {
-                        continue;
-                    }
-                    let Some(Some(score)) = eval_cache.get(h) else {
-                        continue;
-                    };
-                    if best_neighbor.map(|(s, _)| *score > s).unwrap_or(true) {
-                        best_neighbor = Some((*score, i));
-                    }
-                }
-                if let Some((score, i)) = best_neighbor {
-                    let h = hashes[i].expect("winning neighbour has a hash");
-                    if score > best_score {
-                        best_score = score;
-                        best_hash = Some(h);
-                        if let Some(plan) = fresh_plans.remove(&h) {
-                            best_plan = Some((h, plan));
-                        } else if best_plan.as_ref().map(|(bh, _)| *bh) != Some(h) {
-                            // Unreachable by construction: a cached score can
-                            // never exceed best_score (best_score dominates
-                            // every previously evaluated neighbour).
-                            // Recompute defensively rather than lose the plan.
-                            let n = drawn[i].as_ref().expect("winner exists");
-                            if let Some((_, plan)) = self.evaluate_uncached(n).result {
-                                best_plan = Some((h, plan));
-                            }
-                        }
-                    }
-                    tabu.push_back(h);
-                    tabu_set.insert(h);
-                    while tabu.len() > self.cfg.n_mem {
-                        if let Some(old) = tabu.pop_front() {
-                            tabu_set.remove(&old);
-                        }
-                    }
-                    x = drawn[i].take().expect("winning neighbour exists");
-                }
-                let elapsed = start.elapsed().as_secs_f64();
-                if let (Some(tr), Some(mut row)) = (search_trace.as_mut(), row.take()) {
-                    row.winner_score = best_neighbor.map(|(s, _)| s);
-                    row.wall_s = elapsed - prev_elapsed;
-                    tr.steps.push(row);
-                }
-                prev_elapsed = elapsed;
-                trajectory.push(TracePoint {
-                    step,
-                    elapsed,
-                    best_score: best_score.max(0.0),
-                });
-            }
-        });
-
-        let hash = best_hash
-            .ok_or_else(|| Error::Infeasible("no feasible deployment plan found".into()))?;
-        let best = match best_plan {
-            Some((h, plan)) if h == hash => plan,
-            _ => return Err(Error::Infeasible("best plan lost from cache".into())),
-        };
-        Ok(TabuResult {
-            best,
-            trajectory,
-            evaluations,
-            neighbors_generated,
-            group_cache_hits: self.group_cache.hit_count(),
-            group_cache_misses: self.group_cache.miss_count(),
-            search_trace,
-        })
-    }
-
-    /// Initialization: hierarchical clustering on the bandwidth matrix,
-    /// merging memory-infeasible clusters, random phase designation with
-    /// both phases guaranteed.
-    fn initial_candidate(&self) -> Result<Candidate> {
+    /// Hierarchical clustering on the bandwidth matrix (a random
+    /// contiguous partition under `random_init`) into as many groups as
+    /// memory allows, memory-infeasible clusters merged, random phases.
+    fn seed(&self) -> Result<Candidate> {
         let active = self.cluster.active_gpus();
         if active.is_empty() {
             return Err(Error::Infeasible("no active GPUs".into()));
         }
         let usable: u64 = active
             .iter()
-            .map(|&g| {
-                (self.cluster.gpu(g).spec().memory_bytes as f64 * self.cfg.params.mem_util) as u64
-            })
+            .map(|&g| usable_bytes(self.cluster, g, self.cfg))
             .sum();
-        // Budget each replica weights + ~25% KV headroom (matching the
-        // layer partitioner's cap) so the seed starts feasible.
-        let weight_budget = (self.model.weight_bytes() as f64 * 4.0 / 3.0) as u64;
-        let max_replicas = (usable / weight_budget.max(1)) as usize;
+        let max_replicas = (usable / replica_budget(self.model).max(1)) as usize;
         if max_replicas < 2 {
             return Err(Error::Infeasible(format!(
                 "cluster memory supports {max_replicas} replicas; phase splitting needs 2"
             )));
         }
         let k = max_replicas.min(active.len()).max(2);
-        let mut clusters = if self.cfg.random_init {
+        let clusters = if self.cfg.random_init {
             // Ablation: random contiguous partition instead of clustering.
-            let mut rng = seeded_rng(ts_common::rng::derive_seed(self.cfg.seed, 0xBAD1));
+            let mut rng = seeded_rng(derive_seed(self.cfg.seed, 0xBAD1));
             let mut order: Vec<usize> = (0..active.len()).collect();
             use rand::seq::SliceRandom;
             order.shuffle(&mut rng);
@@ -353,94 +409,34 @@ impl<'a> TabuSearch<'a> {
                 .map(|c| c.to_vec())
                 .collect()
         } else {
-            let bw = self.cluster.bandwidth_matrix();
-            cluster_by_bandwidth(&bw, k)?
+            cluster_by_bandwidth(&self.cluster.bandwidth_matrix(), k)?
         };
-        // Merge memory-infeasible clusters into their successor until all
-        // groups can hold the model.
-        loop {
-            let mut merged = false;
-            let mut i = 0;
-            while i < clusters.len() && clusters.len() > 2 {
-                let gpus: Vec<ts_common::GpuId> = clusters[i].iter().map(|&x| active[x]).collect();
-                if !memory_feasible_with_headroom(
-                    self.cluster,
-                    self.model,
-                    &gpus,
-                    &self.cfg.params,
-                    4.0 / 3.0,
-                ) {
-                    let take = clusters.remove(i);
-                    let j = i % clusters.len();
-                    clusters[j].extend(take);
-                    merged = true;
-                } else {
-                    i += 1;
-                }
-            }
-            if !merged {
-                break;
-            }
-        }
-        let mut rng = seeded_rng(ts_common::rng::derive_seed(self.cfg.seed, 0xC0DE));
-        let mut groups: Vec<CandidateGroup> = clusters
+        let clusters = clusters
             .into_iter()
-            .map(|idxs| {
-                let gpus: Vec<ts_common::GpuId> = idxs.iter().map(|&x| active[x]).collect();
-                let phase = if rng.gen_bool(0.5) {
-                    Phase::Prefill
-                } else {
-                    Phase::Decode
-                };
-                CandidateGroup::new(gpus, phase)
-            })
+            .map(|idxs| idxs.into_iter().map(|x| active[x]).collect())
             .collect();
-        // Guarantee both phases.
-        if groups.iter().all(|g| g.phase == Phase::Prefill) {
-            let last = groups.len() - 1;
-            groups[last].phase = Phase::Decode;
-        } else if groups.iter().all(|g| g.phase == Phase::Decode) {
-            groups[0].phase = Phase::Prefill;
-        }
-        Ok(Candidate::new(groups))
+        let clusters = merge_infeasible(self.cluster, self.model, self.cfg, clusters);
+        let mut rng = seeded_rng(derive_seed(self.cfg.seed, 0xC0DE));
+        let phases = designate(clusters.len(), &mut rng);
+        Ok(Candidate::new(
+            clusters
+                .into_iter()
+                .zip(phases)
+                .map(|(gpus, phase)| CandidateGroup::new(gpus, phase))
+                .collect(),
+        ))
     }
 
-    /// Generates one random neighbour via the four §3.2 moves (or flip only
-    /// under the `flip_only_moves` ablation).
-    fn random_neighbor<R: Rng>(&self, x: &Candidate, rng: &mut R) -> Option<Candidate> {
-        let n = x.groups.len();
-        if self.cfg.flip_only_moves {
-            return Some(x.flip(rng.gen_range(0..n)));
-        }
-        match rng.gen_range(0..4u8) {
-            0 => Some(x.flip(rng.gen_range(0..n))),
-            1 => {
-                let idx = rng.gen_range(0..n);
-                let r = rng.gen_range(0.2..0.8);
-                x.split(self.cluster, idx, r, rng)
-            }
-            2 => {
-                if n < 3 {
-                    // merging below 2 groups can never host both phases
-                    return None;
-                }
-                let a = rng.gen_range(0..n);
-                let b = rng.gen_range(0..n);
-                x.merge(a, b, rng)
-            }
-            _ => {
-                if n < 2 {
-                    return None;
-                }
-                let a = rng.gen_range(0..n);
-                let b = rng.gen_range(0..n);
-                x.move_gpus(self.cluster, a, b, rng)
-            }
-        }
+    fn neighbor<R: Rng>(&self, x: &Candidate, rng: &mut R) -> Option<Candidate> {
+        random_move(self.cluster, self.cfg, &[], x, rng)
     }
 
-    /// The structural gate: both phases present and every group able to
-    /// hold one copy of the weights (early feasibility pruning, §3.2).
+    fn key(&self, c: &Candidate) -> u64 {
+        c.canonical_hash()
+    }
+
+    /// Both phases present, and every group able to hold one copy of the
+    /// weights (early feasibility pruning, §3.2).
     fn admissible(&self, c: &Candidate) -> bool {
         c.has_both_phases()
             && c.groups
@@ -448,318 +444,63 @@ impl<'a> TabuSearch<'a> {
                 .all(|g| memory_feasible(self.cluster, self.model, &g.gpus, &self.cfg.params))
     }
 
-    /// Evaluates a candidate via the lower level. Shared (`&self`) so
-    /// neighbourhood batches can run concurrently: the only mutation is the
-    /// sharded parallel-configuration cache, whose entries are deterministic
-    /// functions of their key.
-    fn evaluate_uncached(&self, c: &Candidate) -> EvalOutcome {
-        const PRUNED: EvalOutcome = EvalOutcome {
-            counted: false,
-            result: None,
-        };
-        if !self.admissible(c) {
-            return PRUNED;
-        }
-        let mut specs = Vec::with_capacity(c.groups.len());
-        for g in &c.groups {
-            let spec = self.group_cache.get_or_insert_with(g.group_hash(), || {
-                deduce_parallel_config(
-                    self.cluster,
-                    self.model,
-                    &g.gpus,
-                    g.phase,
-                    self.workload,
-                    self.cfg,
-                )
-                .ok()
-            });
-            match spec {
-                Some(s) => specs.push(s),
-                None => {
-                    return EvalOutcome {
-                        counted: true,
-                        result: None,
-                    }
-                }
-            }
-        }
-        let affinity = phase_affinity(self.cluster, &specs);
-        match orchestrate(
+    fn evaluate(&self, c: &Candidate, groups: &GroupCache) -> Option<(f64, OrchestratedPlan)> {
+        let specs = c
+            .groups
+            .iter()
+            .map(|g| {
+                groups.get_or_insert_with(g.group_hash(), || {
+                    deduce_parallel_config(
+                        self.cluster,
+                        self.model,
+                        &g.gpus,
+                        g.phase,
+                        self.workload,
+                        self.cfg,
+                    )
+                    .ok()
+                })
+            })
+            .collect::<Option<Vec<_>>>()?;
+        score_groups(
             self.cluster,
             self.model,
             specs,
             self.workload,
             self.slo,
             self.cfg,
-        ) {
-            Ok(op) => {
-                // Hardware-affinity tie-breaker (§5.3): negligible against
-                // any real attainment difference, decisive on plateaus.
-                let bonus = if self.cfg.disable_affinity_tiebreak {
-                    0.0
-                } else {
-                    1e-4 * affinity
-                };
-                let score = op.score + bonus;
-                EvalOutcome {
-                    counted: true,
-                    result: Some((score, op)),
-                }
-            }
-            Err(_) => EvalOutcome {
-                counted: true,
-                result: None,
-            },
-        }
+        )
     }
 }
 
-// The parallel neighbourhood evaluation shares `&TabuSearch` across worker
-// threads; keep that property visible at compile time.
-const _: fn() = || {
-    fn assert_sync<T: Sync>() {}
-    assert_sync::<TabuSearch<'_>>();
-    assert_sync::<MultiTabuSearch<'_>>();
-};
-
-/// Multi-tenant tabu search: one shared GPU pool, several served models.
-///
-/// The upper level decides, in addition to group construction and phase
-/// designation, *which model* each group serves — a fifth "reassign-model"
-/// move shifts a replica between tenants, and cross-model
-/// [`Candidate::move_gpus`] shifts raw capacity. The lower level solves one
-/// capacity-bounded transportation problem per model over that model's own
-/// groups, with each model's claim on the shared sender uplinks scaled to
-/// its traffic share ([`orchestrate_with_link_share`]). The objective is the
-/// traffic-share-weighted sum of per-model attainments.
-///
-/// This is a *separate* driver from [`TabuSearch`] on purpose: the
-/// single-model search is a frozen, bit-stable code path (regression suites
-/// pin its plans byte-for-byte), so the multi-model generalisation lives
-/// beside it rather than inside it. [`crate::scheduler::Scheduler`]'s
-/// `schedule_multi` delegates a one-entry default-model catalog to the
-/// legacy driver, making single-model the exact special case.
-pub struct MultiTabuSearch<'a> {
+/// The multi-tenant upper level. In addition to group construction and
+/// phase designation it decides *which model* each group serves: the
+/// "reassign-model" move shifts a replica between tenants, and
+/// cross-model [`Candidate::move_gpus`] shifts raw capacity.
+struct MultiModel<'a> {
     cluster: &'a Cluster,
     models: &'a [ServedModel],
     workloads: &'a [WorkloadSpec],
     cfg: &'a SchedulerConfig,
-    group_cache: ShardedCache<Option<GroupSpec>>,
 }
 
-impl<'a> MultiTabuSearch<'a> {
-    /// Creates a multi-model search.
-    ///
-    /// `workloads[i]` is the arrival process of `models[i]`; the two slices
-    /// are validated (non-empty, matching lengths, distinct model ids,
-    /// traffic shares summing to 1) when [`Self::search`] runs.
-    pub fn new(
-        cluster: &'a Cluster,
-        models: &'a [ServedModel],
-        workloads: &'a [WorkloadSpec],
-        cfg: &'a SchedulerConfig,
-    ) -> Self {
-        MultiTabuSearch {
-            cluster,
-            models,
-            workloads,
-            cfg,
-            group_cache: ShardedCache::default(),
-        }
+impl MultiModel<'_> {
+    /// The catalog entry and workload a group serves.
+    fn served(&self, g: &CandidateGroup) -> Option<(&ServedModel, &WorkloadSpec)> {
+        let i = self.models.iter().position(|m| m.id == g.model)?;
+        Some((&self.models[i], &self.workloads[i]))
     }
+}
 
-    fn served(&self, id: ModelId) -> Option<&ServedModel> {
-        self.models.iter().find(|m| m.id == id)
-    }
+impl Space for MultiModel<'_> {
+    type Point = Candidate;
+    type Key = u64;
 
-    /// Runs the multi-tenant upper level and returns the best plan.
-    ///
-    /// The loop mirrors [`TabuSearch::search`] — pre-drawn neighbourhoods,
-    /// canonical-hash dedup, pooled evaluation of cache misses,
-    /// first-strict-max reduction in generation order — so results are
-    /// deterministic for a given seed and bit-identical for any thread
-    /// count.
-    ///
-    /// # Errors
-    /// Returns [`Error::InvalidConfig`] on a malformed catalog and
-    /// [`Error::Infeasible`] if the pool cannot host two replicas of every
-    /// model or no feasible multi-model deployment is found.
-    pub fn search(&self) -> Result<TabuResult> {
-        validate_catalog(self.models)?;
-        if self.models.len() != self.workloads.len() {
-            return Err(Error::InvalidConfig(format!(
-                "catalog has {} models but {} workloads were given",
-                self.models.len(),
-                self.workloads.len()
-            )));
-        }
-        let start = Instant::now();
-        let mut rng = seeded_rng(self.cfg.seed);
-        let mut x = self.initial_candidate()?;
-        let mut best_hash = None;
-        let mut best_score = f64::NEG_INFINITY;
-        let mut best_plan: Option<(u64, OrchestratedPlan)> = None;
-        let mut evaluations = 0usize;
-        let mut eval_cache: HashMap<u64, Option<f64>> = HashMap::new();
-        let mut tabu: VecDeque<u64> = VecDeque::new();
-        let mut tabu_set: HashSet<u64> = HashSet::new();
-        let mut trajectory = Vec::with_capacity(self.cfg.n_step);
-        let mut neighbors_generated = 0usize;
-        let mut search_trace = self.cfg.search_trace.then(SearchTrace::default);
-        let mut prev_elapsed = 0.0f64;
-
-        let x_hash = x.canonical_hash();
-        let init = self.evaluate_uncached(&x);
-        evaluations += usize::from(init.counted);
-        match init.result {
-            Some((score, plan)) => {
-                eval_cache.insert(x_hash, Some(score));
-                best_score = score;
-                best_hash = Some(x_hash);
-                best_plan = Some((x_hash, plan));
-            }
-            None => {
-                eval_cache.insert(x_hash, None);
-            }
-        }
-
-        let eval = |c: &Candidate| self.evaluate_uncached(c);
-        with_worker_pool(self.cfg.num_threads, &eval, |run| {
-            for step in 0..self.cfg.n_step {
-                let mut drawn: Vec<Option<Candidate>> = (0..self.cfg.n_nghb)
-                    .map(|_| self.random_neighbor(&x, &mut rng))
-                    .collect();
-                let hashes: Vec<Option<u64>> = drawn
-                    .iter()
-                    .map(|n| n.as_ref().map(Candidate::canonical_hash))
-                    .collect();
-
-                let mut scheduled: HashSet<u64> = HashSet::new();
-                let (batch_hashes, batch): (Vec<u64>, Vec<Candidate>) = drawn
-                    .iter()
-                    .zip(&hashes)
-                    .filter_map(|(n, h)| Some((n.as_ref()?, (*h)?)))
-                    .filter(|&(n, h)| {
-                        !tabu_set.contains(&h) && self.admissible(n) && !eval_cache.contains_key(&h)
-                    })
-                    .filter(|&(_, h)| scheduled.insert(h))
-                    .map(|(n, h)| (h, n.clone()))
-                    .unzip();
-                neighbors_generated += hashes.iter().flatten().count();
-
-                let mut row = search_trace.as_ref().map(|_| {
-                    let mut row = SearchStep {
-                        step,
-                        evaluated: batch_hashes.len(),
-                        ..SearchStep::default()
-                    };
-                    let mut seen: HashSet<u64> = HashSet::new();
-                    for (n, h) in drawn.iter().zip(&hashes) {
-                        let (Some(n), Some(h)) = (n, h) else { continue };
-                        row.generated += 1;
-                        if tabu_set.contains(h) {
-                            row.tabu_filtered += 1;
-                        } else if !self.admissible(n) {
-                            row.infeasible += 1;
-                        } else if eval_cache.contains_key(h) {
-                            row.cache_hits += 1;
-                        } else if !seen.insert(*h) {
-                            row.duplicates += 1;
-                        }
-                    }
-                    row
-                });
-
-                let outcomes = run(batch);
-
-                let mut fresh_plans: HashMap<u64, OrchestratedPlan> = HashMap::new();
-                for (&h, out) in batch_hashes.iter().zip(outcomes) {
-                    evaluations += usize::from(out.counted);
-                    match out.result {
-                        Some((score, plan)) => {
-                            eval_cache.insert(h, Some(score));
-                            fresh_plans.insert(h, plan);
-                        }
-                        None => {
-                            eval_cache.insert(h, None);
-                        }
-                    }
-                }
-
-                let mut best_neighbor: Option<(f64, usize)> = None;
-                for (i, h) in hashes.iter().enumerate() {
-                    let Some(h) = h else { continue };
-                    if tabu_set.contains(h) {
-                        continue;
-                    }
-                    let Some(Some(score)) = eval_cache.get(h) else {
-                        continue;
-                    };
-                    if best_neighbor.map(|(s, _)| *score > s).unwrap_or(true) {
-                        best_neighbor = Some((*score, i));
-                    }
-                }
-                if let Some((score, i)) = best_neighbor {
-                    let h = hashes[i].expect("winning neighbour has a hash");
-                    if score > best_score {
-                        best_score = score;
-                        best_hash = Some(h);
-                        if let Some(plan) = fresh_plans.remove(&h) {
-                            best_plan = Some((h, plan));
-                        } else if best_plan.as_ref().map(|(bh, _)| *bh) != Some(h) {
-                            let n = drawn[i].as_ref().expect("winner exists");
-                            if let Some((_, plan)) = self.evaluate_uncached(n).result {
-                                best_plan = Some((h, plan));
-                            }
-                        }
-                    }
-                    tabu.push_back(h);
-                    tabu_set.insert(h);
-                    while tabu.len() > self.cfg.n_mem {
-                        if let Some(old) = tabu.pop_front() {
-                            tabu_set.remove(&old);
-                        }
-                    }
-                    x = drawn[i].take().expect("winning neighbour exists");
-                }
-                let elapsed = start.elapsed().as_secs_f64();
-                if let (Some(tr), Some(mut row)) = (search_trace.as_mut(), row.take()) {
-                    row.winner_score = best_neighbor.map(|(s, _)| s);
-                    row.wall_s = elapsed - prev_elapsed;
-                    tr.steps.push(row);
-                }
-                prev_elapsed = elapsed;
-                trajectory.push(TracePoint {
-                    step,
-                    elapsed,
-                    best_score: best_score.max(0.0),
-                });
-            }
-        });
-
-        let hash = best_hash.ok_or_else(|| {
-            Error::Infeasible("no feasible multi-model deployment plan found".into())
-        })?;
-        let best = match best_plan {
-            Some((h, plan)) if h == hash => plan,
-            _ => return Err(Error::Infeasible("best plan lost from cache".into())),
-        };
-        Ok(TabuResult {
-            best,
-            trajectory,
-            evaluations,
-            neighbors_generated,
-            group_cache_hits: self.group_cache.hit_count(),
-            group_cache_misses: self.group_cache.miss_count(),
-            search_trace,
-        })
-    }
-
-    /// Seed: allocate contiguous GPU spans to models (traffic-share
-    /// proportional, floored at two replicas' worth of memory each), then
-    /// split each span into replica groups and designate phases with both
+    /// Contiguous GPU spans per model (traffic-share proportional, floored
+    /// at two replicas' worth of memory each), each split into replica
+    /// groups with memory-infeasible ones merged, random phases with both
     /// phases guaranteed *per model*.
-    fn initial_candidate(&self) -> Result<Candidate> {
+    fn seed(&self) -> Result<Candidate> {
         let active = self.cluster.active_gpus();
         if active.is_empty() {
             return Err(Error::Infeasible("no active GPUs".into()));
@@ -767,18 +508,13 @@ impl<'a> MultiTabuSearch<'a> {
         let n = active.len();
         let usable: Vec<u64> = active
             .iter()
-            .map(|&g| {
-                (self.cluster.gpu(g).spec().memory_bytes as f64 * self.cfg.params.mem_util) as u64
-            })
+            .map(|&g| usable_bytes(self.cluster, g, self.cfg))
             .collect();
-        let total: u64 = usable.iter().sum();
-        let avg = (total / n as u64).max(1);
-        // Same per-replica budget as the single-model seed: weights + ~25%
-        // KV headroom.
+        let avg = (usable.iter().sum::<u64>() / n as u64).max(1);
         let budgets: Vec<u64> = self
             .models
             .iter()
-            .map(|m| (m.spec.weight_bytes() as f64 * 4.0 / 3.0) as u64)
+            .map(|m| replica_budget(&m.spec))
             .collect();
         // Every model needs one prefill and one decode replica; floor its
         // span at the GPUs that hold two copies of its weights (by average
@@ -795,10 +531,9 @@ impl<'a> MultiTabuSearch<'a> {
                 self.models.len()
             )));
         }
-        let mut counts = mins.clone();
-        let mut left = n - need;
+        let mut counts = mins;
         // Largest-remainder distribution of the surplus by traffic share.
-        while left > 0 {
+        for _ in need..n {
             let mut pick = 0usize;
             let mut best = f64::NEG_INFINITY;
             for (i, m) in self.models.iter().enumerate() {
@@ -809,165 +544,80 @@ impl<'a> MultiTabuSearch<'a> {
                 }
             }
             counts[pick] += 1;
-            left -= 1;
         }
 
-        let mut rng = seeded_rng(ts_common::rng::derive_seed(self.cfg.seed, 0xC0DE));
+        let mut rng = seeded_rng(derive_seed(self.cfg.seed, 0xC0DE));
         let mut groups: Vec<CandidateGroup> = Vec::new();
         let mut offset = 0usize;
-        for (mi, m) in self.models.iter().enumerate() {
-            let span = &active[offset..offset + counts[mi]];
-            offset += counts[mi];
-            let span_mem: u64 = (offset - counts[mi]..offset).map(|i| usable[i]).sum();
-            let max_replicas = (span_mem / budgets[mi].max(1)) as usize;
-            let k = max_replicas.min(span.len()).max(2);
-            let mut clusters: Vec<Vec<ts_common::GpuId>> = span
-                .chunks(span.len().div_ceil(k))
+        for ((m, count), budget) in self.models.iter().zip(counts).zip(budgets) {
+            let span = offset..offset + count;
+            offset += count;
+            let span_mem: u64 = usable[span.clone()].iter().sum();
+            let k = ((span_mem / budget.max(1)) as usize).min(count).max(2);
+            let clusters = active[span]
+                .chunks(count.div_ceil(k))
                 .map(|c| c.to_vec())
                 .collect();
-            // Merge memory-infeasible chunks into their successor, exactly
-            // like the single-model seed, stopping at the two groups this
-            // model minimally needs.
-            loop {
-                let mut merged = false;
-                let mut i = 0;
-                while i < clusters.len() && clusters.len() > 2 {
-                    if !memory_feasible_with_headroom(
-                        self.cluster,
-                        &m.spec,
-                        &clusters[i],
-                        &self.cfg.params,
-                        4.0 / 3.0,
-                    ) {
-                        let take = clusters.remove(i);
-                        let j = i % clusters.len();
-                        clusters[j].extend(take);
-                        merged = true;
-                    } else {
-                        i += 1;
-                    }
-                }
-                if !merged {
-                    break;
-                }
-            }
-            let first = groups.len();
-            for gpus in clusters {
-                let phase = if rng.gen_bool(0.5) {
-                    Phase::Prefill
-                } else {
-                    Phase::Decode
-                };
-                groups.push(CandidateGroup::new(gpus, phase).with_model(m.id));
-            }
-            // Guarantee both phases within this model's groups.
-            let span_groups = &mut groups[first..];
-            if span_groups.iter().all(|g| g.phase == Phase::Prefill) {
-                let last = span_groups.len() - 1;
-                span_groups[last].phase = Phase::Decode;
-            } else if span_groups.iter().all(|g| g.phase == Phase::Decode) {
-                span_groups[0].phase = Phase::Prefill;
-            }
+            let clusters = merge_infeasible(self.cluster, &m.spec, self.cfg, clusters);
+            let phases = designate(clusters.len(), &mut rng);
+            groups.extend(
+                clusters
+                    .into_iter()
+                    .zip(phases)
+                    .map(|(gpus, phase)| CandidateGroup::new(gpus, phase).with_model(m.id)),
+            );
         }
         Ok(Candidate::new(groups))
     }
 
-    /// One random neighbour via the four §3.2 moves plus the multi-tenant
-    /// "reassign-model" move. Cross-model merges are refused by
-    /// [`Candidate::merge`] itself; cross-model [`Candidate::move_gpus`] is
-    /// allowed and acts as a capacity shift between tenants.
-    fn random_neighbor<R: Rng>(&self, x: &Candidate, rng: &mut R) -> Option<Candidate> {
-        let n = x.groups.len();
-        if self.cfg.flip_only_moves {
-            return Some(x.flip(rng.gen_range(0..n)));
-        }
-        match rng.gen_range(0..5u8) {
-            0 => Some(x.flip(rng.gen_range(0..n))),
-            1 => {
-                let idx = rng.gen_range(0..n);
-                let r = rng.gen_range(0.2..0.8);
-                x.split(self.cluster, idx, r, rng)
-            }
-            2 => {
-                if n < 3 {
-                    return None;
-                }
-                let a = rng.gen_range(0..n);
-                let b = rng.gen_range(0..n);
-                x.merge(a, b, rng)
-            }
-            3 => {
-                if n < 2 {
-                    return None;
-                }
-                let a = rng.gen_range(0..n);
-                let b = rng.gen_range(0..n);
-                x.move_gpus(self.cluster, a, b, rng)
-            }
-            _ => {
-                let gi = rng.gen_range(0..n);
-                let m = self.models[rng.gen_range(0..self.models.len())].id;
-                x.reassign_model(gi, m)
-            }
-        }
+    fn neighbor<R: Rng>(&self, x: &Candidate, rng: &mut R) -> Option<Candidate> {
+        random_move(self.cluster, self.cfg, self.models, x, rng)
     }
 
-    /// The structural gate: every tenant keeps at least one replica of each
-    /// phase, and every group serves a catalog model whose weights it holds.
+    fn key(&self, c: &Candidate) -> u64 {
+        c.canonical_hash()
+    }
+
+    /// Every tenant keeps at least one replica of each phase, and every
+    /// group serves a catalog model whose weights it can hold.
     fn admissible(&self, c: &Candidate) -> bool {
-        let ids: Vec<ModelId> = self.models.iter().map(|m| m.id).collect();
+        let ids: Vec<_> = self.models.iter().map(|m| m.id).collect();
         c.has_both_phases_for(&ids)
             && c.groups.iter().all(|g| {
-                self.served(g.model).is_some_and(|m| {
+                self.served(g).is_some_and(|(m, _)| {
                     memory_feasible(self.cluster, &m.spec, &g.gpus, &self.cfg.params)
                 })
             })
     }
 
-    /// Lower-level evaluation: per-group parallel-config deduction under
-    /// that group's model, then one transportation problem per model with a
-    /// traffic-share claim on the shared uplinks. The score is
-    /// `Σ share_m · attainment_m` (plus the affinity tie-breaker).
-    fn evaluate_uncached(&self, c: &Candidate) -> EvalOutcome {
-        const PRUNED: EvalOutcome = EvalOutcome {
-            counted: false,
-            result: None,
-        };
-        const INFEASIBLE: EvalOutcome = EvalOutcome {
-            counted: true,
-            result: None,
-        };
-        if !self.admissible(c) {
-            return PRUNED;
-        }
-        let mut specs = Vec::with_capacity(c.groups.len());
-        for (gi, g) in c.groups.iter().enumerate() {
-            let m = self.served(g.model).expect("gated above");
-            let w = &self.workloads[self.models.iter().position(|s| s.id == g.model).unwrap()];
-            // `group_hash` covers the model id, so one cache serves all
-            // tenants without collisions.
-            let spec = self.group_cache.get_or_insert_with(g.group_hash(), || {
-                deduce_parallel_config(self.cluster, &m.spec, &g.gpus, g.phase, w, self.cfg)
-                    .ok()
-                    .map(|s| s.with_model(g.model))
-            });
-            match spec {
-                Some(s) => specs.push((gi, s)),
-                None => return INFEASIBLE,
-            }
-        }
+    /// Per-group parallel-config deduction under that group's model, then
+    /// one transportation problem per model with a traffic-share claim on
+    /// the shared uplinks. The objective is `Σ share_m · attainment_m`
+    /// (plus the affinity tie-breaker, share-weighted alike).
+    fn evaluate(&self, c: &Candidate, groups: &GroupCache) -> Option<(f64, OrchestratedPlan)> {
+        let specs = c
+            .groups
+            .iter()
+            .map(|g| {
+                let (m, w) = self.served(g)?;
+                // `group_hash` covers the model id, so one cache serves all
+                // tenants without collisions.
+                groups.get_or_insert_with(g.group_hash(), || {
+                    deduce_parallel_config(self.cluster, &m.spec, &g.gpus, g.phase, w, self.cfg)
+                        .ok()
+                        .map(|s| s.with_model(g.model))
+                })
+            })
+            .collect::<Option<Vec<_>>>()?;
         let mut score = 0.0f64;
         let mut affinity = 0.0f64;
         let mut all_groups: Vec<GroupSpec> = Vec::new();
         let mut per_model: Vec<ModelRouting> = Vec::new();
         for (m, w) in self.models.iter().zip(self.workloads) {
-            let groups_m: Vec<GroupSpec> = specs
-                .iter()
-                .filter(|(gi, _)| c.groups[*gi].model == m.id)
-                .map(|(_, s)| s.clone())
-                .collect();
+            let groups_m: Vec<GroupSpec> =
+                specs.iter().filter(|s| s.model == m.id).cloned().collect();
             affinity += m.traffic_share * phase_affinity(self.cluster, &groups_m);
-            match orchestrate_with_link_share(
+            let op = orchestrate_with_link_share(
                 self.cluster,
                 &m.spec,
                 groups_m.clone(),
@@ -975,41 +625,229 @@ impl<'a> MultiTabuSearch<'a> {
                 &m.slo,
                 self.cfg,
                 m.traffic_share,
-            ) {
-                Ok(op) => {
-                    score += m.traffic_share * op.score;
-                    per_model.push(ModelRouting {
-                        model: m.id,
-                        routing: op.plan.routing.clone(),
-                        share: m.traffic_share,
-                    });
-                    all_groups.extend(groups_m);
-                }
-                Err(_) => return INFEASIBLE,
-            }
+            )
+            .ok()?;
+            score += m.traffic_share * op.score;
+            per_model.push(ModelRouting {
+                model: m.id,
+                routing: op.plan.routing,
+                share: m.traffic_share,
+            });
+            all_groups.extend(groups_m);
         }
-        match DeploymentPlan::new_multi(all_groups, per_model) {
-            Ok(plan) => {
-                let bonus = if self.cfg.disable_affinity_tiebreak {
-                    0.0
-                } else {
-                    1e-4 * affinity
-                };
-                EvalOutcome {
-                    counted: true,
-                    result: Some((score + bonus, OrchestratedPlan { plan, score })),
-                }
+        let plan = DeploymentPlan::new_multi(all_groups, per_model).ok()?;
+        Some((
+            score + affinity_bonus(self.cfg, affinity),
+            OrchestratedPlan { plan, score },
+        ))
+    }
+}
+
+/// Lightweight rescheduling's space: the groups and their parallel
+/// configurations are frozen; only phases flip.
+struct Flips<'a> {
+    cluster: &'a Cluster,
+    model: &'a ModelSpec,
+    groups: Vec<GroupSpec>,
+    workload: &'a WorkloadSpec,
+    slo: &'a SloSpec,
+    cfg: &'a SchedulerConfig,
+}
+
+impl Space for Flips<'_> {
+    type Point = Vec<GroupSpec>;
+    // Orchestration is a deterministic function of the designation, since
+    // the groups are frozen.
+    type Key = Vec<Phase>;
+
+    /// The given groups, with both phases guaranteed.
+    fn seed(&self) -> Result<Vec<GroupSpec>> {
+        let mut groups = self.groups.clone();
+        let mut phases: Vec<Phase> = groups.iter().map(|g| g.phase).collect();
+        ensure_both_phases(&mut phases);
+        for (g, p) in groups.iter_mut().zip(phases) {
+            g.phase = p;
+        }
+        Ok(groups)
+    }
+
+    fn neighbor<R: Rng>(&self, x: &Vec<GroupSpec>, rng: &mut R) -> Option<Vec<GroupSpec>> {
+        let idx = rng.gen_range(0..x.len());
+        let mut n = x.clone();
+        n[idx] = n[idx].flipped();
+        Some(n)
+    }
+
+    fn key(&self, groups: &Vec<GroupSpec>) -> Vec<Phase> {
+        groups.iter().map(|g| g.phase).collect()
+    }
+
+    fn admissible(&self, groups: &Vec<GroupSpec>) -> bool {
+        has_both_phases(groups)
+    }
+
+    fn evaluate(&self, groups: &Vec<GroupSpec>, _: &GroupCache) -> Option<(f64, OrchestratedPlan)> {
+        score_groups(
+            self.cluster,
+            self.model,
+            groups.clone(),
+            self.workload,
+            self.slo,
+            self.cfg,
+        )
+    }
+}
+
+/// The single-model evaluation rule: orchestrate the groups, then add the
+/// hardware-affinity tie-breaker to the attainment.
+fn score_groups(
+    cluster: &Cluster,
+    model: &ModelSpec,
+    specs: Vec<GroupSpec>,
+    workload: &WorkloadSpec,
+    slo: &SloSpec,
+    cfg: &SchedulerConfig,
+) -> Option<(f64, OrchestratedPlan)> {
+    let affinity = phase_affinity(cluster, &specs);
+    let op = orchestrate(cluster, model, specs, workload, slo, cfg).ok()?;
+    Some((op.score + affinity_bonus(cfg, affinity), op))
+}
+
+/// The hardware-affinity tie-breaker (§5.3): negligible against any real
+/// attainment difference, decisive on plateaus.
+fn affinity_bonus(cfg: &SchedulerConfig, affinity: f64) -> f64 {
+    if cfg.disable_affinity_tiebreak {
+        0.0
+    } else {
+        1e-4 * affinity
+    }
+}
+
+/// One random neighbour via the four §3.2 moves — flip, split, merge,
+/// move — plus "reassign-model" when `models` lists a catalog; flip only
+/// under the `flip_only_moves` ablation. Cross-model merges are refused by
+/// [`Candidate::merge`] itself.
+fn random_move<R: Rng>(
+    cluster: &Cluster,
+    cfg: &SchedulerConfig,
+    models: &[ServedModel],
+    x: &Candidate,
+    rng: &mut R,
+) -> Option<Candidate> {
+    let n = x.groups.len();
+    if cfg.flip_only_moves {
+        return Some(x.flip(rng.gen_range(0..n)));
+    }
+    let moves: u8 = if models.is_empty() { 4 } else { 5 };
+    match rng.gen_range(0..moves) {
+        0 => Some(x.flip(rng.gen_range(0..n))),
+        1 => {
+            let idx = rng.gen_range(0..n);
+            let r = rng.gen_range(0.2..0.8);
+            x.split(cluster, idx, r, rng)
+        }
+        2 => {
+            if n < 3 {
+                // merging below 2 groups can never host both phases
+                return None;
             }
-            Err(_) => INFEASIBLE,
+            let a = rng.gen_range(0..n);
+            let b = rng.gen_range(0..n);
+            x.merge(a, b, rng)
+        }
+        3 => {
+            if n < 2 {
+                return None;
+            }
+            let a = rng.gen_range(0..n);
+            let b = rng.gen_range(0..n);
+            x.move_gpus(cluster, a, b, rng)
+        }
+        _ => {
+            let gi = rng.gen_range(0..n);
+            let m = models[rng.gen_range(0..models.len())].id;
+            x.reassign_model(gi, m)
         }
     }
+}
+
+/// A GPU's memory usable under the configured utilisation cap.
+fn usable_bytes(cluster: &Cluster, g: GpuId, cfg: &SchedulerConfig) -> u64 {
+    (cluster.gpu(g).spec().memory_bytes as f64 * cfg.params.mem_util) as u64
+}
+
+/// Memory budgeted per replica by the seeds: the weights plus ~25% KV
+/// headroom (matching the layer partitioner's cap), so seeds start
+/// feasible.
+fn replica_budget(model: &ModelSpec) -> u64 {
+    (model.weight_bytes() as f64 * 4.0 / 3.0) as u64
+}
+
+/// Merges each cluster that cannot hold `model` with KV headroom into its
+/// successor, until all fit or only two clusters remain.
+fn merge_infeasible(
+    cluster: &Cluster,
+    model: &ModelSpec,
+    cfg: &SchedulerConfig,
+    mut clusters: Vec<Vec<GpuId>>,
+) -> Vec<Vec<GpuId>> {
+    loop {
+        let mut merged = false;
+        let mut i = 0;
+        while i < clusters.len() && clusters.len() > 2 {
+            if memory_feasible_with_headroom(cluster, model, &clusters[i], &cfg.params, 4.0 / 3.0) {
+                i += 1;
+            } else {
+                let take = clusters.remove(i);
+                let j = i % clusters.len();
+                clusters[j].extend(take);
+                merged = true;
+            }
+        }
+        if !merged {
+            return clusters;
+        }
+    }
+}
+
+/// A fair coin per group, with both phases guaranteed.
+fn designate<R: Rng>(n: usize, rng: &mut R) -> Vec<Phase> {
+    let mut phases: Vec<Phase> = (0..n)
+        .map(|_| {
+            if rng.gen_bool(0.5) {
+                Phase::Prefill
+            } else {
+                Phase::Decode
+            }
+        })
+        .collect();
+    ensure_both_phases(&mut phases);
+    phases
+}
+
+/// Turns the last of all-prefill phases to decode, or the first of
+/// all-decode phases to prefill.
+fn ensure_both_phases(phases: &mut [Phase]) {
+    if phases.iter().all(|&p| p == Phase::Prefill) {
+        if let Some(last) = phases.last_mut() {
+            *last = Phase::Decode;
+        }
+    } else if phases.iter().all(|&p| p == Phase::Decode) {
+        phases[0] = Phase::Prefill;
+    }
+}
+
+/// Whether both phases are represented among `groups`.
+pub(crate) fn has_both_phases(groups: &[GroupSpec]) -> bool {
+    groups.iter().any(|g| g.phase == Phase::Prefill)
+        && groups.iter().any(|g| g.phase == Phase::Decode)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use ts_cluster::presets;
-    use ts_common::{ModelSpec, SimDuration};
+    use ts_common::{ModelId, ModelSpec, SimDuration};
     use ts_workload::spec;
 
     fn slo() -> SloSpec {
@@ -1028,8 +866,7 @@ mod tests {
         let s = slo();
         let mut cfg = SchedulerConfig::fast();
         cfg.seed = 1;
-        let ts = TabuSearch::new(&cluster, &model, &w, &s, &cfg);
-        let r = ts.search().unwrap();
+        let r = schedule(&cluster, &model, &w, &s, &cfg).unwrap();
         assert!(r.best.score > 0.0);
         assert!(r.best.plan.phase_ratio().0 >= 1);
         assert!(r.best.plan.phase_ratio().1 >= 1);
@@ -1052,9 +889,7 @@ mod tests {
             search_trace: false,
             ..cfg.clone()
         };
-        let traced = TabuSearch::new(&cluster, &model, &w, &s, &cfg)
-            .search()
-            .unwrap();
+        let traced = schedule(&cluster, &model, &w, &s, &cfg).unwrap();
         let tr = traced.search_trace.as_ref().expect("trace requested");
         assert_eq!(tr.steps.len(), cfg.n_step);
         assert_eq!(tr.total_generated(), traced.neighbors_generated);
@@ -1078,9 +913,7 @@ mod tests {
         }
         // Introspection observes: the search result is bit-identical to an
         // untraced run.
-        let plain = TabuSearch::new(&cluster, &model, &w, &s, &plain_cfg)
-            .search()
-            .unwrap();
+        let plain = schedule(&cluster, &model, &w, &s, &plain_cfg).unwrap();
         assert_eq!(traced.best.plan, plain.best.plan);
         assert_eq!(traced.best.score, plain.best.score);
         assert_eq!(traced.evaluations, plain.evaluations);
@@ -1095,8 +928,7 @@ mod tests {
         let s = slo();
         let mut cfg = SchedulerConfig::fast();
         cfg.seed = 3;
-        let ts = TabuSearch::new(&cluster, &model, &w, &s, &cfg);
-        let r = ts.search().unwrap();
+        let r = schedule(&cluster, &model, &w, &s, &cfg).unwrap();
         for w in r.trajectory.windows(2) {
             assert!(w[1].best_score >= w[0].best_score);
             assert!(w[1].elapsed >= w[0].elapsed);
@@ -1111,8 +943,10 @@ mod tests {
         let w = spec::coding(1.0);
         let s = slo();
         let cfg = SchedulerConfig::fast();
-        let ts = TabuSearch::new(&cluster, &model, &w, &s, &cfg);
-        assert!(matches!(ts.search(), Err(Error::Infeasible(_))));
+        assert!(matches!(
+            schedule(&cluster, &model, &w, &s, &cfg),
+            Err(Error::Infeasible(_))
+        ));
     }
 
     #[test]
@@ -1123,12 +957,8 @@ mod tests {
         let s = slo();
         let mut cfg = SchedulerConfig::fast();
         cfg.seed = 5;
-        let r1 = TabuSearch::new(&cluster, &model, &w, &s, &cfg)
-            .search()
-            .unwrap();
-        let r2 = TabuSearch::new(&cluster, &model, &w, &s, &cfg)
-            .search()
-            .unwrap();
+        let r1 = schedule(&cluster, &model, &w, &s, &cfg).unwrap();
+        let r2 = schedule(&cluster, &model, &w, &s, &cfg).unwrap();
         assert_eq!(r1.best.plan, r2.best.plan);
         assert_eq!(r1.best.score, r2.best.score);
     }
@@ -1147,9 +977,7 @@ mod tests {
         let workloads = vec![spec::conversation(2.0), spec::coding(1.0)];
         let mut cfg = SchedulerConfig::fast();
         cfg.seed = 7;
-        let r = MultiTabuSearch::new(&cluster, &models, &workloads, &cfg)
-            .search()
-            .unwrap();
+        let r = schedule_multi(&cluster, &models, &workloads, &cfg).unwrap();
         let plan = &r.best.plan;
         assert!(plan.is_multi_model());
         assert_eq!(plan.models(), vec![ModelId(1), ModelId(2)]);
@@ -1172,12 +1000,8 @@ mod tests {
         let workloads = vec![spec::conversation(2.0), spec::coding(1.0)];
         let mut cfg = SchedulerConfig::fast();
         cfg.seed = 9;
-        let r1 = MultiTabuSearch::new(&cluster, &models, &workloads, &cfg)
-            .search()
-            .unwrap();
-        let r2 = MultiTabuSearch::new(&cluster, &models, &workloads, &cfg)
-            .search()
-            .unwrap();
+        let r1 = schedule_multi(&cluster, &models, &workloads, &cfg).unwrap();
+        let r2 = schedule_multi(&cluster, &models, &workloads, &cfg).unwrap();
         assert_eq!(r1.best.plan, r2.best.plan);
         assert_eq!(r1.best.score, r2.best.score);
     }
@@ -1190,13 +1014,13 @@ mod tests {
         // Shares not summing to 1.
         let short = vec![ServedModel::llama_7b_chat(ModelId(1), 0.5).unwrap()];
         assert!(matches!(
-            MultiTabuSearch::new(&cluster, &short, &w, &cfg).search(),
+            schedule_multi(&cluster, &short, &w, &cfg),
             Err(Error::InvalidConfig(_))
         ));
         // Catalog/workload length mismatch.
         let models = two_tenants();
         assert!(matches!(
-            MultiTabuSearch::new(&cluster, &models, &w, &cfg).search(),
+            schedule_multi(&cluster, &models, &w, &cfg),
             Err(Error::InvalidConfig(_))
         ));
     }
@@ -1209,7 +1033,7 @@ mod tests {
         let workloads = vec![spec::conversation(1.0), spec::coding(1.0)];
         let cfg = SchedulerConfig::fast();
         assert!(matches!(
-            MultiTabuSearch::new(&cluster, &models, &workloads, &cfg).search(),
+            schedule_multi(&cluster, &models, &workloads, &cfg),
             Err(Error::Infeasible(_))
         ));
     }
@@ -1223,8 +1047,7 @@ mod tests {
         let s = slo();
         let mut cfg = SchedulerConfig::fast();
         cfg.seed = 2;
-        let ts = TabuSearch::new(&cluster, &model, &w, &s, &cfg);
-        let r = ts.search().unwrap();
+        let r = schedule(&cluster, &model, &w, &s, &cfg).unwrap();
         for g in &r.best.plan.groups {
             for gpu in g.gpus() {
                 assert!(cluster.is_active(gpu), "plan uses failed GPU {gpu}");

@@ -117,7 +117,8 @@ fn run_matrix() -> String {
         &spec::conversation(2.0),
         cfg(3),
     );
-    let ablations: [(&str, fn(&mut SchedulerConfig)); 3] = [
+    type Ablation = (&'static str, fn(&mut SchedulerConfig));
+    let ablations: [Ablation; 3] = [
         ("flip_only_moves", |c| c.flip_only_moves = true),
         ("random_init", |c| c.random_init = true),
         ("disable_affinity_tiebreak", |c| {
