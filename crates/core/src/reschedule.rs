@@ -582,6 +582,64 @@ mod tests {
         );
     }
 
+    /// The best score any step's winner reached, tie-breaker included.
+    fn top_winner(out: &RescheduleOutcome) -> f64 {
+        let trace = out.search_trace.as_ref().expect("trace requested");
+        trace
+            .steps
+            .iter()
+            .filter_map(|r| r.winner_score)
+            .fold(f64::NEG_INFINITY, f64::max)
+    }
+
+    #[test]
+    fn rescheduling_honours_disable_affinity_tiebreak() {
+        let (mut cluster, model, plan, mut cfg) = schedule_cloud();
+        cluster.deactivate_node(NodeId(6)).unwrap();
+        cfg.search_trace = true;
+        let w = spec::conversation(2.5);
+        let (fleet, fleet_model, fleet_plan) = elastic_fleet(&[0, 1, 2, 3]);
+        let mut grown = fleet.clone();
+        grown.activate_node(NodeId(4)).unwrap();
+        let delta = FleetDelta {
+            acquired: vec![NodeId(4)],
+            released: vec![],
+        };
+        for disable in [false, true] {
+            cfg.disable_affinity_tiebreak = disable;
+            let light = lightweight_reschedule(&cluster, &model, &plan, &w, &slo(), &cfg).unwrap();
+            let graft = fleet_reschedule(
+                &grown,
+                &fleet_model,
+                &fleet_plan,
+                &delta,
+                &spec::coding(2.0),
+                &slo(),
+                &cfg,
+                0.5,
+            )
+            .unwrap();
+            for out in [light, graft] {
+                // The walk's objective is the attainment plus the
+                // tie-breaker, or the attainment alone when it is off.
+                let top = top_winner(&out);
+                if disable {
+                    assert!(
+                        top <= out.estimated_attainment,
+                        "{top} vs {}",
+                        out.estimated_attainment
+                    );
+                } else {
+                    assert!(
+                        top > out.estimated_attainment,
+                        "{top} vs {}",
+                        out.estimated_attainment
+                    );
+                }
+            }
+        }
+    }
+
     #[test]
     fn fleet_delta_accounting() {
         let pool = presets::elastic_cloud_pool();
