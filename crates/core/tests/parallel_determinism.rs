@@ -1,14 +1,17 @@
 //! Parallel-vs-serial determinism of the two-level scheduler.
 //!
-//! The neighbourhood evaluation of the tabu search (and of lightweight
-//! rescheduling's flip-only variant) may run on any number of worker
-//! threads; the contract is that the thread count is invisible in every
-//! output: plans, scores, evaluation counts and the convergence trajectory
-//! must be bit-identical to the serial path for the same seed.
+//! The neighbourhood evaluation of the tabu walk — single-model and
+//! multi-model scheduling, lightweight and fleet rescheduling — may run on
+//! any number of worker threads; the contract is that the thread count is
+//! invisible in every output: plans, scores, evaluation counts, the
+//! convergence trajectory and the search-trace rows must be bit-identical
+//! to the serial path for the same seed.
 
+use thunderserve_core::reschedule::{fleet_reschedule, FleetDelta};
 use thunderserve_core::{lightweight_reschedule, Scheduler, SchedulerConfig};
 use ts_cluster::presets;
-use ts_common::{ModelSpec, NodeId, SimDuration, SloSpec};
+use ts_common::{ModelId, ModelSpec, NodeId, ServedModel, SimDuration, SloSpec};
+use ts_telemetry::{SearchStep, SearchTrace};
 use ts_workload::spec;
 
 fn slo() -> SloSpec {
@@ -142,6 +145,107 @@ fn lightweight_reschedule_is_bit_identical_across_thread_counts() {
             baseline.estimated_attainment.to_bits(),
             parallel.estimated_attainment.to_bits(),
             "reschedule score diverged with {threads} threads"
+        );
+        assert!(parallel.reload_time.is_zero());
+    }
+}
+
+/// Trace rows without their wall clock, the one column allowed to vary.
+fn rows(trace: Option<&SearchTrace>) -> Vec<SearchStep> {
+    let trace = trace.expect("trace requested");
+    trace
+        .steps
+        .iter()
+        .map(|r| SearchStep { wall_s: 0.0, ..*r })
+        .collect()
+}
+
+#[test]
+fn schedule_multi_is_bit_identical_across_thread_counts() {
+    let cluster = presets::a5000_cluster(12);
+    let catalog = [
+        ServedModel::llama_7b_chat(ModelId(1), 0.6).unwrap(),
+        ServedModel::llama_13b_chat(ModelId(2), 0.4).unwrap(),
+    ];
+    let workloads = [spec::conversation(2.0), spec::coding(1.0)];
+    let run = |threads: usize| {
+        let mut cfg = cfg_with_threads(7, threads);
+        cfg.search_trace = true;
+        Scheduler::new(cfg)
+            .schedule_multi(&cluster, &catalog, &workloads)
+            .unwrap()
+    };
+    let baseline = run(1);
+    for threads in [2usize, 8] {
+        let parallel = run(threads);
+        let (b, p) = (&baseline.schedule, &parallel.schedule);
+        assert_eq!(b.plan, p.plan, "plan diverged with {threads} threads");
+        assert_eq!(
+            b.estimated_attainment.to_bits(),
+            p.estimated_attainment.to_bits(),
+            "score diverged with {threads} threads"
+        );
+        assert_eq!(b.evaluations, p.evaluations);
+        assert_eq!(b.neighbors_generated, p.neighbors_generated);
+        assert_eq!(b.trajectory.len(), p.trajectory.len());
+        for (x, y) in b.trajectory.iter().zip(&p.trajectory) {
+            assert_eq!(x.best_score.to_bits(), y.best_score.to_bits());
+        }
+        assert_eq!(
+            rows(b.search_trace.as_ref()),
+            rows(p.search_trace.as_ref()),
+            "search trace diverged with {threads} threads"
+        );
+        for (x, y) in baseline.per_model.iter().zip(&parallel.per_model) {
+            assert_eq!(x.model, y.model);
+            assert_eq!(
+                x.estimated_attainment.to_bits(),
+                y.estimated_attainment.to_bits()
+            );
+        }
+    }
+}
+
+#[test]
+fn fleet_reschedule_is_bit_identical_across_thread_counts() {
+    // A plan on four nodes of the elastic pool, then a fifth node grafted.
+    let mut pool = presets::elastic_cloud_pool().cluster;
+    for n in 4..pool.num_nodes() {
+        pool.deactivate_node(NodeId(n as u32)).unwrap();
+    }
+    let model = ModelSpec::llama_30b();
+    let w = spec::coding(2.0);
+    let s = slo();
+    let plan = Scheduler::new(cfg_with_threads(29, 1))
+        .schedule(&pool, &model, &w, &s)
+        .unwrap()
+        .plan;
+    pool.activate_node(NodeId(4)).unwrap();
+    let delta = FleetDelta {
+        acquired: vec![NodeId(4)],
+        released: vec![],
+    };
+    let run = |threads: usize| {
+        let mut cfg = cfg_with_threads(29, threads);
+        cfg.search_trace = true;
+        fleet_reschedule(&pool, &model, &plan, &delta, &w, &s, &cfg, 0.5).unwrap()
+    };
+    let baseline = run(1);
+    for threads in [2usize, 8] {
+        let parallel = run(threads);
+        assert_eq!(
+            baseline.plan, parallel.plan,
+            "fleet plan diverged with {threads} threads"
+        );
+        assert_eq!(
+            baseline.estimated_attainment.to_bits(),
+            parallel.estimated_attainment.to_bits(),
+            "fleet score diverged with {threads} threads"
+        );
+        assert_eq!(
+            rows(baseline.search_trace.as_ref()),
+            rows(parallel.search_trace.as_ref()),
+            "fleet search trace diverged with {threads} threads"
         );
         assert!(parallel.reload_time.is_zero());
     }
