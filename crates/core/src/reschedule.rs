@@ -3,9 +3,16 @@
 //! When the workload shifts or GPUs fail, the deployment plan must adapt.
 //! *Full* rescheduling reruns the whole two-level search and reloads model
 //! weights (minutes of service interruption); *lightweight* rescheduling
-//! keeps group construction and parallel configurations frozen, explores
-//! only phase flips with a reduced tabu search, and re-solves orchestration
-//! — no parameter movement, so the adjustment is effectively free.
+//! keeps group construction and parallel configurations frozen and
+//! explores only phase flips, re-solving orchestration for each — no
+//! parameter movement, so the adjustment is effectively free.
+//! [`fleet_reschedule`] does the same after editing the groups for a
+//! deliberate fleet change.
+//!
+//! The flip search is the scheduler's own tabu walk ([`mod@crate::tabu`])
+//! over a flip-only space: at most 40 steps, evaluated by the same rule as
+//! the full search (including `disable_affinity_tiebreak`). The outcome is
+//! the best plan the walk evaluated.
 
 use crate::config::SchedulerConfig;
 use crate::parallel::deduce_parallel_config;
