@@ -589,16 +589,6 @@ mod tests {
         );
     }
 
-    /// The best score any step's winner reached, tie-breaker included.
-    fn top_winner(out: &RescheduleOutcome) -> f64 {
-        let trace = out.search_trace.as_ref().expect("trace requested");
-        trace
-            .steps
-            .iter()
-            .filter_map(|r| r.winner_score)
-            .fold(f64::NEG_INFINITY, f64::max)
-    }
-
     #[test]
     fn rescheduling_honours_disable_affinity_tiebreak() {
         let (mut cluster, model, plan, mut cfg) = schedule_cloud();
@@ -629,7 +619,12 @@ mod tests {
             for out in [light, graft] {
                 // The walk's objective is the attainment plus the
                 // tie-breaker, or the attainment alone when it is off.
-                let top = top_winner(&out);
+                let trace = out.search_trace.as_ref().expect("trace requested");
+                let top = trace
+                    .steps
+                    .iter()
+                    .filter_map(|r| r.winner_score)
+                    .fold(f64::NEG_INFINITY, f64::max);
                 if disable {
                     assert!(
                         top <= out.estimated_attainment,

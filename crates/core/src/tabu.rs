@@ -239,9 +239,9 @@ fn walk<S: Space>(
                 let (k, p) = drawn.swap_remove(i);
                 if score > best_score {
                     best_score = score;
-                    // Unreachable by construction: a cached score never
-                    // exceeds the running best. Recompute defensively
-                    // rather than lose the plan.
+                    // A cached score never exceeds the running best, so a
+                    // new best is fresh; recompute defensively rather than
+                    // lose the plan.
                     best_plan = fresh
                         .remove(&k)
                         .or_else(|| space.evaluate(&p, &groups).map(|(_, plan)| plan));
