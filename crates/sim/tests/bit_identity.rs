@@ -325,6 +325,38 @@ fn gray_script() -> FaultScript {
     )
 }
 
+/// 4×A5000, four tp=1 colocated replicas.
+fn colo_groups() -> (ts_cluster::Cluster, Vec<GroupSpec>) {
+    let layers = ModelSpec::llama_7b().num_layers;
+    let groups = (0..4)
+        .map(|g| tp1_group(Phase::Prefill, g, layers))
+        .collect();
+    (presets::a5000_cluster(4), groups)
+}
+
+/// A colocated replica dies and heals, then the service pauses.
+fn colo_crash_script() -> FaultScript {
+    FaultScript::new(
+        vec![
+            TimedFault {
+                at: SimTime::from_secs_f64(1.0),
+                kind: FaultKind::PrefillDown(0),
+            },
+            TimedFault {
+                at: SimTime::from_secs_f64(3.0),
+                kind: FaultKind::PrefillUp(0),
+            },
+            TimedFault {
+                at: SimTime::from_secs_f64(4.0),
+                kind: FaultKind::Pause {
+                    until: SimTime::from_secs_f64(4.8),
+                },
+            },
+        ],
+        SimDuration::from_millis(50),
+    )
+}
+
 fn gray_cfg(model: ModelSpec) -> SimConfig {
     SimConfig::new(model)
         .with_quarantine(Quarantine {
@@ -516,10 +548,7 @@ fn run_matrix(edit: &dyn Fn(SimConfig) -> SimConfig) -> String {
 
     // -- colocated engine ------------------------------------------------
     let model = llama7();
-    let cluster = presets::a5000_cluster(4);
-    let groups: Vec<GroupSpec> = (0..4)
-        .map(|g| tp1_group(Phase::Prefill, g, model.num_layers))
-        .collect();
+    let (cluster, groups) = colo_groups();
     let reqs = mixed_requests(300, 10_000, 9);
     let mut sim =
         Simulation::colocated(&cluster, &groups, edit(SimConfig::new(model.clone()))).unwrap();
@@ -536,29 +565,10 @@ fn run_matrix(edit: &dyn Fn(SimConfig) -> SimConfig) -> String {
     .unwrap();
     digest("colo_chunked", &sim.run(&reqs).unwrap(), &mut out);
 
-    let script = FaultScript::new(
-        vec![
-            TimedFault {
-                at: SimTime::from_secs_f64(1.0),
-                kind: FaultKind::PrefillDown(0),
-            },
-            TimedFault {
-                at: SimTime::from_secs_f64(3.0),
-                kind: FaultKind::PrefillUp(0),
-            },
-            TimedFault {
-                at: SimTime::from_secs_f64(4.0),
-                kind: FaultKind::Pause {
-                    until: SimTime::from_secs_f64(4.8),
-                },
-            },
-        ],
-        SimDuration::from_millis(50),
-    );
     let mut sim = Simulation::colocated(&cluster, &groups, edit(SimConfig::new(model))).unwrap();
     digest(
         "colo_crash",
-        &sim.run_with_faults(&mixed_requests(300, 20_000, 10), &script)
+        &sim.run_with_faults(&mixed_requests(300, 20_000, 10), &colo_crash_script())
             .unwrap(),
         &mut out,
     );
@@ -685,15 +695,85 @@ fn streaming_with_coalescing_off_matches_the_same_golden() {
     );
 }
 
-/// The fabric signals completions through one cancellable timer, so the
-/// `split_contention` arm dispatches an exact, small number of events: its
-/// arrivals, prefill, decode and transfer events, and one timer firing
-/// per flow completion.
+/// Dispatched event counts, pinned per arm of the matrix. The digests
+/// cannot see a wakeup event added or dropped without changing a metric;
+/// these counts can. In `split_contention` the fabric signals completions
+/// through one cancellable timer, so it dispatches its arrivals, prefill,
+/// decode and transfer events, and one timer firing per flow completion.
 #[test]
-fn fabric_run_dispatches_a_pinned_event_count() {
-    let (cluster, plan) = split_plan_8();
-    let cfg = SimConfig::new(ModelSpec::llama_7b()).with_network_contention(true);
-    let mut sim = Simulation::new(&cluster, &plan, cfg).unwrap();
-    sim.run(&mixed_requests(250, 8_000, 5)).unwrap();
-    assert_eq!(sim.events_processed(), 797);
+fn runs_dispatch_pinned_event_counts() {
+    let eight = split_plan_8();
+    let split = |cfg: SimConfig, reqs: &[Request], script: &FaultScript| {
+        let mut sim = Simulation::new(&eight.0, &eight.1, cfg).unwrap();
+        sim.run_with_faults(reqs, script).unwrap();
+        sim.events_processed()
+    };
+    let (cluster, groups) = colo_groups();
+    let colo = |cfg: SimConfig, reqs: &[Request], script: &FaultScript| {
+        let mut sim = Simulation::colocated(&cluster, &groups, cfg).unwrap();
+        sim.run_with_faults(reqs, script).unwrap();
+        sim.events_processed()
+    };
+    let llama7 = ModelSpec::llama_7b;
+    let none = FaultScript::none();
+    let chunked = PrefillPolicy::Chunked { chunk_tokens: 128 };
+    let got = [
+        (
+            "split_base",
+            split(
+                SimConfig::new(llama7()),
+                &mixed_requests(400, 12_000, 1),
+                &none,
+            ),
+        ),
+        (
+            "split_contention",
+            split(
+                SimConfig::new(llama7()).with_network_contention(true),
+                &mixed_requests(250, 8_000, 5),
+                &none,
+            ),
+        ),
+        (
+            "split_gray",
+            split(
+                gray_cfg(llama7()),
+                &mixed_requests(400, 25_000, 7),
+                &gray_script(),
+            ),
+        ),
+        (
+            "colo_base",
+            colo(
+                SimConfig::new(llama7()),
+                &mixed_requests(300, 10_000, 9),
+                &none,
+            ),
+        ),
+        (
+            "colo_chunked",
+            colo(
+                SimConfig::new(llama7()).with_prefill_policy(chunked),
+                &mixed_requests(300, 10_000, 9),
+                &none,
+            ),
+        ),
+        (
+            "colo_crash",
+            colo(
+                SimConfig::new(llama7()),
+                &mixed_requests(300, 20_000, 10),
+                &colo_crash_script(),
+            ),
+        ),
+    ];
+    let pinned = [
+        ("split_base", 1276),
+        ("split_contention", 797),
+        ("split_gray", 8960),
+        ("colo_base", 900),
+        ("colo_chunked", 2562),
+        ("colo_crash", 869),
+    ];
+    assert_eq!(got, pinned);
 }
