@@ -95,20 +95,25 @@ impl Simulation {
 
     /// Runs the trace to completion and returns the metrics.
     ///
+    /// A simulation runs once: its clock, executors and queues end where
+    /// the run left them. Build a new simulation for another run.
+    ///
     /// # Errors
     /// Returns [`ts_common::Error::Simulation`] if internal invariants are
-    /// violated.
+    /// violated or if this simulation has already run.
     pub fn run(&mut self, requests: &[Request]) -> Result<Metrics> {
         self.run_with_faults(requests, &FaultScript::none())
     }
 
     /// Runs the trace with mid-flight fault injection. With an empty script
-    /// this is exactly [`Simulation::run`].
+    /// this is exactly [`Simulation::run`], and like it runs once per
+    /// simulation.
     ///
     /// # Errors
     /// Returns [`ts_common::Error::InvalidConfig`] for out-of-range replica
     /// indices in the script (and link faults on a colocated simulation),
-    /// and [`ts_common::Error::Simulation`] on invariant violations.
+    /// and [`ts_common::Error::Simulation`] on invariant violations or if
+    /// this simulation has already run.
     pub fn run_with_faults(
         &mut self,
         requests: &[Request],
@@ -147,24 +152,21 @@ impl Simulation {
         self.driver.take_pressure()
     }
 
-    /// Total number of discrete events dispatched so far (across every run
-    /// on this simulation). The benchmark harness divides by wall time for
-    /// an events/sec figure.
+    /// Total number of discrete events dispatched so far. The benchmark
+    /// harness divides by wall time for an events/sec figure.
     pub fn events_processed(&self) -> u64 {
         self.driver.events_processed()
     }
 
-    /// The KV flow fabric's reallocation work so far (across every run on
-    /// this simulation): changes, flows visited, filling rounds and cells
-    /// scanned. `None` unless this is a phase-split simulation with
+    /// The KV flow fabric's reallocation work so far: changes, flows
+    /// visited, filling rounds and cells scanned. `None` unless this is a phase-split simulation with
     /// [`crate::config::KvTransfer::Fabric`].
     pub fn fabric_work(&self) -> Option<ts_net::FabricWork> {
         self.driver.fabric_work()
     }
 
-    /// The decode planner's work so far (across every run on this
-    /// simulation): runs planned and re-planned, step times priced and
-    /// step boundaries crossed. Zero for colocated simulations, whose
+    /// The decode planner's work so far: runs planned and re-planned, step
+    /// times priced and step boundaries crossed. Zero for colocated simulations, whose
     /// replicas step one event at a time.
     pub fn decode_work(&self) -> crate::exec::DecodeWork {
         self.driver.decode_work()
@@ -324,6 +326,22 @@ mod tests {
         let e4 = m4.mean_latency(SloKind::E2e).unwrap();
         let e16 = m16.mean_latency(SloKind::E2e).unwrap();
         assert!(e4 < e16, "4-bit {e4} should beat fp16 {e16}");
+    }
+
+    #[test]
+    fn a_second_run_is_refused() {
+        let (cluster, plan, cfg) = testbed(presets::ETH_40GBPS);
+        let reqs = generate(&spec::coding(0.5), ts_common::SimDuration::from_secs(10), 1);
+        let mut sim = Simulation::new(&cluster, &plan, cfg.clone()).unwrap();
+        sim.run(&reqs).unwrap();
+        let err = sim.run(&reqs).unwrap_err();
+        assert!(matches!(err, ts_common::Error::Simulation(_)), "{err:?}");
+        let mut colo = Simulation::colocated(&cluster, &plan.groups, cfg).unwrap();
+        colo.run_with_faults(&reqs, &FaultScript::none()).unwrap();
+        let err = colo
+            .run_with_faults(&reqs, &FaultScript::none())
+            .unwrap_err();
+        assert!(matches!(err, ts_common::Error::Simulation(_)), "{err:?}");
     }
 
     #[test]

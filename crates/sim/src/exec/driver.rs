@@ -190,6 +190,9 @@ pub(crate) struct Core {
     admit_buf: Vec<AdmitOutcome>,
     /// Recycled buffer for the sequences one decode step finishes.
     finished_buf: Vec<(SlabKey, SimDuration)>,
+    /// Whether a run has started; the clock, executors and queues are not
+    /// reset, so a second run is refused.
+    ran: bool,
 }
 
 /// Per-host gray-failure bookkeeping: flaky-heartbeat masking, straggler
@@ -470,12 +473,18 @@ impl Driver {
     }
 
     /// Runs the trace with mid-flight fault injection. With an empty
-    /// script this is a plain (fault-free) run.
+    /// script this is a plain (fault-free) run. A driver runs once: a
+    /// second call returns [`Error::Simulation`].
     pub fn run_with_faults(
         &mut self,
         requests: &[Request],
         script: &FaultScript,
     ) -> Result<Metrics> {
+        if self.core.ran {
+            return Err(Error::Simulation(
+                "a simulation runs once; build a new one for another run".into(),
+            ));
+        }
         self.validate_script(script)?;
         if let Some(r) = requests
             .iter()
@@ -486,6 +495,7 @@ impl Driver {
                 r.id, r.model
             )));
         }
+        self.core.ran = true;
         self.core.faults = script.faults.clone();
         self.core.recovery_enabled = script.recovery;
         self.core.gray.beat_period = script.detection_delay;
@@ -1251,6 +1261,7 @@ impl Core {
             held_decode: Vec::new(),
             admit_buf: Vec::new(),
             finished_buf: Vec::new(),
+            ran: false,
         }
     }
 

@@ -66,7 +66,7 @@ impl DrainedWork {
     }
 }
 
-/// Decode-planner work counters of a simulation (across every run on it).
+/// Decode-planner work counters of a simulation.
 ///
 /// Machine-independent: a change to the planner shows up here exactly. The
 /// crossed count does not depend on how boundaries are priced, so it pins

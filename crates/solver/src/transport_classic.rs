@@ -150,7 +150,7 @@ pub fn solve_balanced(
     Err(Error::SolverFailed("MODI pivot limit exceeded".into()))
 }
 
-/// Solves `u_i + v_j = c_ij` over the basis tree (u[0] = 0).
+/// Solves `u_i + v_j = c_ij` over the basis tree (`u[0] = 0`).
 fn potentials(
     costs: &[Vec<f64>],
     basis: &[Vec<bool>],
