@@ -46,7 +46,7 @@
 //! called by the run loop before each dispatch; setup-time pushes stamp
 //! zero). Handlers use it to decide whether a simultaneous rival event was
 //! scheduled before or after a coalesced event's virtual push time; see
-//! `exec::driver`.
+//! `exec::decode`.
 
 use ts_common::{SimTime, SlabKey};
 
@@ -106,7 +106,7 @@ pub enum EventKind {
     /// Decode replica `replica` finished one decode step — or, with decode
     /// coalescing, the final step of its planned multi-step run (the
     /// intermediate steps are materialized retroactively; see
-    /// `exec::driver`).
+    /// `exec::decode`).
     DecodeStepDone {
         /// Index into the engine's decode replica list.
         replica: usize,

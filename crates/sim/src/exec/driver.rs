@@ -7,18 +7,25 @@
 //! * [`Topology::Colocated`] — identical-role replicas serving both phases
 //!   (the vLLM/HexGen-style baselines).
 //!
-//! The driver owns everything topology-agnostic: the event queue, the
-//! routes (one [`StrideRouter`] per served model; see [`Route`]) and the
-//! believed host liveness that masks them, per-request bookkeeping, the
-//! admission/shed policy, and the whole fault layer (trigger → heartbeat
-//! detection → drain/requeue/re-prefill → recovery accounting). Topology
-//! state lives behind the enum and is only consulted where behaviour
-//! genuinely differs (KV transfer exists only under `Split`, behind
-//! `exec/kv.rs`; a work item serializes both phases only under
-//! `Colocated`). Fault handling is
-//! written once against the [`ReplicaExecutor`] trait, which is how the
-//! colocated baselines get fault injection and [`RecoveryCounters`] for
-//! free.
+//! This module owns the [`Core`] every layer reads — the event queue, the
+//! request slab, the routes (one [`StrideRouter`] per served model; see
+//! [`Route`]) and the believed host liveness that masks them, the shed
+//! policy and the run's accounting — plus the run loop, event dispatch,
+//! arrivals and routing. It also holds the replica steps both topologies
+//! take, each written once over the concrete executor fields: enqueueing
+//! a routed job, forming and pricing a prefill launch, booking a prefill's
+//! end, an admission pass and a decode step's finishes. The phase-split
+//! prefill and KV-delivery handlers live here too. The other layers own
+//! their state in sibling modules:
+//!
+//! * `decode` — decode plans and step coalescing on phase-split decode
+//!   replicas;
+//! * `colo` — the colocated work loop, which serializes both phases on one
+//!   replica;
+//! * `faults` — fault triggers, detection, recovery and the stall queue;
+//! * `gray` — flaky heartbeats, straggler quarantine and hedging, over
+//!   the private [`GrayState`];
+//! * `kv` — the KV transport between phase-split replicas.
 //!
 //! # Performance architecture
 //!
@@ -35,47 +42,31 @@
 //!   one. Arrivals won setup-time seqs under the old scheme (pushed first,
 //!   before fault events), so the merge breaks `at` ties in favour of
 //!   arrivals — bit-identical event order.
-//! * **Decode-step coalescing.** One [`EventKind::DecodeStepDone`] is
-//!   scheduled per planned decode *run* (a [`DecodePlan`]) instead of one
-//!   per step; intermediate step boundaries are materialized retroactively
-//!   (in bulk when telemetry is off) when an interrupt or the finish
-//!   boundary needs the batch state. Each step time is priced once per
-//!   replica, batch size and context into the replica's [`StepTables`]
-//!   prefix sums, so a plan is an O(1) description and any boundary costs
-//!   two lookups. The plan's *virtual push time* (`prev_boundary`, and
-//!   [`DecodePlan::vpush`] for the in-progress step)
-//!   reproduces the per-step schedule's `(at, seq, pushed_at)` ordering
-//!   against genuinely simultaneous rival events, so the coalesced loop
-//!   replays the exact same event interleaving the per-step loop would
-//!   have. The per-step path survives as a compatibility mode
-//!   ([`crate::config::SimConfig::decode_coalescing`] off, or straggler
-//!   quarantine on — the detector needs per-step samples).
+//! * **Decode-step coalescing.** One decode event is scheduled per planned
+//!   run instead of one per step (see the `decode` module).
 
+use super::colo::{self, ColoState};
+use super::decode;
 use super::executor::{
-    ColocatedExecutor, DecodeExecutor, DecodeWork, DrainedWork, PrefillExecutor, ReplicaExecutor,
-    Work,
+    ColocatedExecutor, DecodeExecutor, DecodeWork, PrefillExecutor, ReplicaExecutor,
 };
-#[cfg(doc)]
-use super::executor::{DecodePlan, StepTables};
+use super::gray::{self, observe_straggler, GrayState};
 use super::kv::{KvTransport, Transfer};
-use super::seq::{AdmitOutcome, Pending, PrefillJob, WaitingSeq};
-use crate::config::{PrefillPolicy, SimConfig, STRAGGLER_MIN_SAMPLES};
+use super::seq::{AdmitOutcome, BatchCore, Pending, PrefillJob, PrefillQueue, WaitingSeq};
+use crate::config::SimConfig;
 use crate::event::{Event, EventKind, EventQueue};
 use crate::fault::{FaultKind, FaultScript, TimedFault};
 use crate::metrics::{Metrics, ModelConservation, RecoveryCounters, RequestRecord};
 use crate::router::StrideRouter;
-use rand::rngs::StdRng;
-use rand::Rng;
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 use ts_cluster::Cluster;
 use ts_common::{
-    derive_seed, seeded_rng, DeploymentPlan, Error, GroupSpec, ModelId, Request, RequestId, Result,
-    SimDuration, SimTime, Slab, SlabKey,
+    DeploymentPlan, Error, GroupSpec, ModelId, Request, RequestId, Result, SimDuration, SimTime,
+    Slab, SlabKey,
 };
 use ts_costmodel::ReplicaCostModel;
 use ts_telemetry::{
-    HealthState, PressureTally, Recorder, Role, StreamingPlane, TraceEvent, TraceKind, TraceLog,
-    TraceSink,
+    PressureTally, Recorder, Role, StreamingPlane, TraceEvent, TraceKind, TraceLog, TraceSink,
 };
 
 /// All driver-side state of one in-flight request, slab-resident: the
@@ -112,12 +103,12 @@ pub(crate) struct Core {
     pub(super) cfg: SimConfig,
     /// One route per served model, in [`DeploymentPlan::models`] order (a
     /// single route for single-model plans and colocated drivers).
-    routes: Vec<Route>,
+    pub(super) routes: Vec<Route>,
     /// The coordinator's belief about host liveness (hosts numbered as in
     /// [`GrayState`]): updated at fault *detection* (downs) and immediately
     /// on healing (ups). Routing masks follow beliefs, not ground truth —
     /// that is the detection window.
-    believed_dead: Vec<bool>,
+    pub(super) believed_dead: Vec<bool>,
     pub(super) queue: EventQueue,
     /// Per-request state, slab-allocated; an entry lives from arrival to
     /// completion/drop/rejection.
@@ -126,16 +117,16 @@ pub(crate) struct Core {
     dropped: usize,
     rejected: usize,
     pub(super) now: SimTime,
-    faults: Vec<TimedFault>,
+    pub(super) faults: Vec<TimedFault>,
     pub(super) recovery_enabled: bool,
     /// Arrivals (and requeues) stalled because no live route exists or the
     /// service is paused; shed beyond `cfg.shed_threshold`.
-    stalled: VecDeque<PrefillJob>,
-    paused_until: Option<SimTime>,
+    pub(super) stalled: VecDeque<PrefillJob>,
+    pub(super) paused_until: Option<SimTime>,
     pub(super) recovery: RecoveryCounters,
     /// Requests affected by each fault (fault time, outstanding ids); a
     /// fault's time-to-recover is recorded when its set empties.
-    affected: Vec<(SimTime, BTreeSet<RequestId>)>,
+    pub(super) affected: Vec<(SimTime, BTreeSet<RequestId>)>,
     /// Request-lifecycle trace recorder; `Some` iff
     /// [`SimConfig::telemetry`] is on. Instrumentation only observes —
     /// it never schedules events, draws randomness or mutates simulation
@@ -146,15 +137,12 @@ pub(crate) struct Core {
     /// online (sketches, windows, burn monitors) instead of buffering.
     /// Boxed: the plane is a few hundred bytes of aggregation state that
     /// would otherwise bloat every `Core` on the stack.
-    stream: Option<Box<StreamingPlane>>,
+    pub(super) stream: Option<Box<StreamingPlane>>,
     /// Per-replica pressure tally; `Some` iff [`SimConfig::pressure`] is
     /// on. Fed the same event stream, but it is not an [`observing`]
     /// consumer: it needs no retroactive decode replay.
     pressure: Option<PressureTally>,
-    /// Gray-failure state, indexed by *host*: prefill replicas first, then
-    /// decode replicas (colocated: the replica index). The RNG is drawn
-    /// from only when a gray fault or a jitter knob is active, so the
-    /// default path stays bit-identical.
+    /// Gray-failure state, indexed by *host*.
     pub(super) gray: GrayState,
     /// Whether per-model conservation is tracked — true iff the catalog
     /// ([`SimConfig::models`]) is non-empty, so single-model runs carry
@@ -168,24 +156,24 @@ pub(crate) struct Core {
     /// The run's arrival trace, sorted by `(arrival, original order)`;
     /// merged lazily against the event queue instead of being heap
     /// entries.
-    arrivals: Vec<Request>,
+    pub(super) arrivals: Vec<Request>,
     /// Cursor into `arrivals`.
-    next_arrival: usize,
+    pub(super) next_arrival: usize,
     /// Count of occurrences dispatched (arrivals + queued events) — the
     /// denominator of the events/sec benchmark.
     events_processed: u64,
     /// `pushed_at` stamp of the occurrence being dispatched (zero for
     /// arrivals); consulted by the coalesced-decode tie rule.
-    event_pushed_at: SimTime,
+    pub(super) event_pushed_at: SimTime,
     /// Latest fire time folded in from cancelled decode-plan events and,
     /// at the end of the run, from the fabric's superseded completion
     /// estimates. The makespan counts these cancelled fire times; the
     /// per-step loop popped such events and advanced `now` past them.
-    phantom_horizon: SimTime,
+    pub(super) phantom_horizon: SimTime,
     /// Coalesced decode finish events deferred behind a same-instant rival
     /// (replica, original seq, original pushed_at), newest last. A stack,
     /// not an `Option`: a rival dispatched inline may itself defer.
-    held_decode: Vec<(usize, u64, SimTime)>,
+    pub(super) held_decode: Vec<(usize, u64, SimTime)>,
     /// Recycled buffer for one admission pass's decisions.
     admit_buf: Vec<AdmitOutcome>,
     /// Recycled buffer for the sequences one decode step finishes.
@@ -195,65 +183,6 @@ pub(crate) struct Core {
     ran: bool,
 }
 
-/// Per-host gray-failure bookkeeping: flaky-heartbeat masking, straggler
-/// detection EWMAs and quarantine state, plus the seeded RNG every
-/// stochastic mitigation decision (beat loss, retry jitter) draws from.
-pub(super) struct GrayState {
-    /// Seeded RNG for beat-loss draws and retry jitter; deterministic per
-    /// [`SimConfig::fault_seed`].
-    pub(super) rng: StdRng,
-    /// Number of prefill-only hosts — decode replica `j` is host
-    /// `prefill_hosts + j`. Zero when colocated, where replica `k` is host
-    /// `k` in either role.
-    prefill_hosts: usize,
-    /// Per-host heartbeat loss probability (0 = healthy).
-    flaky: Vec<f64>,
-    /// Hosts currently masked out of routing by a missed beat.
-    flaky_dead: Vec<bool>,
-    /// Hosts with a pending [`EventKind::FlakyBeat`] event (beats stop
-    /// rescheduling when no requests are outstanding, and restart on the
-    /// next arrival, so the event queue always drains).
-    flaky_scheduled: Vec<bool>,
-    /// Whether any host has a nonzero loss probability (cheap arrival-path
-    /// guard).
-    flaky_any: bool,
-    /// Hosts quarantined by the straggler detector.
-    quarantined: Vec<bool>,
-    /// Earliest readmission time per quarantined host; probes scheduled
-    /// before a later re-quarantine see a larger value and go stale.
-    quarantine_until: Vec<Option<SimTime>>,
-    /// EWMA of the observed/expected iteration-time ratio per host.
-    slow_ewma: Vec<f64>,
-    /// Completed-iteration samples feeding the EWMA per host.
-    slow_samples: Vec<u32>,
-    /// Heartbeat window, copied from the fault script at run start (one
-    /// [`EventKind::FlakyBeat`] fires per window).
-    beat_period: SimDuration,
-}
-
-impl GrayState {
-    fn new(seed: u64, prefill_hosts: usize, total_hosts: usize) -> Self {
-        GrayState {
-            rng: seeded_rng(derive_seed(seed, 0x6772_6179)),
-            prefill_hosts,
-            flaky: vec![0.0; total_hosts],
-            flaky_dead: vec![false; total_hosts],
-            flaky_scheduled: vec![false; total_hosts],
-            flaky_any: false,
-            quarantined: vec![false; total_hosts],
-            quarantine_until: vec![None; total_hosts],
-            slow_ewma: vec![1.0; total_hosts],
-            slow_samples: vec![0; total_hosts],
-            beat_period: SimDuration::ZERO,
-        }
-    }
-
-    /// Whether routing must avoid `host` (missed beat or quarantine).
-    fn masked(&self, host: usize) -> bool {
-        self.flaky_dead[host] || self.quarantined[host]
-    }
-}
-
 /// One tenant's routing state: its requests draw their (prefill, decode)
 /// pair from its own stride router over its own replicas, so tenants on a
 /// shared pool never leak requests into each other's executors. A
@@ -261,33 +190,25 @@ impl GrayState {
 /// driver is one route over its replicas, with pairs `(k, k)`.
 pub(crate) struct Route {
     model: ModelId,
-    router: StrideRouter,
+    pub(super) router: StrideRouter,
     /// (prefill, decode) replica coordinates per router index, in the
     /// *global* replica numbering of the plan.
-    pairs: Vec<(usize, usize)>,
+    pub(super) pairs: Vec<(usize, usize)>,
 }
 
 /// Phase-split topology state: prefill/decode executor pools plus the KV
 /// transport between them.
 pub(crate) struct SplitState {
-    prefills: Vec<PrefillExecutor>,
-    decodes: Vec<DecodeExecutor>,
+    pub(super) prefills: Vec<PrefillExecutor>,
+    pub(super) decodes: Vec<DecodeExecutor>,
     pub(super) kv: KvTransport,
     /// Transfers whose target died with no live alternative; re-dispatched
     /// when a decode replica comes back.
-    parked: Vec<Transfer>,
+    pub(super) parked: Vec<Transfer>,
     /// Model served by each prefill replica (plan group order).
     prefill_model: Vec<ModelId>,
     /// Model served by each decode replica.
     decode_model: Vec<ModelId>,
-}
-
-/// Colocated topology state: one executor pool serving both phases. The
-/// fault script's `PrefillDown(i)`/`DecodeDown(i)` both mean "replica `i`
-/// dies" here (and symmetrically for `*Up`); link faults are rejected
-/// because there is no inter-replica fabric.
-pub(crate) struct ColoState {
-    replicas: Vec<ColocatedExecutor>,
 }
 
 /// Which serving topology the driver runs.
@@ -304,7 +225,7 @@ pub(crate) enum Topology {
 impl Topology {
     /// Replica `i` of the given role (a prefill replica when `prefill`,
     /// else a decode replica); colocated replica `i` plays both roles.
-    fn executor(&mut self, prefill: bool, i: usize) -> &mut dyn ReplicaExecutor {
+    pub(super) fn executor(&mut self, prefill: bool, i: usize) -> &mut dyn ReplicaExecutor {
         match self {
             Topology::Split(s) => {
                 if prefill {
@@ -321,14 +242,8 @@ impl Topology {
 /// The shared discrete-event driver behind both topologies of
 /// [`crate::engine::Simulation`].
 pub(crate) struct Driver {
-    core: Core,
-    topo: Topology,
-}
-
-/// Whether coalesced decode plans are active: the config knob is on and no
-/// straggler quarantine demands per-step iteration samples.
-fn coalescing_active(core: &Core) -> bool {
-    core.cfg.decode_coalescing && core.cfg.quarantine.is_none()
+    pub(super) core: Core,
+    pub(super) topo: Topology,
 }
 
 impl Driver {
@@ -405,7 +320,7 @@ impl Driver {
         let kv = KvTransport::new(cluster, &cfg, plan, &prefills, &decodes, &prefill_model);
         let (np, nd) = (prefills.len(), decodes.len());
         Ok(Driver {
-            core: Core::new(cfg, routes, np, np + nd),
+            core: Core::new(cfg, routes, Some(np), np + nd),
             topo: Topology::Split(SplitState {
                 prefills,
                 decodes,
@@ -440,7 +355,7 @@ impl Driver {
             pairs: (0..n).map(|k| (k, k)).collect(),
         };
         Ok(Driver {
-            core: Core::new(cfg, vec![route], 0, n),
+            core: Core::new(cfg, vec![route], None, n),
             topo: Topology::Colocated(ColoState { replicas }),
         })
     }
@@ -498,7 +413,7 @@ impl Driver {
         self.core.ran = true;
         self.core.faults = script.faults.clone();
         self.core.recovery_enabled = script.recovery;
-        self.core.gray.beat_period = script.detection_delay;
+        self.core.gray.set_beat_period(script.detection_delay);
 
         // Arrivals are merged lazily from this sorted vector instead of
         // being heap entries. The stable sort keeps submission order among
@@ -604,7 +519,7 @@ impl Driver {
     }
 
     /// Dispatches one queued event to its handler.
-    fn dispatch_event(&mut self, ev: Event) -> Result<()> {
+    pub(super) fn dispatch_event(&mut self, ev: Event) -> Result<()> {
         match ev.kind {
             EventKind::PrefillDone { replica, epoch } => {
                 let (core, s) = self.split("PrefillDone")?;
@@ -648,7 +563,7 @@ impl Driver {
             EventKind::WorkDone { replica, epoch } => {
                 let (core, c) = self.colocated("WorkDone")?;
                 if c.replicas[replica].event_is_current(epoch) {
-                    colo_on_work_done(core, c, replica)?;
+                    colo::on_work_done(core, c, replica)?;
                 }
             }
             EventKind::FaultTriggered { index } => self.on_fault_triggered(index)?,
@@ -656,7 +571,7 @@ impl Driver {
             EventKind::ServiceResumed => self.on_service_resumed(),
             EventKind::HedgeCheck { request } => {
                 let (core, s) = self.split("HedgeCheck")?;
-                split_on_hedge_check(core, s, request);
+                gray::on_hedge_check(core, s, request);
             }
             EventKind::FlakyBeat { node } => self.on_flaky_beat(node),
             EventKind::ReadmitProbe { prefill, replica } => self.on_readmit_probe(prefill, replica),
@@ -717,64 +632,6 @@ impl Driver {
         }
     }
 
-    fn validate_script(&self, script: &FaultScript) -> Result<()> {
-        let factor_ok = |f: f64| f.is_finite() && f >= 1.0;
-        let prob_ok = |p: f64| p.is_finite() && (0.0..=1.0).contains(&p);
-        // A colocated replica is both the prefill and the decode replica of
-        // its index.
-        let (np, nd, colocated) = match &self.topo {
-            Topology::Split(s) => (s.prefills.len(), s.decodes.len(), false),
-            Topology::Colocated(c) => (c.replicas.len(), c.replicas.len(), true),
-        };
-        let hosts = self.core.believed_dead.len();
-        for f in &script.faults {
-            let ok = match f.kind {
-                FaultKind::PrefillDown(i) | FaultKind::PrefillUp(i) => i < np,
-                FaultKind::DecodeDown(j) | FaultKind::DecodeUp(j) => j < nd,
-                FaultKind::LinkDown { .. }
-                | FaultKind::LinkUp { .. }
-                | FaultKind::LinkDegraded { .. }
-                    if colocated =>
-                {
-                    return Err(Error::InvalidConfig(
-                        "colocated replicas have no inter-replica links to fault".into(),
-                    ))
-                }
-                FaultKind::LinkDown { prefill, decode } | FaultKind::LinkUp { prefill, decode } => {
-                    prefill < np && decode < nd
-                }
-                FaultKind::Pause { .. } => true,
-                FaultKind::PrefillSlow(i, factor) => i < np && factor_ok(factor),
-                FaultKind::DecodeSlow(j, factor) => j < nd && factor_ok(factor),
-                FaultKind::LinkDegraded {
-                    prefill,
-                    decode,
-                    factor,
-                } => prefill < np && decode < nd && factor_ok(factor),
-                FaultKind::HeartbeatFlaky(h, p) => {
-                    // Flaky heartbeats fire one beat event per detection
-                    // window; a zero window would self-reschedule at the
-                    // same instant forever.
-                    if p > 0.0 && script.detection_delay == SimDuration::ZERO {
-                        return Err(Error::InvalidConfig(
-                            "HeartbeatFlaky requires a nonzero detection_delay (the beat window)"
-                                .into(),
-                        ));
-                    }
-                    h < hosts && prob_ok(p)
-                }
-            };
-            if !ok {
-                return Err(Error::InvalidConfig(format!(
-                    "fault references a replica outside the plan \
-                     or carries an invalid factor: {:?}",
-                    f.kind
-                )));
-            }
-        }
-        Ok(())
-    }
-
     fn on_arrival(&mut self, req: Request) {
         let (id, model) = (req.id, req.model);
         let key = self.core.reqs.insert(ReqState::new(req));
@@ -782,17 +639,7 @@ impl Driver {
         if self.core.track_models {
             trace(&mut self.core, TraceKind::ModelTag { request: id, model });
         }
-        // Flaky heartbeat beats pause while no requests are outstanding (so
-        // the event queue can drain); restart them with the new work.
-        if self.core.gray.flaky_any {
-            for node in 0..self.core.gray.flaky.len() {
-                if self.core.gray.flaky[node] > 0.0 && !self.core.gray.flaky_scheduled[node] {
-                    self.core.gray.flaky_scheduled[node] = true;
-                    let at = self.core.now + self.core.gray.beat_period;
-                    self.core.queue.push(at, EventKind::FlakyBeat { node });
-                }
-            }
-        }
+        gray::restart_beats(&mut self.core);
         let job = PrefillJob::fresh(key, &self.core.reqs[key].req);
         self.dispatch_job(job);
     }
@@ -800,7 +647,7 @@ impl Driver {
     /// Routes a job to a live destination (a (prefill, decode) pair under
     /// `Split`, a replica under `Colocated`), or stalls/sheds it if the
     /// service is paused or no live route exists.
-    fn dispatch_job(&mut self, job: PrefillJob) {
+    pub(super) fn dispatch_job(&mut self, job: PrefillJob) {
         let Some(st) = self.core.reqs.get(job.key) else {
             return;
         };
@@ -839,31 +686,16 @@ impl Driver {
             stall_or_shed(core, job);
             return;
         }
+        // A colocated route's pairs are `(k, k)`.
         let (i, j) = route.pairs[route.router.next()];
+        if let Some(st) = core.reqs.get_mut(job.key) {
+            st.pend.prefill = i;
+            st.pend.decode = j;
+        }
         match topo {
             Topology::Split(s) => {
-                if let Some(st) = core.reqs.get_mut(job.key) {
-                    st.pend.prefill = i;
-                    st.pend.decode = j;
-                }
                 let key = job.key;
-                s.prefills[i].queue.enqueue(job);
-                trace(
-                    core,
-                    TraceKind::Enqueued {
-                        request: rid,
-                        role: Role::Prefill,
-                        replica: i,
-                    },
-                );
-                trace(
-                    core,
-                    TraceKind::QueueDepth {
-                        role: Role::Prefill,
-                        replica: i,
-                        depth: s.prefills[i].queue.queue.len(),
-                    },
-                );
+                enqueue_prefill(core, Role::Prefill, i, &mut s.prefills[i].queue, rid, job);
                 split_maybe_start_prefill(core, s, i);
                 if let Some(h) = core.cfg.hedge {
                     core.queue
@@ -871,355 +703,21 @@ impl Driver {
                 }
             }
             Topology::Colocated(c) => {
-                if let Some(st) = core.reqs.get_mut(job.key) {
-                    st.pend.prefill = i;
-                    st.pend.decode = i;
-                }
-                c.replicas[i].prefill.enqueue(job);
-                trace(
-                    core,
-                    TraceKind::Enqueued {
-                        request: rid,
-                        role: Role::Colocated,
-                        replica: i,
-                    },
-                );
-                trace(
-                    core,
-                    TraceKind::QueueDepth {
-                        role: Role::Colocated,
-                        replica: i,
-                        depth: c.replicas[i].prefill.queue.len(),
-                    },
-                );
-                colo_maybe_start_work(core, c, i);
+                let queue = &mut c.replicas[i].prefill;
+                enqueue_prefill(core, Role::Colocated, i, queue, rid, job);
+                colo::maybe_start_work(core, c, i);
             }
-        }
-    }
-
-    // --- fault layer ------------------------------------------------------
-
-    /// Applies a fault at its trigger time. A colocated replica hosts both
-    /// phases, so either phase's fault (death, healing, slowdown) is the
-    /// whole replica's.
-    fn on_fault_triggered(&mut self, index: usize) -> Result<()> {
-        trace(&mut self.core, TraceKind::FaultTriggered { index });
-        match self.core.faults[index].kind {
-            FaultKind::Pause { until } => {
-                if until > self.core.now {
-                    self.core.paused_until = Some(until);
-                    self.core.queue.push(until, EventKind::ServiceResumed);
-                }
-            }
-            // The host index already encodes the prefill/decode split.
-            FaultKind::HeartbeatFlaky(node, p) => self.set_flaky(node, p),
-            FaultKind::PrefillDown(i) => self.topo.executor(true, i).kill(),
-            FaultKind::DecodeDown(j) => {
-                if let Topology::Split(s) = &mut self.topo {
-                    // The batch must freeze at its materially-advanced
-                    // state: step boundaries strictly before the fault did
-                    // complete under the per-step loop (their events were
-                    // pre-death and current). The in-flight step dies with
-                    // the replica; its scheduled fire time is folded into
-                    // the phantom horizon because the per-step loop would
-                    // still have popped (and advanced `now` past) the
-                    // stale event.
-                    split_catch_up_decode(&mut self.core, s, j);
-                    split_cancel_decode_plan(&mut self.core, s, j);
-                }
-                self.topo.executor(false, j).kill();
-            }
-            FaultKind::PrefillUp(i) => self.on_replica_up(true, i),
-            FaultKind::DecodeUp(j) => self.on_replica_up(false, j),
-            FaultKind::PrefillSlow(i, factor) => match &mut self.topo {
-                Topology::Split(s) => s.prefills[i].slow_factor = factor,
-                Topology::Colocated(c) => c.replicas[i].slow_factor = factor,
-            },
-            FaultKind::DecodeSlow(j, factor) => match &mut self.topo {
-                Topology::Split(s) => {
-                    // A coalesced plan priced its remaining boundaries at
-                    // the old speed; the per-step loop would have priced
-                    // every step after the in-flight one at the new speed.
-                    // Catch up, apply the factor, and re-plan carrying the
-                    // already-committed in-flight boundary.
-                    split_catch_up_decode(&mut self.core, s, j);
-                    s.decodes[j].slow_factor = factor;
-                    if coalescing_active(&self.core) && s.decodes[j].plan.is_some() {
-                        split_replan_decode(&mut self.core, s, j);
-                    }
-                }
-                Topology::Colocated(c) => c.replicas[j].slow_factor = factor,
-            },
-            FaultKind::LinkDown { prefill, decode } => {
-                let (core, s) = self.split("LinkDown")?;
-                s.kv.link_down(core, prefill, decode);
-            }
-            FaultKind::LinkUp { prefill, decode } => {
-                let (_, s) = self.split("LinkUp")?;
-                s.kv.link_up(prefill, decode);
-            }
-            FaultKind::LinkDegraded {
-                prefill,
-                decode,
-                factor,
-            } => {
-                let (core, s) = self.split("LinkDegraded")?;
-                s.kv.degrade(core, prefill, decode, factor);
-            }
-        }
-        Ok(())
-    }
-
-    /// Heals replica `i` (a prefill replica when `prefill`, else a decode
-    /// replica). Work frozen at death never re-runs on its own (its
-    /// completion events are stale), so it is restarted or declared lost;
-    /// decode sequences frozen at death lost their KV either way.
-    fn on_replica_up(&mut self, prefill: bool, i: usize) {
-        if let (false, Topology::Split(s)) = (prefill, &mut self.topo) {
-            // Healing an *alive* decode replica (an Up without a Down)
-            // still bumps the epoch and clears the plan, so settle the plan
-            // first exactly as a death would.
-            split_catch_up_decode(&mut self.core, s, i);
-            split_cancel_decode_plan(&mut self.core, s, i);
-        }
-        let replica = self.topo.executor(prefill, i);
-        replica.revive(self.core.now);
-        let drained = replica.drain_lost();
-        let host = self.core.host_of(prefill, i);
-        self.core.believed_dead[host] = false;
-        refresh_router(&mut self.core);
-        if !self.core.recovery_enabled {
-            self.drop_drained(drained);
-            return;
-        }
-        self.recover_drained(drained, None);
-        if let (false, Topology::Split(s)) = (prefill, &mut self.topo) {
-            for t in std::mem::take(&mut s.parked) {
-                split_redispatch_transfer(&mut self.core, s, t);
-            }
-        }
-        self.drain_stalled();
-    }
-
-    /// A death is detected: the coordinator masks the replica out of
-    /// routing and recovers its frozen work onto survivors.
-    fn on_fault_detected(&mut self, index: usize) {
-        trace(&mut self.core, TraceKind::FaultDetected { index });
-        let TimedFault { at, kind } = self.core.faults[index];
-        let (prefill, i) = match kind {
-            FaultKind::PrefillDown(i) => (true, i),
-            FaultKind::DecodeDown(j) => (false, j),
-            _ => return,
-        };
-        let replica = self.topo.executor(prefill, i);
-        if replica.is_alive() {
-            return; // blipped back up before detection; healed already
-        }
-        let drained = replica.drain_lost();
-        let host = self.core.host_of(prefill, i);
-        self.core.believed_dead[host] = true;
-        refresh_router(&mut self.core);
-        self.recover_drained(drained, Some(at));
-    }
-
-    /// Recovers drained work onto survivors: queued/in-flight prefill jobs
-    /// are requeued as-is, lost decode sequences are re-prefilled over
-    /// their full context. `fault_at` registers the affected set for
-    /// time-to-recover accounting (detection path only). Jobs whose slab
-    /// entry is gone (a hedge ghost of a request that already resolved)
-    /// are dropped on the floor.
-    fn recover_drained(&mut self, drained: DrainedWork, fault_at: Option<SimTime>) {
-        let mut jobs: Vec<PrefillJob> = Vec::new();
-        for job in drained.prefill_jobs {
-            let Some(st) = self.core.reqs.get(job.key) else {
-                continue;
-            };
-            let rid = st.req.id;
-            self.core.recovery.requeued_requests += 1;
-            trace(&mut self.core, TraceKind::Requeued { request: rid });
-            jobs.push(job);
-        }
-        for lost in drained.lost_seqs {
-            let Some(st) = self.core.reqs.get(lost.key) else {
-                continue;
-            };
-            let rid = st.req.id;
-            self.core.recovery.reprefilled_tokens += lost.tokens;
-            trace(
-                &mut self.core,
-                TraceKind::Reprefill {
-                    request: rid,
-                    tokens: lost.tokens,
-                },
-            );
-            jobs.push(PrefillJob {
-                key: lost.key,
-                tokens: lost.tokens,
-                remaining: lost.remaining,
-                resume: lost.resume,
-            });
-        }
-        if let Some(at) = fault_at {
-            let ids: BTreeSet<RequestId> = jobs
-                .iter()
-                .filter_map(|j| self.core.reqs.get(j.key).map(|st| st.req.id))
-                .collect();
-            if !ids.is_empty() {
-                self.core.affected.push((at, ids));
-            }
-        }
-        for job in &jobs {
-            // A requeued/re-prefilled job must be able to launch its KV
-            // transfer again: clear the hedging duplicate-launch guard, or
-            // the recovered prefill's completion would be discarded.
-            if let Some(st) = self.core.reqs.get_mut(job.key) {
-                st.pend.kv_launched = false;
-                st.pend.hedge = None;
-            }
-        }
-        for job in jobs {
-            self.dispatch_job(job);
-        }
-    }
-
-    /// Drops drained work without recovery (the no-recovery arm of a
-    /// healing event: the work was lost for good).
-    fn drop_drained(&mut self, drained: DrainedWork) {
-        for job in drained.prefill_jobs {
-            drop_request(&mut self.core, job.key);
-        }
-        for lost in drained.lost_seqs {
-            if self.core.reqs.contains(lost.key) {
-                drop_request(&mut self.core, lost.key);
-            }
-        }
-    }
-
-    fn drain_stalled(&mut self) {
-        let routable = self.core.routes.iter().any(|r| r.router.num_enabled() > 0);
-        if self.core.paused_until.is_some() || !routable {
-            return;
-        }
-        let stalled = std::mem::take(&mut self.core.stalled);
-        for job in stalled {
-            self.dispatch_job(job);
-        }
-    }
-
-    fn on_service_resumed(&mut self) {
-        // Pauses can be extended by a later Pause fault; only resume at the
-        // latest deadline.
-        if let Some(until) = self.core.paused_until {
-            if until > self.core.now {
-                return;
-            }
-        }
-        self.core.paused_until = None;
-        trace(&mut self.core, TraceKind::ServiceResumed);
-        self.drain_stalled();
-    }
-
-    // --- gray-failure mitigation layer -----------------------------------
-
-    /// The telemetry (role, replica) of host `node` under this topology.
-    fn host_role(&self, node: usize) -> (Role, usize) {
-        let prefill_hosts = self.core.gray.prefill_hosts;
-        match &self.topo {
-            Topology::Split(_) if node < prefill_hosts => (Role::Prefill, node),
-            Topology::Split(_) => (Role::Decode, node - prefill_hosts),
-            Topology::Colocated(_) => (Role::Colocated, node),
-        }
-    }
-
-    /// Applies a [`FaultKind::HeartbeatFlaky`] trigger: records the loss
-    /// probability, starts the beat clock if needed, and — on healing —
-    /// readmits a host stuck masked by a false positive.
-    fn set_flaky(&mut self, node: usize, p: f64) {
-        self.core.gray.flaky[node] = p;
-        if p > 0.0 {
-            self.core.gray.flaky_any = true;
-            if !self.core.gray.flaky_scheduled[node] {
-                self.core.gray.flaky_scheduled[node] = true;
-                let at = self.core.now + self.core.gray.beat_period;
-                self.core.queue.push(at, EventKind::FlakyBeat { node });
-            }
-        } else {
-            self.core.gray.flaky_any = self.core.gray.flaky.iter().any(|&q| q > 0.0);
-            if self.core.gray.flaky_dead[node] {
-                self.readmit_flaky(node);
-            }
-        }
-    }
-
-    /// One heartbeat window elapsed for `node`: draw whether the beat was
-    /// lost and mask/readmit accordingly, then reschedule while requests
-    /// remain (beats pause on an idle system so the event queue drains;
-    /// [`Driver::on_arrival`] restarts them).
-    fn on_flaky_beat(&mut self, node: usize) {
-        let p = self.core.gray.flaky[node];
-        if p <= 0.0 {
-            self.core.gray.flaky_scheduled[node] = false;
-            return;
-        }
-        let lost = self.core.gray.rng.gen_range(0.0..1.0) < p;
-        if lost && !self.core.gray.flaky_dead[node] {
-            self.core.gray.flaky_dead[node] = true;
-            self.core.recovery.quarantines += 1;
-            let (role, replica) = self.host_role(node);
-            trace(&mut self.core, TraceKind::Quarantined { role, replica });
-            refresh_router(&mut self.core);
-        } else if !lost && self.core.gray.flaky_dead[node] {
-            self.readmit_flaky(node);
-        }
-        if self.core.reqs.is_empty() {
-            self.core.gray.flaky_scheduled[node] = false;
-            return;
-        }
-        let at = self.core.now + self.core.gray.beat_period;
-        self.core.queue.push(at, EventKind::FlakyBeat { node });
-    }
-
-    /// A delivered beat (or a healing fault) readmits a host masked by a
-    /// flaky-heartbeat false positive.
-    fn readmit_flaky(&mut self, node: usize) {
-        self.core.gray.flaky_dead[node] = false;
-        self.core.recovery.readmissions += 1;
-        let (role, replica) = self.host_role(node);
-        trace(&mut self.core, TraceKind::Readmitted { role, replica });
-        refresh_router(&mut self.core);
-        if self.core.recovery_enabled {
-            self.drain_stalled();
-        }
-    }
-
-    /// A quarantine probation ended: readmit the replica unless a later
-    /// re-quarantine pushed its expiry out (stale probe). The straggler
-    /// detector restarts from scratch — if the replica is still slow it
-    /// re-quarantines after [`STRAGGLER_MIN_SAMPLES`] fresh iterations.
-    fn on_readmit_probe(&mut self, prefill: bool, replica: usize) {
-        let host = self.core.host_of(prefill, replica);
-        let Some(until) = self.core.gray.quarantine_until[host] else {
-            return;
-        };
-        if self.core.now < until {
-            return; // superseded by a re-quarantine
-        }
-        self.core.gray.quarantined[host] = false;
-        self.core.gray.quarantine_until[host] = None;
-        self.core.gray.slow_ewma[host] = 1.0;
-        self.core.gray.slow_samples[host] = 0;
-        self.core.recovery.readmissions += 1;
-        let (role, replica) = self.host_role(host);
-        trace(&mut self.core, TraceKind::Readmitted { role, replica });
-        refresh_router(&mut self.core);
-        if self.core.recovery_enabled {
-            self.drain_stalled();
         }
     }
 }
 
 impl Core {
-    fn new(cfg: SimConfig, routes: Vec<Route>, prefill_hosts: usize, total_hosts: usize) -> Self {
+    fn new(
+        cfg: SimConfig,
+        routes: Vec<Route>,
+        prefill_hosts: Option<usize>,
+        total_hosts: usize,
+    ) -> Self {
         let trace = cfg.telemetry.then(Recorder::new);
         let pressure = cfg.pressure.then(PressureTally::new);
         let stream = cfg.streaming.clone().map(|sc| {
@@ -1299,34 +797,18 @@ impl Core {
         }
     }
 
-    /// Removes and returns the deferred decode-finish stamp for replica
-    /// `j`, if one is held.
-    fn take_held_decode(&mut self, j: usize) -> Option<(u64, SimTime)> {
-        let pos = self.held_decode.iter().position(|h| h.0 == j)?;
-        let (_, seq, pushed_at) = self.held_decode.swap_remove(pos);
-        Some((seq, pushed_at))
-    }
-
-    /// The host index of a replica (prefills first, then decodes; colocated
-    /// hosts and replicas coincide whatever the `prefill` flag).
-    fn host_of(&self, prefill: bool, replica: usize) -> usize {
-        if prefill {
-            replica
-        } else {
-            self.gray.prefill_hosts + replica
-        }
-    }
-
     /// The route serving requests for `model`: the only route of a
     /// one-route plan whatever the model, otherwise that tenant's route;
     /// `None` when a multi-model plan does not serve `model`.
-    fn route_of(&self, model: ModelId) -> Option<usize> {
+    pub(super) fn route_of(&self, model: ModelId) -> Option<usize> {
         if self.routes.len() == 1 {
             return Some(0);
         }
         self.routes.iter().position(|r| r.model == model)
     }
 }
+
+// --- trace helpers ---------------------------------------------------------
 
 /// Records a trace event at the current simulation time; a no-op of a few
 /// branches when every consumer is off.
@@ -1361,7 +843,7 @@ pub(super) fn trace_at(core: &mut Core, at: SimTime, kind: TraceKind) {
 /// attached — the gate for observation-only work the pressure tally does
 /// not need: retroactive decode materialization, which re-emits each
 /// coalesced step's unchanged batch occupancy.
-fn observing(core: &Core) -> bool {
+pub(super) fn observing(core: &Core) -> bool {
     core.trace.is_some() || core.stream.is_some()
 }
 
@@ -1380,19 +862,6 @@ fn sampling(core: &Core) -> bool {
 /// budget.
 pub(super) fn tracing(core: &Core) -> bool {
     core.trace.is_some()
-}
-
-/// Whether burn-gated hedging currently *suppresses* a hedge launch: the
-/// gate is on and the streaming plane reports fully healthy SLO burn.
-/// Ungated hedging (the default) is untouched and bit-identical.
-fn hedge_suppressed(core: &Core) -> bool {
-    if !core.cfg.hedge.is_some_and(|h| h.burn_gated) {
-        return false;
-    }
-    match core.stream.as_deref() {
-        Some(plane) => plane.global_signal().state == HealthState::Healthy,
-        None => false,
-    }
 }
 
 // --- topology-agnostic helpers (free functions over Core) ----------------
@@ -1461,40 +930,6 @@ fn clear_affected(core: &mut Core, id: RequestId) {
     core.recovery.recovery_times.extend(recovered_at);
 }
 
-/// Applies one admission pass's decisions, in order: evictions become
-/// drops, admissions resolve fault-recovery tracking (and, under
-/// telemetry, mark the sequence's decode-batch join on `replica`).
-/// Returns whether anything was admitted.
-fn apply_admit_outcomes(
-    core: &mut Core,
-    outcomes: &[AdmitOutcome],
-    role: Role,
-    replica: usize,
-) -> bool {
-    let mut admitted = false;
-    for &o in outcomes {
-        match o {
-            AdmitOutcome::Dropped(key) => drop_request(core, key),
-            AdmitOutcome::Admitted(key) => {
-                admitted = true;
-                if let Some(st) = core.reqs.get(key) {
-                    let rid = st.req.id;
-                    trace(
-                        core,
-                        TraceKind::DecodeJoin {
-                            request: rid,
-                            role,
-                            replica,
-                        },
-                    );
-                    clear_affected(core, rid);
-                }
-            }
-        }
-    }
-    admitted
-}
-
 fn finish(core: &mut Core, key: SlabKey, at: SimTime, max_token_gap: SimDuration) -> Result<()> {
     let st = core
         .reqs
@@ -1530,9 +965,221 @@ fn finish(core: &mut Core, key: SlabKey, at: SimTime, max_token_gap: SimDuration
     Ok(())
 }
 
+// --- replica steps shared by both topologies -------------------------------
+
+/// Queues `job` of request `rid` on the prefill `queue` of `replica` and
+/// samples the new depth.
+fn enqueue_prefill(
+    core: &mut Core,
+    role: Role,
+    replica: usize,
+    queue: &mut PrefillQueue,
+    rid: RequestId,
+    job: PrefillJob,
+) {
+    queue.enqueue(job);
+    trace(
+        core,
+        TraceKind::Enqueued {
+            request: rid,
+            role,
+            replica,
+        },
+    );
+    trace(
+        core,
+        TraceKind::QueueDepth {
+            role,
+            replica,
+            depth: queue.queue.len(),
+        },
+    );
+}
+
+/// Takes the next prefill launch of `replica` off its `queue` into `jobs`,
+/// tracing each job's start and sampling the new queue depth. Returns the
+/// launch's prompt tokens and the context to price it at.
+pub(super) fn take_prefill_launch(
+    core: &mut Core,
+    role: Role,
+    replica: usize,
+    queue: &mut PrefillQueue,
+    jobs: &mut Vec<PrefillJob>,
+) -> (u64, u64) {
+    let launch = queue.take_launch(jobs);
+    if tracing(core) {
+        for job in jobs.iter() {
+            // A hedge ghost (its request already resolved) prefills without
+            // a slab entry; it has no id to trace.
+            if let Some(st) = core.reqs.get(job.key) {
+                let rid = st.req.id;
+                trace(
+                    core,
+                    TraceKind::PrefillStart {
+                        request: rid,
+                        role,
+                        replica,
+                        tokens: job.tokens,
+                    },
+                );
+            }
+        }
+    }
+    if sampling(core) {
+        let depth = queue.queue.len();
+        trace(
+            core,
+            TraceKind::QueueDepth {
+                role,
+                replica,
+                depth,
+            },
+        );
+    }
+    launch
+}
+
+/// Prices a prefill launch of `tokens` prompt tokens at context `ctx`:
+/// its latency through the whole pipeline, and the bottleneck stage time
+/// after which the next launch may enter. Pricing goes through the
+/// replica's one-entry `memo`: traces with repeated prompt lengths form
+/// the same batch shape over and over, and both pricing functions are
+/// pure in `(tokens, ctx)`.
+pub(super) fn price_prefill(
+    cost: &ReplicaCostModel,
+    memo: &mut Option<(u64, u64, SimDuration, SimDuration)>,
+    slow: f64,
+    tokens: u64,
+    ctx: u64,
+) -> (SimDuration, SimDuration) {
+    let (mut latency, mut bottleneck) = match *memo {
+        Some((t, c, lat, bot)) if t == tokens && c == ctx => (lat, bot),
+        _ => {
+            let lat = cost.prefill_latency(tokens, ctx);
+            let bot = cost.prefill_bottleneck(tokens, ctx);
+            *memo = Some((tokens, ctx, lat, bot));
+            (lat, bot)
+        }
+    };
+    // Straggler fault: iteration times stretch. Skipped entirely at the
+    // healthy factor of exactly 1 so the default path never rounds
+    // through the multiply.
+    if slow != 1.0 {
+        latency = latency.mul_f64(slow);
+        bottleneck = bottleneck.mul_f64(slow);
+    }
+    (latency, bottleneck)
+}
+
+/// Books the end of `job`'s prefill on `replica`: stamps its first-token
+/// time and traces the prefill's end and the first token. A re-prefill
+/// keeps its original first-token time: TTFT was already paid, recovery
+/// shows up in inter-token gaps instead. A single-token job finishes
+/// here, since the prefill produced its only token. Returns whether the
+/// job goes on to decode.
+pub(super) fn end_prefill(
+    core: &mut Core,
+    role: Role,
+    replica: usize,
+    job: &PrefillJob,
+) -> Result<bool> {
+    let now = core.now;
+    let st = core
+        .reqs
+        .get_mut(job.key)
+        .ok_or_else(|| Error::Simulation(format!("unknown request {}", job.key)))?;
+    let rid = st.req.id;
+    let newly_first = st.pend.first_token_at.is_none();
+    if newly_first {
+        st.pend.first_token_at = Some(now);
+    }
+    trace(
+        core,
+        TraceKind::PrefillEnd {
+            request: rid,
+            role,
+            replica,
+        },
+    );
+    if newly_first {
+        trace(core, TraceKind::FirstToken { request: rid });
+    }
+    if job.remaining == 0 {
+        finish(core, job.key, now, SimDuration::ZERO)?;
+        return Ok(false);
+    }
+    Ok(true)
+}
+
+/// Runs an admission pass over `batch` of `replica` and applies its
+/// decisions in order: evictions become drops, admissions resolve
+/// fault-recovery tracking (and, under telemetry, mark the sequence's
+/// decode-batch join). Then samples the batch occupancy. Returns whether
+/// anything was admitted.
+pub(super) fn admit_waiting(
+    core: &mut Core,
+    role: Role,
+    replica: usize,
+    batch: &mut BatchCore,
+    cost: &ReplicaCostModel,
+) -> bool {
+    let mut outcomes = std::mem::take(&mut core.admit_buf);
+    let reqs = &core.reqs;
+    batch.admit(
+        cost,
+        &core.cfg,
+        core.now,
+        |key| reqs.get(key).and_then(|st| st.pend.first_token_at),
+        &mut outcomes,
+    );
+    let mut admitted = false;
+    for &o in &outcomes {
+        match o {
+            AdmitOutcome::Dropped(key) => drop_request(core, key),
+            AdmitOutcome::Admitted(key) => {
+                admitted = true;
+                if let Some(st) = core.reqs.get(key) {
+                    let rid = st.req.id;
+                    trace(
+                        core,
+                        TraceKind::DecodeJoin {
+                            request: rid,
+                            role,
+                            replica,
+                        },
+                    );
+                    clear_affected(core, rid);
+                }
+            }
+        }
+    }
+    core.admit_buf = outcomes;
+    trace(
+        core,
+        TraceKind::BatchOccupancy {
+            role,
+            replica,
+            active: batch.active.len(),
+        },
+    );
+    admitted
+}
+
+/// Advances `batch` one decode step ending now and finishes every
+/// sequence the step completes.
+pub(super) fn finish_step(core: &mut Core, batch: &mut BatchCore) -> Result<()> {
+    let mut finished = std::mem::take(&mut core.finished_buf);
+    batch.advance(core.now, &mut finished);
+    for &(key, gap) in &finished {
+        finish(core, key, core.now, gap)?;
+    }
+    core.finished_buf = finished;
+    Ok(())
+}
+
 // --- split-topology handlers ---------------------------------------------
 
-fn split_maybe_start_prefill(core: &mut Core, s: &mut SplitState, i: usize) {
+pub(super) fn split_maybe_start_prefill(core: &mut Core, s: &mut SplitState, i: usize) {
     let p = &mut s.prefills[i];
     if !p.is_alive() || p.queue.is_empty() {
         return;
@@ -1554,58 +1201,12 @@ fn split_maybe_start_prefill(core: &mut Core, s: &mut SplitState, i: usize) {
     // Recycle a retired batch buffer so steady-state launches do not
     // allocate.
     let mut batch = p.spare_batches.pop().unwrap_or_default();
-    let (total, avg_ctx) = p.queue.take_launch(&mut batch);
-    if tracing(core) {
-        for job in &batch {
-            // A hedge ghost (its request already resolved) prefills without
-            // a slab entry; it has no id to trace.
-            if let Some(st) = core.reqs.get(job.key) {
-                let rid = st.req.id;
-                trace(
-                    core,
-                    TraceKind::PrefillStart {
-                        request: rid,
-                        role: Role::Prefill,
-                        replica: i,
-                        tokens: job.tokens,
-                    },
-                );
-            }
-        }
-    }
-    if sampling(core) {
-        let depth = p.queue.queue.len();
-        trace(
-            core,
-            TraceKind::QueueDepth {
-                role: Role::Prefill,
-                replica: i,
-                depth,
-            },
-        );
-    }
-    // Batch pricing goes through the executor's one-entry memo: traces
-    // with repeated prompt lengths form the same batch shape over and
-    // over, and both pricing functions are pure in `(total, avg_ctx)`.
-    let (mut latency, mut bottleneck) = match p.price_memo {
-        Some((t, c, lat, bot)) if t == total && c == avg_ctx => (lat, bot),
-        _ => {
-            let lat = p.cost.prefill_latency(total, avg_ctx);
-            // Pipeline parallelism: the next batch may enter once the
-            // slowest stage has processed this one; the batch itself
-            // completes after the full pipeline latency.
-            let bot = p.cost.prefill_bottleneck(total, avg_ctx);
-            p.price_memo = Some((total, avg_ctx, lat, bot));
-            (lat, bot)
-        }
-    };
-    // Straggler fault: iteration times stretch. Skipped entirely at the
-    // healthy factor of exactly 1 so the default path never rounds
-    // through the multiply.
-    if p.slow_factor != 1.0 {
-        latency = latency.mul_f64(p.slow_factor);
-        bottleneck = bottleneck.mul_f64(p.slow_factor);
-    }
+    let (tokens, ctx) = take_prefill_launch(core, Role::Prefill, i, &mut p.queue, &mut batch);
+    let (latency, bottleneck) =
+        price_prefill(&p.cost, &mut p.price_memo, p.slow_factor, tokens, ctx);
+    // Pipeline parallelism: the next batch may enter once the slowest
+    // stage has processed this one; the batch itself completes after the
+    // full pipeline latency.
     p.next_free = core.now + bottleneck;
     p.in_flight.push_back(batch);
     core.queue.push(
@@ -1618,82 +1219,52 @@ fn split_maybe_start_prefill(core: &mut Core, s: &mut SplitState, i: usize) {
 }
 
 fn split_on_prefill_done(core: &mut Core, s: &mut SplitState, i: usize) -> Result<()> {
-    let batch = s.prefills[i]
+    let mut batch = s.prefills[i]
         .in_flight
         .pop_front()
         .ok_or_else(|| Error::Simulation("prefill done with nothing in flight".into()))?;
     observe_straggler(core, Role::Prefill, i, s.prefills[i].slow_factor);
-    let now = core.now;
-    let mut batch = batch;
     for job in batch.drain(..) {
         // Hedged duplicates race, first completion wins: the loser finds
         // the request finished (single-token outputs) or its KV transfer
         // already launched, and is discarded here.
-        let (rid, newly_first, jdec, loser) = {
-            let Some(st) = core.reqs.get_mut(job.key) else {
-                continue;
-            };
-            let rid = st.req.id;
-            let pend = &mut st.pend;
-            if pend.kv_launched {
-                continue;
-            }
-            // Re-prefills keep their original first-token time: TTFT was
-            // already paid, recovery shows up in inter-token gaps instead.
-            let newly_first = pend.first_token_at.is_none();
-            if newly_first {
-                pend.first_token_at = Some(now);
-            }
-            // The winner of a hedge race fixes the (prefill, decode) pair;
-            // the loser's still-queued copy is cancelled below (an
-            // in-flight copy is discarded at its own completion instead).
-            let mut loser = None;
-            if let Some((hp, hd)) = pend.hedge.take() {
-                if hp == i {
-                    core.recovery.hedges_won += 1;
-                    loser = Some(pend.prefill);
-                    pend.prefill = hp;
-                    pend.decode = hd;
-                } else {
-                    loser = Some(hp);
-                }
-            }
-            if job.remaining != 0 {
-                pend.kv_launched = true;
-            }
-            (rid, newly_first, pend.decode, loser)
+        let Some(st) = core.reqs.get_mut(job.key) else {
+            continue;
         };
-        trace(
-            core,
-            TraceKind::PrefillEnd {
-                request: rid,
-                role: Role::Prefill,
-                replica: i,
-            },
-        );
-        if newly_first {
-            trace(core, TraceKind::FirstToken { request: rid });
-        }
-        if let Some(li) = loser {
-            if li != i {
-                s.prefills[li].queue.remove(job.key);
-            }
-        }
-        if job.remaining == 0 {
-            // Single-token output: the prefill already produced it.
-            finish(core, job.key, now, SimDuration::ZERO)?;
+        let pend = &mut st.pend;
+        if pend.kv_launched {
             continue;
         }
-        s.kv.launch(
-            core,
-            Transfer {
+        // The winner of a hedge race fixes the (prefill, decode) pair; the
+        // loser's still-queued copy is cancelled (an in-flight copy is
+        // discarded at its own completion instead).
+        if let Some((hp, hd)) = pend.hedge.take() {
+            let loser = if hp == i {
+                core.recovery.hedges_won += 1;
+                let primary = pend.prefill;
+                pend.prefill = hp;
+                pend.decode = hd;
+                primary
+            } else {
+                hp
+            };
+            if loser != i {
+                s.prefills[loser].queue.remove(job.key);
+            }
+        }
+        if job.remaining != 0 {
+            pend.kv_launched = true;
+        }
+        let to = pend.decode;
+        if end_prefill(core, Role::Prefill, i, &job)? {
+            let t = Transfer {
                 from: i,
-                to: jdec,
+                to,
                 job,
                 attempt: 1,
-            },
-            SimDuration::ZERO,
-        );
+            };
+            s.kv.launch(core, t, SimDuration::ZERO);
+        }
     }
     // Return the emptied batch buffer to the pool for the next launch.
     s.prefills[i].spare_batches.push(batch);
@@ -1732,22 +1303,21 @@ fn split_deliver_transfer(core: &mut Core, s: &mut SplitState, key: SlabKey) -> 
     trace(core, TraceKind::KvDone { request: rid });
     // Step boundaries owed before this instant must land before the
     // admission pass reads KV occupancy and batch size.
-    split_catch_up_decode(core, s, t.to);
+    decode::catch_up(core, s, t.to);
     s.decodes[t.to].batch.waiting.push_back(WaitingSeq {
         key,
         tokens: t.job.tokens,
         remaining: t.job.remaining,
         resume: t.job.resume,
     });
-    let admitted = split_admit_waiting(core, s, t.to);
-    split_kick_decode(core, s, t.to, admitted);
+    decode::admit_and_kick(core, s, t.to);
     Ok(())
 }
 
 /// The live decode replica with the most free KV memory (lowest index
 /// breaks ties) among those serving the model of prefill replica `from` —
 /// KV caches are model-specific. Callers catch up every decode batch first.
-fn kv_target(s: &SplitState, from: usize) -> Option<usize> {
+pub(super) fn kv_target(s: &SplitState, from: usize) -> Option<usize> {
     let model = s.prefill_model[from];
     s.decodes
         .iter()
@@ -1764,10 +1334,10 @@ fn kv_target(s: &SplitState, from: usize) -> Option<usize> {
 
 /// Re-targets a transfer whose decode replica died to [`kv_target`], or
 /// parks it until a decode replica comes back.
-fn split_redispatch_transfer(core: &mut Core, s: &mut SplitState, mut t: Transfer) {
+pub(super) fn split_redispatch_transfer(core: &mut Core, s: &mut SplitState, mut t: Transfer) {
     // The free-KV scan reads every decode batch; their owed boundaries
     // must land first.
-    split_catch_up_all_decodes(core, s);
+    decode::catch_up_all(core, s);
     let Some(j2) = kv_target(s, t.from) else {
         s.parked.push(t);
         return;
@@ -1790,405 +1360,6 @@ fn split_redispatch_transfer(core: &mut Core, s: &mut SplitState, mut t: Transfe
     s.kv.launch(core, t, SimDuration::ZERO);
 }
 
-// --- decode planning / coalescing ----------------------------------------
-
-/// Admits waiting sequences on decode replica `j` and applies the
-/// outcomes. Returns whether anything was admitted (a grown batch obliges
-/// a re-plan under coalescing).
-fn split_admit_waiting(core: &mut Core, s: &mut SplitState, j: usize) -> bool {
-    let d = &mut s.decodes[j];
-    if !d.is_alive() {
-        return false;
-    }
-    let mut outcomes = std::mem::take(&mut core.admit_buf);
-    let reqs = &core.reqs;
-    d.batch.admit(
-        &d.cost,
-        &core.cfg,
-        core.now,
-        |key| reqs.get(key).and_then(|st| st.pend.first_token_at),
-        &mut outcomes,
-    );
-    let admitted = apply_admit_outcomes(core, &outcomes, Role::Decode, j);
-    core.admit_buf = outcomes;
-    trace(
-        core,
-        TraceKind::BatchOccupancy {
-            role: Role::Decode,
-            replica: j,
-            active: s.decodes[j].batch.active.len(),
-        },
-    );
-    admitted
-}
-
-/// Starts or extends decode work on replica `j` after its batch state
-/// changed. With a plan already in flight, a grown batch forces a re-plan
-/// under coalescing (the per-step compatibility path just waits for the
-/// in-flight step, exactly like the old `stepping` guard); with no plan
-/// and a non-empty batch, a fresh run is planned.
-fn split_kick_decode(core: &mut Core, s: &mut SplitState, j: usize, admitted: bool) {
-    let d = &s.decodes[j];
-    if !d.is_alive() || d.batch.active.is_empty() {
-        return;
-    }
-    if d.plan.is_some() {
-        if admitted && coalescing_active(core) {
-            split_replan_decode(core, s, j);
-        }
-        return;
-    }
-    split_plan_decode(core, s, j);
-}
-
-/// Plans a decode run for replica `j` starting now and schedules its
-/// run-end event. Under coalescing the run extends to the earliest finish
-/// boundary (the batch is constant until then, so every boundary is
-/// priced exactly as the per-step loop would: the integer average context
-/// grows by exactly 1 per step); the compatibility path plans one step.
-fn split_plan_decode(core: &mut Core, s: &mut SplitState, j: usize) {
-    let d = &mut s.decodes[j];
-    debug_assert!(d.plan.is_none(), "planning over a live plan");
-    let batch = d.batch.active.len() as u64;
-    let steps_to_finish = if coalescing_active(core) {
-        d.batch
-            .active
-            .iter()
-            .map(|a| a.remaining)
-            .min()
-            .unwrap_or(1)
-            .max(1)
-    } else {
-        1
-    };
-    let kind = EventKind::DecodeStepDone {
-        replica: j,
-        epoch: d.epoch(),
-    };
-    d.work.plans += 1;
-    let ctx0 = d.batch.avg_context();
-    let plan = d.plan_run(
-        batch,
-        ctx0,
-        u64::from(steps_to_finish),
-        core.now,
-        false,
-        |end| core.queue.push_cancellable(end, kind),
-    );
-    d.plan = Some(plan);
-}
-
-/// Re-plans replica `j`'s coalesced run after its batch grew or its speed
-/// changed. The in-progress step's end boundary was committed when that
-/// step began (the per-step loop fixed its latency then, and newly
-/// admitted sequences receive their first token at it, because the
-/// per-step advance covers the whole batch at a step's end) and is
-/// carried verbatim; boundaries after it are re-priced against the new
-/// batch and straggler factor. The scheduled event moves to the new final
-/// boundary, keeping its original `(seq, pushed_at)` stamps.
-fn split_replan_decode(core: &mut Core, s: &mut SplitState, j: usize) {
-    let d = &mut s.decodes[j];
-    let Some(old) = d.plan.take() else {
-        return;
-    };
-    // Read before pricing: a new straggler factor drops the tables.
-    let first = old.front(&d.tables);
-    debug_assert!(first >= core.now, "carried boundary in the past");
-    let batch = d.batch.active.len() as u64;
-    let steps_to_finish = d
-        .batch
-        .active
-        .iter()
-        .map(|a| a.remaining)
-        .min()
-        .unwrap_or(1)
-        .max(1);
-    let kind = EventKind::DecodeStepDone {
-        replica: j,
-        epoch: d.epoch(),
-    };
-    d.work.replans += 1;
-    // Context as of the carried boundary's end: the whole (new) batch
-    // gains one token there.
-    let ctx0 = d.batch.avg_context() + 1;
-    let mut plan = d.plan_run(
-        batch,
-        ctx0,
-        u64::from(steps_to_finish - 1),
-        first,
-        true,
-        |end| match core.queue.reschedule(old.token, end, kind) {
-            Some(tok) => tok,
-            None => {
-                // The run-end event was already popped and is being held
-                // behind a same-instant rival (this re-plan runs inside
-                // that rival's inline dispatch): re-queue it with its
-                // original stamps so it pops again in the right order.
-                match core.take_held_decode(j) {
-                    Some((seq, pushed_at)) => core.queue.reinsert(end, kind, seq, pushed_at),
-                    None => core.queue.push_cancellable(end, kind),
-                }
-            }
-        },
-    );
-    plan.prev_boundary = old.prev_boundary;
-    d.plan = Some(plan);
-}
-
-/// Cancels replica `j`'s scheduled run-end event and clears the plan,
-/// ahead of a kill/revive (both of which reset the plan without touching
-/// the queue). The per-step loop always had exactly one decode event in
-/// flight — the in-progress step's end — and popped it (advancing `now`
-/// past it) even once stale; its fire time folds into the phantom horizon
-/// so the reported makespan stays identical.
-fn split_cancel_decode_plan(core: &mut Core, s: &mut SplitState, j: usize) {
-    let d = &s.decodes[j];
-    let Some(plan) = d.plan.as_ref() else {
-        return;
-    };
-    let in_progress_end = plan.front(&d.tables);
-    core.phantom_horizon = core.phantom_horizon.max(in_progress_end);
-    core.queue.cancel(plan.token);
-    s.decodes[j].plan = None;
-}
-
-/// Materializes every plan boundary of replica `j` that has elapsed:
-/// boundaries strictly before `now`, plus a boundary exactly at `now`
-/// when the event being dispatched was pushed after that step began (the
-/// per-step loop would have popped the step's own event first — smaller
-/// sequence number). The final boundary never catches up here; it is the
-/// scheduled event's fire time and is handled by
-/// [`Driver::on_decode_finish`].
-fn split_catch_up_decode(core: &mut Core, s: &mut SplitState, j: usize) {
-    let d = &s.decodes[j];
-    let Some(plan) = d.plan.as_ref() else {
-        return;
-    };
-    let m = plan.elapsed(&d.tables, core.now, core.event_pushed_at);
-    if m > 0 {
-        split_materialize(core, s, j, m);
-    }
-}
-
-/// Catches up every decode replica (paths that scan cross-replica batch
-/// state: transfer re-dispatch, hedging probes).
-fn split_catch_up_all_decodes(core: &mut Core, s: &mut SplitState) {
-    for j in 0..s.decodes.len() {
-        split_catch_up_decode(core, s, j);
-    }
-}
-
-/// Materializes the next `m` boundaries of replica `j`'s plan. Unless a
-/// recorder or streaming plane is attached this is one arithmetic pass —
-/// batch membership is constant across a plan, so per sequence only the
-/// first gap differs and the remaining gaps share one maximum, the last
-/// of them (step time never decreases as context grows); otherwise each
-/// boundary replays individually to emit its retroactive trace events.
-/// The pressure tally needs no replay: each replayed boundary only repeats
-/// the occupancy already sampled, which moves neither its integral nor
-/// its peak.
-fn split_materialize(core: &mut Core, s: &mut SplitState, j: usize, m: u64) {
-    let d = &mut s.decodes[j];
-    d.work.steps_crossed += m;
-    if !observing(core) {
-        let plan = d.plan.as_mut().expect("materialize without plan");
-        debug_assert!(m < plan.remaining(), "materializing the final boundary");
-        let first = plan.front(&d.tables);
-        let shared_max = plan.shared_max_gap(&d.tables, m);
-        let last = plan.boundary(&d.tables, plan.crossed + m - 1);
-        let batch = d.batch.active.len() as u64;
-        for a in &mut d.batch.active {
-            debug_assert!(
-                u64::from(a.remaining) > m,
-                "an intermediate coalesced boundary must not finish a sequence"
-            );
-            a.context += m;
-            a.remaining -= m as u32;
-            let first_gap = first.saturating_since(a.last_token_at);
-            a.max_gap = a.max_gap.max(first_gap).max(shared_max);
-            a.last_token_at = last;
-        }
-        d.batch.kv_used += batch * m;
-        plan.crossed += m;
-        plan.prev_boundary = last;
-    } else {
-        for _ in 0..m {
-            let b = {
-                let d = &mut s.decodes[j];
-                let plan = d.plan.as_mut().expect("materialize without plan");
-                debug_assert!(plan.remaining() > 1, "materializing the final boundary");
-                let b = plan.front(&d.tables);
-                plan.crossed += 1;
-                plan.prev_boundary = b;
-                b
-            };
-            split_materialize_boundary(core, s, j, b);
-        }
-    }
-}
-
-/// Retroactively replays one coalesced intermediate step that ended at
-/// `at`, emitting the trace events the per-step loop would have: the step
-/// record, the batch update, then the (unchanged) occupancy the no-op
-/// admission pass reported.
-fn split_materialize_boundary(core: &mut Core, s: &mut SplitState, j: usize, at: SimTime) {
-    let d = &mut s.decodes[j];
-    trace_at(
-        core,
-        at,
-        TraceKind::DecodeStep {
-            role: Role::Decode,
-            replica: j,
-            batch: d.batch.active.len(),
-        },
-    );
-    d.batch.materialize_step(at);
-    trace_at(
-        core,
-        at,
-        TraceKind::BatchOccupancy {
-            role: Role::Decode,
-            replica: j,
-            active: d.batch.active.len(),
-        },
-    );
-}
-
-/// Discards a held (deferred) decode-finish stamp for replica `j`.
-fn drop_held_decode(core: &mut Core, j: usize, seq: u64) {
-    core.held_decode.retain(|h| !(h.0 == j && h.1 == seq));
-}
-
-impl Driver {
-    /// Handles a decode run-end event for `replica`. The coalesced event's
-    /// heap stamps date from plan creation, but the per-step loop would
-    /// have pushed the final step's event at the penultimate boundary (the
-    /// plan's *virtual* push time) — so any same-instant rival the
-    /// per-step loop would have popped first is dispatched first, with
-    /// this finish held. A held finish can be re-queued (a rival re-plans
-    /// this replica) or invalidated (a rival kills/revives it); otherwise
-    /// the finish boundary runs: materialize intermediates, advance the
-    /// batch, record finishes, admit, and plan the next run.
-    fn on_decode_finish(&mut self, replica: usize, ev: Event) -> Result<()> {
-        let seq = ev.seq;
-        loop {
-            let vpush = {
-                let (core, s) = self.split("DecodeStepDone")?;
-                let d = &s.decodes[replica];
-                let Some(plan) = d.plan.as_ref() else {
-                    // A rival dispatched below killed or revived the
-                    // replica, cancelling the plan: this pop is stale.
-                    drop_held_decode(core, replica, seq);
-                    return Ok(());
-                };
-                if ev.token() != Some(plan.token) {
-                    // A rival's re-plan consumed the held stamp and
-                    // re-queued the run-end event: this pop is obsolete.
-                    drop_held_decode(core, replica, seq);
-                    return Ok(());
-                }
-                plan.vpush(&d.tables)
-            };
-            if ev.pushed_at == vpush {
-                // The stamps are real (a per-step-schedule push): the heap
-                // already ordered this event correctly.
-                break;
-            }
-            let Some(rival) = self.qualifying_rival(vpush) else {
-                break;
-            };
-            if !self
-                .core
-                .held_decode
-                .iter()
-                .any(|h| h.0 == replica && h.1 == seq)
-            {
-                self.core.held_decode.push((replica, seq, ev.pushed_at));
-            }
-            self.dispatch_event(rival)?;
-            if !self
-                .core
-                .held_decode
-                .iter()
-                .any(|h| h.0 == replica && h.1 == seq)
-            {
-                return Ok(()); // consumed: re-queued by a rival's re-plan
-            }
-        }
-        drop_held_decode(&mut self.core, replica, seq);
-        let (core, s) = self.split("DecodeStepDone")?;
-        let pending = s.decodes[replica]
-            .plan
-            .as_ref()
-            .map_or(0, |p| p.remaining());
-        if pending > 1 {
-            split_materialize(core, s, replica, pending - 1);
-        }
-        let d = &mut s.decodes[replica];
-        let plan = d.plan.take().expect("checked above");
-        debug_assert_eq!(plan.remaining(), 1, "intermediates drained");
-        debug_assert_eq!(plan.end(&d.tables), core.now, "finish boundary mismatch");
-        d.work.steps_crossed += 1;
-        observe_straggler(core, Role::Decode, replica, s.decodes[replica].slow_factor);
-        trace(
-            core,
-            TraceKind::DecodeStep {
-                role: Role::Decode,
-                replica,
-                batch: s.decodes[replica].batch.active.len(),
-            },
-        );
-        let mut finished = std::mem::take(&mut core.finished_buf);
-        s.decodes[replica].batch.advance(core.now, &mut finished);
-        for &(key, gap) in &finished {
-            finish(core, key, core.now, gap)?;
-        }
-        core.finished_buf = finished;
-        split_admit_waiting(core, s, replica);
-        split_kick_decode(core, s, replica, false);
-        Ok(())
-    }
-
-    /// The next queued event, popped, when it shares this instant with the
-    /// decode finish being dispatched and the per-step loop would have
-    /// fired it first: its effective push time (its own stamp, or the
-    /// virtual push time of another replica's live plan) is no later than
-    /// `vpush`. Deferring to an epoch-stale rival is harmless — its
-    /// dispatch is a no-op.
-    fn qualifying_rival(&mut self, vpush: SimTime) -> Option<Event> {
-        let now = self.core.now;
-        debug_assert!(
-            self.core
-                .arrivals
-                .get(self.core.next_arrival)
-                .is_none_or(|r| r.arrival > now),
-            "same-instant arrivals drain before queued events"
-        );
-        let head = *self.core.queue.peek()?;
-        if head.at != now {
-            return None;
-        }
-        let eff = match head.kind {
-            EventKind::DecodeStepDone { replica: r2, .. } => {
-                let Topology::Split(s) = &self.topo else {
-                    return None;
-                };
-                let d = &s.decodes[r2];
-                match d.plan.as_ref() {
-                    Some(p) if head.token() == Some(p.token) => p.vpush(&d.tables),
-                    _ => head.pushed_at,
-                }
-            }
-            _ => head.pushed_at,
-        };
-        if eff <= vpush {
-            self.core.queue.pop()
-        } else {
-            None
-        }
-    }
-}
-
 // --- routing masks ---------------------------------------------------------
 
 /// Route `ri`'s mask: whether each of its (prefill, decode) pairs is
@@ -2196,364 +1367,21 @@ impl Driver {
 /// (flaky-heartbeat false positives and straggler quarantine). `extra`
 /// additionally masks one host — used to test whether a prospective
 /// quarantine would leave a route empty, without committing it.
-fn router_mask(core: &Core, ri: usize, extra: Option<usize>) -> Vec<bool> {
+pub(super) fn router_mask(core: &Core, ri: usize, extra: Option<usize>) -> Vec<bool> {
     let live = |h: usize| !core.believed_dead[h] && !core.gray.masked(h) && extra != Some(h);
     core.routes[ri]
         .pairs
         .iter()
-        .map(|&(i, j)| live(core.host_of(true, i)) && live(core.host_of(false, j)))
+        .map(|&(i, j)| live(core.gray.host_of(true, i)) && live(core.gray.host_of(false, j)))
         .collect()
 }
 
 /// Re-derives every route's mask (see [`router_mask`]).
-fn refresh_router(core: &mut Core) {
+pub(super) fn refresh_router(core: &mut Core) {
     for ri in 0..core.routes.len() {
         let mask = router_mask(core, ri, None);
         core.routes[ri].router.apply_mask(&mask);
     }
-}
-
-// --- straggler detection & hedging ----------------------------------------
-
-/// Feeds one completed iteration on `replica` (of `role`), which ran
-/// `ratio` times slower than expected, into its host's EWMA, and
-/// quarantines the host when the detector trips — enough samples and the
-/// EWMA at or above the threshold — unless doing so would leave some route
-/// with no live pair (a degraded replica still beats no replica).
-/// Quarantine masks the host out of routing, counts it, and schedules the
-/// readmission probe at `now + readmit_after`.
-fn observe_straggler(core: &mut Core, role: Role, replica: usize, ratio: f64) {
-    let Some(quarantine) = core.cfg.quarantine else {
-        return;
-    };
-    let prefill = role == Role::Prefill;
-    let host = core.host_of(prefill, replica);
-    if core.gray.quarantined[host] {
-        return;
-    }
-    const ALPHA: f64 = 0.5;
-    let g = &mut core.gray;
-    g.slow_ewma[host] = if g.slow_samples[host] == 0 {
-        ratio
-    } else {
-        ALPHA * ratio + (1.0 - ALPHA) * g.slow_ewma[host]
-    };
-    g.slow_samples[host] = g.slow_samples[host].saturating_add(1);
-    let tripped =
-        g.slow_samples[host] >= STRAGGLER_MIN_SAMPLES && g.slow_ewma[host] >= quarantine.threshold;
-    if !tripped {
-        return;
-    }
-    if (0..core.routes.len()).any(|ri| !router_mask(core, ri, Some(host)).contains(&true)) {
-        return;
-    }
-    core.gray.quarantined[host] = true;
-    let until = core.now + quarantine.readmit_after;
-    core.gray.quarantine_until[host] = Some(until);
-    core.recovery.quarantines += 1;
-    trace(core, TraceKind::Quarantined { role, replica });
-    core.queue
-        .push(until, EventKind::ReadmitProbe { prefill, replica });
-    refresh_router(core);
-}
-
-/// The hedge timer for `request` matured. If the request is still waiting
-/// on prefill, launch a duplicate prefill on an alternate pair
-/// (first completion wins); if its KV transfer is stuck in flight, cancel
-/// and re-send it. No-op when the request already delivered its KV,
-/// finished, or was hedged once before.
-fn split_on_hedge_check(core: &mut Core, s: &mut SplitState, request: SlabKey) {
-    let Some(st) = core.reqs.get(request) else {
-        return; // finished, shed or dropped
-    };
-    let p = &st.pend;
-    if p.kv_done_at.is_some() || p.hedge.is_some() {
-        return;
-    }
-    if hedge_suppressed(core) {
-        return; // SLO budget not burning: keep the duplicate-work budget
-    }
-    if p.kv_launched {
-        split_hedge_transfer(core, s, request);
-    } else {
-        split_hedge_prefill(core, s, request);
-    }
-}
-
-/// Launches a duplicate prefill for a stuck request on an alternate
-/// (prefill, decode) pair drawn from its route. The duplicate carries the
-/// same work unit (a re-prefill covers more than the prompt). Ties are
-/// broken deterministically: route draws advance the stride router in its
-/// usual order, and the first live pair with a *different* prefill replica
-/// wins.
-fn split_hedge_prefill(core: &mut Core, s: &mut SplitState, request: SlabKey) {
-    let Some(st) = core.reqs.get(request) else {
-        return;
-    };
-    let primary = st.pend.prefill;
-    let rid = st.req.id;
-    let model = st.req.model;
-    let job = s.prefills[primary]
-        .queue
-        .queue
-        .iter()
-        .find(|j| j.key == request)
-        .copied()
-        .or_else(|| {
-            s.prefills[primary]
-                .in_flight
-                .iter()
-                .flatten()
-                .find(|j| j.key == request)
-                .copied()
-        });
-    let Some(job) = job else {
-        return; // a fault moved it; the requeue already acted as a retry
-    };
-    // The alternate comes from the request's own route, so a hedge never
-    // lands on another model's replicas.
-    let ri = core
-        .route_of(model)
-        .expect("run_with_faults rejects requests for unserved models");
-    let route = &mut core.routes[ri];
-    let mut alt = None;
-    for _ in 0..route.pairs.len() {
-        if route.router.num_enabled() == 0 {
-            break;
-        }
-        let (i, j) = route.pairs[route.router.next()];
-        // Prefill replica `i` is host `i`.
-        if i != primary && s.prefills[i].is_alive() && !core.believed_dead[i] {
-            alt = Some((i, j));
-            break;
-        }
-    }
-    let Some((hi, hj)) = alt else {
-        return; // no live alternative prefill replica
-    };
-    if let Some(st) = core.reqs.get_mut(request) {
-        st.pend.hedge = Some((hi, hj));
-    }
-    core.recovery.hedges_launched += 1;
-    trace(
-        core,
-        TraceKind::HedgeLaunched {
-            request: rid,
-            role: Role::Prefill,
-            replica: hi,
-        },
-    );
-    s.prefills[hi].queue.enqueue(job);
-    split_maybe_start_prefill(core, s, hi);
-}
-
-/// Cancels a stuck KV transfer and re-sends it (attempt + 1) to
-/// [`kv_target`], the death re-dispatch target — possibly the same
-/// replica. The superseded attempt's completion goes stale via its attempt
-/// number, so a duplicate delivery is impossible.
-fn split_hedge_transfer(core: &mut Core, s: &mut SplitState, request: SlabKey) {
-    let Some(t) = core.reqs.get(request).and_then(|st| st.transfer) else {
-        return; // completion already delivered
-    };
-    s.kv.cancel(core, request);
-    // Free-KV capacity is read at `now`, so every coalesced batch must be
-    // materialized up to `now` first.
-    split_catch_up_all_decodes(core, s);
-    let mut t = t;
-    t.attempt += 1;
-    if let Some(j2) = kv_target(s, t.from) {
-        t.to = j2;
-    }
-    let rid = if let Some(st) = core.reqs.get_mut(request) {
-        st.pend.decode = t.to;
-        st.pend.hedge = Some((t.from, t.to));
-        st.req.id
-    } else {
-        return;
-    };
-    core.recovery.hedges_launched += 1;
-    trace(
-        core,
-        TraceKind::HedgeLaunched {
-            request: rid,
-            role: Role::Decode,
-            replica: t.to,
-        },
-    );
-    s.kv.launch(core, t, SimDuration::ZERO);
-}
-
-// --- colocated-topology handlers -----------------------------------------
-
-fn colo_maybe_start_work(core: &mut Core, c: &mut ColoState, ri: usize) {
-    // Admission runs even while the engine is busy: decode slots free up
-    // as sequences finish regardless of what work item is in flight.
-    {
-        let r = &mut c.replicas[ri];
-        if !r.is_alive() {
-            return;
-        }
-        let mut outcomes = std::mem::take(&mut core.admit_buf);
-        let reqs = &core.reqs;
-        r.batch.admit(
-            &r.cost,
-            &core.cfg,
-            core.now,
-            |key| reqs.get(key).and_then(|st| st.pend.first_token_at),
-            &mut outcomes,
-        );
-        apply_admit_outcomes(core, &outcomes, Role::Colocated, ri);
-        core.admit_buf = outcomes;
-    }
-    trace(
-        core,
-        TraceKind::BatchOccupancy {
-            role: Role::Colocated,
-            replica: ri,
-            active: c.replicas[ri].batch.active.len(),
-        },
-    );
-    let r = &mut c.replicas[ri];
-    if r.current.is_some() {
-        return;
-    }
-    let has_prefill = !r.prefill.is_empty();
-    let has_decode = !r.batch.active.is_empty();
-    // Whole batches take priority over decode; chunks strictly alternate
-    // with decode steps when both kinds of work exist.
-    let chunked = matches!(core.cfg.prefill_policy, PrefillPolicy::Chunked { .. });
-    let run_decode = has_decode && (!has_prefill || (chunked && r.decode_turn));
-    if run_decode {
-        let batch = r.batch.active.len() as u64;
-        trace(
-            core,
-            TraceKind::DecodeStep {
-                role: Role::Colocated,
-                replica: ri,
-                batch: batch as usize,
-            },
-        );
-        let mut latency = r.cost.decode_step_latency(batch, r.batch.avg_context());
-        if r.slow_factor != 1.0 {
-            latency = latency.mul_f64(r.slow_factor);
-        }
-        r.current = Some(Work::DecodeStep);
-        r.decode_turn = false;
-        core.queue.push(
-            core.now + latency,
-            EventKind::WorkDone {
-                replica: ri,
-                epoch: r.epoch(),
-            },
-        );
-        return;
-    }
-    if !has_prefill {
-        return;
-    }
-    let mut finishing = Vec::new();
-    let (tokens, avg) = r.prefill.take_launch(&mut finishing);
-    if tracing(core) {
-        for job in &finishing {
-            let Some(st) = core.reqs.get(job.key) else {
-                continue;
-            };
-            let request = st.req.id;
-            trace(
-                core,
-                TraceKind::PrefillStart {
-                    request,
-                    role: Role::Colocated,
-                    replica: ri,
-                    tokens: job.tokens,
-                },
-            );
-        }
-    }
-    if sampling(core) {
-        let depth = r.prefill.queue.len();
-        trace(
-            core,
-            TraceKind::QueueDepth {
-                role: Role::Colocated,
-                replica: ri,
-                depth,
-            },
-        );
-    }
-    let mut latency = r.cost.prefill_latency(tokens, avg);
-    if r.slow_factor != 1.0 {
-        latency = latency.mul_f64(r.slow_factor);
-    }
-    r.current = Some(Work::Prefill { finishing });
-    r.decode_turn = chunked;
-    core.queue.push(
-        core.now + latency,
-        EventKind::WorkDone {
-            replica: ri,
-            epoch: r.epoch(),
-        },
-    );
-}
-
-fn colo_on_work_done(core: &mut Core, c: &mut ColoState, ri: usize) -> Result<()> {
-    observe_straggler(core, Role::Colocated, ri, c.replicas[ri].slow_factor);
-    let work = c.replicas[ri]
-        .current
-        .take()
-        .ok_or_else(|| Error::Simulation("WorkDone with no work".into()))?;
-    match work {
-        Work::Prefill { finishing } => {
-            for job in finishing {
-                let now = core.now;
-                let (rid, newly_first) = {
-                    let st = core
-                        .reqs
-                        .get_mut(job.key)
-                        .ok_or_else(|| Error::Simulation(format!("unknown request {}", job.key)))?;
-                    // Re-prefills keep their original first-token time
-                    // (fault recovery); fresh prefills set it now.
-                    let newly_first = st.pend.first_token_at.is_none();
-                    if newly_first {
-                        st.pend.first_token_at = Some(now);
-                    }
-                    (st.req.id, newly_first)
-                };
-                trace(
-                    core,
-                    TraceKind::PrefillEnd {
-                        request: rid,
-                        role: Role::Colocated,
-                        replica: ri,
-                    },
-                );
-                if newly_first {
-                    trace(core, TraceKind::FirstToken { request: rid });
-                }
-                if job.remaining == 0 {
-                    finish(core, job.key, now, SimDuration::ZERO)?;
-                } else {
-                    // KV is already local: straight to the waiting queue.
-                    c.replicas[ri].batch.waiting.push_back(WaitingSeq {
-                        key: job.key,
-                        tokens: job.tokens,
-                        remaining: job.remaining,
-                        resume: job.resume,
-                    });
-                }
-            }
-        }
-        Work::DecodeStep => {
-            let mut finished = std::mem::take(&mut core.finished_buf);
-            c.replicas[ri].batch.advance(core.now, &mut finished);
-            for &(key, gap) in &finished {
-                finish(core, key, core.now, gap)?;
-            }
-            core.finished_buf = finished;
-        }
-    }
-    colo_maybe_start_work(core, c, ri);
-    Ok(())
 }
 
 #[cfg(test)]

@@ -667,32 +667,9 @@ impl ReplicaExecutor for DecodeExecutor {
     }
 
     fn drain_lost(&mut self) -> DrainedWork {
-        self.batch.kv_used = 0;
-        let active = std::mem::take(&mut self.batch.active);
-        let waiting = std::mem::take(&mut self.batch.waiting);
-        let mut lost_seqs = Vec::new();
-        for a in active {
-            lost_seqs.push(LostSeq {
-                key: a.key,
-                tokens: a.context,
-                remaining: a.remaining,
-                resume: Some(ResumeState {
-                    last_token_at: a.last_token_at,
-                    max_gap: a.max_gap,
-                }),
-            });
-        }
-        for w in waiting {
-            lost_seqs.push(LostSeq {
-                key: w.key,
-                tokens: w.tokens,
-                remaining: w.remaining,
-                resume: w.resume,
-            });
-        }
         DrainedWork {
             prefill_jobs: Vec::new(),
-            lost_seqs,
+            lost_seqs: self.batch.drain_lost(),
         }
     }
 }
@@ -717,6 +694,9 @@ pub struct ColocatedExecutor {
     /// times (a colocated replica slows down as a whole; exactly 1.0 =
     /// healthy, skipped by the driver).
     pub slow_factor: f64,
+    /// One-entry memo of `(total_tokens, avg_context) -> (latency,
+    /// bottleneck)` for prefill pricing, as on [`PrefillExecutor`].
+    pub price_memo: Option<(u64, u64, SimDuration, SimDuration)>,
     alive: bool,
     epoch: u64,
 }
@@ -733,6 +713,7 @@ impl ColocatedExecutor {
             current: None,
             decode_turn: false,
             slow_factor: 1.0,
+            price_memo: None,
             alive: true,
             epoch: 0,
         }
@@ -768,32 +749,9 @@ impl ReplicaExecutor for ColocatedExecutor {
         self.current = None;
         self.decode_turn = false;
         prefill_jobs.extend(self.prefill.drain_all());
-        self.batch.kv_used = 0;
-        let active = std::mem::take(&mut self.batch.active);
-        let waiting = std::mem::take(&mut self.batch.waiting);
-        let mut lost_seqs = Vec::new();
-        for a in active {
-            lost_seqs.push(LostSeq {
-                key: a.key,
-                tokens: a.context,
-                remaining: a.remaining,
-                resume: Some(ResumeState {
-                    last_token_at: a.last_token_at,
-                    max_gap: a.max_gap,
-                }),
-            });
-        }
-        for w in waiting {
-            lost_seqs.push(LostSeq {
-                key: w.key,
-                tokens: w.tokens,
-                remaining: w.remaining,
-                resume: w.resume,
-            });
-        }
         DrainedWork {
             prefill_jobs,
-            lost_seqs,
+            lost_seqs: self.batch.drain_lost(),
         }
     }
 }

@@ -20,7 +20,6 @@ use super::executor::{DecodeExecutor, PrefillExecutor};
 use super::seq::PrefillJob;
 use crate::config::{KvTransfer, SimConfig, KV_RETRY_BACKOFF_BASE, KV_RETRY_BACKOFF_CAP};
 use crate::event::{EventKind, EventToken};
-use rand::Rng;
 use ts_cluster::Cluster;
 use ts_common::{
     DeploymentPlan, Error, GpuId, ModelId, ModelSpec, Result, SimDuration, SimTime, SlabKey,
@@ -503,7 +502,7 @@ fn retry_backoff(core: &mut Core, attempt: u32) -> SimDuration {
     delay = delay.min(KV_RETRY_BACKOFF_CAP);
     let jitter = core.cfg.kv_retry_jitter;
     if jitter > 0.0 {
-        let stretch = 1.0 + core.gray.rng.gen_range(0.0..1.0) * jitter;
+        let stretch = 1.0 + core.gray.draw() * jitter;
         delay = delay.mul_f64(stretch);
     }
     delay

@@ -18,6 +18,7 @@
 //! instead of a hash probe. The id (for traces and records) and the payload
 //! live in the slab entry.
 
+use super::executor::LostSeq;
 use crate::config::{PrefillPolicy, SimConfig, MAX_DECODE_BATCH, MAX_PREFILL_BATCH_TOKENS};
 use std::collections::VecDeque;
 use ts_common::{Request, SimDuration, SimTime, SlabKey};
@@ -279,6 +280,30 @@ impl BatchCore {
             a.max_gap = a.max_gap.max(gap);
             a.last_token_at = at;
         }
+    }
+
+    /// Evacuates the batch (its replica died or was revived): frees all KV
+    /// memory and returns every sequence to re-prefill, active ones over
+    /// their full context with their gap state, then the waiting ones as
+    /// they were queued.
+    pub fn drain_lost(&mut self) -> Vec<LostSeq> {
+        self.kv_used = 0;
+        let active = self.active.drain(..).map(|a| LostSeq {
+            key: a.key,
+            tokens: a.context,
+            remaining: a.remaining,
+            resume: Some(ResumeState {
+                last_token_at: a.last_token_at,
+                max_gap: a.max_gap,
+            }),
+        });
+        let waiting = self.waiting.drain(..).map(|w| LostSeq {
+            key: w.key,
+            tokens: w.tokens,
+            remaining: w.remaining,
+            resume: w.resume,
+        });
+        active.chain(waiting).collect()
     }
 
     /// Mean context length of the active batch (caller must ensure the
