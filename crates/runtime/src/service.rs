@@ -36,8 +36,6 @@ use ts_sim::metrics::Metrics;
 use ts_telemetry::{PressureTally, StreamConfig, StreamSnapshot};
 use ts_workload::{WorkloadProfiler, WorkloadSpec};
 
-use crate::heartbeat::HeartbeatMonitor;
-
 /// How to react to failures and workload shifts.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ReschedulePolicy {
@@ -68,11 +66,6 @@ pub struct SegmentReport {
     pub stream: Option<StreamSnapshot>,
 }
 
-/// Heartbeat timeout for the runtime's *persistent* fleet-membership
-/// monitor (per-segment detection timeouts are passed explicitly to
-/// [`ServingRuntime::serve_segment_with_faults`]).
-pub const DEFAULT_HEARTBEAT_TIMEOUT: SimDuration = SimDuration::from_secs(1);
-
 /// Fraction of the active fleet a [`FleetDelta`] may touch before
 /// [`ServingRuntime::apply_fleet_delta`] escalates from the zero-reload
 /// graft/prune path to a full re-plan with its weight-reload blackout.
@@ -89,14 +82,6 @@ pub struct ServingRuntime {
     /// Blackout pending from the last full reschedule (consumed by the next
     /// segment).
     pending_blackout: SimDuration,
-    /// Persistent fleet-membership monitor: exactly the nodes currently in
-    /// the fleet are registered, so silence from a *released* node means
-    /// nothing while silence from a held node is an outage. Survives fleet
-    /// changes across segments.
-    heartbeat: HeartbeatMonitor,
-    /// Wall-clock position of the runtime: the sum of served segment
-    /// horizons. Heartbeat registrations/beats are stamped against it.
-    clock: SimTime,
     /// When set, segments run with the streaming observability plane and
     /// hand its [`StreamSnapshot`] back in the [`SegmentReport`].
     streaming: Option<StreamConfig>,
@@ -114,22 +99,14 @@ fn node_in_fleet(cluster: &Cluster, node: NodeId) -> bool {
 }
 
 impl ServingRuntime {
-    /// Creates a runtime over a snapshot of the cluster. Every node that is
-    /// active in the snapshot is registered with the heartbeat monitor
-    /// before the first segment.
+    /// Creates a runtime over a snapshot of the cluster: the nodes with an
+    /// active GPU are the fleet.
     pub fn new(
         cluster: Cluster,
         model: ModelSpec,
         slo: SloSpec,
         scheduler_cfg: SchedulerConfig,
     ) -> Self {
-        let mut heartbeat = HeartbeatMonitor::new(DEFAULT_HEARTBEAT_TIMEOUT);
-        for i in 0..cluster.num_nodes() {
-            let n = NodeId(i as u32);
-            if node_in_fleet(&cluster, n) {
-                heartbeat.register(n, SimTime::ZERO);
-            }
-        }
         ServingRuntime {
             cluster,
             model,
@@ -138,8 +115,6 @@ impl ServingRuntime {
             plan: None,
             profiler: WorkloadProfiler::new(SimDuration::from_secs(300), 2.0, 30),
             pending_blackout: SimDuration::ZERO,
-            heartbeat,
-            clock: SimTime::ZERO,
             streaming: None,
             resched_log: Vec::new(),
         }
@@ -162,45 +137,6 @@ impl ServingRuntime {
     /// The runtime's cluster view.
     pub fn cluster(&self) -> &Cluster {
         &self.cluster
-    }
-
-    /// The persistent fleet-membership heartbeat monitor.
-    pub fn heartbeat(&self) -> &HeartbeatMonitor {
-        &self.heartbeat
-    }
-
-    /// The runtime's wall-clock position (sum of served segment horizons).
-    pub fn clock(&self) -> SimTime {
-        self.clock
-    }
-
-    /// Advances the runtime clock past a served segment and beats every
-    /// in-fleet node (they just served traffic, so they are demonstrably
-    /// alive).
-    fn tick(&mut self, elapsed: SimDuration) {
-        self.clock += elapsed;
-        for i in 0..self.cluster.num_nodes() {
-            let n = NodeId(i as u32);
-            if node_in_fleet(&self.cluster, n) {
-                self.heartbeat.beat(n, self.clock);
-            }
-        }
-    }
-
-    /// Reconciles heartbeat membership with the cluster's availability mask
-    /// after events changed it: nodes that left stop being tracked (their
-    /// silence is expected), nodes that joined are registered **before** the
-    /// next segment so their very first silent timeout counts.
-    fn sync_heartbeat_membership(&mut self) {
-        for i in 0..self.cluster.num_nodes() {
-            let n = NodeId(i as u32);
-            let in_fleet = node_in_fleet(&self.cluster, n);
-            if in_fleet && !self.heartbeat.is_tracked(n) {
-                self.heartbeat.register(n, self.clock);
-            } else if !in_fleet && self.heartbeat.is_tracked(n) {
-                self.heartbeat.deregister(n);
-            }
-        }
     }
 
     /// Runs the initial scheduling and deploys the plan.
@@ -240,7 +176,6 @@ impl ServingRuntime {
         let metrics = sim.run(&adjusted)?;
         let pressure = sim.take_pressure().expect("segment_cfg attaches the tally");
         let stream = sim.take_streaming().map(|p| p.snapshot());
-        self.tick(metrics.horizon());
         Ok(SegmentReport {
             metrics,
             blackout,
@@ -265,18 +200,21 @@ impl ServingRuntime {
     /// so in-flight requests on failed replicas are re-routed/re-prefilled
     /// (or lost, under [`ReschedulePolicy::None`]) as the run progresses.
     ///
-    /// `heartbeat_timeout` is the [`HeartbeatMonitor`] timeout: a replica
-    /// lost at `t` is only acted on at `t + heartbeat_timeout`. Under
-    /// [`ReschedulePolicy::Full`] the first detected failure additionally
-    /// pauses the whole service for the modeled weight-reload time — the
-    /// mid-segment equivalent of the between-segment reload blackout.
+    /// `heartbeat_timeout` is the engine's detection delay: a replica lost
+    /// at `t` is detected at `t + heartbeat_timeout` if it is still down
+    /// then ([`Simulation::detections`]). Under [`ReschedulePolicy::Full`]
+    /// the first detection additionally pauses the whole service for the
+    /// modeled weight-reload time — the mid-segment equivalent of the
+    /// between-segment reload blackout.
     ///
     /// After the segment, the events are applied to the runtime's cluster
-    /// view and the policy's reschedule is run for subsequent segments —
-    /// unless the outage was a node blip shorter than the heartbeat timeout
-    /// (never detected, nothing to react to). A full reschedule triggered
-    /// this way carries no *additional* pending blackout: the reload was
-    /// already paid in-flight as the pause.
+    /// view. A fleet change (a `ScaleDown` of an in-fleet node or a
+    /// `ScaleUp` of a parked one) edits the plan with
+    /// [`fleet_reschedule`]; otherwise the policy's reschedule runs if the
+    /// engine detected a loss or GPUs failed or returned. A node blip
+    /// shorter than the timeout is never detected and triggers nothing. A
+    /// full reschedule after a detection carries no *additional* pending
+    /// blackout: the reload was already paid in-flight as the pause.
     ///
     /// # Errors
     /// Returns [`Error::Runtime`] if no plan is deployed; propagates
@@ -306,149 +244,73 @@ impl ServingRuntime {
         if policy == ReschedulePolicy::None {
             script = script.without_recovery();
         }
-        // Full rescheduling mid-segment reloads weights: pause the service
-        // from the first detection until the reload completes.
-        let mut paused_mid_flight = false;
-        if policy == ReschedulePolicy::Full {
-            let first_down = script
-                .faults
-                .iter()
-                .find(|f| matches!(f.kind, FaultKind::PrefillDown(_) | FaultKind::DecodeDown(_)));
-            if let Some(f) = first_down {
-                let reload = plan
-                    .groups
-                    .iter()
-                    .filter_map(|g| {
-                        ReplicaCostModel::new(
-                            &self.cluster,
-                            &self.model,
-                            g,
-                            &self.scheduler_cfg.params,
-                        )
-                        .ok()
-                    })
-                    .map(|rcm| rcm.weight_load_time(DISK_BANDWIDTH))
-                    .max()
-                    .unwrap_or(SimDuration::ZERO);
-                let detect = f.at + heartbeat_timeout;
-                script.faults.push(TimedFault {
-                    at: detect,
-                    kind: FaultKind::Pause {
-                        until: detect + reload,
-                    },
-                });
-                script.faults.sort_by_key(|f| f.at);
-                paused_mid_flight = true;
-            }
-        }
-
         let cfg = self.segment_cfg();
         let mut sim = Simulation::new(&self.cluster, plan, cfg)?;
+        let detections = sim.detections(&script)?;
+        // Full rescheduling mid-segment reloads weights: pause the service
+        // from the first detection until the reload completes.
+        let pause_at = detections
+            .first()
+            .filter(|_| policy == ReschedulePolicy::Full)
+            .map(|d| d.at);
+        if let Some(detect) = pause_at {
+            let reload = plan
+                .groups
+                .iter()
+                .filter_map(|g| {
+                    ReplicaCostModel::new(&self.cluster, &self.model, g, &self.scheduler_cfg.params)
+                        .ok()
+                })
+                .map(|rcm| rcm.weight_load_time(DISK_BANDWIDTH))
+                .max()
+                .unwrap_or(SimDuration::ZERO);
+            script.faults.push(TimedFault {
+                at: detect,
+                kind: FaultKind::Pause {
+                    until: detect + reload,
+                },
+            });
+            script.faults.sort_by_key(|f| f.at);
+        }
         let metrics = sim.run_with_faults(&adjusted, &script)?;
         let pressure = sim.take_pressure().expect("segment_cfg attaches the tally");
         let stream = sim.take_streaming().map(|p| p.snapshot());
 
-        // Replay node-level events through a heartbeat monitor to decide
-        // what the coordinator actually *detected*: healthy nodes beat at
-        // every event time, silent ones expire one timeout later. A blip
-        // shorter than the timeout is never seen. GPU-level events come from
-        // explicit device errors and are always known.
+        // Deliberate fleet changes, judged against the fleet before the
+        // segment: a reclaim of a node already drained out of the fleet is a
+        // no-op by design. GPU-level events come from explicit device errors
+        // and are always known. Gray degradations leave the availability
+        // mask (and thus the plan's feasibility) untouched, and preemption
+        // warnings are advisory: neither triggers anything here.
         let mut sorted = events.to_vec();
         sort_script(&mut sorted);
-        // Only nodes the persistent monitor believes in the fleet are
-        // expected to beat: a node released in an earlier segment must not
-        // read as a fresh outage just because it stays silent.
-        let mut nodes: Vec<NodeId> = (0..self.cluster.num_nodes())
-            .map(|i| NodeId(i as u32))
-            .filter(|&n| self.heartbeat.is_tracked(n) && !self.heartbeat.is_dead(n))
-            .collect();
-        let mut monitor = HeartbeatMonitor::new(heartbeat_timeout);
-        for &n in &nodes {
-            monitor.register(n, SimTime::ZERO);
-        }
-        let mut silent: Vec<NodeId> = Vec::new();
         let mut delta = FleetDelta::default();
         let mut gpu_level_change = false;
-        let mut detected = false;
         for ev in &sorted {
-            for &n in &nodes {
-                if !silent.contains(&n) {
-                    monitor.beat(n, ev.at);
-                }
-            }
-            detected |= !monitor.expired(ev.at).is_empty();
             match &ev.kind {
-                EventKind::NodeDown(n) => silent.push(*n),
-                EventKind::NodeUp(n) => {
-                    silent.retain(|m| m != n);
-                    // Returning capacity is an explicit control-plane event:
-                    // re-register rather than beat, since a beat alone can no
-                    // longer resurrect a node flagged dead.
-                    monitor.register(*n, ev.at);
-                    if !nodes.contains(n) {
-                        nodes.push(*n);
-                    }
+                EventKind::ScaleDown(n) if node_in_fleet(&self.cluster, *n) => {
+                    delta.released.push(*n);
                 }
-                // A reclaimed/released node goes silent *deliberately*: the
-                // control plane knows, so it is deregistered rather than
-                // left to expire as a phantom outage. The fleet delta still
-                // triggers a (zero-reload) plan edit below — unless the node
-                // was already drained out of the fleet, in which case the
-                // reclaim is a no-op by design.
-                EventKind::ScaleDown(n) => {
-                    monitor.deregister(*n);
-                    nodes.retain(|m| m != n);
-                    silent.retain(|m| m != n);
-                    if node_in_fleet(&self.cluster, *n) {
-                        delta.released.push(*n);
-                    }
-                }
-                EventKind::ScaleUp(n) => {
-                    monitor.register(*n, ev.at);
-                    if !nodes.contains(n) {
-                        nodes.push(*n);
-                    }
-                    if !node_in_fleet(&self.cluster, *n) {
-                        delta.acquired.push(*n);
-                    }
+                EventKind::ScaleUp(n) if !node_in_fleet(&self.cluster, *n) => {
+                    delta.acquired.push(*n);
                 }
                 EventKind::GpusDown(_) | EventKind::GpusUp(_) => gpu_level_change = true,
-                // Gray degradations leave the availability mask (and thus
-                // the plan's feasibility) untouched: no reschedule trigger.
-                // Preemption warnings are advisory — the autoscaler reacts
-                // between segments by draining; mid-flight they change
-                // nothing.
-                EventKind::NodeSlow(..)
-                | EventKind::LinkDegraded(..)
-                | EventKind::HeartbeatFlaky(..)
-                | EventKind::PreemptionWarning(..) => {}
+                _ => {}
             }
         }
-        if let Some(last) = sorted.last() {
-            let horizon = last.at + heartbeat_timeout + SimDuration::from_micros(1);
-            for &n in &nodes {
-                if !silent.contains(&n) {
-                    monitor.beat(n, horizon);
-                }
-            }
-            detected |= !monitor.expired(horizon).is_empty();
-        }
-
         for ev in &sorted {
             ev.apply(&mut self.cluster)?;
         }
-        self.tick(metrics.horizon());
-        self.sync_heartbeat_membership();
         if !delta.is_empty() {
             // Deliberate fleet change: graft acquired nodes / prune released
             // ones with zero reload where possible. The same pass also drops
             // any groups a concurrent outage killed.
             let outcome = self.fleet_outcome(&delta, workload, DEFAULT_FULL_REPLAN_FRACTION)?;
             self.commit_outcome(outcome);
-            if paused_mid_flight {
+            if pause_at.is_some() {
                 self.pending_blackout = SimDuration::ZERO;
             }
-        } else if detected || gpu_level_change {
+        } else if !detections.is_empty() || gpu_level_change {
             match self.reschedule(workload, policy) {
                 // Under `None` a phase may have lost every replica, making
                 // even the prune infeasible; the old plan stays and the dead
@@ -456,7 +318,7 @@ impl ServingRuntime {
                 Err(_) if policy == ReschedulePolicy::None => {}
                 other => other?,
             }
-            if paused_mid_flight {
+            if pause_at.is_some() {
                 // The reload was served in-flight as the pause; don't charge
                 // the next segment again.
                 self.pending_blackout = SimDuration::ZERO;
@@ -514,10 +376,8 @@ impl ServingRuntime {
     }
 
     /// Applies a deliberate fleet change between segments: released nodes
-    /// are deactivated and **deregistered** from the heartbeat monitor
-    /// (their silence is expected, not an outage), acquired nodes are
-    /// activated and registered **before** the next segment so their first
-    /// missed beat counts. The plan is then adjusted with
+    /// are deactivated (their silence is expected, not an outage) and
+    /// acquired nodes activated. The plan is then adjusted with
     /// [`fleet_reschedule`]: zero reload for small deltas, a full re-plan
     /// with blackout when the delta exceeds `full_replan_fraction` of the
     /// active fleet.
@@ -533,11 +393,9 @@ impl ServingRuntime {
     ) -> Result<()> {
         for &n in &delta.released {
             self.cluster.deactivate_node(n)?;
-            self.heartbeat.deregister(n);
         }
         for &n in &delta.acquired {
             self.cluster.activate_node(n)?;
-            self.heartbeat.register(n, self.clock);
         }
         if delta.is_empty() {
             return Ok(());
@@ -909,6 +767,60 @@ mod tests {
     }
 
     #[test]
+    fn sub_timeout_blip_under_full_neither_pauses_nor_reschedules() {
+        use ts_cluster::availability::{ClusterEvent, EventKind};
+
+        // Node 0 is down for 400ms, under the 1s timeout: nothing is
+        // detected, so Full has nothing to reload for.
+        let events = vec![
+            ClusterEvent::new(SimTime::from_secs_f64(10.0), EventKind::NodeDown(NodeId(0))),
+            ClusterEvent::new(SimTime::from_secs_f64(10.4), EventKind::NodeUp(NodeId(0))),
+        ];
+        let w = spec::coding(2.0);
+        let reqs = generate(&w, SimDuration::from_secs(30), 6);
+        let serve = |policy| {
+            let mut rt = runtime();
+            rt.deploy(&w).unwrap();
+            let rep = rt
+                .serve_segment_with_faults(&reqs, &events, policy, &w, SimDuration::from_secs(1))
+                .unwrap();
+            (rep.metrics, rt.resched_log.len())
+        };
+        let (full, full_log) = serve(ReschedulePolicy::Full);
+        let (light, _) = serve(ReschedulePolicy::Lightweight);
+        assert_eq!(full_log, 0, "an undetected blip must not reschedule");
+        assert_eq!(full, light, "an undetected blip must not pause the service");
+    }
+
+    #[test]
+    fn zero_heartbeat_timeout_serves_or_errs_without_panicking() {
+        use ts_cluster::availability::{ClusterEvent, EventKind};
+
+        let w = spec::coding(2.0);
+        let reqs = generate(&w, SimDuration::from_secs(30), 6);
+        let at = SimTime::from_secs_f64(10.0);
+        let serve = |kind: EventKind| {
+            let mut rt = runtime();
+            rt.deploy(&w).unwrap();
+            rt.serve_segment_with_faults(
+                &reqs,
+                &[ClusterEvent::new(at, kind)],
+                ReschedulePolicy::Lightweight,
+                &w,
+                SimDuration::ZERO,
+            )
+            .map(|_| rt.resched_log.len())
+        };
+        // A loss is detected the instant it strikes.
+        assert_eq!(serve(EventKind::NodeDown(NodeId(0))).unwrap(), 1);
+        // Flaky heartbeats need a beat window; the engine refuses a zero one.
+        assert!(matches!(
+            serve(EventKind::HeartbeatFlaky(NodeId(0), 0.5)),
+            Err(Error::InvalidConfig(_))
+        ));
+    }
+
+    #[test]
     fn mid_flight_full_pays_reload_in_flight_not_next_segment() {
         use ts_cluster::availability::{ClusterEvent, EventKind};
 
@@ -959,9 +871,13 @@ mod tests {
         let mut rt = elastic_runtime();
         let w = spec::coding(2.0);
         rt.deploy(&w).unwrap();
-        // Only in-fleet nodes are registered before the first segment.
-        assert_eq!(rt.heartbeat().num_tracked(), 4);
-        assert!(!rt.heartbeat().is_tracked(NodeId(5)));
+        let fleet = |rt: &ServingRuntime| -> Vec<NodeId> {
+            (0..rt.cluster().num_nodes() as u32)
+                .map(NodeId)
+                .filter(|&n| node_in_fleet(rt.cluster(), n))
+                .collect()
+        };
+        assert_eq!(fleet(&rt), (0..4).map(NodeId).collect::<Vec<_>>());
 
         // Release spot node 3, serve a segment, re-acquire the SAME node.
         let down = FleetDelta {
@@ -970,11 +886,7 @@ mod tests {
         };
         rt.apply_fleet_delta(&down, &w, DEFAULT_FULL_REPLAN_FRACTION)
             .unwrap();
-        assert!(
-            !rt.heartbeat().is_tracked(NodeId(3)),
-            "a released node must be deregistered, not left to expire"
-        );
-        assert_eq!(rt.heartbeat().num_tracked(), 3);
+        assert_eq!(fleet(&rt), (0..3).map(NodeId).collect::<Vec<_>>());
         let reqs = generate(&w, SimDuration::from_secs(30), 11);
         let rep = rt
             .serve_segment_with_faults(
@@ -996,11 +908,8 @@ mod tests {
         };
         rt.apply_fleet_delta(&up, &w, DEFAULT_FULL_REPLAN_FRACTION)
             .unwrap();
-        // Re-acquiring the same node id re-registers it cleanly: tracked,
-        // not flagged dead from its absence.
-        assert!(rt.heartbeat().is_tracked(NodeId(3)));
-        assert!(!rt.heartbeat().is_dead(NodeId(3)));
-        assert_eq!(rt.heartbeat().num_tracked(), 4);
+        // Re-acquiring the same node id puts it back in the fleet.
+        assert_eq!(fleet(&rt), (0..4).map(NodeId).collect::<Vec<_>>());
         // And the plan actually uses it again.
         let on_node: usize = rt
             .plan()
@@ -1011,9 +920,6 @@ mod tests {
             .filter(|&g| rt.cluster().gpu(g).node == NodeId(3))
             .count();
         assert!(on_node > 0, "re-acquired node must rejoin the plan");
-        // The runtime clock advanced past the served segment, so the fresh
-        // registration is stamped at the current clock, not zero.
-        assert!(rt.clock() > SimTime::ZERO);
     }
 
     #[test]

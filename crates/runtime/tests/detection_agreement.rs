@@ -5,16 +5,17 @@
 //! applied in `(at, index)` order — the order the engine's event queue pops
 //! them in. [`rule`] is a test-local copy of it, applied to the fault script
 //! [`FaultScript::from_cluster_events`] projects from a seeded availability
-//! script. The sweep serves each script once per [`ReschedulePolicy`] and
-//! checks what the runtime did against the rule:
+//! script. The sweep checks the engine's own detections against it, serves
+//! each script once per [`ReschedulePolicy`] and checks what the runtime did:
 //!
+//! * [`Simulation::detections`] lists exactly the rule's detections;
 //! * for a segment with no fleet delta and no GPU-level event, the runtime
 //!   reschedules exactly when the rule detects something;
 //! * when the rule detects nothing, Full's segment metrics equal
 //!   Lightweight's: Full pauses the service only at a detection.
 //!
 //! Each check that fails is recorded as a disagreement class — the script
-//! family and the check — and the sweep asserts the exact set it found.
+//! family and the check — and the sweep asserts that it found none.
 
 use std::collections::BTreeSet;
 
@@ -27,6 +28,7 @@ use ts_common::{
 use ts_runtime::{ReschedulePolicy, ServingRuntime};
 use ts_sim::fault::{FaultKind, FaultScript};
 use ts_sim::metrics::Metrics;
+use ts_sim::{SimConfig, Simulation};
 use ts_workload::{generator::generate, spec};
 
 /// The detection rule over a fault script: the detection times, with the
@@ -62,6 +64,8 @@ fn rule(script: &FaultScript) -> Vec<(SimTime, usize)> {
 /// What a sweep check found wrong.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 enum Check {
+    /// The engine's detections differ from the rule's.
+    EngineDetections,
     /// The runtime rescheduled although the rule detects nothing.
     RescheduleWithoutDetection,
     /// The rule detects a fault but the runtime did not reschedule.
@@ -330,6 +334,12 @@ fn serve(
 fn sweep(mk: fn() -> ServingRuntime, sweep_seed: u64) -> (BTreeSet<(Family, Check)>, Vec<usize>) {
     let base = mk();
     let roles = roles(base.cluster(), base.plan().unwrap());
+    let engine = Simulation::new(
+        base.cluster(),
+        base.plan().unwrap(),
+        SimConfig::new(ModelSpec::llama_30b()),
+    )
+    .unwrap();
     let timeouts = [
         SimDuration::from_millis(500),
         SimDuration::from_secs(1),
@@ -353,7 +363,17 @@ fn sweep(mk: fn() -> ServingRuntime, sweep_seed: u64) -> (BTreeSet<(Family, Chec
                 &events,
                 timeout,
             );
-            let detected = !rule(&script).is_empty();
+            let detections = rule(&script);
+            let engine_detections: Vec<(SimTime, usize)> = engine
+                .detections(&script)
+                .unwrap()
+                .iter()
+                .map(|d| (d.at, d.fault))
+                .collect();
+            if engine_detections != detections {
+                found.insert((family, Check::EngineDetections));
+            }
+            let detected = !detections.is_empty();
             let seed = draw.next() % 1000;
             let mut runs = Vec::new();
             for policy in POLICIES {
@@ -406,26 +426,6 @@ fn detection_rule_orders_faults_as_the_queue_pops_them() {
     assert_eq!(rule(&s), vec![(at(1.0), 0)]);
 }
 
-/// The disagreements between the runtime and the detection rule: the
-/// runtime replays node events through its own heartbeat monitor, and Full
-/// pauses one timeout after the first replica loss whether or not it is
-/// detected.
-fn known_disagreements() -> BTreeSet<(Family, Check)> {
-    [
-        // Full pauses for a blip the rule never detects.
-        (Family::ShortBlip, Check::PauseWithoutDetection),
-        (Family::GpusBlip, Check::PauseWithoutDetection),
-        // The queue pops the detection before a heal at the same instant;
-        // the replay's strict timeout comparison sees nothing.
-        (Family::BlipAtTimeout, Check::DetectionWithoutReschedule),
-        // At the first fault's detection time the replica is down again;
-        // the replay saw it beat in between.
-        (Family::DownUpDownHealed, Check::DetectionWithoutReschedule),
-    ]
-    .into_iter()
-    .collect()
-}
-
 #[test]
 fn paper_cloud_runtime_agrees_with_the_detection_rule() {
     let (found, served) = sweep(paper_runtime, 1);
@@ -437,7 +437,7 @@ fn paper_cloud_runtime_agrees_with_the_detection_rule() {
         };
         assert_eq!(*n, expect, "{family:?}");
     }
-    assert_eq!(found, known_disagreements());
+    assert_eq!(found, BTreeSet::new());
 }
 
 #[test]
@@ -446,9 +446,5 @@ fn elastic_pool_runtime_agrees_with_the_detection_rule() {
     for (family, n) in FAMILIES.iter().zip(&served) {
         assert_eq!(*n, 3, "{family:?}");
     }
-    let mut expected = known_disagreements();
-    // The replay expects every in-fleet node to beat; the rule only sees
-    // replicas.
-    expected.insert((Family::HostlessLost, Check::RescheduleWithoutDetection));
-    assert_eq!(found, expected);
+    assert_eq!(found, BTreeSet::new());
 }

@@ -258,6 +258,25 @@ mod fault_tests {
     }
 
     #[test]
+    fn either_phase_heals_the_replica_before_detection() {
+        // A colocated replica is both phases: a `DecodeUp` heals the
+        // replica a `PrefillDown` took down, so that loss is never detected.
+        let model = ModelSpec::llama_30b();
+        let (cluster, groups) = two_replicas(&model);
+        let script = FaultScript::new(
+            vec![
+                fault(1.0, FaultKind::PrefillDown(0)),
+                fault(1.5, FaultKind::DecodeUp(0)),
+                fault(3.0, FaultKind::DecodeDown(1)),
+            ],
+            SimDuration::from_secs(1),
+        );
+        let sim = Simulation::colocated(&cluster, &groups, SimConfig::new(model)).unwrap();
+        let detections = sim.detections(&script).unwrap();
+        assert_eq!(detections.iter().map(|d| d.fault).collect::<Vec<_>>(), [2]);
+    }
+
+    #[test]
     fn link_faults_are_rejected() {
         // Colocated replicas have no inter-replica KV fabric to fault.
         let model = ModelSpec::llama_30b();

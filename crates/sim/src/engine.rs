@@ -25,7 +25,9 @@
 //! [`FaultScript`]: replicas and links can die (and heal) *mid-run*.
 //! Capacity is lost at the fault time, but the coordinator only reacts one
 //! heartbeat detection delay later — between the two, work lands on the dead
-//! replica and is silently lost, as in a real deployment. On detection
+//! replica and is silently lost, as in a real deployment. A loss the
+//! replica heals from before the delay runs out is never detected
+//! ([`Simulation::detections`] lists the ones that are). On detection
 //! (with recovery enabled) routing is masked away from the dead replica,
 //! queued and in-flight prefill batches are re-routed to survivors, and
 //! decode sequences whose KV cache died are re-prefilled from scratch on a
@@ -37,7 +39,7 @@
 
 use crate::config::SimConfig;
 use crate::exec::driver::Driver;
-use crate::fault::FaultScript;
+use crate::fault::{Detection, FaultScript};
 use crate::metrics::Metrics;
 use ts_cluster::Cluster;
 use ts_common::{DeploymentPlan, GroupSpec, Request, Result};
@@ -120,6 +122,20 @@ impl Simulation {
         script: &FaultScript,
     ) -> Result<Metrics> {
         self.driver.run_with_faults(requests, script)
+    }
+
+    /// The replica losses a run of `script` detects, in detection order.
+    /// A `PrefillDown`/`DecodeDown` fault at `t` is detected at
+    /// `t + detection_delay` if its replica is still down then, with the
+    /// script's faults applied in `(at, index)` order; a colocated replica
+    /// is one replica for either kind. With recovery on, these are exactly
+    /// the losses [`Simulation::run_with_faults`] acts on.
+    ///
+    /// # Errors
+    /// Returns [`ts_common::Error::InvalidConfig`] for a script
+    /// [`Simulation::run_with_faults`] would reject.
+    pub fn detections(&self, script: &FaultScript) -> Result<Vec<Detection>> {
+        self.driver.detections(script)
     }
 
     /// Takes the telemetry recorded so far, finalized into a time-sorted
@@ -482,7 +498,7 @@ mod tests {
 #[cfg(test)]
 mod fault_tests {
     use super::*;
-    use crate::fault::{FaultKind, FaultScript, TimedFault};
+    use crate::fault::{Detection, FaultKind, FaultScript, TimedFault};
     use ts_cluster::presets;
     use ts_common::{GpuId, GroupSpec, ModelSpec, ParallelConfig, Phase, RoutingMatrix, StageSpec};
     use ts_workload::{generator::generate, spec};
@@ -653,6 +669,96 @@ mod fault_tests {
         // Everything eventually completes once the replica returns.
         assert_eq!(m.num_completed(), reqs.len(), "{:?}", m.recovery());
         assert!(m.recovery().requeued_requests > 0);
+    }
+
+    #[test]
+    fn detections_apply_faults_in_queue_order() {
+        let (cluster, plan, cfg) = failover_testbed();
+        let sim = Simulation::new(&cluster, &plan, cfg).unwrap();
+        let script = FaultScript::new(
+            vec![
+                // A blip that heals before the delay runs out.
+                fault(1.0, FaultKind::DecodeDown(0)),
+                fault(1.3, FaultKind::DecodeUp(0)),
+                // A heal at exactly the detection time pops after it.
+                fault(2.0, FaultKind::DecodeDown(1)),
+                fault(2.5, FaultKind::DecodeUp(1)),
+                // Down, up and down again: the replica is down at the first
+                // fault's detection time, and at the second's.
+                fault(5.0, FaultKind::PrefillDown(0)),
+                fault(5.2, FaultKind::PrefillUp(0)),
+                fault(5.4, FaultKind::PrefillDown(0)),
+                // Another replica's heal does not count.
+                fault(7.0, FaultKind::DecodeDown(0)),
+                fault(7.2, FaultKind::DecodeUp(1)),
+            ],
+            SimDuration::from_millis(500),
+        );
+        let at = |i: usize| script.faults[i].at + script.detection_delay;
+        let expect = |faults: &[usize]| -> Vec<Detection> {
+            faults
+                .iter()
+                .map(|&fault| Detection {
+                    at: at(fault),
+                    fault,
+                })
+                .collect()
+        };
+        assert_eq!(sim.detections(&script).unwrap(), expect(&[2, 4, 6, 7]));
+
+        // Faults out of time order are applied in `(at, index)` order:
+        // reversed, the heal at 2.5 s precedes the loss in the script, so it
+        // pops before that loss's detection.
+        let mut reversed = script.clone();
+        reversed.faults.reverse();
+        let n = reversed.faults.len();
+        let mut got: Vec<usize> = sim
+            .detections(&reversed)
+            .unwrap()
+            .iter()
+            .map(|d| n - 1 - d.fault)
+            .collect();
+        got.sort_unstable();
+        assert_eq!(got, vec![4, 6, 7]);
+
+        // A script the run would reject is rejected here too.
+        let bad = FaultScript::new(
+            vec![fault(1.0, FaultKind::DecodeDown(9))],
+            SimDuration::ZERO,
+        );
+        assert!(matches!(
+            sim.detections(&bad),
+            Err(ts_common::Error::InvalidConfig(_))
+        ));
+    }
+
+    #[test]
+    fn only_detected_losses_are_traced_as_detections() {
+        let (cluster, plan, cfg) = failover_testbed();
+        let reqs = generate(&spec::fixed(512, 128, 2.0), SimDuration::from_secs(30), 17);
+        let script = FaultScript::new(
+            vec![
+                fault(5.0, FaultKind::DecodeDown(0)),
+                fault(5.2, FaultKind::DecodeUp(0)),
+                fault(10.0, FaultKind::DecodeDown(1)),
+            ],
+            SimDuration::from_millis(500),
+        );
+        let mut sim = Simulation::new(&cluster, &plan, cfg.with_telemetry(true)).unwrap();
+        let detections = sim.detections(&script).unwrap();
+        assert_eq!(detections.iter().map(|d| d.fault).collect::<Vec<_>>(), [2]);
+        sim.run_with_faults(&reqs, &script).unwrap();
+        let traced: Vec<(SimTime, usize)> = sim
+            .take_trace()
+            .unwrap()
+            .events()
+            .iter()
+            .filter_map(|e| match e.kind {
+                ts_telemetry::TraceKind::FaultDetected { index } => Some((e.at, index)),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(traced, [(detections[0].at, 2)]);
     }
 
     #[test]

@@ -128,8 +128,10 @@ pub enum EventKind {
         index: usize,
     },
     /// The heartbeat monitor notices fault `index` (one detection delay
-    /// after the fault): the engine masks routing away from dead replicas
-    /// and re-queues their in-flight work if recovery is enabled.
+    /// after the fault): the engine masks routing away from the dead
+    /// replica and re-queues its in-flight work. Scheduled only with
+    /// recovery enabled, and only for a loss whose replica is still down
+    /// then ([`crate::fault::Detection`]).
     FaultDetected {
         /// Index into the fault script's fault list.
         index: usize,

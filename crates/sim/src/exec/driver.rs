@@ -55,7 +55,7 @@ use super::kv::{KvTransport, Transfer};
 use super::seq::{AdmitOutcome, BatchCore, Pending, PrefillJob, PrefillQueue, WaitingSeq};
 use crate::config::SimConfig;
 use crate::event::{Event, EventKind, EventQueue};
-use crate::fault::{FaultKind, FaultScript, TimedFault};
+use crate::fault::{FaultScript, TimedFault};
 use crate::metrics::{Metrics, ModelConservation, RecoveryCounters, RequestRecord};
 use crate::router::StrideRouter;
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
@@ -400,7 +400,7 @@ impl Driver {
                 "a simulation runs once; build a new one for another run".into(),
             ));
         }
-        self.validate_script(script)?;
+        let detections = self.detections(script)?;
         if let Some(r) = requests
             .iter()
             .find(|r| self.core.route_of(r.model).is_none())
@@ -421,15 +421,21 @@ impl Driver {
         self.core.arrivals = requests.to_vec();
         self.core.arrivals.sort_by_key(|r| r.arrival);
         self.core.next_arrival = 0;
+        // Detection only matters when the engine actually recovers; healing
+        // and pauses act at trigger time. Each detection is pushed right
+        // after its fault's trigger: that seq order is the `(at, index)`
+        // order `detections` decides liveness by.
+        let mut detected = vec![false; self.core.faults.len()];
+        if script.recovery {
+            for d in &detections {
+                detected[d.fault] = true;
+            }
+        }
         for (idx, f) in self.core.faults.iter().enumerate() {
             self.core
                 .queue
                 .push(f.at, EventKind::FaultTriggered { index: idx });
-            // Detection only matters for deaths, and only when the engine
-            // actually recovers; healing and pauses act at trigger time.
-            let needs_detection =
-                matches!(f.kind, FaultKind::PrefillDown(_) | FaultKind::DecodeDown(_));
-            if needs_detection && script.recovery {
+            if detected[idx] {
                 self.core.queue.push(
                     f.at + script.detection_delay,
                     EventKind::FaultDetected { index: idx },
@@ -567,7 +573,7 @@ impl Driver {
                 }
             }
             EventKind::FaultTriggered { index } => self.on_fault_triggered(index)?,
-            EventKind::FaultDetected { index } => self.on_fault_detected(index),
+            EventKind::FaultDetected { index } => self.on_fault_detected(index)?,
             EventKind::ServiceResumed => self.on_service_resumed(),
             EventKind::HedgeCheck { request } => {
                 let (core, s) = self.split("HedgeCheck")?;
@@ -1388,6 +1394,7 @@ pub(super) fn refresh_router(core: &mut Core) {
 pub(super) mod tests {
     use super::*;
     use crate::config::Quarantine;
+    use crate::fault::FaultKind;
     use ts_cluster::presets;
     use ts_common::{
         GpuId, ModelRouting, ModelSpec, ParallelConfig, Phase, RoutingMatrix, ServedModel,

@@ -3,7 +3,8 @@
 //!
 //! A fault acts on ground truth at its trigger time; the coordinator's
 //! beliefs (the routing masks) change only at detection, one heartbeat
-//! delay later, or at once on healing. Recovery is written once against
+//! delay later, or at once on healing. Which losses are detected is decided
+//! from the script before the run ([`Driver::detections`]). Recovery is written once against
 //! the [`ReplicaExecutor`] trait: queued and in-flight prefill jobs are
 //! requeued, decode sequences whose KV died are re-prefilled over their
 //! full context, and work that cannot be routed waits in the stall queue
@@ -21,7 +22,7 @@ use super::executor::DrainedWork;
 use super::executor::ReplicaExecutor;
 use super::seq::PrefillJob;
 use crate::event::EventKind;
-use crate::fault::{FaultKind, FaultScript, TimedFault};
+use crate::fault::{Detection, FaultKind, FaultScript, TimedFault};
 use std::collections::BTreeSet;
 use ts_common::{Error, RequestId, Result, SimDuration, SimTime};
 use ts_telemetry::TraceKind;
@@ -86,6 +87,54 @@ impl Driver {
             }
         }
         Ok(())
+    }
+
+    /// The replica losses of a valid `script` the run detects. A
+    /// `PrefillDown`/`DecodeDown` fault at `t` is detected at
+    /// `t + detection_delay` if its replica is still down then, with the
+    /// script's faults applied in `(at, index)` order — the order the event
+    /// queue pops them in, detections included. A colocated replica hosts
+    /// both phases, so either kind names the whole replica. Only script
+    /// faults change replica liveness, so this is decided before the run.
+    /// The detections come in detection order.
+    pub fn detections(&self, script: &FaultScript) -> Result<Vec<Detection>> {
+        self.validate_script(script)?;
+        let colocated = matches!(self.topo, Topology::Colocated(_));
+        // The replica a liveness fault names, and whether it kills it.
+        let liveness = |kind: FaultKind| match kind {
+            FaultKind::PrefillDown(i) => Some(((!colocated, i), true)),
+            FaultKind::PrefillUp(i) => Some(((!colocated, i), false)),
+            FaultKind::DecodeDown(j) => Some(((false, j), true)),
+            FaultKind::DecodeUp(j) => Some(((false, j), false)),
+            _ => None,
+        };
+        let faults = &script.faults;
+        let mut order: Vec<usize> = (0..faults.len()).collect();
+        order.sort_by_key(|&j| faults[j].at);
+        let mut down = BTreeSet::new();
+        let mut applied = 0;
+        let mut detections = Vec::new();
+        for &i in &order {
+            let Some((replica, true)) = liveness(faults[i].kind) else {
+                continue;
+            };
+            let at = faults[i].at + script.detection_delay;
+            while let Some(&j) = order.get(applied) {
+                if (faults[j].at, j) > (at, i) {
+                    break;
+                }
+                match liveness(faults[j].kind) {
+                    Some((r, true)) => down.insert(r),
+                    Some((r, false)) => down.remove(&r),
+                    None => false,
+                };
+                applied += 1;
+            }
+            if down.contains(&replica) {
+                detections.push(Detection { at, fault: i });
+            }
+        }
+        Ok(detections)
     }
 
     /// Applies a fault at its trigger time. A colocated replica hosts both
@@ -191,24 +240,33 @@ impl Driver {
     }
 
     /// A death is detected: the coordinator masks the replica out of
-    /// routing and recovers its frozen work onto survivors.
-    pub(super) fn on_fault_detected(&mut self, index: usize) {
+    /// routing and recovers its frozen work onto survivors. Only the
+    /// losses [`Driver::detections`] lists are scheduled for detection, so
+    /// the replica is down; a live one is an invariant violation.
+    pub(super) fn on_fault_detected(&mut self, index: usize) -> Result<()> {
         trace(&mut self.core, TraceKind::FaultDetected { index });
         let TimedFault { at, kind } = self.core.faults[index];
         let (prefill, i) = match kind {
             FaultKind::PrefillDown(i) => (true, i),
             FaultKind::DecodeDown(j) => (false, j),
-            _ => return,
+            _ => {
+                return Err(Error::Simulation(format!(
+                    "fault {index} is not a replica loss: {kind:?}"
+                )))
+            }
         };
         let replica = self.topo.executor(prefill, i);
         if replica.is_alive() {
-            return; // blipped back up before detection; healed already
+            return Err(Error::Simulation(format!(
+                "fault {index} detected on a live replica: {kind:?}"
+            )));
         }
         let drained = replica.drain_lost();
         let host = self.core.gray.host_of(prefill, i);
         self.core.believed_dead[host] = true;
         refresh_router(&mut self.core);
         self.recover_drained(drained, Some(at));
+        Ok(())
     }
 
     /// Recovers drained work onto survivors: queued/in-flight prefill jobs

@@ -8,6 +8,8 @@
 //! discrete events: capacity changes take effect at `at`, while recovery
 //! actions wait one heartbeat `detection_delay` — between the two, lost work
 //! stays silently lost, exactly as a real deployment would experience it.
+//! A loss is detected only if its replica is still down when the delay runs
+//! out ([`Detection`]); a blip that heals first is never seen.
 //!
 //! Scripts can be written by hand or derived from the runtime's
 //! [`ts_cluster::availability::ClusterEvent`] scripts with
@@ -111,6 +113,18 @@ pub struct TimedFault {
     pub at: SimTime,
     /// What breaks (or heals).
     pub kind: FaultKind,
+}
+
+/// A replica loss the engine acts on: the `PrefillDown`/`DecodeDown` fault
+/// at index `fault` of [`FaultScript::faults`] is detected at `at`, one
+/// `detection_delay` after it struck, because its replica is still down
+/// then. [`crate::engine::Simulation::detections`] lists them for a script.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Detection {
+    /// When the loss is detected.
+    pub at: SimTime,
+    /// Index of the detected fault in the script.
+    pub fault: usize,
 }
 
 /// A time-ordered fault injection plan for one simulation run.

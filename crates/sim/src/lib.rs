@@ -76,6 +76,6 @@ pub use config::{Deadline, Hedge, KvTransfer, PrefillPolicy, Quarantine, SimConf
 pub use engine::Simulation;
 pub use estimate::{estimate_attainment, AttainmentEstimate};
 pub use exec::DecodeWork;
-pub use fault::{FaultKind, FaultScript, TimedFault};
+pub use fault::{Detection, FaultKind, FaultScript, TimedFault};
 pub use metrics::{Metrics, RecoveryCounters, RequestRecord};
 pub use ts_telemetry::{RequestSpan, TraceLog};

@@ -225,7 +225,8 @@ pub enum TraceKind {
         /// Index of the fault in the script.
         index: usize,
     },
-    /// The coordinator detected a scripted fault (heartbeat timeout).
+    /// The coordinator detected a scripted replica loss (heartbeat
+    /// timeout); a loss that heals before its timeout is never detected.
     FaultDetected {
         /// Index of the fault in the script.
         index: usize,
