@@ -2,8 +2,11 @@
 //!
 //! The paper's scheduler reacts to "a GPU heartbeat timeout that suggests a
 //! need for cluster size adjustment". [`HeartbeatMonitor`] tracks the last
-//! heartbeat per node against a timeout and reports nodes that went silent,
-//! which the serving runtime turns into failure handling + rescheduling.
+//! heartbeat per node against a timeout and reports nodes that went silent;
+//! an operator turns an expiry into failure handling with
+//! [`crate::ServingRuntime::handle_failure`]. Losses that strike mid-segment
+//! are detected by the engine instead, by the same timeout rule
+//! (`ts_sim::Simulation::detections`).
 
 use std::collections::HashMap;
 use ts_common::{NodeId, SimDuration, SimTime};
@@ -72,37 +75,9 @@ impl HeartbeatMonitor {
         dead
     }
 
-    /// Stops tracking a node entirely (it left the cluster for good, e.g. a
-    /// spot instance that will not return). Unknown nodes are a no-op.
-    pub fn deregister(&mut self, node: NodeId) {
-        self.last_seen.remove(&node);
-        self.reported.remove(&node);
-    }
-
-    /// Number of nodes currently believed alive: registered and not flagged
-    /// dead. Nodes in a reported outage don't count until re-registered.
-    pub fn num_tracked(&self) -> usize {
-        self.last_seen
-            .keys()
-            .filter(|n| !self.reported.get(n).copied().unwrap_or(false))
-            .count()
-    }
-
     /// Whether a node is currently flagged dead.
     pub fn is_dead(&self, node: NodeId) -> bool {
         self.reported.get(&node).copied().unwrap_or(false)
-    }
-
-    /// Whether the node is registered at all (alive **or** in a reported
-    /// outage). A deregistered node is not tracked; its silence means
-    /// nothing.
-    pub fn is_tracked(&self, node: NodeId) -> bool {
-        self.last_seen.contains_key(&node)
-    }
-
-    /// The configured heartbeat timeout.
-    pub fn timeout(&self) -> SimDuration {
-        self.timeout
     }
 }
 
@@ -136,7 +111,6 @@ mod tests {
         // A stray beat from the flagged node does NOT resurrect it.
         assert!(!m.beat(NodeId(3), t(7)));
         assert!(m.is_dead(NodeId(3)));
-        assert_eq!(m.num_tracked(), 0);
         // Explicit re-registration is the only way back in.
         m.register(NodeId(3), t(7));
         assert!(!m.is_dead(NodeId(3)));
@@ -148,7 +122,6 @@ mod tests {
     fn unknown_node_beats_are_ignored() {
         let mut m = HeartbeatMonitor::new(SimDuration::from_secs(5));
         assert!(!m.beat(NodeId(9), t(1)), "no implicit registration");
-        assert_eq!(m.num_tracked(), 0);
         assert!(m.expired(t(100)).is_empty());
     }
 
@@ -188,37 +161,5 @@ mod tests {
     #[should_panic]
     fn zero_timeout_panics() {
         let _ = HeartbeatMonitor::new(SimDuration::ZERO);
-    }
-
-    #[test]
-    fn deregister_removes_the_node() {
-        let mut m = HeartbeatMonitor::new(SimDuration::from_secs(5));
-        m.register(NodeId(0), t(0));
-        m.register(NodeId(1), t(0));
-        assert_eq!(m.num_tracked(), 2);
-        m.deregister(NodeId(0));
-        assert_eq!(m.num_tracked(), 1);
-        // the deregistered node never expires
-        assert_eq!(m.expired(t(10)), vec![NodeId(1)]);
-        m.deregister(NodeId(7)); // unknown: no-op
-        assert_eq!(m.expired(t(20)), Vec::<NodeId>::new());
-    }
-
-    #[test]
-    fn num_tracked_excludes_dead_nodes() {
-        let mut m = HeartbeatMonitor::new(SimDuration::from_secs(5));
-        m.register(NodeId(0), t(0));
-        m.register(NodeId(1), t(0));
-        m.beat(NodeId(0), t(4));
-        assert_eq!(m.expired(t(6)), vec![NodeId(1)]);
-        assert_eq!(m.num_tracked(), 1);
-        m.register(NodeId(1), t(7)); // re-admission counts again
-        assert_eq!(m.num_tracked(), 2);
-    }
-
-    #[test]
-    fn timeout_accessor_reports_config() {
-        let m = HeartbeatMonitor::new(SimDuration::from_millis(750));
-        assert_eq!(m.timeout(), SimDuration::from_millis(750));
     }
 }

@@ -200,9 +200,9 @@ impl ServingRuntime {
     /// so in-flight requests on failed replicas are re-routed/re-prefilled
     /// (or lost, under [`ReschedulePolicy::None`]) as the run progresses.
     ///
-    /// `heartbeat_timeout` is the engine's detection delay: a replica lost
-    /// at `t` is detected at `t + heartbeat_timeout` if it is still down
-    /// then ([`Simulation::detections`]). Under [`ReschedulePolicy::Full`]
+    /// `heartbeat_timeout` is the engine's detection delay: a lost replica
+    /// is detected one timeout later if it is still down then
+    /// ([`Simulation::detections`]). Under [`ReschedulePolicy::Full`]
     /// the first detection additionally pauses the whole service for the
     /// modeled weight-reload time — the mid-segment equivalent of the
     /// between-segment reload blackout.
