@@ -4,10 +4,11 @@
 //! A fault acts on ground truth at its trigger time; the coordinator's
 //! beliefs (the routing masks) change only at detection, one heartbeat
 //! delay later, or at once on healing. Which losses are detected is decided
-//! from the script before the run ([`Driver::detections`]). Recovery is written once against
-//! the [`ReplicaExecutor`] trait: queued and in-flight prefill jobs are
-//! requeued, decode sequences whose KV died are re-prefilled over their
-//! full context, and work that cannot be routed waits in the stall queue
+//! from the script before the run ([`Driver::detections`]). Recovery is
+//! written once against the [`ReplicaExecutor`] trait: queued and in-flight
+//! prefill jobs are requeued, decode sequences whose KV died are
+//! re-prefilled over their full context, and work that cannot be routed
+//! waits in the stall queue
 //! (shed beyond [`crate::config::SimConfig::shed_threshold`]). This is how
 //! the colocated baselines get fault injection and
 //! [`crate::metrics::RecoveryCounters`] on the same terms as the
@@ -89,7 +90,7 @@ impl Driver {
         Ok(())
     }
 
-    /// The replica losses of a valid `script` the run detects. A
+    /// The replica losses a run of `script` detects, after validating it. A
     /// `PrefillDown`/`DecodeDown` fault at `t` is detected at
     /// `t + detection_delay` if its replica is still down then, with the
     /// script's faults applied in `(at, index)` order — the order the event
@@ -123,11 +124,13 @@ impl Driver {
                 if (faults[j].at, j) > (at, i) {
                     break;
                 }
-                match liveness(faults[j].kind) {
-                    Some((r, true)) => down.insert(r),
-                    Some((r, false)) => down.remove(&r),
-                    None => false,
-                };
+                if let Some((r, dies)) = liveness(faults[j].kind) {
+                    if dies {
+                        down.insert(r);
+                    } else {
+                        down.remove(&r);
+                    }
+                }
                 applied += 1;
             }
             if down.contains(&replica) {
