@@ -25,7 +25,7 @@
 //! * [`telemetry`] — request-lifecycle tracing, utilization time series and
 //!   Chrome-trace export;
 //! * [`baselines`] — vLLM-like, DistServe-like and HexGen-like planners;
-//! * [`runtime`] — the online serving runtime and live task coordinator;
+//! * [`runtime`] — the online serving runtime;
 //! * [`autoscale`] — coordinated prefill/decode autoscaling over a
 //!   spot-priced elastic fleet, with per-segment cost accounting.
 //!
