@@ -1,10 +1,10 @@
 //! Records scheduler wall-clock and evaluation-throughput numbers to
 //! `BENCH_scheduler.json`, seeding the repo's scheduler perf trajectory.
 //!
-//! Runs the full two-level `schedule` at the three criterion cluster sizes
-//! (8/16/32 GPUs) across a sweep of `num_threads` settings. Results are
-//! bit-identical across thread counts (asserted here as a sanity check), so
-//! the table isolates the wall-clock effect of parallel neighbourhood
+//! Runs the full two-level `schedule` on three clusters (8/16/32 GPUs)
+//! across a sweep of `num_threads` settings. Results are bit-identical
+//! across thread counts ([`ts_bench::gate::check`] fails the run otherwise),
+//! so the table isolates the wall-clock effect of parallel neighbourhood
 //! evaluation.
 //!
 //! Usage: `cargo run --release -p ts-bench --bin bench_scheduler [out.json]`
@@ -131,6 +131,16 @@ fn main() {
         ));
     }
     json.push_str("  ]\n}\n");
+
+    // Every thread arm at one GPU count must report the same evaluations
+    // and score; the shared gate also checks the committed artifact.
+    match ts_bench::gate::check("BENCH_scheduler", &json, true) {
+        Ok(r) => println!("gate: {} checks held", r.checks),
+        Err(e) => {
+            eprintln!("gate: {e}");
+            std::process::exit(1);
+        }
+    }
     std::fs::write(&out, json).expect("write benchmark output");
     println!("wrote {out}");
 }

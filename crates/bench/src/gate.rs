@@ -496,6 +496,74 @@ mod tests {
     }
 
     #[test]
+    fn scheduler_thread_identity_trips() {
+        let ok = r#"{"arms": [
+            {"gpus": 8, "threads": 1, "median_s": 0.0013, "evaluations": 53,
+             "evals_per_s": 40664.29, "score": 0.281585},
+            {"gpus": 8, "threads": 2, "median_s": 0.0030, "evaluations": 53,
+             "evals_per_s": 17724.00, "score": 0.281585},
+            {"gpus": 16, "threads": 1, "median_s": 0.0200, "evaluations": 80,
+             "evals_per_s": 4000.00, "score": 0.5}]}"#;
+        check("BENCH_scheduler", ok, true).unwrap();
+        let evals = ok.replacen("\"evaluations\": 53", "\"evaluations\": 54", 1);
+        assert!(
+            check("BENCH_scheduler", &evals, true).is_err(),
+            "evaluations differ between thread arms"
+        );
+        let score = ok.replacen("0.281585", "0.281586", 1);
+        assert!(
+            check("BENCH_scheduler", &score, true).is_err(),
+            "score differs between thread arms"
+        );
+    }
+
+    #[test]
+    fn mm_shared_pool_rules_trip() {
+        let ok = r#"{"arms": [
+            {"arm": "partitioned", "weighted_attainment": 0.5, "cost_per_hour": 2.676},
+            {"arm": "shared", "weighted_attainment": 0.68, "cost_per_hour": 2.676}]}"#;
+        check("BENCH_mm", ok, true).unwrap();
+        let loses = ok.replace("0.68", "0.49");
+        assert!(
+            check("BENCH_mm", &loses, true).is_err(),
+            "shared attains less"
+        );
+        let dearer = ok.replace(
+            "0.68, \"cost_per_hour\": 2.676",
+            "0.68, \"cost_per_hour\": 2.7",
+        );
+        assert!(
+            check("BENCH_mm", &dearer, true).is_err(),
+            "shared costs more"
+        );
+    }
+
+    #[test]
+    fn autoscale_saving_and_gap_trip() {
+        let ok = r#"{"saving_fraction": 0.3, "arms": [
+            {"arm": "static", "attainment": 1.0, "total_cost": 100.0,
+             "segments": [{"submitted": 10, "completed": 10}]},
+            {"arm": "autoscale", "attainment": 0.97, "total_cost": 70.0,
+             "segments": [{"submitted": 10, "completed": 10}]}]}"#;
+        check("BENCH_autoscale", ok, true).unwrap();
+        let no_static = ok.replace("\"static\"", "\"oracle\"");
+        assert!(
+            check("BENCH_autoscale", &no_static, true).is_err(),
+            "static arm required"
+        );
+        let small_saving = ok.replace("70.0", "85.0");
+        assert!(
+            check("BENCH_autoscale", &small_saving, true).is_err(),
+            "saving under AUTOSCALE_MIN_SAVING"
+        );
+        let gap = ok.replace("0.97", "0.9");
+        assert!(
+            check("BENCH_autoscale", &gap, true).is_err(),
+            "attainment gap over AUTOSCALE_GAP_BOUND"
+        );
+    }
+
+    #[test]
     fn obs_overhead_budget_trips() {
         let mk = |ov: f64| {
             format!(

@@ -35,7 +35,6 @@
 
 pub mod alphabeta;
 pub mod batching;
-pub mod calibration;
 pub mod price;
 pub mod replica;
 pub mod roofline;
