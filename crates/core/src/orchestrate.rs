@@ -15,6 +15,7 @@ use ts_costmodel::ReplicaCostModel;
 use ts_sim::config::{KvTransfer, SimConfig};
 use ts_sim::estimate::pair_estimates;
 use ts_solver::transport::solve_orchestration_with_link_budget;
+use ts_telemetry::profile;
 use ts_workload::WorkloadSpec;
 
 /// An orchestrated plan plus its estimated attainment.
@@ -82,16 +83,23 @@ pub fn orchestrate_with_link_share(
     }
 
     let sim_cfg = sim_config(model, cfg);
-    let prefill: Vec<ReplicaCostModel> = prefill_idx
-        .iter()
-        .map(|&i| ReplicaCostModel::new(cluster, model, &groups[i], &cfg.params))
-        .collect::<Result<_>>()?;
-    let decode: Vec<ReplicaCostModel> = decode_idx
-        .iter()
-        .map(|&i| ReplicaCostModel::new(cluster, model, &groups[i], &cfg.params))
-        .collect::<Result<_>>()?;
+    let (prefill, decode) = {
+        let _g = profile::scope("tabu.cost_models");
+        let prefill: Vec<ReplicaCostModel> = prefill_idx
+            .iter()
+            .map(|&i| ReplicaCostModel::new(cluster, model, &groups[i], &cfg.params))
+            .collect::<Result<_>>()?;
+        let decode: Vec<ReplicaCostModel> = decode_idx
+            .iter()
+            .map(|&i| ReplicaCostModel::new(cluster, model, &groups[i], &cfg.params))
+            .collect::<Result<_>>()?;
+        (prefill, decode)
+    };
 
-    let est = pair_estimates(cluster, &sim_cfg, &prefill, &decode, workload, slo);
+    let est = {
+        let _g = profile::scope("tabu.pair_estimates");
+        pair_estimates(cluster, &sim_cfg, &prefill, &decode, workload, slo)
+    };
     // Sender-uplink budgets: each routed request costs kv_seconds of sender
     // time at workload.rate requests/second. Links want *more* headroom than
     // compute because the attainment matrix D prices transfer time but not
@@ -100,6 +108,7 @@ pub fn orchestrate_with_link_share(
     // constraint entirely when it would strand demand (under saturation,
     // serving at link capacity beats preserving latency headroom for
     // requests that would otherwise never be served).
+    let lp = profile::scope("tabu.transport_lp");
     let mut orch = None;
     for headroom in [Some(0.60), Some(0.92), None] {
         let cand = solve_orchestration_with_link_budget(
@@ -118,6 +127,8 @@ pub fn orchestrate_with_link_share(
         }
     }
     let orch = orch.expect("at least one orchestration attempt ran");
+    drop(lp);
+    let _package = profile::scope("tabu.package");
 
     // Unserved mass counts as missed SLOs in the score.
     let score = orch.value;

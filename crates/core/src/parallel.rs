@@ -22,6 +22,7 @@ use ts_common::{
 use ts_costmodel::ReplicaCostModel;
 use ts_sim::config::MAX_DECODE_BATCH;
 use ts_solver::routing_dp::best_stage_order;
+use ts_telemetry::profile;
 use ts_workload::WorkloadSpec;
 
 /// Deduces the best parallel configuration for a group.
@@ -119,7 +120,10 @@ fn try_config(
                 }
             }
         }
-        let order = best_stage_order(&bw).ok()?;
+        let order = {
+            let _g = profile::scope("tabu.stage_order");
+            best_stage_order(&bw).ok()?
+        };
         stage_sets = order.order.iter().map(|&i| stage_sets[i].clone()).collect();
     }
 

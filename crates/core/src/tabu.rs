@@ -61,7 +61,7 @@ use ts_common::{
 };
 use ts_costmodel::replica::{memory_feasible, memory_feasible_with_headroom};
 use ts_solver::clustering::cluster_by_bandwidth;
-use ts_telemetry::{SearchStep, SearchTrace};
+use ts_telemetry::{profile, SearchStep, SearchTrace};
 use ts_workload::WorkloadSpec;
 
 /// One point of the convergence trajectory (Figure 10).
@@ -179,10 +179,13 @@ fn walk<S: Space>(
         for step in 0..steps {
             // Draw the whole neighbourhood up front so the RNG stream is
             // independent of evaluation order and cache state.
-            let mut drawn: Vec<(S::Key, S::Point)> = (0..cfg.n_nghb)
-                .filter_map(|_| space.neighbor(&x, &mut rng))
-                .map(|p| (space.key(&p), p))
-                .collect();
+            let mut drawn: Vec<(S::Key, S::Point)> = {
+                let _g = profile::scope("tabu.neighbors");
+                (0..cfg.n_nghb)
+                    .filter_map(|_| space.neighbor(&x, &mut rng))
+                    .map(|p| (space.key(&p), p))
+                    .collect()
+            };
             neighbors_generated += drawn.len();
 
             // Every neighbour lands in exactly one column of the row;
@@ -195,6 +198,7 @@ fn walk<S: Space>(
             let mut batch_keys: Vec<S::Key> = Vec::new();
             let mut batch: Vec<S::Point> = Vec::new();
             let mut scheduled: HashSet<&S::Key> = HashSet::new();
+            let gate = profile::scope("tabu.gate");
             for (k, p) in &drawn {
                 if tabu_set.contains(k) {
                     row.tabu_filtered += 1;
@@ -209,6 +213,7 @@ fn walk<S: Space>(
                     batch.push(p.clone());
                 }
             }
+            drop(gate);
             row.evaluated = batch.len();
 
             // Evaluate misses concurrently; output order == batch order.
@@ -450,6 +455,7 @@ impl Space for SingleModel<'_> {
             .iter()
             .map(|g| {
                 groups.get_or_insert_with(g.group_hash(), || {
+                    let _g = profile::scope("tabu.deduce");
                     deduce_parallel_config(
                         self.cluster,
                         self.model,
@@ -603,6 +609,7 @@ impl Space for MultiModel<'_> {
                 // `group_hash` covers the model id, so one cache serves all
                 // tenants without collisions.
                 groups.get_or_insert_with(g.group_hash(), || {
+                    let _g = profile::scope("tabu.deduce");
                     deduce_parallel_config(self.cluster, &m.spec, &g.gpus, g.phase, w, self.cfg)
                         .ok()
                         .map(|s| s.with_model(g.model))
@@ -635,7 +642,10 @@ impl Space for MultiModel<'_> {
             });
             all_groups.extend(groups_m);
         }
-        let plan = DeploymentPlan::new_multi(all_groups, per_model).ok()?;
+        let plan = {
+            let _g = profile::scope("tabu.package");
+            DeploymentPlan::new_multi(all_groups, per_model).ok()?
+        };
         Some((
             score + affinity_bonus(self.cfg, affinity),
             OrchestratedPlan { plan, score },

@@ -2,8 +2,9 @@
 //!
 //! A fixed matrix of searches — full scheduling on two clusters, its three
 //! ablation switches, multi-model scheduling (two tenants and a one-entry
-//! default catalog), lightweight rescheduling and both directions of fleet
-//! rescheduling — is rendered to text and compared against
+//! default catalog), lightweight rescheduling, both directions of fleet
+//! rescheduling and the repository benchmark's two full-size searches —
+//! is rendered to text and compared against
 //! `tests/golden_search.txt`. Each arm pins its plan (`plan_io` text), its
 //! score bits and, per search step, the filter counts and the winner's
 //! score bits. Full-scheduling arms also pin the evaluation, neighbour and
@@ -238,6 +239,33 @@ fn run_matrix() -> String {
         let _ = writeln!(out, "[fleet_reschedule elastic {name}]");
         render_plan(&mut out, &r.plan, r.estimated_attainment);
         render_trace(&mut out, r.search_trace.as_ref());
+    }
+
+    // The repository benchmark's exact search: the paper's defaults
+    // (100 steps of 10 neighbours) on one thread, seed 42, under the
+    // benchmark's SLO. Coding plans for the flow fabric, conversation for
+    // the serialized link.
+    let bench_slo = SloSpec::new(
+        SimDuration::from_millis(3200),
+        SimDuration::from_millis(240),
+        SimDuration::from_secs(48),
+    );
+    for (name, w, network_contention) in [
+        ("coding", spec::coding(2.0), true),
+        ("conversation", spec::conversation(2.0), false),
+    ] {
+        let cfg = SchedulerConfig {
+            seed: 42,
+            num_threads: 1,
+            network_contention,
+            search_trace: true,
+            ..SchedulerConfig::default()
+        };
+        let _ = writeln!(out, "[schedule cloud llama-30b {name} benchmark search]");
+        let r = Scheduler::new(cfg)
+            .schedule(&cloud, &llama_30b, &w, &bench_slo)
+            .unwrap();
+        render_schedule(&mut out, &r);
     }
     out
 }
