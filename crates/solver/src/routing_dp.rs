@@ -4,7 +4,7 @@
 //! between them, order the stages so that the *bottleneck* (minimum) link
 //! bandwidth along the resulting chain is maximized — the dynamic program
 //! the paper uses to "identify the path minimizing the cross-stage
-//! communication cost". `dp[mask][last]` holds the best achievable
+//! communication cost". `dp[mask * n + last]` holds the best achievable
 //! bottleneck over orderings of `mask` ending at `last`.
 
 use ts_common::{Error, Result};
@@ -48,52 +48,67 @@ pub fn best_stage_order(bandwidth: &[Vec<f64>]) -> Result<StageOrder> {
     }
 
     let full = (1usize << n) - 1;
-    // dp[mask][last] = best bottleneck for a path covering mask, ending at last
-    let mut dp = vec![vec![f64::NEG_INFINITY; n]; full + 1];
-    let mut parent = vec![vec![usize::MAX; n]; full + 1];
+    // dp[mask * n + last] = best bottleneck for a path covering mask,
+    // ending at last. `last` walks the set bits of mask and `next` its clear
+    // bits, both ascending: the same comparisons, in the same order, as a
+    // scan of every (last, next) pair that skips the inapplicable ones.
+    let mut dp = vec![f64::NEG_INFINITY; (full + 1) * n];
+    let mut parent = vec![NO_PARENT; (full + 1) * n];
     for s in 0..n {
-        dp[1 << s][s] = f64::INFINITY;
+        dp[(1 << s) * n + s] = f64::INFINITY;
     }
     for mask in 1..=full {
-        for last in 0..n {
-            let cur = dp[mask][last];
-            if cur == f64::NEG_INFINITY || mask & (1 << last) == 0 {
+        for last in bits(mask) {
+            let cur = dp[mask * n + last];
+            if cur == f64::NEG_INFINITY {
                 continue;
             }
-            for next in 0..n {
-                if mask & (1 << next) != 0 {
-                    continue;
-                }
-                let nb = cur.min(bandwidth[last][next]);
-                let nmask = mask | (1 << next);
-                if nb > dp[nmask][next] {
-                    dp[nmask][next] = nb;
-                    parent[nmask][next] = last;
+            let row = &bandwidth[last];
+            for next in bits(full & !mask) {
+                let nb = cur.min(row[next]);
+                let slot = (mask | (1 << next)) * n + next;
+                if nb > dp[slot] {
+                    dp[slot] = nb;
+                    parent[slot] = last as u8;
                 }
             }
         }
     }
     let (mut last, mut best) = (0usize, f64::NEG_INFINITY);
     for s in 0..n {
-        if dp[full][s] > best {
-            best = dp[full][s];
+        if dp[full * n + s] > best {
+            best = dp[full * n + s];
             last = s;
         }
     }
     // reconstruct
     let mut order = Vec::with_capacity(n);
     let mut mask = full;
-    let mut cur = last;
-    while cur != usize::MAX {
-        order.push(cur);
-        let p = parent[mask][cur];
-        mask &= !(1 << cur);
-        cur = p;
+    let mut cur = last as u8;
+    while cur != NO_PARENT {
+        let c = usize::from(cur);
+        order.push(c);
+        cur = parent[mask * n + c];
+        mask &= !(1 << c);
     }
     order.reverse();
     Ok(StageOrder {
         order,
         bottleneck: best,
+    })
+}
+
+/// `parent` entry of a path's first stage.
+const NO_PARENT: u8 = u8::MAX;
+
+/// The set bits of `mask`, ascending.
+fn bits(mut mask: usize) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (mask != 0).then(|| {
+            let b = mask.trailing_zeros() as usize;
+            mask &= mask - 1;
+            b
+        })
     })
 }
 
@@ -172,6 +187,96 @@ mod tests {
         let mut sorted = o.order.clone();
         sorted.sort_unstable();
         assert_eq!(sorted, vec![0, 1, 2, 3]);
+    }
+
+    /// The nested-vector DP that scanned every `(last, next)` pair.
+    /// [`best_stage_order`] must match it in order and bottleneck bits.
+    fn best_stage_order_nested(bandwidth: &[Vec<f64>]) -> StageOrder {
+        let n = bandwidth.len();
+        if n == 1 {
+            return StageOrder {
+                order: vec![0],
+                bottleneck: f64::INFINITY,
+            };
+        }
+        let full = (1usize << n) - 1;
+        let mut dp = vec![vec![f64::NEG_INFINITY; n]; full + 1];
+        let mut parent = vec![vec![usize::MAX; n]; full + 1];
+        for s in 0..n {
+            dp[1 << s][s] = f64::INFINITY;
+        }
+        for mask in 1..=full {
+            for last in 0..n {
+                let cur = dp[mask][last];
+                if cur == f64::NEG_INFINITY || mask & (1 << last) == 0 {
+                    continue;
+                }
+                for next in 0..n {
+                    if mask & (1 << next) != 0 {
+                        continue;
+                    }
+                    let nb = cur.min(bandwidth[last][next]);
+                    let nmask = mask | (1 << next);
+                    if nb > dp[nmask][next] {
+                        dp[nmask][next] = nb;
+                        parent[nmask][next] = last;
+                    }
+                }
+            }
+        }
+        let (mut last, mut best) = (0usize, f64::NEG_INFINITY);
+        for s in 0..n {
+            if dp[full][s] > best {
+                best = dp[full][s];
+                last = s;
+            }
+        }
+        let mut order = Vec::with_capacity(n);
+        let mut mask = full;
+        let mut cur = last;
+        while cur != usize::MAX {
+            order.push(cur);
+            let p = parent[mask][cur];
+            mask &= !(1 << cur);
+            cur = p;
+        }
+        order.reverse();
+        StageOrder {
+            order,
+            bottleneck: best,
+        }
+    }
+
+    #[test]
+    fn flat_dp_matches_nested_dp_on_random_matrices() {
+        use rand::Rng;
+        // Three values force ties, so the strict `>` tie-break is exercised.
+        const LEVELS: [f64; 3] = [1.25e9, 5e9, 1e15];
+        let mut rng = ts_common::seeded_rng(0xD1CE_0016);
+        for case in 0..2_000 {
+            let n = rng.gen_range(1..=10usize);
+            let m: Vec<Vec<f64>> = (0..n)
+                .map(|i| {
+                    (0..n)
+                        .map(|j| {
+                            if i == j {
+                                0.0
+                            } else {
+                                LEVELS[rng.gen_range(0..LEVELS.len())]
+                            }
+                        })
+                        .collect()
+                })
+                .collect();
+            let got = best_stage_order(&m).unwrap();
+            let want = best_stage_order_nested(&m);
+            assert_eq!(got.order, want.order, "case {case}");
+            assert_eq!(
+                got.bottleneck.to_bits(),
+                want.bottleneck.to_bits(),
+                "case {case}"
+            );
+        }
     }
 
     #[test]
