@@ -86,6 +86,12 @@ impl LinearProgram {
     /// Returns [`Error::SolverFailed`] when the program is infeasible or
     /// unbounded.
     pub fn solve(&self) -> Result<Solution> {
+        self.solve_with(run_simplex)
+    }
+
+    /// [`LinearProgram::solve`] with the iteration loop `run` (the
+    /// production loop, or a test reference to check it against).
+    fn solve_with(&self, run: RunSimplex) -> Result<Solution> {
         // --- Build the standard-form tableau ---------------------------------
         // Variables: original n, then one slack/surplus per inequality, then
         // one artificial per (>=, =) row. RHS normalized non-negative.
@@ -167,7 +173,7 @@ impl LinearProgram {
             for &c in &artificials {
                 cost[c] = -1.0; // maximize -(sum of artificials)
             }
-            let v = run_simplex(&mut t, &mut basis, &cost, total)?;
+            let v = run(&mut t, &mut basis, &cost, total)?;
             if v < -1e-7 {
                 return Err(Error::SolverFailed(format!(
                     "infeasible: phase-1 objective {v}"
@@ -190,7 +196,7 @@ impl LinearProgram {
         for &c in &artificials {
             cost[c] = f64::NEG_INFINITY;
         }
-        let value = run_simplex(&mut t, &mut basis, &cost, total)?;
+        let value = run(&mut t, &mut basis, &cost, total)?;
 
         let mut x = vec![0.0f64; n];
         for ri in 0..m {
@@ -202,22 +208,34 @@ impl LinearProgram {
     }
 }
 
+/// A simplex iteration loop: pivots `t` to optimality under `cost` and
+/// returns the objective.
+type RunSimplex = fn(&mut [Vec<f64>], &mut [usize], &[f64], usize) -> Result<f64>;
+
 /// Runs simplex iterations for the given cost vector; returns the objective.
+///
+/// Each reduced cost `c_j - z_j` sums `z_j = Σ c_B · t[·][j]` over the
+/// basic rows whose cost is nonzero and not `-∞` only. A zero-cost row
+/// adds `±0.0` to a partial sum that starts at `+0.0` (and so is never
+/// `-0.0`), which leaves the sum unchanged: on a finite tableau every z_j,
+/// the entering column, the leaving row and every pivot are bit-identical
+/// to summing over all `m` rows.
 fn run_simplex(t: &mut [Vec<f64>], basis: &mut [usize], cost: &[f64], total: usize) -> Result<f64> {
     let m = t.len();
+    let mut costed: Vec<(usize, f64)> = Vec::with_capacity(m);
     for _ in 0..MAX_ITERS {
-        // reduced costs: c_j - c_B · B^{-1} A_j  (tableau form: z_j)
+        costed.clear();
+        costed.extend((0..m).filter_map(|ri| {
+            let cb = cost[basis[ri]];
+            (cb != 0.0 && cb != f64::NEG_INFINITY).then_some((ri, cb))
+        }));
         let mut entering = None;
         for j in 0..total {
             if cost[j] == f64::NEG_INFINITY {
                 continue;
             }
             let mut zj = 0.0;
-            for ri in 0..m {
-                let cb = cost[basis[ri]];
-                if cb == f64::NEG_INFINITY {
-                    continue;
-                }
+            for &(ri, cb) in &costed {
                 zj += cb * t[ri][j];
             }
             let rc = cost[j] - zj;
@@ -229,34 +247,36 @@ fn run_simplex(t: &mut [Vec<f64>], basis: &mut [usize], cost: &[f64], total: usi
         let Some(col) = entering else {
             // optimal
             let mut obj = 0.0;
-            for ri in 0..m {
-                let cb = cost[basis[ri]];
-                if cb != f64::NEG_INFINITY {
-                    obj += cb * t[ri][total];
-                }
+            for &(ri, cb) in &costed {
+                obj += cb * t[ri][total];
             }
             return Ok(obj);
         };
-        // ratio test (Bland: smallest basis index tie-break)
-        let mut leave: Option<usize> = None;
-        let mut best = f64::INFINITY;
-        for ri in 0..m {
-            if t[ri][col] > EPS {
-                let ratio = t[ri][total] / t[ri][col];
-                if ratio < best - EPS
-                    || (ratio < best + EPS && leave.map(|l| basis[ri] < basis[l]).unwrap_or(false))
-                {
-                    best = ratio;
-                    leave = Some(ri);
-                }
-            }
-        }
-        let Some(row) = leave else {
+        let Some(row) = leaving_row(t, basis, col, total) else {
             return Err(Error::SolverFailed("unbounded LP".into()));
         };
         pivot(t, basis, row, col, total);
     }
     Err(Error::SolverFailed("simplex iteration limit".into()))
+}
+
+/// The ratio test (Bland: smallest basis index tie-break), or `None` if
+/// column `col` is unbounded.
+fn leaving_row(t: &[Vec<f64>], basis: &[usize], col: usize, total: usize) -> Option<usize> {
+    let mut leave: Option<usize> = None;
+    let mut best = f64::INFINITY;
+    for ri in 0..t.len() {
+        if t[ri][col] > EPS {
+            let ratio = t[ri][total] / t[ri][col];
+            if ratio < best - EPS
+                || (ratio < best + EPS && leave.map(|l| basis[ri] < basis[l]).unwrap_or(false))
+            {
+                best = ratio;
+                leave = Some(ri);
+            }
+        }
+    }
+    leave
 }
 
 fn pivot(t: &mut [Vec<f64>], basis: &mut [usize], row: usize, col: usize, total: usize) {
@@ -282,6 +302,141 @@ mod tests {
 
     fn assert_close(a: f64, b: f64) {
         assert!((a - b).abs() < 1e-7, "{a} vs {b}");
+    }
+
+    /// The pricing loop before it skipped zero-cost rows: every z_j sums
+    /// over all `m` basic rows. [`run_simplex`] must match it bit for bit.
+    fn run_simplex_all_rows(
+        t: &mut [Vec<f64>],
+        basis: &mut [usize],
+        cost: &[f64],
+        total: usize,
+    ) -> Result<f64> {
+        let m = t.len();
+        for _ in 0..MAX_ITERS {
+            let mut entering = None;
+            for j in 0..total {
+                if cost[j] == f64::NEG_INFINITY {
+                    continue;
+                }
+                let mut zj = 0.0;
+                for ri in 0..m {
+                    let cb = cost[basis[ri]];
+                    if cb == f64::NEG_INFINITY {
+                        continue;
+                    }
+                    zj += cb * t[ri][j];
+                }
+                if cost[j] - zj > EPS {
+                    entering = Some(j);
+                    break;
+                }
+            }
+            let Some(col) = entering else {
+                let mut obj = 0.0;
+                for ri in 0..m {
+                    let cb = cost[basis[ri]];
+                    if cb != f64::NEG_INFINITY {
+                        obj += cb * t[ri][total];
+                    }
+                }
+                return Ok(obj);
+            };
+            let Some(row) = leaving_row(t, basis, col, total) else {
+                return Err(Error::SolverFailed("unbounded LP".into()));
+            };
+            pivot(t, basis, row, col, total);
+        }
+        Err(Error::SolverFailed("simplex iteration limit".into()))
+    }
+
+    /// A random orchestration LP in the shape `transport` builds: one
+    /// equality on the routed mass, row and column capacities and, on most
+    /// draws, per-row link budgets. The mass follows the same rule (the
+    /// least of 1, the capacity sums and the aggregate link capacity), so
+    /// a row whose capacity and link budget together fall short of its
+    /// share makes the program infeasible, as the tightest link tier can.
+    fn random_transport_lp<R: rand::Rng>(rng: &mut R, tied: bool) -> LinearProgram {
+        const LEVELS: [f64; 4] = [0.0, 0.5, 0.9, 1.0];
+        let m = rng.gen_range(1..=4usize);
+        let n = rng.gen_range(1..=4usize);
+        let draw = |rng: &mut R| {
+            if tied {
+                LEVELS[rng.gen_range(0..LEVELS.len())]
+            } else {
+                rng.gen_range(0.0..1.0)
+            }
+        };
+        let d: Vec<Vec<f64>> = (0..m)
+            .map(|_| (0..n).map(|_| draw(rng)).collect())
+            .collect();
+        let row_cap: Vec<f64> = (0..m).map(|_| rng.gen_range(0.05..1.0)).collect();
+        let col_cap: Vec<f64> = (0..n).map(|_| rng.gen_range(0.05..1.0)).collect();
+        let link = rng.gen_bool(0.75).then(|| {
+            let kv: Vec<Vec<f64>> = (0..m)
+                .map(|_| (0..n).map(|_| rng.gen_range(0.01..1.5)).collect())
+                .collect();
+            let headroom = [0.60, 0.92][rng.gen_range(0..2usize)];
+            (kv, headroom / rng.gen_range(0.5..5.0))
+        });
+        let total_link: f64 = link.as_ref().map_or(f64::INFINITY, |(kv, budget)| {
+            kv.iter()
+                .map(|row| budget / row.iter().cloned().fold(f64::INFINITY, f64::min))
+                .sum()
+        });
+        let mass = 1.0f64
+            .min(row_cap.iter().sum())
+            .min(col_cap.iter().sum())
+            .min(total_link);
+
+        let nv = m * n;
+        let mut lp = LinearProgram::new(nv);
+        lp.set_objective(d.concat());
+        lp.add_constraint(vec![1.0; nv], Relation::Eq, mass);
+        for (i, &cap) in row_cap.iter().enumerate() {
+            let a = (0..nv).map(|v| f64::from(u8::from(v / n == i))).collect();
+            lp.add_constraint(a, Relation::Le, cap);
+        }
+        for (j, &cap) in col_cap.iter().enumerate() {
+            let a = (0..nv).map(|v| f64::from(u8::from(v % n == j))).collect();
+            lp.add_constraint(a, Relation::Le, cap);
+        }
+        if let Some((kv, budget)) = link {
+            for (i, row) in kv.iter().enumerate() {
+                let a = (0..nv)
+                    .map(|v| if v / n == i { row[v % n] } else { 0.0 })
+                    .collect();
+                lp.add_constraint(a, Relation::Le, budget);
+            }
+        }
+        lp
+    }
+
+    #[test]
+    fn costed_row_pricing_matches_full_row_pricing() {
+        let mut rng = ts_common::seeded_rng(0x5EED_0051);
+        let (mut solved, mut failed) = (0, 0);
+        for case in 0..2_000 {
+            let lp = random_transport_lp(&mut rng, case % 2 == 0);
+            match (lp.solve(), lp.solve_with(run_simplex_all_rows)) {
+                (Ok(got), Ok(want)) => {
+                    let bits = |x: &[f64]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(bits(&got.x), bits(&want.x), "case {case}: x");
+                    assert_eq!(got.value.to_bits(), want.value.to_bits(), "case {case}");
+                    solved += 1;
+                }
+                (Err(got), Err(want)) => {
+                    assert_eq!(got.to_string(), want.to_string(), "case {case}");
+                    failed += 1;
+                }
+                (got, want) => panic!("case {case}: {got:?} vs reference {want:?}"),
+            }
+        }
+        // Both outcomes are exercised: the sweep holds infeasible link tiers.
+        assert!(
+            solved > 1_000 && failed > 100,
+            "{solved} solved, {failed} failed"
+        );
     }
 
     #[test]
