@@ -108,28 +108,22 @@ impl LinearProgram {
             return Err(Error::SolverFailed("unbounded: no constraints".into()));
         }
 
-        let mut rows: Vec<(Vec<f64>, Relation, f64)> = self.rows.clone();
-        for (a, rel, b) in rows.iter_mut() {
-            if *b < 0.0 {
-                for v in a.iter_mut() {
-                    *v = -*v;
-                }
-                *b = -*b;
-                *rel = match *rel {
-                    Relation::Le => Relation::Ge,
-                    Relation::Ge => Relation::Le,
-                    Relation::Eq => Relation::Eq,
-                };
-            }
-        }
-
-        let num_slack = rows
+        // A row with a negative RHS is negated, which turns its inequality
+        // around.
+        let relation = |&(_, rel, b): &(Vec<f64>, Relation, f64)| match rel {
+            Relation::Le if b < 0.0 => Relation::Ge,
+            Relation::Ge if b < 0.0 => Relation::Le,
+            _ => rel,
+        };
+        let num_slack = self
+            .rows
             .iter()
-            .filter(|(_, r, _)| matches!(r, Relation::Le | Relation::Ge))
+            .filter(|row| matches!(relation(row), Relation::Le | Relation::Ge))
             .count();
-        let num_art = rows
+        let num_art = self
+            .rows
             .iter()
-            .filter(|(_, r, _)| matches!(r, Relation::Ge | Relation::Eq))
+            .filter(|row| matches!(relation(row), Relation::Ge | Relation::Eq))
             .count();
         let total = n + num_slack + num_art;
 
@@ -139,10 +133,14 @@ impl LinearProgram {
         let mut slack_i = 0;
         let mut art_i = 0;
         let mut artificials = Vec::new();
-        for (ri, (a, rel, b)) in rows.iter().enumerate() {
-            t[ri][..n].copy_from_slice(a);
-            t[ri][total] = *b;
-            match rel {
+        for (ri, row) in self.rows.iter().enumerate() {
+            let (a, _, b) = row;
+            let flip = *b < 0.0;
+            for (cell, &v) in t[ri][..n].iter_mut().zip(a) {
+                *cell = if flip { -v } else { v };
+            }
+            t[ri][total] = if flip { -*b } else { *b };
+            match relation(row) {
                 Relation::Le => {
                     t[ri][n + slack_i] = 1.0;
                     basis[ri] = n + slack_i;
