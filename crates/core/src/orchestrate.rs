@@ -7,6 +7,7 @@
 //! overall attainment.
 
 use crate::config::SchedulerConfig;
+use std::borrow::Borrow;
 use ts_cluster::Cluster;
 use ts_common::{
     DeploymentPlan, Error, GroupSpec, ModelSpec, Phase, Result, RoutingMatrix, SloSpec,
@@ -64,38 +65,59 @@ pub fn orchestrate_with_link_share(
     cfg: &SchedulerConfig,
     link_share: f64,
 ) -> Result<OrchestratedPlan> {
-    let prefill_idx: Vec<usize> = groups
+    let costs = cost_models(cluster, model, &groups, cfg)?;
+    orchestrate_costed(
+        cluster, model, groups, &costs, workload, slo, cfg, link_share,
+    )
+}
+
+/// Each group's cost model, in group order.
+///
+/// # Errors
+/// The first group whose model cannot be built (see
+/// [`ReplicaCostModel::new`]).
+pub(crate) fn cost_models(
+    cluster: &Cluster,
+    model: &ModelSpec,
+    groups: &[GroupSpec],
+    cfg: &SchedulerConfig,
+) -> Result<Vec<ReplicaCostModel>> {
+    let _g = profile::scope("tabu.cost_models");
+    groups
         .iter()
-        .enumerate()
-        .filter(|(_, g)| g.phase == Phase::Prefill)
-        .map(|(i, _)| i)
-        .collect();
-    let decode_idx: Vec<usize> = groups
-        .iter()
-        .enumerate()
-        .filter(|(_, g)| g.phase == Phase::Decode)
-        .map(|(i, _)| i)
-        .collect();
-    if prefill_idx.is_empty() || decode_idx.is_empty() {
+        .map(|g| ReplicaCostModel::new(cluster, model, g, &cfg.params))
+        .collect()
+}
+
+/// [`orchestrate_with_link_share`] over groups whose cost models are
+/// already built: `costs[i]` is the model of `groups[i]`. The tabu walk
+/// keeps each group's model beside it in its cache and calls this directly.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn orchestrate_costed<M: Borrow<ReplicaCostModel>>(
+    cluster: &Cluster,
+    model: &ModelSpec,
+    groups: Vec<GroupSpec>,
+    costs: &[M],
+    workload: &WorkloadSpec,
+    slo: &SloSpec,
+    cfg: &SchedulerConfig,
+    link_share: f64,
+) -> Result<OrchestratedPlan> {
+    let mut prefill: Vec<&ReplicaCostModel> = Vec::new();
+    let mut decode: Vec<&ReplicaCostModel> = Vec::new();
+    for (g, c) in groups.iter().zip(costs) {
+        match g.phase {
+            Phase::Prefill => prefill.push(c.borrow()),
+            Phase::Decode => decode.push(c.borrow()),
+        }
+    }
+    if prefill.is_empty() || decode.is_empty() {
         return Err(Error::Infeasible(
             "orchestration needs both prefill and decode groups".into(),
         ));
     }
 
     let sim_cfg = sim_config(model, cfg);
-    let (prefill, decode) = {
-        let _g = profile::scope("tabu.cost_models");
-        let prefill: Vec<ReplicaCostModel> = prefill_idx
-            .iter()
-            .map(|&i| ReplicaCostModel::new(cluster, model, &groups[i], &cfg.params))
-            .collect::<Result<_>>()?;
-        let decode: Vec<ReplicaCostModel> = decode_idx
-            .iter()
-            .map(|&i| ReplicaCostModel::new(cluster, model, &groups[i], &cfg.params))
-            .collect::<Result<_>>()?;
-        (prefill, decode)
-    };
-
     let est = {
         let _g = profile::scope("tabu.pair_estimates");
         pair_estimates(cluster, &sim_cfg, &prefill, &decode, workload, slo)
@@ -156,7 +178,7 @@ pub fn orchestrate_with_link_share(
             .collect();
         RoutingMatrix::new(rates)?
     } else {
-        RoutingMatrix::uniform(prefill_idx.len(), decode_idx.len())
+        RoutingMatrix::uniform(prefill.len(), decode.len())
     };
 
     let plan = DeploymentPlan::new(groups, routing)?;

@@ -38,6 +38,22 @@ pub fn deduce_parallel_config(
     workload: &WorkloadSpec,
     cfg: &SchedulerConfig,
 ) -> Result<GroupSpec> {
+    deduce_with_cost_model(cluster, model, gpus, phase, workload, cfg).map(|(group, _)| group)
+}
+
+/// [`deduce_parallel_config`] that also returns the cost model it built to
+/// score the winning layout, so orchestration need not build it again.
+///
+/// # Errors
+/// Same as [`deduce_parallel_config`].
+pub(crate) fn deduce_with_cost_model(
+    cluster: &Cluster,
+    model: &ModelSpec,
+    gpus: &[GpuId],
+    phase: Phase,
+    workload: &WorkloadSpec,
+    cfg: &SchedulerConfig,
+) -> Result<(GroupSpec, ReplicaCostModel)> {
     if gpus.is_empty() {
         return Err(Error::Infeasible("empty group".into()));
     }
@@ -55,7 +71,7 @@ pub fn deduce_parallel_config(
     let mean_out = workload.output.mean().max(1.0) as u64;
     let ctx = mean_prompt + mean_out / 2;
 
-    let mut best: Option<(f64, GroupSpec)> = None;
+    let mut best: Option<(f64, GroupSpec, ReplicaCostModel)> = None;
     let mut tp = 1usize;
     while tp <= cfg.max_tp && tp <= gpus.len() {
         if let Some(group) = try_config(cluster, model, &buckets, phase, tp, cfg) {
@@ -71,14 +87,14 @@ pub fn deduce_parallel_config(
                         rcm.decode_throughput(b, ctx)
                     }
                 };
-                if best.as_ref().map(|(s, _)| score > *s).unwrap_or(true) {
-                    best = Some((score, group));
+                if best.as_ref().map(|(s, ..)| score > *s).unwrap_or(true) {
+                    best = Some((score, group, rcm));
                 }
             }
         }
         tp *= 2;
     }
-    best.map(|(_, g)| g).ok_or_else(|| {
+    best.map(|(_, g, rcm)| (g, rcm)).ok_or_else(|| {
         Error::Infeasible(format!(
             "no feasible parallel configuration for {} GPUs",
             gpus.len()

@@ -12,8 +12,9 @@
 //! * `MultiModel` — one shared pool serving a catalog of models: a
 //!   traffic-share span seed, a fifth "reassign-model" move, per-model
 //!   transportation problems with traffic-share claims on the shared
-//!   uplinks ([`orchestrate_with_link_share`]) and a share-weighted
-//!   objective;
+//!   uplinks (the rule of
+//!   [`crate::orchestrate::orchestrate_with_link_share`]) and a
+//!   share-weighted objective;
 //! * `Flips` — lightweight and fleet rescheduling: frozen groups and
 //!   parallel configurations, phase flips only, keyed by the phase vector.
 //!
@@ -45,13 +46,13 @@
 
 use crate::candidate::{Candidate, CandidateGroup};
 use crate::config::SchedulerConfig;
-use crate::orchestrate::{
-    orchestrate, orchestrate_with_link_share, phase_affinity, OrchestratedPlan,
-};
-use crate::parallel::deduce_parallel_config;
+use crate::orchestrate::{cost_models, orchestrate_costed, phase_affinity, OrchestratedPlan};
+use crate::parallel::deduce_with_cost_model;
 use rand::Rng;
+use std::borrow::Borrow;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::hash::Hash;
+use std::sync::Arc;
 use std::time::Instant;
 use ts_cluster::Cluster;
 use ts_common::rng::derive_seed;
@@ -60,6 +61,7 @@ use ts_common::{
     ModelRouting, ModelSpec, Phase, Result, ServedModel, ShardedCache, SloSpec,
 };
 use ts_costmodel::replica::{memory_feasible, memory_feasible_with_headroom};
+use ts_costmodel::ReplicaCostModel;
 use ts_solver::clustering::cluster_by_bandwidth;
 use ts_telemetry::{profile, SearchStep, SearchTrace};
 use ts_workload::WorkloadSpec;
@@ -100,11 +102,12 @@ pub struct TabuResult {
     pub search_trace: Option<SearchTrace>,
 }
 
-/// Parallel configurations deduced so far, keyed by
-/// [`CandidateGroup::group_hash`] (`None`: the group has no feasible
-/// configuration). Entries are deterministic functions of their key, so
+/// Parallel configurations deduced so far, each with the cost model that
+/// scored it, keyed by [`CandidateGroup::group_hash`] (`None`: the group
+/// has no feasible configuration). The model sits behind an `Arc`, so a hit
+/// does not copy it. Entries are deterministic functions of their key, so
 /// every worker of a walk shares one.
-type GroupCache = ShardedCache<Option<GroupSpec>>;
+type GroupCache = ShardedCache<Option<(GroupSpec, Arc<ReplicaCostModel>)>>;
 
 /// What a walk searches. Evaluation takes `&self`, so the worker pool can
 /// share the space for the whole walk.
@@ -355,10 +358,12 @@ pub(crate) fn reschedule_phases(
     slo: &SloSpec,
     cfg: &SchedulerConfig,
 ) -> Result<TabuResult> {
+    let costs = cost_models(cluster, model, &groups, cfg).ok();
     let space = Flips {
         cluster,
         model,
         groups,
+        costs,
         workload,
         slo,
         cfg,
@@ -450,13 +455,13 @@ impl Space for SingleModel<'_> {
     }
 
     fn evaluate(&self, c: &Candidate, groups: &GroupCache) -> Option<(f64, OrchestratedPlan)> {
-        let specs = c
+        let (specs, costs): (Vec<GroupSpec>, Vec<_>) = c
             .groups
             .iter()
             .map(|g| {
                 groups.get_or_insert_with(g.group_hash(), || {
                     let _g = profile::scope("tabu.deduce");
-                    deduce_parallel_config(
+                    deduce_with_cost_model(
                         self.cluster,
                         self.model,
                         &g.gpus,
@@ -465,13 +470,17 @@ impl Space for SingleModel<'_> {
                         self.cfg,
                     )
                     .ok()
+                    .map(|(spec, cost)| (spec, Arc::new(cost)))
                 })
             })
-            .collect::<Option<Vec<_>>>()?;
+            .collect::<Option<Vec<_>>>()?
+            .into_iter()
+            .unzip();
         score_groups(
             self.cluster,
             self.model,
             specs,
+            &costs,
             self.workload,
             self.slo,
             self.cfg,
@@ -610,9 +619,9 @@ impl Space for MultiModel<'_> {
                 // tenants without collisions.
                 groups.get_or_insert_with(g.group_hash(), || {
                     let _g = profile::scope("tabu.deduce");
-                    deduce_parallel_config(self.cluster, &m.spec, &g.gpus, g.phase, w, self.cfg)
+                    deduce_with_cost_model(self.cluster, &m.spec, &g.gpus, g.phase, w, self.cfg)
                         .ok()
-                        .map(|s| s.with_model(g.model))
+                        .map(|(spec, cost)| (spec.with_model(g.model), Arc::new(cost)))
                 })
             })
             .collect::<Option<Vec<_>>>()?;
@@ -621,13 +630,17 @@ impl Space for MultiModel<'_> {
         let mut all_groups: Vec<GroupSpec> = Vec::new();
         let mut per_model: Vec<ModelRouting> = Vec::new();
         for (m, w) in self.models.iter().zip(self.workloads) {
-            let groups_m: Vec<GroupSpec> =
-                specs.iter().filter(|s| s.model == m.id).cloned().collect();
+            let (groups_m, costs_m): (Vec<GroupSpec>, Vec<&ReplicaCostModel>) = specs
+                .iter()
+                .filter(|(s, _)| s.model == m.id)
+                .map(|(s, c)| (s.clone(), &**c))
+                .unzip();
             affinity += m.traffic_share * phase_affinity(self.cluster, &groups_m);
-            let op = orchestrate_with_link_share(
+            let op = orchestrate_costed(
                 self.cluster,
                 &m.spec,
                 groups_m.clone(),
+                &costs_m,
                 w,
                 &m.slo,
                 self.cfg,
@@ -654,53 +667,61 @@ impl Space for MultiModel<'_> {
 }
 
 /// Lightweight rescheduling's space: the groups and their parallel
-/// configurations are frozen; only phases flip.
+/// configurations are frozen; only phases flip. A point is the phase
+/// vector, one entry per group.
 struct Flips<'a> {
     cluster: &'a Cluster,
     model: &'a ModelSpec,
     groups: Vec<GroupSpec>,
+    /// Each group's cost model, built once: a phase flip leaves it as is.
+    /// `None` if any group cannot hold the model, when no designation
+    /// orchestrates.
+    costs: Option<Vec<ReplicaCostModel>>,
     workload: &'a WorkloadSpec,
     slo: &'a SloSpec,
     cfg: &'a SchedulerConfig,
 }
 
 impl Space for Flips<'_> {
-    type Point = Vec<GroupSpec>;
     // Orchestration is a deterministic function of the designation, since
     // the groups are frozen.
+    type Point = Vec<Phase>;
     type Key = Vec<Phase>;
 
-    /// The given groups, with both phases guaranteed.
-    fn seed(&self) -> Result<Vec<GroupSpec>> {
-        let mut groups = self.groups.clone();
-        let mut phases: Vec<Phase> = groups.iter().map(|g| g.phase).collect();
+    /// The given groups' phases, with both phases guaranteed.
+    fn seed(&self) -> Result<Vec<Phase>> {
+        let mut phases: Vec<Phase> = self.groups.iter().map(|g| g.phase).collect();
         ensure_both_phases(&mut phases);
-        for (g, p) in groups.iter_mut().zip(phases) {
-            g.phase = p;
-        }
-        Ok(groups)
+        Ok(phases)
     }
 
-    fn neighbor<R: Rng>(&self, x: &Vec<GroupSpec>, rng: &mut R) -> Option<Vec<GroupSpec>> {
+    fn neighbor<R: Rng>(&self, x: &Vec<Phase>, rng: &mut R) -> Option<Vec<Phase>> {
         let idx = rng.gen_range(0..x.len());
         let mut n = x.clone();
-        n[idx] = n[idx].flipped();
+        n[idx] = n[idx].opposite();
         Some(n)
     }
 
-    fn key(&self, groups: &Vec<GroupSpec>) -> Vec<Phase> {
-        groups.iter().map(|g| g.phase).collect()
+    fn key(&self, phases: &Vec<Phase>) -> Vec<Phase> {
+        phases.clone()
     }
 
-    fn admissible(&self, groups: &Vec<GroupSpec>) -> bool {
-        has_both_phases(groups)
+    fn admissible(&self, phases: &Vec<Phase>) -> bool {
+        phases.contains(&Phase::Prefill) && phases.contains(&Phase::Decode)
     }
 
-    fn evaluate(&self, groups: &Vec<GroupSpec>, _: &GroupCache) -> Option<(f64, OrchestratedPlan)> {
+    fn evaluate(&self, phases: &Vec<Phase>, _: &GroupCache) -> Option<(f64, OrchestratedPlan)> {
+        let specs = self
+            .groups
+            .iter()
+            .zip(phases)
+            .map(|(g, &phase)| GroupSpec { phase, ..g.clone() })
+            .collect();
         score_groups(
             self.cluster,
             self.model,
-            groups.clone(),
+            specs,
+            self.costs.as_deref()?,
             self.workload,
             self.slo,
             self.cfg,
@@ -710,16 +731,17 @@ impl Space for Flips<'_> {
 
 /// The single-model evaluation rule: orchestrate the groups, then add the
 /// hardware-affinity tie-breaker to the attainment.
-fn score_groups(
+fn score_groups<M: Borrow<ReplicaCostModel>>(
     cluster: &Cluster,
     model: &ModelSpec,
     specs: Vec<GroupSpec>,
+    costs: &[M],
     workload: &WorkloadSpec,
     slo: &SloSpec,
     cfg: &SchedulerConfig,
 ) -> Option<(f64, OrchestratedPlan)> {
     let affinity = phase_affinity(cluster, &specs);
-    let op = orchestrate(cluster, model, specs, workload, slo, cfg).ok()?;
+    let op = orchestrate_costed(cluster, model, specs, costs, workload, slo, cfg, 1.0).ok()?;
     Some((op.score + affinity_bonus(cfg, affinity), op))
 }
 

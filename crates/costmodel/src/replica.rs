@@ -419,9 +419,8 @@ pub fn kv_route(
     prefill: &ReplicaCostModel,
     decode: &ReplicaCostModel,
 ) -> Vec<KvRouteSegment> {
-    kv_route_legs(cluster, prefill, decode)
-        .iter()
-        .map(KvRouteLeg::segment)
+    route_legs(cluster, prefill, decode)
+        .map(|leg| leg.segment())
         .collect()
 }
 
@@ -433,25 +432,30 @@ pub fn kv_route_legs(
     prefill: &ReplicaCostModel,
     decode: &ReplicaCostModel,
 ) -> Vec<KvRouteLeg> {
-    let mut legs = Vec::new();
-    for ps in &prefill.stages {
-        let p_range = ps.layer_offset..ps.layer_offset + ps.layers;
-        for ds in &decode.stages {
-            let d_range = ds.layer_offset..ds.layer_offset + ds.layers;
-            let lo = p_range.start.max(d_range.start);
-            let hi = p_range.end.min(d_range.end);
-            if lo < hi {
+    route_legs(cluster, prefill, decode).collect()
+}
+
+/// The legs of [`kv_route_legs`], in its order, without collecting them.
+fn route_legs<'a>(
+    cluster: &'a Cluster,
+    prefill: &'a ReplicaCostModel,
+    decode: &'a ReplicaCostModel,
+) -> impl Iterator<Item = KvRouteLeg> + 'a {
+    prefill.stages.iter().flat_map(move |ps| {
+        decode.stages.iter().filter_map(move |ds| {
+            let lo = ps.layer_offset.max(ds.layer_offset);
+            let hi = (ps.layer_offset + ps.layers).min(ds.layer_offset + ds.layers);
+            (lo < hi).then(|| {
                 let (link, from, to) = best_pair(cluster, &ps.gpus, &ds.gpus);
-                legs.push(KvRouteLeg {
+                KvRouteLeg {
                     layers: hi - lo,
                     link,
                     from,
                     to,
-                });
-            }
-        }
-    }
-    legs
+                }
+            })
+        })
+    })
 }
 
 /// Transfer time for `tokens` KV tokens along the route, when the per-layer
@@ -466,12 +470,36 @@ pub fn kv_transfer_time(
     tokens: u64,
     compression_ratio: f64,
 ) -> SimDuration {
+    slowest_segment(model, route.iter().copied(), tokens, compression_ratio)
+}
+
+/// [`kv_transfer_time`] along [`kv_route`]`(cluster, prefill, decode)`,
+/// priced leg by leg without building the route.
+///
+/// # Panics
+/// Panics if `compression_ratio` is not in `(0, 1]`.
+pub fn kv_route_time(
+    cluster: &Cluster,
+    prefill: &ReplicaCostModel,
+    decode: &ReplicaCostModel,
+    tokens: u64,
+    compression_ratio: f64,
+) -> SimDuration {
+    let route = route_legs(cluster, prefill, decode).map(|leg| leg.segment());
+    slowest_segment(prefill.model(), route, tokens, compression_ratio)
+}
+
+fn slowest_segment(
+    model: &ModelSpec,
+    route: impl Iterator<Item = KvRouteSegment>,
+    tokens: u64,
+    compression_ratio: f64,
+) -> SimDuration {
     assert!(
         compression_ratio > 0.0 && compression_ratio <= 1.0,
         "compression ratio must be in (0,1], got {compression_ratio}"
     );
     route
-        .iter()
         .map(|seg| {
             let bytes = (model.kv_bytes_per_token_layers(seg.layers) as f64
                 * tokens as f64
@@ -637,6 +665,13 @@ mod tests {
         let t4 = kv_transfer_time(&m, &route, 1024, 0.25);
         let ratio = t16.as_secs_f64() / t4.as_secs_f64();
         assert!(ratio > 3.0 && ratio <= 4.2, "ratio {ratio}");
+        // Pricing leg by leg gives the same times as the built route.
+        assert_eq!(kv_route_time(&c, &rp, &rd, 1024, 1.0), t16);
+        assert_eq!(kv_route_time(&c, &rp, &rd, 1024, 0.25), t4);
+        assert_eq!(
+            kv_route_time(&c, &rd, &rp, 777, 0.5),
+            kv_transfer_time(&m, &kv_route(&c, &rd, &rp), 777, 0.5)
+        );
     }
 
     #[test]

@@ -9,9 +9,10 @@
 //! the discrete-event engine.
 
 use crate::config::{KvTransfer, SimConfig, MAX_DECODE_BATCH};
+use std::borrow::Borrow;
 use ts_cluster::Cluster;
 use ts_common::{DeploymentPlan, Result, SloSpec};
-use ts_costmodel::replica::{kv_route, kv_transfer_time};
+use ts_costmodel::replica::kv_route_time;
 use ts_costmodel::ReplicaCostModel;
 use ts_workload::WorkloadSpec;
 
@@ -67,14 +68,16 @@ const _: fn() = || {
 /// interior-mutable state — and the scheduler relies on that to evaluate
 /// many candidate plans concurrently with bit-identical results; keep any
 /// future caching deterministic and thread-safe.
-pub fn pair_estimates(
+pub fn pair_estimates<M: Borrow<ReplicaCostModel>>(
     cluster: &Cluster,
     cfg: &SimConfig,
-    prefill: &[ReplicaCostModel],
-    decode: &[ReplicaCostModel],
+    prefill: &[M],
+    decode: &[M],
     workload: &WorkloadSpec,
     slo: &SloSpec,
 ) -> PairEstimates {
+    let prefill: Vec<&ReplicaCostModel> = prefill.iter().map(Borrow::borrow).collect();
+    let decode: Vec<&ReplicaCostModel> = decode.iter().map(Borrow::borrow).collect();
     let p_mean = workload.prompt.mean().max(1.0);
     let o_mean = workload.output.mean().max(1.0);
     let rate = workload.rate;
@@ -105,7 +108,7 @@ pub fn pair_estimates(
         .iter()
         .map(|m| m.decode_throughput(32, ctx as u64).max(1e-9))
         .sum();
-    for m in decode {
+    for m in &decode {
         let lam_share = rate * m.decode_throughput(32, ctx as u64).max(1e-9) / total_dec_weight;
         let bmax = m
             .max_decode_batch((p_mean + o_mean) as u64)
@@ -154,9 +157,10 @@ pub fn pair_estimates(
         let ttft_deadline = slo.ttft.as_secs_f64();
         let a_ttft = wait_tail(ttft_deadline - svc[i], wq_mean, rho);
         for j in 0..n_d {
-            let kv = kv_transfer_time(
-                prefill[i].model(),
-                &kv_route(cluster, &prefill[i], &decode[j]),
+            let kv = kv_route_time(
+                cluster,
+                prefill[i],
+                decode[j],
                 p_mean as u64,
                 cfg.kv_precision.ratio_vs_f16(),
             )
