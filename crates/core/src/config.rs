@@ -1,7 +1,9 @@
 //! Scheduler configuration.
 
+use ts_common::{Error, Result};
 use ts_costmodel::ModelParams;
 use ts_kvcache::codec::KvWirePrecision;
+use ts_solver::routing_dp::MAX_STAGES;
 
 /// Tuning knobs for the two-level scheduler.
 #[derive(Debug, Clone)]
@@ -88,6 +90,29 @@ impl SchedulerConfig {
             ..Self::default()
         }
     }
+
+    /// Checks the settings Algorithm 2 must be able to honour: at least one
+    /// tensor-parallel degree and one pipeline depth, and no pipeline
+    /// deeper than the stage-order DP orders
+    /// ([`ts_solver::routing_dp::MAX_STAGES`]).
+    ///
+    /// # Errors
+    /// Returns [`Error::InvalidConfig`] naming the offending setting.
+    pub fn validate(&self) -> Result<()> {
+        if self.max_tp == 0 || self.max_pp == 0 {
+            return Err(Error::InvalidConfig(format!(
+                "max_tp {} and max_pp {} must both be at least 1",
+                self.max_tp, self.max_pp
+            )));
+        }
+        if self.max_pp > MAX_STAGES {
+            return Err(Error::InvalidConfig(format!(
+                "max_pp {} exceeds the {MAX_STAGES} stages the stage-order DP orders",
+                self.max_pp
+            )));
+        }
+        Ok(())
+    }
 }
 
 #[cfg(test)]
@@ -118,6 +143,23 @@ mod tests {
     fn network_knobs_default_to_the_paper_model() {
         let c = SchedulerConfig::default();
         assert!(!c.network_contention);
+    }
+
+    #[test]
+    fn validate_bounds_the_parallel_degrees() {
+        assert!(SchedulerConfig::default().validate().is_ok());
+        let pp = |max_pp| SchedulerConfig {
+            max_pp,
+            ..SchedulerConfig::default()
+        };
+        assert!(pp(MAX_STAGES).validate().is_ok());
+        assert!(pp(MAX_STAGES + 1).validate().is_err());
+        assert!(pp(0).validate().is_err());
+        let no_tp = SchedulerConfig {
+            max_tp: 0,
+            ..SchedulerConfig::default()
+        };
+        assert!(no_tp.validate().is_err());
     }
 
     #[test]
