@@ -181,6 +181,12 @@ impl Simulation {
         self.driver.fabric_work()
     }
 
+    /// The stride routers' work so far: picks and the credit levels they
+    /// topped up, summed over the served models' routes.
+    pub fn router_work(&self) -> crate::RouterWork {
+        self.driver.router_work()
+    }
+
     /// The decode planner's work so far: runs planned and re-planned, step
     /// times priced and step boundaries crossed. Zero for colocated simulations, whose
     /// replicas step one event at a time.
@@ -420,6 +426,40 @@ mod tests {
                 steps_crossed: 48,
             }
         );
+    }
+
+    /// A 2 × 2 plan routes over four cells of 1/4: one pick per arrival,
+    /// and a pick scans one level when all four share a credit (the first
+    /// of every four), two otherwise.
+    #[test]
+    fn router_work_is_pinned_on_a_two_by_two_run() {
+        use crate::RouterWork;
+        let (cluster, _, cfg) = testbed(presets::ETH_40GBPS);
+        let layers = cfg.model.num_layers;
+        let plan = DeploymentPlan::new(
+            vec![
+                group(Phase::Prefill, &[0, 1], 2, 1, layers),
+                group(Phase::Prefill, &[2, 3], 2, 1, layers),
+                group(Phase::Decode, &[4, 5], 2, 1, layers),
+                group(Phase::Decode, &[6, 7], 2, 1, layers),
+            ],
+            RoutingMatrix::uniform(2, 2),
+        )
+        .unwrap();
+        let reqs = generate(
+            &spec::conversation(1.0),
+            ts_common::SimDuration::from_secs(30),
+            3,
+        );
+        let mut sim = Simulation::new(&cluster, &plan, cfg).unwrap();
+        assert_eq!(sim.router_work(), RouterWork::default());
+        sim.run(&reqs).unwrap();
+        // 23 picks: 6 of them scan one level, 17 scan two.
+        let work = RouterWork {
+            picks: 23,
+            levels_scanned: 40,
+        };
+        assert_eq!((reqs.len(), sim.router_work()), (23, work));
     }
 
     #[test]

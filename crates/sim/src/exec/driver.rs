@@ -29,7 +29,7 @@
 //!
 //! # Performance architecture
 //!
-//! Three structural decisions keep the loop fast on day-scale traces
+//! Four structural decisions keep the loop fast on day-scale traces
 //! without changing a single output bit:
 //!
 //! * **Slab-allocated request state.** All per-request bookkeeping (the
@@ -44,6 +44,9 @@
 //!   arrivals — bit-identical event order.
 //! * **Decode-step coalescing.** One decode event is scheduled per planned
 //!   run instead of one per step (see the `decode` module).
+//! * **Routing over credit levels.** A [`StrideRouter`] pick tops up one
+//!   entry per level — the live cells sharing a stride and a credit — not
+//!   one per cell, so a fleet plan's 1,024 equal cells cost two entries.
 
 use super::colo::{self, ColoState};
 use super::decode;
@@ -57,7 +60,7 @@ use crate::config::SimConfig;
 use crate::event::{Event, EventKind, EventQueue};
 use crate::fault::{FaultScript, TimedFault};
 use crate::metrics::{Metrics, ModelConservation, RecoveryCounters, RequestRecord};
-use crate::router::StrideRouter;
+use crate::router::{RouterWork, StrideRouter};
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 use ts_cluster::Cluster;
 use ts_common::{
@@ -373,6 +376,15 @@ impl Driver {
             Topology::Split(s) => s.kv.fabric_work(),
             Topology::Colocated(_) => None,
         }
+    }
+
+    /// The routers' work so far, summed over the routes.
+    pub fn router_work(&self) -> RouterWork {
+        let mut work = RouterWork::default();
+        for route in &self.core.routes {
+            work += route.router.work();
+        }
+        work
     }
 
     /// The decode planner's work so far, summed over the decode replicas;

@@ -78,4 +78,5 @@ pub use estimate::{estimate_attainment, AttainmentEstimate};
 pub use exec::DecodeWork;
 pub use fault::{Detection, FaultKind, FaultScript, TimedFault};
 pub use metrics::{Metrics, RecoveryCounters, RequestRecord};
+pub use router::RouterWork;
 pub use ts_telemetry::{RequestSpan, TraceLog};

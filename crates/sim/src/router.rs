@@ -15,28 +15,66 @@ use ts_common::{Error, Result};
 /// receives no credit and is never chosen, and the remaining weights are
 /// renormalized so the surviving options absorb its share.
 ///
-/// A pick touches only the *live* options (enabled, positive weight), so
-/// the pick state is packed over them: slot `k` holds option `live[k]`, in
-/// ascending option order. Every other option's credit is zero — disabling
-/// or re-enabling an option sheds its credit, and a zero-weight option
-/// never gains any — so it needs no slot.
+/// A pick touches only the *live* options (enabled, positive weight);
+/// every other option's credit is zero — disabling or re-enabling an
+/// option sheds its credit, and a zero-weight option never gains any. The
+/// live options are grouped into *levels*: a level holds the options that
+/// share a stride and a credit, bit for bit. Options with the same stride
+/// receive the same f64 addition on every pick, so a level's members stay
+/// bit-equal until one of them is picked, and a pick costs O(levels), not
+/// O(options).
+///
+/// The levels are ordered by stride (ascending), then credit (descending),
+/// and no two levels share both. The levels of one stride form a *class*.
+/// A level's members are a list linked through `next` in descending option
+/// order, from `top` to `bottom`.
 #[derive(Debug, Clone)]
 pub struct StrideRouter {
     weights: Vec<f64>,
     enabled: Vec<bool>,
-    /// The option each live slot stands for, ascending.
-    live: Vec<usize>,
-    /// Accumulated credit per live slot.
+    /// Number of live options.
+    live: usize,
+    /// Number of classes: distinct strides among the live options. Fixed
+    /// between mask changes, since picks never change a stride.
+    classes: usize,
+    /// Accumulated credit per level.
     credit: Vec<f64>,
-    /// `weight / total` per live slot, where `total` sums the enabled
-    /// weights in option order. Refreshed on every mask change; `next`
-    /// runs once per routed request, and a precomputed quotient keeps the
-    /// division out of it.
+    /// `weight / total` per level, where `total` sums the enabled weights
+    /// in option order. Refreshed on every mask change; `next` runs once
+    /// per routed request, and a precomputed quotient keeps the division
+    /// out of it.
     stride: Vec<f64>,
+    /// The largest option of each level.
+    top: Vec<usize>,
+    /// The smallest option of each level.
+    bottom: Vec<usize>,
+    /// Per option: the next smaller member of its level, or [`NIL`].
+    next: Vec<usize>,
+    work: RouterWork,
 }
 
-/// Independent running maxima in `next`'s first pass, and the chunk width
-/// of its second.
+/// The end of a level's member list.
+const NIL: usize = usize::MAX;
+
+/// Router work counters: machine-independent, so a change to the pick
+/// shows up here exactly.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct RouterWork {
+    /// Calls to [`StrideRouter::next`].
+    pub picks: u64,
+    /// Levels topped up, summed over the picks. With all-distinct weights
+    /// every level has one member, and this counts live options.
+    pub levels_scanned: u64,
+}
+
+impl std::ops::AddAssign for RouterWork {
+    fn add_assign(&mut self, o: RouterWork) {
+        self.picks += o.picks;
+        self.levels_scanned += o.levels_scanned;
+    }
+}
+
+/// Independent running maxima in `next`'s passes, and their chunk width.
 const LANES: usize = 8;
 
 /// `max` as a select rather than a branch. Credits are never NaN (weights
@@ -48,6 +86,53 @@ fn select_max(c: f64, m: f64) -> f64 {
         c
     } else {
         m
+    }
+}
+
+/// Adds each stride to its credit and returns the largest credit, in
+/// `LANES` independent lanes with no branch in the loop body.
+fn top_up(credit: &mut [f64], stride: &[f64]) -> f64 {
+    let mut lanes = [f64::NEG_INFINITY; LANES];
+    let (credit, credit_tail) = credit.as_chunks_mut::<LANES>();
+    let (stride, stride_tail) = stride.as_chunks::<LANES>();
+    for (c, s) in credit.iter_mut().zip(stride) {
+        for l in 0..LANES {
+            c[l] += s[l];
+            lanes[l] = select_max(c[l], lanes[l]);
+        }
+    }
+    for (c, s) in credit_tail.iter_mut().zip(stride_tail) {
+        *c += s;
+        lanes[0] = select_max(*c, lanes[0]);
+    }
+    lanes.into_iter().fold(f64::NEG_INFINITY, select_max)
+}
+
+/// Unites two disjoint member lists, given as `(top, bottom)`, into one
+/// descending list and returns its ends. Lists whose ranges do not
+/// interleave are joined in O(1); others are merged.
+fn unite(next: &mut [usize], a: (usize, usize), b: (usize, usize)) -> (usize, usize) {
+    let (hi, lo) = if a.0 > b.0 { (a, b) } else { (b, a) };
+    let (mut tail, mut x, mut y) = (hi.0, next[hi.0], lo.0);
+    if hi.1 > lo.0 {
+        (tail, x) = (hi.1, NIL);
+    }
+    loop {
+        if x == NIL {
+            next[tail] = y;
+            return (hi.0, lo.1);
+        }
+        if y == NIL {
+            next[tail] = x;
+            return (hi.0, hi.1);
+        }
+        if x > y {
+            next[tail] = x;
+            (tail, x) = (x, next[x]);
+        } else {
+            next[tail] = y;
+            (tail, y) = (y, next[y]);
+        }
     }
 }
 
@@ -74,11 +159,16 @@ impl StrideRouter {
         let mut router = StrideRouter {
             weights,
             enabled: vec![true; n],
-            live: Vec::new(),
+            live: 0,
+            classes: 0,
             credit: Vec::new(),
             stride: Vec::new(),
+            top: Vec::new(),
+            bottom: Vec::new(),
+            next: vec![NIL; n],
+            work: RouterWork::default(),
         };
-        router.repack();
+        router.rebuild(vec![0.0; n]);
         Ok(router)
     }
 
@@ -101,49 +191,192 @@ impl StrideRouter {
         Ok((Self::new(weights)?, coords))
     }
 
-    /// Picks the next option among the enabled ones. (Deliberately named
-    /// like `Iterator::next`; the router is an infinite choice stream, not
-    /// an iterator.)
+    /// Picks the next option among the enabled ones: every live option
+    /// gains its stride, the largest option holding the largest credit
+    /// wins and pays 1. (Deliberately named like `Iterator::next`; the
+    /// router is an infinite choice stream, not an iterator.)
     ///
     /// # Panics
     /// Panics if every option is disabled ([`Self::num_enabled`] is zero);
     /// callers must shed or queue traffic instead of routing it.
     #[allow(clippy::should_implement_trait)]
     pub fn next(&mut self) -> usize {
-        assert!(!self.live.is_empty(), "all routing options are disabled");
-        // Pass 1: top up every live slot and track the max in `LANES`
-        // independent lanes, with no branch in the loop body.
-        let mut lanes = [f64::NEG_INFINITY; LANES];
-        let (credit, credit_tail) = self.credit.as_chunks_mut::<LANES>();
-        let (stride, stride_tail) = self.stride.as_chunks::<LANES>();
-        for (c, s) in credit.iter_mut().zip(stride) {
-            for l in 0..LANES {
-                c[l] += s[l];
-                lanes[l] = select_max(c[l], lanes[l]);
+        assert!(self.live > 0, "all routing options are disabled");
+        self.work.picks += 1;
+        self.work.levels_scanned += self.credit.len() as u64;
+        let l = self.top_up_and_choose();
+        let picked = self.top[l];
+        self.move_top(l);
+        picked
+    }
+
+    /// Tops up every level, merges the levels that became equal and
+    /// returns the level to pick.
+    fn top_up_and_choose(&mut self) -> usize {
+        if self.credit.len() >= LANES {
+            let max = top_up(&mut self.credit, &self.stride);
+            if self.credit.len() > self.classes {
+                self.merge_equal_levels();
+            }
+            return self.level_to_pick(max);
+        }
+        // Fewer levels than lanes, the common case (a plan of a few cells,
+        // or many equal cells in two levels): one sequential pass tops up,
+        // keeps the level to pick and looks for equal neighbours. The lanes
+        // pay off only from `LANES` levels up.
+        let (credit, stride, top) = (&mut self.credit, &self.stride, &self.top);
+        let (mut best, mut merge) = (0, false);
+        for l in 0..credit.len() {
+            credit[l] += stride[l];
+            let (c, b) = (credit[l], credit[best]);
+            if c > b || (c == b && top[l] > top[best]) {
+                best = l;
+            }
+            if l > 0 {
+                merge |= (c == credit[l - 1]) & (stride[l] == stride[l - 1]);
             }
         }
-        for (c, s) in credit_tail.iter_mut().zip(stride_tail) {
-            *c += s;
-            lanes[0] = select_max(*c, lanes[0]);
+        if merge {
+            let max = credit[best];
+            self.merge_equal_levels();
+            return self.level_to_pick(max);
         }
-        let max = lanes.into_iter().fold(f64::NEG_INFINITY, select_max);
-        // Pass 2: the *last* slot holding the max, which is the tie-break a
-        // single `>=` arg-max scan in option order makes. Whole chunks are
-        // tested without a branch per slot.
-        let (chunks, tail) = self.credit.as_chunks::<LANES>();
-        let k = match tail.iter().rposition(|&c| c == max) {
-            Some(j) => LANES * chunks.len() + j,
-            None => {
-                let ci = chunks
-                    .iter()
-                    .rposition(|c| c.iter().fold(false, |hit, &x| hit | (x == max)))
-                    .expect("the max is some slot's credit");
-                let j = chunks[ci].iter().rposition(|&c| c == max);
-                LANES * ci + j.expect("the chunk holds the max")
+        best
+    }
+
+    /// Merges the levels that one top-up made equal. Round-to-nearest
+    /// addition is monotone, so a class's levels stay ordered by credit and
+    /// two levels that round together are adjacent.
+    fn merge_equal_levels(&mut self) {
+        let (c, s) = (&self.credit, &self.stride);
+        let any = (c.iter().zip(&c[1..]))
+            .zip(s.iter().zip(&s[1..]))
+            .fold(false, |hit, ((a, b), (x, y))| hit | ((a == b) & (x == y)));
+        if !any {
+            return;
+        }
+        let mut w = 0;
+        for l in 1..self.credit.len() {
+            if self.stride[w] == self.stride[l] && self.credit[w] == self.credit[l] {
+                let ends = (self.top[w], self.bottom[w]);
+                (self.top[w], self.bottom[w]) =
+                    unite(&mut self.next, ends, (self.top[l], self.bottom[l]));
+            } else {
+                w += 1;
+                self.credit[w] = self.credit[l];
+                self.stride[w] = self.stride[l];
+                self.top[w] = self.top[l];
+                self.bottom[w] = self.bottom[l];
+            }
+        }
+        self.truncate_levels(w + 1);
+    }
+
+    /// The level holding the largest option among those whose credit is
+    /// `max`: the last `>=` maximum of a scan in option order. Whole
+    /// `LANES`-level chunks are tested for the max without a branch per
+    /// level; only a chunk that holds it is searched.
+    fn level_to_pick(&self, max: f64) -> usize {
+        // (top + 1, level) of the best level so far; a level below the max
+        // has key 0. No credit exceeds `max`, so `>=` tests equality, and
+        // compiles to one comparison where `==` needs two.
+        let mut best = (0, 0);
+        let mut consider = |l: usize, x: f64| {
+            let key = if x >= max { self.top[l] + 1 } else { 0 };
+            if key > best.0 {
+                best = (key, l);
             }
         };
-        self.credit[k] -= 1.0;
-        self.live[k]
+        let (chunks, tail) = self.credit.as_chunks::<LANES>();
+        for (k, c) in chunks.iter().enumerate() {
+            if c.iter().fold(false, |hit, &x| hit | (x >= max)) {
+                for (j, &x) in c.iter().enumerate() {
+                    consider(LANES * k + j, x);
+                }
+            }
+        }
+        let base = LANES * chunks.len();
+        for (j, &x) in tail.iter().enumerate() {
+            consider(base + j, x);
+        }
+        best.1
+    }
+
+    /// Moves level `l`'s top option, just picked, to credit `credit[l] - 1`:
+    /// into that level of its class if there is one, else into a new level
+    /// at its place in the order. `l` is the first level of its class,
+    /// since it holds the class's largest credit.
+    fn move_top(&mut self, l: usize) {
+        let o = self.top[l];
+        let (s, c) = (self.stride[l], self.credit[l] - 1.0);
+        let single = o == self.bottom[l];
+        // The class's other levels follow `l` in descending credit, then
+        // come the larger strides.
+        let after = l + 1;
+        let alone = self.stride.get(after) != Some(&s);
+        if single && alone {
+            // The one member of its class's one level: the level moves
+            // with it.
+            self.credit[l] = c;
+            return;
+        }
+        if !single {
+            self.top[l] = self.next[o];
+            self.next[o] = NIL;
+        }
+        // The target's place is a binary search away.
+        let (mut end, mut p) = (after, after);
+        if !alone {
+            end += self.stride[after..].partition_point(|&x| x == s);
+            p += self.credit[after..end].partition_point(|&x| x > c);
+        }
+        if p < end && self.credit[p] == c {
+            let ends = (self.top[p], self.bottom[p]);
+            (self.top[p], self.bottom[p]) = unite(&mut self.next, ends, (o, o));
+            if single {
+                self.remove_level(l);
+            }
+        } else if single {
+            // The level moves with its one member, past the levels of its
+            // class that now sort before it.
+            self.credit[l..p].rotate_left(1);
+            self.stride[l..p].rotate_left(1);
+            self.top[l..p].rotate_left(1);
+            self.bottom[l..p].rotate_left(1);
+            self.credit[p - 1] = c;
+        } else {
+            self.credit.insert(p, c);
+            self.stride.insert(p, s);
+            self.top.insert(p, o);
+            self.bottom.insert(p, o);
+        }
+    }
+
+    fn remove_level(&mut self, l: usize) {
+        self.credit.remove(l);
+        self.stride.remove(l);
+        self.top.remove(l);
+        self.bottom.remove(l);
+    }
+
+    fn truncate_levels(&mut self, len: usize) {
+        self.credit.truncate(len);
+        self.stride.truncate(len);
+        self.top.truncate(len);
+        self.bottom.truncate(len);
+    }
+
+    /// Each option's credit; zero for options in no level.
+    fn credits(&self) -> Vec<f64> {
+        let mut out = vec![0.0; self.weights.len()];
+        for (l, &c) in self.credit.iter().enumerate() {
+            let mut o = self.top[l];
+            while o != NIL {
+                out[o] = c;
+                o = self.next[o];
+            }
+        }
+        out
     }
 
     /// Masks or unmasks option `i`. Disabling sheds its credit (a revived
@@ -154,12 +387,13 @@ impl StrideRouter {
     /// # Panics
     /// Panics if `i` is out of range.
     pub fn set_enabled(&mut self, i: usize, enabled: bool) {
+        let mut credit = self.credits();
         if self.enabled[i] != enabled {
             self.enabled[i] = enabled;
-            self.repack();
-        } else if let Ok(k) = self.live.binary_search(&i) {
-            self.credit[k] = 0.0;
+        } else {
+            credit[i] = 0.0;
         }
+        self.rebuild(credit);
     }
 
     /// Applies a full enable mask: option `i` ends up enabled iff
@@ -173,15 +407,17 @@ impl StrideRouter {
     pub fn apply_mask(&mut self, mask: &[bool]) {
         assert_eq!(mask.len(), self.weights.len(), "mask length mismatch");
         if self.enabled != mask {
+            let credit = self.credits();
             self.enabled.copy_from_slice(mask);
-            self.repack();
+            self.rebuild(credit);
         }
     }
 
-    /// Rebuilds the live packing from `enabled`: strides are recomputed
-    /// against the new enabled total, options live before and after keep
-    /// their credit, and options that just came alive start at zero.
-    fn repack(&mut self) {
+    /// Rebuilds the levels from `enabled` and per-option credits: strides
+    /// are recomputed against the new enabled total, options live before
+    /// and after keep their credit, and options that just came alive start
+    /// at zero (they were in no level).
+    fn rebuild(&mut self, credit: Vec<f64>) {
         let total: f64 = self
             .weights
             .iter()
@@ -189,21 +425,37 @@ impl StrideRouter {
             .filter(|(_, &e)| e)
             .map(|(w, _)| w)
             .sum();
-        let mut before = std::mem::take(&mut self.live)
-            .into_iter()
-            .zip(std::mem::take(&mut self.credit))
-            .peekable();
-        self.stride.clear();
-        for (i, (&w, &e)) in self.weights.iter().zip(&self.enabled).enumerate() {
-            if !(e && w > 0.0) {
-                continue;
+        let mut live: Vec<(f64, f64, usize)> = (self.weights.iter().zip(&self.enabled))
+            .enumerate()
+            .filter(|(_, (&w, &e))| e && w > 0.0)
+            .map(|(i, (&w, _))| (w / total, credit[i], i))
+            .collect();
+        // Stride ascending, credit descending, option descending.
+        live.sort_unstable_by(|a, b| {
+            a.0.total_cmp(&b.0)
+                .then(b.1.total_cmp(&a.1))
+                .then(b.2.cmp(&a.2))
+        });
+        self.live = live.len();
+        self.classes = live.chunk_by(|a, b| a.0 == b.0).count();
+        self.truncate_levels(0);
+        for level in live.chunk_by(|a, b| a.0 == b.0 && a.1 == b.1) {
+            for pair in level.windows(2) {
+                self.next[pair[0].2] = pair[1].2;
             }
-            while before.next_if(|&(j, _)| j < i).is_some() {}
-            let credit = before.next_if(|&(j, _)| j == i).map_or(0.0, |(_, c)| c);
-            self.live.push(i);
-            self.credit.push(credit);
-            self.stride.push(w / total);
+            let (s, c, top) = level[0];
+            let bottom = level[level.len() - 1].2;
+            self.next[bottom] = NIL;
+            self.credit.push(c);
+            self.stride.push(s);
+            self.top.push(top);
+            self.bottom.push(bottom);
         }
+    }
+
+    /// The router's work so far.
+    pub fn work(&self) -> RouterWork {
+        self.work
     }
 
     /// Whether option `i` is currently enabled.
@@ -214,7 +466,7 @@ impl StrideRouter {
     /// Number of enabled options with positive weight (choices `next` can
     /// actually make).
     pub fn num_enabled(&self) -> usize {
-        self.live.len()
+        self.live
     }
 
     /// Number of options.
@@ -424,14 +676,73 @@ mod tests {
         }
     }
 
-    /// The packed router's credit per option, zero for options with no
-    /// live slot.
+    /// The router's credit per option, zero for options in no level.
     fn credits(r: &StrideRouter) -> Vec<f64> {
-        let mut out = vec![0.0; r.len()];
-        for (&i, &c) in r.live.iter().zip(&r.credit) {
-            out[i] = c;
+        r.credits()
+    }
+
+    /// The members of level `l`, as its list runs: descending.
+    fn members(r: &StrideRouter, l: usize) -> Vec<usize> {
+        let mut out = Vec::new();
+        let mut o = r.top[l];
+        while o != NIL {
+            out.push(o);
+            o = r.next[o];
         }
         out
+    }
+
+    /// The router's stride per option, zero for options in no level.
+    fn strides(r: &StrideRouter) -> Vec<f64> {
+        let mut out = vec![0.0; r.len()];
+        for l in 0..r.credit.len() {
+            for o in members(r, l) {
+                out[o] = r.stride[l];
+            }
+        }
+        out
+    }
+
+    /// The level invariants: every live option in exactly one level, whose
+    /// stride and credit bits it shares with the scan; lists descending
+    /// from `top` to `bottom`; levels ordered by stride, then strictly by
+    /// credit, so no two levels could merge; and at most one level per
+    /// live option.
+    fn assert_levels(r: &StrideRouter, scan: &Scan, ctx: &str) {
+        let levels = r.credit.len();
+        assert!(levels <= r.num_enabled(), "{ctx}: {levels} levels");
+        assert_eq!([r.stride.len(), r.top.len(), r.bottom.len()], [levels; 3]);
+        let mut seen = vec![false; r.len()];
+        for l in 0..levels {
+            let m = members(r, l);
+            assert!(m.windows(2).all(|w| w[0] > w[1]), "{ctx}: level {l} {m:?}");
+            assert_eq!(m.last(), Some(&r.bottom[l]), "{ctx}: level {l}");
+            for &o in &m {
+                assert!(!std::mem::replace(&mut seen[o], true), "{ctx}: {o} twice");
+                assert_eq!(
+                    r.stride[l].to_bits(),
+                    scan.stride[o].to_bits(),
+                    "{ctx}: {o}"
+                );
+                assert_eq!(
+                    r.credit[l].to_bits(),
+                    scan.credit[o].to_bits(),
+                    "{ctx}: {o}"
+                );
+            }
+            if l > 0 {
+                let (s0, s1) = (r.stride[l - 1], r.stride[l]);
+                let (c0, c1) = (r.credit[l - 1], r.credit[l]);
+                assert!(s0 < s1 || (s0 == s1 && c0 > c1), "{ctx}: levels {l}");
+            }
+        }
+        let live: Vec<bool> = (0..r.len())
+            .map(|i| scan.enabled[i] && scan.weights[i] > 0.0)
+            .collect();
+        assert_eq!(seen, live, "{ctx}");
+        let mut strides: Vec<u64> = r.stride.iter().map(|s| s.to_bits()).collect();
+        strides.dedup();
+        assert_eq!(r.classes, strides.len(), "{ctx}");
     }
 
     fn assert_same_state(packed: &StrideRouter, scan: &Scan, ctx: &str) {
@@ -439,6 +750,7 @@ mod tests {
         assert_eq!(packed.enabled, scan.enabled, "{ctx}");
         let bits = |cs: &[f64]| cs.iter().map(|c| c.to_bits()).collect::<Vec<_>>();
         assert_eq!(bits(&credits(packed)), bits(&scan.credit), "{ctx}");
+        assert_levels(packed, scan, ctx);
     }
 
     /// A weight drawn from the shapes that stress the arithmetic: zeros,
@@ -449,6 +761,44 @@ mod tests {
             1 => 1.0,
             2 => 1.0 / n as f64,
             _ => rng.gen_range(0.0..10.0),
+        }
+    }
+
+    /// Replays up to 24 random steps on the router and the scan, checking
+    /// their state after each: a flip, a mask, or a burst of up to `burst`
+    /// picks.
+    fn replay(rng: &mut StdRng, weights: Vec<f64>, burst: usize, case: &str) {
+        let n = weights.len();
+        let mut packed = StrideRouter::new(weights.clone()).unwrap();
+        let mut scan = Scan::new(weights);
+        for step in 0..rng.gen_range(1..=24usize) {
+            let ctx = format!("{case} (n={n}) step {step}");
+            match rng.gen_range(0..8u32) {
+                0 => {
+                    let i = rng.gen_range(0..n);
+                    let on = rng.gen_bool(0.5);
+                    packed.set_enabled(i, on);
+                    scan.set_enabled(i, on);
+                }
+                1 => {
+                    // Flip one option, a few, or a large share at once.
+                    let p = [1.0, 4.0, 0.05 * n as f64, 0.5 * n as f64][rng.gen_range(0..4usize)]
+                        / n as f64;
+                    let mask: Vec<bool> = (0..n)
+                        .map(|i| scan.enabled[i] != rng.gen_bool(p.min(1.0)))
+                        .collect();
+                    packed.apply_mask(&mask);
+                    scan.apply_mask(&mask);
+                }
+                _ => {
+                    if scan.num_enabled() > 0 {
+                        for _ in 0..rng.gen_range(1..=burst) {
+                            assert_eq!(packed.next(), scan.next(), "{ctx}");
+                        }
+                    }
+                }
+            }
+            assert_same_state(&packed, &scan, &ctx);
         }
     }
 
@@ -464,38 +814,32 @@ mod tests {
             if weights.iter().all(|&w| w == 0.0) {
                 weights[rng.gen_range(0..n)] = 1.0;
             }
-            let mut packed = StrideRouter::new(weights.clone()).unwrap();
-            let mut scan = Scan::new(weights);
-            for step in 0..rng.gen_range(1..=24usize) {
-                let ctx = format!("case {case} (n={n}) step {step}");
-                match rng.gen_range(0..8u32) {
-                    0 => {
-                        let i = rng.gen_range(0..n);
-                        let on = rng.gen_bool(0.5);
-                        packed.set_enabled(i, on);
-                        scan.set_enabled(i, on);
-                    }
-                    1 => {
-                        // Flip one option, a few, or a large share at once.
-                        let p = [1.0, 4.0, 0.05 * n as f64, 0.5 * n as f64]
-                            [rng.gen_range(0..4usize)]
-                            / n as f64;
-                        let mask: Vec<bool> = (0..n)
-                            .map(|i| scan.enabled[i] != rng.gen_bool(p.min(1.0)))
-                            .collect();
-                        packed.apply_mask(&mask);
-                        scan.apply_mask(&mask);
-                    }
-                    _ => {
-                        if scan.num_enabled() > 0 {
-                            for _ in 0..rng.gen_range(1..=8usize) {
-                                assert_eq!(packed.next(), scan.next(), "{ctx}");
-                            }
-                        }
-                    }
-                }
-                assert_same_state(&packed, &scan, &ctx);
-            }
+            replay(&mut rng, weights, 8, &format!("case {case}"));
+        }
+        // One to eight classes of equal weights whose shares are not powers
+        // of two: the rounding of `credit + stride` and `credit - 1` splits
+        // a class into many levels (1,024 cells of weight 0.1 hold 184 on
+        // average), which merge and split again as picks go on.
+        let mut rng = StdRng::seed_from_u64(0x5717_de01);
+        for case in 0..300 {
+            let n = (1_024f64.powf(rng.gen_range(0.0..=1.0)) as usize).clamp(1, 1_024);
+            let k = rng.gen_range(1..=8usize);
+            let class: Vec<f64> = (0..k)
+                .map(|_| match rng.gen_range(0..5u32) {
+                    0 => 0.0007,
+                    1 => 0.1,
+                    2 => 0.3,
+                    3 => 0.7,
+                    _ => rng.gen_range(0.001..1.0),
+                })
+                .collect();
+            let weights = (0..n).map(|_| class[rng.gen_range(0..k)]).collect();
+            replay(
+                &mut rng,
+                weights,
+                256,
+                &format!("class case {case} (k={k})"),
+            );
         }
     }
 
@@ -510,6 +854,38 @@ mod tests {
             assert_eq!(packed.next(), scan.next(), "pick {step}");
         }
         assert_same_state(&packed, &scan, "after 200k picks");
+    }
+
+    #[test]
+    fn packed_router_matches_the_scan_on_the_paired_shape() {
+        // `bench_sim`'s paired plan: prefill `i` feeds decode `i`, 512
+        // cells of 1/512.
+        let weights = vec![1.0 / 512.0; 512];
+        let mut packed = StrideRouter::new(weights.clone()).unwrap();
+        let mut scan = Scan::new(weights);
+        for step in 0..200_000 {
+            assert_eq!(packed.next(), scan.next(), "pick {step}");
+        }
+        assert_same_state(&packed, &scan, "after 200k picks");
+    }
+
+    #[test]
+    fn router_work_is_pinned_on_the_fleet_and_paired_shapes() {
+        // `fleet_1m`'s 1,024 cells and `bench_sim`'s 512: one power-of-two
+        // stride each, so a pick scans two levels, the options still to be
+        // picked this round and those already picked, except the first pick
+        // of each round, which finds them all in one.
+        for (n, levels_scanned) in [(1024, 399_804), (512, 399_609)] {
+            let mut r = StrideRouter::new(vec![1.0 / n as f64; n]).unwrap();
+            for _ in 0..200_000 {
+                r.next();
+            }
+            let work = RouterWork {
+                picks: 200_000,
+                levels_scanned,
+            };
+            assert_eq!(r.work(), work, "{n} cells");
+        }
     }
 
     #[test]
@@ -532,8 +908,8 @@ mod tests {
             }
             let bits = |r: &StrideRouter| {
                 let credit = credits(r).iter().map(|c| c.to_bits()).collect::<Vec<_>>();
-                let stride = r.stride.iter().map(|s| s.to_bits()).collect::<Vec<_>>();
-                (r.live.clone(), credit, stride)
+                let stride = strides(r).iter().map(|s| s.to_bits()).collect::<Vec<_>>();
+                (credit, stride)
             };
             assert_eq!(bits(&masked), bits(&flipped), "round {round}");
         }
