@@ -214,11 +214,7 @@ impl StrideRouter {
     /// returns the level to pick.
     fn top_up_and_choose(&mut self) -> usize {
         if self.credit.len() >= LANES {
-            let max = top_up(&mut self.credit, &self.stride);
-            if self.credit.len() > self.classes {
-                self.merge_equal_levels();
-            }
-            return self.level_to_pick(max);
+            return self.top_up_and_choose_in_lanes();
         }
         // Fewer levels than lanes, the common case (a plan of a few cells,
         // or many equal cells in two levels): one sequential pass tops up,
@@ -244,9 +240,21 @@ impl StrideRouter {
         best
     }
 
+    /// [`Self::top_up_and_choose`] from `LANES` levels up, out of line
+    /// like [`Self::move_within_class`].
+    #[inline(never)]
+    fn top_up_and_choose_in_lanes(&mut self) -> usize {
+        let max = top_up(&mut self.credit, &self.stride);
+        if self.credit.len() > self.classes {
+            self.merge_equal_levels();
+        }
+        self.level_to_pick(max)
+    }
+
     /// Merges the levels that one top-up made equal. Round-to-nearest
     /// addition is monotone, so a class's levels stay ordered by credit and
     /// two levels that round together are adjacent.
+    #[inline(never)]
     fn merge_equal_levels(&mut self) {
         let (c, s) = (&self.credit, &self.stride);
         let any = (c.iter().zip(&c[1..]))
@@ -320,6 +328,14 @@ impl StrideRouter {
             self.credit[l] = c;
             return;
         }
+        self.move_within_class(l, o, c, single, alone);
+    }
+
+    /// The rest of [`Self::move_top`], out of line so that the pick the
+    /// event loop inlines stays small.
+    #[inline(never)]
+    fn move_within_class(&mut self, l: usize, o: usize, c: f64, single: bool, alone: bool) {
+        let (s, after) = (self.stride[l], l + 1);
         if !single {
             self.top[l] = self.next[o];
             self.next[o] = NIL;
