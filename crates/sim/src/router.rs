@@ -34,9 +34,6 @@ pub struct StrideRouter {
     enabled: Vec<bool>,
     /// Number of live options.
     live: usize,
-    /// Number of classes: distinct strides among the live options. Fixed
-    /// between mask changes, since picks never change a stride.
-    classes: usize,
     /// Accumulated credit per level.
     credit: Vec<f64>,
     /// `weight / total` per level, where `total` sums the enabled weights
@@ -72,40 +69,6 @@ impl std::ops::AddAssign for RouterWork {
         self.picks += o.picks;
         self.levels_scanned += o.levels_scanned;
     }
-}
-
-/// Independent running maxima in `next`'s passes, and their chunk width.
-const LANES: usize = 8;
-
-/// `max` as a select rather than a branch. Credits are never NaN (weights
-/// are finite and a pick needs a positive total), so this is the exact
-/// maximum.
-#[inline(always)]
-fn select_max(c: f64, m: f64) -> f64 {
-    if c > m {
-        c
-    } else {
-        m
-    }
-}
-
-/// Adds each stride to its credit and returns the largest credit, in
-/// `LANES` independent lanes with no branch in the loop body.
-fn top_up(credit: &mut [f64], stride: &[f64]) -> f64 {
-    let mut lanes = [f64::NEG_INFINITY; LANES];
-    let (credit, credit_tail) = credit.as_chunks_mut::<LANES>();
-    let (stride, stride_tail) = stride.as_chunks::<LANES>();
-    for (c, s) in credit.iter_mut().zip(stride) {
-        for l in 0..LANES {
-            c[l] += s[l];
-            lanes[l] = select_max(c[l], lanes[l]);
-        }
-    }
-    for (c, s) in credit_tail.iter_mut().zip(stride_tail) {
-        *c += s;
-        lanes[0] = select_max(*c, lanes[0]);
-    }
-    lanes.into_iter().fold(f64::NEG_INFINITY, select_max)
 }
 
 /// Unites two disjoint member lists, given as `(top, bottom)`, into one
@@ -160,7 +123,6 @@ impl StrideRouter {
             weights,
             enabled: vec![true; n],
             live: 0,
-            classes: 0,
             credit: Vec::new(),
             stride: Vec::new(),
             top: Vec::new(),
@@ -211,15 +173,9 @@ impl StrideRouter {
     }
 
     /// Tops up every level, merges the levels that became equal and
-    /// returns the level to pick.
+    /// returns the level to pick, in one pass that keeps the level to pick
+    /// and looks for equal neighbours.
     fn top_up_and_choose(&mut self) -> usize {
-        if self.credit.len() >= LANES {
-            return self.top_up_and_choose_in_lanes();
-        }
-        // Fewer levels than lanes, the common case (a plan of a few cells,
-        // or many equal cells in two levels): one sequential pass tops up,
-        // keeps the level to pick and looks for equal neighbours. The lanes
-        // pay off only from `LANES` levels up.
         let (credit, stride, top) = (&mut self.credit, &self.stride, &self.top);
         let (mut best, mut merge) = (0, false);
         for l in 0..credit.len() {
@@ -233,37 +189,19 @@ impl StrideRouter {
             }
         }
         if merge {
-            let max = credit[best];
-            self.merge_equal_levels();
-            return self.level_to_pick(max);
+            return self.merge_equal_levels(best);
         }
         best
     }
 
-    /// [`Self::top_up_and_choose`] from `LANES` levels up, out of line
-    /// like [`Self::move_within_class`].
+    /// Merges the levels that one top-up made equal and returns the index
+    /// level `keep` ends up in. Round-to-nearest addition is monotone, so a
+    /// class's levels stay ordered by credit and two levels that round
+    /// together are adjacent. The level to pick stays the pick: the levels
+    /// merged into it share its credit, so none holds a larger option.
     #[inline(never)]
-    fn top_up_and_choose_in_lanes(&mut self) -> usize {
-        let max = top_up(&mut self.credit, &self.stride);
-        if self.credit.len() > self.classes {
-            self.merge_equal_levels();
-        }
-        self.level_to_pick(max)
-    }
-
-    /// Merges the levels that one top-up made equal. Round-to-nearest
-    /// addition is monotone, so a class's levels stay ordered by credit and
-    /// two levels that round together are adjacent.
-    #[inline(never)]
-    fn merge_equal_levels(&mut self) {
-        let (c, s) = (&self.credit, &self.stride);
-        let any = (c.iter().zip(&c[1..]))
-            .zip(s.iter().zip(&s[1..]))
-            .fold(false, |hit, ((a, b), (x, y))| hit | ((a == b) & (x == y)));
-        if !any {
-            return;
-        }
-        let mut w = 0;
+    fn merge_equal_levels(&mut self, keep: usize) -> usize {
+        let (mut w, mut kept) = (0, 0);
         for l in 1..self.credit.len() {
             if self.stride[w] == self.stride[l] && self.credit[w] == self.credit[l] {
                 let ends = (self.top[w], self.bottom[w]);
@@ -276,38 +214,12 @@ impl StrideRouter {
                 self.top[w] = self.top[l];
                 self.bottom[w] = self.bottom[l];
             }
+            if l == keep {
+                kept = w;
+            }
         }
         self.truncate_levels(w + 1);
-    }
-
-    /// The level holding the largest option among those whose credit is
-    /// `max`: the last `>=` maximum of a scan in option order. Whole
-    /// `LANES`-level chunks are tested for the max without a branch per
-    /// level; only a chunk that holds it is searched.
-    fn level_to_pick(&self, max: f64) -> usize {
-        // (top + 1, level) of the best level so far; a level below the max
-        // has key 0. No credit exceeds `max`, so `>=` tests equality, and
-        // compiles to one comparison where `==` needs two.
-        let mut best = (0, 0);
-        let mut consider = |l: usize, x: f64| {
-            let key = if x >= max { self.top[l] + 1 } else { 0 };
-            if key > best.0 {
-                best = (key, l);
-            }
-        };
-        let (chunks, tail) = self.credit.as_chunks::<LANES>();
-        for (k, c) in chunks.iter().enumerate() {
-            if c.iter().fold(false, |hit, &x| hit | (x >= max)) {
-                for (j, &x) in c.iter().enumerate() {
-                    consider(LANES * k + j, x);
-                }
-            }
-        }
-        let base = LANES * chunks.len();
-        for (j, &x) in tail.iter().enumerate() {
-            consider(base + j, x);
-        }
-        best.1
+        kept
     }
 
     /// Moves level `l`'s top option, just picked, to credit `credit[l] - 1`:
@@ -453,7 +365,6 @@ impl StrideRouter {
                 .then(b.2.cmp(&a.2))
         });
         self.live = live.len();
-        self.classes = live.chunk_by(|a, b| a.0 == b.0).count();
         self.truncate_levels(0);
         for level in live.chunk_by(|a, b| a.0 == b.0 && a.1 == b.1) {
             for pair in level.windows(2) {
@@ -692,11 +603,6 @@ mod tests {
         }
     }
 
-    /// The router's credit per option, zero for options in no level.
-    fn credits(r: &StrideRouter) -> Vec<f64> {
-        r.credits()
-    }
-
     /// The members of level `l`, as its list runs: descending.
     fn members(r: &StrideRouter, l: usize) -> Vec<usize> {
         let mut out = Vec::new();
@@ -756,16 +662,13 @@ mod tests {
             .map(|i| scan.enabled[i] && scan.weights[i] > 0.0)
             .collect();
         assert_eq!(seen, live, "{ctx}");
-        let mut strides: Vec<u64> = r.stride.iter().map(|s| s.to_bits()).collect();
-        strides.dedup();
-        assert_eq!(r.classes, strides.len(), "{ctx}");
     }
 
     fn assert_same_state(packed: &StrideRouter, scan: &Scan, ctx: &str) {
         assert_eq!(packed.num_enabled(), scan.num_enabled(), "{ctx}");
         assert_eq!(packed.enabled, scan.enabled, "{ctx}");
         let bits = |cs: &[f64]| cs.iter().map(|c| c.to_bits()).collect::<Vec<_>>();
-        assert_eq!(bits(&credits(packed)), bits(&scan.credit), "{ctx}");
+        assert_eq!(bits(&packed.credits()), bits(&scan.credit), "{ctx}");
         assert_levels(packed, scan, ctx);
     }
 
@@ -923,7 +826,7 @@ mod tests {
                 }
             }
             let bits = |r: &StrideRouter| {
-                let credit = credits(r).iter().map(|c| c.to_bits()).collect::<Vec<_>>();
+                let credit = r.credits().iter().map(|c| c.to_bits()).collect::<Vec<_>>();
                 let stride = strides(r).iter().map(|s| s.to_bits()).collect::<Vec<_>>();
                 (credit, stride)
             };
