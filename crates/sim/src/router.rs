@@ -172,9 +172,9 @@ impl StrideRouter {
         picked
     }
 
-    /// Tops up every level, merges the levels that became equal and
-    /// returns the level to pick, in one pass that keeps the level to pick
-    /// and looks for equal neighbours.
+    /// Tops up every level and returns the level to pick, in one pass for
+    /// any number of levels. The pass also looks for neighbouring levels
+    /// the top-up made equal, and merges them before returning.
     fn top_up_and_choose(&mut self) -> usize {
         let (credit, stride, top) = (&mut self.credit, &self.stride, &self.top);
         let (mut best, mut merge) = (0, false);
