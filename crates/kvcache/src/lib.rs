@@ -1,14 +1,14 @@
 //! # ts-kvcache
 //!
-//! Paged KV-cache management and the KV-cache communication codec.
+//! The KV-cache communication codec.
 //!
 //! Phase-split serving must move the KV cache produced by prefill replicas to
 //! decode replicas over slow cloud links; ThunderServe compresses it with
 //! one-shot 4-bit group-wise quantization (§4 of the paper, after KIVI),
 //! dequantizing immediately on receipt so *computation always runs in 16-bit*.
+//! KV memory on a replica is not managed here: the simulator accounts it as
+//! a token count against the replica's KV capacity.
 //!
-//! * [`block`] — a PagedAttention-style block allocator that tracks KV memory
-//!   occupancy per sequence (the bookkeeping a decode replica performs);
 //! * [`quant`] — group-wise asymmetric int4/int8 quantization with real bit
 //!   packing;
 //! * [`codec`] — the wire codec for whole per-request KV slabs, plus sizing
@@ -32,12 +32,10 @@
 //! assert!((q.wire_bytes() as f64) < 0.4 * f16_bytes as f64); // far below fp16 size
 //! ```
 
-pub mod block;
 pub mod codec;
 pub mod fidelity;
 pub mod quant;
 pub mod synthetic;
 
-pub use block::{BlockAllocator, BlockId};
 pub use codec::KvCodec;
 pub use quant::{quantize, QuantBits, QuantizedTensor};

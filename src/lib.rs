@@ -18,7 +18,7 @@
 //!   ([`thunderserve_core`]);
 //! * [`cluster`] — GPU catalog, topologies and the paper's environments;
 //! * [`costmodel`] — roofline and alpha-beta performance models;
-//! * [`kvcache`] — paged KV management and the int4/int8 wire codec;
+//! * [`kvcache`] — the int4/int8 KV wire codec and its fidelity metrics;
 //! * [`workload`] — synthetic coding/conversation workloads and profiling;
 //! * [`solver`] — LP, transportation, clustering and routing-DP primitives;
 //! * [`sim`] — the discrete-event serving simulator standing in for GPUs;

@@ -9,7 +9,6 @@ use thunderserve::common::{
     derive_seed, seeded_rng, GpuId, Phase, Request, RequestId, SimDuration, SimTime,
 };
 use thunderserve::kvcache::quant::{decode_wire, encode_wire, quantize, QuantBits};
-use thunderserve::kvcache::BlockAllocator;
 use thunderserve::scheduler::candidate::{Candidate, CandidateGroup};
 use thunderserve::solver::cluster_by_bandwidth;
 use thunderserve::solver::routing_dp::best_stage_order;
@@ -285,38 +284,6 @@ fn clustering_is_partition() {
         let mut all: Vec<usize> = groups.iter().flatten().copied().collect();
         all.sort_unstable();
         assert_eq!(all, (0..n).collect::<Vec<_>>());
-    }
-}
-
-/// Block allocator invariants hold under arbitrary admit/append/release
-/// sequences.
-#[test]
-fn block_allocator_invariants() {
-    for case in 0..CASES {
-        let mut rng = seeded_rng(derive_seed(0xB10C, case));
-        let n_ops = rng.gen_range(1usize..120);
-        let mut alloc = BlockAllocator::new(32, 8);
-        let total = alloc.total_blocks();
-        for _ in 0..n_ops {
-            let op: u8 = rng.gen_range(0..3);
-            let id = RequestId(rng.gen_range(0u64..8));
-            let tokens = rng.gen_range(1usize..40);
-            match op {
-                0 => {
-                    let _ = alloc.admit(id, tokens);
-                }
-                1 => {
-                    let _ = alloc.append_token(id);
-                }
-                _ => {
-                    let _ = alloc.release(id);
-                }
-            }
-            assert_eq!(alloc.total_blocks(), total);
-            assert_eq!(alloc.used_blocks() + alloc.free_blocks(), total);
-            let occ = alloc.occupancy();
-            assert!((0.0..=1.0 + 1e-9).contains(&occ));
-        }
     }
 }
 
