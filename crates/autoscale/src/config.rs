@@ -1,6 +1,6 @@
 //! Autoscaler tuning knobs.
 
-use ts_common::SimDuration;
+use ts_common::{Error, Result, SimDuration};
 
 /// Configuration of the [`crate::AutoscaleController`] and harness.
 ///
@@ -39,12 +39,6 @@ pub struct AutoscaleConfig {
     pub full_replan_fraction: f64,
     /// Heartbeat timeout used when serving segments with fault scripts.
     pub heartbeat_timeout: SimDuration,
-    /// Consume streaming-plane SLO burn-rate signals in the control loop:
-    /// segments run with the streaming plane attached and a `Critical`
-    /// burn-rate health signal counts as scale-up pressure even before
-    /// attainment visibly sags. Off by default; when off, trajectories are
-    /// bit-identical to the pre-streaming controller.
-    pub mid_segment_signals: bool,
 }
 
 impl Default for AutoscaleConfig {
@@ -60,38 +54,38 @@ impl Default for AutoscaleConfig {
             max_release_per_step: 1,
             full_replan_fraction: 0.5,
             heartbeat_timeout: SimDuration::from_secs(1),
-            mid_segment_signals: false,
         }
     }
 }
 
 impl AutoscaleConfig {
     /// Validates threshold ordering (floor below ceiling, sane fractions).
+    /// [`crate::AutoscaleController::new`] runs it, so a misconfiguration
+    /// fails up front rather than producing a quietly absurd trajectory.
     ///
-    /// # Panics
-    /// Panics on inconsistent thresholds; called by the harness up front so
-    /// misconfiguration fails loudly rather than producing a quietly absurd
-    /// trajectory.
-    pub fn validate(&self) {
-        assert!(
-            self.attainment_floor < self.attainment_ceiling,
-            "attainment floor {} must lie below ceiling {}",
-            self.attainment_floor,
-            self.attainment_ceiling
-        );
-        assert!(
-            (0.0..=1.0).contains(&self.attainment_floor)
-                && (0.0..=1.0).contains(&self.attainment_ceiling),
-            "attainment thresholds must be fractions"
-        );
-        assert!(
-            self.occupancy_low >= 0.0 && self.queue_depth_high >= 0.0,
-            "utilization thresholds must be non-negative"
-        );
-        assert!(
-            (0.0..=1.0).contains(&self.full_replan_fraction),
-            "full_replan_fraction must be a fraction"
-        );
+    /// # Errors
+    /// Returns [`Error::InvalidConfig`] naming the first inconsistent
+    /// threshold.
+    pub fn validate(&self) -> Result<()> {
+        let bad = |what: String| Err(Error::InvalidConfig(what));
+        if self.attainment_floor >= self.attainment_ceiling {
+            return bad(format!(
+                "attainment floor {} must lie below ceiling {}",
+                self.attainment_floor, self.attainment_ceiling
+            ));
+        }
+        if !((0.0..=1.0).contains(&self.attainment_floor)
+            && (0.0..=1.0).contains(&self.attainment_ceiling))
+        {
+            return bad("attainment thresholds must be fractions".into());
+        }
+        if !(self.occupancy_low >= 0.0 && self.queue_depth_high >= 0.0) {
+            return bad("utilization thresholds must be non-negative".into());
+        }
+        if !(0.0..=1.0).contains(&self.full_replan_fraction) {
+            return bad("full_replan_fraction must be a fraction".into());
+        }
+        Ok(())
     }
 }
 
@@ -101,17 +95,6 @@ mod tests {
 
     #[test]
     fn default_config_is_valid() {
-        AutoscaleConfig::default().validate();
-    }
-
-    #[test]
-    #[should_panic(expected = "floor")]
-    fn inverted_thresholds_panic() {
-        let cfg = AutoscaleConfig {
-            attainment_floor: 0.99,
-            attainment_ceiling: 0.9,
-            ..AutoscaleConfig::default()
-        };
-        cfg.validate();
+        assert!(AutoscaleConfig::default().validate().is_ok());
     }
 }

@@ -3,7 +3,7 @@
 use std::collections::BTreeSet;
 
 use ts_cluster::ElasticPool;
-use ts_common::{NodeId, SimTime};
+use ts_common::{NodeId, Result, SimTime};
 
 use crate::config::AutoscaleConfig;
 use crate::observe::SegmentObservation;
@@ -53,17 +53,17 @@ pub struct AutoscaleController {
 impl AutoscaleController {
     /// Creates a controller holding only the pool's base nodes.
     ///
-    /// # Panics
-    /// Panics if the configuration is inconsistent
-    /// ([`AutoscaleConfig::validate`]).
-    pub fn new(cfg: AutoscaleConfig) -> Self {
-        cfg.validate();
-        AutoscaleController {
+    /// # Errors
+    /// Returns [`ts_common::Error::InvalidConfig`] if the configuration is
+    /// inconsistent ([`AutoscaleConfig::validate`]).
+    pub fn new(cfg: AutoscaleConfig) -> Result<Self> {
+        cfg.validate()?;
+        Ok(AutoscaleController {
             cfg,
             held: BTreeSet::new(),
             lost: BTreeSet::new(),
             cooldown: 0,
-        }
+        })
     }
 
     /// The configuration.
@@ -120,18 +120,8 @@ impl AutoscaleController {
             return actions;
         }
 
-        // A critical burn-rate signal from the streaming plane is a leading
-        // indicator: the SLO budget is burning even if the segment-mean
-        // attainment has not sagged below the floor yet. Only consulted when
-        // mid-segment signals are enabled (and a snapshot was taken).
-        let burning = self.cfg.mid_segment_signals
-            && obs
-                .health
-                .as_ref()
-                .is_some_and(|h| h.worst == ts_telemetry::HealthState::Critical);
         let pressure = obs.attainment < self.cfg.attainment_floor
-            || obs.peak_queue() > self.cfg.queue_depth_high
-            || burning;
+            || obs.peak_queue() > self.cfg.queue_depth_high;
         let cold = obs.attainment >= self.cfg.attainment_ceiling
             && obs.peak_duty() < self.cfg.occupancy_low
             && obs.peak_queue() < 1.0;
@@ -192,53 +182,7 @@ mod tests {
             prefill_duty: duty,
             decode_duty: duty / 2.0,
             warned: Vec::new(),
-            health: None,
         }
-    }
-
-    fn critical_health() -> ts_telemetry::HealthSummary {
-        ts_telemetry::HealthSummary {
-            worst: ts_telemetry::HealthState::Critical,
-            max_fast_burn: 30.0,
-            max_slow_burn: 5.0,
-        }
-    }
-
-    #[test]
-    fn critical_burn_is_pressure_only_when_signals_enabled() {
-        let pool = elastic_cloud_pool();
-        // Attainment and queues sit in the dead band: without the burn
-        // signal nothing happens.
-        let mut calm = obs(0.9, 1.0, 0.6);
-        calm.health = Some(critical_health());
-
-        let mut ignoring = AutoscaleController::new(AutoscaleConfig::default());
-        assert!(
-            ignoring.decide(&pool, &calm, SimTime::ZERO).is_empty(),
-            "burn signals must be inert with the knob off"
-        );
-
-        let mut heeding = AutoscaleController::new(AutoscaleConfig {
-            mid_segment_signals: true,
-            ..AutoscaleConfig::default()
-        });
-        let a = heeding.decide(&pool, &calm, SimTime::ZERO);
-        assert!(
-            a.iter().any(|x| matches!(x, FleetAction::Acquire(_))),
-            "critical burn must read as scale-up pressure: {a:?}"
-        );
-        // A warning-level (or absent) signal changes nothing.
-        let mut warn = obs(0.9, 1.0, 0.6);
-        warn.health = Some(ts_telemetry::HealthSummary {
-            worst: ts_telemetry::HealthState::Warning,
-            max_fast_burn: 3.0,
-            max_slow_burn: 0.5,
-        });
-        let mut c = AutoscaleController::new(AutoscaleConfig {
-            mid_segment_signals: true,
-            ..AutoscaleConfig::default()
-        });
-        assert!(c.decide(&pool, &warn, SimTime::ZERO).is_empty());
     }
 
     #[test]
@@ -247,7 +191,8 @@ mod tests {
         let mut c = AutoscaleController::new(AutoscaleConfig {
             max_acquire_per_step: 1,
             ..AutoscaleConfig::default()
-        });
+        })
+        .unwrap();
         let a = c.decide(&pool, &obs(0.5, 10.0, 0.9), SimTime::ZERO);
         assert_eq!(a.len(), 1);
         let FleetAction::Acquire(n) = a[0] else {
@@ -264,7 +209,8 @@ mod tests {
         let mut c = AutoscaleController::new(AutoscaleConfig {
             cooldown_segments: 2,
             ..AutoscaleConfig::default()
-        });
+        })
+        .unwrap();
         assert!(!c
             .decide(&pool, &obs(0.5, 10.0, 0.9), SimTime::ZERO)
             .is_empty());
@@ -288,7 +234,8 @@ mod tests {
             cooldown_segments: 0,
             max_acquire_per_step: 8,
             ..AutoscaleConfig::default()
-        });
+        })
+        .unwrap();
         // Acquire everything, then drain one on a warning.
         c.decide(&pool, &obs(0.5, 10.0, 0.9), SimTime::ZERO);
         let victim = *c.held().iter().next().unwrap();
@@ -311,7 +258,8 @@ mod tests {
             cooldown_segments: 0,
             max_acquire_per_step: 8,
             ..AutoscaleConfig::default()
-        });
+        })
+        .unwrap();
         c.decide(&pool, &obs(0.5, 10.0, 0.9), SimTime::ZERO);
         let dear = c
             .held()
@@ -334,7 +282,8 @@ mod tests {
         let mut c = AutoscaleController::new(AutoscaleConfig {
             cooldown_segments: 0,
             ..AutoscaleConfig::default()
-        });
+        })
+        .unwrap();
         // Attainment between floor and ceiling, queues moderate: no action.
         assert!(c
             .decide(&pool, &obs(0.9, 1.0, 0.6), SimTime::ZERO)
@@ -347,7 +296,8 @@ mod tests {
         let mut c = AutoscaleController::new(AutoscaleConfig {
             cooldown_segments: 0,
             ..AutoscaleConfig::default()
-        });
+        })
+        .unwrap();
         c.decide(&pool, &obs(0.5, 10.0, 0.9), SimTime::ZERO);
         let held = *c.held().iter().next().unwrap();
         let mut warned = obs(0.9, 1.0, 0.6);

@@ -185,7 +185,8 @@ fn phase_map(rt: &ServingRuntime) -> BTreeMap<Vec<u32>, (Phase, NodeId)> {
 /// Deterministic: same inputs → bit-identical trajectory.
 ///
 /// # Errors
-/// Returns [`Error::InvalidConfig`] for an empty trajectory; propagates
+/// Returns [`Error::InvalidConfig`] for inconsistent thresholds
+/// ([`AutoscaleConfig::validate`]) or an empty trajectory; propagates
 /// scheduling, cluster-edit and simulation failures.
 pub fn run_elastic(
     pool: &ElasticPool,
@@ -195,7 +196,7 @@ pub fn run_elastic(
     cfg: &AutoscaleConfig,
     segments: &[Segment],
 ) -> Result<AutoscaleTrajectory> {
-    cfg.validate();
+    let mut controller = AutoscaleController::new(cfg.clone())?;
     if segments.is_empty() {
         return Err(Error::InvalidConfig("empty trajectory".into()));
     }
@@ -204,15 +205,8 @@ pub fn run_elastic(
         cluster.deactivate_node(n)?;
     }
     let mut rt = ServingRuntime::new(cluster, model.clone(), *slo, sched_cfg.clone());
-    if cfg.mid_segment_signals {
-        // Attach the streaming plane so segment reports carry burn-rate
-        // health signals for the controller. Observation only: the served
-        // metrics stay bit-identical whether or not the plane is attached.
-        rt.set_streaming(Some(ts_telemetry::StreamConfig::new(*slo)));
-    }
     rt.deploy(&segments[0].workload)?;
 
-    let mut controller = AutoscaleController::new(cfg.clone());
     let warnings = resolve_warnings(segments, cfg.warning_lead_time);
     let mut warnings_logged = vec![false; warnings.len()];
 
@@ -309,13 +303,7 @@ pub fn run_elastic(
                 }
             }
         }
-        last_obs = Some(observe_segment(
-            &rep.metrics,
-            &rep.pressure,
-            rep.stream.as_ref(),
-            slo,
-            warned,
-        ));
+        last_obs = Some(observe_segment(&rep.metrics, &rep.pressure, slo, warned));
         ledger.charge(i, pool, rt.cluster(), seg.window);
         let entry = ledger.entries.last().expect("just charged");
         let (pre, dec) = phase_counts(&rt);
@@ -492,33 +480,24 @@ mod tests {
     }
 
     #[test]
-    fn mid_segment_signals_keep_the_trajectory_deterministic() {
-        let pool = elastic_cloud_pool();
+    fn inverted_thresholds_are_rejected() {
         let cfg = AutoscaleConfig {
-            mid_segment_signals: true,
+            attainment_floor: 0.99,
+            attainment_ceiling: 0.9,
             ..AutoscaleConfig::default()
         };
-        let run = || {
-            run_elastic(
-                &pool,
-                &ModelSpec::llama_30b(),
-                &slo(),
-                &sched(),
-                &cfg,
-                &trajectory(),
-            )
-            .unwrap()
-        };
-        let a = run();
-        assert_eq!(a, run(), "signal-driven trajectory must replay exactly");
-        for r in &a.records {
-            assert_eq!(
-                r.completed + r.dropped + r.rejected,
-                r.submitted,
-                "segment {} must conserve requests",
-                r.segment
-            );
-        }
+        let got = run_elastic(
+            &elastic_cloud_pool(),
+            &ModelSpec::llama_30b(),
+            &slo(),
+            &sched(),
+            &cfg,
+            &trajectory(),
+        );
+        assert!(
+            matches!(&got, Err(Error::InvalidConfig(m)) if m.contains("floor")),
+            "{got:?}"
+        );
     }
 
     #[test]

@@ -2,7 +2,7 @@
 
 use ts_common::{NodeId, SimTime, SloSpec};
 use ts_sim::metrics::Metrics;
-use ts_telemetry::{HealthSummary, PressureTally, Role, StreamSnapshot};
+use ts_telemetry::{PressureTally, Role};
 
 /// What the control loop sees after one serving segment: a handful of
 /// scalars derived from the segment's [`Metrics`] and [`PressureTally`],
@@ -31,12 +31,6 @@ pub struct SegmentObservation {
     /// Nodes with an announced spot reclaim the controller has not yet
     /// drained, paired with the announced reclaim time.
     pub warned: Vec<(NodeId, SimTime)>,
-    /// SLO burn-rate health distilled from the segment's streaming-plane
-    /// snapshot, when the runtime served with streaming enabled. `None`
-    /// when streaming is off — the controller then ignores burn signals
-    /// entirely, keeping trajectories bit-identical to the pre-streaming
-    /// behaviour.
-    pub health: Option<HealthSummary>,
 }
 
 impl SegmentObservation {
@@ -58,13 +52,10 @@ impl SegmentObservation {
 /// in it reads 0 on both signals. `warned` carries the preemption warnings
 /// outstanding at the segment boundary (node, announced reclaim time); the
 /// caller tracks them across segments because a warning observed in
-/// segment *i* is acted on at the *i*+1 boundary. `stream` carries the
-/// segment's streaming-plane snapshot when available; its SLO burn-rate
-/// health is distilled into [`SegmentObservation::health`].
+/// segment *i* is acted on at the *i*+1 boundary.
 pub fn observe_segment(
     metrics: &Metrics,
     pressure: &PressureTally,
-    stream: Option<&StreamSnapshot>,
     slo: &SloSpec,
     warned: Vec<(NodeId, SimTime)>,
 ) -> SegmentObservation {
@@ -78,7 +69,6 @@ pub fn observe_segment(
         prefill_duty: duty(Role::Prefill),
         decode_duty: duty(Role::Decode),
         warned,
-        health: stream.map(StreamSnapshot::health_summary),
     }
 }
 
@@ -115,7 +105,7 @@ mod tests {
         t.observe(SimTime::ZERO, &occupancy(8));
         t.observe(SimTime::from_micros(500_000), &occupancy(0));
         let metrics = Metrics::new(Vec::new(), 0, SimDuration::from_secs(1));
-        let obs = observe_segment(&metrics, &t, None, &slo(), Vec::new());
+        let obs = observe_segment(&metrics, &t, &slo(), Vec::new());
         assert_eq!(obs.prefill_duty, 0.5);
         assert_eq!(obs.peak_duty(), 0.5);
         assert_eq!(obs.peak_queue(), 0.0);
@@ -127,14 +117,12 @@ mod tests {
         let obs = observe_segment(
             &metrics,
             &PressureTally::new(),
-            None,
             &slo(),
             vec![(NodeId(3), SimTime::ZERO)],
         );
         assert_eq!(obs.peak_queue(), 0.0);
         assert_eq!(obs.peak_duty(), 0.0);
         assert_eq!(obs.warned, vec![(NodeId(3), SimTime::ZERO)]);
-        assert_eq!(obs.health, None, "no streaming snapshot, no health");
     }
 
     /// The phase-split engine samples queue depth on prefill replicas and
@@ -171,7 +159,7 @@ mod tests {
         let metrics = sim.run(&reqs).unwrap();
         let tally = sim.take_pressure().expect("the tally was on");
         assert_eq!(tally.replicas().len(), 4, "every replica is registered");
-        let obs = observe_segment(&metrics, &tally, None, &slo(), Vec::new());
+        let obs = observe_segment(&metrics, &tally, &slo(), Vec::new());
         assert!(obs.prefill_queue > 0.0, "{obs:?}");
         assert!(obs.decode_duty > 0.0, "{obs:?}");
         assert_eq!(obs.decode_queue, 0.0);

@@ -33,7 +33,7 @@ use ts_costmodel::replica::{ReplicaCostModel, DISK_BANDWIDTH};
 use ts_sim::engine::Simulation;
 use ts_sim::fault::{FaultKind, FaultScript, TimedFault};
 use ts_sim::metrics::Metrics;
-use ts_telemetry::{PressureTally, StreamConfig, StreamSnapshot};
+use ts_telemetry::PressureTally;
 use ts_workload::{WorkloadProfiler, WorkloadSpec};
 
 /// How to react to failures and workload shifts.
@@ -59,11 +59,6 @@ pub struct SegmentReport {
     /// signals from it). Every segment runs with the tally; it records no
     /// events, so it costs a few words per replica.
     pub pressure: PressureTally,
-    /// Streaming-plane snapshot of the segment, present when streaming
-    /// observation was enabled with [`ServingRuntime::set_streaming`]:
-    /// online TTFT/E2E sketches, EWMA pressure gauges and per-tenant SLO
-    /// burn-rate health signals, without retaining the full trace.
-    pub stream: Option<StreamSnapshot>,
 }
 
 /// Fraction of the active fleet a [`FleetDelta`] may touch before
@@ -82,9 +77,6 @@ pub struct ServingRuntime {
     /// Blackout pending from the last full reschedule (consumed by the next
     /// segment).
     pending_blackout: SimDuration,
-    /// When set, segments run with the streaming observability plane and
-    /// hand its [`StreamSnapshot`] back in the [`SegmentReport`].
-    streaming: Option<StreamConfig>,
     /// Log of rescheduling outcomes for reporting (Table 4).
     pub resched_log: Vec<(ReschedulePolicy, RescheduleOutcome)>,
 }
@@ -115,18 +107,8 @@ impl ServingRuntime {
             plan: None,
             profiler: WorkloadProfiler::new(SimDuration::from_secs(300), 2.0, 30),
             pending_blackout: SimDuration::ZERO,
-            streaming: None,
             resched_log: Vec::new(),
         }
-    }
-
-    /// Enables (or disables, with `None`) the streaming observability plane
-    /// for subsequent segments. When on, segment reports carry a
-    /// [`StreamSnapshot`] with online quantile sketches and SLO burn-rate
-    /// signals. Streaming observes only; serving outputs stay bit-identical
-    /// either way.
-    pub fn set_streaming(&mut self, cfg: Option<StreamConfig>) {
-        self.streaming = cfg;
     }
 
     /// The current plan, if deployed.
@@ -175,23 +157,17 @@ impl ServingRuntime {
         let mut sim = Simulation::new(&self.cluster, plan, cfg)?;
         let metrics = sim.run(&adjusted)?;
         let pressure = sim.take_pressure().expect("segment_cfg attaches the tally");
-        let stream = sim.take_streaming().map(|p| p.snapshot());
         Ok(SegmentReport {
             metrics,
             blackout,
             pressure,
-            stream,
         })
     }
 
-    /// The per-segment engine config: observation knobs applied on top of
-    /// the scheduler-derived base.
+    /// The per-segment engine config: the scheduler-derived base with the
+    /// pressure tally attached.
     fn segment_cfg(&self) -> ts_sim::SimConfig {
-        let mut cfg = sim_config(&self.model, &self.scheduler_cfg).with_pressure(true);
-        if let Some(sc) = &self.streaming {
-            cfg = cfg.with_streaming(sc.clone());
-        }
-        cfg
+        sim_config(&self.model, &self.scheduler_cfg).with_pressure(true)
     }
 
     /// Serves one segment while availability `events` strike **mid-flight**:
@@ -274,7 +250,6 @@ impl ServingRuntime {
         }
         let metrics = sim.run_with_faults(&adjusted, &script)?;
         let pressure = sim.take_pressure().expect("segment_cfg attaches the tally");
-        let stream = sim.take_streaming().map(|p| p.snapshot());
 
         // Deliberate fleet changes, judged against the fleet before the
         // segment: a reclaim of a node already drained out of the fleet is a
@@ -328,7 +303,6 @@ impl ServingRuntime {
             metrics,
             blackout,
             pressure,
-            stream,
         })
     }
 
@@ -542,32 +516,6 @@ mod tests {
             reqs.len()
         );
         assert!(rep.blackout.is_zero());
-    }
-
-    #[test]
-    fn streaming_segments_carry_snapshots_without_changing_metrics() {
-        let w = spec::coding(2.0);
-        let reqs = generate(&w, SimDuration::from_secs(60), 1);
-        let mut plain = runtime();
-        plain.deploy(&w).unwrap();
-        let base = plain.serve_segment(&reqs).unwrap();
-        assert!(base.stream.is_none(), "streaming defaults off");
-
-        let mut rt = runtime();
-        rt.deploy(&w).unwrap();
-        rt.set_streaming(Some(StreamConfig::new(slo())));
-        let rep = rt.serve_segment(&reqs).unwrap();
-        let snap = rep.stream.expect("streaming was enabled");
-        assert_eq!(
-            snap.totals.finished as usize,
-            rep.metrics.num_completed(),
-            "plane counters must tie out with segment metrics"
-        );
-        assert!(snap.ttft.count() > 0);
-        assert_eq!(
-            rep.metrics, base.metrics,
-            "streaming observation must not change serving outputs"
-        );
     }
 
     #[test]

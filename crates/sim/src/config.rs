@@ -50,7 +50,8 @@ pub enum KvTransfer {
 /// - a [`Quarantine::threshold`] that is not finite and above 1;
 /// - a [`Deadline::scale`] that is not finite and positive;
 /// - a [`SimConfig::kv_retry_jitter`] outside `[0, 1]`;
-/// - [`Hedge::burn_gated`] without [`SimConfig::streaming`].
+/// - a [`SimConfig::streaming`] configuration the plane cannot run
+///   ([`ts_telemetry::StreamConfig::validate`]).
 #[derive(Debug, Clone)]
 pub struct SimConfig {
     /// The served model. For multi-model runs this remains the *default*
@@ -222,20 +223,12 @@ pub struct Deadline {
 pub struct Hedge {
     /// How long after dispatch a request counts as stuck.
     pub timeout: SimDuration,
-    /// Burn-rate gating: launch duplicates only while the streaming plane's
-    /// health signal is degraded (`Warning` or worse), spending the
-    /// duplicate-work budget only when the SLO is actually burning.
-    /// Requires [`SimConfig::streaming`].
-    pub burn_gated: bool,
 }
 
 impl Hedge {
-    /// Ungated hedging after `timeout`.
+    /// Hedging after `timeout`.
     pub fn after(timeout: SimDuration) -> Self {
-        Hedge {
-            timeout,
-            burn_gated: false,
-        }
+        Hedge { timeout }
     }
 }
 
@@ -295,10 +288,9 @@ impl SimConfig {
                 self.kv_retry_jitter
             ));
         }
-        if self.hedge.is_some_and(|h| h.burn_gated) && self.streaming.is_none() {
-            return bad("burn-gated hedging needs the streaming plane".into());
-        }
-        Ok(())
+        self.streaming
+            .as_ref()
+            .map_or(Ok(()), ts_telemetry::StreamConfig::validate)
     }
 
     /// Returns a copy serving the given model catalog (multi-tenant mode).
@@ -532,8 +524,7 @@ mod tests {
         assert_eq!(
             c.hedge,
             Some(Hedge {
-                timeout: SimDuration::from_millis(900),
-                burn_gated: false
+                timeout: SimDuration::from_millis(900)
             })
         );
         assert_eq!(c.kv_retry_budget, Some(4));
@@ -597,10 +588,7 @@ mod tests {
             .with_prefill_policy(PrefillPolicy::Chunked { chunk_tokens: 1 })
             .with_quarantine(Quarantine::at(1.5))
             .with_kv_retry_jitter(1.0)
-            .with_hedge(Hedge {
-                timeout: SimDuration::from_millis(400),
-                burn_gated: true,
-            })
+            .with_hedge(Hedge::after(SimDuration::from_millis(400)))
             .with_streaming(stream);
         for got in construct_both(cfg) {
             assert!(got.is_ok(), "{got:?}");
@@ -638,9 +626,36 @@ mod tests {
         for scale in [-1.0, 0.0, f64::NAN, f64::INFINITY] {
             assert_rejected(c.clone().with_deadline(Deadline { slo, scale }));
         }
-        assert_rejected(c.with_hedge(Hedge {
-            timeout: SimDuration::from_millis(400),
-            burn_gated: true,
-        }));
+        // Streaming settings the plane cannot run: windows, accuracies and
+        // the burn monitors' target, threshold and window depths.
+        use ts_telemetry::StreamConfig;
+        let stream = StreamConfig::new(slo);
+        let mut unusable = vec![stream.clone().with_window(SimDuration::ZERO)];
+        for alpha in [0.0, 1.0, -0.5, f64::NAN] {
+            unusable.push(stream.clone().with_sketch_alpha(alpha));
+        }
+        for alpha in [0.0, 1.5, -0.5, f64::NAN] {
+            unusable.push(stream.clone().with_ewma_alpha(alpha));
+        }
+        for target in [0.0, 1.0, 1.5, f64::NAN] {
+            unusable.push(stream.clone().with_burn(target, 2.0));
+        }
+        for threshold in [0.0, -1.0, f64::NAN] {
+            unusable.push(stream.clone().with_burn(0.99, threshold));
+        }
+        for (fast, slow) in [(0, 60), (0, 0), (61, 60)] {
+            unusable.push(stream.clone().with_burn_windows(fast, slow));
+        }
+        for s in unusable {
+            assert_rejected(c.clone().with_streaming(s));
+        }
+        // The closed ends of each range build.
+        let edges = stream
+            .with_ewma_alpha(1.0)
+            .with_burn_windows(60, 60)
+            .with_window(SimDuration::from_micros(1));
+        for got in construct_both(c.with_streaming(edges)) {
+            assert!(got.is_ok(), "{got:?}");
+        }
     }
 }

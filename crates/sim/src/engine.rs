@@ -154,12 +154,6 @@ impl Simulation {
         self.driver.take_streaming()
     }
 
-    /// Read access to the live streaming plane, `None` unless
-    /// [`SimConfig::with_streaming`] was set.
-    pub fn streaming(&self) -> Option<&ts_telemetry::StreamingPlane> {
-        self.driver.streaming()
-    }
-
     /// Takes the per-replica pressure tally (queue depth and batch
     /// occupancy, integrated online). Returns `None` unless the simulation
     /// was built with [`SimConfig::with_pressure`] (or if the tally was

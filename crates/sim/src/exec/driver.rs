@@ -140,7 +140,7 @@ pub(crate) struct Core {
     /// online (sketches, windows, burn monitors) instead of buffering.
     /// Boxed: the plane is a few hundred bytes of aggregation state that
     /// would otherwise bloat every `Core` on the stack.
-    pub(super) stream: Option<Box<StreamingPlane>>,
+    stream: Option<Box<StreamingPlane>>,
     /// Per-replica pressure tally; `Some` iff [`SimConfig::pressure`] is
     /// on. Fed the same event stream, but it is not an [`observing`]
     /// consumer: it needs no retroactive decode replay.
@@ -615,12 +615,6 @@ impl Driver {
     /// [`StreamingPlane::advance_to`] to close windows out to a horizon.
     pub fn take_streaming(&mut self) -> Option<Box<StreamingPlane>> {
         self.core.stream.take()
-    }
-
-    /// Read access to the live streaming plane mid-run, `None` when
-    /// [`SimConfig::streaming`] is off.
-    pub fn streaming(&self) -> Option<&StreamingPlane> {
-        self.core.stream.as_deref()
     }
 
     /// Takes the per-replica pressure tally of the run; `None` when

@@ -25,7 +25,7 @@ use crate::fault::FaultKind;
 use rand::rngs::StdRng;
 use rand::Rng;
 use ts_common::{derive_seed, seeded_rng, SimDuration, SimTime, SlabKey};
-use ts_telemetry::{HealthState, Role, TraceKind};
+use ts_telemetry::{Role, TraceKind};
 
 /// Per-host gray-failure bookkeeping: flaky-heartbeat masking, straggler
 /// detection EWMAs and quarantine state, plus the seeded RNG every
@@ -224,19 +224,6 @@ impl Driver {
     }
 }
 
-/// Whether burn-gated hedging currently *suppresses* a hedge launch: the
-/// gate is on and the streaming plane reports fully healthy SLO burn.
-/// Ungated hedging (the default) is untouched and bit-identical.
-fn hedge_suppressed(core: &Core) -> bool {
-    if !core.cfg.hedge.is_some_and(|h| h.burn_gated) {
-        return false;
-    }
-    match core.stream.as_deref() {
-        Some(plane) => plane.global_signal().state == HealthState::Healthy,
-        None => false,
-    }
-}
-
 /// Feeds one completed iteration on `replica` (of `role`), which ran
 /// `ratio` times slower than expected, into its host's EWMA, and
 /// quarantines the host when the detector trips — enough samples and the
@@ -291,9 +278,6 @@ pub(super) fn on_hedge_check(core: &mut Core, s: &mut SplitState, request: SlabK
     let p = &st.pend;
     if p.kv_done_at.is_some() || p.hedge.is_some() {
         return;
-    }
-    if hedge_suppressed(core) {
-        return; // SLO budget not burning: keep the duplicate-work budget
     }
     if p.kv_launched {
         hedge_transfer(core, s, request);

@@ -1,24 +1,21 @@
 //! Integration tests for the streaming observability plane.
 //!
-//! Covers the three contracts the plane makes with the rest of the stack:
+//! Covers the two contracts the plane makes with the rest of the stack:
 //!
 //! 1. **Sketch parity** — the mergeable quantile sketches exposed through
-//!    [`Metrics::latency_sketch`] / [`Metrics::itl_sketch`] agree with the
-//!    exact nearest-rank percentiles on every existing metric site, within
-//!    the sketch's configured relative-error bound.
+//!    [`ts_sim::Metrics::latency_sketch`] / [`ts_sim::Metrics::itl_sketch`]
+//!    agree with the exact nearest-rank percentiles on every existing
+//!    metric site, within the sketch's configured relative-error bound.
 //! 2. **Online == post-hoc** — the quantiles the [`StreamingPlane`]
 //!    accumulates incrementally from driver events match the exact
 //!    percentiles recomputed after the fact from the `TraceLog` spans.
-//! 3. **Burn-gated hedging** — with `Hedge::burn_gated` on, hedges are
-//!    suppressed while the SLO burn-rate monitor reports `Healthy` and
-//!    re-enabled once the error budget burns.
 
 use ts_cluster::presets;
 use ts_common::{
     DeploymentPlan, GpuId, GroupSpec, ModelSpec, ParallelConfig, Phase, RoutingMatrix, SimDuration,
-    SimTime, SloKind, SloSpec, StageSpec,
+    SloKind, SloSpec, StageSpec,
 };
-use ts_sim::{FaultKind, FaultScript, Hedge, Metrics, SimConfig, Simulation, TimedFault};
+use ts_sim::{SimConfig, Simulation};
 use ts_telemetry::StreamConfig;
 use ts_workload::{generator::generate, spec};
 
@@ -163,86 +160,4 @@ fn streaming_plane_matches_posthoc_trace() {
     let text = ts_telemetry::render_prometheus(&snap);
     let stats = ts_telemetry::validate_exposition(&text).expect("valid exposition");
     assert_eq!(stats.histograms, 4);
-}
-
-/// Tentpole: burn-gated hedging holds fire while the burn monitor reports
-/// `Healthy` and fires once the SLO budget burns.
-#[test]
-fn burn_gated_hedging_follows_health_signal() {
-    let (cluster, plan, cfg) = testbed();
-    let reqs = generate(&spec::coding(1.5), SimDuration::from_secs(60), 45);
-    // Prefill 0 becomes a deep straggler at t=5s; without suppression the
-    // 400ms hedge timer rescues requests stuck behind it.
-    let script = FaultScript::new(
-        vec![TimedFault {
-            at: SimTime::from_secs_f64(5.0),
-            kind: FaultKind::PrefillSlow(0, 40.0),
-        }],
-        SimDuration::from_millis(500),
-    );
-    let run = |c: SimConfig| -> Metrics {
-        Simulation::new(&cluster, &plan, c)
-            .unwrap()
-            .run_with_faults(&reqs, &script)
-            .unwrap()
-    };
-    let hedged = |c: SimConfig, burn_gated: bool| {
-        run(c.with_hedge(Hedge {
-            timeout: SimDuration::from_millis(400),
-            burn_gated,
-        }))
-    };
-
-    let generous = SloSpec::new(
-        SimDuration::from_secs(1000),
-        SimDuration::from_secs(1),
-        SimDuration::from_secs(2000),
-    );
-    let tight = SloSpec::new(
-        SimDuration::from_millis(1),
-        SimDuration::from_micros(100),
-        SimDuration::from_millis(2),
-    );
-
-    // Baseline: plain hedging fires against the straggler.
-    let plain = hedged(cfg.clone(), false);
-    assert!(plain.recovery().hedges_launched > 0);
-
-    // Streaming on but the gate off: observation alone must not suppress.
-    let observed = hedged(
-        cfg.clone().with_streaming(StreamConfig::new(generous)),
-        false,
-    );
-    assert_eq!(
-        observed.recovery().hedges_launched,
-        plain.recovery().hedges_launched,
-        "an observing plane with the gate off must not change hedging"
-    );
-
-    // Gate on with a generous SLO: nothing ever misses, the monitor stays
-    // Healthy, and every hedge is suppressed.
-    let suppressed = hedged(
-        cfg.clone().with_streaming(StreamConfig::new(generous)),
-        true,
-    );
-    assert_eq!(
-        suppressed.recovery().hedges_launched,
-        0,
-        "healthy burn signal must suppress hedges: {:?}",
-        suppressed.recovery()
-    );
-    assert_eq!(
-        suppressed.num_completed() + suppressed.num_dropped() + suppressed.num_rejected(),
-        reqs.len(),
-        "suppression must not lose requests"
-    );
-
-    // Gate on with an unattainable SLO: the budget burns immediately, the
-    // signal leaves Healthy, and hedging fires as usual.
-    let burning = hedged(cfg.with_streaming(StreamConfig::new(tight)), true);
-    assert!(
-        burning.recovery().hedges_launched > 0,
-        "a burning SLO budget must re-enable hedges: {:?}",
-        burning.recovery()
-    );
 }

@@ -50,4 +50,4 @@ pub use search::{SearchStep, SearchTrace};
 pub use series::UtilizationSeries;
 pub use sink::{NoopSink, Recorder, TraceSink};
 pub use sketch::QuantileSketch;
-pub use stream::{Ewma, HealthSummary, StreamConfig, StreamSnapshot, StreamingPlane, WindowCounts};
+pub use stream::{Ewma, StreamConfig, StreamSnapshot, StreamingPlane, WindowCounts};

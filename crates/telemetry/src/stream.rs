@@ -9,18 +9,18 @@
 //! * fixed-window counters ([`WindowCounts`]) that roll deterministically
 //!   at exact multiples of the configured window in *simulated* time;
 //! * per-tenant and fleet-wide SLO [`BurnMonitor`]s whose
-//!   [`HealthSignal`]s feed the mitigation layer and the autoscaler.
+//!   [`HealthSignal`]s the [`StreamSnapshot`] exports.
 //!
 //! The plane is an observer: it never schedules events, draws randomness,
-//! or feeds anything back into the engine unless an explicit consumer knob
-//! is on, so enabling it leaves simulation results bit-identical (pinned
-//! by the golden-digest suite).
+//! or feeds anything back into the engine, and no engine, runtime or
+//! autoscaler decision reads it, so enabling it leaves simulation results
+//! bit-identical (pinned by the golden-digest suite).
 
 use std::collections::{BTreeMap, HashMap};
 
-use ts_common::{ModelId, RequestId, SimDuration, SimTime, SloSpec};
+use ts_common::{Error, ModelId, RequestId, Result, SimDuration, SimTime, SloSpec};
 
-use crate::burn::{BurnMonitor, HealthSignal, HealthState};
+use crate::burn::{BurnMonitor, HealthSignal};
 use crate::event::TraceKind;
 use crate::sketch::QuantileSketch;
 
@@ -110,11 +110,7 @@ impl StreamConfig {
     }
 
     /// Returns a copy with the given fixed window length.
-    ///
-    /// # Panics
-    /// Panics if `window` is zero.
     pub fn with_window(mut self, window: SimDuration) -> Self {
-        assert!(!window.is_zero(), "streaming window must be positive");
         self.window = window;
         self
     }
@@ -143,6 +139,41 @@ impl StreamConfig {
         self.fast_windows = fast;
         self.slow_windows = slow;
         self
+    }
+
+    /// The one check that the plane can run this configuration: a
+    /// positive window, `sketch_alpha` in `(0, 1)`, `ewma_alpha` in
+    /// `(0, 1]`, `target` in `(0, 1)`, a positive `burn_threshold` and
+    /// `0 < fast_windows <= slow_windows`.
+    ///
+    /// # Errors
+    /// Returns [`Error::InvalidConfig`] naming the first rule broken.
+    pub fn validate(&self) -> Result<()> {
+        let (fast, slow) = (self.fast_windows, self.slow_windows);
+        let rules = [
+            (!self.window.is_zero(), "window must be positive"),
+            (
+                self.sketch_alpha > 0.0 && self.sketch_alpha < 1.0,
+                "sketch_alpha must lie in (0, 1)",
+            ),
+            (
+                self.ewma_alpha > 0.0 && self.ewma_alpha <= 1.0,
+                "ewma_alpha must lie in (0, 1]",
+            ),
+            (
+                self.target > 0.0 && self.target < 1.0,
+                "target must lie in (0, 1)",
+            ),
+            (self.burn_threshold > 0.0, "burn_threshold must be positive"),
+            (
+                fast > 0 && fast <= slow,
+                "burn windows must satisfy 0 < fast <= slow",
+            ),
+        ];
+        match rules.into_iter().find(|&(holds, _)| !holds) {
+            Some((_, rule)) => Err(Error::InvalidConfig(format!("streaming {rule}: {self:?}"))),
+            None => Ok(()),
+        }
     }
 }
 
@@ -230,17 +261,6 @@ struct TenantState {
     burn: BurnMonitor,
 }
 
-/// Worst-case health rollup consumed by coarse controllers (autoscaler).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct HealthSummary {
-    /// The worst state across the fleet-wide and all per-tenant signals.
-    pub worst: HealthState,
-    /// The highest fast-window burn rate observed across signals.
-    pub max_fast_burn: f64,
-    /// The highest slow-window burn rate observed across signals.
-    pub max_slow_burn: f64,
-}
-
 /// An immutable export of the plane's state at one instant.
 #[derive(Debug, Clone)]
 pub struct StreamSnapshot {
@@ -283,23 +303,6 @@ impl StreamSnapshot {
     /// The fleet-wide health signal.
     pub fn global_health(&self) -> &HealthSignal {
         &self.health[0]
-    }
-
-    /// Worst-case rollup across all signals.
-    pub fn health_summary(&self) -> HealthSummary {
-        let mut worst = HealthState::Healthy;
-        let mut fast = 0.0_f64;
-        let mut slow = 0.0_f64;
-        for h in &self.health {
-            worst = worst.max(h.state);
-            fast = fast.max(h.fast_burn);
-            slow = slow.max(h.slow_burn);
-        }
-        HealthSummary {
-            worst,
-            max_fast_burn: fast,
-            max_slow_burn: slow,
-        }
     }
 
     /// Compact single-line-per-key JSON metrics dump (no external JSON
@@ -618,16 +621,6 @@ impl StreamingPlane {
         self.roll_to(at);
     }
 
-    /// The fleet-wide health signal right now (open window included).
-    pub fn global_signal(&self) -> HealthSignal {
-        self.global.signal(None)
-    }
-
-    /// The health signal of one registered tenant, `None` if unregistered.
-    pub fn tenant_signal(&self, model: ModelId) -> Option<HealthSignal> {
-        self.tenants.get(&model).map(|t| t.burn.signal(Some(model)))
-    }
-
     /// Exports the current state (sketches cloned, monitors read out).
     pub fn snapshot(&self) -> StreamSnapshot {
         let mut health = vec![self.global.signal(None)];
@@ -738,12 +731,10 @@ mod tests {
             let base = i as f64 * 0.01;
             lifecycle(&mut p, i, base, base + 0.9, base + 1.0);
         }
-        let h = p.global_signal();
+        let s = p.snapshot();
+        let h = s.global_health();
         assert!(h.fast_burn > 2.0, "{h:?}");
-        assert_eq!(
-            p.snapshot().window.slo_miss + p.snapshot().last_window.unwrap().slo_miss,
-            20
-        );
+        assert_eq!(s.window.slo_miss + s.last_window.unwrap().slo_miss, 20);
     }
 
     #[test]
@@ -770,14 +761,13 @@ mod tests {
             p.observe(t(0.1), &TraceKind::FirstToken { request });
             p.observe(t(0.2), &TraceKind::Finished { request });
         }
-        let tenant = p.tenant_signal(ModelId(1)).unwrap();
-        assert!(tenant.fast_burn > 0.0, "{tenant:?}");
-        assert_eq!(tenant.samples, 10);
-        assert_eq!(p.tenant_signal(ModelId(9)), None);
-        // Snapshot lists global first, then the tenant.
+        // Snapshot lists global first, then the registered tenant.
         let s = p.snapshot();
         assert_eq!(s.health.len(), 2);
-        assert_eq!(s.health[1].tenant, Some(ModelId(1)));
+        let tenant = &s.health[1];
+        assert_eq!(tenant.tenant, Some(ModelId(1)));
+        assert!(tenant.fast_burn > 0.0, "{tenant:?}");
+        assert_eq!(tenant.samples, 10);
     }
 
     #[test]

@@ -146,10 +146,11 @@ fn main() -> thunderserve::Result<()> {
             h.state, h.fast_burn, h.slow_burn, h.samples
         );
     }
-    let summary = snap.health_summary();
+    let worst = snap.health.iter().map(|h| h.state).max();
+    let peak = snap.health.iter().map(|h| h.fast_burn).fold(0.0, f64::max);
     println!(
-        "worst state {:?}, peak fast burn {:.2}",
-        summary.worst, summary.max_fast_burn
+        "worst state {:?}, peak fast burn {peak:.2}",
+        worst.expect("the fleet-wide signal is always present")
     );
 
     // -- Exporters: Prometheus text exposition and compact JSON. ---------

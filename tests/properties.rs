@@ -485,12 +485,15 @@ fn colocated_simulator_conserves_requests() {
 /// heartbeats, degraded links and exhausted retry budgets — with hedging,
 /// quarantine and deadline shedding all armed — every submitted request is
 /// exactly one of completed, dropped or rejected, and identical runs are
-/// bit-identical.
+/// bit-identical. The repeat run attaches every observer (trace recorder,
+/// streaming plane, pressure tally): observers never steer, under any
+/// drawn mix of mitigations and faults.
 #[test]
 fn gray_failures_conserve_requests() {
     use thunderserve::sim::config::{Deadline, Hedge, Quarantine, SimConfig};
     use thunderserve::sim::engine::Simulation;
     use thunderserve::sim::fault::{FaultKind, FaultScript, TimedFault};
+    use thunderserve::telemetry::StreamConfig;
     let cluster = thunderserve::cluster::presets::network_case_cluster(
         thunderserve::cluster::presets::ETH_40GBPS,
     );
@@ -620,13 +623,13 @@ fn gray_failures_conserve_requests() {
         // Under the fabric, link faults kill in-flight flows and
         // degradations re-share them live.
         cfg.kv_transfer = draw_kv_transfer(&mut rng);
-        let run = || {
-            Simulation::new(&cluster, &plan, cfg.clone())
+        let run = |cfg: SimConfig| {
+            Simulation::new(&cluster, &plan, cfg)
                 .unwrap()
                 .run_with_faults(&reqs, &script)
                 .unwrap()
         };
-        let metrics = run();
+        let metrics = run(cfg.clone());
         assert_eq!(
             metrics.num_completed() + metrics.num_dropped() + metrics.num_rejected(),
             reqs.len(),
@@ -638,7 +641,21 @@ fn gray_failures_conserve_requests() {
             assert!(r.finished_at >= r.first_token_at);
             assert!(r.first_token_at >= r.request.arrival);
         }
-        assert_eq!(metrics, run(), "case {case}: run must be bit-identical");
+        // A tight SLO, so the burn monitors judge misses as well as hits.
+        let stream = StreamConfig::new(thunderserve::common::SloSpec::new(
+            SimDuration::from_millis(300),
+            SimDuration::from_millis(40),
+            SimDuration::from_secs(5),
+        ));
+        let observed = cfg
+            .with_telemetry(true)
+            .with_pressure(true)
+            .with_streaming(stream);
+        assert_eq!(
+            metrics,
+            run(observed),
+            "case {case}: run must be bit-identical with every observer on"
+        );
     }
 }
 
