@@ -43,8 +43,6 @@ use crate::fault::{Detection, FaultScript};
 use crate::metrics::Metrics;
 use ts_cluster::Cluster;
 use ts_common::{DeploymentPlan, GroupSpec, Request, Result};
-#[cfg(test)]
-use ts_common::{SimDuration, SimTime};
 
 /// A discrete-event serving simulation, phase-split or colocated.
 pub struct Simulation {
@@ -194,8 +192,8 @@ mod tests {
     use super::*;
     use ts_cluster::presets;
     use ts_common::{
-        GpuId, GroupSpec, ModelSpec, ParallelConfig, Phase, RoutingMatrix, SloKind, SloSpec,
-        StageSpec,
+        GpuId, GroupSpec, ModelSpec, ParallelConfig, Phase, RoutingMatrix, SimTime, SloKind,
+        SloSpec, StageSpec,
     };
     use ts_workload::{generator::generate, spec};
 
@@ -534,7 +532,10 @@ mod fault_tests {
     use super::*;
     use crate::fault::{Detection, FaultKind, FaultScript, TimedFault};
     use ts_cluster::presets;
-    use ts_common::{GpuId, GroupSpec, ModelSpec, ParallelConfig, Phase, RoutingMatrix, StageSpec};
+    use ts_common::{
+        GpuId, GroupSpec, ModelSpec, ParallelConfig, Phase, RoutingMatrix, SimDuration, SimTime,
+        StageSpec,
+    };
     use ts_workload::{generator::generate, spec};
 
     /// 4xA40 prefill (one tp=4 replica) + two 2x3090Ti decode replicas, so
@@ -1043,7 +1044,10 @@ mod fabric_tests {
     use super::*;
     use crate::fault::{FaultKind, FaultScript, TimedFault};
     use ts_cluster::presets;
-    use ts_common::{GpuId, GroupSpec, ModelSpec, ParallelConfig, Phase, RoutingMatrix, StageSpec};
+    use ts_common::{
+        GpuId, GroupSpec, ModelSpec, ParallelConfig, Phase, RoutingMatrix, SimDuration, SimTime,
+        StageSpec,
+    };
     use ts_workload::{generator::generate, spec};
 
     /// 4xA40 prefill + two 2x3090Ti decode replicas on a slow (5 Gbps)
@@ -1221,8 +1225,8 @@ mod gray_failure_tests {
     use crate::fault::{FaultKind, FaultScript, TimedFault};
     use ts_cluster::presets;
     use ts_common::{
-        GpuId, GroupSpec, ModelSpec, ParallelConfig, Phase, RoutingMatrix, SloKind, SloSpec,
-        StageSpec,
+        GpuId, GroupSpec, ModelSpec, ParallelConfig, Phase, RoutingMatrix, SimDuration, SimTime,
+        SloKind, SloSpec, StageSpec,
     };
     use ts_workload::{generator::generate, spec};
 

@@ -61,8 +61,6 @@
 //! assert_eq!(metrics.num_completed(), reqs.len());
 //! ```
 
-#[cfg(test)]
-mod colocated;
 pub mod config;
 pub mod engine;
 pub mod estimate;
@@ -80,3 +78,6 @@ pub use fault::{Detection, FaultKind, FaultScript, TimedFault};
 pub use metrics::{Metrics, RecoveryCounters, RequestRecord};
 pub use router::RouterWork;
 pub use ts_telemetry::{RequestSpan, TraceLog};
+
+#[cfg(test)]
+mod colocated;
