@@ -21,8 +21,7 @@ use ts_common::{
     StageSpec,
 };
 use ts_sim::{
-    Deadline, FaultKind, FaultScript, Hedge, Metrics, PrefillPolicy, Quarantine, SimConfig,
-    Simulation, TimedFault,
+    FaultKind, FaultScript, Hedge, Metrics, Quarantine, SimConfig, Simulation, TimedFault,
 };
 
 // ---------------------------------------------------------------- digesting
@@ -68,7 +67,7 @@ fn digest(name: &str, m: &Metrics, out: &mut String) {
     ));
     out.push_str(&format!(
         "recovery: requeued={} reprefilled={} retries={} recoveries={:?} hedged={}/{} \
-         quarantines={} readmissions={} shed={} budget={}\n",
+         quarantines={} readmissions={}\n",
         r.requeued_requests,
         r.reprefilled_tokens,
         r.kv_transfer_retries,
@@ -80,8 +79,6 @@ fn digest(name: &str, m: &Metrics, out: &mut String) {
         r.hedges_won,
         r.quarantines,
         r.readmissions,
-        r.deadline_shed,
-        r.retry_budget_exhausted,
     ));
     for pm in &r.per_model {
         out.push_str(&format!(
@@ -364,16 +361,6 @@ fn gray_cfg(model: ModelSpec) -> SimConfig {
             readmit_after: SimDuration::from_secs(2),
         })
         .with_hedge(Hedge::after(SimDuration::from_millis(400)))
-        .with_kv_retry_budget(2)
-        .with_kv_retry_jitter(0.3)
-        .with_deadline(Deadline {
-            slo: SloSpec::new(
-                SimDuration::from_millis(2500),
-                SimDuration::from_millis(200),
-                SimDuration::from_secs(60),
-            ),
-            scale: 4.0,
-        })
 }
 
 /// Two tenants partitioning the 8×A5000 pool: model 1 on the first
@@ -454,21 +441,6 @@ fn run_matrix(edit: &dyn Fn(SimConfig) -> SimConfig) -> String {
         &FaultScript::none(),
     );
     digest("split_pair_f16", &m, &mut out);
-
-    // SJF never took effect in this arm: chunked prefill keeps arrival
-    // order, and the old config let both be named at once. The name stays
-    // so that golden_metrics.txt stays byte-identical.
-    let (m, _) = run_split(
-        &eight,
-        edit(
-            SimConfig::new(llama7())
-                .with_prefill_policy(PrefillPolicy::Chunked { chunk_tokens: 192 })
-                .with_tpot_cap(SimDuration::from_millis(60)),
-        ),
-        &mixed_requests(300, 9_000, 3),
-        &FaultScript::none(),
-    );
-    digest("split_chunked_sjf_tpotcap", &m, &mut out);
 
     let mut cfg = SimConfig::new(llama7());
     cfg.kv_transfer = ts_sim::KvTransfer::Free;
@@ -553,17 +525,6 @@ fn run_matrix(edit: &dyn Fn(SimConfig) -> SimConfig) -> String {
     let mut sim =
         Simulation::colocated(&cluster, &groups, edit(SimConfig::new(model.clone()))).unwrap();
     digest("colo_base", &sim.run(&reqs).unwrap(), &mut out);
-
-    let mut sim = Simulation::colocated(
-        &cluster,
-        &groups,
-        edit(
-            SimConfig::new(model.clone())
-                .with_prefill_policy(PrefillPolicy::Chunked { chunk_tokens: 128 }),
-        ),
-    )
-    .unwrap();
-    digest("colo_chunked", &sim.run(&reqs).unwrap(), &mut out);
 
     let mut sim = Simulation::colocated(&cluster, &groups, edit(SimConfig::new(model))).unwrap();
     digest(
@@ -716,7 +677,6 @@ fn runs_dispatch_pinned_event_counts() {
     };
     let llama7 = ModelSpec::llama_7b;
     let none = FaultScript::none();
-    let chunked = PrefillPolicy::Chunked { chunk_tokens: 128 };
     let got = [
         (
             "split_base",
@@ -751,14 +711,6 @@ fn runs_dispatch_pinned_event_counts() {
             ),
         ),
         (
-            "colo_chunked",
-            colo(
-                SimConfig::new(llama7()).with_prefill_policy(chunked),
-                &mixed_requests(300, 10_000, 9),
-                &none,
-            ),
-        ),
-        (
             "colo_crash",
             colo(
                 SimConfig::new(llama7()),
@@ -772,7 +724,6 @@ fn runs_dispatch_pinned_event_counts() {
         ("split_contention", 797),
         ("split_gray", 8960),
         ("colo_base", 900),
-        ("colo_chunked", 2562),
         ("colo_crash", 869),
     ];
     assert_eq!(got, pinned);
