@@ -1507,42 +1507,54 @@ mod gray_failure_tests {
     }
 
     #[test]
-    fn retry_budget_exhaustion_drops_instead_of_looping() {
-        // A link that never heals: an unbounded retry loop would spin
-        // forever, a budget of 1 drops the affected transfers and the run
-        // terminates with exact conservation.
+    fn a_link_that_never_heals_drops_instead_of_looping() {
+        // Transfers retry on a down link only while the script still holds
+        // a `LinkUp` for it. Link (0, 0) goes down twice and heals once in
+        // between: transfers caught by the first outage retry and complete,
+        // those caught by the second one are dropped, and the run
+        // terminates with exact conservation on both wire models.
         let (cluster, plan, cfg) = gray_testbed();
-        let cfg = cfg.with_kv_retry_budget(1);
         let reqs = generate(&spec::fixed(512, 32, 1.0), SimDuration::from_secs(40), 46);
-        let script = FaultScript::new(
-            vec![fault(
-                5.0,
-                FaultKind::LinkDown {
-                    prefill: 0,
-                    decode: 0,
-                },
-            )],
+        let link = FaultKind::LinkDown {
+            prefill: 0,
+            decode: 0,
+        };
+        let heal = FaultKind::LinkUp {
+            prefill: 0,
+            decode: 0,
+        };
+        let never_heals = FaultScript::new(
+            vec![fault(5.0, link), fault(9.0, heal), fault(20.0, link)],
             SimDuration::from_millis(100),
         );
-        let run = || {
-            Simulation::new(&cluster, &plan, cfg.clone())
-                .unwrap()
-                .run_with_faults(&reqs, &script)
-                .unwrap()
-        };
-        let m = run();
-        assert!(
-            m.recovery().retry_budget_exhausted > 0,
-            "transfers on the dead link must exhaust their budget: {:?}",
-            m.recovery()
+        let heals = FaultScript::new(
+            vec![fault(5.0, link), fault(9.0, heal)],
+            SimDuration::from_millis(100),
         );
-        assert!(m.num_dropped() >= m.recovery().retry_budget_exhausted);
-        assert!(
-            m.recovery().kv_transfer_retries > 0,
-            "the budget allows one retry before giving up"
-        );
-        conserved(&m, reqs.len());
-        assert_eq!(m, run());
+        for fabric in [false, true] {
+            let run = |script: &FaultScript| {
+                Simulation::new(&cluster, &plan, cfg.clone().with_network_contention(fabric))
+                    .unwrap()
+                    .run_with_faults(&reqs, script)
+                    .unwrap()
+            };
+            let m = run(&never_heals);
+            conserved(&m, reqs.len());
+            assert!(
+                m.recovery().kv_transfer_retries > 0,
+                "fabric={fabric}: the healed outage retries: {:?}",
+                m.recovery()
+            );
+            assert!(
+                m.num_dropped() > 0,
+                "fabric={fabric}: the lasting outage drops its transfers"
+            );
+            assert_eq!(m, run(&never_heals), "fabric={fabric}");
+            // A script that heals every link loses nothing.
+            let healed = run(&heals);
+            assert!(healed.recovery().kv_transfer_retries > 0, "fabric={fabric}");
+            assert_eq!(healed.num_completed(), reqs.len(), "fabric={fabric}");
+        }
     }
 
     #[test]

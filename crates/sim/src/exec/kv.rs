@@ -20,6 +20,7 @@ use super::executor::{DecodeExecutor, PrefillExecutor};
 use super::seq::PrefillJob;
 use crate::config::{KvTransfer, SimConfig, KV_RETRY_BACKOFF_BASE, KV_RETRY_BACKOFF_CAP};
 use crate::event::{EventKind, EventToken};
+use crate::fault::{FaultKind, TimedFault};
 use ts_cluster::Cluster;
 use ts_common::{
     DeploymentPlan, Error, GpuId, ModelId, ModelSpec, Result, SimDuration, SimTime, SlabKey,
@@ -344,10 +345,11 @@ impl KvTransport {
     }
 
     /// The link under `t` faulted. With recovery the sender retries after
-    /// a capped exponential backoff; without, or once the retry budget is
-    /// spent, the request is lost.
+    /// a capped exponential backoff; without, once the retry budget is
+    /// spent, or when the script never brings the link back up, the
+    /// request is lost.
     fn retry(&mut self, core: &mut Core, key: SlabKey, mut t: Transfer) {
-        if !core.recovery_enabled {
+        if !core.recovery_enabled || !heals_later(&core.faults, t.from, t.to, core.now) {
             drop_request(core, key);
             return;
         }
@@ -484,6 +486,14 @@ fn flow_endpoints(legs: &[KvRouteLeg]) -> (GpuId, GpuId, usize) {
         Some(leg) => (leg.from, leg.to, total),
         None => (GpuId(0), GpuId(0), 0),
     }
+}
+
+/// Whether `faults` bring the (prefill, decode) link up at or after `now`.
+/// A transfer retried on a down link that never heals would back off
+/// forever, so it is dropped instead.
+fn heals_later(faults: &[TimedFault], prefill: usize, decode: usize, now: SimTime) -> bool {
+    let up = FaultKind::LinkUp { prefill, decode };
+    faults.iter().any(|f| f.at >= now && f.kind == up)
 }
 
 /// Exponential backoff for transfer attempt `attempt` (2 = first retry):
