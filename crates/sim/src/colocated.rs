@@ -1,7 +1,7 @@
 //! Tests of the colocated topology, built with
 //! [`crate::Simulation::colocated`].
 
-use crate::config::{PrefillPolicy, SimConfig};
+use crate::config::SimConfig;
 use crate::Simulation;
 use ts_common::GroupSpec;
 
@@ -309,108 +309,5 @@ mod fault_tests {
             .unwrap()
             .run_with_faults(&[], &script);
         assert!(err.is_err());
-    }
-}
-
-#[cfg(test)]
-mod chunked_tests {
-    use super::*;
-    use ts_cluster::presets;
-    use ts_common::{GpuId, ModelSpec, ParallelConfig, Phase, SimDuration, SloKind, StageSpec};
-    use ts_workload::{generator::generate, spec};
-
-    fn one_replica(model: &ModelSpec) -> (ts_cluster::Cluster, Vec<GroupSpec>) {
-        let cluster = presets::paper_inhouse_cluster();
-        let g = GroupSpec::new(
-            Phase::Prefill,
-            ParallelConfig::new(2, 1).unwrap(),
-            vec![StageSpec {
-                gpus: vec![GpuId(0), GpuId(1)],
-                layers: model.num_layers,
-            }],
-        )
-        .unwrap();
-        (cluster, vec![g])
-    }
-
-    #[test]
-    fn chunked_prefill_reduces_decode_stalls() {
-        // Long prompts + ongoing decodes: chunked prefill should cut the
-        // p90 TPOT versus prefill-priority at the cost of slower TTFT.
-        let model = ModelSpec::llama_30b();
-        let (cluster, groups) = one_replica(&model);
-        let w = spec::fixed(3000, 96, 0.35);
-        let reqs = generate(&w, SimDuration::from_secs(180), 8);
-
-        let run = |policy| {
-            Simulation::colocated(
-                &cluster,
-                &groups,
-                SimConfig::new(model.clone()).with_prefill_policy(policy),
-            )
-            .unwrap()
-            .run(&reqs)
-            .unwrap()
-        };
-        let pp = run(PrefillPolicy::Fcfs);
-        let ck = run(PrefillPolicy::Chunked { chunk_tokens: 512 });
-
-        // Chunking's contract: the worst single-token stall is bounded by
-        // one chunk's processing time instead of a whole prompt's.
-        // (Average TPOT may be *worse* — chunks delay every step a little.)
-        let itl = |m: &crate::metrics::Metrics| m.itl_percentile(0.99).unwrap();
-        assert!(
-            itl(&ck) < itl(&pp),
-            "chunked p99 ITL {} should beat prefill-priority {}",
-            itl(&ck),
-            itl(&pp)
-        );
-        // The trade-off: whole-batch prefill gives better TTFT.
-        let ttft = |m: &crate::metrics::Metrics| m.latency_percentile(SloKind::Ttft, 0.9).unwrap();
-        assert!(
-            ttft(&ck) >= ttft(&pp),
-            "chunking trades TTFT: {} vs {}",
-            ttft(&ck),
-            ttft(&pp)
-        );
-        assert_eq!(ck.num_completed() + ck.num_dropped(), reqs.len());
-    }
-
-    #[test]
-    fn chunked_conserves_and_orders() {
-        let model = ModelSpec::llama_30b();
-        let (cluster, groups) = one_replica(&model);
-        let w = spec::conversation(0.5);
-        let reqs = generate(&w, SimDuration::from_secs(60), 9);
-        let m = Simulation::colocated(
-            &cluster,
-            &groups,
-            SimConfig::new(model).with_prefill_policy(PrefillPolicy::Chunked { chunk_tokens: 256 }),
-        )
-        .unwrap()
-        .run(&reqs)
-        .unwrap();
-        assert_eq!(m.num_completed() + m.num_dropped(), reqs.len());
-        for r in m.records() {
-            assert!(r.first_token_at >= r.request.arrival);
-            assert!(r.finished_at >= r.first_token_at);
-        }
-    }
-
-    #[test]
-    fn tiny_chunks_still_complete() {
-        let model = ModelSpec::llama_30b();
-        let (cluster, groups) = one_replica(&model);
-        let w = spec::fixed(100, 4, 0.4);
-        let reqs = generate(&w, SimDuration::from_secs(30), 10);
-        let m = Simulation::colocated(
-            &cluster,
-            &groups,
-            SimConfig::new(model).with_prefill_policy(PrefillPolicy::Chunked { chunk_tokens: 1 }),
-        )
-        .unwrap()
-        .run(&reqs)
-        .unwrap();
-        assert_eq!(m.num_completed(), reqs.len());
     }
 }

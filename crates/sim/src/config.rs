@@ -13,6 +13,16 @@ pub const MAX_PREFILL_BATCH_TOKENS: u64 = 4096;
 /// the KV memory limit).
 pub const MAX_DECODE_BATCH: u64 = 256;
 
+/// Arrivals that may stall in the coordinator while no route to a live
+/// replica pair exists (whole-phase loss, reload blackout). Arrivals beyond
+/// this are rejected outright — a distinct outcome from requests dropped
+/// mid-service.
+pub const SHED_THRESHOLD: usize = 256;
+
+/// Seed of the engine's fault RNG, drawn from only by flaky-heartbeat beat
+/// loss ([`crate::fault::FaultKind::HeartbeatFlaky`]).
+pub const FAULT_SEED: u64 = 0x7453_4752_4159;
+
 /// Iterations a replica must look slow before straggler quarantine kicks in.
 pub const STRAGGLER_MIN_SAMPLES: u32 = 3;
 
@@ -46,10 +56,7 @@ pub enum KvTransfer {
 /// knobs are one value each) or rejected: both [`crate::Simulation`]
 /// constructors return [`Error::InvalidConfig`] before building anything
 /// for
-/// - a [`PrefillPolicy::Chunked`] chunk of zero tokens;
 /// - a [`Quarantine::threshold`] that is not finite and above 1;
-/// - a [`Deadline::scale`] that is not finite and positive;
-/// - a [`SimConfig::kv_retry_jitter`] outside `[0, 1]`;
 /// - a [`SimConfig::streaming`] configuration the plane cannot run
 ///   ([`ts_telemetry::StreamConfig::validate`]).
 #[derive(Debug, Clone)]
@@ -70,19 +77,6 @@ pub struct SimConfig {
     /// How KV transfers are modelled: free, serialized per sender (the
     /// default), or as flows on the contended network fabric.
     pub kv_transfer: KvTransfer,
-    /// SLO-aware decode batching: when set, a decode replica stops admitting
-    /// new sequences once the projected step latency would exceed this TPOT
-    /// deadline (DistServe-style batch capping; at least one sequence is
-    /// always admitted to avoid starvation).
-    pub tpot_batch_cap: Option<SimDuration>,
-    /// How every prefill-capable replica — disaggregated prefill or
-    /// colocated — schedules its queued prompts.
-    pub prefill_policy: PrefillPolicy,
-    /// Fault handling: how many arrivals may stall in the coordinator while
-    /// no route to a live replica pair exists (whole-phase loss, reload
-    /// blackout). Arrivals beyond this are rejected outright — a distinct
-    /// outcome from requests dropped mid-service.
-    pub shed_threshold: usize,
     /// Request-lifecycle tracing: when true the engine records span events
     /// (arrival, queueing, prefill, KV transfer, decode, faults) into an
     /// in-memory [`ts_telemetry::Recorder`], retrievable after the run via
@@ -103,29 +97,9 @@ pub struct SimConfig {
     /// [`Hedge`]). `None` (the default) disables hedging and keeps results
     /// bit-identical.
     pub hedge: Option<Hedge>,
-    /// Gray-failure mitigation: per-request KV-transfer retry *budget*.
-    /// When set, a transfer that has already been retried this many times
-    /// is dropped instead of retried again (counted in
-    /// `RecoveryCounters::retry_budget_exhausted`). `None` (the default)
-    /// retries without bound, as before.
-    pub kv_retry_budget: Option<u32>,
-    /// Gray-failure mitigation: retry-backoff jitter fraction in `[0, 1]`.
-    /// When positive, each retry delay is stretched by a uniformly drawn
-    /// factor in `[1, 1 + jitter]` from the seeded fault RNG, decorrelating
-    /// retry storms. Zero (the default) draws nothing and keeps results
-    /// bit-identical.
-    pub kv_retry_jitter: f64,
     /// Gray-failure mitigation: straggler quarantine (see [`Quarantine`]).
     /// `None` (the default) disables detection.
     pub quarantine: Option<Quarantine>,
-    /// Gray-failure mitigation: SLO-class-aware deadline shedding (see
-    /// [`Deadline`]). `None` (the default) never deadline-sheds.
-    pub deadline: Option<Deadline>,
-    /// Seed for the engine's fault/mitigation RNG (flaky-heartbeat draws,
-    /// retry jitter). The RNG is only consulted when a gray fault or a
-    /// jitter knob actually needs randomness, so the default path stays
-    /// bit-identical regardless of this value.
-    pub fault_seed: u64,
     /// Decode-step coalescing on disaggregated decode replicas: schedule
     /// one event per planned multi-step decode run instead of one per step,
     /// materializing the intermediate steps retroactively when anything
@@ -146,31 +120,6 @@ pub struct SimConfig {
     /// only observes, so enabling it keeps simulation results bit-identical
     /// (the golden-digest suite pins this).
     pub streaming: Option<ts_telemetry::StreamConfig>,
-}
-
-/// How a replica schedules its prefill queue. One policy serves both
-/// topologies: on a colocated replica `Fcfs` and `ShortestFirst` run whole
-/// prefill batches ahead of decode steps (vLLM's prefill priority), while
-/// `Chunked` alternates prompt chunks with decode steps.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum PrefillPolicy {
-    /// First come, first served, in whole-request batches under
-    /// [`MAX_PREFILL_BATCH_TOKENS`] (the default; what the paper's systems
-    /// run).
-    #[default]
-    Fcfs,
-    /// Shortest prompt first, in whole-request batches: improves median
-    /// TTFT under mixed prompt lengths at the cost of tail latency for long
-    /// prompts (classic SJF trade-off; provided for scheduling studies).
-    ShortestFirst,
-    /// Sarathi-style chunked prefill in arrival order: each launch
-    /// processes at most `chunk_tokens` prompt tokens, bounding per-launch
-    /// occupancy of a prefill pipeline and, on a colocated replica, the
-    /// decode stall per prompt.
-    Chunked {
-        /// Maximum prompt tokens processed per launch; must be positive.
-        chunk_tokens: u64,
-    },
 }
 
 /// Straggler quarantine: a replica whose observed-vs-expected
@@ -202,18 +151,6 @@ impl Quarantine {
     }
 }
 
-/// Deadline shedding: a request is shed (rejected, `DeadlineShed`) instead
-/// of dispatched if its TTFT deadline — `arrival + slo.ttft × scale` — has
-/// already passed while it waited, which only happens under overload.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Deadline {
-    /// The SLO targets deadlines derive from.
-    pub slo: SloSpec,
-    /// Slack multiplier on the targets (1 = shed exactly at the SLO);
-    /// finite and positive.
-    pub scale: f64,
-}
-
 /// Hedged re-dispatch: a request whose first token has not appeared
 /// `timeout` after dispatch gets a duplicate prefill launched on an
 /// alternate replica pair (first completion wins, the loser is cancelled);
@@ -242,17 +179,10 @@ impl SimConfig {
             params: ModelParams::default(),
             kv_precision: KvWirePrecision::DEFAULT_COMPRESSED,
             kv_transfer: KvTransfer::Serialized,
-            tpot_batch_cap: None,
-            prefill_policy: PrefillPolicy::Fcfs,
-            shed_threshold: 256,
             telemetry: false,
             pressure: false,
             hedge: None,
-            kv_retry_budget: None,
-            kv_retry_jitter: 0.0,
             quarantine: None,
-            deadline: None,
-            fault_seed: 0x7453_4752_4159,
             decode_coalescing: true,
             streaming: None,
         }
@@ -262,31 +192,13 @@ impl SimConfig {
     /// listed on [`SimConfig`]). Both [`crate::Simulation`] constructors
     /// run it first.
     pub(crate) fn validate(&self) -> Result<()> {
-        let bad = |what: String| Err(Error::InvalidConfig(what));
-        if self.prefill_policy == (PrefillPolicy::Chunked { chunk_tokens: 0 }) {
-            return bad("prefill chunk must hold at least one token".into());
-        }
         if let Some(q) = self.quarantine {
             if !(q.threshold.is_finite() && q.threshold > 1.0) {
-                return bad(format!(
+                return Err(Error::InvalidConfig(format!(
                     "straggler threshold must be finite and > 1, got {}",
                     q.threshold
-                ));
+                )));
             }
-        }
-        if let Some(d) = self.deadline {
-            if !(d.scale.is_finite() && d.scale > 0.0) {
-                return bad(format!(
-                    "deadline scale must be finite and positive, got {}",
-                    d.scale
-                ));
-            }
-        }
-        if !(0.0..=1.0).contains(&self.kv_retry_jitter) {
-            return bad(format!(
-                "retry jitter must be in [0, 1], got {}",
-                self.kv_retry_jitter
-            ));
         }
         self.streaming
             .as_ref()
@@ -350,57 +262,15 @@ impl SimConfig {
         self
     }
 
-    /// Returns a copy with SLO-aware decode batch capping at `tpot`.
-    pub fn with_tpot_cap(mut self, tpot: SimDuration) -> Self {
-        self.tpot_batch_cap = Some(tpot);
-        self
-    }
-
-    /// Returns a copy with the given prefill policy.
-    pub fn with_prefill_policy(mut self, policy: PrefillPolicy) -> Self {
-        self.prefill_policy = policy;
-        self
-    }
-
-    /// Returns a copy with the given stall-queue shed threshold.
-    pub fn with_shed_threshold(mut self, n: usize) -> Self {
-        self.shed_threshold = n;
-        self
-    }
-
     /// Returns a copy with the given hedged re-dispatch.
     pub fn with_hedge(mut self, hedge: Hedge) -> Self {
         self.hedge = Some(hedge);
         self
     }
 
-    /// Returns a copy with a per-request KV-transfer retry budget.
-    pub fn with_kv_retry_budget(mut self, retries: u32) -> Self {
-        self.kv_retry_budget = Some(retries);
-        self
-    }
-
-    /// Returns a copy with the given retry-backoff jitter fraction.
-    pub fn with_kv_retry_jitter(mut self, jitter: f64) -> Self {
-        self.kv_retry_jitter = jitter;
-        self
-    }
-
     /// Returns a copy with the given straggler quarantine.
     pub fn with_quarantine(mut self, quarantine: Quarantine) -> Self {
         self.quarantine = Some(quarantine);
-        self
-    }
-
-    /// Returns a copy with the given deadline shedding.
-    pub fn with_deadline(mut self, deadline: Deadline) -> Self {
-        self.deadline = Some(deadline);
-        self
-    }
-
-    /// Returns a copy with the given fault/mitigation RNG seed.
-    pub fn with_fault_seed(mut self, seed: u64) -> Self {
-        self.fault_seed = seed;
         self
     }
 
@@ -474,65 +344,25 @@ mod tests {
     }
 
     #[test]
-    fn with_tpot_cap_sets_deadline() {
-        let d = ts_common::SimDuration::from_millis(50);
-        let c = SimConfig::new(ModelSpec::llama_7b()).with_tpot_cap(d);
-        assert_eq!(c.tpot_batch_cap, Some(d));
-    }
-
-    #[test]
-    fn prefill_chunking_defaults_off() {
-        let c = SimConfig::new(ModelSpec::llama_7b());
-        assert_eq!(c.prefill_policy, PrefillPolicy::Fcfs);
-        let chunked = PrefillPolicy::Chunked { chunk_tokens: 512 };
-        assert_eq!(c.with_prefill_policy(chunked).prefill_policy, chunked);
-    }
-
-    #[test]
-    fn fault_knobs_have_sane_defaults_and_builders() {
-        let c = SimConfig::new(ModelSpec::llama_7b());
-        assert!(c.shed_threshold > 0);
-        let c = c.with_shed_threshold(8);
-        assert_eq!(c.shed_threshold, 8);
-    }
-
-    #[test]
     fn mitigation_knobs_default_off() {
         let c = SimConfig::new(ModelSpec::llama_7b());
         assert_eq!(c.hedge, None);
-        assert_eq!(c.kv_retry_budget, None);
-        assert_eq!(c.kv_retry_jitter, 0.0);
         assert_eq!(c.quarantine, None);
-        assert_eq!(c.deadline, None);
-        let slo = SloSpec::new(
-            SimDuration::from_millis(500),
-            SimDuration::from_millis(50),
-            SimDuration::from_secs(20),
-        );
         let quarantine = Quarantine {
             threshold: 2.0,
             readmit_after: SimDuration::from_secs(3),
         };
-        let deadline = Deadline { slo, scale: 2.0 };
         let c = c
             .with_hedge(Hedge::after(SimDuration::from_millis(900)))
-            .with_kv_retry_budget(4)
-            .with_kv_retry_jitter(0.5)
-            .with_quarantine(quarantine)
-            .with_deadline(deadline)
-            .with_fault_seed(7);
+            .with_quarantine(quarantine);
         assert_eq!(
             c.hedge,
             Some(Hedge {
                 timeout: SimDuration::from_millis(900)
             })
         );
-        assert_eq!(c.kv_retry_budget, Some(4));
-        assert_eq!(c.kv_retry_jitter, 0.5);
         assert_eq!(c.quarantine, Some(quarantine));
         assert_eq!(Quarantine::at(2.0).readmit_after, SimDuration::from_secs(5));
-        assert_eq!(c.deadline, Some(deadline));
-        assert_eq!(c.fault_seed, 7);
         assert!(c.validate().is_ok());
     }
 
@@ -585,9 +415,7 @@ mod tests {
             SimDuration::from_secs(10),
         ));
         let cfg = SimConfig::new(ModelSpec::llama_7b())
-            .with_prefill_policy(PrefillPolicy::Chunked { chunk_tokens: 1 })
             .with_quarantine(Quarantine::at(1.5))
-            .with_kv_retry_jitter(1.0)
             .with_hedge(Hedge::after(SimDuration::from_millis(400)))
             .with_streaming(stream);
         for got in construct_both(cfg) {
@@ -605,27 +433,13 @@ mod tests {
     }
 
     #[test]
-    fn retry_jitter_above_one_rejected() {
-        for jitter in [1.5, 5.0, -0.1, f64::NAN] {
-            assert_rejected(SimConfig::new(ModelSpec::llama_7b()).with_kv_retry_jitter(jitter));
-        }
-    }
-
-    #[test]
-    fn unusable_chunks_scales_and_gates_rejected() {
+    fn unusable_streaming_settings_rejected() {
         let c = SimConfig::new(ModelSpec::llama_7b());
         let slo = SloSpec::new(
             SimDuration::from_millis(500),
             SimDuration::from_millis(50),
             SimDuration::from_secs(20),
         );
-        assert_rejected(
-            c.clone()
-                .with_prefill_policy(PrefillPolicy::Chunked { chunk_tokens: 0 }),
-        );
-        for scale in [-1.0, 0.0, f64::NAN, f64::INFINITY] {
-            assert_rejected(c.clone().with_deadline(Deadline { slo, scale }));
-        }
         // Streaming settings the plane cannot run: windows, accuracies and
         // the burn monitors' target, threshold and window depths.
         use ts_telemetry::StreamConfig;

@@ -3,9 +3,8 @@
 //! A colocated replica serves both phases on one set of GPUs, so one work
 //! item — a prefill launch or one decode step — occupies its engine at a
 //! time and long prompts stall ongoing decodes: the interference phase
-//! splitting removes. Whole prefill batches run first under `Fcfs` and
-//! `ShortestFirst`; under `Chunked` prompt chunks strictly alternate with
-//! decode steps ([`PrefillPolicy`]). The steps both topologies share
+//! splitting removes. Whole prefill batches run ahead of decode steps
+//! (vLLM's prefill priority). The steps both topologies share
 //! (enqueueing, launch pricing, prefill completion, admission and decode
 //! finishes) are the driver's; this module only decides which work item
 //! runs next and what its completion means.
@@ -16,7 +15,6 @@ use super::driver::{
 use super::executor::{ColocatedExecutor, ReplicaExecutor, Work};
 use super::gray::observe_straggler;
 use super::seq::WaitingSeq;
-use crate::config::PrefillPolicy;
 use crate::event::EventKind;
 use ts_common::{Error, Result};
 use ts_telemetry::{Role, TraceKind};
@@ -38,17 +36,19 @@ pub(super) fn maybe_start_work(core: &mut Core, c: &mut ColoState, ri: usize) {
     if !r.is_alive() {
         return;
     }
-    admit_waiting(core, Role::Colocated, ri, &mut r.batch, &r.cost);
+    admit_waiting(core, Role::Colocated, ri, &mut r.batch);
     if r.current.is_some() {
         return;
     }
-    let has_prefill = !r.prefill.is_empty();
-    let has_decode = !r.batch.active.is_empty();
-    // Whole batches take priority over decode; chunks strictly alternate
-    // with decode steps when both kinds of work exist.
-    let chunked = matches!(core.cfg.prefill_policy, PrefillPolicy::Chunked { .. });
-    let run_decode = has_decode && (!has_prefill || (chunked && r.decode_turn));
-    let latency = if run_decode {
+    // Whole prefill batches take priority over decode.
+    let latency = if !r.prefill.is_empty() {
+        let mut finishing = Vec::new();
+        let (tokens, ctx) =
+            take_prefill_launch(core, Role::Colocated, ri, &mut r.prefill, &mut finishing);
+        let (latency, _) = price_prefill(&r.cost, &mut r.price_memo, r.slow_factor, tokens, ctx);
+        r.current = Some(Work::Prefill { finishing });
+        latency
+    } else if !r.batch.active.is_empty() {
         let batch = r.batch.active.len() as u64;
         trace(
             core,
@@ -63,15 +63,6 @@ pub(super) fn maybe_start_work(core: &mut Core, c: &mut ColoState, ri: usize) {
             latency = latency.mul_f64(r.slow_factor);
         }
         r.current = Some(Work::DecodeStep);
-        r.decode_turn = false;
-        latency
-    } else if has_prefill {
-        let mut finishing = Vec::new();
-        let (tokens, ctx) =
-            take_prefill_launch(core, Role::Colocated, ri, &mut r.prefill, &mut finishing);
-        let (latency, _) = price_prefill(&r.cost, &mut r.price_memo, r.slow_factor, tokens, ctx);
-        r.current = Some(Work::Prefill { finishing });
-        r.decode_turn = chunked;
         latency
     } else {
         return;

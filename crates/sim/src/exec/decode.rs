@@ -60,7 +60,7 @@ pub(super) fn admit_and_kick(core: &mut Core, s: &mut SplitState, j: usize) {
     if !d.is_alive() {
         return;
     }
-    let admitted = admit_waiting(core, Role::Decode, j, &mut d.batch, &d.cost);
+    let admitted = admit_waiting(core, Role::Decode, j, &mut d.batch);
     if d.batch.active.is_empty() {
         return;
     }

@@ -56,7 +56,7 @@ use super::executor::{
 use super::gray::{self, observe_straggler, GrayState};
 use super::kv::{KvTransport, Transfer};
 use super::seq::{AdmitOutcome, BatchCore, Pending, PrefillJob, PrefillQueue, WaitingSeq};
-use crate::config::SimConfig;
+use crate::config::{SimConfig, SHED_THRESHOLD};
 use crate::event::{Event, EventKind, EventQueue};
 use crate::fault::{FaultScript, TimedFault};
 use crate::metrics::{Metrics, ModelConservation, RecoveryCounters, RequestRecord};
@@ -123,7 +123,7 @@ pub(crate) struct Core {
     pub(super) faults: Vec<TimedFault>,
     pub(super) recovery_enabled: bool,
     /// Arrivals (and requeues) stalled because no live route exists or the
-    /// service is paused; shed beyond `cfg.shed_threshold`.
+    /// service is paused; shed beyond [`SHED_THRESHOLD`].
     pub(super) stalled: VecDeque<PrefillJob>,
     pub(super) paused_until: Option<SimTime>,
     pub(super) recovery: RecoveryCounters,
@@ -259,15 +259,12 @@ impl Driver {
         // `spec_for` resolves to `cfg.model` exactly as before.
         let mut prefills = Vec::with_capacity(prefill_idx.len());
         for &gi in &prefill_idx {
-            prefills.push(PrefillExecutor::new(
-                ReplicaCostModel::new(
-                    cluster,
-                    cfg.spec_for(plan.groups[gi].model),
-                    &plan.groups[gi],
-                    &cfg.params,
-                )?,
-                cfg.prefill_policy,
-            ));
+            prefills.push(PrefillExecutor::new(ReplicaCostModel::new(
+                cluster,
+                cfg.spec_for(plan.groups[gi].model),
+                &plan.groups[gi],
+                &cfg.params,
+            )?));
         }
         let mut decodes = Vec::with_capacity(decode_idx.len());
         for &gi in &decode_idx {
@@ -349,7 +346,7 @@ impl Driver {
             let kv_capacity = cost.kv_capacity_tokens();
             // Route proportional to steady decode throughput at batch 32.
             weights.push(cost.decode_throughput(32.min(kv_capacity / 1024).max(1), 1024));
-            replicas.push(ColocatedExecutor::new(cost, cfg.prefill_policy));
+            replicas.push(ColocatedExecutor::new(cost));
         }
         let n = replicas.len();
         let route = Route {
@@ -663,26 +660,7 @@ impl Driver {
         let Some(st) = self.core.reqs.get(job.key) else {
             return;
         };
-        let (rid, model, arrival) = (st.req.id, st.req.model, st.req.arrival);
-        // SLO-class-aware shedding: a request whose TTFT deadline already
-        // passed before its prefill could even be dispatched (it sat
-        // stalled through a pause or dead-router window, or is being
-        // requeued after a fault) is not worth serving. Fires only for
-        // delayed dispatches — at arrival `now == arrival`, so an
-        // on-time request is never shed. Re-prefills of sequences that
-        // already produced their first token are exempt: their TTFT was
-        // met.
-        if let Some(d) = self.core.cfg.deadline {
-            let ttft_met = st.pend.first_token_at.is_some();
-            let deadline = arrival + d.slo.ttft.mul_f64(d.scale);
-            if !ttft_met && self.core.now > deadline {
-                reject_request(&mut self.core, job.key);
-                self.core.recovery.deadline_shed += 1;
-                trace(&mut self.core, TraceKind::DeadlineShed { request: rid });
-                clear_affected(&mut self.core, rid);
-                return;
-            }
-        }
+        let (rid, model) = (st.req.id, st.req.model);
         if self.core.paused_until.is_some() {
             stall_or_shed(&mut self.core, job);
             return;
@@ -739,7 +717,7 @@ impl Core {
             }
             Box::new(plane)
         });
-        let gray = GrayState::new(cfg.fault_seed, prefill_hosts, total_hosts);
+        let gray = GrayState::new(prefill_hosts, total_hosts);
         let track_models = !cfg.models.is_empty();
         Core {
             cfg,
@@ -894,7 +872,7 @@ fn reject_request(core: &mut Core, key: SlabKey) {
 }
 
 fn stall_or_shed(core: &mut Core, job: PrefillJob) {
-    if core.stalled.len() < core.cfg.shed_threshold {
+    if core.stalled.len() < SHED_THRESHOLD {
         if tracing(core) {
             let rid = core.reqs[job.key].req.id;
             trace(core, TraceKind::Stalled { request: rid });
@@ -1133,13 +1111,10 @@ pub(super) fn admit_waiting(
     role: Role,
     replica: usize,
     batch: &mut BatchCore,
-    cost: &ReplicaCostModel,
 ) -> bool {
     let mut outcomes = std::mem::take(&mut core.admit_buf);
     let reqs = &core.reqs;
     batch.admit(
-        cost,
-        &core.cfg,
         core.now,
         |key| reqs.get(key).and_then(|st| st.pend.first_token_at),
         &mut outcomes,

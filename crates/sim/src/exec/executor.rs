@@ -5,15 +5,13 @@
 //! against. Three concrete executors exist:
 //!
 //! * [`PrefillExecutor`] — prefill-only replica of the phase-split engine
-//!   (pipelined batches, whole-batch or chunked);
+//!   (pipelined FCFS batches);
 //! * [`DecodeExecutor`] — decode-only replica of the phase-split engine
 //!   (continuous batching over a [`BatchCore`]);
 //! * [`ColocatedExecutor`] — a vLLM/HexGen-style replica serving both
-//!   phases on one set of GPUs, with prefill-priority or chunked
-//!   scheduling ([`PrefillPolicy`]).
+//!   phases on one set of GPUs, prefill batches ahead of decode steps.
 
 use super::seq::{BatchCore, PrefillJob, PrefillQueue, ResumeState};
-use crate::config::PrefillPolicy;
 use crate::event::EventToken;
 use std::collections::VecDeque;
 use ts_common::{SimDuration, SimTime, SlabKey};
@@ -22,8 +20,8 @@ use ts_costmodel::{DecodeStepSeries, ReplicaCostModel};
 /// What a colocated replica is currently executing.
 #[derive(Debug, Clone)]
 pub enum Work {
-    /// Processing a chunk of prompt tokens; jobs in `finishing` complete
-    /// their prefill when this work item ends.
+    /// Processing a prefill batch; jobs in `finishing` complete their
+    /// prefill when this work item ends.
     Prefill {
         /// Jobs whose prefill completes with this work item.
         finishing: Vec<PrefillJob>,
@@ -479,7 +477,7 @@ pub trait ReplicaExecutor {
 pub struct PrefillExecutor {
     /// Cost model of the replica's GPU group.
     pub cost: ReplicaCostModel,
-    /// Queued prefill jobs (with chunked-prefill progress).
+    /// Queued prefill jobs.
     pub queue: PrefillQueue,
     /// Batches currently flowing through the pipeline (FIFO: completion
     /// events fire in launch order because stage times are batch-agnostic
@@ -508,12 +506,11 @@ pub struct PrefillExecutor {
 }
 
 impl PrefillExecutor {
-    /// A fresh, live executor over `cost` whose queue is ordered for
-    /// `policy`.
-    pub fn new(cost: ReplicaCostModel, policy: PrefillPolicy) -> Self {
+    /// A fresh, live executor over `cost`.
+    pub fn new(cost: ReplicaCostModel) -> Self {
         PrefillExecutor {
             cost,
-            queue: PrefillQueue::new(policy),
+            queue: PrefillQueue::default(),
             in_flight: VecDeque::new(),
             next_free: SimTime::ZERO,
             wakeup_scheduled: false,
@@ -682,14 +679,12 @@ impl ReplicaExecutor for DecodeExecutor {
 pub struct ColocatedExecutor {
     /// Cost model of the replica's GPU group.
     pub cost: ReplicaCostModel,
-    /// Queued prefill work (with chunked-prefill progress).
+    /// Queued prefill work.
     pub prefill: PrefillQueue,
     /// KV memory accounting, active decode batch and admission queue.
     pub batch: BatchCore,
     /// The work item currently occupying the engine, if any.
     pub current: Option<Work>,
-    /// Under chunked scheduling, alternate prefill chunks and decode steps.
-    pub decode_turn: bool,
     /// Gray-failure straggler factor applied to both phases' iteration
     /// times (a colocated replica slows down as a whole; exactly 1.0 =
     /// healthy, skipped by the driver).
@@ -702,16 +697,14 @@ pub struct ColocatedExecutor {
 }
 
 impl ColocatedExecutor {
-    /// A fresh, live executor over `cost` whose prefill queue is ordered
-    /// for `policy`.
-    pub fn new(cost: ReplicaCostModel, policy: PrefillPolicy) -> Self {
+    /// A fresh, live executor over `cost` with its KV capacity.
+    pub fn new(cost: ReplicaCostModel) -> Self {
         let kv_capacity = cost.kv_capacity_tokens();
         ColocatedExecutor {
             cost,
-            prefill: PrefillQueue::new(policy),
+            prefill: PrefillQueue::default(),
             batch: BatchCore::new(kv_capacity),
             current: None,
-            decode_turn: false,
             slow_factor: 1.0,
             price_memo: None,
             alive: true,
@@ -747,7 +740,6 @@ impl ReplicaExecutor for ColocatedExecutor {
             prefill_jobs.extend(finishing);
         }
         self.current = None;
-        self.decode_turn = false;
         prefill_jobs.extend(self.prefill.drain_all());
         DrainedWork {
             prefill_jobs,

@@ -9,7 +9,7 @@
 //! prefill jobs are requeued, decode sequences whose KV died are
 //! re-prefilled over their full context, and work that cannot be routed
 //! waits in the stall queue
-//! (shed beyond [`crate::config::SimConfig::shed_threshold`]). This is how
+//! (shed beyond [`crate::config::SHED_THRESHOLD`]). This is how
 //! the colocated baselines get fault injection and
 //! [`crate::metrics::RecoveryCounters`] on the same terms as the
 //! phase-split topology.

@@ -2,15 +2,15 @@
 //! hedging.
 //!
 //! [`GrayState`] owns the per-host mitigation state and the seeded RNG
-//! every stochastic mitigation decision draws from. Hosts number the
+//! flaky heartbeats draw beat loss from. Hosts number the
 //! prefill replicas first, then the decode replicas; a colocated replica
 //! is one host in either role. The driver consults the state through
 //! [`GrayState::masked`] when it derives routing masks, and calls in here
 //! when a heartbeat window, a readmission probe or a hedge timer fires and
 //! when an iteration completes ([`observe_straggler`]).
 //!
-//! The RNG is drawn from only when a gray fault or a jitter knob is
-//! active, so the default path stays bit-identical.
+//! The RNG is drawn from only by flaky heartbeats, so every other path
+//! stays bit-identical.
 
 use super::decode;
 use super::driver::{
@@ -18,7 +18,7 @@ use super::driver::{
     SplitState,
 };
 use super::executor::ReplicaExecutor;
-use crate::config::STRAGGLER_MIN_SAMPLES;
+use crate::config::{FAULT_SEED, STRAGGLER_MIN_SAMPLES};
 use crate::event::EventKind;
 #[cfg(doc)]
 use crate::fault::FaultKind;
@@ -28,11 +28,11 @@ use ts_common::{derive_seed, seeded_rng, SimDuration, SimTime, SlabKey};
 use ts_telemetry::{Role, TraceKind};
 
 /// Per-host gray-failure bookkeeping: flaky-heartbeat masking, straggler
-/// detection EWMAs and quarantine state, plus the seeded RNG every
-/// stochastic mitigation decision (beat loss, retry jitter) draws from.
+/// detection EWMAs and quarantine state, plus the seeded RNG beat-loss
+/// draws come from.
 pub(super) struct GrayState {
-    /// Seeded RNG for beat-loss draws and retry jitter; deterministic per
-    /// [`crate::config::SimConfig::fault_seed`].
+    /// Seeded RNG for beat-loss draws, seeded from
+    /// [`crate::config::FAULT_SEED`].
     rng: StdRng,
     /// Number of prefill-only hosts — decode replica `j` is host
     /// `prefill_hosts + j`. `None` when colocated, where replica `k` is
@@ -66,9 +66,9 @@ pub(super) struct GrayState {
 impl GrayState {
     /// Healthy state for `total_hosts` hosts, the first `prefill_hosts` of
     /// them prefill replicas (`None` for colocated replicas).
-    pub(super) fn new(seed: u64, prefill_hosts: Option<usize>, total_hosts: usize) -> Self {
+    pub(super) fn new(prefill_hosts: Option<usize>, total_hosts: usize) -> Self {
         GrayState {
-            rng: seeded_rng(derive_seed(seed, 0x6772_6179)),
+            rng: seeded_rng(derive_seed(FAULT_SEED, 0x6772_6179)),
             prefill_hosts,
             flaky: vec![0.0; total_hosts],
             flaky_dead: vec![false; total_hosts],
@@ -90,11 +90,6 @@ impl GrayState {
     /// Whether routing must avoid `host` (missed beat or quarantine).
     pub(super) fn masked(&self, host: usize) -> bool {
         self.flaky_dead[host] || self.quarantined[host]
-    }
-
-    /// A uniform draw from `[0, 1)` off the seeded mitigation RNG.
-    pub(super) fn draw(&mut self) -> f64 {
-        self.rng.gen_range(0.0..1.0)
     }
 
     /// The host index of a replica (prefills first, then decodes; colocated
@@ -166,7 +161,7 @@ impl Driver {
             self.core.gray.flaky_scheduled[node] = false;
             return;
         }
-        let lost = self.core.gray.draw() < p;
+        let lost = self.core.gray.rng.gen_range(0.0..1.0) < p;
         if lost && !self.core.gray.flaky_dead[node] {
             self.core.gray.flaky_dead[node] = true;
             self.core.recovery.quarantines += 1;

@@ -345,18 +345,14 @@ impl KvTransport {
     }
 
     /// The link under `t` faulted. With recovery the sender retries after
-    /// a capped exponential backoff; without, once the retry budget is
-    /// spent, or when the script never brings the link back up, the
-    /// request is lost.
+    /// a capped exponential backoff; without, or when the script never
+    /// brings the link back up, the request is lost.
     fn retry(&mut self, core: &mut Core, key: SlabKey, mut t: Transfer) {
         if !core.recovery_enabled || !heals_later(&core.faults, t.from, t.to, core.now) {
             drop_request(core, key);
             return;
         }
         t.attempt += 1;
-        if retry_budget_spent(core, key, t.attempt) {
-            return;
-        }
         core.recovery.kv_transfer_retries += 1;
         let rid = core.reqs[key].req.id;
         trace(
@@ -366,7 +362,7 @@ impl KvTransport {
                 attempt: t.attempt,
             },
         );
-        let delay = retry_backoff(core, t.attempt);
+        let delay = retry_backoff(t.attempt);
         self.launch(core, t, delay);
     }
 
@@ -497,10 +493,8 @@ fn heals_later(faults: &[TimedFault], prefill: usize, decode: usize, now: SimTim
 }
 
 /// Exponential backoff for transfer attempt `attempt` (2 = first retry):
-/// `base * 2^(attempt-2)`, capped — then stretched by a seeded jitter draw
-/// in `[1, 1 + kv_retry_jitter]` when the jitter knob is on (the RNG is
-/// untouched at the default of 0, preserving bit-identity).
-fn retry_backoff(core: &mut Core, attempt: u32) -> SimDuration {
+/// `base * 2^(attempt-2)`, capped.
+fn retry_backoff(attempt: u32) -> SimDuration {
     let mut delay = KV_RETRY_BACKOFF_BASE;
     for _ in 2..attempt {
         delay = delay + delay;
@@ -509,30 +503,7 @@ fn retry_backoff(core: &mut Core, attempt: u32) -> SimDuration {
             break;
         }
     }
-    delay = delay.min(KV_RETRY_BACKOFF_CAP);
-    let jitter = core.cfg.kv_retry_jitter;
-    if jitter > 0.0 {
-        let stretch = 1.0 + core.gray.draw() * jitter;
-        delay = delay.mul_f64(stretch);
-    }
-    delay
-}
-
-/// Checks the per-request retry budget for a transfer about to run
-/// `attempt` (already incremented). Returns `true` — after dropping the
-/// request and counting the exhaustion — when the budget is spent.
-/// Attempt 1 is the initial send, so a budget of `b` allows attempts up to
-/// `b + 1`.
-fn retry_budget_spent(core: &mut Core, key: SlabKey, attempt: u32) -> bool {
-    let Some(budget) = core.cfg.kv_retry_budget else {
-        return false;
-    };
-    if attempt <= budget + 1 {
-        return false;
-    }
-    core.recovery.retry_budget_exhausted += 1;
-    drop_request(core, key);
-    true
+    delay.min(KV_RETRY_BACKOFF_CAP)
 }
 
 #[cfg(test)]

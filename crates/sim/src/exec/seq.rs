@@ -19,10 +19,9 @@
 //! live in the slab entry.
 
 use super::executor::LostSeq;
-use crate::config::{PrefillPolicy, SimConfig, MAX_DECODE_BATCH, MAX_PREFILL_BATCH_TOKENS};
+use crate::config::{MAX_DECODE_BATCH, MAX_PREFILL_BATCH_TOKENS};
 use std::collections::VecDeque;
 use ts_common::{Request, SimDuration, SimTime, SlabKey};
-use ts_costmodel::ReplicaCostModel;
 
 /// Per-request routing decision and timing bookkeeping held by the driver.
 ///
@@ -176,15 +175,13 @@ impl BatchCore {
         }
     }
 
-    /// Admits waiting sequences in FCFS order while memory, batch-size and
-    /// (optional) TPOT-cap limits allow. Oversized sequences that can never
-    /// fit are dropped. Writes the decisions in order into `out` (cleared
-    /// first, so a caller can recycle one buffer); the caller applies their
-    /// side effects (drop accounting, recovery bookkeeping).
+    /// Admits waiting sequences in FCFS order while memory and batch-size
+    /// limits allow. Oversized sequences that can never fit are dropped.
+    /// Writes the decisions in order into `out` (cleared first, so a caller
+    /// can recycle one buffer); the caller applies their side effects (drop
+    /// accounting, recovery bookkeeping).
     pub fn admit(
         &mut self,
-        cost: &ReplicaCostModel,
-        cfg: &SimConfig,
         now: SimTime,
         first_token_at: impl Fn(SlabKey) -> Option<SimTime>,
         out: &mut Vec<AdmitOutcome>,
@@ -206,17 +203,6 @@ impl BatchCore {
                 || self.kv_used + need > self.kv_capacity
             {
                 return;
-            }
-            // SLO-aware batch cap: do not grow the batch past the point
-            // where the projected step latency breaks the TPOT deadline.
-            if let Some(cap) = cfg.tpot_batch_cap {
-                if !self.active.is_empty() {
-                    let batch = self.active.len() as u64 + 1;
-                    let ctx = (self.active.iter().map(|a| a.context).sum::<u64>() + need) / batch;
-                    if cost.decode_step_latency(batch, ctx) > cap {
-                        return;
-                    }
-                }
             }
             self.waiting.pop_front();
             self.kv_used += need;
@@ -314,80 +300,34 @@ impl BatchCore {
     }
 }
 
-/// A prefill work queue with chunked-prefill progress tracking, shared by
-/// prefill and colocated executors. Its [`PrefillPolicy`] is fixed at
-/// construction and decides both the queue order and what each launch
-/// takes.
+/// A prefill work queue, shared by prefill and colocated executors: jobs
+/// are served first come, first served, in whole-request batches.
 #[derive(Debug, Default)]
 pub struct PrefillQueue {
-    /// Queued jobs: FCFS arrival order, or kept sorted by prompt length
-    /// (ties in arrival order) under [`PrefillPolicy::ShortestFirst`].
+    /// Queued jobs in arrival order.
     pub queue: VecDeque<PrefillJob>,
-    /// Prompt tokens of the queue head already processed by earlier chunks.
-    pub head_progress: u64,
-    policy: PrefillPolicy,
 }
 
 impl PrefillQueue {
-    /// An empty queue scheduled under `policy`.
-    pub fn new(policy: PrefillPolicy) -> Self {
-        PrefillQueue {
-            policy,
-            ..Default::default()
-        }
-    }
-
     /// Whether no work is queued.
     pub fn is_empty(&self) -> bool {
         self.queue.is_empty()
     }
 
-    /// Enqueues `job`: binary-inserted after the last job with the same or
-    /// a shorter prompt under shortest-first — exactly the position a
-    /// stable sort by token count would give it — and appended otherwise.
+    /// Enqueues `job` behind every queued one.
     pub fn enqueue(&mut self, job: PrefillJob) {
-        if self.policy == PrefillPolicy::ShortestFirst {
-            let pos = self.queue.partition_point(|j| j.tokens <= job.tokens);
-            self.queue.insert(pos, job);
-        } else {
-            self.queue.push_back(job);
-        }
+        self.queue.push_back(job);
     }
 
     /// Takes the next launch's work into `jobs` (cleared first, so a
-    /// caller can recycle one buffer per replica): the jobs whose prefill
-    /// completes with this launch. Returns the prompt tokens the launch
-    /// processes and the context length to price it at.
-    ///
-    /// Under [`PrefillPolicy::Chunked`] the launch covers up to
-    /// `chunk_tokens` of the queue head(s), Sarathi-style: jobs whose
-    /// remaining tokens fit finish, a partially covered head records its
-    /// progress and stays queued. Otherwise it is a whole-request batch in
-    /// queue order until the next job would exceed
+    /// caller can recycle one buffer per replica): a whole-request batch
+    /// in queue order until the next job would exceed
     /// [`MAX_PREFILL_BATCH_TOKENS`]; at least one job is always taken.
+    /// Returns the prompt tokens the launch processes and the context
+    /// length to price it at.
     pub fn take_launch(&mut self, jobs: &mut Vec<PrefillJob>) -> (u64, u64) {
         jobs.clear();
         let mut tokens = 0u64;
-        if let PrefillPolicy::Chunked { chunk_tokens } = self.policy {
-            while tokens < chunk_tokens {
-                let Some(front) = self.queue.front().copied() else {
-                    break;
-                };
-                let remaining = front.tokens - self.head_progress;
-                let room = chunk_tokens - tokens;
-                if remaining <= room {
-                    tokens += remaining;
-                    self.head_progress = 0;
-                    jobs.push(self.queue.pop_front().unwrap());
-                } else {
-                    self.head_progress += room;
-                    tokens += room;
-                    break;
-                }
-            }
-            let avg = jobs.first().map_or(tokens.max(1), |j| j.tokens);
-            return (tokens.max(1), avg);
-        }
         while let Some(front) = self.queue.front() {
             let t = front.tokens;
             if !jobs.is_empty() && tokens + t > MAX_PREFILL_BATCH_TOKENS {
@@ -399,23 +339,17 @@ impl PrefillQueue {
         (tokens, tokens / jobs.len() as u64)
     }
 
-    /// Drains every queued job (fault evacuation), resetting chunk
-    /// progress: a partially prefilled head must start over.
+    /// Drains every queued job (fault evacuation).
     pub fn drain_all(&mut self) -> Vec<PrefillJob> {
-        self.head_progress = 0;
         self.queue.drain(..).collect()
     }
 
     /// Removes one queued job by request key (hedge-loser cancellation).
-    /// Chunk progress resets if the head is removed — the partial work is
-    /// abandoned with it. Returns whether a job was found.
+    /// Returns whether a job was found.
     pub fn remove(&mut self, key: SlabKey) -> bool {
         let Some(pos) = self.queue.iter().position(|j| j.key == key) else {
             return false;
         };
-        if pos == 0 {
-            self.head_progress = 0;
-        }
         self.queue.remove(pos);
         true
     }

@@ -11,11 +11,10 @@
 //! we use one engine both for plan evaluation and for the "measured" side of
 //! every experiment.
 //!
-//! * [`config`] — [`SimConfig`], the one config both topologies read: one
-//!   [`PrefillPolicy`], each paired mitigation knob as one typed value
-//!   ([`Quarantine`], [`Deadline`], [`Hedge`]), and one check, run by both
-//!   [`Simulation`] constructors, that rejects settings that could not
-//!   take effect;
+//! * [`config`] — [`SimConfig`], the one config both topologies read: each
+//!   paired mitigation knob as one typed value ([`Quarantine`], [`Hedge`]),
+//!   and one check, run by both [`Simulation`] constructors, that rejects
+//!   settings that could not take effect;
 //! * [`event`] — the time-ordered event queue;
 //! * [`metrics`] — per-request records, SLO attainment and throughput;
 //! * [`router`] — deterministic stride router implementing a routing matrix;
@@ -70,7 +69,7 @@ pub mod fault;
 pub mod metrics;
 pub mod router;
 
-pub use config::{Deadline, Hedge, KvTransfer, PrefillPolicy, Quarantine, SimConfig};
+pub use config::{Hedge, KvTransfer, Quarantine, SimConfig};
 pub use engine::Simulation;
 pub use estimate::{estimate_attainment, AttainmentEstimate};
 pub use exec::DecodeWork;

@@ -23,7 +23,8 @@ pub struct RequestRecord {
     pub finished_at: SimTime,
     /// Longest gap between two consecutive output tokens (zero for
     /// single-token outputs) — the inter-token latency (ITL) tail, which
-    /// chunked-prefill scheduling is designed to bound.
+    /// prefill interference on colocated replicas and fault recovery
+    /// stretch.
     pub max_token_gap: SimDuration,
     /// Time the KV transfer spent queued on the sender before its bytes
     /// started moving (zero for colocated engines, single-token requests,
@@ -142,12 +143,6 @@ pub struct RecoveryCounters {
     pub quarantines: usize,
     /// Quarantined (or spuriously dead) replicas returned to routing.
     pub readmissions: usize,
-    /// Requests shed because their SLO-derived deadline had already passed
-    /// before service could start (counted in `Metrics::num_rejected`).
-    pub deadline_shed: usize,
-    /// KV transfers dropped after exhausting their retry budget (counted in
-    /// `Metrics::num_dropped`).
-    pub retry_budget_exhausted: usize,
     /// Per-model request-conservation counts, sorted by [`ModelId`]. Empty
     /// for single-model runs (an empty [`crate::SimConfig::models`]
     /// catalog), which keeps single-model `Metrics` values equal to those of
@@ -165,8 +160,6 @@ impl RecoveryCounters {
             || self.hedges_launched > 0
             || self.quarantines > 0
             || self.readmissions > 0
-            || self.deadline_shed > 0
-            || self.retry_budget_exhausted > 0
     }
 
     /// Longest time-to-recover across faults, or `None` if no fault

@@ -14,8 +14,7 @@ use ts_common::{
     SimDuration, SimTime, SloSpec, StageSpec,
 };
 use ts_sim::{
-    FaultKind, FaultScript, Hedge, Metrics, PrefillPolicy, Quarantine, SimConfig, Simulation,
-    TimedFault,
+    FaultKind, FaultScript, Hedge, Metrics, Quarantine, SimConfig, Simulation, TimedFault,
 };
 use ts_telemetry::{PressureTally, StreamConfig, TraceLog};
 use ts_workload::{generator::generate, spec};
@@ -262,16 +261,11 @@ fn colocated_engine_tally_matches_the_log() {
         ],
         SimDuration::from_millis(50),
     );
-    for policy in [
-        PrefillPolicy::Fcfs,
-        PrefillPolicy::Chunked { chunk_tokens: 256 },
-    ] {
-        for script in [FaultScript::none(), crash.clone()] {
-            check(
-                &format!("colocated {policy:?}, {} faults", script.faults.len()),
-                |c| run_colocated(c, &reqs, &script),
-                cfg.clone().with_prefill_policy(policy),
-            );
-        }
+    for script in [FaultScript::none(), crash] {
+        check(
+            &format!("colocated, {} faults", script.faults.len()),
+            |c| run_colocated(c, &reqs, &script),
+            cfg.clone(),
+        );
     }
 }

@@ -6,7 +6,7 @@
 //! KvDone → DecodeJoin → Finished`, with fault/recovery detours
 //! (`KvRetry`, `Requeued`, `Reprefill`, `Stalled`, `Dropped`, `Rejected`)
 //! and gray-failure mitigation detours (`HedgeLaunched`, `Quarantined`,
-//! `Readmitted`, `DeadlineShed`).
+//! `Readmitted`).
 //! Sampling events (`QueueDepth`, `BatchOccupancy`, `LinkUtilization`,
 //! `FlowRate`) carry instantaneous values from which [`crate::TraceLog`]
 //! derives step-function [`crate::UtilizationSeries`].
@@ -295,12 +295,6 @@ pub enum TraceKind {
         /// Index of the readmitted replica.
         replica: usize,
     },
-    /// The request was shed because its SLO-derived deadline had already
-    /// passed before service could start.
-    DeadlineShed {
-        /// The shed request.
-        request: RequestId,
-    },
     /// The autoscale control plane changed the fleet (between serving
     /// segments): a node was acquired, drained, released, warned of
     /// preemption, or had its group's phase flipped.
@@ -343,7 +337,6 @@ impl TraceKind {
             | TraceKind::Reprefill { request, .. }
             | TraceKind::FlowRate { request, .. }
             | TraceKind::HedgeLaunched { request, .. }
-            | TraceKind::DeadlineShed { request }
             | TraceKind::ModelTag { request, .. } => Some(request),
             _ => None,
         }
@@ -398,7 +391,6 @@ impl TraceKind {
             TraceKind::HedgeLaunched { .. } => "hedge_launched",
             TraceKind::Quarantined { .. } => "quarantined",
             TraceKind::Readmitted { .. } => "readmitted",
-            TraceKind::DeadlineShed { .. } => "deadline_shed",
             TraceKind::ScaleAction { .. } => "scale_action",
             TraceKind::ModelTag { .. } => "model_tag",
         }
@@ -482,7 +474,6 @@ impl fmt::Display for TraceKind {
             TraceKind::Readmitted { role, replica } => {
                 write!(f, "{role} replica {replica} readmitted")
             }
-            TraceKind::DeadlineShed { .. } => write!(f, "shed past deadline"),
             TraceKind::ScaleAction { node, kind } => write!(f, "fleet {kind} of node {node}"),
             TraceKind::ModelTag { model, .. } => write!(f, "serves {model}"),
         }

@@ -188,8 +188,7 @@ pub struct WindowCounts {
     pub finished: u64,
     /// Requests dropped mid-service.
     pub dropped: u64,
-    /// Requests rejected at admission (stall-queue overflow or deadline
-    /// shed).
+    /// Requests rejected at admission (stall-queue overflow).
     pub rejected: u64,
     /// Completed requests that missed their SLO (TTFT or E2E).
     pub slo_miss: u64,
@@ -526,7 +525,6 @@ impl StreamingPlane {
             | TraceKind::Finished { .. }
             | TraceKind::Dropped { .. }
             | TraceKind::Rejected { .. }
-            | TraceKind::DeadlineShed { .. }
             | TraceKind::HedgeLaunched { .. }
             | TraceKind::Requeued { .. } => {
                 self.events += 1;
@@ -595,7 +593,7 @@ impl StreamingPlane {
                     self.judge_loss(i.model);
                 }
             }
-            TraceKind::Rejected { request } | TraceKind::DeadlineShed { request } => {
+            TraceKind::Rejected { request } => {
                 self.roll_to(at);
                 if let Some(i) = self.inflight.remove(&request) {
                     self.current.rejected += 1;

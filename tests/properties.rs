@@ -287,8 +287,8 @@ fn clustering_is_partition() {
     }
 }
 
-/// A prefill policy for a conservation case: FCFS, shortest-first, or
-/// chunked at 1 to 512 tokens per launch.
+/// A KV transfer model for a conservation case: free, serialized on the
+/// sender's uplink, or flows on the fabric.
 fn draw_kv_transfer(rng: &mut impl Rng) -> thunderserve::sim::KvTransfer {
     use thunderserve::sim::KvTransfer;
     match rng.gen_range(0..3) {
@@ -298,19 +298,8 @@ fn draw_kv_transfer(rng: &mut impl Rng) -> thunderserve::sim::KvTransfer {
     }
 }
 
-fn draw_prefill_policy(rng: &mut impl Rng) -> thunderserve::sim::PrefillPolicy {
-    use thunderserve::sim::PrefillPolicy;
-    match rng.gen_range(0..3) {
-        0 => PrefillPolicy::Fcfs,
-        1 => PrefillPolicy::ShortestFirst,
-        _ => PrefillPolicy::Chunked {
-            chunk_tokens: rng.gen_range(1..=512),
-        },
-    }
-}
-
 /// The simulator conserves requests for arbitrary small workloads under
-/// every prefill policy and KV transfer model.
+/// every KV transfer model.
 #[test]
 fn simulator_conserves_requests() {
     let cluster = thunderserve::cluster::presets::network_case_cluster(
@@ -362,9 +351,7 @@ fn simulator_conserves_requests() {
             .collect();
         let mut sorted = reqs;
         sorted.sort_by_key(|r| r.arrival);
-        let policy = draw_prefill_policy(&mut rng);
-        let mut cfg =
-            thunderserve::sim::config::SimConfig::new(model.clone()).with_prefill_policy(policy);
+        let mut cfg = thunderserve::sim::config::SimConfig::new(model.clone());
         cfg.kv_transfer = draw_kv_transfer(&mut rng);
         let transfer = cfg.kv_transfer;
         let metrics = thunderserve::sim::engine::Simulation::new(&cluster, &plan, cfg)
@@ -374,7 +361,7 @@ fn simulator_conserves_requests() {
         assert_eq!(
             metrics.num_completed() + metrics.num_dropped(),
             sorted.len(),
-            "case {case} under {policy:?}, {transfer:?}"
+            "case {case} under {transfer:?}"
         );
         for r in metrics.records() {
             assert!(r.finished_at >= r.first_token_at);
@@ -459,11 +446,10 @@ fn colocated_simulator_conserves_requests() {
             )
             .without_recovery(),
         };
-        let policy = draw_prefill_policy(&mut rng);
         let metrics = Simulation::colocated(
             &cluster,
             &groups,
-            thunderserve::sim::config::SimConfig::new(model.clone()).with_prefill_policy(policy),
+            thunderserve::sim::config::SimConfig::new(model.clone()),
         )
         .unwrap()
         .run_with_faults(&reqs, &script)
@@ -471,7 +457,7 @@ fn colocated_simulator_conserves_requests() {
         assert_eq!(
             metrics.num_completed() + metrics.num_dropped() + metrics.num_rejected(),
             reqs.len(),
-            "case {case} under {policy:?}: conservation violated ({:?})",
+            "case {case}: conservation violated ({:?})",
             metrics.recovery()
         );
         for r in metrics.records() {
@@ -482,15 +468,15 @@ fn colocated_simulator_conserves_requests() {
 }
 
 /// Gray failures never break request conservation: under stragglers, flaky
-/// heartbeats, degraded links and exhausted retry budgets — with hedging,
-/// quarantine and deadline shedding all armed — every submitted request is
-/// exactly one of completed, dropped or rejected, and identical runs are
+/// heartbeats, degraded links and links the script never heals — with
+/// hedging and quarantine armed — every submitted request is exactly one
+/// of completed, dropped or rejected, and identical runs are
 /// bit-identical. The repeat run attaches every observer (trace recorder,
 /// streaming plane, pressure tally): observers never steer, under any
 /// drawn mix of mitigations and faults.
 #[test]
 fn gray_failures_conserve_requests() {
-    use thunderserve::sim::config::{Deadline, Hedge, Quarantine, SimConfig};
+    use thunderserve::sim::config::{Hedge, Quarantine, SimConfig};
     use thunderserve::sim::engine::Simulation;
     use thunderserve::sim::fault::{FaultKind, FaultScript, TimedFault};
     use thunderserve::telemetry::StreamConfig;
@@ -523,6 +509,7 @@ fn gray_failures_conserve_requests() {
         )
         .unwrap()
     };
+    let mut never_healed_drops = 0;
     for case in 0..CASES {
         let mut rng = seeded_rng(derive_seed(0x6E47, case));
         let n_reqs = rng.gen_range(1usize..40);
@@ -542,8 +529,10 @@ fn gray_failures_conserve_requests() {
             kind,
         };
         // One arm per case: a decode straggler under quarantine, a flaky
-        // heartbeat flapping through the run, a dead link with a tight
-        // retry budget, or everything at once with hedging and deadlines.
+        // heartbeat flapping through the run, a link that goes down and
+        // never heals (sometimes after one healed outage), or everything
+        // at once with hedging and another link that never heals. A
+        // transfer on a link that never heals is dropped, not retried.
         let (script, mut cfg) = match case % 4 {
             0 => (
                 FaultScript::new(
@@ -568,19 +557,27 @@ fn gray_failures_conserve_requests() {
                 ),
                 SimConfig::new(model.clone()),
             ),
-            2 => (
-                FaultScript::new(
-                    vec![fault(
-                        rng.gen_range(1.0..15.0),
-                        FaultKind::LinkDown {
-                            prefill: 0,
-                            decode: 0,
-                        },
-                    )],
-                    SimDuration::from_millis(100),
-                ),
-                SimConfig::new(model.clone()).with_kv_retry_budget(rng.gen_range(0..3)),
-            ),
+            2 => {
+                let link = FaultKind::LinkDown {
+                    prefill: 0,
+                    decode: 0,
+                };
+                let heal = FaultKind::LinkUp {
+                    prefill: 0,
+                    decode: 0,
+                };
+                let down = rng.gen_range(1.0..15.0);
+                let mut faults = vec![fault(down, link)];
+                if rng.gen_bool(0.5) {
+                    let up = down + rng.gen_range(0.5..5.0);
+                    faults.push(fault(up, heal));
+                    faults.push(fault(up + rng.gen_range(0.5..10.0), link));
+                }
+                (
+                    FaultScript::new(faults, SimDuration::from_millis(100)),
+                    SimConfig::new(model.clone()),
+                )
+            }
             _ => (
                 FaultScript::new(
                     vec![
@@ -600,6 +597,13 @@ fn gray_failures_conserve_requests() {
                             rng.gen_range(10.0..20.0),
                             FaultKind::HeartbeatFlaky(2, rng.gen_range(0.2..0.8)),
                         ),
+                        fault(
+                            rng.gen_range(5.0..25.0),
+                            FaultKind::LinkDown {
+                                prefill: 0,
+                                decode: 1,
+                            },
+                        ),
                     ],
                     SimDuration::from_millis(rng.gen_range(200..1000)),
                 ),
@@ -607,17 +611,7 @@ fn gray_failures_conserve_requests() {
                     .with_quarantine(Quarantine::at(1.5))
                     .with_hedge(Hedge::after(SimDuration::from_millis(
                         rng.gen_range(200..800),
-                    )))
-                    .with_kv_retry_budget(2)
-                    .with_kv_retry_jitter(0.5)
-                    .with_deadline(Deadline {
-                        slo: thunderserve::common::SloSpec::new(
-                            SimDuration::from_millis(rng.gen_range(300..2000)),
-                            SimDuration::from_millis(80),
-                            SimDuration::from_secs(20),
-                        ),
-                        scale: rng.gen_range(1.0..4.0),
-                    }),
+                    ))),
             ),
         };
         // Under the fabric, link faults kill in-flight flows and
@@ -641,6 +635,10 @@ fn gray_failures_conserve_requests() {
             assert!(r.finished_at >= r.first_token_at);
             assert!(r.first_token_at >= r.request.arrival);
         }
+        if case % 4 == 2 {
+            // Nothing else in this arm loses a request.
+            never_healed_drops += metrics.num_dropped();
+        }
         // A tight SLO, so the burn monitors judge misses as well as hits.
         let stream = StreamConfig::new(thunderserve::common::SloSpec::new(
             SimDuration::from_millis(300),
@@ -657,6 +655,10 @@ fn gray_failures_conserve_requests() {
             "case {case}: run must be bit-identical with every observer on"
         );
     }
+    assert!(
+        never_healed_drops > 0,
+        "no drawn case dropped a transfer on a link that never heals"
+    );
 }
 
 /// SLO scaling is monotone: a looser deadline never reduces attainment.

@@ -14,9 +14,7 @@
 //!    prefill start/end balanced and properly nested.
 
 use thunderserve::prelude::*;
-use thunderserve::sim::{
-    Deadline, FaultKind, FaultScript, Hedge, Quarantine, TimedFault, TraceLog,
-};
+use thunderserve::sim::{FaultKind, FaultScript, Hedge, Quarantine, TimedFault, TraceLog};
 use thunderserve::telemetry::TraceKind;
 use thunderserve::workload::{generator::generate, spec};
 use ts_cluster::presets;
@@ -215,8 +213,7 @@ fn spans_reconcile_exactly_with_request_records() {
 /// Gray-failure mitigation events reconcile with the metrics and nest
 /// inside the request spans they concern: every `HedgeLaunched` lands
 /// between its request's arrival and finish (and sums to the recovery
-/// counter), every `DeadlineShed` terminates its request's span, and
-/// `Quarantined`/`Readmitted` pair up per replica — while telemetry stays
+/// counter), and `Quarantined`/`Readmitted` pair up per replica — while telemetry stays
 /// a pure observer (bit-identical metrics off↔on) even with the whole
 /// mitigation layer armed.
 #[test]
@@ -327,58 +324,6 @@ fn gray_mitigation_events_nest_inside_request_spans() {
     assert_eq!(readmitted, m.recovery().readmissions);
     assert!(quarantined > 0, "the decode straggler must be quarantined");
     assert!(readmitted > 0, "the healed straggler must be readmitted");
-}
-
-/// Deadline sheds terminate the request's span: the `DeadlineShed` event is
-/// the last one recorded for the request, and shed requests never produce
-/// a first token.
-#[test]
-fn deadline_shed_terminates_the_span() {
-    let (_, _, cfg) = testbed();
-    let slo = SloSpec::new(
-        SimDuration::from_millis(800),
-        SimDuration::from_millis(80),
-        SimDuration::from_secs(8),
-    );
-    let cfg = cfg
-        .with_deadline(Deadline { slo, scale: 1.0 })
-        .with_telemetry(true);
-    let reqs = generate(&spec::coding(1.0), SimDuration::from_secs(60), 56);
-    let fault = |at_s: f64, kind| TimedFault {
-        at: SimTime::from_secs_f64(at_s),
-        kind,
-    };
-    // A pause holds arrivals past their TTFT deadline; they shed at resume.
-    let script = FaultScript::new(
-        vec![fault(
-            20.0,
-            FaultKind::Pause {
-                until: SimTime::from_secs_f64(28.0),
-            },
-        )],
-        SimDuration::ZERO,
-    );
-    let (m, trace) = run_traced(cfg, &reqs, &script);
-    let log = trace.expect("telemetry requested");
-    assert!(m.recovery().deadline_shed > 0, "{:?}", m.recovery());
-    let mut shed_seen = 0usize;
-    for e in log.events() {
-        if let TraceKind::DeadlineShed { request } = e.kind {
-            shed_seen += 1;
-            let events = log.request_events(request);
-            assert!(
-                matches!(events.last().unwrap().kind, TraceKind::DeadlineShed { .. }),
-                "shed must be the request's final event"
-            );
-            assert!(
-                !events
-                    .iter()
-                    .any(|e| matches!(e.kind, TraceKind::FirstToken { .. })),
-                "a shed request must not have produced tokens"
-            );
-        }
-    }
-    assert_eq!(shed_seen, m.recovery().deadline_shed);
 }
 
 #[test]
