@@ -3,9 +3,9 @@
 //! [`FlowFabric`] tracks every in-flight transfer as a fluid flow with a
 //! remaining byte count and a one-shot startup latency (alpha). Flows are
 //! grouped into path classes, one per distinct path, with a member count
-//! that each start, finish and cancel adjusts. Whenever the set of active
-//! flows or the link capacities change, the fabric reallocates max-min
-//! fair bandwidth over the live classes ([`crate::maxmin::MaxMin`]) and
+//! that each start, finish and cancel adjusts in O(path). Whenever the set
+//! of active flows or the link capacities change, the fabric refills
+//! max-min fair bandwidth over the live classes ([`crate::maxmin::MaxMin`]) and
 //! then makes one pass over the flows: each is drained at its old rate up
 //! to the change, given its class's new rate and re-estimated. The same
 //! pass caches the earliest estimate, so [`FlowFabric::next_due`] answers
@@ -18,7 +18,7 @@ use std::collections::BTreeMap;
 use ts_common::{GpuId, RequestId, SimDuration, SimTime};
 use ts_telemetry::{LinkKind, Recorder, TraceEvent, TraceKind, TraceSink};
 
-use crate::maxmin::{MaxMin, PathClass};
+use crate::maxmin::MaxMin;
 use crate::topology::FabricTopology;
 
 /// Residual byte count below which a flow counts as drained. Completion
@@ -77,11 +77,11 @@ pub struct FabricWork {
 pub struct FlowFabric {
     topo: FabricTopology,
     flows: BTreeMap<u64, FlowState>,
-    /// One class per distinct path used so far, live or not.
-    classes: Vec<PathClass>,
     /// Class index per path slot, `usize::MAX` until a flow first takes
     /// that path. Slot `a * n + b` is the path from node `a` to node `b`
     /// (`a == b`: the node's intra-node bus); slot `n * n` is loopback.
+    /// The allocator holds one class per distinct path used so far, live
+    /// or not, with its member count.
     class_at: Vec<usize>,
     allocator: MaxMin,
     now: SimTime,
@@ -107,7 +107,6 @@ impl FlowFabric {
         FlowFabric {
             topo,
             flows: BTreeMap::new(),
-            classes: Vec::new(),
             class_at: vec![usize::MAX; n * n + 1],
             allocator: MaxMin::default(),
             now: SimTime::ZERO,
@@ -166,7 +165,7 @@ impl FlowFabric {
     /// Starting a key that is already in flight replaces the old flow.
     pub fn start(&mut self, key: u64, from: GpuId, to: GpuId, bytes: f64, now: SimTime) {
         let class = self.class_of(from, to);
-        self.classes[class].members += 1;
+        self.allocator.add_member(class);
         let state = FlowState {
             class,
             remaining: bytes.max(0.0),
@@ -175,7 +174,7 @@ impl FlowFabric {
             done_at: now,
         };
         if let Some(old) = self.flows.insert(key, state) {
-            self.classes[old.class].members -= 1;
+            self.allocator.remove_member(old.class);
         }
         self.reallocate(now);
     }
@@ -195,7 +194,7 @@ impl FlowFabric {
             return None;
         }
         let f = self.flows.remove(&key).expect("next_due names a flow");
-        self.classes[f.class].members -= 1;
+        self.allocator.remove_member(f.class);
         debug_assert!(
             drained(&f, self.now, now) <= EPS_BYTES,
             "flow {key} due with {} bytes left",
@@ -218,7 +217,7 @@ impl FlowFabric {
         let Some(f) = self.flows.remove(&key) else {
             return;
         };
-        self.classes[f.class].members -= 1;
+        self.allocator.remove_member(f.class);
         self.reallocate(now);
     }
 
@@ -232,7 +231,7 @@ impl FlowFabric {
     /// Panics if `factor` is not finite or below 1.
     pub fn degrade_path(&mut self, from: GpuId, to: GpuId, factor: f64, now: SimTime) {
         let class = self.class_of(from, to);
-        for &link in &self.classes[class].links {
+        for &link in self.allocator.links(class) {
             self.topo.set_degradation(link, factor);
         }
         self.reallocate(now);
@@ -247,16 +246,12 @@ impl FlowFabric {
             self.topo.node_of(from) * n + self.topo.node_of(to)
         };
         if self.class_at[slot] == usize::MAX {
-            self.class_at[slot] = self.classes.len();
-            self.classes.push(PathClass {
-                links: self.topo.path(from, to),
-                members: 0,
-            });
+            self.class_at[slot] = self.allocator.add_class(&self.topo.path(from, to));
         }
         self.class_at[slot]
     }
 
-    /// Reallocates max-min bandwidth over the live classes, then makes the
+    /// Refills max-min bandwidth over the live classes, then makes the
     /// one pass over the flows: drain each at its old rate up to `now`,
     /// give it its class's new rate, re-estimate its completion and fold
     /// the estimate into the latest and the earliest.
@@ -278,8 +273,7 @@ impl FlowFabric {
         let filling = if in_flight == 0 {
             Default::default()
         } else {
-            self.allocator
-                .allocate(self.topo.capacities(), &self.classes)
+            self.allocator.fill(self.topo.capacities())
         };
         let links = self.topo.capacities().len() as u64;
         let w = &mut self.work;
@@ -330,7 +324,7 @@ impl FlowFabric {
             if !f.rate.is_finite() {
                 continue;
             }
-            for &l in &self.classes[f.class].links {
+            for &l in self.allocator.links(f.class) {
                 used[l] += f.rate;
             }
         }
@@ -591,7 +585,9 @@ mod tests {
     /// cancels (some of unknown keys), completions (some late) and path
     /// degradations. After every call the cached earliest estimate equals
     /// a full scan, the latest estimate equals the running maximum of
-    /// every estimate seen, and the class member counts match the flows.
+    /// every estimate seen, the class member counts match the flows, and
+    /// the allocator's incremental link user counts and live sets equal a
+    /// recount.
     #[test]
     fn random_scripts_keep_cached_estimates_and_class_counts_exact() {
         use rand::Rng;
@@ -635,12 +631,14 @@ mod tests {
                     running_max = running_max.max(f.done_at);
                 }
                 assert_eq!(fab.latest_estimate(), running_max);
-                for (c, class) in fab.classes.iter().enumerate() {
+                let mut total = 0;
+                for &c in fab.class_at.iter().filter(|&&c| c != usize::MAX) {
                     let members = fab.flows.values().filter(|f| f.class == c).count();
-                    assert_eq!(class.members, members, "class {c}");
+                    assert_eq!(fab.allocator.members(c), members, "class {c}");
+                    total += members;
                 }
-                let total: usize = fab.classes.iter().map(|c| c.members).sum();
                 assert_eq!(total, fab.flows.len());
+                fab.allocator.assert_counts_exact();
             }
         }
         // Fresh starts, replacing starts, cancels, completions, degradations.

@@ -10,12 +10,14 @@
 //! share of remaining capacity).
 //!
 //! A flow's rate depends only on the links it crosses, so flows sharing a
-//! path always get one rate. [`MaxMin`] therefore fills over
-//! [`PathClass`]es — one per distinct path, with its member count — and
-//! scans only the links some live class crosses. Its work per round is
-//! links × classes, not links × flows.
+//! path always get one rate. [`MaxMin`] therefore fills over path classes
+//! — one per distinct path, with its member count — and scans only the
+//! links some live class crosses. Its work per round is touched links ×
+//! live classes, not links × flows, and a member change updates the
+//! fill's inputs in O(path).
 
-/// The flows that cross one path.
+/// The flows that cross one path: the input of a from-scratch
+/// [`MaxMin::allocate`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PathClass {
     /// The link indices the path crosses. A link listed twice still only
@@ -25,7 +27,7 @@ pub struct PathClass {
     pub members: usize,
 }
 
-/// The work of one [`MaxMin::allocate`] call.
+/// The work of one fill (`MaxMin::fill`, or [`MaxMin::allocate`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Filling {
     /// Bottleneck searches, the last of which may find none.
@@ -35,9 +37,39 @@ pub struct Filling {
     pub cells: u64,
 }
 
-/// A reusable max-min allocator over path classes: its buffers outlive a
-/// call, so allocating again for the same classes makes no heap
-/// allocation.
+/// One path class as the filler keeps it.
+#[derive(Debug, Clone)]
+struct Class {
+    /// The distinct links of the path, in first-listed order.
+    links: Vec<usize>,
+    members: usize,
+    /// Rate after the last fill that saw the class live.
+    rate: f64,
+    /// Frozen in the current fill.
+    frozen: bool,
+}
+
+/// One link as the filler keeps it.
+#[derive(Debug, Clone, Copy, Default)]
+struct Link {
+    /// Members of the live classes crossing the link.
+    users: usize,
+    /// During a fill: members of the unfrozen classes crossing the link.
+    unfrozen: usize,
+    /// During a fill: capacity not yet handed out.
+    remaining: f64,
+}
+
+/// An incremental max-min allocator over path classes.
+///
+/// The fill's inputs are kept up to date as members come and go
+/// (`MaxMin::add_member`, `MaxMin::remove_member`, each O(path)): the
+/// user count of every link (members of the live classes crossing it,
+/// each class counted once), the ascending list of live classes and the
+/// ascending list of the links they cross. A fill (`MaxMin::fill`)
+/// therefore seeds only the touched links, and each round scans them for
+/// the bottleneck and subtracts the freezing classes' members from their
+/// links' counts. No call after the first for a class allocates.
 ///
 /// The rates are bit-identical to filling over the flows one by one. A
 /// flat filler freezes the bottleneck's flows one at a time and charges
@@ -49,86 +81,148 @@ pub struct Filling {
 /// the lowest index, as in the flat filler.
 #[derive(Debug, Clone, Default)]
 pub struct MaxMin {
-    /// Per class: its rate after the last call.
-    rate: Vec<f64>,
-    /// Per class: frozen in the current call.
-    frozen: Vec<bool>,
-    /// Per link: capacity not yet handed out (touched links only).
-    remaining: Vec<f64>,
-    /// Per link: crossed by some live class.
-    crossed: Vec<bool>,
+    classes: Vec<Class>,
+    links: Vec<Link>,
+    /// Classes with at least one member, ascending.
+    live: Vec<usize>,
     /// Links some live class crosses, ascending.
     touched: Vec<usize>,
-    /// Classes with at least one member.
-    live: Vec<usize>,
+    /// Members of all live classes.
+    members: usize,
 }
 
 impl MaxMin {
-    /// Computes the max-min fair rate of every class in `classes` over
-    /// links of `capacity` (bytes/s); read them with [`MaxMin::rate`].
-    /// Links with infinite capacity never constrain anyone; a class
-    /// crossing only such links (or none, e.g. loopback) is unconstrained
-    /// and gets `f64::INFINITY`.
+    /// Registers a class over `links` with no members and returns its
+    /// index. A link listed twice counts once.
+    pub(crate) fn add_class(&mut self, links: &[usize]) -> usize {
+        let mut distinct = Vec::with_capacity(links.len());
+        for &l in links {
+            if !distinct.contains(&l) {
+                distinct.push(l);
+            }
+        }
+        if let Some(&top) = distinct.iter().max() {
+            if self.links.len() <= top {
+                self.links.resize(top + 1, Link::default());
+            }
+        }
+        self.classes.push(Class {
+            links: distinct,
+            members: 0,
+            rate: f64::INFINITY,
+            frozen: false,
+        });
+        self.classes.len() - 1
+    }
+
+    /// The distinct links class `class` crosses, in first-listed order.
+    pub(crate) fn links(&self, class: usize) -> &[usize] {
+        &self.classes[class].links
+    }
+
+    /// Class `class`'s member count.
+    #[cfg(test)]
+    pub(crate) fn members(&self, class: usize) -> usize {
+        self.classes[class].members
+    }
+
+    /// Adds one member (a flow) to class `class`. O(path).
+    pub(crate) fn add_member(&mut self, class: usize) {
+        self.set_members(class, self.classes[class].members + 1);
+    }
+
+    /// Removes one member from class `class`. O(path).
+    ///
+    /// # Panics
+    /// Panics if the class has no members.
+    pub(crate) fn remove_member(&mut self, class: usize) {
+        let members = self.classes[class].members;
+        assert!(members > 0, "class {class} has no member to remove");
+        self.set_members(class, members - 1);
+    }
+
+    /// Sets class `c`'s member count, keeping the link user counts and
+    /// the live and touched lists up to date.
+    fn set_members(&mut self, c: usize, members: usize) {
+        let class = &mut self.classes[c];
+        let old = class.members;
+        if old == members {
+            return;
+        }
+        for &l in &class.links {
+            let link = &mut self.links[l];
+            let users = link.users + members - old;
+            if link.users == 0 {
+                let at = self.touched.binary_search(&l).unwrap_err();
+                self.touched.insert(at, l);
+            } else if users == 0 {
+                let at = self
+                    .touched
+                    .binary_search(&l)
+                    .expect("a used link is touched");
+                self.touched.remove(at);
+            }
+            link.users = users;
+        }
+        if old == 0 {
+            let at = self.live.binary_search(&c).unwrap_err();
+            self.live.insert(at, c);
+        } else if members == 0 {
+            let at = self
+                .live
+                .binary_search(&c)
+                .expect("a class with members is live");
+            self.live.remove(at);
+        }
+        class.members = members;
+        self.members = self.members + members - old;
+    }
+
+    /// Computes the max-min fair rate of every live class over links of
+    /// `capacity` (bytes/s); read them with [`MaxMin::rate`]. Links with
+    /// infinite capacity never constrain anyone; a class crossing only
+    /// such links (or none, e.g. loopback) is unconstrained and gets
+    /// `f64::INFINITY`.
     ///
     /// # Panics
     /// Panics if a live class references a link index out of range or a
     /// link of non-positive capacity.
-    pub fn allocate(&mut self, capacity: &[f64], classes: &[PathClass]) -> Filling {
-        self.live.clear();
-        self.crossed.clear();
-        self.crossed.resize(capacity.len(), false);
-        self.rate.resize(classes.len(), f64::INFINITY);
-        self.frozen.resize(classes.len(), false);
-        self.remaining.resize(capacity.len(), 0.0);
-        let mut unfrozen = 0usize;
-        for (c, class) in classes.iter().enumerate() {
-            if class.members == 0 {
-                continue;
-            }
-            self.live.push(c);
-            self.rate[c] = f64::INFINITY;
-            self.frozen[c] = false;
-            unfrozen += class.members;
-            for &l in &class.links {
-                assert!(l < capacity.len(), "class {c} references unknown link {l}");
-                self.crossed[l] = true;
-            }
+    pub(crate) fn fill(&mut self, capacity: &[f64]) -> Filling {
+        for &l in &self.touched {
+            assert!(
+                l < capacity.len(),
+                "a live class references unknown link {l}"
+            );
+            let c = capacity[l];
+            assert!(
+                c > 0.0,
+                "link {l} has non-positive capacity {c}; use f64::INFINITY for free links"
+            );
+            let link = &mut self.links[l];
+            link.remaining = c;
+            link.unfrozen = link.users;
         }
-        self.touched.clear();
-        for l in 0..capacity.len() {
-            if self.crossed[l] {
-                let c = capacity[l];
-                assert!(
-                    c > 0.0,
-                    "link {l} has non-positive capacity {c}; use f64::INFINITY for free links"
-                );
-                self.touched.push(l);
-                self.remaining[l] = c;
-            }
+        for &c in &self.live {
+            let class = &mut self.classes[c];
+            class.rate = f64::INFINITY;
+            class.frozen = false;
         }
         let mut work = Filling::default();
         if self.live.is_empty() {
             return work;
         }
+        let mut unfrozen = self.members;
         loop {
             work.rounds += 1;
             work.cells += (self.touched.len() * self.live.len()) as u64;
             // Fair share of every still-constraining link.
             let mut bottleneck: Option<(usize, f64)> = None;
             for &l in &self.touched {
-                if self.remaining[l].is_infinite() {
+                let link = &self.links[l];
+                if link.remaining.is_infinite() || link.unfrozen == 0 {
                     continue;
                 }
-                let users: usize = self
-                    .live
-                    .iter()
-                    .filter(|&&c| !self.frozen[c] && classes[c].links.contains(&l))
-                    .map(|&c| classes[c].members)
-                    .sum();
-                if users == 0 {
-                    continue;
-                }
-                let share = self.remaining[l] / users as f64;
+                let share = link.remaining / link.unfrozen as f64;
                 match bottleneck {
                     Some((_, best)) if best <= share => {}
                     _ => bottleneck = Some((l, share)),
@@ -142,23 +236,25 @@ impl MaxMin {
             // charge it against every other link they cross, once per
             // member flow.
             for &c in &self.live {
-                let class = &classes[c];
-                if self.frozen[c] || !class.links.contains(&bl) {
+                let class = &mut self.classes[c];
+                if class.frozen || !class.links.contains(&bl) {
                     continue;
                 }
-                self.rate[c] = fair;
-                self.frozen[c] = true;
+                class.rate = fair;
+                class.frozen = true;
                 unfrozen -= class.members;
-                for (i, &l) in class.links.iter().enumerate() {
-                    if l == bl || self.remaining[l].is_infinite() || class.links[..i].contains(&l) {
+                for &l in &class.links {
+                    let link = &mut self.links[l];
+                    link.unfrozen -= class.members;
+                    if l == bl || link.remaining.is_infinite() {
                         continue;
                     }
                     for _ in 0..class.members {
-                        self.remaining[l] = (self.remaining[l] - fair).max(0.0);
+                        link.remaining = (link.remaining - fair).max(0.0);
                     }
                 }
             }
-            self.remaining[bl] = 0.0;
+            self.links[bl].remaining = 0.0;
             if unfrozen == 0 {
                 break;
             }
@@ -166,9 +262,51 @@ impl MaxMin {
         work
     }
 
-    /// Class `class`'s rate from the last [`MaxMin::allocate`] call.
+    /// Forgets every class, then loads `classes` with their members and
+    /// fills from scratch over links of `capacity` (bytes/s); read the
+    /// rates with [`MaxMin::rate`]. Class `c` of `classes` keeps index `c`.
+    ///
+    /// # Panics
+    /// Panics if a class with members references a link index out of range
+    /// or a link of non-positive capacity.
+    pub fn allocate(&mut self, capacity: &[f64], classes: &[PathClass]) -> Filling {
+        self.classes.clear();
+        self.links.clear();
+        self.live.clear();
+        self.touched.clear();
+        self.members = 0;
+        for class in classes {
+            let c = self.add_class(&class.links);
+            self.set_members(c, class.members);
+        }
+        self.fill(capacity)
+    }
+
+    /// Class `class`'s rate from the last fill that saw it live.
     pub fn rate(&self, class: usize) -> f64 {
-        self.rate[class]
+        self.classes[class].rate
+    }
+
+    /// Asserts that the incremental inputs equal a recount from the
+    /// member counts.
+    #[cfg(test)]
+    pub(crate) fn assert_counts_exact(&self) {
+        let mut users = vec![0usize; self.links.len()];
+        for class in &self.classes {
+            for &l in &class.links {
+                users[l] += class.members;
+            }
+        }
+        let counts: Vec<usize> = self.links.iter().map(|l| l.users).collect();
+        assert_eq!(counts, users, "link user counts");
+        let live: Vec<usize> = (0..self.classes.len())
+            .filter(|&c| self.classes[c].members > 0)
+            .collect();
+        assert_eq!(self.live, live, "live classes");
+        let touched: Vec<usize> = (0..users.len()).filter(|&l| users[l] > 0).collect();
+        assert_eq!(self.touched, touched, "touched links");
+        let members: usize = self.classes.iter().map(|c| c.members).sum();
+        assert_eq!(self.members, members, "live members");
     }
 }
 
@@ -479,6 +617,89 @@ mod tests {
         }
         assert!(
             shapes.iter().all(|&n| n >= 100),
+            "every shape is covered: {shapes:?}"
+        );
+    }
+
+    /// Churn differential (seeded, 2,000 sequences × 50 operations): the
+    /// incremental filler, after each one-member change on a random class,
+    /// matches the flat oracle bit for bit, flow by flow, with the same
+    /// rounds, and matches a from-scratch [`MaxMin::allocate`] in rates and
+    /// work. Classes go live, dead and live again; the paths include
+    /// duplicate links, infinite-capacity links and empty paths.
+    #[test]
+    fn incremental_fill_matches_the_oracles_under_churn() {
+        use rand::Rng;
+        let mut rng = ts_common::seeded_rng(0xC4_0A7);
+        let mut scratch = MaxMin::default();
+        // Revivals (a dead class gaining a member after having had
+        // some), duplicate-link paths, infinite links and empty paths,
+        // counted over operations.
+        let mut shapes = [0usize; 4];
+        for seq in 0..2_000 {
+            let num_links = rng.gen_range(1..10usize);
+            let caps: Vec<f64> = (0..num_links)
+                .map(|_| {
+                    if rng.gen_bool(0.15) {
+                        f64::INFINITY
+                    } else {
+                        rng.gen_range(0.5..1e4f64)
+                    }
+                })
+                .collect();
+            let mut classes: Vec<PathClass> = (0..rng.gen_range(1..7usize))
+                .map(|_| PathClass {
+                    links: (0..rng.gen_range(0..=4usize))
+                        .map(|_| rng.gen_range(0..num_links))
+                        .collect(),
+                    members: 0,
+                })
+                .collect();
+            let mut mm = MaxMin::default();
+            for class in &classes {
+                mm.add_class(&class.links);
+            }
+            let mut was_live = vec![false; classes.len()];
+            for op in 0..50 {
+                let c = rng.gen_range(0..classes.len());
+                if classes[c].members > 0 && rng.gen_bool(0.45) {
+                    classes[c].members -= 1;
+                    mm.remove_member(c);
+                } else {
+                    shapes[0] += usize::from(classes[c].members == 0 && was_live[c]);
+                    classes[c].members += 1;
+                    mm.add_member(c);
+                    was_live[c] = true;
+                }
+                mm.assert_counts_exact();
+                let work = mm.fill(&caps);
+                let fresh = scratch.allocate(&caps, &classes);
+                assert_eq!(work, fresh, "sequence {seq}, op {op}: {classes:?}");
+                let (flows, class_of) = expand(&classes, &mut rng);
+                let (oracle, rounds) = max_min_allocate(&caps, &flows);
+                for (f, (&rate, &c)) in oracle.iter().zip(&class_of).enumerate() {
+                    assert_eq!(
+                        mm.rate(c).to_bits(),
+                        rate.to_bits(),
+                        "sequence {seq}, op {op}, flow {f} of class {c}: caps {caps:?}, \
+                         classes {classes:?}"
+                    );
+                    assert_eq!(scratch.rate(c).to_bits(), rate.to_bits());
+                }
+                if !flows.is_empty() {
+                    assert_eq!(work.rounds, rounds, "sequence {seq}, op {op}");
+                }
+                for class in classes.iter().filter(|c| c.members > 0) {
+                    let path = &class.links;
+                    shapes[1] +=
+                        usize::from(path.iter().enumerate().any(|(i, l)| path[..i].contains(l)));
+                    shapes[2] += usize::from(path.iter().any(|&l| caps[l].is_infinite()));
+                    shapes[3] += usize::from(path.is_empty());
+                }
+            }
+        }
+        assert!(
+            shapes.iter().all(|&n| n >= 1_000),
             "every shape is covered: {shapes:?}"
         );
     }
