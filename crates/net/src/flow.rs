@@ -5,15 +5,13 @@
 //! grouped into path classes, one per distinct path, with a member count
 //! that each start, finish and cancel adjusts in O(path). Whenever the set
 //! of active flows or the link capacities change, the fabric refills
-//! max-min fair bandwidth over the live classes ([`crate::maxmin::MaxMin`]) and
-//! then makes one pass over the flows: each is drained at its old rate up
-//! to the change, given its class's new rate and re-estimated. The same
-//! pass caches the earliest estimate, so [`FlowFabric::next_due`] answers
-//! in O(1). The caller keeps one timer at [`FlowFabric::next_due`],
-//! re-armed after each change, and completes flows with
-//! [`FlowFabric::complete_due`] when it fires.
-
-use std::collections::BTreeMap;
+//! max-min fair bandwidth over the live classes ([`crate::maxmin::MaxMin`])
+//! and then makes one pass over the flows, kept in a vector sorted by key:
+//! each is drained at its old rate up to the change, given its class's new
+//! rate and re-estimated. The same pass caches the earliest estimate, so
+//! [`FlowFabric::next_due`] answers in O(1). The caller keeps one timer at
+//! [`FlowFabric::next_due`], re-armed after each change, and completes
+//! flows with [`FlowFabric::complete_due`] when it fires.
 
 use ts_common::{GpuId, RequestId, SimDuration, SimTime};
 use ts_telemetry::{LinkKind, Recorder, TraceEvent, TraceKind, TraceSink};
@@ -29,9 +27,22 @@ const EPS_BYTES: f64 = 1e-3;
 
 /// Rounds a span in seconds *up* to whole microseconds, so a completion
 /// estimate never falls before the modeled flow has actually drained.
+///
+/// Equal to `(secs * 1e6).ceil() as u64` for every finite non-negative
+/// `secs`, without the libm call: the truncating cast is the floor, and
+/// the floor of an `f64` below 2^64 converts back exactly, so one exact
+/// comparison tells whether it has to go up by one. Above 2^64 both
+/// saturate.
 fn ceil_micros(secs: f64) -> SimDuration {
     assert!(secs.is_finite() && secs >= 0.0, "invalid span: {secs}");
-    SimDuration::from_micros((secs * 1e6).ceil() as u64)
+    let us = secs * 1e6;
+    let floor = us as u64;
+    let ceil = if (floor as f64) < us {
+        floor.saturating_add(1)
+    } else {
+        floor
+    };
+    SimDuration::from_micros(ceil)
 }
 
 #[derive(Debug, Clone)]
@@ -70,13 +81,14 @@ pub struct FabricWork {
 /// The set of in-flight flows over one [`FabricTopology`], with max-min
 /// fair bandwidth sharing.
 ///
-/// Deterministic: flows are kept in a `BTreeMap` keyed by the caller's id,
+/// Deterministic: flows are kept in a vector sorted by the caller's id,
 /// so the per-change pass always visits them in key order regardless of
 /// insertion order, and identical flow sets yield bit-identical estimates.
 #[derive(Debug, Clone)]
 pub struct FlowFabric {
     topo: FabricTopology,
-    flows: BTreeMap<u64, FlowState>,
+    /// The flows in flight, sorted by key.
+    flows: Vec<(u64, FlowState)>,
     /// Class index per path slot, `usize::MAX` until a flow first takes
     /// that path. Slot `a * n + b` is the path from node `a` to node `b`
     /// (`a == b`: the node's intra-node bus); slot `n * n` is loopback.
@@ -98,6 +110,9 @@ pub struct FlowFabric {
     /// Per-link used bandwidth at the last telemetry sample, so only
     /// changed links emit events (including drops to zero as flows drain).
     last_used: Vec<f64>,
+    /// Per-link used bandwidth of the sample being taken; swapped with
+    /// `last_used` once it is recorded.
+    used: Vec<f64>,
 }
 
 impl FlowFabric {
@@ -106,7 +121,7 @@ impl FlowFabric {
         let n = topo.num_nodes();
         FlowFabric {
             topo,
-            flows: BTreeMap::new(),
+            flows: Vec::new(),
             class_at: vec![usize::MAX; n * n + 1],
             allocator: MaxMin::default(),
             now: SimTime::ZERO,
@@ -115,6 +130,7 @@ impl FlowFabric {
             work: FabricWork::default(),
             recorder: None,
             last_used: Vec::new(),
+            used: Vec::new(),
         }
     }
 
@@ -126,6 +142,7 @@ impl FlowFabric {
         if self.recorder.is_none() {
             self.recorder = Some(Recorder::new());
             self.last_used = vec![0.0; self.topo.capacities().len()];
+            self.used = vec![0.0; self.topo.capacities().len()];
         }
     }
 
@@ -149,7 +166,12 @@ impl FlowFabric {
 
     /// Whether `key` is currently in flight.
     pub fn contains(&self, key: u64) -> bool {
-        self.flows.contains_key(&key)
+        self.find(key).is_ok()
+    }
+
+    /// The flow table position of `key`, or where it would be inserted.
+    fn find(&self, key: u64) -> Result<usize, usize> {
+        self.flows.binary_search_by_key(&key, |&(k, _)| k)
     }
 
     /// The reallocation work done so far.
@@ -173,8 +195,12 @@ impl FlowFabric {
             active_at: now + self.topo.alpha(from, to),
             done_at: now,
         };
-        if let Some(old) = self.flows.insert(key, state) {
-            self.allocator.remove_member(old.class);
+        match self.find(key) {
+            Ok(i) => {
+                let old = std::mem::replace(&mut self.flows[i].1, state);
+                self.allocator.remove_member(old.class);
+            }
+            Err(i) => self.flows.insert(i, (key, state)),
         }
         self.reallocate(now);
     }
@@ -193,7 +219,8 @@ impl FlowFabric {
         if at > now {
             return None;
         }
-        let f = self.flows.remove(&key).expect("next_due names a flow");
+        let i = self.find(key).expect("next_due names a flow");
+        let (_, f) = self.flows.remove(i);
         self.allocator.remove_member(f.class);
         debug_assert!(
             drained(&f, self.now, now) <= EPS_BYTES,
@@ -214,9 +241,10 @@ impl FlowFabric {
     /// Removes `key` (e.g. its link went down) and re-estimates the
     /// surviving flows. Does nothing if the key was not in flight.
     pub fn cancel(&mut self, key: u64, now: SimTime) {
-        let Some(f) = self.flows.remove(&key) else {
+        let Ok(i) = self.find(key) else {
             return;
         };
+        let (_, f) = self.flows.remove(i);
         self.allocator.remove_member(f.class);
         self.reallocate(now);
     }
@@ -257,7 +285,10 @@ impl FlowFabric {
     /// the estimate into the latest and the earliest.
     ///
     /// A flow started by this change has rate 0 and sits inside its alpha
-    /// window, so the drain leaves its bytes untouched.
+    /// window, so the drain leaves its bytes untouched. Every flow already
+    /// draining at the previous change drains over the same interval, so
+    /// the pass converts it to seconds once, the value [`drained`] would
+    /// compute for each such flow.
     fn reallocate(&mut self, now: SimTime) {
         let now = if now < self.now {
             debug_assert!(
@@ -283,9 +314,16 @@ impl FlowFabric {
         w.class_cells += filling.cells;
         w.flat_cells += filling.rounds * links * in_flight;
 
+        let prev = self.now;
+        let span = (now - prev).as_secs_f64();
         let mut next: Option<(SimTime, u64)> = None;
-        for (&key, f) in self.flows.iter_mut() {
-            f.remaining = drained(f, self.now, now);
+        for (key, f) in self.flows.iter_mut() {
+            let key = *key;
+            f.remaining = if f.active_at > prev {
+                drained(f, prev, now)
+            } else {
+                drained_over(f, span)
+            };
             let rate = self.allocator.rate(f.class);
             if let Some(rec) = self.recorder.as_mut() {
                 if rate.is_finite() && rate != f.rate {
@@ -319,8 +357,9 @@ impl FlowFabric {
             return;
         };
         let caps = self.topo.capacities();
-        let mut used = vec![0.0f64; caps.len()];
-        for f in self.flows.values() {
+        let used = &mut self.used;
+        used.fill(0.0);
+        for (_, f) in &self.flows {
             if !f.rate.is_finite() {
                 continue;
             }
@@ -353,7 +392,7 @@ impl FlowFabric {
                 },
             });
         }
-        self.last_used = used;
+        std::mem::swap(&mut self.used, &mut self.last_used);
     }
 }
 
@@ -368,8 +407,16 @@ fn drained(f: &FlowState, from: SimTime, to: SimTime) -> f64 {
     };
     if to < begin {
         f.remaining
-    } else if f.rate.is_finite() {
-        (f.remaining - f.rate * (to - begin).as_secs_f64()).max(0.0)
+    } else {
+        drained_over(f, (to - begin).as_secs_f64())
+    }
+}
+
+/// `f`'s remaining bytes after `secs` seconds of draining at its current
+/// rate.
+fn drained_over(f: &FlowState, secs: f64) -> f64 {
+    if f.rate.is_finite() {
+        (f.remaining - f.rate * secs).max(0.0)
     } else {
         0.0
     }
@@ -583,11 +630,11 @@ mod tests {
 
     /// Seeded scripts of random starts (some replacing a key in flight),
     /// cancels (some of unknown keys), completions (some late) and path
-    /// degradations. After every call the cached earliest estimate equals
-    /// a full scan, the latest estimate equals the running maximum of
-    /// every estimate seen, the class member counts match the flows, and
-    /// the allocator's incremental link user counts and live sets equal a
-    /// recount.
+    /// degradations. After every call the flow table is sorted by key, the
+    /// cached earliest estimate equals a full scan, the latest estimate
+    /// equals the running maximum of every estimate seen, the class member
+    /// counts match the flows, and the allocator's incremental link user
+    /// counts and live lists equal a recount.
     #[test]
     fn random_scripts_keep_cached_estimates_and_class_counts_exact() {
         use rand::Rng;
@@ -625,15 +672,16 @@ mod tests {
                         fab.degrade_path(from, to, factor, now);
                     }
                 }
-                let scan = fab.flows.iter().map(|(&k, f)| (f.done_at, k)).min();
+                assert!(fab.flows.windows(2).all(|w| w[0].0 < w[1].0));
+                let scan = fab.flows.iter().map(|&(k, ref f)| (f.done_at, k)).min();
                 assert_eq!(fab.next_due(), scan);
-                for f in fab.flows.values() {
+                for (_, f) in &fab.flows {
                     running_max = running_max.max(f.done_at);
                 }
                 assert_eq!(fab.latest_estimate(), running_max);
                 let mut total = 0;
                 for &c in fab.class_at.iter().filter(|&&c| c != usize::MAX) {
-                    let members = fab.flows.values().filter(|f| f.class == c).count();
+                    let members = fab.flows.iter().filter(|(_, f)| f.class == c).count();
                     assert_eq!(fab.allocator.members(c), members, "class {c}");
                     total += members;
                 }
@@ -646,5 +694,83 @@ mod tests {
             calls.iter().all(|&n| n >= 100),
             "every call is covered: {calls:?}"
         );
+    }
+
+    /// `FabricWork` on one fixed seeded script of starts (some replacing a
+    /// key in flight), completions, cancels and degradations, pinned so the
+    /// counters keep their meaning across changes to the fabric. A digest
+    /// of every cached earliest estimate and completed key pins the
+    /// estimates bit for bit.
+    #[test]
+    fn fabric_work_is_pinned_on_a_fixed_script() {
+        use rand::Rng;
+        let mut rng = ts_common::seeded_rng(0xF1_0E);
+        let mut fab = FlowFabric::from_cluster(&cluster());
+        let mut now = SimTime::ZERO;
+        // FNV-1a over every cached earliest estimate and completed key.
+        let mut digest = 0xcbf2_9ce4_8422_2325u64;
+        let mut fold = |x: u64| {
+            for b in x.to_le_bytes() {
+                digest = (digest ^ u64::from(b)).wrapping_mul(0x100_0000_01b3);
+            }
+        };
+        for _ in 0..400 {
+            now += SimDuration::from_micros(rng.gen_range(0..200_000));
+            let from = GpuId(rng.gen_range(0..5));
+            let to = GpuId(rng.gen_range(0..5));
+            let key = rng.gen_range(0..24u64);
+            match rng.gen_range(0..10) {
+                0..=4 => fab.start(key, from, to, rng.gen_range(0.0..2e9), now),
+                5 => fab.cancel(key, now),
+                6..=8 => {
+                    if let Some((at, _)) = fab.next_due() {
+                        now = now.max(at);
+                    }
+                    fold(fab.complete_due(now).unwrap_or(u64::MAX));
+                }
+                _ => fab.degrade_path(from, to, [1.0, 2.0, 8.0][rng.gen_range(0..3usize)], now),
+            }
+            let (at, key) = fab.next_due().unwrap_or((SimTime::ZERO, u64::MAX));
+            fold(at.as_micros());
+            fold(key);
+        }
+        assert_eq!(
+            fab.work(),
+            FabricWork {
+                changes: 374,
+                flows_visited: 3_521,
+                rounds: 1_448,
+                class_cells: 78_469,
+                flat_cells: 191_520,
+            }
+        );
+        assert_eq!(fab.latest_estimate().as_micros(), 211_492_413);
+        assert_eq!(digest, 0x1f2d_41b1_dae0_19d0);
+    }
+
+    /// The integer rounding equals the float `ceil` it replaced on whole
+    /// and fractional microseconds, on both sides of 2^53 and past 2^64.
+    #[test]
+    fn ceil_micros_matches_the_float_ceil() {
+        use rand::Rng;
+        let reference = |secs: f64| (secs * 1e6).ceil() as u64;
+        let mut spans = vec![
+            0.0, 1e-6, 1.5e-6, 0.1, 0.3, 1.0, 2.5, 9.007e9, 1.8e13, 1.9e13, 1e300,
+        ];
+        let mut rng = ts_common::seeded_rng(0xCE11);
+        for _ in 0..100_000 {
+            let exp = rng.gen_range(-9..14);
+            spans.push(rng.gen_range(0.0..1.0f64) * 10f64.powi(exp));
+            // Whole microseconds and their float neighbours.
+            let us = rng.gen_range(0..1u64 << 40) as f64;
+            let secs = us / 1e6;
+            spans.extend([secs, f64::from_bits(secs.to_bits() + 1)]);
+            if secs > 0.0 {
+                spans.push(f64::from_bits(secs.to_bits() - 1));
+            }
+        }
+        for secs in spans {
+            assert_eq!(ceil_micros(secs).as_micros(), reference(secs), "{secs:e}");
+        }
     }
 }

@@ -18,18 +18,19 @@
 //!   fabric link per unordered node pair;
 //! * [`maxmin`] — the progressive-filling max-min fair allocator, run over
 //!   path classes (one per distinct path, with a member count) so a round
-//!   costs links × classes, not links × flows;
+//!   costs touched links × classes, not links × flows; it keeps its inputs
+//!   up to date as members come and go, so a fill rebuilds nothing;
 //! * [`flow`] — [`flow::FlowFabric`], the event-driven flow registry: each
-//!   change costs one allocation over the live path classes and one pass
-//!   over the flows, which drains them, re-estimates every completion and
-//!   caches the earliest, so its caller needs a single cancellable timer
+//!   change costs one fill over the live path classes and one pass over
+//!   the flows, which drains them, re-estimates every completion and
+//!   caches the earliest, so its caller needs a single re-armed timer
 //!   rather than one event per estimate.
 //!
-//! Determinism: flows live in a [`std::collections::BTreeMap`] keyed by the
-//! caller's flow id, and the allocator iterates links and classes in index
-//! order with lowest-index tie-breaking — so the allocation (and therefore
-//! every completion estimate) depends only on the *set* of active flows,
-//! never on the order they were inserted.
+//! Determinism: flows live in a vector sorted by the caller's flow id, and
+//! the allocator iterates links and classes in index order with
+//! lowest-index tie-breaking — so the allocation (and therefore every
+//! completion estimate) depends only on the *set* of active flows, never
+//! on the order they were inserted.
 
 pub mod flow;
 pub mod maxmin;
