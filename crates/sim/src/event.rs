@@ -28,16 +28,26 @@
 //! [`EventQueue::push_cancellable`] returns an [`EventToken`] backed by a
 //! generation-checked side table. [`EventQueue::cancel`] is O(1): it bumps
 //! the slot's generation, turning the heap entry into a tombstone that
-//! [`EventQueue::pop`] discards when it surfaces. Two timers rely on it: a
-//! coalesced decode plan's run-end event, and the flow fabric's one
-//! [`EventKind::KvFlowDone`], re-armed at the fabric's earliest completion
-//! estimate after every fabric change. A cancelled event never fires, so
-//! it neither costs a dispatch nor advances simulated time; the driver
-//! folds the fire times the makespan must still count into its phantom
-//! horizon. [`EventQueue::reschedule`] moves a cancellable event to a new time
+//! [`EventQueue::pop`] discards when it surfaces. A coalesced decode plan's
+//! run-end event relies on it. A cancelled event never fires, so it
+//! neither costs a dispatch nor advances simulated time; the driver folds
+//! the fire times the makespan must still count into its phantom horizon.
+//! [`EventQueue::reschedule`] moves a cancellable event to a new time
 //! while *preserving its original `(seq, pushed_at)` stamps*, which is what
 //! keeps a replanned coalesced decode event ordered exactly like the
 //! per-step event it stands for.
+//!
+//! # The timer slot
+//!
+//! The flow fabric's one [`EventKind::KvFlowDone`] is re-armed at the
+//! fabric's earliest completion estimate after every fabric change. It
+//! lives in a slot beside the heap instead of in it:
+//! [`EventQueue::set_timer`] stamps it with a fresh `seq` and `pushed_at`,
+//! exactly as cancelling it and pushing it afresh would, and
+//! [`EventQueue::clear_timer`] disarms it. [`EventQueue::peek`] and
+//! [`EventQueue::pop`] take the earlier of the heap root and the slot by
+//! `(at, seq)`, so the pop order is the cancel-and-push order, and a
+//! re-arm costs neither a sift nor a tombstone.
 //!
 //! # Push-time stamps
 //!
@@ -100,8 +110,8 @@ pub enum EventKind {
         attempt: u32,
     },
     /// The flow-level fabric's one timer: its earliest completion estimate
-    /// is due. The fabric names the flow; the timer is cancelled and
-    /// re-armed after every fabric change.
+    /// is due. The fabric names the flow; the timer lives in the queue's
+    /// timer slot and is re-armed after every fabric change.
     KvFlowDone,
     /// Decode replica `replica` finished one decode step — or, with decode
     /// coalescing, the final step of its planned multi-step run (the
@@ -229,12 +239,15 @@ struct SlotMeta {
     pushed_at: SimTime,
 }
 
-/// A deterministic min-time event queue (4-ary indexed heap).
+/// A deterministic min-time event queue (4-ary indexed heap plus one timer
+/// slot).
 #[derive(Debug, Default)]
 pub struct EventQueue {
     heap: Vec<Event>,
+    /// The armed timer, outside the heap.
+    timer: Option<Event>,
     seq: u64,
-    /// Count of live (non-tombstoned) entries.
+    /// Count of live (non-tombstoned) heap entries.
     live: usize,
     now: SimTime,
     slots: Vec<SlotMeta>,
@@ -410,6 +423,27 @@ impl EventQueue {
         token
     }
 
+    /// Arms the timer slot at `at` with payload `kind`, replacing any armed
+    /// timer. The timer takes the next `seq` and the current push time, as
+    /// a fresh [`EventQueue::push`] would: re-armed at an unchanged time,
+    /// it still pops after every event pushed since it was last armed.
+    pub fn set_timer(&mut self, at: SimTime, kind: EventKind) {
+        self.timer = Some(Event {
+            at,
+            seq: self.seq,
+            pushed_at: self.now,
+            kind,
+            slot: NO_SLOT,
+            slot_gen: 0,
+        });
+        self.seq += 1;
+    }
+
+    /// Disarms the timer slot (a no-op when it is empty).
+    pub fn clear_timer(&mut self) {
+        self.timer = None;
+    }
+
     /// Discards tombstones at the heap root.
     fn clean_root(&mut self) {
         while let Some(root) = self.heap.first() {
@@ -421,15 +455,31 @@ impl EventQueue {
         }
     }
 
+    /// Whether the armed timer comes before the (clean) heap root; false
+    /// without a timer.
+    fn timer_first(&self) -> bool {
+        match (&self.timer, self.heap.first()) {
+            (Some(t), Some(root)) => Self::before(t, root),
+            (timer, _) => timer.is_some(),
+        }
+    }
+
     /// The earliest live event, without removing it.
     pub fn peek(&mut self) -> Option<&Event> {
         self.clean_root();
-        self.heap.first()
+        if self.timer_first() {
+            self.timer.as_ref()
+        } else {
+            self.heap.first()
+        }
     }
 
     /// Pops the earliest event.
     pub fn pop(&mut self) -> Option<Event> {
         self.clean_root();
+        if self.timer_first() {
+            return self.timer.take();
+        }
         let ev = *self.heap.first()?;
         self.remove_root();
         if ev.slot != NO_SLOT {
@@ -443,14 +493,14 @@ impl EventQueue {
         Some(ev)
     }
 
-    /// Number of pending (non-cancelled) events.
+    /// Number of pending (non-cancelled) events, the armed timer included.
     pub fn len(&self) -> usize {
-        self.live
+        self.live + usize::from(self.timer.is_some())
     }
 
     /// Whether no live events remain.
     pub fn is_empty(&self) -> bool {
-        self.live == 0
+        self.len() == 0
     }
 
     #[inline]
@@ -757,10 +807,45 @@ mod tests {
         assert!(matches!(ev.kind, EventKind::PrefillDone { replica: 7, .. }));
     }
 
+    /// The fabric re-arms its timer after every change, even at an
+    /// unchanged time: the re-armed timer must pop after an event pushed
+    /// between the two arms, as a cancel-and-push would order it.
+    #[test]
+    fn timer_rearmed_at_the_same_time_pops_after_events_pushed_between() {
+        let mut q = EventQueue::new();
+        let at = SimTime::from_micros(50);
+        q.set_timer(at, EventKind::KvFlowDone);
+        q.set_now(SimTime::from_micros(10));
+        q.push(at, EventKind::ServiceResumed);
+        assert_eq!(q.peek().unwrap().kind, EventKind::KvFlowDone);
+        q.set_now(SimTime::from_micros(20));
+        q.set_timer(at, EventKind::KvFlowDone);
+        assert_eq!(q.len(), 2);
+        assert_eq!(q.peek().unwrap().kind, EventKind::ServiceResumed);
+        assert_eq!(q.pop().unwrap().kind, EventKind::ServiceResumed);
+        let timer = q.pop().unwrap();
+        assert_eq!(timer.kind, EventKind::KvFlowDone);
+        assert_eq!(timer.pushed_at.as_micros(), 20, "restamped at the re-arm");
+        assert_eq!(timer.token(), None);
+        assert!(q.pop().is_none() && q.is_empty());
+    }
+
+    #[test]
+    fn cleared_timer_never_fires() {
+        let mut q = EventQueue::new();
+        q.set_timer(SimTime::from_micros(1), EventKind::KvFlowDone);
+        q.push(SimTime::from_micros(2), EventKind::ServiceResumed);
+        q.clear_timer();
+        assert_eq!(q.len(), 1);
+        assert_eq!(q.pop().unwrap().kind, EventKind::ServiceResumed);
+        assert!(q.pop().is_none());
+    }
+
     /// Model-based property sweep: under random interleaved push /
-    /// push_cancellable / cancel / reschedule / pop, the queue pops exactly
-    /// the live events of a reference model, in `(at, seq)` order. Runs as
-    /// a seeded deterministic sweep over many xorshift-driven op sequences.
+    /// push_cancellable / cancel / reschedule / pop and timer set / clear /
+    /// restamp, the queue pops exactly the live events of a reference
+    /// model, in `(at, seq)` order. Runs as a seeded deterministic sweep
+    /// over many xorshift-driven op sequences.
     #[test]
     fn random_ops_match_reference_model() {
         struct Rng(u64);
@@ -781,10 +866,12 @@ mod tests {
             // Reference: Vec of (at, seq, live-flag); tokens index into it.
             let mut model: Vec<(u64, u64, bool)> = Vec::new();
             let mut tokens: Vec<(EventToken, usize)> = Vec::new();
+            // The model entry of the armed timer.
+            let mut timer: Option<usize> = None;
             let mut next_seq = 0u64;
             let ops = 40 + (rng.next() % 160) as usize;
             for _ in 0..ops {
-                match rng.next() % 5 {
+                match rng.next() % 9 {
                     0 => {
                         let at = rng.next() % 100;
                         q.push(SimTime::from_micros(at), EventKind::ServiceResumed);
@@ -826,6 +913,28 @@ mod tests {
                                 assert!(!model[mi].2, "seed {seed}");
                                 tokens.swap_remove(slot);
                             }
+                        }
+                    }
+                    5 | 6 => {
+                        // Set at a fresh time, or restamp at the armed
+                        // timer's time (a fresh time when none is armed).
+                        let armed = timer.filter(|&mi| model[mi].2).map(|mi| model[mi].0);
+                        let at = match armed {
+                            Some(at) if rng.next().is_multiple_of(2) => at,
+                            _ => rng.next() % 100,
+                        };
+                        q.set_timer(SimTime::from_micros(at), EventKind::KvFlowDone);
+                        if let Some(mi) = timer {
+                            model[mi].2 = false;
+                        }
+                        model.push((at, next_seq, true));
+                        timer = Some(model.len() - 1);
+                        next_seq += 1;
+                    }
+                    7 => {
+                        q.clear_timer();
+                        if let Some(mi) = timer.take() {
+                            model[mi].2 = false;
                         }
                     }
                     _ => {

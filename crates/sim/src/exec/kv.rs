@@ -19,7 +19,7 @@ use super::driver::{drop_request, trace, trace_at, tracing, Core};
 use super::executor::{DecodeExecutor, PrefillExecutor};
 use super::seq::PrefillJob;
 use crate::config::{KvTransfer, SimConfig, KV_RETRY_BACKOFF_BASE, KV_RETRY_BACKOFF_CAP};
-use crate::event::{EventKind, EventToken};
+use crate::event::EventKind;
 use crate::fault::{FaultKind, TimedFault};
 use ts_cluster::Cluster;
 use ts_common::{
@@ -47,12 +47,9 @@ enum Wire {
     /// Wire time serialized on the sender's uplink.
     Serialized(Uplinks),
     /// Flows in the max-min fabric (boxed: its reusable allocation
-    /// buffers make it several times the size of the other variants).
-    Fabric {
-        flows: Box<FlowFabric>,
-        /// The event at the fabric's earliest completion estimate.
-        timer: Option<EventToken>,
-    },
+    /// buffers make it several times the size of the other variants). The
+    /// event queue's timer slot holds its earliest completion estimate.
+    Fabric(Box<FlowFabric>),
 }
 
 /// State of the per-sender serialized model.
@@ -150,7 +147,7 @@ impl KvTransport {
                 if cfg.telemetry {
                     flows.enable_telemetry();
                 }
-                Wire::Fabric { flows, timer: None }
+                Wire::Fabric(flows)
             }
         };
         KvTransport {
@@ -200,7 +197,7 @@ impl KvTransport {
         }
         let ready = now + delay;
         let (start, done) = match &mut self.wire {
-            Wire::Fabric { .. } => {
+            Wire::Fabric(_) => {
                 if delay == SimDuration::ZERO {
                     self.start_flow(core, key);
                 } else {
@@ -273,7 +270,7 @@ impl KvTransport {
         let Some(t) = st.transfer else {
             return;
         };
-        let Wire::Fabric { flows, timer } = &mut self.wire else {
+        let Wire::Fabric(flows) = &mut self.wire else {
             return;
         };
         let rid = st.req.id;
@@ -288,7 +285,7 @@ impl KvTransport {
             },
         );
         flows.start(key.as_u64(), from, to, bytes, core.now);
-        rearm(core, flows, timer);
+        rearm(core, flows);
     }
 
     /// A delayed (backed-off) flow launch fired; start the flow unless a
@@ -306,13 +303,13 @@ impl KvTransport {
     /// The fabric timer fired: complete the earliest-due flow and re-arm.
     /// Returns the request to deliver, unless its link faulted.
     pub(super) fn on_timer(&mut self, core: &mut Core) -> Result<Option<SlabKey>> {
-        let Wire::Fabric { flows, timer } = &mut self.wire else {
+        let Wire::Fabric(flows) = &mut self.wire else {
             return Err(Error::Simulation("KvFlowDone without a fabric".into()));
         };
         let key = flows
             .complete_due(core.now)
             .ok_or_else(|| Error::Simulation("KvFlowDone with no flow due".into()))?;
-        rearm(core, flows, timer);
+        rearm(core, flows);
         Ok(self.arrived(core, SlabKey::from_u64(key)))
     }
 
@@ -368,10 +365,10 @@ impl KvTransport {
 
     /// Cancels `key`'s fabric flow, if one is in flight.
     pub(super) fn cancel(&mut self, core: &mut Core, key: SlabKey) {
-        if let Wire::Fabric { flows, timer } = &mut self.wire {
+        if let Wire::Fabric(flows) = &mut self.wire {
             if flows.contains(key.as_u64()) {
                 flows.cancel(key.as_u64(), core.now);
-                rearm(core, flows, timer);
+                rearm(core, flows);
             }
         }
     }
@@ -381,7 +378,7 @@ impl KvTransport {
     /// The other models notice at completion time.
     pub(super) fn link_down(&mut self, core: &mut Core, prefill: usize, decode: usize) {
         self.link_down[prefill][decode] = true;
-        let Wire::Fabric { flows, .. } = &self.wire else {
+        let Wire::Fabric(flows) = &self.wire else {
             return;
         };
         let mut victims: Vec<_> = core
@@ -417,10 +414,10 @@ impl KvTransport {
         match &mut self.wire {
             Wire::Free => {}
             Wire::Serialized(up) => up.link_factor[prefill][decode] = factor,
-            Wire::Fabric { flows, timer } => {
+            Wire::Fabric(flows) => {
                 let (from, to, _) = self.flow_routes[prefill][decode];
                 flows.degrade_path(from, to, factor, core.now);
-                rearm(core, flows, timer);
+                rearm(core, flows);
             }
         }
     }
@@ -429,7 +426,7 @@ impl KvTransport {
     /// (`ZERO` without the fabric).
     pub(super) fn horizon(&self) -> SimTime {
         match &self.wire {
-            Wire::Fabric { flows, .. } => flows.latest_estimate(),
+            Wire::Fabric(flows) => flows.latest_estimate(),
             _ => SimTime::ZERO,
         }
     }
@@ -437,7 +434,7 @@ impl KvTransport {
     /// The fabric's reallocation work so far; `None` without the fabric.
     pub(super) fn fabric_work(&self) -> Option<FabricWork> {
         match &self.wire {
-            Wire::Fabric { flows, .. } => Some(flows.work()),
+            Wire::Fabric(flows) => Some(flows.work()),
             _ => None,
         }
     }
@@ -446,22 +443,21 @@ impl KvTransport {
     /// changes); empty without the fabric or telemetry.
     pub(super) fn take_events(&mut self) -> Vec<TraceEvent> {
         match &mut self.wire {
-            Wire::Fabric { flows, .. } => flows.take_events(),
+            Wire::Fabric(flows) => flows.take_events(),
             _ => Vec::new(),
         }
     }
 }
 
-/// Moves the fabric timer to the earliest completion estimate. The event is
-/// pushed afresh even when that time is unchanged: the estimate dates from
-/// this change, and its sequence number must order it after every event
-/// pushed before the change.
-fn rearm(core: &mut Core, flows: &FlowFabric, timer: &mut Option<EventToken>) {
-    if let Some(t) = timer.take() {
-        core.queue.cancel(t);
-    }
-    if let Some((at, _)) = flows.next_due() {
-        *timer = Some(core.queue.push_cancellable(at, EventKind::KvFlowDone));
+/// Moves the fabric timer to the earliest completion estimate, or disarms
+/// it when no flow is in flight. The timer is restamped even when that
+/// time is unchanged: the estimate dates from this change, and its
+/// sequence number must order it after every event pushed before the
+/// change.
+fn rearm(core: &mut Core, flows: &FlowFabric) {
+    match flows.next_due() {
+        Some((at, _)) => core.queue.set_timer(at, EventKind::KvFlowDone),
+        None => core.queue.clear_timer(),
     }
 }
 
@@ -597,7 +593,7 @@ mod tests {
             let picked = match s.kv.wire {
                 Wire::Free => KvTransfer::Free,
                 Wire::Serialized(_) => KvTransfer::Serialized,
-                Wire::Fabric { .. } => KvTransfer::Fabric,
+                Wire::Fabric(_) => KvTransfer::Fabric,
             };
             assert_eq!(picked, transfer);
             assert_eq!(s.kv.codecs.len(), 1, "one codec per prefill replica");
