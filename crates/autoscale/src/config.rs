@@ -2,6 +2,10 @@
 
 use ts_common::{Error, Result, SimDuration};
 
+/// Heartbeat timeout used when serving segments with fault scripts: the
+/// engine's detection delay for a lost replica.
+pub const HEARTBEAT_TIMEOUT: SimDuration = SimDuration::from_secs(1);
+
 /// Configuration of the [`crate::AutoscaleController`] and harness.
 ///
 /// Thresholds are deliberately hysteretic: the scale-up trigger
@@ -37,8 +41,6 @@ pub struct AutoscaleConfig {
     /// escalates to a full re-plan (see
     /// [`ts_runtime::ServingRuntime::apply_fleet_delta`]).
     pub full_replan_fraction: f64,
-    /// Heartbeat timeout used when serving segments with fault scripts.
-    pub heartbeat_timeout: SimDuration,
 }
 
 impl Default for AutoscaleConfig {
@@ -53,7 +55,6 @@ impl Default for AutoscaleConfig {
             max_acquire_per_step: 2,
             max_release_per_step: 1,
             full_replan_fraction: 0.5,
-            heartbeat_timeout: SimDuration::from_secs(1),
         }
     }
 }

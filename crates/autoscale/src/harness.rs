@@ -12,7 +12,7 @@ use ts_runtime::{ReschedulePolicy, ServingRuntime};
 use ts_telemetry::{ScaleKind, TraceEvent, TraceKind};
 use ts_workload::WorkloadSpec;
 
-use crate::config::AutoscaleConfig;
+use crate::config::{AutoscaleConfig, HEARTBEAT_TIMEOUT};
 use crate::controller::{AutoscaleController, FleetAction};
 use crate::ledger::CostLedger;
 use crate::observe::observe_segment;
@@ -271,7 +271,7 @@ pub fn run_elastic(
             &seg.events,
             ReschedulePolicy::Lightweight,
             &seg.workload,
-            cfg.heartbeat_timeout,
+            HEARTBEAT_TIMEOUT,
         )?;
 
         // Reclaims that landed mid-segment: the provider took the node, the

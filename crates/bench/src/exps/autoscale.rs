@@ -83,7 +83,6 @@ pub fn autoscale_cfg(quick: bool) -> AutoscaleConfig {
         max_acquire_per_step: if quick { 4 } else { 2 },
         max_release_per_step: 1,
         full_replan_fraction: if quick { 1.0 } else { 0.5 },
-        ..AutoscaleConfig::default()
     }
 }
 

@@ -5,6 +5,10 @@ use ts_costmodel::ModelParams;
 use ts_kvcache::codec::KvWirePrecision;
 use ts_solver::routing_dp::MAX_STAGES;
 
+/// Tabu memory length (`N_mem` in Algorithm 1): the walk refuses the last
+/// `N_MEM` solutions it moved to.
+pub const N_MEM: usize = 5;
+
 /// Tuning knobs for the two-level scheduler.
 #[derive(Debug, Clone)]
 pub struct SchedulerConfig {
@@ -12,8 +16,6 @@ pub struct SchedulerConfig {
     pub n_step: usize,
     /// Neighbours evaluated per step (`N_nghb`).
     pub n_nghb: usize,
-    /// Tabu memory length (`N_mem`).
-    pub n_mem: usize,
     /// RNG seed for all stochastic choices.
     pub seed: u64,
     /// Cost-model parameters.
@@ -60,12 +62,12 @@ pub struct SchedulerConfig {
 }
 
 impl Default for SchedulerConfig {
-    /// The paper's defaults: `N_step = 100`, `N_nghb = 10`, `N_mem = 5`.
+    /// The paper's defaults: `N_step = 100`, `N_nghb = 10` (`N_mem` is the
+    /// constant [`N_MEM`]).
     fn default() -> Self {
         SchedulerConfig {
             n_step: 100,
             n_nghb: 10,
-            n_mem: 5,
             seed: 0,
             params: ModelParams::default(),
             kv_precision: KvWirePrecision::DEFAULT_COMPRESSED,
@@ -124,7 +126,7 @@ mod tests {
         let c = SchedulerConfig::default();
         assert_eq!(c.n_step, 100);
         assert_eq!(c.n_nghb, 10);
-        assert_eq!(c.n_mem, 5);
+        assert_eq!(N_MEM, 5);
     }
 
     #[test]

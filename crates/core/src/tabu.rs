@@ -45,7 +45,7 @@
 //! it, because cached scores can never exceed the running best.
 
 use crate::candidate::{Candidate, CandidateGroup};
-use crate::config::SchedulerConfig;
+use crate::config::{SchedulerConfig, N_MEM};
 use crate::orchestrate::{cost_models, orchestrate_costed, phase_affinity, OrchestratedPlan};
 use crate::parallel::deduce_with_cost_model;
 use rand::Rng;
@@ -258,7 +258,7 @@ fn walk<S: Space>(
                 }
                 tabu.push_back(k.clone());
                 tabu_set.insert(k);
-                while tabu.len() > cfg.n_mem {
+                while tabu.len() > N_MEM {
                     if let Some(old) = tabu.pop_front() {
                         tabu_set.remove(&old);
                     }

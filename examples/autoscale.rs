@@ -100,7 +100,6 @@ fn main() -> thunderserve::Result<()> {
         // 90s segments cannot absorb a full-replan weight-reload blackout,
         // so fleet edits always take the graft path.
         full_replan_fraction: 1.0,
-        ..AutoscaleConfig::default()
     };
 
     let segs = segments();
