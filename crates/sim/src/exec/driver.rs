@@ -29,7 +29,7 @@
 //!
 //! # Performance architecture
 //!
-//! Four structural decisions keep the loop fast on day-scale traces
+//! Five structural decisions keep the loop fast on day-scale traces
 //! without changing a single output bit:
 //!
 //! * **Slab-allocated request state.** All per-request bookkeeping (the
@@ -47,6 +47,12 @@
 //! * **Routing over credit levels.** A [`StrideRouter`] pick tops up one
 //!   entry per level — the live cells sharing a stride and a credit — not
 //!   one per cell, so a fleet plan's 1,024 equal cells cost two entries.
+//! * **O(path + flows) fabric changes.** Under the flow fabric each KV
+//!   flow start, finish or cancel updates the max-min filler's inputs in
+//!   O(path), refills over the touched links only, and makes one pass over
+//!   a key-sorted flow vector. The fabric's one timer lives in the event
+//!   queue's timer slot, so a re-arm neither sifts the heap nor leaves a
+//!   tombstone (see the `kv` module and `ts_net`).
 
 use super::colo::{self, ColoState};
 use super::decode;
