@@ -106,12 +106,14 @@ impl Candidate {
         })
     }
 
-    /// Canonical hash (order-independent) for the tabu list.
+    /// Canonical hash (order-independent) for the tabu list. The sorted
+    /// keys borrow each group's GPU list; a slice hashes the bytes of the
+    /// `Vec` it borrows from.
     pub fn canonical_hash(&self) -> u64 {
-        let mut keys: Vec<(Vec<GpuId>, Phase, ModelId)> = self
+        let mut keys: Vec<(&[GpuId], Phase, ModelId)> = self
             .groups
             .iter()
-            .map(|g| (g.gpus.clone(), g.phase, g.model))
+            .map(|g| (g.gpus.as_slice(), g.phase, g.model))
             .collect();
         keys.sort();
         let mut h = DefaultHasher::new();
@@ -302,6 +304,24 @@ mod tests {
         assert_eq!(a.canonical_hash(), b.canonical_hash());
         let c = a.flip(0);
         assert_ne!(a.canonical_hash(), c.canonical_hash());
+    }
+
+    #[test]
+    fn hash_of_borrowed_keys_equals_hash_of_owned_keys() {
+        let c = Candidate::new(vec![
+            CandidateGroup::new(ids(&[4, 5]), Phase::Decode).with_model(ModelId(2)),
+            CandidateGroup::new(ids(&[0, 1, 2, 3]), Phase::Prefill),
+            CandidateGroup::new(ids(&[6, 7]), Phase::Prefill).with_model(ModelId(1)),
+        ]);
+        let mut owned: Vec<(Vec<GpuId>, Phase, ModelId)> = c
+            .groups
+            .iter()
+            .map(|g| (g.gpus.clone(), g.phase, g.model))
+            .collect();
+        owned.sort();
+        let mut h = DefaultHasher::new();
+        owned.hash(&mut h);
+        assert_eq!(c.canonical_hash(), h.finish());
     }
 
     #[test]

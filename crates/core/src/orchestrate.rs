@@ -5,17 +5,24 @@
 //! Eq. (1) — then solve the capacity-bounded transportation problem to route
 //! request flow, producing a complete [`DeploymentPlan`] and its estimated
 //! overall attainment.
+//!
+//! Orchestration is two steps. Scoring (`score_costed`) runs the
+//! estimates, the tiered LP and the equalize passes, plus every check that
+//! packaging could fail on, and yields the objective. Packaging
+//! (`Scored::package`) scales the routing to the whole stream and builds
+//! the plan. The tabu walk scores every neighbour and packages only a new
+//! best.
 
 use crate::config::SchedulerConfig;
 use std::borrow::Borrow;
 use ts_cluster::Cluster;
 use ts_common::{
-    DeploymentPlan, Error, GroupSpec, ModelSpec, Phase, Result, RoutingMatrix, SloSpec,
+    DeploymentPlan, Error, GpuId, GroupSpec, ModelSpec, Phase, Result, RoutingMatrix, SloSpec,
 };
 use ts_costmodel::ReplicaCostModel;
 use ts_sim::config::{KvTransfer, SimConfig};
 use ts_sim::estimate::pair_estimates;
-use ts_solver::transport::solve_orchestration_with_link_budget;
+use ts_solver::transport::{Orchestration, OrchestrationProblem};
 use ts_telemetry::profile;
 use ts_workload::WorkloadSpec;
 
@@ -67,7 +74,13 @@ pub fn orchestrate_with_link_share(
 ) -> Result<OrchestratedPlan> {
     let costs = cost_models(cluster, model, &groups, cfg)?;
     orchestrate_costed(
-        cluster, model, groups, &costs, workload, slo, cfg, link_share,
+        cluster,
+        &sim_config(model, cfg),
+        groups,
+        &costs,
+        workload,
+        slo,
+        link_share,
     )
 }
 
@@ -90,25 +103,98 @@ pub(crate) fn cost_models(
 }
 
 /// [`orchestrate_with_link_share`] over groups whose cost models are
-/// already built: `costs[i]` is the model of `groups[i]`. The tabu walk
-/// keeps each group's model beside it in its cache and calls this directly.
-#[allow(clippy::too_many_arguments)]
+/// already built, `costs[i]` the model of `groups[i]`, under the simulator
+/// configuration [`sim_config`] derives: the scoring step, then packaging.
 pub(crate) fn orchestrate_costed<M: Borrow<ReplicaCostModel>>(
     cluster: &Cluster,
-    model: &ModelSpec,
+    sim_cfg: &SimConfig,
     groups: Vec<GroupSpec>,
     costs: &[M],
     workload: &WorkloadSpec,
     slo: &SloSpec,
-    cfg: &SchedulerConfig,
     link_share: f64,
 ) -> Result<OrchestratedPlan> {
+    let members = groups
+        .iter()
+        .map(|g| g.phase)
+        .zip(costs.iter().map(Borrow::borrow));
+    score_costed(cluster, sim_cfg, members, workload, slo, link_share)?.package(groups)
+}
+
+/// What scoring leaves for packaging: the LP's routing after the equalize
+/// passes, and its objective.
+#[derive(Debug, Clone)]
+pub(crate) struct Scored {
+    /// The LP solution with its rates equalized in place.
+    orch: Orchestration,
+}
+
+impl Scored {
+    /// The estimated attainment: the LP objective, unserved mass counted
+    /// as missed SLOs.
+    pub(crate) fn score(&self) -> f64 {
+        self.orch.value
+    }
+
+    /// The routing the plan gets, row-major. The dispatcher must route 100%
+    /// of traffic even when capacity says only `mass` of it can meet its
+    /// SLO, so a positive mass scales the optimized allocation
+    /// proportionally. (Under saturation every choice overloads something;
+    /// keeping the LP's shape concentrates traffic on the highest-value
+    /// routes. The latency pathologies of near-saturated links are handled
+    /// upstream by the tiered link headroom, not here.) A zero mass routes
+    /// uniformly.
+    pub(crate) fn routing(&self) -> impl Iterator<Item = f64> + '_ {
+        let rates = &self.orch.rates;
+        let uniform = 1.0 / (rates.len() * rates[0].len()) as f64;
+        let scale = (self.orch.mass > 0.0).then(|| 1.0 / self.orch.mass);
+        rates
+            .iter()
+            .flatten()
+            .map(move |&v| scale.map_or(uniform, |s| v * s))
+    }
+
+    /// Packages the plan over `groups`, the groups scored, in order.
+    ///
+    /// # Errors
+    /// Whatever [`RoutingMatrix::new`] and [`DeploymentPlan::new`] refuse;
+    /// scoring has already checked the routing.
+    pub(crate) fn package(&self, groups: Vec<GroupSpec>) -> Result<OrchestratedPlan> {
+        let _package = profile::scope("tabu.package");
+        let (m, n) = (self.orch.rates.len(), self.orch.rates[0].len());
+        let routing = if self.orch.mass > 0.0 {
+            let mut rates = self.routing();
+            RoutingMatrix::new((0..m).map(|_| rates.by_ref().take(n).collect()).collect())?
+        } else {
+            RoutingMatrix::uniform(m, n)
+        };
+        Ok(OrchestratedPlan {
+            plan: DeploymentPlan::new(groups, routing)?,
+            score: self.score(),
+        })
+    }
+}
+
+/// The scoring step of orchestration over `members`, each group's phase
+/// with its cost model, in group order.
+///
+/// # Errors
+/// Returns [`Error::Infeasible`] if either phase has no groups; propagates
+/// solver failures and the routing checks of [`RoutingMatrix::new`].
+pub(crate) fn score_costed<'c>(
+    cluster: &Cluster,
+    sim_cfg: &SimConfig,
+    members: impl IntoIterator<Item = (Phase, &'c ReplicaCostModel)>,
+    workload: &WorkloadSpec,
+    slo: &SloSpec,
+    link_share: f64,
+) -> Result<Scored> {
     let mut prefill: Vec<&ReplicaCostModel> = Vec::new();
     let mut decode: Vec<&ReplicaCostModel> = Vec::new();
-    for (g, c) in groups.iter().zip(costs) {
-        match g.phase {
-            Phase::Prefill => prefill.push(c.borrow()),
-            Phase::Decode => decode.push(c.borrow()),
+    for (phase, c) in members {
+        match phase {
+            Phase::Prefill => prefill.push(c),
+            Phase::Decode => decode.push(c),
         }
     }
     if prefill.is_empty() || decode.is_empty() {
@@ -117,10 +203,9 @@ pub(crate) fn orchestrate_costed<M: Borrow<ReplicaCostModel>>(
         ));
     }
 
-    let sim_cfg = sim_config(model, cfg);
     let est = {
         let _g = profile::scope("tabu.pair_estimates");
-        pair_estimates(cluster, &sim_cfg, &prefill, &decode, workload, slo)
+        pair_estimates(cluster, sim_cfg, &prefill, &decode, workload, slo)
     };
     // Sender-uplink budgets: each routed request costs kv_seconds of sender
     // time at workload.rate requests/second. Links want *more* headroom than
@@ -130,10 +215,15 @@ pub(crate) fn orchestrate_costed<M: Borrow<ReplicaCostModel>>(
     // constraint entirely when it would strand demand (under saturation,
     // serving at link capacity beats preserving latency headroom for
     // requests that would otherwise never be served).
+    //
+    // A tier whose mass is short before any pivot would be discarded for
+    // the next one; only its feasibility matters, because an infeasible
+    // tier ends the orchestration. Such a tier runs phase 1 alone.
+    const TIERS: [Option<f64>; 3] = [Some(0.60), Some(0.92), None];
     let lp = profile::scope("tabu.transport_lp");
     let mut orch = None;
-    for headroom in [Some(0.60), Some(0.92), None] {
-        let cand = solve_orchestration_with_link_budget(
+    for (k, headroom) in TIERS.into_iter().enumerate() {
+        let problem = OrchestrationProblem::new(
             &est.d,
             &est.row_cap,
             &est.col_cap,
@@ -142,47 +232,51 @@ pub(crate) fn orchestrate_costed<M: Borrow<ReplicaCostModel>>(
                 .map(|h| h * link_share / workload.rate)
                 .unwrap_or(0.0),
         )?;
-        let full = cand.mass >= 0.999;
-        orch = Some(cand);
-        if full {
-            break;
+        if k + 1 < TIERS.len() && problem.mass() < 0.999 {
+            let _g = profile::scope("tabu.lp_feasibility");
+            problem.check_feasible()?;
+            continue;
         }
+        orch = Some(problem.solve()?);
+        break;
     }
-    let orch = orch.expect("at least one orchestration attempt ran");
+    let mut orch = orch.expect("the last tier always solves");
     drop(lp);
-    let _package = profile::scope("tabu.package");
-
-    // Unserved mass counts as missed SLOs in the score.
-    let score = orch.value;
 
     // The LP is degenerate among symmetric replicas (identical D rows/cols)
     // and returns vertex solutions that pile all mass on one of them, which
     // doubles queueing for no objective gain. Average allocations within
     // equivalence classes: feasibility and objective are preserved because
     // the constraints and costs are identical across class members.
-    let mut rates_eq = orch.rates.clone();
-    equalize_rows(&mut rates_eq, &est.d, &est.row_cap, &est.kv_seconds);
-    equalize_cols(&mut rates_eq, &est.d, &est.col_cap);
+    equalize_rows(&mut orch.rates, &est.d, &est.row_cap, &est.kv_seconds);
+    equalize_cols(&mut orch.rates, &est.d, &est.col_cap);
+    let scored = Scored { orch };
+    if scored.orch.mass > 0.0 {
+        check_routing(scored.routing())?;
+    }
+    Ok(scored)
+}
 
-    let routing = if orch.mass > 0.0 {
-        // The dispatcher must route 100% of traffic even when capacity says
-        // only `mass` of it can meet its SLO; scale the optimized allocation
-        // proportionally. (Under saturation every choice overloads something;
-        // keeping the LP's shape concentrates traffic on the highest-value
-        // routes. The latency pathologies of near-saturated links are handled
-        // upstream by the tiered link headroom, not here.)
-        let scale = 1.0 / orch.mass;
-        let rates: Vec<Vec<f64>> = rates_eq
-            .iter()
-            .map(|row| row.iter().map(|&v| v * scale).collect())
-            .collect();
-        RoutingMatrix::new(rates)?
-    } else {
-        RoutingMatrix::uniform(prefill.len(), decode.len())
-    };
-
-    let plan = DeploymentPlan::new(groups, routing)?;
-    Ok(OrchestratedPlan { plan, score })
+/// The value checks of [`RoutingMatrix::new`] on row-major `rates`, with
+/// its messages: every rate finite and non-negative, the sum within 1e-6
+/// of 1.
+///
+/// # Errors
+/// Returns [`Error::InvalidConfig`] for the first check that fails.
+pub(crate) fn check_routing(rates: impl Iterator<Item = f64>) -> Result<()> {
+    let mut total = 0.0;
+    for v in rates {
+        if !v.is_finite() || v < -1e-12 {
+            return Err(Error::InvalidConfig(format!("bad routing rate {v}")));
+        }
+        total += v;
+    }
+    if (total - 1.0).abs() > 1e-6 {
+        return Err(Error::InvalidConfig(format!(
+            "routing rates sum to {total}, expected 1"
+        )));
+    }
+    Ok(())
 }
 
 /// Averages routing rows across prefill replicas that are interchangeable:
@@ -190,34 +284,40 @@ pub(crate) fn orchestrate_costed<M: Borrow<ReplicaCostModel>>(
 fn equalize_rows(rates: &mut [Vec<f64>], d: &[Vec<f64>], row_cap: &[f64], kv: &[Vec<f64>]) {
     let m = rates.len();
     let close = |a: f64, b: f64| (a - b).abs() <= 1e-9 * a.abs().max(b.abs()).max(1.0);
-    let mut assigned = vec![false; m];
+    // The first member of each row's class, once the row has one.
+    let mut leader = vec![usize::MAX; m];
     for i in 0..m {
-        if assigned[i] {
+        if leader[i] != usize::MAX {
             continue;
         }
-        let mut class = vec![i];
+        leader[i] = i;
+        let mut size = 1;
         for i2 in i + 1..m {
-            if assigned[i2] {
+            if leader[i2] != usize::MAX {
                 continue;
             }
             let same = close(row_cap[i], row_cap[i2])
                 && d[i].iter().zip(&d[i2]).all(|(a, b)| close(*a, *b))
                 && kv[i].iter().zip(&kv[i2]).all(|(a, b)| close(*a, *b));
             if same {
-                class.push(i2);
+                leader[i2] = i;
+                size += 1;
             }
         }
-        if class.len() > 1 {
+        if size > 1 {
             let n = rates[0].len();
             for j in 0..n {
-                let avg = class.iter().map(|&r| rates[r][j]).sum::<f64>() / class.len() as f64;
-                for &r in &class {
-                    rates[r][j] = avg;
+                let avg = (i..m)
+                    .filter(|&r| leader[r] == i)
+                    .map(|r| rates[r][j])
+                    .sum::<f64>()
+                    / size as f64;
+                for r in i..m {
+                    if leader[r] == i {
+                        rates[r][j] = avg;
+                    }
                 }
             }
-        }
-        for &r in &class {
-            assigned[r] = true;
         }
     }
 }
@@ -229,31 +329,37 @@ fn equalize_cols(rates: &mut [Vec<f64>], d: &[Vec<f64>], col_cap: &[f64]) {
     }
     let n = rates[0].len();
     let close = |a: f64, b: f64| (a - b).abs() <= 1e-9 * a.abs().max(b.abs()).max(1.0);
-    let mut assigned = vec![false; n];
+    // The first member of each column's class, once the column has one.
+    let mut leader = vec![usize::MAX; n];
     for j in 0..n {
-        if assigned[j] {
+        if leader[j] != usize::MAX {
             continue;
         }
-        let mut class = vec![j];
+        leader[j] = j;
+        let mut size = 1;
         for j2 in j + 1..n {
-            if assigned[j2] {
+            if leader[j2] != usize::MAX {
                 continue;
             }
             let same = close(col_cap[j], col_cap[j2]) && d.iter().all(|row| close(row[j], row[j2]));
             if same {
-                class.push(j2);
+                leader[j2] = j;
+                size += 1;
             }
         }
-        if class.len() > 1 {
+        if size > 1 {
             for row in rates.iter_mut() {
-                let avg = class.iter().map(|&c| row[c]).sum::<f64>() / class.len() as f64;
-                for &c in &class {
-                    row[c] = avg;
+                let avg = (j..n)
+                    .filter(|&c| leader[c] == j)
+                    .map(|c| row[c])
+                    .sum::<f64>()
+                    / size as f64;
+                for c in j..n {
+                    if leader[c] == j {
+                        row[c] = avg;
+                    }
                 }
             }
-        }
-        for &c in &class {
-            assigned[c] = true;
         }
     }
 }
@@ -266,9 +372,20 @@ fn equalize_cols(rates: &mut [Vec<f64>], d: &[Vec<f64>], col_cap: &[f64]) {
 /// model would pick, scaled small enough (1e-4 in the tabu objective) never
 /// to override a real attainment difference.
 pub fn phase_affinity(cluster: &Cluster, groups: &[GroupSpec]) -> f64 {
+    phase_affinity_of(cluster, groups.iter().map(|g| (g.phase, g)))
+}
+
+/// [`phase_affinity`] of `groups`, each under the phase paired with it.
+pub(crate) fn phase_affinity_of<'g>(
+    cluster: &Cluster,
+    groups: impl IntoIterator<Item = (Phase, &'g GroupSpec)>,
+) -> f64 {
     let mut max_ci = 0.0f64;
     let mut max_bw = 0.0f64;
-    for id in cluster.active_gpus() {
+    let active = (0..cluster.num_gpus_provisioned())
+        .map(|i| GpuId(i as u32))
+        .filter(|&id| cluster.is_active(id));
+    for id in active {
         let spec = cluster.gpu(id).spec();
         max_ci = max_ci.max(spec.compute_intensity());
         max_bw = max_bw.max(spec.mem_bandwidth);
@@ -278,10 +395,10 @@ pub fn phase_affinity(cluster: &Cluster, groups: &[GroupSpec]) -> f64 {
     }
     let mut total = 0.0f64;
     let mut n = 0.0f64;
-    for g in groups {
+    for (phase, g) in groups {
         for gpu in g.gpus() {
             let spec = cluster.gpu(gpu).spec();
-            total += match g.phase {
+            total += match phase {
                 Phase::Prefill => spec.compute_intensity() / max_ci,
                 Phase::Decode => spec.mem_bandwidth / max_bw,
             };

@@ -40,17 +40,22 @@
 //! 3. the step winner is reduced in neighbour-generation order with a
 //!    strict `>`, exactly the serial first-maximum tie-break.
 //!
-//! The score cache maps key → score only. Only the best plan found so far
-//! is kept: a new global best is always evaluated in the step that finds
-//! it, because cached scores can never exceed the running best.
+//! The score cache maps key → score only. A batch only scores its
+//! neighbours (`Space::score`); no plan is built for them. Only a step
+//! winner that beats the running best is packaged into a plan
+//! (`Space::evaluate`), and only that plan is kept. Packaging re-reads the
+//! group cache without counting, so the cache counters are those of the
+//! scores alone.
 
 use crate::candidate::{Candidate, CandidateGroup};
 use crate::config::{SchedulerConfig, N_MEM};
-use crate::orchestrate::{cost_models, orchestrate_costed, phase_affinity, OrchestratedPlan};
+use crate::orchestrate::{
+    check_routing, cost_models, phase_affinity_of, score_costed, sim_config, OrchestratedPlan,
+    Scored,
+};
 use crate::parallel::deduce_with_cost_model;
 use rand::Rng;
-use std::borrow::Borrow;
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
 use std::hash::Hash;
 use std::sync::Arc;
 use std::time::Instant;
@@ -58,10 +63,11 @@ use ts_cluster::Cluster;
 use ts_common::rng::derive_seed;
 use ts_common::{
     seeded_rng, validate_catalog, with_worker_pool, DeploymentPlan, Error, GpuId, GroupSpec,
-    ModelRouting, ModelSpec, Phase, Result, ServedModel, ShardedCache, SloSpec,
+    ModelId, ModelRouting, ModelSpec, Phase, Result, ServedModel, ShardedCache, SloSpec,
 };
 use ts_costmodel::replica::{memory_feasible, memory_feasible_with_headroom};
 use ts_costmodel::ReplicaCostModel;
+use ts_sim::config::SimConfig;
 use ts_solver::clustering::cluster_by_bandwidth;
 use ts_telemetry::{profile, SearchStep, SearchTrace};
 use ts_workload::WorkloadSpec;
@@ -104,10 +110,37 @@ pub struct TabuResult {
 
 /// Parallel configurations deduced so far, each with the cost model that
 /// scored it, keyed by [`CandidateGroup::group_hash`] (`None`: the group
-/// has no feasible configuration). The model sits behind an `Arc`, so a hit
-/// does not copy it. Entries are deterministic functions of their key, so
+/// has no feasible configuration). An entry sits behind one `Arc`, so a hit
+/// clones a pointer. Entries are deterministic functions of their key, so
 /// every worker of a walk shares one.
-type GroupCache = ShardedCache<Option<(GroupSpec, Arc<ReplicaCostModel>)>>;
+type GroupCache = ShardedCache<Option<Arc<(GroupSpec, ReplicaCostModel)>>>;
+
+/// How a space reads the group cache: counted while scoring, uncounted
+/// while packaging a point already scored.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Read {
+    Counted,
+    Uncounted,
+}
+
+/// The cache entry of `g`, computing it with `deduce` on a miss. An
+/// uncounted read finds the entry its score inserted; should it not, it
+/// computes the entry without caching it.
+fn cached_group(
+    groups: &GroupCache,
+    g: &CandidateGroup,
+    read: Read,
+    deduce: impl FnOnce() -> Option<(GroupSpec, ReplicaCostModel)>,
+) -> Option<Arc<(GroupSpec, ReplicaCostModel)>> {
+    let deduce = || {
+        let _g = profile::scope("tabu.deduce");
+        deduce().map(Arc::new)
+    };
+    match read {
+        Read::Counted => groups.get_or_insert_with(g.group_hash(), deduce),
+        Read::Uncounted => groups.peek(g.group_hash()).unwrap_or_else(deduce),
+    }
+}
 
 /// What a walk searches. Evaluation takes `&self`, so the worker pool can
 /// share the space for the whole walk.
@@ -131,8 +164,14 @@ trait Space: Sync {
     /// any evaluation.
     fn admissible(&self, p: &Self::Point) -> bool;
 
-    /// Lower-level evaluation of an admissible solution: its objective and
-    /// plan, or `None` if it is infeasible.
+    /// Lower-level score of an admissible solution: its objective, or
+    /// `None` if it is infeasible. Builds no plan, but runs every check
+    /// that packaging one could fail on.
+    fn score(&self, p: &Self::Point, groups: &GroupCache) -> Option<f64>;
+
+    /// The objective and packaged plan of a solution [`Space::score`] has
+    /// scored on `groups`: `None` exactly when the score is. Reads the
+    /// group cache without counting.
     fn evaluate(&self, p: &Self::Point, groups: &GroupCache) -> Option<(f64, OrchestratedPlan)>;
 }
 
@@ -168,18 +207,18 @@ fn walk<S: Space>(
 
     if space.admissible(&x) {
         evaluations += 1;
-        let result = space.evaluate(&x, &groups);
-        eval_cache.insert(space.key(&x), result.as_ref().map(|(s, _)| *s));
-        if let Some((score, plan)) = result {
+        let score = space.score(&x, &groups);
+        eval_cache.insert(space.key(&x), score);
+        if let Some(score) = score {
             best_score = score;
-            best_plan = Some(plan);
+            best_plan = space.evaluate(&x, &groups).map(|(_, plan)| plan);
         }
     }
 
     // One worker pool spans the whole walk: thread startup is paid once,
     // not once per step. Jobs are owned clones, because pool workers
     // outlive any one step.
-    let eval = |p: &S::Point| space.evaluate(p, &groups);
+    let eval = |p: &S::Point| space.score(p, &groups);
     with_worker_pool(cfg.num_threads, &eval, |run| {
         for step in 0..steps {
             // Draw the whole neighbourhood up front so the RNG stream is
@@ -221,14 +260,10 @@ fn walk<S: Space>(
             drop(gate);
             row.evaluated = batch.len();
 
-            // Evaluate misses concurrently; output order == batch order.
-            let mut fresh: HashMap<S::Key, OrchestratedPlan> = HashMap::new();
-            for (k, out) in batch_keys.into_iter().zip(run(batch)) {
+            // Score misses concurrently; output order == batch order.
+            for (k, score) in batch_keys.into_iter().zip(run(batch)) {
                 evaluations += 1;
-                eval_cache.insert(k.clone(), out.as_ref().map(|(s, _)| *s));
-                if let Some((_, plan)) = out {
-                    fresh.insert(k, plan);
-                }
+                eval_cache.insert(k, score);
             }
 
             // Deterministic reduction: first strict maximum in generation
@@ -249,12 +284,7 @@ fn walk<S: Space>(
                 let (k, p) = drawn.swap_remove(i);
                 if score > best_score {
                     best_score = score;
-                    // A cached score never exceeds the running best, so a
-                    // new best is fresh; recompute defensively rather than
-                    // lose the plan.
-                    best_plan = fresh
-                        .remove(&k)
-                        .or_else(|| space.evaluate(&p, &groups).map(|(_, plan)| plan));
+                    best_plan = space.evaluate(&p, &groups).map(|(_, plan)| plan);
                 }
                 tabu.push_back(k.clone());
                 tabu_set.insert(k);
@@ -309,6 +339,7 @@ pub(crate) fn schedule(
     let space = SingleModel {
         cluster,
         model,
+        sim: sim_config(model, cfg),
         workload,
         slo,
         cfg,
@@ -341,6 +372,7 @@ pub(crate) fn schedule_multi(
     let space = MultiModel {
         cluster,
         models,
+        sims: models.iter().map(|m| sim_config(&m.spec, cfg)).collect(),
         workloads,
         cfg,
     };
@@ -360,16 +392,7 @@ pub(crate) fn reschedule_phases(
     slo: &SloSpec,
     cfg: &SchedulerConfig,
 ) -> Result<TabuResult> {
-    let costs = cost_models(cluster, model, &groups, cfg).ok();
-    let space = Flips {
-        cluster,
-        model,
-        groups,
-        costs,
-        workload,
-        slo,
-        cfg,
-    };
+    let space = Flips::new(cluster, model, groups, workload, slo, cfg);
     walk(
         &space,
         cfg,
@@ -382,6 +405,8 @@ pub(crate) fn reschedule_phases(
 struct SingleModel<'a> {
     cluster: &'a Cluster,
     model: &'a ModelSpec,
+    /// [`sim_config`] of the model, built once per walk.
+    sim: SimConfig,
     workload: &'a WorkloadSpec,
     slo: &'a SloSpec,
     cfg: &'a SchedulerConfig,
@@ -456,13 +481,47 @@ impl Space for SingleModel<'_> {
                 .all(|g| memory_feasible(self.cluster, self.model, &g.gpus, &self.cfg.params))
     }
 
+    fn score(&self, c: &Candidate, groups: &GroupCache) -> Option<f64> {
+        let entries = self.resolve(c, groups, Read::Counted)?;
+        let members = entries.iter().map(|e| (e.0.phase, &e.0, &e.1));
+        score_single(
+            self.cluster,
+            &self.sim,
+            self.workload,
+            self.slo,
+            self.cfg,
+            members,
+        )
+        .map(|(score, _)| score)
+    }
+
     fn evaluate(&self, c: &Candidate, groups: &GroupCache) -> Option<(f64, OrchestratedPlan)> {
-        let (specs, costs): (Vec<GroupSpec>, Vec<_>) = c
-            .groups
+        let entries = self.resolve(c, groups, Read::Uncounted)?;
+        let members = entries.iter().map(|e| (e.0.phase, &e.0, &e.1));
+        package_single(
+            self.cluster,
+            &self.sim,
+            self.workload,
+            self.slo,
+            self.cfg,
+            members,
+        )
+    }
+}
+
+impl SingleModel<'_> {
+    /// Each group's cache entry, in candidate order, or `None` if a group
+    /// has no feasible configuration.
+    fn resolve(
+        &self,
+        c: &Candidate,
+        groups: &GroupCache,
+        read: Read,
+    ) -> Option<Vec<Arc<(GroupSpec, ReplicaCostModel)>>> {
+        c.groups
             .iter()
             .map(|g| {
-                groups.get_or_insert_with(g.group_hash(), || {
-                    let _g = profile::scope("tabu.deduce");
+                cached_group(groups, g, read, || {
                     deduce_with_cost_model(
                         self.cluster,
                         self.model,
@@ -472,21 +531,9 @@ impl Space for SingleModel<'_> {
                         self.cfg,
                     )
                     .ok()
-                    .map(|(spec, cost)| (spec, Arc::new(cost)))
                 })
             })
-            .collect::<Option<Vec<_>>>()?
-            .into_iter()
-            .unzip();
-        score_groups(
-            self.cluster,
-            self.model,
-            specs,
-            &costs,
-            self.workload,
-            self.slo,
-            self.cfg,
-        )
+            .collect()
     }
 }
 
@@ -497,6 +544,8 @@ impl Space for SingleModel<'_> {
 struct MultiModel<'a> {
     cluster: &'a Cluster,
     models: &'a [ServedModel],
+    /// [`sim_config`] of each model, in catalog order, built once per walk.
+    sims: Vec<SimConfig>,
     workloads: &'a [WorkloadSpec],
     cfg: &'a SchedulerConfig,
 }
@@ -506,6 +555,78 @@ impl MultiModel<'_> {
     fn served(&self, g: &CandidateGroup) -> Option<(&ServedModel, &WorkloadSpec)> {
         let i = self.models.iter().position(|m| m.id == g.model)?;
         Some((&self.models[i], &self.workloads[i]))
+    }
+
+    /// Each group's cache entry under the model it serves, in candidate
+    /// order, or `None` if a group has no feasible configuration.
+    fn resolve(
+        &self,
+        c: &Candidate,
+        groups: &GroupCache,
+        read: Read,
+    ) -> Option<Vec<Arc<(GroupSpec, ReplicaCostModel)>>> {
+        c.groups
+            .iter()
+            .map(|g| {
+                let (m, w) = self.served(g)?;
+                // `group_hash` covers the model id, so one cache serves all
+                // tenants without collisions.
+                cached_group(groups, g, read, || {
+                    deduce_with_cost_model(self.cluster, &m.spec, &g.gpus, g.phase, w, self.cfg)
+                        .ok()
+                        .map(|(spec, cost)| (spec.with_model(g.model), cost))
+                })
+            })
+            .collect()
+    }
+
+    /// One transportation problem per model, in catalog order, over that
+    /// model's groups with a traffic-share claim on the shared uplinks.
+    /// Returns the objective `Σ share_m · attainment_m` (plus the affinity
+    /// tie-breaker, share-weighted alike) and each model's routing, after
+    /// the checks [`DeploymentPlan::new_multi`] runs on them.
+    fn score_models(
+        &self,
+        entries: &[Arc<(GroupSpec, ReplicaCostModel)>],
+    ) -> Option<(f64, Vec<Scored>)> {
+        let mut score = 0.0f64;
+        let mut affinity = 0.0f64;
+        let mut routed = Vec::with_capacity(self.models.len());
+        for ((m, w), sim) in self.models.iter().zip(self.workloads).zip(&self.sims) {
+            let members = entries.iter().filter(|e| e.0.model == m.id);
+            affinity += m.traffic_share
+                * phase_affinity_of(self.cluster, members.clone().map(|e| (e.0.phase, &e.0)));
+            let scored = score_costed(
+                self.cluster,
+                sim,
+                members.map(|e| (e.0.phase, &e.1)),
+                w,
+                &m.slo,
+                m.traffic_share,
+            )
+            .ok()?;
+            score += m.traffic_share * scored.score();
+            routed.push(scored);
+        }
+        // `new_multi` keeps a lone default-model entry's routing as it is;
+        // otherwise it checks the shares and the aggregate routing, the
+        // rows and columns grouped by model in catalog order.
+        if !(self.models.len() == 1 && self.models[0].id == ModelId(0)) {
+            if self
+                .models
+                .iter()
+                .any(|m| !m.traffic_share.is_finite() || m.traffic_share < 0.0)
+            {
+                return None;
+            }
+            let aggregate = self
+                .models
+                .iter()
+                .zip(&routed)
+                .flat_map(|(m, r)| r.routing().map(move |v| m.traffic_share * v));
+            check_routing(aggregate).ok()?;
+        }
+        Some((score + affinity_bonus(self.cfg, affinity), routed))
     }
 }
 
@@ -609,46 +730,25 @@ impl Space for MultiModel<'_> {
 
     /// Per-group parallel-config deduction under that group's model, then
     /// one transportation problem per model with a traffic-share claim on
-    /// the shared uplinks. The objective is `Σ share_m · attainment_m`
-    /// (plus the affinity tie-breaker, share-weighted alike).
+    /// the shared uplinks (see `MultiModel::score_models`).
+    fn score(&self, c: &Candidate, groups: &GroupCache) -> Option<f64> {
+        let entries = self.resolve(c, groups, Read::Counted)?;
+        self.score_models(&entries).map(|(score, _)| score)
+    }
+
     fn evaluate(&self, c: &Candidate, groups: &GroupCache) -> Option<(f64, OrchestratedPlan)> {
-        let specs = c
-            .groups
-            .iter()
-            .map(|g| {
-                let (m, w) = self.served(g)?;
-                // `group_hash` covers the model id, so one cache serves all
-                // tenants without collisions.
-                groups.get_or_insert_with(g.group_hash(), || {
-                    let _g = profile::scope("tabu.deduce");
-                    deduce_with_cost_model(self.cluster, &m.spec, &g.gpus, g.phase, w, self.cfg)
-                        .ok()
-                        .map(|(spec, cost)| (spec.with_model(g.model), Arc::new(cost)))
-                })
-            })
-            .collect::<Option<Vec<_>>>()?;
+        let entries = self.resolve(c, groups, Read::Uncounted)?;
+        let (objective, routed) = self.score_models(&entries)?;
         let mut score = 0.0f64;
-        let mut affinity = 0.0f64;
         let mut all_groups: Vec<GroupSpec> = Vec::new();
         let mut per_model: Vec<ModelRouting> = Vec::new();
-        for (m, w) in self.models.iter().zip(self.workloads) {
-            let (groups_m, costs_m): (Vec<GroupSpec>, Vec<&ReplicaCostModel>) = specs
+        for (m, r) in self.models.iter().zip(routed) {
+            let groups_m: Vec<GroupSpec> = entries
                 .iter()
-                .filter(|(s, _)| s.model == m.id)
-                .map(|(s, c)| (s.clone(), &**c))
-                .unzip();
-            affinity += m.traffic_share * phase_affinity(self.cluster, &groups_m);
-            let op = orchestrate_costed(
-                self.cluster,
-                &m.spec,
-                groups_m.clone(),
-                &costs_m,
-                w,
-                &m.slo,
-                self.cfg,
-                m.traffic_share,
-            )
-            .ok()?;
+                .filter(|e| e.0.model == m.id)
+                .map(|e| e.0.clone())
+                .collect();
+            let op = r.package(groups_m.clone()).ok()?;
             score += m.traffic_share * op.score;
             per_model.push(ModelRouting {
                 model: m.id,
@@ -661,10 +761,7 @@ impl Space for MultiModel<'_> {
             let _g = profile::scope("tabu.package");
             DeploymentPlan::new_multi(all_groups, per_model).ok()?
         };
-        Some((
-            score + affinity_bonus(self.cfg, affinity),
-            OrchestratedPlan { plan, score },
-        ))
+        Some((objective, OrchestratedPlan { plan, score }))
     }
 }
 
@@ -673,11 +770,12 @@ impl Space for MultiModel<'_> {
 /// vector, one entry per group.
 struct Flips<'a> {
     cluster: &'a Cluster,
-    model: &'a ModelSpec,
+    /// [`sim_config`] of the model, built once per walk.
+    sim: SimConfig,
     groups: Vec<GroupSpec>,
     /// Each group's cost model, built once: a phase flip leaves it as is.
-    /// `None` if any group cannot hold the model, when no designation
-    /// orchestrates.
+    /// `None` if any group cannot hold the model or two groups share a
+    /// GPU, when no designation orchestrates.
     costs: Option<Vec<ReplicaCostModel>>,
     workload: &'a WorkloadSpec,
     slo: &'a SloSpec,
@@ -712,39 +810,109 @@ impl Space for Flips<'_> {
         phases.contains(&Phase::Prefill) && phases.contains(&Phase::Decode)
     }
 
-    fn evaluate(&self, phases: &Vec<Phase>, _: &GroupCache) -> Option<(f64, OrchestratedPlan)> {
-        let specs = self
-            .groups
-            .iter()
-            .zip(phases)
-            .map(|(g, &phase)| GroupSpec { phase, ..g.clone() })
-            .collect();
-        score_groups(
+    fn score(&self, phases: &Vec<Phase>, _: &GroupCache) -> Option<f64> {
+        let members = self.members(phases)?;
+        score_single(
             self.cluster,
-            self.model,
-            specs,
-            self.costs.as_deref()?,
+            &self.sim,
             self.workload,
             self.slo,
             self.cfg,
+            members,
+        )
+        .map(|(score, _)| score)
+    }
+
+    fn evaluate(&self, phases: &Vec<Phase>, _: &GroupCache) -> Option<(f64, OrchestratedPlan)> {
+        let members = self.members(phases)?;
+        package_single(
+            self.cluster,
+            &self.sim,
+            self.workload,
+            self.slo,
+            self.cfg,
+            members,
         )
     }
 }
 
-/// The single-model evaluation rule: orchestrate the groups, then add the
-/// hardware-affinity tie-breaker to the attainment.
-fn score_groups<M: Borrow<ReplicaCostModel>>(
+impl<'a> Flips<'a> {
+    fn new(
+        cluster: &'a Cluster,
+        model: &ModelSpec,
+        groups: Vec<GroupSpec>,
+        workload: &'a WorkloadSpec,
+        slo: &'a SloSpec,
+        cfg: &'a SchedulerConfig,
+    ) -> Self {
+        // A GPU in two groups fails every plan's packaging, whatever the
+        // phases; so does a group that cannot hold the model.
+        let mut seen = BTreeSet::new();
+        let disjoint = groups
+            .iter()
+            .flat_map(GroupSpec::gpus)
+            .all(|g| seen.insert(g));
+        let costs = cost_models(cluster, model, &groups, cfg)
+            .ok()
+            .filter(|_| disjoint);
+        Flips {
+            cluster,
+            sim: sim_config(model, cfg),
+            groups,
+            costs,
+            workload,
+            slo,
+            cfg,
+        }
+    }
+
+    /// Each frozen group under its phase in `phases`, with its cost model.
+    fn members<'s>(
+        &'s self,
+        phases: &'s [Phase],
+    ) -> Option<impl Iterator<Item = (Phase, &'s GroupSpec, &'s ReplicaCostModel)> + Clone> {
+        let costs = self.costs.as_deref()?;
+        Some(
+            phases
+                .iter()
+                .zip(&self.groups)
+                .zip(costs)
+                .map(|((&phase, g), c)| (phase, g, c)),
+        )
+    }
+}
+
+/// The single-model evaluation rule over `members`, each group with the
+/// phase it serves and its cost model, in group order: the scoring step,
+/// and the attainment plus the hardware-affinity tie-breaker.
+fn score_single<'g>(
     cluster: &Cluster,
-    model: &ModelSpec,
-    specs: Vec<GroupSpec>,
-    costs: &[M],
+    sim: &SimConfig,
     workload: &WorkloadSpec,
     slo: &SloSpec,
     cfg: &SchedulerConfig,
+    members: impl Iterator<Item = (Phase, &'g GroupSpec, &'g ReplicaCostModel)> + Clone,
+) -> Option<(f64, Scored)> {
+    let affinity = phase_affinity_of(cluster, members.clone().map(|(phase, g, _)| (phase, g)));
+    let members = members.map(|(phase, _, c)| (phase, c));
+    let scored = score_costed(cluster, sim, members, workload, slo, 1.0).ok()?;
+    Some((scored.score() + affinity_bonus(cfg, affinity), scored))
+}
+
+/// [`score_single`], then the plan over the groups, each under its phase.
+fn package_single<'g>(
+    cluster: &Cluster,
+    sim: &SimConfig,
+    workload: &WorkloadSpec,
+    slo: &SloSpec,
+    cfg: &SchedulerConfig,
+    members: impl Iterator<Item = (Phase, &'g GroupSpec, &'g ReplicaCostModel)> + Clone,
 ) -> Option<(f64, OrchestratedPlan)> {
-    let affinity = phase_affinity(cluster, &specs);
-    let op = orchestrate_costed(cluster, model, specs, costs, workload, slo, cfg, 1.0).ok()?;
-    Some((op.score + affinity_bonus(cfg, affinity), op))
+    let (score, scored) = score_single(cluster, sim, workload, slo, cfg, members.clone())?;
+    let specs = members
+        .map(|(phase, g, _)| GroupSpec { phase, ..g.clone() })
+        .collect();
+    Some((score, scored.package(specs).ok()?))
 }
 
 /// The hardware-affinity tie-breaker (§5.3): negligible against any real
@@ -1070,6 +1238,87 @@ mod tests {
             schedule_multi(&cluster, &models, &workloads, &cfg),
             Err(Error::Infeasible(_))
         ));
+    }
+
+    /// Scores and then packages admissible points of a seeded walk through
+    /// `space`: the objectives agree to the bit, are `None` together, and
+    /// packaging leaves the group cache's counts alone. Returns how many
+    /// points were feasible and how many were not.
+    fn check_score_against_evaluate<S: Space>(space: &S, seed: u64) -> (usize, usize) {
+        let groups = GroupCache::default();
+        let mut rng = seeded_rng(seed);
+        let mut x = space.seed().unwrap();
+        let (mut feasible, mut infeasible) = (0, 0);
+        for _ in 0..60 {
+            let Some(p) = space.neighbor(&x, &mut rng) else {
+                continue;
+            };
+            if space.admissible(&p) {
+                let score = space.score(&p, &groups);
+                let counts = (groups.hit_count(), groups.miss_count());
+                let evaluated = space.evaluate(&p, &groups);
+                assert_eq!((groups.hit_count(), groups.miss_count()), counts);
+                assert_eq!(
+                    score.map(f64::to_bits),
+                    evaluated.map(|(s, _)| s.to_bits()),
+                    "score and evaluate disagree"
+                );
+                if score.is_some() {
+                    feasible += 1;
+                    x = p;
+                } else {
+                    infeasible += 1;
+                }
+            }
+        }
+        (feasible, infeasible)
+    }
+
+    #[test]
+    fn score_agrees_with_evaluate_in_every_space() {
+        let cfg = SchedulerConfig::fast();
+        let s = slo();
+
+        let cloud = presets::paper_cloud_cluster();
+        let model = ModelSpec::llama_30b();
+        let w = spec::coding(2.0);
+        let single = SingleModel {
+            cluster: &cloud,
+            model: &model,
+            sim: sim_config(&model, &cfg),
+            workload: &w,
+            slo: &s,
+            cfg: &cfg,
+        };
+        let (ok, none) = check_score_against_evaluate(&single, 11);
+        assert!(ok > 10 && none > 0, "{ok} feasible, {none} infeasible");
+
+        let pool = presets::a5000_cluster(12);
+        let models = two_tenants();
+        let workloads = vec![spec::conversation(2.0), spec::coding(1.0)];
+        let multi = MultiModel {
+            cluster: &pool,
+            models: &models,
+            sims: models.iter().map(|m| sim_config(&m.spec, &cfg)).collect(),
+            workloads: &workloads,
+            cfg: &cfg,
+        };
+        let (ok, _) = check_score_against_evaluate(&multi, 12);
+        assert!(ok > 10, "{ok} feasible multi-model points");
+
+        let mut lost = cloud.clone();
+        let model = ModelSpec::llama_30b();
+        let w = spec::coding(2.5);
+        let plan = schedule(&lost, &model, &w, &s, &cfg).unwrap().best.plan;
+        lost.deactivate_node(ts_common::NodeId(6)).unwrap();
+        let surviving = plan
+            .groups
+            .into_iter()
+            .filter(|g| g.gpus().all(|id| lost.is_active(id)))
+            .collect();
+        let flips = Flips::new(&lost, &model, surviving, &w, &s, &cfg);
+        let (ok, _) = check_score_against_evaluate(&flips, 13);
+        assert!(ok > 10, "{ok} feasible phase vectors");
     }
 
     #[test]

@@ -13,8 +13,14 @@
 //! so we solve the capacitated variant via the simplex solver. When demand
 //! exceeds total capacity, the residual mass is unserved (and the caller's
 //! SLO estimate accounts for it).
+//!
+//! An [`OrchestrationProblem`] validates the inputs and knows its mass
+//! before any pivot. It writes its rows straight into the simplex tableau,
+//! in [`LinearProgram`](crate::simplex::LinearProgram)'s row and column
+//! order (mass row, row caps, column caps, link rows), and can check its
+//! feasibility with phase 1 alone.
 
-use crate::simplex::{LinearProgram, Relation};
+use crate::simplex::{with_tableau, Relation, Tableau};
 use ts_common::{Error, Result};
 
 /// Result of the orchestration solve.
@@ -48,8 +54,8 @@ pub fn solve_orchestration(
 /// request, `row_budget` in sender-seconds per request of total stream).
 ///
 /// # Errors
-/// Returns [`Error::InvalidConfig`] on shape mismatches; propagates solver
-/// failures.
+/// Returns [`Error::InvalidConfig`] on shape mismatches and non-finite
+/// attainments or pair costs; propagates solver failures.
 pub fn solve_orchestration_with_link_budget(
     d: &[Vec<f64>],
     row_cap: &[f64],
@@ -57,116 +63,303 @@ pub fn solve_orchestration_with_link_budget(
     pair_cost: Option<&[Vec<f64>]>,
     row_budget: f64,
 ) -> Result<Orchestration> {
-    let m = d.len();
-    if m == 0 || d[0].is_empty() {
-        return Err(Error::InvalidConfig("empty attainment matrix".into()));
-    }
-    let n = d[0].len();
-    if d.iter().any(|r| r.len() != n) {
-        return Err(Error::InvalidConfig("ragged attainment matrix".into()));
-    }
-    if row_cap.len() != m || col_cap.len() != n {
-        return Err(Error::InvalidConfig("capacity length mismatch".into()));
-    }
-    if row_cap
-        .iter()
-        .chain(col_cap)
-        .any(|&c| !c.is_finite() || c < 0.0)
-    {
-        return Err(Error::InvalidConfig(
-            "negative or non-finite capacity".into(),
-        ));
-    }
+    OrchestrationProblem::new(d, row_cap, col_cap, pair_cost, row_budget)?.solve()
+}
 
-    if let Some(pc) = pair_cost {
-        if pc.len() != m || pc.iter().any(|r| r.len() != n) {
-            return Err(Error::InvalidConfig("pair cost shape mismatch".into()));
+/// A validated orchestration problem (the inputs of
+/// [`solve_orchestration_with_link_budget`]) with its routed mass.
+#[derive(Debug, Clone, Copy)]
+pub struct OrchestrationProblem<'a> {
+    d: &'a [Vec<f64>],
+    row_cap: &'a [f64],
+    col_cap: &'a [f64],
+    /// Per-pair link costs and the per-row budget.
+    link: Option<(&'a [Vec<f64>], f64)>,
+    mass: f64,
+}
+
+impl<'a> OrchestrationProblem<'a> {
+    /// Checks the shapes, the capacities and the budget, and computes the
+    /// mass to route.
+    ///
+    /// # Errors
+    /// Returns [`Error::InvalidConfig`] for empty or ragged inputs, negative
+    /// or non-finite capacities and a negative or non-finite budget.
+    pub fn new(
+        d: &'a [Vec<f64>],
+        row_cap: &'a [f64],
+        col_cap: &'a [f64],
+        pair_cost: Option<&'a [Vec<f64>]>,
+        row_budget: f64,
+    ) -> Result<Self> {
+        let m = d.len();
+        if m == 0 || d[0].is_empty() {
+            return Err(Error::InvalidConfig("empty attainment matrix".into()));
         }
-        if !row_budget.is_finite() || row_budget < 0.0 {
-            return Err(Error::InvalidConfig(format!("bad row budget {row_budget}")));
+        let n = d[0].len();
+        if d.iter().any(|r| r.len() != n) {
+            return Err(Error::InvalidConfig("ragged attainment matrix".into()));
         }
-    }
-    let total_row: f64 = row_cap.iter().sum();
-    let total_col: f64 = col_cap.iter().sum();
-    // Aggregate link capacity also bounds the feasible mass: sender i can
-    // carry at most row_budget / min_j pair_cost[i][j] of the stream.
-    let total_link: f64 = match pair_cost {
-        Some(pc) => pc
+        if row_cap.len() != m || col_cap.len() != n {
+            return Err(Error::InvalidConfig("capacity length mismatch".into()));
+        }
+        if row_cap
             .iter()
-            .map(|row| {
-                let fastest = row.iter().cloned().fold(f64::INFINITY, f64::min);
-                if fastest <= 1e-12 {
-                    f64::INFINITY
-                } else {
-                    row_budget / fastest
-                }
-            })
-            .sum(),
-        None => f64::INFINITY,
-    };
-    let mass = 1.0f64.min(total_row).min(total_col).min(total_link);
-    if mass <= 0.0 {
-        return Ok(Orchestration {
-            rates: vec![vec![0.0; n]; m],
-            mass: 0.0,
-            value: 0.0,
-        });
+            .chain(col_cap)
+            .any(|&c| !c.is_finite() || c < 0.0)
+        {
+            return Err(Error::InvalidConfig(
+                "negative or non-finite capacity".into(),
+            ));
+        }
+
+        if let Some(pc) = pair_cost {
+            if pc.len() != m || pc.iter().any(|r| r.len() != n) {
+                return Err(Error::InvalidConfig("pair cost shape mismatch".into()));
+            }
+            if !row_budget.is_finite() || row_budget < 0.0 {
+                return Err(Error::InvalidConfig(format!("bad row budget {row_budget}")));
+            }
+        }
+        let total_row: f64 = row_cap.iter().sum();
+        let total_col: f64 = col_cap.iter().sum();
+        // Aggregate link capacity also bounds the feasible mass: sender i can
+        // carry at most row_budget / min_j pair_cost[i][j] of the stream.
+        let total_link: f64 = match pair_cost {
+            Some(pc) => pc
+                .iter()
+                .map(|row| {
+                    let fastest = row.iter().cloned().fold(f64::INFINITY, f64::min);
+                    if fastest <= 1e-12 {
+                        f64::INFINITY
+                    } else {
+                        row_budget / fastest
+                    }
+                })
+                .sum(),
+            None => f64::INFINITY,
+        };
+        Ok(OrchestrationProblem {
+            d,
+            row_cap,
+            col_cap,
+            link: pair_cost.map(|pc| (pc, row_budget)),
+            mass: 1.0f64.min(total_row).min(total_col).min(total_link),
+        })
     }
 
-    let nv = m * n;
-    let mut lp = LinearProgram::new(nv);
-    let mut c = vec![0.0; nv];
-    for i in 0..m {
-        for j in 0..n {
-            c[i * n + j] = d[i][j];
-        }
+    /// The fraction of the stream the solve routes: the least of 1, the
+    /// capacity sums and the aggregate link capacity.
+    pub fn mass(&self) -> f64 {
+        self.mass
     }
-    lp.set_objective(c);
-    // Total mass.
-    lp.add_constraint(vec![1.0; nv], Relation::Eq, mass);
-    // Row capacities.
-    for i in 0..m {
-        let mut a = vec![0.0; nv];
-        for j in 0..n {
-            a[i * n + j] = 1.0;
+
+    /// Solves the problem.
+    ///
+    /// # Errors
+    /// Returns [`Error::InvalidConfig`] for a non-finite attainment or pair
+    /// cost, and propagates solver failures (an infeasible link budget).
+    pub fn solve(&self) -> Result<Orchestration> {
+        let (m, n) = (self.d.len(), self.d[0].len());
+        if self.mass <= 0.0 {
+            return Ok(Orchestration {
+                rates: vec![vec![0.0; n]; m],
+                mass: 0.0,
+                value: 0.0,
+            });
         }
-        lp.add_constraint(a, Relation::Le, row_cap[i]);
+        with_tableau(|tab| {
+            self.load(tab)?;
+            let value = tab.solve(|c| {
+                for (out, row) in c.chunks_exact_mut(n).zip(self.d) {
+                    out.copy_from_slice(row);
+                }
+            })?;
+            let rates = tab
+                .x()
+                .chunks_exact(n)
+                .map(|row| row.iter().map(|v| v.max(0.0)).collect())
+                .collect();
+            Ok(Orchestration {
+                rates,
+                mass: self.mass,
+                value,
+            })
+        })
     }
-    // Column capacities.
-    for j in 0..n {
-        let mut a = vec![0.0; nv];
-        for i in 0..m {
-            a[i * n + j] = 1.0;
+
+    /// Checks that the problem is feasible with phase 1 alone, for a
+    /// caller that would discard the routing. It fails exactly when
+    /// [`OrchestrationProblem::solve`] does, with the same error: the
+    /// mass row bounds every variable, so phase 2 is never unbounded, and
+    /// Bland's rule ends it.
+    ///
+    /// # Errors
+    /// As [`OrchestrationProblem::solve`].
+    pub fn check_feasible(&self) -> Result<()> {
+        if self.mass <= 0.0 {
+            return Ok(());
         }
-        lp.add_constraint(a, Relation::Le, col_cap[j]);
+        with_tableau(|tab| {
+            self.load(tab)?;
+            tab.feasible()
+        })
     }
-    // Sender link budgets.
-    if let Some(pc) = pair_cost {
-        for i in 0..m {
-            let mut a = vec![0.0; nv];
-            for j in 0..n {
-                a[i * n + j] = pc[i][j];
-            }
-            lp.add_constraint(a, Relation::Le, row_budget);
+
+    /// Writes the rows into `tab`: the mass equality, the row and column
+    /// capacities, then the link budgets.
+    fn load(&self, tab: &mut Tableau) -> Result<()> {
+        let (m, n) = (self.d.len(), self.d[0].len());
+        if let Some(v) = self.d.iter().flatten().find(|v| !v.is_finite()) {
+            return Err(Error::InvalidConfig(format!("non-finite attainment {v}")));
         }
-    }
-    let sol = lp.solve()?;
-    let mut rates = vec![vec![0.0; n]; m];
-    for i in 0..m {
-        for j in 0..n {
-            rates[i][j] = sol.x[i * n + j].max(0.0);
+        let links = self.link.map_or(&[][..], |(pc, _)| pc);
+        if let Some(v) = links.iter().flatten().find(|v| !v.is_finite()) {
+            return Err(Error::InvalidConfig(format!("non-finite pair cost {v}")));
         }
+        // Every right-hand side is non-negative, so each row keeps its
+        // relation: one artificial (the mass row), a slack for the rest.
+        let rows = 1 + m + n + links.len();
+        tab.reset(m * n, rows, rows - 1, 1);
+        tab.push_row(Relation::Eq, self.mass, |a| a.fill(1.0));
+        for (i, &cap) in self.row_cap.iter().enumerate() {
+            tab.push_row(Relation::Le, cap, |a| a[i * n..(i + 1) * n].fill(1.0));
+        }
+        for (j, &cap) in self.col_cap.iter().enumerate() {
+            tab.push_row(Relation::Le, cap, |a| {
+                a.iter_mut().skip(j).step_by(n).for_each(|v| *v = 1.0);
+            });
+        }
+        let budget = self.link.map_or(0.0, |(_, b)| b);
+        for (i, row) in links.iter().enumerate() {
+            tab.push_row(Relation::Le, budget, |a| {
+                a[i * n..(i + 1) * n].copy_from_slice(row);
+            });
+        }
+        Ok(())
     }
-    Ok(Orchestration {
-        rates,
-        mass,
-        value: sol.value,
-    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::simplex::tests::random_transport_draw;
+    use crate::simplex::LinearProgram;
+
+    /// The solve before the direct tableau build: the same program through
+    /// [`LinearProgram`]'s row vectors.
+    fn solve_via_linear_program(problem: &OrchestrationProblem) -> Result<Orchestration> {
+        let (d, mass) = (problem.d, problem.mass);
+        let (m, n) = (d.len(), d[0].len());
+        if mass <= 0.0 {
+            return problem.solve();
+        }
+        let nv = m * n;
+        let mut lp = LinearProgram::new(nv);
+        lp.set_objective(d.concat());
+        lp.add_constraint(vec![1.0; nv], Relation::Eq, mass);
+        for (i, &cap) in problem.row_cap.iter().enumerate() {
+            let mut a = vec![0.0; nv];
+            a[i * n..(i + 1) * n].fill(1.0);
+            lp.add_constraint(a, Relation::Le, cap);
+        }
+        for (j, &cap) in problem.col_cap.iter().enumerate() {
+            let mut a = vec![0.0; nv];
+            for i in 0..m {
+                a[i * n + j] = 1.0;
+            }
+            lp.add_constraint(a, Relation::Le, cap);
+        }
+        if let Some((pc, budget)) = problem.link {
+            for (i, row) in pc.iter().enumerate() {
+                let mut a = vec![0.0; nv];
+                a[i * n..(i + 1) * n].copy_from_slice(row);
+                lp.add_constraint(a, Relation::Le, budget);
+            }
+        }
+        let sol = lp.solve()?;
+        let rates = sol
+            .x
+            .chunks_exact(n)
+            .map(|row| row.iter().map(|v| v.max(0.0)).collect())
+            .collect();
+        Ok(Orchestration {
+            rates,
+            mass,
+            value: sol.value,
+        })
+    }
+
+    #[test]
+    fn direct_tableau_matches_the_linear_program() {
+        let mut rng = ts_common::seeded_rng(0x5EED_0052);
+        let (mut solved, mut failed) = (0, 0);
+        for case in 0..2_000 {
+            let draw = random_transport_draw(&mut rng, case % 2 == 1);
+            let link = draw.link.as_ref().map(|(kv, b)| (kv.as_slice(), *b));
+            let problem = OrchestrationProblem::new(
+                &draw.d,
+                &draw.row_cap,
+                &draw.col_cap,
+                link.map(|(kv, _)| kv),
+                link.map_or(0.0, |(_, b)| b),
+            )
+            .unwrap();
+            let got = problem.solve();
+            match (&got, solve_via_linear_program(&problem)) {
+                (Ok(got), Ok(want)) => {
+                    let bits = |o: &Orchestration| {
+                        let mut b: Vec<u64> =
+                            o.rates.iter().flatten().map(|v| v.to_bits()).collect();
+                        b.extend([o.mass.to_bits(), o.value.to_bits()]);
+                        b
+                    };
+                    assert_eq!(bits(got), bits(&want), "case {case}");
+                    solved += 1;
+                }
+                (Err(got), Err(want)) => {
+                    assert_eq!(got.to_string(), want.to_string(), "case {case}");
+                    failed += 1;
+                }
+                (got, want) => panic!("case {case}: {got:?} vs reference {want:?}"),
+            }
+            assert_eq!(
+                problem.check_feasible().map_err(|e| e.to_string()),
+                got.map(|_| ()).map_err(|e| e.to_string()),
+                "case {case}: phase 1 alone"
+            );
+        }
+        assert!(
+            solved > 1_000 && failed > 100,
+            "{solved} solved, {failed} failed"
+        );
+    }
+
+    #[test]
+    fn non_finite_attainment_is_invalid() {
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let d = vec![vec![0.5, bad]];
+            let err = solve_orchestration(&d, &[1.0], &[1.0, 1.0]).unwrap_err();
+            assert!(matches!(err, Error::InvalidConfig(_)), "{err}");
+            let problem = OrchestrationProblem::new(&d, &[1.0], &[1.0, 1.0], None, 0.0).unwrap();
+            assert!(matches!(
+                problem.check_feasible(),
+                Err(Error::InvalidConfig(_))
+            ));
+        }
+    }
+
+    #[test]
+    fn non_finite_pair_cost_is_invalid() {
+        for bad in [f64::NAN, f64::INFINITY] {
+            let d = vec![vec![0.5, 0.9]];
+            let cost = vec![vec![0.1, bad]];
+            let err =
+                solve_orchestration_with_link_budget(&d, &[1.0], &[1.0, 1.0], Some(&cost), 0.5)
+                    .unwrap_err();
+            assert!(matches!(err, Error::InvalidConfig(_)), "{err}");
+        }
+    }
 
     #[test]
     fn routes_everything_to_best_pair_when_uncapacitated() {
