@@ -178,6 +178,13 @@ impl Simulation {
         self.driver.router_work()
     }
 
+    /// The event queue's heap work so far: entries pushed and removed,
+    /// sift levels and the peak heap length. After a run every entry has
+    /// left the heap exactly once, so `removed == pushed`.
+    pub fn queue_work(&self) -> crate::QueueWork {
+        self.driver.queue_work()
+    }
+
     /// The decode planner's work so far: runs planned and re-planned, step
     /// times priced and step boundaries crossed. Zero for colocated simulations, whose
     /// replicas step one event at a time.

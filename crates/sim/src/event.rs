@@ -15,27 +15,42 @@
 //! [`crate::router::StrideRouter`]; nothing else in the engine breaks
 //! ties.
 //!
+//! Every queued event has a distinct `(at, seq)`: a push and the timer take
+//! a fresh `seq`, [`EventQueue::reschedule`] keeps the event's own, and
+//! [`EventQueue::reinsert`] reuses only the `seq` of an event that has
+//! already popped. So any correct min-heap pops the same sequence; the
+//! heap's layout cannot show in the output.
+//!
 //! # Structure
 //!
-//! The queue is a 4-ary implicit heap rather than `std`'s binary
-//! `BinaryHeap`: the event loop is pop-heavy (every push is eventually
-//! popped, plus tombstones), and a 4-ary layout halves the tree depth, so
-//! sift-down — the pop cost — touches fewer cache lines per level for the
-//! same number of comparisons. Ordering is exactly `(at, seq)`.
+//! The queue is an indexed 4-ary implicit heap rather than `std`'s binary
+//! `BinaryHeap`. The heap holds 24-byte keys — `(at, seq)` plus a payload
+//! id — compared as one `u128`; each payload (the event kind, its push
+//! time, a generation and the key's heap position) lives in a side vector
+//! indexed by the id, and ids are recycled through a free list. Every sift
+//! moves a hole, not an entry, and writes the position of each key it
+//! moves, so any queued event can be found in O(1) and removed or moved in
+//! O(log n). The event loop is pop-heavy (every push is eventually
+//! popped), and a 4-ary layout halves the tree depth, so sift-down — the
+//! pop cost — touches fewer cache lines per level for the same number of
+//! comparisons; it picks the least of four children without branches.
+//! [`QueueWork`] counts the heap's work exactly.
 //!
 //! # Cancellation
 //!
-//! [`EventQueue::push_cancellable`] returns an [`EventToken`] backed by a
-//! generation-checked side table. [`EventQueue::cancel`] is O(1): it bumps
-//! the slot's generation, turning the heap entry into a tombstone that
-//! [`EventQueue::pop`] discards when it surfaces. A coalesced decode plan's
-//! run-end event relies on it. A cancelled event never fires, so it
-//! neither costs a dispatch nor advances simulated time; the driver folds
-//! the fire times the makespan must still count into its phantom horizon.
-//! [`EventQueue::reschedule`] moves a cancellable event to a new time
-//! while *preserving its original `(seq, pushed_at)` stamps*, which is what
-//! keeps a replanned coalesced decode event ordered exactly like the
-//! per-step event it stands for.
+//! [`EventQueue::push_cancellable`] returns an [`EventToken`]: the payload
+//! id and its generation. The generation bumps whenever the event pops, is
+//! cancelled or is rescheduled, so a token is current exactly while its
+//! generation matches. [`EventQueue::cancel`] removes the key at its
+//! recorded position; a coalesced decode plan's run-end event relies on
+//! it. A cancelled event never fires, so it neither costs a dispatch nor
+//! advances simulated time; the driver folds the fire times the makespan
+//! must still count into its phantom horizon. [`EventQueue::reschedule`]
+//! rewrites a cancellable event's time in place and sifts it up or down,
+//! *preserving its original `(seq, pushed_at)` stamps*, which is what keeps
+//! a replanned coalesced decode event ordered exactly like the per-step
+//! event it stands for. Neither leaves anything behind in the heap: every
+//! entry leaves it exactly once.
 //!
 //! # The timer slot
 //!
@@ -47,7 +62,7 @@
 //! [`EventQueue::clear_timer`] disarms it. [`EventQueue::peek`] and
 //! [`EventQueue::pop`] take the earlier of the heap root and the slot by
 //! `(at, seq)`, so the pop order is the cancel-and-push order, and a
-//! re-arm costs neither a sift nor a tombstone.
+//! re-arm costs no sift.
 //!
 //! # Push-time stamps
 //!
@@ -58,6 +73,7 @@
 //! scheduled before or after a coalesced event's virtual push time; see
 //! `exec::decode`.
 
+use std::hint::select_unpredictable;
 use ts_common::{SimTime, SlabKey};
 
 /// What happens when an event fires.
@@ -192,13 +208,9 @@ pub struct Event {
     pub pushed_at: SimTime,
     /// Payload.
     pub kind: EventKind,
-    /// Cancellation slot, or `NO_SLOT`.
-    slot: u32,
-    /// Generation of `slot` this entry belongs to.
-    slot_gen: u32,
+    /// The token the event was scheduled under, if it was cancellable.
+    token: Option<EventToken>,
 }
-
-const NO_SLOT: u32 = u32::MAX;
 
 impl Event {
     /// The cancellation-token identity this event was scheduled under, if
@@ -207,10 +219,7 @@ impl Event {
     /// compares it against a plan's recorded token to recognize whether a
     /// popped coalesced decode event still speaks for the current plan.
     pub fn token(&self) -> Option<EventToken> {
-        (self.slot != NO_SLOT).then_some(EventToken {
-            slot: self.slot,
-            gen: self.slot_gen,
-        })
+        self.token
     }
 }
 
@@ -220,38 +229,75 @@ impl Event {
 /// inert.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EventToken {
-    slot: u32,
+    id: u32,
     gen: u32,
 }
 
+/// The heap key of one queued event: its `(at, seq)` order and the id of
+/// its payload.
 #[derive(Debug, Clone, Copy)]
-struct SlotMeta {
-    /// Current generation; heap entries with an older generation are
-    /// tombstones.
-    gen: u32,
-    /// Whether the current generation has a live heap entry (false once
-    /// cancelled or fired; the slot is then reusable).
-    live: bool,
-    /// Original `seq` of the entry occupying this slot, preserved across
-    /// reschedules.
+struct Key {
+    /// Fire time, in microseconds.
+    at: u64,
     seq: u64,
-    /// Original `pushed_at` of the entry, preserved across reschedules.
-    pushed_at: SimTime,
+    id: u32,
 }
 
-/// A deterministic min-time event queue (4-ary indexed heap plus one timer
+impl Key {
+    /// `(at, seq)` as one integer: `a` pops before `b` iff
+    /// `a.rank() < b.rank()`.
+    #[inline(always)]
+    fn rank(&self) -> u128 {
+        (u128::from(self.at) << 64) | u128::from(self.seq)
+    }
+}
+
+/// Everything about a queued event but its order, indexed by its id.
+#[derive(Debug, Clone, Copy)]
+struct Payload {
+    kind: EventKind,
+    pushed_at: SimTime,
+    /// Bumped whenever the event pops, is cancelled or is rescheduled: a
+    /// token is current exactly while its generation matches, which also
+    /// means the event is queued.
+    gen: u32,
+    /// Index of the event's key in the heap while it is queued.
+    pos: u32,
+    /// Whether the event was pushed with a token.
+    cancellable: bool,
+}
+
+/// Work counters of an [`EventQueue`]'s heap (the timer slot never enters
+/// it).
+///
+/// Machine-independent: a change to the heap or to how the driver uses it
+/// shows up here exactly. Every entry leaves the heap exactly once, so a
+/// drained queue has `removed == pushed`.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct QueueWork {
+    /// Entries inserted: pushes, cancellable pushes and reinserts.
+    pub pushed: u64,
+    /// Entries removed: pops and cancels.
+    pub removed: u64,
+    /// Levels the sifts moved a hole through, over every operation.
+    pub sift_levels: u64,
+    /// The most entries the heap held at once.
+    pub peak_len: u64,
+}
+
+/// A deterministic min-time event queue (indexed 4-ary heap plus one timer
 /// slot).
 #[derive(Debug, Default)]
 pub struct EventQueue {
-    heap: Vec<Event>,
+    heap: Vec<Key>,
+    /// Payloads by id; ids not in the heap are on `free`.
+    payloads: Vec<Payload>,
+    free: Vec<u32>,
     /// The armed timer, outside the heap.
     timer: Option<Event>,
     seq: u64,
-    /// Count of live (non-tombstoned) heap entries.
-    live: usize,
     now: SimTime,
-    slots: Vec<SlotMeta>,
-    free_slots: Vec<u32>,
+    work: QueueWork,
 }
 
 impl EventQueue {
@@ -269,73 +315,30 @@ impl EventQueue {
 
     /// Schedules `kind` at `at`.
     pub fn push(&mut self, at: SimTime, kind: EventKind) {
-        let ev = Event {
-            at,
-            seq: self.seq,
-            pushed_at: self.now,
-            kind,
-            slot: NO_SLOT,
-            slot_gen: 0,
-        };
+        self.insert(at, self.seq, self.now, kind, false);
         self.seq += 1;
-        self.live += 1;
-        self.sift_up(ev);
     }
 
-    /// Schedules `kind` at `at` and returns a token for O(1) cancellation
-    /// or rescheduling.
+    /// Schedules `kind` at `at` and returns a token for O(log n)
+    /// cancellation or rescheduling.
     pub fn push_cancellable(&mut self, at: SimTime, kind: EventKind) -> EventToken {
-        let slot = match self.free_slots.pop() {
-            Some(s) => s,
-            None => {
-                let s = u32::try_from(self.slots.len()).expect("too many cancellation slots");
-                self.slots.push(SlotMeta {
-                    gen: 0,
-                    live: false,
-                    seq: 0,
-                    pushed_at: SimTime::ZERO,
-                });
-                s
-            }
-        };
-        let meta = &mut self.slots[slot as usize];
-        debug_assert!(!meta.live, "free list pointed at a live slot");
-        meta.live = true;
-        meta.seq = self.seq;
-        meta.pushed_at = self.now;
-        let token = EventToken {
-            slot,
-            gen: meta.gen,
-        };
-        let ev = Event {
-            at,
-            seq: self.seq,
-            pushed_at: self.now,
-            kind,
-            slot,
-            slot_gen: meta.gen,
-        };
+        let token = self.insert(at, self.seq, self.now, kind, true);
         self.seq += 1;
-        self.live += 1;
-        self.sift_up(ev);
         token
     }
 
     /// Cancels the event behind `token`. Returns whether the token was
     /// still current (the event had not fired, been cancelled, or been
-    /// superseded). O(1): the heap entry becomes a tombstone discarded at
-    /// pop.
+    /// superseded). The event's key leaves the heap at once.
     pub fn cancel(&mut self, token: EventToken) -> bool {
-        let Some(meta) = self.slots.get_mut(token.slot as usize) else {
+        let Some(p) = self.payloads.get(token.id as usize) else {
             return false;
         };
-        if meta.gen != token.gen || !meta.live {
+        if p.gen != token.gen {
             return false;
         }
-        meta.gen = meta.gen.wrapping_add(1);
-        meta.live = false;
-        self.free_slots.push(token.slot);
-        self.live -= 1;
+        self.remove_at(p.pos as usize);
+        self.release(token.id);
         true
     }
 
@@ -351,32 +354,31 @@ impl EventQueue {
         at: SimTime,
         kind: EventKind,
     ) -> Option<EventToken> {
-        let meta = self.slots.get_mut(token.slot as usize)?;
-        if meta.gen != token.gen || !meta.live {
+        let p = self.payloads.get_mut(token.id as usize)?;
+        if p.gen != token.gen {
             return None;
         }
-        meta.gen = meta.gen.wrapping_add(1);
-        let token = EventToken {
-            slot: token.slot,
-            gen: meta.gen,
+        p.gen = p.gen.wrapping_add(1);
+        p.kind = kind;
+        let (pos, gen) = (p.pos as usize, p.gen);
+        let old = self.heap[pos];
+        let key = Key {
+            at: at.as_micros(),
+            ..old
         };
-        let ev = Event {
-            at,
-            seq: meta.seq,
-            pushed_at: meta.pushed_at,
-            kind,
-            slot: token.slot,
-            slot_gen: token.gen,
-        };
-        self.sift_up(ev);
-        Some(token)
+        if key.rank() < old.rank() {
+            self.sift_up(pos, key);
+        } else {
+            self.sift_down(pos, key);
+        }
+        Some(EventToken { id: token.id, gen })
     }
 
     /// Re-inserts a just-popped cancellable event with explicit `(seq,
     /// pushed_at)` ordering stamps, returning a fresh token. Used by the
     /// driver for the one corner where [`EventQueue::reschedule`] cannot
-    /// apply: a coalesced decode event has already popped (its slot is
-    /// dead) when a simultaneous rival, dispatched inline ahead of it,
+    /// apply: a coalesced decode event has already popped (its token is
+    /// stale) when a simultaneous rival, dispatched inline ahead of it,
     /// replans the same replica. Reinserting with the original stamps keeps
     /// the replanned event ordered against other simultaneous events
     /// exactly as the per-step schedule would have ordered it.
@@ -388,39 +390,7 @@ impl EventQueue {
         pushed_at: SimTime,
     ) -> EventToken {
         debug_assert!(seq < self.seq, "reinsert stamps must come from a past push");
-        let slot = match self.free_slots.pop() {
-            Some(s) => s,
-            None => {
-                let s = u32::try_from(self.slots.len()).expect("too many cancellation slots");
-                self.slots.push(SlotMeta {
-                    gen: 0,
-                    live: false,
-                    seq: 0,
-                    pushed_at: SimTime::ZERO,
-                });
-                s
-            }
-        };
-        let meta = &mut self.slots[slot as usize];
-        debug_assert!(!meta.live, "free list pointed at a live slot");
-        meta.live = true;
-        meta.seq = seq;
-        meta.pushed_at = pushed_at;
-        let token = EventToken {
-            slot,
-            gen: meta.gen,
-        };
-        let ev = Event {
-            at,
-            seq,
-            pushed_at,
-            kind,
-            slot,
-            slot_gen: meta.gen,
-        };
-        self.live += 1;
-        self.sift_up(ev);
-        token
+        self.insert(at, seq, pushed_at, kind, true)
     }
 
     /// Arms the timer slot at `at` with payload `kind`, replacing any armed
@@ -433,8 +403,7 @@ impl EventQueue {
             seq: self.seq,
             pushed_at: self.now,
             kind,
-            slot: NO_SLOT,
-            slot_gen: 0,
+            token: None,
         });
         self.seq += 1;
     }
@@ -444,58 +413,49 @@ impl EventQueue {
         self.timer = None;
     }
 
-    /// Discards tombstones at the heap root.
-    fn clean_root(&mut self) {
-        while let Some(root) = self.heap.first() {
-            if root.slot != NO_SLOT && self.slots[root.slot as usize].gen != root.slot_gen {
-                self.remove_root();
-            } else {
-                break;
-            }
-        }
-    }
-
-    /// Whether the armed timer comes before the (clean) heap root; false
-    /// without a timer.
+    /// Whether the armed timer comes before the heap root; false without a
+    /// timer.
     fn timer_first(&self) -> bool {
         match (&self.timer, self.heap.first()) {
-            (Some(t), Some(root)) => Self::before(t, root),
+            (Some(t), Some(root)) => (t.at.as_micros(), t.seq) < (root.at, root.seq),
             (timer, _) => timer.is_some(),
         }
     }
 
-    /// The earliest live event, without removing it.
-    pub fn peek(&mut self) -> Option<&Event> {
-        self.clean_root();
+    /// The earliest queued event, without removing it.
+    pub fn peek(&self) -> Option<Event> {
         if self.timer_first() {
-            self.timer.as_ref()
+            self.timer
         } else {
-            self.heap.first()
+            self.heap.first().map(|&key| self.event(key))
+        }
+    }
+
+    /// The fire time of the earliest queued event.
+    #[inline]
+    pub fn peek_at(&self) -> Option<SimTime> {
+        let root = self.heap.first().map(|k| SimTime::from_micros(k.at));
+        match (root, self.timer) {
+            (Some(r), Some(t)) => Some(r.min(t.at)),
+            (r, t) => r.or(t.map(|t| t.at)),
         }
     }
 
     /// Pops the earliest event.
     pub fn pop(&mut self) -> Option<Event> {
-        self.clean_root();
         if self.timer_first() {
             return self.timer.take();
         }
-        let ev = *self.heap.first()?;
-        self.remove_root();
-        if ev.slot != NO_SLOT {
-            let meta = &mut self.slots[ev.slot as usize];
-            debug_assert!(meta.live && meta.gen == ev.slot_gen);
-            meta.gen = meta.gen.wrapping_add(1);
-            meta.live = false;
-            self.free_slots.push(ev.slot);
-        }
-        self.live -= 1;
+        let key = *self.heap.first()?;
+        let ev = self.event(key);
+        self.remove_at(0);
+        self.release(key.id);
         Some(ev)
     }
 
     /// Number of pending (non-cancelled) events, the armed timer included.
     pub fn len(&self) -> usize {
-        self.live + usize::from(self.timer.is_some())
+        self.heap.len() + usize::from(self.timer.is_some())
     }
 
     /// Whether no live events remain.
@@ -503,64 +463,192 @@ impl EventQueue {
         self.len() == 0
     }
 
-    #[inline]
-    fn before(a: &Event, b: &Event) -> bool {
-        (a.at, a.seq) < (b.at, b.seq)
+    /// The heap's work so far.
+    pub fn work(&self) -> QueueWork {
+        self.work
     }
 
-    /// Inserts `ev` as a new leaf and restores the heap property upward.
-    ///
-    /// Hole-based: ancestors slide down into the vacancy and `ev` lands
-    /// once at its final slot, instead of swapping (a 64-byte event) at
-    /// every level. The comparison sequence — and therefore the final
-    /// layout and every subsequent pop — is identical to the swap form.
-    fn sift_up(&mut self, ev: Event) {
-        let mut i = self.heap.len();
-        self.heap.push(ev);
-        while i > 0 {
-            let parent = (i - 1) / 4;
-            if Self::before(&ev, &self.heap[parent]) {
-                self.heap[i] = self.heap[parent];
-                i = parent;
-            } else {
-                break;
-            }
+    /// The queued event behind `key`.
+    fn event(&self, key: Key) -> Event {
+        let p = &self.payloads[key.id as usize];
+        Event {
+            at: SimTime::from_micros(key.at),
+            seq: key.seq,
+            pushed_at: p.pushed_at,
+            kind: p.kind,
+            token: p.cancellable.then_some(EventToken {
+                id: key.id,
+                gen: p.gen,
+            }),
         }
-        self.heap[i] = ev;
     }
 
-    /// Removes the root and restores the heap property downward
-    /// (hole-based, like [`EventQueue::sift_up`]).
-    fn remove_root(&mut self) {
-        let last = self.heap.pop().expect("remove_root on empty heap");
-        if self.heap.is_empty() {
+    /// Queues an event under a recycled or new payload id and returns its
+    /// token (unused for plain pushes).
+    fn insert(
+        &mut self,
+        at: SimTime,
+        seq: u64,
+        pushed_at: SimTime,
+        kind: EventKind,
+        cancellable: bool,
+    ) -> EventToken {
+        let payload = Payload {
+            kind,
+            pushed_at,
+            gen: 0,
+            pos: 0,
+            cancellable,
+        };
+        let (id, gen) = match self.free.pop() {
+            Some(id) => {
+                let p = &mut self.payloads[id as usize];
+                *p = Payload {
+                    gen: p.gen,
+                    ..payload
+                };
+                (id, p.gen)
+            }
+            None => {
+                let id = u32::try_from(self.payloads.len()).expect("too many queued events");
+                self.payloads.push(payload);
+                (id, 0)
+            }
+        };
+        let i = self.heap.len();
+        let key = Key {
+            at: at.as_micros(),
+            seq,
+            id,
+        };
+        self.heap.push(key);
+        self.work.pushed += 1;
+        self.work.peak_len = self.work.peak_len.max(self.heap.len() as u64);
+        self.sift_up(i, key);
+        EventToken { id, gen }
+    }
+
+    /// Retires payload `id` after its key left the heap: its tokens go
+    /// stale and the id is free for reuse.
+    fn release(&mut self, id: u32) {
+        let p = &mut self.payloads[id as usize];
+        p.gen = p.gen.wrapping_add(1);
+        self.free.push(id);
+    }
+
+    /// Removes the key at heap index `i`, filling the hole with the last
+    /// key and sifting that up or down.
+    fn remove_at(&mut self, i: usize) {
+        let last = self.heap.pop().expect("remove from an empty heap");
+        self.work.removed += 1;
+        if i == self.heap.len() {
             return;
         }
+        if i > 0 && last.rank() < self.heap[(i - 1) / 4].rank() {
+            self.sift_up(i, last);
+        } else {
+            self.sift_down(i, last);
+        }
+    }
+
+    /// Writes `key` at heap index `i` and records the position.
+    #[inline(always)]
+    fn place(&mut self, i: usize, key: Key) {
+        self.heap[i] = key;
+        self.payloads[key.id as usize].pos = i as u32;
+    }
+
+    /// Lands `key` from the hole at index `i` upward.
+    ///
+    /// Hole-based: ancestors slide down into the vacancy and `key` lands
+    /// once at its final index, instead of swapping at every level.
+    fn sift_up(&mut self, mut i: usize, key: Key) {
+        let rank = key.rank();
+        let mut levels = 0;
+        while i > 0 {
+            let parent = (i - 1) / 4;
+            let above = self.heap[parent];
+            if rank >= above.rank() {
+                break;
+            }
+            self.place(i, above);
+            i = parent;
+            levels += 1;
+        }
+        self.place(i, key);
+        self.work.sift_levels += levels;
+    }
+
+    /// Lands `key` from the hole at index `i` downward (hole-based, like
+    /// [`EventQueue::sift_up`]).
+    fn sift_down(&mut self, mut i: usize, key: Key) {
+        let rank = key.rank();
         let len = self.heap.len();
-        let mut i = 0;
+        let mut levels = 0;
         loop {
-            let first_child = 4 * i + 1;
-            if first_child >= len {
+            let first = 4 * i + 1;
+            if first >= len {
                 break;
             }
-            let mut best = first_child;
-            let end = (first_child + 4).min(len);
-            for c in first_child + 1..end {
-                if Self::before(&self.heap[c], &self.heap[best]) {
-                    best = c;
-                }
-            }
-            if Self::before(&self.heap[best], &last) {
-                self.heap[i] = self.heap[best];
-                i = best;
+            let (best, best_rank) = if first + 4 <= len {
+                // A full family: a branch-free tournament, since which
+                // child wins is a coin flip to the branch predictor.
+                let h = &self.heap[first..first + 4];
+                let (r0, r1, r2, r3) = (h[0].rank(), h[1].rank(), h[2].rank(), h[3].rank());
+                let (a, ra) = select_unpredictable(r1 < r0, (first + 1, r1), (first, r0));
+                let (b, rb) = select_unpredictable(r3 < r2, (first + 3, r3), (first + 2, r2));
+                select_unpredictable(rb < ra, (b, rb), (a, ra))
             } else {
+                let mut best = first;
+                let mut best_rank = self.heap[first].rank();
+                for c in first + 1..len {
+                    let r = self.heap[c].rank();
+                    if r < best_rank {
+                        best = c;
+                        best_rank = r;
+                    }
+                }
+                (best, best_rank)
+            };
+            if best_rank >= rank {
                 break;
+            }
+            self.place(i, self.heap[best]);
+            i = best;
+            levels += 1;
+        }
+        self.place(i, key);
+        self.work.sift_levels += levels;
+    }
+
+    /// Asserts the heap order and the index: every queued payload's
+    /// position points at a key carrying its id, and every other id is
+    /// free.
+    #[cfg(test)]
+    fn check_index(&self) {
+        for (i, k) in self.heap.iter().enumerate().skip(1) {
+            assert!(
+                self.heap[(i - 1) / 4].rank() < k.rank(),
+                "heap order at {i}"
+            );
+        }
+        let mut queued = vec![true; self.payloads.len()];
+        for &id in &self.free {
+            assert!(queued[id as usize], "id {id} freed twice");
+            queued[id as usize] = false;
+        }
+        let live = queued.iter().filter(|&&q| q).count();
+        assert_eq!(live, self.heap.len(), "queued payloads vs heap keys");
+        for (id, p) in self.payloads.iter().enumerate() {
+            if queued[id] {
+                assert_eq!(
+                    self.heap[p.pos as usize].id as usize, id,
+                    "position of {id}"
+                );
             }
         }
-        self.heap[i] = last;
     }
 }
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -746,7 +834,7 @@ mod tests {
             .reschedule(t, SimTime::from_micros(20), EventKind::ServiceResumed)
             .expect("token current");
         assert!(!q.cancel(EventToken {
-            slot: t.slot,
+            id: t.id,
             gen: t.gen.wrapping_sub(1)
         }));
         let first = q.pop().unwrap();
@@ -791,7 +879,7 @@ mod tests {
     }
 
     #[test]
-    fn peek_skips_tombstones() {
+    fn peek_skips_cancelled_events() {
         let mut q = EventQueue::new();
         let t = q.push_cancellable(SimTime::from_micros(1), EventKind::ServiceResumed);
         q.push(
@@ -841,11 +929,31 @@ mod tests {
         assert!(q.pop().is_none());
     }
 
+    /// Every entry leaves the heap exactly once: pops and cancels balance
+    /// the pushes, a reschedule moves an entry without adding one, and the
+    /// timer slot stays out of the count.
+    #[test]
+    fn queue_work_counts_each_entry_in_and_out_once() {
+        let mut q = EventQueue::new();
+        let a = q.push_cancellable(SimTime::from_micros(5), EventKind::ServiceResumed);
+        let b = q.push_cancellable(SimTime::from_micros(6), EventKind::ServiceResumed);
+        q.push(SimTime::from_micros(7), EventKind::ServiceResumed);
+        q.set_timer(SimTime::from_micros(1), EventKind::KvFlowDone);
+        let at = SimTime::from_micros(9);
+        assert!(q.reschedule(a, at, EventKind::ServiceResumed).is_some());
+        assert!(q.cancel(b));
+        assert_eq!(std::iter::from_fn(|| q.pop()).count(), 3);
+        let w = q.work();
+        assert_eq!((w.pushed, w.removed, w.peak_len), (3, 3, 3));
+    }
+
     /// Model-based property sweep: under random interleaved push /
-    /// push_cancellable / cancel / reschedule / pop and timer set / clear /
-    /// restamp, the queue pops exactly the live events of a reference
-    /// model, in `(at, seq)` order. Runs as a seeded deterministic sweep
-    /// over many xorshift-driven op sequences.
+    /// push_cancellable / cancel / reschedule / reinsert / pop and timer
+    /// set / clear / restamp, the queue pops exactly the live events of a
+    /// reference model, in `(at, seq)` order, with their kinds and push
+    /// stamps. After every op, `peek` names the event the next `pop`
+    /// returns and the heap's index holds. Runs as a seeded deterministic
+    /// sweep over many xorshift-driven op sequences.
     #[test]
     fn random_ops_match_reference_model() {
         struct Rng(u64);
@@ -859,31 +967,61 @@ mod tests {
                 x
             }
         }
+        /// One modelled event; its kind names its index in the model.
+        #[derive(Clone, Copy)]
+        struct Entry {
+            at: u64,
+            seq: u64,
+            pushed_at: u64,
+            live: bool,
+        }
+        let kind = |mi: usize| EventKind::FaultTriggered { index: mi };
+        let next_due = |model: &[Entry]| {
+            model
+                .iter()
+                .enumerate()
+                .filter(|(_, e)| e.live)
+                .min_by_key(|(_, e)| (e.at, e.seq))
+                .map(|(i, e)| (e.at, e.seq, e.pushed_at, kind(i)))
+        };
+        let seen = |e: Event| (e.at.as_micros(), e.seq, e.pushed_at.as_micros(), e.kind);
 
         for seed in 1u64..=64 {
             let mut rng = Rng(seed.wrapping_mul(0x9e37_79b9_7f4a_7c15));
             let mut q = EventQueue::new();
-            // Reference: Vec of (at, seq, live-flag); tokens index into it.
-            let mut model: Vec<(u64, u64, bool)> = Vec::new();
+            let mut model: Vec<Entry> = Vec::new();
             let mut tokens: Vec<(EventToken, usize)> = Vec::new();
             // The model entry of the armed timer.
             let mut timer: Option<usize> = None;
+            // The last popped cancellable event, not yet re-queued.
+            let mut reinsertable: Option<Event> = None;
             let mut next_seq = 0u64;
+            let mut now = 0u64;
+            let mut peeked = None;
             let ops = 40 + (rng.next() % 160) as usize;
             for _ in 0..ops {
-                match rng.next() % 9 {
+                match rng.next() % 10 {
                     0 => {
                         let at = rng.next() % 100;
-                        q.push(SimTime::from_micros(at), EventKind::ServiceResumed);
-                        model.push((at, next_seq, true));
+                        q.push(SimTime::from_micros(at), kind(model.len()));
+                        model.push(Entry {
+                            at,
+                            seq: next_seq,
+                            pushed_at: now,
+                            live: true,
+                        });
                         next_seq += 1;
                     }
                     1 => {
                         let at = rng.next() % 100;
-                        let t =
-                            q.push_cancellable(SimTime::from_micros(at), EventKind::ServiceResumed);
-                        model.push((at, next_seq, true));
-                        tokens.push((t, model.len() - 1));
+                        let t = q.push_cancellable(SimTime::from_micros(at), kind(model.len()));
+                        tokens.push((t, model.len()));
+                        model.push(Entry {
+                            at,
+                            seq: next_seq,
+                            pushed_at: now,
+                            live: true,
+                        });
                         next_seq += 1;
                     }
                     2 => {
@@ -892,9 +1030,8 @@ mod tests {
                         }
                         let i = (rng.next() as usize) % tokens.len();
                         let (t, mi) = tokens.swap_remove(i);
-                        let was_live = model[mi].2;
-                        assert_eq!(q.cancel(t), was_live, "seed {seed}");
-                        model[mi].2 = false;
+                        assert_eq!(q.cancel(t), model[mi].live, "seed {seed}");
+                        model[mi].live = false;
                     }
                     3 => {
                         if tokens.is_empty() {
@@ -903,68 +1040,105 @@ mod tests {
                         let slot = (rng.next() as usize) % tokens.len();
                         let at = rng.next() % 100;
                         let (t, mi) = tokens[slot];
-                        match q.reschedule(t, SimTime::from_micros(at), EventKind::ServiceResumed) {
+                        match q.reschedule(t, SimTime::from_micros(at), kind(mi)) {
                             Some(nt) => {
-                                assert!(model[mi].2, "seed {seed}");
-                                model[mi].0 = at; // seq preserved
+                                assert!(model[mi].live, "seed {seed}");
+                                model[mi].at = at; // seq and pushed_at preserved
                                 tokens[slot] = (nt, mi);
                             }
                             None => {
-                                assert!(!model[mi].2, "seed {seed}");
+                                assert!(!model[mi].live, "seed {seed}");
                                 tokens.swap_remove(slot);
                             }
                         }
                     }
+                    4 => {
+                        // Re-queue a popped run-end event with its stamps,
+                        // as `decode::replan` does.
+                        let Some(ev) = reinsertable.take() else {
+                            continue;
+                        };
+                        let at = rng.next() % 100;
+                        let t = q.reinsert(
+                            SimTime::from_micros(at),
+                            kind(model.len()),
+                            ev.seq,
+                            ev.pushed_at,
+                        );
+                        tokens.push((t, model.len()));
+                        model.push(Entry {
+                            at,
+                            seq: ev.seq,
+                            pushed_at: ev.pushed_at.as_micros(),
+                            live: true,
+                        });
+                    }
                     5 | 6 => {
                         // Set at a fresh time, or restamp at the armed
                         // timer's time (a fresh time when none is armed).
-                        let armed = timer.filter(|&mi| model[mi].2).map(|mi| model[mi].0);
+                        let armed = timer.filter(|&mi| model[mi].live).map(|mi| model[mi].at);
                         let at = match armed {
                             Some(at) if rng.next().is_multiple_of(2) => at,
                             _ => rng.next() % 100,
                         };
-                        q.set_timer(SimTime::from_micros(at), EventKind::KvFlowDone);
+                        q.set_timer(SimTime::from_micros(at), kind(model.len()));
                         if let Some(mi) = timer {
-                            model[mi].2 = false;
+                            model[mi].live = false;
                         }
-                        model.push((at, next_seq, true));
-                        timer = Some(model.len() - 1);
+                        timer = Some(model.len());
+                        model.push(Entry {
+                            at,
+                            seq: next_seq,
+                            pushed_at: now,
+                            live: true,
+                        });
                         next_seq += 1;
                     }
                     7 => {
                         q.clear_timer();
                         if let Some(mi) = timer.take() {
-                            model[mi].2 = false;
+                            model[mi].live = false;
                         }
                     }
                     _ => {
-                        let got = q.pop().map(|e| (e.at.as_micros(), e.seq));
-                        let want = model
-                            .iter()
-                            .enumerate()
-                            .filter(|(_, e)| e.2)
-                            .min_by_key(|(_, e)| (e.0, e.1))
-                            .map(|(i, e)| (i, e.0, e.1));
-                        match (got, want) {
-                            (Some(g), Some((wi, wat, wseq))) => {
-                                assert_eq!(g, (wat, wseq), "seed {seed}");
-                                model[wi].2 = false;
+                        let want = next_due(&model);
+                        let got = q.pop();
+                        assert_eq!(got, peeked, "seed {seed}: pop differs from peek");
+                        assert_eq!(got.map(seen), want, "seed {seed}");
+                        if let Some(ev) = got {
+                            let EventKind::FaultTriggered { index } = ev.kind else {
+                                unreachable!()
+                            };
+                            model[index].live = false;
+                            now = ev.at.as_micros();
+                            q.set_now(ev.at);
+                            if ev.token().is_some() {
+                                reinsertable = Some(ev);
                             }
-                            (None, None) => {}
-                            (g, w) => panic!("seed {seed}: pop mismatch: {g:?} vs {w:?}"),
                         }
                     }
                 }
-                assert_eq!(q.len(), model.iter().filter(|e| e.2).count(), "seed {seed}");
+                peeked = q.peek();
+                assert_eq!(peeked.map(seen), next_due(&model), "seed {seed}: peek");
+                q.check_index();
+                let live = model.iter().filter(|e| e.live).count();
+                assert_eq!(q.len(), live, "seed {seed}");
+                let w = q.work();
+                assert_eq!((w.pushed - w.removed) as usize, q.heap.len(), "seed {seed}");
             }
             // Drain: remaining live events must surface in (at, seq) order.
-            let mut rest: Vec<(u64, u64)> =
-                model.iter().filter(|e| e.2).map(|e| (e.0, e.1)).collect();
+            let mut rest: Vec<(u64, u64)> = model
+                .iter()
+                .filter(|e| e.live)
+                .map(|e| (e.at, e.seq))
+                .collect();
             rest.sort_unstable();
             let drained: Vec<(u64, u64)> = std::iter::from_fn(|| q.pop())
                 .map(|e| (e.at.as_micros(), e.seq))
                 .collect();
             assert_eq!(drained, rest, "seed {seed}");
+            let w = q.work();
+            assert_eq!(w.removed, w.pushed, "seed {seed}: every entry leaves once");
         }
     }
 }

@@ -375,7 +375,7 @@ impl Driver {
                 .is_none_or(|r| r.arrival > now),
             "same-instant arrivals drain before queued events"
         );
-        let head = *self.core.queue.peek()?;
+        let head = self.core.queue.peek()?;
         if head.at != now {
             return None;
         }

@@ -29,8 +29,14 @@
 //!
 //! # Performance architecture
 //!
-//! Five structural decisions keep the loop fast on day-scale traces
+//! Six structural decisions keep the loop fast on day-scale traces
 //! without changing a single output bit:
+//!
+//! * **Slim indexed event heap.** The heap moves 24-byte `(at, seq, id)`
+//!   keys compared as one `u128`; payloads sit beside it, indexed by id.
+//!   A decode re-plan rewrites its event's time in place and a cancel
+//!   removes it at its recorded position, so every entry leaves the heap
+//!   exactly once (see the `event` module).
 //!
 //! * **Slab-allocated request state.** All per-request bookkeeping (the
 //!   payload, routing/timing state, and any in-flight KV transfer) lives
@@ -51,8 +57,8 @@
 //!   flow start, finish or cancel updates the max-min filler's inputs in
 //!   O(path), refills over the touched links only, and makes one pass over
 //!   a key-sorted flow vector. The fabric's one timer lives in the event
-//!   queue's timer slot, so a re-arm neither sifts the heap nor leaves a
-//!   tombstone (see the `kv` module and `ts_net`).
+//!   queue's timer slot, so a re-arm never touches the heap (see the `kv`
+//!   module and `ts_net`).
 
 use super::colo::{self, ColoState};
 use super::decode;
@@ -63,7 +69,7 @@ use super::gray::{self, observe_straggler, GrayState};
 use super::kv::{KvTransport, Transfer};
 use super::seq::{AdmitOutcome, BatchCore, Pending, PrefillJob, PrefillQueue, WaitingSeq};
 use crate::config::{SimConfig, SHED_THRESHOLD};
-use crate::event::{Event, EventKind, EventQueue};
+use crate::event::{Event, EventKind, EventQueue, QueueWork};
 use crate::fault::{FaultScript, TimedFault};
 use crate::metrics::{Metrics, ModelConservation, RecoveryCounters, RequestRecord};
 use crate::router::{RouterWork, StrideRouter};
@@ -390,6 +396,11 @@ impl Driver {
         work
     }
 
+    /// The event queue's heap work so far.
+    pub fn queue_work(&self) -> QueueWork {
+        self.core.queue.work()
+    }
+
     /// The decode planner's work so far, summed over the decode replicas;
     /// zero for colocated replicas, which step one event at a time.
     pub fn decode_work(&self) -> DecodeWork {
@@ -458,7 +469,7 @@ impl Driver {
             }
         }
         let submitted = requests.len();
-        while let Some(next) = self.core.next_event() {
+        while let Some(next) = self.core.next_event()? {
             match next {
                 NextEvent::Arrival(req) => self.on_arrival(req),
                 NextEvent::Queued(ev) => self.dispatch_event(ev)?,
@@ -763,34 +774,42 @@ impl Core {
     /// whichever is earlier — advancing the clock and stamping
     /// [`Core::event_pushed_at`]. Ties go to the arrival: under the eager
     /// scheme arrivals were pushed at setup, before any simulation event,
-    /// so they carried the smaller sequence numbers.
-    fn next_event(&mut self) -> Option<NextEvent> {
+    /// so they carried the smaller sequence numbers. An occurrence before
+    /// the clock is an [`Error::Simulation`]: the clock never runs back.
+    fn next_event(&mut self) -> Result<Option<NextEvent>> {
         let arrival = self.arrivals.get(self.next_arrival).map(|r| r.arrival);
-        let queued = self.queue.peek().map(|e| e.at);
-        let take_arrival = match (arrival, queued) {
+        let take_arrival = match (arrival, self.queue.peek_at()) {
             (Some(a), Some(q)) => a <= q,
             (Some(_), None) => true,
             (None, Some(_)) => false,
-            (None, None) => return None,
+            (None, None) => return Ok(None),
         };
-        if take_arrival {
+        let (at, next) = if take_arrival {
             let req = self.arrivals[self.next_arrival];
             self.next_arrival += 1;
-            debug_assert!(req.arrival >= self.now, "arrival in the past");
-            self.now = req.arrival;
-            self.queue.set_now(self.now);
             self.event_pushed_at = SimTime::ZERO;
-            self.events_processed += 1;
-            Some(NextEvent::Arrival(req))
+            (req.arrival, NextEvent::Arrival(req))
         } else {
-            let ev = self.queue.pop()?;
-            debug_assert!(ev.at >= self.now, "event in the past");
-            self.now = ev.at;
-            self.queue.set_now(self.now);
+            let Some(ev) = self.queue.pop() else {
+                return Ok(None);
+            };
             self.event_pushed_at = ev.pushed_at;
-            self.events_processed += 1;
-            Some(NextEvent::Queued(ev))
+            (ev.at, NextEvent::Queued(ev))
+        };
+        if at < self.now {
+            let what = match next {
+                NextEvent::Arrival(req) => format!("arrival of {}", req.id),
+                NextEvent::Queued(ev) => format!("{:?}", ev.kind),
+            };
+            return Err(Error::Simulation(format!(
+                "{what} at {at} is before the clock at {}",
+                self.now
+            )));
         }
+        self.now = at;
+        self.queue.set_now(at);
+        self.events_processed += 1;
+        Ok(Some(next))
     }
 
     /// The route serving requests for `model`: the only route of a
@@ -1501,6 +1520,27 @@ pub(super) mod tests {
         let (_, s) = d.split("test").unwrap();
         assert_eq!(s.prefill_model, vec![ModelId(0)]);
         assert_eq!(s.decode_model, vec![ModelId(0)]);
+    }
+
+    /// The clock never runs back: an event or an arrival due before it
+    /// ends the run with an error, in release builds too.
+    #[test]
+    fn occurrence_before_the_clock_is_an_error() {
+        let behind = |d: &mut Driver, reqs: &[Request]| {
+            d.core.now = SimTime::from_micros(10);
+            let err = d.run_with_faults(reqs, &FaultScript::none()).unwrap_err();
+            assert!(
+                matches!(&err, Error::Simulation(m) if m.contains("before the clock")),
+                "{err:?}"
+            );
+        };
+        let mut d = testbed(|_| {});
+        d.core
+            .queue
+            .push(SimTime::from_micros(5), EventKind::ServiceResumed);
+        behind(&mut d, &[]);
+        let late = Request::new(RequestId(0), SimTime::from_micros(5), 256, 8);
+        behind(&mut testbed(|_| {}), &[late]);
     }
 
     #[test]

@@ -72,6 +72,7 @@ pub mod router;
 pub use config::{Hedge, KvTransfer, Quarantine, SimConfig};
 pub use engine::Simulation;
 pub use estimate::{estimate_attainment, AttainmentEstimate};
+pub use event::QueueWork;
 pub use exec::DecodeWork;
 pub use fault::{Detection, FaultKind, FaultScript, TimedFault};
 pub use metrics::{Metrics, RecoveryCounters, RequestRecord};

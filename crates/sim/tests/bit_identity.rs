@@ -656,23 +656,33 @@ fn streaming_with_coalescing_off_matches_the_same_golden() {
     );
 }
 
+/// Every event-heap entry left the heap exactly once: popped or cancelled,
+/// with nothing left behind to sift out.
+fn every_entry_left_once(sim: &Simulation) {
+    let work = sim.queue_work();
+    assert_eq!(work.removed, work.pushed, "{work:?}");
+}
+
 /// Dispatched event counts, pinned per arm of the matrix. The digests
 /// cannot see a wakeup event added or dropped without changing a metric;
 /// these counts can. In `split_contention` the fabric signals completions
-/// through one cancellable timer, so it dispatches its arrivals, prefill,
-/// decode and transfer events, and one timer firing per flow completion.
+/// through one timer, so it dispatches its arrivals, prefill, decode and
+/// transfer events, and one timer firing per flow completion. Each arm
+/// also checks that every event-heap entry left the heap exactly once.
 #[test]
 fn runs_dispatch_pinned_event_counts() {
     let eight = split_plan_8();
     let split = |cfg: SimConfig, reqs: &[Request], script: &FaultScript| {
         let mut sim = Simulation::new(&eight.0, &eight.1, cfg).unwrap();
         sim.run_with_faults(reqs, script).unwrap();
+        every_entry_left_once(&sim);
         sim.events_processed()
     };
     let (cluster, groups) = colo_groups();
     let colo = |cfg: SimConfig, reqs: &[Request], script: &FaultScript| {
         let mut sim = Simulation::colocated(&cluster, &groups, cfg).unwrap();
         sim.run_with_faults(reqs, script).unwrap();
+        every_entry_left_once(&sim);
         sim.events_processed()
     };
     let llama7 = ModelSpec::llama_7b;
