@@ -37,8 +37,6 @@ pub const KV_RETRY_BACKOFF_CAP: SimDuration = SimDuration::from_millis(1600);
 /// How prefill→decode KV transfers are modelled.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum KvTransfer {
-    /// Transfers take no wire time (the ablation switch for Figure 12).
-    Free,
     /// Each transfer is priced on its replica pair's link model and
     /// serializes on the sender's uplink (the default; it keeps the paper
     /// figures bit-identical).

@@ -8,7 +8,7 @@
 //! DistServe-derived simulator. Figure 19 compares this estimator against
 //! the discrete-event engine.
 
-use crate::config::{KvTransfer, SimConfig, MAX_DECODE_BATCH};
+use crate::config::{SimConfig, MAX_DECODE_BATCH};
 use std::borrow::Borrow;
 use ts_cluster::Cluster;
 use ts_common::{DeploymentPlan, Result, SloSpec};
@@ -165,11 +165,6 @@ pub fn pair_estimates<M: Borrow<ReplicaCostModel>>(
                 cfg.kv_precision.ratio_vs_f16(),
             )
             .as_secs_f64();
-            let kv = if cfg.kv_transfer == KvTransfer::Free {
-                0.0
-            } else {
-                kv
-            };
             kv_seconds[i][j] = kv;
             let a_tpot = soft_meet(slo.tpot.as_secs_f64(), step_time[j]);
             let decode_time = steps * step_time[j];

@@ -3,7 +3,6 @@
 //! [`KvTransport`] owns the one decision of how a transfer occupies the
 //! wire, taken once from [`SimConfig::kv_transfer`]:
 //!
-//! * [`KvTransfer::Free`] — a transfer completes after its backoff alone;
 //! * [`KvTransfer::Serialized`] — alpha-beta wire time, queued on the
 //!   sender's uplink and stretched by a degraded link's factor;
 //! * [`KvTransfer::Fabric`] — a flow in the `ts-net` max-min fabric, which
@@ -42,8 +41,6 @@ pub(super) struct Transfer {
 
 /// How a transfer occupies the wire.
 enum Wire {
-    /// No wire time.
-    Free,
     /// Wire time serialized on the sender's uplink.
     Serialized(Uplinks),
     /// Flows in the max-min fabric (boxed: its reusable allocation
@@ -128,7 +125,6 @@ impl KvTransport {
         }
         let (np, nd) = (prefills.len(), decodes.len());
         let wire = match cfg.kv_transfer {
-            KvTransfer::Free => Wire::Free,
             KvTransfer::Serialized => Wire::Serialized(Uplinks {
                 routes,
                 memo: vec![vec![None; nd]; np],
@@ -211,7 +207,6 @@ impl KvTransport {
                 }
                 return;
             }
-            Wire::Free => (ready, ready),
             Wire::Serialized(up) => {
                 let tokens = transfer.job.tokens;
                 let mut dur = match up.memo[from][to] {
@@ -412,7 +407,6 @@ impl KvTransport {
     /// network).
     pub(super) fn degrade(&mut self, core: &mut Core, prefill: usize, decode: usize, factor: f64) {
         match &mut self.wire {
-            Wire::Free => {}
             Wire::Serialized(up) => up.link_factor[prefill][decode] = factor,
             Wire::Fabric(flows) => {
                 let (from, to, _) = self.flow_routes[prefill][decode];
@@ -587,11 +581,10 @@ mod tests {
 
     #[test]
     fn fabric_is_built_only_for_the_fabric_transfer_model() {
-        for transfer in [KvTransfer::Free, KvTransfer::Serialized, KvTransfer::Fabric] {
+        for transfer in [KvTransfer::Serialized, KvTransfer::Fabric] {
             let mut d = testbed(|cfg| cfg.kv_transfer = transfer);
             let (_, s) = d.split("test").unwrap();
             let picked = match s.kv.wire {
-                Wire::Free => KvTransfer::Free,
                 Wire::Serialized(_) => KvTransfer::Serialized,
                 Wire::Fabric(_) => KvTransfer::Fabric,
             };

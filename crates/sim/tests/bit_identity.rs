@@ -442,16 +442,6 @@ fn run_matrix(edit: &dyn Fn(SimConfig) -> SimConfig) -> String {
     );
     digest("split_pair_f16", &m, &mut out);
 
-    let mut cfg = SimConfig::new(llama7());
-    cfg.kv_transfer = ts_sim::KvTransfer::Free;
-    let (m, _) = run_split(
-        &eight,
-        edit(cfg),
-        &mixed_requests(200, 10_000, 4),
-        &FaultScript::none(),
-    );
-    digest("split_free_kv", &m, &mut out);
-
     let (m, _) = run_split(
         &eight,
         edit(SimConfig::new(llama7()).with_network_contention(true)),

@@ -287,14 +287,14 @@ fn clustering_is_partition() {
     }
 }
 
-/// A KV transfer model for a conservation case: free, serialized on the
+/// A KV transfer model for a conservation case: serialized on the
 /// sender's uplink, or flows on the fabric.
 fn draw_kv_transfer(rng: &mut impl Rng) -> thunderserve::sim::KvTransfer {
     use thunderserve::sim::KvTransfer;
-    match rng.gen_range(0..3) {
-        0 => KvTransfer::Free,
-        1 => KvTransfer::Serialized,
-        _ => KvTransfer::Fabric,
+    if rng.gen_bool(0.5) {
+        KvTransfer::Serialized
+    } else {
+        KvTransfer::Fabric
     }
 }
 
