@@ -99,6 +99,21 @@ impl DecodeStepSeries {
         }
         total
     }
+
+    /// Writes [`Self::latency`]`(ctx0 + i)` to `out[i]` for every `i`,
+    /// evaluating the block stage by stage: each lane performs exactly
+    /// the operations of `latency`, so every entry is bit-identical to it.
+    pub fn latency_block(&self, ctx0: u64, out: &mut [SimDuration]) {
+        out.fill(SimDuration::ZERO);
+        for (stage, link) in &self.stages {
+            stage.add_step_times(ctx0, out);
+            if let Some(t) = link {
+                for total in out.iter_mut() {
+                    *total += *t;
+                }
+            }
+        }
+    }
 }
 
 /// Analytic latency/throughput/memory model for one model replica.
@@ -255,6 +270,41 @@ impl ReplicaCostModel {
         total
     }
 
+    /// [`Self::prefill_latency`] and the slowest pipeline stage's prefill
+    /// time, in one pass over the stages. The bottleneck is the reciprocal
+    /// of the replica's steady-state prefill throughput when the pipeline
+    /// is full. Each stage's `prefill_time` is evaluated once; the latency
+    /// folds stage times and links in `prefill_latency`'s order, so both
+    /// values are bit-identical to computing them separately.
+    pub fn prefill_latency_and_bottleneck(
+        &self,
+        batch_tokens: u64,
+        avg_context: u64,
+    ) -> (SimDuration, SimDuration) {
+        let act_bytes = self
+            .model
+            .dtype
+            .bytes_for(batch_tokens * self.model.hidden_size as u64);
+        let mut total = SimDuration::ZERO;
+        let mut bottleneck = SimDuration::ZERO;
+        for st in &self.stages {
+            let t = prefill_time(
+                &self.model,
+                st.layers,
+                &st.hw,
+                batch_tokens,
+                avg_context,
+                &self.params,
+            );
+            total += t;
+            bottleneck = bottleneck.max(t);
+            if let Some(link) = st.next_link {
+                total += link.time(act_bytes);
+            }
+        }
+        (total, bottleneck)
+    }
+
     /// Latency of one decode step for `batch` sequences with mean context
     /// `avg_context`.
     pub fn decode_step_latency(&self, batch: u64, avg_context: u64) -> SimDuration {
@@ -303,25 +353,6 @@ impl ReplicaCostModel {
                 })
                 .collect(),
         }
-    }
-
-    /// The slowest pipeline stage's prefill time — the reciprocal of the
-    /// replica's steady-state prefill throughput when the pipeline is full.
-    pub fn prefill_bottleneck(&self, batch_tokens: u64, avg_context: u64) -> SimDuration {
-        self.stages
-            .iter()
-            .map(|st| {
-                prefill_time(
-                    &self.model,
-                    st.layers,
-                    &st.hw,
-                    batch_tokens,
-                    avg_context,
-                    &self.params,
-                )
-            })
-            .max()
-            .unwrap_or(SimDuration::ZERO)
     }
 
     /// Maximum number of KV-cache tokens the replica can hold (min over
@@ -599,6 +630,103 @@ mod tests {
                     );
                 }
             }
+        }
+    }
+
+    /// LLaMA-7B replicas on the paper cloud for every pp and tp in
+    /// {1, 2, 4}, each placed from three GPU offsets, so stages mix GPU
+    /// types and their links mix intra-node and inter-node hops.
+    fn replica_shapes(phase: Phase) -> Vec<ReplicaCostModel> {
+        let c = presets::paper_cloud_cluster();
+        let m = ModelSpec::llama_7b();
+        let mut out = Vec::new();
+        for pp in [1, 2, 4] {
+            for tp in [1, 2, 4] {
+                for offset in [0u32, 8, 14] {
+                    let ids: Vec<u32> = (0..(pp * tp) as u32).map(|k| (offset + k) % 32).collect();
+                    let g = group_on(&ids, tp, pp, m.num_layers, phase);
+                    out.push(ReplicaCostModel::new(&c, &m, &g, &ModelParams::default()).unwrap());
+                }
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn one_pass_prefill_pricing_matches_latency_and_stage_max() {
+        for rcm in replica_shapes(Phase::Prefill) {
+            for tokens in [1u64, 2, 17, 255, 256, 1000, 1400, 4096, 8191, 16_384] {
+                for ctx in [0u64, 1, tokens / 2, tokens, 4 * tokens] {
+                    let (latency, bottleneck) = rcm.prefill_latency_and_bottleneck(tokens, ctx);
+                    let stage_max = rcm
+                        .stages
+                        .iter()
+                        .map(|st| {
+                            prefill_time(&rcm.model, st.layers, &st.hw, tokens, ctx, &rcm.params)
+                        })
+                        .max()
+                        .unwrap();
+                    let shape = format!("{} stages, tokens={tokens} ctx={ctx}", rcm.num_stages());
+                    assert_eq!(latency, rcm.prefill_latency(tokens, ctx), "{shape}");
+                    assert_eq!(bottleneck, stage_max, "{shape}");
+                    assert!(bottleneck <= latency, "{shape}");
+                }
+            }
+        }
+    }
+
+    /// Checks `latency_block` against `latency` on `n` contexts from `ctx0`.
+    fn check_block(series: &DecodeStepSeries, ctx0: u64, n: usize) {
+        let mut out = vec![SimDuration::from_micros(7); n];
+        series.latency_block(ctx0, &mut out);
+        for (ctx, &t) in (ctx0..).zip(&out) {
+            assert_eq!(
+                t,
+                series.latency(ctx),
+                "block from {ctx0} diverged at ctx={ctx}"
+            );
+        }
+    }
+
+    #[test]
+    fn latency_block_matches_latency_on_every_context() {
+        let shapes = replica_shapes(Phase::Decode);
+        // One, two and four stages at tp 1, 2 and 4: every context up to
+        // 20,000 in blocks of 64.
+        for rcm in [&shapes[0], &shapes[12], &shapes[24]] {
+            for batch in [1u64, 8, 32] {
+                let series = rcm.decode_step_series(batch);
+                for ctx0 in (0..=20_000).step_by(64) {
+                    check_block(&series, ctx0, 64);
+                }
+            }
+        }
+        // Sampled blocks on every shape: unaligned starts, lengths that
+        // are not a multiple of the lane count, contexts far past any
+        // prompt, and the free zero-batch series.
+        for rcm in &shapes {
+            for batch in [0u64, 1, 3, 64, 256] {
+                let series = rcm.decode_step_series(batch);
+                for (ctx0, n) in [(0u64, 1), (1, 63), (129, 64), (4_095, 150), (1 << 40, 65)] {
+                    check_block(&series, ctx0, n);
+                }
+            }
+        }
+        // A stage of zero layers is free but its link still costs.
+        let m = ModelSpec::llama_7b();
+        let hw = StageHardware::single(ts_cluster::GpuModel::A5000.spec());
+        let p = ModelParams::default();
+        let series = DecodeStepSeries {
+            stages: vec![
+                (
+                    DecodeStageSeries::new(&m, 0, &hw, 8, &p),
+                    Some(SimDuration::from_micros(40)),
+                ),
+                (DecodeStageSeries::new(&m, m.num_layers, &hw, 8, &p), None),
+            ],
+        };
+        for (ctx0, n) in [(0u64, 64), (77, 200)] {
+            check_block(&series, ctx0, n);
         }
     }
 

@@ -244,19 +244,67 @@ impl DecodeStageSeries {
         if self.zero {
             return SimDuration::ZERO;
         }
+        let secs = if self.tp == 1.0 {
+            self.roofline_secs::<true>(avg_context)
+        } else {
+            self.roofline_secs::<false>(avg_context)
+        };
+        SimDuration::from_secs_f64(secs) + self.fixed
+    }
+
+    /// Adds [`Self::step_time`]`(ctx0 + i)` to `out[i]` for every `i`.
+    ///
+    /// Lane by lane this performs exactly the float operations of
+    /// `step_time`, so each sum is bit-identical to adding `step_time`
+    /// per context. The arithmetic runs over a block of lanes with the
+    /// `tp` branch taken once per block; the finiteness check and the
+    /// microsecond rounding of [`SimDuration::from_secs_f64`] follow in a
+    /// separate pass, and still panic on a non-finite or negative time.
+    pub fn add_step_times(&self, ctx0: u64, out: &mut [SimDuration]) {
+        if self.zero {
+            return;
+        }
+        let mut secs = [0.0f64; LANES];
+        let mut ctx = ctx0;
+        for chunk in out.chunks_mut(LANES) {
+            let secs = &mut secs[..chunk.len()];
+            if self.tp == 1.0 {
+                for (i, s) in (ctx..).zip(secs.iter_mut()) {
+                    *s = self.roofline_secs::<true>(i);
+                }
+            } else {
+                for (i, s) in (ctx..).zip(secs.iter_mut()) {
+                    *s = self.roofline_secs::<false>(i);
+                }
+            }
+            for (t, &s) in chunk.iter_mut().zip(secs.iter()) {
+                *t += SimDuration::from_secs_f64(s) + self.fixed;
+            }
+            ctx += chunk.len() as u64;
+        }
+    }
+
+    /// The roofline bound in seconds at mean context `avg_context`: the
+    /// context-dependent float arithmetic of [`decode_step_time`], in its
+    /// operation order. `TP1` says `tp == 1`.
+    #[inline(always)]
+    fn roofline_secs<const TP1: bool>(&self, avg_context: u64) -> f64 {
         let ctx = avg_context as f64;
         let attn_flops = self.four_batch * ctx * self.kv_dim * self.l;
         let flops = self.matmul_flops + attn_flops;
         let kv_scaled = self.batch_f * ctx * self.kv_per_token;
-        let (compute_s, kv_bytes) = if self.tp == 1.0 {
+        let (compute_s, kv_bytes) = if TP1 {
             (flops / self.compute_denom, kv_scaled)
         } else {
             (flops / self.tp / self.compute_denom, kv_scaled / self.tp)
         };
         let mem_s = (self.weight_bytes + kv_bytes) / self.mem_denom;
-        SimDuration::from_secs_f64(compute_s.max(mem_s)) + self.fixed
+        compute_s.max(mem_s)
     }
 }
+
+/// Lanes of [`DecodeStageSeries::add_step_times`]'s arithmetic pass.
+const LANES: usize = 64;
 
 #[cfg(test)]
 mod tests {
@@ -370,6 +418,29 @@ mod tests {
         let t60 = decode_step_time(&m, 60, &h, 16, 512, &p);
         let ratio = t60.as_secs_f64() / t30.as_secs_f64();
         assert!((ratio - 2.0).abs() < 0.1, "ratio {ratio}");
+    }
+
+    /// A stage on a GPU with no bandwidth and no compute has an infinite
+    /// roofline time, which the block kernel refuses like `step_time`.
+    fn infinite_stage() -> DecodeStageSeries {
+        let mut h = hw(GpuModel::A100);
+        h.gpu.mem_bandwidth = 0.0;
+        h.gpu.peak_fp16_flops = 0.0;
+        let m = ModelSpec::llama_7b();
+        DecodeStageSeries::new(&m, m.num_layers, &h, 4, &params())
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid duration")]
+    fn step_time_refuses_an_infinite_time() {
+        let _ = infinite_stage().step_time(100);
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid duration")]
+    fn block_kernel_refuses_an_infinite_time() {
+        let mut out = [SimDuration::ZERO; 64];
+        infinite_stage().add_step_times(100, &mut out);
     }
 
     #[test]

@@ -380,16 +380,18 @@ mod tests {
         }
     }
 
-    /// The decode planner's work counters on a scripted run. Request 0
-    /// decodes alone: one plan of 8 steps at batch 1 from context 129.
-    /// Request 1 plans 32 steps at batch 1; request 2 joins it (a re-plan
-    /// pricing the 3 steps after the carried boundary at batch 2), and
-    /// request 1's remaining steps after request 2 finishes lie inside its
-    /// first plan's range. Request 3 repeats request 0's shape and prices
-    /// nothing: 8 + 32 + 3 = 43 entries. The per-step path crosses the same
-    /// 48 boundaries with one plan each, and prices only the contexts it
-    /// visits: request 2's 4 steps at batch 2 and 28 of request 1's steps
-    /// at batch 1.
+    /// The decode planner's work counters on a scripted run. Tables price
+    /// whole blocks of 64 contexts. Request 0 decodes alone: one plan of 8
+    /// steps at batch 1 from context 129, which prices the block 128..192
+    /// (64 entries). Request 1 plans 32 steps at batch 1 from context 513
+    /// (the block 512..576, 128). Request 2 joins it: a re-plan prices the
+    /// 3 steps after the carried boundary at batch 2 from context 295 (the
+    /// block 256..320, 192). Request 1's last 18 steps from context 527,
+    /// after request 2 finishes, and request 3, which repeats request 0's
+    /// shape, lie inside priced blocks. The per-step path crosses the same
+    /// 48 boundaries with one plan each and visits contexts 129..137,
+    /// 513..524 and 527..545 at batch 1 and 295..298 at batch 2: the same
+    /// three blocks, 192 entries.
     #[test]
     fn decode_work_is_pinned_on_a_scripted_run() {
         use crate::DecodeWork;
@@ -411,7 +413,7 @@ mod tests {
             DecodeWork {
                 plans: 4,
                 replans: 1,
-                steps_priced: 43,
+                steps_priced: 192,
                 steps_crossed: 48,
             }
         );
@@ -420,7 +422,7 @@ mod tests {
             DecodeWork {
                 plans: 48,
                 replans: 0,
-                steps_priced: 40,
+                steps_priced: 192,
                 steps_crossed: 48,
             }
         );

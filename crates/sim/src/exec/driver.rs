@@ -81,7 +81,8 @@ use ts_common::{
 };
 use ts_costmodel::ReplicaCostModel;
 use ts_telemetry::{
-    PressureTally, Recorder, Role, StreamingPlane, TraceEvent, TraceKind, TraceLog, TraceSink,
+    profile, PressureTally, Recorder, Role, StreamingPlane, TraceEvent, TraceKind, TraceLog,
+    TraceSink,
 };
 
 /// All driver-side state of one in-flight request, slab-resident: the
@@ -1056,10 +1057,11 @@ pub(super) fn take_prefill_launch(
 
 /// Prices a prefill launch of `tokens` prompt tokens at context `ctx`:
 /// its latency through the whole pipeline, and the bottleneck stage time
-/// after which the next launch may enter. Pricing goes through the
-/// replica's one-entry `memo`: traces with repeated prompt lengths form
-/// the same batch shape over and over, and both pricing functions are
-/// pure in `(tokens, ctx)`.
+/// after which the next launch may enter, both from one pass over the
+/// stages. Pricing goes through the replica's one-entry `memo`: traces
+/// with repeated prompt lengths form the same batch shape over and over,
+/// and the pricing is pure in `(tokens, ctx)`. A memo miss is timed under
+/// the profiler scope `sim.price_prefill`.
 pub(super) fn price_prefill(
     cost: &ReplicaCostModel,
     memo: &mut Option<(u64, u64, SimDuration, SimDuration)>,
@@ -1070,8 +1072,8 @@ pub(super) fn price_prefill(
     let (mut latency, mut bottleneck) = match *memo {
         Some((t, c, lat, bot)) if t == tokens && c == ctx => (lat, bot),
         _ => {
-            let lat = cost.prefill_latency(tokens, ctx);
-            let bot = cost.prefill_bottleneck(tokens, ctx);
+            let _g = profile::scope("sim.price_prefill");
+            let (lat, bot) = cost.prefill_latency_and_bottleneck(tokens, ctx);
             *memo = Some((tokens, ctx, lat, bot));
             (lat, bot)
         }

@@ -16,6 +16,7 @@ use crate::event::EventToken;
 use std::collections::VecDeque;
 use ts_common::{SimDuration, SimTime, SlabKey};
 use ts_costmodel::{DecodeStepSeries, ReplicaCostModel};
+use ts_telemetry::profile;
 
 /// What a colocated replica is currently executing.
 #[derive(Debug, Clone)]
@@ -98,14 +99,19 @@ impl std::ops::AddAssign for DecodeWork {
 /// true sums.
 const EXACT_STEP_US: u64 = 1 << 32;
 
+/// Contexts per priced block. Runs start and end on multiples of it, and a
+/// table miss prices whole blocks through
+/// [`DecodeStepSeries::latency_block`].
+const BLOCK: u64 = 64;
+
 /// Step times of consecutive contexts `lo..hi()` at one batch size, held
-/// as wrapping `u64` prefix sums (integer microseconds): `prefix[i]` is
-/// the sum of the steps at contexts `lo..lo + i` plus an arbitrary base,
-/// so extending the run at either end appends a single entry.
+/// as contiguous wrapping `u64` prefix sums (integer microseconds):
+/// `prefix[i]` is the sum of the steps at contexts `lo..lo + i` plus an
+/// arbitrary base. `lo` and `hi()` lie on block edges.
 #[derive(Debug, Default)]
 struct StepRun {
     lo: u64,
-    prefix: VecDeque<u64>,
+    prefix: Vec<u64>,
     /// Largest step time in the run.
     max_step: u64,
 }
@@ -114,7 +120,7 @@ impl StepRun {
     fn empty(lo: u64) -> Self {
         StepRun {
             lo,
-            prefix: VecDeque::from([0]),
+            prefix: vec![0],
             max_step: 0,
         }
     }
@@ -124,28 +130,42 @@ impl StepRun {
         self.lo + self.prefix.len() as u64 - 1
     }
 
-    /// Step time at context `lo + i`.
-    fn step(&self, i: usize) -> u64 {
-        self.prefix[i + 1].wrapping_sub(self.prefix[i])
+    /// Prices the blocks from `hi()` up to the block edge `to` at
+    /// straggler factor `slow` and appends them, counting the entries
+    /// into `priced`.
+    fn price_to(&mut self, series: &DecodeStepSeries, slow: f64, to: u64, priced: &mut u64) {
+        if self.hi() >= to {
+            return;
+        }
+        self.prefix.reserve((to - self.hi()) as usize);
+        let mut block = [SimDuration::ZERO; BLOCK as usize];
+        while self.hi() < to {
+            series.latency_block(self.hi(), &mut block);
+            debug_assert!(block.windows(2).all(|w| w[0] <= w[1]), "step time fell");
+            *priced += BLOCK;
+            let mut sum = self.prefix[self.prefix.len() - 1];
+            for latency in block {
+                let us = if slow != 1.0 {
+                    latency.mul_f64(slow)
+                } else {
+                    latency
+                }
+                .as_micros();
+                self.max_step = self.max_step.max(us);
+                sum = sum.wrapping_add(us);
+                self.prefix.push(sum);
+            }
+        }
     }
 
-    fn push_back(&mut self, step: u64) {
-        let n = self.prefix.len();
-        debug_assert!(n < 2 || step >= self.step(n - 2), "step time fell");
-        let last = self.prefix[n - 1];
-        self.prefix.push_back(last.wrapping_add(step));
-        self.max_step = self.max_step.max(step);
-    }
-
-    fn push_front(&mut self, step: u64) {
-        debug_assert!(
-            self.prefix.len() < 2 || step <= self.step(0),
-            "step time fell"
-        );
-        let first = self.prefix[0];
-        self.prefix.push_front(first.wrapping_sub(step));
-        self.lo -= 1;
-        self.max_step = self.max_step.max(step);
+    /// Appends `next`, which starts where this run ends, re-based by one
+    /// wrapping offset onto this run's last prefix sum.
+    fn append(&mut self, next: &StepRun) {
+        debug_assert_eq!(self.hi(), next.lo, "appended run does not touch");
+        let offset = self.prefix[self.prefix.len() - 1].wrapping_sub(next.prefix[0]);
+        self.prefix
+            .extend(next.prefix[1..].iter().map(|p| p.wrapping_add(offset)));
+        self.max_step = self.max_step.max(next.max_step);
     }
 }
 
@@ -158,16 +178,20 @@ struct BatchSteps {
 }
 
 /// A decode replica's step times, priced once per `(batch, context)` and
-/// kept as prefix sums, so any span of a run's boundaries costs two
-/// lookups.
+/// kept as contiguous prefix sums, so any span of a run's boundaries costs
+/// two lookups.
 ///
 /// Each entry is `DecodeStepSeries::latency(ctx)`, scaled by
 /// `SimDuration::mul_f64(slow)` only when the straggler factor is not
 /// exactly 1.0: the float operations the per-step loop performs, so every
-/// boundary matches it bit for bit. Tables cover only the contexts plans
-/// visit (one run per connected range). They are dropped when a run is
-/// priced at a different straggler factor than the entries; until then
-/// they still serve the plan priced at the old factor.
+/// boundary matches it bit for bit. Tables cover the contexts plans visit,
+/// widened to whole blocks of [`BLOCK`] contexts (one run per connected
+/// range), so a run holds at most `2 * (BLOCK - 1)` entries no plan asked
+/// for. A miss prices whole blocks: it extends a run at its back in place,
+/// and merges the runs it reaches by re-basing each onto the run before
+/// it. Tables are dropped when a run is priced at a different straggler
+/// factor than the entries; until then they still serve the plan priced
+/// at the old factor.
 #[derive(Debug)]
 pub struct StepTables {
     /// Straggler factor the entries were priced at.
@@ -187,9 +211,10 @@ impl Default for StepTables {
 
 impl StepTables {
     /// Makes sure the steps at contexts `ctx0..ctx0 + steps` are priced for
-    /// `batch` at straggler factor `slow`, pricing only the missing ones
-    /// (counted into `priced`), and returns the index of the run holding
-    /// them.
+    /// `batch` at straggler factor `slow`, pricing the missing blocks
+    /// (their entries counted into `priced`), and returns the index of the
+    /// run holding them. A miss is timed under the profiler scope
+    /// `sim.price_decode`.
     fn ensure(
         &mut self,
         cost: &ReplicaCostModel,
@@ -215,59 +240,63 @@ impl StepTables {
         if runs.get(i).is_some_and(|r| r.lo <= lo && hi <= r.hi()) {
             return i;
         }
+        let _g = profile::scope("sim.price_decode");
         let series = &*series.get_or_insert_with(|| cost.decode_step_series(batch));
-        let mut price = |ctx: u64| {
-            *priced += 1;
-            let mut latency = series.latency(ctx);
-            if slow != 1.0 {
-                latency = latency.mul_f64(slow);
-            }
-            latency.as_micros()
-        };
-        // Runs i..j overlap or touch the span: merge them into one.
+        // Widen the span to block edges. Runs i..j overlap or touch it: the
+        // first extends at its back if it starts no later, and every other
+        // one is appended after the blocks priced up to it.
+        let (lo, hi) = (lo / BLOCK * BLOCK, hi.div_ceil(BLOCK) * BLOCK);
+        let i = runs.partition_point(|r| r.hi() < lo);
         let j = i + runs[i..].iter().take_while(|r| r.lo <= hi).count();
-        let mut run = match runs.get_mut(i) {
-            Some(r) if i < j => std::mem::take(r),
-            _ => StepRun::empty(lo),
+        let (mut run, first) = match runs.get_mut(i) {
+            Some(r) if i < j && r.lo <= lo => (std::mem::take(r), i + 1),
+            _ => (StepRun::empty(lo), i),
         };
-        while run.lo > lo {
-            run.push_front(price(run.lo - 1));
+        for next in &runs[first..j] {
+            run.price_to(series, slow, next.lo, priced);
+            run.append(next);
         }
-        for next in &runs[(i + 1).min(j)..j] {
-            while run.hi() < next.lo {
-                run.push_back(price(run.hi()));
-            }
-            for k in 0..next.prefix.len() - 1 {
-                run.push_back(next.step(k));
-            }
-        }
-        while run.hi() < hi {
-            run.push_back(price(run.hi()));
-        }
-        if i < j {
-            runs[i] = run;
-            runs.drain(i + 1..j);
-        } else {
-            runs.insert(i, run);
-        }
+        run.price_to(series, slow, hi, priced);
+        runs.splice(i..j, [run]);
         i
     }
 
-    /// Sum of the `k` step times from context `ctx0` in run `run` of
-    /// `batch`, saturating at the largest duration.
-    fn span(&self, batch: u64, run: usize, ctx0: u64, k: u64) -> SimDuration {
-        if k == 0 {
-            return SimDuration::ZERO;
-        }
+    /// The steps from context `ctx0` in run `run` of `batch`.
+    fn segment(&self, batch: u64, run: usize, ctx0: u64) -> Segment<'_> {
         let r = &self.batches[batch as usize].runs[run];
-        let o = (ctx0 - r.lo) as usize;
+        Segment {
+            prefix: &r.prefix[(ctx0 - r.lo) as usize..],
+            exact: r.max_step < EXACT_STEP_US,
+        }
+    }
+}
+
+/// The consecutive step times of one run from a plan's first context: a
+/// slice of the run's prefix sums, resolved once per query.
+#[derive(Debug, Clone, Copy)]
+struct Segment<'a> {
+    prefix: &'a [u64],
+    /// Whether every step of the run is below [`EXACT_STEP_US`].
+    exact: bool,
+}
+
+impl Segment<'_> {
+    /// The segment of a plan that prices no step.
+    const EMPTY: Segment<'static> = Segment {
+        prefix: &[0],
+        exact: true,
+    };
+
+    /// Sum of the first `k` step times, saturating at the largest
+    /// duration.
+    fn span(self, k: u64) -> SimDuration {
         let k = k as usize;
-        let us = if r.max_step < EXACT_STEP_US {
-            r.prefix[o + k].wrapping_sub(r.prefix[o])
+        let us = if self.exact {
+            self.prefix[k].wrapping_sub(self.prefix[0])
         } else {
             let mut sum = 0u64;
-            for i in o..o + k {
-                sum = sum.saturating_add(r.step(i));
+            for w in self.prefix[..=k].windows(2) {
+                sum = sum.saturating_add(w[1].wrapping_sub(w[0]));
                 if sum == u64::MAX {
                     break;
                 }
@@ -293,8 +322,10 @@ impl StepTables {
 /// a re-plan first carries the in-progress step's end, which is then the
 /// segment's start. Boundary `g` (counted from the plan's first, crossed
 /// ones included) is `start` plus the sum of the segment's first
-/// `g + 1 - carried` step times, two lookups into the replica's
-/// [`StepTables`]. Step time never decreases as context grows, so the
+/// `g + 1 - carried` step times, the difference of two prefix sums in the
+/// replica's [`StepTables`]. Each query resolves the plan's run once and
+/// reads that run's prefix slice, so every read is O(1) and a catch-up
+/// search O(log k). Step time never decreases as context grows, so the
 /// gaps between consecutive boundaries never shrink either.
 #[derive(Debug, Clone, Copy)]
 pub struct DecodePlan {
@@ -334,10 +365,22 @@ impl DecodePlan {
         self.boundaries() - self.crossed
     }
 
+    /// The plan's priced steps in `tables`.
+    fn segment<'a>(&self, tables: &'a StepTables) -> Segment<'a> {
+        if self.steps == 0 {
+            return Segment::EMPTY;
+        }
+        tables.segment(self.batch, self.run, self.ctx0)
+    }
+
+    /// Boundary `g` of the plan whose steps are `seg`.
+    fn boundary_in(&self, seg: Segment<'_>, g: u64) -> SimTime {
+        self.start + seg.span(g + 1 - u64::from(self.carried))
+    }
+
     /// Boundary `g`, counted from the plan's first.
     pub fn boundary(&self, tables: &StepTables, g: u64) -> SimTime {
-        let k = g + 1 - u64::from(self.carried);
-        self.start + tables.span(self.batch, self.run, self.ctx0, k)
+        self.boundary_in(self.segment(tables), g)
     }
 
     /// The in-progress step's end: the first uncrossed boundary.
@@ -373,7 +416,8 @@ impl DecodePlan {
         if last == 0 {
             return 0;
         }
-        let at = |i: u64| self.boundary(tables, self.crossed + i);
+        let seg = self.segment(tables);
+        let at = |i: u64| self.boundary_in(seg, self.crossed + i);
         // Boundaries are nondecreasing: find the first intermediate not
         // before `now`, galloping from the front (usually little has
         // elapsed) and then bisecting.
@@ -416,16 +460,15 @@ impl DecodePlan {
         if m < 2 {
             return SimDuration::ZERO;
         }
+        let seg = self.segment(tables);
+        let at = |g: u64| self.boundary_in(seg, g);
         let c = self.crossed;
-        let last = self.boundary(tables, c + m - 1);
+        let last = at(c + m - 1);
         if last < SimTime::MAX {
-            return last.saturating_since(self.boundary(tables, c + m - 2));
+            return last.saturating_since(at(c + m - 2));
         }
         (1..m)
-            .map(|i| {
-                self.boundary(tables, c + i)
-                    .saturating_since(self.boundary(tables, c + i - 1))
-            })
+            .map(|i| at(c + i).saturating_since(at(c + i - 1)))
             .max()
             .unwrap_or(SimDuration::ZERO)
     }
@@ -625,7 +668,11 @@ impl DecodeExecutor {
         } else {
             0
         };
-        let end = start + self.tables.span(batch, run, ctx0, steps);
+        let end = if steps > 0 {
+            start + self.tables.segment(batch, run, ctx0).span(steps)
+        } else {
+            start
+        };
         DecodePlan {
             batch,
             run,
@@ -973,8 +1020,18 @@ mod tests {
         assert!(carried_plans >= 1_000 && multi_stage >= 1_000 && saturated >= 500);
     }
 
+    /// Block-priced runs at batch 4, with the runs' `(lo, hi)` after each
+    /// plan. A plan of 100..110 opens the run 64..128 (64 entries). A plan
+    /// inside it prices nothing. A plan of 40..50 widens to 0..64, which
+    /// touches the run: a new run prices that block and appends the old
+    /// one (128). A plan of 300..305 opens a second run 256..320 (192).
+    /// A plan of 120..220 widens to 64..256: the first run extends at its
+    /// back over the two blocks 128..256 and appends the second run (320).
+    /// A plan of all 320 contexts then prices nothing, one of 310..330
+    /// extends the run by the block 320..384 (384), and a new straggler
+    /// factor drops the tables, so 100..110 prices its block again (448).
     #[test]
-    fn tables_price_each_context_once_per_factor() {
+    fn tables_price_each_block_once_per_factor() {
         let cost = cost_models().swap_remove(0);
         let mut d = DecodeExecutor::new(cost);
         let mut queue = EventQueue::new();
@@ -982,19 +1039,21 @@ mod tests {
             d.plan_run(4, ctx0, steps, SimTime::ZERO, false, |end| {
                 queue.push_cancellable(end, EventKind::ServiceResumed)
             });
-            d.work.steps_priced
+            let runs: Vec<(u64, u64)> = d.tables.batches[4]
+                .runs
+                .iter()
+                .map(|r| (r.lo, r.hi()))
+                .collect();
+            (d.work.steps_priced, runs)
         };
-        // A new run 100..110, a plan inside it, a prepended 95..100 and a
-        // second run 200..205.
-        assert_eq!(plan(&mut d, 100, 10), 10);
-        assert_eq!(plan(&mut d, 102, 5), 10);
-        assert_eq!(plan(&mut d, 95, 10), 15);
-        assert_eq!(plan(&mut d, 200, 5), 20);
-        // 108..208 fills 110..200, merges the second run and extends it.
-        assert_eq!(plan(&mut d, 108, 100), 113);
-        assert_eq!(plan(&mut d, 95, 113), 113);
-        // A new factor drops the tables.
+        assert_eq!(plan(&mut d, 100, 10), (64, vec![(64, 128)]));
+        assert_eq!(plan(&mut d, 102, 5), (64, vec![(64, 128)]));
+        assert_eq!(plan(&mut d, 40, 10), (128, vec![(0, 128)]));
+        assert_eq!(plan(&mut d, 300, 5), (192, vec![(0, 128), (256, 320)]));
+        assert_eq!(plan(&mut d, 120, 100), (320, vec![(0, 320)]));
+        assert_eq!(plan(&mut d, 0, 320), (320, vec![(0, 320)]));
+        assert_eq!(plan(&mut d, 310, 20), (384, vec![(0, 384)]));
         d.slow_factor = 2.0;
-        assert_eq!(plan(&mut d, 100, 10), 123);
+        assert_eq!(plan(&mut d, 100, 10), (448, vec![(64, 128)]));
     }
 }
