@@ -30,7 +30,7 @@ use super::seq::BatchCore;
 #[cfg(doc)]
 use crate::config::SimConfig;
 use crate::event::{Event, EventKind};
-use ts_common::{Result, SimTime};
+use ts_common::{Error, Result, SimTime};
 use ts_telemetry::{Role, TraceKind};
 
 /// Whether coalesced decode plans are active: the config knob is on and no
@@ -295,7 +295,9 @@ impl Driver {
     /// this finish held. A held finish can be re-queued (a rival re-plans
     /// this replica) or invalidated (a rival kills/revives it); otherwise
     /// the finish boundary runs: materialize intermediates, advance the
-    /// batch, record finishes, admit, and plan the next run.
+    /// batch, record finishes, admit, and plan the next run. A plan with
+    /// intermediates left after that, or whose run end is not `now`, is an
+    /// [`Error::Simulation`], in release builds too.
     pub(super) fn on_decode_finish(&mut self, replica: usize, ev: Event) -> Result<()> {
         let seq = ev.seq;
         loop {
@@ -343,8 +345,19 @@ impl Driver {
         }
         let d = &mut s.decodes[replica];
         let plan = d.plan.take().expect("checked above");
-        debug_assert_eq!(plan.remaining(), 1, "intermediates drained");
-        debug_assert_eq!(plan.end(&d.tables), core.now, "finish boundary mismatch");
+        if plan.remaining() != 1 {
+            return Err(Error::Simulation(format!(
+                "decode replica {replica}: {} boundaries left at the run end, not 1",
+                plan.remaining()
+            )));
+        }
+        let end = plan.end(&d.tables);
+        if end != core.now {
+            return Err(Error::Simulation(format!(
+                "decode replica {replica}: run end at {end:?} fired at {:?}",
+                core.now
+            )));
+        }
         d.work.steps_crossed += 1;
         observe_straggler(core, Role::Decode, replica, d.slow_factor);
         trace(

@@ -1545,6 +1545,33 @@ pub(super) mod tests {
         behind(&mut testbed(|_| {}), &[late]);
     }
 
+    /// A decode plan whose intermediate boundaries cannot drain, or whose
+    /// run end is not its event's time, ends the run with an error, in
+    /// release builds too.
+    #[test]
+    fn a_corrupted_decode_plan_is_an_error() {
+        let corrupt = |edit: fn(&mut crate::exec::executor::DecodePlan), want: &str| {
+            let mut d = testbed(|_| {});
+            let (core, s) = d.split("test").unwrap();
+            let (req, key) = seed_request(core, 0);
+            s.decodes[0].batch.waiting.push_back(WaitingSeq {
+                key,
+                tokens: u64::from(req.prompt_len),
+                remaining: req.output_len - 1,
+                resume: None,
+            });
+            decode::admit_and_kick(core, s, 0);
+            edit(s.decodes[0].plan.as_mut().expect("a live plan"));
+            let err = d.run_with_faults(&[], &FaultScript::none()).unwrap_err();
+            assert!(
+                matches!(&err, Error::Simulation(m) if m.contains(want)),
+                "{err:?}"
+            );
+        };
+        corrupt(|p| p.crossed = p.boundaries(), "0 boundaries left");
+        corrupt(|p| p.start += SimDuration::from_micros(1), "fired at");
+    }
+
     #[test]
     fn legacy_plan_serves_every_model_tag_on_its_one_route() {
         let run = |model: ModelId| {
