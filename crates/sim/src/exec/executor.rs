@@ -134,10 +134,7 @@ impl StepRun {
     /// straggler factor `slow` and appends them, counting the entries
     /// into `priced`.
     fn price_to(&mut self, series: &DecodeStepSeries, slow: f64, to: u64, priced: &mut u64) {
-        if self.hi() >= to {
-            return;
-        }
-        self.prefix.reserve((to - self.hi()) as usize);
+        self.prefix.reserve(to.saturating_sub(self.hi()) as usize);
         let mut block = [SimDuration::ZERO; BLOCK as usize];
         while self.hi() < to {
             series.latency_block(self.hi(), &mut block);
@@ -169,14 +166,6 @@ impl StepRun {
     }
 }
 
-/// One batch size's step-time series and the runs priced from it, sorted
-/// by context; runs never overlap or touch (touching runs merge).
-#[derive(Debug, Default)]
-struct BatchSteps {
-    series: Option<DecodeStepSeries>,
-    runs: Vec<StepRun>,
-}
-
 /// A decode replica's step times, priced once per `(batch, context)` and
 /// kept as contiguous prefix sums, so any span of a run's boundaries costs
 /// two lookups.
@@ -185,26 +174,35 @@ struct BatchSteps {
 /// `SimDuration::mul_f64(slow)` only when the straggler factor is not
 /// exactly 1.0: the float operations the per-step loop performs, so every
 /// boundary matches it bit for bit. Tables cover the contexts plans visit,
-/// widened to whole blocks of [`BLOCK`] contexts (one run per connected
-/// range), so a run holds at most `2 * (BLOCK - 1)` entries no plan asked
-/// for. A miss prices whole blocks: it extends a run at its back in place,
-/// and merges the runs it reaches by re-basing each onto the run before
-/// it. Tables are dropped when a run is priced at a different straggler
-/// factor than the entries; until then they still serve the plan priced
-/// at the old factor.
+/// widened to whole blocks of `BLOCK` (64) contexts (one run per connected
+/// range), so a miss prices at most `2 * (BLOCK - 1)` entries beyond the
+/// plan's own contexts. A miss extends a run at its back in place, and
+/// merges the runs it reaches by re-basing each onto the run before it.
+/// Tables are dropped when a run is priced at a different straggler factor
+/// than the entries; until then they still serve the plan priced at the
+/// old factor.
 #[derive(Debug)]
 pub struct StepTables {
     /// Straggler factor the entries were priced at.
     slow: f64,
-    /// Indexed by batch size.
-    batches: Vec<BatchSteps>,
+    /// Step-time series by batch size, built at a batch size's first miss.
+    series: Vec<Option<DecodeStepSeries>>,
+    /// Every run, grouped by ascending batch size and sorted by context
+    /// within a group, so a read reaches a run's sums through one index.
+    /// Runs of one batch size never overlap or touch (touching runs merge).
+    runs: Vec<StepRun>,
+    /// `starts[b]..starts[b + 1]` are the runs of batch size `b`; the last
+    /// entry is `runs.len()`.
+    starts: Vec<usize>,
 }
 
 impl Default for StepTables {
     fn default() -> Self {
         StepTables {
             slow: 1.0,
-            batches: Vec::new(),
+            series: Vec::new(),
+            runs: Vec::new(),
+            starts: Vec::new(),
         }
     }
 }
@@ -224,46 +222,59 @@ impl StepTables {
         steps: u64,
         priced: &mut u64,
     ) -> usize {
-        if slow != self.slow {
-            for b in &mut self.batches {
-                b.runs.clear();
-            }
-            self.slow = slow;
+        let StepTables {
+            slow: tables_slow,
+            series,
+            runs,
+            starts,
+        } = self;
+        if slow != *tables_slow {
+            runs.clear();
+            starts.clear();
+            *tables_slow = slow;
         }
         let b = batch as usize;
-        if self.batches.len() <= b {
-            self.batches.resize_with(b + 1, BatchSteps::default);
+        if starts.len() < b + 2 {
+            starts.resize(b + 2, runs.len());
         }
-        let BatchSteps { series, runs } = &mut self.batches[b];
+        let (first, end) = (starts[b], starts[b + 1]);
+        let group = &runs[first..end];
         let (lo, hi) = (ctx0, ctx0 + steps);
-        let i = runs.partition_point(|r| r.hi() < lo);
-        if runs.get(i).is_some_and(|r| r.lo <= lo && hi <= r.hi()) {
-            return i;
+        let i = group.partition_point(|r| r.hi() < lo);
+        if group.get(i).is_some_and(|r| r.lo <= lo && hi <= r.hi()) {
+            return first + i;
         }
         let _g = profile::scope("sim.price_decode");
-        let series = &*series.get_or_insert_with(|| cost.decode_step_series(batch));
-        // Widen the span to block edges. Runs i..j overlap or touch it: the
-        // first extends at its back if it starts no later, and every other
-        // one is appended after the blocks priced up to it.
+        if series.len() <= b {
+            series.resize_with(b + 1, || None);
+        }
+        let series = &*series[b].get_or_insert_with(|| cost.decode_step_series(batch));
+        // Widen the span to block edges. The group's runs i..j overlap or
+        // touch it: the first extends at its back if it starts no later,
+        // and every other one is appended after the blocks priced up to it.
         let (lo, hi) = (lo / BLOCK * BLOCK, hi.div_ceil(BLOCK) * BLOCK);
-        let i = runs.partition_point(|r| r.hi() < lo);
-        let j = i + runs[i..].iter().take_while(|r| r.lo <= hi).count();
-        let (mut run, first) = match runs.get_mut(i) {
+        let i = first + group.partition_point(|r| r.hi() < lo);
+        let j = i + runs[i..end].iter().take_while(|r| r.lo <= hi).count();
+        let (mut run, next) = match runs.get_mut(i) {
             Some(r) if i < j && r.lo <= lo => (std::mem::take(r), i + 1),
             _ => (StepRun::empty(lo), i),
         };
-        for next in &runs[first..j] {
-            run.price_to(series, slow, next.lo, priced);
-            run.append(next);
+        for other in &runs[next..j] {
+            run.price_to(series, slow, other.lo, priced);
+            run.append(other);
         }
         run.price_to(series, slow, hi, priced);
         runs.splice(i..j, [run]);
+        // Runs i..j became one: later groups move by the difference.
+        for s in &mut starts[b + 1..] {
+            *s = *s + 1 - (j - i);
+        }
         i
     }
 
-    /// The steps from context `ctx0` in run `run` of `batch`.
-    fn segment(&self, batch: u64, run: usize, ctx0: u64) -> Segment<'_> {
-        let r = &self.batches[batch as usize].runs[run];
+    /// The steps from context `ctx0` in run `run`.
+    fn segment(&self, run: usize, ctx0: u64) -> Segment<'_> {
+        let r = &self.runs[run];
         Segment {
             prefix: &r.prefix[(ctx0 - r.lo) as usize..],
             exact: r.max_step < EXACT_STEP_US,
@@ -317,8 +328,8 @@ impl Segment<'_> {
 /// interrupt or the finish boundary needs the batch state. Under the
 /// per-step compatibility path a plan holds exactly one step.
 ///
-/// The plan stores no boundaries. Its priced segment is `steps` steps at
-/// batch size `batch` from average context `ctx0`, starting at `start`;
+/// The plan stores no boundaries. Its priced segment is `steps` steps of
+/// one batch size from average context `ctx0`, starting at `start`;
 /// a re-plan first carries the in-progress step's end, which is then the
 /// segment's start. Boundary `g` (counted from the plan's first, crossed
 /// ones included) is `start` plus the sum of the segment's first
@@ -329,8 +340,6 @@ impl Segment<'_> {
 /// gaps between consecutive boundaries never shrink either.
 #[derive(Debug, Clone, Copy)]
 pub struct DecodePlan {
-    /// Batch size the segment was priced at (which table it reads).
-    pub batch: u64,
     /// Index of the table run holding the segment's steps.
     run: usize,
     /// Whether the first boundary is carried from the plan this one
@@ -370,7 +379,7 @@ impl DecodePlan {
         if self.steps == 0 {
             return Segment::EMPTY;
         }
-        tables.segment(self.batch, self.run, self.ctx0)
+        tables.segment(self.run, self.ctx0)
     }
 
     /// Boundary `g` of the plan whose steps are `seg`.
@@ -656,25 +665,20 @@ impl DecodeExecutor {
         schedule: impl FnOnce(SimTime) -> EventToken,
     ) -> DecodePlan {
         debug_assert!(steps > 0 || carried, "a plan with no boundaries");
-        let run = if steps > 0 {
-            self.tables.ensure(
+        let (run, end) = if steps > 0 {
+            let run = self.tables.ensure(
                 &self.cost,
                 self.slow_factor,
                 batch,
                 ctx0,
                 steps,
                 &mut self.work.steps_priced,
-            )
+            );
+            (run, start + self.tables.segment(run, ctx0).span(steps))
         } else {
-            0
-        };
-        let end = if steps > 0 {
-            start + self.tables.segment(batch, run, ctx0).span(steps)
-        } else {
-            start
+            (0, start)
         };
         DecodePlan {
-            batch,
             run,
             carried,
             start,
@@ -1027,33 +1031,51 @@ mod tests {
     /// one (128). A plan of 300..305 opens a second run 256..320 (192).
     /// A plan of 120..220 widens to 64..256: the first run extends at its
     /// back over the two blocks 128..256 and appends the second run (320).
-    /// A plan of all 320 contexts then prices nothing, one of 310..330
-    /// extends the run by the block 320..384 (384), and a new straggler
-    /// factor drops the tables, so 100..110 prices its block again (448).
+    /// A plan of all 320 contexts then prices nothing and one of 310..330
+    /// extends the run by the block 320..384 (384). A plan at batch 2 opens
+    /// a group of runs before batch 4's (448), which batch 4 still hits.
+    /// A new straggler factor drops the tables, so 100..110 at batch 4
+    /// prices its block again (512).
     #[test]
     fn tables_price_each_block_once_per_factor() {
         let cost = cost_models().swap_remove(0);
         let mut d = DecodeExecutor::new(cost);
         let mut queue = EventQueue::new();
-        let mut plan = |d: &mut DecodeExecutor, ctx0: u64, steps: u64| {
-            d.plan_run(4, ctx0, steps, SimTime::ZERO, false, |end| {
+        let mut plan = |d: &mut DecodeExecutor, batch: u64, ctx0: u64, steps: u64| {
+            let plan = d.plan_run(batch, ctx0, steps, SimTime::ZERO, false, |end| {
                 queue.push_cancellable(end, EventKind::ServiceResumed)
             });
-            let runs: Vec<(u64, u64)> = d.tables.batches[4]
-                .runs
-                .iter()
-                .map(|r| (r.lo, r.hi()))
+            let oracle = (ctx0..ctx0 + steps).fold(SimTime::ZERO, |at, ctx| {
+                at + d
+                    .cost
+                    .decode_step_latency(batch, ctx)
+                    .mul_f64(d.slow_factor)
+            });
+            assert_eq!(plan.end(&d.tables), oracle, "batch {batch} ctx0 {ctx0}");
+            let t = &d.tables;
+            let runs: Vec<(u64, u64, u64)> = (0..t.starts.len() - 1)
+                .flat_map(|b| {
+                    t.runs[t.starts[b]..t.starts[b + 1]]
+                        .iter()
+                        .map(move |r| (b as u64, r.lo, r.hi()))
+                })
                 .collect();
             (d.work.steps_priced, runs)
         };
-        assert_eq!(plan(&mut d, 100, 10), (64, vec![(64, 128)]));
-        assert_eq!(plan(&mut d, 102, 5), (64, vec![(64, 128)]));
-        assert_eq!(plan(&mut d, 40, 10), (128, vec![(0, 128)]));
-        assert_eq!(plan(&mut d, 300, 5), (192, vec![(0, 128), (256, 320)]));
-        assert_eq!(plan(&mut d, 120, 100), (320, vec![(0, 320)]));
-        assert_eq!(plan(&mut d, 0, 320), (320, vec![(0, 320)]));
-        assert_eq!(plan(&mut d, 310, 20), (384, vec![(0, 384)]));
+        assert_eq!(plan(&mut d, 4, 100, 10), (64, vec![(4, 64, 128)]));
+        assert_eq!(plan(&mut d, 4, 102, 5), (64, vec![(4, 64, 128)]));
+        assert_eq!(plan(&mut d, 4, 40, 10), (128, vec![(4, 0, 128)]));
+        assert_eq!(
+            plan(&mut d, 4, 300, 5),
+            (192, vec![(4, 0, 128), (4, 256, 320)])
+        );
+        assert_eq!(plan(&mut d, 4, 120, 100), (320, vec![(4, 0, 320)]));
+        assert_eq!(plan(&mut d, 4, 0, 320), (320, vec![(4, 0, 320)]));
+        assert_eq!(plan(&mut d, 4, 310, 20), (384, vec![(4, 0, 384)]));
+        let both = vec![(2, 64, 128), (4, 0, 384)];
+        assert_eq!(plan(&mut d, 2, 100, 10), (448, both.clone()));
+        assert_eq!(plan(&mut d, 4, 200, 100), (448, both));
         d.slow_factor = 2.0;
-        assert_eq!(plan(&mut d, 100, 10), (448, vec![(64, 128)]));
+        assert_eq!(plan(&mut d, 4, 100, 10), (512, vec![(4, 64, 128)]));
     }
 }
