@@ -4,9 +4,12 @@
 //! (a [`DecodePlan`]) instead of one per step; intermediate step
 //! boundaries are materialized retroactively (in bulk when telemetry is
 //! off) when an interrupt or the finish boundary needs the batch state.
-//! Each step time is priced once per replica, batch size and context into
-//! the replica's [`StepTables`] prefix sums, so a plan is an O(1)
-//! description and any boundary costs two lookups. The plan's *virtual
+//! Step times are priced once per replica, batch size and context, a whole
+//! block of contexts at a time, into the contiguous prefix sums of the
+//! replica's [`StepTables`], so a plan is an O(1) description, any boundary
+//! costs two lookups into its run's slice and a catch-up search O(log k)
+//! of them. A finish whose plan disagrees with its event is an
+//! [`Error::Simulation`], in release builds too. The plan's *virtual
 //! push time* (`prev_boundary`, and [`DecodePlan::vpush`] for the
 //! in-progress step) reproduces the per-step schedule's
 //! `(at, seq, pushed_at)` ordering against genuinely simultaneous rival

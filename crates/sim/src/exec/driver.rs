@@ -49,7 +49,10 @@
 //!   before fault events), so the merge breaks `at` ties in favour of
 //!   arrivals — bit-identical event order.
 //! * **Decode-step coalescing.** One decode event is scheduled per planned
-//!   run instead of one per step (see the `decode` module).
+//!   run instead of one per step, and step times are priced a whole block
+//!   of contexts at a time into contiguous prefix sums (see the `decode`
+//!   module); a prefill launch prices its latency and bottleneck in one
+//!   pass over the stages.
 //! * **Routing over credit levels.** A [`StrideRouter`] pick tops up one
 //!   entry per level — the live cells sharing a stride and a credit — not
 //!   one per cell, so a fleet plan's 1,024 equal cells cost two entries.
