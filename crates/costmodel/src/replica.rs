@@ -249,33 +249,14 @@ impl ReplicaCostModel {
     /// (mean context `avg_context`): sum of stage times plus inter-stage
     /// activation transfers.
     pub fn prefill_latency(&self, batch_tokens: u64, avg_context: u64) -> SimDuration {
-        let act_bytes = self
-            .model
-            .dtype
-            .bytes_for(batch_tokens * self.model.hidden_size as u64);
-        let mut total = SimDuration::ZERO;
-        for st in &self.stages {
-            total += prefill_time(
-                &self.model,
-                st.layers,
-                &st.hw,
-                batch_tokens,
-                avg_context,
-                &self.params,
-            );
-            if let Some(link) = st.next_link {
-                total += link.time(act_bytes);
-            }
-        }
-        total
+        self.prefill_latency_and_bottleneck(batch_tokens, avg_context)
+            .0
     }
 
     /// [`Self::prefill_latency`] and the slowest pipeline stage's prefill
-    /// time, in one pass over the stages. The bottleneck is the reciprocal
-    /// of the replica's steady-state prefill throughput when the pipeline
-    /// is full. Each stage's `prefill_time` is evaluated once; the latency
-    /// folds stage times and links in `prefill_latency`'s order, so both
-    /// values are bit-identical to computing them separately.
+    /// time, in one pass over the stages that evaluates each stage's
+    /// `prefill_time` once. The bottleneck is the reciprocal of the
+    /// replica's steady-state prefill throughput when the pipeline is full.
     pub fn prefill_latency_and_bottleneck(
         &self,
         batch_tokens: u64,
@@ -652,24 +633,35 @@ mod tests {
         out
     }
 
+    /// The one-pass pricing against separate folds over the stages: the
+    /// latency as stage times plus links in stage order, the bottleneck as
+    /// the largest stage time.
     #[test]
     fn one_pass_prefill_pricing_matches_latency_and_stage_max() {
         for rcm in replica_shapes(Phase::Prefill) {
             for tokens in [1u64, 2, 17, 255, 256, 1000, 1400, 4096, 8191, 16_384] {
+                let act_bytes = rcm
+                    .model
+                    .dtype
+                    .bytes_for(tokens * rcm.model.hidden_size as u64);
                 for ctx in [0u64, 1, tokens / 2, tokens, 4 * tokens] {
-                    let (latency, bottleneck) = rcm.prefill_latency_and_bottleneck(tokens, ctx);
-                    let stage_max = rcm
-                        .stages
-                        .iter()
-                        .map(|st| {
-                            prefill_time(&rcm.model, st.layers, &st.hw, tokens, ctx, &rcm.params)
-                        })
-                        .max()
-                        .unwrap();
+                    let stage = |st: &StageModel| {
+                        prefill_time(&rcm.model, st.layers, &st.hw, tokens, ctx, &rcm.params)
+                    };
+                    let latency = rcm.stages.iter().fold(SimDuration::ZERO, |total, st| {
+                        total
+                            + stage(st)
+                            + st.next_link
+                                .map_or(SimDuration::ZERO, |l| l.time(act_bytes))
+                    });
+                    let stage_max = rcm.stages.iter().map(stage).max().unwrap();
                     let shape = format!("{} stages, tokens={tokens} ctx={ctx}", rcm.num_stages());
-                    assert_eq!(latency, rcm.prefill_latency(tokens, ctx), "{shape}");
-                    assert_eq!(bottleneck, stage_max, "{shape}");
-                    assert!(bottleneck <= latency, "{shape}");
+                    assert_eq!(
+                        rcm.prefill_latency_and_bottleneck(tokens, ctx),
+                        (latency, stage_max),
+                        "{shape}"
+                    );
+                    assert_eq!(rcm.prefill_latency(tokens, ctx), latency, "{shape}");
                 }
             }
         }
