@@ -74,9 +74,11 @@ use super::seq::{AdmitOutcome, BatchCore, Pending, PrefillJob, PrefillQueue, Wai
 use crate::config::{SimConfig, SHED_THRESHOLD};
 use crate::event::{Event, EventKind, EventQueue, QueueWork};
 use crate::fault::{FaultScript, TimedFault};
-use crate::metrics::{Metrics, ModelConservation, RecoveryCounters, RequestRecord};
+use crate::metrics::{
+    LossKind, LossRecord, Metrics, ModelConservation, RecoveryCounters, RequestRecord,
+};
 use crate::router::{RouterWork, StrideRouter};
-use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use ts_cluster::Cluster;
 use ts_common::{
     DeploymentPlan, Error, GroupSpec, ModelId, Request, RequestId, Result, SimDuration, SimTime,
@@ -133,8 +135,8 @@ pub(crate) struct Core {
     /// completion/drop/rejection.
     pub(super) reqs: Slab<ReqState>,
     records: Vec<RequestRecord>,
-    dropped: usize,
-    rejected: usize,
+    /// Lost requests with their instants, in loss order.
+    losses: Vec<LossRecord>,
     pub(super) now: SimTime,
     pub(super) faults: Vec<TimedFault>,
     pub(super) recovery_enabled: bool,
@@ -168,10 +170,6 @@ pub(crate) struct Core {
     /// zero extra bookkeeping and their [`RecoveryCounters`] stay
     /// byte-identical.
     track_models: bool,
-    /// Per-model (dropped, rejected) counts, folded into
-    /// [`RecoveryCounters::per_model`] at the end of the run. Untouched
-    /// when `track_models` is off.
-    model_losses: HashMap<ModelId, (usize, usize)>,
     /// The run's arrival trace, sorted by `(arrival, original order)`;
     /// merged lazily against the event queue instead of being heap
     /// entries.
@@ -482,20 +480,19 @@ impl Driver {
         // Anything still in the system when events run dry was lost to a
         // fault it never recovered from (stalled, parked, frozen on a dead
         // replica).
-        let leftovers = self.core.reqs.drain();
-        if self.core.track_models {
-            for (_, st) in &leftovers {
-                self.core.model_losses.entry(st.req.model).or_default().0 += 1;
-            }
+        let now = self.core.now;
+        for (_, st) in self.core.reqs.drain() {
+            self.core.losses.push(LossRecord {
+                request: st.req,
+                at: now,
+                kind: LossKind::Dropped,
+            });
         }
-        self.core.dropped += leftovers.len();
-        drop(leftovers);
-        if self.core.records.len() + self.core.dropped + self.core.rejected != submitted {
+        if self.core.records.len() + self.core.losses.len() != submitted {
             return Err(Error::Simulation(format!(
-                "conservation violated: {} completed + {} dropped + {} rejected != {} submitted",
+                "conservation violated: {} completed + {} lost != {} submitted",
                 self.core.records.len(),
-                self.core.dropped,
-                self.core.rejected,
+                self.core.losses.len(),
                 submitted
             )));
         }
@@ -516,10 +513,13 @@ impl Driver {
                 let m = rec.request.model;
                 per.entry(m).or_insert_with(|| blank(m)).completed += 1;
             }
-            for (&m, &(dropped, rejected)) in &self.core.model_losses {
+            for l in &self.core.losses {
+                let m = l.request.model;
                 let c = per.entry(m).or_insert_with(|| blank(m));
-                c.dropped += dropped;
-                c.rejected += rejected;
+                match l.kind {
+                    LossKind::Dropped => c.dropped += 1,
+                    LossKind::Rejected => c.rejected += 1,
+                }
             }
             for c in per.values() {
                 if !c.balanced() {
@@ -531,7 +531,6 @@ impl Driver {
                 }
             }
             self.core.recovery.per_model = per.into_values().collect();
-            self.core.model_losses.clear();
         }
         // The per-step loop popped (and advanced `now` past) decode events
         // made stale by a replica death; the coalesced loop cancels them
@@ -547,8 +546,7 @@ impl Driver {
             .saturating_since(SimTime::ZERO);
         Ok(Metrics::with_recovery(
             std::mem::take(&mut self.core.records),
-            self.core.dropped,
-            self.core.rejected,
+            std::mem::take(&mut self.core.losses),
             horizon,
             std::mem::take(&mut self.core.recovery),
         ))
@@ -747,8 +745,7 @@ impl Core {
             queue: EventQueue::new(),
             reqs: Slab::new(),
             records: Vec::new(),
-            dropped: 0,
-            rejected: 0,
+            losses: Vec::new(),
             now: SimTime::ZERO,
             faults: Vec::new(),
             recovery_enabled: true,
@@ -761,7 +758,6 @@ impl Core {
             pressure,
             gray,
             track_models,
-            model_losses: HashMap::new(),
             arrivals: Vec::new(),
             next_arrival: 0,
             events_processed: 0,
@@ -885,19 +881,19 @@ pub(super) fn tracing(core: &Core) -> bool {
 
 // --- topology-agnostic helpers (free functions over Core) ----------------
 
-/// Removes `key` from the slab and books the loss as a rejection (counted
-/// per-model when the catalog is non-empty). The trace event and any
-/// policy-specific accounting stay with the caller, which knows *why* the
-/// request was rejected. A dead key is a no-op: the loss was already
-/// booked when the entry went away.
+/// Removes `key` from the slab and books the loss as a rejection. The
+/// trace event and any policy-specific accounting stay with the caller,
+/// which knows *why* the request was rejected. A dead key is a no-op: the
+/// loss was already booked when the entry went away.
 fn reject_request(core: &mut Core, key: SlabKey) {
     let Some(st) = core.reqs.remove(key) else {
         return;
     };
-    if core.track_models {
-        core.model_losses.entry(st.req.model).or_default().1 += 1;
-    }
-    core.rejected += 1;
+    core.losses.push(LossRecord {
+        request: st.req,
+        at: core.now,
+        kind: LossKind::Rejected,
+    });
 }
 
 fn stall_or_shed(core: &mut Core, job: PrefillJob) {
@@ -924,10 +920,11 @@ pub(super) fn drop_request(core: &mut Core, key: SlabKey) {
         return;
     };
     let id = st.req.id;
-    if core.track_models {
-        core.model_losses.entry(st.req.model).or_default().0 += 1;
-    }
-    core.dropped += 1;
+    core.losses.push(LossRecord {
+        request: st.req,
+        at: core.now,
+        kind: LossKind::Dropped,
+    });
     trace(core, TraceKind::Dropped { request: id });
     clear_affected(core, id);
 }

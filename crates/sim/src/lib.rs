@@ -68,6 +68,7 @@ pub mod exec;
 pub mod fault;
 pub mod metrics;
 pub mod router;
+pub mod snapshot;
 
 pub use config::{Hedge, KvTransfer, Quarantine, SimConfig};
 pub use engine::Simulation;
@@ -75,7 +76,7 @@ pub use estimate::{estimate_attainment, AttainmentEstimate};
 pub use event::QueueWork;
 pub use exec::DecodeWork;
 pub use fault::{Detection, FaultKind, FaultScript, TimedFault};
-pub use metrics::{Metrics, RecoveryCounters, RequestRecord};
+pub use metrics::{LossKind, LossRecord, Metrics, RecoveryCounters, RequestRecord};
 pub use router::RouterWork;
 pub use ts_telemetry::{RequestSpan, TraceLog};
 

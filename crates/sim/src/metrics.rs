@@ -84,6 +84,29 @@ impl RequestRecord {
     }
 }
 
+/// How a lost request left the engine.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum LossKind {
+    /// Entered service and never finished, including requests still in the
+    /// system when the run ended.
+    Dropped,
+    /// Refused admission: no live route existed and the stall queue was
+    /// full.
+    Rejected,
+}
+
+/// One request that never finished, with the instant it was lost.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct LossRecord {
+    /// The request lost (its arrival and model included).
+    pub request: Request,
+    /// When the engine gave it up: the end of the run for a request still
+    /// in the system then.
+    pub at: SimTime,
+    /// Dropped or rejected.
+    pub kind: LossKind,
+}
+
 /// Per-model request conservation for one tenant of a multi-model run:
 /// every submitted request must end up exactly once in `completed`,
 /// `dropped`, or `rejected`. The engines assert this identity per
@@ -173,6 +196,9 @@ impl RecoveryCounters {
 #[derive(Debug, Clone, PartialEq)]
 pub struct Metrics {
     records: Vec<RequestRecord>,
+    /// Every lost request with its instant, in the order the engine lost
+    /// them; empty for metrics built from a bare count ([`Metrics::new`]).
+    losses: Vec<LossRecord>,
     /// Requests submitted but never completed (overload / capacity loss).
     dropped: usize,
     /// Requests refused admission because no live route existed and the
@@ -188,6 +214,7 @@ impl Metrics {
     pub fn new(records: Vec<RequestRecord>, dropped: usize, horizon: SimDuration) -> Self {
         Metrics {
             records,
+            losses: Vec::new(),
             dropped,
             rejected: 0,
             horizon,
@@ -195,19 +222,23 @@ impl Metrics {
         }
     }
 
-    /// Builds metrics from a fault-injected run, including shed requests and
-    /// recovery counters.
+    /// Builds metrics from a fault-injected run: its lost requests (which
+    /// give the dropped and rejected counts) and recovery counters.
     pub fn with_recovery(
         records: Vec<RequestRecord>,
-        dropped: usize,
-        rejected: usize,
+        losses: Vec<LossRecord>,
         horizon: SimDuration,
         recovery: RecoveryCounters,
     ) -> Self {
+        let rejected = losses
+            .iter()
+            .filter(|l| l.kind == LossKind::Rejected)
+            .count();
         Metrics {
             records,
-            dropped,
+            dropped: losses.len() - rejected,
             rejected,
+            losses,
             horizon,
             recovery,
         }
@@ -237,6 +268,11 @@ impl Metrics {
     /// All records.
     pub fn records(&self) -> &[RequestRecord] {
         &self.records
+    }
+
+    /// Every lost request with the instant it was lost, in loss order.
+    pub fn losses(&self) -> &[LossRecord] {
+        &self.losses
     }
 
     /// The simulated horizon (used for throughput denominators).
@@ -324,7 +360,7 @@ impl Metrics {
     /// Restricts the records to requests that *arrived* within
     /// `[from, to)` — measurement hygiene for steady-state numbers (drop
     /// warm-up and drain artifacts). Dropped/rejected counts and recovery
-    /// counters are cleared because their arrival times are unknown here.
+    /// counters are cleared: a steady-state view leaves losses out.
     pub fn windowed(&self, from: SimTime, to: SimTime) -> Metrics {
         let records: Vec<RequestRecord> = self
             .records
@@ -334,6 +370,7 @@ impl Metrics {
             .collect();
         Metrics {
             records,
+            losses: Vec::new(),
             dropped: 0,
             rejected: 0,
             horizon: to.saturating_since(from),
@@ -376,8 +413,15 @@ impl Metrics {
             per_model: conservation.into_iter().collect(),
             ..RecoveryCounters::default()
         };
+        let losses = self
+            .losses
+            .iter()
+            .filter(|l| l.request.model == model)
+            .copied()
+            .collect();
         Metrics {
             records,
+            losses,
             dropped: conservation.map_or(0, |c| c.dropped),
             rejected: conservation.map_or(0, |c| c.rejected),
             horizon: self.horizon,
@@ -561,10 +605,14 @@ mod tests {
             recovery_times: vec![SimDuration::from_millis(80), SimDuration::from_millis(30)],
             ..RecoveryCounters::default()
         };
+        let lost = |kind| LossRecord {
+            request: Request::new(RequestId(9), SimTime::ZERO, 512, 8),
+            at: SimTime::from_secs_f64(0.5),
+            kind,
+        };
         let m = Metrics::with_recovery(
             vec![record(0.0, 0.3, 1.0, 8), record(0.0, 0.3, 1.0, 8)],
-            1,
-            1,
+            vec![lost(LossKind::Dropped), lost(LossKind::Rejected)],
             SimDuration::from_secs(10),
             rec,
         );
@@ -608,7 +656,17 @@ mod tests {
             ],
             ..RecoveryCounters::default()
         };
-        let m = Metrics::with_recovery(vec![fast, slow], 1, 0, SimDuration::from_secs(10), rec);
+        let lost = LossRecord {
+            request: fast.request,
+            at: SimTime::from_secs_f64(0.5),
+            kind: LossKind::Dropped,
+        };
+        let m = Metrics::with_recovery(
+            vec![fast, slow],
+            vec![lost],
+            SimDuration::from_secs(10),
+            rec,
+        );
         assert_eq!(m.models(), vec![ModelId(1), ModelId(2)]);
         assert!(m.recovery().per_model.iter().all(|c| c.balanced()));
 

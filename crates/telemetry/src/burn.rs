@@ -9,13 +9,26 @@
 //! keeps the monitor both responsive and resistant to blips: the fast
 //! window alone only warns, both together escalate to critical.
 //!
-//! The monitor is fed per fixed window by the streaming plane
-//! ([`crate::StreamingPlane`]) and is fully deterministic: no wall clock,
-//! no decay — just ring buffers of integer good/bad counts.
+//! The monitor is fed one fixed window at a time and is fully
+//! deterministic: no wall clock, no decay — just ring buffers of integer
+//! good/bad counts.
 
 use std::collections::VecDeque;
 
 use ts_common::ModelId;
+
+/// The SLO attainment target the run snapshot's monitors budget against.
+pub const TARGET: f64 = 0.99;
+
+/// Burn rate at or above which the snapshot's monitors count a window as
+/// burning.
+pub const THRESHOLD: f64 = 2.0;
+
+/// Depth of the snapshot's fast burn window, in fixed windows.
+pub const FAST_WINDOWS: usize = 5;
+
+/// Depth of the snapshot's slow burn window, in fixed windows.
+pub const SLOW_WINDOWS: usize = 60;
 
 /// Health state distilled from the two burn windows.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -95,7 +108,7 @@ pub struct BurnMonitor {
 impl BurnMonitor {
     /// Creates a monitor for an SLO with the given attainment `target`
     /// (e.g. 0.99), burning threshold, and window depths measured in fixed
-    /// streaming windows.
+    /// windows.
     ///
     /// # Panics
     /// Panics unless `target` is in `(0, 1)`, `threshold` is positive, and
@@ -130,8 +143,8 @@ impl BurnMonitor {
     }
 
     /// Closes the open fixed window, rolling its counts into both rings.
-    /// Called by the streaming plane exactly once per window boundary, so
-    /// rollover points are deterministic in simulated time.
+    /// Called exactly once per window boundary, so rollover points are
+    /// deterministic in simulated time.
     pub fn roll_window(&mut self) {
         self.fast.push(self.open_good, self.open_bad);
         self.slow.push(self.open_good, self.open_bad);

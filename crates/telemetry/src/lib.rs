@@ -37,6 +37,7 @@ pub mod search;
 pub mod series;
 pub mod sink;
 pub mod sketch;
+pub mod snapshot;
 pub mod stream;
 
 pub use burn::{BurnMonitor, HealthSignal, HealthState};
