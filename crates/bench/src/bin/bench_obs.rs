@@ -1,33 +1,28 @@
-//! Overhead and accuracy of the streaming observability plane, written as
-//! `BENCH_obs.json` and enforced by the shared gate (`ts_bench::gate`).
+//! Overhead of the trace recorder, written as `BENCH_obs.json` and
+//! checked by the shared gate (`ts_bench::gate`).
 //!
-//! Three sections:
+//! Two sections:
 //!
 //! * **arms** — wall-clock of the event-loop benchmark (same plans and
 //!   traces as `bench_sim`, decode coalescing off in *both* arms so the
-//!   event stream is fixed) with the streaming plane detached vs attached.
-//!   The plane's whole job is to be cheap enough to leave on, so the
-//!   overhead fraction is the committed figure: ≤5% on the full-mode
-//!   100k × 64 arm.
-//! * **sketch** — relative error of the plane's online p50/p99 TTFT and
-//!   E2E estimates against exact nearest-rank percentiles recomputed from
-//!   the post-hoc trace of the same run, which must stay within the
-//!   configured sketch accuracy.
+//!   event stream is fixed) with the recorder detached vs attached, the
+//!   traced run including the log's finalization. The committed figure is
+//!   the overhead fraction on the full-mode 100k × 64 arm.
 //! * **profiler** — the zero-dependency self-profiler scoped around this
 //!   benchmark's own stages; its hierarchical report is printed and its
 //!   Chrome-trace export is validated.
 //!
-//! `--quick` runs the 10k × 8 arm only with lax wall-clock budgets, for CI
-//! on untrusted machines.
+//! `--quick` runs the 10k × 8 arm only with a lax wall-clock budget, for
+//! CI on untrusted machines.
 
 use std::time::Instant;
 use ts_cluster::presets;
 use ts_common::{
     DeploymentPlan, GpuId, GroupSpec, ModelSpec, ParallelConfig, Phase, Request, RoutingMatrix,
-    SimDuration, SloSpec, StageSpec,
+    SimDuration, StageSpec,
 };
 use ts_sim::{SimConfig, Simulation};
-use ts_telemetry::{profile, StreamConfig};
+use ts_telemetry::profile;
 use ts_workload::{generator::generate, spec};
 
 /// Timed off/on pairs per arm, run in alternating order so thermal or
@@ -55,14 +50,6 @@ const ARMS: &[Arm] = &[
         rate: 40.0,
     },
 ];
-
-fn slo() -> SloSpec {
-    SloSpec::new(
-        SimDuration::from_millis(500),
-        SimDuration::from_millis(50),
-        SimDuration::from_secs(10),
-    )
-}
 
 /// Same homogeneous paired phase-split shape as `bench_sim`.
 fn split_plan(replicas: usize, layers: usize) -> DeploymentPlan {
@@ -105,40 +92,37 @@ struct Measured {
     replicas: usize,
     wall_off_s: f64,
     wall_on_s: f64,
-    events_observed: u64,
+    trace_events: usize,
     overhead_fraction: f64,
     ns_per_event: f64,
 }
 
-/// One timed run of the arm; returns its wall clock and the plane's
-/// observed-event count when streaming was attached.
+/// One timed run of the arm, through finalizing the trace when the
+/// recorder is attached; returns its wall clock and the trace length.
 fn time_once(
     cluster: &ts_cluster::Cluster,
     plan: &DeploymentPlan,
     model: &ModelSpec,
     reqs: &[Request],
-    streaming: bool,
-) -> (f64, u64) {
-    // Decode coalescing off in both arms: the observing and plain runs
-    // then dispatch the identical per-step event stream, so the delta
-    // is purely the plane's per-event cost.
-    let mut cfg = SimConfig::new(model.clone()).with_decode_coalescing(false);
-    if streaming {
-        cfg = cfg.with_streaming(StreamConfig::new(slo()));
-    }
+    traced: bool,
+) -> (f64, usize) {
+    // Decode coalescing off in both arms: the traced and plain runs then
+    // dispatch the identical per-step event stream, so the delta is purely
+    // the recorder's per-event cost.
+    let cfg = SimConfig::new(model.clone())
+        .with_decode_coalescing(false)
+        .with_telemetry(traced);
     let mut sim = Simulation::new(cluster, plan, cfg).unwrap();
     let t0 = Instant::now();
     let m = sim.run(reqs).unwrap();
+    let events = sim.take_trace().map_or(0, |log| log.len());
     let wall = t0.elapsed().as_secs_f64();
     assert_eq!(
         m.num_completed() + m.num_dropped() + m.num_rejected(),
         reqs.len(),
         "conservation violated"
     );
-    let observed = sim
-        .take_streaming()
-        .map_or(0, |p| p.snapshot().events_observed);
-    (wall, observed)
+    (wall, events)
 }
 
 fn run_arm(arm: &Arm) -> Measured {
@@ -151,96 +135,31 @@ fn run_arm(arm: &Arm) -> Measured {
     };
     let mut wall_off = f64::INFINITY;
     let mut wall_on = f64::INFINITY;
-    let mut observed = 0;
+    let mut events = 0;
     // Untimed warmup faults in code pages and allocator arenas.
     time_once(&cluster, &plan, &model, &reqs, false);
     for i in 0..PAIRS {
         let _g = profile::scope("measure_pair");
         // Alternate the order within each pair so warmup and slow drift
         // bias neither configuration.
-        let streaming_first = i % 2 == 0;
-        let (w1, o1) = time_once(&cluster, &plan, &model, &reqs, streaming_first);
-        let (w2, o2) = time_once(&cluster, &plan, &model, &reqs, !streaming_first);
-        let (off, on) = if streaming_first { (w2, w1) } else { (w1, w2) };
+        let traced_first = i % 2 == 0;
+        let (w1, e1) = time_once(&cluster, &plan, &model, &reqs, traced_first);
+        let (w2, e2) = time_once(&cluster, &plan, &model, &reqs, !traced_first);
+        let (off, on) = if traced_first { (w2, w1) } else { (w1, w2) };
         wall_off = wall_off.min(off);
         wall_on = wall_on.min(on);
-        observed = o1.max(o2);
+        events = e1.max(e2);
     }
-    assert!(observed > 0, "plane observed nothing");
+    assert!(events > 0, "the recorder recorded nothing");
     let overhead = wall_on / wall_off - 1.0;
     Measured {
         requests: arm.requests,
         replicas: arm.replicas,
         wall_off_s: wall_off,
         wall_on_s: wall_on,
-        events_observed: observed,
+        trace_events: events,
         overhead_fraction: overhead,
-        ns_per_event: overhead.max(0.0) * wall_off * 1e9 / observed as f64,
-    }
-}
-
-struct SketchAccuracy {
-    alpha: f64,
-    p50_ttft_err_rel: f64,
-    p99_ttft_err_rel: f64,
-    p50_e2e_err_rel: f64,
-    p99_e2e_err_rel: f64,
-}
-
-/// Online-vs-exact accuracy on the small arm: the plane's sketch quantiles
-/// against nearest-rank percentiles from the same run's trace spans.
-fn sketch_accuracy(alpha: f64) -> SketchAccuracy {
-    let _g = profile::scope("sketch_accuracy");
-    let arm = &ARMS[0];
-    let model = ModelSpec::llama_7b();
-    let cluster = presets::a5000_cluster(arm.replicas);
-    let plan = split_plan(arm.replicas, model.num_layers);
-    let reqs = trace(arm, 0x5151);
-    let cfg = SimConfig::new(model)
-        .with_decode_coalescing(false)
-        .with_telemetry(true)
-        .with_streaming(StreamConfig::new(slo()).with_sketch_alpha(alpha));
-    let mut sim = Simulation::new(&cluster, &plan, cfg).unwrap();
-    sim.run(&reqs).unwrap();
-    let log = sim.take_trace().unwrap();
-    let snap = sim.take_streaming().unwrap().snapshot();
-
-    // One pass over the raw events (a per-request span scan would be
-    // quadratic), mirroring the plane's own insert semantics: first
-    // FirstToken per request wins.
-    let mut arrivals = std::collections::BTreeMap::new();
-    let mut first_seen = std::collections::BTreeSet::new();
-    let mut ttfts = Vec::new();
-    let mut e2es = Vec::new();
-    for e in log.events() {
-        match e.kind {
-            ts_telemetry::TraceKind::Arrived { request } => {
-                arrivals.insert(request, e.at);
-            }
-            ts_telemetry::TraceKind::FirstToken { request } if first_seen.insert(request) => {
-                ttfts.push(e.at.saturating_since(arrivals[&request]));
-            }
-            ts_telemetry::TraceKind::Finished { request } => {
-                e2es.push(e.at.saturating_since(arrivals[&request]));
-            }
-            _ => {}
-        }
-    }
-    ttfts.sort_unstable();
-    e2es.sort_unstable();
-    let rel = |sketch: &ts_telemetry::QuantileSketch, exact: &[SimDuration], q: f64| {
-        let s = sketch.quantile_duration(q).unwrap().as_secs_f64();
-        let e = ts_common::stats::percentile(exact, q)
-            .unwrap()
-            .as_secs_f64();
-        (s - e).abs() / e
-    };
-    SketchAccuracy {
-        alpha,
-        p50_ttft_err_rel: rel(&snap.ttft, &ttfts, 0.5),
-        p99_ttft_err_rel: rel(&snap.ttft, &ttfts, 0.99),
-        p50_e2e_err_rel: rel(&snap.e2e, &e2es, 0.5),
-        p99_e2e_err_rel: rel(&snap.e2e, &e2es, 0.99),
+        ns_per_event: overhead.max(0.0) * wall_off * 1e9 / events as f64,
     }
 }
 
@@ -263,7 +182,7 @@ fn main() {
         ARMS.iter().collect()
     };
     println!(
-        "streaming-plane overhead ({} arms, best of {PAIRS} alternating paired runs)",
+        "trace-recorder overhead ({} arms, best of {PAIRS} alternating paired runs)",
         arms.len()
     );
     println!(
@@ -280,21 +199,11 @@ fn main() {
             m.wall_off_s,
             m.wall_on_s,
             m.overhead_fraction * 100.0,
-            m.events_observed,
+            m.trace_events,
             m.ns_per_event
         );
         measured.push(m);
     }
-
-    let acc = sketch_accuracy(0.01);
-    println!(
-        "sketch accuracy (alpha {}): ttft p50 {:.5} p99 {:.5}, e2e p50 {:.5} p99 {:.5}",
-        acc.alpha,
-        acc.p50_ttft_err_rel,
-        acc.p99_ttft_err_rel,
-        acc.p50_e2e_err_rel,
-        acc.p99_e2e_err_rel
-    );
 
     drop(root);
     let report = profile::report();
@@ -305,45 +214,35 @@ fn main() {
 
     let mut json = String::from("{\n");
     json.push_str(
-        "  \"benchmark\": \"streaming observability plane: event-loop wall-clock with the \
-         plane detached vs attached (decode coalescing off in both arms, fixed event stream), \
-         online sketch accuracy vs post-hoc exact percentiles, and the zero-dependency \
-         self-profiler\",\n",
+        "  \"benchmark\": \"trace recorder: event-loop wall-clock with the recorder detached \
+         vs attached (decode coalescing off in both arms, fixed event stream), and the \
+         zero-dependency self-profiler\",\n",
     );
-    json.push_str(
+    json.push_str(&format!(
         "  \"note\": \"wall_*_s are per-configuration minima over alternating off/on pairs; \
-         overhead_fraction = min(on)/min(off) - 1. External noise only ever adds time, so \
-         the minima estimate true cost. The committed (full-mode) 100k x 64 arm must stay \
-         within the 5% budget enforced by gate::check. Sketch errors are deterministic \
-         (simulated time) and must stay within the configured relative accuracy.\",\n",
-    );
+         the traced run's wall clock includes finalizing the log. overhead_fraction = \
+         min(on)/min(off) - 1. External noise only ever adds time, so the minima estimate \
+         true cost. gate::check holds the committed (full-mode) 100k x 64 arm within a {:.0}% \
+         budget.\",\n",
+        ts_bench::gate::TRACE_OVERHEAD_BUDGET * 100.0
+    ));
     json.push_str("  \"arms\": [\n");
     for (i, m) in measured.iter().enumerate() {
         json.push_str(&format!(
             "    {{\"requests\": {}, \"replicas\": {}, \"wall_off_s\": {:.4}, \
-             \"wall_on_s\": {:.4}, \"events_observed\": {}, \"overhead_fraction\": {:.4}, \
+             \"wall_on_s\": {:.4}, \"trace_events\": {}, \"overhead_fraction\": {:.4}, \
              \"ns_per_event\": {:.1}}}{}\n",
             m.requests,
             m.replicas,
             m.wall_off_s,
             m.wall_on_s,
-            m.events_observed,
+            m.trace_events,
             m.overhead_fraction,
             m.ns_per_event,
             if i + 1 == measured.len() { "" } else { "," }
         ));
     }
     json.push_str("  ],\n");
-    json.push_str(&format!(
-        "  \"sketch\": {{\"alpha\": {}, \"p50_ttft_err_rel\": {:.6}, \
-         \"p99_ttft_err_rel\": {:.6}, \"p50_e2e_err_rel\": {:.6}, \
-         \"p99_e2e_err_rel\": {:.6}}},\n",
-        acc.alpha,
-        acc.p50_ttft_err_rel,
-        acc.p99_ttft_err_rel,
-        acc.p50_e2e_err_rel,
-        acc.p99_e2e_err_rel
-    ));
     json.push_str(&format!(
         "  \"profiler\": {{\"root_total_s\": {:.4}, \"entries\": {}, \"chrome_slices\": {}}}\n",
         report.root_total().as_secs_f64(),
@@ -354,8 +253,8 @@ fn main() {
     std::fs::write(&out, &json).expect("write json");
     println!("wrote {out}");
 
-    // The shared gate replaces the ad-hoc floor asserts: quick CI runs get
-    // the lax wall-clock budget, full runs the committed 5% budget.
+    // Quick CI runs get the lax wall-clock budget, full runs the committed
+    // one.
     match ts_bench::gate::check("BENCH_obs", &json, !quick) {
         Ok(r) => println!("gate: {} checks held", r.checks),
         Err(e) => {

@@ -7,10 +7,10 @@
 //!
 //! `--trace <path>` additionally runs the telemetry demo scenario and
 //! writes its Chrome trace-event JSON there (viewable in Perfetto).
-//! `--metrics <base>` runs the same scenario with the streaming
-//! observability plane attached and writes `<base>.prom` (Prometheus text
-//! exposition, validated before writing) and `<base>.json` (compact metric
-//! dump).
+//! `--metrics <base>` runs the same scenario, builds its post-run metrics
+//! snapshot and writes `<base>.prom` (Prometheus text exposition, written
+//! only if it validates and carries exactly `ts_telemetry::FAMILIES`) and
+//! `<base>.json` (compact metric dump).
 //!
 //! Stdout carries only simulated-time results, so it is byte-identical
 //! across runs and machines; CI `cmp`s `reproduce --quick` with the
@@ -69,20 +69,21 @@ fn main() {
     }
     if let Some(base) = metrics_out {
         let demo = ts_bench::trace_demo::run(quick);
-        let prom = ts_telemetry::render_prometheus(&demo.stream);
-        match ts_telemetry::validate_exposition(&prom) {
+        let prom = ts_telemetry::render_prometheus(&demo.snapshot);
+        match ts_telemetry::prom::validate_export(&prom) {
             Ok(stats) => {
                 let prom_path = format!("{base}.prom");
                 let json_path = format!("{base}.json");
                 if let Err(e) = std::fs::write(&prom_path, &prom)
-                    .and_then(|()| std::fs::write(&json_path, demo.stream.to_json()))
+                    .and_then(|()| std::fs::write(&json_path, demo.snapshot.to_json()))
                 {
                     eprintln!("cannot write metrics: {e}");
                     std::process::exit(1);
                 }
                 println!(
                     "metrics: wrote {prom_path} ({} families, {} samples) and {json_path}",
-                    stats.families, stats.samples
+                    stats.families.len(),
+                    stats.samples
                 );
             }
             Err(e) => {

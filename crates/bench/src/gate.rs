@@ -9,23 +9,25 @@
 //! They are not how CI pins behaviour. The simulated-time artifacts
 //! (`BENCH_net`, `BENCH_fault`, `BENCH_mm`, `BENCH_autoscale`) are
 //! deterministic, so CI regenerates each in full mode and `cmp`s it with
-//! the committed file. Wall-clock figures (events/sec, evals/sec, plane
+//! the committed file. Wall-clock figures (events/sec, evals/sec, recorder
 //! overhead) move with the machine, so they are guarded here by *floors*,
 //! strict for the committed full-mode runs and lax for quick runs.
 
-/// Streaming-plane overhead budget on the committed (full-mode) event-loop
-/// arm at 100k requests and up: wall-clock with the plane attached may
-/// exceed the plain run by at most this fraction.
-pub const OBS_OVERHEAD_BUDGET: f64 = 0.05;
+/// Trace-recorder overhead budget on the committed (full-mode) event-loop
+/// arm at 100k requests and up: wall-clock with the recorder attached,
+/// finalization included, may exceed the plain run by at most this
+/// fraction. Three full runs on a 2-vCPU host measured 0.67, 0.90 and
+/// 1.07; the budget leaves room for a noisier host.
+pub const TRACE_OVERHEAD_BUDGET: f64 = 1.5;
 
 /// Lax overhead budget applied to quick-mode runs on untrusted machines
 /// (CI runners) and to the small smoke arms, where runs last tens of
 /// milliseconds and timer noise dominates the ratio.
-pub const OBS_OVERHEAD_BUDGET_QUICK: f64 = 0.50;
+pub const TRACE_OVERHEAD_BUDGET_QUICK: f64 = 3.0;
 
 /// Arm size (requests) at which the strict overhead budget applies: below
 /// this, runs are too short for a trustworthy wall-clock ratio.
-pub const OBS_STRICT_ARM_REQUESTS: f64 = 100_000.0;
+pub const TRACE_STRICT_ARM_REQUESTS: f64 = 100_000.0;
 
 /// How far (in attainment points) the autoscaler may trail the oracle
 /// static fleet on the committed 24-hour trace.
@@ -433,41 +435,28 @@ fn check_autoscale(root: &Value, c: &mut Checker) -> Result<(), String> {
 
 fn check_obs(root: &Value, c: &mut Checker, strict: bool) -> Result<(), String> {
     for arm in arms(root, c)? {
-        // The committed 5% budget is enforced on the big (100k-request)
+        // The committed budget is enforced on the big (100k-request)
         // arm, whose half-second runs give the ratio a stable denominator;
         // smoke arms and quick-mode CI runs get the lax budget.
-        let big = arm.num("requests").unwrap_or(0.0) >= OBS_STRICT_ARM_REQUESTS;
+        let big = arm.num("requests").unwrap_or(0.0) >= TRACE_STRICT_ARM_REQUESTS;
         let budget = if strict && big {
-            OBS_OVERHEAD_BUDGET
+            TRACE_OVERHEAD_BUDGET
         } else {
-            OBS_OVERHEAD_BUDGET_QUICK
+            TRACE_OVERHEAD_BUDGET_QUICK
         };
         c.require(
             finite_positive(arm.num("wall_off_s")) && finite_positive(arm.num("wall_on_s")),
             "wall clocks must be positive",
         )?;
         c.require(
-            finite_positive(arm.num("events_observed")),
-            "plane must have observed events",
+            finite_positive(arm.num("trace_events")),
+            "the recorder must have recorded events",
         )?;
         let overhead = arm.num("overhead_fraction").unwrap_or(f64::INFINITY);
         c.require(
             overhead <= budget,
-            &format!("streaming overhead {overhead:.4} exceeds the {budget:.2} budget"),
+            &format!("recorder overhead {overhead:.4} exceeds the {budget:.2} budget"),
         )?;
-    }
-    if let Some(sketch) = root.get("sketch") {
-        let alpha = sketch.num("alpha").unwrap_or(0.0);
-        c.require(alpha > 0.0 && alpha < 1.0, "sketch alpha must be in (0, 1)")?;
-        for (k, v) in sketch.as_object().unwrap_or_default() {
-            if k.ends_with("_err_rel") {
-                let e = v.as_number().unwrap_or(f64::INFINITY);
-                c.require(
-                    e <= alpha + 1e-9,
-                    &format!("{k} {e:.6} exceeds the configured bound {alpha}"),
-                )?;
-            }
-        }
     }
     if let Some(p) = root.get("profiler") {
         c.require(
@@ -568,20 +557,23 @@ mod tests {
         let mk = |ov: f64| {
             format!(
                 r#"{{"arms": [{{"requests": 100000, "wall_off_s": 1.0, "wall_on_s": {},
-                   "events_observed": 100, "overhead_fraction": {ov}}}],
-                   "sketch": {{"alpha": 0.01, "p99_ttft_err_rel": 0.004}},
+                   "trace_events": 100, "overhead_fraction": {ov}}}],
                    "profiler": {{"chrome_slices": 3}}}}"#,
                 1.0 + ov
             )
         };
-        check("BENCH_obs", &mk(0.03), true).unwrap();
-        assert!(check("BENCH_obs", &mk(0.08), true).is_err());
-        check("BENCH_obs", &mk(0.08), false).unwrap();
+        let (budget, lax) = (TRACE_OVERHEAD_BUDGET, TRACE_OVERHEAD_BUDGET_QUICK);
+        // Over the committed budget, within the lax one.
+        let over = (budget + lax) / 2.0;
+        check("BENCH_obs", &mk(budget / 2.0), true).unwrap();
+        assert!(check("BENCH_obs", &mk(over), true).is_err());
+        check("BENCH_obs", &mk(over), false).unwrap();
+        assert!(check("BENCH_obs", &mk(lax * 1.5), false).is_err());
         // Smoke arms (below the strict-arm size) get the lax budget even
         // in strict mode.
-        check("BENCH_obs", &mk(0.08).replace("100000", "10000"), true).unwrap();
-        let bad_sketch = mk(0.01).replace("0.004", "0.02");
-        assert!(check("BENCH_obs", &bad_sketch, true).is_err());
+        check("BENCH_obs", &mk(over).replace("100000", "10000"), true).unwrap();
+        let silent = mk(budget / 2.0).replace("\"trace_events\": 100", "\"trace_events\": 0");
+        assert!(check("BENCH_obs", &silent, true).is_err());
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! The shared telemetry demonstration scenario: a phase-split deployment on
 //! the Appendix-H testbed serving under the flow-level fabric, with a
 //! mid-flight link fault so the trace shows queueing, KV retries and
-//! recovery — used by the `bench_trace` binary, by `reproduce --trace`, and
-//! exercised in CI.
+//! recovery — used by the `bench_trace` binary, by `reproduce --trace` and
+//! `reproduce --metrics`, and exercised in CI.
 
 use ts_cluster::presets;
 use ts_common::SloSpec;
@@ -11,7 +11,7 @@ use ts_common::{
     SimTime, StageSpec,
 };
 use ts_sim::{FaultKind, FaultScript, Metrics, SimConfig, Simulation, TimedFault, TraceLog};
-use ts_telemetry::{StreamConfig, StreamSnapshot};
+use ts_telemetry::MetricsSnapshot;
 use ts_workload::{generator::generate, spec};
 
 /// Everything the demo run produces.
@@ -20,17 +20,16 @@ pub struct TraceDemo {
     pub metrics: Metrics,
     /// The finalized event log.
     pub log: TraceLog,
-    /// Streaming-plane snapshot of the same run: online sketches, EWMA
-    /// gauges and SLO burn-rate signals, exportable as Prometheus text
-    /// ([`ts_telemetry::render_prometheus`]) or JSON
-    /// ([`StreamSnapshot::to_json`]).
-    pub stream: StreamSnapshot,
+    /// The run's metrics snapshot over one-second windows: exact latency
+    /// summaries, window counts, pressure and SLO burn-rate signals,
+    /// exportable as Prometheus text ([`ts_telemetry::render_prometheus`])
+    /// or JSON ([`MetricsSnapshot::to_json`]).
+    pub snapshot: MetricsSnapshot,
     /// Requests served.
     pub num_requests: usize,
 }
 
-/// The demo's nominal SLO, used by the streaming plane's burn monitors. The
-/// link fault pushes the tail past it, so the demo shows a burn episode.
+/// The demo's nominal SLO, used by the snapshot's burn monitors.
 pub fn demo_slo() -> SloSpec {
     SloSpec::new(
         SimDuration::from_secs(2),
@@ -101,21 +100,19 @@ pub fn run(quick: bool) -> TraceDemo {
         &plan,
         cfg.with_network_contention(true)
             .with_telemetry(true)
-            .with_streaming(StreamConfig::new(demo_slo())),
+            .with_pressure(true),
     )
     .expect("demo scenario must build");
     let metrics = sim
         .run_with_faults(&reqs, &script)
         .expect("demo scenario must run");
     let log = sim.take_trace().expect("telemetry was enabled");
-    let stream = sim
-        .take_streaming()
-        .expect("streaming was enabled")
-        .snapshot();
+    let tally = sim.take_pressure().expect("the tally was enabled");
+    let snapshot = metrics.snapshot(&demo_slo(), &[], SimDuration::from_secs(1), &tally);
     TraceDemo {
         metrics,
         log,
-        stream,
+        snapshot,
         num_requests: reqs.len(),
     }
 }
@@ -134,7 +131,7 @@ impl TraceDemo {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ts_telemetry::TraceKind;
+    use ts_telemetry::{Role, TraceKind};
 
     #[test]
     fn quick_demo_produces_a_meaningful_trace() {
@@ -157,12 +154,59 @@ mod tests {
         let json = ts_telemetry::chrome::export(&demo.log);
         let stats = ts_telemetry::validate_chrome_trace(&json).expect("valid Chrome trace");
         assert!(stats.events > 0);
-        // The streaming snapshot ties out and exports cleanly.
-        assert_eq!(
-            demo.stream.totals.finished as usize,
-            demo.metrics.num_completed()
-        );
-        let prom = ts_telemetry::render_prometheus(&demo.stream);
-        ts_telemetry::validate_exposition(&prom).expect("valid exposition");
+        // The snapshot exports every family.
+        let prom = ts_telemetry::render_prometheus(&demo.snapshot);
+        ts_telemetry::prom::validate_export(&prom).expect("valid exposition");
+    }
+
+    /// The snapshot ties out with the run: totals equal `Metrics` and its
+    /// `RecoveryCounters`, quantiles equal `stats::percentile` bit for bit
+    /// and the windows sum to the totals.
+    #[test]
+    fn snapshot_ties_out_with_the_run() {
+        let demo = run(true);
+        let (m, s) = (&demo.metrics, &demo.snapshot);
+        let t = s.totals;
+        assert_eq!(t.arrived as usize, demo.num_requests);
+        assert_eq!(t.finished as usize, m.num_completed());
+        assert_eq!(t.dropped as usize, m.num_dropped());
+        assert_eq!(t.rejected as usize, m.num_rejected());
+        let slo = demo_slo();
+        let misses = m
+            .records()
+            .iter()
+            .filter(|r| r.ttft() > slo.ttft || r.e2e() > slo.e2e)
+            .count();
+        assert_eq!(t.slo_miss as usize, misses);
+        assert_eq!(s.hedges as usize, m.recovery().hedges_launched);
+        assert_eq!(s.requeues as usize, m.recovery().requeued_requests);
+
+        let ttfts: Vec<_> = m.records().iter().map(|r| r.ttft()).collect();
+        let e2es: Vec<_> = m.records().iter().map(|r| r.e2e()).collect();
+        for (summary, exact) in [(&s.ttft, &ttfts), (&s.e2e, &e2es)] {
+            assert_eq!(summary.count as usize, exact.len());
+            assert_eq!(summary.sum, exact.iter().copied().sum());
+            assert_eq!(
+                summary.quantiles.len(),
+                ts_telemetry::snapshot::QUANTILES.len()
+            );
+            for &(q, v) in &summary.quantiles {
+                assert_eq!(Some(v), ts_common::stats::percentile(exact, q), "q={q}");
+            }
+        }
+
+        let mut sum = ts_telemetry::WindowCounts::default();
+        for (k, w) in s.windows.iter().enumerate() {
+            assert_eq!(w.start, SimTime::ZERO + SimDuration::from_secs(k as u64));
+            sum.arrived += w.arrived;
+            sum.finished += w.finished;
+            sum.dropped += w.dropped;
+            sum.rejected += w.rejected;
+            sum.slo_miss += w.slo_miss;
+        }
+        assert_eq!(sum, t);
+        assert!(s.windows_closed() > 10, "{}", s.windows_closed());
+        let roles: Vec<_> = s.pressure.iter().map(|p| p.role).collect();
+        assert_eq!(roles, [Role::Prefill, Role::Decode]);
     }
 }

@@ -53,10 +53,7 @@ pub enum KvTransfer {
 /// setting that could not take effect is either unrepresentable (paired
 /// knobs are one value each) or rejected: both [`crate::Simulation`]
 /// constructors return [`Error::InvalidConfig`] before building anything
-/// for
-/// - a [`Quarantine::threshold`] that is not finite and above 1;
-/// - a [`SimConfig::streaming`] configuration the plane cannot run
-///   ([`ts_telemetry::StreamConfig::validate`]).
+/// a [`Quarantine::threshold`] that is not finite and above 1.
 #[derive(Debug, Clone)]
 pub struct SimConfig {
     /// The served model. For multi-model runs this remains the *default*
@@ -108,16 +105,6 @@ pub struct SimConfig {
     /// against. [`SimConfig::quarantine`] runs the per-step path whatever
     /// this says (see [`Quarantine`]).
     pub decode_coalescing: bool,
-    /// Streaming observability plane: when set, the engine folds every
-    /// trace event into an online [`ts_telemetry::StreamingPlane`]
-    /// (quantile sketches, fixed-window counters, SLO burn-rate monitors)
-    /// retrievable after the run via
-    /// [`crate::Simulation::take_streaming`]. Independent of
-    /// [`SimConfig::telemetry`]: either, both or neither may be on. `None`
-    /// (the default) does no streaming work; like the recorder, the plane
-    /// only observes, so enabling it keeps simulation results bit-identical
-    /// (the golden-digest suite pins this).
-    pub streaming: Option<ts_telemetry::StreamConfig>,
 }
 
 /// Straggler quarantine: a replica whose observed-vs-expected
@@ -182,7 +169,6 @@ impl SimConfig {
             hedge: None,
             quarantine: None,
             decode_coalescing: true,
-            streaming: None,
         }
     }
 
@@ -190,17 +176,15 @@ impl SimConfig {
     /// listed on [`SimConfig`]). Both [`crate::Simulation`] constructors
     /// run it first.
     pub(crate) fn validate(&self) -> Result<()> {
-        if let Some(q) = self.quarantine {
-            if !(q.threshold.is_finite() && q.threshold > 1.0) {
-                return Err(Error::InvalidConfig(format!(
+        match self.quarantine {
+            Some(q) if !(q.threshold.is_finite() && q.threshold > 1.0) => {
+                Err(Error::InvalidConfig(format!(
                     "straggler threshold must be finite and > 1, got {}",
                     q.threshold
-                )));
+                )))
             }
+            _ => Ok(()),
         }
-        self.streaming
-            .as_ref()
-            .map_or(Ok(()), ts_telemetry::StreamConfig::validate)
     }
 
     /// Returns a copy serving the given model catalog (multi-tenant mode).
@@ -277,13 +261,6 @@ impl SimConfig {
     /// compatibility path).
     pub fn with_decode_coalescing(mut self, on: bool) -> Self {
         self.decode_coalescing = on;
-        self
-    }
-
-    /// Returns a copy with the streaming observability plane enabled under
-    /// the given configuration (see [`SimConfig::streaming`]).
-    pub fn with_streaming(mut self, stream: ts_telemetry::StreamConfig) -> Self {
-        self.streaming = Some(stream);
         self
     }
 }
@@ -407,15 +384,9 @@ mod tests {
 
     #[test]
     fn valid_settings_build_on_both_topologies() {
-        let stream = ts_telemetry::StreamConfig::new(SloSpec::new(
-            SimDuration::from_millis(500),
-            SimDuration::from_millis(50),
-            SimDuration::from_secs(10),
-        ));
         let cfg = SimConfig::new(ModelSpec::llama_7b())
             .with_quarantine(Quarantine::at(1.5))
-            .with_hedge(Hedge::after(SimDuration::from_millis(400)))
-            .with_streaming(stream);
+            .with_hedge(Hedge::after(SimDuration::from_millis(400)));
         for got in construct_both(cfg) {
             assert!(got.is_ok(), "{got:?}");
         }
@@ -427,47 +398,6 @@ mod tests {
             assert_rejected(
                 SimConfig::new(ModelSpec::llama_7b()).with_quarantine(Quarantine::at(threshold)),
             );
-        }
-    }
-
-    #[test]
-    fn unusable_streaming_settings_rejected() {
-        let c = SimConfig::new(ModelSpec::llama_7b());
-        let slo = SloSpec::new(
-            SimDuration::from_millis(500),
-            SimDuration::from_millis(50),
-            SimDuration::from_secs(20),
-        );
-        // Streaming settings the plane cannot run: windows, accuracies and
-        // the burn monitors' target, threshold and window depths.
-        use ts_telemetry::StreamConfig;
-        let stream = StreamConfig::new(slo);
-        let mut unusable = vec![stream.clone().with_window(SimDuration::ZERO)];
-        for alpha in [0.0, 1.0, -0.5, f64::NAN] {
-            unusable.push(stream.clone().with_sketch_alpha(alpha));
-        }
-        for alpha in [0.0, 1.5, -0.5, f64::NAN] {
-            unusable.push(stream.clone().with_ewma_alpha(alpha));
-        }
-        for target in [0.0, 1.0, 1.5, f64::NAN] {
-            unusable.push(stream.clone().with_burn(target, 2.0));
-        }
-        for threshold in [0.0, -1.0, f64::NAN] {
-            unusable.push(stream.clone().with_burn(0.99, threshold));
-        }
-        for (fast, slow) in [(0, 60), (0, 0), (61, 60)] {
-            unusable.push(stream.clone().with_burn_windows(fast, slow));
-        }
-        for s in unusable {
-            assert_rejected(c.clone().with_streaming(s));
-        }
-        // The closed ends of each range build.
-        let edges = stream
-            .with_ewma_alpha(1.0)
-            .with_burn_windows(60, 60)
-            .with_window(SimDuration::from_micros(1));
-        for got in construct_both(c.with_streaming(edges)) {
-            assert!(got.is_ok(), "{got:?}");
         }
     }
 }

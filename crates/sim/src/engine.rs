@@ -143,14 +143,6 @@ impl Simulation {
         self.driver.take_trace()
     }
 
-    /// Takes the streaming observability plane accumulated over the run
-    /// (online sketches, window counters, burn monitors). Returns `None`
-    /// unless the simulation was built with [`SimConfig::with_streaming`]
-    /// (or if the plane was already taken).
-    pub fn take_streaming(&mut self) -> Option<Box<ts_telemetry::StreamingPlane>> {
-        self.driver.take_streaming()
-    }
-
     /// Takes the per-replica pressure tally (queue depth and batch
     /// occupancy, integrated online). Returns `None` unless the simulation
     /// was built with [`SimConfig::with_pressure`] (or if the tally was

@@ -23,7 +23,7 @@
 //! rival; the driver calls it wherever a decode batch is read or changed.
 
 use super::driver::{
-    admit_waiting, finish_step, observing, trace, trace_at, Core, Driver, SplitState, Topology,
+    admit_waiting, finish_step, trace, trace_at, tracing, Core, Driver, SplitState, Topology,
 };
 use super::executor::ReplicaExecutor;
 #[cfg(doc)]
@@ -195,8 +195,8 @@ pub(super) fn catch_up_all(core: &mut Core, s: &mut SplitState) {
     }
 }
 
-/// Materializes the next `m` boundaries of replica `j`'s plan. Unless a
-/// recorder or streaming plane is attached this is one arithmetic pass —
+/// Materializes the next `m` boundaries of replica `j`'s plan. Unless the
+/// recorder is attached this is one arithmetic pass —
 /// batch membership is constant across a plan, so per sequence only the
 /// first gap differs and the remaining gaps share one maximum, the last
 /// of them (step time never decreases as context grows); otherwise each
@@ -207,7 +207,7 @@ pub(super) fn catch_up_all(core: &mut Core, s: &mut SplitState) {
 fn materialize(core: &mut Core, s: &mut SplitState, j: usize, m: u64) {
     let d = &mut s.decodes[j];
     d.work.steps_crossed += m;
-    if !observing(core) {
+    if !tracing(core) {
         let plan = d.plan.as_mut().expect("materialize without plan");
         debug_assert!(m < plan.remaining(), "materializing the final boundary");
         let first = plan.front(&d.tables);

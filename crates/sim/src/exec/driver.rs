@@ -86,8 +86,7 @@ use ts_common::{
 };
 use ts_costmodel::ReplicaCostModel;
 use ts_telemetry::{
-    profile, PressureTally, Recorder, Role, StreamingPlane, TraceEvent, TraceKind, TraceLog,
-    TraceSink,
+    profile, PressureTally, Recorder, Role, TraceEvent, TraceKind, TraceLog, TraceSink,
 };
 
 /// All driver-side state of one in-flight request, slab-resident: the
@@ -153,15 +152,9 @@ pub(crate) struct Core {
     /// it never schedules events, draws randomness or mutates simulation
     /// state, so the `None` path stays bit-identical.
     trace: Option<Recorder>,
-    /// Streaming observability plane; `Some` iff [`SimConfig::streaming`]
-    /// is set. Fed the same event stream as the recorder but folds it
-    /// online (sketches, windows, burn monitors) instead of buffering.
-    /// Boxed: the plane is a few hundred bytes of aggregation state that
-    /// would otherwise bloat every `Core` on the stack.
-    stream: Option<Box<StreamingPlane>>,
     /// Per-replica pressure tally; `Some` iff [`SimConfig::pressure`] is
-    /// on. Fed the same event stream, but it is not an [`observing`]
-    /// consumer: it needs no retroactive decode replay.
+    /// on. Fed the same event stream as the recorder, but it needs no
+    /// retroactive decode replay.
     pressure: Option<PressureTally>,
     /// Gray-failure state, indexed by *host*.
     pub(super) gray: GrayState,
@@ -624,15 +617,6 @@ impl Driver {
         Some(rec.finish())
     }
 
-    /// Takes the streaming observability plane (sketches, windows, burn
-    /// monitors) accumulated over the run; `None` when
-    /// [`SimConfig::streaming`] is off. The plane's window clock stops at
-    /// the last observed event — call
-    /// [`StreamingPlane::advance_to`] to close windows out to a horizon.
-    pub fn take_streaming(&mut self) -> Option<Box<StreamingPlane>> {
-        self.core.stream.take()
-    }
-
     /// Takes the per-replica pressure tally of the run; `None` when
     /// [`SimConfig::pressure`] is off.
     pub fn take_pressure(&mut self) -> Option<PressureTally> {
@@ -729,13 +713,6 @@ impl Core {
     ) -> Self {
         let trace = cfg.telemetry.then(Recorder::new);
         let pressure = cfg.pressure.then(PressureTally::new);
-        let stream = cfg.streaming.clone().map(|sc| {
-            let mut plane = StreamingPlane::new(sc);
-            for m in &cfg.models {
-                plane.register_tenant(m.id, m.slo);
-            }
-            Box::new(plane)
-        });
         let gray = GrayState::new(prefill_hosts, total_hosts);
         let track_models = !cfg.models.is_empty();
         Core {
@@ -754,7 +731,6 @@ impl Core {
             recovery: RecoveryCounters::default(),
             affected: Vec::new(),
             trace,
-            stream,
             pressure,
             gray,
             track_models,
@@ -835,48 +811,32 @@ pub(super) fn trace(core: &mut Core, kind: TraceKind) {
 
 /// Records a trace event stamped at `at`, which may lie in the future (a
 /// KV wire start scheduled behind a busy uplink); the recorder re-sorts by
-/// timestamp at finalization, while the streaming plane folds in event
-/// order (its window clock advances on a high-water mark, so a future
-/// stamp just opens the window early — deterministically). The pressure
-/// tally folds in event order too; the samples it reads (queue depth,
-/// batch occupancy) are always stamped at or before `now`, in order per
-/// replica.
+/// timestamp at finalization. The pressure tally folds in event order; the
+/// samples it reads (queue depth, batch occupancy) are always stamped at
+/// or before `now`, in order per replica.
 #[inline]
 pub(super) fn trace_at(core: &mut Core, at: SimTime, kind: TraceKind) {
     if let Some(tally) = core.pressure.as_mut() {
         tally.observe(at, &kind);
-    }
-    if let Some(plane) = core.stream.as_mut() {
-        plane.observe(at, &kind);
     }
     if let Some(rec) = core.trace.as_mut() {
         rec.record(TraceEvent { at, kind });
     }
 }
 
-/// Whether any per-event consumer (trace recorder or streaming plane) is
-/// attached — the gate for observation-only work the pressure tally does
-/// not need: retroactive decode materialization, which re-emits each
-/// coalesced step's unchanged batch occupancy.
-pub(super) fn observing(core: &Core) -> bool {
-    core.trace.is_some() || core.stream.is_some()
-}
-
-/// Whether any consumer of queue-depth samples (recorder, streaming plane
-/// or pressure tally) is attached — the gate for sites that must read a
-/// queue length only to emit its sample.
-fn sampling(core: &Core) -> bool {
-    observing(core) || core.pressure.is_some()
-}
-
-/// Whether the full trace recorder is attached. Emission sites whose
-/// events the streaming plane ignores (prefill-start markers, KV wire
-/// byte accounting, stall markers) gate on this instead of [`observing`],
-/// so a streaming-only run skips constructing them entirely — part of
-/// keeping the plane's overhead within the committed `BENCH_obs.json`
-/// budget.
+/// Whether the trace recorder is attached — the gate for trace-only work:
+/// events no other consumer reads (prefill-start markers, KV wire byte
+/// accounting, stall markers) and retroactive decode materialization,
+/// which re-emits each coalesced step's unchanged batch occupancy.
 pub(super) fn tracing(core: &Core) -> bool {
     core.trace.is_some()
+}
+
+/// Whether any consumer of queue-depth samples (recorder or pressure
+/// tally) is attached — the gate for sites that must read a queue length
+/// only to emit its sample.
+fn sampling(core: &Core) -> bool {
+    tracing(core) || core.pressure.is_some()
 }
 
 // --- topology-agnostic helpers (free functions over Core) ----------------

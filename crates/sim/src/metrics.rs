@@ -443,32 +443,6 @@ impl Metrics {
         ts_common::percentile(&v, p)
     }
 
-    /// Builds a mergeable quantile sketch of latency under `kind` at the
-    /// given relative accuracy — the approximate route for consumers that
-    /// only need tail *estimates* (exporters, dashboards, cross-segment
-    /// merges) where [`Metrics::latency_percentile`]'s exact sort is
-    /// overkill. Estimates agree with the exact path within `alpha`
-    /// relative error (pinned by the sketch-parity tests); exact reporting
-    /// paths keep `latency_percentile`.
-    pub fn latency_sketch(&self, kind: SloKind, alpha: f64) -> ts_telemetry::QuantileSketch {
-        let mut s = ts_telemetry::QuantileSketch::new(alpha);
-        for r in &self.records {
-            s.insert_duration(r.latency(kind));
-        }
-        s
-    }
-
-    /// Builds a mergeable quantile sketch of the per-request maximum
-    /// inter-token gap (the approximate counterpart of
-    /// [`Metrics::itl_percentile`]).
-    pub fn itl_sketch(&self, alpha: f64) -> ts_telemetry::QuantileSketch {
-        let mut s = ts_telemetry::QuantileSketch::new(alpha);
-        for r in &self.records {
-            s.insert_duration(r.max_token_gap);
-        }
-        s
-    }
-
     /// Mean latency under `kind`, or `None` with no completions.
     pub fn mean_latency(&self, kind: SloKind) -> Option<SimDuration> {
         if self.records.is_empty() {

@@ -5,11 +5,12 @@
 use std::collections::BTreeMap;
 
 use ts_common::{stats, ModelId, ServedModel, SimDuration, SimTime, SloSpec};
-use ts_telemetry::burn::{self, BurnMonitor};
-use ts_telemetry::snapshot::{
-    MeanPeak, MetricsSnapshot, RolePressure, Summary, WindowCounts, QUANTILES,
+use ts_telemetry::pressure::ReplicaPressure;
+use ts_telemetry::snapshot::QUANTILES;
+use ts_telemetry::BurnMonitor;
+use ts_telemetry::{
+    MeanPeak, MetricsSnapshot, PressureTally, Role, RolePressure, Summary, WindowCounts,
 };
-use ts_telemetry::{PressureTally, Role};
 
 use crate::metrics::{LossKind, Metrics};
 
@@ -48,9 +49,7 @@ fn role_pressure(tally: &PressureTally, role: Role, end: SimTime) -> Option<Role
     if replicas.is_empty() {
         return None;
     }
-    let peak = |f: fn(&ts_telemetry::pressure::ReplicaPressure) -> f64| {
-        replicas.iter().map(|&p| f(p)).fold(0.0, f64::max)
-    };
+    let peak = |f: fn(&ReplicaPressure) -> f64| replicas.iter().map(|&p| f(p)).fold(0.0, f64::max);
     Some(RolePressure {
         role,
         queue_depth: MeanPeak {
@@ -74,8 +73,7 @@ impl Metrics {
     /// - A completion meets its SLO when its TTFT and E2E latency are
     ///   within its tenant's deadlines: the catalog entry's [`SloSpec`],
     ///   else `slo`. A loss is a miss. The fleet-wide [`BurnMonitor`] and
-    ///   one per catalog tenant are fed window by window, with the
-    ///   [`burn`] module's target, threshold and depths.
+    ///   one per catalog tenant are fed window by window.
     /// - Pressure is each role's time-weighted mean and peak over the run's
     ///   horizon, from `tally`.
     ///
@@ -132,17 +130,9 @@ impl Metrics {
         }
         outcomes.sort_by_key(|o| o.0);
 
-        let monitor = || {
-            BurnMonitor::new(
-                burn::TARGET,
-                burn::THRESHOLD,
-                burn::FAST_WINDOWS,
-                burn::SLOW_WINDOWS,
-            )
-        };
-        let mut global = monitor();
+        let mut global = BurnMonitor::new();
         let mut tenants: BTreeMap<ModelId, BurnMonitor> =
-            catalog.iter().map(|m| (m.id, monitor())).collect();
+            catalog.iter().map(|m| (m.id, BurnMonitor::new())).collect();
         let mut next = outcomes.iter().peekable();
         for k in 0..windows.len() {
             if k > 0 {
@@ -192,5 +182,172 @@ impl Metrics {
             windows,
             health,
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::metrics::{LossRecord, RecoveryCounters, RequestRecord};
+    use ts_common::{Request, RequestId};
+    use ts_telemetry::HealthState;
+
+    fn t(secs: f64) -> SimTime {
+        SimTime::from_secs_f64(secs)
+    }
+
+    fn slo() -> SloSpec {
+        SloSpec::new(
+            SimDuration::from_millis(500),
+            SimDuration::from_millis(50),
+            SimDuration::from_secs(5),
+        )
+    }
+
+    fn request(id: u64, arrive: f64, model: u32) -> Request {
+        Request::new(RequestId(id), t(arrive), 512, 8).with_model(ModelId(model))
+    }
+
+    fn record(id: u64, arrive: f64, first: f64, done: f64) -> RequestRecord {
+        RequestRecord {
+            request: request(id, arrive, 0),
+            prefill_replica: 0,
+            decode_replica: 0,
+            first_token_at: t(first),
+            finished_at: t(done),
+            max_token_gap: SimDuration::ZERO,
+            kv_queue_wait: SimDuration::ZERO,
+            kv_wire_time: SimDuration::ZERO,
+            kv_done_at: None,
+        }
+    }
+
+    /// The snapshot over one-second windows with the default SLO and no
+    /// catalog.
+    fn snap(records: Vec<RequestRecord>, losses: Vec<LossRecord>) -> MetricsSnapshot {
+        let m = Metrics::with_recovery(
+            records,
+            losses,
+            SimDuration::from_secs(10),
+            RecoveryCounters::default(),
+        );
+        m.snapshot(
+            &slo(),
+            &[],
+            SimDuration::from_secs(1),
+            &PressureTally::new(),
+        )
+    }
+
+    #[test]
+    fn windows_are_closed_on_the_left_and_open_on_the_right() {
+        // Arrives in window 0; its first token and completion land exactly
+        // on the 1 s boundary, which opens window 1.
+        let s = snap(
+            vec![record(1, 0.4, 0.5, 0.9), record(2, 0.6, 1.0, 1.0)],
+            vec![],
+        );
+        assert_eq!(s.windows_closed(), 1);
+        assert_eq!(s.at, t(1.0));
+        let (w0, w1) = (s.windows[0], s.windows[1]);
+        assert_eq!((w0.start, w0.arrived, w0.finished), (SimTime::ZERO, 2, 1));
+        assert_eq!((w1.start, w1.arrived, w1.finished), (t(1.0), 0, 1));
+        // TTFTs are 0.1 and 0.4 s in first-token order.
+        assert_eq!(
+            s.ttft_ewma,
+            Some(EWMA_ALPHA * 0.4 + (1.0 - EWMA_ALPHA) * 0.1)
+        );
+    }
+
+    #[test]
+    fn empty_windows_hold_no_counts() {
+        let s = snap(vec![record(1, 0.2, 0.3, 3.5)], vec![]);
+        assert_eq!(s.windows_closed(), 3);
+        assert!(s.windows[1..3].iter().all(|w| w.arrived + w.finished == 0));
+        assert_eq!(s.windows[2].start, t(2.0));
+        // An empty run is well-defined everywhere.
+        let empty = snap(vec![], vec![]);
+        assert_eq!(empty.windows_closed(), 0);
+        assert!(empty.ttft.quantiles.is_empty());
+        assert_eq!(empty.ttft_ewma, None);
+        assert_eq!(empty.health[0].fast_burn, 0.0);
+        assert!(empty.pressure.is_empty());
+    }
+
+    #[test]
+    fn slo_misses_raise_the_burn_rate() {
+        // TTFT 0.9 s blows the 0.5 s deadline; E2E is fine.
+        let records = (0..20u32)
+            .map(|i| {
+                let base = f64::from(i) * 0.01;
+                record(u64::from(i), base, base + 0.9, base + 1.0)
+            })
+            .collect();
+        let s = snap(records, vec![]);
+        assert_eq!(s.totals.slo_miss, 20);
+        assert_eq!(s.health[0].state, HealthState::Critical);
+    }
+
+    #[test]
+    fn tenants_are_judged_against_their_own_slo() {
+        let tight = SloSpec::new(
+            SimDuration::from_millis(50),
+            SimDuration::from_millis(50),
+            SimDuration::from_secs(5),
+        );
+        let mut tenant = ServedModel::llama_7b_chat(ModelId(1), 1.0).unwrap();
+        tenant.slo = tight;
+        // TTFT 0.1 s: fine for the default SLO, a miss for tenant 1.
+        let records: Vec<_> = (0..10)
+            .map(|i| {
+                let mut r = record(i, 0.0, 0.1, 0.2);
+                r.request = r.request.with_model(ModelId(1));
+                r
+            })
+            .collect();
+        let m = Metrics::with_recovery(
+            records,
+            vec![],
+            SimDuration::from_secs(1),
+            RecoveryCounters::default(),
+        );
+        let s = m.snapshot(
+            &slo(),
+            &[tenant],
+            SimDuration::from_secs(1),
+            &PressureTally::new(),
+        );
+        assert_eq!(s.health.len(), 2);
+        assert_eq!(s.health[1].tenant, Some(ModelId(1)));
+        assert_eq!(s.health[1].samples, 10);
+        assert!(s.health[1].fast_burn > 0.0);
+        assert_eq!(s.totals.slo_miss, 10);
+    }
+
+    #[test]
+    fn a_loss_counts_once_against_the_budget() {
+        let lost = |kind, at| LossRecord {
+            request: request(1, 0.1, 0),
+            at: t(at),
+            kind,
+        };
+        let s = snap(vec![], vec![lost(LossKind::Dropped, 0.2)]);
+        assert_eq!(s.totals.arrived, 1);
+        assert_eq!((s.totals.dropped, s.totals.rejected), (1, 0));
+        assert_eq!(s.health[0].samples, 1);
+        assert!(s.health[0].fast_burn > 0.0);
+        let s = snap(vec![], vec![lost(LossKind::Rejected, 1.5)]);
+        assert_eq!((s.windows[1].dropped, s.windows[1].rejected), (0, 1));
+    }
+
+    #[test]
+    #[should_panic(expected = "window must be positive")]
+    fn a_zero_window_panics() {
+        Metrics::new(vec![], 0, SimDuration::ZERO).snapshot(
+            &slo(),
+            &[],
+            SimDuration::ZERO,
+            &PressureTally::new(),
+        );
     }
 }

@@ -17,8 +17,7 @@
 use ts_cluster::presets;
 use ts_common::{
     DeploymentPlan, GpuId, GroupSpec, ModelId, ModelRouting, ModelSpec, ParallelConfig, Phase,
-    Request, RequestId, RoutingMatrix, ServedModel, SimDuration, SimTime, SloKind, SloSpec,
-    StageSpec,
+    Request, RequestId, RoutingMatrix, ServedModel, SimDuration, SimTime, SloKind, StageSpec,
 };
 use ts_sim::{
     FaultKind, FaultScript, Hedge, Metrics, Quarantine, SimConfig, Simulation, TimedFault,
@@ -595,25 +594,6 @@ fn coalescing_off_matches_the_same_golden() {
     );
 }
 
-/// The streaming observability plane observes every trace event online
-/// (sketches, windows, burn monitors) but must never perturb the
-/// simulation: the whole matrix — both engines, fault, gray and
-/// multi-model arms, telemetry on and off — digests to the same golden
-/// with the plane attached.
-#[test]
-fn streaming_plane_on_matches_the_same_golden() {
-    let stream = ts_telemetry::StreamConfig::new(SloSpec::new(
-        SimDuration::from_millis(500),
-        SimDuration::from_millis(50),
-        SimDuration::from_secs(10),
-    ));
-    let got = run_matrix(&move |c| c.with_streaming(stream.clone()));
-    assert_eq!(
-        got, GOLDEN,
-        "the streaming plane perturbed simulation outputs"
-    );
-}
-
 /// The pressure tally folds queue-depth and batch-occupancy samples online
 /// and, unlike the recorder, skips the retroactive replay of coalesced
 /// decode steps: the whole matrix must still digest to the same golden.
@@ -623,26 +603,6 @@ fn pressure_tally_on_matches_the_same_golden() {
     assert_eq!(
         got, GOLDEN,
         "the pressure tally perturbed simulation outputs"
-    );
-}
-
-/// Streaming together with the per-step compatibility path: the plane sees
-/// the densest possible event stream (one DecodeStep per actual step, no
-/// retroactive replay) and must still change nothing.
-#[test]
-fn streaming_with_coalescing_off_matches_the_same_golden() {
-    let stream = ts_telemetry::StreamConfig::new(SloSpec::new(
-        SimDuration::from_millis(500),
-        SimDuration::from_millis(50),
-        SimDuration::from_secs(10),
-    ));
-    let got = run_matrix(&move |c| {
-        c.with_streaming(stream.clone())
-            .with_decode_coalescing(false)
-    });
-    assert_eq!(
-        got, GOLDEN,
-        "streaming over the per-step path perturbed simulation outputs"
     );
 }
 

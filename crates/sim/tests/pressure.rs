@@ -11,12 +11,12 @@
 use ts_cluster::presets;
 use ts_common::{
     DeploymentPlan, GpuId, GroupSpec, ModelSpec, ParallelConfig, Phase, Request, RoutingMatrix,
-    SimDuration, SimTime, SloSpec, StageSpec,
+    SimDuration, SimTime, StageSpec,
 };
 use ts_sim::{
     FaultKind, FaultScript, Hedge, Metrics, Quarantine, SimConfig, Simulation, TimedFault,
 };
-use ts_telemetry::{PressureTally, StreamConfig, TraceLog};
+use ts_telemetry::{PressureTally, TraceLog};
 use ts_workload::{generator::generate, spec};
 
 fn tp1_group(phase: Phase, gpu: u32, layers: usize) -> GroupSpec {
@@ -81,14 +81,6 @@ fn straggler_script() -> FaultScript {
         }],
         SimDuration::from_millis(100),
     )
-}
-
-fn stream_cfg() -> StreamConfig {
-    StreamConfig::new(SloSpec::new(
-        SimDuration::from_millis(500),
-        SimDuration::from_millis(50),
-        SimDuration::from_secs(10),
-    ))
 }
 
 /// One run's outputs: metrics, the tally and, when recorded, the log.
@@ -215,12 +207,7 @@ fn split_engine_tally_matches_the_log() {
         check(
             &format!("split crash, coalescing {coalescing}"),
             |c| run_split(c, &reqs, &crash_script()),
-            cfg.clone(),
-        );
-        check(
-            &format!("split streaming, coalescing {coalescing}"),
-            |c| run_split(c, &reqs, &none),
-            cfg.with_streaming(stream_cfg()),
+            cfg,
         );
     }
 }

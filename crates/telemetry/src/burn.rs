@@ -58,118 +58,62 @@ pub struct HealthSignal {
     pub state: HealthState,
 }
 
-/// Ring of per-window `(good, bad)` counts plus the open window's tally.
-#[derive(Debug, Clone)]
-struct BurnWindow {
-    ring: VecDeque<(u64, u64)>,
-    capacity: usize,
-}
-
-impl BurnWindow {
-    fn new(capacity: usize) -> Self {
-        BurnWindow {
-            ring: VecDeque::with_capacity(capacity),
-            capacity,
-        }
-    }
-
-    fn push(&mut self, good: u64, bad: u64) {
-        if self.ring.len() == self.capacity {
-            self.ring.pop_front();
-        }
-        self.ring.push_back((good, bad));
-    }
-
-    /// `(good, bad)` totals over the ring plus the open window's counts.
-    fn totals(&self, open: (u64, u64)) -> (u64, u64) {
-        let (mut g, mut b) = open;
-        for &(rg, rb) in &self.ring {
-            g += rg;
-            b += rb;
-        }
-        (g, b)
-    }
-}
-
-/// A multi-window burn-rate monitor over one SLO.
-#[derive(Debug, Clone)]
+/// A multi-window burn-rate monitor over one SLO: attainment target
+/// [`TARGET`], burning at [`THRESHOLD`], over the newest [`FAST_WINDOWS`]
+/// and [`SLOW_WINDOWS`] fixed windows.
+#[derive(Debug, Clone, Default)]
 pub struct BurnMonitor {
-    /// Error budget: `1 - attainment target`.
-    budget: f64,
-    /// Burn-rate threshold above which a window counts as burning.
-    threshold: f64,
-    fast: BurnWindow,
-    slow: BurnWindow,
-    /// Counts of the currently open fixed window.
-    open_good: u64,
-    open_bad: u64,
+    /// Closed windows' `(good, bad)` counts, oldest first, at most
+    /// [`SLOW_WINDOWS`] of them.
+    ring: VecDeque<(u64, u64)>,
+    /// `(good, bad)` counts of the open window.
+    open: (u64, u64),
 }
 
 impl BurnMonitor {
-    /// Creates a monitor for an SLO with the given attainment `target`
-    /// (e.g. 0.99), burning threshold, and window depths measured in fixed
-    /// windows.
-    ///
-    /// # Panics
-    /// Panics unless `target` is in `(0, 1)`, `threshold` is positive, and
-    /// `0 < fast_windows <= slow_windows`.
-    pub fn new(target: f64, threshold: f64, fast_windows: usize, slow_windows: usize) -> Self {
-        assert!(
-            target > 0.0 && target < 1.0,
-            "attainment target must be in (0, 1), got {target}"
-        );
-        assert!(threshold > 0.0, "burn threshold must be positive");
-        assert!(
-            fast_windows > 0 && fast_windows <= slow_windows,
-            "window depths must satisfy 0 < fast ({fast_windows}) <= slow ({slow_windows})"
-        );
-        BurnMonitor {
-            budget: 1.0 - target,
-            threshold,
-            fast: BurnWindow::new(fast_windows),
-            slow: BurnWindow::new(slow_windows),
-            open_good: 0,
-            open_bad: 0,
-        }
+    /// An empty monitor.
+    pub fn new() -> Self {
+        BurnMonitor::default()
     }
 
     /// Records one request outcome into the open window.
     pub fn observe(&mut self, met_slo: bool) {
         if met_slo {
-            self.open_good += 1;
+            self.open.0 += 1;
         } else {
-            self.open_bad += 1;
+            self.open.1 += 1;
         }
     }
 
-    /// Closes the open fixed window, rolling its counts into both rings.
+    /// Closes the open fixed window, rolling its counts into the ring.
     /// Called exactly once per window boundary, so rollover points are
     /// deterministic in simulated time.
     pub fn roll_window(&mut self) {
-        self.fast.push(self.open_good, self.open_bad);
-        self.slow.push(self.open_good, self.open_bad);
-        self.open_good = 0;
-        self.open_bad = 0;
-    }
-
-    /// Burn rate of a `(good, bad)` total: miss fraction over budget, 0.0
-    /// with no samples.
-    fn burn(&self, (good, bad): (u64, u64)) -> f64 {
-        let n = good + bad;
-        if n == 0 {
-            return 0.0;
+        if self.ring.len() == SLOW_WINDOWS {
+            self.ring.pop_front();
         }
-        (bad as f64 / n as f64) / self.budget
+        self.ring.push_back(std::mem::take(&mut self.open));
     }
 
-    /// The current reading. The open window participates in both rates so a
-    /// mid-window incident is visible before the boundary.
+    /// `(good, bad)` totals over the newest `depth` closed windows plus the
+    /// open one.
+    fn totals(&self, depth: usize) -> (u64, u64) {
+        let newest = self.ring.iter().rev().take(depth);
+        newest.fold(self.open, |(g, b), &(rg, rb)| (g + rg, b + rb))
+    }
+
+    /// The current reading: each window's miss fraction over the error
+    /// budget `1 - TARGET` (0.0 with no samples). The open window
+    /// participates in both rates so a mid-window incident is visible
+    /// before the boundary.
     pub fn signal(&self, tenant: Option<ModelId>) -> HealthSignal {
-        let open = (self.open_good, self.open_bad);
-        let fast_burn = self.burn(self.fast.totals(open));
-        let slow_totals = self.slow.totals(open);
-        let slow_burn = self.burn(slow_totals);
-        let state = match (fast_burn >= self.threshold, slow_burn >= self.threshold) {
+        let burn = |(good, bad): (u64, u64)| match good + bad {
+            0 => 0.0,
+            n => (bad as f64 / n as f64) / (1.0 - TARGET),
+        };
+        let slow_totals = self.totals(SLOW_WINDOWS);
+        let (fast_burn, slow_burn) = (burn(self.totals(FAST_WINDOWS)), burn(slow_totals));
+        let state = match (fast_burn >= THRESHOLD, slow_burn >= THRESHOLD) {
             (true, true) => HealthState::Critical,
             (true, false) | (false, true) => HealthState::Warning,
             (false, false) => HealthState::Healthy,
@@ -188,16 +132,15 @@ impl BurnMonitor {
 mod tests {
     use super::*;
 
-    fn monitor() -> BurnMonitor {
-        // Target 0.9 → budget 0.1; threshold 2 → burning above a 20% miss
-        // rate; fast = 2 windows, slow = 5 windows.
-        BurnMonitor::new(0.9, 2.0, 2, 5)
+    /// One window of `good` hits and `bad` misses.
+    fn window(m: &mut BurnMonitor, good: usize, bad: usize) {
+        (0..good).for_each(|_| m.observe(true));
+        (0..bad).for_each(|_| m.observe(false));
     }
 
     #[test]
     fn empty_monitor_is_healthy() {
-        let m = monitor();
-        let s = m.signal(None);
+        let s = BurnMonitor::new().signal(None);
         assert_eq!(s.state, HealthState::Healthy);
         assert_eq!(s.fast_burn, 0.0);
         assert_eq!(s.samples, 0);
@@ -205,53 +148,57 @@ mod tests {
 
     #[test]
     fn sustained_misses_escalate_to_critical() {
-        let mut m = monitor();
-        for _ in 0..5 {
-            for i in 0..10 {
-                m.observe(i >= 5); // 50% miss rate → burn 5
-            }
+        let mut m = BurnMonitor::new();
+        for _ in 0..SLOW_WINDOWS {
+            window(&mut m, 5, 5); // 50% miss rate
             m.roll_window();
         }
         let s = m.signal(Some(ModelId(3)));
         assert_eq!(s.state, HealthState::Critical);
         assert_eq!(s.tenant, Some(ModelId(3)));
-        assert!((s.fast_burn - 5.0).abs() < 1e-9, "{}", s.fast_burn);
-        assert!((s.slow_burn - 5.0).abs() < 1e-9);
-        assert_eq!(s.samples, 50);
+        let burn = 0.5 / (1.0 - TARGET);
+        assert!((s.fast_burn - burn).abs() < 1e-9, "{}", s.fast_burn);
+        assert!((s.slow_burn - burn).abs() < 1e-9);
+        assert_eq!(s.samples, 10 * SLOW_WINDOWS as u64);
     }
 
     #[test]
     fn a_blip_only_warns_and_then_clears() {
-        let mut m = monitor();
-        // Five healthy windows fill the slow ring...
-        for _ in 0..5 {
-            for _ in 0..100 {
-                m.observe(true);
-            }
+        let mut m = BurnMonitor::new();
+        // Healthy windows fill the slow ring...
+        for _ in 0..SLOW_WINDOWS {
+            window(&mut m, 100, 0);
             m.roll_window();
         }
-        // ...then one bad open window: fast (2-deep) burns, slow does not.
-        for _ in 0..100 {
-            m.observe(false);
-        }
+        // ...then one bad open window: the fast window burns, the slow
+        // one does not.
+        window(&mut m, 0, 100);
         let s = m.signal(None);
         assert_eq!(s.state, HealthState::Warning, "{s:?}");
-        assert!(s.fast_burn >= 2.0 && s.slow_burn < 2.0);
-        // The blip ends; healthy windows push it out of the fast ring.
+        assert!(s.fast_burn >= THRESHOLD && s.slow_burn < THRESHOLD);
+        // The blip ends; healthy windows push it out of the fast window.
         m.roll_window();
-        for _ in 0..2 {
-            for _ in 0..100 {
-                m.observe(true);
-            }
+        for _ in 0..FAST_WINDOWS {
+            window(&mut m, 100, 0);
             m.roll_window();
         }
         let s = m.signal(None);
-        assert!(s.fast_burn < 2.0, "fast ring must forget the blip: {s:?}");
+        assert!(
+            s.fast_burn < THRESHOLD,
+            "the fast window must forget the blip: {s:?}"
+        );
     }
 
     #[test]
-    #[should_panic(expected = "window depths")]
-    fn fast_deeper_than_slow_rejected() {
-        let _ = BurnMonitor::new(0.9, 2.0, 6, 5);
+    fn the_ring_keeps_the_slow_depth() {
+        let mut m = BurnMonitor::new();
+        window(&mut m, 0, 7);
+        for _ in 0..SLOW_WINDOWS {
+            m.roll_window();
+            window(&mut m, 1, 0);
+        }
+        // The first window, all misses, fell out of the slow window.
+        let s = m.signal(None);
+        assert_eq!((s.samples, s.slow_burn), (SLOW_WINDOWS as u64, 0.0));
     }
 }

@@ -3,8 +3,9 @@
 //! The observability layer of the simulator stack: a typed event taxonomy
 //! for request lifecycles, network flows and scheduler search steps, a
 //! [`TraceSink`] abstraction with a buffering [`Recorder`], derived
-//! per-replica/per-link [`UtilizationSeries`], and exporters (Chrome
-//! trace-event JSON viewable in Perfetto, plus a compact JSON summary).
+//! per-replica/per-link [`UtilizationSeries`], SLO [`BurnMonitor`]s, the
+//! post-run [`MetricsSnapshot`], and exporters (Chrome trace-event JSON
+//! viewable in Perfetto, and Prometheus text exposition of a snapshot).
 //!
 //! Design constraints, in order of importance:
 //!
@@ -36,9 +37,7 @@ pub mod prom;
 pub mod search;
 pub mod series;
 pub mod sink;
-pub mod sketch;
 pub mod snapshot;
-pub mod stream;
 
 pub use burn::{BurnMonitor, HealthSignal, HealthState};
 pub use chrome::{validate_chrome_trace, ChromeTraceStats};
@@ -46,9 +45,8 @@ pub use event::{LinkKind, Role, ScaleKind, TraceEvent, TraceKind};
 pub use log::{RequestSpan, TraceLog};
 pub use pressure::PressureTally;
 pub use profile::{ProfileEntry, ProfileReport, ScopeGuard};
-pub use prom::{render_prometheus, validate_exposition, ExpositionStats};
+pub use prom::{render_prometheus, validate_exposition, ExpositionStats, FAMILIES};
 pub use search::{SearchStep, SearchTrace};
 pub use series::UtilizationSeries;
 pub use sink::{NoopSink, Recorder, TraceSink};
-pub use sketch::QuantileSketch;
-pub use stream::{Ewma, StreamConfig, StreamSnapshot, StreamingPlane, WindowCounts};
+pub use snapshot::{MeanPeak, MetricsSnapshot, RolePressure, Summary, WindowCounts};

@@ -1,16 +1,35 @@
-//! Prometheus text-exposition export of a [`StreamSnapshot`] and a
+//! Prometheus text-exposition export of a [`MetricsSnapshot`] and a
 //! parser-free line-format conformance validator.
 //!
 //! The workspace has no Prometheus client crate (and must not grow one),
 //! so the exporter writes exposition-format text by hand and the validator
 //! exists to keep the hand-rolled writer honest: it checks HELP/TYPE
 //! ordering, metric-name and label well-formedness, label-value escaping,
-//! histogram bucket monotonicity and the `+Inf`-bucket/`_count` identity —
-//! all by scanning lines, never by round-tripping through a parser AST.
+//! and the summary rules (quantile labels in `[0, 1]`, strictly increasing,
+//! then `_sum` and `_count`) — all by scanning lines, never by
+//! round-tripping through a parser AST.
+
+use ts_common::SimDuration;
 
 use crate::burn::HealthState;
-use crate::sketch::QuantileSketch;
-use crate::stream::StreamSnapshot;
+use crate::snapshot::{MeanPeak, MetricsSnapshot, RolePressure, Summary};
+
+/// The metric families [`render_prometheus`] writes, in order.
+pub const FAMILIES: [&str; 13] = [
+    "ts_ttft_seconds",
+    "ts_e2e_seconds",
+    "ts_queue_depth_jobs",
+    "ts_batch_occupancy_seqs",
+    "ts_requests_total",
+    "ts_slo_miss_total",
+    "ts_hedges_total",
+    "ts_requeues_total",
+    "ts_windows_closed_total",
+    "ts_ttft_ewma_seconds",
+    "ts_e2e_ewma_seconds",
+    "ts_slo_burn_rate",
+    "ts_health_state",
+];
 
 /// Escapes a label value per the exposition format: backslash, double
 /// quote and newline.
@@ -27,184 +46,129 @@ fn escape_label(v: &str) -> String {
     out
 }
 
-fn header(out: &mut String, name: &str, help: &str, kind: &str) {
-    out.push_str(&format!("# HELP {name} {help}\n# TYPE {name} {kind}\n"));
+/// One sample line: metric-name suffix, label text, value text.
+type Sample = (&'static str, String, String);
+
+fn seconds(d: SimDuration) -> String {
+    format!("{:.9}", d.as_secs_f64())
 }
 
-/// Renders one sketch as a cumulative histogram family.
-fn histogram(out: &mut String, name: &str, help: &str, s: &QuantileSketch) {
-    header(out, name, help, "histogram");
-    let mut cum = 0u64;
-    for (key, count) in s.bucket_counts() {
-        cum += count;
-        let le = s.bucket_upper(key);
-        out.push_str(&format!("{name}_bucket{{le=\"{le}\"}} {cum}\n"));
-    }
-    out.push_str(&format!("{name}_bucket{{le=\"+Inf\"}} {}\n", s.count()));
-    out.push_str(&format!("{name}_sum {:.9}\n", s.sum()));
-    out.push_str(&format!("{name}_count {}\n", s.count()));
+/// A latency population's summary samples (seconds).
+fn summary(s: &Summary) -> Vec<Sample> {
+    let quantiles = s.quantiles.iter();
+    let quantiles = quantiles.map(|&(q, v)| ("", format!("quantile=\"{q}\""), seconds(v)));
+    let sum = ("_sum", String::new(), seconds(s.sum));
+    quantiles
+        .chain([sum, ("_count", String::new(), s.count.to_string())])
+        .collect()
 }
 
-fn gauge(out: &mut String, name: &str, help: &str, value: Option<f64>) {
-    header(out, name, help, "gauge");
-    if let Some(v) = value {
-        out.push_str(&format!("{name} {v:.9}\n"));
+/// One pressure signal's samples, labelled by role and statistic.
+fn pressure(s: &MetricsSnapshot, signal: fn(&RolePressure) -> MeanPeak) -> Vec<Sample> {
+    let mut samples = Vec::new();
+    for p in &s.pressure {
+        let (m, role) = (signal(p), escape_label(&p.role.to_string()));
+        for (stat, v) in [("mean", m.mean), ("peak", m.peak)] {
+            let labels = format!("role=\"{role}\",stat=\"{stat}\"");
+            samples.push(("", labels, format!("{v:.9}")));
+        }
     }
+    samples
 }
 
-/// Renders a snapshot in Prometheus text exposition format.
-pub fn render_prometheus(s: &StreamSnapshot) -> String {
-    let mut out = String::new();
-    histogram(
-        &mut out,
-        "ts_ttft_seconds",
-        "Time to first token (streaming sketch).",
-        &s.ttft,
-    );
-    histogram(
-        &mut out,
-        "ts_e2e_seconds",
-        "End-to-end request latency (streaming sketch).",
-        &s.e2e,
-    );
-    histogram(
-        &mut out,
-        "ts_queue_depth_jobs",
-        "Prefill queue depth samples.",
-        &s.queue_depth,
-    );
-    histogram(
-        &mut out,
-        "ts_batch_occupancy_seqs",
-        "Decode batch occupancy samples.",
-        &s.batch_occupancy,
-    );
+/// An unlabelled single-sample family.
+fn scalar(value: impl ToString) -> Vec<Sample> {
+    vec![("", String::new(), value.to_string())]
+}
 
-    header(
-        &mut out,
-        "ts_requests_total",
-        "Terminal request outcomes.",
-        "counter",
-    );
-    for (outcome, n) in [
-        ("finished", s.totals.finished),
-        ("dropped", s.totals.dropped),
-        ("rejected", s.totals.rejected),
-    ] {
-        out.push_str(&format!(
-            "ts_requests_total{{outcome=\"{}\"}} {n}\n",
-            escape_label(outcome)
-        ));
-    }
-    header(
-        &mut out,
-        "ts_slo_miss_total",
-        "Completed requests that missed their SLO.",
-        "counter",
-    );
-    out.push_str(&format!("ts_slo_miss_total {}\n", s.totals.slo_miss));
-    header(
-        &mut out,
-        "ts_hedges_total",
-        "Hedged duplicate launches.",
-        "counter",
-    );
-    out.push_str(&format!("ts_hedges_total {}\n", s.totals.hedges));
-    header(
-        &mut out,
-        "ts_requeues_total",
-        "Requests requeued by fault recovery.",
-        "counter",
-    );
-    out.push_str(&format!("ts_requeues_total {}\n", s.totals.requeues));
-    header(
-        &mut out,
-        "ts_events_observed_total",
-        "Trace events folded into the streaming plane.",
-        "counter",
-    );
-    out.push_str(&format!("ts_events_observed_total {}\n", s.events_observed));
-    header(
-        &mut out,
-        "ts_windows_closed_total",
-        "Fixed aggregation windows closed.",
-        "counter",
-    );
-    out.push_str(&format!("ts_windows_closed_total {}\n", s.windows_closed));
-
-    gauge(
-        &mut out,
-        "ts_ttft_ewma_seconds",
-        "Smoothed time to first token.",
-        s.ttft_ewma,
-    );
-    gauge(
-        &mut out,
-        "ts_e2e_ewma_seconds",
-        "Smoothed end-to-end latency.",
-        s.e2e_ewma,
-    );
-    gauge(
-        &mut out,
-        "ts_queue_depth_ewma_jobs",
-        "Smoothed prefill queue depth.",
-        s.queue_depth_ewma,
-    );
-    gauge(
-        &mut out,
-        "ts_batch_occupancy_ewma_seqs",
-        "Smoothed decode batch occupancy.",
-        s.batch_occupancy_ewma,
-    );
-
-    header(
-        &mut out,
-        "ts_slo_burn_rate",
-        "SLO burn rate per tenant and window.",
-        "gauge",
-    );
-    let tenant_label =
-        |t: Option<ts_common::ModelId>| t.map_or("global".to_string(), |m| m.0.to_string());
+/// Renders a snapshot in Prometheus text exposition format: the
+/// [`FAMILIES`], in order.
+pub fn render_prometheus(s: &MetricsSnapshot) -> String {
+    let t = &s.totals;
+    let outcomes = [
+        ("finished", t.finished),
+        ("dropped", t.dropped),
+        ("rejected", t.rejected),
+    ];
+    let outcomes = outcomes.map(|(o, n)| ("", format!("outcome=\"{o}\""), n.to_string()));
+    let ewma = |v: Option<f64>| v.map_or(Vec::new(), |v| scalar(format!("{v:.9}")));
+    let (mut burn, mut state) = (Vec::new(), Vec::new());
     for h in &s.health {
-        let t = escape_label(&tenant_label(h.tenant));
-        out.push_str(&format!(
-            "ts_slo_burn_rate{{tenant=\"{t}\",window=\"fast\"}} {:.9}\n",
-            h.fast_burn
-        ));
-        out.push_str(&format!(
-            "ts_slo_burn_rate{{tenant=\"{t}\",window=\"slow\"}} {:.9}\n",
-            h.slow_burn
-        ));
-    }
-    header(
-        &mut out,
-        "ts_health_state",
-        "Distilled health (0 healthy, 1 warning, 2 critical).",
-        "gauge",
-    );
-    for h in &s.health {
-        let v = match h.state {
+        let t = h.tenant.map_or("global".to_string(), |m| m.0.to_string());
+        let t = escape_label(&t);
+        for (window, rate) in [("fast", h.fast_burn), ("slow", h.slow_burn)] {
+            let labels = format!("tenant=\"{t}\",window=\"{window}\"");
+            burn.push(("", labels, format!("{rate:.9}")));
+        }
+        let level = match h.state {
             HealthState::Healthy => 0,
             HealthState::Warning => 1,
             HealthState::Critical => 2,
         };
-        out.push_str(&format!(
-            "ts_health_state{{tenant=\"{}\"}} {v}\n",
-            escape_label(&tenant_label(h.tenant))
-        ));
+        state.push(("", format!("tenant=\"{t}\""), level.to_string()));
+    }
+    let per_role = "per role: time-weighted mean and peak.";
+    let families: [(&str, &str, Vec<Sample>); 13] = [
+        ("Time to first token.", "summary", summary(&s.ttft)),
+        ("End-to-end request latency.", "summary", summary(&s.e2e)),
+        (
+            &format!("Prefill queue depth {per_role}"),
+            "gauge",
+            pressure(s, |p| p.queue_depth),
+        ),
+        (
+            &format!("Decode batch occupancy {per_role}"),
+            "gauge",
+            pressure(s, |p| p.batch_occupancy),
+        ),
+        ("Terminal request outcomes.", "counter", outcomes.to_vec()),
+        (
+            "Completed requests that missed their SLO.",
+            "counter",
+            scalar(t.slo_miss),
+        ),
+        ("Hedged duplicate launches.", "counter", scalar(s.hedges)),
+        (
+            "Requests requeued by fault recovery.",
+            "counter",
+            scalar(s.requeues),
+        ),
+        (
+            "Fixed aggregation windows closed.",
+            "counter",
+            scalar(s.windows_closed()),
+        ),
+        ("Smoothed time to first token.", "gauge", ewma(s.ttft_ewma)),
+        ("Smoothed end-to-end latency.", "gauge", ewma(s.e2e_ewma)),
+        ("SLO burn rate per tenant and window.", "gauge", burn),
+        (
+            "Distilled health (0 healthy, 1 warning, 2 critical).",
+            "gauge",
+            state,
+        ),
+    ];
+    let mut out = String::new();
+    for (name, (help, kind, samples)) in FAMILIES.iter().zip(families) {
+        out.push_str(&format!("# HELP {name} {help}\n# TYPE {name} {kind}\n"));
+        for (suffix, labels, value) in samples {
+            let labels = if labels.is_empty() {
+                labels
+            } else {
+                format!("{{{labels}}}")
+            };
+            out.push_str(&format!("{name}{suffix}{labels} {value}\n"));
+        }
     }
     out
 }
 
 /// Structural statistics of a validated exposition document.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ExpositionStats {
-    /// Metric families (HELP/TYPE pairs).
-    pub families: usize,
+    /// Metric family names (HELP/TYPE pairs), in document order.
+    pub families: Vec<String>,
     /// Sample lines.
     pub samples: usize,
-    /// Histogram families.
-    pub histograms: usize,
 }
 
 fn valid_metric_name(s: &str) -> bool {
@@ -249,9 +213,9 @@ fn split_sample(line: &str) -> Result<(&str, &str, &str), String> {
 }
 
 /// Validates the label text of one sample, returning the value of the
-/// `le` label if present.
+/// `quantile` label if present.
 fn validate_labels(labels: &str, line_no: usize) -> Result<Option<String>, String> {
-    let mut le = None;
+    let mut quantile = None;
     let bytes = labels.as_bytes();
     let mut pos = 0;
     while pos < bytes.len() {
@@ -295,8 +259,8 @@ fn validate_labels(labels: &str, line_no: usize) -> Result<Option<String>, Strin
         }
         let consumed =
             consumed.ok_or_else(|| format!("line {line_no}: unterminated label value"))?;
-        if key == "le" {
-            le = Some(value);
+        if key == "quantile" {
+            quantile = Some(value);
         }
         pos += eq + 1 + 1 + consumed;
         // Optional comma between labels (trailing comma is legal).
@@ -306,7 +270,7 @@ fn validate_labels(labels: &str, line_no: usize) -> Result<Option<String>, Strin
             return Err(format!("line {line_no}: expected ',' between labels"));
         }
     }
-    Ok(le)
+    Ok(quantile)
 }
 
 fn parse_value(v: &str, line_no: usize) -> Result<f64, String> {
@@ -320,24 +284,20 @@ fn parse_value(v: &str, line_no: usize) -> Result<f64, String> {
     }
 }
 
-/// State of the histogram family currently being scanned.
+/// State of the summary family currently being scanned.
 #[derive(Default)]
-struct HistogramCheck {
-    last_le: Option<f64>,
-    last_cum: Option<f64>,
-    inf_bucket: Option<f64>,
-    count: Option<f64>,
+struct SummaryCheck {
+    last_quantile: Option<f64>,
+    sum: bool,
+    count: bool,
 }
 
-impl HistogramCheck {
+impl SummaryCheck {
     fn finish(&self, family: &str) -> Result<(), String> {
-        match (self.inf_bucket, self.count) {
-            (Some(inf), Some(count)) if inf == count => Ok(()),
-            (Some(inf), Some(count)) => Err(format!(
-                "histogram {family}: +Inf bucket {inf} != _count {count}"
-            )),
-            (None, _) => Err(format!("histogram {family}: missing +Inf bucket")),
-            (_, None) => Err(format!("histogram {family}: missing _count")),
+        match (self.sum, self.count) {
+            (true, true) => Ok(()),
+            (false, _) => Err(format!("summary {family}: missing _sum")),
+            (_, false) => Err(format!("summary {family}: missing _count")),
         }
     }
 }
@@ -347,28 +307,25 @@ impl HistogramCheck {
 /// Enforced rules: every sample belongs to a family announced by a
 /// preceding `# HELP`/`# TYPE` pair (in that order, exactly once per
 /// family); metric and label names are well-formed; label values are
-/// quoted with only `\\`, `\"` and `\n` escapes; sample values parse;
-/// histogram `le` buckets are strictly increasing with non-decreasing
-/// cumulative counts, ending in a `+Inf` bucket equal to `_count`.
+/// quoted with only `\\`, `\"` and `\n` escapes; sample values parse. A
+/// summary family's samples are its quantiles, each labelled `quantile` in
+/// `[0, 1]` and strictly increasing, plus its `_sum` and `_count`, both
+/// required.
 pub fn validate_exposition(text: &str) -> Result<ExpositionStats, String> {
     let mut stats = ExpositionStats {
-        families: 0,
+        families: Vec::new(),
         samples: 0,
-        histograms: 0,
     };
-    let mut seen: Vec<String> = Vec::new();
     let mut pending_help: Option<String> = None;
     let mut family: Option<(String, String)> = None; // (name, type)
-    let mut hist = HistogramCheck::default();
+    let mut summary = SummaryCheck::default();
 
     let close_family =
-        |family: &Option<(String, String)>, hist: &HistogramCheck| -> Result<(), String> {
-            if let Some((name, kind)) = family {
-                if kind == "histogram" {
-                    hist.finish(name)?;
-                }
+        |family: &Option<(String, String)>, summary: &SummaryCheck| -> Result<(), String> {
+            match family {
+                Some((name, kind)) if kind == "summary" => summary.finish(name),
+                _ => Ok(()),
             }
-            Ok(())
         };
 
     for (idx, raw) in text.lines().enumerate() {
@@ -384,12 +341,12 @@ pub fn validate_exposition(text: &str) -> Result<ExpositionStats, String> {
             if !valid_metric_name(name) {
                 return Err(format!("line {line_no}: bad metric name {name:?}"));
             }
-            if seen.iter().any(|s| s == name) {
+            if stats.families.iter().any(|s| s == name) {
                 return Err(format!("line {line_no}: family {name} repeated"));
             }
-            close_family(&family, &hist)?;
+            close_family(&family, &summary)?;
             family = None;
-            hist = HistogramCheck::default();
+            summary = SummaryCheck::default();
             pending_help = Some(name.to_string());
             continue;
         }
@@ -402,19 +359,12 @@ pub fn validate_exposition(text: &str) -> Result<ExpositionStats, String> {
                     "line {line_no}: TYPE {name} must directly follow its HELP"
                 ));
             }
-            if !matches!(
-                kind,
-                "counter" | "gauge" | "histogram" | "summary" | "untyped"
-            ) {
+            if !matches!(kind, "counter" | "gauge" | "summary" | "untyped") {
                 return Err(format!("line {line_no}: unknown metric type {kind:?}"));
             }
             pending_help = None;
-            seen.push(name.to_string());
-            if kind == "histogram" {
-                stats.histograms += 1;
-            }
+            stats.families.push(name.to_string());
             family = Some((name.to_string(), kind.to_string()));
-            stats.families += 1;
             continue;
         }
         if line.starts_with('#') {
@@ -429,155 +379,174 @@ pub fn validate_exposition(text: &str) -> Result<ExpositionStats, String> {
         if !valid_metric_name(name) {
             return Err(format!("line {line_no}: bad metric name {name:?}"));
         }
-        let member = if fam_kind == "histogram" {
-            name == format!("{fam_name}_bucket")
-                || name == format!("{fam_name}_sum")
-                || name == format!("{fam_name}_count")
-        } else {
-            name == fam_name
+        let is_summary = fam_kind == "summary";
+        let suffix = name.strip_prefix(fam_name.as_str());
+        let member = match suffix {
+            Some("") => true,
+            Some("_sum" | "_count") => is_summary,
+            _ => false,
         };
         if !member {
             return Err(format!(
                 "line {line_no}: sample {name} outside family {fam_name}"
             ));
         }
-        let le = validate_labels(labels, line_no)?;
-        let v = parse_value(value, line_no)?;
+        let quantile = validate_labels(labels, line_no)?;
+        parse_value(value, line_no)?;
         stats.samples += 1;
-        if fam_kind == "histogram" {
-            if name.ends_with("_bucket") {
-                let le =
-                    le.ok_or_else(|| format!("line {line_no}: histogram bucket without le label"))?;
-                let le_v = parse_value(&le, line_no)?;
-                if let Some(prev) = hist.last_le {
-                    if le_v <= prev {
-                        return Err(format!(
-                            "line {line_no}: bucket le {le} not increasing (prev {prev})"
-                        ));
-                    }
+        if !is_summary {
+            continue;
+        }
+        match suffix {
+            Some("_sum") => summary.sum = true,
+            Some("_count") => summary.count = true,
+            _ => {
+                let q = quantile
+                    .ok_or_else(|| format!("line {line_no}: summary sample without quantile"))?;
+                let q = parse_value(&q, line_no)?;
+                if !(0.0..=1.0).contains(&q) {
+                    return Err(format!("line {line_no}: quantile {q} outside [0, 1]"));
                 }
-                if let Some(prev) = hist.last_cum {
-                    if v < prev {
-                        return Err(format!(
-                            "line {line_no}: bucket count {v} decreased (prev {prev})"
-                        ));
-                    }
+                if summary.last_quantile.is_some_and(|prev| q <= prev) {
+                    return Err(format!("line {line_no}: quantile {q} not increasing"));
                 }
-                hist.last_le = Some(le_v);
-                hist.last_cum = Some(v);
-                if le_v.is_infinite() {
-                    hist.inf_bucket = Some(v);
-                }
-            } else if name.ends_with("_count") {
-                hist.count = Some(v);
+                summary.last_quantile = Some(q);
             }
         }
     }
     if pending_help.is_some() {
         return Err("document ends with a HELP line missing its TYPE".into());
     }
-    close_family(&family, &hist)?;
+    close_family(&family, &summary)?;
+    Ok(stats)
+}
+
+/// Validates an exposition [`render_prometheus`] wrote: it must pass
+/// [`validate_exposition`] and carry exactly the [`FAMILIES`], in order.
+pub fn validate_export(text: &str) -> Result<ExpositionStats, String> {
+    let stats = validate_exposition(text)?;
+    if stats.families != FAMILIES {
+        return Err(format!(
+            "families {:?} are not the exporter's {FAMILIES:?}",
+            stats.families
+        ));
+    }
     Ok(stats)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::TraceKind;
-    use crate::stream::{StreamConfig, StreamingPlane};
-    use ts_common::{ModelId, RequestId, SimDuration, SimTime, SloSpec};
+    use crate::burn::BurnMonitor;
+    use crate::event::Role;
+    use crate::snapshot::{RolePressure, WindowCounts};
+    use ts_common::{ModelId, SimDuration, SimTime};
 
-    fn multi_tenant_snapshot() -> StreamSnapshot {
-        let slo = SloSpec::new(
-            SimDuration::from_millis(200),
-            SimDuration::from_millis(50),
-            SimDuration::from_secs(2),
-        );
-        let mut p = StreamingPlane::new(StreamConfig::new(slo));
-        p.register_tenant(ModelId(0), slo);
-        p.register_tenant(ModelId(1), slo.scaled(0.25));
-        for i in 0..40u64 {
-            let request = RequestId(i);
-            let base = SimTime::from_micros(i * 130_000);
-            p.observe(base, &TraceKind::Arrived { request });
-            p.observe(
-                base,
-                &TraceKind::ModelTag {
-                    request,
-                    model: ModelId((i % 2) as u32),
-                },
-            );
-            p.observe(
-                base + SimDuration::from_millis(90),
-                &TraceKind::FirstToken { request },
-            );
-            if i % 7 == 0 {
-                p.observe(
-                    base + SimDuration::from_millis(150),
-                    &TraceKind::Dropped { request },
-                );
-            } else {
-                p.observe(
-                    base + SimDuration::from_millis(400),
-                    &TraceKind::Finished { request },
-                );
-            }
-            p.observe(
-                base,
-                &TraceKind::QueueDepth {
-                    role: crate::Role::Prefill,
-                    replica: 0,
-                    depth: (i % 5) as usize,
-                },
-            );
+    fn multi_tenant_snapshot() -> MetricsSnapshot {
+        let ms = SimDuration::from_millis;
+        let mut tight = BurnMonitor::new();
+        tight.observe(false);
+        let counts = WindowCounts {
+            arrived: 40,
+            finished: 34,
+            dropped: 6,
+            slo_miss: 3,
+            ..WindowCounts::default()
+        };
+        let stat = |mean, peak| MeanPeak { mean, peak };
+        MetricsSnapshot {
+            at: SimTime::from_secs_f64(5.2),
+            ttft: Summary {
+                count: 34,
+                sum: ms(3060),
+                quantiles: vec![(0.5, ms(90)), (0.9, ms(90)), (0.99, ms(90))],
+            },
+            e2e: Summary {
+                count: 0,
+                sum: SimDuration::ZERO,
+                quantiles: Vec::new(),
+            },
+            ttft_ewma: Some(0.09),
+            e2e_ewma: None,
+            pressure: vec![RolePressure {
+                role: Role::Prefill,
+                queue_depth: stat(1.5, 4.0),
+                batch_occupancy: stat(0.0, 0.0),
+            }],
+            totals: counts,
+            hedges: 0,
+            requeues: 2,
+            windows: vec![counts; 6],
+            health: vec![
+                BurnMonitor::new().signal(None),
+                tight.signal(Some(ModelId(1))),
+            ],
         }
-        p.snapshot()
     }
 
     #[test]
     fn exporter_output_conforms_round_trip() {
-        let s = multi_tenant_snapshot();
-        let text = render_prometheus(&s);
-        let stats = validate_exposition(&text).expect("exporter must conform");
-        assert_eq!(stats.histograms, 4);
-        assert!(stats.families >= 12, "{stats:?}");
-        assert!(stats.samples > 20);
+        let text = render_prometheus(&multi_tenant_snapshot());
+        validate_export(&text).expect("exporter must conform");
         // Both tenants and the global signal appear.
         assert!(text.contains("ts_slo_burn_rate{tenant=\"global\",window=\"fast\"}"));
-        assert!(text.contains("ts_health_state{tenant=\"1\"}"));
-        assert!(text.contains("ts_requests_total{outcome=\"dropped\"}"));
+        assert!(text.contains("ts_health_state{tenant=\"1\"} 2"));
+        assert!(text.contains("ts_requests_total{outcome=\"dropped\"} 6"));
+        assert!(text.contains("ts_ttft_seconds{quantile=\"0.99\"} 0.090000000"));
+        assert!(text.contains("ts_queue_depth_jobs{role=\"prefill\",stat=\"peak\"} 4.0"));
+        assert!(text.contains("ts_windows_closed_total 5"));
+        // An empty population is a summary of _sum and _count alone.
+        assert!(text.contains("ts_e2e_seconds_count 0\n# HELP"));
+    }
+
+    const SUMMARY: &str = "# HELP s d\n# TYPE s summary\n";
+
+    #[test]
+    fn validator_rejects_a_quantile_outside_the_unit_interval() {
+        let bad = format!("{SUMMARY}s{{quantile=\"1.5\"}} 2\ns_sum 1\ns_count 1\n");
+        let err = validate_exposition(&bad).unwrap_err();
+        assert!(err.contains("outside [0, 1]"), "{err}");
+    }
+
+    #[test]
+    fn validator_rejects_quantiles_that_do_not_increase() {
+        let bad = format!(
+            "{SUMMARY}s{{quantile=\"0.9\"}} 2\ns{{quantile=\"0.9\"}} 3\ns_sum 1\ns_count 1\n"
+        );
+        let err = validate_exposition(&bad).unwrap_err();
+        assert!(err.contains("not increasing"), "{err}");
+    }
+
+    #[test]
+    fn validator_rejects_a_summary_sample_without_quantile() {
+        let bad = format!("{SUMMARY}s 2\ns_sum 1\ns_count 1\n");
+        let err = validate_exposition(&bad).unwrap_err();
+        assert!(err.contains("without quantile"), "{err}");
+    }
+
+    #[test]
+    fn validator_requires_summary_sum_and_count() {
+        let no_count = format!("{SUMMARY}s{{quantile=\"0.5\"}} 2\ns_sum 1\n");
+        let err = validate_exposition(&no_count).unwrap_err();
+        assert!(err.contains("missing _count"), "{err}");
+        let no_sum = format!("{SUMMARY}s_count 1\n# HELP g d\n# TYPE g gauge\ng 1\n");
+        let err = validate_exposition(&no_sum).unwrap_err();
+        assert!(err.contains("missing _sum"), "{err}");
+    }
+
+    #[test]
+    fn validator_keeps_sum_and_count_to_summaries() {
+        let bad = "# HELP g d\n# TYPE g gauge\ng_count 1\n";
+        let err = validate_exposition(bad).unwrap_err();
+        assert!(err.contains("outside family"), "{err}");
+        let bucket = format!("{SUMMARY}s_bucket{{le=\"1\"}} 1\ns_sum 1\ns_count 1\n");
+        assert!(validate_exposition(&bucket).is_err());
     }
 
     #[test]
     fn validator_rejects_type_before_help() {
         let bad = "# TYPE x counter\nx 1\n";
         assert!(validate_exposition(bad).is_err());
-    }
-
-    #[test]
-    fn validator_rejects_non_monotone_buckets() {
-        let bad = "# HELP h d\n# TYPE h histogram\n\
-                   h_bucket{le=\"1\"} 5\nh_bucket{le=\"0.5\"} 6\n\
-                   h_bucket{le=\"+Inf\"} 6\nh_sum 1\nh_count 6\n";
-        let err = validate_exposition(bad).unwrap_err();
-        assert!(err.contains("not increasing"), "{err}");
-    }
-
-    #[test]
-    fn validator_rejects_decreasing_cumulative_counts() {
-        let bad = "# HELP h d\n# TYPE h histogram\n\
-                   h_bucket{le=\"1\"} 5\nh_bucket{le=\"2\"} 3\n\
-                   h_bucket{le=\"+Inf\"} 5\nh_sum 1\nh_count 5\n";
-        let err = validate_exposition(bad).unwrap_err();
-        assert!(err.contains("decreased"), "{err}");
-    }
-
-    #[test]
-    fn validator_rejects_inf_count_mismatch() {
-        let bad = "# HELP h d\n# TYPE h histogram\n\
-                   h_bucket{le=\"+Inf\"} 5\nh_sum 1\nh_count 6\n";
-        let err = validate_exposition(bad).unwrap_err();
-        assert!(err.contains("+Inf bucket"), "{err}");
     }
 
     #[test]
@@ -599,6 +568,17 @@ mod tests {
     fn validator_rejects_repeated_family() {
         let bad = "# HELP a d\n# TYPE a counter\na 1\n# HELP a d\n# TYPE a counter\na 2\n";
         assert!(validate_exposition(bad).is_err());
+    }
+
+    #[test]
+    fn export_check_rejects_a_dropped_family() {
+        let text = render_prometheus(&multi_tenant_snapshot());
+        let cut = text.find("# HELP ts_hedges_total").unwrap();
+        let end = text.find("# HELP ts_requeues_total").unwrap();
+        let dropped = format!("{}{}", &text[..cut], &text[end..]);
+        assert!(validate_exposition(&dropped).is_ok());
+        let err = validate_export(&dropped).unwrap_err();
+        assert!(err.contains("not the exporter's"), "{err}");
     }
 
     #[test]

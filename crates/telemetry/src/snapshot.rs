@@ -28,13 +28,6 @@ pub struct WindowCounts {
     pub slo_miss: u64,
 }
 
-impl WindowCounts {
-    /// Terminal outcomes in this window.
-    pub fn terminals(&self) -> u64 {
-        self.finished + self.dropped + self.rejected
-    }
-}
-
 /// Exact summary of one latency population.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Summary {
@@ -103,77 +96,60 @@ impl MetricsSnapshot {
         self.windows.len() as u64 - 1
     }
 
-    /// The fleet-wide health signal.
-    pub fn global_health(&self) -> &HealthSignal {
-        &self.health[0]
-    }
-
     /// Compact JSON metrics dump.
     pub fn to_json(&self) -> String {
         let num = |x: f64| format!("{x:.6}");
-        let opt = |x: Option<f64>| x.map_or("null".into(), num);
         let summary = |s: &Summary| {
-            let mut out = format!(
-                "{{\"count\":{},\"sum\":{}",
+            let quantiles = s.quantiles.iter();
+            let quantiles = quantiles
+                .map(|&(q, v)| format!(",\"p{}\":{}", (q * 100.0).round(), num(v.as_secs_f64())));
+            let sum = num(s.sum.as_secs_f64());
+            format!(
+                "{{\"count\":{},\"sum\":{sum}{}}}",
                 s.count,
-                num(s.sum.as_secs_f64())
-            );
-            for &(q, v) in &s.quantiles {
-                out += &format!(",\"p{}\":{}", (q * 100.0).round(), num(v.as_secs_f64()));
-            }
-            out + "}"
+                quantiles.collect::<String>()
+            )
         };
-        let stat = |m: MeanPeak| format!("{{\"mean\":{},\"peak\":{}}}", num(m.mean), num(m.peak));
-        let pressure: Vec<String> = self
-            .pressure
-            .iter()
-            .map(|p| {
-                format!(
-                    "{{\"role\":\"{}\",\"queue_depth\":{},\"batch_occupancy\":{}}}",
-                    p.role,
-                    stat(p.queue_depth),
-                    stat(p.batch_occupancy)
-                )
-            })
-            .collect();
-        let health: Vec<String> = self
-            .health
-            .iter()
-            .map(|h| {
-                format!(
-                    "{{\"tenant\":{},\"fast_burn\":{},\"slow_burn\":{},\"samples\":{},\"state\":\"{:?}\"}}",
-                    h.tenant.map_or("null".into(), |m| m.0.to_string()),
-                    num(h.fast_burn),
-                    num(h.slow_burn),
-                    h.samples,
-                    h.state,
-                )
-            })
-            .collect();
-        let w = self.windows[self.windows.len() - 1];
+        let counts = |w: &WindowCounts| {
+            let fields = [w.arrived, w.finished, w.dropped, w.rejected, w.slo_miss];
+            let names = ["arrived", "finished", "dropped", "rejected", "slo_miss"];
+            let fields = names
+                .iter()
+                .zip(fields)
+                .map(|(k, v)| format!("\"{k}\":{v}"));
+            fields.collect::<Vec<_>>().join(",")
+        };
+        let pressure = self.pressure.iter().map(|p| {
+            let (q, b) = (p.queue_depth, p.batch_occupancy);
+            format!(
+                "{{\"role\":\"{}\",\"queue_depth\":{{\"mean\":{},\"peak\":{}}},\"batch_occupancy\":{{\"mean\":{},\"peak\":{}}}}}",
+                p.role, num(q.mean), num(q.peak), num(b.mean), num(b.peak)
+            )
+        });
+        let health = self.health.iter().map(|h| {
+            let tenant = h.tenant.map_or("null".into(), |m| m.0.to_string());
+            format!(
+                "{{\"tenant\":{tenant},\"fast_burn\":{},\"slow_burn\":{},\"samples\":{},\"state\":\"{:?}\"}}",
+                num(h.fast_burn), num(h.slow_burn), h.samples, h.state
+            )
+        });
+        let ewma = |x: Option<f64>| x.map_or("null".into(), num);
+        let open = &self.windows[self.windows.len() - 1];
         format!(
-            "{{\n  \"at_s\": {},\n  \"windows_closed\": {},\n  \"ttft_s\": {},\n  \"e2e_s\": {},\n  \"ewma\": {{\"ttft_s\":{},\"e2e_s\":{}}},\n  \"pressure\": [{}],\n  \"totals\": {{\"arrived\":{},\"finished\":{},\"dropped\":{},\"rejected\":{},\"slo_miss\":{},\"hedges\":{},\"requeues\":{}}},\n  \"window\": {{\"start_s\":{},\"arrived\":{},\"finished\":{},\"dropped\":{},\"rejected\":{},\"slo_miss\":{}}},\n  \"health\": [{}]\n}}\n",
+            "{{\n  \"at_s\": {},\n  \"windows_closed\": {},\n  \"ttft_s\": {},\n  \"e2e_s\": {},\n  \"ewma\": {{\"ttft_s\":{},\"e2e_s\":{}}},\n  \"pressure\": [{}],\n  \"totals\": {{{},\"hedges\":{},\"requeues\":{}}},\n  \"window\": {{\"start_s\":{},{}}},\n  \"health\": [{}]\n}}\n",
             num(self.at.as_secs_f64()),
             self.windows_closed(),
             summary(&self.ttft),
             summary(&self.e2e),
-            opt(self.ttft_ewma),
-            opt(self.e2e_ewma),
-            pressure.join(","),
-            self.totals.arrived,
-            self.totals.finished,
-            self.totals.dropped,
-            self.totals.rejected,
-            self.totals.slo_miss,
+            ewma(self.ttft_ewma),
+            ewma(self.e2e_ewma),
+            pressure.collect::<Vec<_>>().join(","),
+            counts(&self.totals),
             self.hedges,
             self.requeues,
-            num(w.start.as_secs_f64()),
-            w.arrived,
-            w.finished,
-            w.dropped,
-            w.rejected,
-            w.slo_miss,
-            health.join(","),
+            num(open.start.as_secs_f64()),
+            counts(open),
+            health.collect::<Vec<_>>().join(","),
         )
     }
 }

@@ -1,7 +1,8 @@
-//! Live metrics from the streaming observability plane: serve a segment
-//! whose prefill→decode link dies mid-flight, and read the whole story —
-//! online latency quantiles, windowed counters, SLO burn-rate health — from
-//! the plane's snapshot, without ever materializing a full event trace.
+//! Run metrics from the post-run snapshot: serve a segment whose
+//! prefill→decode link dies mid-flight, and read the whole story — exact
+//! latency quantiles, windowed counters, per-role pressure, SLO burn-rate
+//! health — from `Metrics::snapshot`, without ever materializing a full
+//! event trace.
 //!
 //! ```text
 //! cargo run --example live_metrics --release
@@ -9,13 +10,15 @@
 //!
 //! Pass a path argument to additionally write the Prometheus text
 //! exposition (e.g. `metrics.prom`) as a scrape endpoint would serve it.
+//! The example exits non-zero unless the exposition validates and carries
+//! exactly the exporter's `FAMILIES`.
 
 use thunderserve::prelude::*;
 use thunderserve::sim::{FaultKind, FaultScript, TimedFault};
-use thunderserve::telemetry::{render_prometheus, validate_exposition, StreamConfig};
+use thunderserve::telemetry::{prom::validate_export, render_prometheus};
 use thunderserve::workload::generator::generate;
 use thunderserve::workload::spec;
-use ts_common::{stats, GroupSpec, ParallelConfig, Phase, RoutingMatrix, SimTime, StageSpec};
+use ts_common::{GroupSpec, ParallelConfig, Phase, RoutingMatrix, SimTime, StageSpec};
 
 fn main() -> thunderserve::Result<()> {
     // 4xA40 prefill + two 2x3090Ti decode replicas on a slow 5 Gbps fabric,
@@ -76,63 +79,61 @@ fn main() -> thunderserve::Result<()> {
         requests.len()
     );
 
-    // The plane aggregates online as the engine emits events; no trace log
-    // is kept (contrast with the `trace_request` example, which records
-    // every event for post-hoc forensics).
-    let stream_cfg = StreamConfig::new(slo).with_window(SimDuration::from_secs(5));
+    // The pressure tally folds queue depth and batch occupancy as the
+    // engine runs; everything else in the snapshot comes from the run's
+    // records after it. No trace log is kept (contrast with the
+    // `trace_request` example, which records every event for post-hoc
+    // forensics).
     let cfg = SimConfig::new(model)
         .with_network_contention(true)
-        .with_streaming(stream_cfg);
+        .with_pressure(true);
     let mut sim = Simulation::new(&cluster, &plan, cfg)?;
     let metrics = sim.run_with_faults(&requests, &script)?;
-    let snap = sim
-        .take_streaming()
-        .expect("streaming was enabled")
-        .snapshot();
+    let tally = sim.take_pressure().expect("the tally was enabled");
+    let snap = metrics.snapshot(&slo, &[], SimDuration::from_secs(5), &tally);
 
     // -- Counters: lifetime totals and the most recent closed window. ----
     let t = &snap.totals;
     println!(
         "totals: {} arrived, {} finished, {} dropped, {} rejected, {} SLO misses, \
          {} requeues ({} windows closed)",
-        t.arrived, t.finished, t.dropped, t.rejected, t.slo_miss, t.requeues, snap.windows_closed,
+        t.arrived,
+        t.finished,
+        t.dropped,
+        t.rejected,
+        t.slo_miss,
+        snap.requeues,
+        snap.windows_closed(),
     );
-    if let Some(w) = &snap.last_window {
+    if let Some(w) = snap.windows.iter().rev().nth(1) {
         println!(
             "last closed window (start {}): {} finished, {} SLO misses",
             w.start, w.finished, w.slo_miss
         );
     }
 
-    // -- Online quantiles vs the engine's own exact records. -------------
-    let exact_ttft: Vec<SimDuration> = metrics.records().iter().map(|r| r.ttft()).collect();
-    let exact_e2e: Vec<SimDuration> = metrics.records().iter().map(|r| r.e2e()).collect();
-    println!("\n{:>22} {:>12} {:>12}", "", "sketch", "exact");
-    for (name, sketch, exact) in [
-        ("ttft", &snap.ttft, &exact_ttft),
-        ("e2e", &snap.e2e, &exact_e2e),
-    ] {
-        for q in [0.5, 0.99] {
+    // -- Exact latency quantiles. ----------------------------------------
+    println!();
+    for (name, summary) in [("ttft", &snap.ttft), ("e2e", &snap.e2e)] {
+        for &(q, v) in &summary.quantiles {
             println!(
-                "{:>18} p{:<3} {:>12} {:>12}",
+                "{:>18} p{:<3} {:>12}",
                 name,
-                (q * 100.0) as u32,
-                sketch
-                    .quantile_duration(q)
-                    .expect("non-empty sketch")
-                    .to_string(),
-                stats::percentile(exact, q)
-                    .expect("non-empty records")
-                    .to_string(),
+                (q * 100.0).round(),
+                v.to_string()
             );
         }
     }
-    println!(
-        "{:>18} {:>16.1} jobs (EWMA {:.1})",
-        "queue depth p99",
-        snap.queue_depth.quantile(0.99).unwrap_or(0.0),
-        snap.queue_depth_ewma.unwrap_or(0.0),
-    );
+    for p in &snap.pressure {
+        println!(
+            "{:>18} queue depth mean {:.2} peak {} jobs, batch mean {:.2} peak {} seqs",
+            p.role.to_string(),
+            p.queue_depth.mean,
+            p.queue_depth.peak,
+            p.batch_occupancy.mean,
+            p.batch_occupancy.peak,
+        );
+    }
 
     // -- SLO burn-rate health. -------------------------------------------
     println!();
@@ -155,10 +156,14 @@ fn main() -> thunderserve::Result<()> {
 
     // -- Exporters: Prometheus text exposition and compact JSON. ---------
     let prom = render_prometheus(&snap);
-    let stats = validate_exposition(&prom).expect("exposition must conform");
+    let stats = validate_export(&prom).unwrap_or_else(|e| {
+        eprintln!("exposition failed validation: {e}");
+        std::process::exit(1)
+    });
     println!(
         "\nPrometheus exposition: {} metric families, {} samples",
-        stats.families, stats.samples
+        stats.families.len(),
+        stats.samples
     );
     match std::env::args().nth(1) {
         Some(path) => {

@@ -472,14 +472,13 @@ fn colocated_simulator_conserves_requests() {
 /// hedging and quarantine armed — every submitted request is exactly one
 /// of completed, dropped or rejected, and identical runs are
 /// bit-identical. The repeat run attaches every observer (trace recorder,
-/// streaming plane, pressure tally): observers never steer, under any
-/// drawn mix of mitigations and faults.
+/// pressure tally): observers never steer, under any drawn mix of
+/// mitigations and faults.
 #[test]
 fn gray_failures_conserve_requests() {
     use thunderserve::sim::config::{Hedge, Quarantine, SimConfig};
     use thunderserve::sim::engine::Simulation;
     use thunderserve::sim::fault::{FaultKind, FaultScript, TimedFault};
-    use thunderserve::telemetry::StreamConfig;
     let cluster = thunderserve::cluster::presets::network_case_cluster(
         thunderserve::cluster::presets::ETH_40GBPS,
     );
@@ -639,16 +638,7 @@ fn gray_failures_conserve_requests() {
             // Nothing else in this arm loses a request.
             never_healed_drops += metrics.num_dropped();
         }
-        // A tight SLO, so the burn monitors judge misses as well as hits.
-        let stream = StreamConfig::new(thunderserve::common::SloSpec::new(
-            SimDuration::from_millis(300),
-            SimDuration::from_millis(40),
-            SimDuration::from_secs(5),
-        ));
-        let observed = cfg
-            .with_telemetry(true)
-            .with_pressure(true)
-            .with_streaming(stream);
+        let observed = cfg.with_telemetry(true).with_pressure(true);
         assert_eq!(
             metrics,
             run(observed),
