@@ -5,11 +5,10 @@
 use std::collections::BTreeMap;
 
 use ts_common::{stats, ModelId, ServedModel, SimDuration, SimTime, SloSpec};
-use ts_telemetry::pressure::ReplicaPressure;
-use ts_telemetry::snapshot::QUANTILES;
-use ts_telemetry::BurnMonitor;
+use ts_telemetry::{pressure::ReplicaPressure, snapshot::QUANTILES};
 use ts_telemetry::{
-    MeanPeak, MetricsSnapshot, PressureTally, Role, RolePressure, Summary, WindowCounts,
+    BurnMonitor, MeanPeak, MetricsSnapshot, PressureTally, Role, RolePressure, Summary,
+    WindowCounts,
 };
 
 use crate::metrics::{LossKind, Metrics};
@@ -240,7 +239,7 @@ mod tests {
     }
 
     #[test]
-    fn windows_are_closed_on_the_left_and_open_on_the_right() {
+    fn window_rolls_exactly_at_the_boundary() {
         // Arrives in window 0; its first token and completion land exactly
         // on the 1 s boundary, which opens window 1.
         let s = snap(
@@ -260,7 +259,7 @@ mod tests {
     }
 
     #[test]
-    fn empty_windows_hold_no_counts() {
+    fn empty_windows_roll_without_counts() {
         let s = snap(vec![record(1, 0.2, 0.3, 3.5)], vec![]);
         assert_eq!(s.windows_closed(), 3);
         assert!(s.windows[1..3].iter().all(|w| w.arrived + w.finished == 0));
@@ -325,7 +324,7 @@ mod tests {
     }
 
     #[test]
-    fn a_loss_counts_once_against_the_budget() {
+    fn losses_count_against_the_budget() {
         let lost = |kind, at| LossRecord {
             request: request(1, 0.1, 0),
             at: t(at),
@@ -338,6 +337,61 @@ mod tests {
         assert!(s.health[0].fast_burn > 0.0);
         let s = snap(vec![], vec![lost(LossKind::Rejected, 1.5)]);
         assert_eq!((s.windows[1].dropped, s.windows[1].rejected), (0, 1));
+    }
+
+    #[test]
+    fn ttft_and_e2e_feed_summaries_and_ewma() {
+        let s = snap(
+            vec![record(1, 0.0, 0.1, 0.5), record(2, 0.2, 0.5, 0.9)],
+            vec![],
+        );
+        let ms = SimDuration::from_millis;
+        assert_eq!((s.ttft.count, s.ttft.sum), (2, ms(400)));
+        assert_eq!(
+            s.ttft.quantiles,
+            vec![(0.5, ms(300)), (0.9, ms(300)), (0.99, ms(300))]
+        );
+        assert_eq!(s.e2e.quantiles[0], (0.5, ms(700)));
+        // E2E latencies 0.5 and 0.7 s in completion order.
+        let e = s.e2e_ewma.unwrap();
+        assert!(
+            (e - (EWMA_ALPHA * 0.7 + (1.0 - EWMA_ALPHA) * 0.5)).abs() < 1e-12,
+            "{e}"
+        );
+        assert_eq!((s.windows[0].finished, s.windows[0].slo_miss), (2, 0));
+    }
+
+    #[test]
+    fn pressure_samples_feed_the_role_pressure() {
+        use ts_telemetry::TraceKind;
+        let mut tally = PressureTally::new();
+        let depth = |replica, depth| TraceKind::QueueDepth {
+            role: Role::Prefill,
+            replica,
+            depth,
+        };
+        // Prefill 0 holds 4 over [1, 3) s and 8 over [3, 4) s; prefill 1
+        // holds 2 over [2, 4) s.
+        tally.observe(t(1.0), &depth(0, 4));
+        tally.observe(t(2.0), &depth(1, 2));
+        tally.observe(t(3.0), &depth(0, 8));
+        let active = TraceKind::BatchOccupancy {
+            role: Role::Decode,
+            replica: 0,
+            active: 13,
+        };
+        tally.observe(t(2.0), &active);
+        let m = Metrics::new(vec![], 0, SimDuration::from_secs(4));
+        let s = m.snapshot(&slo(), &[], SimDuration::from_secs(1), &tally);
+        let roles: Vec<_> = s.pressure.iter().map(|p| p.role).collect();
+        assert_eq!(roles, [Role::Prefill, Role::Decode]);
+        let prefill = s.pressure[0].queue_depth;
+        assert_eq!(
+            (prefill.mean, prefill.peak),
+            ((16.0 / 4.0 + 4.0 / 4.0) / 2.0, 8.0)
+        );
+        let decode = s.pressure[1].batch_occupancy;
+        assert_eq!((decode.mean, decode.peak), (26.0 / 4.0, 13.0));
     }
 
     #[test]

@@ -509,7 +509,7 @@ mod tests {
     }
 
     #[test]
-    fn validator_rejects_quantiles_that_do_not_increase() {
+    fn validator_rejects_non_monotone_quantiles() {
         let bad = format!(
             "{SUMMARY}s{{quantile=\"0.9\"}} 2\ns{{quantile=\"0.9\"}} 3\ns_sum 1\ns_count 1\n"
         );

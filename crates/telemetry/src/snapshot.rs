@@ -153,3 +153,74 @@ impl MetricsSnapshot {
         )
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::burn::BurnMonitor;
+    use ts_common::ModelId;
+
+    #[test]
+    fn json_dump_is_emitted() {
+        let counts = WindowCounts {
+            arrived: 3,
+            finished: 2,
+            rejected: 1,
+            ..WindowCounts::default()
+        };
+        let s = MetricsSnapshot {
+            at: SimTime::from_secs_f64(1.5),
+            ttft: Summary {
+                count: 2,
+                sum: SimDuration::from_millis(300),
+                quantiles: vec![(0.5, SimDuration::from_millis(100))],
+            },
+            e2e: Summary {
+                count: 0,
+                sum: SimDuration::ZERO,
+                quantiles: Vec::new(),
+            },
+            ttft_ewma: Some(0.14),
+            e2e_ewma: None,
+            pressure: vec![RolePressure {
+                role: Role::Decode,
+                queue_depth: MeanPeak {
+                    mean: 0.0,
+                    peak: 0.0,
+                },
+                batch_occupancy: MeanPeak {
+                    mean: 2.5,
+                    peak: 4.0,
+                },
+            }],
+            totals: counts,
+            hedges: 1,
+            requeues: 0,
+            windows: vec![
+                WindowCounts::default(),
+                WindowCounts {
+                    start: SimTime::from_secs_f64(1.0),
+                    ..counts
+                },
+            ],
+            health: vec![BurnMonitor::new().signal(Some(ModelId(2)))],
+        };
+        let j = s.to_json();
+        let v = ts_common::json::parse(&j).expect("valid JSON");
+        assert_eq!(v.num("windows_closed"), Some(1.0));
+        let ttft = v.get("ttft_s").unwrap();
+        assert_eq!((ttft.num("count"), ttft.num("p50")), (Some(2.0), Some(0.1)));
+        assert_eq!(v.get("e2e_s").unwrap().num("p50"), None);
+        assert_eq!(v.get("totals").unwrap().num("hedges"), Some(1.0));
+        assert_eq!(v.get("window").unwrap().num("start_s"), Some(1.0));
+        assert_eq!(v.get("window").unwrap().num("rejected"), Some(1.0));
+        let pressure = &v.get("pressure").unwrap().as_array().unwrap()[0];
+        assert_eq!(pressure.get("role").unwrap().as_str(), Some("decode"));
+        let health = &v.get("health").unwrap().as_array().unwrap()[0];
+        assert_eq!(health.num("tenant"), Some(2.0));
+        assert!(
+            j.contains("\"ewma\": {\"ttft_s\":0.140000,\"e2e_s\":null}"),
+            "{j}"
+        );
+    }
+}
