@@ -6,12 +6,19 @@ use ts_common::{Error, Result, SimDuration};
 /// engine's detection delay for a lost replica.
 pub const HEARTBEAT_TIMEOUT: SimDuration = SimDuration::from_secs(1);
 
+/// Segments after a voluntary acquire or release during which the
+/// controller takes no further voluntary action.
+pub const COOLDOWN_SEGMENTS: usize = 1;
+
+/// Nodes released in one control step (drains are exempt).
+pub const MAX_RELEASE_PER_STEP: usize = 1;
+
 /// Configuration of the [`crate::AutoscaleController`] and harness.
 ///
 /// Thresholds are deliberately hysteretic: the scale-up trigger
 /// (`attainment_floor` / `queue_depth_high`) and the scale-down trigger
 /// (`attainment_ceiling` + `occupancy_low`) leave a dead band in between,
-/// and `cooldown_segments` rate-limits consecutive actions, so the fleet
+/// and [`COOLDOWN_SEGMENTS`] rate-limits consecutive actions, so the fleet
 /// does not thrash on workload noise. Preemption drains bypass both — an
 /// announced reclaim does not wait for a cooldown.
 #[derive(Debug, Clone, PartialEq)]
@@ -27,16 +34,12 @@ pub struct AutoscaleConfig {
     /// Consider scale-down when the busier role's mean batch occupancy is
     /// below this fraction of capacity.
     pub occupancy_low: f64,
-    /// Minimum number of segments between voluntary scale actions.
-    pub cooldown_segments: usize,
     /// How far ahead of the announced reclaim a held node is drained. A
     /// warning whose reclaim is further out than this is remembered but not
     /// acted on yet.
     pub warning_lead_time: SimDuration,
     /// Maximum nodes acquired in one control step.
     pub max_acquire_per_step: usize,
-    /// Maximum nodes released in one control step (drains are exempt).
-    pub max_release_per_step: usize,
     /// Fraction of the active fleet a delta may touch before the runtime
     /// escalates to a full re-plan (see
     /// [`ts_runtime::ServingRuntime::apply_fleet_delta`]).
@@ -50,17 +53,16 @@ impl Default for AutoscaleConfig {
             attainment_ceiling: 0.95,
             queue_depth_high: 4.0,
             occupancy_low: 0.35,
-            cooldown_segments: 1,
             warning_lead_time: SimDuration::from_secs(120),
             max_acquire_per_step: 2,
-            max_release_per_step: 1,
             full_replan_fraction: 0.5,
         }
     }
 }
 
 impl AutoscaleConfig {
-    /// Validates threshold ordering (floor below ceiling, sane fractions).
+    /// Validates threshold ordering (floor below ceiling, sane fractions)
+    /// and that a step may acquire at least one node.
     /// [`crate::AutoscaleController::new`] runs it, so a misconfiguration
     /// fails up front rather than producing a quietly absurd trajectory.
     ///
@@ -86,6 +88,11 @@ impl AutoscaleConfig {
         if !(0.0..=1.0).contains(&self.full_replan_fraction) {
             return bad("full_replan_fraction must be a fraction".into());
         }
+        if self.max_acquire_per_step == 0 {
+            return bad(
+                "max_acquire_per_step must be at least 1, or the fleet never scales up".into(),
+            );
+        }
         Ok(())
     }
 }
@@ -97,5 +104,18 @@ mod tests {
     #[test]
     fn default_config_is_valid() {
         assert!(AutoscaleConfig::default().validate().is_ok());
+    }
+
+    #[test]
+    fn zero_acquire_per_step_is_rejected() {
+        let cfg = AutoscaleConfig {
+            max_acquire_per_step: 0,
+            ..AutoscaleConfig::default()
+        };
+        assert!(
+            matches!(&cfg.validate(), Err(Error::InvalidConfig(m)) if m.contains("max_acquire_per_step")),
+            "{:?}",
+            cfg.validate()
+        );
     }
 }

@@ -5,7 +5,7 @@ use std::collections::BTreeSet;
 use ts_cluster::ElasticPool;
 use ts_common::{NodeId, Result, SimTime};
 
-use crate::config::AutoscaleConfig;
+use crate::config::{AutoscaleConfig, COOLDOWN_SEGMENTS, MAX_RELEASE_PER_STEP};
 use crate::observe::SegmentObservation;
 
 /// One fleet edit the controller decided on at a segment boundary.
@@ -154,7 +154,7 @@ impl AutoscaleController {
                     .unwrap_or(std::cmp::Ordering::Equal)
                     .then(a.cmp(&b))
             });
-            for n in held.into_iter().take(self.cfg.max_release_per_step) {
+            for n in held.into_iter().take(MAX_RELEASE_PER_STEP) {
                 self.held.remove(&n);
                 actions.push(FleetAction::Release(n));
             }
@@ -163,7 +163,7 @@ impl AutoscaleController {
             .iter()
             .any(|a| matches!(a, FleetAction::Acquire(_) | FleetAction::Release(_)))
         {
-            self.cooldown = self.cfg.cooldown_segments;
+            self.cooldown = COOLDOWN_SEGMENTS;
         }
         actions
     }
@@ -203,35 +203,52 @@ mod tests {
         assert!(c.held().contains(&NodeId(6)));
     }
 
+    /// Takes `segments` segments under `o`, asserting that each takes no
+    /// voluntary action.
+    fn cool_down(
+        c: &mut AutoscaleController,
+        pool: &ElasticPool,
+        o: &SegmentObservation,
+        segments: usize,
+    ) {
+        for step in 0..segments {
+            let a = c.decide(pool, o, SimTime::ZERO);
+            assert!(
+                a.iter().all(|x| matches!(x, FleetAction::Drain(_))),
+                "cooling step {step} took a voluntary action: {a:?}"
+            );
+        }
+    }
+
     #[test]
     fn cooldown_suppresses_voluntary_actions_but_not_drains() {
         let pool = elastic_cloud_pool();
-        let mut c = AutoscaleController::new(AutoscaleConfig {
-            cooldown_segments: 2,
-            ..AutoscaleConfig::default()
-        })
-        .unwrap();
+        let mut c = AutoscaleController::new(AutoscaleConfig::default()).unwrap();
         assert!(!c
             .decide(&pool, &obs(0.5, 10.0, 0.9), SimTime::ZERO)
             .is_empty());
-        // Still under pressure, but cooling down.
-        assert!(c
-            .decide(&pool, &obs(0.5, 10.0, 0.9), SimTime::ZERO)
-            .is_empty());
-        // A due warning drains regardless of cooldown.
+        // The first cooling segment: still under pressure, so only the
+        // cooldown holds the acquire back, and a due warning drains
+        // regardless of it.
         let held = *c.held().iter().next().unwrap();
         let mut warned = obs(0.5, 10.0, 0.9);
         warned.warned = vec![(held, SimTime::from_secs_f64(30.0))];
         let a = c.decide(&pool, &warned, SimTime::ZERO);
         assert_eq!(a, vec![FleetAction::Drain(held)]);
         assert!(!c.held().contains(&held));
+        cool_down(&mut c, &pool, &obs(0.5, 10.0, 0.9), COOLDOWN_SEGMENTS - 1);
+        // The cooldown is over.
+        let a = c.decide(&pool, &obs(0.5, 10.0, 0.9), SimTime::ZERO);
+        assert!(
+            a.iter().any(|x| matches!(x, FleetAction::Acquire(_))),
+            "{a:?}"
+        );
     }
 
     #[test]
     fn drained_nodes_are_never_reacquired() {
         let pool = elastic_cloud_pool();
         let mut c = AutoscaleController::new(AutoscaleConfig {
-            cooldown_segments: 0,
             max_acquire_per_step: 8,
             ..AutoscaleConfig::default()
         })
@@ -243,6 +260,7 @@ mod tests {
         warned.warned = vec![(victim, SimTime::ZERO)];
         c.decide(&pool, &warned, SimTime::ZERO);
         assert!(!c.held().contains(&victim));
+        cool_down(&mut c, &pool, &obs(0.9, 1.0, 0.6), COOLDOWN_SEGMENTS);
         // Renewed pressure must not shop the reclaimed node again.
         let a = c.decide(&pool, &obs(0.5, 10.0, 0.9), SimTime::ZERO);
         assert!(
@@ -255,12 +273,12 @@ mod tests {
     fn cold_fleet_releases_most_expensive_held_node() {
         let pool = elastic_cloud_pool();
         let mut c = AutoscaleController::new(AutoscaleConfig {
-            cooldown_segments: 0,
             max_acquire_per_step: 8,
             ..AutoscaleConfig::default()
         })
         .unwrap();
         c.decide(&pool, &obs(0.5, 10.0, 0.9), SimTime::ZERO);
+        cool_down(&mut c, &pool, &obs(0.99, 0.0, 0.1), COOLDOWN_SEGMENTS);
         let dear = c
             .held()
             .iter()
@@ -272,18 +290,17 @@ mod tests {
                     .then(b.cmp(&a))
             })
             .unwrap();
+        // A cold step releases one node, the dearest.
         let a = c.decide(&pool, &obs(0.99, 0.0, 0.1), SimTime::ZERO);
         assert_eq!(a, vec![FleetAction::Release(dear)]);
+        // A release starts a cooldown too, even under pressure.
+        cool_down(&mut c, &pool, &obs(0.5, 10.0, 0.9), COOLDOWN_SEGMENTS);
     }
 
     #[test]
     fn dead_band_holds_the_fleet_steady() {
         let pool = elastic_cloud_pool();
-        let mut c = AutoscaleController::new(AutoscaleConfig {
-            cooldown_segments: 0,
-            ..AutoscaleConfig::default()
-        })
-        .unwrap();
+        let mut c = AutoscaleController::new(AutoscaleConfig::default()).unwrap();
         // Attainment between floor and ceiling, queues moderate: no action.
         assert!(c
             .decide(&pool, &obs(0.9, 1.0, 0.6), SimTime::ZERO)
@@ -293,12 +310,9 @@ mod tests {
     #[test]
     fn far_future_warning_is_not_acted_on_yet() {
         let pool = elastic_cloud_pool();
-        let mut c = AutoscaleController::new(AutoscaleConfig {
-            cooldown_segments: 0,
-            ..AutoscaleConfig::default()
-        })
-        .unwrap();
+        let mut c = AutoscaleController::new(AutoscaleConfig::default()).unwrap();
         c.decide(&pool, &obs(0.5, 10.0, 0.9), SimTime::ZERO);
+        cool_down(&mut c, &pool, &obs(0.9, 1.0, 0.6), COOLDOWN_SEGMENTS);
         let held = *c.held().iter().next().unwrap();
         let mut warned = obs(0.9, 1.0, 0.6);
         // Reclaim a full hour out, lead time is 120 s: keep serving on it.

@@ -530,7 +530,6 @@ mod tests {
         let cfg = AutoscaleConfig {
             attainment_floor: 0.999,
             attainment_ceiling: 0.9995,
-            cooldown_segments: 0,
             warning_lead_time: SimDuration::from_secs(120),
             ..AutoscaleConfig::default()
         };
@@ -555,13 +554,15 @@ mod tests {
             kinds.contains(&ScaleKind::PreemptionWarning),
             "warning must be logged: {kinds:?}"
         );
-        // If node 6 was held when the warning matured, it must have been
+        // Node 6 was held when the warning matured, so it must have been
         // drained (never crash-reclaimed while populated).
-        if kinds.contains(&ScaleKind::Acquire) {
-            assert!(
-                kinds.contains(&ScaleKind::Drain),
-                "held node with due warning must drain: {kinds:?}"
-            );
-        }
+        assert!(
+            kinds.contains(&ScaleKind::Acquire),
+            "the hot segment must acquire node 6: {kinds:?}"
+        );
+        assert!(
+            kinds.contains(&ScaleKind::Drain),
+            "held node with due warning must drain: {kinds:?}"
+        );
     }
 }

@@ -71,7 +71,6 @@ pub fn autoscale_cfg(quick: bool) -> AutoscaleConfig {
         attainment_ceiling: 0.98,
         queue_depth_high: 1.0,
         occupancy_low: 0.20,
-        cooldown_segments: 1,
         // Warnings are announced a segment ahead and reclaims land 900 s
         // (full) / 9 s (quick) into the following segment, so this lead
         // covers them: the boundary drain beats the provider to the node.
@@ -81,7 +80,6 @@ pub fn autoscale_cfg(quick: bool) -> AutoscaleConfig {
         // edits always take the graft path, and bigger steps compensate for
         // having six boundaries instead of twenty-four.
         max_acquire_per_step: if quick { 4 } else { 2 },
-        max_release_per_step: 1,
         full_replan_fraction: if quick { 1.0 } else { 0.5 },
     }
 }

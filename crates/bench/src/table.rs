@@ -77,11 +77,6 @@ impl Table {
     }
 }
 
-/// Formats a float with 3 significant decimals.
-pub fn f3(v: f64) -> String {
-    format!("{v:.3}")
-}
-
 /// Formats a float as a percentage.
 pub fn pct(v: f64) -> String {
     format!("{:.1}%", v * 100.0)
@@ -112,7 +107,6 @@ mod tests {
 
     #[test]
     fn formatters() {
-        assert_eq!(f3(1.23456), "1.235");
         assert_eq!(pct(0.912), "91.2%");
     }
 }

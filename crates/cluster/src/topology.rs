@@ -8,7 +8,6 @@
 //! heatmap of the paper's Figure 13.
 
 use crate::catalog::{GpuModel, GpuSpec};
-use std::collections::BTreeMap;
 use ts_common::{Error, GpuId, NodeId, Result, SimDuration};
 
 /// A single physical GPU placed on a node.
@@ -129,15 +128,6 @@ impl Cluster {
         &self.nodes
     }
 
-    /// Active GPUs grouped by catalog model, ascending ids within a model.
-    pub fn gpus_by_model(&self) -> BTreeMap<GpuModel, Vec<GpuId>> {
-        let mut map: BTreeMap<GpuModel, Vec<GpuId>> = BTreeMap::new();
-        for id in self.active_gpus() {
-            map.entry(self.gpu(id).model).or_default().push(id);
-        }
-        map
-    }
-
     /// Whether two GPUs share a node.
     #[inline]
     pub fn same_node(&self, a: GpuId, b: GpuId) -> bool {
@@ -239,14 +229,6 @@ impl Cluster {
         self.active_gpus()
             .iter()
             .map(|&id| self.gpu(id).spec().price_per_hour)
-            .sum()
-    }
-
-    /// Total device memory across active GPUs in bytes.
-    pub fn total_memory(&self) -> u64 {
-        self.active_gpus()
-            .iter()
-            .map(|&id| self.gpu(id).spec().memory_bytes)
             .sum()
     }
 
@@ -494,6 +476,18 @@ impl ClusterBuilder {
 impl Default for ClusterBuilder {
     fn default() -> Self {
         Self::new()
+    }
+}
+
+#[cfg(test)]
+impl Cluster {
+    /// Active GPUs grouped by catalog model, ascending ids within a model.
+    pub(crate) fn gpus_by_model(&self) -> std::collections::BTreeMap<GpuModel, Vec<GpuId>> {
+        let mut map = std::collections::BTreeMap::<GpuModel, Vec<GpuId>>::new();
+        for id in self.active_gpus() {
+            map.entry(self.gpu(id).model).or_default().push(id);
+        }
+        map
     }
 }
 

@@ -44,7 +44,7 @@ pub use catalog::{validate_catalog, ServedModel};
 pub use error::{Error, Result};
 pub use ids::{GpuId, GroupId, ModelId, NodeId, RequestId};
 pub use model::{DType, ModelSpec};
-pub use par::{parallel_map, resolve_threads, with_worker_pool, ShardedCache};
+pub use par::{resolve_threads, with_worker_pool, ShardedCache};
 pub use parallel::ParallelConfig;
 pub use phase::Phase;
 pub use plan::{DeploymentPlan, GroupSpec, ModelRouting, RoutingMatrix, StageSpec};

@@ -5,9 +5,9 @@
 //! blocks it uses to spread that work across threads **without changing any
 //! observable result**:
 //!
-//! * [`parallel_map`] — a chunked work-queue map over a slice whose output
-//!   vector is always in input order, so reductions over it are
-//!   deterministic regardless of thread scheduling;
+//! * [`with_worker_pool`] — a pool of workers that lives for a whole
+//!   search and returns each batch's results in input order, so reductions
+//!   over them are deterministic regardless of thread scheduling;
 //! * [`ShardedCache`] — a concurrent insert-only map keyed by precomputed
 //!   `u64` hashes, sharded to keep lock contention off the hot path;
 //! * [`resolve_threads`] — the `0 = auto, 1 = serial, N = N` convention used
@@ -18,7 +18,7 @@
 //! none of which a panicking worker can leave half-written.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, PoisonError, RwLock};
 
 /// Resolves a `num_threads` knob to a concrete worker count: `0` means one
@@ -33,59 +33,8 @@ pub fn resolve_threads(requested: usize) -> usize {
     }
 }
 
-/// Maps `f` over `items` using up to `num_threads` workers (`0` = auto, see
-/// [`resolve_threads`]) and returns the results **in input order**.
-///
-/// Workers pull indices from a shared atomic counter (a chunk size of one:
-/// candidate evaluations are coarse enough that queue overhead is noise), so
-/// load balances across uneven item costs. With one worker — or one item —
-/// this degrades to a plain serial loop with no thread spawned, which is the
-/// reference path parallel callers must match bit-for-bit.
-///
-/// # Panics
-/// Propagates a panic from `f` (via `std::thread::scope`).
-pub fn parallel_map<T, R, F>(num_threads: usize, items: &[T], f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-{
-    let workers = resolve_threads(num_threads).min(items.len());
-    if workers <= 1 {
-        return items.iter().enumerate().map(|(i, t)| f(i, t)).collect();
-    }
-    let next = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<R>>> = items.iter().map(|_| Mutex::new(None)).collect();
-    let run = |next: &AtomicUsize| loop {
-        let i = next.fetch_add(1, Ordering::Relaxed);
-        if i >= items.len() {
-            break;
-        }
-        let r = f(i, &items[i]);
-        *slots[i].lock().unwrap_or_else(PoisonError::into_inner) = Some(r);
-    };
-    std::thread::scope(|scope| {
-        // The calling thread acts as one worker, so `workers == 2` costs a
-        // single spawn — the per-step overhead matters when evaluations are
-        // cheap (small clusters, warm caches).
-        for _ in 1..workers {
-            scope.spawn(|| run(&next));
-        }
-        run(&next);
-    });
-    slots
-        .into_iter()
-        .map(|m| {
-            m.into_inner()
-                .unwrap_or_else(PoisonError::into_inner)
-                .expect("every slot filled by a worker")
-        })
-        .collect()
-}
-
 /// Runs `body` with a batch evaluator backed by a pool of worker threads
-/// that lives for the **whole** call — unlike [`parallel_map`], which
-/// spawns per invocation. An iterative search that evaluates one batch per
+/// that lives for the **whole** call. An iterative search that evaluates one batch per
 /// step amortizes thread startup over all steps instead of paying it per
 /// step (with 100 steps and 8 workers that is 8 spawns instead of 800).
 ///
@@ -167,7 +116,8 @@ where
 /// A concurrent map keyed by precomputed `u64` hashes, split into
 /// power-of-two shards each behind its own `RwLock`.
 ///
-/// Designed for memoizing deterministic computations under [`parallel_map`]:
+/// Designed for memoizing deterministic computations under
+/// [`with_worker_pool`]:
 /// if two workers race on the same miss they both compute the same value and
 /// the first insert wins, so every reader observes one consistent value and
 /// results stay independent of thread scheduling. Keys are expected to
@@ -254,18 +204,6 @@ impl<V: Clone> ShardedCache<V> {
         self.misses.load(Ordering::Relaxed)
     }
 
-    /// Fraction of lookups answered from the cache (`0.0` before any
-    /// lookup).
-    pub fn hit_rate(&self) -> f64 {
-        let h = self.hit_count();
-        let m = self.miss_count();
-        if h + m == 0 {
-            0.0
-        } else {
-            h as f64 / (h + m) as f64
-        }
-    }
-
     /// Total number of cached entries across shards.
     pub fn len(&self) -> usize {
         self.shards
@@ -296,37 +234,6 @@ mod tests {
         assert!(resolve_threads(0) >= 1);
         assert_eq!(resolve_threads(1), 1);
         assert_eq!(resolve_threads(7), 7);
-    }
-
-    #[test]
-    fn map_preserves_input_order() {
-        let items: Vec<usize> = (0..100).collect();
-        for threads in [1, 2, 8] {
-            let out = parallel_map(threads, &items, |i, &x| {
-                assert_eq!(i, x);
-                x * 3
-            });
-            assert_eq!(out, items.iter().map(|x| x * 3).collect::<Vec<_>>());
-        }
-    }
-
-    #[test]
-    fn map_handles_empty_and_single() {
-        let empty: Vec<u32> = vec![];
-        assert!(parallel_map(4, &empty, |_, &x| x).is_empty());
-        assert_eq!(parallel_map(4, &[9u32], |_, &x| x + 1), vec![10]);
-    }
-
-    #[test]
-    fn parallel_matches_serial_on_uneven_work() {
-        let items: Vec<u64> = (0..64).collect();
-        let f = |_: usize, &x: &u64| -> u64 {
-            // uneven per-item cost
-            (0..(x % 7) * 100).fold(x, |a, b| a.wrapping_add(b))
-        };
-        let serial = parallel_map(1, &items, f);
-        let par = parallel_map(4, &items, f);
-        assert_eq!(serial, par);
     }
 
     #[test]
@@ -380,14 +287,12 @@ mod tests {
     #[test]
     fn cache_counts_hits_and_misses() {
         let c: ShardedCache<u64> = ShardedCache::default();
-        assert_eq!(c.hit_rate(), 0.0);
         assert_eq!(c.get(1), None); // miss
         c.get_or_insert_with(1, || 10); // miss + insert
         c.get_or_insert_with(1, || 99); // hit
         assert_eq!(c.get(1), Some(10)); // hit
         assert_eq!(c.hit_count(), 2);
         assert_eq!(c.miss_count(), 2);
-        assert!((c.hit_rate() - 0.5).abs() < 1e-12);
     }
 
     #[test]
@@ -403,7 +308,16 @@ mod tests {
     fn cache_is_safe_under_concurrent_inserts() {
         let c: ShardedCache<u64> = ShardedCache::new(4);
         let keys: Vec<u64> = (0..256).collect();
-        parallel_map(8, &keys, |_, &k| c.get_or_insert_with(k % 32, || k % 32));
+        std::thread::scope(|scope| {
+            for chunk in keys.chunks(32) {
+                let c = &c;
+                scope.spawn(move || {
+                    for &k in chunk {
+                        c.get_or_insert_with(k % 32, || k % 32);
+                    }
+                });
+            }
+        });
         assert_eq!(c.len(), 32);
         for k in 0..32 {
             assert_eq!(c.get(k), Some(k));

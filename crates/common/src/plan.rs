@@ -111,15 +111,6 @@ impl GroupSpec {
     pub fn total_layers(&self) -> usize {
         self.stages.iter().map(|s| s.layers).sum()
     }
-
-    /// Returns a copy with the opposite phase designation (the tabu "flip"
-    /// move and the core of lightweight rescheduling).
-    pub fn flipped(&self) -> GroupSpec {
-        GroupSpec {
-            phase: self.phase.opposite(),
-            ..self.clone()
-        }
-    }
 }
 
 /// Routing fractions between prefill and decode replicas.
@@ -202,11 +193,6 @@ impl RoutingMatrix {
     /// Total fraction handled by prefill replica `i` (the paper's `X_i`).
     pub fn prefill_share(&self, i: usize) -> f64 {
         self.rates[i].iter().sum()
-    }
-
-    /// Total fraction handled by decode replica `j`.
-    pub fn decode_share(&self, j: usize) -> f64 {
-        self.rates.iter().map(|r| r[j]).sum()
     }
 
     /// The raw matrix.
@@ -439,18 +425,6 @@ impl DeploymentPlan {
             .map(|mr| &mr.routing)
     }
 
-    /// `model`'s share of the aggregate request stream (1 for the single
-    /// model of a legacy plan, 0 for models the plan does not serve).
-    pub fn share_for(&self, model: ModelId) -> f64 {
-        if self.model_routing.is_empty() {
-            return if model == ModelId(0) { 1.0 } else { 0.0 };
-        }
-        self.model_routing
-            .iter()
-            .find(|mr| mr.model == model)
-            .map_or(0.0, |mr| mr.share)
-    }
-
     /// Indices (into `groups`) of `model`'s prefill replicas, in the row
     /// order of [`DeploymentPlan::routing_for`]`(model)`.
     pub fn prefill_indices_for(&self, model: ModelId) -> Vec<usize> {
@@ -555,14 +529,6 @@ mod tests {
     }
 
     #[test]
-    fn flipped_changes_only_phase() {
-        let g = group(Phase::Prefill, 2, 2, 0, 32);
-        let f = g.flipped();
-        assert_eq!(f.phase, Phase::Decode);
-        assert_eq!(f.stages, g.stages);
-    }
-
-    #[test]
     fn routing_must_sum_to_one() {
         assert!(RoutingMatrix::new(vec![vec![0.5, 0.4]]).is_err());
         assert!(RoutingMatrix::new(vec![vec![0.5, 0.5]]).is_ok());
@@ -572,7 +538,6 @@ mod tests {
     fn uniform_routing_shares() {
         let r = RoutingMatrix::uniform(2, 4);
         assert!((r.prefill_share(0) - 0.5).abs() < 1e-12);
-        assert!((r.decode_share(3) - 0.25).abs() < 1e-12);
     }
 
     #[test]
@@ -623,8 +588,7 @@ mod tests {
         assert_eq!(plan.routing.rate(0, 1), 0.0); // cross-model cell
         assert!((plan.routing.rate(1, 1) - 0.375).abs() < 1e-12);
         assert!((plan.routing.rate(1, 2) - 0.375).abs() < 1e-12);
-        assert!((plan.share_for(ModelId(2)) - 0.75).abs() < 1e-12);
-        assert_eq!(plan.share_for(ModelId(9)), 0.0);
+        assert_eq!(plan.model_routing[1].share, 0.75);
         assert_eq!(
             plan.routing_for(ModelId(2)).unwrap().rate(0, 0),
             0.5,
@@ -652,7 +616,6 @@ mod tests {
         assert!(!plan.is_multi_model());
         assert_eq!(plan.models(), vec![ModelId(0)]);
         assert_eq!(plan.routing_for(ModelId(0)).unwrap(), &plan.routing);
-        assert_eq!(plan.share_for(ModelId(0)), 1.0);
     }
 
     #[test]

@@ -62,12 +62,6 @@ impl Request {
     pub fn decode_steps(&self) -> u32 {
         self.output_len.saturating_sub(1)
     }
-
-    /// Context length at the final decode step.
-    #[inline]
-    pub fn final_context(&self) -> u64 {
-        self.prompt_len as u64 + self.output_len as u64 - 1
-    }
 }
 
 #[cfg(test)]
@@ -86,6 +80,5 @@ mod tests {
     fn decode_steps_excludes_first_token() {
         let r = Request::new(RequestId(0), SimTime::ZERO, 100, 10);
         assert_eq!(r.decode_steps(), 9);
-        assert_eq!(r.final_context(), 109);
     }
 }

@@ -248,10 +248,21 @@ impl Candidate {
             CandidateGroup::new(to_gpus, c.groups[to].phase).with_model(c.groups[to].model);
         Some(c)
     }
+}
 
+fn random_phase<R: Rng>(rng: &mut R) -> Phase {
+    if rng.gen_bool(0.5) {
+        Phase::Prefill
+    } else {
+        Phase::Decode
+    }
+}
+
+#[cfg(test)]
+impl Candidate {
     /// Checks the partition invariant: the groups exactly cover `expected`
     /// with no duplicates.
-    pub fn is_partition_of(&self, expected: &[GpuId]) -> bool {
+    fn is_partition_of(&self, expected: &[GpuId]) -> bool {
         let mut all: Vec<GpuId> = self
             .groups
             .iter()
@@ -261,14 +272,6 @@ impl Candidate {
         let mut exp = expected.to_vec();
         exp.sort_unstable();
         all == exp
-    }
-}
-
-fn random_phase<R: Rng>(rng: &mut R) -> Phase {
-    if rng.gen_bool(0.5) {
-        Phase::Prefill
-    } else {
-        Phase::Decode
     }
 }
 

@@ -1,6 +1,5 @@
 //! Scheduler configuration.
 
-use ts_common::{Error, Result};
 use ts_costmodel::ModelParams;
 use ts_kvcache::codec::KvWirePrecision;
 use ts_solver::routing_dp::MAX_STAGES;
@@ -8,6 +7,16 @@ use ts_solver::routing_dp::MAX_STAGES;
 /// Tabu memory length (`N_mem` in Algorithm 1): the walk refuses the last
 /// `N_MEM` solutions it moved to.
 pub const N_MEM: usize = 5;
+
+/// Deepest pipeline Algorithm 2 considers.
+pub const MAX_PP: usize = 8;
+
+/// Widest tensor-parallel degree Algorithm 2 considers.
+pub const MAX_TP: usize = 8;
+
+// Algorithm 2 needs at least one degree of each kind, and no pipeline deeper
+// than the stage-order DP orders.
+const _: () = assert!(MAX_PP >= 1 && MAX_PP <= MAX_STAGES && MAX_TP >= 1);
 
 /// Tuning knobs for the two-level scheduler.
 #[derive(Debug, Clone)]
@@ -22,10 +31,6 @@ pub struct SchedulerConfig {
     pub params: ModelParams,
     /// KV wire precision assumed when estimating transfer costs.
     pub kv_precision: KvWirePrecision,
-    /// Maximum pipeline depth considered by Algorithm 2.
-    pub max_pp: usize,
-    /// Maximum tensor-parallel degree considered by Algorithm 2.
-    pub max_tp: usize,
     /// Ablation switch: restrict neighbourhood construction to the flip
     /// move only (the lightweight-rescheduling move set).
     pub flip_only_moves: bool,
@@ -71,8 +76,6 @@ impl Default for SchedulerConfig {
             seed: 0,
             params: ModelParams::default(),
             kv_precision: KvWirePrecision::DEFAULT_COMPRESSED,
-            max_pp: 8,
-            max_tp: 8,
             flip_only_moves: false,
             random_init: false,
             disable_affinity_tiebreak: false,
@@ -91,29 +94,6 @@ impl SchedulerConfig {
             n_nghb: 6,
             ..Self::default()
         }
-    }
-
-    /// Checks the settings Algorithm 2 must be able to honour: at least one
-    /// tensor-parallel degree and one pipeline depth, and no pipeline
-    /// deeper than the stage-order DP orders
-    /// ([`ts_solver::routing_dp::MAX_STAGES`]).
-    ///
-    /// # Errors
-    /// Returns [`Error::InvalidConfig`] naming the offending setting.
-    pub fn validate(&self) -> Result<()> {
-        if self.max_tp == 0 || self.max_pp == 0 {
-            return Err(Error::InvalidConfig(format!(
-                "max_tp {} and max_pp {} must both be at least 1",
-                self.max_tp, self.max_pp
-            )));
-        }
-        if self.max_pp > MAX_STAGES {
-            return Err(Error::InvalidConfig(format!(
-                "max_pp {} exceeds the {MAX_STAGES} stages the stage-order DP orders",
-                self.max_pp
-            )));
-        }
-        Ok(())
     }
 }
 
@@ -145,23 +125,6 @@ mod tests {
     fn network_knobs_default_to_the_paper_model() {
         let c = SchedulerConfig::default();
         assert!(!c.network_contention);
-    }
-
-    #[test]
-    fn validate_bounds_the_parallel_degrees() {
-        assert!(SchedulerConfig::default().validate().is_ok());
-        let pp = |max_pp| SchedulerConfig {
-            max_pp,
-            ..SchedulerConfig::default()
-        };
-        assert!(pp(MAX_STAGES).validate().is_ok());
-        assert!(pp(MAX_STAGES + 1).validate().is_err());
-        assert!(pp(0).validate().is_err());
-        let no_tp = SchedulerConfig {
-            max_tp: 0,
-            ..SchedulerConfig::default()
-        };
-        assert!(no_tp.validate().is_err());
     }
 
     #[test]

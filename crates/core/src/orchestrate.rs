@@ -370,12 +370,8 @@ fn equalize_cols(rates: &mut [Vec<f64>], d: &[Vec<f64>], col_cap: &[f64]) {
 /// primary objective often plateau (many plans meet the SLO); this bonus
 /// steers the search toward the designations the paper's finer-grained cost
 /// model would pick, scaled small enough (1e-4 in the tabu objective) never
-/// to override a real attainment difference.
-pub fn phase_affinity(cluster: &Cluster, groups: &[GroupSpec]) -> f64 {
-    phase_affinity_of(cluster, groups.iter().map(|g| (g.phase, g)))
-}
-
-/// [`phase_affinity`] of `groups`, each under the phase paired with it.
+/// to override a real attainment difference. Each group is scored under the
+/// phase paired with it.
 pub(crate) fn phase_affinity_of<'g>(
     cluster: &Cluster,
     groups: impl IntoIterator<Item = (Phase, &'g GroupSpec)>,
@@ -611,9 +607,10 @@ mod tests {
         .unwrap();
         let o = orchestrate(&cluster, &model, vec![pf, fast, slow], &w, &slo(), &cfg).unwrap();
         let r = &o.plan.routing;
+        let decode_share = |j: usize| r.rates().iter().map(|row| row[j]).sum::<f64>();
         // column 0 is the fast 3090Ti decode replica
         assert!(
-            r.decode_share(0) >= r.decode_share(1) * 0.8,
+            decode_share(0) >= decode_share(1) * 0.8,
             "fast replica should carry comparable or more traffic: {:?}",
             r.rates()
         );

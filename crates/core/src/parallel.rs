@@ -13,7 +13,7 @@
 //!    capacity (non-uniform partitioning for heterogeneous stages), capped
 //!    by per-stage memory limits.
 
-use crate::config::SchedulerConfig;
+use crate::config::{SchedulerConfig, MAX_PP, MAX_TP};
 use std::collections::BTreeMap;
 use ts_cluster::{Cluster, GpuModel};
 use ts_common::{
@@ -73,7 +73,7 @@ pub(crate) fn deduce_with_cost_model(
 
     let mut best: Option<(f64, GroupSpec, ReplicaCostModel)> = None;
     let mut tp = 1usize;
-    while tp <= cfg.max_tp && tp <= gpus.len() {
+    while tp <= MAX_TP && tp <= gpus.len() {
         if let Some(group) = try_config(cluster, model, &buckets, phase, tp, cfg) {
             if let Ok(rcm) = ReplicaCostModel::new(cluster, model, &group, &cfg.params) {
                 let score = match phase {
@@ -122,7 +122,7 @@ fn try_config(
         }
     }
     let pp = stage_sets.len();
-    if pp == 0 || pp > cfg.max_pp || pp > model.num_layers {
+    if pp == 0 || pp > MAX_PP || pp > model.num_layers {
         return None;
     }
 

@@ -50,9 +50,8 @@ pub struct RescheduleOutcome {
 /// orchestration.
 ///
 /// # Errors
-/// Returns [`Error::InvalidConfig`] if `cfg` fails
-/// [`SchedulerConfig::validate`], and [`Error::Infeasible`] if fewer than
-/// two groups survive the failure or no feasible phase designation exists.
+/// Returns [`Error::Infeasible`] if fewer than two groups survive the
+/// failure or no feasible phase designation exists.
 pub fn lightweight_reschedule(
     cluster: &Cluster,
     model: &ModelSpec,
@@ -62,7 +61,6 @@ pub fn lightweight_reschedule(
     cfg: &SchedulerConfig,
 ) -> Result<RescheduleOutcome> {
     let start = Instant::now();
-    cfg.validate()?;
     // Keep only groups whose GPUs are all still active.
     let surviving: Vec<GroupSpec> = current
         .groups
@@ -149,10 +147,8 @@ impl FleetDelta {
 /// (acquired nodes active, released nodes inactive).
 ///
 /// # Errors
-/// Returns [`Error::InvalidConfig`] if `cfg` fails
-/// [`SchedulerConfig::validate`], and [`Error::Infeasible`] if fewer than
-/// two groups exist after the edit; propagates orchestration and (on
-/// escalation) scheduler failures.
+/// Returns [`Error::Infeasible`] if fewer than two groups exist after the
+/// edit; propagates orchestration and (on escalation) scheduler failures.
 #[allow(clippy::too_many_arguments)]
 pub fn fleet_reschedule(
     cluster: &Cluster,
@@ -165,7 +161,6 @@ pub fn fleet_reschedule(
     full_replan_fraction: f64,
 ) -> Result<RescheduleOutcome> {
     let start = Instant::now();
-    cfg.validate()?;
     let active = cluster.num_gpus();
     let touched = delta.gpus_touched(cluster);
     if active == 0 {

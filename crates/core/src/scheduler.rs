@@ -99,9 +99,7 @@ impl Scheduler {
     /// knob trades wall-clock time only.
     ///
     /// # Errors
-    /// Returns [`ts_common::Error::InvalidConfig`] if the configuration
-    /// fails [`SchedulerConfig::validate`], and
-    /// [`ts_common::Error::Infeasible`] if no feasible phase-split
+    /// Returns [`ts_common::Error::Infeasible`] if no feasible phase-split
     /// deployment exists (e.g. memory for fewer than two replicas).
     pub fn schedule(
         &self,
@@ -129,8 +127,7 @@ impl Scheduler {
     /// # Errors
     /// Returns [`ts_common::Error::InvalidConfig`] on a malformed catalog
     /// (empty, duplicate ids, shares not summing to 1, length mismatch with
-    /// `workloads`) or a configuration that fails
-    /// [`SchedulerConfig::validate`], and [`ts_common::Error::Infeasible`] when the pool
+    /// `workloads`), and [`ts_common::Error::Infeasible`] when the pool
     /// cannot host two replicas of every model.
     pub fn schedule_multi(
         &self,
@@ -273,72 +270,6 @@ mod tests {
             weighted,
             r.schedule.estimated_attainment
         );
-    }
-
-    /// Every search entry point refuses `cfg` with `InvalidConfig`:
-    /// scheduling (single model, the default catalog and two tenants) and
-    /// both rescheduling paths.
-    fn assert_every_entry_point_rejects(cfg: SchedulerConfig) {
-        use crate::reschedule::{fleet_reschedule, lightweight_reschedule, FleetDelta};
-        let invalid = |r: Result<()>| matches!(r, Err(Error::InvalidConfig(_)));
-        let cluster = presets::a5000_cluster(8);
-        let model = ModelSpec::llama_13b();
-        let w = spec::coding(2.0);
-        let plan = Scheduler::new(SchedulerConfig::fast())
-            .schedule(&cluster, &model, &w, &slo())
-            .unwrap()
-            .plan;
-        let s = Scheduler::new(cfg.clone());
-        assert!(invalid(s.schedule(&cluster, &model, &w, &slo()).map(drop)));
-        let default_catalog = [ServedModel::single(model.clone(), slo())];
-        let r = s.schedule_multi(&cluster, &default_catalog, std::slice::from_ref(&w));
-        assert!(invalid(r.map(drop)));
-        let tenants = [
-            ServedModel::llama_7b_chat(ModelId(1), 0.6).unwrap(),
-            ServedModel::llama_13b_chat(ModelId(2), 0.4).unwrap(),
-        ];
-        let workloads = [spec::conversation(2.0), spec::coding(1.0)];
-        let pool = presets::a5000_cluster(12);
-        assert!(invalid(
-            s.schedule_multi(&pool, &tenants, &workloads).map(drop)
-        ));
-        let r = lightweight_reschedule(&cluster, &model, &plan, &w, &slo(), &cfg);
-        assert!(invalid(r.map(drop)));
-        let r = fleet_reschedule(
-            &cluster,
-            &model,
-            &plan,
-            &FleetDelta::default(),
-            &w,
-            &slo(),
-            &cfg,
-            0.5,
-        );
-        assert!(invalid(r.map(drop)));
-    }
-
-    #[test]
-    fn pipelines_deeper_than_the_stage_dp_are_rejected() {
-        assert_every_entry_point_rejects(SchedulerConfig {
-            max_pp: ts_solver::routing_dp::MAX_STAGES + 1,
-            ..SchedulerConfig::fast()
-        });
-    }
-
-    #[test]
-    fn zero_tensor_parallel_degree_is_rejected() {
-        assert_every_entry_point_rejects(SchedulerConfig {
-            max_tp: 0,
-            ..SchedulerConfig::fast()
-        });
-    }
-
-    #[test]
-    fn zero_pipeline_depth_is_rejected() {
-        assert_every_entry_point_rejects(SchedulerConfig {
-            max_pp: 0,
-            ..SchedulerConfig::fast()
-        });
     }
 
     #[test]

@@ -179,16 +179,14 @@ trait Space: Sync {
 /// from an RNG seeded with `rng_seed`.
 ///
 /// # Errors
-/// Returns [`Error::InvalidConfig`] if `cfg` fails
-/// [`SchedulerConfig::validate`]; propagates the space's seed error;
-/// returns [`Error::Infeasible`] if no evaluated solution is feasible.
+/// Propagates the space's seed error; returns [`Error::Infeasible`] if no
+/// evaluated solution is feasible.
 fn walk<S: Space>(
     space: &S,
     cfg: &SchedulerConfig,
     rng_seed: u64,
     steps: usize,
 ) -> Result<TabuResult> {
-    cfg.validate()?;
     let start = Instant::now();
     let mut rng = seeded_rng(rng_seed);
     let groups = GroupCache::default();

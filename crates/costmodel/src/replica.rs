@@ -376,19 +376,6 @@ impl ReplicaCostModel {
             .max()
             .unwrap_or(SimDuration::ZERO)
     }
-
-    /// Layer ranges per stage, as `(offset, len)` pairs.
-    pub fn layer_ranges(&self) -> Vec<(usize, usize)> {
-        self.stages
-            .iter()
-            .map(|st| (st.layer_offset, st.layers))
-            .collect()
-    }
-
-    /// GPUs per stage.
-    pub fn stage_gpus(&self) -> Vec<&[GpuId]> {
-        self.stages.iter().map(|st| st.gpus.as_slice()).collect()
-    }
 }
 
 /// Best (highest-bandwidth) point-to-point link between any GPU of `from`

@@ -16,18 +16,7 @@
 //! live classes, not links × flows, and a member change updates the
 //! fill's inputs in O(path).
 
-/// The flows that cross one path: the input of a from-scratch
-/// [`MaxMin::allocate`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PathClass {
-    /// The link indices the path crosses. A link listed twice still only
-    /// gives a member one share of it.
-    pub links: Vec<usize>,
-    /// Flows on this path. A class with no members takes no bandwidth.
-    pub members: usize,
-}
-
-/// The work of one fill (`MaxMin::fill`, or [`MaxMin::allocate`]).
+/// The work of one fill.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Filling {
     /// Bottleneck searches, the last of which may find none.
@@ -269,7 +258,8 @@ impl MaxMin {
     /// # Panics
     /// Panics if a class with members references a link index out of range
     /// or a link of non-positive capacity.
-    pub fn allocate(&mut self, capacity: &[f64], classes: &[PathClass]) -> Filling {
+    #[cfg(test)]
+    pub(crate) fn allocate(&mut self, capacity: &[f64], classes: &[PathClass]) -> Filling {
         self.classes.clear();
         self.links.clear();
         self.live.clear();
@@ -308,6 +298,18 @@ impl MaxMin {
         let members: usize = self.classes.iter().map(|c| c.members).sum();
         assert_eq!(self.members, members, "live members");
     }
+}
+
+/// The flows that cross one path: the input of a from-scratch
+/// [`MaxMin::allocate`].
+#[cfg(test)]
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct PathClass {
+    /// The link indices the path crosses. A link listed twice still only
+    /// gives a member one share of it.
+    pub(crate) links: Vec<usize>,
+    /// Flows on this path. A class with no members takes no bandwidth.
+    pub(crate) members: usize,
 }
 
 /// The flat filler, flow by flow: the oracle [`MaxMin`] must match bit for

@@ -11,12 +11,7 @@
 //!   the parameter-reload blackout that full rescheduling incurs. Mid-flight
 //!   losses are detected by the engine's one rule
 //!   (`ts_sim::Simulation::detections`), which the runtime reads.
-//! * [`heartbeat`] — [`heartbeat::HeartbeatMonitor`]: per-node heartbeat
-//!   tracking with timeout detection (Appendix E's "GPU heartbeat
-//!   timeout"), for an operator driving failure handling by hand.
 
-pub mod heartbeat;
 pub mod service;
 
-pub use heartbeat::HeartbeatMonitor;
 pub use service::{ReschedulePolicy, SegmentReport, ServingRuntime};

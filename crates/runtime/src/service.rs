@@ -316,23 +316,6 @@ impl ServingRuntime {
         self.profiler.rebaseline();
     }
 
-    /// Handles returning/new capacity: marks the GPUs active and runs a full
-    /// reschedule so the new hardware joins the deployment (lightweight
-    /// rescheduling cannot grow the group construction, so elasticity always
-    /// pays the reload; the blackout only covers replicas whose weights must
-    /// load, which the next segment models pessimistically for all).
-    ///
-    /// # Errors
-    /// Propagates cluster and scheduling failures.
-    pub fn handle_capacity_gain(
-        &mut self,
-        gained: &[GpuId],
-        workload: &WorkloadSpec,
-    ) -> Result<()> {
-        self.cluster.activate_gpus(gained)?;
-        self.reschedule(workload, ReschedulePolicy::Full)
-    }
-
     /// Handles a GPU failure: marks the GPUs inactive and applies the
     /// rescheduling policy.
     ///
@@ -590,6 +573,8 @@ mod tests {
         // Start degraded: the two 3090Ti boxes (GPUs 24..32) are offline.
         let lost: Vec<GpuId> = (24..32).map(GpuId).collect();
         let mut cluster = presets::paper_cloud_cluster();
+        let mut boxes: Vec<NodeId> = lost.iter().map(|&g| cluster.gpu(g).node).collect();
+        boxes.dedup();
         cluster.deactivate_gpus(&lost).unwrap();
         let mut cfg = SchedulerConfig::fast();
         cfg.seed = 31;
@@ -606,14 +591,19 @@ mod tests {
             "degraded deploy must not touch offline GPUs"
         );
         let before = rt.plan().unwrap().groups.len();
-        // The 3090Ti boxes come back online.
-        rt.handle_capacity_gain(&lost, &w).unwrap();
+        // The 3090Ti boxes rejoin the fleet; a zero escalation fraction
+        // re-plans the whole deployment around them.
+        let delta = FleetDelta {
+            acquired: boxes,
+            released: Vec::new(),
+        };
+        rt.apply_fleet_delta(&delta, &w, 0.0).unwrap();
         let after = rt.plan().unwrap().groups.len();
         assert!(
             after >= before,
             "capacity gain should not shrink the deployment: {after} vs {before}"
         );
-        // lost GPUs were reactivated by handle_capacity_gain
+        // lost GPUs were reactivated by the delta
         assert!(lost.iter().all(|g| rt.cluster().is_active(*g)));
         let uses_new = rt
             .plan()
@@ -623,7 +613,7 @@ mod tests {
             .flat_map(|g| g.gpus().collect::<Vec<_>>())
             .any(|g| g.0 >= 24);
         assert!(uses_new, "the returned GPUs should be used");
-        // Full reschedule pays a reload blackout.
+        // The full re-plan pays a reload blackout.
         assert!(!rt.resched_log.last().unwrap().1.reload_time.is_zero());
     }
 

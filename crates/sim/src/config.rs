@@ -1,6 +1,6 @@
 //! Simulation configuration.
 
-use ts_common::{Error, ModelId, ModelSpec, Result, ServedModel, SimDuration, SloSpec};
+use ts_common::{Error, ModelId, ModelSpec, Result, ServedModel, SimDuration};
 use ts_costmodel::ModelParams;
 use ts_kvcache::codec::KvWirePrecision;
 
@@ -203,11 +203,6 @@ impl SimConfig {
             .map_or(&self.model, |m| &m.spec)
     }
 
-    /// The SLO of `model`'s tenant, if the catalog lists one.
-    pub fn slo_for(&self, model: ModelId) -> Option<&SloSpec> {
-        self.models.iter().find(|m| m.id == model).map(|m| &m.slo)
-    }
-
     /// Returns a copy with uncompressed (fp16) KV transfers.
     pub fn with_f16_kv(mut self) -> Self {
         self.kv_precision = KvWirePrecision::F16;
@@ -282,13 +277,10 @@ mod tests {
         let c = SimConfig::new(ModelSpec::llama_13b());
         assert!(c.models.is_empty());
         assert_eq!(c.spec_for(ModelId(0)), &ModelSpec::llama_13b());
-        assert!(c.slo_for(ModelId(0)).is_none());
         let c = c.with_catalog(vec![ServedModel::llama_7b_chat(ModelId(1), 1.0).unwrap()]);
         assert_eq!(c.spec_for(ModelId(1)), &ModelSpec::llama_7b());
-        assert!(c.slo_for(ModelId(1)).is_some());
         // Unknown ids still resolve to the default model.
         assert_eq!(c.spec_for(ModelId(9)), &ModelSpec::llama_13b());
-        assert!(c.slo_for(ModelId(9)).is_none());
     }
 
     #[test]

@@ -902,7 +902,6 @@ mod fabric_tests {
                 // and the end of decode.
                 assert!(done >= r.first_token_at, "{done} < {}", r.first_token_at);
                 assert!(done <= r.finished_at);
-                assert_eq!(r.kv_overhead(), r.kv_queue_wait + r.kv_wire_time);
             }
         }
         assert_eq!(m, run(), "fabric scheduling must stay deterministic");

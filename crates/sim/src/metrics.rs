@@ -46,12 +46,6 @@ impl RequestRecord {
         self.first_token_at - self.request.arrival
     }
 
-    /// Total KV-transfer overhead on the request's critical path: sender
-    /// queue wait plus wire time. Zero when no transfer happened.
-    pub fn kv_overhead(&self) -> SimDuration {
-        self.kv_queue_wait + self.kv_wire_time
-    }
-
     /// Average time per output token during decoding (zero for single-token
     /// outputs, which trivially meet any TPOT deadline).
     pub fn tpot(&self) -> SimDuration {
@@ -357,27 +351,6 @@ impl Metrics {
             .collect()
     }
 
-    /// Restricts the records to requests that *arrived* within
-    /// `[from, to)` — measurement hygiene for steady-state numbers (drop
-    /// warm-up and drain artifacts). Dropped/rejected counts and recovery
-    /// counters are cleared: a steady-state view leaves losses out.
-    pub fn windowed(&self, from: SimTime, to: SimTime) -> Metrics {
-        let records: Vec<RequestRecord> = self
-            .records
-            .iter()
-            .filter(|r| r.request.arrival >= from && r.request.arrival < to)
-            .copied()
-            .collect();
-        Metrics {
-            records,
-            losses: Vec::new(),
-            dropped: 0,
-            rejected: 0,
-            horizon: to.saturating_since(from),
-            recovery: RecoveryCounters::default(),
-        }
-    }
-
     /// Distinct models appearing in the run, sorted by id: every tenant
     /// tracked by the per-model conservation counters plus any model seen
     /// among completed records. A single-model run reports `[ModelId(0)]`
@@ -557,20 +530,6 @@ mod tests {
     }
 
     #[test]
-    fn windowed_filters_by_arrival() {
-        let recs = vec![
-            record(0.5, 0.8, 1.0, 4),
-            record(5.0, 5.3, 6.0, 4),
-            record(9.0, 9.4, 9.9, 4),
-        ];
-        let m = Metrics::new(recs, 2, SimDuration::from_secs(10));
-        let w = m.windowed(SimTime::from_secs_f64(1.0), SimTime::from_secs_f64(8.0));
-        assert_eq!(w.num_completed(), 1);
-        assert_eq!(w.num_dropped(), 0);
-        assert_eq!(w.horizon(), SimDuration::from_secs(7));
-    }
-
-    #[test]
     fn rejected_requests_count_as_misses() {
         let rec = RecoveryCounters {
             requeued_requests: 2,
@@ -599,10 +558,6 @@ mod tests {
             m.recovery().max_time_to_recover(),
             Some(SimDuration::from_millis(80))
         );
-        // windowing is a steady-state view: fault bookkeeping is cleared
-        let w = m.windowed(SimTime::ZERO, SimTime::from_secs_f64(5.0));
-        assert_eq!(w.num_rejected(), 0);
-        assert!(!w.recovery().any());
     }
 
     #[test]

@@ -307,23 +307,6 @@ impl StrideRouter {
         out
     }
 
-    /// Masks or unmasks option `i`. Disabling sheds its credit (a revived
-    /// option starts fresh rather than bursting to catch up) and
-    /// renormalizes the surviving weights. Re-asserting an option's
-    /// current state still sheds its credit.
-    ///
-    /// # Panics
-    /// Panics if `i` is out of range.
-    pub fn set_enabled(&mut self, i: usize, enabled: bool) {
-        let mut credit = self.credits();
-        if self.enabled[i] != enabled {
-            self.enabled[i] = enabled;
-        } else {
-            credit[i] = 0.0;
-        }
-        self.rebuild(credit);
-    }
-
     /// Applies a full enable mask: option `i` ends up enabled iff
     /// `mask[i]`. Only options whose state actually changes shed their
     /// credit, so unchanged options keep what they accumulated (a no-op
@@ -404,6 +387,27 @@ impl StrideRouter {
     /// Whether the router has no options (never true after construction).
     pub fn is_empty(&self) -> bool {
         self.weights.is_empty()
+    }
+}
+
+#[cfg(test)]
+impl StrideRouter {
+    /// Masks or unmasks option `i`, one flip at a time: the oracle that
+    /// [`StrideRouter::apply_mask`] must match. Disabling sheds its credit
+    /// (a revived option starts fresh rather than bursting to catch up) and
+    /// renormalizes the surviving weights. Re-asserting an option's current
+    /// state still sheds its credit.
+    ///
+    /// # Panics
+    /// Panics if `i` is out of range.
+    fn set_enabled(&mut self, i: usize, enabled: bool) {
+        let mut credit = self.credits();
+        if self.enabled[i] != enabled {
+            self.enabled[i] = enabled;
+        } else {
+            credit[i] = 0.0;
+        }
+        self.rebuild(credit);
     }
 }
 

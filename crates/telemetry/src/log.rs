@@ -5,7 +5,7 @@
 use crate::event::{LinkKind, Role, TraceEvent, TraceKind};
 use crate::series::UtilizationSeries;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
-use ts_common::{ModelId, RequestId, SimDuration, SimTime};
+use ts_common::{RequestId, SimDuration, SimTime};
 
 /// A time-sorted trace, produced by [`crate::Recorder::finish`].
 #[derive(Debug, Default, Clone)]
@@ -73,11 +73,6 @@ impl RequestSpan {
             _ => SimDuration::ZERO,
         }
     }
-
-    /// Total KV overhead (queue wait + wire time).
-    pub fn kv_overhead(&self) -> SimDuration {
-        self.kv_queue_wait() + self.kv_wire_time()
-    }
 }
 
 impl TraceLog {
@@ -128,28 +123,6 @@ impl TraceLog {
             })
             .collect();
         ids.into_iter().collect()
-    }
-
-    /// The served model each tagged request targets, keyed by request id.
-    ///
-    /// Tags only appear on multi-model runs; a single-model trace yields an
-    /// empty map.
-    pub fn model_tags(&self) -> BTreeMap<RequestId, ModelId> {
-        self.events
-            .iter()
-            .filter_map(|e| match e.kind {
-                TraceKind::ModelTag { request, model } => Some((request, model)),
-                _ => None,
-            })
-            .collect()
-    }
-
-    /// Request ids tagged to the given model, ascending.
-    pub fn requests_for_model(&self, model: ModelId) -> Vec<RequestId> {
-        self.model_tags()
-            .into_iter()
-            .filter_map(|(r, m)| (m == model).then_some(r))
-            .collect()
     }
 
     /// The events concerning one request, in time order.
@@ -403,9 +376,27 @@ impl TraceLog {
 }
 
 #[cfg(test)]
+impl TraceLog {
+    /// The served model each tagged request targets, keyed by request id.
+    ///
+    /// Tags only appear on multi-model runs; a single-model trace yields an
+    /// empty map.
+    fn model_tags(&self) -> BTreeMap<RequestId, ts_common::ModelId> {
+        self.events
+            .iter()
+            .filter_map(|e| match e.kind {
+                TraceKind::ModelTag { request, model } => Some((request, model)),
+                _ => None,
+            })
+            .collect()
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use crate::sink::{Recorder, TraceSink};
+    use ts_common::ModelId;
 
     fn ev(us: u64, kind: TraceKind) -> TraceEvent {
         TraceEvent {
@@ -531,12 +522,15 @@ mod tests {
             ));
         }
         let log = rec.finish();
-        assert_eq!(log.model_tags().len(), 3);
-        assert_eq!(
-            log.requests_for_model(ModelId(1)),
-            vec![RequestId(1), RequestId(3)]
-        );
-        assert_eq!(log.requests_for_model(ModelId(2)), vec![RequestId(2)]);
+        let tags = log.model_tags();
+        assert_eq!(tags.len(), 3);
+        let tagged = |model| -> Vec<RequestId> {
+            tags.iter()
+                .filter_map(|(&r, &m)| (m == model).then_some(r))
+                .collect()
+        };
+        assert_eq!(tagged(ModelId(1)), vec![RequestId(1), RequestId(3)]);
+        assert_eq!(tagged(ModelId(2)), vec![RequestId(2)]);
         // Untagged logs (single-model runs) carry no tags at all.
         assert!(sample_log().model_tags().is_empty());
     }

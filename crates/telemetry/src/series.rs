@@ -55,14 +55,6 @@ impl UtilizationSeries {
         self.points.is_empty()
     }
 
-    /// The value holding at instant `t` (zero before the first sample).
-    pub fn value_at(&self, t: SimTime) -> f64 {
-        match self.points.partition_point(|&(at, _)| at <= t) {
-            0 => 0.0,
-            n => self.points[n - 1].1,
-        }
-    }
-
     /// The largest sampled value (zero for an empty series).
     pub fn peak(&self) -> f64 {
         self.points.iter().map(|&(_, v)| v).fold(0.0, f64::max)
@@ -88,6 +80,17 @@ impl UtilizationSeries {
             integral += v * (until.as_micros() - at.as_micros()) as f64;
         }
         integral / horizon as f64
+    }
+}
+
+#[cfg(test)]
+impl UtilizationSeries {
+    /// The value holding at instant `t` (zero before the first sample).
+    pub(crate) fn value_at(&self, t: SimTime) -> f64 {
+        match self.points.partition_point(|&(at, _)| at <= t) {
+            0 => 0.0,
+            n => self.points[n - 1].1,
+        }
     }
 }
 

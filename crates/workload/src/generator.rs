@@ -162,23 +162,6 @@ pub fn with_flash_crowd(
     out
 }
 
-/// Generates a full diurnal trace: [`diurnal_phases`] fed through
-/// [`generate_phased`]. Deterministic for a given
-/// `(base, horizon, period, amplitude, bucket, seed)`.
-pub fn generate_diurnal(
-    base: &WorkloadSpec,
-    horizon: SimDuration,
-    period: SimDuration,
-    amplitude: f64,
-    bucket: SimDuration,
-    seed: u64,
-) -> Vec<Request> {
-    generate_phased(
-        &diurnal_phases(base, horizon, period, amplitude, bucket),
-        seed,
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -284,22 +267,8 @@ mod tests {
         );
         assert_eq!(phases.len(), 3);
         assert_eq!(phases[2].duration, SimDuration::from_secs(50));
-        let a = generate_diurnal(
-            &base,
-            horizon,
-            SimDuration::from_secs(400),
-            0.4,
-            SimDuration::from_secs(100),
-            7,
-        );
-        let b = generate_diurnal(
-            &base,
-            horizon,
-            SimDuration::from_secs(400),
-            0.4,
-            SimDuration::from_secs(100),
-            7,
-        );
+        let a = generate_phased(&phases, 7);
+        let b = generate_phased(&phases, 7);
         assert_eq!(a, b, "diurnal traces are bit-reproducible");
         assert!(!a.is_empty());
         for w in a.windows(2) {

@@ -7,7 +7,7 @@
 //! reports a *workload shift*, which triggers lightweight rescheduling.
 
 use std::collections::VecDeque;
-use ts_common::{Request, SimDuration, SimTime};
+use ts_common::{Request, SimDuration};
 
 /// Aggregate statistics over the profiler window.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -118,11 +118,6 @@ impl WorkloadProfiler {
             return base.is_finite() != ratio.is_finite();
         }
         ratio > base * self.shift_factor || ratio < base / self.shift_factor
-    }
-
-    /// Time of the most recent observation.
-    pub fn last_arrival(&self) -> Option<SimTime> {
-        self.seen.back().map(|r| r.arrival)
     }
 }
 

@@ -44,11 +44,6 @@ impl WorkloadSpec {
         w
     }
 
-    /// Mean total tokens per request (prompt + output), for capacity math.
-    pub fn mean_total_tokens(&self) -> f64 {
-        self.prompt.mean() + self.output.mean()
-    }
-
     /// Ratio of mean prompt tokens to mean output tokens — the statistic the
     /// profiler watches to detect coding↔conversation shifts.
     pub fn prompt_output_ratio(&self) -> f64 {
@@ -166,7 +161,7 @@ mod tests {
     #[test]
     fn fixed_workload_is_degenerate() {
         let f = fixed(512, 16, 2.0);
-        assert_eq!(f.mean_total_tokens(), 528.0);
+        assert_eq!((f.prompt.mean(), f.output.mean()), (512.0, 16.0));
     }
 
     #[test]

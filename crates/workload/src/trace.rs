@@ -1,4 +1,4 @@
-//! Trace import/export.
+//! Trace import.
 //!
 //! Real deployments replay production traces (the paper uses the Azure LLM
 //! inference traces). This module defines a minimal interchange format so
@@ -6,20 +6,6 @@
 //! line, `arrival_seconds,prompt_tokens,output_tokens`, with `#` comments.
 
 use ts_common::{Error, Request, RequestId, Result, SimTime};
-
-/// Serializes requests to the CSV-like trace format.
-pub fn to_csv(requests: &[Request]) -> String {
-    let mut out = String::from("# arrival_s,prompt_tokens,output_tokens\n");
-    for r in requests {
-        out.push_str(&format!(
-            "{:.6},{},{}\n",
-            r.arrival.as_secs_f64(),
-            r.prompt_len,
-            r.output_len
-        ));
-    }
-    out
-}
 
 /// Parses the CSV-like trace format. Requests are sorted by arrival and get
 /// sequential ids.
@@ -75,6 +61,20 @@ mod tests {
     use crate::generator::generate;
     use crate::spec;
     use ts_common::SimDuration;
+
+    /// Serializes requests to the trace format.
+    fn to_csv(requests: &[Request]) -> String {
+        let mut out = String::from("# arrival_s,prompt_tokens,output_tokens\n");
+        for r in requests {
+            out.push_str(&format!(
+                "{:.6},{},{}\n",
+                r.arrival.as_secs_f64(),
+                r.prompt_len,
+                r.output_len
+            ));
+        }
+        out
+    }
 
     #[test]
     fn round_trips_generated_traces() {

@@ -93,10 +93,8 @@ fn main() -> thunderserve::Result<()> {
         attainment_ceiling: 0.98,
         queue_depth_high: 1.0,
         occupancy_low: 0.20,
-        cooldown_segments: 1,
         warning_lead_time: SimDuration::from_secs(120),
         max_acquire_per_step: 4,
-        max_release_per_step: 1,
         // 90s segments cannot absorb a full-replan weight-reload blackout,
         // so fleet edits always take the graft path.
         full_replan_fraction: 1.0,

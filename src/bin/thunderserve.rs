@@ -365,7 +365,7 @@ mod tests {
     fn parse_workload_variants() {
         assert_eq!(parse_workload("coding", 1.0).unwrap().name, "coding");
         let fx = parse_workload("fixed:512:16", 2.0).unwrap();
-        assert_eq!(fx.mean_total_tokens(), 528.0);
+        assert_eq!((fx.prompt.mean(), fx.output.mean()), (512.0, 16.0));
         assert!(parse_workload("fixed:512", 1.0).is_err());
         assert!(parse_workload("x", 1.0).is_err());
     }

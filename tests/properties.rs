@@ -133,6 +133,19 @@ fn quant_wire_survives_byte_mutations() {
     assert!(accepted > 100 && rejected > 100, "{accepted} / {rejected}");
 }
 
+/// Whether `c`'s groups exactly cover `expected` with no duplicates.
+fn is_partition_of(c: &Candidate, expected: &[GpuId]) -> bool {
+    let mut all: Vec<GpuId> = c
+        .groups
+        .iter()
+        .flat_map(|g| g.gpus.iter().copied())
+        .collect();
+    all.sort_unstable();
+    let mut exp = expected.to_vec();
+    exp.sort_unstable();
+    all == exp
+}
+
 /// Tabu moves preserve the GPU partition.
 #[test]
 fn candidate_moves_preserve_partition() {
@@ -150,15 +163,15 @@ fn candidate_moves_preserve_partition() {
         let seed = derive_seed(0xCAFE, case);
         let mut rng = seeded_rng(seed);
         let split_ratio = 0.05 + 0.9 * (case as f64 / CASES as f64);
-        assert!(base.flip(0).is_partition_of(&all));
+        assert!(is_partition_of(&base.flip(0), &all));
         if let Some(c) = base.split(&cluster, 0, split_ratio, &mut rng) {
-            assert!(c.is_partition_of(&all));
+            assert!(is_partition_of(&c, &all));
         }
         if let Some(c) = base.merge(0, 1, &mut rng) {
-            assert!(c.is_partition_of(&all));
+            assert!(is_partition_of(&c, &all));
         }
         if let Some(c) = base.move_gpus(&cluster, 0, 1, &mut rng) {
-            assert!(c.is_partition_of(&all));
+            assert!(is_partition_of(&c, &all));
             assert!(c.groups.iter().all(|g| !g.gpus.is_empty()));
         }
     }
@@ -740,13 +753,12 @@ fn plan_text_round_trips() {
     }
 }
 
-/// Seeded mutations of a two-model plan text and of an availability
-/// script: each parser returns `Err` or a value that renders and re-parses
-/// to the same text, every accepted multi-model plan passes `new_multi`,
-/// and `Simulation::new` on the paper cloud returns rather than panics.
+/// Seeded mutations of a two-model plan text: the parser returns `Err` or a
+/// plan that renders and re-parses to the same text, every accepted
+/// multi-model plan passes `new_multi`, and `Simulation::new` on the paper
+/// cloud returns rather than panics.
 #[test]
 fn parsers_survive_text_mutations() {
-    use thunderserve::cluster::availability::{script_from_text, script_to_text};
     use thunderserve::common::{plan_io, DeploymentPlan, ModelId, ServedModel};
     use thunderserve::sim::config::SimConfig;
     use thunderserve::sim::engine::Simulation;
@@ -770,17 +782,6 @@ model 1 share=0.600000000000 routing 1x1
 1.000000000000
 model 2 share=0.400000000000 routing 1x2
 0.250000000000 0.750000000000
-";
-    const SCRIPT: &str = "event 0 node-down 1
-event 2000000 gpus-down 4,5
-event 3000000 gpus-up 4,5
-event 5000000 node-up 1
-event 6000000 node-slow 2 1.5
-event 7000000 link-degraded 0 4 2.5
-event 8000000 heartbeat-flaky 3 0.25
-event 9000000 scale-down 5
-event 10000000 scale-up 5
-event 11000000 preemption-warning 6
 ";
     const EDGES: [&str; 8] = [
         "0",
@@ -840,9 +841,8 @@ event 11000000 preemption-warning 6
     let base = plan_io::from_text(PLAN).unwrap();
     assert_eq!(plan_io::to_text(&base), PLAN, "the base plan is canonical");
     Simulation::new(&cluster, &base, cfg.clone()).expect("the base plan serves");
-    assert_eq!(script_to_text(&script_from_text(SCRIPT).unwrap()), SCRIPT);
 
-    let (mut plans, mut scripts) = ([0usize; 2], [0usize; 2]);
+    let mut plans = [0usize; 2];
     for case in 0..10_000u64 {
         let mut rng = seeded_rng(derive_seed(0x9A25, case));
         let text = mutate(&mut rng, PLAN);
@@ -863,26 +863,11 @@ event 11000000 preemption-warning 6
             }
             Err(_) => plans[1] += 1,
         }
-        let text = mutate(&mut rng, SCRIPT);
-        match script_from_text(&text) {
-            Ok(events) => {
-                scripts[0] += 1;
-                let rendered = script_to_text(&events);
-                let again = script_from_text(&rendered)
-                    .unwrap_or_else(|e| panic!("case {case}: {e}\n{rendered}"));
-                assert_eq!(script_to_text(&again), rendered, "case {case}");
-            }
-            Err(_) => scripts[1] += 1,
-        }
     }
-    // Both outcomes occur for each parser, so neither check is vacuous.
+    // Both outcomes occur, so neither check is vacuous.
     assert!(
         plans.iter().all(|&n| n > 100),
         "plans accepted/rejected {plans:?}"
-    );
-    assert!(
-        scripts.iter().all(|&n| n > 100),
-        "scripts accepted/rejected {scripts:?}"
     );
 }
 

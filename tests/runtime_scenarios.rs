@@ -1,9 +1,10 @@
 //! Integration tests combining the runtime components the way an operator
-//! would: heartbeats drive failure handling, elasticity grows deployments,
-//! and replayed traces run through the CLI-visible paths.
+//! would: the engine's heartbeat-timeout detections drive failure handling,
+//! availability scripts replay through mid-flight segments, and replayed
+//! traces run through the CLI-visible paths.
 
+use thunderserve::cluster::availability::{ClusterEvent, EventKind};
 use thunderserve::prelude::*;
-use thunderserve::runtime::heartbeat::HeartbeatMonitor;
 use thunderserve::runtime::service::{ReschedulePolicy, ServingRuntime};
 use thunderserve::workload::generator::generate;
 use thunderserve::workload::spec;
@@ -13,8 +14,9 @@ fn slo() -> SloSpec {
     ServedModel::llama_30b_coding(ModelId(0), 1.0).unwrap().slo
 }
 
-/// Heartbeat timeout → node declared dead → lightweight reschedule → serving
-/// continues on the survivors.
+/// A node goes silent mid-segment → the engine's heartbeat timeout detects
+/// it (`Simulation::detections`) → lightweight reschedule off that node →
+/// the next segment serves on the survivors with no blackout.
 #[test]
 fn heartbeat_timeout_drives_failure_handling() {
     let cluster = thunderserve::cluster::presets::paper_cloud_cluster();
@@ -24,43 +26,69 @@ fn heartbeat_timeout_drives_failure_handling() {
     let w = spec::coding(2.0);
     rt.deploy(&w).unwrap();
 
-    // All 7 nodes heartbeat at t=0; node 6 goes silent.
-    let mut hb = HeartbeatMonitor::new(SimDuration::from_secs(30));
-    let node_ids: Vec<thunderserve::common::NodeId> =
-        rt.cluster().nodes().iter().map(|n| n.id).collect();
-    for &n in &node_ids {
-        hb.register(n, SimTime::ZERO);
-    }
-    let t1 = SimTime::from_secs_f64(20.0);
-    for &n in &node_ids {
-        if n.index() != 6 {
-            hb.beat(n, t1);
+    // The node hosting the last decode replica stops answering 20 s in.
+    let plan = rt.plan().unwrap();
+    let last_decode = *plan.decode_indices().last().unwrap();
+    let gpu = plan.groups[last_decode].gpus().next().unwrap();
+    let dead = rt.cluster().gpu(gpu).node;
+    let events = [ClusterEvent::new(
+        SimTime::from_secs_f64(20.0),
+        EventKind::NodeDown(dead),
+    )];
+    let reqs = generate(&w, SimDuration::from_secs(60), 2);
+    let rep = rt
+        .serve_segment_with_faults(
+            &reqs,
+            &events,
+            ReschedulePolicy::Lightweight,
+            &w,
+            SimDuration::from_secs(1),
+        )
+        .unwrap();
+    let m = &rep.metrics;
+    assert_eq!(
+        m.num_completed() + m.num_dropped() + m.num_rejected(),
+        reqs.len()
+    );
+
+    // The detection triggered one lightweight reschedule off the dead node.
+    let policies: Vec<ReschedulePolicy> = rt.resched_log.iter().map(|(p, _)| *p).collect();
+    assert_eq!(policies, vec![ReschedulePolicy::Lightweight]);
+    for g in &rt.plan().unwrap().groups {
+        for gpu in g.gpus() {
+            assert_ne!(rt.cluster().gpu(gpu).node, dead);
         }
     }
-    let dead = hb.expired(SimTime::from_secs_f64(45.0));
-    assert_eq!(dead, vec![thunderserve::common::NodeId(6)]);
 
-    // The runtime reacts: fail the node's GPUs, lightweight-reschedule.
-    let failed: Vec<GpuId> = rt.cluster().node(dead[0]).gpus.clone();
-    rt.handle_failure(&failed, &w, ReschedulePolicy::Lightweight)
-        .unwrap();
+    // Serving continues on the survivors: a flip-only reschedule moves no
+    // weights, so the next segment pays no blackout.
     let rep = rt
         .serve_segment(&generate(&w, SimDuration::from_secs(60), 1))
         .unwrap();
     assert!(rep.blackout.is_zero());
     assert!(rep.metrics.num_completed() > 0);
-    for g in &rt.plan().unwrap().groups {
-        for gpu in g.gpus() {
-            assert_ne!(rt.cluster().gpu(gpu).node, dead[0]);
-        }
+}
+
+/// Serializes requests to the workload trace format that
+/// [`thunderserve::workload::trace::from_csv`] parses.
+fn to_csv(requests: &[Request]) -> String {
+    let mut out = String::from("# arrival_s,prompt_tokens,output_tokens\n");
+    for r in requests {
+        out.push_str(&format!(
+            "{:.6},{},{}\n",
+            r.arrival.as_secs_f64(),
+            r.prompt_len,
+            r.output_len
+        ));
     }
+    out
 }
 
 /// Trace round trip through the workload trace format feeds the engine the
 /// same requests.
 #[test]
 fn trace_replay_matches_generated_run() {
-    use thunderserve::workload::trace::{from_csv, to_csv};
+    use thunderserve::workload::trace::from_csv;
     let cluster = thunderserve::cluster::presets::network_case_cluster(
         thunderserve::cluster::presets::ETH_40GBPS,
     );
@@ -127,7 +155,7 @@ fn blended_planning_handles_mixtures() {
 /// cluster view.
 #[test]
 fn availability_script_replay_keeps_plan_on_active_gpus() {
-    use thunderserve::cluster::availability::{sort_script, ClusterEvent, EventKind};
+    use thunderserve::cluster::availability::sort_script;
     use thunderserve::common::NodeId;
 
     let cluster = thunderserve::cluster::presets::paper_cloud_cluster();
