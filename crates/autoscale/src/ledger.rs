@@ -22,10 +22,10 @@ pub struct LedgerEntry {
 }
 
 /// Append-only dollar ledger for a trajectory. The defining invariant —
-/// asserted by `bench_autoscale` in CI — is internal consistency: the sum
-/// of per-segment costs equals [`CostLedger::total`] exactly (same
-/// floating-point summation order, no separately-maintained running total
-/// to drift).
+/// a rule of the `BENCH_autoscale` artifact, which CI regenerates — is
+/// internal consistency: the sum of per-segment costs equals
+/// [`CostLedger::total`] exactly (same floating-point summation order, no
+/// separately-maintained running total to drift).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct CostLedger {
     /// One entry per served segment, in order.

@@ -27,7 +27,8 @@
 //! Every dollar is accounted: the [`ledger::CostLedger`] records one entry
 //! per segment ($/hr by node and pricing tier, spot vs on-demand), and the
 //! sum of per-segment costs must equal the trajectory total — an invariant
-//! the `bench_autoscale` harness asserts in CI.
+//! the `BENCH_autoscale` artifact (`reproduce --artifact BENCH_autoscale`)
+//! checks in CI.
 //!
 //! The whole loop is deterministic: observations are pure functions of the
 //! (deterministic) simulation outputs, the controller is a pure function of

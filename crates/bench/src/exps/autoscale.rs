@@ -18,10 +18,12 @@
 //!   reclaim wave does not apply; this is the oracle peak-provisioned
 //!   quality ceiling and cost ceiling.
 //!
-//! The claim measured here (and asserted by `bench_autoscale`): the
-//! autoscaler stays within a few points of the oracle's request-weighted
-//! SLO attainment at a materially lower dollar total, bit-reproducibly.
+//! The claim measured here: the autoscaler stays within a few points of the
+//! oracle's request-weighted SLO attainment at a materially lower dollar
+//! total, bit-reproducibly. [`artifact()`] checks it on the full-mode day
+//! and renders the day as `BENCH_autoscale.json`.
 
+use crate::artifact::{checked, Rule};
 use crate::table::{pct, Table};
 use thunderserve_core::SchedulerConfig;
 use ts_autoscale::{run_elastic, run_static, AutoscaleConfig, AutoscaleTrajectory, Segment};
@@ -203,6 +205,133 @@ pub fn action_count(t: &AutoscaleTrajectory, k: ScaleKind) -> usize {
         .count()
 }
 
+/// How far (in attainment points) the autoscaler may trail the oracle
+/// static fleet on the committed 24-hour trace.
+const AUTOSCALE_GAP_BOUND: f64 = 0.05;
+
+/// Minimum cost saving the elastic fleet must deliver over the all-on-demand
+/// static fleet, as a fraction of the static cost.
+const AUTOSCALE_MIN_SAVING: f64 = 0.2;
+
+/// What `BENCH_autoscale.json` records: both arms of the full day, plus a
+/// second elastic run for the reproducibility rule.
+#[derive(Debug, Clone)]
+struct DayRecord {
+    report: AutoscaleReport,
+    elastic_rerun: AutoscaleTrajectory,
+}
+
+/// The autoscaler's claim: within the gap bound of the oracle at the
+/// minimum saving, every request and dollar accounted, bit-reproducibly.
+const RULES: &[Rule<DayRecord>] = &[
+    Rule {
+        name: "the autoscaler saves at least AUTOSCALE_MIN_SAVING of the static bill",
+        holds: |d| {
+            d.report.elastic.total_cost()
+                <= (1.0 - AUTOSCALE_MIN_SAVING) * d.report.static_fleet.total_cost()
+        },
+    },
+    Rule {
+        name: "the autoscaler trails the static oracle's attainment by at most AUTOSCALE_GAP_BOUND",
+        holds: |d| {
+            d.report.static_fleet.mean_attainment() - d.report.elastic.mean_attainment()
+                <= AUTOSCALE_GAP_BOUND
+        },
+    },
+    Rule {
+        name: "every segment conserves requests",
+        holds: |d| {
+            [&d.report.static_fleet, &d.report.elastic]
+                .iter()
+                .flat_map(|a| &a.records)
+                .all(|r| r.completed + r.dropped + r.rejected == r.submitted)
+        },
+    },
+    Rule {
+        name: "each ledger has one entry per segment, summing exactly to the total",
+        holds: |d| {
+            [&d.report.static_fleet, &d.report.elastic].iter().all(|a| {
+                let entries = &a.ledger.entries;
+                entries.len() == a.records.len()
+                    && entries
+                        .iter()
+                        .zip(&a.records)
+                        .all(|(e, r)| e.segment == r.segment)
+                    && entries.iter().map(|e| e.cost).sum::<f64>() == a.total_cost()
+            })
+        },
+    },
+    Rule {
+        name: "a second elastic run equals the first",
+        holds: |d| d.elastic_rerun == d.report.elastic,
+    },
+];
+
+fn render_json(d: &DayRecord) -> String {
+    let r = &d.report;
+    let gap = r.static_fleet.mean_attainment() - r.elastic.mean_attainment();
+    let mut json = String::new();
+    json.push_str("{\n");
+    json.push_str("  \"benchmark\": \"coordinated prefill/decode autoscaling over the spot-priced elastic cloud pool (2 on-demand base nodes + 6 spot nodes, 32 GPUs): 24-hour diurnal conversation day with a 13:00 flash crowd and a staggered spot reclaim wave, autoscaler vs oracle static on-demand fleet\",\n");
+    json.push_str("  \"note\": \"simulated time (deterministic; the elastic trajectory is asserted bit-reproducible). attainment = request-weighted joint SLO attainment across segments; cost = sum of per-segment fleet burn (base nodes on-demand, spot nodes at spot rates; the static arm prices the whole pool on-demand). Fleet edits go through the lightweight rescheduler: no weight reloads on acquire/release/drain, warned nodes are drained before the provider reclaims them.\",\n");
+    json.push_str(&format!(
+        "  \"gap_points\": {:.3},\n  \"saving_fraction\": {:.6},\n",
+        100.0 * gap,
+        1.0 - r.elastic.total_cost() / r.static_fleet.total_cost()
+    ));
+    json.push_str("  \"arms\": [\n");
+    let arms = [("static", &r.static_fleet), ("autoscale", &r.elastic)];
+    for (i, (name, a)) in arms.iter().enumerate() {
+        json.push_str(&format!(
+            "    {{\"arm\": \"{}\", \"attainment\": {:.6}, \"completed\": {}, \"total_cost\": {:.4}, \
+             \"mean_rate_per_hour\": {:.4}, \"acquires\": {}, \"releases\": {}, \"drains\": {}, \
+             \"phase_flips\": {}, \"segments\": [\n",
+            name,
+            a.mean_attainment(),
+            a.completed(),
+            a.total_cost(),
+            a.mean_rate_per_hour(),
+            action_count(a, ScaleKind::Acquire),
+            action_count(a, ScaleKind::Release),
+            action_count(a, ScaleKind::Drain),
+            action_count(a, ScaleKind::PhaseFlip),
+        ));
+        for (j, s) in a.records.iter().enumerate() {
+            json.push_str(&format!(
+                "      {{\"segment\": {}, \"submitted\": {}, \"completed\": {}, \"attainment\": {:.6}, \
+                 \"fleet_gpus\": {}, \"rate_per_hour\": {:.4}, \"cost\": {:.6}}}{}\n",
+                s.segment,
+                s.submitted,
+                s.completed,
+                s.attainment,
+                s.fleet_gpus,
+                s.rate_per_hour,
+                a.ledger.entries[j].cost,
+                if j + 1 == a.records.len() { "" } else { "," }
+            ));
+        }
+        json.push_str(&format!(
+            "    ]}}{}\n",
+            if i + 1 == arms.len() { "" } else { "," }
+        ));
+    }
+    json.push_str("  ]\n}\n");
+    json
+}
+
+/// `BENCH_autoscale.json`: the full 24-hour day, both arms, checked against
+/// its rules. The elastic arm runs twice for the reproducibility rule.
+///
+/// # Errors
+/// Returns the names of the rules the day breaks.
+pub fn artifact() -> Result<String, String> {
+    let day = DayRecord {
+        report: measure(false),
+        elastic_rerun: measure_elastic(false),
+    };
+    checked(&day, RULES, render_json)
+}
+
 /// Renders the comparison for the `reproduce` registry.
 pub fn run(quick: bool) -> String {
     let r = measure(quick);
@@ -242,6 +371,7 @@ pub fn run(quick: bool) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::artifact::failing;
 
     #[test]
     fn report_compares_both_arms() {
@@ -249,6 +379,84 @@ mod tests {
         assert!(out.contains("autoscale"));
         assert!(out.contains("static"));
         assert!(out.contains("acq/rel/drain"));
+    }
+
+    fn trajectory(attainment: f64, rate_per_hour: f64) -> AutoscaleTrajectory {
+        let mut ledger = ts_autoscale::CostLedger::new();
+        let records = (0..2)
+            .map(|segment| {
+                let hour = SimDuration::from_secs(3600);
+                ledger.charge_at_rate(segment, rate_per_hour, vec![NodeId(0)], 4, hour);
+                ts_autoscale::SegmentRecord {
+                    segment,
+                    submitted: 10,
+                    completed: 9,
+                    dropped: 1,
+                    rejected: 0,
+                    attainment,
+                    fleet_gpus: 4,
+                    prefill_groups: 1,
+                    decode_groups: 1,
+                    rate_per_hour,
+                    blackout: SimDuration::ZERO,
+                }
+            })
+            .collect();
+        AutoscaleTrajectory {
+            records,
+            ledger,
+            scale_log: Vec::new(),
+        }
+    }
+
+    #[test]
+    fn day_rules_trip() {
+        let elastic = trajectory(0.97, 7.0);
+        let ok = DayRecord {
+            report: AutoscaleReport {
+                elastic: elastic.clone(),
+                static_fleet: trajectory(1.0, 10.0),
+            },
+            elastic_rerun: elastic,
+        };
+        assert!(failing(&ok, RULES).is_empty());
+
+        let mut dear = ok.clone();
+        dear.report.static_fleet = trajectory(1.0, 8.5);
+        assert_eq!(
+            failing(&dear, RULES),
+            ["the autoscaler saves at least AUTOSCALE_MIN_SAVING of the static bill"]
+        );
+
+        let mut behind = ok.clone();
+        behind.report.static_fleet.records[0].attainment = 1.0 + 2.0 * AUTOSCALE_GAP_BOUND;
+        assert_eq!(failing(&behind, RULES), ["the autoscaler trails the static oracle's attainment by at most AUTOSCALE_GAP_BOUND"]);
+
+        let mut leaky = ok.clone();
+        leaky.report.static_fleet.records[1].rejected = 1;
+        assert_eq!(failing(&leaky, RULES), ["every segment conserves requests"]);
+
+        let mut overbilled = ok.clone();
+        let ledger = &mut overbilled.report.static_fleet.ledger;
+        ledger.charge_at_rate(2, 10.0, vec![NodeId(0)], 4, SimDuration::from_secs(3600));
+        assert_eq!(
+            failing(&overbilled, RULES),
+            ["each ledger has one entry per segment, summing exactly to the total"]
+        );
+        let mut misfiled = ok.clone();
+        misfiled.report.static_fleet.ledger.entries[1].segment = 0;
+        assert_eq!(
+            failing(&misfiled, RULES),
+            ["each ledger has one entry per segment, summing exactly to the total"]
+        );
+
+        let mut drifted = ok;
+        drifted.elastic_rerun.records[1].completed = 8;
+        drifted.elastic_rerun.records[1].dropped = 2;
+        assert_eq!(
+            failing(&drifted, RULES),
+            ["a second elastic run equals the first"]
+        );
     }
 
     #[test]

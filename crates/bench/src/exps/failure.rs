@@ -4,18 +4,28 @@
 //! decode capacity) fails, and we compare the three policies: no
 //! rescheduling, lightweight rescheduling, and full rescheduling (which
 //! pays a parameter-reload blackout).
+//!
+//! `BENCH_fault.json` ([`artifact()`]) records a straggler sweep on the
+//! gray-failure testbed: one replica runs 2–8× slow, with hedging and
+//! quarantine off and on. Mitigation must cut the tail the slowed role
+//! inflates: p99 TTFT for prefill, p99 E2E for decode.
 
+use crate::artifact::{checked, Rule};
 use crate::harness::base_slo_30b;
 use crate::table::Table;
 use thunderserve_core::SchedulerConfig;
 use ts_baselines::VllmPlanner;
 use ts_cluster::availability::{ClusterEvent, EventKind};
 use ts_cluster::presets;
-use ts_common::{GpuId, ModelSpec, SimDuration, SimTime, SloSpec};
+use ts_common::{
+    DeploymentPlan, GpuId, GroupSpec, ModelSpec, ParallelConfig, Phase, RoutingMatrix, SimDuration,
+    SimTime, SloKind, SloSpec, StageSpec,
+};
 use ts_runtime::service::{ReschedulePolicy, ServingRuntime};
 use ts_sim::config::{Hedge, Quarantine, SimConfig};
 use ts_sim::engine::Simulation;
 use ts_sim::fault::{FaultKind, FaultScript, TimedFault};
+use ts_sim::metrics::Metrics;
 use ts_workload::{generator::generate, spec};
 
 /// Picks a 4-GPU node to fail: prefer the node carrying the most prefill
@@ -201,14 +211,17 @@ fn colocated_mid_flight(
     )
 }
 
-/// The gray-failure arm: one decode replica runs 6x slow mid-segment — it
-/// still heartbeats, so crash-stop rescheduling never triggers and the
-/// damage is pure latency. Compares no mitigation against straggler
-/// quarantine + hedged re-dispatch. Returns (attainment, p99 TTFT s,
-/// p99 E2E s, quarantines, hedges launched).
-fn straggler_arm(quick: bool, mitigate: bool, slo: &SloSpec) -> (f64, f64, f64, usize, usize) {
-    use ts_common::{DeploymentPlan, GroupSpec, ParallelConfig, Phase, RoutingMatrix, StageSpec};
-    use ts_sim::engine::Simulation;
+/// Serves `seed`'s coding traffic at 1.5 req/s for `horizon` on the
+/// gray-failure testbed, with `fault` injected: the Appendix-H cluster at
+/// 40 Gbps, two tp=2 LLaMA-13B prefill replicas feeding two tp=2 decode
+/// replicas. `quarantine` turns mitigation on: it, plus hedged re-dispatch
+/// after 400 ms. Returns the run's metrics and the number of requests sent.
+fn serve_straggler(
+    fault: TimedFault,
+    horizon: SimDuration,
+    seed: u64,
+    quarantine: Option<Quarantine>,
+) -> (Metrics, usize) {
     let cluster = presets::network_case_cluster(presets::ETH_40GBPS);
     let model = ModelSpec::llama_13b();
     let group = |phase, ids: &[u32]| {
@@ -232,37 +245,191 @@ fn straggler_arm(quick: bool, mitigate: bool, slo: &SloSpec) -> (f64, f64, f64, 
         RoutingMatrix::uniform(2, 2),
     )
     .unwrap();
-    let cfg = SimConfig::new(model);
-    let cfg = if mitigate {
-        cfg.with_quarantine(Quarantine::at(1.5))
-            .with_hedge(Hedge::after(SimDuration::from_millis(400)))
-    } else {
-        cfg
-    };
-    let horizon = crate::harness::horizon(quick);
-    let reqs = generate(&spec::coding(1.5), horizon, 5);
-    let script = FaultScript::new(
-        vec![TimedFault {
-            at: SimTime::ZERO + SimDuration::from_secs_f64(horizon.as_secs_f64() / 2.0),
-            kind: FaultKind::DecodeSlow(0, 6.0),
-        }],
-        SimDuration::from_millis(500),
-    );
+    let mut cfg = SimConfig::new(model);
+    if let Some(q) = quarantine {
+        cfg = cfg
+            .with_quarantine(q)
+            .with_hedge(Hedge::after(SimDuration::from_millis(400)));
+    }
+    let reqs = generate(&spec::coding(1.5), horizon, seed);
+    let script = FaultScript::new(vec![fault], SimDuration::from_millis(500));
     let m = Simulation::new(&cluster, &plan, cfg)
         .expect("straggler testbed must be feasible")
         .run_with_faults(&reqs, &script)
         .expect("straggler run must succeed");
+    (m, reqs.len())
+}
+
+/// The gray-failure arm: one decode replica runs 6x slow mid-segment — it
+/// still heartbeats, so crash-stop rescheduling never triggers and the
+/// damage is pure latency. Compares no mitigation against straggler
+/// quarantine + hedged re-dispatch. Returns (attainment, p99 TTFT s,
+/// p99 E2E s, quarantines, hedges launched).
+fn straggler_arm(quick: bool, mitigate: bool, slo: &SloSpec) -> (f64, f64, f64, usize, usize) {
+    let horizon = crate::harness::horizon(quick);
+    let fault = TimedFault {
+        at: SimTime::ZERO + SimDuration::from_secs_f64(horizon.as_secs_f64() / 2.0),
+        kind: FaultKind::DecodeSlow(0, 6.0),
+    };
+    let (m, _) = serve_straggler(fault, horizon, 5, mitigate.then(|| Quarantine::at(1.5)));
+    let p99 = |kind| {
+        m.latency_percentile(kind, 0.99)
+            .map_or(0.0, |d| d.as_secs_f64())
+    };
     (
         m.joint_attainment(slo),
-        m.latency_percentile(ts_common::SloKind::Ttft, 0.99)
-            .map(|d| d.as_secs_f64())
-            .unwrap_or(0.0),
-        m.latency_percentile(ts_common::SloKind::E2e, 0.99)
-            .map(|d| d.as_secs_f64())
-            .unwrap_or(0.0),
+        p99(SloKind::Ttft),
+        p99(SloKind::E2e),
         m.recovery().quarantines,
         m.recovery().hedges_launched,
     )
+}
+
+/// Slowdowns the straggler sweep applies to one replica.
+const SLOWDOWNS: [f64; 3] = [2.0, 4.0, 8.0];
+
+/// One arm of the straggler sweep.
+#[derive(Debug, Clone, Copy)]
+struct StragglerOutcome {
+    p99_ttft_s: f64,
+    p99_e2e_s: f64,
+    sent: usize,
+    completed: usize,
+    dropped: usize,
+    rejected: usize,
+    hedges: usize,
+    quarantines: usize,
+}
+
+impl StragglerOutcome {
+    /// The tail a straggler in `role` inflates, and the count of the
+    /// mechanism that answers it: hedges rescue prefill TTFT, quarantine
+    /// rescues decode E2E.
+    fn tail_and_mitigations(&self, role: Phase) -> (f64, usize) {
+        match role {
+            Phase::Prefill => (self.p99_ttft_s, self.hedges),
+            Phase::Decode => (self.p99_e2e_s, self.quarantines),
+        }
+    }
+}
+
+/// One slowed role at one slowdown, with mitigation off and on.
+#[derive(Debug, Clone, Copy)]
+struct StragglerCase {
+    role: Phase,
+    slowdown: f64,
+    off: StragglerOutcome,
+    on: StragglerOutcome,
+}
+
+/// One arm: the slowed replica runs `slowdown`× slow from t=5 s through
+/// 120 s of seed-7 traffic; mitigation readmits a quarantined replica
+/// after 60 s.
+fn straggler_outcome(role: Phase, slowdown: f64, mitigated: bool) -> StragglerOutcome {
+    let kind = match role {
+        Phase::Prefill => FaultKind::PrefillSlow(0, slowdown),
+        Phase::Decode => FaultKind::DecodeSlow(0, slowdown),
+    };
+    let fault = TimedFault {
+        at: SimTime::from_secs_f64(5.0),
+        kind,
+    };
+    let quarantine = mitigated.then_some(Quarantine {
+        threshold: 1.5,
+        readmit_after: SimDuration::from_secs(60),
+    });
+    let (m, sent) = serve_straggler(fault, SimDuration::from_secs(120), 7, quarantine);
+    let p99 = |kind| {
+        m.latency_percentile(kind, 0.99)
+            .expect("completions exist")
+            .as_secs_f64()
+    };
+    StragglerOutcome {
+        p99_ttft_s: p99(SloKind::Ttft),
+        p99_e2e_s: p99(SloKind::E2e),
+        sent,
+        completed: m.num_completed(),
+        dropped: m.num_dropped(),
+        rejected: m.num_rejected(),
+        hedges: m.recovery().hedges_launched,
+        quarantines: m.recovery().quarantines,
+    }
+}
+
+/// The properties the straggler sweep exists for.
+const RULES: &[Rule<[StragglerCase]>] = &[
+    Rule {
+        name: "mitigation cuts p99 TTFT (prefill) or p99 E2E (decode) at every slowdown",
+        holds: |cases| {
+            cases
+                .iter()
+                .all(|c| c.on.tail_and_mitigations(c.role).0 < c.off.tail_and_mitigations(c.role).0)
+        },
+    },
+    Rule {
+        name: "every mitigated arm hedges (prefill) or quarantines (decode) at least once",
+        holds: |cases| {
+            cases
+                .iter()
+                .all(|c| c.on.tail_and_mitigations(c.role).1 >= 1)
+        },
+    },
+    Rule {
+        name: "every arm conserves requests",
+        holds: |cases| {
+            cases
+                .iter()
+                .flat_map(|c| [c.off, c.on])
+                .all(|o| o.completed + o.dropped + o.rejected == o.sent)
+        },
+    },
+];
+
+fn render_json(cases: &[StragglerCase]) -> String {
+    let mut json = String::new();
+    json.push_str("{\n");
+    json.push_str("  \"benchmark\": \"gray-failure straggler sweep: one replica runs factor-x slow from t=5s on the Appendix-H testbed (2x tp2 prefill -> 2x tp2 decode, LLaMA-13B, coding workload at 1.5 req/s)\",\n");
+    json.push_str("  \"note\": \"simulated time (deterministic, no wall-clock). Mitigation = hedged re-dispatch (400ms timeout) + straggler quarantine (EWMA threshold 1.5). A prefill straggler inflates p99 TTFT, which hedging recovers; a decode straggler inflates p99 E2E, which quarantine recovers. shed_rate counts dropped + rejected over submitted.\",\n");
+    json.push_str("  \"arms\": [\n");
+    let arms: Vec<_> = cases
+        .iter()
+        .flat_map(|c| [(c, false, c.off), (c, true, c.on)])
+        .collect();
+    for (i, (c, mitigated, a)) in arms.iter().enumerate() {
+        json.push_str(&format!(
+            "    {{\"role\": \"{}\", \"slowdown\": {}, \"mitigated\": {}, \"p99_ttft_s\": {:.6}, \"p99_e2e_s\": {:.6}, \"shed_rate\": {:.6}, \"hedges\": {}, \"quarantines\": {}}}{}\n",
+            c.role,
+            c.slowdown,
+            mitigated,
+            a.p99_ttft_s,
+            a.p99_e2e_s,
+            (a.dropped + a.rejected) as f64 / a.sent as f64,
+            a.hedges,
+            a.quarantines,
+            if i + 1 == arms.len() { "" } else { "," }
+        ));
+    }
+    json.push_str("  ]\n}\n");
+    json
+}
+
+/// `BENCH_fault.json`: the straggler sweep, prefill then decode, each at
+/// every slowdown with mitigation off and on, checked against its rules.
+///
+/// # Errors
+/// Returns the names of the rules the sweep breaks.
+pub fn artifact() -> Result<String, String> {
+    let cases: Vec<StragglerCase> = [Phase::Prefill, Phase::Decode]
+        .into_iter()
+        .flat_map(|role| SLOWDOWNS.map(|slowdown| (role, slowdown)))
+        .map(|(role, slowdown)| StragglerCase {
+            role,
+            slowdown,
+            off: straggler_outcome(role, slowdown, false),
+            on: straggler_outcome(role, slowdown, true),
+        })
+        .collect();
+    checked(cases.as_slice(), RULES, render_json)
 }
 
 /// Runs the failure experiment across policies.
@@ -385,6 +552,7 @@ pub fn run(quick: bool) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::artifact::failing;
 
     #[test]
     fn lightweight_matches_full_without_blackout() {
@@ -446,6 +614,78 @@ mod tests {
         assert!(
             att_on >= att_off,
             "mitigation must not hurt attainment: {att_on} < {att_off}"
+        );
+    }
+
+    fn outcome(
+        p99_ttft_s: f64,
+        p99_e2e_s: f64,
+        hedges: usize,
+        quarantines: usize,
+    ) -> StragglerOutcome {
+        StragglerOutcome {
+            p99_ttft_s,
+            p99_e2e_s,
+            sent: 10,
+            completed: 9,
+            dropped: 1,
+            rejected: 0,
+            hedges,
+            quarantines,
+        }
+    }
+
+    #[test]
+    fn straggler_sweep_rules_trip() {
+        let ok = vec![
+            StragglerCase {
+                role: Phase::Prefill,
+                slowdown: 8.0,
+                off: outcome(20.0, 25.0, 0, 0),
+                on: outcome(3.0, 30.0, 7, 0),
+            },
+            StragglerCase {
+                role: Phase::Decode,
+                slowdown: 8.0,
+                off: outcome(1.0, 25.0, 0, 0),
+                on: outcome(2.0, 6.0, 0, 1),
+            },
+        ];
+        assert!(failing(ok.as_slice(), RULES).is_empty());
+
+        // The prefill case is judged on TTFT, the decode case on E2E.
+        let mut slower = ok.clone();
+        slower[0].on.p99_ttft_s = 30.0;
+        assert_eq!(
+            failing(slower.as_slice(), RULES),
+            ["mitigation cuts p99 TTFT (prefill) or p99 E2E (decode) at every slowdown"]
+        );
+        let mut slower = ok.clone();
+        slower[1].on.p99_e2e_s = 25.0;
+        assert_eq!(
+            failing(slower.as_slice(), RULES),
+            ["mitigation cuts p99 TTFT (prefill) or p99 E2E (decode) at every slowdown"]
+        );
+
+        let mut inert = ok.clone();
+        inert[0].on.hedges = 0;
+        inert[0].on.quarantines = 3;
+        assert_eq!(
+            failing(inert.as_slice(), RULES),
+            ["every mitigated arm hedges (prefill) or quarantines (decode) at least once"]
+        );
+        let mut inert = ok.clone();
+        inert[1].on.quarantines = 0;
+        assert_eq!(
+            failing(inert.as_slice(), RULES),
+            ["every mitigated arm hedges (prefill) or quarantines (decode) at least once"]
+        );
+
+        let mut leaky = ok;
+        leaky[1].off.dropped = 0;
+        assert_eq!(
+            failing(leaky.as_slice(), RULES),
+            ["every arm conserves requests"]
         );
     }
 

@@ -14,8 +14,10 @@
 //! capacity it cannot use. Sharing the pool moves the stranded GPUs to the
 //! tenant that needs them, so share-weighted joint SLO attainment must not
 //! drop — at the same (or lower) $/hr, since both arms draw from the same
-//! 12 GPUs.
+//! 12 GPUs. [`artifact()`] checks those properties on the full-mode report
+//! and renders it as `BENCH_mm.json`.
 
+use crate::artifact::{checked, Rule};
 use crate::table::{pct, Table};
 use thunderserve_core::{Scheduler, SchedulerConfig};
 use ts_cluster::{presets, Cluster};
@@ -199,6 +201,66 @@ pub fn measure(quick: bool) -> MmReport {
     }
 }
 
+/// The properties the shared pool exists for.
+const RULES: &[Rule<MmReport>] = &[
+    Rule {
+        name: "the shared pool attains at least the partition's weighted attainment",
+        holds: |r| r.shared.weighted_attainment >= r.partitioned.weighted_attainment,
+    },
+    Rule {
+        name: "the shared pool costs at most the partition",
+        holds: |r| r.shared.cost_per_hour <= r.partitioned.cost_per_hour,
+    },
+    Rule {
+        name: "every tenant submits and completes work in both arms",
+        holds: |r| {
+            [&r.shared, &r.partitioned]
+                .iter()
+                .flat_map(|a| &a.tenants)
+                .all(|t| t.submitted > 0 && t.completed > 0)
+        },
+    },
+];
+
+fn render_json(r: &MmReport) -> String {
+    let mut json = String::new();
+    json.push_str("{\n");
+    json.push_str("  \"benchmark\": \"multi-model serving: two tenants (LLaMA-7B conversation at 60% share, LLaMA-13B coding at 40%) on one 12xA5000 pool, shared schedule_multi plan vs contract-share static partition (8+4 GPUs)\",\n");
+    json.push_str("  \"note\": \"simulated time (deterministic). attainment = joint SLO attainment under each tenant's own SLO; weighted = traffic-share-weighted across tenants; cost = hourly price of the GPUs each arm's plan(s) occupy. The 13B coding tenant starves in its 4-GPU slice while the 7B tenant strands capacity; sharing moves the stranded GPUs across the tenant boundary.\",\n");
+    json.push_str("  \"arms\": [\n");
+    let arms = [&r.partitioned, &r.shared];
+    for (i, a) in arms.iter().enumerate() {
+        json.push_str(&format!(
+            "    {{\"arm\": \"{}\", \"weighted_attainment\": {:.6}, \"cost_per_hour\": {:.3}, \"tenants\": [\n",
+            a.name, a.weighted_attainment, a.cost_per_hour
+        ));
+        for (j, t) in a.tenants.iter().enumerate() {
+            json.push_str(&format!(
+                "      {{\"model\": \"{}\", \"attainment\": {:.6}, \"completed\": {}, \"submitted\": {}}}{}\n",
+                t.model,
+                t.attainment,
+                t.completed,
+                t.submitted,
+                if j + 1 == a.tenants.len() { "" } else { "," }
+            ));
+        }
+        json.push_str(&format!(
+            "    ]}}{}\n",
+            if i + 1 == arms.len() { "" } else { "," }
+        ));
+    }
+    json.push_str("  ]\n}\n");
+    json
+}
+
+/// `BENCH_mm.json`: both arms in full mode, checked against their rules.
+///
+/// # Errors
+/// Returns the names of the rules the report breaks.
+pub fn artifact() -> Result<String, String> {
+    checked(&measure(false), RULES, render_json)
+}
+
 /// Renders the comparison for the `reproduce` registry.
 pub fn run(quick: bool) -> String {
     let r = measure(quick);
@@ -234,11 +296,65 @@ pub fn run(quick: bool) -> String {
 
 #[cfg(test)]
 mod tests {
+    use super::*;
+    use crate::artifact::failing;
+
     #[test]
     fn report_compares_both_arms() {
-        let out = super::run(true);
+        let out = run(true);
         assert!(out.contains("shared"));
         assert!(out.contains("partitioned"));
         assert!(out.contains("weighted"));
+    }
+
+    fn arm(name: &'static str, weighted_attainment: f64, cost_per_hour: f64) -> MmArm {
+        let tenant = |id| TenantOutcome {
+            model: ModelId(id),
+            attainment: weighted_attainment,
+            submitted: 10,
+            completed: 9,
+        };
+        MmArm {
+            name,
+            tenants: vec![tenant(1), tenant(2)],
+            weighted_attainment,
+            cost_per_hour,
+        }
+    }
+
+    #[test]
+    fn shared_pool_rules_trip() {
+        let ok = MmReport {
+            shared: arm("shared", 0.68, 2.676),
+            partitioned: arm("partitioned", 0.5, 2.676),
+        };
+        assert!(failing(&ok, RULES).is_empty());
+
+        let mut loses = ok.clone();
+        loses.shared.weighted_attainment = 0.49;
+        assert_eq!(
+            failing(&loses, RULES),
+            ["the shared pool attains at least the partition's weighted attainment"]
+        );
+
+        let mut dearer = ok.clone();
+        dearer.shared.cost_per_hour = 2.7;
+        assert_eq!(
+            failing(&dearer, RULES),
+            ["the shared pool costs at most the partition"]
+        );
+
+        let mut starved = ok.clone();
+        starved.partitioned.tenants[1].completed = 0;
+        assert_eq!(
+            failing(&starved, RULES),
+            ["every tenant submits and completes work in both arms"]
+        );
+        let mut idle = ok;
+        idle.shared.tenants[0].submitted = 0;
+        assert_eq!(
+            failing(&idle, RULES),
+            ["every tenant submits and completes work in both arms"]
+        );
     }
 }

@@ -8,18 +8,30 @@
 //! per-transfer wire time stretches with the number of concurrent flows —
 //! something the legacy per-sender serialization cannot express — and the
 //! fp16-vs-4-bit gap widens as the link saturates, since every extra byte
-//! is paid at a contended rate. `bench_net` records the same sweep at the
-//! raw fabric level in `BENCH_net.json`.
+//! is paid at a contended rate.
+//!
+//! `BENCH_net.json` ([`artifact()`]) records the same effect at the raw
+//! fabric level: `n` simultaneous transfers of a 1024-token LLaMA-13B
+//! cache, drained event by event as the simulator does. Its `overload`
+//! section serves LLaMA-30B coding traffic on the paper cloud at and past
+//! the rate its plan was scheduled for, with thousands of flows in flight.
 
+use std::time::Instant;
+
+use crate::artifact::{checked, Rule};
 use crate::exps::network::disaggregated_plan;
-use crate::harness::{self};
+use crate::harness::{self, base_slo_30b};
 use crate::table::Table;
+use thunderserve_core::orchestrate::sim_config;
+use thunderserve_core::{Scheduler, SchedulerConfig};
 use ts_cluster::presets;
-use ts_common::{ModelSpec, Request, SloKind};
-use ts_kvcache::codec::KvWirePrecision;
+use ts_common::{GpuId, ModelSpec, Request, SimDuration, SimTime, SloKind};
+use ts_kvcache::codec::{KvCodec, KvWirePrecision};
+use ts_net::{FabricWork, FlowFabric};
 use ts_sim::config::SimConfig;
 use ts_sim::metrics::Metrics;
 use ts_sim::Simulation;
+use ts_workload::generator::generate;
 
 /// Arrival rates swept (req/s): each transfer is ~0.3 s (4-bit) to ~1.3 s
 /// (fp16) at 5 Gbps, so the low rate barely overlaps and the high rate
@@ -73,6 +85,256 @@ pub fn arm(rate: f64, precision: KvWirePrecision, contention: bool, quick: bool)
     sim.run(&reqs).unwrap()
 }
 
+/// Concurrent-flow counts of the raw fabric sweep.
+const FLOW_SWEEP: [usize; 5] = [1, 2, 4, 8, 16];
+/// Tokens per transfer in the raw fabric sweep.
+const TOKENS: u64 = 1024;
+/// The rate (req/s) the overload section's plan is scheduled for.
+const OVERLOAD_PLAN_RATE: f64 = 3.0;
+/// Offered rates (req/s) the overload section serves on that plan: the
+/// control, then past the plan's rate.
+const OVERLOAD_RATES: [f64; 2] = [3.0, 4.0];
+
+/// One raw fabric drain: `flows` simultaneous transfers at one precision.
+#[derive(Debug, Clone, Copy)]
+struct DrainArm {
+    flows: usize,
+    precision: &'static str,
+    wire_bytes_per_flow: u64,
+    mean_transfer_s: f64,
+    max_transfer_s: f64,
+}
+
+/// One overload arm: one simulated hour at one offered rate.
+#[derive(Debug, Clone, Copy)]
+struct OverloadArm {
+    rate: f64,
+    sent: usize,
+    completed: usize,
+    dropped: usize,
+    rejected: usize,
+    events: u64,
+    horizon_s: f64,
+    joint_attainment: f64,
+    fabric: FabricWork,
+}
+
+/// What `BENCH_net.json` records: the drain sweep by flow count then
+/// precision, and the overload arms by offered rate.
+#[derive(Debug, Clone)]
+struct FabricReport {
+    sweep: Vec<DrainArm>,
+    overload: Vec<OverloadArm>,
+}
+
+/// Starts `flows` simultaneous A40-node → 3090Ti-node transfers over
+/// 5 Gbps and drains the fabric, completing the earliest-due flow each
+/// step exactly like the simulator's timer.
+fn drain(flows: usize, precision: &'static str, wire: KvWirePrecision) -> (DrainArm, FabricWork) {
+    let bytes = KvCodec::new(ModelSpec::llama_13b(), wire).wire_bytes(TOKENS);
+    let mut fabric = FlowFabric::from_cluster(&presets::network_case_cluster(presets::ETH_5GBPS));
+    for i in 0..flows {
+        let (from, to) = (GpuId((i % 4) as u32), GpuId(4 + (i % 4) as u32));
+        fabric.start(i as u64, from, to, bytes as f64, SimTime::ZERO);
+    }
+    let mut done = vec![0.0; flows];
+    while let Some((at, key)) = fabric.next_due() {
+        fabric.complete_due(at);
+        done[key as usize] = at.as_secs_f64();
+    }
+    let arm = DrainArm {
+        flows,
+        precision,
+        wire_bytes_per_flow: bytes,
+        mean_transfer_s: done.iter().sum::<f64>() / flows as f64,
+        max_transfer_s: done.iter().copied().fold(0.0, f64::max),
+    };
+    (arm, fabric.work())
+}
+
+/// Schedules the paper cloud for [`OVERLOAD_PLAN_RATE`] with the fabric on
+/// (seed 42, one thread) and serves one simulated hour of seed-1 traffic
+/// at each of [`OVERLOAD_RATES`] on it. Each arm's wall time goes to
+/// stderr.
+fn overload() -> Vec<OverloadArm> {
+    let cluster = presets::paper_cloud_cluster();
+    let model = ModelSpec::llama_30b();
+    let slo = base_slo_30b().scaled(8.0);
+    let cfg = SchedulerConfig {
+        seed: 42,
+        num_threads: 1,
+        network_contention: true,
+        ..SchedulerConfig::default()
+    };
+    let coding = ts_workload::spec::coding;
+    let plan = Scheduler::new(cfg.clone())
+        .schedule(&cluster, &model, &coding(OVERLOAD_PLAN_RATE), &slo)
+        .expect("the paper cloud schedules the coding plan")
+        .plan;
+    OVERLOAD_RATES
+        .iter()
+        .map(|&rate| {
+            let reqs = generate(&coding(rate), SimDuration::from_secs(3600), 1);
+            let mut sim = Simulation::new(&cluster, &plan, sim_config(&model, &cfg))
+                .expect("the scheduled plan simulates");
+            let t0 = Instant::now();
+            let m = sim.run(&reqs).expect("the overload run completes");
+            eprintln!(
+                "overload {rate:.1} req/s served in {:.3} s wall",
+                t0.elapsed().as_secs_f64()
+            );
+            OverloadArm {
+                rate,
+                sent: reqs.len(),
+                completed: m.num_completed(),
+                dropped: m.num_dropped(),
+                rejected: m.num_rejected(),
+                events: sim.events_processed(),
+                horizon_s: m.horizon().as_secs_f64(),
+                joint_attainment: m.joint_attainment(&slo),
+                fabric: sim
+                    .fabric_work()
+                    .expect("the overload plan runs on the fabric"),
+            }
+        })
+        .collect()
+}
+
+/// The properties the fabric exists to model.
+const RULES: &[Rule<FabricReport>] = &[
+    Rule {
+        name: "mean transfer time grows with the flow count at fixed precision",
+        holds: |r| {
+            r.sweep.iter().all(|a| {
+                r.sweep.iter().all(|b| {
+                    a.precision != b.precision
+                        || a.flows >= b.flows
+                        || a.mean_transfer_s < b.mean_transfer_s
+                })
+            })
+        },
+    },
+    Rule {
+        name: "the fp16-int4 gap widens from the fewest to the most flows",
+        holds: |r| {
+            let mean = |flows, precision| {
+                r.sweep
+                    .iter()
+                    .find(|a| a.flows == flows && a.precision == precision)
+                    .map(|a| a.mean_transfer_s)
+            };
+            let gap = |flows| Some(mean(flows, "fp16")? - mean(flows, "int4")?);
+            let flows = r.sweep.iter().map(|a| a.flows);
+            match (flows.clone().min().and_then(gap), flows.max().and_then(gap)) {
+                (Some(narrow), Some(wide)) => wide > narrow,
+                _ => false,
+            }
+        },
+    },
+    Rule {
+        name: "every overload arm conserves requests",
+        holds: |r| {
+            r.overload
+                .iter()
+                .all(|a| a.completed + a.dropped + a.rejected == a.sent)
+        },
+    },
+    Rule {
+        name: "every overload arm scans at most the flat filler's cells",
+        holds: |r| {
+            r.overload
+                .iter()
+                .all(|a| a.fabric.class_cells <= a.fabric.flat_cells)
+        },
+    },
+    Rule {
+        name: "past the plan's rate, attainment is at most the control's",
+        holds: |r| {
+            let control = r
+                .overload
+                .iter()
+                .filter(|a| a.rate <= OVERLOAD_PLAN_RATE)
+                .map(|a| a.joint_attainment)
+                .fold(f64::INFINITY, f64::min);
+            r.overload
+                .iter()
+                .filter(|a| a.rate > OVERLOAD_PLAN_RATE)
+                .all(|a| a.joint_attainment <= control)
+        },
+    },
+];
+
+fn render_json(r: &FabricReport) -> String {
+    let mut json = String::new();
+    json.push_str("{\n");
+    json.push_str("  \"benchmark\": \"ts-net flow fabric: n simultaneous 1024-token LLaMA-13B KV transfers, A40 node -> 3090Ti node over 5 Gbps\",\n");
+    json.push_str("  \"note\": \"simulated time (deterministic, no wall-clock). Mean transfer latency grows with concurrent-flow count under max-min sharing, and the fp16-vs-int4 gap widens with contention because every extra wire byte is paid at a shared rate.\",\n");
+    json.push_str(&format!("  \"tokens_per_transfer\": {TOKENS},\n"));
+    json.push_str("  \"arms\": [\n");
+    for (i, a) in r.sweep.iter().enumerate() {
+        json.push_str(&format!(
+            "    {{\"flows\": {}, \"precision\": \"{}\", \"wire_bytes_per_flow\": {}, \"mean_transfer_s\": {:.6}, \"max_transfer_s\": {:.6}}}{}\n",
+            a.flows,
+            a.precision,
+            a.wire_bytes_per_flow,
+            a.mean_transfer_s,
+            a.max_transfer_s,
+            if i + 1 == r.sweep.len() { "" } else { "," }
+        ));
+    }
+    json.push_str("  ],\n");
+    json.push_str("  \"overload\": {\n");
+    json.push_str("    \"setup\": \"paper cloud, LLaMA-30B, coding traffic over the flow fabric; plan scheduled for plan_rate_rps (seed 42, one thread); one simulated hour of seed-1 traffic per arm; joint attainment at 8x the base SLO\",\n");
+    json.push_str(&format!(
+        "    \"plan_rate_rps\": {OVERLOAD_PLAN_RATE:.1},\n"
+    ));
+    json.push_str("    \"arms\": [\n");
+    for (i, a) in r.overload.iter().enumerate() {
+        json.push_str(&format!(
+            "      {{\"rate_rps\": {:.1}, \"sent\": {}, \"completed\": {}, \"dropped\": {}, \"rejected\": {}, \"events\": {}, \"events_per_request\": {:.6}, \"horizon_s\": {:.6}, \"joint_attainment\": {:.6}, \"fabric_changes\": {}, \"fabric_flows_visited\": {}, \"fabric_rounds\": {}, \"fabric_class_cells\": {}, \"fabric_flat_cells\": {}}}{}\n",
+            a.rate,
+            a.sent,
+            a.completed,
+            a.dropped,
+            a.rejected,
+            a.events,
+            a.events as f64 / a.sent as f64,
+            a.horizon_s,
+            a.joint_attainment,
+            a.fabric.changes,
+            a.fabric.flows_visited,
+            a.fabric.rounds,
+            a.fabric.class_cells,
+            a.fabric.flat_cells,
+            if i + 1 == r.overload.len() { "" } else { "," }
+        ));
+    }
+    json.push_str("    ]\n  }\n}\n");
+    json
+}
+
+/// `BENCH_net.json`: the raw drain sweep (milliseconds) and the overload
+/// section (about 1.5 s on a 2-vCPU host), checked against their rules.
+///
+/// # Errors
+/// Returns the names of the rules the report breaks.
+pub fn artifact() -> Result<String, String> {
+    let sweep = FLOW_SWEEP
+        .iter()
+        .flat_map(|&flows| {
+            [
+                drain(flows, "int4", KvWirePrecision::DEFAULT_COMPRESSED).0,
+                drain(flows, "fp16", KvWirePrecision::F16).0,
+            ]
+        })
+        .collect();
+    let report = FabricReport {
+        sweep,
+        overload: overload(),
+    };
+    checked(&report, RULES, render_json)
+}
+
 /// Runs the contention sweep.
 pub fn run(quick: bool) -> String {
     let mut out = String::from(
@@ -118,6 +380,7 @@ pub fn run(quick: bool) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::artifact::failing;
 
     #[test]
     fn wire_time_grows_with_concurrent_load() {
@@ -170,6 +433,108 @@ mod tests {
         sim.run(&reqs).unwrap();
         assert_eq!(reqs.len(), 386);
         assert_eq!(sim.events_processed(), 1_595);
+    }
+
+    /// The 16-flow fp16 drain shares one path class: each of its 16 starts
+    /// and 15 non-final completions takes one filling round over the
+    /// class's 3 links, while the flat filler would have scanned all 7
+    /// links of the two-node cluster against every flow in flight.
+    #[test]
+    fn sixteen_flow_drain_work_is_pinned() {
+        let (_, work) = drain(16, "fp16", KvWirePrecision::F16);
+        assert_eq!(
+            work,
+            FabricWork {
+                changes: 32,
+                flows_visited: 256,
+                rounds: 31,
+                class_cells: 93,
+                flat_cells: 1_792,
+            }
+        );
+    }
+
+    fn fabric_report() -> FabricReport {
+        let drained = |flows, precision, mean_transfer_s| DrainArm {
+            flows,
+            precision,
+            wire_bytes_per_flow: 1,
+            mean_transfer_s,
+            max_transfer_s: mean_transfer_s,
+        };
+        let served = |rate, joint_attainment, class_cells| OverloadArm {
+            rate,
+            sent: 10,
+            completed: 9,
+            dropped: 1,
+            rejected: 0,
+            events: 42,
+            horizon_s: 3600.5,
+            joint_attainment,
+            fabric: FabricWork {
+                changes: 30,
+                flows_visited: 60,
+                rounds: 30,
+                class_cells,
+                flat_cells: 1200,
+            },
+        };
+        FabricReport {
+            sweep: vec![
+                drained(1, "int4", 0.1),
+                drained(1, "fp16", 0.4),
+                drained(4, "int4", 0.3),
+                drained(4, "fp16", 1.2),
+            ],
+            overload: vec![served(3.0, 0.5, 90), served(4.0, 0.01, 99)],
+        }
+    }
+
+    #[test]
+    fn fabric_rules_trip() {
+        let ok = fabric_report();
+        assert!(failing(&ok, RULES).is_empty());
+
+        let mut flat = ok.clone();
+        flat.sweep[2].mean_transfer_s = 0.1;
+        assert_eq!(
+            failing(&flat, RULES),
+            ["mean transfer time grows with the flow count at fixed precision"]
+        );
+
+        let mut narrowing = ok.clone();
+        narrowing.sweep[3].mean_transfer_s = 0.5;
+        assert_eq!(
+            failing(&narrowing, RULES),
+            ["the fp16-int4 gap widens from the fewest to the most flows"]
+        );
+        let mut one_precision = ok.clone();
+        one_precision.sweep.retain(|a| a.precision == "int4");
+        assert_eq!(
+            failing(&one_precision, RULES),
+            ["the fp16-int4 gap widens from the fewest to the most flows"]
+        );
+
+        let mut leaky = ok.clone();
+        leaky.overload[0].completed = 8;
+        assert_eq!(
+            failing(&leaky, RULES),
+            ["every overload arm conserves requests"]
+        );
+
+        let mut wasteful = ok.clone();
+        wasteful.overload[1].fabric.class_cells = 1201;
+        assert_eq!(
+            failing(&wasteful, RULES),
+            ["every overload arm scans at most the flat filler's cells"]
+        );
+
+        let mut inverted = ok;
+        inverted.overload[1].joint_attainment = 0.9;
+        assert_eq!(
+            failing(&inverted, RULES),
+            ["past the plan's rate, attainment is at most the control's"]
+        );
     }
 
     #[test]

@@ -12,6 +12,7 @@
 //! cargo run -p ts-bench --bin reproduce --release -- --exp fig7 --quick
 //! ```
 
+pub mod artifact;
 pub mod exps;
 pub mod gate;
 pub mod harness;

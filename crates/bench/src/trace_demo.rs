@@ -1,8 +1,8 @@
 //! The shared telemetry demonstration scenario: a phase-split deployment on
 //! the Appendix-H testbed serving under the flow-level fabric, with a
 //! mid-flight link fault so the trace shows queueing, KV retries and
-//! recovery — used by the `bench_trace` binary, by `reproduce --trace` and
-//! `reproduce --metrics`, and exercised in CI.
+//! recovery — used by `reproduce --trace` and `reproduce --metrics`, and
+//! exercised in CI.
 
 use ts_cluster::presets;
 use ts_common::SloSpec;
@@ -114,17 +114,6 @@ pub fn run(quick: bool) -> TraceDemo {
         log,
         snapshot,
         num_requests: reqs.len(),
-    }
-}
-
-impl TraceDemo {
-    /// The completed request with the worst end-to-end latency.
-    pub fn worst_e2e_request(&self) -> Option<ts_common::RequestId> {
-        self.metrics
-            .records()
-            .iter()
-            .max_by_key(|r| (r.e2e(), r.request.id))
-            .map(|r| r.request.id)
     }
 }
 

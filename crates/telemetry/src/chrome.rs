@@ -16,7 +16,7 @@
 //! The exporter writes JSON by hand, with no serialization library;
 //! [`validate_chrome_trace`] reads its output back with the workspace parser
 //! ([`ts_common::json`]) precisely so the exporter cannot silently rot (it
-//! runs in CI against `bench_trace` output).
+//! runs in CI against `reproduce --trace` output).
 
 use crate::event::{Role, TraceEvent, TraceKind};
 use crate::log::TraceLog;

@@ -309,70 +309,6 @@ impl TraceLog {
         }
         out
     }
-
-    /// A compact JSON summary of the log: event counts per kind, request
-    /// outcomes, and time-weighted mean / peak of every derived series.
-    pub fn summary_json(&self) -> String {
-        let mut counts: BTreeMap<&'static str, usize> = BTreeMap::new();
-        for e in &self.events {
-            *counts.entry(e.kind.label()).or_insert(0) += 1;
-        }
-        let end = self.end;
-        let mut json = String::new();
-        json.push_str("{\n");
-        json.push_str(&format!("  \"events\": {},\n", self.events.len()));
-        json.push_str(&format!("  \"end_s\": {:.6},\n", end.as_secs_f64()));
-        json.push_str(&format!("  \"requests\": {},\n", self.request_ids().len()));
-        json.push_str(&format!(
-            "  \"completed\": {},\n",
-            self.completed_requests().len()
-        ));
-        json.push_str("  \"event_counts\": {");
-        for (i, (label, n)) in counts.iter().enumerate() {
-            if i > 0 {
-                json.push_str(", ");
-            }
-            json.push_str(&format!("\"{label}\": {n}"));
-        }
-        json.push_str("},\n");
-        json.push_str("  \"replicas\": [\n");
-        let replicas = self.replicas();
-        for (i, &(role, idx)) in replicas.iter().enumerate() {
-            let queue = self.queue_depth_series(role, idx);
-            let batch = self.batch_occupancy_series(role, idx);
-            json.push_str(&format!(
-                "    {{\"role\": \"{role}\", \"replica\": {idx}, \
-                 \"queue_mean\": {:.4}, \"queue_peak\": {:.1}, \
-                 \"batch_mean\": {:.4}, \"batch_peak\": {:.1}}}{}\n",
-                queue.time_weighted_mean(end),
-                queue.peak(),
-                batch.time_weighted_mean(end),
-                batch.peak(),
-                if i + 1 == replicas.len() { "" } else { "," }
-            ));
-        }
-        json.push_str("  ],\n");
-        let kv = self.inflight_kv_bytes_series();
-        json.push_str(&format!(
-            "  \"inflight_kv_bytes\": {{\"mean\": {:.1}, \"peak\": {:.1}}},\n",
-            kv.time_weighted_mean(end),
-            kv.peak()
-        ));
-        json.push_str("  \"links\": [\n");
-        let links = self.links();
-        for (i, &(link, kind, capacity)) in links.iter().enumerate() {
-            let util = self.link_utilization_series(link);
-            json.push_str(&format!(
-                "    {{\"link\": {link}, \"kind\": \"{kind}\", \"capacity_bps\": {capacity:.0}, \
-                 \"util_mean\": {:.6}, \"util_peak\": {:.6}}}{}\n",
-                util.time_weighted_mean(end),
-                util.peak(),
-                if i + 1 == links.len() { "" } else { "," }
-            ));
-        }
-        json.push_str("  ]\n}\n");
-        json
-    }
 }
 
 #[cfg(test)]
@@ -553,13 +489,5 @@ mod tests {
         assert!(text.contains("finished"));
         let missing = log.render_request_timeline(RequestId(99));
         assert!(missing.contains("no events"));
-    }
-
-    #[test]
-    fn summary_json_mentions_counts() {
-        let log = sample_log();
-        let json = log.summary_json();
-        assert!(json.contains("\"completed\": 1"));
-        assert!(json.contains("\"kv_retry\": 1"));
     }
 }

@@ -146,9 +146,9 @@ fn main() -> thunderserve::Result<()> {
         "Autoscaling gives up {:.1} points of attainment and cuts the bill by \
          {:.0}%: the fleet rides the diurnal curve instead of paying for the \
          peak all day, and the warned spot node is drained before the \
-         provider takes it. `bench_autoscale` runs the full 24-hour version \
-         and asserts the gap, the saving, ledger consistency and \
-         bit-reproducibility.",
+         provider takes it. `reproduce --artifact BENCH_autoscale` runs the \
+         full 24-hour version and checks the gap, the saving, ledger \
+         consistency and bit-reproducibility.",
         100.0 * (static_fleet.mean_attainment() - elastic.mean_attainment()),
         100.0 * (1.0 - elastic.total_cost() / static_fleet.total_cost()),
     );
