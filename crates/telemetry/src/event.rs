@@ -360,41 +360,6 @@ impl TraceKind {
             _ => None,
         }
     }
-
-    /// A short stable label for this event kind (used in summaries).
-    pub fn label(&self) -> &'static str {
-        match self {
-            TraceKind::Arrived { .. } => "arrived",
-            TraceKind::Enqueued { .. } => "enqueued",
-            TraceKind::PrefillStart { .. } => "prefill_start",
-            TraceKind::PrefillEnd { .. } => "prefill_end",
-            TraceKind::FirstToken { .. } => "first_token",
-            TraceKind::KvEnqueued { .. } => "kv_enqueued",
-            TraceKind::KvWireStart { .. } => "kv_wire_start",
-            TraceKind::KvDone { .. } => "kv_done",
-            TraceKind::KvRetry { .. } => "kv_retry",
-            TraceKind::DecodeJoin { .. } => "decode_join",
-            TraceKind::DecodeStep { .. } => "decode_step",
-            TraceKind::Finished { .. } => "finished",
-            TraceKind::Dropped { .. } => "dropped",
-            TraceKind::Rejected { .. } => "rejected",
-            TraceKind::Stalled { .. } => "stalled",
-            TraceKind::Requeued { .. } => "requeued",
-            TraceKind::Reprefill { .. } => "reprefill",
-            TraceKind::FaultTriggered { .. } => "fault_triggered",
-            TraceKind::FaultDetected { .. } => "fault_detected",
-            TraceKind::ServiceResumed => "service_resumed",
-            TraceKind::QueueDepth { .. } => "queue_depth",
-            TraceKind::BatchOccupancy { .. } => "batch_occupancy",
-            TraceKind::LinkUtilization { .. } => "link_utilization",
-            TraceKind::FlowRate { .. } => "flow_rate",
-            TraceKind::HedgeLaunched { .. } => "hedge_launched",
-            TraceKind::Quarantined { .. } => "quarantined",
-            TraceKind::Readmitted { .. } => "readmitted",
-            TraceKind::ScaleAction { .. } => "scale_action",
-            TraceKind::ModelTag { .. } => "model_tag",
-        }
-    }
 }
 
 impl fmt::Display for TraceKind {
@@ -508,7 +473,6 @@ mod tests {
             kind: ScaleKind::Drain,
         };
         assert_eq!(k.request(), None);
-        assert_eq!(k.label(), "scale_action");
         assert_eq!(k.to_string(), "fleet drain of node 3");
         let w = TraceKind::ScaleAction {
             node: 5,
@@ -524,6 +488,5 @@ mod tests {
             attempt: 3,
         };
         assert_eq!(k.to_string(), "kv retry (attempt 3)");
-        assert_eq!(k.label(), "kv_retry");
     }
 }

@@ -1,6 +1,6 @@
 //! The finalized, time-sorted event log and everything derived from it:
-//! per-request spans, per-replica/per-link utilization series, timelines
-//! and the compact JSON summary.
+//! per-request spans, per-replica/per-link utilization series and
+//! timelines.
 
 use crate::event::{LinkKind, Role, TraceEvent, TraceKind};
 use crate::series::UtilizationSeries;
