@@ -25,6 +25,7 @@
 
 pub mod catalog;
 pub mod error;
+pub mod hash;
 pub mod ids;
 pub mod json;
 pub mod model;

@@ -8,8 +8,8 @@
 //! * [`with_worker_pool`] — a pool of workers that lives for a whole
 //!   search and returns each batch's results in input order, so reductions
 //!   over them are deterministic regardless of thread scheduling;
-//! * [`ShardedCache`] — a concurrent insert-only map keyed by precomputed
-//!   `u64` hashes, sharded to keep lock contention off the hot path;
+//! * [`ShardedCache`] — a concurrent insert-only map, sharded to keep lock
+//!   contention off the hot path;
 //! * [`resolve_threads`] — the `0 = auto, 1 = serial, N = N` convention used
 //!   by every `num_threads` knob in the workspace.
 //!
@@ -17,7 +17,8 @@
 //! ignore poison: they guard result slots, the job queue and cache maps,
 //! none of which a panicking worker can leave half-written.
 
-use std::collections::HashMap;
+use crate::hash::{FastHashMap, FoldBuildHasher};
+use std::hash::{BuildHasher, Hash};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, PoisonError, RwLock};
 
@@ -113,19 +114,22 @@ where
     })
 }
 
-/// A concurrent map keyed by precomputed `u64` hashes, split into
-/// power-of-two shards each behind its own `RwLock`.
+/// A concurrent map split into power-of-two shards, each behind its own
+/// `RwLock`.
 ///
 /// Designed for memoizing deterministic computations under
 /// [`with_worker_pool`]:
 /// if two workers race on the same miss they both compute the same value and
 /// the first insert wins, so every reader observes one consistent value and
-/// results stay independent of thread scheduling. Keys are expected to
-/// already be well-mixed hashes (e.g. `DefaultHasher` output); the low bits
-/// pick the shard directly.
+/// results stay independent of thread scheduling. Keys are hashed with
+/// [`FoldHasher`](crate::hash::FoldHasher), which mixes every key bit into
+/// every hash bit: bits 32 and up of a key's hash pick its shard, and the
+/// shard's table indexes by the low bits. So keys that are already hashes
+/// spread evenly, and so do keys that share their low bits. No method
+/// iterates the shards' entries.
 #[derive(Debug)]
-pub struct ShardedCache<V> {
-    shards: Vec<RwLock<HashMap<u64, V>>>,
+pub struct ShardedCache<K, V> {
+    shards: Vec<RwLock<FastHashMap<K, V>>>,
     // Observability only (relaxed ordering): lookup outcomes never influence
     // cached values, so racing updates cannot perturb results — exact counts
     // may differ across thread counts, the values themselves never do.
@@ -133,23 +137,26 @@ pub struct ShardedCache<V> {
     misses: AtomicU64,
 }
 
-impl<V: Clone> ShardedCache<V> {
+impl<K: Eq + Hash, V: Clone> ShardedCache<K, V> {
     /// Creates a cache with `num_shards` shards (rounded up to a power of
     /// two, minimum 1).
     pub fn new(num_shards: usize) -> Self {
         let n = num_shards.max(1).next_power_of_two();
         ShardedCache {
-            shards: (0..n).map(|_| RwLock::new(HashMap::new())).collect(),
+            shards: (0..n)
+                .map(|_| RwLock::new(FastHashMap::default()))
+                .collect(),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
         }
     }
 
-    fn shard(&self, key: u64) -> &RwLock<HashMap<u64, V>> {
-        &self.shards[(key as usize) & (self.shards.len() - 1)]
+    fn shard(&self, key: &K) -> &RwLock<FastHashMap<K, V>> {
+        let h = FoldBuildHasher::default().hash_one(key);
+        &self.shards[((h >> 32) as usize) & (self.shards.len() - 1)]
     }
 
-    fn lookup(&self, key: u64) -> Option<V> {
+    fn lookup(&self, key: &K) -> Option<V> {
         let v = self.peek(key);
         if v.is_some() {
             self.hits.fetch_add(1, Ordering::Relaxed);
@@ -160,18 +167,18 @@ impl<V: Clone> ShardedCache<V> {
     }
 
     /// Returns a clone of the cached value for `key`, if present.
-    pub fn get(&self, key: u64) -> Option<V> {
+    pub fn get(&self, key: &K) -> Option<V> {
         self.lookup(key)
     }
 
     /// Returns a clone of the cached value for `key`, if present, without
     /// counting the lookup as a hit or a miss: a re-read of an entry that a
     /// counted lookup has already reported.
-    pub fn peek(&self, key: u64) -> Option<V> {
+    pub fn peek(&self, key: &K) -> Option<V> {
         self.shard(key)
             .read()
             .unwrap_or_else(PoisonError::into_inner)
-            .get(&key)
+            .get(key)
             .cloned()
     }
 
@@ -179,12 +186,12 @@ impl<V: Clone> ShardedCache<V> {
     /// `compute` on a miss. `compute` runs **outside** any lock, so it may
     /// run redundantly under a race; the first inserted value wins and is
     /// what every caller receives.
-    pub fn get_or_insert_with<F: FnOnce() -> V>(&self, key: u64, compute: F) -> V {
-        if let Some(v) = self.lookup(key) {
+    pub fn get_or_insert_with<F: FnOnce() -> V>(&self, key: K, compute: F) -> V {
+        if let Some(v) = self.lookup(&key) {
             return v;
         }
         let computed = compute();
-        self.shard(key)
+        self.shard(&key)
             .write()
             .unwrap_or_else(PoisonError::into_inner)
             .entry(key)
@@ -218,7 +225,7 @@ impl<V: Clone> ShardedCache<V> {
     }
 }
 
-impl<V: Clone> Default for ShardedCache<V> {
+impl<K: Eq + Hash, V: Clone> Default for ShardedCache<K, V> {
     /// A cache with 16 shards — plenty for the scheduler's thread counts.
     fn default() -> Self {
         ShardedCache::new(16)
@@ -274,39 +281,39 @@ mod tests {
 
     #[test]
     fn cache_get_or_insert_memoizes() {
-        let c: ShardedCache<u64> = ShardedCache::default();
+        let c: ShardedCache<u64, u64> = ShardedCache::default();
         assert!(c.is_empty());
-        assert_eq!(c.get(42), None);
+        assert_eq!(c.get(&42), None);
         assert_eq!(c.get_or_insert_with(42, || 7), 7);
         // second compute must not replace the first value
         assert_eq!(c.get_or_insert_with(42, || 9), 7);
-        assert_eq!(c.get(42), Some(7));
+        assert_eq!(c.get(&42), Some(7));
         assert_eq!(c.len(), 1);
     }
 
     #[test]
     fn cache_counts_hits_and_misses() {
-        let c: ShardedCache<u64> = ShardedCache::default();
-        assert_eq!(c.get(1), None); // miss
+        let c: ShardedCache<u64, u64> = ShardedCache::default();
+        assert_eq!(c.get(&1), None); // miss
         c.get_or_insert_with(1, || 10); // miss + insert
         c.get_or_insert_with(1, || 99); // hit
-        assert_eq!(c.get(1), Some(10)); // hit
+        assert_eq!(c.get(&1), Some(10)); // hit
         assert_eq!(c.hit_count(), 2);
         assert_eq!(c.miss_count(), 2);
     }
 
     #[test]
     fn cache_peek_does_not_count() {
-        let c: ShardedCache<u64> = ShardedCache::default();
-        assert_eq!(c.peek(1), None);
+        let c: ShardedCache<u64, u64> = ShardedCache::default();
+        assert_eq!(c.peek(&1), None);
         c.get_or_insert_with(1, || 10); // miss + insert
-        assert_eq!(c.peek(1), Some(10));
+        assert_eq!(c.peek(&1), Some(10));
         assert_eq!((c.hit_count(), c.miss_count()), (0, 1));
     }
 
     #[test]
     fn cache_is_safe_under_concurrent_inserts() {
-        let c: ShardedCache<u64> = ShardedCache::new(4);
+        let c: ShardedCache<u64, u64> = ShardedCache::new(4);
         let keys: Vec<u64> = (0..256).collect();
         std::thread::scope(|scope| {
             for chunk in keys.chunks(32) {
@@ -320,7 +327,7 @@ mod tests {
         });
         assert_eq!(c.len(), 32);
         for k in 0..32 {
-            assert_eq!(c.get(k), Some(k));
+            assert_eq!(c.get(&k), Some(k));
         }
     }
 }

@@ -21,7 +21,7 @@ use ts_common::{
 };
 use ts_costmodel::ReplicaCostModel;
 use ts_sim::config::{KvTransfer, SimConfig};
-use ts_sim::estimate::pair_estimates;
+use ts_sim::estimate::{kv_seconds, pair_estimates_from_terms, PairEstimates, ReplicaTerms};
 use ts_solver::transport::{Orchestration, OrchestrationProblem};
 use ts_telemetry::profile;
 use ts_workload::WorkloadSpec;
@@ -105,6 +105,8 @@ pub(crate) fn cost_models(
 /// [`orchestrate_with_link_share`] over groups whose cost models are
 /// already built, `costs[i]` the model of `groups[i]`, under the simulator
 /// configuration [`sim_config`] derives: the scoring step, then packaging.
+/// Each model's estimator terms and each pair's KV seconds are computed on
+/// the spot.
 pub(crate) fn orchestrate_costed<M: Borrow<ReplicaCostModel>>(
     cluster: &Cluster,
     sim_cfg: &SimConfig,
@@ -114,11 +116,60 @@ pub(crate) fn orchestrate_costed<M: Borrow<ReplicaCostModel>>(
     slo: &SloSpec,
     link_share: f64,
 ) -> Result<OrchestratedPlan> {
+    let costs: Vec<&ReplicaCostModel> = costs.iter().map(Borrow::borrow).collect();
+    let terms: Vec<ReplicaTerms> = costs
+        .iter()
+        .map(|c| ReplicaTerms::new(c, workload))
+        .collect();
     let members = groups
         .iter()
-        .map(|g| g.phase)
-        .zip(costs.iter().map(Borrow::borrow));
-    score_costed(cluster, sim_cfg, members, workload, slo, link_share)?.package(groups)
+        .zip(costs.iter().zip(&terms))
+        .map(|(g, (&c, t))| (g.phase, c, t, c));
+    let kv =
+        |p: &ReplicaCostModel, d: &ReplicaCostModel| kv_seconds(cluster, sim_cfg, p, d, workload);
+    score_costed(members, kv, workload, slo, link_share)?.package(groups)
+}
+
+/// The pair estimates of `members`, read as [`score_costed`] reads them:
+/// prefill rows and decode columns, each in group order.
+///
+/// # Errors
+/// Returns [`Error::Infeasible`] if either phase has no groups.
+pub(crate) fn estimates<'c, K: Copy>(
+    members: impl IntoIterator<Item = (Phase, &'c ReplicaCostModel, &'c ReplicaTerms, K)>,
+    mut kv: impl FnMut(K, K) -> f64,
+    workload: &WorkloadSpec,
+    slo: &SloSpec,
+) -> Result<PairEstimates> {
+    let mut prefill: Vec<(&ReplicaTerms, K)> = Vec::new();
+    let mut decode: Vec<(&ReplicaCostModel, &ReplicaTerms)> = Vec::new();
+    let mut decode_keys: Vec<K> = Vec::new();
+    for (phase, c, t, k) in members {
+        match phase {
+            Phase::Prefill => prefill.push((t, k)),
+            Phase::Decode => {
+                decode.push((c, t));
+                decode_keys.push(k);
+            }
+        }
+    }
+    if prefill.is_empty() || decode.is_empty() {
+        return Err(Error::Infeasible(
+            "orchestration needs both prefill and decode groups".into(),
+        ));
+    }
+    let _g = profile::scope("tabu.pair_estimates");
+    let kv_seconds = prefill
+        .iter()
+        .map(|&(_, p)| decode_keys.iter().map(|&d| kv(p, d)).collect())
+        .collect();
+    Ok(pair_estimates_from_terms(
+        prefill.iter().map(|&(t, _)| t),
+        &decode,
+        kv_seconds,
+        workload,
+        slo,
+    ))
 }
 
 /// What scoring leaves for packaging: the LP's routing after the equalize
@@ -175,38 +226,21 @@ impl Scored {
     }
 }
 
-/// The scoring step of orchestration over `members`, each group's phase
-/// with its cost model, in group order.
+/// The scoring step of orchestration over `members`, in group order: each
+/// group's phase, cost model, estimator terms and a key that `kv` takes to
+/// give a (prefill, decode) pair's KV seconds.
 ///
 /// # Errors
 /// Returns [`Error::Infeasible`] if either phase has no groups; propagates
 /// solver failures and the routing checks of [`RoutingMatrix::new`].
-pub(crate) fn score_costed<'c>(
-    cluster: &Cluster,
-    sim_cfg: &SimConfig,
-    members: impl IntoIterator<Item = (Phase, &'c ReplicaCostModel)>,
+pub(crate) fn score_costed<'c, K: Copy>(
+    members: impl IntoIterator<Item = (Phase, &'c ReplicaCostModel, &'c ReplicaTerms, K)>,
+    kv: impl FnMut(K, K) -> f64,
     workload: &WorkloadSpec,
     slo: &SloSpec,
     link_share: f64,
 ) -> Result<Scored> {
-    let mut prefill: Vec<&ReplicaCostModel> = Vec::new();
-    let mut decode: Vec<&ReplicaCostModel> = Vec::new();
-    for (phase, c) in members {
-        match phase {
-            Phase::Prefill => prefill.push(c),
-            Phase::Decode => decode.push(c),
-        }
-    }
-    if prefill.is_empty() || decode.is_empty() {
-        return Err(Error::Infeasible(
-            "orchestration needs both prefill and decode groups".into(),
-        ));
-    }
-
-    let est = {
-        let _g = profile::scope("tabu.pair_estimates");
-        pair_estimates(cluster, sim_cfg, &prefill, &decode, workload, slo)
-    };
+    let est = estimates(members, kv, workload, slo)?;
     // Sender-uplink budgets: each routed request costs kv_seconds of sender
     // time at workload.rate requests/second. Links want *more* headroom than
     // compute because the attainment matrix D prices transfer time but not
@@ -364,6 +398,33 @@ fn equalize_cols(rates: &mut [Vec<f64>], d: &[Vec<f64>], col_cap: &[f64]) {
     }
 }
 
+/// The largest compute intensity and memory bandwidth among a cluster's
+/// active GPUs: the scale of [`phase_affinity_of`]. A search space builds
+/// it once, since its cluster does not change during a walk.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct AffinityScale {
+    max_ci: f64,
+    max_bw: f64,
+}
+
+impl AffinityScale {
+    pub(crate) fn new(cluster: &Cluster) -> Self {
+        let mut scale = AffinityScale {
+            max_ci: 0.0,
+            max_bw: 0.0,
+        };
+        let active = (0..cluster.num_gpus_provisioned())
+            .map(|i| GpuId(i as u32))
+            .filter(|&id| cluster.is_active(id));
+        for id in active {
+            let spec = cluster.gpu(id).spec();
+            scale.max_ci = scale.max_ci.max(spec.compute_intensity());
+            scale.max_bw = scale.max_bw.max(spec.mem_bandwidth);
+        }
+        scale
+    }
+}
+
 /// A tie-breaking secondary objective in [0, 1]: how well phase
 /// designations match hardware affinity — compute-rich GPUs prefilling and
 /// bandwidth-rich GPUs decoding (§5.3's observed behaviour). Scores on the
@@ -371,21 +432,14 @@ fn equalize_cols(rates: &mut [Vec<f64>], d: &[Vec<f64>], col_cap: &[f64]) {
 /// steers the search toward the designations the paper's finer-grained cost
 /// model would pick, scaled small enough (1e-4 in the tabu objective) never
 /// to override a real attainment difference. Each group is scored under the
-/// phase paired with it.
+/// phase paired with it, against `scale`, the [`AffinityScale`] of
+/// `cluster`.
 pub(crate) fn phase_affinity_of<'g>(
     cluster: &Cluster,
+    scale: AffinityScale,
     groups: impl IntoIterator<Item = (Phase, &'g GroupSpec)>,
 ) -> f64 {
-    let mut max_ci = 0.0f64;
-    let mut max_bw = 0.0f64;
-    let active = (0..cluster.num_gpus_provisioned())
-        .map(|i| GpuId(i as u32))
-        .filter(|&id| cluster.is_active(id));
-    for id in active {
-        let spec = cluster.gpu(id).spec();
-        max_ci = max_ci.max(spec.compute_intensity());
-        max_bw = max_bw.max(spec.mem_bandwidth);
-    }
+    let AffinityScale { max_ci, max_bw } = scale;
     if max_ci <= 0.0 || max_bw <= 0.0 {
         return 0.0;
     }

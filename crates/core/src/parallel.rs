@@ -15,9 +15,11 @@
 
 use crate::config::{SchedulerConfig, MAX_PP, MAX_TP};
 use std::collections::BTreeMap;
+use std::sync::Arc;
 use ts_cluster::{Cluster, GpuModel};
 use ts_common::{
-    Error, GpuId, GroupSpec, ModelSpec, NodeId, ParallelConfig, Phase, Result, StageSpec,
+    Error, GpuId, GroupSpec, ModelSpec, NodeId, ParallelConfig, Phase, Result, ShardedCache,
+    StageSpec,
 };
 use ts_costmodel::ReplicaCostModel;
 use ts_sim::config::MAX_DECODE_BATCH;
@@ -38,11 +40,20 @@ pub fn deduce_parallel_config(
     workload: &WorkloadSpec,
     cfg: &SchedulerConfig,
 ) -> Result<GroupSpec> {
-    deduce_with_cost_model(cluster, model, gpus, phase, workload, cfg).map(|(group, _)| group)
+    let stage_orders = StageOrders::new(1);
+    deduce_with_cost_model(cluster, model, gpus, phase, workload, cfg, &stage_orders)
+        .map(|(group, _)| group)
 }
+
+/// Memoized [`best_stage_order`] results, keyed by the exact bits of the
+/// bandwidth matrix, row-major (its length fixes its size). The order is a
+/// function of those bits alone, so one memo serves every deduction of a
+/// walk, on every worker. `None`: the DP refused the matrix.
+pub(crate) type StageOrders = ShardedCache<Box<[u64]>, Option<Arc<[usize]>>>;
 
 /// [`deduce_parallel_config`] that also returns the cost model it built to
 /// score the winning layout, so orchestration need not build it again.
+/// Stage orders are read from, and added to, `stage_orders`.
 ///
 /// # Errors
 /// Same as [`deduce_parallel_config`].
@@ -53,6 +64,7 @@ pub(crate) fn deduce_with_cost_model(
     phase: Phase,
     workload: &WorkloadSpec,
     cfg: &SchedulerConfig,
+    stage_orders: &StageOrders,
 ) -> Result<(GroupSpec, ReplicaCostModel)> {
     if gpus.is_empty() {
         return Err(Error::Infeasible("empty group".into()));
@@ -74,7 +86,7 @@ pub(crate) fn deduce_with_cost_model(
     let mut best: Option<(f64, GroupSpec, ReplicaCostModel)> = None;
     let mut tp = 1usize;
     while tp <= MAX_TP && tp <= gpus.len() {
-        if let Some(group) = try_config(cluster, model, &buckets, phase, tp, cfg) {
+        if let Some(group) = try_config(cluster, model, &buckets, phase, tp, cfg, stage_orders) {
             if let Ok(rcm) = ReplicaCostModel::new(cluster, model, &group, &cfg.params) {
                 let score = match phase {
                     // Latency-optimal for the compute-bound prefill phase.
@@ -110,6 +122,7 @@ fn try_config(
     phase: Phase,
     tp: usize,
     cfg: &SchedulerConfig,
+    stage_orders: &StageOrders,
 ) -> Option<GroupSpec> {
     // Every bucket must shard evenly into TP-sized stages.
     let mut stage_sets: Vec<Vec<GpuId>> = Vec::new();
@@ -136,11 +149,12 @@ fn try_config(
                 }
             }
         }
-        let order = {
+        let key = bw.iter().flatten().map(|v| v.to_bits()).collect();
+        let order = stage_orders.get_or_insert_with(key, || {
             let _g = profile::scope("tabu.stage_order");
-            best_stage_order(&bw).ok()?
-        };
-        stage_sets = order.order.iter().map(|&i| stage_sets[i].clone()).collect();
+            best_stage_order(&bw).ok().map(|o| o.order.into())
+        })?;
+        stage_sets = order.iter().map(|&i| stage_sets[i].clone()).collect();
     }
 
     // Non-uniform layer partition proportional to stage memory, capped by
@@ -355,6 +369,53 @@ mod tests {
         )
         .unwrap();
         assert!(g.parallel.tp() >= 2, "prefill should shard compute: {g:?}");
+    }
+
+    /// Deduction through one shared stage-order memo gives the layout and
+    /// cost-model bits a fresh deduction gives, over random GPU sets of
+    /// the paper cloud with up to eight pipeline stages.
+    #[test]
+    fn shared_stage_order_memo_matches_fresh_deduction() {
+        use rand::seq::SliceRandom;
+        use rand::Rng;
+        let cluster = presets::paper_cloud_cluster();
+        let mut all: Vec<GpuId> = cluster.active_gpus();
+        let memo = StageOrders::default();
+        let mut rng = ts_common::seeded_rng(0x57A6E);
+        let mut deduced = 0;
+        for draw in 0..400 {
+            let m = if draw % 2 == 0 {
+                ModelSpec::llama_13b()
+            } else {
+                ModelSpec::llama_30b()
+            };
+            let phase = if rng.gen_bool(0.5) {
+                Phase::Prefill
+            } else {
+                Phase::Decode
+            };
+            let w = spec::coding(1.0);
+            let n = rng.gen_range(1..=12usize);
+            all.shuffle(&mut rng);
+            let gpus = &all[..n];
+            let shared = deduce_with_cost_model(&cluster, &m, gpus, phase, &w, &cfg(), &memo);
+            let fresh = deduce_parallel_config(&cluster, &m, gpus, phase, &w, &cfg());
+            match (shared, fresh) {
+                (Ok((g, cost)), Ok(f)) => {
+                    assert_eq!(g, f, "draw {draw}");
+                    let rebuilt = ReplicaCostModel::new(&cluster, &m, &f, &cfg().params).unwrap();
+                    assert_eq!(
+                        cost.prefill_latency(512, 512),
+                        rebuilt.prefill_latency(512, 512)
+                    );
+                    deduced += 1;
+                }
+                (Err(_), Err(_)) => {}
+                (a, b) => panic!("draw {draw}: {:?} vs {:?}", a.map(|x| x.0), b),
+            }
+        }
+        assert!(deduced > 100, "{deduced} feasible draws");
+        assert!(memo.hit_count() > 0 && memo.miss_count() > 10);
     }
 
     #[test]

@@ -26,6 +26,14 @@ pub struct ScheduleResult {
     pub group_cache_hits: u64,
     /// Misses of the shared parallel-configuration cache.
     pub group_cache_misses: u64,
+    /// Hits of the walk's KV-seconds cache of (prefill, decode) pairs.
+    pub pair_cache_hits: u64,
+    /// Misses of the KV-seconds cache: the pairs priced.
+    pub pair_cache_misses: u64,
+    /// Hits of the walk's stage-order memo of deduction.
+    pub stage_order_hits: u64,
+    /// Misses of the stage-order memo: the stage-order DPs solved.
+    pub stage_order_misses: u64,
     /// Per-step search introspection, when
     /// [`SchedulerConfig::search_trace`] is on.
     pub search_trace: Option<ts_telemetry::SearchTrace>,
@@ -45,6 +53,10 @@ impl ScheduleResult {
             neighbors_generated: result.neighbors_generated,
             group_cache_hits: result.group_cache_hits,
             group_cache_misses: result.group_cache_misses,
+            pair_cache_hits: result.pair_cache_hits,
+            pair_cache_misses: result.pair_cache_misses,
+            stage_order_hits: result.stage_order_hits,
+            stage_order_misses: result.stage_order_misses,
             search_trace: result.search_trace,
             elapsed: start.elapsed().as_secs_f64(),
         }

@@ -44,22 +44,37 @@
 //! neighbours (`Space::score`); no plan is built for them. Only a step
 //! winner that beats the running best is packaged into a plan
 //! (`Space::evaluate`), and only that plan is kept. Packaging re-reads the
-//! group cache without counting, so the cache counters are those of the
+//! walk's caches without counting, so the cache counters are those of the
 //! scores alone.
+//!
+//! # What a walk computes once
+//!
+//! A walk's `Caches` hold what does not change while it runs, each value a
+//! function of its key alone, shared by every worker:
+//!
+//! * the group cache: each group's parallel configuration, the cost model
+//!   that scored it and that model's estimator terms ([`ReplicaTerms`]);
+//! * the KV-seconds cache, keyed by the (prefill, decode) group hashes;
+//! * the stage-order memo of deduction, keyed by the bandwidth matrix's
+//!   bits.
+//!
+//! The flip space's groups are frozen, so it builds their models, terms and
+//! its whole KV-seconds matrix once instead.
 
 use crate::candidate::{Candidate, CandidateGroup};
 use crate::config::{SchedulerConfig, N_MEM};
 use crate::orchestrate::{
-    check_routing, cost_models, phase_affinity_of, score_costed, sim_config, OrchestratedPlan,
-    Scored,
+    check_routing, cost_models, phase_affinity_of, score_costed, sim_config, AffinityScale,
+    OrchestratedPlan, Scored,
 };
-use crate::parallel::deduce_with_cost_model;
+use crate::parallel::{deduce_with_cost_model, StageOrders};
 use rand::Rng;
-use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
+use std::collections::{BTreeSet, VecDeque};
 use std::hash::Hash;
 use std::sync::Arc;
 use std::time::Instant;
 use ts_cluster::Cluster;
+use ts_common::hash::{FastHashMap, FastHashSet};
 use ts_common::rng::derive_seed;
 use ts_common::{
     seeded_rng, validate_catalog, with_worker_pool, DeploymentPlan, Error, GpuId, GroupSpec,
@@ -68,6 +83,7 @@ use ts_common::{
 use ts_costmodel::replica::{memory_feasible, memory_feasible_with_headroom};
 use ts_costmodel::ReplicaCostModel;
 use ts_sim::config::SimConfig;
+use ts_sim::estimate::{kv_seconds, ReplicaTerms};
 use ts_solver::clustering::cluster_by_bandwidth;
 use ts_telemetry::{profile, SearchStep, SearchTrace};
 use ts_workload::WorkloadSpec;
@@ -103,19 +119,48 @@ pub struct TabuResult {
     pub group_cache_hits: u64,
     /// Misses on the sharded parallel-configuration cache.
     pub group_cache_misses: u64,
+    /// Hits on the walk's KV-seconds cache of (prefill, decode) group
+    /// pairs; approximate across thread counts like the group cache's. The
+    /// flip space precomputes its pairs, so it counts none.
+    pub pair_cache_hits: u64,
+    /// Misses on the KV-seconds cache: the pairs priced.
+    pub pair_cache_misses: u64,
+    /// Hits on the walk's stage-order memo of deduction.
+    pub stage_order_hits: u64,
+    /// Misses on the stage-order memo: the stage-order DPs solved.
+    pub stage_order_misses: u64,
     /// Per-step introspection rows, when
     /// [`SchedulerConfig::search_trace`] is on.
     pub search_trace: Option<SearchTrace>,
 }
 
-/// Parallel configurations deduced so far, each with the cost model that
-/// scored it, keyed by [`CandidateGroup::group_hash`] (`None`: the group
-/// has no feasible configuration). An entry sits behind one `Arc`, so a hit
-/// clones a pointer. Entries are deterministic functions of their key, so
-/// every worker of a walk shares one.
-type GroupCache = ShardedCache<Option<Arc<(GroupSpec, ReplicaCostModel)>>>;
+/// A group as the lower level reads it: its layout, the cost model that
+/// scored it, that model's estimator terms, and its key in the KV-seconds
+/// table (its [`CandidateGroup::group_hash`], or in the flip space its
+/// index among the frozen groups).
+struct Resolved {
+    spec: GroupSpec,
+    cost: ReplicaCostModel,
+    terms: ReplicaTerms,
+    kv_key: u64,
+}
 
-/// How a space reads the group cache: counted while scoring, uncounted
+/// Groups resolved so far, keyed by [`CandidateGroup::group_hash`] (`None`:
+/// the group has no feasible configuration). An entry sits behind one
+/// `Arc`, so a hit clones a pointer.
+type GroupCache = ShardedCache<u64, Option<Arc<Resolved>>>;
+
+/// What one walk computes once and every worker reads. Each value is a
+/// deterministic function of its key, so racing workers agree.
+#[derive(Default)]
+struct Caches {
+    groups: GroupCache,
+    /// KV seconds of a (prefill, decode) pair, keyed by their `kv_key`s.
+    kv: ShardedCache<(u64, u64), f64>,
+    stage_orders: StageOrders,
+}
+
+/// How a space reads the walk's caches: counted while scoring, uncounted
 /// while packaging a point already scored.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Read {
@@ -123,23 +168,69 @@ enum Read {
     Uncounted,
 }
 
-/// The cache entry of `g`, computing it with `deduce` on a miss. An
-/// uncounted read finds the entry its score inserted; should it not, it
-/// computes the entry without caching it.
-fn cached_group(
-    groups: &GroupCache,
-    g: &CandidateGroup,
-    read: Read,
-    deduce: impl FnOnce() -> Option<(GroupSpec, ReplicaCostModel)>,
-) -> Option<Arc<(GroupSpec, ReplicaCostModel)>> {
-    let deduce = || {
-        let _g = profile::scope("tabu.deduce");
-        deduce().map(Arc::new)
-    };
-    match read {
-        Read::Counted => groups.get_or_insert_with(g.group_hash(), deduce),
-        Read::Uncounted => groups.peek(g.group_hash()).unwrap_or_else(deduce),
+impl Caches {
+    /// The cache entry of `g`, computing it with `resolve` on a miss. An
+    /// uncounted read finds the entry its score inserted; should it not, it
+    /// computes the entry without caching it.
+    fn group(
+        &self,
+        g: &CandidateGroup,
+        read: Read,
+        resolve: impl FnOnce() -> Option<Resolved>,
+    ) -> Option<Arc<Resolved>> {
+        let resolve = || {
+            let _g = profile::scope("tabu.deduce");
+            resolve().map(Arc::new)
+        };
+        match read {
+            Read::Counted => self.groups.get_or_insert_with(g.group_hash(), resolve),
+            Read::Uncounted => self.groups.peek(&g.group_hash()).unwrap_or_else(resolve),
+        }
     }
+
+    /// The KV seconds of the pair (`p`, `d`), pricing it with `price` on a
+    /// miss, read as [`Caches::group`] reads.
+    fn kv_seconds(
+        &self,
+        p: &Resolved,
+        d: &Resolved,
+        read: Read,
+        price: impl FnOnce() -> f64,
+    ) -> f64 {
+        let key = (p.kv_key, d.kv_key);
+        match read {
+            Read::Counted => self.kv.get_or_insert_with(key, price),
+            Read::Uncounted => self.kv.peek(&key).unwrap_or_else(price),
+        }
+    }
+}
+
+/// Deduces `g`'s parallel configuration under `model` and `workload`, with
+/// the stage orders of `caches`, and resolves it.
+fn deduce(
+    cluster: &Cluster,
+    model: &ModelSpec,
+    workload: &WorkloadSpec,
+    cfg: &SchedulerConfig,
+    caches: &Caches,
+    g: &CandidateGroup,
+) -> Option<Resolved> {
+    let (spec, cost) = deduce_with_cost_model(
+        cluster,
+        model,
+        &g.gpus,
+        g.phase,
+        workload,
+        cfg,
+        &caches.stage_orders,
+    )
+    .ok()?;
+    Some(Resolved {
+        terms: ReplicaTerms::new(&cost, workload),
+        spec,
+        cost,
+        kv_key: g.group_hash(),
+    })
 }
 
 /// What a walk searches. Evaluation takes `&self`, so the worker pool can
@@ -167,12 +258,12 @@ trait Space: Sync {
     /// Lower-level score of an admissible solution: its objective, or
     /// `None` if it is infeasible. Builds no plan, but runs every check
     /// that packaging one could fail on.
-    fn score(&self, p: &Self::Point, groups: &GroupCache) -> Option<f64>;
+    fn score(&self, p: &Self::Point, caches: &Caches) -> Option<f64>;
 
     /// The objective and packaged plan of a solution [`Space::score`] has
-    /// scored on `groups`: `None` exactly when the score is. Reads the
-    /// group cache without counting.
-    fn evaluate(&self, p: &Self::Point, groups: &GroupCache) -> Option<(f64, OrchestratedPlan)>;
+    /// scored on `caches`: `None` exactly when the score is. Reads the
+    /// caches without counting.
+    fn evaluate(&self, p: &Self::Point, caches: &Caches) -> Option<(f64, OrchestratedPlan)>;
 }
 
 /// The tabu walk: `steps` steps of `cfg.n_nghb` neighbours each, drawn
@@ -189,15 +280,17 @@ fn walk<S: Space>(
 ) -> Result<TabuResult> {
     let start = Instant::now();
     let mut rng = seeded_rng(rng_seed);
-    let groups = GroupCache::default();
+    let caches = Caches::default();
     let mut x = space.seed()?;
     let mut best_score = f64::NEG_INFINITY;
     let mut best_plan: Option<OrchestratedPlan> = None;
     let mut evaluations = 0usize;
-    let mut eval_cache: HashMap<S::Key, Option<f64>> = HashMap::new();
+    // The walk's maps are only probed, never iterated, so their hasher
+    // cannot reach an output.
+    let mut eval_cache: FastHashMap<S::Key, Option<f64>> = FastHashMap::default();
     let mut tabu: VecDeque<S::Key> = VecDeque::new();
     // Mirrors `tabu` for O(1) membership tests.
-    let mut tabu_set: HashSet<S::Key> = HashSet::new();
+    let mut tabu_set: FastHashSet<S::Key> = FastHashSet::default();
     let mut trajectory = Vec::with_capacity(steps);
     let mut neighbors_generated = 0usize;
     let mut search_trace = cfg.search_trace.then(SearchTrace::default);
@@ -205,18 +298,18 @@ fn walk<S: Space>(
 
     if space.admissible(&x) {
         evaluations += 1;
-        let score = space.score(&x, &groups);
+        let score = space.score(&x, &caches);
         eval_cache.insert(space.key(&x), score);
         if let Some(score) = score {
             best_score = score;
-            best_plan = space.evaluate(&x, &groups).map(|(_, plan)| plan);
+            best_plan = space.evaluate(&x, &caches).map(|(_, plan)| plan);
         }
     }
 
     // One worker pool spans the whole walk: thread startup is paid once,
     // not once per step. Jobs are owned clones, because pool workers
     // outlive any one step.
-    let eval = |p: &S::Point| space.score(p, &groups);
+    let eval = |p: &S::Point| space.score(p, &caches);
     with_worker_pool(cfg.num_threads, &eval, |run| {
         for step in 0..steps {
             // Draw the whole neighbourhood up front so the RNG stream is
@@ -239,7 +332,7 @@ fn walk<S: Space>(
             };
             let mut batch_keys: Vec<S::Key> = Vec::new();
             let mut batch: Vec<S::Point> = Vec::new();
-            let mut scheduled: HashSet<&S::Key> = HashSet::new();
+            let mut scheduled: FastHashSet<&S::Key> = FastHashSet::default();
             let gate = profile::scope("tabu.gate");
             for (k, p) in &drawn {
                 if tabu_set.contains(k) {
@@ -282,7 +375,7 @@ fn walk<S: Space>(
                 let (k, p) = drawn.swap_remove(i);
                 if score > best_score {
                     best_score = score;
-                    best_plan = space.evaluate(&p, &groups).map(|(_, plan)| plan);
+                    best_plan = space.evaluate(&p, &caches).map(|(_, plan)| plan);
                 }
                 tabu.push_back(k.clone());
                 tabu_set.insert(k);
@@ -315,8 +408,12 @@ fn walk<S: Space>(
         trajectory,
         evaluations,
         neighbors_generated,
-        group_cache_hits: groups.hit_count(),
-        group_cache_misses: groups.miss_count(),
+        group_cache_hits: caches.groups.hit_count(),
+        group_cache_misses: caches.groups.miss_count(),
+        pair_cache_hits: caches.kv.hit_count(),
+        pair_cache_misses: caches.kv.miss_count(),
+        stage_order_hits: caches.stage_orders.hit_count(),
+        stage_order_misses: caches.stage_orders.miss_count(),
         search_trace,
     })
 }
@@ -334,14 +431,7 @@ pub(crate) fn schedule(
     slo: &SloSpec,
     cfg: &SchedulerConfig,
 ) -> Result<TabuResult> {
-    let space = SingleModel {
-        cluster,
-        model,
-        sim: sim_config(model, cfg),
-        workload,
-        slo,
-        cfg,
-    };
+    let space = SingleModel::new(cluster, model, workload, slo, cfg);
     walk(&space, cfg, cfg.seed, cfg.n_step)
 }
 
@@ -367,13 +457,7 @@ pub(crate) fn schedule_multi(
             workloads.len()
         )));
     }
-    let space = MultiModel {
-        cluster,
-        models,
-        sims: models.iter().map(|m| sim_config(&m.spec, cfg)).collect(),
-        workloads,
-        cfg,
-    };
+    let space = MultiModel::new(cluster, models, workloads, cfg);
     walk(&space, cfg, cfg.seed, cfg.n_step)
 }
 
@@ -405,9 +489,31 @@ struct SingleModel<'a> {
     model: &'a ModelSpec,
     /// [`sim_config`] of the model, built once per walk.
     sim: SimConfig,
+    /// The cluster's [`AffinityScale`], built once per walk.
+    affinity: AffinityScale,
     workload: &'a WorkloadSpec,
     slo: &'a SloSpec,
     cfg: &'a SchedulerConfig,
+}
+
+impl<'a> SingleModel<'a> {
+    fn new(
+        cluster: &'a Cluster,
+        model: &'a ModelSpec,
+        workload: &'a WorkloadSpec,
+        slo: &'a SloSpec,
+        cfg: &'a SchedulerConfig,
+    ) -> Self {
+        SingleModel {
+            cluster,
+            model,
+            sim: sim_config(model, cfg),
+            affinity: AffinityScale::new(cluster),
+            workload,
+            slo,
+            cfg,
+        }
+    }
 }
 
 impl Space for SingleModel<'_> {
@@ -479,60 +585,58 @@ impl Space for SingleModel<'_> {
                 .all(|g| memory_feasible(self.cluster, self.model, &g.gpus, &self.cfg.params))
     }
 
-    fn score(&self, c: &Candidate, groups: &GroupCache) -> Option<f64> {
-        let entries = self.resolve(c, groups, Read::Counted)?;
-        let members = entries.iter().map(|e| (e.0.phase, &e.0, &e.1));
-        score_single(
-            self.cluster,
-            &self.sim,
-            self.workload,
-            self.slo,
-            self.cfg,
-            members,
-        )
-        .map(|(score, _)| score)
+    fn score(&self, c: &Candidate, caches: &Caches) -> Option<f64> {
+        let entries = self.resolve(c, caches, Read::Counted)?;
+        self.single(caches, Read::Counted)
+            .score(members(&entries))
+            .map(|(score, _)| score)
     }
 
-    fn evaluate(&self, c: &Candidate, groups: &GroupCache) -> Option<(f64, OrchestratedPlan)> {
-        let entries = self.resolve(c, groups, Read::Uncounted)?;
-        let members = entries.iter().map(|e| (e.0.phase, &e.0, &e.1));
-        package_single(
-            self.cluster,
-            &self.sim,
-            self.workload,
-            self.slo,
-            self.cfg,
-            members,
-        )
+    fn evaluate(&self, c: &Candidate, caches: &Caches) -> Option<(f64, OrchestratedPlan)> {
+        let entries = self.resolve(c, caches, Read::Uncounted)?;
+        self.single(caches, Read::Uncounted)
+            .package(members(&entries))
     }
 }
 
 impl SingleModel<'_> {
     /// Each group's cache entry, in candidate order, or `None` if a group
     /// has no feasible configuration.
-    fn resolve(
-        &self,
-        c: &Candidate,
-        groups: &GroupCache,
-        read: Read,
-    ) -> Option<Vec<Arc<(GroupSpec, ReplicaCostModel)>>> {
+    fn resolve(&self, c: &Candidate, caches: &Caches, read: Read) -> Option<Vec<Arc<Resolved>>> {
         c.groups
             .iter()
             .map(|g| {
-                cached_group(groups, g, read, || {
-                    deduce_with_cost_model(
-                        self.cluster,
-                        self.model,
-                        &g.gpus,
-                        g.phase,
-                        self.workload,
-                        self.cfg,
-                    )
-                    .ok()
+                caches.group(g, read, || {
+                    deduce(self.cluster, self.model, self.workload, self.cfg, caches, g)
                 })
             })
             .collect()
     }
+
+    /// The single-model objective, pricing KV pairs through `caches`.
+    fn single<'s>(
+        &'s self,
+        caches: &'s Caches,
+        read: Read,
+    ) -> Single<'s, impl Fn(&Resolved, &Resolved) -> f64 + 's> {
+        Single {
+            cluster: self.cluster,
+            affinity: self.affinity,
+            workload: self.workload,
+            slo: self.slo,
+            cfg: self.cfg,
+            kv: move |p: &Resolved, d: &Resolved| {
+                caches.kv_seconds(p, d, read, || {
+                    kv_seconds(self.cluster, &self.sim, &p.cost, &d.cost, self.workload)
+                })
+            },
+        }
+    }
+}
+
+/// Each resolved group under the phase it was resolved for.
+fn members(entries: &[Arc<Resolved>]) -> impl Iterator<Item = (Phase, &Resolved)> + Clone {
+    entries.iter().map(|e| (e.spec.phase, &**e))
 }
 
 /// The multi-tenant upper level. In addition to group construction and
@@ -544,11 +648,47 @@ struct MultiModel<'a> {
     models: &'a [ServedModel],
     /// [`sim_config`] of each model, in catalog order, built once per walk.
     sims: Vec<SimConfig>,
+    /// The cluster's [`AffinityScale`], built once per walk.
+    affinity: AffinityScale,
     workloads: &'a [WorkloadSpec],
     cfg: &'a SchedulerConfig,
 }
 
+impl<'a> MultiModel<'a> {
+    fn new(
+        cluster: &'a Cluster,
+        models: &'a [ServedModel],
+        workloads: &'a [WorkloadSpec],
+        cfg: &'a SchedulerConfig,
+    ) -> Self {
+        MultiModel {
+            cluster,
+            models,
+            sims: models.iter().map(|m| sim_config(&m.spec, cfg)).collect(),
+            affinity: AffinityScale::new(cluster),
+            workloads,
+            cfg,
+        }
+    }
+}
+
 impl MultiModel<'_> {
+    /// KV seconds of a pair of one model's groups, priced under that
+    /// model's `sim` and `workload` through `caches`.
+    fn kv<'s>(
+        &'s self,
+        caches: &'s Caches,
+        read: Read,
+        sim: &'s SimConfig,
+        workload: &'s WorkloadSpec,
+    ) -> impl Fn(&Resolved, &Resolved) -> f64 + 's {
+        move |p: &Resolved, d: &Resolved| {
+            caches.kv_seconds(p, d, read, || {
+                kv_seconds(self.cluster, sim, &p.cost, &d.cost, workload)
+            })
+        }
+    }
+
     /// The catalog entry and workload a group serves.
     fn served(&self, g: &CandidateGroup) -> Option<(&ServedModel, &WorkloadSpec)> {
         let i = self.models.iter().position(|m| m.id == g.model)?;
@@ -557,22 +697,19 @@ impl MultiModel<'_> {
 
     /// Each group's cache entry under the model it serves, in candidate
     /// order, or `None` if a group has no feasible configuration.
-    fn resolve(
-        &self,
-        c: &Candidate,
-        groups: &GroupCache,
-        read: Read,
-    ) -> Option<Vec<Arc<(GroupSpec, ReplicaCostModel)>>> {
+    fn resolve(&self, c: &Candidate, caches: &Caches, read: Read) -> Option<Vec<Arc<Resolved>>> {
         c.groups
             .iter()
             .map(|g| {
                 let (m, w) = self.served(g)?;
                 // `group_hash` covers the model id, so one cache serves all
-                // tenants without collisions.
-                cached_group(groups, g, read, || {
-                    deduce_with_cost_model(self.cluster, &m.spec, &g.gpus, g.phase, w, self.cfg)
-                        .ok()
-                        .map(|(spec, cost)| (spec.with_model(g.model), cost))
+                // tenants without collisions, and so does the KV cache its
+                // keys index.
+                caches.group(g, read, || {
+                    deduce(self.cluster, &m.spec, w, self.cfg, caches, g).map(|r| Resolved {
+                        spec: r.spec.with_model(g.model),
+                        ..r
+                    })
                 })
             })
             .collect()
@@ -585,19 +722,24 @@ impl MultiModel<'_> {
     /// the checks [`DeploymentPlan::new_multi`] runs on them.
     fn score_models(
         &self,
-        entries: &[Arc<(GroupSpec, ReplicaCostModel)>],
+        entries: &[Arc<Resolved>],
+        caches: &Caches,
+        read: Read,
     ) -> Option<(f64, Vec<Scored>)> {
         let mut score = 0.0f64;
         let mut affinity = 0.0f64;
         let mut routed = Vec::with_capacity(self.models.len());
         for ((m, w), sim) in self.models.iter().zip(self.workloads).zip(&self.sims) {
-            let members = entries.iter().filter(|e| e.0.model == m.id);
+            let members = entries.iter().filter(|e| e.spec.model == m.id);
             affinity += m.traffic_share
-                * phase_affinity_of(self.cluster, members.clone().map(|e| (e.0.phase, &e.0)));
+                * phase_affinity_of(
+                    self.cluster,
+                    self.affinity,
+                    members.clone().map(|e| (e.spec.phase, &e.spec)),
+                );
             let scored = score_costed(
-                self.cluster,
-                sim,
-                members.map(|e| (e.0.phase, &e.1)),
+                members.map(|e| (e.spec.phase, &e.cost, &e.terms, &**e)),
+                self.kv(caches, read, sim, w),
                 w,
                 &m.slo,
                 m.traffic_share,
@@ -729,22 +871,23 @@ impl Space for MultiModel<'_> {
     /// Per-group parallel-config deduction under that group's model, then
     /// one transportation problem per model with a traffic-share claim on
     /// the shared uplinks (see `MultiModel::score_models`).
-    fn score(&self, c: &Candidate, groups: &GroupCache) -> Option<f64> {
-        let entries = self.resolve(c, groups, Read::Counted)?;
-        self.score_models(&entries).map(|(score, _)| score)
+    fn score(&self, c: &Candidate, caches: &Caches) -> Option<f64> {
+        let entries = self.resolve(c, caches, Read::Counted)?;
+        self.score_models(&entries, caches, Read::Counted)
+            .map(|(score, _)| score)
     }
 
-    fn evaluate(&self, c: &Candidate, groups: &GroupCache) -> Option<(f64, OrchestratedPlan)> {
-        let entries = self.resolve(c, groups, Read::Uncounted)?;
-        let (objective, routed) = self.score_models(&entries)?;
+    fn evaluate(&self, c: &Candidate, caches: &Caches) -> Option<(f64, OrchestratedPlan)> {
+        let entries = self.resolve(c, caches, Read::Uncounted)?;
+        let (objective, routed) = self.score_models(&entries, caches, Read::Uncounted)?;
         let mut score = 0.0f64;
         let mut all_groups: Vec<GroupSpec> = Vec::new();
         let mut per_model: Vec<ModelRouting> = Vec::new();
         for (m, r) in self.models.iter().zip(routed) {
             let groups_m: Vec<GroupSpec> = entries
                 .iter()
-                .filter(|e| e.0.model == m.id)
-                .map(|e| e.0.clone())
+                .filter(|e| e.spec.model == m.id)
+                .map(|e| e.spec.clone())
                 .collect();
             let op = r.package(groups_m.clone()).ok()?;
             score += m.traffic_share * op.score;
@@ -768,13 +911,17 @@ impl Space for MultiModel<'_> {
 /// vector, one entry per group.
 struct Flips<'a> {
     cluster: &'a Cluster,
-    /// [`sim_config`] of the model, built once per walk.
-    sim: SimConfig,
+    /// The cluster's [`AffinityScale`], built once per walk.
+    affinity: AffinityScale,
     groups: Vec<GroupSpec>,
-    /// Each group's cost model, built once: a phase flip leaves it as is.
-    /// `None` if any group cannot hold the model or two groups share a
-    /// GPU, when no designation orchestrates.
-    costs: Option<Vec<ReplicaCostModel>>,
+    /// Each group resolved once, its `kv_key` its index: a phase flip
+    /// leaves its cost model and terms as they are. `None` if any group
+    /// cannot hold the model or two groups share a GPU, when no
+    /// designation orchestrates.
+    resolved: Option<Vec<Resolved>>,
+    /// `kv[i][j]`: the KV seconds from group `i` to group `j`, every
+    /// ordered pair priced once.
+    kv: Vec<Vec<f64>>,
     workload: &'a WorkloadSpec,
     slo: &'a SloSpec,
     cfg: &'a SchedulerConfig,
@@ -808,29 +955,14 @@ impl Space for Flips<'_> {
         phases.contains(&Phase::Prefill) && phases.contains(&Phase::Decode)
     }
 
-    fn score(&self, phases: &Vec<Phase>, _: &GroupCache) -> Option<f64> {
+    fn score(&self, phases: &Vec<Phase>, _: &Caches) -> Option<f64> {
         let members = self.members(phases)?;
-        score_single(
-            self.cluster,
-            &self.sim,
-            self.workload,
-            self.slo,
-            self.cfg,
-            members,
-        )
-        .map(|(score, _)| score)
+        self.single().score(members).map(|(score, _)| score)
     }
 
-    fn evaluate(&self, phases: &Vec<Phase>, _: &GroupCache) -> Option<(f64, OrchestratedPlan)> {
+    fn evaluate(&self, phases: &Vec<Phase>, _: &Caches) -> Option<(f64, OrchestratedPlan)> {
         let members = self.members(phases)?;
-        package_single(
-            self.cluster,
-            &self.sim,
-            self.workload,
-            self.slo,
-            self.cfg,
-            members,
-        )
+        self.single().package(members)
     }
 }
 
@@ -850,67 +982,110 @@ impl<'a> Flips<'a> {
             .iter()
             .flat_map(GroupSpec::gpus)
             .all(|g| seen.insert(g));
-        let costs = cost_models(cluster, model, &groups, cfg)
+        let sim = sim_config(model, cfg);
+        let resolved: Option<Vec<Resolved>> = cost_models(cluster, model, &groups, cfg)
             .ok()
-            .filter(|_| disjoint);
+            .filter(|_| disjoint)
+            .map(|costs| {
+                groups
+                    .iter()
+                    .zip(costs)
+                    .enumerate()
+                    .map(|(i, (g, cost))| Resolved {
+                        spec: g.clone(),
+                        terms: ReplicaTerms::new(&cost, workload),
+                        cost,
+                        kv_key: i as u64,
+                    })
+                    .collect()
+            });
+        let kv = resolved.as_deref().map_or_else(Vec::new, |rs| {
+            rs.iter()
+                .map(|p| {
+                    rs.iter()
+                        .map(|d| kv_seconds(cluster, &sim, &p.cost, &d.cost, workload))
+                        .collect()
+                })
+                .collect()
+        });
         Flips {
             cluster,
-            sim: sim_config(model, cfg),
+            affinity: AffinityScale::new(cluster),
             groups,
-            costs,
+            resolved,
+            kv,
             workload,
             slo,
             cfg,
         }
     }
 
-    /// Each frozen group under its phase in `phases`, with its cost model.
+    /// Each frozen group under its phase in `phases`.
     fn members<'s>(
         &'s self,
         phases: &'s [Phase],
-    ) -> Option<impl Iterator<Item = (Phase, &'s GroupSpec, &'s ReplicaCostModel)> + Clone> {
-        let costs = self.costs.as_deref()?;
-        Some(
-            phases
-                .iter()
-                .zip(&self.groups)
-                .zip(costs)
-                .map(|((&phase, g), c)| (phase, g, c)),
-        )
+    ) -> Option<impl Iterator<Item = (Phase, &'s Resolved)> + Clone> {
+        let resolved = self.resolved.as_deref()?;
+        Some(phases.iter().copied().zip(resolved))
+    }
+
+    /// The single-model objective, reading KV pairs from the matrix.
+    fn single(&self) -> Single<'_, impl Fn(&Resolved, &Resolved) -> f64 + '_> {
+        Single {
+            cluster: self.cluster,
+            affinity: self.affinity,
+            workload: self.workload,
+            slo: self.slo,
+            cfg: self.cfg,
+            kv: |p: &Resolved, d: &Resolved| self.kv[p.kv_key as usize][d.kv_key as usize],
+        }
     }
 }
 
-/// The single-model evaluation rule over `members`, each group with the
-/// phase it serves and its cost model, in group order: the scoring step,
-/// and the attainment plus the hardware-affinity tie-breaker.
-fn score_single<'g>(
-    cluster: &Cluster,
-    sim: &SimConfig,
-    workload: &WorkloadSpec,
-    slo: &SloSpec,
-    cfg: &SchedulerConfig,
-    members: impl Iterator<Item = (Phase, &'g GroupSpec, &'g ReplicaCostModel)> + Clone,
-) -> Option<(f64, Scored)> {
-    let affinity = phase_affinity_of(cluster, members.clone().map(|(phase, g, _)| (phase, g)));
-    let members = members.map(|(phase, _, c)| (phase, c));
-    let scored = score_costed(cluster, sim, members, workload, slo, 1.0).ok()?;
-    Some((scored.score() + affinity_bonus(cfg, affinity), scored))
+/// The single-model evaluation rule, with `kv` giving a (prefill, decode)
+/// pair's KV seconds: the scoring step, and the attainment plus the
+/// hardware-affinity tie-breaker.
+struct Single<'a, F> {
+    cluster: &'a Cluster,
+    affinity: AffinityScale,
+    workload: &'a WorkloadSpec,
+    slo: &'a SloSpec,
+    cfg: &'a SchedulerConfig,
+    kv: F,
 }
 
-/// [`score_single`], then the plan over the groups, each under its phase.
-fn package_single<'g>(
-    cluster: &Cluster,
-    sim: &SimConfig,
-    workload: &WorkloadSpec,
-    slo: &SloSpec,
-    cfg: &SchedulerConfig,
-    members: impl Iterator<Item = (Phase, &'g GroupSpec, &'g ReplicaCostModel)> + Clone,
-) -> Option<(f64, OrchestratedPlan)> {
-    let (score, scored) = score_single(cluster, sim, workload, slo, cfg, members.clone())?;
-    let specs = members
-        .map(|(phase, g, _)| GroupSpec { phase, ..g.clone() })
-        .collect();
-    Some((score, scored.package(specs).ok()?))
+impl<F: Fn(&Resolved, &Resolved) -> f64> Single<'_, F> {
+    /// The objective over `members`, each group with the phase it serves,
+    /// in group order.
+    fn score<'g>(
+        &self,
+        members: impl Iterator<Item = (Phase, &'g Resolved)> + Clone,
+    ) -> Option<(f64, Scored)> {
+        let affinity = phase_affinity_of(
+            self.cluster,
+            self.affinity,
+            members.clone().map(|(phase, r)| (phase, &r.spec)),
+        );
+        let members = members.map(|(phase, r)| (phase, &r.cost, &r.terms, r));
+        let scored = score_costed(members, &self.kv, self.workload, self.slo, 1.0).ok()?;
+        Some((scored.score() + affinity_bonus(self.cfg, affinity), scored))
+    }
+
+    /// [`Single::score`], then the plan over the groups, each under its
+    /// phase.
+    fn package<'g>(
+        &self,
+        members: impl Iterator<Item = (Phase, &'g Resolved)> + Clone,
+    ) -> Option<(f64, OrchestratedPlan)> {
+        let (score, scored) = self.score(members.clone())?;
+        let specs = members
+            .map(|(phase, r)| GroupSpec {
+                phase,
+                ..r.spec.clone()
+            })
+            .collect();
+        Some((score, scored.package(specs).ok()?))
+    }
 }
 
 /// The hardware-affinity tie-breaker (§5.3): negligible against any real
@@ -1238,12 +1413,24 @@ mod tests {
         ));
     }
 
+    /// Every counter of the walk's caches.
+    fn counts(caches: &Caches) -> [u64; 6] {
+        [
+            caches.groups.hit_count(),
+            caches.groups.miss_count(),
+            caches.kv.hit_count(),
+            caches.kv.miss_count(),
+            caches.stage_orders.hit_count(),
+            caches.stage_orders.miss_count(),
+        ]
+    }
+
     /// Scores and then packages admissible points of a seeded walk through
     /// `space`: the objectives agree to the bit, are `None` together, and
-    /// packaging leaves the group cache's counts alone. Returns how many
-    /// points were feasible and how many were not.
+    /// packaging leaves the caches' counts alone. Returns how many points
+    /// were feasible and how many were not.
     fn check_score_against_evaluate<S: Space>(space: &S, seed: u64) -> (usize, usize) {
-        let groups = GroupCache::default();
+        let caches = Caches::default();
         let mut rng = seeded_rng(seed);
         let mut x = space.seed().unwrap();
         let (mut feasible, mut infeasible) = (0, 0);
@@ -1252,10 +1439,10 @@ mod tests {
                 continue;
             };
             if space.admissible(&p) {
-                let score = space.score(&p, &groups);
-                let counts = (groups.hit_count(), groups.miss_count());
-                let evaluated = space.evaluate(&p, &groups);
-                assert_eq!((groups.hit_count(), groups.miss_count()), counts);
+                let score = space.score(&p, &caches);
+                let before = counts(&caches);
+                let evaluated = space.evaluate(&p, &caches);
+                assert_eq!(counts(&caches), before);
                 assert_eq!(
                     score.map(f64::to_bits),
                     evaluated.map(|(s, _)| s.to_bits()),
@@ -1280,27 +1467,14 @@ mod tests {
         let cloud = presets::paper_cloud_cluster();
         let model = ModelSpec::llama_30b();
         let w = spec::coding(2.0);
-        let single = SingleModel {
-            cluster: &cloud,
-            model: &model,
-            sim: sim_config(&model, &cfg),
-            workload: &w,
-            slo: &s,
-            cfg: &cfg,
-        };
+        let single = SingleModel::new(&cloud, &model, &w, &s, &cfg);
         let (ok, none) = check_score_against_evaluate(&single, 11);
         assert!(ok > 10 && none > 0, "{ok} feasible, {none} infeasible");
 
         let pool = presets::a5000_cluster(12);
         let models = two_tenants();
         let workloads = vec![spec::conversation(2.0), spec::coding(1.0)];
-        let multi = MultiModel {
-            cluster: &pool,
-            models: &models,
-            sims: models.iter().map(|m| sim_config(&m.spec, &cfg)).collect(),
-            workloads: &workloads,
-            cfg: &cfg,
-        };
+        let multi = MultiModel::new(&pool, &models, &workloads, &cfg);
         let (ok, _) = check_score_against_evaluate(&multi, 12);
         assert!(ok > 10, "{ok} feasible multi-model points");
 
@@ -1317,6 +1491,241 @@ mod tests {
         let flips = Flips::new(&lost, &model, surviving, &w, &s, &cfg);
         let (ok, _) = check_score_against_evaluate(&flips, 13);
         assert!(ok > 10, "{ok} feasible phase vectors");
+    }
+
+    /// `d`, `row_cap`, `col_cap` and `kv_seconds`, as bits.
+    fn estimate_bits(e: &ts_sim::estimate::PairEstimates) -> Vec<Vec<u64>> {
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        e.d.iter()
+            .chain(&e.kv_seconds)
+            .map(|r| bits(r))
+            .chain([bits(&e.row_cap), bits(&e.col_cap)])
+            .collect()
+    }
+
+    /// The estimates of `groups` under `model` with nothing cached: each
+    /// group deduced afresh, its cost model built afresh, and
+    /// `pair_estimates` over them, prefill rows and decode columns in group
+    /// order. Also returns the deduced layouts.
+    fn fresh_estimates(
+        cluster: &Cluster,
+        model: &ModelSpec,
+        groups: &[&CandidateGroup],
+        w: &WorkloadSpec,
+        s: &SloSpec,
+        cfg: &SchedulerConfig,
+    ) -> (Vec<GroupSpec>, ts_sim::estimate::PairEstimates) {
+        let specs: Vec<GroupSpec> = groups
+            .iter()
+            .map(|g| {
+                crate::parallel::deduce_parallel_config(cluster, model, &g.gpus, g.phase, w, cfg)
+                    .unwrap()
+            })
+            .collect();
+        let costs = |phase: Phase| -> Vec<ReplicaCostModel> {
+            specs
+                .iter()
+                .filter(|g| g.phase == phase)
+                .map(|g| ReplicaCostModel::new(cluster, model, g, &cfg.params).unwrap())
+                .collect()
+        };
+        let est = ts_sim::estimate::pair_estimates(
+            cluster,
+            &sim_config(model, cfg),
+            &costs(Phase::Prefill),
+            &costs(Phase::Decode),
+            w,
+            s,
+        );
+        (specs, est)
+    }
+
+    /// The estimate inputs each space computes once per walk (group terms,
+    /// pair KV seconds, stage orders; the flip space's matrix) give the
+    /// bits `pair_estimates` gives with nothing cached, over random
+    /// paper-cloud walks in all three spaces under both KV precisions.
+    #[test]
+    fn cached_estimates_match_on_the_fly_pair_estimates() {
+        use crate::orchestrate::estimates;
+        use ts_kvcache::codec::KvWirePrecision;
+        let cloud = presets::paper_cloud_cluster();
+        let s = slo();
+        let model = ModelSpec::llama_30b();
+        let tenants = vec![
+            ServedModel::llama_7b_chat(ModelId(1), 0.6).unwrap(),
+            ServedModel::llama_13b_chat(ModelId(2), 0.4).unwrap(),
+        ];
+        let (mut single_points, mut multi_points, mut flip_points) = (0, 0, 0);
+        for (k, precision) in [KvWirePrecision::F16, KvWirePrecision::DEFAULT_COMPRESSED]
+            .into_iter()
+            .enumerate()
+        {
+            let mut cfg = SchedulerConfig::fast();
+            cfg.kv_precision = precision;
+            for (i, w) in [spec::coding(2.0), spec::conversation(3.5)]
+                .iter()
+                .enumerate()
+            {
+                let seed = 40 + (2 * k + i) as u64;
+                // Single model: one walk's caches, shared by every point.
+                let space = SingleModel::new(&cloud, &model, w, &s, &cfg);
+                let caches = Caches::default();
+                let mut rng = seeded_rng(seed);
+                let mut x = space.seed().unwrap();
+                for _ in 0..40 {
+                    let Some(p) = space.neighbor(&x, &mut rng) else {
+                        continue;
+                    };
+                    if !space.admissible(&p) {
+                        continue;
+                    }
+                    let Some(entries) = space.resolve(&p, &caches, Read::Counted) else {
+                        continue;
+                    };
+                    let members = members(&entries).map(|(phase, r)| (phase, &r.cost, &r.terms, r));
+                    let single = space.single(&caches, Read::Counted);
+                    let cached = estimates(members, &single.kv, w, &s).unwrap();
+                    let groups: Vec<&CandidateGroup> = p.groups.iter().collect();
+                    let (specs, fresh) = fresh_estimates(&cloud, &model, &groups, w, &s, &cfg);
+                    let cached_specs: Vec<GroupSpec> =
+                        entries.iter().map(|e| e.spec.clone()).collect();
+                    assert_eq!(cached_specs, specs, "layouts, seed {seed}");
+                    assert_eq!(estimate_bits(&cached), estimate_bits(&fresh), "seed {seed}");
+                    single_points += 1;
+                    x = p;
+                }
+                assert!(caches.kv.hit_count() > 0 && caches.stage_orders.hit_count() > 0);
+
+                // Frozen groups: the last point's, every designation drawn.
+                let frozen: Vec<GroupSpec> = space
+                    .resolve(&x, &caches, Read::Uncounted)
+                    .unwrap()
+                    .iter()
+                    .map(|e| e.spec.clone())
+                    .collect();
+                let flips = Flips::new(&cloud, &model, frozen.clone(), w, &s, &cfg);
+                let mut phases = flips.seed().unwrap();
+                for _ in 0..10 {
+                    phases = flips.neighbor(&phases, &mut rng).unwrap();
+                    if !flips.admissible(&phases) {
+                        continue;
+                    }
+                    let single = flips.single();
+                    let members = flips
+                        .members(&phases)
+                        .unwrap()
+                        .map(|(phase, r)| (phase, &r.cost, &r.terms, r));
+                    let cached = estimates(members, &single.kv, w, &s).unwrap();
+                    let sim = sim_config(&model, &cfg);
+                    let costs = |phase: Phase| -> Vec<ReplicaCostModel> {
+                        frozen
+                            .iter()
+                            .zip(&phases)
+                            .filter(|(_, &p)| p == phase)
+                            .map(|(g, _)| {
+                                ReplicaCostModel::new(&cloud, &model, g, &cfg.params).unwrap()
+                            })
+                            .collect()
+                    };
+                    let fresh = ts_sim::estimate::pair_estimates(
+                        &cloud,
+                        &sim,
+                        &costs(Phase::Prefill),
+                        &costs(Phase::Decode),
+                        w,
+                        &s,
+                    );
+                    assert_eq!(
+                        estimate_bits(&cached),
+                        estimate_bits(&fresh),
+                        "flips, seed {seed}"
+                    );
+                    flip_points += 1;
+                }
+            }
+
+            // Two tenants on the paper cloud: each model's groups alone.
+            let workloads = vec![spec::conversation(2.0), spec::coding(1.0)];
+            let space = MultiModel::new(&cloud, &tenants, &workloads, &cfg);
+            let caches = Caches::default();
+            let mut rng = seeded_rng(60 + k as u64);
+            let mut x = space.seed().unwrap();
+            for _ in 0..40 {
+                let Some(p) = space.neighbor(&x, &mut rng) else {
+                    continue;
+                };
+                if !space.admissible(&p) {
+                    continue;
+                }
+                let Some(entries) = space.resolve(&p, &caches, Read::Counted) else {
+                    continue;
+                };
+                for ((m, w), sim) in tenants.iter().zip(&workloads).zip(&space.sims) {
+                    let members = entries
+                        .iter()
+                        .filter(|e| e.spec.model == m.id)
+                        .map(|e| (e.spec.phase, &e.cost, &e.terms, &**e));
+                    let kv = space.kv(&caches, Read::Counted, sim, w);
+                    let cached = estimates(members, kv, w, &m.slo).unwrap();
+                    let groups: Vec<&CandidateGroup> =
+                        p.groups.iter().filter(|g| g.model == m.id).collect();
+                    let (_, fresh) = fresh_estimates(&cloud, &m.spec, &groups, w, &m.slo, &cfg);
+                    assert_eq!(
+                        estimate_bits(&cached),
+                        estimate_bits(&fresh),
+                        "model {:?}",
+                        m.id
+                    );
+                }
+                multi_points += 1;
+                x = p;
+            }
+            assert!(caches.kv.hit_count() > 0);
+        }
+        assert!(
+            single_points > 60 && multi_points > 20 && flip_points > 20,
+            "{single_points} single, {multi_points} multi, {flip_points} flip points"
+        );
+    }
+
+    /// The walk's KV-seconds cache and stage-order memo, counted on one
+    /// fixed one-thread search; lightweight rescheduling reads its
+    /// precomputed matrix and deduces nothing, so it counts neither.
+    #[test]
+    fn walk_cache_counters_are_pinned() {
+        let cloud = presets::paper_cloud_cluster();
+        let model = ModelSpec::llama_30b();
+        let w = spec::coding(2.5);
+        let s = slo();
+        let mut cfg = SchedulerConfig::fast();
+        cfg.seed = 21;
+        cfg.num_threads = 1;
+        let r = schedule(&cloud, &model, &w, &s, &cfg).unwrap();
+        let counts = |r: &TabuResult| {
+            [
+                r.pair_cache_hits,
+                r.pair_cache_misses,
+                r.stage_order_hits,
+                r.stage_order_misses,
+            ]
+        };
+        // Pair lookups: 296 hits and 128 pairs priced. Stage orders: 54
+        // hits and 20 DPs solved.
+        assert_eq!(counts(&r), [296, 128, 54, 20]);
+        let again = schedule(&cloud, &model, &w, &s, &cfg).unwrap();
+        assert_eq!(counts(&again), counts(&r));
+
+        let mut lost = cloud.clone();
+        lost.deactivate_node(ts_common::NodeId(6)).unwrap();
+        let surviving = r
+            .best
+            .plan
+            .groups
+            .into_iter()
+            .filter(|g| g.gpus().all(|id| lost.is_active(id)))
+            .collect();
+        let flips = reschedule_phases(&lost, &model, surviving, &w, &s, &cfg).unwrap();
+        assert_eq!(counts(&flips), [0, 0, 0, 0]);
     }
 
     #[test]
