@@ -52,18 +52,6 @@ impl Hasher for FoldHasher {
         }
     }
 
-    fn write_u8(&mut self, i: u8) {
-        self.fold(u64::from(i));
-    }
-
-    fn write_u16(&mut self, i: u16) {
-        self.fold(u64::from(i));
-    }
-
-    fn write_u32(&mut self, i: u32) {
-        self.fold(u64::from(i));
-    }
-
     fn write_u64(&mut self, i: u64) {
         self.fold(i);
     }

@@ -39,7 +39,7 @@ fn schedule_is_bit_identical_across_thread_counts() {
         let baseline = Scheduler::new(cfg_with_threads(seed, 1))
             .schedule(&cluster, &model, &w, &s)
             .unwrap();
-        for threads in [2usize, 8] {
+        for threads in [2usize, 4, 8] {
             let parallel = Scheduler::new(cfg_with_threads(seed, threads))
                 .schedule(&cluster, &model, &w, &s)
                 .unwrap();
@@ -127,7 +127,7 @@ fn lightweight_reschedule_is_bit_identical_across_thread_counts() {
         &cfg_with_threads(21, 1),
     )
     .unwrap();
-    for threads in [2usize, 8] {
+    for threads in [2usize, 4, 8] {
         let parallel = lightweight_reschedule(
             &failed,
             &model,
@@ -176,7 +176,7 @@ fn schedule_multi_is_bit_identical_across_thread_counts() {
             .unwrap()
     };
     let baseline = run(1);
-    for threads in [2usize, 8] {
+    for threads in [2usize, 4, 8] {
         let parallel = run(threads);
         let (b, p) = (&baseline.schedule, &parallel.schedule);
         assert_eq!(b.plan, p.plan, "plan diverged with {threads} threads");
@@ -231,7 +231,7 @@ fn fleet_reschedule_is_bit_identical_across_thread_counts() {
         fleet_reschedule(&pool, &model, &plan, &delta, &w, &s, &cfg, 0.5).unwrap()
     };
     let baseline = run(1);
-    for threads in [2usize, 8] {
+    for threads in [2usize, 4, 8] {
         let parallel = run(threads);
         assert_eq!(
             baseline.plan, parallel.plan,

@@ -190,7 +190,7 @@ fn estimate_on_the_fly<M: Borrow<ReplicaCostModel>>(
 /// give the bits [`pair_estimates`] gives, without
 /// [`PairEstimates::components`].
 pub fn pair_estimates_from_terms<'t>(
-    prefill: impl ExactSizeIterator<Item = &'t ReplicaTerms>,
+    prefill: impl Iterator<Item = &'t ReplicaTerms>,
     decode: &[(&ReplicaCostModel, &ReplicaTerms)],
     kv_seconds: Vec<Vec<f64>>,
     workload: &WorkloadSpec,
@@ -199,8 +199,10 @@ pub fn pair_estimates_from_terms<'t>(
     assemble(prefill, decode, kv_seconds, workload, slo, false)
 }
 
+/// [`pair_estimates_from_terms`], filling [`PairEstimates::components`]
+/// when `components` asks for them.
 fn assemble<'t>(
-    prefill: impl ExactSizeIterator<Item = &'t ReplicaTerms>,
+    prefill: impl Iterator<Item = &'t ReplicaTerms>,
     decode: &[(&ReplicaCostModel, &ReplicaTerms)],
     kv_seconds: Vec<Vec<f64>>,
     workload: &WorkloadSpec,
