@@ -49,9 +49,14 @@ impl Fnv {
 }
 
 fn digest(name: &str, m: &Metrics, out: &mut String) {
+    out.push_str(&format!("[{name}]\n"));
+    digest_metrics(m, out);
+}
+
+fn digest_metrics(m: &Metrics, out: &mut String) {
     let r = m.recovery();
     out.push_str(&format!(
-        "[{name}]\ncompleted={} dropped={} rejected={}\n",
+        "completed={} dropped={} rejected={}\n",
         m.num_completed(),
         m.num_dropped(),
         m.num_rejected()
@@ -243,6 +248,83 @@ fn split_plan_pipelined() -> (ts_cluster::Cluster, DeploymentPlan) {
     ];
     let plan = DeploymentPlan::new(groups, RoutingMatrix::uniform(2, 2)).unwrap();
     (cluster, plan)
+}
+
+/// [`split_plan_8`]'s replicas, routed sparsely: prefill 0 feeds decode 0
+/// only, prefill 1 decodes 1 and 2, prefill 2 decodes 2 and 3, prefill 3
+/// decodes 1 and 3. Nine of the 16 pairs carry no route.
+fn split_plan_sparse() -> (ts_cluster::Cluster, DeploymentPlan) {
+    let (cluster, dense) = split_plan_8();
+    let rates = vec![
+        vec![0.25, 0.0, 0.0, 0.0],
+        vec![0.0, 0.125, 0.125, 0.0],
+        vec![0.0, 0.0, 0.125, 0.125],
+        vec![0.0, 0.125, 0.0, 0.125],
+    ];
+    let plan = DeploymentPlan::new(dense.groups, RoutingMatrix::new(rates).unwrap()).unwrap();
+    (cluster, plan)
+}
+
+/// Faults for [`split_plan_sparse`]. While decode 0 is down, prefill 0's
+/// transfers re-target to decode replicas no route reaches, over links
+/// that degrade, fault and heal; the last link faults and heals where no
+/// transfer ever runs.
+fn sparse_script() -> FaultScript {
+    let link = |at: f64, kind: FaultKind| TimedFault {
+        at: SimTime::from_secs_f64(at),
+        kind,
+    };
+    FaultScript::new(
+        vec![
+            link(
+                1.0,
+                FaultKind::LinkDegraded {
+                    prefill: 0,
+                    decode: 2,
+                    factor: 3.0,
+                },
+            ),
+            link(
+                2.5,
+                FaultKind::LinkDown {
+                    prefill: 0,
+                    decode: 1,
+                },
+            ),
+            link(3.0, FaultKind::DecodeDown(0)),
+            link(
+                3.2,
+                FaultKind::LinkDegraded {
+                    prefill: 0,
+                    decode: 3,
+                    factor: 2.0,
+                },
+            ),
+            link(
+                4.0,
+                FaultKind::LinkUp {
+                    prefill: 0,
+                    decode: 1,
+                },
+            ),
+            link(6.0, FaultKind::DecodeUp(0)),
+            link(
+                7.0,
+                FaultKind::LinkDown {
+                    prefill: 2,
+                    decode: 0,
+                },
+            ),
+            link(
+                7.5,
+                FaultKind::LinkUp {
+                    prefill: 2,
+                    decode: 0,
+                },
+            ),
+        ],
+        SimDuration::from_millis(500),
+    )
 }
 
 fn crash_script() -> FaultScript {
@@ -559,6 +641,18 @@ fn run_matrix(edit: &dyn Fn(SimConfig) -> SimConfig) -> String {
         ),
     );
     digest("split_pipelined_slow", &m, &mut out);
+
+    // -- split engine, sparse routing under faults ------------------------
+    // Every other split arm routes every pair. The section digests the
+    // serialized run, then the fabric run.
+    let sparse = split_plan_sparse();
+    let reqs = mixed_requests(400, 80_000, 12);
+    out.push_str("[split_sparse]\n");
+    for fabric in [false, true] {
+        let cfg = SimConfig::new(llama7()).with_network_contention(fabric);
+        let (m, _) = run_split(&sparse, edit(cfg), &reqs, &sparse_script());
+        digest_metrics(&m, &mut out);
+    }
 
     out
 }
