@@ -183,6 +183,13 @@ impl Simulation {
     pub fn decode_work(&self) -> crate::exec::DecodeWork {
         self.driver.decode_work()
     }
+
+    /// The KV transport's work so far: (prefill, decode) pair records
+    /// built, each on the pair's first use by a transfer, a link fault or
+    /// a degradation. Zero after setup and for colocated simulations.
+    pub fn kv_work(&self) -> crate::exec::KvWork {
+        self.driver.kv_work()
+    }
 }
 
 #[cfg(test)]
@@ -452,6 +459,54 @@ mod tests {
             levels_scanned: 40,
         };
         assert_eq!((reqs.len(), sim.router_work()), (23, work));
+    }
+
+    /// The KV transport builds a (prefill, decode) pair's state on the
+    /// pair's first use, not at setup. On a 1,024-replica fleet whose
+    /// prefill replica `i` feeds decode replicas `i` and `i + 1 (mod 512)`
+    /// — 1,024 of 262,144 pairs — setup builds none, and a fault-free run
+    /// builds exactly the routed pairs its transfers used.
+    #[test]
+    fn kv_pairs_are_built_on_first_use_on_a_fleet() {
+        use crate::KvWork;
+        use std::collections::BTreeSet;
+        let n = 512;
+        let model = ModelSpec::llama_7b();
+        let cluster = presets::a5000_cluster(2 * n);
+        let groups = (0..2 * n)
+            .map(|g| {
+                let phase = if g < n { Phase::Prefill } else { Phase::Decode };
+                group(phase, &[g as u32], 1, 1, model.num_layers)
+            })
+            .collect();
+        let share = 1.0 / (2 * n) as f64;
+        let rates = (0..n)
+            .map(|i| {
+                let mut row = vec![0.0; n];
+                row[i] += share;
+                row[(i + 1) % n] += share;
+                row
+            })
+            .collect();
+        let plan = DeploymentPlan::new(groups, RoutingMatrix::new(rates).unwrap()).unwrap();
+        let mut sim = Simulation::new(&cluster, &plan, SimConfig::new(model)).unwrap();
+        assert_eq!(sim.kv_work(), KvWork::default(), "setup builds no pair");
+        let reqs: Vec<Request> = (0..3_000u64)
+            .map(|i| {
+                let at = SimTime::from_micros(i * 1_500);
+                Request::new(ts_common::RequestId(i), at, 256, 64)
+            })
+            .collect();
+        let m = sim.run(&reqs).unwrap();
+        assert_eq!(m.num_completed(), reqs.len());
+        let used: BTreeSet<(usize, usize)> = m
+            .records()
+            .iter()
+            .map(|r| (r.prefill_replica, r.decode_replica))
+            .collect();
+        assert!(used.iter().all(|&(i, j)| j == i || j == (i + 1) % n));
+        assert_eq!(used.len(), 2 * n, "the stride router visits every cell");
+        assert_eq!(sim.kv_work().pairs_built, used.len() as u64);
     }
 
     #[test]

@@ -69,7 +69,7 @@ use super::executor::{
     ColocatedExecutor, DecodeExecutor, DecodeWork, PrefillExecutor, ReplicaExecutor,
 };
 use super::gray::{self, observe_straggler, GrayState};
-use super::kv::{KvTransport, Transfer};
+use super::kv::{KvTransport, KvWork, Transfer};
 use super::seq::{AdmitOutcome, BatchCore, Pending, PrefillJob, PrefillQueue, WaitingSeq};
 use crate::config::{SimConfig, SHED_THRESHOLD};
 use crate::event::{Event, EventKind, EventQueue, QueueWork};
@@ -408,6 +408,15 @@ impl Driver {
         work
     }
 
+    /// The KV transport's work so far; zero for colocated replicas, which
+    /// transfer nothing.
+    pub fn kv_work(&self) -> KvWork {
+        match &self.topo {
+            Topology::Split(s) => s.kv.work(),
+            Topology::Colocated(_) => KvWork::default(),
+        }
+    }
+
     /// Runs the trace with mid-flight fault injection. With an empty
     /// script this is a plain (fault-free) run. A driver runs once: a
     /// second call returns [`Error::Simulation`].
@@ -442,6 +451,8 @@ impl Driver {
         self.core.arrivals = requests.to_vec();
         self.core.arrivals.sort_by_key(|r| r.arrival);
         self.core.next_arrival = 0;
+        // One record per completed request, without doubling past it.
+        self.core.records.reserve(requests.len());
         // Detection only matters when the engine actually recovers; healing
         // and pauses act at trigger time. Each detection is pushed right
         // after its fault's trigger: that seq order is the `(at, index)`
@@ -470,6 +481,8 @@ impl Driver {
                 NextEvent::Queued(ev) => self.dispatch_event(ev)?,
             }
         }
+        // A driver runs once: its copy of the trace is spent.
+        self.core.arrivals = Vec::new();
         // Anything still in the system when events run dry was lost to a
         // fault it never recovered from (stalled, parked, frozen on a dead
         // replica).

@@ -14,6 +14,7 @@
 use super::seq::{BatchCore, PrefillJob, PrefillQueue, ResumeState};
 use crate::event::EventToken;
 use std::collections::VecDeque;
+use std::sync::Arc;
 use ts_common::{SimDuration, SimTime, SlabKey};
 use ts_costmodel::{DecodeStepSeries, ReplicaCostModel};
 use ts_telemetry::profile;
@@ -527,8 +528,9 @@ pub trait ReplicaExecutor {
 /// A prefill-only replica: a work queue feeding a pipelined batch engine.
 #[derive(Debug)]
 pub struct PrefillExecutor {
-    /// Cost model of the replica's GPU group.
-    pub cost: ReplicaCostModel,
+    /// Cost model of the replica's GPU group, shared with the KV transport,
+    /// which builds each pair's route from it.
+    pub cost: Arc<ReplicaCostModel>,
     /// Queued prefill jobs.
     pub queue: PrefillQueue,
     /// Batches currently flowing through the pipeline (FIFO: completion
@@ -561,7 +563,7 @@ impl PrefillExecutor {
     /// A fresh, live executor over `cost`.
     pub fn new(cost: ReplicaCostModel) -> Self {
         PrefillExecutor {
-            cost,
+            cost: Arc::new(cost),
             queue: PrefillQueue::default(),
             in_flight: VecDeque::new(),
             next_free: SimTime::ZERO,
@@ -612,8 +614,9 @@ impl ReplicaExecutor for PrefillExecutor {
 /// A decode-only replica: a continuous batch over a [`BatchCore`].
 #[derive(Debug)]
 pub struct DecodeExecutor {
-    /// Cost model of the replica's GPU group.
-    pub cost: ReplicaCostModel,
+    /// Cost model of the replica's GPU group, shared with the KV transport,
+    /// which builds each pair's route from it.
+    pub cost: Arc<ReplicaCostModel>,
     /// KV memory accounting, active batch and admission queue.
     pub batch: BatchCore,
     /// The planned decode run currently in progress, if any. The driver
@@ -637,7 +640,7 @@ impl DecodeExecutor {
     pub fn new(cost: ReplicaCostModel) -> Self {
         let kv_capacity = cost.kv_capacity_tokens();
         DecodeExecutor {
-            cost,
+            cost: Arc::new(cost),
             batch: BatchCore::new(kv_capacity),
             plan: None,
             slow_factor: 1.0,

@@ -13,6 +13,13 @@
 //! entry points and the completion handlers; a handler returns the
 //! request whose bytes arrived over a live link, and the driver hands it
 //! to the decode replica.
+//!
+//! Per-pair state (route, wire-time memo, degradation, liveness, flow
+//! endpoints) is one record per (prefill, decode) pair, built the first
+//! time a transfer launch, a link fault or a degradation names the pair.
+//! A plan routes at most about P + D of its P × D pairs, so setup stays
+//! O(P + D). A record is built by the same calls on the same inputs
+//! whenever it is built, so the outputs do not depend on when.
 
 use super::driver::{drop_request, trace, trace_at, tracing, Core};
 use super::executor::{DecodeExecutor, PrefillExecutor};
@@ -20,11 +27,12 @@ use super::seq::PrefillJob;
 use crate::config::{KvTransfer, SimConfig, KV_RETRY_BACKOFF_BASE, KV_RETRY_BACKOFF_CAP};
 use crate::event::EventKind;
 use crate::fault::{FaultKind, TimedFault};
+use std::sync::Arc;
 use ts_cluster::Cluster;
-use ts_common::{
-    DeploymentPlan, Error, GpuId, ModelId, ModelSpec, Result, SimDuration, SimTime, SlabKey,
-};
+use ts_common::hash::FastHashMap;
+use ts_common::{DeploymentPlan, Error, GpuId, ModelId, Result, SimDuration, SimTime, SlabKey};
 use ts_costmodel::replica::{kv_route_legs, kv_transfer_time, KvRouteLeg, KvRouteSegment};
+use ts_costmodel::ReplicaCostModel;
 use ts_kvcache::codec::KvCodec;
 use ts_net::{FabricWork, FlowFabric};
 use ts_telemetry::{TraceEvent, TraceKind};
@@ -39,48 +47,91 @@ pub(super) struct Transfer {
     pub(super) attempt: u32,
 }
 
+/// The KV transport's work so far.
+///
+/// Machine-independent: a plan's setup builds no pair, and a fault-free
+/// run builds exactly the routed pairs its transfers used.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct KvWork {
+    /// (prefill, decode) pair records built, each on the pair's first use.
+    pub pairs_built: u64,
+}
+
 /// How a transfer occupies the wire.
 enum Wire {
-    /// Wire time serialized on the sender's uplink.
-    Serialized(Uplinks),
+    /// Wire time serialized on the sender's uplink: one prefill replica's
+    /// outbound transfers serialize on its NIC, whichever decode replica
+    /// they target. Holds each sender's uplink availability.
+    Serialized { sender_free_at: Vec<SimTime> },
     /// Flows in the max-min fabric (boxed: its reusable allocation
     /// buffers make it several times the size of the other variants). The
     /// event queue's timer slot holds its earliest completion estimate.
     Fabric(Box<FlowFabric>),
 }
 
-/// State of the per-sender serialized model.
-struct Uplinks {
-    /// KV route per (prefill, decode) pair.
-    routes: Vec<Vec<Vec<KvRouteSegment>>>,
-    /// One-entry memo per (prefill, decode) pair: `tokens ->` modeled
-    /// wire time. The route, the sender's model spec and the wire
-    /// precision are all fixed after construction, so
-    /// [`kv_transfer_time`] is pure in the token count — fixed-length
-    /// day traces hit the cache on nearly every transfer.
-    memo: Vec<Vec<Option<(u64, SimDuration)>>>,
-    /// Per-sender (prefill replica) uplink availability: one replica's
-    /// outbound transfers serialize on its NIC, whichever decode replica
-    /// they target.
-    sender_free_at: Vec<SimTime>,
-    /// Bandwidth-degradation factor per (prefill, decode) pair (1 =
-    /// healthy); wire times stretch by it.
-    link_factor: Vec<Vec<f64>>,
-    /// Model spec each prefill replica's transfers are priced with.
-    specs: Vec<ModelSpec>,
+/// State of one (prefill, decode) pair.
+struct Pair {
+    /// The KV route: one segment per overlap of a prefill stage's and a
+    /// decode stage's layer ranges.
+    route: Vec<KvRouteSegment>,
+    /// One-entry memo: `tokens ->` modeled wire time. The route, the
+    /// sender's model spec and the wire precision are all fixed, so
+    /// [`kv_transfer_time`] is pure in the token count — fixed-length day
+    /// traces hit the memo on nearly every transfer.
+    memo: Option<(u64, SimDuration)>,
+    /// Bandwidth-degradation factor of the serialized wire (1 = healthy);
+    /// wire times stretch by it.
+    factor: f64,
+    /// Whether the link is down.
+    down: bool,
+    /// Representative endpoints and total layer count for the fabric's
+    /// one-flow-per-transfer approximation. The endpoints come from the
+    /// route leg carrying the most layers; the byte count covers the whole
+    /// route.
+    flow: (GpuId, GpuId, usize),
+}
+
+impl Pair {
+    fn build(cluster: &Cluster, prefill: &ReplicaCostModel, decode: &ReplicaCostModel) -> Self {
+        let legs = kv_route_legs(cluster, prefill, decode);
+        Pair {
+            route: legs.iter().map(KvRouteLeg::segment).collect(),
+            memo: None,
+            factor: 1.0,
+            down: false,
+            flow: flow_endpoints(&legs),
+        }
+    }
+}
+
+/// The pair records built so far, and what building one reads: the
+/// cluster and each replica's cost model, shared with its executor.
+struct Pairs {
+    built: FastHashMap<(usize, usize), Pair>,
+    cluster: Cluster,
+    prefills: Vec<Arc<ReplicaCostModel>>,
+    decodes: Vec<Arc<ReplicaCostModel>>,
+}
+
+impl Pairs {
+    /// The (prefill, decode) pair's record, built on its first use, and
+    /// the prefill replica's cost model, whose spec prices the pair's
+    /// transfers.
+    fn get(&mut self, prefill: usize, decode: usize) -> (&mut Pair, &ReplicaCostModel) {
+        let sender = &self.prefills[prefill];
+        let pair = self
+            .built
+            .entry((prefill, decode))
+            .or_insert_with(|| Pair::build(&self.cluster, sender, &self.decodes[decode]));
+        (pair, sender)
+    }
 }
 
 /// KV transport between the prefill and decode replicas of a phase-split
 /// plan.
 pub(super) struct KvTransport {
     wire: Wire,
-    /// Link availability per (prefill, decode) pair.
-    link_down: Vec<Vec<bool>>,
-    /// Per (prefill, decode) pair: representative endpoints and total layer
-    /// count for the fabric's one-flow-per-transfer approximation. The
-    /// endpoints come from the route leg carrying the most layers; the byte
-    /// count covers the whole route.
-    flow_routes: Vec<Vec<(GpuId, GpuId, usize)>>,
+    pairs: Pairs,
     /// Wire codec per prefill replica (its model × the configured KV
     /// precision), sizing fabric flows and traced KV bytes.
     codecs: Vec<KvCodec>,
@@ -88,7 +139,8 @@ pub(super) struct KvTransport {
 
 impl KvTransport {
     /// Builds the transport between `prefills` and `decodes`, where
-    /// prefill replica `i` serves `prefill_model[i]`.
+    /// prefill replica `i` serves `prefill_model[i]`. No pair is built
+    /// here.
     pub(super) fn new(
         cluster: &Cluster,
         cfg: &SimConfig,
@@ -110,34 +162,10 @@ impl KvTransport {
                 KvCodec::new(spec.clone(), cfg.kv_precision)
             })
             .collect();
-        let mut routes = Vec::with_capacity(prefills.len());
-        let mut flow_routes = Vec::with_capacity(prefills.len());
-        for p in prefills {
-            let mut row = Vec::with_capacity(decodes.len());
-            let mut flow_row = Vec::with_capacity(decodes.len());
-            for d in decodes {
-                let legs = kv_route_legs(cluster, &p.cost, &d.cost);
-                flow_row.push(flow_endpoints(&legs));
-                row.push(legs.iter().map(KvRouteLeg::segment).collect());
-            }
-            routes.push(row);
-            flow_routes.push(flow_row);
-        }
-        let (np, nd) = (prefills.len(), decodes.len());
         let wire = match cfg.kv_transfer {
-            KvTransfer::Serialized => Wire::Serialized(Uplinks {
-                routes,
-                memo: vec![vec![None; nd]; np],
-                sender_free_at: vec![SimTime::ZERO; np],
-                link_factor: vec![vec![1.0; nd]; np],
-                // Priced with the sending replica's model (the
-                // default-model spec on single-model plans, where every
-                // group carries ModelId(0)).
-                specs: prefill_model
-                    .iter()
-                    .map(|&m| cfg.spec_for(m).clone())
-                    .collect(),
-            }),
+            KvTransfer::Serialized => Wire::Serialized {
+                sender_free_at: vec![SimTime::ZERO; prefills.len()],
+            },
             KvTransfer::Fabric => {
                 let mut flows = Box::new(FlowFabric::from_cluster(cluster));
                 if cfg.telemetry {
@@ -148,9 +176,20 @@ impl KvTransport {
         };
         KvTransport {
             wire,
-            link_down: vec![vec![false; nd]; np],
-            flow_routes,
+            pairs: Pairs {
+                built: FastHashMap::default(),
+                cluster: cluster.clone(),
+                prefills: prefills.iter().map(|p| Arc::clone(&p.cost)).collect(),
+                decodes: decodes.iter().map(|d| Arc::clone(&d.cost)).collect(),
+            },
             codecs,
+        }
+    }
+
+    /// The transport's work so far.
+    pub(super) fn work(&self) -> KvWork {
+        KvWork {
+            pairs_built: self.pairs.built.len() as u64,
         }
     }
 
@@ -176,10 +215,11 @@ impl KvTransport {
         }
         st.transfer = Some(transfer);
         let (from, to) = (transfer.from, transfer.to);
+        let (pair, sender) = self.pairs.get(from, to);
         if first_attempt && tracing(core) {
             // The byte count is sized like the fabric's flow (whole route,
             // configured wire precision); computed only under telemetry.
-            let (_, _, layers) = self.flow_routes[from][to];
+            let (_, _, layers) = pair.flow;
             let bytes = self.codecs[from].wire_bytes_layers(transfer.job.tokens, layers);
             trace(
                 core,
@@ -195,7 +235,8 @@ impl KvTransport {
         let (start, done) = match &mut self.wire {
             Wire::Fabric(_) => {
                 if delay == SimDuration::ZERO {
-                    self.start_flow(core, key);
+                    let flow = pair.flow;
+                    self.start_flow(core, key, flow);
                 } else {
                     core.queue.push(
                         ready,
@@ -207,31 +248,32 @@ impl KvTransport {
                 }
                 return;
             }
-            Wire::Serialized(up) => {
+            Wire::Serialized { sender_free_at } => {
                 let tokens = transfer.job.tokens;
-                let mut dur = match up.memo[from][to] {
+                // Priced with the sending replica's model (the
+                // default-model spec on single-model plans, where every
+                // group carries ModelId(0)).
+                let mut dur = match pair.memo {
                     Some((t, wire)) if t == tokens => wire,
                     _ => {
                         let ratio = core.cfg.kv_precision.ratio_vs_f16();
-                        let wire =
-                            kv_transfer_time(&up.specs[from], &up.routes[from][to], tokens, ratio);
-                        up.memo[from][to] = Some((tokens, wire));
+                        let wire = kv_transfer_time(sender.model(), &pair.route, tokens, ratio);
+                        pair.memo = Some((tokens, wire));
                         wire
                     }
                 };
                 // Gray link fault, skipped at the healthy factor of exactly
                 // 1.
-                let factor = up.link_factor[from][to];
-                if factor != 1.0 {
-                    dur = dur.mul_f64(factor);
+                if pair.factor != 1.0 {
+                    dur = dur.mul_f64(pair.factor);
                 }
                 if dur == SimDuration::ZERO {
                     // Pushing `sender_free_at` out to `ready` would queue
                     // later transfers on a link nothing used.
                     (ready, ready)
                 } else {
-                    let start = up.sender_free_at[from].max(ready);
-                    up.sender_free_at[from] = start + dur;
+                    let start = sender_free_at[from].max(ready);
+                    sender_free_at[from] = start + dur;
                     (start, start + dur)
                 }
             }
@@ -257,8 +299,9 @@ impl KvTransport {
         );
     }
 
-    /// Starts the fabric flow for a registered transfer.
-    fn start_flow(&mut self, core: &mut Core, key: SlabKey) {
+    /// Starts the fabric flow for a registered transfer between the
+    /// pair's `flow` endpoints.
+    fn start_flow(&mut self, core: &mut Core, key: SlabKey, flow: (GpuId, GpuId, usize)) {
         let Some(st) = core.reqs.get_mut(key) else {
             return; // dropped while the launch was in flight
         };
@@ -270,7 +313,7 @@ impl KvTransport {
         };
         let rid = st.req.id;
         st.pend.kv_wire_started_at = Some(core.now);
-        let (from, to, layers) = self.flow_routes[t.from][t.to];
+        let (from, to, layers) = flow;
         let bytes = self.codecs[t.from].wire_bytes_layers(t.job.tokens, layers) as f64;
         trace(
             core,
@@ -292,7 +335,8 @@ impl KvTransport {
         if t.attempt != attempt {
             return;
         }
-        self.start_flow(core, request);
+        let flow = self.pairs.get(t.from, t.to).0.flow;
+        self.start_flow(core, request, flow);
     }
 
     /// The fabric timer fired: complete the earliest-due flow and re-arm.
@@ -329,7 +373,7 @@ impl KvTransport {
     /// underneath it, otherwise return `key` for delivery.
     fn arrived(&mut self, core: &mut Core, key: SlabKey) -> Option<SlabKey> {
         let t = core.reqs.get(key).and_then(|st| st.transfer)?;
-        if !self.link_down[t.from][t.to] {
+        if !self.pairs.get(t.from, t.to).0.down {
             return Some(key);
         }
         self.retry(core, key, t);
@@ -372,7 +416,7 @@ impl KvTransport {
     /// visible immediately: in-flight flows on the link die now and retry.
     /// The other models notice at completion time.
     pub(super) fn link_down(&mut self, core: &mut Core, prefill: usize, decode: usize) {
-        self.link_down[prefill][decode] = true;
+        self.pairs.get(prefill, decode).0.down = true;
         let Wire::Fabric(flows) = &self.wire else {
             return;
         };
@@ -397,7 +441,7 @@ impl KvTransport {
 
     /// The (prefill, decode) link came back up.
     pub(super) fn link_up(&mut self, prefill: usize, decode: usize) {
-        self.link_down[prefill][decode] = false;
+        self.pairs.get(prefill, decode).0.down = false;
     }
 
     /// The (prefill, decode) link degraded to `1 / factor` of its
@@ -406,10 +450,11 @@ impl KvTransport {
     /// (other pairs sharing those links feel it too, as on a real
     /// network).
     pub(super) fn degrade(&mut self, core: &mut Core, prefill: usize, decode: usize, factor: f64) {
+        let pair = self.pairs.get(prefill, decode).0;
         match &mut self.wire {
-            Wire::Serialized(up) => up.link_factor[prefill][decode] = factor,
+            Wire::Serialized { .. } => pair.factor = factor,
             Wire::Fabric(flows) => {
-                let (from, to, _) = self.flow_routes[prefill][decode];
+                let (from, to, _) = pair.flow;
                 flows.degrade_path(from, to, factor, core.now);
                 rearm(core, flows);
             }
@@ -500,10 +545,17 @@ fn retry_backoff(attempt: u32) -> SimDuration {
 mod tests {
     use super::*;
     use crate::exec::driver::tests::{seed_request, testbed};
+    use crate::exec::driver::Driver;
+    use rand::Rng;
+    use ts_cluster::presets;
+    use ts_common::{
+        GroupSpec, ModelRouting, ModelSpec, ParallelConfig, Phase, RoutingMatrix, ServedModel,
+        StageSpec,
+    };
 
-    fn uplinks(kv: &mut KvTransport) -> &mut Uplinks {
+    fn sender_free_at(kv: &mut KvTransport) -> &mut Vec<SimTime> {
         match &mut kv.wire {
-            Wire::Serialized(up) => up,
+            Wire::Serialized { sender_free_at } => sender_free_at,
             _ => panic!("not the serialized wire model"),
         }
     }
@@ -519,8 +571,8 @@ mod tests {
         let (req, key) = seed_request(core, 7);
         core.now = SimTime::from_secs_f64(5.0);
         let busy_until = SimTime::from_secs_f64(30.0);
-        uplinks(&mut s.kv).routes[0][0].clear();
-        uplinks(&mut s.kv).sender_free_at[0] = busy_until;
+        s.kv.pairs.get(0, 0).0.route.clear();
+        sender_free_at(&mut s.kv)[0] = busy_until;
         s.kv.launch(
             core,
             Transfer {
@@ -532,7 +584,7 @@ mod tests {
             SimDuration::from_millis(50),
         );
         assert_eq!(
-            uplinks(&mut s.kv).sender_free_at[0],
+            sender_free_at(&mut s.kv)[0],
             busy_until,
             "zero-duration transfer must not touch the uplink"
         );
@@ -554,7 +606,7 @@ mod tests {
         let (req, key) = seed_request(core, 8);
         core.now = SimTime::from_secs_f64(5.0);
         let busy_until = SimTime::from_secs_f64(10.0);
-        uplinks(&mut s.kv).sender_free_at[0] = busy_until;
+        sender_free_at(&mut s.kv)[0] = busy_until;
         s.kv.launch(
             core,
             Transfer {
@@ -565,7 +617,7 @@ mod tests {
             },
             SimDuration::ZERO,
         );
-        let free_at = uplinks(&mut s.kv).sender_free_at[0];
+        let free_at = sender_free_at(&mut s.kv)[0];
         assert!(
             free_at > busy_until,
             "a modeled transfer occupies the uplink past the queue head"
@@ -585,7 +637,7 @@ mod tests {
             let mut d = testbed(|cfg| cfg.kv_transfer = transfer);
             let (_, s) = d.split("test").unwrap();
             let picked = match s.kv.wire {
-                Wire::Serialized(_) => KvTransfer::Serialized,
+                Wire::Serialized { .. } => KvTransfer::Serialized,
                 Wire::Fabric(_) => KvTransfer::Fabric,
             };
             assert_eq!(picked, transfer);
@@ -598,8 +650,152 @@ mod tests {
         let mut d = testbed(|_| {});
         let (core, s) = d.split("test").unwrap();
         // tp=4/pp=1 on both sides: a single leg carrying every layer.
-        let (_, _, layers) = s.kv.flow_routes[0][0];
+        let (_, _, layers) = s.kv.pairs.get(0, 0).0.flow;
         assert_eq!(layers, core.cfg.model.num_layers);
         assert_eq!(flow_endpoints(&[]), (GpuId(0), GpuId(0), 0));
+    }
+
+    /// Route segments and flow endpoints for every (prefill, decode) pair,
+    /// built up front: the dense tables the per-pair records replaced.
+    #[allow(clippy::type_complexity)]
+    fn dense_tables(
+        cluster: &Cluster,
+        prefills: &[PrefillExecutor],
+        decodes: &[DecodeExecutor],
+    ) -> (
+        Vec<Vec<Vec<KvRouteSegment>>>,
+        Vec<Vec<(GpuId, GpuId, usize)>>,
+    ) {
+        let mut routes = Vec::with_capacity(prefills.len());
+        let mut flow_routes = Vec::with_capacity(prefills.len());
+        for p in prefills {
+            let mut row = Vec::with_capacity(decodes.len());
+            let mut flow_row = Vec::with_capacity(decodes.len());
+            for d in decodes {
+                let legs = kv_route_legs(cluster, &p.cost, &d.cost);
+                flow_row.push(flow_endpoints(&legs));
+                row.push(legs.iter().map(KvRouteLeg::segment).collect());
+            }
+            routes.push(row);
+            flow_routes.push(flow_row);
+        }
+        (routes, flow_routes)
+    }
+
+    /// Random replicas packed onto the paper cloud's free GPUs: each has
+    /// one to four pipeline stages of `tp` GPUs (1, 2 or 4) on one node
+    /// each, with the model's layers split as evenly as the stages allow.
+    /// Replicas take turns among `models` (with their ids) and alternate
+    /// phases; a draw that runs out of GPUs stops there. `None` when the
+    /// groups do not make a valid plan.
+    fn random_plan<R: Rng>(
+        cluster: &Cluster,
+        models: &[(ModelId, &ModelSpec)],
+        rng: &mut R,
+    ) -> Option<DeploymentPlan> {
+        let mut free: Vec<Vec<GpuId>> = cluster.nodes().iter().map(|n| n.gpus.clone()).collect();
+        let mut groups = Vec::new();
+        for k in 0..rng.gen_range(2 * models.len()..=8) {
+            let (id, model) = models[k % models.len()];
+            let phase = if (k / models.len()).is_multiple_of(2) {
+                Phase::Prefill
+            } else {
+                Phase::Decode
+            };
+            let pp = rng.gen_range(1..=4usize);
+            let tp = [1usize, 2, 4][rng.gen_range(0..3usize)];
+            let mut stages = Vec::with_capacity(pp);
+            for s in 0..pp {
+                let fits: Vec<usize> = (0..free.len()).filter(|&n| free[n].len() >= tp).collect();
+                if fits.is_empty() {
+                    break;
+                }
+                let node = fits[rng.gen_range(0..fits.len())];
+                let at = free[node].len() - tp;
+                let gpus = free[node].split_off(at);
+                let layers = model.num_layers / pp + usize::from(s < model.num_layers % pp);
+                stages.push(StageSpec { gpus, layers });
+            }
+            if stages.len() < pp {
+                break;
+            }
+            let parallel = ParallelConfig::new(tp, pp).ok()?;
+            groups.push(GroupSpec::new(phase, parallel, stages).ok()?.with_model(id));
+        }
+        let count = |m: ModelId, phase| {
+            groups
+                .iter()
+                .filter(|g| g.model == m && g.phase == phase)
+                .count()
+        };
+        if models.len() == 1 {
+            let (np, nd) = (
+                count(ModelId(0), Phase::Prefill),
+                count(ModelId(0), Phase::Decode),
+            );
+            return DeploymentPlan::new(groups, RoutingMatrix::uniform(np.max(1), nd.max(1))).ok();
+        }
+        let routing = models
+            .iter()
+            .map(|&(m, _)| ModelRouting {
+                model: m,
+                routing: RoutingMatrix::uniform(
+                    count(m, Phase::Prefill).max(1),
+                    count(m, Phase::Decode).max(1),
+                ),
+                share: 1.0 / models.len() as f64,
+            })
+            .collect();
+        DeploymentPlan::new_multi(groups, routing).ok()
+    }
+
+    /// The per-pair records match the dense tables they replaced, pair for
+    /// pair, on seeded random plans: one- and two-model, pp up to 4, mixed
+    /// tp. Setup builds no pair; reading every pair builds each once.
+    #[test]
+    fn pairs_built_on_first_use_match_the_dense_tables() {
+        let cluster = presets::paper_cloud_cluster();
+        let (m7, m13) = (ModelSpec::llama_7b(), ModelSpec::llama_13b());
+        let mut rng = ts_common::seeded_rng(0x9A1E);
+        let mut checked = 0;
+        while checked < 120 {
+            let two_models = checked % 2 == 1;
+            let (models, cfg) = if two_models {
+                let catalog = vec![
+                    ServedModel::llama_7b_chat(ModelId(1), 0.5).unwrap(),
+                    ServedModel::llama_13b_chat(ModelId(2), 0.5).unwrap(),
+                ];
+                (
+                    vec![(ModelId(1), &m7), (ModelId(2), &m13)],
+                    SimConfig::new(m7.clone()).with_catalog(catalog),
+                )
+            } else {
+                (vec![(ModelId(0), &m13)], SimConfig::new(m13.clone()))
+            };
+            let Some(plan) = random_plan(&cluster, &models, &mut rng) else {
+                continue;
+            };
+            let cfg = cfg.with_network_contention(rng.gen_bool(0.5));
+            let Ok(mut d) = Driver::new_split(&cluster, &plan, cfg) else {
+                continue;
+            };
+            let (_, s) = d.split("test").unwrap();
+            assert_eq!(s.kv.work().pairs_built, 0, "setup builds no pair");
+            let (routes, flows) = dense_tables(&cluster, &s.prefills, &s.decodes);
+            let (np, nd) = (s.prefills.len(), s.decodes.len());
+            // Visit the pairs in a shuffled order: a record must not
+            // depend on which pairs were built before it.
+            let mut order: Vec<(usize, usize)> =
+                (0..np).flat_map(|i| (0..nd).map(move |j| (i, j))).collect();
+            rand::seq::SliceRandom::shuffle(&mut order[..], &mut rng);
+            for (i, j) in order {
+                let pair = s.kv.pairs.get(i, j).0;
+                assert_eq!(pair.route, routes[i][j], "route ({i}, {j}), plan {checked}");
+                assert_eq!(pair.flow, flows[i][j], "flow ({i}, {j}), plan {checked}");
+                assert_eq!((pair.memo, pair.factor, pair.down), (None, 1.0, false));
+            }
+            assert_eq!(s.kv.work().pairs_built, (np * nd) as u64);
+            checked += 1;
+        }
     }
 }

@@ -58,6 +58,7 @@ pub use executor::{
     ColocatedExecutor, DecodeExecutor, DecodeWork, DrainedWork, LostSeq, PrefillExecutor,
     ReplicaExecutor, Work,
 };
+pub use kv::KvWork;
 pub use seq::{
     ActiveSeq, AdmitOutcome, BatchCore, Pending, PrefillJob, PrefillQueue, ResumeState, WaitingSeq,
 };

@@ -74,7 +74,7 @@ pub use config::{Hedge, KvTransfer, Quarantine, SimConfig};
 pub use engine::Simulation;
 pub use estimate::{estimate_attainment, AttainmentEstimate};
 pub use event::QueueWork;
-pub use exec::DecodeWork;
+pub use exec::{DecodeWork, KvWork};
 pub use fault::{Detection, FaultKind, FaultScript, TimedFault};
 pub use metrics::{LossKind, LossRecord, Metrics, RecoveryCounters, RequestRecord};
 pub use router::RouterWork;

@@ -782,3 +782,60 @@ fn runs_dispatch_pinned_event_counts() {
     ];
     assert_eq!(got, pinned);
 }
+
+/// The KV transport builds a (prefill, decode) pair's state on the pair's
+/// first use: by a transfer launch, a link fault or a degradation. Setup
+/// builds none. Without the link faults, the sparse arm's run builds the
+/// seven routed pairs and one more for each unrouted pair prefill 0's
+/// transfers re-target to while decode 0 is down. With them, it also
+/// builds the two unrouted pairs only the script names, (0, 3) and (2, 0);
+/// the other two it names are re-target pairs. Both transfer models build
+/// the same pairs.
+#[test]
+fn sparse_arm_builds_each_pair_on_first_use() {
+    use std::collections::BTreeSet;
+    type Pairs = BTreeSet<(usize, usize)>;
+    let (cluster, plan) = split_plan_sparse();
+    let reqs = mixed_requests(400, 80_000, 12);
+    let routed: Pairs = (0..4)
+        .flat_map(|i| (0..4).map(move |j| (i, j)))
+        .filter(|&(i, j)| plan.routing.rates()[i][j] > 0.0)
+        .collect();
+    let link = |kind: FaultKind| match kind {
+        FaultKind::LinkDown { prefill, decode }
+        | FaultKind::LinkUp { prefill, decode }
+        | FaultKind::LinkDegraded {
+            prefill, decode, ..
+        } => Some((prefill, decode)),
+        _ => None,
+    };
+    let full = sparse_script();
+    let faulted: Pairs = full.faults.iter().filter_map(|f| link(f.kind)).collect();
+    let mut liveness_only = full.clone();
+    liveness_only.faults.retain(|f| link(f.kind).is_none());
+    for fabric in [false, true] {
+        let run = |script: &FaultScript| {
+            let cfg = SimConfig::new(ModelSpec::llama_7b()).with_network_contention(fabric);
+            let mut sim = Simulation::new(&cluster, &plan, cfg).unwrap();
+            assert_eq!(sim.kv_work().pairs_built, 0, "setup builds no pair");
+            let m = sim.run_with_faults(&reqs, script).unwrap();
+            let used: Pairs = m
+                .records()
+                .iter()
+                .map(|r| (r.prefill_replica, r.decode_replica))
+                .collect();
+            (used, sim.kv_work().pairs_built)
+        };
+        let (used, built) = run(&liveness_only);
+        let retargeted: Pairs = used.difference(&routed).copied().collect();
+        assert_eq!(used.intersection(&routed).count(), 7, "fabric {fabric}");
+        assert_eq!(retargeted, Pairs::from([(0, 1), (0, 2)]), "fabric {fabric}");
+        assert_eq!(built, 7 + 2, "fabric {fabric}");
+
+        let (used, built) = run(&full);
+        let fault_only: Pairs = faulted.difference(&used).copied().collect();
+        assert_eq!(fault_only, Pairs::from([(0, 3), (2, 0)]), "fabric {fabric}");
+        assert_eq!(used.union(&faulted).count(), 11, "fabric {fabric}");
+        assert_eq!(built, 11, "fabric {fabric}");
+    }
+}
