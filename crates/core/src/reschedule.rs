@@ -457,19 +457,31 @@ mod tests {
 
     #[test]
     fn lightweight_is_much_faster_than_full() {
+        // Measured in work, not wall clock: lightweight evaluates fewer
+        // candidates and reloads no weights.
         let (mut cluster, model, plan, mut cfg) = schedule_cloud();
         cfg.n_step = 30;
+        cfg.search_trace = true;
         cluster.deactivate_node(NodeId(1)).unwrap();
         let w = spec::coding(2.5);
-        let t0 = Instant::now();
-        let _light = lightweight_reschedule(&cluster, &model, &plan, &w, &slo(), &cfg).unwrap();
-        let light_t = t0.elapsed();
-        let t1 = Instant::now();
-        let _full = full_reschedule(&cluster, &model, &w, &slo(), &cfg).unwrap();
-        let full_t = t1.elapsed();
+        let light = lightweight_reschedule(&cluster, &model, &plan, &w, &slo(), &cfg).unwrap();
+        let full = full_reschedule(&cluster, &model, &w, &slo(), &cfg).unwrap();
+        let evaluated = |out: &RescheduleOutcome| {
+            out.search_trace
+                .as_ref()
+                .expect("trace requested")
+                .total_evaluated()
+        };
         assert!(
-            light_t.as_secs_f64() < full_t.as_secs_f64(),
-            "lightweight {light_t:?} should beat full {full_t:?}"
+            evaluated(&light) < evaluated(&full),
+            "lightweight evaluated {} candidates, full {}",
+            evaluated(&light),
+            evaluated(&full)
+        );
+        assert!(light.reload_time.is_zero(), "lightweight must not reload");
+        assert!(
+            full.reload_time > SimDuration::ZERO,
+            "full reschedule reloads weights"
         );
     }
 

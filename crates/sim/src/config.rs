@@ -51,9 +51,10 @@ pub enum KvTransfer {
 ///
 /// Every field is public and the `with_*` builders are plain setters. A
 /// setting that could not take effect is either unrepresentable (paired
-/// knobs are one value each) or rejected: both [`crate::Simulation`]
-/// constructors return [`Error::InvalidConfig`] before building anything
-/// a [`Quarantine::threshold`] that is not finite and above 1.
+/// knobs are one value each) or rejected: given a
+/// [`Quarantine::threshold`] that is not finite and above 1, both
+/// [`crate::Simulation`] constructors return [`Error::InvalidConfig`]
+/// before building anything.
 #[derive(Debug, Clone)]
 pub struct SimConfig {
     /// The served model. For multi-model runs this remains the *default*
@@ -69,8 +70,8 @@ pub struct SimConfig {
     pub params: ModelParams,
     /// Wire precision of prefill→decode KV transfers.
     pub kv_precision: KvWirePrecision,
-    /// How KV transfers are modelled: free, serialized per sender (the
-    /// default), or as flows on the contended network fabric.
+    /// How KV transfers are modelled: serialized per sender (the default)
+    /// or as flows on the contended network fabric.
     pub kv_transfer: KvTransfer,
     /// Request-lifecycle tracing: when true the engine records span events
     /// (arrival, queueing, prefill, KV transfer, decode, faults) into an
@@ -84,9 +85,8 @@ pub struct SimConfig {
     /// replica's queue depth and batch occupancy online into a
     /// [`ts_telemetry::PressureTally`], retrievable after the run via
     /// [`crate::Simulation::take_pressure`]. Unlike
-    /// [`SimConfig::telemetry`] it keeps no events and does not make
-    /// coalesced decode steps replay. Off by default; like the recorder it
-    /// only observes, so results stay bit-identical.
+    /// [`SimConfig::telemetry`] it keeps no events. Off by default; like
+    /// the recorder it only observes, so results stay bit-identical.
     pub pressure: bool,
     /// Gray-failure mitigation: hedged re-dispatch of stuck requests (see
     /// [`Hedge`]). `None` (the default) disables hedging and keeps results

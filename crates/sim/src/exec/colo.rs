@@ -10,14 +10,14 @@
 //! runs next and what its completion means.
 
 use super::driver::{
-    admit_waiting, end_prefill, finish_step, price_prefill, take_prefill_launch, trace, Core,
+    admit_waiting, end_prefill, finish_step, price_prefill, take_prefill_launch, Core,
 };
 use super::executor::{ColocatedExecutor, ReplicaExecutor, Work};
 use super::gray::observe_straggler;
 use super::seq::WaitingSeq;
 use crate::event::EventKind;
 use ts_common::{Error, Result};
-use ts_telemetry::{Role, TraceKind};
+use ts_telemetry::Role;
 
 /// Colocated topology state: one executor pool serving both phases. The
 /// fault script's `PrefillDown(i)`/`DecodeDown(i)` both mean "replica `i`
@@ -50,14 +50,6 @@ pub(super) fn maybe_start_work(core: &mut Core, c: &mut ColoState, ri: usize) {
         latency
     } else if !r.batch.active.is_empty() {
         let batch = r.batch.active.len() as u64;
-        trace(
-            core,
-            TraceKind::DecodeStep {
-                role: Role::Colocated,
-                replica: ri,
-                batch: batch as usize,
-            },
-        );
         let mut latency = r.cost.decode_step_latency(batch, r.batch.avg_context());
         if r.slow_factor != 1.0 {
             latency = latency.mul_f64(r.slow_factor);

@@ -2,8 +2,8 @@
 //!
 //! One [`EventKind::DecodeStepDone`] is scheduled per planned decode *run*
 //! (a [`DecodePlan`]) instead of one per step; intermediate step
-//! boundaries are materialized retroactively (in bulk when telemetry is
-//! off) when an interrupt or the finish boundary needs the batch state.
+//! boundaries are materialized retroactively, in one bulk pass, when an
+//! interrupt or the finish boundary needs the batch state.
 //! Step times are priced once per replica, batch size and context, a whole
 //! block of contexts at a time, into the contiguous prefix sums of the
 //! replica's [`StepTables`], so a plan is an O(1) description, any boundary
@@ -22,10 +22,8 @@
 //! finish) and the stack of finish events held behind a same-instant
 //! rival; the driver calls it wherever a decode batch is read or changed.
 
-use super::driver::{
-    admit_waiting, finish_step, trace, trace_at, tracing, Core, Driver, SplitState, Topology,
-};
-use super::executor::ReplicaExecutor;
+use super::driver::{admit_waiting, finish_step, Core, Driver, SplitState, Topology};
+use super::executor::{DecodeExecutor, ReplicaExecutor};
 #[cfg(doc)]
 use super::executor::{DecodePlan, StepTables};
 use super::gray::observe_straggler;
@@ -34,7 +32,7 @@ use super::seq::BatchCore;
 use crate::config::SimConfig;
 use crate::event::{Event, EventKind};
 use ts_common::{Error, Result, SimTime};
-use ts_telemetry::{Role, TraceKind};
+use ts_telemetry::Role;
 
 /// Whether coalesced decode plans are active: the config knob is on and no
 /// straggler quarantine demands per-step iteration samples.
@@ -176,99 +174,53 @@ pub(super) fn cancel_plan(core: &mut Core, s: &mut SplitState, j: usize) {
 /// sequence number). The final boundary never catches up here; it is the
 /// scheduled event's fire time and is handled by
 /// [`Driver::on_decode_finish`].
-pub(super) fn catch_up(core: &mut Core, s: &mut SplitState, j: usize) {
-    let d = &s.decodes[j];
+pub(super) fn catch_up(core: &Core, s: &mut SplitState, j: usize) {
+    let d = &mut s.decodes[j];
     let Some(plan) = d.plan.as_ref() else {
         return;
     };
     let m = plan.elapsed(&d.tables, core.now, core.event_pushed_at);
     if m > 0 {
-        materialize(core, s, j, m);
+        materialize(d, m);
     }
 }
 
 /// Catches up every decode replica (paths that scan cross-replica batch
 /// state: transfer re-dispatch, hedging probes).
-pub(super) fn catch_up_all(core: &mut Core, s: &mut SplitState) {
+pub(super) fn catch_up_all(core: &Core, s: &mut SplitState) {
     for j in 0..s.decodes.len() {
         catch_up(core, s, j);
     }
 }
 
-/// Materializes the next `m` boundaries of replica `j`'s plan. Unless the
-/// recorder is attached this is one arithmetic pass —
-/// batch membership is constant across a plan, so per sequence only the
-/// first gap differs and the remaining gaps share one maximum, the last
-/// of them (step time never decreases as context grows); otherwise each
-/// boundary replays individually to emit its retroactive trace events.
-/// The pressure tally needs no replay: each replayed boundary only repeats
-/// the occupancy already sampled, which moves neither its integral nor
-/// its peak.
-fn materialize(core: &mut Core, s: &mut SplitState, j: usize, m: u64) {
-    let d = &mut s.decodes[j];
+/// Materializes the next `m` boundaries of decode replica `d`'s plan in one
+/// arithmetic pass: batch membership is constant across a plan, so per
+/// sequence only the first gap differs and the remaining gaps share one
+/// maximum, the last of them (step time never decreases as context
+/// grows). An intermediate boundary changes no batch occupancy, so it
+/// emits no trace event and the pressure tally needs no replay.
+fn materialize(d: &mut DecodeExecutor, m: u64) {
     d.work.steps_crossed += m;
-    if !tracing(core) {
-        let plan = d.plan.as_mut().expect("materialize without plan");
-        debug_assert!(m < plan.remaining(), "materializing the final boundary");
-        let first = plan.front(&d.tables);
-        let shared_max = plan.shared_max_gap(&d.tables, m);
-        let last = plan.boundary(&d.tables, plan.crossed + m - 1);
-        let batch = d.batch.active.len() as u64;
-        for a in &mut d.batch.active {
-            debug_assert!(
-                u64::from(a.remaining) > m,
-                "an intermediate coalesced boundary must not finish a sequence"
-            );
-            a.context += m;
-            a.remaining -= m as u32;
-            let first_gap = first.saturating_since(a.last_token_at);
-            a.max_gap = a.max_gap.max(first_gap).max(shared_max);
-            a.last_token_at = last;
-        }
-        d.batch.kv_used += batch * m;
-        plan.crossed += m;
-        plan.prev_boundary = last;
-    } else {
-        for _ in 0..m {
-            let b = {
-                let d = &mut s.decodes[j];
-                let plan = d.plan.as_mut().expect("materialize without plan");
-                debug_assert!(plan.remaining() > 1, "materializing the final boundary");
-                let b = plan.front(&d.tables);
-                plan.crossed += 1;
-                plan.prev_boundary = b;
-                b
-            };
-            materialize_boundary(core, s, j, b);
-        }
+    let plan = d.plan.as_mut().expect("materialize without plan");
+    debug_assert!(m < plan.remaining(), "materializing the final boundary");
+    let first = plan.front(&d.tables);
+    let shared_max = plan.shared_max_gap(&d.tables, m);
+    let last = plan.boundary(&d.tables, plan.crossed + m - 1);
+    let batch = d.batch.active.len() as u64;
+    for a in &mut d.batch.active {
+        debug_assert!(
+            u64::from(a.remaining) > m,
+            "an intermediate coalesced boundary must not finish a sequence"
+        );
+        a.context += m;
+        a.remaining -= m as u32;
+        let first_gap = first.saturating_since(a.last_token_at);
+        a.max_gap = a.max_gap.max(first_gap).max(shared_max);
+        a.last_token_at = last;
     }
-}
-
-/// Retroactively replays one coalesced intermediate step that ended at
-/// `at`, emitting the trace events the per-step loop would have: the step
-/// record, the batch update, then the (unchanged) occupancy the no-op
-/// admission pass reported.
-fn materialize_boundary(core: &mut Core, s: &mut SplitState, j: usize, at: SimTime) {
-    let d = &mut s.decodes[j];
-    trace_at(
-        core,
-        at,
-        TraceKind::DecodeStep {
-            role: Role::Decode,
-            replica: j,
-            batch: d.batch.active.len(),
-        },
-    );
-    d.batch.materialize_step(at);
-    trace_at(
-        core,
-        at,
-        TraceKind::BatchOccupancy {
-            role: Role::Decode,
-            replica: j,
-            active: d.batch.active.len(),
-        },
-    );
+    d.batch.kv_used += batch * m;
+    plan.crossed += m;
+    plan.prev_boundary = last;
 }
 
 /// Removes and returns the held decode-finish stamp for replica `j`, if
@@ -344,7 +296,7 @@ impl Driver {
             .as_ref()
             .map_or(0, |p| p.remaining());
         if pending > 1 {
-            materialize(core, s, replica, pending - 1);
+            materialize(&mut s.decodes[replica], pending - 1);
         }
         let d = &mut s.decodes[replica];
         let plan = d.plan.take().expect("checked above");
@@ -363,14 +315,6 @@ impl Driver {
         }
         d.work.steps_crossed += 1;
         observe_straggler(core, Role::Decode, replica, d.slow_factor);
-        trace(
-            core,
-            TraceKind::DecodeStep {
-                role: Role::Decode,
-                replica,
-                batch: d.batch.active.len(),
-            },
-        );
         finish_step(core, &mut d.batch)?;
         admit_and_kick(core, s, replica);
         Ok(())

@@ -153,8 +153,7 @@ pub(crate) struct Core {
     /// state, so the `None` path stays bit-identical.
     trace: Option<Recorder>,
     /// Per-replica pressure tally; `Some` iff [`SimConfig::pressure`] is
-    /// on. Fed the same event stream as the recorder, but it needs no
-    /// retroactive decode replay.
+    /// on. Fed the same event stream as the recorder.
     pressure: Option<PressureTally>,
     /// Gray-failure state, indexed by *host*.
     pub(super) gray: GrayState,
@@ -837,10 +836,9 @@ pub(super) fn trace_at(core: &mut Core, at: SimTime, kind: TraceKind) {
     }
 }
 
-/// Whether the trace recorder is attached — the gate for trace-only work:
+/// Whether the trace recorder is attached — the gate for trace-only
 /// events no other consumer reads (prefill-start markers, KV wire byte
-/// accounting, stall markers) and retroactive decode materialization,
-/// which re-emits each coalesced step's unchanged batch occupancy.
+/// accounting, stall markers). It gates no simulation work.
 pub(super) fn tracing(core: &Core) -> bool {
     core.trace.is_some()
 }
@@ -1104,7 +1102,9 @@ pub(super) fn end_prefill(
 /// Runs an admission pass over `batch` of `replica` and applies its
 /// decisions in order: evictions become drops, admissions resolve
 /// fault-recovery tracking (and, under telemetry, mark the sequence's
-/// decode-batch join). Then samples the batch occupancy. Returns whether
+/// decode-batch join). Then samples the batch occupancy if it differs
+/// from the replica's last sample: a repeated value moves no step
+/// function, and the first sample registers the replica. Returns whether
 /// anything was admitted.
 pub(super) fn admit_waiting(
     core: &mut Core,
@@ -1141,14 +1141,18 @@ pub(super) fn admit_waiting(
         }
     }
     core.admit_buf = outcomes;
-    trace(
-        core,
-        TraceKind::BatchOccupancy {
-            role,
-            replica,
-            active: batch.active.len(),
-        },
-    );
+    let active = batch.active.len();
+    if batch.sampled != Some(active) {
+        batch.sampled = Some(active);
+        trace(
+            core,
+            TraceKind::BatchOccupancy {
+                role,
+                replica,
+                active,
+            },
+        );
+    }
     admitted
 }
 

@@ -165,7 +165,7 @@ impl Driver {
                     // the phantom horizon because the per-step loop would
                     // still have popped (and advanced `now` past) the
                     // stale event.
-                    decode::catch_up(&mut self.core, s, j);
+                    decode::catch_up(&self.core, s, j);
                     decode::cancel_plan(&mut self.core, s, j);
                 }
                 self.topo.executor(false, j).kill();
@@ -183,7 +183,7 @@ impl Driver {
                     // every step after the in-flight one at the new speed.
                     // Catch up, apply the factor, and re-plan carrying the
                     // already-committed in-flight boundary.
-                    decode::catch_up(&mut self.core, s, j);
+                    decode::catch_up(&self.core, s, j);
                     s.decodes[j].slow_factor = factor;
                     if decode::coalescing_active(&self.core) && s.decodes[j].plan.is_some() {
                         decode::replan(&mut self.core, s, j);
@@ -220,7 +220,7 @@ impl Driver {
             // Healing an *alive* decode replica (an Up without a Down)
             // still bumps the epoch and clears the plan, so settle the plan
             // first exactly as a death would.
-            decode::catch_up(&mut self.core, s, i);
+            decode::catch_up(&self.core, s, i);
             decode::cancel_plan(&mut self.core, s, i);
         }
         let replica = self.topo.executor(prefill, i);

@@ -164,6 +164,9 @@ pub struct BatchCore {
     pub active: Vec<ActiveSeq>,
     /// Sequences waiting for admission, FCFS.
     pub waiting: VecDeque<WaitingSeq>,
+    /// The active count last sampled as a batch-occupancy trace event;
+    /// `None` before the first sample.
+    pub sampled: Option<usize>,
 }
 
 impl BatchCore {
@@ -245,26 +248,6 @@ impl BatchCore {
             } else {
                 idx += 1;
             }
-        }
-    }
-
-    /// Retroactively applies one coalesced intermediate decode step that
-    /// ended at `at`: identical to [`BatchCore::advance`] except that no
-    /// sequence may finish — the decode-step coalescer plans runs up to the
-    /// first finish boundary, so intermediate steps only grow context and
-    /// gap statistics.
-    pub fn materialize_step(&mut self, at: SimTime) {
-        debug_assert!(
-            self.active.iter().all(|a| a.remaining > 1),
-            "an intermediate coalesced step must not finish a sequence"
-        );
-        for a in &mut self.active {
-            a.context += 1;
-            a.remaining -= 1;
-            self.kv_used += 1;
-            let gap = at.saturating_since(a.last_token_at);
-            a.max_gap = a.max_gap.max(gap);
-            a.last_token_at = at;
         }
     }
 

@@ -688,9 +688,9 @@ fn coalescing_off_matches_the_same_golden() {
     );
 }
 
-/// The pressure tally folds queue-depth and batch-occupancy samples online
-/// and, unlike the recorder, skips the retroactive replay of coalesced
-/// decode steps: the whole matrix must still digest to the same golden.
+/// The pressure tally folds queue-depth and batch-occupancy samples online,
+/// keeping no events: the whole matrix must still digest to the same
+/// golden.
 #[test]
 fn pressure_tally_on_matches_the_same_golden() {
     let got = run_matrix(&|c| c.with_pressure(true));
@@ -698,6 +698,93 @@ fn pressure_tally_on_matches_the_same_golden() {
         got, GOLDEN,
         "the pressure tally perturbed simulation outputs"
     );
+}
+
+/// The trace records changes, not decode steps: each traced split arm
+/// writes the same events in the same order with decode coalescing on or
+/// off, and no replica samples the same batch occupancy twice in a row.
+#[test]
+fn trace_is_the_same_with_coalescing_on_or_off() {
+    use std::collections::HashMap;
+    use ts_telemetry::TraceKind;
+    let llama7 = ModelSpec::llama_7b;
+    let eight = split_plan_8();
+    let pair = split_plan_pair();
+    let arms = [
+        (
+            "split_base",
+            &eight,
+            SimConfig::new(llama7()),
+            mixed_requests(400, 12_000, 1),
+            FaultScript::none(),
+        ),
+        (
+            "split_pair_f16",
+            &pair,
+            SimConfig::new(ModelSpec::llama_13b()).with_f16_kv(),
+            mixed_requests(200, 40_000, 2),
+            FaultScript::none(),
+        ),
+        (
+            "split_contention",
+            &eight,
+            SimConfig::new(llama7()).with_network_contention(true),
+            mixed_requests(250, 8_000, 5),
+            FaultScript::none(),
+        ),
+        (
+            "split_crash",
+            &eight,
+            SimConfig::new(llama7()),
+            mixed_requests(400, 30_000, 6),
+            crash_script(),
+        ),
+        (
+            "split_gray",
+            &eight,
+            gray_cfg(llama7()),
+            mixed_requests(400, 25_000, 7),
+            gray_script(),
+        ),
+    ];
+    for (name, plan, cfg, reqs, script) in arms {
+        let trace = |coalescing: bool| {
+            let cfg = cfg
+                .clone()
+                .with_telemetry(true)
+                .with_decode_coalescing(coalescing);
+            run_split(plan, cfg, &reqs, &script)
+                .1
+                .expect("trace recorded")
+        };
+        let (on, off) = (trace(true), trace(false));
+        if let Some(i) =
+            (0..on.len().max(off.len())).find(|&i| on.events().get(i) != off.events().get(i))
+        {
+            panic!(
+                "{name}: event {i} differs: coalesced {:?}, per-step {:?}",
+                on.events().get(i),
+                off.events().get(i)
+            );
+        }
+        let mut last = HashMap::new();
+        for e in on.events() {
+            if let TraceKind::BatchOccupancy {
+                role,
+                replica,
+                active,
+            } = e.kind
+            {
+                let prev = last.insert((role, replica), active);
+                assert_ne!(
+                    prev,
+                    Some(active),
+                    "{name}: {role} replica {replica} repeated occupancy {active} at {:?}",
+                    e.at
+                );
+            }
+        }
+    }
 }
 
 /// Every event-heap entry left the heap exactly once: popped or cancelled,

@@ -4,9 +4,8 @@
 //! occupancy as the engine emits them; the trace log derives the same step
 //! functions afterwards from its recorded, time-sorted events. Both must
 //! give every replica the same time-weighted mean and peak, bit for bit —
-//! and a tally-only run, which skips the retroactive replay of coalesced
-//! decode steps, must give the same numbers and the same `Metrics` as a
-//! run with the full recorder attached.
+//! and a tally-only run, which keeps no events, must give the same numbers
+//! and the same `Metrics` as a run with the full recorder attached.
 
 use ts_cluster::presets;
 use ts_common::{

@@ -179,15 +179,6 @@ pub enum TraceKind {
         /// Index of the admitting replica.
         replica: usize,
     },
-    /// A decode step over the active batch completed.
-    DecodeStep {
-        /// Serving role of the stepping replica.
-        role: Role,
-        /// Index of the stepping replica.
-        replica: usize,
-        /// Batch size the step ran with.
-        batch: usize,
-    },
     /// The request completed successfully.
     Finished {
         /// The request.
@@ -242,7 +233,8 @@ pub enum TraceKind {
         /// Queued jobs after the transition.
         depth: usize,
     },
-    /// Active continuous-batch size of a replica after a batch transition.
+    /// Active continuous-batch size of a replica after a batch transition,
+    /// emitted only when it differs from the replica's previous sample.
     BatchOccupancy {
         /// Serving role of the replica.
         role: Role,
@@ -351,7 +343,6 @@ impl TraceKind {
             | TraceKind::PrefillStart { role, replica, .. }
             | TraceKind::PrefillEnd { role, replica, .. }
             | TraceKind::DecodeJoin { role, replica, .. }
-            | TraceKind::DecodeStep { role, replica, .. }
             | TraceKind::QueueDepth { role, replica, .. }
             | TraceKind::BatchOccupancy { role, replica, .. }
             | TraceKind::HedgeLaunched { role, replica, .. }
@@ -393,11 +384,6 @@ impl fmt::Display for TraceKind {
             TraceKind::DecodeJoin { role, replica, .. } => {
                 write!(f, "joined decode batch on {role} replica {replica}")
             }
-            TraceKind::DecodeStep {
-                role,
-                replica,
-                batch,
-            } => write!(f, "decode step on {role} replica {replica} (batch {batch})"),
             TraceKind::Finished { .. } => write!(f, "finished"),
             TraceKind::Dropped { .. } => write!(f, "dropped"),
             TraceKind::Rejected { .. } => write!(f, "rejected"),
@@ -455,10 +441,10 @@ mod tests {
         assert_eq!(TraceKind::Arrived { request: r }.request(), Some(r));
         assert_eq!(TraceKind::Finished { request: r }.request(), Some(r));
         assert_eq!(
-            TraceKind::DecodeStep {
+            TraceKind::BatchOccupancy {
                 role: Role::Decode,
                 replica: 0,
-                batch: 3
+                active: 3
             }
             .request(),
             None

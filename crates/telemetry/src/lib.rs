@@ -48,5 +48,5 @@ pub use profile::{ProfileEntry, ProfileReport, ScopeGuard};
 pub use prom::{render_prometheus, validate_exposition, ExpositionStats, FAMILIES};
 pub use search::{SearchStep, SearchTrace};
 pub use series::UtilizationSeries;
-pub use sink::{NoopSink, Recorder, TraceSink};
+pub use sink::{Recorder, TraceSink};
 pub use snapshot::{MeanPeak, MetricsSnapshot, RolePressure, Summary, WindowCounts};

@@ -3,9 +3,8 @@
 //! The engines are generic over nothing — they hold an `Option<Recorder>`
 //! directly, because the `None` arm of an `Option` check is the cheapest
 //! "off" path there is and keeps the disabled simulation bit-identical.
-//! The [`TraceSink`] trait exists for consumers that want to plug custom
-//! sinks into replay/analysis code paths (and to document the contract);
-//! [`NoopSink`] is its zero-cost default implementation.
+//! The [`TraceSink`] trait states the recording contract; [`Recorder`] is
+//! its one implementation.
 
 use crate::event::TraceEvent;
 use crate::log::TraceLog;
@@ -16,24 +15,6 @@ pub trait TraceSink {
     /// equal timestamps (the log's stable sort relies on emission order as
     /// the tie-break).
     fn record(&mut self, event: TraceEvent);
-
-    /// Whether this sink retains events. Call sites may skip building
-    /// expensive event payloads when this returns `false`.
-    fn enabled(&self) -> bool {
-        true
-    }
-}
-
-/// The do-nothing sink: drops every event, reports itself disabled.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct NoopSink;
-
-impl TraceSink for NoopSink {
-    fn record(&mut self, _event: TraceEvent) {}
-
-    fn enabled(&self) -> bool {
-        false
-    }
 }
 
 /// A buffering sink: appends events to a growable buffer, finalized into a
@@ -95,16 +76,6 @@ mod tests {
     use ts_common::{RequestId, SimTime};
 
     #[test]
-    fn noop_sink_is_disabled_and_silent() {
-        let mut s = NoopSink;
-        assert!(!s.enabled());
-        s.record(TraceEvent {
-            at: SimTime::ZERO,
-            kind: TraceKind::ServiceResumed,
-        });
-    }
-
-    #[test]
     fn finish_sorts_stably_by_time() {
         let mut r = Recorder::new();
         let ev = |us: u64, request: u64| TraceEvent {
@@ -117,7 +88,6 @@ mod tests {
         r.record(ev(5, 1));
         r.record(ev(3, 2));
         r.record(ev(5, 3));
-        assert!(r.enabled());
         assert_eq!(r.len(), 3);
         let log = r.finish();
         let order: Vec<u64> = log
