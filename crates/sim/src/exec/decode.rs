@@ -291,14 +291,11 @@ impl Driver {
         }
         drop_held(&mut self.core, replica, seq);
         let (core, s) = self.split("DecodeStepDone")?;
-        let pending = s.decodes[replica]
-            .plan
-            .as_ref()
-            .map_or(0, |p| p.remaining());
-        if pending > 1 {
-            materialize(&mut s.decodes[replica], pending - 1);
-        }
         let d = &mut s.decodes[replica];
+        let pending = d.plan.as_ref().map_or(0, |p| p.remaining());
+        if pending > 1 {
+            materialize(d, pending - 1);
+        }
         let plan = d.plan.take().expect("checked above");
         if plan.remaining() != 1 {
             return Err(Error::Simulation(format!(
