@@ -48,7 +48,7 @@ pub use model::{DType, ModelSpec};
 pub use par::{resolve_threads, with_worker_pool, ShardedCache};
 pub use parallel::ParallelConfig;
 pub use phase::Phase;
-pub use plan::{DeploymentPlan, GroupSpec, ModelRouting, RoutingMatrix, StageSpec};
+pub use plan::{DeploymentPlan, GroupSpec, ModelRouting, RoutingMatrix, RoutingSupport, StageSpec};
 pub use request::Request;
 pub use rng::{derive_seed, seeded_rng};
 pub use slab::{Slab, SlabKey};

@@ -305,21 +305,26 @@ pub fn no_reschedule(
         .filter(|(_, &gi)| alive(&current.groups[gi]))
         .map(|(c, _)| c)
         .collect();
-    let mut rates: Vec<Vec<f64>> = keep_rows
-        .iter()
-        .map(|&r| {
-            keep_cols
-                .iter()
-                .map(|&c| current.routing.rate(r, c))
-                .collect()
-        })
-        .collect();
-    let total: f64 = rates.iter().flatten().sum();
-    let routing = if total > 1e-12 {
-        for row in rates.iter_mut() {
-            for v in row.iter_mut() {
-                *v /= total;
+    // The kept cells of the old support, in row-major order: their sum has
+    // the dense sum's bits, and the cells off the support are +0.0, which
+    // renormalize to the zero fill.
+    let mut new_col = vec![None; old_d.len()];
+    for (k, &c) in keep_cols.iter().enumerate() {
+        new_col[c] = Some(k);
+    }
+    let mut kept = Vec::new();
+    for (k, &r) in keep_rows.iter().enumerate() {
+        for &(c, v) in current.routing.support().row(r) {
+            if let Some(kc) = new_col[c] {
+                kept.push((k, kc, v));
             }
+        }
+    }
+    let total = kept.iter().fold(0.0, |t, &(_, _, v)| t + v);
+    let routing = if total > 1e-12 {
+        let mut rates = vec![vec![0.0; keep_cols.len()]; keep_rows.len()];
+        for (k, kc, v) in kept {
+            rates[k][kc] = v / total;
         }
         ts_common::RoutingMatrix::new(rates)?
     } else {
@@ -343,7 +348,7 @@ mod tests {
     use super::*;
     use crate::config::SchedulerConfig;
     use ts_cluster::presets;
-    use ts_common::NodeId;
+    use ts_common::{GpuId, NodeId, ParallelConfig, RoutingMatrix, StageSpec};
     use ts_workload::spec;
 
     fn slo() -> SloSpec {
@@ -682,5 +687,117 @@ mod tests {
         }
         let res = no_reschedule(&cluster, &model, &plan, &spec::coding(2.5), &slo(), &cfg);
         assert!(res.is_err());
+    }
+
+    /// The routing of [`no_reschedule`] as the dense code built it: every
+    /// kept cell copied, summed and divided.
+    fn dense_kept_routing(cluster: &Cluster, current: &DeploymentPlan) -> RoutingMatrix {
+        let alive = |gi: usize| current.groups[gi].gpus().all(|id| cluster.is_active(id));
+        let rows: Vec<usize> = (0..current.routing.num_prefill())
+            .filter(|&r| alive(current.prefill_indices()[r]))
+            .collect();
+        let cols: Vec<usize> = (0..current.routing.num_decode())
+            .filter(|&c| alive(current.decode_indices()[c]))
+            .collect();
+        let mut rates: Vec<Vec<f64>> = rows
+            .iter()
+            .map(|&r| cols.iter().map(|&c| current.routing.rate(r, c)).collect())
+            .collect();
+        let total: f64 = rates.iter().flatten().sum();
+        if total > 1e-12 {
+            rates.iter_mut().flatten().for_each(|v| *v /= total);
+            RoutingMatrix::new(rates).unwrap()
+        } else {
+            RoutingMatrix::uniform(rows.len(), cols.len())
+        }
+    }
+
+    /// A random `p × d` routing matrix summing to 1, from dense to a few
+    /// cells, with unrouted rows and columns and some zero cells turned
+    /// `-0.0` or `-1e-13`.
+    fn random_rates(rng: &mut rand::rngs::StdRng, p: usize, d: usize) -> Vec<Vec<f64>> {
+        use rand::Rng;
+        let density = [1.0, 0.5, 0.1, 0.02][rng.gen_range(0..4usize)];
+        let dead_rows: Vec<bool> = (0..p).map(|_| rng.gen_bool(0.2)).collect();
+        let dead_cols: Vec<bool> = (0..d).map(|_| rng.gen_bool(0.2)).collect();
+        let mut rates = vec![vec![0.0f64; d]; p];
+        for i in 0..p {
+            for j in 0..d {
+                if !dead_rows[i] && !dead_cols[j] && rng.gen_bool(density) {
+                    rates[i][j] = rng.gen_range(0.01..1.0);
+                }
+            }
+        }
+        if rates.iter().flatten().all(|&v| v == 0.0) {
+            let (i, j) = (rng.gen_range(0..p), rng.gen_range(0..d));
+            rates[i][j] = 1.0;
+        }
+        let total: f64 = rates.iter().flatten().sum();
+        let odd = [0.0, 0.05, 0.3][rng.gen_range(0..3usize)];
+        for v in rates.iter_mut().flatten() {
+            if *v != 0.0 {
+                *v /= total;
+            } else if rng.gen_bool(odd) {
+                *v = if rng.gen_bool(0.5) { -0.0 } else { -1e-13 };
+            }
+        }
+        rates
+    }
+
+    /// `no_reschedule` renormalizes the kept cells of the old support; the
+    /// dense copy-sum-divide is the oracle, bit for bit, on random plans
+    /// of tp=1 replicas that lose random nodes.
+    #[test]
+    fn kept_routing_matches_the_dense_oracle() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0x4e5c);
+        let model = ModelSpec::llama_7b();
+        let cfg = SchedulerConfig::fast();
+        let (mut renormalized, mut uniform) = (0, 0);
+        for case in 0..200 {
+            let mut side = || {
+                if rng.gen_bool(0.8) {
+                    rng.gen_range(1..=8usize)
+                } else {
+                    rng.gen_range(1..=64usize)
+                }
+            };
+            let (p, d) = (side(), side());
+            let mut cluster = presets::a5000_cluster(128);
+            let groups = (0..p + d)
+                .map(|g| {
+                    let phase = if g < p { Phase::Prefill } else { Phase::Decode };
+                    let stage = StageSpec {
+                        gpus: vec![GpuId(g as u32)],
+                        layers: model.num_layers,
+                    };
+                    GroupSpec::new(phase, ParallelConfig::new(1, 1).unwrap(), vec![stage]).unwrap()
+                })
+                .collect();
+            let routing = RoutingMatrix::new(random_rates(&mut rng, p, d)).unwrap();
+            let plan = DeploymentPlan::new(groups, routing).unwrap();
+            for _ in 0..rng.gen_range(0..=3) {
+                let node = rng.gen_range(0..(p + d).div_ceil(4));
+                cluster.deactivate_node(NodeId(node as u32)).unwrap();
+            }
+            let w = spec::conversation(1.0);
+            let Ok(out) = no_reschedule(&cluster, &model, &plan, &w, &slo(), &cfg) else {
+                continue; // a phase lost every replica
+            };
+            let want = dense_kept_routing(&cluster, &plan);
+            let bits = |m: &RoutingMatrix| -> Vec<u64> {
+                m.rates().iter().flatten().map(|v| v.to_bits()).collect()
+            };
+            assert_eq!(bits(&out.plan.routing), bits(&want), "case {case}");
+            if want.rates().iter().flatten().any(|&v| v != want.rate(0, 0)) {
+                renormalized += 1;
+            } else {
+                uniform += 1;
+            }
+        }
+        assert!(
+            renormalized > 100 && uniform > 10,
+            "{renormalized} {uniform}"
+        );
     }
 }

@@ -451,10 +451,16 @@ mod tests {
             3,
         );
         let mut sim = Simulation::new(&cluster, &plan, cfg).unwrap();
-        assert_eq!(sim.router_work(), RouterWork::default());
+        // Setup visits the support's four cells.
+        let setup = RouterWork {
+            cells: 4,
+            ..RouterWork::default()
+        };
+        assert_eq!(sim.router_work(), setup);
         sim.run(&reqs).unwrap();
         // 23 picks: 6 of them scan one level, 17 scan two.
         let work = RouterWork {
+            cells: 4,
             picks: 23,
             levels_scanned: 40,
         };
@@ -471,24 +477,7 @@ mod tests {
         use crate::KvWork;
         use std::collections::BTreeSet;
         let n = 512;
-        let model = ModelSpec::llama_7b();
-        let cluster = presets::a5000_cluster(2 * n);
-        let groups = (0..2 * n)
-            .map(|g| {
-                let phase = if g < n { Phase::Prefill } else { Phase::Decode };
-                group(phase, &[g as u32], 1, 1, model.num_layers)
-            })
-            .collect();
-        let share = 1.0 / (2 * n) as f64;
-        let rates = (0..n)
-            .map(|i| {
-                let mut row = vec![0.0; n];
-                row[i] += share;
-                row[(i + 1) % n] += share;
-                row
-            })
-            .collect();
-        let plan = DeploymentPlan::new(groups, RoutingMatrix::new(rates).unwrap()).unwrap();
+        let (cluster, plan, model) = fleet(n);
         let mut sim = Simulation::new(&cluster, &plan, SimConfig::new(model)).unwrap();
         assert_eq!(sim.kv_work(), KvWork::default(), "setup builds no pair");
         let reqs: Vec<Request> = (0..3_000u64)
@@ -507,6 +496,44 @@ mod tests {
         assert!(used.iter().all(|&(i, j)| j == i || j == (i + 1) % n));
         assert_eq!(used.len(), 2 * n, "the stride router visits every cell");
         assert_eq!(sim.kv_work().pairs_built, used.len() as u64);
+    }
+
+    /// `fleet_1m`'s plan on `2n` A5000 tp=1 replicas serving LLaMA-7B:
+    /// prefill replica `i` feeds decode replicas `i` and `i + 1 (mod n)`,
+    /// `2n` of the `n²` cells.
+    fn fleet(n: usize) -> (ts_cluster::Cluster, DeploymentPlan, ModelSpec) {
+        let model = ModelSpec::llama_7b();
+        let cluster = presets::a5000_cluster(2 * n);
+        let groups = (0..2 * n)
+            .map(|g| {
+                let phase = if g < n { Phase::Prefill } else { Phase::Decode };
+                group(phase, &[g as u32], 1, 1, model.num_layers)
+            })
+            .collect();
+        let share = 1.0 / (2 * n) as f64;
+        let rates = (0..n)
+            .map(|i| {
+                let mut row = vec![0.0; n];
+                row[i] += share;
+                row[(i + 1) % n] += share;
+                row
+            })
+            .collect();
+        let plan = DeploymentPlan::new(groups, RoutingMatrix::new(rates).unwrap()).unwrap();
+        (cluster, plan, model)
+    }
+
+    /// Setup on the fleet visits the 1,024 routed cells, not the 262,144
+    /// dense ones: the router is built from the plan's support, and the KV
+    /// transport builds no pair. The dense adapter visits every cell.
+    #[test]
+    fn fleet_setup_visits_only_the_support() {
+        let (cluster, plan, model) = fleet(512);
+        let sim = Simulation::new(&cluster, &plan, SimConfig::new(model)).unwrap();
+        assert_eq!(sim.router_work().cells, 1_024);
+        assert_eq!(sim.kv_work().pairs_built, 0);
+        let (dense, _) = crate::router::StrideRouter::from_matrix(plan.routing.rates()).unwrap();
+        assert_eq!(dense.work().cells, 262_144);
     }
 
     #[test]

@@ -352,15 +352,15 @@ pub fn estimate_attainment(
     let mut ttft = 0.0;
     let mut tpot = 0.0;
     let mut e2e = 0.0;
-    let rates = plan.routing.rates();
-    for (i, row) in rates.iter().enumerate() {
-        for (j, &r) in row.iter().enumerate() {
-            overall += r * est.d[i][j];
-            let (a, b, c) = components[i][j];
-            ttft += r * a;
-            tpot += r * b;
-            e2e += r * c;
-        }
+    // Every estimate is a probability in [0, 1], so a +0.0 cell off the
+    // support would add +0.0 to each sum: walking the support in row-major
+    // order gives the dense sums' bits.
+    for (i, j, r) in plan.routing.support().iter() {
+        overall += r * est.d[i][j];
+        let (a, b, c) = components[i][j];
+        ttft += r * a;
+        tpot += r * b;
+        e2e += r * c;
     }
     Ok(AttainmentEstimate {
         overall,
@@ -371,7 +371,7 @@ pub fn estimate_attainment(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use rand::Rng;
     use ts_cluster::presets;
@@ -677,5 +677,116 @@ mod tests {
         assert!((v - 0.5).abs() < 1e-9);
         assert!(soft_meet(0.2, 0.1) > 0.9);
         assert!(soft_meet(0.05, 0.1) < 0.1);
+    }
+
+    /// A random `p × d` routing matrix summing to 1, from dense to a few
+    /// cells, with unrouted rows and columns and some zero cells turned
+    /// `-0.0` or `-1e-13`.
+    pub(crate) fn random_rates(rng: &mut rand::rngs::StdRng, p: usize, d: usize) -> Vec<Vec<f64>> {
+        let density = [1.0, 0.5, 0.1, 0.02][rng.gen_range(0..4usize)];
+        let dead_rows: Vec<bool> = (0..p).map(|_| rng.gen_bool(0.2)).collect();
+        let dead_cols: Vec<bool> = (0..d).map(|_| rng.gen_bool(0.2)).collect();
+        let mut rates = vec![vec![0.0f64; d]; p];
+        for i in 0..p {
+            for j in 0..d {
+                if !dead_rows[i] && !dead_cols[j] && rng.gen_bool(density) {
+                    rates[i][j] = rng.gen_range(0.01..1.0);
+                }
+            }
+        }
+        if rates.iter().flatten().all(|&v| v == 0.0) {
+            let (i, j) = (rng.gen_range(0..p), rng.gen_range(0..d));
+            rates[i][j] = 1.0;
+        }
+        let total: f64 = rates.iter().flatten().sum();
+        let odd = [0.0, 0.05, 0.3][rng.gen_range(0..3usize)];
+        for v in rates.iter_mut().flatten() {
+            if *v != 0.0 {
+                *v /= total;
+            } else if rng.gen_bool(odd) {
+                *v = if rng.gen_bool(0.5) { -0.0 } else { -1e-13 };
+            }
+        }
+        rates
+    }
+
+    /// The router and the attainment estimate walk a plan's support; the
+    /// dense code they replaced is the oracle. The router built from the
+    /// support must have the dense scan's options in its order and make
+    /// the same first 10,000 picks, and the estimate's four sums must
+    /// have the dense sums' bits.
+    #[test]
+    fn support_walks_match_the_dense_oracle() {
+        use crate::router::StrideRouter;
+        use rand::SeedableRng;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0xde75e);
+        let cluster = presets::a5000_cluster(128);
+        let model = ModelSpec::llama_7b();
+        let cfg = SimConfig::new(model.clone());
+        for case in 0..200 {
+            let mut side = || {
+                if rng.gen_bool(0.8) {
+                    rng.gen_range(1..=8usize)
+                } else {
+                    rng.gen_range(1..=64usize)
+                }
+            };
+            let (p, d) = (side(), side());
+            let rates = random_rates(&mut rng, p, d);
+            let groups = (0..p + d)
+                .map(|g| {
+                    let phase = if g < p { Phase::Prefill } else { Phase::Decode };
+                    group(phase, &[g as u32], 1, 1, model.num_layers)
+                })
+                .collect();
+            let plan =
+                DeploymentPlan::new(groups, RoutingMatrix::new(rates.clone()).unwrap()).unwrap();
+
+            let (mut weights, mut coords) = (Vec::new(), Vec::new());
+            for (i, row) in rates.iter().enumerate() {
+                for (j, &w) in row.iter().enumerate() {
+                    if w > 0.0 {
+                        weights.push(w);
+                        coords.push((i, j));
+                    }
+                }
+            }
+            let mut dense = StrideRouter::new(weights).unwrap();
+            let (mut sparse, pairs) = StrideRouter::from_support(plan.routing.support()).unwrap();
+            assert_eq!(pairs, coords, "case {case}");
+            for pick in 0..10_000 {
+                assert_eq!(sparse.next(), dense.next(), "case {case} pick {pick}");
+            }
+
+            let w = spec::conversation(rng.gen_range(0.5..8.0));
+            let got = estimate_attainment(&cluster, &plan, &cfg, &w, &slo()).unwrap();
+            let cost = |idx: Vec<usize>| -> Vec<ReplicaCostModel> {
+                idx.iter()
+                    .map(|&gi| {
+                        ReplicaCostModel::new(&cluster, &model, &plan.groups[gi], &cfg.params)
+                            .unwrap()
+                    })
+                    .collect()
+            };
+            let (pre, dec) = (cost(plan.prefill_indices()), cost(plan.decode_indices()));
+            let est = estimate_on_the_fly(&cluster, &cfg, &pre, &dec, &w, &slo(), true);
+            let parts = est.components.unwrap();
+            let (mut overall, mut ttft, mut tpot, mut e2e) = (0.0, 0.0, 0.0, 0.0);
+            for (i, row) in rates.iter().enumerate() {
+                for (j, &r) in row.iter().enumerate() {
+                    overall += r * est.d[i][j];
+                    let (a, b, c) = parts[i][j];
+                    ttft += r * a;
+                    tpot += r * b;
+                    e2e += r * c;
+                }
+            }
+            let bits = |e: [f64; 4]| e.map(f64::to_bits);
+            assert_eq!(
+                bits([got.overall, got.ttft, got.tpot, got.e2e]),
+                bits([overall, ttft, tpot, e2e]),
+                "case {case}"
+            );
+        }
     }
 }

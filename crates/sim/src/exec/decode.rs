@@ -8,8 +8,9 @@
 //! block of contexts at a time, into the contiguous prefix sums of the
 //! replica's [`StepTables`], so a plan is an O(1) description, any boundary
 //! costs two lookups into its run's slice and a catch-up search O(log k)
-//! of them. A finish whose plan disagrees with its event is an
-//! [`Error::Simulation`], in release builds too. The plan's *virtual
+//! of them. A finish whose plan disagrees with its event, and a plan,
+//! re-plan, catch-up or rival deferral that breaks a planning invariant,
+//! is an [`Error::Simulation`], in release builds too. The plan's *virtual
 //! push time* (`prev_boundary`, and [`DecodePlan::vpush`] for the
 //! in-progress step) reproduces the per-step schedule's
 //! `(at, seq, pushed_at)` ordering against genuinely simultaneous rival
@@ -56,22 +57,22 @@ fn steps_to_finish(batch: &BatchCore) -> u32 {
 /// re-plan under coalescing (the per-step compatibility path just waits
 /// for the in-flight step, exactly like the old `stepping` guard); with no
 /// plan and a non-empty batch, a fresh run is planned.
-pub(super) fn admit_and_kick(core: &mut Core, s: &mut SplitState, j: usize) {
+pub(super) fn admit_and_kick(core: &mut Core, s: &mut SplitState, j: usize) -> Result<()> {
     let d = &mut s.decodes[j];
     if !d.is_alive() {
-        return;
+        return Ok(());
     }
     let admitted = admit_waiting(core, Role::Decode, j, &mut d.batch);
     if d.batch.active.is_empty() {
-        return;
+        return Ok(());
     }
     if d.plan.is_some() {
         if admitted && coalescing_active(core) {
-            replan(core, s, j);
+            replan(core, s, j)?;
         }
-        return;
+        return Ok(());
     }
-    plan(core, s, j);
+    plan(core, s, j)
 }
 
 /// Plans a decode run for replica `j` starting now and schedules its
@@ -79,9 +80,14 @@ pub(super) fn admit_and_kick(core: &mut Core, s: &mut SplitState, j: usize) {
 /// boundary (the batch is constant until then, so every boundary is
 /// priced exactly as the per-step loop would: the integer average context
 /// grows by exactly 1 per step); the compatibility path plans one step.
-fn plan(core: &mut Core, s: &mut SplitState, j: usize) {
+/// Planning over a live plan is an [`Error::Simulation`].
+fn plan(core: &mut Core, s: &mut SplitState, j: usize) -> Result<()> {
     let d = &mut s.decodes[j];
-    debug_assert!(d.plan.is_none(), "planning over a live plan");
+    if d.plan.is_some() {
+        return Err(Error::Simulation(format!(
+            "decode replica {j}: planning over a live plan"
+        )));
+    }
     let batch = d.batch.active.len() as u64;
     let steps = if coalescing_active(core) {
         steps_to_finish(&d.batch)
@@ -96,8 +102,9 @@ fn plan(core: &mut Core, s: &mut SplitState, j: usize) {
     let ctx0 = d.batch.avg_context();
     let plan = d.plan_run(batch, ctx0, u64::from(steps), core.now, false, |end| {
         core.queue.push_cancellable(end, kind)
-    });
+    })?;
     d.plan = Some(plan);
+    Ok(())
 }
 
 /// Re-plans replica `j`'s coalesced run after its batch grew or its speed
@@ -107,15 +114,21 @@ fn plan(core: &mut Core, s: &mut SplitState, j: usize) {
 /// per-step advance covers the whole batch at a step's end) and is
 /// carried verbatim; boundaries after it are re-priced against the new
 /// batch and straggler factor. The scheduled event moves to the new final
-/// boundary, keeping its original `(seq, pushed_at)` stamps.
-pub(super) fn replan(core: &mut Core, s: &mut SplitState, j: usize) {
+/// boundary, keeping its original `(seq, pushed_at)` stamps. A carried
+/// boundary before `now` is an [`Error::Simulation`].
+pub(super) fn replan(core: &mut Core, s: &mut SplitState, j: usize) -> Result<()> {
     let d = &mut s.decodes[j];
     let Some(old) = d.plan.take() else {
-        return;
+        return Ok(());
     };
     // Read before pricing: a new straggler factor drops the tables.
     let first = old.front(&d.tables);
-    debug_assert!(first >= core.now, "carried boundary in the past");
+    if first < core.now {
+        return Err(Error::Simulation(format!(
+            "decode replica {j}: carried boundary in the past, {first:?} before {:?}",
+            core.now
+        )));
+    }
     let batch = d.batch.active.len() as u64;
     let steps = steps_to_finish(&d.batch);
     let kind = EventKind::DecodeStepDone {
@@ -145,9 +158,10 @@ pub(super) fn replan(core: &mut Core, s: &mut SplitState, j: usize) {
                 }
             }
         },
-    );
+    )?;
     plan.prev_boundary = old.prev_boundary;
     d.plan = Some(plan);
+    Ok(())
 }
 
 /// Cancels replica `j`'s scheduled run-end event and clears the plan,
@@ -174,23 +188,25 @@ pub(super) fn cancel_plan(core: &mut Core, s: &mut SplitState, j: usize) {
 /// sequence number). The final boundary never catches up here; it is the
 /// scheduled event's fire time and is handled by
 /// [`Driver::on_decode_finish`].
-pub(super) fn catch_up(core: &Core, s: &mut SplitState, j: usize) {
+pub(super) fn catch_up(core: &Core, s: &mut SplitState, j: usize) -> Result<()> {
     let d = &mut s.decodes[j];
     let Some(plan) = d.plan.as_ref() else {
-        return;
+        return Ok(());
     };
     let m = plan.elapsed(&d.tables, core.now, core.event_pushed_at);
     if m > 0 {
-        materialize(d, m);
+        materialize(d, m)?;
     }
+    Ok(())
 }
 
 /// Catches up every decode replica (paths that scan cross-replica batch
 /// state: transfer re-dispatch, hedging probes).
-pub(super) fn catch_up_all(core: &Core, s: &mut SplitState) {
+pub(super) fn catch_up_all(core: &Core, s: &mut SplitState) -> Result<()> {
     for j in 0..s.decodes.len() {
-        catch_up(core, s, j);
+        catch_up(core, s, j)?;
     }
+    Ok(())
 }
 
 /// Materializes the next `m` boundaries of decode replica `d`'s plan in one
@@ -199,19 +215,29 @@ pub(super) fn catch_up_all(core: &Core, s: &mut SplitState) {
 /// maximum, the last of them (step time never decreases as context
 /// grows). An intermediate boundary changes no batch occupancy, so it
 /// emits no trace event and the pressure tally needs no replay.
-fn materialize(d: &mut DecodeExecutor, m: u64) {
+/// Materializing the final boundary, or an intermediate one that would
+/// finish a sequence, is an [`Error::Simulation`].
+fn materialize(d: &mut DecodeExecutor, m: u64) -> Result<()> {
     d.work.steps_crossed += m;
     let plan = d.plan.as_mut().expect("materialize without plan");
-    debug_assert!(m < plan.remaining(), "materializing the final boundary");
+    if m >= plan.remaining() {
+        return Err(Error::Simulation(format!(
+            "materializing the final boundary: {m} of {} left",
+            plan.remaining()
+        )));
+    }
     let first = plan.front(&d.tables);
     let shared_max = plan.shared_max_gap(&d.tables, m);
     let last = plan.boundary(&d.tables, plan.crossed + m - 1);
     let batch = d.batch.active.len() as u64;
     for a in &mut d.batch.active {
-        debug_assert!(
-            u64::from(a.remaining) > m,
-            "an intermediate coalesced boundary must not finish a sequence"
-        );
+        if u64::from(a.remaining) <= m {
+            return Err(Error::Simulation(format!(
+                "an intermediate coalesced boundary must not finish a sequence: \
+                 {} tokens left, {m} boundaries crossed",
+                a.remaining
+            )));
+        }
         a.context += m;
         a.remaining -= m as u32;
         let first_gap = first.saturating_since(a.last_token_at);
@@ -221,6 +247,7 @@ fn materialize(d: &mut DecodeExecutor, m: u64) {
     d.batch.kv_used += batch * m;
     plan.crossed += m;
     plan.prev_boundary = last;
+    Ok(())
 }
 
 /// Removes and returns the held decode-finish stamp for replica `j`, if
@@ -278,7 +305,7 @@ impl Driver {
                 // already ordered this event correctly.
                 break;
             }
-            let Some(rival) = self.qualifying_rival(vpush) else {
+            let Some(rival) = self.qualifying_rival(vpush)? else {
                 break;
             };
             if !is_held(&self.core, replica, seq) {
@@ -294,7 +321,7 @@ impl Driver {
         let d = &mut s.decodes[replica];
         let pending = d.plan.as_ref().map_or(0, |p| p.remaining());
         if pending > 1 {
-            materialize(d, pending - 1);
+            materialize(d, pending - 1)?;
         }
         let plan = d.plan.take().expect("checked above");
         if plan.remaining() != 1 {
@@ -313,8 +340,7 @@ impl Driver {
         d.work.steps_crossed += 1;
         observe_straggler(core, Role::Decode, replica, d.slow_factor);
         finish_step(core, &mut d.batch)?;
-        admit_and_kick(core, s, replica);
-        Ok(())
+        admit_and_kick(core, s, replica)
     }
 
     /// The next queued event, popped, when it shares this instant with the
@@ -322,24 +348,29 @@ impl Driver {
     /// fired it first: its effective push time (its own stamp, or the
     /// virtual push time of another replica's live plan) is no later than
     /// `vpush`. Deferring to an epoch-stale rival is harmless — its
-    /// dispatch is a no-op.
-    fn qualifying_rival(&mut self, vpush: SimTime) -> Option<Event> {
+    /// dispatch is a no-op. An arrival still due at `now` is an
+    /// [`Error::Simulation`]: same-instant arrivals drain first.
+    fn qualifying_rival(&mut self, vpush: SimTime) -> Result<Option<Event>> {
         let now = self.core.now;
-        debug_assert!(
-            self.core
-                .arrivals
-                .get(self.core.next_arrival)
-                .is_none_or(|r| r.arrival > now),
-            "same-instant arrivals drain before queued events"
-        );
-        let head = self.core.queue.peek()?;
+        if let Some(r) = self.core.arrivals.get(self.core.next_arrival) {
+            if r.arrival <= now {
+                return Err(Error::Simulation(format!(
+                    "same-instant arrivals drain before queued events: request {} \
+                     arrives at {:?}, the clock is {now:?}",
+                    r.id, r.arrival
+                )));
+            }
+        }
+        let Some(head) = self.core.queue.peek() else {
+            return Ok(None);
+        };
         if head.at != now {
-            return None;
+            return Ok(None);
         }
         let eff = match head.kind {
             EventKind::DecodeStepDone { replica: r2, .. } => {
                 let Topology::Split(s) = &self.topo else {
-                    return None;
+                    return Ok(None);
                 };
                 let d = &s.decodes[r2];
                 match d.plan.as_ref() {
@@ -349,10 +380,83 @@ impl Driver {
             }
             _ => head.pushed_at,
         };
-        if eff <= vpush {
+        Ok(if eff <= vpush {
             self.core.queue.pop()
         } else {
             None
-        }
+        })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::exec::driver::tests::{seed_request, testbed};
+    use crate::exec::seq::WaitingSeq;
+    use ts_common::{Request, SimDuration};
+
+    /// Decode replica 0 of the test bed with one admitted sequence of 15
+    /// tokens to go, under a live coalesced plan of 15 boundaries.
+    fn planned() -> Driver {
+        let mut d = testbed(|_| {});
+        let (core, s) = d.split("test").unwrap();
+        let (req, key) = seed_request(core, 0);
+        s.decodes[0].batch.waiting.push_back(WaitingSeq {
+            key,
+            tokens: u64::from(req.prompt_len),
+            remaining: req.output_len - 1,
+            resume: None,
+        });
+        admit_and_kick(core, s, 0).unwrap();
+        assert_eq!(s.decodes[0].plan.as_ref().unwrap().remaining(), 15);
+        d
+    }
+
+    fn assert_sim_error(result: Result<()>, want: &str) {
+        let err = result.unwrap_err();
+        assert!(
+            matches!(&err, Error::Simulation(m) if m.contains(want)),
+            "{err:?}"
+        );
+    }
+
+    /// Each decode-plan invariant is checked in release builds too: state
+    /// corrupted to break it makes the step an [`Error::Simulation`].
+    #[test]
+    fn decode_plan_invariants_are_errors() {
+        let mut d = planned();
+        let (core, s) = d.split("test").unwrap();
+        assert_sim_error(plan(core, s, 0), "planning over a live plan");
+
+        let mut d = planned();
+        let (core, s) = d.split("test").unwrap();
+        core.now += SimDuration::from_secs(3_600);
+        assert_sim_error(replan(core, s, 0), "carried boundary in the past");
+
+        let mut d = planned();
+        let (_, s) = d.split("test").unwrap();
+        assert_sim_error(
+            materialize(&mut s.decodes[0], 15),
+            "materializing the final boundary",
+        );
+
+        let mut d = planned();
+        let (_, s) = d.split("test").unwrap();
+        s.decodes[0].batch.active[0].remaining = 2;
+        assert_sim_error(
+            materialize(&mut s.decodes[0], 2),
+            "an intermediate coalesced boundary must not finish a sequence",
+        );
+        s.decodes[0].batch.active[0].remaining = 3;
+        assert!(materialize(&mut s.decodes[0], 2).is_ok());
+
+        let mut d = planned();
+        d.core.arrivals = vec![Request::new(ts_common::RequestId(9), SimTime::ZERO, 8, 8)];
+        assert_sim_error(
+            d.qualifying_rival(SimTime::ZERO).map(drop),
+            "same-instant arrivals drain before queued events",
+        );
+        d.core.next_arrival = 1;
+        assert!(d.qualifying_rival(SimTime::ZERO).is_ok());
     }
 }

@@ -29,8 +29,8 @@
 //!
 //! # Performance architecture
 //!
-//! Six structural decisions keep the loop fast on day-scale traces
-//! without changing a single output bit:
+//! Seven structural decisions keep setup and the loop fast on day-scale
+//! traces without changing a single output bit:
 //!
 //! * **Slim indexed event heap.** The heap moves 24-byte `(at, seq, id)`
 //!   keys compared as one `u128`; payloads sit beside it, indexed by id.
@@ -56,6 +56,12 @@
 //! * **Routing over credit levels.** A [`StrideRouter`] pick tops up one
 //!   entry per level — the live cells sharing a stride and a credit — not
 //!   one per cell, so a fleet plan's 1,024 equal cells cost two entries.
+//! * **O(support) setup.** A plan's routing matrix carries its support,
+//!   the cells that are not `+0.0`, found in the one validation pass of
+//!   `RoutingMatrix::new`. Each route's router is built from the support
+//!   and the KV transport builds a pair's state on the pair's first use,
+//!   so building a driver visits the routed cells, not P × D: 1,024 of
+//!   `fleet_1m`'s 262,144 ([`RouterWork::cells`]).
 //! * **O(path + flows) fabric changes.** Under the flow fabric each KV
 //!   flow start, finish or cancel updates the max-min filler's inputs in
 //!   O(path), refills over the touched links only, and makes one pass over
@@ -287,33 +293,24 @@ impl Driver {
             .collect();
         let decode_model: Vec<ModelId> =
             decode_idx.iter().map(|&gi| plan.groups[gi].model).collect();
-        // One route per served model. A legacy plan's single route runs
-        // over the aggregate matrix, whose coordinates are already global.
+        // One route per served model, each over its matrix's support. A
+        // legacy plan's single route runs over the aggregate matrix, whose
+        // coordinates are already global; a tenant's local row and column
+        // map to the global ones through each group's slot.
+        let slot = plan.routing_slots();
         let mut routes = Vec::new();
         for m in plan.models() {
             let routing = plan.routing_for(m).ok_or_else(|| {
                 Error::InvalidConfig(format!("model {m} has no routing in the plan"))
             })?;
-            let (router, local) = StrideRouter::from_matrix(routing.rates())?;
+            let (router, local) = StrideRouter::from_support(routing.support())?;
             let pairs = if plan.is_multi_model() {
                 let pidx = plan.prefill_indices_for(m);
                 let didx = plan.decode_indices_for(m);
-                let to_global = |own: &[usize], all: &[usize], li: usize| -> Result<usize> {
-                    all.iter().position(|&g| g == own[li]).ok_or_else(|| {
-                        Error::InvalidConfig(format!(
-                            "model {m} routes over a group not in the plan"
-                        ))
-                    })
-                };
                 local
                     .iter()
-                    .map(|&(li, lj)| {
-                        Ok((
-                            to_global(&pidx, &prefill_idx, li)?,
-                            to_global(&didx, &decode_idx, lj)?,
-                        ))
-                    })
-                    .collect::<Result<Vec<_>>>()?
+                    .map(|&(li, lj)| (slot[pidx[li]], slot[didx[lj]]))
+                    .collect()
             } else {
                 local
             };
@@ -610,7 +607,7 @@ impl Driver {
             EventKind::ServiceResumed => self.on_service_resumed(),
             EventKind::HedgeCheck { request } => {
                 let (core, s) = self.split("HedgeCheck")?;
-                gray::on_hedge_check(core, s, request);
+                gray::on_hedge_check(core, s, request)?;
             }
             EventKind::FlakyBeat { node } => self.on_flaky_beat(node),
             EventKind::ReadmitProbe { prefill, replica } => self.on_readmit_probe(prefill, replica),
@@ -1279,8 +1276,7 @@ fn split_deliver_transfer(core: &mut Core, s: &mut SplitState, key: SlabKey) -> 
             drop_request(core, key);
             return Ok(());
         }
-        split_redispatch_transfer(core, s, t);
-        return Ok(());
+        return split_redispatch_transfer(core, s, t);
     }
     // Delivered.
     let now = core.now;
@@ -1294,15 +1290,14 @@ fn split_deliver_transfer(core: &mut Core, s: &mut SplitState, key: SlabKey) -> 
     trace(core, TraceKind::KvDone { request: rid });
     // Step boundaries owed before this instant must land before the
     // admission pass reads KV occupancy and batch size.
-    decode::catch_up(core, s, t.to);
+    decode::catch_up(core, s, t.to)?;
     s.decodes[t.to].batch.waiting.push_back(WaitingSeq {
         key,
         tokens: t.job.tokens,
         remaining: t.job.remaining,
         resume: t.job.resume,
     });
-    decode::admit_and_kick(core, s, t.to);
-    Ok(())
+    decode::admit_and_kick(core, s, t.to)
 }
 
 /// The live decode replica with the most free KV memory (lowest index
@@ -1325,16 +1320,20 @@ pub(super) fn kv_target(s: &SplitState, from: usize) -> Option<usize> {
 
 /// Re-targets a transfer whose decode replica died to [`kv_target`], or
 /// parks it until a decode replica comes back.
-pub(super) fn split_redispatch_transfer(core: &mut Core, s: &mut SplitState, mut t: Transfer) {
+pub(super) fn split_redispatch_transfer(
+    core: &mut Core,
+    s: &mut SplitState,
+    mut t: Transfer,
+) -> Result<()> {
     // The free-KV scan reads every decode batch; their owed boundaries
     // must land first.
-    decode::catch_up_all(core, s);
+    decode::catch_up_all(core, s)?;
     let Some(j2) = kv_target(s, t.from) else {
         s.parked.push(t);
-        return;
+        return Ok(());
     };
     let Some(st) = core.reqs.get_mut(t.job.key) else {
-        return; // resolved while parked
+        return Ok(()); // resolved while parked
     };
     st.pend.decode = j2;
     let rid = st.req.id;
@@ -1349,6 +1348,7 @@ pub(super) fn split_redispatch_transfer(core: &mut Core, s: &mut SplitState, mut
         },
     );
     s.kv.launch(core, t, SimDuration::ZERO);
+    Ok(())
 }
 
 // --- routing masks ---------------------------------------------------------
@@ -1537,7 +1537,7 @@ pub(super) mod tests {
                 remaining: req.output_len - 1,
                 resume: None,
             });
-            decode::admit_and_kick(core, s, 0);
+            decode::admit_and_kick(core, s, 0).unwrap();
             edit(s.decodes[0].plan.as_mut().expect("a live plan"));
             let err = d.run_with_faults(&[], &FaultScript::none()).unwrap_err();
             assert!(
@@ -1547,6 +1547,79 @@ pub(super) mod tests {
         };
         corrupt(|p| p.crossed = p.boundaries(), "0 boundaries left");
         corrupt(|p| p.start += SimDuration::from_micros(1), "fired at");
+    }
+
+    /// Each tenant's route is built from its matrix's support and mapped to
+    /// global replicas through each group's slot. The oracle is the dense
+    /// build: every positive cell in row-major order, placed by a position
+    /// search over the plan's phase indices. Random plans of one to three
+    /// tenants, with their groups shuffled, must give the same pairs and
+    /// the same first 10,000 picks per route.
+    #[test]
+    fn tenant_routes_match_the_dense_oracle() {
+        use crate::estimate::tests::random_rates;
+        use rand::rngs::StdRng;
+        use rand::seq::SliceRandom;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(0x7e4a47);
+        let cluster = presets::a5000_cluster(80);
+        let model = ModelSpec::llama_7b();
+        for case in 0..200 {
+            let tenants = rng.gen_range(1..=3u32);
+            let (mut groups, mut per_model, mut catalog) = (Vec::new(), Vec::new(), Vec::new());
+            for k in 1..=tenants {
+                let (p, d) = (rng.gen_range(1..=12), rng.gen_range(1..=12));
+                for g in 0..p + d {
+                    let phase = if g < p { Phase::Prefill } else { Phase::Decode };
+                    let stage = StageSpec {
+                        gpus: vec![GpuId(groups.len() as u32)],
+                        layers: model.num_layers,
+                    };
+                    let spec =
+                        GroupSpec::new(phase, ParallelConfig::new(1, 1).unwrap(), vec![stage]);
+                    groups.push(spec.unwrap().with_model(ModelId(k)));
+                }
+                per_model.push(ModelRouting {
+                    model: ModelId(k),
+                    routing: RoutingMatrix::new(random_rates(&mut rng, p, d)).unwrap(),
+                    share: 1.0 / f64::from(tenants),
+                });
+                catalog.push(ServedModel::llama_7b_chat(
+                    ModelId(k),
+                    1.0 / f64::from(tenants),
+                ));
+            }
+            groups.shuffle(&mut rng);
+            let plan = DeploymentPlan::new_multi(groups, per_model).unwrap();
+            let cfg = SimConfig::new(model.clone())
+                .with_catalog(catalog.into_iter().collect::<Result<_>>().unwrap());
+            let mut d = Driver::new_split(&cluster, &plan, cfg).unwrap();
+            let (all_p, all_d) = (plan.prefill_indices(), plan.decode_indices());
+            for (ri, m) in plan.models().into_iter().enumerate() {
+                let (pidx, didx) = (plan.prefill_indices_for(m), plan.decode_indices_for(m));
+                let (mut weights, mut pairs) = (Vec::new(), Vec::new());
+                for (li, row) in plan.routing_for(m).unwrap().rates().iter().enumerate() {
+                    for (lj, &w) in row.iter().enumerate() {
+                        if w > 0.0 {
+                            weights.push(w);
+                            let row = all_p.iter().position(|&g| g == pidx[li]).unwrap();
+                            let col = all_d.iter().position(|&g| g == didx[lj]).unwrap();
+                            pairs.push((row, col));
+                        }
+                    }
+                }
+                let route = &mut d.core.routes[ri];
+                assert_eq!(route.pairs, pairs, "case {case} model {m}");
+                let mut oracle = StrideRouter::new(weights).unwrap();
+                for pick in 0..10_000 {
+                    assert_eq!(
+                        route.router.next(),
+                        oracle.next(),
+                        "case {case} pick {pick}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -15,7 +15,7 @@ use super::seq::{BatchCore, PrefillJob, PrefillQueue, ResumeState};
 use crate::event::EventToken;
 use std::collections::VecDeque;
 use std::sync::Arc;
-use ts_common::{SimDuration, SimTime, SlabKey};
+use ts_common::{Error, Result, SimDuration, SimTime, SlabKey};
 use ts_costmodel::{DecodeStepSeries, ReplicaCostModel};
 use ts_telemetry::profile;
 
@@ -658,6 +658,10 @@ impl DecodeExecutor {
     /// pricing any missing step times at the current straggler factor.
     /// `schedule` receives the run end and returns the scheduled event's
     /// token. The plan's virtual push time starts at `start`.
+    ///
+    /// # Errors
+    /// A plan with no boundaries (no steps and no carried boundary) is an
+    /// [`Error::Simulation`]; nothing is scheduled then.
     pub fn plan_run(
         &mut self,
         batch: u64,
@@ -666,8 +670,12 @@ impl DecodeExecutor {
         start: SimTime,
         carried: bool,
         schedule: impl FnOnce(SimTime) -> EventToken,
-    ) -> DecodePlan {
-        debug_assert!(steps > 0 || carried, "a plan with no boundaries");
+    ) -> Result<DecodePlan> {
+        if steps == 0 && !carried {
+            return Err(Error::Simulation(format!(
+                "a plan with no boundaries, at {start:?}"
+            )));
+        }
         let (run, end) = if steps > 0 {
             let run = self.tables.ensure(
                 &self.cost,
@@ -681,7 +689,7 @@ impl DecodeExecutor {
         } else {
             (0, start)
         };
-        DecodePlan {
+        Ok(DecodePlan {
             run,
             carried,
             start,
@@ -690,7 +698,7 @@ impl DecodeExecutor {
             crossed: 0,
             prev_boundary: start,
             token: schedule(end),
-        }
+        })
     }
 }
 
@@ -1002,9 +1010,11 @@ mod tests {
                 let carried = rng.gen_bool(0.5);
                 let steps = rng.gen_range(1..=512u64) - u64::from(carried);
                 let start = SimTime::from_micros(rng.gen_range(0..1u64 << 40));
-                let plan = d.plan_run(batch, ctx0, steps, start, carried, |end| {
-                    queue.push_cancellable(end, kind)
-                });
+                let plan = d
+                    .plan_run(batch, ctx0, steps, start, carried, |end| {
+                        queue.push_cancellable(end, kind)
+                    })
+                    .unwrap();
                 let (bounds, lat) = oracle_plan(cost, slow, (batch, ctx0, steps), start, carried);
                 assert!(
                     lat.windows(2).all(|w| w[0] <= w[1]),
@@ -1045,9 +1055,11 @@ mod tests {
         let mut d = DecodeExecutor::new(cost);
         let mut queue = EventQueue::new();
         let mut plan = |d: &mut DecodeExecutor, batch: u64, ctx0: u64, steps: u64| {
-            let plan = d.plan_run(batch, ctx0, steps, SimTime::ZERO, false, |end| {
-                queue.push_cancellable(end, EventKind::ServiceResumed)
-            });
+            let plan = d
+                .plan_run(batch, ctx0, steps, SimTime::ZERO, false, |end| {
+                    queue.push_cancellable(end, EventKind::ServiceResumed)
+                })
+                .unwrap();
             let oracle = (ctx0..ctx0 + steps).fold(SimTime::ZERO, |at, ctx| {
                 at + d
                     .cost
@@ -1080,5 +1092,26 @@ mod tests {
         assert_eq!(plan(&mut d, 4, 200, 100), (448, both));
         d.slow_factor = 2.0;
         assert_eq!(plan(&mut d, 4, 100, 10), (512, vec![(4, 64, 128)]));
+    }
+
+    /// A fresh plan of no steps has no boundary: an error in release
+    /// builds too, with nothing scheduled. A carried boundary alone is a
+    /// plan.
+    #[test]
+    fn a_plan_with_no_boundaries_is_an_error() {
+        let mut d = DecodeExecutor::new(cost_models().swap_remove(0));
+        let mut queue = EventQueue::new();
+        let mut plan = |d: &mut DecodeExecutor, carried| {
+            d.plan_run(4, 100, 0, SimTime::ZERO, carried, |end| {
+                queue.push_cancellable(end, EventKind::ServiceResumed)
+            })
+        };
+        let err = plan(&mut d, false).unwrap_err();
+        assert!(
+            matches!(&err, Error::Simulation(m) if m.contains("a plan with no boundaries")),
+            "{err:?}"
+        );
+        assert!(plan(&mut d, true).is_ok());
+        assert_eq!(queue.len(), 1, "the failed plan scheduled nothing");
     }
 }

@@ -165,13 +165,13 @@ impl Driver {
                     // the phantom horizon because the per-step loop would
                     // still have popped (and advanced `now` past) the
                     // stale event.
-                    decode::catch_up(&self.core, s, j);
+                    decode::catch_up(&self.core, s, j)?;
                     decode::cancel_plan(&mut self.core, s, j);
                 }
                 self.topo.executor(false, j).kill();
             }
-            FaultKind::PrefillUp(i) => self.on_replica_up(true, i),
-            FaultKind::DecodeUp(j) => self.on_replica_up(false, j),
+            FaultKind::PrefillUp(i) => self.on_replica_up(true, i)?,
+            FaultKind::DecodeUp(j) => self.on_replica_up(false, j)?,
             FaultKind::PrefillSlow(i, factor) => match &mut self.topo {
                 Topology::Split(s) => s.prefills[i].slow_factor = factor,
                 Topology::Colocated(c) => c.replicas[i].slow_factor = factor,
@@ -183,10 +183,10 @@ impl Driver {
                     // every step after the in-flight one at the new speed.
                     // Catch up, apply the factor, and re-plan carrying the
                     // already-committed in-flight boundary.
-                    decode::catch_up(&self.core, s, j);
+                    decode::catch_up(&self.core, s, j)?;
                     s.decodes[j].slow_factor = factor;
                     if decode::coalescing_active(&self.core) && s.decodes[j].plan.is_some() {
-                        decode::replan(&mut self.core, s, j);
+                        decode::replan(&mut self.core, s, j)?;
                     }
                 }
                 Topology::Colocated(c) => c.replicas[j].slow_factor = factor,
@@ -215,12 +215,12 @@ impl Driver {
     /// replica). Work frozen at death never re-runs on its own (its
     /// completion events are stale), so it is restarted or declared lost;
     /// decode sequences frozen at death lost their KV either way.
-    fn on_replica_up(&mut self, prefill: bool, i: usize) {
+    fn on_replica_up(&mut self, prefill: bool, i: usize) -> Result<()> {
         if let (false, Topology::Split(s)) = (prefill, &mut self.topo) {
             // Healing an *alive* decode replica (an Up without a Down)
             // still bumps the epoch and clears the plan, so settle the plan
             // first exactly as a death would.
-            decode::catch_up(&self.core, s, i);
+            decode::catch_up(&self.core, s, i)?;
             decode::cancel_plan(&mut self.core, s, i);
         }
         let replica = self.topo.executor(prefill, i);
@@ -231,15 +231,16 @@ impl Driver {
         refresh_router(&mut self.core);
         if !self.core.recovery_enabled {
             self.drop_drained(drained);
-            return;
+            return Ok(());
         }
         self.recover_drained(drained, None);
         if let (false, Topology::Split(s)) = (prefill, &mut self.topo) {
             for t in std::mem::take(&mut s.parked) {
-                split_redispatch_transfer(&mut self.core, s, t);
+                split_redispatch_transfer(&mut self.core, s, t)?;
             }
         }
         self.drain_stalled();
+        Ok(())
     }
 
     /// A death is detected: the coordinator masks the replica out of

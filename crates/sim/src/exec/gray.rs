@@ -24,7 +24,7 @@ use crate::event::EventKind;
 use crate::fault::FaultKind;
 use rand::rngs::StdRng;
 use rand::Rng;
-use ts_common::{derive_seed, seeded_rng, SimDuration, SimTime, SlabKey};
+use ts_common::{derive_seed, seeded_rng, Result, SimDuration, SimTime, SlabKey};
 use ts_telemetry::{Role, TraceKind};
 
 /// Per-host gray-failure bookkeeping: flaky-heartbeat masking, straggler
@@ -266,19 +266,20 @@ pub(super) fn observe_straggler(core: &mut Core, role: Role, replica: usize, rat
 /// (first completion wins); if its KV transfer is stuck in flight, cancel
 /// and re-send it. No-op when the request already delivered its KV,
 /// finished, or was hedged once before.
-pub(super) fn on_hedge_check(core: &mut Core, s: &mut SplitState, request: SlabKey) {
+pub(super) fn on_hedge_check(core: &mut Core, s: &mut SplitState, request: SlabKey) -> Result<()> {
     let Some(st) = core.reqs.get(request) else {
-        return; // finished, shed or dropped
+        return Ok(()); // finished, shed or dropped
     };
     let p = &st.pend;
     if p.kv_done_at.is_some() || p.hedge.is_some() {
-        return;
+        return Ok(());
     }
     if p.kv_launched {
-        hedge_transfer(core, s, request);
+        hedge_transfer(core, s, request)?;
     } else {
         hedge_prefill(core, s, request);
     }
+    Ok(())
 }
 
 /// Launches a duplicate prefill for a stuck request on an alternate
@@ -352,14 +353,14 @@ fn hedge_prefill(core: &mut Core, s: &mut SplitState, request: SlabKey) {
 /// [`kv_target`], the death re-dispatch target — possibly the same
 /// replica. The superseded attempt's completion goes stale via its attempt
 /// number, so a duplicate delivery is impossible.
-fn hedge_transfer(core: &mut Core, s: &mut SplitState, request: SlabKey) {
+fn hedge_transfer(core: &mut Core, s: &mut SplitState, request: SlabKey) -> Result<()> {
     let Some(mut t) = core.reqs.get(request).and_then(|st| st.transfer) else {
-        return; // completion already delivered
+        return Ok(()); // completion already delivered
     };
     s.kv.cancel(core, request);
     // Free-KV capacity is read at `now`, so every coalesced batch must be
     // materialized up to `now` first.
-    decode::catch_up_all(core, s);
+    decode::catch_up_all(core, s)?;
     t.attempt += 1;
     if let Some(j2) = kv_target(s, t.from) {
         t.to = j2;
@@ -369,7 +370,7 @@ fn hedge_transfer(core: &mut Core, s: &mut SplitState, request: SlabKey) {
         st.pend.hedge = Some((t.from, t.to));
         st.req.id
     } else {
-        return;
+        return Ok(());
     };
     core.recovery.hedges_launched += 1;
     trace(
@@ -381,4 +382,5 @@ fn hedge_transfer(core: &mut Core, s: &mut SplitState, request: SlabKey) {
         },
     );
     s.kv.launch(core, t, SimDuration::ZERO);
+    Ok(())
 }

@@ -7,7 +7,7 @@
 //! largest credit wins, guaranteeing that realized shares track the weights
 //! with O(1) error and no randomness.
 
-use ts_common::{Error, Result};
+use ts_common::{Error, Result, RoutingSupport};
 
 /// A deterministic weighted round-robin over `n` options.
 ///
@@ -57,6 +57,11 @@ const NIL: usize = usize::MAX;
 /// shows up here exactly.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RouterWork {
+    /// Cells the constructor visited: every weight for
+    /// [`StrideRouter::new`], every held cell of the support for
+    /// [`StrideRouter::from_support`] and every dense cell for
+    /// [`StrideRouter::from_matrix`].
+    pub cells: u64,
     /// Calls to [`StrideRouter::next`].
     pub picks: u64,
     /// Levels topped up, summed over the picks. With all-distinct weights
@@ -66,6 +71,7 @@ pub struct RouterWork {
 
 impl std::ops::AddAssign for RouterWork {
     fn add_assign(&mut self, o: RouterWork) {
+        self.cells += o.cells;
         self.picks += o.picks;
         self.levels_scanned += o.levels_scanned;
     }
@@ -128,29 +134,46 @@ impl StrideRouter {
             top: Vec::new(),
             bottom: Vec::new(),
             next: vec![NIL; n],
-            work: RouterWork::default(),
+            work: RouterWork {
+                cells: n as u64,
+                ..RouterWork::default()
+            },
         };
         router.rebuild(vec![0.0; n]);
         Ok(router)
     }
 
-    /// Builds a router over the cells of a routing matrix, returning the
-    /// router plus the `(row, col)` coordinates of each option.
+    /// Builds a router over the positive cells of a routing matrix's
+    /// support, in row-major order, returning the router plus the
+    /// `(row, col)` coordinates of each option. The support holds every
+    /// cell that is not `+0.0`, so these are the positive cells of the
+    /// dense matrix in the same order.
+    ///
+    /// # Errors
+    /// Propagates [`StrideRouter::new`] failures.
+    pub fn from_support(support: &RoutingSupport) -> Result<(Self, Vec<(usize, usize)>)> {
+        let mut weights = Vec::new();
+        let mut coords = Vec::new();
+        for (i, j, w) in support.iter() {
+            if w > 0.0 {
+                weights.push(w);
+                coords.push((i, j));
+            }
+        }
+        let mut router = Self::new(weights)?;
+        router.work.cells = support.len() as u64;
+        Ok((router, coords))
+    }
+
+    /// [`StrideRouter::from_support`] over dense rows, which it visits
+    /// once to find their support.
     ///
     /// # Errors
     /// Propagates [`StrideRouter::new`] failures.
     pub fn from_matrix(rates: &[Vec<f64>]) -> Result<(Self, Vec<(usize, usize)>)> {
-        let mut weights = Vec::new();
-        let mut coords = Vec::new();
-        for (i, row) in rates.iter().enumerate() {
-            for (j, &w) in row.iter().enumerate() {
-                if w > 0.0 {
-                    weights.push(w);
-                    coords.push((i, j));
-                }
-            }
-        }
-        Ok((Self::new(weights)?, coords))
+        let (mut router, coords) = Self::from_support(&RoutingSupport::from_rows(rates))?;
+        router.work.cells = rates.iter().map(|row| row.len() as u64).sum();
+        Ok((router, coords))
     }
 
     /// Picks the next option among the enabled ones: every live option
@@ -452,6 +475,7 @@ mod tests {
         let (r, coords) = StrideRouter::from_matrix(&rates).unwrap();
         assert_eq!(r.len(), 2);
         assert_eq!(coords, vec![(0, 0), (1, 1)]);
+        assert_eq!(r.work().cells, 4, "the dense adapter visits every cell");
     }
 
     #[test]
@@ -804,6 +828,7 @@ mod tests {
                 r.next();
             }
             let work = RouterWork {
+                cells: n as u64,
                 picks: 200_000,
                 levels_scanned,
             };
