@@ -138,7 +138,7 @@ mod tests {
             .count();
         assert_eq!(retries, demo.metrics.recovery().kv_transfer_retries);
         // The fabric sampled link utilization.
-        assert!(!demo.log.links().is_empty());
+        assert!(!demo.log.series().links.is_empty());
         // And the export round-trips through the validator.
         let json = ts_telemetry::chrome::export(&demo.log);
         let stats = ts_telemetry::validate_chrome_trace(&json).expect("valid Chrome trace");

@@ -56,16 +56,16 @@ fn quick_demo_exports_are_pinned() {
         h.u64(peak.to_bits());
         series += 1;
     };
-    for (role, replica) in log.replicas() {
-        let q = log.queue_depth_series(role, replica);
-        fold(q.time_weighted_mean(end), q.peak());
-        let b = log.batch_occupancy_series(role, replica);
-        fold(b.time_weighted_mean(end), b.peak());
+    let all = log.series();
+    for r in all.replicas.values() {
+        for s in [&r.queue_depth, &r.batch_occupancy] {
+            fold(s.step().time_weighted_mean(end), s.step().peak());
+        }
     }
-    let kv = log.inflight_kv_bytes_series();
+    let kv = all.inflight_kv_bytes.step();
     fold(kv.time_weighted_mean(end), kv.peak());
-    for (link, _, _) in log.links() {
-        let u = log.link_utilization_series(link);
+    for l in all.links.values() {
+        let u = l.utilization.step();
         fold(u.time_weighted_mean(end), u.peak());
     }
     assert_eq!(series, SERIES);

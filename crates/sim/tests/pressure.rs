@@ -15,7 +15,7 @@ use ts_common::{
 use ts_sim::{
     FaultKind, FaultScript, Hedge, Metrics, Quarantine, SimConfig, Simulation, TimedFault,
 };
-use ts_telemetry::{PressureTally, TraceLog};
+use ts_telemetry::{PressureTally, TraceLog, TraceSeries};
 use ts_workload::{generator::generate, spec};
 
 fn tp1_group(phase: Phase, gpu: u32, layers: usize) -> GroupSpec {
@@ -139,13 +139,13 @@ fn tally_bits(tally: &PressureTally, end: SimTime) -> Vec<[u64; 4]> {
         .collect()
 }
 
-/// The same numbers derived from the recorded log's series.
-fn log_bits(log: &TraceLog, end: SimTime) -> Vec<[u64; 4]> {
-    log.replicas()
-        .into_iter()
-        .map(|(role, i)| {
-            let q = log.queue_depth_series(role, i);
-            let b = log.batch_occupancy_series(role, i);
+/// The same numbers from the recorded log's series.
+fn log_bits(series: &TraceSeries, end: SimTime) -> Vec<[u64; 4]> {
+    series
+        .replicas
+        .values()
+        .map(|r| {
+            let (q, b) = (r.queue_depth.step(), r.batch_occupancy.step());
             [
                 q.time_weighted_mean(end).to_bits(),
                 q.peak().to_bits(),
@@ -168,7 +168,9 @@ fn check(what: &str, run: impl Fn(SimConfig) -> Run, cfg: SimConfig) -> Run {
         traced.tally.replicas().len() > 1,
         "{what}: the scenario must load several replicas"
     );
-    assert_eq!(traced.tally.replicas(), log.replicas(), "{what}: replicas");
+    let series = log.series();
+    let replicas: Vec<_> = series.replicas.keys().copied().collect();
+    assert_eq!(traced.tally.replicas(), replicas, "{what}: replicas");
     let bits = tally_bits(&traced.tally, end);
     let sampled = |k: usize| bits.iter().any(|b| f64::from_bits(b[k]) > 1.0);
     assert!(
@@ -177,7 +179,7 @@ fn check(what: &str, run: impl Fn(SimConfig) -> Run, cfg: SimConfig) -> Run {
     );
     assert_eq!(
         bits,
-        log_bits(log, end),
+        log_bits(&series, end),
         "{what}: the tally must equal the log's series"
     );
     assert_eq!(alone.metrics, traced.metrics, "{what}: metrics");

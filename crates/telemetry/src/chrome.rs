@@ -20,6 +20,8 @@
 
 use crate::event::{Role, TraceEvent, TraceKind};
 use crate::log::TraceLog;
+use crate::pressure::Sample;
+use crate::series::{StepSeries, TraceSeries};
 use ts_common::{json, RequestId, SimTime};
 
 const PID_REQUESTS: u64 = 1;
@@ -213,41 +215,35 @@ fn export_replica_tracks(out: &mut String, log: &TraceLog) {
     }
 }
 
+/// One counter track on the next thread id, unless the series is empty.
+fn push_track<V: Sample>(out: &mut String, tid: &mut u64, name: &str, series: &StepSeries<V>) {
+    if series.points().is_empty() {
+        return;
+    }
+    for &(at, v) in series.points() {
+        push_counter(out, *tid, name, at, v.to_f64());
+    }
+    *tid += 1;
+}
+
 /// Counter tracks and global fault markers.
-fn export_counters(out: &mut String, log: &TraceLog) {
-    let mut counter_tid = 0u64;
-    for (role, replica) in log.replicas() {
-        let queue = log.queue_depth_series(role, replica);
-        if !queue.is_empty() {
-            let name = format!("queue depth {role}[{replica}]");
-            for &(at, v) in queue.points() {
-                push_counter(out, counter_tid, &name, at, v);
-            }
-            counter_tid += 1;
-        }
-        let batch = log.batch_occupancy_series(role, replica);
-        if !batch.is_empty() {
-            let name = format!("batch {role}[{replica}]");
-            for &(at, v) in batch.points() {
-                push_counter(out, counter_tid, &name, at, v);
-            }
-            counter_tid += 1;
-        }
+fn export_counters(out: &mut String, log: &TraceLog, series: &TraceSeries) {
+    let mut tid = 0u64;
+    for (&(role, replica), r) in &series.replicas {
+        let name = format!("queue depth {role}[{replica}]");
+        push_track(out, &mut tid, &name, &r.queue_depth);
+        let name = format!("batch {role}[{replica}]");
+        push_track(out, &mut tid, &name, &r.batch_occupancy);
     }
-    let kv = log.inflight_kv_bytes_series();
-    if !kv.is_empty() {
-        for &(at, v) in kv.points() {
-            push_counter(out, counter_tid, "inflight kv bytes", at, v);
-        }
-        counter_tid += 1;
-    }
-    for (link, kind, _) in log.links() {
-        let util = log.link_utilization_series(link);
-        let name = format!("link {link} {kind} util");
-        for &(at, v) in util.points() {
-            push_counter(out, counter_tid, &name, at, v);
-        }
-        counter_tid += 1;
+    push_track(
+        out,
+        &mut tid,
+        "inflight kv bytes",
+        &series.inflight_kv_bytes,
+    );
+    for (link, l) in &series.links {
+        let name = format!("link {link} {} util", l.kind);
+        push_track(out, &mut tid, &name, &l.utilization);
     }
     for e in log.events() {
         match e.kind {
@@ -291,7 +287,8 @@ pub fn export(log: &TraceLog) -> String {
         "decode replicas",
     );
     push_meta(&mut body, PID_COUNTERS, None, "process_name", "counters");
-    for (role, replica) in log.replicas() {
+    let series = log.series();
+    for &(role, replica) in series.replicas.keys() {
         let pid = match role {
             Role::Prefill => PID_PREFILL,
             Role::Decode | Role::Colocated => PID_DECODE,
@@ -324,7 +321,7 @@ pub fn export(log: &TraceLog) -> String {
         export_request(&mut body, request, group.iter().map(|&(_, e)| e));
     }
     export_replica_tracks(&mut body, log);
-    export_counters(&mut body, log);
+    export_counters(&mut body, log, &series);
     let body = body.trim_end().trim_end_matches(',').to_string();
     format!("{{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n{body}\n]}}\n")
 }

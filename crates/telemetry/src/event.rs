@@ -8,8 +8,9 @@
 //! and gray-failure mitigation detours (`HedgeLaunched`, `Quarantined`,
 //! `Readmitted`).
 //! Sampling events (`QueueDepth`, `BatchOccupancy`, `LinkUtilization`,
-//! `FlowRate`) carry instantaneous values from which [`crate::TraceLog`]
-//! derives step-function [`crate::UtilizationSeries`].
+//! `FlowRate`) carry instantaneous values from which
+//! [`crate::TraceLog::series`] derives step series
+//! ([`crate::StepSeries`]).
 
 use std::fmt;
 use ts_common::{ModelId, RequestId, SimTime};

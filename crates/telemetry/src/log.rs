@@ -1,10 +1,9 @@
 //! The finalized, time-sorted event log and everything derived from it:
-//! per-request spans, per-replica/per-link utilization series and
-//! timelines.
+//! per-request spans, per-replica/per-link step series and timelines.
 
-use crate::event::{LinkKind, Role, TraceEvent, TraceKind};
-use crate::series::UtilizationSeries;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use crate::event::{TraceEvent, TraceKind};
+use crate::series::{LinkSeries, StepSeries, TraceSeries};
+use std::collections::{BTreeSet, HashMap};
 use ts_common::{RequestId, SimDuration, SimTime};
 
 /// A time-sorted trace, produced by [`crate::Recorder::finish`].
@@ -178,116 +177,58 @@ impl TraceLog {
         span
     }
 
-    /// The `(role, replica)` pairs observed anywhere in the log, ascending.
-    pub fn replicas(&self) -> Vec<(Role, usize)> {
-        let set: BTreeSet<(Role, usize)> = self
-            .events
-            .iter()
-            .filter_map(|e| e.kind.replica())
-            .collect();
-        set.into_iter().collect()
-    }
-
-    /// Prefill queue depth of one replica over time.
-    pub fn queue_depth_series(&self, role: Role, replica: usize) -> UtilizationSeries {
-        let mut s = UtilizationSeries::new();
-        for e in &self.events {
-            if let TraceKind::QueueDepth {
-                role: r,
-                replica: i,
-                depth,
-            } = e.kind
-            {
-                if r == role && i == replica {
-                    s.push(e.at, depth as f64);
-                }
-            }
-        }
-        s
-    }
-
-    /// Active continuous-batch occupancy of one replica over time.
-    pub fn batch_occupancy_series(&self, role: Role, replica: usize) -> UtilizationSeries {
-        let mut s = UtilizationSeries::new();
-        for e in &self.events {
-            if let TraceKind::BatchOccupancy {
-                role: r,
-                replica: i,
-                active,
-            } = e.kind
-            {
-                if r == role && i == replica {
-                    s.push(e.at, active as f64);
-                }
-            }
-        }
-        s
-    }
-
-    /// Total KV bytes in flight over time, derived from enqueue/delivery/
-    /// drop events (no engine-side tally exists).
-    pub fn inflight_kv_bytes_series(&self) -> UtilizationSeries {
-        let mut s = UtilizationSeries::new();
+    /// Every step series the log derives, built in one pass over the events.
+    pub fn series(&self) -> TraceSeries {
+        let mut series = TraceSeries::default();
         let mut inflight: HashMap<RequestId, u64> = HashMap::new();
         let mut total = 0u64;
         for e in &self.events {
+            if let Some(key) = e.kind.replica() {
+                let replica = series.replicas.entry(key).or_default();
+                match e.kind {
+                    TraceKind::QueueDepth { depth, .. } => {
+                        replica.queue_depth.push(e.at, depth as u64)
+                    }
+                    TraceKind::BatchOccupancy { active, .. } => {
+                        replica.batch_occupancy.push(e.at, active as u64)
+                    }
+                    _ => {}
+                }
+                continue;
+            }
             match e.kind {
                 TraceKind::KvEnqueued { request, bytes, .. }
                     if !inflight.contains_key(&request) =>
                 {
                     inflight.insert(request, bytes);
                     total += bytes;
-                    s.push(e.at, total as f64);
+                    series.inflight_kv_bytes.push(e.at, total);
                 }
                 TraceKind::KvDone { request } | TraceKind::Dropped { request } => {
                     if let Some(bytes) = inflight.remove(&request) {
                         total -= bytes;
-                        s.push(e.at, total as f64);
+                        series.inflight_kv_bytes.push(e.at, total);
                     }
                 }
+                TraceKind::LinkUtilization {
+                    link,
+                    kind,
+                    used_bps,
+                    capacity_bps,
+                } => series
+                    .links
+                    .entry(link)
+                    .or_insert_with(|| LinkSeries {
+                        kind,
+                        capacity_bps,
+                        utilization: StepSeries::default(),
+                    })
+                    .utilization
+                    .push(e.at, used_bps / capacity_bps.max(f64::MIN_POSITIVE)),
                 _ => {}
             }
         }
-        s
-    }
-
-    /// The fabric links sampled in this log: `(link index, kind, capacity)`,
-    /// ascending by index. Empty unless the flow-level fabric ran with
-    /// telemetry on.
-    pub fn links(&self) -> Vec<(usize, LinkKind, f64)> {
-        let mut map: BTreeMap<usize, (LinkKind, f64)> = BTreeMap::new();
-        for e in &self.events {
-            if let TraceKind::LinkUtilization {
-                link,
-                kind,
-                capacity_bps,
-                ..
-            } = e.kind
-            {
-                map.entry(link).or_insert((kind, capacity_bps));
-            }
-        }
-        map.into_iter().map(|(l, (k, c))| (l, k, c)).collect()
-    }
-
-    /// Utilization of one fabric link over time, as a fraction of capacity
-    /// in `[0, 1]`.
-    pub fn link_utilization_series(&self, link: usize) -> UtilizationSeries {
-        let mut s = UtilizationSeries::new();
-        for e in &self.events {
-            if let TraceKind::LinkUtilization {
-                link: l,
-                used_bps,
-                capacity_bps,
-                ..
-            } = e.kind
-            {
-                if l == link {
-                    s.push(e.at, used_bps / capacity_bps.max(f64::MIN_POSITIVE));
-                }
-            }
-        }
-        s
+        series
     }
 
     /// A human-readable timeline of one request's events, one line per
@@ -317,7 +258,7 @@ impl TraceLog {
     ///
     /// Tags only appear on multi-model runs; a single-model trace yields an
     /// empty map.
-    fn model_tags(&self) -> BTreeMap<RequestId, ts_common::ModelId> {
+    fn model_tags(&self) -> std::collections::BTreeMap<RequestId, ts_common::ModelId> {
         self.events
             .iter()
             .filter_map(|e| match e.kind {
@@ -331,6 +272,7 @@ impl TraceLog {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::event::Role;
     use crate::sink::{Recorder, TraceSink};
     use ts_common::ModelId;
 
@@ -474,16 +416,17 @@ mod tests {
     #[test]
     fn inflight_bytes_rise_and_fall() {
         let log = sample_log();
-        let s = log.inflight_kv_bytes_series();
-        assert_eq!(s.value_at(SimTime::from_micros(55)), 1000.0);
-        assert_eq!(s.value_at(SimTime::from_micros(100)), 0.0);
-        assert_eq!(s.peak(), 1000.0);
+        let s = log.series().inflight_kv_bytes;
+        assert_eq!(s.value_at(SimTime::from_micros(55)), 1000);
+        assert_eq!(s.value_at(SimTime::from_micros(100)), 0);
+        assert_eq!(s.step().peak(), 1000.0);
     }
 
     #[test]
     fn replicas_and_timeline_render() {
         let log = sample_log();
-        assert_eq!(log.replicas(), vec![(Role::Prefill, 0), (Role::Decode, 1)]);
+        let replicas: Vec<_> = log.series().replicas.into_keys().collect();
+        assert_eq!(replicas, vec![(Role::Prefill, 0), (Role::Decode, 1)]);
         let text = log.render_request_timeline(RequestId(1));
         assert!(text.contains("kv retry (attempt 2)"));
         assert!(text.contains("finished"));

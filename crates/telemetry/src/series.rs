@@ -1,94 +1,98 @@
-//! Step-function time series derived from sampled trace events.
+//! The step series [`crate::TraceLog::series`] derives from sampled events.
 
+use crate::event::{LinkKind, Role};
+use crate::pressure::{Sample, StepFunction};
+use std::collections::BTreeMap;
 use ts_common::SimTime;
 
-/// A right-continuous step function of simulated time: the value set at
-/// instant `t` holds until the next sample. Before the first sample the
-/// value is implicitly zero.
+/// A [`StepFunction`] that also keeps its samples, the last one at each
+/// instant: the points a Chrome counter track draws.
 ///
 /// ```
 /// use ts_common::SimTime;
-/// use ts_telemetry::UtilizationSeries;
-/// let mut s = UtilizationSeries::new();
-/// s.push(SimTime::from_micros(2), 4.0);
-/// s.push(SimTime::from_micros(6), 1.0);
-/// assert_eq!(s.peak(), 4.0);
-/// // 0 for 2us, 4 for 4us, 1 for 2us over [0, 8us): mean = 18/8.
-/// assert!((s.time_weighted_mean(SimTime::from_micros(8)) - 2.25).abs() < 1e-12);
+/// use ts_telemetry::StepSeries;
+/// let mut s = StepSeries::<f64>::default();
+/// s.push(SimTime::from_micros(2), 0.5);
+/// s.push(SimTime::from_micros(6), 0.25);
+/// s.push(SimTime::from_micros(6), 0.125);
+/// assert_eq!(s.points().len(), 2);
+/// // 0 for 2us, 0.5 for 4us, 0.125 for 2us over [0, 8us): mean = 2.25/8.
+/// assert_eq!(s.step().time_weighted_mean(SimTime::from_micros(8)), 0.28125);
 /// ```
 #[derive(Debug, Default, Clone, PartialEq)]
-pub struct UtilizationSeries {
+pub struct StepSeries<V: Sample> {
     /// `(instant, value)` samples, strictly increasing in time.
-    points: Vec<(SimTime, f64)>,
+    points: Vec<(SimTime, V)>,
+    /// The function the samples describe.
+    step: StepFunction<V>,
 }
 
-impl UtilizationSeries {
-    /// An empty series (constantly zero).
-    pub fn new() -> Self {
-        UtilizationSeries::default()
-    }
-
-    /// Appends a sample. Samples must arrive in non-decreasing time order;
-    /// a sample at the same instant as the last one overwrites it (only the
-    /// final value at an instant is observable).
+impl<V: Sample> StepSeries<V> {
+    /// Appends a sample, overwriting the last one if it is at the same
+    /// instant.
     ///
     /// # Panics
     /// Panics if `at` precedes the last sample.
-    pub fn push(&mut self, at: SimTime, value: f64) {
-        if let Some(last) = self.points.last_mut() {
-            assert!(at >= last.0, "series samples must be time-ordered");
-            if last.0 == at {
-                last.1 = value;
-                return;
-            }
+    pub fn push(&mut self, at: SimTime, value: V) {
+        self.step.push(at, value);
+        match self.points.last_mut() {
+            Some(last) if last.0 == at => last.1 = value,
+            _ => self.points.push((at, value)),
         }
-        self.points.push((at, value));
     }
 
-    /// The raw `(instant, value)` samples.
-    pub fn points(&self) -> &[(SimTime, f64)] {
+    /// The `(instant, value)` samples, one per instant.
+    pub fn points(&self) -> &[(SimTime, V)] {
         &self.points
     }
 
-    /// Whether the series has no samples.
-    pub fn is_empty(&self) -> bool {
-        self.points.is_empty()
-    }
-
-    /// The largest sampled value (zero for an empty series).
-    pub fn peak(&self) -> f64 {
-        self.points.iter().map(|&(_, v)| v).fold(0.0, f64::max)
-    }
-
-    /// The time-weighted mean over `[0, end)`, counting the implicit zero
-    /// before the first sample. Returns zero when `end` is the origin.
-    pub fn time_weighted_mean(&self, end: SimTime) -> f64 {
-        let horizon = end.as_micros();
-        if horizon == 0 {
-            return 0.0;
-        }
-        let mut integral = 0.0;
-        for (i, &(at, v)) in self.points.iter().enumerate() {
-            if at >= end {
-                break;
-            }
-            let until = self
-                .points
-                .get(i + 1)
-                .map(|&(next, _)| next.min(end))
-                .unwrap_or(end);
-            integral += v * (until.as_micros() - at.as_micros()) as f64;
-        }
-        integral / horizon as f64
+    /// The step function: its peak and time-weighted mean.
+    pub fn step(&self) -> &StepFunction<V> {
+        &self.step
     }
 }
 
+/// One replica's sampled signals.
+#[derive(Debug, Default, Clone, PartialEq)]
+pub struct ReplicaSeries {
+    /// Queued prefill jobs (from [`crate::TraceKind::QueueDepth`]).
+    pub queue_depth: StepSeries<u64>,
+    /// Active continuous-batch size (from
+    /// [`crate::TraceKind::BatchOccupancy`]).
+    pub batch_occupancy: StepSeries<u64>,
+}
+
+/// One fabric link's sampled utilization.
+#[derive(Debug, Clone, PartialEq)]
+pub struct LinkSeries {
+    /// The link's class, from its first sample.
+    pub kind: LinkKind,
+    /// The link's capacity in bytes per second, from its first sample.
+    pub capacity_bps: f64,
+    /// Used over capacity, a fraction in `[0, 1]`.
+    pub utilization: StepSeries<f64>,
+}
+
+/// Every step series of a log, from [`crate::TraceLog::series`].
+#[derive(Debug, Default, Clone, PartialEq)]
+pub struct TraceSeries {
+    /// Each replica any event names ([`crate::TraceKind::replica`]),
+    /// ascending; a replica that never sampled a signal has empty series.
+    pub replicas: BTreeMap<(Role, usize), ReplicaSeries>,
+    /// Total KV bytes in flight, from enqueue, delivery and drop events (no
+    /// engine-side tally exists).
+    pub inflight_kv_bytes: StepSeries<u64>,
+    /// Each sampled fabric link, by link index. Empty unless the flow-level
+    /// fabric ran with telemetry on.
+    pub links: BTreeMap<usize, LinkSeries>,
+}
+
 #[cfg(test)]
-impl UtilizationSeries {
+impl<V: Sample> StepSeries<V> {
     /// The value holding at instant `t` (zero before the first sample).
-    pub(crate) fn value_at(&self, t: SimTime) -> f64 {
+    pub(crate) fn value_at(&self, t: SimTime) -> V {
         match self.points.partition_point(|&(at, _)| at <= t) {
-            0 => 0.0,
+            0 => V::default(),
             n => self.points[n - 1].1,
         }
     }
@@ -98,49 +102,43 @@ impl UtilizationSeries {
 mod tests {
     use super::*;
 
+    fn at(us: u64) -> SimTime {
+        SimTime::from_micros(us)
+    }
+
     #[test]
     fn empty_series_is_constant_zero() {
-        let s = UtilizationSeries::new();
-        assert!(s.is_empty());
-        assert_eq!(s.value_at(SimTime::from_micros(100)), 0.0);
-        assert_eq!(s.peak(), 0.0);
-        assert_eq!(s.time_weighted_mean(SimTime::from_micros(100)), 0.0);
+        let s = StepSeries::<f64>::default();
+        assert!(s.points().is_empty());
+        assert_eq!(s.value_at(at(100)), 0.0);
+        assert_eq!(s.step().peak(), 0.0);
+        assert_eq!(s.step().time_weighted_mean(at(100)), 0.0);
     }
 
     #[test]
     fn value_at_is_right_continuous() {
-        let mut s = UtilizationSeries::new();
-        s.push(SimTime::from_micros(10), 2.0);
-        assert_eq!(s.value_at(SimTime::from_micros(9)), 0.0);
-        assert_eq!(s.value_at(SimTime::from_micros(10)), 2.0);
-        assert_eq!(s.value_at(SimTime::from_micros(11)), 2.0);
+        let mut s = StepSeries::default();
+        s.push(at(10), 2u64);
+        assert_eq!(s.value_at(at(9)), 0);
+        assert_eq!(s.value_at(at(10)), 2);
+        assert_eq!(s.value_at(at(11)), 2);
     }
 
     #[test]
     fn same_instant_sample_overwrites() {
-        let mut s = UtilizationSeries::new();
-        s.push(SimTime::from_micros(5), 1.0);
-        s.push(SimTime::from_micros(5), 3.0);
-        assert_eq!(s.points().len(), 1);
-        assert_eq!(s.value_at(SimTime::from_micros(5)), 3.0);
-    }
-
-    #[test]
-    fn mean_truncates_at_end() {
-        let mut s = UtilizationSeries::new();
-        s.push(SimTime::ZERO, 2.0);
-        s.push(SimTime::from_micros(100), 8.0);
-        // Only the first 50us count: mean = 2.
-        assert_eq!(s.time_weighted_mean(SimTime::from_micros(50)), 2.0);
-        // Over 200us: 2 for 100us + 8 for 100us = 5.
-        assert_eq!(s.time_weighted_mean(SimTime::from_micros(200)), 5.0);
+        let mut s = StepSeries::default();
+        s.push(at(5), 1.0);
+        s.push(at(5), 3.0);
+        assert_eq!(s.points(), &[(at(5), 3.0)]);
+        assert_eq!(s.value_at(at(5)), 3.0);
+        assert_eq!(s.step().time_weighted_mean(at(10)), 1.5);
     }
 
     #[test]
     #[should_panic]
     fn out_of_order_sample_panics() {
-        let mut s = UtilizationSeries::new();
-        s.push(SimTime::from_micros(10), 1.0);
-        s.push(SimTime::from_micros(5), 1.0);
+        let mut s = StepSeries::default();
+        s.push(at(10), 1.0);
+        s.push(at(5), 1.0);
     }
 }

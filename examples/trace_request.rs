@@ -106,23 +106,25 @@ fn main() -> thunderserve::Result<()> {
 
     // What the replicas and the fabric looked like meanwhile.
     let end = log.end();
-    for (role, replica) in log.replicas() {
+    let series = log.series();
+    for (&(role, replica), r) in &series.replicas {
         if role != Role::Decode {
             continue;
         }
-        let batch = log.batch_occupancy_series(role, replica);
+        let batch = r.batch_occupancy.step();
         println!(
             "decode replica {replica}: mean batch occupancy {:.1}, peak {:.0}",
             batch.time_weighted_mean(end),
             batch.peak(),
         );
     }
-    for (link, kind, capacity) in log.links() {
-        let util = log.link_utilization_series(link);
+    for (link, l) in &series.links {
+        let util = l.utilization.step();
         if util.peak() > 0.0 {
             println!(
-                "link {link} ({kind}, {:.0} MB/s): mean utilization {:.1}%, peak {:.1}%",
-                capacity / 1e6,
+                "link {link} ({}, {:.0} MB/s): mean utilization {:.1}%, peak {:.1}%",
+                l.kind,
+                l.capacity_bps / 1e6,
                 100.0 * util.time_weighted_mean(end),
                 100.0 * util.peak(),
             );

@@ -145,8 +145,9 @@ fn colocated_metrics_are_bit_identical_and_traced() {
     );
     // Colocated replicas appear under their own role.
     assert!(log
-        .replicas()
-        .iter()
+        .series()
+        .replicas
+        .keys()
         .all(|&(role, _)| role == thunderserve::telemetry::Role::Colocated));
 }
 
