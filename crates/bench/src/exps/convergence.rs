@@ -45,20 +45,20 @@ pub fn run(quick: bool) -> String {
         let r = Scheduler::new(cfg)
             .schedule(&cluster, &model, &w, &slo)
             .unwrap();
+        let steps = &r.search_trace.steps;
         t.row(vec![
             n.to_string(),
-            r.trajectory.len().to_string(),
+            steps.len().to_string(),
             r.evaluations.to_string(),
             format!("{:.3}", r.estimated_attainment),
         ]);
         // Wall-clock, so it stays off the byte-pinned report.
         eprintln!("fig10: {n} GPUs search time {:.3}s", r.elapsed);
         // print a short convergence series (best score at checkpoints)
-        let pts: Vec<String> = r
-            .trajectory
+        let pts: Vec<String> = steps
             .iter()
-            .step_by((r.trajectory.len() / 8).max(1))
-            .map(|p| format!("step {:>3}: {:.3}", p.step, p.best_score))
+            .step_by((steps.len() / 8).max(1))
+            .map(|s| format!("step {:>3}: {:.3}", s.step, s.best_score))
             .collect();
         out.push_str(&format!("{n} GPUs trajectory: {}\n", pts.join("  ")));
     }

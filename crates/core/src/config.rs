@@ -55,15 +55,6 @@ pub struct SchedulerConfig {
     /// ([`ts_sim::config::KvTransfer::Fabric`]) instead of
     /// serializing per sender. Off by default (the paper's model).
     pub network_contention: bool,
-    /// Search introspection: when true, every tabu walk — scheduling
-    /// ([`crate::Scheduler::schedule`], [`crate::Scheduler::schedule_multi`])
-    /// and lightweight or fleet rescheduling ([`mod@crate::reschedule`]) —
-    /// records one [`ts_telemetry::SearchStep`] row per step (neighbours
-    /// generated, their partition into tabu / infeasible / cache-hit /
-    /// duplicate / evaluated, winner score, per-step wall-clock). Off by
-    /// default; the trace observes the search — plans, scores and
-    /// trajectories are bit-identical either way.
-    pub search_trace: bool,
 }
 
 impl Default for SchedulerConfig {
@@ -81,7 +72,6 @@ impl Default for SchedulerConfig {
             disable_affinity_tiebreak: false,
             num_threads: 0,
             network_contention: false,
-            search_trace: false,
         }
     }
 }
@@ -125,10 +115,5 @@ mod tests {
     fn network_knobs_default_to_the_paper_model() {
         let c = SchedulerConfig::default();
         assert!(!c.network_contention);
-    }
-
-    #[test]
-    fn search_trace_defaults_off() {
-        assert!(!SchedulerConfig::default().search_trace);
     }
 }

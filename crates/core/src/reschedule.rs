@@ -39,10 +39,9 @@ pub struct RescheduleOutcome {
     /// Modeled service interruption for weight (re)loading. Zero for
     /// lightweight rescheduling — phases flip in place, no weights move.
     pub reload_time: SimDuration,
-    /// Per-step introspection of the flip-only (lightweight) or full tabu
-    /// search, when [`SchedulerConfig::search_trace`] is on. Always `None`
-    /// for [`no_reschedule`] — it performs no search.
-    pub search_trace: Option<SearchTrace>,
+    /// The per-step rows of the flip-only (lightweight) or full tabu
+    /// search. Empty for [`no_reschedule`], which runs no search.
+    pub search_trace: SearchTrace,
 }
 
 /// Lightweight rescheduling: drops groups that lost GPUs, then runs a
@@ -339,7 +338,7 @@ pub fn no_reschedule(
         estimated_attainment: est.overall,
         search_time: 0.0,
         reload_time: SimDuration::ZERO,
-        search_trace: None,
+        search_trace: SearchTrace::default(),
     })
 }
 
@@ -349,6 +348,7 @@ mod tests {
     use crate::config::SchedulerConfig;
     use ts_cluster::presets;
     use ts_common::{GpuId, NodeId, ParallelConfig, RoutingMatrix, StageSpec};
+    use ts_telemetry::SearchStep;
     use ts_workload::spec;
 
     fn slo() -> SloSpec {
@@ -394,14 +394,10 @@ mod tests {
     fn lightweight_search_trace_observes_without_changing_the_plan() {
         let (mut cluster, model, plan, cfg) = schedule_cloud();
         cluster.deactivate_node(NodeId(6)).unwrap();
-        let mut traced_cfg = cfg.clone();
-        traced_cfg.search_trace = true;
         let w = spec::coding(2.5);
-        let plain = lightweight_reschedule(&cluster, &model, &plan, &w, &slo(), &cfg).unwrap();
-        let traced =
-            lightweight_reschedule(&cluster, &model, &plan, &w, &slo(), &traced_cfg).unwrap();
-        assert!(plain.search_trace.is_none(), "introspection defaults off");
-        let tr = traced.search_trace.expect("trace requested");
+        let first = lightweight_reschedule(&cluster, &model, &plan, &w, &slo(), &cfg).unwrap();
+        let again = lightweight_reschedule(&cluster, &model, &plan, &w, &slo(), &cfg).unwrap();
+        let tr = &first.search_trace;
         assert!(!tr.steps.is_empty());
         for row in &tr.steps {
             assert_eq!(
@@ -417,8 +413,15 @@ mod tests {
         // Flip-only neighbourhoods revisit designations constantly: the
         // memoized orchestration cache must be doing real work.
         assert!(tr.cache_hit_rate() > 0.0, "{}", tr.render());
-        assert_eq!(traced.plan, plain.plan);
-        assert_eq!(traced.estimated_attainment, plain.estimated_attainment);
+        // The rows only observe the walk: a second run repeats the plan and
+        // every row but its wall time.
+        assert_eq!(first.plan, again.plan);
+        assert_eq!(first.estimated_attainment, again.estimated_attainment);
+        let timeless = |out: &RescheduleOutcome| -> Vec<SearchStep> {
+            let rows = out.search_trace.steps.iter();
+            rows.map(|&row| SearchStep { wall_s: 0.0, ..row }).collect()
+        };
+        assert_eq!(timeless(&first), timeless(&again));
     }
 
     #[test]
@@ -466,17 +469,11 @@ mod tests {
         // candidates and reloads no weights.
         let (mut cluster, model, plan, mut cfg) = schedule_cloud();
         cfg.n_step = 30;
-        cfg.search_trace = true;
         cluster.deactivate_node(NodeId(1)).unwrap();
         let w = spec::coding(2.5);
         let light = lightweight_reschedule(&cluster, &model, &plan, &w, &slo(), &cfg).unwrap();
         let full = full_reschedule(&cluster, &model, &w, &slo(), &cfg).unwrap();
-        let evaluated = |out: &RescheduleOutcome| {
-            out.search_trace
-                .as_ref()
-                .expect("trace requested")
-                .total_evaluated()
-        };
+        let evaluated = |out: &RescheduleOutcome| out.search_trace.total_evaluated();
         assert!(
             evaluated(&light) < evaluated(&full),
             "lightweight evaluated {} candidates, full {}",
@@ -610,7 +607,6 @@ mod tests {
     fn rescheduling_honours_disable_affinity_tiebreak() {
         let (mut cluster, model, plan, mut cfg) = schedule_cloud();
         cluster.deactivate_node(NodeId(6)).unwrap();
-        cfg.search_trace = true;
         let w = spec::conversation(2.5);
         let (fleet, fleet_model, fleet_plan) = elastic_fleet(&[0, 1, 2, 3]);
         let mut grown = fleet.clone();
@@ -636,8 +632,8 @@ mod tests {
             for out in [light, graft] {
                 // The walk's objective is the attainment plus the
                 // tie-breaker, or the attainment alone when it is off.
-                let trace = out.search_trace.as_ref().expect("trace requested");
-                let top = trace
+                let top = out
+                    .search_trace
                     .steps
                     .iter()
                     .filter_map(|r| r.winner_score)

@@ -2,7 +2,7 @@
 
 use crate::config::SchedulerConfig;
 use crate::orchestrate::sim_config;
-use crate::tabu::{self, TabuResult, TracePoint};
+use crate::tabu::{self, TabuResult};
 use std::time::Instant;
 use ts_cluster::Cluster;
 use ts_common::{DeploymentPlan, Error, ModelId, ModelSpec, Result, ServedModel, SloSpec};
@@ -16,8 +16,6 @@ pub struct ScheduleResult {
     pub plan: DeploymentPlan,
     /// Estimated overall SLO attainment of the plan.
     pub estimated_attainment: f64,
-    /// Tabu convergence trajectory (Figure 10).
-    pub trajectory: Vec<TracePoint>,
     /// Lower-level evaluations performed.
     pub evaluations: usize,
     /// Total neighbours generated across all search steps.
@@ -34,9 +32,9 @@ pub struct ScheduleResult {
     pub stage_order_hits: u64,
     /// Misses of the stage-order memo: the stage-order DPs solved.
     pub stage_order_misses: u64,
-    /// Per-step search introspection, when
-    /// [`SchedulerConfig::search_trace`] is on.
-    pub search_trace: Option<ts_telemetry::SearchTrace>,
+    /// The walk's per-step rows, with the convergence trajectory
+    /// (Figure 10) in their best scores.
+    pub search_trace: ts_telemetry::SearchTrace,
     /// Wall-clock scheduling time in seconds.
     pub elapsed: f64,
 }
@@ -48,7 +46,6 @@ impl ScheduleResult {
         ScheduleResult {
             plan: result.best.plan,
             estimated_attainment: result.best.score,
-            trajectory: result.trajectory,
             evaluations: result.evaluations,
             neighbors_generated: result.neighbors_generated,
             group_cache_hits: result.group_cache_hits,
@@ -77,7 +74,7 @@ pub struct ModelEstimate {
 /// per-tenant attainment estimates behind its weighted objective.
 #[derive(Debug, Clone)]
 pub struct MultiScheduleResult {
-    /// The shared scheduling output (plan, trajectory, counters). For a
+    /// The shared scheduling output (plan, search trace, counters). For a
     /// one-entry default-model catalog this is byte-identical to what
     /// [`Scheduler::schedule`] returns.
     pub schedule: ScheduleResult,

@@ -88,24 +88,11 @@ use ts_solver::clustering::cluster_by_bandwidth;
 use ts_telemetry::{profile, SearchStep, SearchTrace};
 use ts_workload::WorkloadSpec;
 
-/// One point of the convergence trajectory (Figure 10).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TracePoint {
-    /// Search step index.
-    pub step: usize,
-    /// Wall-clock seconds since the search started.
-    pub elapsed: f64,
-    /// Best objective value found so far.
-    pub best_score: f64,
-}
-
 /// Result of a tabu search run.
 #[derive(Debug, Clone)]
 pub struct TabuResult {
     /// The best plan found.
     pub best: OrchestratedPlan,
-    /// Convergence trajectory, one point per step.
-    pub trajectory: Vec<TracePoint>,
     /// Number of lower-level evaluations performed (cache misses that
     /// passed the structural gate, plus the seed).
     pub evaluations: usize,
@@ -129,9 +116,9 @@ pub struct TabuResult {
     pub stage_order_hits: u64,
     /// Misses on the stage-order memo: the stage-order DPs solved.
     pub stage_order_misses: u64,
-    /// Per-step introspection rows, when
-    /// [`SchedulerConfig::search_trace`] is on.
-    pub search_trace: Option<SearchTrace>,
+    /// One row per step: the neighbourhood's filter counts, the winner,
+    /// the best score so far (the Figure 10 trajectory) and wall time.
+    pub search_trace: SearchTrace,
 }
 
 /// A group as the lower level reads it: its layout, the cost model that
@@ -291,9 +278,10 @@ fn walk<S: Space>(
     let mut tabu: VecDeque<S::Key> = VecDeque::new();
     // Mirrors `tabu` for O(1) membership tests.
     let mut tabu_set: FastHashSet<S::Key> = FastHashSet::default();
-    let mut trajectory = Vec::with_capacity(steps);
     let mut neighbors_generated = 0usize;
-    let mut search_trace = cfg.search_trace.then(SearchTrace::default);
+    let mut search_trace = SearchTrace {
+        steps: Vec::with_capacity(steps),
+    };
     let mut prev_elapsed = 0.0f64;
 
     if space.admissible(&x) {
@@ -387,17 +375,11 @@ fn walk<S: Space>(
                 x = p;
             }
             let elapsed = start.elapsed().as_secs_f64();
-            if let Some(tr) = search_trace.as_mut() {
-                row.winner_score = winner.map(|(s, _)| s);
-                row.wall_s = elapsed - prev_elapsed;
-                tr.steps.push(row);
-            }
+            row.winner_score = winner.map(|(s, _)| s);
+            row.best_score = best_score.max(0.0);
+            row.wall_s = elapsed - prev_elapsed;
             prev_elapsed = elapsed;
-            trajectory.push(TracePoint {
-                step,
-                elapsed,
-                best_score: best_score.max(0.0),
-            });
+            search_trace.steps.push(row);
         }
     });
 
@@ -405,7 +387,6 @@ fn walk<S: Space>(
         best_plan.ok_or_else(|| Error::Infeasible("no feasible deployment plan found".into()))?;
     Ok(TabuResult {
         best,
-        trajectory,
         evaluations,
         neighbors_generated,
         group_cache_hits: caches.groups.hit_count(),
@@ -1245,10 +1226,9 @@ mod tests {
         assert!(r.best.score > 0.0);
         assert!(r.best.plan.phase_ratio().0 >= 1);
         assert!(r.best.plan.phase_ratio().1 >= 1);
-        assert_eq!(r.trajectory.len(), cfg.n_step);
+        assert_eq!(r.search_trace.steps.len(), cfg.n_step);
         assert!(r.evaluations > 0);
         assert!(r.neighbors_generated >= r.evaluations);
-        assert!(r.search_trace.is_none(), "introspection defaults off");
     }
 
     #[test]
@@ -1259,13 +1239,8 @@ mod tests {
         let s = slo();
         let mut cfg = SchedulerConfig::fast();
         cfg.seed = 5;
-        cfg.search_trace = true;
-        let plain_cfg = SchedulerConfig {
-            search_trace: false,
-            ..cfg.clone()
-        };
         let traced = schedule(&cluster, &model, &w, &s, &cfg).unwrap();
-        let tr = traced.search_trace.as_ref().expect("trace requested");
+        let tr = &traced.search_trace;
         assert_eq!(tr.steps.len(), cfg.n_step);
         assert_eq!(tr.total_generated(), traced.neighbors_generated);
         // Structural rejections are counted as `infeasible` and never reach
@@ -1286,13 +1261,6 @@ mod tests {
             );
             assert!(row.wall_s >= 0.0);
         }
-        // Introspection observes: the search result is bit-identical to an
-        // untraced run.
-        let plain = schedule(&cluster, &model, &w, &s, &plain_cfg).unwrap();
-        assert_eq!(traced.best.plan, plain.best.plan);
-        assert_eq!(traced.best.score, plain.best.score);
-        assert_eq!(traced.evaluations, plain.evaluations);
-        assert_eq!(traced.neighbors_generated, plain.neighbors_generated);
     }
 
     #[test]
@@ -1304,10 +1272,10 @@ mod tests {
         let mut cfg = SchedulerConfig::fast();
         cfg.seed = 3;
         let r = schedule(&cluster, &model, &w, &s, &cfg).unwrap();
-        for w in r.trajectory.windows(2) {
+        for w in r.search_trace.steps.windows(2) {
             assert!(w[1].best_score >= w[0].best_score);
-            assert!(w[1].elapsed >= w[0].elapsed);
         }
+        assert!(r.search_trace.steps.iter().all(|row| row.wall_s >= 0.0));
     }
 
     #[test]

@@ -3,9 +3,9 @@
 //! The neighbourhood evaluation of the tabu walk — single-model and
 //! multi-model scheduling, lightweight and fleet rescheduling — may run on
 //! any number of worker threads; the contract is that the thread count is
-//! invisible in every output: plans, scores, evaluation counts, the
-//! convergence trajectory and the search-trace rows must be bit-identical
-//! to the serial path for the same seed.
+//! invisible in every output: plans, scores, evaluation counts and the
+//! search-trace rows (the convergence trajectory among them) must be
+//! bit-identical to the serial path for the same seed.
 
 use thunderserve_core::reschedule::{fleet_reschedule, FleetDelta};
 use thunderserve_core::{lightweight_reschedule, Scheduler, SchedulerConfig};
@@ -56,13 +56,10 @@ fn schedule_is_bit_identical_across_thread_counts() {
                 baseline.evaluations, parallel.evaluations,
                 "evaluation count diverged at seed {seed}, {threads} threads"
             );
-            let scores = |t: &[thunderserve_core::tabu::TracePoint]| {
-                t.iter().map(|p| p.best_score.to_bits()).collect::<Vec<_>>()
-            };
             assert_eq!(
-                scores(&baseline.trajectory),
-                scores(&parallel.trajectory),
-                "trajectory diverged at seed {seed}, {threads} threads"
+                rows(&baseline.search_trace),
+                rows(&parallel.search_trace),
+                "search trace diverged at seed {seed}, {threads} threads"
             );
             assert_eq!(
                 baseline.neighbors_generated, parallel.neighbors_generated,
@@ -151,8 +148,7 @@ fn lightweight_reschedule_is_bit_identical_across_thread_counts() {
 }
 
 /// Trace rows without their wall clock, the one column allowed to vary.
-fn rows(trace: Option<&SearchTrace>) -> Vec<SearchStep> {
-    let trace = trace.expect("trace requested");
+fn rows(trace: &SearchTrace) -> Vec<SearchStep> {
     trace
         .steps
         .iter()
@@ -169,9 +165,7 @@ fn schedule_multi_is_bit_identical_across_thread_counts() {
     ];
     let workloads = [spec::conversation(2.0), spec::coding(1.0)];
     let run = |threads: usize| {
-        let mut cfg = cfg_with_threads(7, threads);
-        cfg.search_trace = true;
-        Scheduler::new(cfg)
+        Scheduler::new(cfg_with_threads(7, threads))
             .schedule_multi(&cluster, &catalog, &workloads)
             .unwrap()
     };
@@ -187,13 +181,9 @@ fn schedule_multi_is_bit_identical_across_thread_counts() {
         );
         assert_eq!(b.evaluations, p.evaluations);
         assert_eq!(b.neighbors_generated, p.neighbors_generated);
-        assert_eq!(b.trajectory.len(), p.trajectory.len());
-        for (x, y) in b.trajectory.iter().zip(&p.trajectory) {
-            assert_eq!(x.best_score.to_bits(), y.best_score.to_bits());
-        }
         assert_eq!(
-            rows(b.search_trace.as_ref()),
-            rows(p.search_trace.as_ref()),
+            rows(&b.search_trace),
+            rows(&p.search_trace),
             "search trace diverged with {threads} threads"
         );
         for (x, y) in baseline.per_model.iter().zip(&parallel.per_model) {
@@ -226,8 +216,7 @@ fn fleet_reschedule_is_bit_identical_across_thread_counts() {
         released: vec![],
     };
     let run = |threads: usize| {
-        let mut cfg = cfg_with_threads(29, threads);
-        cfg.search_trace = true;
+        let cfg = cfg_with_threads(29, threads);
         fleet_reschedule(&pool, &model, &plan, &delta, &w, &s, &cfg, 0.5).unwrap()
     };
     let baseline = run(1);
@@ -243,8 +232,8 @@ fn fleet_reschedule_is_bit_identical_across_thread_counts() {
             "fleet score diverged with {threads} threads"
         );
         assert_eq!(
-            rows(baseline.search_trace.as_ref()),
-            rows(parallel.search_trace.as_ref()),
+            rows(&baseline.search_trace),
+            rows(&parallel.search_trace),
             "fleet search trace diverged with {threads} threads"
         );
         assert!(parallel.reload_time.is_zero());

@@ -41,7 +41,6 @@ fn cfg(seed: u64) -> SchedulerConfig {
     let mut cfg = SchedulerConfig::fast();
     cfg.seed = seed;
     cfg.num_threads = 1;
-    cfg.search_trace = true;
     cfg
 }
 
@@ -54,8 +53,7 @@ fn render_plan(out: &mut String, plan: &DeploymentPlan, score: f64) {
     let _ = writeln!(out, "score={}", bits(score));
 }
 
-fn render_trace(out: &mut String, trace: Option<&SearchTrace>) {
-    let trace = trace.expect("every arm records its search trace");
+fn render_trace(out: &mut String, trace: &SearchTrace) {
     for s in &trace.steps {
         let winner = s.winner_score.map_or_else(|| "none".into(), bits);
         let _ = writeln!(
@@ -78,9 +76,10 @@ fn render_schedule(out: &mut String, r: &ScheduleResult) {
         "evaluations={} neighbors_generated={} group_cache_hits={} group_cache_misses={}",
         r.evaluations, r.neighbors_generated, r.group_cache_hits, r.group_cache_misses
     );
-    let trajectory: Vec<String> = r.trajectory.iter().map(|p| bits(p.best_score)).collect();
+    let steps = &r.search_trace.steps;
+    let trajectory: Vec<String> = steps.iter().map(|s| bits(s.best_score)).collect();
     let _ = writeln!(out, "trajectory={}", trajectory.join(","));
-    render_trace(out, r.search_trace.as_ref());
+    render_trace(out, &r.search_trace);
 }
 
 /// The search matrix, rendered arm by arm.
@@ -198,7 +197,7 @@ fn run_matrix() -> String {
     .unwrap();
     let _ = writeln!(out, "[lightweight_reschedule cloud node loss conversation]");
     render_plan(&mut out, &r.plan, r.estimated_attainment);
-    render_trace(&mut out, r.search_trace.as_ref());
+    render_trace(&mut out, &r.search_trace);
 
     // Fleet rescheduling on the elastic pool: graft node 4, release node 3.
     let mut pool = presets::elastic_cloud_pool().cluster;
@@ -238,7 +237,7 @@ fn run_matrix() -> String {
         .unwrap();
         let _ = writeln!(out, "[fleet_reschedule elastic {name}]");
         render_plan(&mut out, &r.plan, r.estimated_attainment);
-        render_trace(&mut out, r.search_trace.as_ref());
+        render_trace(&mut out, &r.search_trace);
     }
 
     // The repository benchmark's exact search: the paper's defaults
@@ -258,7 +257,6 @@ fn run_matrix() -> String {
             seed: 42,
             num_threads: 1,
             network_contention,
-            search_trace: true,
             ..SchedulerConfig::default()
         };
         let _ = writeln!(out, "[schedule cloud llama-30b {name} benchmark search]");

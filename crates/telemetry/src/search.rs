@@ -1,6 +1,5 @@
-//! Scheduler search introspection: per-step rows recorded by the tabu
-//! search and by lightweight rescheduling when
-//! `SchedulerConfig::search_trace` is on.
+//! Scheduler search introspection: the per-step rows every tabu walk
+//! returns (scheduling and lightweight or fleet rescheduling).
 
 /// What one search step did: how many neighbors were generated, how the
 /// filter pipeline (tabu list, evaluation cache, intra-batch dedup,
@@ -24,6 +23,9 @@ pub struct SearchStep {
     pub evaluated: usize,
     /// Score of the step's winning neighbor, if any was feasible.
     pub winner_score: Option<f64>,
+    /// Best score found so far, clamped at zero: one point of the
+    /// convergence trajectory (Figure 10).
+    pub best_score: f64,
     /// Wall-clock seconds this step took. Recorded for humans only — it is
     /// never fed back into the search, so determinism is unaffected.
     pub wall_s: f64,
