@@ -27,12 +27,12 @@ pub struct AutoscaleConfig {
     pub attainment_floor: f64,
     /// Consider scale-down only when attainment is at least this.
     pub attainment_ceiling: f64,
-    /// Scale up when the worse per-role mean queue depth exceeds this
+    /// Scale up when the prefill pool's mean queue depth exceeds this
     /// (requests waiting per replica — leading indicator that fires before
     /// attainment visibly sags).
     pub queue_depth_high: f64,
-    /// Consider scale-down when the busier role's mean batch occupancy is
-    /// below this fraction of capacity.
+    /// Consider scale-down when the decode pool's mean batch-occupancy duty
+    /// is below this fraction of its peak.
     pub occupancy_low: f64,
     /// How far ahead of the announced reclaim a held node is drained. A
     /// warning whose reclaim is further out than this is remembered but not

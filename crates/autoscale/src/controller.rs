@@ -121,10 +121,10 @@ impl AutoscaleController {
         }
 
         let pressure = obs.attainment < self.cfg.attainment_floor
-            || obs.peak_queue() > self.cfg.queue_depth_high;
+            || obs.prefill_queue > self.cfg.queue_depth_high;
         let cold = obs.attainment >= self.cfg.attainment_ceiling
-            && obs.peak_duty() < self.cfg.occupancy_low
-            && obs.peak_queue() < 1.0;
+            && obs.decode_duty < self.cfg.occupancy_low
+            && obs.prefill_queue < 1.0;
 
         if pressure {
             // Acquire the cheapest parked spot nodes first: the tabu search
@@ -178,9 +178,7 @@ mod tests {
         SegmentObservation {
             attainment,
             prefill_queue: queue,
-            decode_queue: queue / 2.0,
-            prefill_duty: duty,
-            decode_duty: duty / 2.0,
+            decode_duty: duty,
             warned: Vec::new(),
         }
     }

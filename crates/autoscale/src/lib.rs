@@ -7,8 +7,9 @@
 //! A deterministic control loop runs between serving segments:
 //!
 //! 1. [`observe::SegmentObservation`] distils the last segment — SLO
-//!    attainment, per-role queue depths and batch occupancy from the
-//!    runtime's online [`ts_telemetry::PressureTally`], plus outstanding
+//!    attainment, the prefill pool's queue depth and the decode pool's
+//!    batch occupancy from the runtime's online
+//!    [`ts_telemetry::PressureTally`], plus outstanding
 //!    spot preemption warnings — into a few scalars.
 //! 2. [`controller::AutoscaleController`] turns the observation into
 //!    [`controller::FleetAction`]s: acquire the cheapest suitable spot

@@ -8,48 +8,29 @@ use ts_telemetry::{PressureTally, Role};
 /// scalars derived from the segment's [`Metrics`] and [`PressureTally`],
 /// plus the spot preemption warnings currently outstanding.
 ///
-/// In the phase-split engine only prefill replicas sample queue depth and
-/// only decode replicas sample batch occupancy, so there `decode_queue`
-/// and `prefill_duty` are always 0: the controller's queue signal is the
-/// prefill pool's and its duty signal the decode pool's.
+/// The runtime serves the phase-split engine, where only prefill replicas
+/// sample queue depth and only decode replicas sample batch occupancy: the
+/// queue signal is the prefill pool's and the duty signal the decode
+/// pool's.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SegmentObservation {
     /// Joint SLO attainment of the segment.
     pub attainment: f64,
     /// Time-weighted mean queue depth per prefill replica.
     pub prefill_queue: f64,
-    /// Time-weighted mean queue depth per decode replica (0 in the
-    /// phase-split engine: decode replicas have no prefill queue).
-    pub decode_queue: f64,
-    /// Mean batch-occupancy *duty*: time-weighted mean over peak, averaged
-    /// across prefill replicas (0 in the phase-split engine: prefill
-    /// replicas run no continuous batch). 1.0 means every replica ran at
-    /// its own segment peak the whole time; near 0 means the fleet idled.
-    pub prefill_duty: f64,
-    /// Same duty measure over decode replicas.
+    /// Mean batch-occupancy *duty* over decode replicas: time-weighted
+    /// mean over peak, averaged across them. 1.0 means every replica ran
+    /// at its own segment peak the whole time; near 0 means the pool idled.
     pub decode_duty: f64,
     /// Nodes with an announced spot reclaim the controller has not yet
     /// drained, paired with the announced reclaim time.
     pub warned: Vec<(NodeId, SimTime)>,
 }
 
-impl SegmentObservation {
-    /// The busier role's queue pressure.
-    pub fn peak_queue(&self) -> f64 {
-        self.prefill_queue.max(self.decode_queue)
-    }
-
-    /// The busier role's duty cycle (scale-down looks at the busier role so
-    /// it never cuts capacity a hot pool still needs).
-    pub fn peak_duty(&self) -> f64 {
-        self.prefill_duty.max(self.decode_duty)
-    }
-}
-
 /// Builds the controller's observation of one served segment.
 ///
-/// `pressure` is the segment's per-replica tally; a role with no replica
-/// in it reads 0 on both signals. `warned` carries the preemption warnings
+/// `pressure` is the segment's per-replica tally; a pool with no replica
+/// in it reads 0. `warned` carries the preemption warnings
 /// outstanding at the segment boundary (node, announced reclaim time); the
 /// caller tracks them across segments because a warning observed in
 /// segment *i* is acted on at the *i*+1 boundary.
@@ -60,14 +41,10 @@ pub fn observe_segment(
     warned: Vec<(NodeId, SimTime)>,
 ) -> SegmentObservation {
     let end = SimTime::ZERO + metrics.horizon();
-    let queue = |role| pressure.role_mean(role, |p| p.queue_depth.time_weighted_mean(end));
-    let duty = |role| pressure.role_mean(role, |p| p.batch_occupancy.duty(end));
     SegmentObservation {
         attainment: metrics.joint_attainment(slo),
-        prefill_queue: queue(Role::Prefill),
-        decode_queue: queue(Role::Decode),
-        prefill_duty: duty(Role::Prefill),
-        decode_duty: duty(Role::Decode),
+        prefill_queue: pressure.role_mean(Role::Prefill, |p| p.queue_depth.time_weighted_mean(end)),
+        decode_duty: pressure.role_mean(Role::Decode, |p| p.batch_occupancy.duty(end)),
         warned,
     }
 }
@@ -94,11 +71,11 @@ mod tests {
 
     #[test]
     fn duty_normalizes_by_peak() {
-        // Prefill 0 sits at 8 for half the window, then at 0: mean 4, peak
+        // Decode 0 sits at 8 for half the window, then at 0: mean 4, peak
         // 8, duty 0.5.
         let mut t = PressureTally::new();
         let occupancy = |active| TraceKind::BatchOccupancy {
-            role: Role::Prefill,
+            role: Role::Decode,
             replica: 0,
             active,
         };
@@ -106,9 +83,8 @@ mod tests {
         t.observe(SimTime::from_micros(500_000), &occupancy(0));
         let metrics = Metrics::new(Vec::new(), 0, SimDuration::from_secs(1));
         let obs = observe_segment(&metrics, &t, &slo(), Vec::new());
-        assert_eq!(obs.prefill_duty, 0.5);
-        assert_eq!(obs.peak_duty(), 0.5);
-        assert_eq!(obs.peak_queue(), 0.0);
+        assert_eq!(obs.decode_duty, 0.5);
+        assert_eq!(obs.prefill_queue, 0.0);
     }
 
     #[test]
@@ -120,14 +96,15 @@ mod tests {
             &slo(),
             vec![(NodeId(3), SimTime::ZERO)],
         );
-        assert_eq!(obs.peak_queue(), 0.0);
-        assert_eq!(obs.peak_duty(), 0.0);
+        assert_eq!(obs.prefill_queue, 0.0);
+        assert_eq!(obs.decode_duty, 0.0);
         assert_eq!(obs.warned, vec![(NodeId(3), SimTime::ZERO)]);
     }
 
     /// The phase-split engine samples queue depth on prefill replicas and
-    /// batch occupancy on decode replicas only, so the observation's
-    /// decode queue and prefill duty are 0 however loaded the run.
+    /// batch occupancy on decode replicas only, so a decode queue or a
+    /// prefill duty would be 0 however loaded the run: the observation
+    /// reads only the other two.
     #[test]
     fn split_engine_measures_prefill_queue_and_decode_duty_only() {
         let model = ModelSpec::llama_13b();
@@ -162,7 +139,12 @@ mod tests {
         let obs = observe_segment(&metrics, &tally, &slo(), Vec::new());
         assert!(obs.prefill_queue > 0.0, "{obs:?}");
         assert!(obs.decode_duty > 0.0, "{obs:?}");
-        assert_eq!(obs.decode_queue, 0.0);
-        assert_eq!(obs.prefill_duty, 0.0);
+        let end = SimTime::ZERO + metrics.horizon();
+        let decode_queue = tally.role_mean(Role::Decode, |p| p.queue_depth.time_weighted_mean(end));
+        assert_eq!(decode_queue, 0.0);
+        assert_eq!(
+            tally.role_mean(Role::Prefill, |p| p.batch_occupancy.duty(end)),
+            0.0
+        );
     }
 }
