@@ -272,7 +272,7 @@ impl TraceLog {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::Role;
+    use crate::event::{LinkKind, Role};
     use crate::sink::{Recorder, TraceSink};
     use ts_common::ModelId;
 
@@ -432,5 +432,42 @@ mod tests {
         assert!(text.contains("finished"));
         let missing = log.render_request_timeline(RequestId(99));
         assert!(missing.contains("no events"));
+    }
+
+    #[test]
+    fn link_series_keep_their_first_sample_kind_and_capacity() {
+        let util = |link, used_bps, capacity_bps| TraceKind::LinkUtilization {
+            link,
+            kind: if link == 3 {
+                LinkKind::Inter
+            } else {
+                LinkKind::Uplink(0)
+            },
+            used_bps,
+            capacity_bps,
+        };
+        let mut rec = Recorder::new();
+        for e in [
+            ev(0, util(3, 50.0, 100.0)),
+            ev(5, util(1, 10.0, 40.0)),
+            ev(10, util(3, 100.0, 100.0)),
+            ev(10, util(3, 50.0, 200.0)),
+        ] {
+            rec.record(e);
+        }
+        let series = rec.finish().series();
+        assert_eq!(series.links.keys().copied().collect::<Vec<_>>(), [1, 3]);
+        let inter = &series.links[&3];
+        assert_eq!((inter.kind, inter.capacity_bps), (LinkKind::Inter, 100.0));
+        // Each sample divides by its own capacity; the same-instant sample
+        // overwrites the full one, so it is no peak.
+        let at = SimTime::from_micros;
+        assert_eq!(inter.utilization.points(), [(at(0), 0.5), (at(10), 0.25)]);
+        assert_eq!(inter.utilization.step().peak(), 0.5);
+        // 0.5 over [0, 10us), 0.25 over [10us, 20us).
+        assert_eq!(inter.utilization.step().time_weighted_mean(at(20)), 0.375);
+        assert_eq!(series.links[&1].utilization.points(), [(at(5), 0.25)]);
+        assert!(series.replicas.is_empty());
+        assert!(series.inflight_kv_bytes.points().is_empty());
     }
 }

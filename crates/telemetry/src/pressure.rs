@@ -420,6 +420,14 @@ mod tests {
         step(&[(10, 1u64), (5, 1)]);
     }
 
+    /// The mean covers every sample: an `end` before the last one would
+    /// need the integral past it cut back.
+    #[test]
+    #[should_panic(expected = "the mean must cover every sample")]
+    fn mean_before_the_last_sample_panics() {
+        step(&[(0, 2.0), (100, 8.0)]).time_weighted_mean(at(50));
+    }
+
     #[test]
     fn tally_registers_replicas_like_the_log() {
         let mut t = PressureTally::new();
