@@ -336,8 +336,8 @@ impl TraceKind {
     }
 
     /// The `(role, replica)` this event concerns, if it is replica-scoped:
-    /// the events that make a replica appear in [`crate::TraceLog::replicas`]
-    /// and in a [`crate::PressureTally`].
+    /// the events that make a replica appear in [`crate::TraceSeries`] and
+    /// in a [`crate::PressureTally`].
     pub fn replica(&self) -> Option<(Role, usize)> {
         match *self {
             TraceKind::Enqueued { role, replica, .. }
