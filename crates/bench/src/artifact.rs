@@ -1,12 +1,12 @@
 //! The committed simulated-time artifacts: `BENCH_autoscale`, `BENCH_fault`,
-//! `BENCH_mm` and `BENCH_net`.
+//! `BENCH_mm`, `BENCH_net`, `BENCH_scheduler` and `BENCH_sim`.
 //!
 //! Each entry measures its experiment's typed report, checks it against
 //! named `Rule`s and renders the committed JSON byte for byte; CI and the
 //! `committed_artifacts` test compare the bytes. The rules are the bar for
 //! a deliberate re-record. `reproduce --artifact <stem>` runs one entry.
 
-use crate::exps::{autoscale, failure, mm, net_contention};
+use crate::exps::{autoscale, event_loop, failure, mm, net_contention, scheduler_threads};
 
 /// A named qualitative rule over a typed report.
 pub(crate) struct Rule<R: ?Sized> {
@@ -48,11 +48,13 @@ pub(crate) fn checked<R: ?Sized>(
 pub type Artifact = (&'static str, fn() -> Result<String, String>);
 
 /// Every committed simulated-time artifact.
-pub const ARTIFACTS: [Artifact; 4] = [
+pub const ARTIFACTS: [Artifact; 6] = [
     ("BENCH_autoscale", autoscale::artifact),
     ("BENCH_fault", failure::artifact),
     ("BENCH_mm", mm::artifact),
     ("BENCH_net", net_contention::artifact),
+    ("BENCH_scheduler", scheduler_threads::artifact),
+    ("BENCH_sim", event_loop::artifact),
 ];
 
 /// The artifact named `stem`, if there is one.
@@ -88,6 +90,6 @@ mod tests {
             assert_eq!(ARTIFACTS.iter().filter(|(s, _)| *s == stem).count(), 1);
             assert_eq!(find(stem).map(|(s, _)| s), Some(stem));
         }
-        assert!(find("BENCH_sim").is_none(), "wall-clock stems are not here");
+        assert!(find("BENCH_nope").is_none(), "an unknown stem is not found");
     }
 }

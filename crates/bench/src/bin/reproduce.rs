@@ -14,18 +14,18 @@
 //! `<base>.json` (compact metric dump).
 //!
 //! `--artifact <stem>` runs only that entry of [`ts_bench::artifact`]
-//! (`BENCH_autoscale`, `BENCH_fault`, `BENCH_mm` or `BENCH_net`) in full
-//! mode and writes its JSON to stdout, byte for byte the committed
-//! `<stem>.json`. If the report breaks one of the experiment's rules, it
-//! writes nothing to stdout, names the rules on stderr and exits 1.
+//! (`BENCH_autoscale`, `BENCH_fault`, `BENCH_mm`, `BENCH_net`,
+//! `BENCH_scheduler` or `BENCH_sim`) in full mode and writes its JSON to
+//! stdout, byte for byte the committed `<stem>.json`. If the report breaks
+//! one of the experiment's rules, it writes nothing to stdout, names the
+//! rules on stderr and exits 1.
 //!
 //! Stdout carries only simulated-time results, so it is byte-identical
 //! across runs and machines; CI `cmp`s `reproduce --quick` with the
-//! committed `REPRODUCE_quick.txt`. Wall-clock figures (each experiment's
-//! run time, scheduler search times, the overload arms' serve times) go to
-//! stderr. A malformed command line prints the usage and exits 2.
+//! committed `REPRODUCE_quick.txt`. The scheduler search times that `fig10`
+//! and `abl1` report go to stderr. A malformed command line prints the
+//! usage and exits 2.
 
-use std::time::Instant;
 use ts_bench::all_experiments;
 use ts_bench::artifact::{self, Artifact, ARTIFACTS};
 
@@ -110,17 +110,11 @@ fn run(args: &Args) -> Result<(), String> {
         if args.exp.as_ref().is_some_and(|id| e.id != id) {
             continue;
         }
-        let start = Instant::now();
         println!("==================================================================");
         println!("[{}] {}", e.id, e.title);
         println!("==================================================================");
         let report = (e.run)(args.quick);
         println!("{report}\n");
-        eprintln!(
-            "({} finished in {:.1}s)",
-            e.id,
-            start.elapsed().as_secs_f64()
-        );
         ran += 1;
     }
     if args.metrics.is_none() && args.trace.is_none() {
@@ -197,7 +191,7 @@ mod tests {
             parsed("--artifact").unwrap_err(),
             "--artifact needs a value"
         );
-        let err = parsed("--artifact BENCH_sim").unwrap_err();
+        let err = parsed("--artifact BENCH_nope").unwrap_err();
         for (stem, _) in ARTIFACTS {
             assert!(err.contains(stem), "{err}");
         }

@@ -10,6 +10,7 @@ pub mod catalog;
 pub mod cloud_slo;
 pub mod comm_precision;
 pub mod convergence;
+pub mod event_loop;
 pub mod failure;
 pub mod gqa;
 pub mod mm;
@@ -19,6 +20,7 @@ pub mod price;
 pub mod quant_quality;
 pub mod ratio;
 pub mod sched_ablation;
+pub mod scheduler_threads;
 pub mod sim_accuracy;
 pub mod throughput;
 pub mod workload_robustness;

@@ -16,8 +16,6 @@
 //! section serves LLaMA-30B coding traffic on the paper cloud at and past
 //! the rate its plan was scheduled for, with thousands of flows in flight.
 
-use std::time::Instant;
-
 use crate::artifact::{checked, Rule};
 use crate::exps::network::disaggregated_plan;
 use crate::harness::{self, base_slo_30b};
@@ -154,8 +152,7 @@ fn drain(flows: usize, precision: &'static str, wire: KvWirePrecision) -> (Drain
 
 /// Schedules the paper cloud for [`OVERLOAD_PLAN_RATE`] with the fabric on
 /// (seed 42, one thread) and serves one simulated hour of seed-1 traffic
-/// at each of [`OVERLOAD_RATES`] on it. Each arm's wall time goes to
-/// stderr.
+/// at each of [`OVERLOAD_RATES`] on it.
 fn overload() -> Vec<OverloadArm> {
     let cluster = presets::paper_cloud_cluster();
     let model = ModelSpec::llama_30b();
@@ -177,12 +174,7 @@ fn overload() -> Vec<OverloadArm> {
             let reqs = generate(&coding(rate), SimDuration::from_secs(3600), 1);
             let mut sim = Simulation::new(&cluster, &plan, sim_config(&model, &cfg))
                 .expect("the scheduled plan simulates");
-            let t0 = Instant::now();
             let m = sim.run(&reqs).expect("the overload run completes");
-            eprintln!(
-                "overload {rate:.1} req/s served in {:.3} s wall",
-                t0.elapsed().as_secs_f64()
-            );
             OverloadArm {
                 rate,
                 sent: reqs.len(),

@@ -805,8 +805,8 @@ mod tests {
 
     #[test]
     fn packed_router_matches_the_scan_on_the_paired_shape() {
-        // `bench_sim`'s paired plan: prefill `i` feeds decode `i`, 512
-        // cells of 1/512.
+        // The paired plan of `BENCH_sim`'s 1M-request arm: prefill `i` feeds
+        // decode `i`, 512 cells of 1/512.
         let weights = vec![1.0 / 512.0; 512];
         let mut packed = StrideRouter::new(weights.clone()).unwrap();
         let mut scan = Scan::new(weights);
@@ -818,7 +818,7 @@ mod tests {
 
     #[test]
     fn router_work_is_pinned_on_the_fleet_and_paired_shapes() {
-        // `fleet_1m`'s 1,024 cells and `bench_sim`'s 512: one power-of-two
+        // `fleet_1m`'s 1,024 cells and `BENCH_sim`'s 512: one power-of-two
         // stride each, so a pick scans two levels, the options still to be
         // picked this round and those already picked, except the first pick
         // of each round, which finds them all in one.
