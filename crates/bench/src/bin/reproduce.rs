@@ -21,13 +21,12 @@
 //! rules on stderr and exits 1.
 //!
 //! Stdout carries only simulated-time results, so it is byte-identical
-//! across runs and machines; CI `cmp`s `reproduce --quick` with the
-//! committed `REPRODUCE_quick.txt`. The scheduler search times that `fig10`
-//! and `abl1` report go to stderr. A malformed command line prints the
-//! usage and exits 2.
+//! across runs and machines: the experiments' part is [`ts_bench::report`],
+//! and `reproduce --quick` prints the committed `REPRODUCE_quick.txt`. A
+//! malformed command line prints the usage and exits 2.
 
-use ts_bench::all_experiments;
 use ts_bench::artifact::{self, Artifact, ARTIFACTS};
+use ts_bench::{all_experiments, report};
 
 const USAGE: &str =
     "usage: reproduce [--exp <id>] [--quick] [--list] [--trace <path>] [--metrics <base>]
@@ -98,27 +97,16 @@ fn run(args: &Args) -> Result<(), String> {
         print!("{json}");
         return Ok(());
     }
-    let exps = all_experiments();
     if args.list {
-        for e in &exps {
+        for e in all_experiments() {
             println!("{:8} {}", e.id, e.title);
         }
         return Ok(());
     }
-    let mut ran = 0;
-    for e in &exps {
-        if args.exp.as_ref().is_some_and(|id| e.id != id) {
-            continue;
-        }
-        println!("==================================================================");
-        println!("[{}] {}", e.id, e.title);
-        println!("==================================================================");
-        let report = (e.run)(args.quick);
-        println!("{report}\n");
-        ran += 1;
-    }
+    let reports = report(args.exp.as_deref(), args.quick);
+    print!("{reports}");
     if args.metrics.is_none() && args.trace.is_none() {
-        if ran == 0 {
+        if reports.is_empty() {
             return Err("no experiment matched; use --list to see ids".into());
         }
         return Ok(());

@@ -52,8 +52,6 @@ pub fn run(quick: bool) -> String {
             r.evaluations.to_string(),
             format!("{:.3}", r.estimated_attainment),
         ]);
-        // Wall-clock, so it stays off the byte-pinned report.
-        eprintln!("fig10: {n} GPUs search time {:.3}s", r.elapsed);
         // print a short convergence series (best score at checkpoints)
         let pts: Vec<String> = steps
             .iter()
@@ -77,7 +75,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn search_time_grows_with_cluster_size_and_converges() {
+    fn search_work_grows_with_cluster_size() {
         let model = ModelSpec::llama_30b();
         let slo = base_slo_30b().scaled(8.0);
         let w = ts_workload::spec::coding(2.0);
@@ -92,8 +90,8 @@ mod tests {
             assert!(r.estimated_attainment > 0.0);
             evals.push(r.evaluations);
         }
-        // Larger clusters mean bigger neighbourhoods — at minimum the search
-        // completes on both and returns feasible plans.
-        assert!(evals.iter().all(|&e| e > 0));
+        // Larger clusters mean bigger neighbourhoods, so the same number of
+        // steps evaluates more candidates.
+        assert!(evals[0] < evals[1], "evaluations {evals:?}");
     }
 }

@@ -62,7 +62,6 @@ pub fn run(quick: bool) -> String {
     for v in &VARIANTS {
         let mut score_sum = 0.0;
         let mut eval_sum = 0usize;
-        let mut time_sum = 0.0;
         for &seed in seeds {
             let mut cfg = SchedulerConfig::default();
             cfg.seed = seed;
@@ -75,7 +74,6 @@ pub fn run(quick: bool) -> String {
                 .expect("all variants should find some plan");
             score_sum += r.estimated_attainment;
             eval_sum += r.evaluations;
-            time_sum += r.elapsed;
         }
         let n = seeds.len() as f64;
         rows.push((v.name, score_sum / n));
@@ -84,8 +82,6 @@ pub fn run(quick: bool) -> String {
             format!("{:.3}", score_sum / n),
             format!("{:.0}", eval_sum as f64 / n),
         ]);
-        // Wall-clock, so it stays off the byte-pinned report.
-        eprintln!("abl1: {} mean time {:.1} ms", v.name, 1000.0 * time_sum / n);
     }
     let full = rows[0].1;
     let worst =

@@ -30,6 +30,24 @@ pub struct Experiment {
     pub run: fn(quick: bool) -> String,
 }
 
+/// What `reproduce [--exp <id>] [--quick]` writes to stdout: every
+/// experiment whose id is `exp` (all of them when `None`), in registry
+/// order, each under a banner of its id and title. Empty when no id
+/// matches. Simulated time only, so `report(None, true)` is byte for byte
+/// the committed `REPRODUCE_quick.txt`.
+pub fn report(exp: Option<&str>, quick: bool) -> String {
+    const RULE: &str = "==================================================================";
+    let mut out = String::new();
+    for e in all_experiments() {
+        if exp.is_some_and(|id| e.id != id) {
+            continue;
+        }
+        let (id, title, body) = (e.id, e.title, (e.run)(quick));
+        out.push_str(&format!("{RULE}\n[{id}] {title}\n{RULE}\n{body}\n\n"));
+    }
+    out
+}
+
 /// The full experiment registry in paper order.
 pub fn all_experiments() -> Vec<Experiment> {
     vec![

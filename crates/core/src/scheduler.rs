@@ -2,29 +2,33 @@
 
 use crate::config::SchedulerConfig;
 use crate::orchestrate::sim_config;
-use crate::tabu::{self, TabuResult};
-use std::time::Instant;
+use crate::tabu;
 use ts_cluster::Cluster;
 use ts_common::{DeploymentPlan, Error, ModelId, ModelSpec, Result, ServedModel, SloSpec};
 use ts_sim::estimate::estimate_attainment;
 use ts_workload::WorkloadSpec;
 
-/// Output of a full scheduling run.
+/// Output of a tabu search: the best plan it found, that plan's score, the
+/// walk's work counters and its per-step rows. Equal inputs give equal
+/// results for every thread count, except the cache counters: concurrent
+/// misses on one key each count, so those are exact for one thread only.
 #[derive(Debug, Clone)]
 pub struct ScheduleResult {
     /// The deployment plan to instantiate.
     pub plan: DeploymentPlan,
     /// Estimated overall SLO attainment of the plan.
     pub estimated_attainment: f64,
-    /// Lower-level evaluations performed.
+    /// Lower-level evaluations performed: the seed and every cache miss
+    /// that passed the structural gate.
     pub evaluations: usize,
     /// Total neighbours generated across all search steps.
     pub neighbors_generated: usize,
-    /// Hit/miss counters of the shared parallel-configuration cache.
+    /// Hits of the shared parallel-configuration cache.
     pub group_cache_hits: u64,
     /// Misses of the shared parallel-configuration cache.
     pub group_cache_misses: u64,
-    /// Hits of the walk's KV-seconds cache of (prefill, decode) pairs.
+    /// Hits of the walk's KV-seconds cache of (prefill, decode) pairs. The
+    /// flip space precomputes its pairs, so it counts none.
     pub pair_cache_hits: u64,
     /// Misses of the KV-seconds cache: the pairs priced.
     pub pair_cache_misses: u64,
@@ -35,29 +39,6 @@ pub struct ScheduleResult {
     /// The walk's per-step rows, with the convergence trajectory
     /// (Figure 10) in their best scores.
     pub search_trace: ts_telemetry::SearchTrace,
-    /// Wall-clock scheduling time in seconds.
-    pub elapsed: f64,
-}
-
-impl ScheduleResult {
-    /// Wraps a search result; `start` is the wall-clock origin of
-    /// [`ScheduleResult::elapsed`].
-    fn new(result: TabuResult, start: Instant) -> Self {
-        ScheduleResult {
-            plan: result.best.plan,
-            estimated_attainment: result.best.score,
-            evaluations: result.evaluations,
-            neighbors_generated: result.neighbors_generated,
-            group_cache_hits: result.group_cache_hits,
-            group_cache_misses: result.group_cache_misses,
-            pair_cache_hits: result.pair_cache_hits,
-            pair_cache_misses: result.pair_cache_misses,
-            stage_order_hits: result.stage_order_hits,
-            stage_order_misses: result.stage_order_misses,
-            search_trace: result.search_trace,
-            elapsed: start.elapsed().as_secs_f64(),
-        }
-    }
 }
 
 /// Per-model attainment estimate inside a multi-model schedule.
@@ -117,9 +98,7 @@ impl Scheduler {
         workload: &WorkloadSpec,
         slo: &SloSpec,
     ) -> Result<ScheduleResult> {
-        let start = Instant::now();
-        let result = tabu::schedule(cluster, model, workload, slo, &self.cfg)?;
-        Ok(ScheduleResult::new(result, start))
+        tabu::schedule(cluster, model, workload, slo, &self.cfg)
     }
 
     /// Produces one deployment plan serving every model in `models` on the
@@ -163,9 +142,8 @@ impl Scheduler {
             });
         }
 
-        let start = Instant::now();
-        let result = tabu::schedule_multi(cluster, models, workloads, &self.cfg)?;
-        let plan = &result.best.plan;
+        let schedule = tabu::schedule_multi(cluster, models, workloads, &self.cfg)?;
+        let plan = &schedule.plan;
         // Per-tenant estimates: each model's slice of the shared plan is a
         // self-contained single-model plan (its groups, its routing), priced
         // under its own spec, workload and SLO.
@@ -189,7 +167,7 @@ impl Scheduler {
             });
         }
         Ok(MultiScheduleResult {
-            schedule: ScheduleResult::new(result, start),
+            schedule,
             per_model,
         })
     }

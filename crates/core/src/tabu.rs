@@ -68,11 +68,11 @@ use crate::orchestrate::{
     OrchestratedPlan, Scored,
 };
 use crate::parallel::{deduce_with_cost_model, StageOrders};
+use crate::scheduler::ScheduleResult;
 use rand::Rng;
 use std::collections::{BTreeSet, VecDeque};
 use std::hash::Hash;
 use std::sync::Arc;
-use std::time::Instant;
 use ts_cluster::Cluster;
 use ts_common::hash::{FastHashMap, FastHashSet};
 use ts_common::rng::derive_seed;
@@ -87,39 +87,6 @@ use ts_sim::estimate::{kv_seconds, ReplicaTerms};
 use ts_solver::clustering::cluster_by_bandwidth;
 use ts_telemetry::{profile, SearchStep, SearchTrace};
 use ts_workload::WorkloadSpec;
-
-/// Result of a tabu search run.
-#[derive(Debug, Clone)]
-pub struct TabuResult {
-    /// The best plan found.
-    pub best: OrchestratedPlan,
-    /// Number of lower-level evaluations performed (cache misses that
-    /// passed the structural gate, plus the seed).
-    pub evaluations: usize,
-    /// Total neighbours generated across all steps (including those the
-    /// tabu list, the structural gate, the evaluation cache or intra-step
-    /// dedup filtered out).
-    pub neighbors_generated: usize,
-    /// Hits on the sharded parallel-configuration cache shared by all
-    /// evaluation workers. Counts may vary slightly with the thread count
-    /// (concurrent misses on one key each count); the cached values do not.
-    pub group_cache_hits: u64,
-    /// Misses on the sharded parallel-configuration cache.
-    pub group_cache_misses: u64,
-    /// Hits on the walk's KV-seconds cache of (prefill, decode) group
-    /// pairs; approximate across thread counts like the group cache's. The
-    /// flip space precomputes its pairs, so it counts none.
-    pub pair_cache_hits: u64,
-    /// Misses on the KV-seconds cache: the pairs priced.
-    pub pair_cache_misses: u64,
-    /// Hits on the walk's stage-order memo of deduction.
-    pub stage_order_hits: u64,
-    /// Misses on the stage-order memo: the stage-order DPs solved.
-    pub stage_order_misses: u64,
-    /// One row per step: the neighbourhood's filter counts, the winner,
-    /// the best score so far (the Figure 10 trajectory) and wall time.
-    pub search_trace: SearchTrace,
-}
 
 /// A group as the lower level reads it: its layout, the cost model that
 /// scored it, that model's estimator terms, and its key in the KV-seconds
@@ -264,8 +231,7 @@ fn walk<S: Space>(
     cfg: &SchedulerConfig,
     rng_seed: u64,
     steps: usize,
-) -> Result<TabuResult> {
-    let start = Instant::now();
+) -> Result<ScheduleResult> {
     let mut rng = seeded_rng(rng_seed);
     let caches = Caches::default();
     let mut x = space.seed()?;
@@ -282,7 +248,6 @@ fn walk<S: Space>(
     let mut search_trace = SearchTrace {
         steps: Vec::with_capacity(steps),
     };
-    let mut prev_elapsed = 0.0f64;
 
     if space.admissible(&x) {
         evaluations += 1;
@@ -374,19 +339,17 @@ fn walk<S: Space>(
                 }
                 x = p;
             }
-            let elapsed = start.elapsed().as_secs_f64();
             row.winner_score = winner.map(|(s, _)| s);
             row.best_score = best_score.max(0.0);
-            row.wall_s = elapsed - prev_elapsed;
-            prev_elapsed = elapsed;
             search_trace.steps.push(row);
         }
     });
 
     let best =
         best_plan.ok_or_else(|| Error::Infeasible("no feasible deployment plan found".into()))?;
-    Ok(TabuResult {
-        best,
+    Ok(ScheduleResult {
+        plan: best.plan,
+        estimated_attainment: best.score,
         evaluations,
         neighbors_generated,
         group_cache_hits: caches.groups.hit_count(),
@@ -411,7 +374,7 @@ pub(crate) fn schedule(
     workload: &WorkloadSpec,
     slo: &SloSpec,
     cfg: &SchedulerConfig,
-) -> Result<TabuResult> {
+) -> Result<ScheduleResult> {
     let space = SingleModel::new(cluster, model, workload, slo, cfg);
     walk(&space, cfg, cfg.seed, cfg.n_step)
 }
@@ -429,7 +392,7 @@ pub(crate) fn schedule_multi(
     models: &[ServedModel],
     workloads: &[WorkloadSpec],
     cfg: &SchedulerConfig,
-) -> Result<TabuResult> {
+) -> Result<ScheduleResult> {
     validate_catalog(models)?;
     if models.len() != workloads.len() {
         return Err(Error::InvalidConfig(format!(
@@ -454,7 +417,7 @@ pub(crate) fn reschedule_phases(
     workload: &WorkloadSpec,
     slo: &SloSpec,
     cfg: &SchedulerConfig,
-) -> Result<TabuResult> {
+) -> Result<ScheduleResult> {
     let space = Flips::new(cluster, model, groups, workload, slo, cfg);
     walk(
         &space,
@@ -1223,9 +1186,9 @@ mod tests {
         let mut cfg = SchedulerConfig::fast();
         cfg.seed = 1;
         let r = schedule(&cluster, &model, &w, &s, &cfg).unwrap();
-        assert!(r.best.score > 0.0);
-        assert!(r.best.plan.phase_ratio().0 >= 1);
-        assert!(r.best.plan.phase_ratio().1 >= 1);
+        assert!(r.estimated_attainment > 0.0);
+        assert!(r.plan.phase_ratio().0 >= 1);
+        assert!(r.plan.phase_ratio().1 >= 1);
         assert_eq!(r.search_trace.steps.len(), cfg.n_step);
         assert!(r.evaluations > 0);
         assert!(r.neighbors_generated >= r.evaluations);
@@ -1259,7 +1222,6 @@ mod tests {
                 row.generated,
                 "filter counts must partition the neighbourhood"
             );
-            assert!(row.wall_s >= 0.0);
         }
     }
 
@@ -1275,7 +1237,6 @@ mod tests {
         for w in r.search_trace.steps.windows(2) {
             assert!(w[1].best_score >= w[0].best_score);
         }
-        assert!(r.search_trace.steps.iter().all(|row| row.wall_s >= 0.0));
     }
 
     #[test]
@@ -1302,8 +1263,8 @@ mod tests {
         cfg.seed = 5;
         let r1 = schedule(&cluster, &model, &w, &s, &cfg).unwrap();
         let r2 = schedule(&cluster, &model, &w, &s, &cfg).unwrap();
-        assert_eq!(r1.best.plan, r2.best.plan);
-        assert_eq!(r1.best.score, r2.best.score);
+        assert_eq!(r1.plan, r2.plan);
+        assert_eq!(r1.estimated_attainment, r2.estimated_attainment);
     }
 
     fn two_tenants() -> Vec<ServedModel> {
@@ -1321,7 +1282,7 @@ mod tests {
         let mut cfg = SchedulerConfig::fast();
         cfg.seed = 7;
         let r = schedule_multi(&cluster, &models, &workloads, &cfg).unwrap();
-        let plan = &r.best.plan;
+        let plan = &r.plan;
         assert!(plan.is_multi_model());
         assert_eq!(plan.models(), vec![ModelId(1), ModelId(2)]);
         for id in [ModelId(1), ModelId(2)] {
@@ -1332,7 +1293,7 @@ mod tests {
             let routing = plan.routing_for(id).expect("per-model routing");
             assert_eq!(routing.rates().len(), plan.prefill_indices_for(id).len());
         }
-        assert!(r.best.score > 0.0 && r.best.score <= 1.0 + 1e-9);
+        assert!(r.estimated_attainment > 0.0 && r.estimated_attainment <= 1.0 + 1e-9);
         assert!(r.evaluations > 0);
     }
 
@@ -1345,8 +1306,8 @@ mod tests {
         cfg.seed = 9;
         let r1 = schedule_multi(&cluster, &models, &workloads, &cfg).unwrap();
         let r2 = schedule_multi(&cluster, &models, &workloads, &cfg).unwrap();
-        assert_eq!(r1.best.plan, r2.best.plan);
-        assert_eq!(r1.best.score, r2.best.score);
+        assert_eq!(r1.plan, r2.plan);
+        assert_eq!(r1.estimated_attainment, r2.estimated_attainment);
     }
 
     #[test]
@@ -1449,7 +1410,7 @@ mod tests {
         let mut lost = cloud.clone();
         let model = ModelSpec::llama_30b();
         let w = spec::coding(2.5);
-        let plan = schedule(&lost, &model, &w, &s, &cfg).unwrap().best.plan;
+        let plan = schedule(&lost, &model, &w, &s, &cfg).unwrap().plan;
         lost.deactivate_node(ts_common::NodeId(6)).unwrap();
         let surviving = plan
             .groups
@@ -1669,7 +1630,7 @@ mod tests {
         cfg.seed = 21;
         cfg.num_threads = 1;
         let r = schedule(&cloud, &model, &w, &s, &cfg).unwrap();
-        let counts = |r: &TabuResult| {
+        let counts = |r: &ScheduleResult| {
             [
                 r.pair_cache_hits,
                 r.pair_cache_misses,
@@ -1686,7 +1647,6 @@ mod tests {
         let mut lost = cloud.clone();
         lost.deactivate_node(ts_common::NodeId(6)).unwrap();
         let surviving = r
-            .best
             .plan
             .groups
             .into_iter()
@@ -1706,7 +1666,7 @@ mod tests {
         let mut cfg = SchedulerConfig::fast();
         cfg.seed = 2;
         let r = schedule(&cluster, &model, &w, &s, &cfg).unwrap();
-        for g in &r.best.plan.groups {
+        for g in &r.plan.groups {
             for gpu in g.gpus() {
                 assert!(cluster.is_active(gpu), "plan uses failed GPU {gpu}");
             }

@@ -11,7 +11,6 @@ use thunderserve_core::reschedule::{fleet_reschedule, FleetDelta};
 use thunderserve_core::{lightweight_reschedule, Scheduler, SchedulerConfig};
 use ts_cluster::presets;
 use ts_common::{ModelId, ModelSpec, NodeId, ServedModel, SimDuration, SloSpec};
-use ts_telemetry::{SearchStep, SearchTrace};
 use ts_workload::spec;
 
 fn slo() -> SloSpec {
@@ -57,8 +56,7 @@ fn schedule_is_bit_identical_across_thread_counts() {
                 "evaluation count diverged at seed {seed}, {threads} threads"
             );
             assert_eq!(
-                rows(&baseline.search_trace),
-                rows(&parallel.search_trace),
+                baseline.search_trace, parallel.search_trace,
                 "search trace diverged at seed {seed}, {threads} threads"
             );
             assert_eq!(
@@ -147,15 +145,6 @@ fn lightweight_reschedule_is_bit_identical_across_thread_counts() {
     }
 }
 
-/// Trace rows without their wall clock, the one column allowed to vary.
-fn rows(trace: &SearchTrace) -> Vec<SearchStep> {
-    trace
-        .steps
-        .iter()
-        .map(|r| SearchStep { wall_s: 0.0, ..*r })
-        .collect()
-}
-
 #[test]
 fn schedule_multi_is_bit_identical_across_thread_counts() {
     let cluster = presets::a5000_cluster(12);
@@ -182,8 +171,7 @@ fn schedule_multi_is_bit_identical_across_thread_counts() {
         assert_eq!(b.evaluations, p.evaluations);
         assert_eq!(b.neighbors_generated, p.neighbors_generated);
         assert_eq!(
-            rows(&b.search_trace),
-            rows(&p.search_trace),
+            b.search_trace, p.search_trace,
             "search trace diverged with {threads} threads"
         );
         for (x, y) in baseline.per_model.iter().zip(&parallel.per_model) {
@@ -232,8 +220,7 @@ fn fleet_reschedule_is_bit_identical_across_thread_counts() {
             "fleet score diverged with {threads} threads"
         );
         assert_eq!(
-            rows(&baseline.search_trace),
-            rows(&parallel.search_trace),
+            baseline.search_trace, parallel.search_trace,
             "fleet search trace diverged with {threads} threads"
         );
         assert!(parallel.reload_time.is_zero());

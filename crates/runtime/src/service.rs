@@ -20,8 +20,8 @@
 use thunderserve_core::config::SchedulerConfig;
 use thunderserve_core::orchestrate::sim_config;
 use thunderserve_core::reschedule::{
-    fleet_reschedule, full_reschedule, lightweight_reschedule, no_reschedule, FleetDelta,
-    RescheduleOutcome,
+    fleet_reschedule, full_reschedule, lightweight_reschedule, no_reschedule, reload_time,
+    FleetDelta, RescheduleOutcome,
 };
 use thunderserve_core::Scheduler;
 use ts_cluster::availability::{sort_script, ClusterEvent, EventKind};
@@ -29,7 +29,6 @@ use ts_cluster::Cluster;
 use ts_common::{
     DeploymentPlan, Error, GpuId, ModelSpec, NodeId, Request, Result, SimDuration, SimTime, SloSpec,
 };
-use ts_costmodel::replica::{ReplicaCostModel, DISK_BANDWIDTH};
 use ts_sim::engine::Simulation;
 use ts_sim::fault::{FaultKind, FaultScript, TimedFault};
 use ts_sim::metrics::Metrics;
@@ -230,16 +229,7 @@ impl ServingRuntime {
             .filter(|_| policy == ReschedulePolicy::Full)
             .map(|d| d.at);
         if let Some(detect) = pause_at {
-            let reload = plan
-                .groups
-                .iter()
-                .filter_map(|g| {
-                    ReplicaCostModel::new(&self.cluster, &self.model, g, &self.scheduler_cfg.params)
-                        .ok()
-                })
-                .map(|rcm| rcm.weight_load_time(DISK_BANDWIDTH))
-                .max()
-                .unwrap_or(SimDuration::ZERO);
+            let reload = reload_time(&self.cluster, &self.model, plan, &self.scheduler_cfg);
             script.faults.push(TimedFault {
                 at: detect,
                 kind: FaultKind::Pause {

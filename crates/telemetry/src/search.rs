@@ -26,9 +26,6 @@ pub struct SearchStep {
     /// Best score found so far, clamped at zero: one point of the
     /// convergence trajectory (Figure 10).
     pub best_score: f64,
-    /// Wall-clock seconds this step took. Recorded for humans only — it is
-    /// never fed back into the search, so determinism is unaffected.
-    pub wall_s: f64,
 }
 
 /// The per-step trace of one search run.
@@ -59,35 +56,6 @@ impl SearchTrace {
             hits as f64 / total as f64
         }
     }
-
-    /// A compact fixed-width table of the per-step rows.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        out.push_str("step   gen  tabu cache   dup infeas  eval  winner        wall\n");
-        for s in &self.steps {
-            out.push_str(&format!(
-                "{:>4} {:>5} {:>5} {:>5} {:>5} {:>6} {:>5}  {:<12} {:>8.2}ms\n",
-                s.step,
-                s.generated,
-                s.tabu_filtered,
-                s.cache_hits,
-                s.duplicates,
-                s.infeasible,
-                s.evaluated,
-                s.winner_score
-                    .map(|w| format!("{w:.6}"))
-                    .unwrap_or_else(|| "-".into()),
-                s.wall_s * 1e3,
-            ));
-        }
-        out.push_str(&format!(
-            "total: {} generated, {} evaluated, cache hit rate {:.1}%\n",
-            self.total_generated(),
-            self.total_evaluated(),
-            100.0 * self.cache_hit_rate(),
-        ));
-        out
-    }
 }
 
 #[cfg(test)]
@@ -117,8 +85,6 @@ mod tests {
         assert_eq!(t.total_generated(), 20);
         assert_eq!(t.total_evaluated(), 8);
         assert!((t.cache_hit_rate() - 0.5).abs() < 1e-12);
-        let rendered = t.render();
-        assert!(rendered.contains("cache hit rate 50.0%"));
     }
 
     #[test]

@@ -6,6 +6,7 @@
 //! cargo run --example quickstart --release
 //! ```
 
+use std::time::Instant;
 use thunderserve::prelude::*;
 
 fn main() -> thunderserve::Result<()> {
@@ -30,12 +31,14 @@ fn main() -> thunderserve::Result<()> {
     //    phase designation; parallel-config deduction + orchestration below).
     let mut cfg = SchedulerConfig::default();
     cfg.seed = 7;
+    let start = Instant::now();
     let result = Scheduler::new(cfg).schedule(&cluster, &model, &workload, &slo)?;
+    let elapsed = start.elapsed().as_secs_f64();
     let (prefill, decode) = result.plan.phase_ratio();
     println!(
-        "scheduled {prefill} prefill + {decode} decode replicas in {:.2}s \
+        "scheduled {prefill} prefill + {decode} decode replicas in {elapsed:.2}s \
          ({} lower-level evaluations, estimated attainment {:.3})",
-        result.elapsed, result.evaluations, result.estimated_attainment
+        result.evaluations, result.estimated_attainment
     );
     for g in &result.plan.groups {
         let models: Vec<String> = g

@@ -8,6 +8,7 @@
 //! cargo run --example workload_shift --release
 //! ```
 
+use std::time::Instant;
 use thunderserve::prelude::*;
 use thunderserve::runtime::service::{ReschedulePolicy, ServingRuntime};
 use thunderserve::workload::generator::generate;
@@ -50,13 +51,15 @@ fn main() -> thunderserve::Result<()> {
 
     // Phase 3: lightweight rescheduling — flips phases + re-orchestrates,
     // zero parameter reload.
+    let start = Instant::now();
     rt.reschedule(&coding, ReschedulePolicy::Lightweight)?;
+    let search = start.elapsed().as_secs_f64();
     let (p2, d2) = rt.plan().unwrap().phase_ratio();
     let last = &rt.resched_log.last().unwrap().1;
     println!(
         "lightweight reschedule: now {p2} prefill : {d2} decode replicas \
-         (search {:.3}s, reload {})",
-        last.search_time, last.reload_time
+         (search {search:.3}s, reload {})",
+        last.reload_time
     );
     let seg3 = rt.serve_segment(&coding_trace)?;
     println!(

@@ -9,6 +9,7 @@
 //! ```
 
 use std::process::exit;
+use std::time::Instant;
 use thunderserve::prelude::*;
 use ts_workload::WorkloadSpec;
 
@@ -234,14 +235,16 @@ fn schedule(flags: &Flags, simulate: bool) -> Result<String, String> {
         let mut cfg = SchedulerConfig::default();
         cfg.seed = flags.seed;
         cfg.n_step = flags.steps;
+        let start = Instant::now();
         let result = Scheduler::new(cfg)
             .schedule(&cluster, &model, &workload, &slo)
             .map_err(|e| e.to_string())?;
+        let elapsed = start.elapsed().as_secs_f64();
         let (p, d) = result.plan.phase_ratio();
         let summary = format!(
-            "plan: {p} prefill + {d} decode replicas (scheduled in {:.3}s, {} evaluations, \
+            "plan: {p} prefill + {d} decode replicas (scheduled in {elapsed:.3}s, {} evaluations, \
              est. attainment {:.3})\n",
-            result.elapsed, result.evaluations, result.estimated_attainment
+            result.evaluations, result.estimated_attainment
         );
         (result.plan, summary)
     };
