@@ -55,7 +55,7 @@ impl Default for AutoscaleConfig {
             occupancy_low: 0.35,
             warning_lead_time: SimDuration::from_secs(120),
             max_acquire_per_step: 2,
-            full_replan_fraction: 0.5,
+            full_replan_fraction: ts_runtime::DEFAULT_FULL_REPLAN_FRACTION,
         }
     }
 }

@@ -157,7 +157,12 @@ impl<K: Eq + Hash, V: Clone> ShardedCache<K, V> {
     }
 
     fn lookup(&self, key: &K) -> Option<V> {
-        let v = self.peek(key);
+        let v = self
+            .shard(key)
+            .read()
+            .unwrap_or_else(PoisonError::into_inner)
+            .get(key)
+            .cloned();
         if v.is_some() {
             self.hits.fetch_add(1, Ordering::Relaxed);
         } else {
@@ -169,17 +174,6 @@ impl<K: Eq + Hash, V: Clone> ShardedCache<K, V> {
     /// Returns a clone of the cached value for `key`, if present.
     pub fn get(&self, key: &K) -> Option<V> {
         self.lookup(key)
-    }
-
-    /// Returns a clone of the cached value for `key`, if present, without
-    /// counting the lookup as a hit or a miss: a re-read of an entry that a
-    /// counted lookup has already reported.
-    pub fn peek(&self, key: &K) -> Option<V> {
-        self.shard(key)
-            .read()
-            .unwrap_or_else(PoisonError::into_inner)
-            .get(key)
-            .cloned()
     }
 
     /// Returns the cached value for `key`, computing and inserting it with
@@ -300,15 +294,6 @@ mod tests {
         assert_eq!(c.get(&1), Some(10)); // hit
         assert_eq!(c.hit_count(), 2);
         assert_eq!(c.miss_count(), 2);
-    }
-
-    #[test]
-    fn cache_peek_does_not_count() {
-        let c: ShardedCache<u64, u64> = ShardedCache::default();
-        assert_eq!(c.peek(&1), None);
-        c.get_or_insert_with(1, || 10); // miss + insert
-        assert_eq!(c.peek(&1), Some(10));
-        assert_eq!((c.hit_count(), c.miss_count()), (0, 1));
     }
 
     #[test]

@@ -57,7 +57,7 @@ pub mod scheduler;
 pub mod tabu;
 
 pub use config::SchedulerConfig;
-pub use orchestrate::{orchestrate, orchestrate_with_link_share};
+pub use orchestrate::orchestrate;
 pub use parallel::deduce_parallel_config;
 pub use reschedule::{full_reschedule, lightweight_reschedule, RescheduleOutcome};
 pub use scheduler::{ModelEstimate, MultiScheduleResult, ScheduleResult, Scheduler};

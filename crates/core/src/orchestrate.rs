@@ -10,11 +10,11 @@
 //! estimates, the tiered LP and the equalize passes, plus every check that
 //! packaging could fail on, and yields the objective. Packaging
 //! (`Scored::package`) scales the routing to the whole stream and builds
-//! the plan. The tabu walk scores every neighbour and packages only a new
-//! best.
+//! the plan. [`orchestrate`], the one public path, runs both. The tabu walk
+//! scores every neighbour once and packages only a new best, from the
+//! `Scored` its score left.
 
 use crate::config::SchedulerConfig;
-use std::borrow::Borrow;
 use ts_cluster::Cluster;
 use ts_common::{
     DeploymentPlan, Error, GpuId, GroupSpec, ModelSpec, Phase, Result, RoutingMatrix, SloSpec,
@@ -35,7 +35,10 @@ pub struct OrchestratedPlan {
     pub score: f64,
 }
 
-/// Builds the routing matrix for `groups` and packages the deployment plan.
+/// Builds the routing matrix for `groups` and packages the deployment plan:
+/// each group's cost model and estimator terms, the scoring step with the
+/// whole of every sender uplink, then packaging. Each pair's KV seconds
+/// are computed on the spot.
 ///
 /// # Errors
 /// Returns [`Error::Infeasible`] if either phase has no groups or any group
@@ -48,40 +51,19 @@ pub fn orchestrate(
     slo: &SloSpec,
     cfg: &SchedulerConfig,
 ) -> Result<OrchestratedPlan> {
-    orchestrate_with_link_share(cluster, model, groups, workload, slo, cfg, 1.0)
-}
-
-/// [`orchestrate`] with a fractional claim on sender uplinks.
-///
-/// In multi-model serving the transportation problem is solved once per model
-/// over that model's own groups, but the node uplinks carrying KV transfers
-/// are shared by every co-scheduled model. `link_share` scales the tiered
-/// link-headroom budgets so each model only claims its fair fraction of the
-/// shared fabric (its traffic share). `link_share == 1.0` reproduces the
-/// single-model behaviour exactly (the budgets are multiplied by 1.0, an
-/// identity in IEEE-754).
-///
-/// # Errors
-/// Same as [`orchestrate`].
-pub fn orchestrate_with_link_share(
-    cluster: &Cluster,
-    model: &ModelSpec,
-    groups: Vec<GroupSpec>,
-    workload: &WorkloadSpec,
-    slo: &SloSpec,
-    cfg: &SchedulerConfig,
-    link_share: f64,
-) -> Result<OrchestratedPlan> {
     let costs = cost_models(cluster, model, &groups, cfg)?;
-    orchestrate_costed(
-        cluster,
-        &sim_config(model, cfg),
-        groups,
-        &costs,
-        workload,
-        slo,
-        link_share,
-    )
+    let terms: Vec<ReplicaTerms> = costs
+        .iter()
+        .map(|c| ReplicaTerms::new(c, workload))
+        .collect();
+    let sim_cfg = sim_config(model, cfg);
+    let members = groups
+        .iter()
+        .zip(costs.iter().zip(&terms))
+        .map(|(g, (c, t))| (g.phase, c, t, c));
+    let kv =
+        |p: &ReplicaCostModel, d: &ReplicaCostModel| kv_seconds(cluster, &sim_cfg, p, d, workload);
+    score_costed(members, kv, workload, slo, 1.0)?.package(groups)
 }
 
 /// Each group's cost model, in group order.
@@ -100,34 +82,6 @@ pub(crate) fn cost_models(
         .iter()
         .map(|g| ReplicaCostModel::new(cluster, model, g, &cfg.params))
         .collect()
-}
-
-/// [`orchestrate_with_link_share`] over groups whose cost models are
-/// already built, `costs[i]` the model of `groups[i]`, under the simulator
-/// configuration [`sim_config`] derives: the scoring step, then packaging.
-/// Each model's estimator terms and each pair's KV seconds are computed on
-/// the spot.
-pub(crate) fn orchestrate_costed<M: Borrow<ReplicaCostModel>>(
-    cluster: &Cluster,
-    sim_cfg: &SimConfig,
-    groups: Vec<GroupSpec>,
-    costs: &[M],
-    workload: &WorkloadSpec,
-    slo: &SloSpec,
-    link_share: f64,
-) -> Result<OrchestratedPlan> {
-    let costs: Vec<&ReplicaCostModel> = costs.iter().map(Borrow::borrow).collect();
-    let terms: Vec<ReplicaTerms> = costs
-        .iter()
-        .map(|c| ReplicaTerms::new(c, workload))
-        .collect();
-    let members = groups
-        .iter()
-        .zip(costs.iter().zip(&terms))
-        .map(|(g, (&c, t))| (g.phase, c, t, c));
-    let kv =
-        |p: &ReplicaCostModel, d: &ReplicaCostModel| kv_seconds(cluster, sim_cfg, p, d, workload);
-    score_costed(members, kv, workload, slo, link_share)?.package(groups)
 }
 
 /// The pair estimates of `members`, read as [`score_costed`] reads them:
@@ -229,6 +183,13 @@ impl Scored {
 /// The scoring step of orchestration over `members`, in group order: each
 /// group's phase, cost model, estimator terms and a key that `kv` takes to
 /// give a (prefill, decode) pair's KV seconds.
+///
+/// `link_share` is the fraction of each sender uplink the groups may
+/// claim; it scales the tiered link-headroom budgets. In multi-model
+/// serving the problem is solved once per model over that model's own
+/// groups, but the node uplinks carrying KV transfers are shared, so each
+/// model claims its traffic share. [`orchestrate`] claims the whole
+/// uplink: multiplying by 1.0 is an identity in IEEE-754.
 ///
 /// # Errors
 /// Returns [`Error::Infeasible`] if either phase has no groups; propagates
@@ -531,46 +492,6 @@ mod tests {
         let o = orchestrate(&cluster, &model, vec![g1, g2], &w, &slo(), &cfg).unwrap();
         assert!(o.score > 0.0 && o.score <= 1.0, "score {}", o.score);
         assert_eq!(o.plan.phase_ratio(), (1, 1));
-    }
-
-    #[test]
-    fn full_link_share_is_the_identity() {
-        let cluster = presets::network_case_cluster(presets::ETH_40GBPS);
-        let model = ModelSpec::llama_13b();
-        let cfg = SchedulerConfig::default();
-        let w = spec::coding(1.0);
-        let g1 = deduce_parallel_config(
-            &cluster,
-            &model,
-            &ids(&[0, 1, 2, 3]),
-            Phase::Prefill,
-            &w,
-            &cfg,
-        )
-        .unwrap();
-        let g2 = deduce_parallel_config(
-            &cluster,
-            &model,
-            &ids(&[4, 5, 6, 7]),
-            Phase::Decode,
-            &w,
-            &cfg,
-        )
-        .unwrap();
-        let base = orchestrate(
-            &cluster,
-            &model,
-            vec![g1.clone(), g2.clone()],
-            &w,
-            &slo(),
-            &cfg,
-        )
-        .unwrap();
-        let shared =
-            orchestrate_with_link_share(&cluster, &model, vec![g1, g2], &w, &slo(), &cfg, 1.0)
-                .unwrap();
-        assert_eq!(base.plan, shared.plan);
-        assert_eq!(base.score, shared.score);
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //!
 //! One walk (`walk`) serves every search. What differs lives in a
 //! `Space`: the seed, the moves, the key that identifies a solution, the
-//! structural gate and the lower-level evaluation. There are three:
+//! structural gate, the lower-level score and the packaging. There are three:
 //!
 //! * `SingleModel` — the paper's upper level: a hierarchical-clustering
 //!   (or, under `random_init`, random) seed, the flip / split / merge /
@@ -12,8 +12,7 @@
 //! * `MultiModel` — one shared pool serving a catalog of models: a
 //!   traffic-share span seed, a fifth "reassign-model" move, per-model
 //!   transportation problems with traffic-share claims on the shared
-//!   uplinks (the rule of
-//!   [`crate::orchestrate::orchestrate_with_link_share`]) and a
+//!   uplinks (the `link_share` of `orchestrate::score_costed`) and a
 //!   share-weighted objective;
 //! * `Flips` — lightweight and fleet rescheduling: frozen groups and
 //!   parallel configurations, phase flips only, keyed by the phase vector.
@@ -40,12 +39,13 @@
 //! 3. the step winner is reduced in neighbour-generation order with a
 //!    strict `>`, exactly the serial first-maximum tie-break.
 //!
-//! The score cache maps key → score only. A batch only scores its
-//! neighbours (`Space::score`); no plan is built for them. Only a step
-//! winner that beats the running best is packaged into a plan
-//! (`Space::evaluate`), and only that plan is kept. Packaging re-reads the
-//! walk's caches without counting, so the cache counters are those of the
-//! scores alone.
+//! Each candidate is scored once. A batch only scores its neighbours
+//! (`Space::score`): the objective, plus what packaging needs (the
+//! space's `Scored`). The score cache maps key → objective only; a step
+//! keeps its batch's `Scored` values until its winner is chosen. Only a
+//! step winner that beats the running best is packaged into a plan
+//! (`Space::package`), from its own `Scored`, and only that plan is kept.
+//! Packaging reads no cache, so the cache counters are those of the scores.
 //!
 //! # What a walk computes once
 //!
@@ -114,48 +114,23 @@ struct Caches {
     stage_orders: StageOrders,
 }
 
-/// How a space reads the walk's caches: counted while scoring, uncounted
-/// while packaging a point already scored.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Read {
-    Counted,
-    Uncounted,
-}
-
 impl Caches {
-    /// The cache entry of `g`, computing it with `resolve` on a miss. An
-    /// uncounted read finds the entry its score inserted; should it not, it
-    /// computes the entry without caching it.
+    /// The cache entry of `g`, computing it with `resolve` on a miss.
     fn group(
         &self,
         g: &CandidateGroup,
-        read: Read,
         resolve: impl FnOnce() -> Option<Resolved>,
     ) -> Option<Arc<Resolved>> {
-        let resolve = || {
+        self.groups.get_or_insert_with(g.group_hash(), || {
             let _g = profile::scope("tabu.deduce");
             resolve().map(Arc::new)
-        };
-        match read {
-            Read::Counted => self.groups.get_or_insert_with(g.group_hash(), resolve),
-            Read::Uncounted => self.groups.peek(&g.group_hash()).unwrap_or_else(resolve),
-        }
+        })
     }
 
     /// The KV seconds of the pair (`p`, `d`), pricing it with `price` on a
-    /// miss, read as [`Caches::group`] reads.
-    fn kv_seconds(
-        &self,
-        p: &Resolved,
-        d: &Resolved,
-        read: Read,
-        price: impl FnOnce() -> f64,
-    ) -> f64 {
-        let key = (p.kv_key, d.kv_key);
-        match read {
-            Read::Counted => self.kv.get_or_insert_with(key, price),
-            Read::Uncounted => self.kv.peek(&key).unwrap_or_else(price),
-        }
+    /// miss.
+    fn kv_seconds(&self, p: &Resolved, d: &Resolved, price: impl FnOnce() -> f64) -> f64 {
+        self.kv.get_or_insert_with((p.kv_key, d.kv_key), price)
     }
 }
 
@@ -187,13 +162,15 @@ fn deduce(
     })
 }
 
-/// What a walk searches. Evaluation takes `&self`, so the worker pool can
+/// What a walk searches. Scoring takes `&self`, so the worker pool can
 /// share the space for the whole walk.
 trait Space: Sync {
     /// A solution.
     type Point: Clone + Send;
     /// A solution's identity for the tabu memory, the cache and dedup.
     type Key: Clone + Eq + Hash;
+    /// What scoring leaves for packaging.
+    type Scored: Send;
 
     /// The starting solution.
     fn seed(&self) -> Result<Self::Point>;
@@ -209,23 +186,24 @@ trait Space: Sync {
     /// any evaluation.
     fn admissible(&self, p: &Self::Point) -> bool;
 
-    /// Lower-level score of an admissible solution: its objective, or
-    /// `None` if it is infeasible. Builds no plan, but runs every check
-    /// that packaging one could fail on.
-    fn score(&self, p: &Self::Point, caches: &Caches) -> Option<f64>;
+    /// Lower-level score of an admissible solution: its objective and what
+    /// packaging needs, or `None` if it is infeasible. Builds no plan, but
+    /// runs every check that packaging one could fail on.
+    fn score(&self, p: &Self::Point, caches: &Caches) -> Option<(f64, Self::Scored)>;
 
-    /// The objective and packaged plan of a solution [`Space::score`] has
-    /// scored on `caches`: `None` exactly when the score is. Reads the
-    /// caches without counting.
-    fn evaluate(&self, p: &Self::Point, caches: &Caches) -> Option<(f64, OrchestratedPlan)>;
+    /// The plan of `p`, from what [`Space::score`] returned for it.
+    ///
+    /// # Errors
+    /// Whatever building the plan refuses; scoring has run its checks.
+    fn package(&self, p: &Self::Point, scored: Self::Scored) -> Result<OrchestratedPlan>;
 }
 
 /// The tabu walk: `steps` steps of `cfg.n_nghb` neighbours each, drawn
 /// from an RNG seeded with `rng_seed`.
 ///
 /// # Errors
-/// Propagates the space's seed error; returns [`Error::Infeasible`] if no
-/// evaluated solution is feasible.
+/// Propagates the space's seed and packaging errors; returns
+/// [`Error::Infeasible`] if no evaluated solution is feasible.
 fn walk<S: Space>(
     space: &S,
     cfg: &SchedulerConfig,
@@ -251,11 +229,11 @@ fn walk<S: Space>(
 
     if space.admissible(&x) {
         evaluations += 1;
-        let score = space.score(&x, &caches);
-        eval_cache.insert(space.key(&x), score);
-        if let Some(score) = score {
+        let scored = space.score(&x, &caches);
+        eval_cache.insert(space.key(&x), scored.as_ref().map(|&(score, _)| score));
+        if let Some((score, scored)) = scored {
             best_score = score;
-            best_plan = space.evaluate(&x, &caches).map(|(_, plan)| plan);
+            best_plan = Some(space.package(&x, scored)?);
         }
     }
 
@@ -263,7 +241,7 @@ fn walk<S: Space>(
     // not once per step. Jobs are owned clones, because pool workers
     // outlive any one step.
     let eval = |p: &S::Point| space.score(p, &caches);
-    with_worker_pool(cfg.num_threads, &eval, |run| {
+    with_worker_pool(cfg.num_threads, &eval, |run| -> Result<()> {
         for step in 0..steps {
             // Draw the whole neighbourhood up front so the RNG stream is
             // independent of evaluation order and cache state.
@@ -304,9 +282,15 @@ fn walk<S: Space>(
             drop(gate);
             row.evaluated = batch.len();
 
-            // Score misses concurrently; output order == batch order.
-            for (k, score) in batch_keys.into_iter().zip(run(batch)) {
+            // Score misses concurrently; output order == batch order. What
+            // packaging needs is kept until the step's winner is known.
+            let mut fresh: FastHashMap<S::Key, S::Scored> = FastHashMap::default();
+            for (k, scored) in batch_keys.into_iter().zip(run(batch)) {
                 evaluations += 1;
+                let score = scored.map(|(score, scored)| {
+                    fresh.insert(k.clone(), scored);
+                    score
+                });
                 eval_cache.insert(k, score);
             }
 
@@ -327,8 +311,14 @@ fn walk<S: Space>(
             if let Some((score, i)) = winner {
                 let (k, p) = drawn.swap_remove(i);
                 if score > best_score {
+                    // Internal invariant: a score cached by an earlier
+                    // step is at most that step's winner, and so at most
+                    // the running best; a new best is from this batch.
+                    let scored = fresh
+                        .remove(&k)
+                        .expect("a new best is scored in its own step's batch");
                     best_score = score;
-                    best_plan = space.evaluate(&p, &caches).map(|(_, plan)| plan);
+                    best_plan = Some(space.package(&p, scored)?);
                 }
                 tabu.push_back(k.clone());
                 tabu_set.insert(k);
@@ -343,7 +333,8 @@ fn walk<S: Space>(
             row.best_score = best_score.max(0.0);
             search_trace.steps.push(row);
         }
-    });
+        Ok(())
+    })?;
 
     let best =
         best_plan.ok_or_else(|| Error::Infeasible("no feasible deployment plan found".into()))?;
@@ -463,6 +454,8 @@ impl<'a> SingleModel<'a> {
 impl Space for SingleModel<'_> {
     type Point = Candidate;
     type Key = u64;
+    /// The resolved groups, in candidate order, and their orchestration.
+    type Scored = (Vec<Arc<Resolved>>, Scored);
 
     /// Hierarchical clustering on the bandwidth matrix (a random
     /// contiguous partition under `random_init`) into as many groups as
@@ -529,28 +522,25 @@ impl Space for SingleModel<'_> {
                 .all(|g| memory_feasible(self.cluster, self.model, &g.gpus, &self.cfg.params))
     }
 
-    fn score(&self, c: &Candidate, caches: &Caches) -> Option<f64> {
-        let entries = self.resolve(c, caches, Read::Counted)?;
-        self.single(caches, Read::Counted)
-            .score(members(&entries))
-            .map(|(score, _)| score)
+    fn score(&self, c: &Candidate, caches: &Caches) -> Option<(f64, Self::Scored)> {
+        let entries = self.resolve(c, caches)?;
+        let (score, scored) = self.single(caches).score(members(&entries))?;
+        Some((score, (entries, scored)))
     }
 
-    fn evaluate(&self, c: &Candidate, caches: &Caches) -> Option<(f64, OrchestratedPlan)> {
-        let entries = self.resolve(c, caches, Read::Uncounted)?;
-        self.single(caches, Read::Uncounted)
-            .package(members(&entries))
+    fn package(&self, _: &Candidate, (entries, scored): Self::Scored) -> Result<OrchestratedPlan> {
+        package_members(members(&entries), &scored)
     }
 }
 
 impl SingleModel<'_> {
     /// Each group's cache entry, in candidate order, or `None` if a group
     /// has no feasible configuration.
-    fn resolve(&self, c: &Candidate, caches: &Caches, read: Read) -> Option<Vec<Arc<Resolved>>> {
+    fn resolve(&self, c: &Candidate, caches: &Caches) -> Option<Vec<Arc<Resolved>>> {
         c.groups
             .iter()
             .map(|g| {
-                caches.group(g, read, || {
+                caches.group(g, || {
                     deduce(self.cluster, self.model, self.workload, self.cfg, caches, g)
                 })
             })
@@ -561,7 +551,6 @@ impl SingleModel<'_> {
     fn single<'s>(
         &'s self,
         caches: &'s Caches,
-        read: Read,
     ) -> Single<'s, impl Fn(&Resolved, &Resolved) -> f64 + 's> {
         Single {
             cluster: self.cluster,
@@ -570,7 +559,7 @@ impl SingleModel<'_> {
             slo: self.slo,
             cfg: self.cfg,
             kv: move |p: &Resolved, d: &Resolved| {
-                caches.kv_seconds(p, d, read, || {
+                caches.kv_seconds(p, d, || {
                     kv_seconds(self.cluster, &self.sim, &p.cost, &d.cost, self.workload)
                 })
             },
@@ -622,12 +611,11 @@ impl MultiModel<'_> {
     fn kv<'s>(
         &'s self,
         caches: &'s Caches,
-        read: Read,
         sim: &'s SimConfig,
         workload: &'s WorkloadSpec,
     ) -> impl Fn(&Resolved, &Resolved) -> f64 + 's {
         move |p: &Resolved, d: &Resolved| {
-            caches.kv_seconds(p, d, read, || {
+            caches.kv_seconds(p, d, || {
                 kv_seconds(self.cluster, sim, &p.cost, &d.cost, workload)
             })
         }
@@ -641,7 +629,7 @@ impl MultiModel<'_> {
 
     /// Each group's cache entry under the model it serves, in candidate
     /// order, or `None` if a group has no feasible configuration.
-    fn resolve(&self, c: &Candidate, caches: &Caches, read: Read) -> Option<Vec<Arc<Resolved>>> {
+    fn resolve(&self, c: &Candidate, caches: &Caches) -> Option<Vec<Arc<Resolved>>> {
         c.groups
             .iter()
             .map(|g| {
@@ -649,7 +637,7 @@ impl MultiModel<'_> {
                 // `group_hash` covers the model id, so one cache serves all
                 // tenants without collisions, and so does the KV cache its
                 // keys index.
-                caches.group(g, read, || {
+                caches.group(g, || {
                     deduce(self.cluster, &m.spec, w, self.cfg, caches, g).map(|r| Resolved {
                         spec: r.spec.with_model(g.model),
                         ..r
@@ -668,7 +656,6 @@ impl MultiModel<'_> {
         &self,
         entries: &[Arc<Resolved>],
         caches: &Caches,
-        read: Read,
     ) -> Option<(f64, Vec<Scored>)> {
         let mut score = 0.0f64;
         let mut affinity = 0.0f64;
@@ -683,7 +670,7 @@ impl MultiModel<'_> {
                 );
             let scored = score_costed(
                 members.map(|e| (e.spec.phase, &e.cost, &e.terms, &**e)),
-                self.kv(caches, read, sim, w),
+                self.kv(caches, sim, w),
                 w,
                 &m.slo,
                 m.traffic_share,
@@ -717,6 +704,9 @@ impl MultiModel<'_> {
 impl Space for MultiModel<'_> {
     type Point = Candidate;
     type Key = u64;
+    /// The resolved groups, in candidate order, and one orchestration per
+    /// model, in catalog order.
+    type Scored = (Vec<Arc<Resolved>>, Vec<Scored>);
 
     /// Contiguous GPU spans per model (traffic-share proportional, floored
     /// at two replicas' worth of memory each), each split into replica
@@ -815,15 +805,13 @@ impl Space for MultiModel<'_> {
     /// Per-group parallel-config deduction under that group's model, then
     /// one transportation problem per model with a traffic-share claim on
     /// the shared uplinks (see `MultiModel::score_models`).
-    fn score(&self, c: &Candidate, caches: &Caches) -> Option<f64> {
-        let entries = self.resolve(c, caches, Read::Counted)?;
-        self.score_models(&entries, caches, Read::Counted)
-            .map(|(score, _)| score)
+    fn score(&self, c: &Candidate, caches: &Caches) -> Option<(f64, Self::Scored)> {
+        let entries = self.resolve(c, caches)?;
+        let (score, routed) = self.score_models(&entries, caches)?;
+        Some((score, (entries, routed)))
     }
 
-    fn evaluate(&self, c: &Candidate, caches: &Caches) -> Option<(f64, OrchestratedPlan)> {
-        let entries = self.resolve(c, caches, Read::Uncounted)?;
-        let (objective, routed) = self.score_models(&entries, caches, Read::Uncounted)?;
+    fn package(&self, _: &Candidate, (entries, routed): Self::Scored) -> Result<OrchestratedPlan> {
         let mut score = 0.0f64;
         let mut all_groups: Vec<GroupSpec> = Vec::new();
         let mut per_model: Vec<ModelRouting> = Vec::new();
@@ -833,7 +821,7 @@ impl Space for MultiModel<'_> {
                 .filter(|e| e.spec.model == m.id)
                 .map(|e| e.spec.clone())
                 .collect();
-            let op = r.package(groups_m.clone()).ok()?;
+            let op = r.package(groups_m.clone())?;
             score += m.traffic_share * op.score;
             per_model.push(ModelRouting {
                 model: m.id,
@@ -844,9 +832,9 @@ impl Space for MultiModel<'_> {
         }
         let plan = {
             let _g = profile::scope("tabu.package");
-            DeploymentPlan::new_multi(all_groups, per_model).ok()?
+            DeploymentPlan::new_multi(all_groups, per_model)?
         };
-        Some((objective, OrchestratedPlan { plan, score }))
+        Ok(OrchestratedPlan { plan, score })
     }
 }
 
@@ -860,8 +848,8 @@ struct Flips<'a> {
     groups: Vec<GroupSpec>,
     /// Each group resolved once, its `kv_key` its index: a phase flip
     /// leaves its cost model and terms as they are. `None` if any group
-    /// cannot hold the model or two groups share a GPU, when no
-    /// designation orchestrates.
+    /// cannot hold the model or two groups share a GPU; then no group is a
+    /// member, and no designation orchestrates.
     resolved: Option<Vec<Resolved>>,
     /// `kv[i][j]`: the KV seconds from group `i` to group `j`, every
     /// ordered pair priced once.
@@ -876,6 +864,7 @@ impl Space for Flips<'_> {
     // the groups are frozen.
     type Point = Vec<Phase>;
     type Key = Vec<Phase>;
+    type Scored = Scored;
 
     /// The given groups' phases, with both phases guaranteed.
     fn seed(&self) -> Result<Vec<Phase>> {
@@ -899,14 +888,12 @@ impl Space for Flips<'_> {
         phases.contains(&Phase::Prefill) && phases.contains(&Phase::Decode)
     }
 
-    fn score(&self, phases: &Vec<Phase>, _: &Caches) -> Option<f64> {
-        let members = self.members(phases)?;
-        self.single().score(members).map(|(score, _)| score)
+    fn score(&self, phases: &Vec<Phase>, _: &Caches) -> Option<(f64, Scored)> {
+        self.single().score(self.members(phases))
     }
 
-    fn evaluate(&self, phases: &Vec<Phase>, _: &Caches) -> Option<(f64, OrchestratedPlan)> {
-        let members = self.members(phases)?;
-        self.single().package(members)
+    fn package(&self, phases: &Vec<Phase>, scored: Scored) -> Result<OrchestratedPlan> {
+        package_members(self.members(phases), &scored)
     }
 }
 
@@ -968,9 +955,8 @@ impl<'a> Flips<'a> {
     fn members<'s>(
         &'s self,
         phases: &'s [Phase],
-    ) -> Option<impl Iterator<Item = (Phase, &'s Resolved)> + Clone> {
-        let resolved = self.resolved.as_deref()?;
-        Some(phases.iter().copied().zip(resolved))
+    ) -> impl Iterator<Item = (Phase, &'s Resolved)> + Clone {
+        phases.iter().copied().zip(self.resolved.iter().flatten())
     }
 
     /// The single-model objective, reading KV pairs from the matrix.
@@ -986,7 +972,7 @@ impl<'a> Flips<'a> {
     }
 }
 
-/// The single-model evaluation rule, with `kv` giving a (prefill, decode)
+/// The single-model scoring rule, with `kv` giving a (prefill, decode)
 /// pair's KV seconds: the scoring step, and the attainment plus the
 /// hardware-affinity tie-breaker.
 struct Single<'a, F> {
@@ -1014,22 +1000,21 @@ impl<F: Fn(&Resolved, &Resolved) -> f64> Single<'_, F> {
         let scored = score_costed(members, &self.kv, self.workload, self.slo, 1.0).ok()?;
         Some((scored.score() + affinity_bonus(self.cfg, affinity), scored))
     }
+}
 
-    /// [`Single::score`], then the plan over the groups, each under its
-    /// phase.
-    fn package<'g>(
-        &self,
-        members: impl Iterator<Item = (Phase, &'g Resolved)> + Clone,
-    ) -> Option<(f64, OrchestratedPlan)> {
-        let (score, scored) = self.score(members.clone())?;
-        let specs = members
-            .map(|(phase, r)| GroupSpec {
-                phase,
-                ..r.spec.clone()
-            })
-            .collect();
-        Some((score, scored.package(specs).ok()?))
-    }
+/// The plan over `members`, each group under its phase, routed as
+/// `scored`, their [`Single::score`], routes them.
+fn package_members<'g>(
+    members: impl Iterator<Item = (Phase, &'g Resolved)>,
+    scored: &Scored,
+) -> Result<OrchestratedPlan> {
+    let specs = members
+        .map(|(phase, r)| GroupSpec {
+            phase,
+            ..r.spec.clone()
+        })
+        .collect();
+    scored.package(specs)
 }
 
 /// The hardware-affinity tie-breaker (§5.3): negligible against any real
@@ -1165,6 +1150,7 @@ pub(crate) fn has_both_phases(groups: &[GroupSpec]) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicUsize, Ordering};
     use ts_cluster::presets;
     use ts_common::{ModelId, ModelSpec, SimDuration};
     use ts_workload::spec;
@@ -1342,23 +1328,10 @@ mod tests {
         ));
     }
 
-    /// Every counter of the walk's caches.
-    fn counts(caches: &Caches) -> [u64; 6] {
-        [
-            caches.groups.hit_count(),
-            caches.groups.miss_count(),
-            caches.kv.hit_count(),
-            caches.kv.miss_count(),
-            caches.stage_orders.hit_count(),
-            caches.stage_orders.miss_count(),
-        ]
-    }
-
-    /// Scores and then packages admissible points of a seeded walk through
-    /// `space`: the objectives agree to the bit, are `None` together, and
-    /// packaging leaves the caches' counts alone. Returns how many points
-    /// were feasible and how many were not.
-    fn check_score_against_evaluate<S: Space>(space: &S, seed: u64) -> (usize, usize) {
+    /// Scores admissible points of a seeded walk through `space` and
+    /// packages every feasible one: each packages with `Ok`. Returns how
+    /// many points were feasible and how many were not.
+    fn check_every_score_packages<S: Space>(space: &S, seed: u64) -> (usize, usize) {
         let caches = Caches::default();
         let mut rng = seeded_rng(seed);
         let mut x = space.seed().unwrap();
@@ -1368,16 +1341,10 @@ mod tests {
                 continue;
             };
             if space.admissible(&p) {
-                let score = space.score(&p, &caches);
-                let before = counts(&caches);
-                let evaluated = space.evaluate(&p, &caches);
-                assert_eq!(counts(&caches), before);
-                assert_eq!(
-                    score.map(f64::to_bits),
-                    evaluated.map(|(s, _)| s.to_bits()),
-                    "score and evaluate disagree"
-                );
-                if score.is_some() {
+                if let Some((score, scored)) = space.score(&p, &caches) {
+                    if let Err(e) = space.package(&p, scored) {
+                        panic!("a point scored {score} does not package: {e}");
+                    }
                     feasible += 1;
                     x = p;
                 } else {
@@ -1388,8 +1355,27 @@ mod tests {
         (feasible, infeasible)
     }
 
+    /// The paper cloud after node 6 is lost, and the groups of `cfg`'s
+    /// plan for `model` on the whole cloud that survive it.
+    fn lose_node_6(
+        model: &ModelSpec,
+        w: &WorkloadSpec,
+        s: &SloSpec,
+        cfg: &SchedulerConfig,
+    ) -> (Cluster, Vec<GroupSpec>) {
+        let mut lost = presets::paper_cloud_cluster();
+        let plan = schedule(&lost, model, w, s, cfg).unwrap().plan;
+        lost.deactivate_node(ts_common::NodeId(6)).unwrap();
+        let surviving = plan
+            .groups
+            .into_iter()
+            .filter(|g| g.gpus().all(|id| lost.is_active(id)))
+            .collect();
+        (lost, surviving)
+    }
+
     #[test]
-    fn score_agrees_with_evaluate_in_every_space() {
+    fn every_score_packages_in_every_space() {
         let cfg = SchedulerConfig::fast();
         let s = slo();
 
@@ -1397,29 +1383,136 @@ mod tests {
         let model = ModelSpec::llama_30b();
         let w = spec::coding(2.0);
         let single = SingleModel::new(&cloud, &model, &w, &s, &cfg);
-        let (ok, none) = check_score_against_evaluate(&single, 11);
+        let (ok, none) = check_every_score_packages(&single, 11);
         assert!(ok > 10 && none > 0, "{ok} feasible, {none} infeasible");
 
         let pool = presets::a5000_cluster(12);
         let models = two_tenants();
         let workloads = vec![spec::conversation(2.0), spec::coding(1.0)];
         let multi = MultiModel::new(&pool, &models, &workloads, &cfg);
-        let (ok, _) = check_score_against_evaluate(&multi, 12);
+        let (ok, _) = check_every_score_packages(&multi, 12);
         assert!(ok > 10, "{ok} feasible multi-model points");
 
-        let mut lost = cloud.clone();
-        let model = ModelSpec::llama_30b();
         let w = spec::coding(2.5);
-        let plan = schedule(&lost, &model, &w, &s, &cfg).unwrap().plan;
-        lost.deactivate_node(ts_common::NodeId(6)).unwrap();
-        let surviving = plan
-            .groups
-            .into_iter()
-            .filter(|g| g.gpus().all(|id| lost.is_active(id)))
-            .collect();
+        let (lost, surviving) = lose_node_6(&model, &w, &s, &cfg);
         let flips = Flips::new(&lost, &model, surviving, &w, &s, &cfg);
-        let (ok, _) = check_score_against_evaluate(&flips, 13);
+        let (ok, _) = check_every_score_packages(&flips, 13);
         assert!(ok > 10, "{ok} feasible phase vectors");
+    }
+
+    /// A space that counts its inner space's `score` and `package` calls.
+    struct Counting<S> {
+        inner: S,
+        scores: AtomicUsize,
+        packages: AtomicUsize,
+    }
+
+    impl<S: Space> Space for Counting<S> {
+        type Point = S::Point;
+        type Key = S::Key;
+        type Scored = S::Scored;
+
+        fn seed(&self) -> Result<S::Point> {
+            self.inner.seed()
+        }
+
+        fn neighbor<R: Rng>(&self, x: &S::Point, rng: &mut R) -> Option<S::Point> {
+            self.inner.neighbor(x, rng)
+        }
+
+        fn key(&self, p: &S::Point) -> S::Key {
+            self.inner.key(p)
+        }
+
+        fn admissible(&self, p: &S::Point) -> bool {
+            self.inner.admissible(p)
+        }
+
+        fn score(&self, p: &S::Point, caches: &Caches) -> Option<(f64, S::Scored)> {
+            self.scores.fetch_add(1, Ordering::Relaxed);
+            self.inner.score(p, caches)
+        }
+
+        fn package(&self, p: &S::Point, scored: S::Scored) -> Result<OrchestratedPlan> {
+            self.packages.fetch_add(1, Ordering::Relaxed);
+            self.inner.package(p, scored)
+        }
+    }
+
+    /// Walks `inner` for `steps` steps on 1 and 4 threads: `score` runs
+    /// once per evaluation, and `package` once per strict rise of the best
+    /// score, a feasible seed counting as one. The rises are read off the
+    /// trace's step winners, which every thread count repeats. Returns the
+    /// rises.
+    fn check_scores_once<S: Space>(inner: S, cfg: &SchedulerConfig, steps: usize) -> usize {
+        let seed = inner.seed().unwrap();
+        let seed_score = inner
+            .admissible(&seed)
+            .then(|| inner.score(&seed, &Caches::default()))
+            .flatten()
+            .map(|(score, _)| score);
+        let space = Counting {
+            inner,
+            scores: AtomicUsize::new(0),
+            packages: AtomicUsize::new(0),
+        };
+        let mut rises = 0;
+        for threads in [1, 4] {
+            space.scores.store(0, Ordering::Relaxed);
+            space.packages.store(0, Ordering::Relaxed);
+            let cfg = SchedulerConfig {
+                num_threads: threads,
+                ..cfg.clone()
+            };
+            let r = walk(&space, &cfg, cfg.seed, steps).unwrap();
+            let mut best = seed_score.unwrap_or(f64::NEG_INFINITY);
+            rises = usize::from(seed_score.is_some());
+            for s in r
+                .search_trace
+                .steps
+                .iter()
+                .filter_map(|row| row.winner_score)
+            {
+                if s > best {
+                    best = s;
+                    rises += 1;
+                }
+            }
+            assert_eq!(space.scores.load(Ordering::Relaxed), r.evaluations);
+            assert_eq!(
+                space.packages.load(Ordering::Relaxed),
+                rises,
+                "{threads} threads"
+            );
+        }
+        rises
+    }
+
+    #[test]
+    fn each_candidate_is_scored_once_and_only_new_bests_are_packaged() {
+        let mut cfg = SchedulerConfig::fast();
+        cfg.seed = 21;
+        let s = slo();
+
+        let cloud = presets::paper_cloud_cluster();
+        let model = ModelSpec::llama_30b();
+        let w = spec::coding(2.0);
+        let single = SingleModel::new(&cloud, &model, &w, &s, &cfg);
+        let rises = check_scores_once(single, &cfg, cfg.n_step);
+        assert!(rises > 1, "{rises} new bests");
+
+        let pool = presets::a5000_cluster(12);
+        let models = two_tenants();
+        let workloads = vec![spec::conversation(2.0), spec::coding(1.0)];
+        let multi = MultiModel::new(&pool, &models, &workloads, &cfg);
+        let rises = check_scores_once(multi, &cfg, cfg.n_step);
+        assert!(rises > 1, "{rises} new multi-model bests");
+
+        let w = spec::coding(2.5);
+        let (lost, surviving) = lose_node_6(&model, &w, &s, &cfg);
+        let flips = Flips::new(&lost, &model, surviving, &w, &s, &cfg);
+        let rises = check_scores_once(flips, &cfg, 40);
+        assert!(rises >= 1, "{rises} new phase-vector bests");
     }
 
     /// `d`, `row_cap`, `col_cap` and `kv_seconds`, as bits.
@@ -1508,11 +1601,11 @@ mod tests {
                     if !space.admissible(&p) {
                         continue;
                     }
-                    let Some(entries) = space.resolve(&p, &caches, Read::Counted) else {
+                    let Some(entries) = space.resolve(&p, &caches) else {
                         continue;
                     };
                     let members = members(&entries).map(|(phase, r)| (phase, &r.cost, &r.terms, r));
-                    let single = space.single(&caches, Read::Counted);
+                    let single = space.single(&caches);
                     let cached = estimates(members, &single.kv, w, &s).unwrap();
                     let groups: Vec<&CandidateGroup> = p.groups.iter().collect();
                     let (specs, fresh) = fresh_estimates(&cloud, &model, &groups, w, &s, &cfg);
@@ -1527,7 +1620,7 @@ mod tests {
 
                 // Frozen groups: the last point's, every designation drawn.
                 let frozen: Vec<GroupSpec> = space
-                    .resolve(&x, &caches, Read::Uncounted)
+                    .resolve(&x, &caches)
                     .unwrap()
                     .iter()
                     .map(|e| e.spec.clone())
@@ -1542,7 +1635,6 @@ mod tests {
                     let single = flips.single();
                     let members = flips
                         .members(&phases)
-                        .unwrap()
                         .map(|(phase, r)| (phase, &r.cost, &r.terms, r));
                     let cached = estimates(members, &single.kv, w, &s).unwrap();
                     let sim = sim_config(&model, &cfg);
@@ -1586,7 +1678,7 @@ mod tests {
                 if !space.admissible(&p) {
                     continue;
                 }
-                let Some(entries) = space.resolve(&p, &caches, Read::Counted) else {
+                let Some(entries) = space.resolve(&p, &caches) else {
                     continue;
                 };
                 for ((m, w), sim) in tenants.iter().zip(&workloads).zip(&space.sims) {
@@ -1594,7 +1686,7 @@ mod tests {
                         .iter()
                         .filter(|e| e.spec.model == m.id)
                         .map(|e| (e.spec.phase, &e.cost, &e.terms, &**e));
-                    let kv = space.kv(&caches, Read::Counted, sim, w);
+                    let kv = space.kv(&caches, sim, w);
                     let cached = estimates(members, kv, w, &m.slo).unwrap();
                     let groups: Vec<&CandidateGroup> =
                         p.groups.iter().filter(|g| g.model == m.id).collect();

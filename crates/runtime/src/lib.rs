@@ -14,4 +14,4 @@
 
 pub mod service;
 
-pub use service::{ReschedulePolicy, SegmentReport, ServingRuntime};
+pub use service::{ReschedulePolicy, SegmentReport, ServingRuntime, DEFAULT_FULL_REPLAN_FRACTION};

@@ -270,8 +270,7 @@ impl ServingRuntime {
             // Deliberate fleet change: graft acquired nodes / prune released
             // ones with zero reload where possible. The same pass also drops
             // any groups a concurrent outage killed.
-            let outcome = self.fleet_outcome(&delta, workload, DEFAULT_FULL_REPLAN_FRACTION)?;
-            self.commit_outcome(outcome);
+            self.reschedule_fleet(&delta, workload, DEFAULT_FULL_REPLAN_FRACTION)?;
             if pause_at.is_some() {
                 self.pending_blackout = SimDuration::ZERO;
             }
@@ -347,24 +346,24 @@ impl ServingRuntime {
         if delta.is_empty() {
             return Ok(());
         }
-        let outcome = self.fleet_outcome(delta, workload, full_replan_fraction)?;
-        self.commit_outcome(outcome);
-        Ok(())
+        self.reschedule_fleet(delta, workload, full_replan_fraction)
     }
 
     /// Runs [`fleet_reschedule`] against the current plan (the cluster mask
-    /// must already reflect the delta).
-    fn fleet_outcome(
-        &self,
+    /// must already reflect the delta) and installs the outcome, its log
+    /// entry tagged by what the edit actually cost: zero reload reads as
+    /// lightweight, a reload as full.
+    fn reschedule_fleet(
+        &mut self,
         delta: &FleetDelta,
         workload: &WorkloadSpec,
         full_replan_fraction: f64,
-    ) -> Result<RescheduleOutcome> {
+    ) -> Result<()> {
         let current = self
             .plan
             .as_ref()
             .ok_or_else(|| Error::Runtime("fleet delta before deploy".into()))?;
-        fleet_reschedule(
+        let outcome = fleet_reschedule(
             &self.cluster,
             &self.model,
             current,
@@ -373,18 +372,19 @@ impl ServingRuntime {
             &self.slo,
             &self.scheduler_cfg,
             full_replan_fraction,
-        )
-    }
-
-    /// Installs a reschedule outcome: plan, pending blackout, log entry
-    /// (tagged by what the edit actually cost — zero reload reads as
-    /// lightweight, a reload as full).
-    fn commit_outcome(&mut self, outcome: RescheduleOutcome) {
+        )?;
         let policy = if outcome.reload_time.is_zero() {
             ReschedulePolicy::Lightweight
         } else {
             ReschedulePolicy::Full
         };
+        self.commit_outcome(policy, outcome);
+        Ok(())
+    }
+
+    /// Installs a reschedule outcome: pending blackout, plan, a log entry
+    /// tagged `policy`, and the profiler's new baseline.
+    fn commit_outcome(&mut self, policy: ReschedulePolicy, outcome: RescheduleOutcome) {
         self.pending_blackout = outcome.reload_time;
         self.plan = Some(outcome.plan.clone());
         self.resched_log.push((policy, outcome));
@@ -427,10 +427,7 @@ impl ServingRuntime {
                 &self.scheduler_cfg,
             )?,
         };
-        self.pending_blackout = outcome.reload_time;
-        self.plan = Some(outcome.plan.clone());
-        self.resched_log.push((policy, outcome));
-        self.rebaseline();
+        self.commit_outcome(policy, outcome);
         Ok(())
     }
 }
