@@ -54,8 +54,7 @@ mod tests {
     use super::*;
     use ts_cluster::presets;
     use ts_common::{
-        DeploymentPlan, GpuId, GroupSpec, ModelSpec, ParallelConfig, Phase, RoutingMatrix,
-        SimDuration, StageSpec,
+        DeploymentPlan, GpuId, GroupSpec, ModelSpec, Phase, RoutingMatrix, SimDuration,
     };
     use ts_sim::{SimConfig, Simulation};
     use ts_telemetry::TraceKind;
@@ -110,13 +109,10 @@ mod tests {
         let model = ModelSpec::llama_13b();
         let cluster = presets::network_case_cluster(presets::ETH_40GBPS);
         let group = |phase, ids: [u32; 2]| {
-            GroupSpec::new(
+            GroupSpec::single_stage(
                 phase,
-                ParallelConfig::new(2, 1).unwrap(),
-                vec![StageSpec {
-                    gpus: ids.iter().map(|&i| GpuId(i)).collect(),
-                    layers: model.num_layers,
-                }],
+                ids.iter().map(|&i| GpuId(i)).collect(),
+                model.num_layers,
             )
             .unwrap()
         };

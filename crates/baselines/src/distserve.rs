@@ -4,48 +4,31 @@
 //! replicas within one node (KV caches cross NVLink) and picks the
 //! prefill:decode ratio by simulation-guided search. Our planner does the
 //! same on a homogeneous cluster: it tiles the GPUs into equal TP groups
-//! (smallest degree that fits the model), sweeps every prefill:decode split
-//! with at least one replica per phase, orchestrates each split, and keeps
-//! the split with the best estimated attainment. The resulting plan runs on
+//! (smallest degree that fits the model, the node tiling it shares with the
+//! vLLM planner), sweeps every prefill:decode split with at least one
+//! replica per phase, orchestrates each split, and keeps the split with the
+//! best estimated attainment. The resulting plan runs on
 //! `ts_sim::engine::Simulation` — the phase-split facade over the shared
 //! execution core in `ts_sim::exec`.
 
 use ts_cluster::Cluster;
-use ts_common::{
-    DeploymentPlan, Error, GpuId, GroupSpec, ModelSpec, ParallelConfig, Phase, Result, SloSpec,
-    StageSpec,
-};
-use ts_costmodel::ReplicaCostModel;
-use ts_costmodel::{replica::memory_feasible_with_headroom, ModelParams};
-use ts_kvcache::codec::KvWirePrecision;
+use ts_common::{DeploymentPlan, Error, GroupSpec, ModelSpec, Phase, Result, SloSpec};
+use ts_costmodel::{ModelParams, ReplicaCostModel};
 use ts_sim::config::SimConfig;
 use ts_sim::estimate::pair_estimates;
 use ts_solver::transport::solve_orchestration;
 use ts_workload::WorkloadSpec;
 
-/// Memory headroom factor (weights + ~25% KV room), as in the vLLM planner.
-const KV_HEADROOM: f64 = 4.0 / 3.0;
-
-/// The DistServe-like planner.
-#[derive(Debug, Clone)]
+/// The DistServe-like planner. KV caches cross the wire uncompressed
+/// (fp16), as DistServe ships them over NVLink.
+#[derive(Debug, Clone, Default)]
 pub struct DistServePlanner {
     /// Cost-model parameters.
     pub params: ModelParams,
-    /// KV wire precision (DistServe ships uncompressed fp16 over NVLink).
-    pub kv_precision: KvWirePrecision,
-}
-
-impl Default for DistServePlanner {
-    fn default() -> Self {
-        DistServePlanner {
-            params: ModelParams::default(),
-            kv_precision: KvWirePrecision::F16,
-        }
-    }
 }
 
 impl DistServePlanner {
-    /// Creates a planner with DistServe defaults (fp16 KV transfer).
+    /// Creates a planner with default parameters.
     pub fn new() -> Self {
         Self::default()
     }
@@ -61,38 +44,7 @@ impl DistServePlanner {
         workload: &WorkloadSpec,
         slo: &SloSpec,
     ) -> Result<DeploymentPlan> {
-        // Tile into equal TP groups (vLLM-style, per node).
-        let mut units: Vec<Vec<GpuId>> = Vec::new();
-        for node in cluster.nodes() {
-            let gpus: Vec<GpuId> = node
-                .gpus
-                .iter()
-                .copied()
-                .filter(|&g| cluster.is_active(g))
-                .collect();
-            let mut tp = 1usize;
-            let fitting = loop {
-                if tp > gpus.len() {
-                    break None;
-                }
-                if memory_feasible_with_headroom(
-                    cluster,
-                    model,
-                    &gpus[..tp],
-                    &self.params,
-                    KV_HEADROOM,
-                ) {
-                    break Some(tp);
-                }
-                tp *= 2;
-            };
-            let Some(tp) = fitting else { continue };
-            for chunk in gpus.chunks(tp) {
-                if chunk.len() == tp {
-                    units.push(chunk.to_vec());
-                }
-            }
-        }
+        let units = crate::tile_nodes(cluster, model, &self.params);
         let k = units.len();
         if k < 2 {
             return Err(Error::Infeasible(format!(
@@ -100,29 +52,20 @@ impl DistServePlanner {
             )));
         }
 
-        let mut sim_cfg = SimConfig::new(model.clone());
+        let mut sim_cfg = SimConfig::new(model.clone()).with_f16_kv();
         sim_cfg.params = self.params;
-        sim_cfg.kv_precision = self.kv_precision;
-
-        let make_group = |gpus: &[GpuId], phase: Phase| -> Result<GroupSpec> {
-            GroupSpec::new(
-                phase,
-                ParallelConfig::new(gpus.len(), 1)?,
-                vec![StageSpec {
-                    gpus: gpus.to_vec(),
-                    layers: model.num_layers,
-                }],
-            )
-        };
 
         let mut best: Option<(f64, DeploymentPlan)> = None;
         for m in 1..k {
             // m prefill replicas, k-m decode replicas
-            let mut groups = Vec::with_capacity(k);
-            for (i, u) in units.iter().enumerate() {
-                let phase = if i < m { Phase::Prefill } else { Phase::Decode };
-                groups.push(make_group(u, phase)?);
-            }
+            let groups = units
+                .iter()
+                .enumerate()
+                .map(|(i, u)| {
+                    let phase = if i < m { Phase::Prefill } else { Phase::Decode };
+                    GroupSpec::single_stage(phase, u.clone(), model.num_layers)
+                })
+                .collect::<Result<Vec<_>>>()?;
             let prefill: Vec<ReplicaCostModel> = groups[..m]
                 .iter()
                 .map(|g| ReplicaCostModel::new(cluster, model, g, &self.params))

@@ -3,23 +3,23 @@
 //! HexGen schedules generative inference over heterogeneous, decentralized
 //! GPUs with asymmetric parallelism, but colocates prefill and decode on the
 //! same replicas. Our planner reproduces that policy: groups come from
-//! bandwidth-based hierarchical clustering (merging until every group can
-//! host the model), and each group gets its best parallel configuration from
-//! the same Algorithm-2 machinery ThunderServe uses — minus the phase
-//! designation axis. The result feeds the colocated engine, which shares
-//! the phase-split engine's execution core — fault scripts and recovery
-//! metrics work identically on these deployments.
+//! bandwidth-based hierarchical clustering into as many replicas as memory
+//! allows, merged by the scheduler seed's `merge_infeasible` (down to one
+//! group) until every group can host the model, and each group gets its
+//! best parallel configuration from the same Algorithm-2 machinery
+//! ThunderServe uses — minus the phase designation axis. The result feeds
+//! the colocated engine, which shares the phase-split engine's execution
+//! core — fault scripts and recovery metrics work identically on these
+//! deployments.
 
 use thunderserve_core::config::SchedulerConfig;
 use thunderserve_core::parallel::deduce_parallel_config;
+use thunderserve_core::tabu::merge_infeasible;
 use ts_cluster::Cluster;
-use ts_common::{Error, GpuId, GroupSpec, ModelSpec, Phase, Result};
-use ts_costmodel::replica::memory_feasible_with_headroom;
+use ts_common::{Error, GroupSpec, ModelSpec, Phase, Result};
+use ts_costmodel::replica::{replica_budget, usable_memory};
 use ts_solver::clustering::cluster_by_bandwidth;
 use ts_workload::WorkloadSpec;
-
-/// Memory headroom factor (weights + ~25% KV room).
-const KV_HEADROOM: f64 = 4.0 / 3.0;
 
 /// The HexGen-like planner.
 #[derive(Debug, Clone, Default)]
@@ -48,45 +48,19 @@ impl HexGenPlanner {
         if active.is_empty() {
             return Err(Error::Infeasible("no active GPUs".into()));
         }
-        let usable: u64 = active
-            .iter()
-            .map(|&g| (cluster.gpu(g).spec().memory_bytes as f64 * self.cfg.params.mem_util) as u64)
-            .sum();
-        let weight_budget = (model.weight_bytes() as f64 * KV_HEADROOM) as u64;
-        let max_replicas = ((usable / weight_budget.max(1)) as usize).max(1);
+        let usable = usable_memory(cluster, &active, &self.cfg.params);
+        let max_replicas = ((usable / replica_budget(model).max(1)) as usize).max(1);
         let k = max_replicas.min(active.len());
-        let bw = cluster.bandwidth_matrix();
-        let mut clusters = cluster_by_bandwidth(&bw, k)?;
-
-        // Merge infeasible clusters until all can host the model.
-        loop {
-            let mut merged = false;
-            let mut i = 0;
-            while i < clusters.len() && clusters.len() > 1 {
-                let gpus: Vec<GpuId> = clusters[i].iter().map(|&x| active[x]).collect();
-                if !memory_feasible_with_headroom(
-                    cluster,
-                    model,
-                    &gpus,
-                    &self.cfg.params,
-                    KV_HEADROOM,
-                ) {
-                    let take = clusters.remove(i);
-                    let j = i % clusters.len();
-                    clusters[j].extend(take);
-                    merged = true;
-                } else {
-                    i += 1;
-                }
-            }
-            if !merged {
-                break;
-            }
-        }
+        let clusters = cluster_by_bandwidth(&cluster.bandwidth_matrix(), k)?
+            .into_iter()
+            .map(|idxs| idxs.into_iter().map(|x| active[x]).collect())
+            .collect();
+        // Colocated replicas need no second phase, so merging may go down
+        // to one group.
+        let clusters = merge_infeasible(cluster, model, &self.cfg, clusters, 1);
 
         let mut groups = Vec::with_capacity(clusters.len());
-        for idxs in clusters {
-            let gpus: Vec<GpuId> = idxs.iter().map(|&x| active[x]).collect();
+        for gpus in clusters {
             // HexGen optimizes serving throughput; score configs as decode
             // (throughput-optimal), which is the colocated steady state.
             let group =

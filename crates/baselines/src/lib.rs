@@ -19,6 +19,11 @@
 //!   parallelism (groups formed by bandwidth clustering, per-group parallel
 //!   configs) but **colocated** phases — heterogeneous scheduling without
 //!   phase splitting, which is exactly the axis ThunderServe adds.
+//!
+//! Every planner sizes a replica by the scheduler's rule,
+//! [`ts_costmodel::replica`]'s usable memory and KV headroom. vLLM and
+//! DistServe share one node tiling; HexGen's groups come from the
+//! scheduler seed's [`merge_infeasible`](thunderserve_core::tabu::merge_infeasible).
 
 pub mod distserve;
 pub mod hexgen;
@@ -27,3 +32,30 @@ pub mod vllm;
 pub use distserve::DistServePlanner;
 pub use hexgen::HexGenPlanner;
 pub use vllm::VllmPlanner;
+
+use ts_cluster::Cluster;
+use ts_common::{GpuId, ModelSpec};
+use ts_costmodel::{replica::fits_with_kv_headroom, ModelParams};
+
+/// Tiles each node's active GPUs into equal tensor-parallel units: the
+/// smallest power-of-two TP whose GPUs fit the model with KV headroom, as
+/// many units of it as the node holds, and the leftover GPUs left idle (as
+/// vLLM would leave them). A node where no TP fits contributes nothing.
+fn tile_nodes(cluster: &Cluster, model: &ModelSpec, params: &ModelParams) -> Vec<Vec<GpuId>> {
+    let mut units = Vec::new();
+    for node in cluster.nodes() {
+        let gpus: Vec<GpuId> = node
+            .gpus
+            .iter()
+            .copied()
+            .filter(|&g| cluster.is_active(g))
+            .collect();
+        let fitting = std::iter::successors(Some(1usize), |tp| Some(tp * 2))
+            .take_while(|&tp| tp <= gpus.len())
+            .find(|&tp| fits_with_kv_headroom(cluster, model, &gpus[..tp], params));
+        if let Some(tp) = fitting {
+            units.extend(gpus.chunks_exact(tp).map(<[GpuId]>::to_vec));
+        }
+    }
+    units
+}

@@ -5,7 +5,8 @@
 //! batching (PagedAttention provides the KV memory management, which our
 //! simulator's admission logic models). The planner maximizes the replica
 //! count: for each node it picks the smallest power-of-two TP degree whose
-//! group can hold the weights, then tiles the node with such groups.
+//! group can hold the weights with KV headroom, then tiles the node with
+//! such groups — the node tiling it shares with the DistServe planner.
 //!
 //! The groups feed `ts_sim::Simulation::colocated`, which runs on the same
 //! execution core as the phase-split topology — so the baseline also
@@ -13,12 +14,8 @@
 //! (exercised by the failure experiment's colocated arm).
 
 use ts_cluster::Cluster;
-use ts_common::{Error, GpuId, GroupSpec, ModelSpec, ParallelConfig, Phase, Result, StageSpec};
-use ts_costmodel::{replica::memory_feasible_with_headroom, ModelParams};
-
-/// Memory headroom factor: a replica must fit the weights plus ~25% of its
-/// memory for KV cache to serve meaningful batches.
-const KV_HEADROOM: f64 = 4.0 / 3.0;
+use ts_common::{Error, GroupSpec, ModelSpec, Phase, Result};
+use ts_costmodel::ModelParams;
 
 /// The vLLM-like deployment planner.
 #[derive(Debug, Clone, Default)]
@@ -39,49 +36,10 @@ impl VllmPlanner {
     /// # Errors
     /// Returns [`Error::Infeasible`] if no node can host even one replica.
     pub fn plan(&self, cluster: &Cluster, model: &ModelSpec) -> Result<Vec<GroupSpec>> {
-        let mut groups = Vec::new();
-        for node in cluster.nodes() {
-            let gpus: Vec<GpuId> = node
-                .gpus
-                .iter()
-                .copied()
-                .filter(|&g| cluster.is_active(g))
-                .collect();
-            if gpus.is_empty() {
-                continue;
-            }
-            // smallest power-of-two TP that fits
-            let mut tp = 1usize;
-            let fitting_tp = loop {
-                if tp > gpus.len() {
-                    break None;
-                }
-                if memory_feasible_with_headroom(
-                    cluster,
-                    model,
-                    &gpus[..tp],
-                    &self.params,
-                    KV_HEADROOM,
-                ) {
-                    break Some(tp);
-                }
-                tp *= 2;
-            };
-            let Some(tp) = fitting_tp else { continue };
-            for chunk in gpus.chunks(tp) {
-                if chunk.len() < tp {
-                    break; // leftover GPUs idle, as vLLM would leave them
-                }
-                groups.push(GroupSpec::new(
-                    Phase::Prefill,
-                    ParallelConfig::new(tp, 1)?,
-                    vec![StageSpec {
-                        gpus: chunk.to_vec(),
-                        layers: model.num_layers,
-                    }],
-                )?);
-            }
-        }
+        let groups = crate::tile_nodes(cluster, model, &self.params)
+            .into_iter()
+            .map(|gpus| GroupSpec::single_stage(Phase::Prefill, gpus, model.num_layers))
+            .collect::<Result<Vec<_>>>()?;
         if groups.is_empty() {
             return Err(Error::Infeasible("no node can host a vLLM replica".into()));
         }
@@ -93,6 +51,7 @@ impl VllmPlanner {
 mod tests {
     use super::*;
     use ts_cluster::presets;
+    use ts_common::GpuId;
 
     #[test]
     fn a100_box_hosts_four_tp2_replicas_of_30b() {

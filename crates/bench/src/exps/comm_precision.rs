@@ -73,15 +73,8 @@ pub fn run(quick: bool) -> String {
     let m7 = ModelSpec::llama_7b();
     let pair = presets::a5000_pair_40gbps();
     let mk = |phase, gpu: u32| {
-        ts_common::GroupSpec::new(
-            phase,
-            ts_common::ParallelConfig::new(1, 1).unwrap(),
-            vec![ts_common::StageSpec {
-                gpus: vec![ts_common::GpuId(gpu)],
-                layers: m7.num_layers,
-            }],
-        )
-        .unwrap()
+        ts_common::GroupSpec::single_stage(phase, vec![ts_common::GpuId(gpu)], m7.num_layers)
+            .unwrap()
     };
     let pair_plan = ts_common::DeploymentPlan::new(
         vec![

@@ -17,8 +17,7 @@
 use crate::artifact::{checked, Rule};
 use ts_cluster::{presets, Cluster};
 use ts_common::{
-    DeploymentPlan, GpuId, GroupSpec, ModelSpec, ParallelConfig, Phase, Request, RoutingMatrix,
-    SimDuration, StageSpec,
+    DeploymentPlan, GpuId, GroupSpec, ModelSpec, Phase, Request, RoutingMatrix, SimDuration,
 };
 use ts_sim::{SimConfig, Simulation};
 use ts_workload::{generator::generate, spec};
@@ -81,17 +80,8 @@ pub fn setup(arm: &Arm) -> Setup {
 }
 
 fn paired_plan(replicas: usize, layers: usize) -> DeploymentPlan {
-    let replica = |phase, gpu: u32| {
-        GroupSpec::new(
-            phase,
-            ParallelConfig::new(1, 1).unwrap(),
-            vec![StageSpec {
-                gpus: vec![GpuId(gpu)],
-                layers,
-            }],
-        )
-        .unwrap()
-    };
+    let replica =
+        |phase, gpu: u32| GroupSpec::single_stage(phase, vec![GpuId(gpu)], layers).unwrap();
     let half = replicas / 2;
     let groups = (0..half)
         .map(|g| replica(Phase::Prefill, g as u32))

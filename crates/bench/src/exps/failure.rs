@@ -18,8 +18,8 @@ use ts_baselines::VllmPlanner;
 use ts_cluster::availability::{ClusterEvent, EventKind};
 use ts_cluster::presets;
 use ts_common::{
-    DeploymentPlan, GpuId, GroupSpec, ModelSpec, ParallelConfig, Phase, RoutingMatrix, SimDuration,
-    SimTime, SloKind, SloSpec, StageSpec,
+    DeploymentPlan, GpuId, GroupSpec, ModelSpec, Phase, RoutingMatrix, SimDuration, SimTime,
+    SloKind, SloSpec,
 };
 use ts_runtime::service::{ReschedulePolicy, ServingRuntime};
 use ts_sim::config::{Hedge, Quarantine, SimConfig};
@@ -223,13 +223,10 @@ fn serve_straggler(
     let cluster = presets::network_case_cluster(presets::ETH_40GBPS);
     let model = ModelSpec::llama_13b();
     let group = |phase, ids: &[u32]| {
-        GroupSpec::new(
+        GroupSpec::single_stage(
             phase,
-            ParallelConfig::new(2, 1).unwrap(),
-            vec![StageSpec {
-                gpus: ids.iter().map(|&i| GpuId(i)).collect(),
-                layers: model.num_layers,
-            }],
+            ids.iter().map(|&i| GpuId(i)).collect(),
+            model.num_layers,
         )
         .unwrap()
     };

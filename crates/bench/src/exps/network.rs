@@ -22,15 +22,7 @@ use ts_sim::config::SimConfig;
 /// Table 8 experiment.
 pub fn disaggregated_plan(model: &ModelSpec) -> DeploymentPlan {
     let group = |phase, ids: [u32; 4]| {
-        GroupSpec::new(
-            phase,
-            ParallelConfig::new(4, 1).unwrap(),
-            vec![StageSpec {
-                gpus: ids.iter().map(|&i| GpuId(i)).collect(),
-                layers: model.num_layers,
-            }],
-        )
-        .unwrap()
+        GroupSpec::single_stage(phase, ids.map(GpuId).to_vec(), model.num_layers).unwrap()
     };
     DeploymentPlan::new(
         vec![

@@ -11,8 +11,7 @@ use crate::harness;
 use crate::table::Table;
 use ts_cluster::presets;
 use ts_common::{
-    DeploymentPlan, GpuId, GroupSpec, ModelSpec, ParallelConfig, Phase, RoutingMatrix, SimDuration,
-    SloSpec, StageSpec,
+    DeploymentPlan, GpuId, GroupSpec, ModelSpec, Phase, RoutingMatrix, SimDuration, SloSpec,
 };
 use ts_sim::config::SimConfig;
 use ts_workload::spec;
@@ -22,15 +21,8 @@ use ts_workload::spec;
 pub fn ratio_plan(model: &ModelSpec, p: usize, d: usize) -> DeploymentPlan {
     let total = p + d;
     let group = |idx: usize, phase: Phase| {
-        GroupSpec::new(
-            phase,
-            ParallelConfig::new(2, 1).unwrap(),
-            vec![StageSpec {
-                gpus: vec![GpuId((idx * 2) as u32), GpuId((idx * 2 + 1) as u32)],
-                layers: model.num_layers,
-            }],
-        )
-        .unwrap()
+        let gpus = vec![GpuId((idx * 2) as u32), GpuId((idx * 2 + 1) as u32)];
+        GroupSpec::single_stage(phase, gpus, model.num_layers).unwrap()
     };
     let groups: Vec<GroupSpec> = (0..total)
         .map(|i| group(i, if i < p { Phase::Prefill } else { Phase::Decode }))

@@ -7,8 +7,7 @@
 use ts_cluster::presets;
 use ts_common::SloSpec;
 use ts_common::{
-    DeploymentPlan, GpuId, GroupSpec, ModelSpec, ParallelConfig, Phase, RoutingMatrix, SimDuration,
-    SimTime, StageSpec,
+    DeploymentPlan, GpuId, GroupSpec, ModelSpec, Phase, RoutingMatrix, SimDuration, SimTime,
 };
 use ts_sim::{FaultKind, FaultScript, Metrics, SimConfig, Simulation, TimedFault, TraceLog};
 use ts_telemetry::MetricsSnapshot;
@@ -43,22 +42,19 @@ pub fn demo_slo() -> SloSpec {
 fn testbed() -> (ts_cluster::Cluster, DeploymentPlan, SimConfig) {
     let cluster = presets::network_case_cluster(presets::ETH_5GBPS);
     let model = ModelSpec::llama_13b();
-    let group = |phase, ids: &[u32], tp: usize| {
-        GroupSpec::new(
+    let group = |phase, ids: &[u32]| {
+        GroupSpec::single_stage(
             phase,
-            ParallelConfig::new(tp, 1).unwrap(),
-            vec![StageSpec {
-                gpus: ids.iter().map(|&i| GpuId(i)).collect(),
-                layers: model.num_layers,
-            }],
+            ids.iter().map(|&i| GpuId(i)).collect(),
+            model.num_layers,
         )
         .unwrap()
     };
     let plan = DeploymentPlan::new(
         vec![
-            group(Phase::Prefill, &[0, 1, 2, 3], 4),
-            group(Phase::Decode, &[4, 5], 2),
-            group(Phase::Decode, &[6, 7], 2),
+            group(Phase::Prefill, &[0, 1, 2, 3]),
+            group(Phase::Decode, &[4, 5]),
+            group(Phase::Decode, &[6, 7]),
         ],
         RoutingMatrix::uniform(1, 2),
     )

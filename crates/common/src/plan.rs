@@ -94,6 +94,17 @@ impl GroupSpec {
         })
     }
 
+    /// A one-stage tensor-parallel group: TP = `gpus.len()`, PP = 1, and
+    /// all `layers` on that stage.
+    ///
+    /// # Errors
+    /// Returns [`Error::InvalidConfig`] if `gpus` is empty or lists a GPU
+    /// twice, or `layers` is zero (the checks of [`GroupSpec::new`]).
+    pub fn single_stage(phase: Phase, gpus: Vec<GpuId>, layers: usize) -> Result<Self> {
+        let parallel = ParallelConfig::new(gpus.len(), 1)?;
+        GroupSpec::new(phase, parallel, vec![StageSpec { gpus, layers }])
+    }
+
     /// The same group serving `model` (builder style; `new` defaults to the
     /// single-model identity `ModelId(0)`).
     pub fn with_model(mut self, model: ModelId) -> Self {
@@ -686,6 +697,27 @@ mod tests {
     }
 
     #[test]
+    fn single_stage_matches_the_new_form() {
+        let gpus = vec![GpuId(3), GpuId(1)];
+        let got = GroupSpec::single_stage(Phase::Decode, gpus.clone(), 40).unwrap();
+        let want = GroupSpec::new(
+            Phase::Decode,
+            ParallelConfig::new(2, 1).unwrap(),
+            vec![StageSpec { gpus, layers: 40 }],
+        )
+        .unwrap();
+        assert_eq!(got, want);
+    }
+
+    #[test]
+    fn single_stage_rejects_no_gpus_and_a_repeated_gpu() {
+        let empty = GroupSpec::single_stage(Phase::Prefill, Vec::new(), 32);
+        assert!(matches!(empty, Err(Error::InvalidConfig(_))));
+        let repeated = GroupSpec::single_stage(Phase::Prefill, vec![GpuId(2), GpuId(2)], 32);
+        assert!(matches!(repeated, Err(Error::InvalidConfig(_))));
+    }
+
+    #[test]
     fn routing_must_sum_to_one() {
         assert!(RoutingMatrix::new(vec![vec![0.5, 0.4]]).is_err());
         assert!(RoutingMatrix::new(vec![vec![0.5, 0.5]]).is_ok());
@@ -942,11 +974,7 @@ mod dense_oracle_tests {
     }
 
     fn one_gpu_group(phase: Phase, gpu: u32, model: ModelId) -> GroupSpec {
-        let stage = StageSpec {
-            gpus: vec![GpuId(gpu)],
-            layers: 32,
-        };
-        GroupSpec::new(phase, ParallelConfig::new(1, 1).unwrap(), vec![stage])
+        GroupSpec::single_stage(phase, vec![GpuId(gpu)], 32)
             .unwrap()
             .with_model(model)
     }

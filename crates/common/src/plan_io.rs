@@ -304,11 +304,7 @@ mod tests {
 
     #[test]
     fn round_trips_fractional_routing() {
-        let stage = |id: u32| StageSpec {
-            gpus: vec![GpuId(id)],
-            layers: 40,
-        };
-        let g = |phase, id| GroupSpec::new(phase, ParallelConfig::SINGLE, vec![stage(id)]).unwrap();
+        let g = |phase, id| GroupSpec::single_stage(phase, vec![GpuId(id)], 40).unwrap();
         let plan = DeploymentPlan::new(
             vec![
                 g(Phase::Prefill, 0),
@@ -374,12 +370,8 @@ mod tests {
     }
 
     fn multi_plan() -> DeploymentPlan {
-        let stage = |id: u32| StageSpec {
-            gpus: vec![GpuId(id)],
-            layers: 40,
-        };
         let g = |phase, id, model| {
-            GroupSpec::new(phase, ParallelConfig::SINGLE, vec![stage(id)])
+            GroupSpec::single_stage(phase, vec![GpuId(id)], 40)
                 .unwrap()
                 .with_model(ModelId(model))
         };

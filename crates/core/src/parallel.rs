@@ -21,6 +21,7 @@ use ts_common::{
     Error, GpuId, GroupSpec, ModelSpec, NodeId, ParallelConfig, Phase, Result, ShardedCache,
     StageSpec,
 };
+use ts_costmodel::replica::usable_memory;
 use ts_costmodel::ReplicaCostModel;
 use ts_sim::config::MAX_DECODE_BATCH;
 use ts_solver::routing_dp::best_stage_order;
@@ -200,10 +201,7 @@ fn partition_layers(
         .iter()
         .enumerate()
         .map(|(si, set)| {
-            let mem: u64 = set
-                .iter()
-                .map(|&g| (cluster.gpu(g).spec().memory_bytes as f64 * cfg.params.mem_util) as u64)
-                .sum();
+            let mem = usable_memory(cluster, set, &cfg.params);
             let embed_share = if si == 0 || si + 1 == n { embed / 2 } else { 0 };
             mem.saturating_sub(embed_share)
         })

@@ -343,7 +343,7 @@ mod tests {
     use super::*;
     use crate::config::SchedulerConfig;
     use ts_cluster::presets;
-    use ts_common::{GpuId, NodeId, ParallelConfig, RoutingMatrix, StageSpec};
+    use ts_common::{GpuId, NodeId, RoutingMatrix};
     use ts_workload::spec;
 
     fn slo() -> SloSpec {
@@ -754,11 +754,7 @@ mod tests {
             let groups = (0..p + d)
                 .map(|g| {
                     let phase = if g < p { Phase::Prefill } else { Phase::Decode };
-                    let stage = StageSpec {
-                        gpus: vec![GpuId(g as u32)],
-                        layers: model.num_layers,
-                    };
-                    GroupSpec::new(phase, ParallelConfig::new(1, 1).unwrap(), vec![stage]).unwrap()
+                    GroupSpec::single_stage(phase, vec![GpuId(g as u32)], model.num_layers).unwrap()
                 })
                 .collect();
             let routing = RoutingMatrix::new(random_rates(&mut rng, p, d)).unwrap();

@@ -80,7 +80,9 @@ use ts_common::{
     seeded_rng, validate_catalog, with_worker_pool, DeploymentPlan, Error, GpuId, GroupSpec,
     ModelId, ModelRouting, ModelSpec, Phase, Result, ServedModel, ShardedCache, SloSpec,
 };
-use ts_costmodel::replica::{memory_feasible, memory_feasible_with_headroom};
+use ts_costmodel::replica::{
+    fits_with_kv_headroom, memory_feasible, replica_budget, usable_memory,
+};
 use ts_costmodel::ReplicaCostModel;
 use ts_sim::config::SimConfig;
 use ts_sim::estimate::{kv_seconds, ReplicaTerms};
@@ -465,10 +467,7 @@ impl Space for SingleModel<'_> {
         if active.is_empty() {
             return Err(Error::Infeasible("no active GPUs".into()));
         }
-        let usable: u64 = active
-            .iter()
-            .map(|&g| usable_bytes(self.cluster, g, self.cfg))
-            .sum();
+        let usable = usable_memory(self.cluster, &active, &self.cfg.params);
         let max_replicas = (usable / replica_budget(self.model).max(1)) as usize;
         if max_replicas < 2 {
             return Err(Error::Infeasible(format!(
@@ -493,7 +492,7 @@ impl Space for SingleModel<'_> {
             .into_iter()
             .map(|idxs| idxs.into_iter().map(|x| active[x]).collect())
             .collect();
-        let clusters = merge_infeasible(self.cluster, self.model, self.cfg, clusters);
+        let clusters = merge_infeasible(self.cluster, self.model, self.cfg, clusters, 2);
         let mut rng = seeded_rng(derive_seed(self.cfg.seed, 0xC0DE));
         let phases = designate(clusters.len(), &mut rng);
         Ok(Candidate::new(
@@ -718,11 +717,8 @@ impl Space for MultiModel<'_> {
             return Err(Error::Infeasible("no active GPUs".into()));
         }
         let n = active.len();
-        let usable: Vec<u64> = active
-            .iter()
-            .map(|&g| usable_bytes(self.cluster, g, self.cfg))
-            .collect();
-        let avg = (usable.iter().sum::<u64>() / n as u64).max(1);
+        let usable = |gpus: &[GpuId]| usable_memory(self.cluster, gpus, &self.cfg.params);
+        let avg = (usable(&active) / n as u64).max(1);
         let budgets: Vec<u64> = self
             .models
             .iter()
@@ -764,13 +760,13 @@ impl Space for MultiModel<'_> {
         for ((m, count), budget) in self.models.iter().zip(counts).zip(budgets) {
             let span = offset..offset + count;
             offset += count;
-            let span_mem: u64 = usable[span.clone()].iter().sum();
+            let span_mem = usable(&active[span.clone()]);
             let k = ((span_mem / budget.max(1)) as usize).min(count).max(2);
             let clusters = active[span]
                 .chunks(count.div_ceil(k))
                 .map(|c| c.to_vec())
                 .collect();
-            let clusters = merge_infeasible(self.cluster, &m.spec, self.cfg, clusters);
+            let clusters = merge_infeasible(self.cluster, &m.spec, self.cfg, clusters, 2);
             let phases = designate(clusters.len(), &mut rng);
             groups.extend(
                 clusters
@@ -1075,31 +1071,21 @@ fn random_move<R: Rng>(
     }
 }
 
-/// A GPU's memory usable under the configured utilisation cap.
-fn usable_bytes(cluster: &Cluster, g: GpuId, cfg: &SchedulerConfig) -> u64 {
-    (cluster.gpu(g).spec().memory_bytes as f64 * cfg.params.mem_util) as u64
-}
-
-/// Memory budgeted per replica by the seeds: the weights plus ~25% KV
-/// headroom (matching the layer partitioner's cap), so seeds start
-/// feasible.
-fn replica_budget(model: &ModelSpec) -> u64 {
-    (model.weight_bytes() as f64 * 4.0 / 3.0) as u64
-}
-
 /// Merges each cluster that cannot hold `model` with KV headroom into its
-/// successor, until all fit or only two clusters remain.
-fn merge_infeasible(
+/// successor, until all fit or only `min_groups` clusters remain: 2 for a
+/// phase-split seed, 1 for colocated replicas (the HexGen baseline).
+pub fn merge_infeasible(
     cluster: &Cluster,
     model: &ModelSpec,
     cfg: &SchedulerConfig,
     mut clusters: Vec<Vec<GpuId>>,
+    min_groups: usize,
 ) -> Vec<Vec<GpuId>> {
     loop {
         let mut merged = false;
         let mut i = 0;
-        while i < clusters.len() && clusters.len() > 2 {
-            if memory_feasible_with_headroom(cluster, model, &clusters[i], &cfg.params, 4.0 / 3.0) {
+        while i < clusters.len() && clusters.len() > min_groups {
+            if fits_with_kv_headroom(cluster, model, &clusters[i], &cfg.params) {
                 i += 1;
             } else {
                 let take = clusters.remove(i);

@@ -6,6 +6,10 @@
 //! simulator ask. It also computes the prefill→decode KV-cache route between
 //! two replicas, matching layer ranges between the source and destination
 //! pipeline stages.
+//!
+//! The replica-sizing rule lives here too, once for the scheduler and the
+//! baselines: [`usable_memory`], [`KV_HEADROOM`], [`replica_budget`],
+//! [`fits_with_kv_headroom`] and [`memory_feasible`].
 
 use crate::alphabeta::CommCost;
 use crate::roofline::{decode_step_time, prefill_time, DecodeStageSeries, StageHardware};
@@ -203,11 +207,7 @@ impl ReplicaCostModel {
             if si == num_stages - 1 {
                 weight_bytes += embed_bytes - embed_bytes / 2;
             }
-            let usable_memory: u64 = st
-                .gpus
-                .iter()
-                .map(|&g| (cluster.gpu(g).spec().memory_bytes as f64 * params.mem_util) as u64)
-                .sum();
+            let usable_memory = usable_memory(cluster, &st.gpus, params);
             if usable_memory <= weight_bytes {
                 return Err(Error::Infeasible(format!(
                     "stage {si} needs {weight_bytes} weight bytes but has {usable_memory} usable"
@@ -509,21 +509,35 @@ fn slowest_segment(
         .unwrap_or(SimDuration::ZERO)
 }
 
-/// Like [`memory_feasible`], but requires `headroom` × the weight bytes
-/// (e.g. `4.0/3.0` leaves 25% of memory for KV cache, matching the layer
-/// partitioner's per-stage cap).
-pub fn memory_feasible_with_headroom(
+/// Headroom factor on a replica's weight bytes: the weights plus a quarter
+/// of its memory for KV cache, matching the layer partitioner's 75%
+/// per-stage cap, so a replica sized by it can serve meaningful batches.
+pub const KV_HEADROOM: f64 = 4.0 / 3.0;
+
+/// Memory of `gpus` usable for weights and KV cache: each GPU's capacity
+/// derated by `params.mem_util`, truncated to whole bytes, summed.
+pub fn usable_memory(cluster: &Cluster, gpus: &[GpuId], params: &ModelParams) -> u64 {
+    gpus.iter()
+        .map(|&g| (cluster.gpu(g).spec().memory_bytes as f64 * params.mem_util) as u64)
+        .sum()
+}
+
+/// Memory budgeted per replica when counting how many replicas a pool
+/// holds: the weights times [`KV_HEADROOM`].
+pub fn replica_budget(model: &ModelSpec) -> u64 {
+    (model.weight_bytes() as f64 * KV_HEADROOM) as u64
+}
+
+/// Can `gpus` hold the model's weights times [`KV_HEADROOM`]? The weights
+/// plus a quarter of memory for KV cache, as the layer partitioner's
+/// per-stage cap leaves.
+pub fn fits_with_kv_headroom(
     cluster: &Cluster,
     model: &ModelSpec,
     gpus: &[GpuId],
     params: &ModelParams,
-    headroom: f64,
 ) -> bool {
-    let usable: u64 = gpus
-        .iter()
-        .map(|&g| (cluster.gpu(g).spec().memory_bytes as f64 * params.mem_util) as u64)
-        .sum();
-    usable as f64 > model.weight_bytes() as f64 * headroom
+    usable_memory(cluster, gpus, params) as f64 > model.weight_bytes() as f64 * KV_HEADROOM
 }
 
 /// Quick feasibility pre-check used by the tabu search to prune neighbours:
@@ -534,11 +548,7 @@ pub fn memory_feasible(
     gpus: &[GpuId],
     params: &ModelParams,
 ) -> bool {
-    let usable: u64 = gpus
-        .iter()
-        .map(|&g| (cluster.gpu(g).spec().memory_bytes as f64 * params.mem_util) as u64)
-        .sum();
-    usable > model.weight_bytes()
+    usable_memory(cluster, gpus, params) > model.weight_bytes()
 }
 
 #[cfg(test)]

@@ -119,19 +119,16 @@ mod fault_tests {
     use super::*;
     use crate::fault::{FaultKind, FaultScript, TimedFault};
     use ts_cluster::presets;
-    use ts_common::{GpuId, ModelSpec, ParallelConfig, Phase, SimDuration, SimTime, StageSpec};
+    use ts_common::{GpuId, ModelSpec, Phase, SimDuration, SimTime};
     use ts_workload::{generator::generate, spec};
 
     fn two_replicas(model: &ModelSpec) -> (ts_cluster::Cluster, Vec<GroupSpec>) {
         let cluster = presets::paper_inhouse_cluster();
         let group = |ids: [u32; 2]| {
-            GroupSpec::new(
+            GroupSpec::single_stage(
                 Phase::Prefill,
-                ParallelConfig::new(2, 1).unwrap(),
-                vec![StageSpec {
-                    gpus: ids.iter().map(|&i| GpuId(i)).collect(),
-                    layers: model.num_layers,
-                }],
+                ids.iter().map(|&i| GpuId(i)).collect(),
+                model.num_layers,
             )
             .unwrap()
         };

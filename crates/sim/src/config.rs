@@ -338,20 +338,10 @@ mod tests {
     /// made of it.
     fn construct_both(cfg: SimConfig) -> [ts_common::Result<()>; 2] {
         use crate::Simulation;
-        use ts_common::{
-            DeploymentPlan, GpuId, GroupSpec, ParallelConfig, Phase, RoutingMatrix, StageSpec,
-        };
+        use ts_common::{DeploymentPlan, GpuId, GroupSpec, Phase, RoutingMatrix};
         let cluster = ts_cluster::presets::a5000_cluster(4);
         let group = |phase, gpu| {
-            GroupSpec::new(
-                phase,
-                ParallelConfig::new(1, 1).unwrap(),
-                vec![StageSpec {
-                    gpus: vec![GpuId(gpu)],
-                    layers: cfg.model.num_layers,
-                }],
-            )
-            .unwrap()
+            GroupSpec::single_stage(phase, vec![GpuId(gpu)], cfg.model.num_layers).unwrap()
         };
         let plan = DeploymentPlan::new(
             vec![group(Phase::Prefill, 0), group(Phase::Decode, 1)],

@@ -570,10 +570,7 @@ mod fault_tests {
     use super::*;
     use crate::fault::{Detection, FaultKind, FaultScript, TimedFault};
     use ts_cluster::presets;
-    use ts_common::{
-        GpuId, GroupSpec, ModelSpec, ParallelConfig, Phase, RoutingMatrix, SimDuration, SimTime,
-        StageSpec,
-    };
+    use ts_common::{GpuId, GroupSpec, ModelSpec, Phase, RoutingMatrix, SimDuration, SimTime};
     use ts_workload::{generator::generate, spec};
 
     /// 4xA40 prefill (one tp=4 replica) + two 2x3090Ti decode replicas, so
@@ -581,22 +578,19 @@ mod fault_tests {
     fn failover_testbed() -> (ts_cluster::Cluster, DeploymentPlan, SimConfig) {
         let cluster = presets::network_case_cluster(presets::ETH_40GBPS);
         let model = ModelSpec::llama_13b();
-        let group = |phase, ids: &[u32], tp: usize| {
-            GroupSpec::new(
+        let group = |phase, ids: &[u32]| {
+            GroupSpec::single_stage(
                 phase,
-                ParallelConfig::new(tp, 1).unwrap(),
-                vec![StageSpec {
-                    gpus: ids.iter().map(|&i| GpuId(i)).collect(),
-                    layers: model.num_layers,
-                }],
+                ids.iter().map(|&i| GpuId(i)).collect(),
+                model.num_layers,
             )
             .unwrap()
         };
         let plan = DeploymentPlan::new(
             vec![
-                group(Phase::Prefill, &[0, 1, 2, 3], 4),
-                group(Phase::Decode, &[4, 5], 2),
-                group(Phase::Decode, &[6, 7], 2),
+                group(Phase::Prefill, &[0, 1, 2, 3]),
+                group(Phase::Decode, &[4, 5]),
+                group(Phase::Decode, &[6, 7]),
             ],
             RoutingMatrix::uniform(1, 2),
         )
@@ -917,10 +911,7 @@ mod fabric_tests {
     use super::*;
     use crate::fault::{FaultKind, FaultScript, TimedFault};
     use ts_cluster::presets;
-    use ts_common::{
-        GpuId, GroupSpec, ModelSpec, ParallelConfig, Phase, RoutingMatrix, SimDuration, SimTime,
-        StageSpec,
-    };
+    use ts_common::{GpuId, GroupSpec, ModelSpec, Phase, RoutingMatrix, SimDuration, SimTime};
     use ts_workload::{generator::generate, spec};
 
     /// 4xA40 prefill + two 2x3090Ti decode replicas on a slow (5 Gbps)
@@ -928,22 +919,19 @@ mod fabric_tests {
     fn contended_testbed() -> (ts_cluster::Cluster, DeploymentPlan, SimConfig) {
         let cluster = presets::network_case_cluster(presets::ETH_5GBPS);
         let model = ModelSpec::llama_13b();
-        let group = |phase, ids: &[u32], tp: usize| {
-            GroupSpec::new(
+        let group = |phase, ids: &[u32]| {
+            GroupSpec::single_stage(
                 phase,
-                ParallelConfig::new(tp, 1).unwrap(),
-                vec![StageSpec {
-                    gpus: ids.iter().map(|&i| GpuId(i)).collect(),
-                    layers: model.num_layers,
-                }],
+                ids.iter().map(|&i| GpuId(i)).collect(),
+                model.num_layers,
             )
             .unwrap()
         };
         let plan = DeploymentPlan::new(
             vec![
-                group(Phase::Prefill, &[0, 1, 2, 3], 4),
-                group(Phase::Decode, &[4, 5], 2),
-                group(Phase::Decode, &[6, 7], 2),
+                group(Phase::Prefill, &[0, 1, 2, 3]),
+                group(Phase::Decode, &[4, 5]),
+                group(Phase::Decode, &[6, 7]),
             ],
             RoutingMatrix::uniform(1, 2),
         )
@@ -1097,19 +1085,15 @@ mod gray_failure_tests {
     use crate::fault::{FaultKind, FaultScript, TimedFault};
     use ts_cluster::presets;
     use ts_common::{
-        GpuId, GroupSpec, ModelSpec, ParallelConfig, Phase, RoutingMatrix, SimDuration, SimTime,
-        SloKind, StageSpec,
+        GpuId, GroupSpec, ModelSpec, Phase, RoutingMatrix, SimDuration, SimTime, SloKind,
     };
     use ts_workload::{generator::generate, spec};
 
-    fn group(model: &ModelSpec, phase: Phase, ids: &[u32], tp: usize) -> GroupSpec {
-        GroupSpec::new(
+    fn group(model: &ModelSpec, phase: Phase, ids: &[u32]) -> GroupSpec {
+        GroupSpec::single_stage(
             phase,
-            ParallelConfig::new(tp, 1).unwrap(),
-            vec![StageSpec {
-                gpus: ids.iter().map(|&i| GpuId(i)).collect(),
-                layers: model.num_layers,
-            }],
+            ids.iter().map(|&i| GpuId(i)).collect(),
+            model.num_layers,
         )
         .unwrap()
     }
@@ -1121,9 +1105,9 @@ mod gray_failure_tests {
         let model = ModelSpec::llama_13b();
         let plan = DeploymentPlan::new(
             vec![
-                group(&model, Phase::Prefill, &[0, 1, 2, 3], 4),
-                group(&model, Phase::Decode, &[4, 5], 2),
-                group(&model, Phase::Decode, &[6, 7], 2),
+                group(&model, Phase::Prefill, &[0, 1, 2, 3]),
+                group(&model, Phase::Decode, &[4, 5]),
+                group(&model, Phase::Decode, &[6, 7]),
             ],
             RoutingMatrix::uniform(1, 2),
         )
@@ -1138,10 +1122,10 @@ mod gray_failure_tests {
         let model = ModelSpec::llama_13b();
         let plan = DeploymentPlan::new(
             vec![
-                group(&model, Phase::Prefill, &[0, 1], 2),
-                group(&model, Phase::Prefill, &[2, 3], 2),
-                group(&model, Phase::Decode, &[4, 5], 2),
-                group(&model, Phase::Decode, &[6, 7], 2),
+                group(&model, Phase::Prefill, &[0, 1]),
+                group(&model, Phase::Prefill, &[2, 3]),
+                group(&model, Phase::Decode, &[4, 5]),
+                group(&model, Phase::Decode, &[6, 7]),
             ],
             RoutingMatrix::uniform(2, 2),
         )
@@ -1226,8 +1210,8 @@ mod gray_failure_tests {
         let cluster = presets::a5000_cluster(4);
         let plan = DeploymentPlan::new(
             vec![
-                group(&model, Phase::Prefill, &[0, 1], 2),
-                group(&model, Phase::Decode, &[2, 3], 2),
+                group(&model, Phase::Prefill, &[0, 1]),
+                group(&model, Phase::Decode, &[2, 3]),
             ],
             RoutingMatrix::uniform(1, 1),
         )

@@ -1381,22 +1381,16 @@ pub(super) mod tests {
     use crate::config::Quarantine;
     use crate::fault::FaultKind;
     use ts_cluster::presets;
-    use ts_common::{
-        GpuId, ModelRouting, ModelSpec, ParallelConfig, Phase, RoutingMatrix, ServedModel,
-        StageSpec,
-    };
+    use ts_common::{GpuId, ModelRouting, ModelSpec, Phase, RoutingMatrix, ServedModel};
 
     pub(crate) fn testbed(cfg_edit: impl FnOnce(&mut SimConfig)) -> Driver {
         let cluster = presets::network_case_cluster(presets::ETH_5GBPS);
         let model = ModelSpec::llama_13b();
         let group = |phase, ids: [u32; 4]| {
-            GroupSpec::new(
+            GroupSpec::single_stage(
                 phase,
-                ParallelConfig::new(4, 1).unwrap(),
-                vec![StageSpec {
-                    gpus: ids.iter().map(|&i| GpuId(i)).collect(),
-                    layers: model.num_layers,
-                }],
+                ids.iter().map(|&i| GpuId(i)).collect(),
+                model.num_layers,
             )
             .unwrap()
         };
@@ -1426,13 +1420,10 @@ pub(super) mod tests {
         let cluster = presets::network_case_cluster(presets::ETH_5GBPS);
         let model = ModelSpec::llama_7b();
         let group = |phase, m: ModelId, ids: [u32; 2]| {
-            GroupSpec::new(
+            GroupSpec::single_stage(
                 phase,
-                ParallelConfig::new(2, 1).unwrap(),
-                vec![StageSpec {
-                    gpus: ids.iter().map(|&i| GpuId(i)).collect(),
-                    layers: model.num_layers,
-                }],
+                ids.iter().map(|&i| GpuId(i)).collect(),
+                model.num_layers,
             )
             .unwrap()
             .with_model(m)
@@ -1571,12 +1562,8 @@ pub(super) mod tests {
                 let (p, d) = (rng.gen_range(1..=12), rng.gen_range(1..=12));
                 for g in 0..p + d {
                     let phase = if g < p { Phase::Prefill } else { Phase::Decode };
-                    let stage = StageSpec {
-                        gpus: vec![GpuId(groups.len() as u32)],
-                        layers: model.num_layers,
-                    };
-                    let spec =
-                        GroupSpec::new(phase, ParallelConfig::new(1, 1).unwrap(), vec![stage]);
+                    let gpus = vec![GpuId(groups.len() as u32)];
+                    let spec = GroupSpec::single_stage(phase, gpus, model.num_layers);
                     groups.push(spec.unwrap().with_model(ModelId(k)));
                 }
                 per_model.push(ModelRouting {

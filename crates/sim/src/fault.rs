@@ -321,7 +321,7 @@ mod tests {
     use super::*;
     use ts_cluster::catalog::GpuModel;
     use ts_cluster::topology::ClusterBuilder;
-    use ts_common::{GroupSpec, NodeId, ParallelConfig, Phase, RoutingMatrix, StageSpec};
+    use ts_common::{GroupSpec, NodeId, Phase, RoutingMatrix};
 
     fn testbed() -> (Cluster, DeploymentPlan) {
         let cluster = ClusterBuilder::new()
@@ -329,17 +329,7 @@ mod tests {
             .node("b", GpuModel::A5000, 2)
             .build()
             .unwrap();
-        let single = |phase, id: u32| {
-            GroupSpec::new(
-                phase,
-                ParallelConfig::SINGLE,
-                vec![StageSpec {
-                    gpus: vec![GpuId(id)],
-                    layers: 40,
-                }],
-            )
-            .unwrap()
-        };
+        let single = |phase, id: u32| GroupSpec::single_stage(phase, vec![GpuId(id)], 40).unwrap();
         let plan = DeploymentPlan::new(
             vec![
                 single(Phase::Prefill, 0),

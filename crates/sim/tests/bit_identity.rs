@@ -166,15 +166,7 @@ fn mixed_requests(n: u64, mean_gap_us: u64, salt: u64) -> Vec<Request> {
 }
 
 fn tp1_group(phase: Phase, gpu: u32, layers: usize) -> GroupSpec {
-    GroupSpec::new(
-        phase,
-        ParallelConfig::new(1, 1).unwrap(),
-        vec![StageSpec {
-            gpus: vec![GpuId(gpu)],
-            layers,
-        }],
-    )
-    .unwrap()
+    GroupSpec::single_stage(phase, vec![GpuId(gpu)], layers).unwrap()
 }
 
 /// 8×A5000, four tp=1 prefill replicas feeding four tp=1 decode replicas,
@@ -196,13 +188,10 @@ fn split_plan_pair() -> (ts_cluster::Cluster, DeploymentPlan) {
     let model = ModelSpec::llama_13b();
     let cluster = presets::network_case_cluster(presets::ETH_5GBPS);
     let group = |phase, ids: [u32; 4]| {
-        GroupSpec::new(
+        GroupSpec::single_stage(
             phase,
-            ParallelConfig::new(4, 1).unwrap(),
-            vec![StageSpec {
-                gpus: ids.iter().map(|&i| GpuId(i)).collect(),
-                layers: model.num_layers,
-            }],
+            ids.iter().map(|&i| GpuId(i)).collect(),
+            model.num_layers,
         )
         .unwrap()
     };
@@ -450,16 +439,9 @@ fn multi_plan() -> (ts_cluster::Cluster, DeploymentPlan) {
     let model = ModelSpec::llama_7b();
     let cluster = presets::a5000_cluster(8);
     let g = |phase, m: ModelId, a: u32| {
-        GroupSpec::new(
-            phase,
-            ParallelConfig::new(1, 1).unwrap(),
-            vec![StageSpec {
-                gpus: vec![GpuId(a)],
-                layers: model.num_layers,
-            }],
-        )
-        .unwrap()
-        .with_model(m)
+        GroupSpec::single_stage(phase, vec![GpuId(a)], model.num_layers)
+            .unwrap()
+            .with_model(m)
     };
     let plan = DeploymentPlan::new_multi(
         vec![

@@ -9,8 +9,8 @@
 
 use ts_cluster::presets;
 use ts_common::{
-    DeploymentPlan, GpuId, GroupSpec, ModelSpec, ParallelConfig, Phase, Request, RoutingMatrix,
-    SimDuration, SimTime, StageSpec,
+    DeploymentPlan, GpuId, GroupSpec, ModelSpec, Phase, Request, RoutingMatrix, SimDuration,
+    SimTime,
 };
 use ts_sim::{
     FaultKind, FaultScript, Hedge, Metrics, Quarantine, SimConfig, Simulation, TimedFault,
@@ -19,15 +19,7 @@ use ts_telemetry::{PressureTally, TraceLog, TraceSeries};
 use ts_workload::{generator::generate, spec};
 
 fn tp1_group(phase: Phase, gpu: u32, layers: usize) -> GroupSpec {
-    GroupSpec::new(
-        phase,
-        ParallelConfig::new(1, 1).unwrap(),
-        vec![StageSpec {
-            gpus: vec![GpuId(gpu)],
-            layers,
-        }],
-    )
-    .unwrap()
+    GroupSpec::single_stage(phase, vec![GpuId(gpu)], layers).unwrap()
 }
 
 /// 8×A5000: four tp=1 prefill replicas feeding four tp=1 decode replicas.

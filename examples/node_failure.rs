@@ -211,7 +211,7 @@ fn main() -> thunderserve::Result<()> {
     // mitigation layer (straggler quarantine + hedged re-dispatch) sees it.
     println!("\nGray failure (one decode replica runs 6x slow from t=30s, nobody dies):");
     {
-        use thunderserve::common::{RoutingMatrix, StageSpec};
+        use thunderserve::common::RoutingMatrix;
         use thunderserve::sim::config::{Hedge, Quarantine};
         use thunderserve::sim::engine::Simulation;
         use thunderserve::sim::fault::{FaultKind, FaultScript, TimedFault};
@@ -220,14 +220,11 @@ fn main() -> thunderserve::Result<()> {
             thunderserve::cluster::presets::ETH_40GBPS,
         );
         let model = ModelSpec::llama_13b();
-        let group = |phase, ids: &[u32]| -> thunderserve::Result<GroupSpec> {
-            GroupSpec::new(
+        let group = |phase, ids: &[u32]| {
+            GroupSpec::single_stage(
                 phase,
-                ParallelConfig::new(2, 1)?,
-                vec![StageSpec {
-                    gpus: ids.iter().map(|&i| GpuId(i)).collect(),
-                    layers: model.num_layers,
-                }],
+                ids.iter().map(|&i| GpuId(i)).collect(),
+                model.num_layers,
             )
         };
         let plan = DeploymentPlan::new(

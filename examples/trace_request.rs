@@ -14,7 +14,7 @@ use thunderserve::sim::{FaultKind, FaultScript, TimedFault};
 use thunderserve::telemetry::Role;
 use thunderserve::workload::generator::generate;
 use thunderserve::workload::spec;
-use ts_common::{GroupSpec, ParallelConfig, Phase, RoutingMatrix, SimTime, StageSpec};
+use ts_common::{GroupSpec, Phase, RoutingMatrix, SimTime};
 
 fn main() -> thunderserve::Result<()> {
     // 4xA40 prefill + two 2x3090Ti decode replicas on a slow 5 Gbps fabric:
@@ -23,22 +23,18 @@ fn main() -> thunderserve::Result<()> {
         thunderserve::cluster::presets::ETH_5GBPS,
     );
     let model = ModelSpec::llama_13b();
-    let group = |phase, ids: &[u32], tp: usize| {
-        GroupSpec::new(
+    let group = |phase, ids: &[u32]| {
+        GroupSpec::single_stage(
             phase,
-            ParallelConfig::new(tp, 1).unwrap(),
-            vec![StageSpec {
-                gpus: ids.iter().map(|&i| GpuId(i)).collect(),
-                layers: model.num_layers,
-            }],
+            ids.iter().map(|&i| GpuId(i)).collect(),
+            model.num_layers,
         )
-        .unwrap()
     };
     let plan = DeploymentPlan::new(
         vec![
-            group(Phase::Prefill, &[0, 1, 2, 3], 4),
-            group(Phase::Decode, &[4, 5], 2),
-            group(Phase::Decode, &[6, 7], 2),
+            group(Phase::Prefill, &[0, 1, 2, 3])?,
+            group(Phase::Decode, &[4, 5])?,
+            group(Phase::Decode, &[6, 7])?,
         ],
         RoutingMatrix::uniform(1, 2),
     )?;

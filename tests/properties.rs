@@ -395,15 +395,12 @@ fn colocated_simulator_conserves_requests() {
     let cluster = thunderserve::cluster::presets::paper_inhouse_cluster();
     let model = thunderserve::common::ModelSpec::llama_30b();
     let groups = {
-        use thunderserve::common::{GroupSpec, ParallelConfig, StageSpec};
+        use thunderserve::common::GroupSpec;
         let g = |ids: [u32; 2]| {
-            GroupSpec::new(
+            GroupSpec::single_stage(
                 Phase::Prefill,
-                ParallelConfig::new(2, 1).unwrap(),
-                vec![StageSpec {
-                    gpus: ids.iter().map(|&i| GpuId(i)).collect(),
-                    layers: model.num_layers,
-                }],
+                ids.iter().map(|&i| GpuId(i)).collect(),
+                model.num_layers,
             )
             .unwrap()
         };
@@ -497,25 +494,20 @@ fn gray_failures_conserve_requests() {
     );
     let model = thunderserve::common::ModelSpec::llama_13b();
     let plan = {
-        use thunderserve::common::{
-            DeploymentPlan, GroupSpec, ParallelConfig, RoutingMatrix, StageSpec,
-        };
-        let g = |phase, ids: &[u32], tp: usize| {
-            GroupSpec::new(
+        use thunderserve::common::{DeploymentPlan, GroupSpec, RoutingMatrix};
+        let g = |phase, ids: &[u32]| {
+            GroupSpec::single_stage(
                 phase,
-                ParallelConfig::new(tp, 1).unwrap(),
-                vec![StageSpec {
-                    gpus: ids.iter().map(|&i| GpuId(i)).collect(),
-                    layers: model.num_layers,
-                }],
+                ids.iter().map(|&i| GpuId(i)).collect(),
+                model.num_layers,
             )
             .unwrap()
         };
         DeploymentPlan::new(
             vec![
-                g(Phase::Prefill, &[0, 1, 2, 3], 4),
-                g(Phase::Decode, &[4, 5], 2),
-                g(Phase::Decode, &[6, 7], 2),
+                g(Phase::Prefill, &[0, 1, 2, 3]),
+                g(Phase::Decode, &[4, 5]),
+                g(Phase::Decode, &[6, 7]),
             ],
             RoutingMatrix::uniform(1, 2),
         )
@@ -694,9 +686,7 @@ fn slo_scaling_monotone() {
 #[test]
 fn plan_text_round_trips() {
     use thunderserve::common::plan_io;
-    use thunderserve::common::{
-        DeploymentPlan, GroupSpec, ParallelConfig, RoutingMatrix, StageSpec,
-    };
+    use thunderserve::common::{DeploymentPlan, GroupSpec, RoutingMatrix};
 
     for case in 0..CASES {
         let mut rng = seeded_rng(derive_seed(0x914A, case));
@@ -707,17 +697,14 @@ fn plan_text_round_trips() {
 
         let mut next_gpu = 0u32;
         let mut mk_group = |phase| {
-            let stages = vec![StageSpec {
-                gpus: (0..tp)
-                    .map(|_| {
-                        let id = GpuId(next_gpu);
-                        next_gpu += 1;
-                        id
-                    })
-                    .collect(),
-                layers,
-            }];
-            GroupSpec::new(phase, ParallelConfig::new(tp, 1).unwrap(), stages).unwrap()
+            let gpus = (0..tp)
+                .map(|_| {
+                    let id = GpuId(next_gpu);
+                    next_gpu += 1;
+                    id
+                })
+                .collect();
+            GroupSpec::single_stage(phase, gpus, layers).unwrap()
         };
         let mut groups = Vec::new();
         for _ in 0..num_prefill {
@@ -925,9 +912,7 @@ fn single_model_schedule_is_bit_identical_through_multi_path() {
 /// without faults.
 #[test]
 fn single_model_metrics_survive_the_catalog_bit_identically() {
-    use thunderserve::common::{
-        DeploymentPlan, GroupSpec, ModelId, ParallelConfig, RoutingMatrix, ServedModel, StageSpec,
-    };
+    use thunderserve::common::{DeploymentPlan, GroupSpec, ModelId, RoutingMatrix, ServedModel};
     use thunderserve::sim::config::{Hedge, Quarantine, SimConfig};
     use thunderserve::sim::engine::Simulation;
     use thunderserve::sim::fault::{FaultKind, FaultScript, TimedFault};
@@ -936,28 +921,25 @@ fn single_model_metrics_survive_the_catalog_bit_identically() {
     );
     let tenant = ServedModel::llama_13b_chat(ModelId(0), 1.0).unwrap();
     let (model, slo) = (tenant.spec.clone(), tenant.slo);
-    let g = |phase, ids: &[u32], tp: usize| {
-        GroupSpec::new(
+    let g = |phase, ids: &[u32]| {
+        GroupSpec::single_stage(
             phase,
-            ParallelConfig::new(tp, 1).unwrap(),
-            vec![StageSpec {
-                gpus: ids.iter().map(|&i| GpuId(i)).collect(),
-                layers: model.num_layers,
-            }],
+            ids.iter().map(|&i| GpuId(i)).collect(),
+            model.num_layers,
         )
         .unwrap()
     };
     let plan = DeploymentPlan::new(
         vec![
-            g(Phase::Prefill, &[0, 1], 2),
-            g(Phase::Prefill, &[2, 3], 2),
-            g(Phase::Decode, &[4, 5], 2),
-            g(Phase::Decode, &[6, 7], 2),
+            g(Phase::Prefill, &[0, 1]),
+            g(Phase::Prefill, &[2, 3]),
+            g(Phase::Decode, &[4, 5]),
+            g(Phase::Decode, &[6, 7]),
         ],
         RoutingMatrix::uniform(2, 2),
     )
     .unwrap();
-    let colo_groups = vec![g(Phase::Prefill, &[0, 1], 2), g(Phase::Prefill, &[2, 3], 2)];
+    let colo_groups = vec![g(Phase::Prefill, &[0, 1]), g(Phase::Prefill, &[2, 3])];
     for case in 0..CASES {
         let mut rng = seeded_rng(derive_seed(0xB17, case));
         let n_reqs = rng.gen_range(1usize..40);
@@ -1132,19 +1114,9 @@ fn itl_bounds_hold() {
     );
     let model = thunderserve::common::ModelSpec::llama_13b();
     let plan = {
-        use thunderserve::common::{
-            DeploymentPlan, GroupSpec, ParallelConfig, RoutingMatrix, StageSpec,
-        };
+        use thunderserve::common::{DeploymentPlan, GroupSpec, RoutingMatrix};
         let g = |phase, ids: [u32; 4]| {
-            GroupSpec::new(
-                phase,
-                ParallelConfig::new(4, 1).unwrap(),
-                vec![StageSpec {
-                    gpus: ids.iter().map(|&i| GpuId(i)).collect(),
-                    layers: 40,
-                }],
-            )
-            .unwrap()
+            GroupSpec::single_stage(phase, ids.iter().map(|&i| GpuId(i)).collect(), 40).unwrap()
         };
         DeploymentPlan::new(
             vec![

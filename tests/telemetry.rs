@@ -18,30 +18,25 @@ use thunderserve::sim::{FaultKind, FaultScript, Hedge, Quarantine, TimedFault, T
 use thunderserve::telemetry::TraceKind;
 use thunderserve::workload::{generator::generate, spec};
 use ts_cluster::presets;
-use ts_common::{
-    GpuId, GroupSpec, ParallelConfig, Phase, Request, RoutingMatrix, SimTime, StageSpec,
-};
+use ts_common::{GpuId, GroupSpec, Phase, Request, RoutingMatrix, SimTime};
 
 /// 4xA40 prefill + two 2x3090Ti decode replicas (the engine fault testbed).
 fn testbed() -> (ts_cluster::Cluster, DeploymentPlan, SimConfig) {
     let cluster = presets::network_case_cluster(presets::ETH_40GBPS);
     let model = ModelSpec::llama_13b();
-    let group = |phase, ids: &[u32], tp: usize| {
-        GroupSpec::new(
+    let group = |phase, ids: &[u32]| {
+        GroupSpec::single_stage(
             phase,
-            ParallelConfig::new(tp, 1).unwrap(),
-            vec![StageSpec {
-                gpus: ids.iter().map(|&i| GpuId(i)).collect(),
-                layers: model.num_layers,
-            }],
+            ids.iter().map(|&i| GpuId(i)).collect(),
+            model.num_layers,
         )
         .unwrap()
     };
     let plan = DeploymentPlan::new(
         vec![
-            group(Phase::Prefill, &[0, 1, 2, 3], 4),
-            group(Phase::Decode, &[4, 5], 2),
-            group(Phase::Decode, &[6, 7], 2),
+            group(Phase::Prefill, &[0, 1, 2, 3]),
+            group(Phase::Decode, &[4, 5]),
+            group(Phase::Decode, &[6, 7]),
         ],
         RoutingMatrix::uniform(1, 2),
     )
@@ -115,13 +110,10 @@ fn colocated_metrics_are_bit_identical_and_traced() {
     let cluster = presets::paper_inhouse_cluster();
     let model = ModelSpec::llama_30b();
     let group = |ids: [u32; 2]| {
-        GroupSpec::new(
+        GroupSpec::single_stage(
             Phase::Prefill,
-            ParallelConfig::new(2, 1).unwrap(),
-            vec![StageSpec {
-                gpus: ids.iter().map(|&i| GpuId(i)).collect(),
-                layers: model.num_layers,
-            }],
+            ids.iter().map(|&i| GpuId(i)).collect(),
+            model.num_layers,
         )
         .unwrap()
     };
@@ -216,23 +208,20 @@ fn gray_mitigation_events_nest_inside_request_spans() {
     // Two tp=2 prefill replicas so a stuck prefill has somewhere to hedge.
     let cluster = presets::network_case_cluster(presets::ETH_40GBPS);
     let model = ModelSpec::llama_13b();
-    let group = |phase, ids: &[u32], tp: usize| {
-        GroupSpec::new(
+    let group = |phase, ids: &[u32]| {
+        GroupSpec::single_stage(
             phase,
-            ParallelConfig::new(tp, 1).unwrap(),
-            vec![StageSpec {
-                gpus: ids.iter().map(|&i| GpuId(i)).collect(),
-                layers: model.num_layers,
-            }],
+            ids.iter().map(|&i| GpuId(i)).collect(),
+            model.num_layers,
         )
         .unwrap()
     };
     let plan = DeploymentPlan::new(
         vec![
-            group(Phase::Prefill, &[0, 1], 2),
-            group(Phase::Prefill, &[2, 3], 2),
-            group(Phase::Decode, &[4, 5], 2),
-            group(Phase::Decode, &[6, 7], 2),
+            group(Phase::Prefill, &[0, 1]),
+            group(Phase::Prefill, &[2, 3]),
+            group(Phase::Decode, &[4, 5]),
+            group(Phase::Decode, &[6, 7]),
         ],
         RoutingMatrix::uniform(2, 2),
     )
