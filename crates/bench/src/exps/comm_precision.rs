@@ -41,14 +41,10 @@ pub fn run(quick: bool) -> String {
         // Analytic per-request KV transfer times (Table 8's "KV Comm").
         let pf = ReplicaCostModel::new(&cluster, &model, &plan.groups[0], &params).unwrap();
         let dc = ReplicaCostModel::new(&cluster, &model, &plan.groups[1], &params).unwrap();
-        let route = kv_route(&cluster, &pf, &dc);
-        kv16 = kv_transfer_time(&model, &route, 1024, 1.0);
-        kv4 = kv_transfer_time(
-            &model,
-            &route,
-            1024,
-            KvWirePrecision::DEFAULT_COMPRESSED.ratio_vs_f16(),
-        );
+        let kv_time =
+            |precision| kv_transfer_time(&model, kv_route(&cluster, &pf, &dc), 1024, precision);
+        kv16 = kv_time(KvWirePrecision::F16);
+        kv4 = kv_time(KvWirePrecision::DEFAULT_COMPRESSED);
         let m16 = harness::run_phase_split(
             &cluster,
             &plan,
@@ -100,15 +96,11 @@ pub fn run(quick: bool) -> String {
     // one request on the A5000 pair.
     let pf7 = ReplicaCostModel::new(&pair, &m7, &pair_plan.groups[0], &params).unwrap();
     let dc7 = ReplicaCostModel::new(&pair, &m7, &pair_plan.groups[1], &params).unwrap();
-    let route7 = kv_route(&pair, &pf7, &dc7);
-    let kv7_16 = kv_transfer_time(&m7, &route7, 1024, 1.0).as_secs_f64();
-    let kv7_4 = kv_transfer_time(
-        &m7,
-        &route7,
-        1024,
-        KvWirePrecision::DEFAULT_COMPRESSED.ratio_vs_f16(),
-    )
-    .as_secs_f64();
+    let kv7_time = |precision| {
+        kv_transfer_time(&m7, kv_route(&pair, &pf7, &dc7), 1024, precision).as_secs_f64()
+    };
+    let kv7_16 = kv7_time(KvWirePrecision::F16);
+    let kv7_4 = kv7_time(KvWirePrecision::DEFAULT_COMPRESSED);
     let exec7 = pf7.prefill_latency(1024, 1024).as_secs_f64()
         + 63.0 * dc7.decode_step_latency(8, 1056).as_secs_f64();
     format!(

@@ -5,7 +5,7 @@
 //! experiments are exactly reproducible.
 
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
 /// Creates a deterministic RNG from a 64-bit seed.
 ///
@@ -17,6 +17,16 @@ use rand::SeedableRng;
 /// ```
 pub fn seeded_rng(seed: u64) -> StdRng {
     StdRng::seed_from_u64(seed)
+}
+
+/// One standard normal draw by Box–Muller: `u1` from `EPSILON..1.0`, then
+/// `u2` from `0.0..1.0`, giving `sqrt(-2 ln u1) · cos(2π u2)`. Every normal
+/// and lognormal sampler in the workspace draws through this, so their
+/// streams stay in lockstep with the seed.
+pub fn standard_normal<R: Rng>(rng: &mut R) -> f64 {
+    let u1: f64 = rng.gen_range(f64::EPSILON..1.0);
+    let u2: f64 = rng.gen_range(0.0..1.0);
+    (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
 }
 
 /// Derives a child seed from a parent seed and a stream index, so subsystems
@@ -31,7 +41,6 @@ pub fn derive_seed(parent: u64, stream: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::Rng;
 
     #[test]
     fn same_seed_same_stream() {

@@ -13,7 +13,8 @@
 //!   and decode phases of a transformer stage;
 //! * [`replica`] — end-to-end latency/throughput/memory model for one model
 //!   replica described by a [`ts_common::GroupSpec`], including tensor
-//!   parallel collectives, pipeline communication and KV-cache capacity;
+//!   parallel collectives, pipeline communication and KV-cache capacity,
+//!   plus the prefill→decode KV route and its transfer time;
 //! * [`price`] — dollars-per-request accounting (Figure 1);
 //! * [`batching`] — batching-effect curves (Figure 2).
 //!
@@ -40,7 +41,7 @@ pub mod replica;
 pub mod roofline;
 
 pub use alphabeta::{allreduce_time, transfer_time, CommCost};
-pub use replica::{DecodeStepSeries, KvRouteLeg, KvRouteSegment, ReplicaCostModel};
+pub use replica::{DecodeStepSeries, KvRouteLeg, ReplicaCostModel};
 pub use roofline::{decode_step_time, prefill_time, DecodeStageSeries, StageHardware};
 
 use ts_common::SimDuration;

@@ -5,7 +5,9 @@
 //! answers the latency/throughput/memory questions the scheduler and the
 //! simulator ask. It also computes the prefill→decode KV-cache route between
 //! two replicas, matching layer ranges between the source and destination
-//! pipeline stages.
+//! pipeline stages ([`kv_route`]), and times a transfer along it
+//! ([`kv_transfer_time`]), each leg sized by the one wire-size rule,
+//! [`KvWirePrecision::wire_bytes`].
 //!
 //! The replica-sizing rule lives here too, once for the scheduler and the
 //! baselines: [`usable_memory`], [`KV_HEADROOM`], [`replica_budget`],
@@ -16,25 +18,17 @@ use crate::roofline::{decode_step_time, prefill_time, DecodeStageSeries, StageHa
 use crate::ModelParams;
 use ts_cluster::{Cluster, GpuSpec};
 use ts_common::{Error, GpuId, GroupSpec, ModelSpec, Result, SimDuration};
+use ts_kvcache::codec::KvWirePrecision;
 
 /// Default disk bandwidth for weight (re)loading, bytes/s. The paper quotes
 /// 1.2 GB/s when estimating a >5 minute reload for a 175B model.
 pub const DISK_BANDWIDTH: f64 = 1.2e9;
 
 /// One parallel leg of a KV-cache transfer: the KV slice for `layers`
-/// contiguous layers moving over one link.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct KvRouteSegment {
-    /// Number of transformer layers whose KV moves on this leg.
-    pub layers: usize,
-    /// The link used (best pair between the two stages).
-    pub link: CommCost,
-}
-
-/// A [`KvRouteSegment`] plus the concrete GPU endpoints the leg's link
-/// connects. The flow-level network fabric needs the endpoints to place the
-/// transfer on the right NIC uplink/downlink and fabric links; the plain
-/// alpha-beta model only needs the link cost.
+/// contiguous layers moving over one link between two concrete GPUs. The
+/// alpha-beta model reads the link; the flow-level network fabric also
+/// needs the endpoints, to place the transfer on the right NIC
+/// uplink/downlink and fabric links.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct KvRouteLeg {
     /// Number of transformer layers whose KV moves on this leg.
@@ -45,16 +39,6 @@ pub struct KvRouteLeg {
     pub from: GpuId,
     /// Receiving GPU (on the decode replica's stage).
     pub to: GpuId,
-}
-
-impl KvRouteLeg {
-    /// Drops the endpoints, leaving the alpha-beta view of the leg.
-    pub fn segment(&self) -> KvRouteSegment {
-        KvRouteSegment {
-            layers: self.layers,
-            link: self.link,
-        }
-    }
 }
 
 /// Compiled per-stage data.
@@ -216,7 +200,7 @@ impl ReplicaCostModel {
             let next_link = group
                 .stages
                 .get(si + 1)
-                .map(|next| best_pair_link(cluster, &st.gpus, &next.gpus));
+                .map(|next| best_pair(cluster, &st.gpus, &next.gpus).0);
             stages.push(StageModel {
                 hw,
                 layers: st.layers,
@@ -379,14 +363,9 @@ impl ReplicaCostModel {
 }
 
 /// Best (highest-bandwidth) point-to-point link between any GPU of `from`
-/// and any GPU of `to`.
-fn best_pair_link(cluster: &Cluster, from: &[GpuId], to: &[GpuId]) -> CommCost {
-    best_pair(cluster, from, to).0
-}
-
-/// Like [`best_pair_link`], but also reports which GPU pair realizes the
-/// best link. Deterministic: pairs are scanned in slice order and only a
-/// strictly better bandwidth displaces the incumbent.
+/// and any GPU of `to`, and the GPU pair that realizes it. Deterministic:
+/// pairs are scanned in slice order and only a strictly better bandwidth
+/// displaces the incumbent.
 fn best_pair(cluster: &Cluster, from: &[GpuId], to: &[GpuId]) -> (CommCost, GpuId, GpuId) {
     let mut best_bw = 0.0f64;
     let mut best = (
@@ -409,33 +388,11 @@ fn best_pair(cluster: &Cluster, from: &[GpuId], to: &[GpuId]) -> (CommCost, GpuI
     best
 }
 
-/// Computes the KV transfer route from `prefill` to `decode`: for every
-/// overlap between a prefill stage's layer range and a decode stage's layer
-/// range, one segment moves that slice over the best available link. The
-/// segments transfer in parallel.
-pub fn kv_route(
-    cluster: &Cluster,
-    prefill: &ReplicaCostModel,
-    decode: &ReplicaCostModel,
-) -> Vec<KvRouteSegment> {
-    route_legs(cluster, prefill, decode)
-        .map(|leg| leg.segment())
-        .collect()
-}
-
-/// [`kv_route`] with concrete GPU endpoints per leg, for callers (the flow
-/// fabric) that must know *which* NICs a leg occupies, not just how fast
-/// its link is.
-pub fn kv_route_legs(
-    cluster: &Cluster,
-    prefill: &ReplicaCostModel,
-    decode: &ReplicaCostModel,
-) -> Vec<KvRouteLeg> {
-    route_legs(cluster, prefill, decode).collect()
-}
-
-/// The legs of [`kv_route_legs`], in its order, without collecting them.
-fn route_legs<'a>(
+/// The KV transfer route from `prefill` to `decode`: for every overlap
+/// between a prefill stage's layer range and a decode stage's layer range,
+/// one leg moves that slice over the best available link. The legs transfer
+/// in parallel. They are produced lazily, so pricing a pair builds nothing.
+pub fn kv_route<'a>(
     cluster: &'a Cluster,
     prefill: &'a ReplicaCostModel,
     decode: &'a ReplicaCostModel,
@@ -457,53 +414,21 @@ fn route_legs<'a>(
     })
 }
 
-/// Transfer time for `tokens` KV tokens along the route, when the per-layer
-/// KV payload is scaled by `compression_ratio` (1.0 = fp16, 0.25 = 4-bit).
-/// Segments move in parallel, so the slowest one dominates.
-///
-/// # Panics
-/// Panics if `compression_ratio` is not in `(0, 1]`.
+/// Transfer time for `tokens` KV tokens of `model` along `route` at wire
+/// `precision`: each leg carries [`KvWirePrecision::wire_bytes`] of its
+/// layers over its link. Legs move in parallel, so the slowest one
+/// dominates; an empty route takes no time.
 pub fn kv_transfer_time(
     model: &ModelSpec,
-    route: &[KvRouteSegment],
+    route: impl IntoIterator<Item = KvRouteLeg>,
     tokens: u64,
-    compression_ratio: f64,
+    precision: KvWirePrecision,
 ) -> SimDuration {
-    slowest_segment(model, route.iter().copied(), tokens, compression_ratio)
-}
-
-/// [`kv_transfer_time`] along [`kv_route`]`(cluster, prefill, decode)`,
-/// priced leg by leg without building the route.
-///
-/// # Panics
-/// Panics if `compression_ratio` is not in `(0, 1]`.
-pub fn kv_route_time(
-    cluster: &Cluster,
-    prefill: &ReplicaCostModel,
-    decode: &ReplicaCostModel,
-    tokens: u64,
-    compression_ratio: f64,
-) -> SimDuration {
-    let route = route_legs(cluster, prefill, decode).map(|leg| leg.segment());
-    slowest_segment(prefill.model(), route, tokens, compression_ratio)
-}
-
-fn slowest_segment(
-    model: &ModelSpec,
-    route: impl Iterator<Item = KvRouteSegment>,
-    tokens: u64,
-    compression_ratio: f64,
-) -> SimDuration {
-    assert!(
-        compression_ratio > 0.0 && compression_ratio <= 1.0,
-        "compression ratio must be in (0,1], got {compression_ratio}"
-    );
     route
-        .map(|seg| {
-            let bytes = (model.kv_bytes_per_token_layers(seg.layers) as f64
-                * tokens as f64
-                * compression_ratio) as u64;
-            seg.link.time(bytes)
+        .into_iter()
+        .map(|leg| {
+            let bytes = precision.wire_bytes(model, tokens, leg.layers);
+            leg.link.time(bytes)
         })
         .max()
         .unwrap_or(SimDuration::ZERO)
@@ -774,20 +699,18 @@ mod tests {
         let dc = group_on(&[4, 5, 6, 7], 4, 1, m.num_layers, Phase::Decode);
         let rp = ReplicaCostModel::new(&c, &m, &pf, &p).unwrap();
         let rd = ReplicaCostModel::new(&c, &m, &dc, &p).unwrap();
-        let route = kv_route(&c, &rp, &rd);
+        let route: Vec<KvRouteLeg> = kv_route(&c, &rp, &rd).collect();
         let total_layers: usize = route.iter().map(|s| s.layers).sum();
         assert_eq!(total_layers, m.num_layers);
-        // 4-bit compression shrinks the transfer ~4x (alpha aside).
-        let t16 = kv_transfer_time(&m, &route, 1024, 1.0);
-        let t4 = kv_transfer_time(&m, &route, 1024, 0.25);
+        // 4-bit compression shrinks the transfer ~3x (alpha aside).
+        let t16 = kv_transfer_time(&m, route.clone(), 1024, KvWirePrecision::F16);
+        let t4 = kv_transfer_time(&m, route, 1024, KvWirePrecision::DEFAULT_COMPRESSED);
         let ratio = t16.as_secs_f64() / t4.as_secs_f64();
         assert!(ratio > 3.0 && ratio <= 4.2, "ratio {ratio}");
-        // Pricing leg by leg gives the same times as the built route.
-        assert_eq!(kv_route_time(&c, &rp, &rd, 1024, 1.0), t16);
-        assert_eq!(kv_route_time(&c, &rp, &rd, 1024, 0.25), t4);
+        // Pricing the lazy route gives the same time as the collected one.
         assert_eq!(
-            kv_route_time(&c, &rd, &rp, 777, 0.5),
-            kv_transfer_time(&m, &kv_route(&c, &rd, &rp), 777, 0.5)
+            kv_transfer_time(&m, kv_route(&c, &rp, &rd), 1024, KvWirePrecision::F16),
+            t16
         );
     }
 
@@ -800,17 +723,13 @@ mod tests {
         let dc = group_on(&[4, 5, 6, 7], 4, 1, m.num_layers, Phase::Decode);
         let rp = ReplicaCostModel::new(&c, &m, &pf, &p).unwrap();
         let rd = ReplicaCostModel::new(&c, &m, &dc, &p).unwrap();
-        let legs = kv_route_legs(&c, &rp, &rd);
         // Endpoints lie on the sending/receiving replicas and realize the
         // leg's advertised link cost.
-        for leg in &legs {
+        for leg in kv_route(&c, &rp, &rd) {
             assert!((0..4).contains(&leg.from.index()));
             assert!((4..8).contains(&leg.to.index()));
             assert_eq!(leg.link.beta, c.bandwidth(leg.from, leg.to));
         }
-        // The endpoint-free view matches kv_route exactly.
-        let segs: Vec<KvRouteSegment> = legs.iter().map(KvRouteLeg::segment).collect();
-        assert_eq!(segs, kv_route(&c, &rp, &rd));
     }
 
     #[test]

@@ -2,9 +2,10 @@
 //!
 //! Wraps [`crate::quant`] into the per-request operation a prefill replica
 //! performs before shipping a KV cache: quantize → pack → (wire) → unpack →
-//! dequantize. Also provides the sizing arithmetic the cost model and the
-//! simulator use to turn "`tokens` tokens of model M at 4-bit" into wire
-//! bytes.
+//! dequantize. [`KvWirePrecision::wire_bytes`] is the one wire-size rule:
+//! the cost model, the estimator and the simulator's wire, fabric flows and
+//! traced bytes all turn "`tokens` tokens of `layers` layers of model M at
+//! 4-bit" into wire bytes with it.
 
 use crate::quant::{decode_wire, encode_wire, quantize, QuantBits, QuantizedTensor};
 use ts_common::ModelSpec;
@@ -46,10 +47,13 @@ impl KvWirePrecision {
         }
     }
 
-    /// Size ratio relative to fp16 — the `compression_ratio` the cost model
-    /// plugs into Eq. (1).
-    pub fn ratio_vs_f16(&self) -> f64 {
-        self.bytes_per_element() / 2.0
+    /// Wire bytes of the KV slice of `layers` transformer layers of `model`
+    /// for `tokens` tokens: its fp16 elements times
+    /// [`Self::bytes_per_element`], rounded up. Every KV transfer is sized
+    /// by this rule, one route leg or a whole route at a time.
+    pub fn wire_bytes(&self, model: &ModelSpec, tokens: u64, layers: usize) -> u64 {
+        let elements = model.kv_bytes_per_token_layers(layers) / 2; // fp16 elements
+        (elements as f64 * tokens as f64 * self.bytes_per_element()).ceil() as u64
     }
 }
 
@@ -73,16 +77,8 @@ impl KvCodec {
 
     /// Wire bytes for the full-model KV cache of `tokens` tokens.
     pub fn wire_bytes(&self, tokens: u64) -> u64 {
-        let elements = self.model.kv_bytes_per_token() / 2; // fp16 elements
-        (elements as f64 * tokens as f64 * self.precision.bytes_per_element()).ceil() as u64
-    }
-
-    /// Wire bytes for the KV slice of `layers` transformer layers — the
-    /// payload of one leg of a multi-stage KV route. The flow-level network
-    /// fabric sizes each leg's flow with this.
-    pub fn wire_bytes_layers(&self, tokens: u64, layers: usize) -> u64 {
-        let elements = self.model.kv_bytes_per_token_layers(layers) / 2; // fp16 elements
-        (elements as f64 * tokens as f64 * self.precision.bytes_per_element()).ceil() as u64
+        self.precision
+            .wire_bytes(&self.model, tokens, self.model.num_layers)
     }
 
     /// Encodes a flat KV tensor for transmission. For quantized precisions
@@ -192,12 +188,13 @@ mod tests {
 
     #[test]
     fn precision_ratios() {
-        assert_eq!(KvWirePrecision::F16.ratio_vs_f16(), 1.0);
-        let r4 = KvWirePrecision::DEFAULT_COMPRESSED.ratio_vs_f16();
+        let ratio = |p: KvWirePrecision| p.bytes_per_element() / 2.0;
+        assert_eq!(ratio(KvWirePrecision::F16), 1.0);
+        let r4 = ratio(KvWirePrecision::DEFAULT_COMPRESSED);
         assert!(r4 > 0.25 && r4 < 0.35, "int4 ratio {r4}");
-        let r8 = KvWirePrecision::Int8 { group_size: 64 }.ratio_vs_f16();
+        let r8 = ratio(KvWirePrecision::Int8 { group_size: 64 });
         assert!(r8 > 0.5 && r8 < 0.6);
-        let r2 = KvWirePrecision::Int2 { group_size: 64 }.ratio_vs_f16();
+        let r2 = ratio(KvWirePrecision::Int2 { group_size: 64 });
         assert!(r2 > 0.12 && r2 < 0.2, "int2 ratio {r2}");
     }
 
@@ -230,13 +227,13 @@ mod tests {
     #[test]
     fn layer_subset_wire_bytes_partition_the_whole() {
         let m = ModelSpec::llama_7b();
-        let codec = KvCodec::new(m.clone(), KvWirePrecision::DEFAULT_COMPRESSED);
-        let split =
-            codec.wire_bytes_layers(100, 10) + codec.wire_bytes_layers(100, m.num_layers - 10);
+        let p = KvWirePrecision::DEFAULT_COMPRESSED;
+        let codec = KvCodec::new(m.clone(), p);
+        let split = p.wire_bytes(&m, 100, 10) + p.wire_bytes(&m, 100, m.num_layers - 10);
         let whole = codec.wire_bytes(100);
         // Per-leg ceils may add at most one byte each.
         assert!(split >= whole && split <= whole + 2, "{split} vs {whole}");
-        assert_eq!(codec.wire_bytes_layers(100, m.num_layers), whole);
+        assert_eq!(p.wire_bytes(&m, 100, m.num_layers), whole);
     }
 
     #[test]

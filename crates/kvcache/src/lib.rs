@@ -11,8 +11,9 @@
 //!
 //! * [`quant`] — group-wise asymmetric int4/int8 quantization with real bit
 //!   packing;
-//! * [`codec`] — the wire codec for whole per-request KV slabs, plus sizing
-//!   helpers the cost model uses;
+//! * [`codec`] — the wire codec for whole per-request KV slabs, plus the one
+//!   wire-size rule, [`codec::KvWirePrecision::wire_bytes`], that sizes every
+//!   KV transfer the cost model prices and the simulator moves;
 //! * [`synthetic`] — LLM-like synthetic KV tensor generator (Gaussian with
 //!   per-channel scales and heavy-tailed outliers);
 //! * [`fidelity`] — reconstruction-quality metrics (SNR, max error, attention

@@ -7,24 +7,12 @@
 //! (the structure KIVI-style quantizers are designed around).
 
 use rand::Rng;
-use rand_distributions::{sample_lognormal, sample_normal};
+use ts_common::rng::standard_normal;
 use ts_common::ModelSpec;
 
-mod rand_distributions {
-    use rand::Rng;
-
-    /// Box-Muller standard normal scaled to (mean, std).
-    pub fn sample_normal<R: Rng>(rng: &mut R, mean: f64, std: f64) -> f64 {
-        let u1: f64 = rng.gen_range(f64::EPSILON..1.0);
-        let u2: f64 = rng.gen_range(0.0..1.0);
-        let z = (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos();
-        mean + std * z
-    }
-
-    /// Lognormal via exp(normal).
-    pub fn sample_lognormal<R: Rng>(rng: &mut R, mu: f64, sigma: f64) -> f64 {
-        sample_normal(rng, mu, sigma).exp()
-    }
+/// Normal draw with the given mean and standard deviation.
+fn sample_normal<R: Rng>(rng: &mut R, mean: f64, std: f64) -> f64 {
+    mean + std * standard_normal(rng)
 }
 
 /// A synthetic `[tokens × channels]` K or V tensor, row-major.
@@ -58,7 +46,7 @@ pub fn generate_kv<R: Rng>(model: &ModelSpec, tokens: usize, rng: &mut R) -> Syn
     let channels = model.num_kv_heads * model.head_dim();
     let mut channel_scale = Vec::with_capacity(channels);
     for _ in 0..channels {
-        let mut s = sample_lognormal(rng, 0.0, 0.5);
+        let mut s = sample_normal(rng, 0.0, 0.5).exp();
         if rng.gen_bool(0.02) {
             s *= 8.0;
         }

@@ -52,7 +52,7 @@ fn wire_size_rule_matches_the_serialized_arithmetic() {
                 for layers in 1..=model.num_layers {
                     for &t in &tokens {
                         assert_eq!(
-                            codec.wire_bytes_layers(t, layers),
+                            precision.wire_bytes(&model, t, layers),
                             oracle(&model, t, layers, precision),
                             "{} {dtype:?} {precision:?}: {t} tokens, {layers} layers",
                             model.name

@@ -911,7 +911,11 @@ mod fabric_tests {
     use super::*;
     use crate::fault::{FaultKind, FaultScript, TimedFault};
     use ts_cluster::presets;
-    use ts_common::{GpuId, GroupSpec, ModelSpec, Phase, RoutingMatrix, SimDuration, SimTime};
+    use ts_common::{
+        GpuId, GroupSpec, ModelId, ModelSpec, Phase, RoutingMatrix, ServedModel, SimDuration,
+        SimTime,
+    };
+    use ts_kvcache::codec::KvWirePrecision;
     use ts_workload::{generator::generate, spec};
 
     /// 4xA40 prefill + two 2x3090Ti decode replicas on a slow (5 Gbps)
@@ -975,6 +979,48 @@ mod fabric_tests {
             }
         }
         assert_eq!(m, run(), "fabric scheduling must stay deterministic");
+    }
+
+    /// A single-routing plan whose groups carry a catalog model id: the
+    /// replicas serve LLaMA-13B while the default model is LLaMA-7B. The
+    /// fabric flow and the traced bytes are sized by the sending replica's
+    /// model, as the serialized wire and the estimator are.
+    #[test]
+    fn kv_bytes_are_sized_by_the_senders_model() {
+        let cluster = presets::network_case_cluster(presets::ETH_5GBPS);
+        let m13 = ModelSpec::llama_13b();
+        let group = |phase, ids: &[u32]| {
+            GroupSpec::single_stage(phase, ids.iter().map(|&i| GpuId(i)).collect(), 40)
+                .unwrap()
+                .with_model(ModelId(1))
+        };
+        let plan = DeploymentPlan::new(
+            vec![
+                group(Phase::Prefill, &[0, 1, 2, 3]),
+                group(Phase::Decode, &[4, 5]),
+                group(Phase::Decode, &[6, 7]),
+            ],
+            RoutingMatrix::uniform(1, 2),
+        )
+        .unwrap();
+        let catalog = vec![ServedModel::llama_13b_chat(ModelId(1), 1.0).unwrap()];
+        let cfg = SimConfig::new(ModelSpec::llama_7b())
+            .with_catalog(catalog)
+            .with_network_contention(true)
+            .with_telemetry(true);
+        let reqs = generate(&spec::coding(1.0), SimDuration::from_secs(20), 33);
+        let mut sim = Simulation::new(&cluster, &plan, cfg).unwrap();
+        sim.run(&reqs).unwrap();
+        let mut enqueued = 0;
+        for e in sim.take_trace().unwrap().events() {
+            if let ts_telemetry::TraceKind::KvEnqueued { request, bytes, .. } = e.kind {
+                let prompt = reqs[request.index()].prompt_len;
+                let want = KvWirePrecision::DEFAULT_COMPRESSED.wire_bytes(&m13, prompt.into(), 40);
+                assert_eq!(bytes, want, "request {request}");
+                enqueued += 1;
+            }
+        }
+        assert!(enqueued > 0, "no KV transfer traced");
     }
 
     #[test]

@@ -12,7 +12,7 @@ use crate::config::{SimConfig, MAX_DECODE_BATCH};
 use std::borrow::Borrow;
 use ts_cluster::Cluster;
 use ts_common::{DeploymentPlan, Result, SloSpec};
-use ts_costmodel::replica::kv_route_time;
+use ts_costmodel::replica::{kv_route, kv_transfer_time};
 use ts_costmodel::ReplicaCostModel;
 use ts_workload::WorkloadSpec;
 
@@ -103,14 +103,8 @@ pub fn kv_seconds(
     workload: &WorkloadSpec,
 ) -> f64 {
     let (p_mean, _) = mean_lengths(workload);
-    kv_route_time(
-        cluster,
-        prefill,
-        decode,
-        p_mean as u64,
-        cfg.kv_precision.ratio_vs_f16(),
-    )
-    .as_secs_f64()
+    let route = kv_route(cluster, prefill, decode);
+    kv_transfer_time(prefill.model(), route, p_mean as u64, cfg.kv_precision).as_secs_f64()
 }
 
 /// Utilization headroom: capacities are reported at this fraction of the
@@ -558,12 +552,11 @@ pub(crate) mod tests {
             let wq_mean = rho * svc[i] / (2.0 * (1.0 - rho).max(1e-6));
             let a_ttft = wait_tail(slo.ttft.as_secs_f64() - svc[i], wq_mean, rho);
             for j in 0..n_d {
-                let kv = kv_route_time(
-                    cluster,
-                    &prefill[i],
-                    &decode[j],
+                let kv = kv_transfer_time(
+                    prefill[i].model(),
+                    kv_route(cluster, &prefill[i], &decode[j]),
                     p_mean as u64,
-                    cfg.kv_precision.ratio_vs_f16(),
+                    cfg.kv_precision,
                 )
                 .as_secs_f64();
                 kv_seconds[i][j] = kv;

@@ -320,7 +320,7 @@ impl Driver {
                 pairs,
             });
         }
-        let kv = KvTransport::new(cluster, &cfg, plan, &prefills, &decodes, &prefill_model);
+        let kv = KvTransport::new(cluster, &cfg, &prefills, &decodes);
         let (np, nd) = (prefills.len(), decodes.len());
         Ok(Driver {
             core: Core::new(cfg, routes, Some(np), np + nd),

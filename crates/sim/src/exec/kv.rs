@@ -30,10 +30,9 @@ use crate::fault::{FaultKind, TimedFault};
 use std::sync::Arc;
 use ts_cluster::Cluster;
 use ts_common::hash::FastHashMap;
-use ts_common::{DeploymentPlan, Error, GpuId, ModelId, Result, SimDuration, SimTime, SlabKey};
-use ts_costmodel::replica::{kv_route_legs, kv_transfer_time, KvRouteLeg, KvRouteSegment};
+use ts_common::{Error, GpuId, Result, SimDuration, SimTime, SlabKey};
+use ts_costmodel::replica::{kv_route, kv_transfer_time, KvRouteLeg};
 use ts_costmodel::ReplicaCostModel;
-use ts_kvcache::codec::KvCodec;
 use ts_net::{FabricWork, FlowFabric};
 use ts_telemetry::{TraceEvent, TraceKind};
 
@@ -71,9 +70,9 @@ enum Wire {
 
 /// State of one (prefill, decode) pair.
 struct Pair {
-    /// The KV route: one segment per overlap of a prefill stage's and a
+    /// The KV route: one leg per overlap of a prefill stage's and a
     /// decode stage's layer ranges.
-    route: Vec<KvRouteSegment>,
+    legs: Vec<KvRouteLeg>,
     /// One-entry memo: `tokens ->` modeled wire time. The route, the
     /// sender's model spec and the wire precision are all fixed, so
     /// [`kv_transfer_time`] is pure in the token count — fixed-length day
@@ -93,13 +92,13 @@ struct Pair {
 
 impl Pair {
     fn build(cluster: &Cluster, prefill: &ReplicaCostModel, decode: &ReplicaCostModel) -> Self {
-        let legs = kv_route_legs(cluster, prefill, decode);
+        let legs: Vec<KvRouteLeg> = kv_route(cluster, prefill, decode).collect();
         Pair {
-            route: legs.iter().map(KvRouteLeg::segment).collect(),
+            flow: flow_endpoints(&legs),
+            legs,
             memo: None,
             factor: 1.0,
             down: false,
-            flow: flow_endpoints(&legs),
         }
     }
 }
@@ -115,8 +114,8 @@ struct Pairs {
 
 impl Pairs {
     /// The (prefill, decode) pair's record, built on its first use, and
-    /// the prefill replica's cost model, whose spec prices the pair's
-    /// transfers.
+    /// the prefill replica's cost model, whose spec sizes and prices the
+    /// pair's transfers.
     fn get(&mut self, prefill: usize, decode: usize) -> (&mut Pair, &ReplicaCostModel) {
         let sender = &self.prefills[prefill];
         let pair = self
@@ -132,36 +131,17 @@ impl Pairs {
 pub(super) struct KvTransport {
     wire: Wire,
     pairs: Pairs,
-    /// Wire codec per prefill replica (its model × the configured KV
-    /// precision), sizing fabric flows and traced KV bytes.
-    codecs: Vec<KvCodec>,
 }
 
 impl KvTransport {
-    /// Builds the transport between `prefills` and `decodes`, where
-    /// prefill replica `i` serves `prefill_model[i]`. No pair is built
-    /// here.
+    /// Builds the transport between `prefills` and `decodes`. No pair is
+    /// built here.
     pub(super) fn new(
         cluster: &Cluster,
         cfg: &SimConfig,
-        plan: &DeploymentPlan,
         prefills: &[PrefillExecutor],
         decodes: &[DecodeExecutor],
-        prefill_model: &[ModelId],
     ) -> Self {
-        // Legacy plans keep the default model's codec whatever their groups
-        // are tagged with.
-        let codecs = prefill_model
-            .iter()
-            .map(|&m| {
-                let spec = if plan.is_multi_model() {
-                    cfg.spec_for(m)
-                } else {
-                    &cfg.model
-                };
-                KvCodec::new(spec.clone(), cfg.kv_precision)
-            })
-            .collect();
         let wire = match cfg.kv_transfer {
             KvTransfer::Serialized => Wire::Serialized {
                 sender_free_at: vec![SimTime::ZERO; prefills.len()],
@@ -182,7 +162,6 @@ impl KvTransport {
                 prefills: prefills.iter().map(|p| Arc::clone(&p.cost)).collect(),
                 decodes: decodes.iter().map(|d| Arc::clone(&d.cost)).collect(),
             },
-            codecs,
         }
     }
 
@@ -218,9 +197,11 @@ impl KvTransport {
         let (pair, sender) = self.pairs.get(from, to);
         if first_attempt && tracing(core) {
             // The byte count is sized like the fabric's flow (whole route,
-            // configured wire precision); computed only under telemetry.
+            // sender's model, configured wire precision); computed only
+            // under telemetry.
             let (_, _, layers) = pair.flow;
-            let bytes = self.codecs[from].wire_bytes_layers(transfer.job.tokens, layers);
+            let precision = core.cfg.kv_precision;
+            let bytes = precision.wire_bytes(sender.model(), transfer.job.tokens, layers);
             trace(
                 core,
                 TraceKind::KvEnqueued {
@@ -250,14 +231,13 @@ impl KvTransport {
             }
             Wire::Serialized { sender_free_at } => {
                 let tokens = transfer.job.tokens;
-                // Priced with the sending replica's model (the
-                // default-model spec on single-model plans, where every
-                // group carries ModelId(0)).
+                // Sized and priced with the sending replica's model.
                 let mut dur = match pair.memo {
                     Some((t, wire)) if t == tokens => wire,
                     _ => {
-                        let ratio = core.cfg.kv_precision.ratio_vs_f16();
-                        let wire = kv_transfer_time(sender.model(), &pair.route, tokens, ratio);
+                        let route = pair.legs.iter().copied();
+                        let wire =
+                            kv_transfer_time(sender.model(), route, tokens, core.cfg.kv_precision);
                         pair.memo = Some((tokens, wire));
                         wire
                     }
@@ -314,7 +294,9 @@ impl KvTransport {
         let rid = st.req.id;
         st.pend.kv_wire_started_at = Some(core.now);
         let (from, to, layers) = flow;
-        let bytes = self.codecs[t.from].wire_bytes_layers(t.job.tokens, layers) as f64;
+        let sender = self.pairs.prefills[t.from].model();
+        let precision = core.cfg.kv_precision;
+        let bytes = precision.wire_bytes(sender, t.job.tokens, layers);
         trace(
             core,
             TraceKind::KvWireStart {
@@ -322,7 +304,7 @@ impl KvTransport {
                 attempt: t.attempt,
             },
         );
-        flows.start(key.as_u64(), from, to, bytes, core.now);
+        flows.start(key.as_u64(), from, to, bytes as f64, core.now);
         rearm(core, flows);
     }
 
@@ -549,8 +531,8 @@ mod tests {
     use rand::Rng;
     use ts_cluster::presets;
     use ts_common::{
-        GroupSpec, ModelRouting, ModelSpec, ParallelConfig, Phase, RoutingMatrix, ServedModel,
-        StageSpec,
+        DeploymentPlan, GroupSpec, ModelId, ModelRouting, ModelSpec, ParallelConfig, Phase,
+        RoutingMatrix, ServedModel, StageSpec,
     };
 
     fn sender_free_at(kv: &mut KvTransport) -> &mut Vec<SimTime> {
@@ -571,7 +553,7 @@ mod tests {
         let (req, key) = seed_request(core, 7);
         core.now = SimTime::from_secs_f64(5.0);
         let busy_until = SimTime::from_secs_f64(30.0);
-        s.kv.pairs.get(0, 0).0.route.clear();
+        s.kv.pairs.get(0, 0).0.legs.clear();
         sender_free_at(&mut s.kv)[0] = busy_until;
         s.kv.launch(
             core,
@@ -641,7 +623,6 @@ mod tests {
                 Wire::Fabric(_) => KvTransfer::Fabric,
             };
             assert_eq!(picked, transfer);
-            assert_eq!(s.kv.codecs.len(), 1, "one codec per prefill replica");
         }
     }
 
@@ -655,26 +636,23 @@ mod tests {
         assert_eq!(flow_endpoints(&[]), (GpuId(0), GpuId(0), 0));
     }
 
-    /// Route segments and flow endpoints for every (prefill, decode) pair,
+    /// Route legs and flow endpoints for every (prefill, decode) pair,
     /// built up front: the dense tables the per-pair records replaced.
     #[allow(clippy::type_complexity)]
     fn dense_tables(
         cluster: &Cluster,
         prefills: &[PrefillExecutor],
         decodes: &[DecodeExecutor],
-    ) -> (
-        Vec<Vec<Vec<KvRouteSegment>>>,
-        Vec<Vec<(GpuId, GpuId, usize)>>,
-    ) {
+    ) -> (Vec<Vec<Vec<KvRouteLeg>>>, Vec<Vec<(GpuId, GpuId, usize)>>) {
         let mut routes = Vec::with_capacity(prefills.len());
         let mut flow_routes = Vec::with_capacity(prefills.len());
         for p in prefills {
             let mut row = Vec::with_capacity(decodes.len());
             let mut flow_row = Vec::with_capacity(decodes.len());
             for d in decodes {
-                let legs = kv_route_legs(cluster, &p.cost, &d.cost);
+                let legs: Vec<KvRouteLeg> = kv_route(cluster, &p.cost, &d.cost).collect();
                 flow_row.push(flow_endpoints(&legs));
-                row.push(legs.iter().map(KvRouteLeg::segment).collect());
+                row.push(legs);
             }
             routes.push(row);
             flow_routes.push(flow_row);
@@ -790,7 +768,7 @@ mod tests {
             rand::seq::SliceRandom::shuffle(&mut order[..], &mut rng);
             for (i, j) in order {
                 let pair = s.kv.pairs.get(i, j).0;
-                assert_eq!(pair.route, routes[i][j], "route ({i}, {j}), plan {checked}");
+                assert_eq!(pair.legs, routes[i][j], "route ({i}, {j}), plan {checked}");
                 assert_eq!(pair.flow, flows[i][j], "flow ({i}, {j}), plan {checked}");
                 assert_eq!((pair.memo, pair.factor, pair.down), (None, 1.0, false));
             }

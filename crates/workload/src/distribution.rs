@@ -1,6 +1,7 @@
 //! Token-length distributions.
 
 use rand::Rng;
+use ts_common::rng::standard_normal;
 
 /// A clamped lognormal distribution over token counts, parameterized by its
 /// median (the statistic the paper reports for the Azure traces).
@@ -60,9 +61,7 @@ impl LengthDistribution {
         if self.sigma == 0.0 {
             return self.median.clamp(self.min, self.max);
         }
-        let u1: f64 = rng.gen_range(f64::EPSILON..1.0);
-        let u2: f64 = rng.gen_range(0.0..1.0);
-        let z = (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos();
+        let z = standard_normal(rng);
         let v = (self.median as f64) * (self.sigma * z).exp();
         (v.round() as u32).clamp(self.min, self.max)
     }

@@ -357,19 +357,13 @@ mod tests {
 /// paper's online services mix coding and conversation traffic whose
 /// proportions drift). Ids are reassigned globally in arrival order.
 pub fn generate_mixture(specs: &[WorkloadSpec], horizon: SimDuration, seed: u64) -> Vec<Request> {
-    let mut all: Vec<Request> = Vec::new();
-    for (i, spec) in specs.iter().enumerate() {
-        all.extend(generate(
+    superpose(specs.iter().enumerate().map(|(i, spec)| {
+        generate(
             spec,
             horizon,
             ts_common::rng::derive_seed(seed, 0x31 + i as u64),
-        ));
-    }
-    all.sort_by_key(|r| (r.arrival, r.prompt_len, r.output_len));
-    for (i, r) in all.iter_mut().enumerate() {
-        r.id = RequestId(i as u64);
-    }
-    all
+        )
+    }))
 }
 
 /// Generates a multi-tenant trace: one independent Poisson stream per
@@ -387,18 +381,22 @@ pub fn generate_multi_tenant(
     horizon: SimDuration,
     seed: u64,
 ) -> Vec<Request> {
-    let mut all: Vec<Request> = Vec::new();
-    for (i, (model, spec)) in tenants.iter().enumerate() {
-        all.extend(
-            generate(
-                spec,
-                horizon,
-                ts_common::rng::derive_seed(seed, 0x4D54 + i as u64),
-            )
-            .into_iter()
-            .map(|r| r.with_model(*model)),
-        );
-    }
+    superpose(tenants.iter().enumerate().map(|(i, (model, spec))| {
+        generate(
+            spec,
+            horizon,
+            ts_common::rng::derive_seed(seed, 0x4D54 + i as u64),
+        )
+        .into_iter()
+        .map(|r| r.with_model(*model))
+    }))
+}
+
+/// Merges independent streams, in order, into one trace sorted by
+/// `(arrival, prompt_len, output_len)` (stable, so ties keep stream order),
+/// with ids reassigned in that order.
+fn superpose<S: IntoIterator<Item = Request>>(streams: impl Iterator<Item = S>) -> Vec<Request> {
+    let mut all: Vec<Request> = streams.flatten().collect();
     all.sort_by_key(|r| (r.arrival, r.prompt_len, r.output_len));
     for (i, r) in all.iter_mut().enumerate() {
         r.id = RequestId(i as u64);
